@@ -22,8 +22,8 @@ from repro.core import available_backends, use_backend
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.simulators.rap import RAPSimulator
 
-requires_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="NumPy backend not available"
+requires_fused = pytest.mark.skipif(
+    "fused" not in available_backends(), reason="fused backend not available"
 )
 
 
@@ -84,7 +84,7 @@ def _modeless(activity):
     }
 
 
-@requires_numpy
+@requires_fused
 def test_dfa_ruleset_scan_speed(benchmark, workload):
     sim, (dfa_rs, mapping), _ = workload
     with use_backend("fused"):
@@ -92,7 +92,7 @@ def test_dfa_ruleset_scan_speed(benchmark, workload):
     assert activity.input_symbols == len(STREAM)
 
 
-@requires_numpy
+@requires_fused
 def test_dfa_beats_forced_nfa(benchmark, workload):
     """The regression-gated 1.5x floor from the DFA-tier issue."""
     sim, (dfa_rs, dfa_map), (nfa_rs, nfa_map) = workload

@@ -17,13 +17,12 @@ import pytest
 
 from repro.compiler import CompiledMode, compile_ruleset
 from repro.core import available_backends, use_backend
-from repro.core.native import native_available
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.simulators.rap import RAPSimulator
 from repro.workloads.inputs import generate_input
 
 requires_native = pytest.mark.skipif(
-    not (native_available() and "numpy" in available_backends()),
+    "native" not in available_backends(),
     reason="native backend not available (no C toolchain?)",
 )
 

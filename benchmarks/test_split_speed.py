@@ -28,8 +28,8 @@ from repro.core import available_backends
 from repro.engine import BatchEngine, EngineConfig
 from repro.workloads.inputs import generate_input
 
-requires_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="NumPy backend not available"
+requires_fused = pytest.mark.skipif(
+    "fused" not in available_backends(), reason="fused backend not available"
 )
 
 
@@ -78,7 +78,7 @@ def _timed(fn, *args):
     return time.perf_counter() - start
 
 
-@requires_numpy
+@requires_fused
 def test_split_scan_speed(benchmark, workload):
     ruleset, _, split = workload
     result = benchmark.pedantic(
@@ -87,7 +87,7 @@ def test_split_scan_speed(benchmark, workload):
     assert result.matches
 
 
-@requires_numpy
+@requires_fused
 def test_split_matches_serial_and_beats_it(benchmark, workload):
     """The regression-gated floor from the input-parallel issue."""
     ruleset, serial, split = workload

@@ -435,17 +435,25 @@ class DFAScanner:
             stats.reports += len(matches)
         return matches
 
-    def snapshot(self) -> dict:
-        """JSON-ready mid-stream state — the exact ``KernelState``
-        document the equivalent NFA scan would produce here."""
+    @property
+    def state(self) -> KernelState:
+        """The NFA active set the current DFA state stands for — the
+        exact ``KernelState`` the equivalent NFA scan would hold here."""
         return KernelState(
             offset=self._offset, states=self._plan.dfa.subsets[self._state]
-        ).to_json()
+        )
+
+    @state.setter
+    def state(self, state: KernelState) -> None:
+        index = self._plan.dfa.state_of(state.states)
+        self._offset = state.offset
+        self._state = index
+
+    def snapshot(self) -> dict:
+        """JSON-ready mid-stream state (:attr:`state` as a document)."""
+        return self.state.to_json()
 
     def restore(self, doc: dict) -> None:
         """Adopt a state produced by :meth:`snapshot` (or by the
         equivalent NFA scanner over the same stream prefix)."""
-        state = KernelState.from_json(doc)
-        index = self._plan.dfa.state_of(state.states)
-        self._offset = state.offset
-        self._state = index
+        self.state = KernelState.from_json(doc)

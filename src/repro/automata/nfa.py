@@ -9,10 +9,10 @@ bitsets, which keeps the inner loop allocation-free.
 
 The loop itself lives in the execution-core layer: this module lowers an
 automaton to a :class:`~repro.core.program.KernelProgram` (a ``GATHER``
-machine) and delegates scanning to the registered step kernel, so the
-same simulator runs on the stdlib bitset kernel or the NumPy
-block-vectorized one.  The per-cycle activity statistics the hardware
-simulators price come back as the kernel's exact integer counters.
+machine) and delegates scanning to the step kernel — the same program
+the fused plan executes ruleset-wide.  The per-cycle activity statistics
+the hardware simulators price come back as the kernel's exact integer
+counters.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.automata.streaming import ProgramScanner
 from repro.core.kernel import StepStats
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import get_kernel
+from repro.core.state import KernelState
 from repro.regex.charclass import interned_label_masks
 
 __all__ = ["NFAScanner", "NFASimulator", "StepStats"]
@@ -189,6 +190,15 @@ class NFAScanner:
             stats.matched_states += run.matched_states
             stats.reports += run.reports
         return [i for i, _ in events]
+
+    @property
+    def state(self) -> KernelState:
+        """The active set after the last consumed symbol."""
+        return self._scanner.state
+
+    @state.setter
+    def state(self, state: KernelState) -> None:
+        self._scanner.state = state
 
     def snapshot(self) -> dict:
         """JSON-ready mid-stream state."""

@@ -53,6 +53,15 @@ class ProgramScanner:
         )
         return events, stats
 
+    @property
+    def state(self) -> KernelState:
+        """The frontier after the last consumed symbol."""
+        return self._state
+
+    @state.setter
+    def state(self, state: KernelState) -> None:
+        self._state = state
+
     def snapshot(self) -> dict:
         """JSON-ready frontier state (see :class:`KernelState`)."""
         return self._state.to_json()

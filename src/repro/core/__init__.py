@@ -5,8 +5,10 @@ they actually run on.  The automata layer describes each engine as a
 :class:`~repro.core.program.KernelProgram`; a pluggable
 :class:`~repro.core.kernel.StepKernel` executes it.  Backends register
 in :mod:`repro.core.registry` (``RAP_BACKEND`` / ``--backend`` select
-one, with silent fallback to the stdlib kernel) and are bit-identical
-by contract — switching backends can change speed, never results.
+one, with silent fallback to the stdlib kernel): ``python`` steps each
+unit through that kernel, ``fused`` and ``native`` run the ruleset-wide
+plan, and all are bit-identical by contract — switching backends can
+change speed, never results.
 
 :mod:`repro.core.trace` (the scan-once/price-many
 :class:`~repro.core.trace.ActivityTrace`) bridges to the simulator

@@ -1,12 +1,11 @@
 """Fused ruleset-wide scanning (``RAP_BACKEND=fused``).
 
-The per-pattern kernels in this package step each compiled unit through
-its own scan loop with a private 256-entry byte LUT, so on multi-pattern
-rule sets the per-unit Python overhead — not the automata math —
-dominates wall clock.  Data-parallel regex engines (SFA-style lockstep
-execution, the BVAP compressed match tables) recover the lost
-throughput with three ruleset-level tricks, and this module implements
-all three on top of the NumPy backend:
+The stdlib kernel steps each compiled unit through its own scan loop
+with a private 256-entry byte LUT, so on multi-pattern rule sets the
+per-unit Python overhead — not the automata math — dominates wall
+clock.  Data-parallel regex engines (SFA-style lockstep execution, the
+BVAP compressed match tables) recover the lost throughput with three
+ruleset-level tricks, and this module implements all three on NumPy:
 
 1. **Alphabet equivalence classes** (:class:`AlphabetClasses`): two
    bytes that every unit's label table treats identically are the same
@@ -35,12 +34,10 @@ word bit-identically to a standalone scan (the cross-unit shift leak is
 absorbed exactly as the packed multi-pattern layout absorbs its
 internal boundaries), and every counter is priced from per-class
 popcounts that equal the per-byte sums by construction.  The
-differential suite asserts bit-identity against the ``python`` and
-``numpy`` backends.
+differential suite asserts bit-identity against the ``python`` oracle.
 
-Only construct :class:`FusedKernel` through
-:func:`repro.core.registry.get_kernel`, which falls back to ``numpy``
-and then ``python`` when prerequisites are missing.
+Import this module only after the backend registry has resolved
+``fused`` or ``native`` — it requires NumPy.
 """
 
 from __future__ import annotations
@@ -54,9 +51,8 @@ import numpy as np
 # The DFA tier's subset construction lives with the automata oracles;
 # this module is a lazily-loaded backend leaf, so the upward import does
 # not create a cycle (repro.automata never imports repro.core.fused).
-from repro.automata.dfa import determinize_classes
+from repro.automata.dfa import ClassDFA, determinize_classes
 from repro.core.kernel import MatchEvent, StepStats
-from repro.core.npkernel import NumpyKernel
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import (
     DFA_FORMAT_VERSION,
@@ -255,7 +251,7 @@ class _DfaUnit:
     from that memory (:mod:`repro.automata.dfa`).
     """
 
-    __slots__ = ("program", "labels", "dfa", "hot_cls", "label_pops")
+    __slots__ = ("program", "labels", "dfa", "hot_cls", "pops")
 
     def __init__(self, program: KernelProgram, classes: AlphabetClasses):
         self.program = program
@@ -275,11 +271,37 @@ class _DfaUnit:
             dtype=bool,
             count=classes.k,
         )
-        self.label_pops = np.fromiter(
+        self.pops = np.fromiter(
             (m.bit_count() for m in self.labels),
             dtype=np.int64,
             count=classes.k,
         )
+
+
+def _span_stats(
+    unit: _GatherUnit | _DfaUnit,
+    tin: TranslatedSegment,
+    stats_from: int,
+    active: int,
+    reports: int,
+) -> StepStats:
+    """One unit span's counters — the same tail whichever tier ran it.
+
+    ``cycles`` and ``matched_states`` are pure functions of the owned
+    input (one per-class dot product); only ``active`` and ``reports``
+    come from the stepping loop.
+    """
+    matched = (
+        int(tin.counts_from(stats_from) @ unit.pops)
+        if unit.program.track_matched
+        else 0
+    )
+    return StepStats(
+        cycles=len(tin.data) - max(0, stats_from),
+        active_states=active,
+        matched_states=matched,
+        reports=reports,
+    )
 
 
 # A stats sink receives each flushed block of live cycles: the segment
@@ -465,6 +487,11 @@ class FusedRuleset:
                 self._native_units = None
         return self._native_units
 
+    @property
+    def native_active(self) -> bool:
+        """Whether unit spans run compiled kernels (builds lazily)."""
+        return self._native_scanner() is not None
+
     # -- identity -------------------------------------------------------
 
     @property
@@ -559,7 +586,7 @@ class FusedRuleset:
         Every cycle with a non-empty active set is recorded and flushed
         to ``sink`` in ``(positions, rows)`` blocks for vectorized
         pricing; empty stretches are skipped via the prefilter exactly
-        like the per-unit NumPy kernel.  ``at_end`` is accepted for
+        like the gather and DFA unit spans.  ``at_end`` is accepted for
         symmetry with the segment API — final-hit masking happens in
         the sink, which knows the positions.  ``stats_from`` marks the
         first owned position of a chunked scan: earlier symbols still
@@ -630,10 +657,11 @@ class FusedRuleset:
     ) -> tuple[list[MatchEvent], StepStats]:
         """Scan GATHER unit ``index`` over the shared translated input.
 
-        A class-indexed mirror of :meth:`NumpyKernel.scan`: identical
-        events and counters, but the byte LUTs shrink to k entries, the
-        prefilter positions are shared, and ``matched_states`` is one
-        per-class dot product instead of a 256-entry gather.
+        Identical events and counters to :meth:`PythonKernel.scan
+        <repro.core.pykernel.PythonKernel.scan>` of the unit's program,
+        but the byte LUTs shrink to k entries, cold stretches are
+        skipped through the shared prefilter positions, and
+        ``matched_states`` is one per-class dot product.
         """
         events, stats, _ = self.scan_unit_span(index, tin)
         return events, stats
@@ -661,10 +689,7 @@ class FusedRuleset:
         stream.
         """
         unit = self._gather[index]
-        program = unit.program
-        data = tin.data
-        n = len(data)
-        if n == 0:
+        if not tin.data:
             return [], StepStats(), state
         native = self._native_scanner()
         if native is not None and native.has_gather(index):
@@ -676,18 +701,25 @@ class FusedRuleset:
                 at_end=at_end,
                 stats_from=stats_from,
             )
-            matched = (
-                int(tin.counts_from(stats_from) @ unit.pops)
-                if program.track_matched
-                else 0
+        else:
+            events, active, exit_state = self._gather_span(
+                unit, tin, state, fresh, stats_from, at_end
             )
-            stats = StepStats(
-                cycles=n - max(0, stats_from),
-                active_states=active,
-                matched_states=matched,
-                reports=len(events),
-            )
-            return events, stats, exit_state
+        stats = _span_stats(unit, tin, stats_from, active, len(events))
+        return events, stats, exit_state
+
+    @staticmethod
+    def _gather_span(
+        unit: _GatherUnit,
+        tin: TranslatedSegment,
+        state: int,
+        fresh: bool,
+        stats_from: int,
+        at_end: bool,
+    ) -> tuple[list[MatchEvent], int, int]:
+        """The NumPy-tier interpreter of :meth:`scan_unit_span`:
+        ``(events, active-state sum, exit state)``."""
+        program = unit.program
         cls = tin.cls_bytes
         labels = unit.labels
         cold_next = unit.cold
@@ -698,6 +730,7 @@ class FusedRuleset:
         final = program.final
         end_anchored = program.end_anchored_finals
         inject = program.inject_always
+        n = len(cls)
         last = n - 1
         events: list[MatchEvent] = []
         active = 0
@@ -741,18 +774,7 @@ class FusedRuleset:
                     if hits:
                         events.append((i, hits))
             i += 1
-        matched = (
-            int(tin.counts_from(stats_from) @ unit.pops)
-            if program.track_matched
-            else 0
-        )
-        stats = StepStats(
-            cycles=n - max(0, stats_from),
-            active_states=active,
-            matched_states=matched,
-            reports=len(events),
-        )
-        return events, stats, states
+        return events, active, states
 
     # -- the DFA-tier tables --------------------------------------------
 
@@ -788,39 +810,41 @@ class FusedRuleset:
         """
         del fresh, at_end
         unit = self._dfa[index]
-        dfa = unit.dfa
-        trans = dfa.transitions
-        pops = dfa.pops
-        final_hits = dfa.final_hits
-        kcls = dfa.k
-        n = len(tin.data)
-        if n == 0:
+        if not tin.data:
             return [], StepStats(), state
         native = self._native_scanner()
         if native is not None:
             raw, active, exit_state = native.dfa_span(
                 index, tin.cls_bytes, state=state, stats_from=stats_from
             )
-            # The C kernel records (position, DFA state); the subset
-            # memory decodes each state to its final-position mask,
-            # which can exceed 64 bits and so stays on this side.
-            events = [(pos, final_hits[s]) for pos, s in raw]
-            matched = (
-                int(tin.counts_from(stats_from) @ unit.label_pops)
-                if unit.program.track_matched
-                else 0
+        else:
+            raw, active, exit_state = self._dfa_span(
+                unit, tin, state, stats_from
             )
-            stats = StepStats(
-                cycles=n - max(0, stats_from),
-                active_states=active,
-                matched_states=matched,
-                reports=len(events),
-            )
-            return events, stats, exit_state
+        # Both tiers record (position, DFA state); the subset memory
+        # decodes each state to its final-position mask, which can
+        # exceed 64 bits and so stays on this side of the C ABI.
+        final_hits = unit.dfa.final_hits
+        events = [(pos, final_hits[s]) for pos, s in raw]
+        stats = _span_stats(unit, tin, stats_from, active, len(events))
+        return events, stats, exit_state
+
+    @staticmethod
+    def _dfa_span(
+        unit: _DfaUnit, tin: TranslatedSegment, state: int, stats_from: int
+    ) -> tuple[list[tuple[int, int]], int, int]:
+        """The NumPy-tier interpreter of :meth:`scan_dfa_unit_span`:
+        ``(raw (position, DFA state) events, active sum, exit state)``."""
+        dfa = unit.dfa
+        trans = dfa.transitions
+        pops = dfa.pops
+        final_hits = dfa.final_hits
+        kcls = dfa.k
         cls = tin.cls_bytes
+        n = len(cls)
         hot_idx = tin.hot_for(unit.hot_cls)
         n_hot = len(hot_idx)
-        events: list[MatchEvent] = []
+        raw: list[tuple[int, int]] = []
         active = 0
         s = state
         i = 0
@@ -836,22 +860,10 @@ class FusedRuleset:
             s = trans[s * kcls + cls[i]]
             if s and i >= stats_from:
                 active += pops[s]
-                hits = final_hits[s]
-                if hits:
-                    events.append((i, hits))
+                if final_hits[s]:
+                    raw.append((i, s))
             i += 1
-        matched = (
-            int(tin.counts_from(stats_from) @ unit.label_pops)
-            if unit.program.track_matched
-            else 0
-        )
-        stats = StepStats(
-            cycles=n - max(0, stats_from),
-            active_states=active,
-            matched_states=matched,
-            reports=len(events),
-        )
-        return events, stats, s
+        return raw, active, s
 
     # -- chunk mappings (SFA stitching) ---------------------------------
 
@@ -917,20 +929,8 @@ class FusedRuleset:
         """Number of DFA-tier units in the fused compilation."""
         return len(self._dfa)
 
-    def dfa_state_count(self, index: int) -> int:
-        """Reachable subset count of DFA unit ``index``."""
-        return self._dfa[index].dfa.state_count
-
-
-class FusedKernel(NumpyKernel):
-    """The ``fused`` backend tier.
-
-    As a :class:`~repro.core.kernel.StepKernel` it executes single
-    programs exactly like :class:`NumpyKernel` (the per-program API is
-    inherited unchanged, so it honours the bit-identity contract by
-    construction).  The ruleset-wide fusion — shared alphabet classes,
-    lane packing, prefiltering — engages one layer up, where the
-    simulator and engine hand whole rulesets to :class:`FusedRuleset`.
-    """
-
-    name = "fused"
+    def dfa_table(self, index: int) -> ClassDFA:
+        """DFA unit ``index``'s table: the state index ↔ NFA subset
+        memory (``subsets`` / ``state_of``) span callers translate
+        :class:`~repro.core.state.KernelState` words through."""
+        return self._dfa[index].dfa

@@ -11,11 +11,12 @@ Shift-And and the bit-serial tile datapath — which a
 
 A :class:`StepKernel` executes a program over a byte chunk and emits the
 exact integer counters (:class:`StepStats`) the hardware simulators
-price.  Kernels are interchangeable by contract: every backend must
-produce bit-identical match events and counters for the same program and
-input, so switching ``RAP_BACKEND`` can never change a reported number —
-only how fast it is computed.  The differential test suite enforces the
-contract.
+price.  The stdlib :class:`~repro.core.pykernel.PythonKernel` is the one
+implementation and the oracle: the fused plan's interpreters (NumPy and
+generated C) must produce bit-identical match events and counters for
+the same program and input, so switching ``RAP_BACKEND`` can never
+change a reported number — only how fast it is computed.  The
+differential test suite enforces the contract.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class StepStats:
 class StepKernel(Protocol):
     """Executes :class:`~repro.core.program.KernelProgram` byte chunks.
 
-    ``scan`` is the one required operation; backends that cannot
-    accelerate the per-cycle views simply inherit the pure-Python ones.
+    ``scan`` and ``scan_segment`` are the block paths; ``iter_states``
+    is the lazy per-cycle view.
     """
 
     name: str

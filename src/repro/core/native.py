@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import codegen
-from repro.core.fused import FusedKernel, int_from_words, words_from_int
+from repro.core.fused import int_from_words, words_from_int
 
 NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"
 
@@ -453,16 +453,3 @@ class NativeUnitScanner:
             if rc == 0:
                 break
         return events, int(active[0]), int(word[0])
-
-
-class NativeKernel(FusedKernel):
-    """The ``native`` backend tier.
-
-    Per-program execution is inherited from the fused/NumPy kernels
-    (bit-identical by construction); the compiled-C acceleration
-    engages one layer up, where :class:`~repro.core.fused.FusedRuleset`
-    and the simulators attach the scanners above whenever the registry
-    resolves ``native``.
-    """
-
-    name = "native"

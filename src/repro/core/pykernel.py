@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.kernel import MatchEvent, StepStats
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.state import KernelState
+from repro.core.state import KernelState, iter_states_from
 
 # Above this many label-carrying byte values, per-value ``bytes.count``
 # sweeps cost more than one C-level map over the whole input.
@@ -256,32 +256,4 @@ class PythonKernel:
 
     def iter_states(self, program: KernelProgram, data: bytes):
         """Yield ``(index, packed_state_vector)`` per input byte."""
-        labels = program.labels
-        inject_first = program.inject_first
-        inject = program.inject_always
-        states = 0
-        if program.kind is ProgramKind.GATHER:
-            succ = program.succ
-            for i, byte in enumerate(data):
-                avail = inject_first if i == 0 else inject
-                a = states
-                while a:
-                    low = a & -a
-                    avail |= succ[low.bit_length() - 1]
-                    a ^= low
-                states = avail & labels[byte]
-                yield i, states
-        elif program.kind is ProgramKind.SHIFT_LEFT:
-            keep = ~program.clear_after_shift
-            for i, byte in enumerate(data):
-                states = (
-                    (states << 1) & keep
-                    | (inject_first if i == 0 else inject)
-                ) & labels[byte]
-                yield i, states
-        else:
-            for i, byte in enumerate(data):
-                states = (
-                    states >> 1 | (inject_first if i == 0 else inject)
-                ) & labels[byte]
-                yield i, states
+        return iter_states_from(program, data)

@@ -1,23 +1,25 @@
-"""Backend registry: which step kernel executes the hot loops.
+"""Backend registry: how whole rulesets execute.
 
 Selection order (first hit wins):
 
-1. an explicit name passed to :func:`get_kernel` / :func:`resolve_backend`;
+1. an explicit name passed to :func:`resolve_backend`;
 2. the process default set via :func:`set_default_backend` /
    :func:`use_backend` (the CLI's ``--backend`` lands here);
 3. the ``RAP_BACKEND`` environment variable;
 4. ``"python"``.
 
-Every backend is capability-flagged: requesting ``numpy`` (or the
-ruleset-fusing ``fused`` tier layered on top of it) on a machine
-without NumPy *silently* resolves down the fallback chain
-(``fused`` → ``numpy`` → ``python``), so scripts and CI recipes can pin
-``RAP_BACKEND=fused`` unconditionally.  This is safe because kernels
-are bit-identical by contract — the backend only changes speed, never
-results.  Anything that persists derived artifacts (the engine's
-compile cache, durable-scan checkpoints) must embed
-:data:`KERNEL_FORMAT_VERSION` / :data:`FUSED_FORMAT_VERSION` and the
-resolved backend in its keys.
+``python`` steps every unit through the stdlib :class:`~repro.core.
+pykernel.PythonKernel` — the oracle.  ``fused`` runs the ruleset-wide
+lane-packed plan through its NumPy interpreter, ``native`` through its
+generated C.  Every backend is capability-flagged: requesting ``native``
+without a C compiler, or ``fused`` without NumPy, *silently* resolves
+down the fallback chain (``native`` → ``fused`` → ``python``), so
+scripts and CI recipes can pin ``RAP_BACKEND=native`` unconditionally.
+This is safe because backends are bit-identical by contract — the
+backend only changes speed, never results.  Anything that persists
+derived artifacts (the engine's compile cache, durable-scan checkpoints)
+must embed :data:`KERNEL_FORMAT_VERSION` / :data:`FUSED_FORMAT_VERSION`
+and the resolved backend in its keys.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 from repro.core.kernel import StepKernel
+from repro.core.pykernel import PythonKernel
 
 BACKEND_ENV = "RAP_BACKEND"
 
@@ -66,24 +69,6 @@ def _numpy_available() -> bool:
     return True
 
 
-def _make_python() -> StepKernel:
-    from repro.core.pykernel import PythonKernel
-
-    return PythonKernel()
-
-
-def _make_numpy() -> StepKernel:
-    from repro.core.npkernel import NumpyKernel
-
-    return NumpyKernel()
-
-
-def _make_fused() -> StepKernel:
-    from repro.core.fused import FusedKernel
-
-    return FusedKernel()
-
-
 def _native_available() -> bool:
     # NumPy first: the native tier layers on the fused compilation, and
     # checking it here keeps repro.core.native importable only on
@@ -95,43 +80,33 @@ def _native_available() -> bool:
     return native_available()
 
 
-def _make_native() -> StepKernel:
-    from repro.core.native import NativeKernel
-
-    return NativeKernel()
-
-
-# name -> (capability probe, factory)
-_BACKENDS: dict[str, tuple[Callable[[], bool], Callable[[], StepKernel]]] = {
-    "python": (lambda: True, _make_python),
-    "numpy": (_numpy_available, _make_numpy),
-    "fused": (_numpy_available, _make_fused),
-    "native": (_native_available, _make_native),
+# name -> capability probe.  A backend names how whole rulesets execute
+# (the fused plan, interpreted or compiled); standalone automaton scans
+# always step through the one PythonKernel (see get_kernel).
+_BACKENDS: dict[str, Callable[[], bool]] = {
+    "python": lambda: True,
+    "fused": _numpy_available,
+    "native": _native_available,
 }
 
 # Where an unavailable backend degrades to.  Names absent from this map
 # fall straight back to "python" (always available).
-_FALLBACKS: dict[str, str] = {
-    "native": "fused",
-    "fused": "numpy",
-    "numpy": "python",
-}
+_FALLBACKS: dict[str, str] = {"native": "fused"}
 
 
 def _unavailable_reason(name: str) -> str:
     """Why ``name``'s capability probe fails right now (best effort)."""
+    if name in ("fused", "native") and not _numpy_available():
+        return "NumPy unavailable"
     if name == "native":
-        if not _numpy_available():
-            return "NumPy unavailable"
         from repro.core.native import native_unavailable_reason
 
         return native_unavailable_reason() or "capability probe failed"
-    if name in ("numpy", "fused"):
-        return "NumPy unavailable"
     return "capability probe failed"
 
+
 _default: str | None = None
-_instances: dict[str, StepKernel] = {}
+_KERNEL = PythonKernel()
 
 
 def backend_names() -> tuple[str, ...]:
@@ -141,42 +116,18 @@ def backend_names() -> tuple[str, ...]:
 
 def available_backends() -> tuple[str, ...]:
     """The backends whose capability probe passes on this machine."""
-    return tuple(
-        name for name, (probe, _) in _BACKENDS.items() if probe()
-    )
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """The backend that would actually execute, after fallbacks.
-
-    An explicitly passed unknown name raises; an unknown ``RAP_BACKEND``
-    value quietly resolves to ``python`` (a stale environment must not
-    break a run).  A known-but-unavailable backend silently walks the
-    fallback chain (``fused`` → ``numpy`` → ``python``) in both cases.
-    """
-    if name is None:
-        name = _default
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip().lower() or "python"
-        if name not in _BACKENDS:
-            return "python"
-    else:
-        name = name.strip().lower()
-        if name not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {name!r}; registered: {sorted(_BACKENDS)}"
-            )
-    while not _BACKENDS[name][0]():
-        name = _FALLBACKS.get(name, "python")
-        if name == "python":
-            break
-    return name
+    return tuple(name for name, probe in _BACKENDS.items() if probe())
 
 
 def resolve_backend_with_reason(
     name: str | None = None,
 ) -> tuple[str, str | None]:
-    """Like :func:`resolve_backend`, plus *why* any fallback happened.
+    """The backend that would actually execute, and why it fell back.
+
+    An explicitly passed unknown name raises; an unknown ``RAP_BACKEND``
+    value quietly resolves to ``python`` (a stale environment must not
+    break a run).  A known-but-unavailable backend silently walks the
+    fallback chain (``native`` → ``fused`` → ``python``) in both cases.
 
     Returns ``(resolved, reason)`` where ``reason`` is ``None`` when the
     requested backend runs as asked, and otherwise a human-readable
@@ -198,28 +149,31 @@ def resolve_backend_with_reason(
                 f"unknown backend {name!r}; registered: {sorted(_BACKENDS)}"
             )
     reasons: list[str] = []
-    while not _BACKENDS[name][0]():
+    while not _BACKENDS[name]():
         reasons.append(f"{name} unavailable: {_unavailable_reason(name)}")
         name = _FALLBACKS.get(name, "python")
-        if name == "python":
-            break
     return name, ("; ".join(reasons) or None)
 
 
-def get_kernel(name: str | None = None) -> StepKernel:
-    """The (shared) kernel instance for a backend, after resolution."""
-    resolved = resolve_backend(name)
-    kernel = _instances.get(resolved)
-    if kernel is None:
-        kernel = _BACKENDS[resolved][1]()
-        _instances[resolved] = kernel
-    return kernel
+def resolve_backend(name: str | None = None) -> str:
+    """:func:`resolve_backend_with_reason` without the reason."""
+    return resolve_backend_with_reason(name)[0]
+
+
+def get_kernel() -> StepKernel:
+    """The step kernel under every standalone automaton scan.
+
+    There is one: the pure-Python oracle.  Whole-ruleset scans on the
+    ``fused`` / ``native`` backends never come through here — they run
+    the fused plan (:mod:`repro.simulators.fused`).
+    """
+    return _KERNEL
 
 
 def set_default_backend(name: str | None) -> None:
     """Pin the process-wide default backend (``None`` unpins it).
 
-    The name is resolved eagerly, so pinning ``numpy`` without NumPy
+    The name is resolved eagerly, so pinning ``fused`` without NumPy
     pins ``python`` — later probes cannot flip the choice mid-run.
     """
     global _default

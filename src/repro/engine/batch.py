@@ -7,7 +7,10 @@ Two axes of parallelism, both with deterministic merges:
   same code path as a sequential run, so per-task results are identical
   by construction and come back in task order.
 * **Within one scan** — :meth:`BatchEngine.scan` parallelizes a single
-  (ruleset, stream) pair.  When every regex has bounded state memory
+  (ruleset, stream) pair.  On the ``fused`` / ``native`` backends the
+  fused plan scans the stream, split across ``input_jobs`` chunks
+  (:mod:`repro.engine.split`).  On the ``python`` backend ``jobs``
+  forks per-unit collectors: when every regex has bounded state memory
   (see :func:`~repro.engine.partition.required_overlap`) the stream is
   chunked with overlap-window stitching; otherwise work shards per
   regex / per LNFA bin over the whole stream.  Either way workers only
@@ -54,7 +57,6 @@ from repro.errors import (
     QuarantineReport,
     validate_on_error,
 )
-from repro.hardware.config import TileMode
 from repro.simulators.activity import (
     BinActivity,
     RegexActivity,
@@ -468,12 +470,8 @@ class BatchEngine:
         with self._backend_scope():
             sim = RAPSimulator(self.hw)
             input_jobs = self._input_jobs()
-            if (
-                input_jobs > 1
-                and data
-                and len(ruleset)
-                and resolve_backend() in ("fused", "native")
-            ):
+            planned = resolve_backend() in ("fused", "native")
+            if input_jobs > 1 and data and len(ruleset) and planned:
                 from repro.engine.split import split_collect
 
                 mapping = sim.build_mapping(ruleset, bin_size=bin_size)
@@ -495,9 +493,13 @@ class BatchEngine:
                 if activity is not None:
                     return sim.run_from_activity(ruleset, activity, mapping)
                 # stream too short (or nothing chunkable): fall through
-                # to the serial / ruleset-sharded paths below
+                # to the serial plan below
             jobs = effective_jobs(self.config.jobs)
-            if jobs <= 1 or not len(ruleset) or not data:
+            # The unit x chunk fork below steps pure-Python collectors,
+            # so it is the ``python`` backend's parallel path only; the
+            # fused plan scans the stream in one pass (its intra-stream
+            # parallelism is ``input_jobs``, handled above).
+            if planned or jobs <= 1 or not len(ruleset) or not data:
                 return sim.run(ruleset, data, bin_size=bin_size)
 
             mapping = sim.build_mapping(ruleset, bin_size=bin_size)
@@ -510,8 +512,7 @@ class BatchEngine:
                     mapping,
                 )
             # Partitioned chunks run through the same kernel API as the
-            # sequential path: workers pin the parent's resolved backend
-            # and collect the exact same integer activity.
+            # sequential path and collect the exact same integer activity.
             payload = pickle.dumps(
                 (ruleset, data, bin_size, self.hw, resolve_backend()),
                 protocol=pickle.HIGHEST_PROTOCOL,
@@ -681,21 +682,18 @@ class BatchEngine:
                         chunk.warm_start,
                     )
                 )
-        for index, array in enumerate(mapping.arrays):
-            if array.mode is not TileMode.LNFA:
-                continue
-            for bin_index in range(len(array.bins)):
-                for chunk in chunks:
-                    units.append(
-                        (
-                            "bin",
-                            index,
-                            bin_index,
-                            chunk.start,
-                            chunk.end,
-                            chunk.warm_start,
-                        )
+        for index, bin_index, _ in mapping.lnfa_bins():
+            for chunk in chunks:
+                units.append(
+                    (
+                        "bin",
+                        index,
+                        bin_index,
+                        chunk.start,
+                        chunk.end,
+                        chunk.warm_start,
                     )
+                )
         return units
 
     @staticmethod
@@ -726,22 +724,13 @@ class BatchEngine:
                 bin_parts[key] = (
                     activity if prior is None else prior.merge(activity)
                 )
-        # Rebuild containers in the sequential collection order so even
-        # dict iteration order matches the reference run.
-        regex = {
-            r.regex_id: regex_parts[r.regex_id]
-            for r in ruleset
-            if r.mode is not CompiledMode.LNFA
-        }
-        lnfa_bins = {
-            index: [
-                bin_parts[(index, bin_index)]
-                for bin_index in range(len(array.bins))
-            ]
-            for index, array in enumerate(mapping.arrays)
-            if array.mode is TileMode.LNFA
-        }
-        return RunActivity(regex=regex, lnfa_bins=lnfa_bins, input_symbols=n)
+        return RunActivity.in_collection_order(
+            ruleset,
+            mapping,
+            lambda r: regex_parts[r.regex_id],
+            lambda index, bin_index: bin_parts[(index, bin_index)],
+            n,
+        )
 
 
 # -- policy helpers ---------------------------------------------------------

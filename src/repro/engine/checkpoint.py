@@ -41,7 +41,7 @@ from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core.registry import resolve_backend
 from repro.engine import faults
 from repro.errors import CheckpointError, QuarantineEntry
-from repro.hardware.config import HardwareConfig, TileMode
+from repro.hardware.config import HardwareConfig
 from repro.io.serialize import scan_fingerprint
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
@@ -451,26 +451,39 @@ class DurableScan:
             for r in ruleset
             if r.mode is not CompiledMode.LNFA
         }
-        self._bins: dict[tuple[int, int], BinActivityCollector] = {}
-        for index, array in enumerate(mapping.arrays):
-            if array.mode is not TileMode.LNFA:
-                continue
-            for bin_index, bin_obj in enumerate(array.bins):
-                self._bins[(index, bin_index)] = BinActivityCollector(
-                    bin_obj, hw
-                )
-        # On the fused backend all LNFA bins step through one lane-packed
-        # machine per segment.  The feeder is stateless between feeds (it
-        # reads and writes the collectors' KernelState), so snapshot and
-        # restore go through the collectors unchanged and resuming stays
-        # byte-identical; its layout digest binds the checkpoints to this
-        # exact fusion via the fingerprint.
-        self._fused = None
-        if self._bins and resolve_backend() in ("fused", "native"):
-            from repro.simulators.fused import FusedBinFeeder
+        # On the fused and native backends the collectors are stepped by
+        # the ruleset's fused plan — the very plan a bulk scan executes:
+        # all LNFA bins through one lane-packed machine per segment, each
+        # NFA/DFA unit once for every regex sharing it.  The feeders are
+        # stateless between feeds (they read and write the collectors'
+        # KernelStates), so snapshot and restore go through the
+        # collectors unchanged and resuming stays byte-identical; the
+        # plan's layout digest binds the checkpoints to this exact fusion
+        # via the fingerprint.
+        self._plan = None
+        self._regex_feeder = None
+        self._bin_feeder = None
+        layouts: dict = {}  # bin key -> geometry the plan already packed
+        if resolve_backend() in ("fused", "native"):
+            from repro.simulators.fused import (
+                FusedBinFeeder,
+                FusedPlan,
+                FusedRegexFeeder,
+            )
 
-            self._fused = FusedBinFeeder(
+            self._plan = FusedPlan(ruleset, mapping, hw)
+            self._regex_feeder = FusedRegexFeeder(self._plan, self._regex)
+            layouts = dict(zip(self._plan.bin_keys, self._plan.layouts))
+        self._bins: dict[tuple[int, int], BinActivityCollector] = {
+            (index, bin_index): BinActivityCollector(
+                bin_obj, hw, layouts.get((index, bin_index))
+            )
+            for index, bin_index, bin_obj in mapping.lnfa_bins()
+        }
+        if self._plan is not None and self._bins:
+            self._bin_feeder = FusedBinFeeder(
                 list(self._bins.values()),
+                self._plan.scanner,
                 input_jobs=input_jobs,
                 min_chunk_bytes=min_chunk_bytes,
             )
@@ -483,8 +496,10 @@ class DurableScan:
             ruleset,
             hw,
             bin_size,
-            fused_layout=self._fused.signature if self._fused else None,
-            split_layout=self._fused.split_layout if self._fused else None,
+            fused_layout=self._plan.signature if self._plan else None,
+            split_layout=(
+                self._bin_feeder.split_layout if self._bin_feeder else None
+            ),
         )
         self._offset = 0
         self._hasher = hashlib.sha256()
@@ -520,16 +535,23 @@ class DurableScan:
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream on every live unit."""
-        for rid, collector in self._regex.items():
-            if ("regex", rid) not in self._shed:
-                collector.feed(segment, at_end=at_end)
-        if self._fused is not None and not any(
+        shed_regexes = {key[1] for key in self._shed if key[0] == "regex"}
+        tin = None
+        if self._plan is not None and segment:
+            # One translation per segment, shared by every unit.
+            tin = self._plan.fused.translate(segment)
+            self._regex_feeder.feed(tin, at_end=at_end, skip=shed_regexes)
+        else:
+            for rid, collector in self._regex.items():
+                if rid not in shed_regexes:
+                    collector.feed(segment, at_end=at_end)
+        if self._bin_feeder is not None and not any(
             key[0] == "bin" for key in self._shed
         ):
             # The packed machine steps every bin in lockstep; a shed bin
             # would desynchronize it, so degradation falls back to the
             # per-collector loop below.
-            self._fused.feed(segment, at_end=at_end)
+            self._bin_feeder.feed(segment, at_end=at_end, tin=tin)
         else:
             for (index, bin_index), collector in self._bins.items():
                 if ("bin", index, bin_index) not in self._shed:
@@ -792,21 +814,12 @@ class DurableScan:
 
     def finish(self) -> RunActivity:
         """The accumulated activity, in sequential collection order."""
-        regex = {
-            r.regex_id: self._regex[r.regex_id].activity()
-            for r in self._ruleset
-            if r.mode is not CompiledMode.LNFA
-        }
-        lnfa_bins = {
-            index: [
-                self._bins[(index, bin_index)].activity()
-                for bin_index in range(len(array.bins))
-            ]
-            for index, array in enumerate(self._mapping.arrays)
-            if array.mode is TileMode.LNFA
-        }
-        return RunActivity(
-            regex=regex, lnfa_bins=lnfa_bins, input_symbols=self._offset
+        return RunActivity.in_collection_order(
+            self._ruleset,
+            self._mapping,
+            lambda r: self._regex[r.regex_id].activity(),
+            lambda index, bin_index: self._bins[(index, bin_index)].activity(),
+            self._offset,
         )
 
 

@@ -46,22 +46,18 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
-from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core import set_default_backend
-from repro.core.fused import FusedRuleset
-from repro.core.trace import regex_fingerprint
 from repro.engine.partition import longest_activation_path, plan_chunks
 from repro.engine.pool import parallel_map
-from repro.hardware.config import HardwareConfig, TileMode
+from repro.hardware.config import HardwareConfig
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivity,
     RegexActivity,
-    _bin_layout,
     collect_regex_activity,
 )
-from repro.simulators.fused import FusedLaneScanner
+from repro.simulators.fused import FusedPlan, unit_activity
 from repro.simulators.rap import RAPSimulator, RunActivity
 
 # Frontier-map tables cost one frontier per state bit; beyond this width
@@ -96,100 +92,39 @@ class SplitLayout:
         )
 
 
-class SplitCompilation:
-    """One ruleset compiled for input-parallel scanning.
+class SplitCompilation(FusedPlan):
+    """One ruleset's fused plan, classified for input-parallel scanning.
 
-    Deterministic from ``(ruleset, mapping, hw)`` alone, so parent and
-    workers build identical compilations from the same pickled seed.
-    Mirrors :class:`~repro.simulators.fused.FusedRun`'s unit layout —
-    bins in mapping order, NFA units deduped by functional fingerprint
-    — and adds the split classification: each NFA unit's mechanism and
-    the ruleset-wide warm-up window.
+    Adds the split classification to the plan's unit layout: each NFA
+    and DFA unit's mechanism (``unit_kind`` / ``dfa_kind``, indexed like
+    ``nfa_units`` / ``dfa_units``) and the ruleset-wide warm-up window.
     """
 
     def __init__(
         self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
     ):
-        self.bin_keys: list[tuple[int, int]] = []
-        self.bins = []
-        self.lnfa_array_indexes: list[int] = []
-        layouts = []
-        for index, array in enumerate(mapping.arrays):
-            if array.mode is not TileMode.LNFA:
-                continue
-            self.lnfa_array_indexes.append(index)
-            for bin_index, bin_obj in enumerate(array.bins):
-                self.bin_keys.append((index, bin_index))
-                self.bins.append(bin_obj)
-                layouts.append(_bin_layout(bin_obj, hw))
-
-        self.nfa_unit_of: dict[object, int] = {}
-        nfa_programs = []
+        super().__init__(ruleset, mapping, hw)
+        warm = self.scanner.warm if self.scanner is not None else 1
         self.unit_kind: list[str] = []
-        self.dfa_unit_of: dict[object, int] = {}
-        dfa_programs = []
-        self.dfa_kind: list[str] = []
-        warm = 1
-        for compiled in ruleset:
-            if compiled.mode not in (CompiledMode.NFA, CompiledMode.DFA):
-                continue
-            is_dfa = compiled.mode is CompiledMode.DFA
-            unit_of = self.dfa_unit_of if is_dfa else self.nfa_unit_of
-            key = regex_fingerprint(compiled)
-            if key in unit_of:
-                continue
-            program = NFASimulator(compiled.automaton).program(
-                anchored_start=compiled.anchored_start,
-                anchored_end=compiled.anchored_end,
-            )
+        for compiled in self.nfa_units:
             bound = longest_activation_path(compiled.automaton)
-            if is_dfa:
-                unit_of[key] = len(dfa_programs)
-                dfa_programs.append(program)
-                # Cyclic DFA units never need a serial fallback: their
-                # chunk mapping is a StateMap over ≤ budget states.
-                if bound is not None:
-                    self.dfa_kind.append(BOUNDED)
-                    warm = max(warm, bound + 1)
-                else:
-                    self.dfa_kind.append(STATEMAP)
-                continue
-            unit_of[key] = len(nfa_programs)
-            nfa_programs.append(program)
             if bound is not None:
                 self.unit_kind.append(BOUNDED)
                 warm = max(warm, bound + 1)
-            elif program.width <= MAX_FRONTIER_STATES:
+            elif compiled.automaton.state_count <= MAX_FRONTIER_STATES:
                 self.unit_kind.append(FRONTIER)
             else:
                 self.unit_kind.append(SERIAL)
-        self.nfa_programs = nfa_programs
-        self.dfa_programs = dfa_programs
-
-        # One NBVA scan per distinct functional fingerprint, replicated
-        # to every sharing regex at assembly time (exactly FusedRun).
-        self.nbva_rep: dict[object, int] = {}
-        for compiled in ruleset:
-            if compiled.mode in (
-                CompiledMode.LNFA,
-                CompiledMode.NFA,
-                CompiledMode.DFA,
-            ):
-                continue
-            key = regex_fingerprint(compiled)
-            if key not in self.nbva_rep:
-                self.nbva_rep[key] = compiled.regex_id
-
-        self.fused = FusedRuleset(
-            [layout.packed.program for layout in layouts],
-            nfa_programs,
-            dfa_programs,
-        )
-        self.scanner = (
-            FusedLaneScanner(layouts, self.fused) if layouts else None
-        )
-        if self.scanner is not None:
-            warm = max(warm, self.scanner.warm)
+        self.dfa_kind: list[str] = []
+        for compiled in self.dfa_units:
+            bound = longest_activation_path(compiled.automaton)
+            # Cyclic DFA units never need a serial fallback: their
+            # chunk mapping is a StateMap over ≤ budget states.
+            if bound is not None:
+                self.dfa_kind.append(BOUNDED)
+                warm = max(warm, bound + 1)
+            else:
+                self.dfa_kind.append(STATEMAP)
         self.warm = warm
 
     @property
@@ -257,8 +192,8 @@ def split_collect(
     for unit, kind in enumerate(comp.unit_kind):
         if kind is SERIAL:
             tasks.append(("serial_nfa", unit))
-    for rid in comp.nbva_rep.values():
-        tasks.append(("nbva", rid))
+    for compiled in comp.nbva_units:
+        tasks.append(("nbva", compiled.regex_id))
 
     pool = dict(
         jobs=jobs,
@@ -338,7 +273,6 @@ def split_collect(
 
     return _assemble(
         comp,
-        ruleset,
         chunks,
         chunk_out,
         serial_nfa,
@@ -351,7 +285,6 @@ def split_collect(
 
 def _assemble(
     comp: SplitCompilation,
-    ruleset: CompiledRuleset,
     chunks,
     chunk_out,
     serial_nfa,
@@ -364,85 +297,55 @@ def _assemble(
     exact :class:`RunActivity` (containers in collection order)."""
     order = range(len(chunks))
 
-    # -- NFA units: fold (positions, active, cycles) per chunk ----------
-    unit_activity: list[tuple[list[int], int, int]] = []
-    for unit, kind in enumerate(comp.unit_kind):
-        if kind is SERIAL:
-            positions, active, cycles, _ = serial_nfa[unit]
-            unit_activity.append((positions, active, cycles))
-            continue
+    def folded(unit: int, slot: int, round_two: dict | None) -> tuple:
+        """One unit's ``(positions, active, cycles)`` over all chunks;
+        ``round_two`` holds the rescans of two-round units' later chunks."""
         positions: list[int] = []
         active = 0
         cycles = 0
         for ci in order:
-            if kind is FRONTIER and ci > 0:
-                part = frontier_parts[(unit, ci)]
+            if round_two is not None and ci > 0:
+                part = round_two[(unit, ci)]
             else:
-                part = chunk_out[ci][1][unit]
+                part = chunk_out[ci][slot][unit]
             positions.extend(part[0])
             active += part[1]
             cycles += part[2]
-        unit_activity.append((positions, active, cycles))
+        return positions, active, cycles
 
-    # -- DFA units: the same fold over table-executed chunks ------------
-    dfa_activity: list[tuple[list[int], int, int]] = []
-    for unit, kind in enumerate(comp.dfa_kind):
-        positions: list[int] = []
-        active = 0
-        cycles = 0
-        for ci in order:
-            if kind is STATEMAP and ci > 0:
-                part = dfa_parts[(unit, ci)]
-            else:
-                part = chunk_out[ci][3][unit]
-            positions.extend(part[0])
-            active += part[1]
-            cycles += part[2]
-        dfa_activity.append((positions, active, cycles))
-
-    regex: dict[int, RegexActivity] = {}
-    from dataclasses import replace
-
-    for compiled in ruleset:
-        if compiled.mode is CompiledMode.LNFA:
-            continue
-        key = regex_fingerprint(compiled)
-        if compiled.mode in (CompiledMode.NFA, CompiledMode.DFA):
-            positions, active, cycles = (
-                unit_activity[comp.nfa_unit_of[key]]
-                if compiled.mode is CompiledMode.NFA
-                else dfa_activity[comp.dfa_unit_of[key]]
-            )
-            regex[compiled.regex_id] = RegexActivity(
-                regex_id=compiled.regex_id,
-                mode=compiled.mode,
-                cycles=cycles,
-                matches=list(positions),
-                active_state_cycles=active,
-            )
-            continue
-        found = nbva_out[comp.nbva_rep[key]]
-        regex[compiled.regex_id] = replace(
-            found,
-            regex_id=compiled.regex_id,
-            matches=list(found.matches),
-            bv_cycle_indices=list(found.bv_cycle_indices),
-        )
+    nfa = [
+        serial_nfa[unit][:3]
+        if kind is SERIAL
+        else folded(unit, 1, frontier_parts if kind is FRONTIER else None)
+        for unit, kind in enumerate(comp.unit_kind)
+    ]
+    dfa = [
+        folded(unit, 3, dfa_parts if kind is STATEMAP else None)
+        for unit, kind in enumerate(comp.dfa_kind)
+    ]
+    units: dict[CompiledMode, list[RegexActivity]] = {
+        CompiledMode.NFA: [
+            unit_activity(compiled, *result)
+            for compiled, result in zip(comp.nfa_units, nfa)
+        ],
+        CompiledMode.DFA: [
+            unit_activity(compiled, *result)
+            for compiled, result in zip(comp.dfa_units, dfa)
+        ],
+        CompiledMode.NBVA: [
+            nbva_out[compiled.regex_id] for compiled in comp.nbva_units
+        ],
+    }
 
     # -- LNFA bins: fold lane deltas per chunk --------------------------
-    lnfa_bins: dict[int, list] = {
-        index: [] for index in comp.lnfa_array_indexes
-    }
+    bins: list[BinActivity] = []
     if comp.scanner is not None:
-        deltas = [chunk_out[ci][0] for ci in order]
-        merged = comp.scanner.merge_deltas(deltas)
-        for j, ((index, _), bin_obj) in enumerate(
-            zip(comp.bin_keys, comp.bins)
-        ):
+        merged = comp.scanner.merge_deltas([chunk_out[ci][0] for ci in order])
+        for j, bin_obj in enumerate(comp.bins):
             matches = {item.regex_id: [] for item in bin_obj.items}
             for rid, ends in merged.matches[j].items():
                 matches[rid].extend(ends)
-            lnfa_bins[index].append(
+            bins.append(
                 BinActivity(
                     bin=bin_obj,
                     cycles=merged.cycles,
@@ -451,8 +354,7 @@ def _assemble(
                     tile_active_bits=merged.tile_bits[j],
                 )
             )
-
-    return RunActivity(regex=regex, lnfa_bins=lnfa_bins, input_symbols=n)
+    return comp.run_activity(units, bins, n)
 
 
 # -- worker-side functions (module level: picklable by the pool) -----------

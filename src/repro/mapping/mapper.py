@@ -14,6 +14,7 @@ modes; :class:`Mapping` exposes the same metric.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
@@ -37,6 +38,14 @@ class Mapping:
     def arrays_in_mode(self, mode: TileMode) -> list[ArrayBuilder]:
         """The arrays configured to one mode."""
         return [a for a in self.arrays if a.mode is mode]
+
+    def lnfa_bins(self) -> Iterator[tuple[int, int, Bin]]:
+        """``(array index, bin index, bin)`` for every LNFA bin, in
+        mapping order — the order every collector and plan keeps."""
+        for index, array in enumerate(self.arrays):
+            if array.mode is TileMode.LNFA:
+                for bin_index, bin_obj in enumerate(array.bins):
+                    yield index, bin_index, bin_obj
 
     @property
     def total_arrays(self) -> int:

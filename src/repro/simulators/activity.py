@@ -351,6 +351,27 @@ class RegexActivityCollector:
         list (read-only to callers; slice it for incremental diffs)."""
         return self._matches
 
+    @property
+    def state(self) -> KernelState:
+        """The NFA/DFA scanner's mid-stream kernel state (its active
+        set, whichever of the two modes executes the regex)."""
+        return self._scanner.state
+
+    def apply_segment(
+        self, *, stats: StepStats, matches: list[int], state: KernelState
+    ) -> None:
+        """Fold one segment's precomputed activity into the collector.
+
+        The NFA/DFA counterpart of :meth:`BinActivityCollector.
+        apply_segment`: the fused plan steps the regex's unit once per
+        segment and hands over the exact deltas :meth:`feed` would have
+        accumulated — counters, global match positions, and the
+        continuation state.  Callers own the exactness contract.
+        """
+        self._stats = self._stats.merge(stats)
+        self._matches.extend(matches)
+        self._scanner.state = state
+
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream."""
         self._matches.extend(
@@ -416,9 +437,13 @@ class BinActivityCollector:
     :class:`BinActivity` exactly.
     """
 
-    def __init__(self, bin_obj: Bin, hw: HardwareConfig):
+    def __init__(
+        self, bin_obj: Bin, hw: HardwareConfig, layout: _BinLayout | None = None
+    ):
         self._bin = bin_obj
-        self._layout = _bin_layout(bin_obj, hw)
+        # ``layout`` shares a geometry the caller already derived (the
+        # fused plan packs every bin before any collector exists).
+        self._layout = layout or _bin_layout(bin_obj, hw)
         self._state = KernelState()
         self._cycles = 0
         self._matches: dict[int, list[int]] = {

@@ -1,50 +1,58 @@
 """Ruleset-wide fused execution of the functional collectors.
 
-This is the simulator-layer half of the ``fused`` backend
-(:mod:`repro.core.fused` is the machine itself).  Three entry points:
+This is the simulator-layer half of the ``fused`` / ``native`` backends
+(:mod:`repro.core.fused` is the machine itself).  Everything above the
+``python`` oracle executes one :class:`FusedPlan`:
 
+* :class:`FusedPlan` derives a mapped ruleset's execution layout once —
+  LNFA bins in mapping order, NFA and DFA programs deduped by functional
+  fingerprint (exactly like :class:`~repro.core.trace.ActivityTrace`),
+  NBVA representatives, one :class:`~repro.core.fused.FusedRuleset`,
+  one :class:`FusedLaneScanner` — and assembles unit results back into
+  a :class:`~repro.simulators.rap.RunActivity` in collection order.
+  Bulk scans (:class:`FusedRun`), input-parallel scans
+  (:mod:`repro.engine.split`) and durable / served scans
+  (:class:`~repro.engine.checkpoint.DurableScan`) all consume it.
 * :class:`FusedLaneScanner` steps the lane-packed machine over one
   span of a stream and returns the per-bin activity deltas
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
   from an explicit entry word or from a warm-up window, which is what
   both the durable feeder and the input-parallel split engine build on.
-* :class:`FusedBinFeeder` steps *every* LNFA bin of a ruleset through
-  one lane-packed machine per segment and folds the resulting activity
-  back into the bins' ordinary
-  :class:`~repro.simulators.activity.BinActivityCollector` objects.
-  The feeder itself is stateless between feeds — it loads the packed
-  word from the collectors' :class:`~repro.core.KernelState` and writes
-  the continuation back — so durable-scan snapshot/restore documents
-  are byte-identical to the unfused path and a SIGKILL-resume replays
-  the same integer stream.  With ``input_jobs > 1`` each segment is
-  split into warm-up-window chunks scanned in parallel; the folded
+* :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
+  scan's ordinary collectors through the plan, one segment at a time.
+  Both are stateless between feeds — they load each unit's entry state
+  from the collectors' :class:`~repro.core.KernelState` and write the
+  continuation back — so snapshot/restore documents are byte-identical
+  to the ``python`` backend's and a SIGKILL-resume replays the same
+  integer stream.  With ``input_jobs > 1`` the bin feeder splits each
+  segment into warm-up-window chunks scanned in parallel; the folded
   deltas (and therefore every snapshot) stay byte-identical to the
   serial feed.
 * :class:`FusedRun` reproduces
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities` for a
   whole run: the input is translated once through the shared alphabet
-  classes, NFA-mode regexes scan as class-indexed mask stacks (deduped
-  by functional fingerprint exactly like
-  :class:`~repro.core.trace.ActivityTrace`), LNFA bins run through the
-  feeder, and NBVA-mode regexes fall back to the exact pure scan (their
-  counter dataflow is not a bitset program).
+  classes, NFA and DFA units scan off the shared translation, LNFA bins
+  run through the feeder, and NBVA-mode regexes fall back to the exact
+  pure scan (their counter dataflow is not a bitset program).
 
 Import this module lazily, only after the backend registry has resolved
-``fused`` — it requires NumPy.
+``fused`` or ``native`` — it requires NumPy.
 """
 
 from __future__ import annotations
 
 import logging
 import pickle
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.automata.nfa import NFASimulator
-from repro.compiler.program import CompiledMode, CompiledRuleset
+from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.fused import (
     FusedRuleset,
+    TranslatedSegment,
     int_from_words,
     popcount_words,
     words_from_int,
@@ -52,11 +60,14 @@ from repro.core.fused import (
 from repro.core.registry import NATIVE_FORMAT_VERSION, resolve_backend
 from repro.core.state import KernelState
 from repro.core.trace import regex_fingerprint
-from repro.hardware.config import HardwareConfig, TileMode
+from repro.hardware.config import HardwareConfig
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
+    BinActivity,
     BinActivityCollector,
     RegexActivity,
+    RegexActivityCollector,
+    _bin_layout,
     _BinLayout,
     collect_regex_activity,
 )
@@ -106,14 +117,11 @@ class FusedLaneScanner:
 
         # Flattened (bin, tile) geometry: one full-width word mask per
         # tile, stacked into a 2-D lane matrix for the vectorized sink.
-        owners: list[tuple[int, int]] = []
         words: list[np.ndarray] = []
         for j, layout in enumerate(self._layouts):
             base = fused.bases[j]
-            for t, mask in enumerate(layout.tile_masks):
-                owners.append((j, t))
+            for mask in layout.tile_masks:
                 words.append(words_from_int(mask << base, lanes))
-        self._tile_owners = owners
         self._tile_words = (
             np.vstack(words)
             if words
@@ -189,11 +197,6 @@ class FusedLaneScanner:
         return self._fused
 
     @property
-    def signature(self) -> str:
-        """The fused compilation's layout digest (class map + lanes)."""
-        return self._fused.signature
-
-    @property
     def bin_count(self) -> int:
         """Number of bins packed into the lane machine."""
         return len(self._layouts)
@@ -240,107 +243,25 @@ class FusedLaneScanner:
         if n == 0:
             return self.empty_delta(entry)
         fused = self._fused
-        native = self._native_scanner()
-        if native is not None:
-            if tin is None:
-                tin = fused.translate(segment)
-            return self._assemble_native(
-                native.scan(
-                    tin.cls_bytes,
-                    entry=entry,
-                    fresh=fresh,
-                    at_end=at_end,
-                    stats_from=stats_from,
-                ),
-                n,
-                base,
-                stats_from,
-            )
-        last = n - 1
-        tile_words = self._tile_words
-        tile_count = len(self._tile_owners)
-        tile_cycles = [0] * tile_count
-        tile_bits = [0] * tile_count
-        matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
-        finals = self._finals
-        final_words = self._final_words
-        end_anchored = self._end_anchored
-
-        def sink(positions: np.ndarray, rows: np.ndarray) -> None:
-            for m in range(tile_count):
-                live = rows & tile_words[m]
-                active = live.any(axis=1)
-                count = int(active.sum())
-                if not count:
-                    continue
-                tile_cycles[m] += count
-                tile_bits[m] += int(popcount_words(live).sum())
-            hits = rows & final_words
-            for r in np.flatnonzero(hits.any(axis=1)):
-                position = int(positions[r])
-                word = int_from_words(hits[r])
-                if not (at_end and position == last):
-                    word &= ~end_anchored
-                while word:
-                    low = word & -word
-                    word ^= low
-                    j, rid = finals[low.bit_length() - 1]
-                    matches[j].setdefault(rid, []).append(base + position)
-
         if tin is None:
             tin = fused.translate(segment)
-        packed = fused.lane_feed(
-            tin,
-            entry,
-            fresh=fresh,
-            at_end=at_end,
-            sink=sink,
-            stats_from=stats_from,
+        span = dict(
+            entry=entry, fresh=fresh, at_end=at_end, stats_from=stats_from
         )
-
-        owned = n - max(0, stats_from)
-        per_bin_cycles: list[list[int]] = []
-        per_bin_bits: list[list[int]] = []
-        for j, layout in enumerate(self._layouts):
-            start = self._tile_starts[j]
-            tiles = len(layout.tile_masks)
-            # Tile 0 is never power-gated: it accrues a cycle per owned
-            # input symbol regardless of liveness (only its *bits* come
-            # from live cycles) — the closed form of the per-cycle loop.
-            per_bin_cycles.append(
-                [owned] + tile_cycles[start + 1 : start + tiles]
+        native = self._native_scanner()
+        if native is not None:
+            flat_cycles, flat_bits, hits, packed = native.scan(
+                tin.cls_bytes, **span
             )
-            per_bin_bits.append(tile_bits[start : start + tiles])
-        return LaneDelta(
-            cycles=owned,
-            tile_cycles=per_bin_cycles,
-            tile_bits=per_bin_bits,
-            matches=matches,
-            exit_states=[
-                fused.extract(packed, j) for j in range(len(self._layouts))
-            ],
-            exit_packed=packed,
-        )
+            flat_cycles, flat_bits = flat_cycles.tolist(), flat_bits.tolist()
+        else:
+            flat_cycles, flat_bits, hits, packed = self._interpret(tin, **span)
 
-    def _assemble_native(
-        self,
-        raw: tuple,
-        n: int,
-        base: int,
-        stats_from: int,
-    ) -> LaneDelta:
-        """One compiled-kernel result as the interpreted scan's delta.
-
-        The C kernel hands back flattened per-tile counters and
-        end-anchored-masked ``(position, packed-final-word)`` hit
-        pairs; decomposition into per-bin matches and the tile-0
-        owned-cycle closed form are the exact operations the
-        interpreted sink performs, so the delta — and every snapshot
-        built from it — is byte-identical (plain Python ints, same
-        ordering).
-        """
-        tile_cycles, tile_bits, hits, packed = raw
-        fused = self._fused
+        # Either tier hands back flattened per-tile counters and
+        # end-anchored-masked (position, packed-final-word) hit pairs;
+        # the decomposition below is shared, so the delta — and every
+        # snapshot built from it — is byte-identical across tiers
+        # (plain Python ints, same ordering).
         finals = self._finals
         matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
         for position, word in hits:
@@ -350,13 +271,14 @@ class FusedLaneScanner:
                 j, rid = finals[low.bit_length() - 1]
                 matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
-        flat_cycles = tile_cycles.tolist()
-        flat_bits = tile_bits.tolist()
         per_bin_cycles: list[list[int]] = []
         per_bin_bits: list[list[int]] = []
         for j, layout in enumerate(self._layouts):
             start = self._tile_starts[j]
             tiles = len(layout.tile_masks)
+            # Tile 0 is never power-gated: it accrues a cycle per owned
+            # input symbol regardless of liveness (only its *bits* come
+            # from live cycles) — the closed form of the per-cycle loop.
             per_bin_cycles.append(
                 [owned] + flat_cycles[start + 1 : start + tiles]
             )
@@ -371,6 +293,55 @@ class FusedLaneScanner:
             ],
             exit_packed=packed,
         )
+
+    def _interpret(
+        self,
+        tin: TranslatedSegment,
+        *,
+        entry: int,
+        fresh: bool,
+        at_end: bool,
+        stats_from: int,
+    ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
+        """The NumPy-tier mirror of :meth:`NativeLaneScanner.scan
+        <repro.core.native.NativeLaneScanner.scan>`: the lane machine
+        stepped by :meth:`FusedRuleset.lane_feed`, priced per block."""
+        last = len(tin.data) - 1
+        tile_words = self._tile_words
+        tile_count = len(tile_words)
+        tile_cycles = [0] * tile_count
+        tile_bits = [0] * tile_count
+        hits: list[tuple[int, int]] = []
+        final_words = self._final_words
+        end_anchored = self._end_anchored
+
+        def sink(positions: np.ndarray, rows: np.ndarray) -> None:
+            for m in range(tile_count):
+                live = rows & tile_words[m]
+                active = live.any(axis=1)
+                count = int(active.sum())
+                if not count:
+                    continue
+                tile_cycles[m] += count
+                tile_bits[m] += int(popcount_words(live).sum())
+            found = rows & final_words
+            for r in np.flatnonzero(found.any(axis=1)):
+                position = int(positions[r])
+                word = int_from_words(found[r])
+                if not (at_end and position == last):
+                    word &= ~end_anchored
+                if word:
+                    hits.append((position, word))
+
+        packed = self._fused.lane_feed(
+            tin,
+            entry,
+            fresh=fresh,
+            at_end=at_end,
+            sink=sink,
+            stats_from=stats_from,
+        )
+        return tile_cycles, tile_bits, hits, packed
 
     def merge_deltas(self, deltas: list[LaneDelta]) -> LaneDelta:
         """Fold chunk deltas, in chunk order, into one segment delta.
@@ -414,9 +385,9 @@ class FusedLaneScanner:
 class FusedBinFeeder:
     """Feed many bin collectors through one lane-packed machine.
 
-    ``collectors`` are the ruleset's LNFA bins in a fixed order; their
-    packed programs must equal ``fused.shift_programs`` (a bins-only
-    :class:`FusedRuleset` is compiled when none is supplied).  Each
+    ``collectors`` are the ruleset's LNFA bins in a fixed order;
+    ``scanner`` is the plan's lane scanner over the same bins (a
+    bins-only one is compiled when none is supplied).  Each
     :meth:`feed` accumulates, per bin, the exact deltas the collector's
     own ``feed`` would have produced for the same segment.
 
@@ -431,40 +402,17 @@ class FusedBinFeeder:
     def __init__(
         self,
         collectors: list[BinActivityCollector],
-        fused: FusedRuleset | None = None,
+        scanner: FusedLaneScanner | None = None,
         *,
         input_jobs: int = 1,
         min_chunk_bytes: int = 4096,
     ):
         self._collectors = list(collectors)
-        self._scanner = FusedLaneScanner(
-            [c.layout for c in self._collectors], fused
+        self._scanner = scanner or FusedLaneScanner(
+            [c.layout for c in self._collectors]
         )
         self._input_jobs = max(1, input_jobs)
         self._min_chunk_bytes = max(1, min_chunk_bytes)
-
-    @property
-    def signature(self) -> str:
-        """The fused compilation's layout digest (class map + lanes).
-
-        When the native backend's compiled lane kernel is attached the
-        digest carries a ``:native<version>`` suffix, folding
-        :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` into every
-        durable-scan fingerprint built from it — a checkpoint records
-        the execution tier that wrote it.  A silent fallback (no
-        compiler, build failure) leaves the plain fused digest, so
-        fingerprints are unchanged whenever native does not actually
-        run.
-        """
-        sig = self._scanner.signature
-        if self._scanner.native_active:
-            sig = f"{sig}:native{NATIVE_FORMAT_VERSION}"
-        return sig
-
-    @property
-    def warm(self) -> int:
-        """The lane machine's warm-up window, in bytes."""
-        return self._scanner.warm
 
     @property
     def split_layout(self) -> str | None:
@@ -480,8 +428,18 @@ class FusedBinFeeder:
             f":min={self._min_chunk_bytes}:warm={self._scanner.warm}"
         )
 
-    def feed(self, segment: bytes, *, at_end: bool = True) -> None:
-        """Consume the next stream segment on every bin at once."""
+    def feed(
+        self,
+        segment: bytes,
+        *,
+        at_end: bool = True,
+        tin: TranslatedSegment | None = None,
+    ) -> None:
+        """Consume the next stream segment on every bin at once.
+
+        ``tin`` is the segment already translated by the scanner's
+        fused compilation, when the caller shares one with other units.
+        """
         if not segment:
             return
         collectors = self._collectors
@@ -506,6 +464,7 @@ class FusedBinFeeder:
                 fresh=stream_base == 0,
                 at_end=at_end,
                 base=stream_base,
+                tin=tin,
             )
         n = len(segment)
         for j, collector in enumerate(collectors):
@@ -603,6 +562,217 @@ def _lane_chunk(task: tuple) -> LaneDelta:
     )
 
 
+class FusedRegexFeeder:
+    """Feed a durable scan's regex collectors through the plan.
+
+    The regex-side peer of :class:`FusedBinFeeder`: each NFA/DFA unit
+    is stepped once per segment through the plan's span scanners
+    (compiled C when attached) and the result folded into the collector
+    of *every* regex sharing the unit, instead of each regex stepping
+    its own scanner.  NBVA regexes keep their exact per-regex scanner.
+    The feeder holds no stream state — entry states are read from the
+    collectors' :class:`~repro.core.KernelState` and the continuation is
+    written back — so snapshots stay byte-identical to the ``python``
+    backend's.
+    """
+
+    def __init__(
+        self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
+    ):
+        self._fused = plan.fused
+        self._nbva: list[tuple[int, RegexActivityCollector]] = []
+        # (is DFA, unit index) -> the collectors of the regexes sharing it
+        self._units: dict[tuple[bool, int], list] = {}
+        for compiled in plan.ruleset:
+            rid = compiled.regex_id
+            if compiled.mode is CompiledMode.NBVA:
+                self._nbva.append((rid, collectors[rid]))
+            elif compiled.mode is not CompiledMode.LNFA:
+                key = (compiled.mode is CompiledMode.DFA, plan.unit_index[rid])
+                self._units.setdefault(key, []).append((rid, collectors[rid]))
+
+    def feed(
+        self,
+        tin: TranslatedSegment,
+        *,
+        at_end: bool = True,
+        skip: Collection[int] = (),
+    ) -> None:
+        """Consume the next (translated) segment on every regex whose id
+        is not in ``skip`` (shed regexes stay frozen where they are)."""
+        n = len(tin.data)
+        if not n:
+            return
+        fused = self._fused
+        for rid, collector in self._nbva:
+            if rid not in skip:
+                collector.feed(tin.data, at_end=at_end)
+        for (is_dfa, unit), members in self._units.items():
+            # Regexes sharing a unit have been fed the same bytes, so
+            # the live ones agree on one entry state; grouping by it
+            # (rather than assuming it) keeps a restored snapshot whose
+            # collectors disagree exact, merely slower.
+            entries: dict[KernelState, list[RegexActivityCollector]] = {}
+            for rid, collector in members:
+                if rid not in skip:
+                    entries.setdefault(collector.state, []).append(collector)
+            for entry, group in entries.items():
+                if is_dfa:
+                    # KernelState words are NFA active sets; the table's
+                    # subset memory maps them to DFA state indices.
+                    dfa = fused.dfa_table(unit)
+                    events, stats, exit_state = fused.scan_dfa_unit_span(
+                        unit, tin, state=dfa.state_of(entry.states)
+                    )
+                    exit_state = dfa.subsets[exit_state]
+                else:
+                    events, stats, exit_state = fused.scan_unit_span(
+                        unit,
+                        tin,
+                        state=entry.states,
+                        fresh=entry.offset == 0,
+                        at_end=at_end,
+                    )
+                matches = [entry.offset + i for i, _ in events]
+                state = KernelState(offset=entry.offset + n, states=exit_state)
+                for collector in group:
+                    collector.apply_segment(
+                        stats=stats, matches=matches, state=state
+                    )
+
+
+def unit_activity(
+    compiled: CompiledRegex, positions: list[int], active: int, cycles: int
+) -> RegexActivity:
+    """One NFA/DFA unit's span results as its regex's activity."""
+    return RegexActivity(
+        regex_id=compiled.regex_id,
+        mode=compiled.mode,
+        cycles=cycles,
+        matches=positions,
+        active_state_cycles=active,
+    )
+
+
+class FusedPlan:
+    """One mapped ruleset laid out for fused execution, derived once.
+
+    Deterministic from ``(ruleset, mapping, hw)`` alone, so a parent and
+    its workers build identical plans from the same pickled seed:
+
+    * ``bins`` / ``bin_keys`` / ``layouts`` — every LNFA bin in mapping
+      order, lane-packed by ``scanner`` (``None`` without bins);
+    * ``nfa_units`` / ``dfa_units`` / ``nbva_units`` — one
+      representative regex per distinct functional fingerprint, in
+      ruleset order; ``unit_index`` maps every non-LNFA regex id to its
+      unit's position in its mode's list;
+    * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
+      holding the bins' shift programs and the NFA/DFA units' gather
+      programs, so all of them share one class map, one translated
+      input, and one prefilter.
+    """
+
+    def __init__(
+        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+    ):
+        self.ruleset = ruleset
+        self.mapping = mapping
+        self.bin_keys: list[tuple[int, int]] = []
+        self.bins = []
+        self.layouts: list[_BinLayout] = []
+        for index, bin_index, bin_obj in mapping.lnfa_bins():
+            self.bin_keys.append((index, bin_index))
+            self.bins.append(bin_obj)
+            self.layouts.append(_bin_layout(bin_obj, hw))
+
+        self.nfa_units: list[CompiledRegex] = []
+        self.dfa_units: list[CompiledRegex] = []
+        self.nbva_units: list[CompiledRegex] = []
+        self.unit_index: dict[int, int] = {}
+        by_mode = {
+            CompiledMode.NFA: self.nfa_units,
+            CompiledMode.DFA: self.dfa_units,
+            CompiledMode.NBVA: self.nbva_units,
+        }
+        seen: dict[object, int] = {}
+        for compiled in ruleset:
+            units = by_mode.get(compiled.mode)
+            if units is None:
+                continue
+            key = regex_fingerprint(compiled)  # includes the mode
+            if key not in seen:
+                seen[key] = len(units)
+                units.append(compiled)
+            self.unit_index[compiled.regex_id] = seen[key]
+
+        def program(compiled: CompiledRegex):
+            return NFASimulator(compiled.automaton).program(
+                anchored_start=compiled.anchored_start,
+                anchored_end=compiled.anchored_end,
+            )
+
+        self.fused = FusedRuleset(
+            [layout.packed.program for layout in self.layouts],
+            [program(compiled) for compiled in self.nfa_units],
+            [program(compiled) for compiled in self.dfa_units],
+        )
+        self.scanner = (
+            FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
+        )
+
+    @property
+    def signature(self) -> str:
+        """The fused compilation's layout digest (class map + lanes +
+        units) — what durable-scan fingerprints embed.
+
+        When the native backend's compiled kernels are attached the
+        digest carries a ``:native<version>`` suffix, folding
+        :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` into every
+        fingerprint built from it — a checkpoint records the execution
+        tier that wrote it.  A silent fallback (no compiler, build
+        failure) leaves the plain fused digest, so fingerprints are
+        unchanged whenever native does not actually run.
+        """
+        sig = self.fused.signature
+        if self.fused.native_active or (
+            self.scanner is not None and self.scanner.native_active
+        ):
+            sig = f"{sig}:native{NATIVE_FORMAT_VERSION}"
+        return sig
+
+    def run_activity(
+        self,
+        units: dict[CompiledMode, list[RegexActivity]],
+        bins: list[BinActivity],
+        input_symbols: int,
+    ) -> RunActivity:
+        """Unit results as the run's activity, in collection order.
+
+        ``units[mode][i]`` is the activity of unit ``i`` of that mode's
+        unit list; every regex sharing the unit gets its own copy
+        rebound to its id (fresh lists, so regexes never alias each
+        other's matches).  ``bins`` is in plan (mapping) order.
+        """
+        bin_of = dict(zip(self.bin_keys, bins))
+
+        def regex_of(compiled: CompiledRegex) -> RegexActivity:
+            found = units[compiled.mode][self.unit_index[compiled.regex_id]]
+            return replace(
+                found,
+                regex_id=compiled.regex_id,
+                matches=list(found.matches),
+                bv_cycle_indices=list(found.bv_cycle_indices),
+            )
+
+        return RunActivity.in_collection_order(
+            self.ruleset,
+            self.mapping,
+            regex_of,
+            lambda index, bin_index: bin_of[(index, bin_index)],
+            input_symbols,
+        )
+
+
 class FusedRun:
     """One-shot fused activity collection for a mapped ruleset."""
 
@@ -616,100 +786,40 @@ class FusedRun:
     def collect(self, data: bytes) -> RunActivity:
         """The run's :class:`RunActivity`, bit-identical to the unfused
         :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`."""
-        ruleset = self._ruleset
-        mapping = self._mapping
-
-        bin_keys: list[tuple[int, int]] = []
-        collectors: list[BinActivityCollector] = []
-        for index, array in enumerate(mapping.arrays):
-            if array.mode is not TileMode.LNFA:
-                continue
-            for bin_index, bin_obj in enumerate(array.bins):
-                bin_keys.append((index, bin_index))
-                collectors.append(BinActivityCollector(bin_obj, self._hw))
-
-        # One scan per distinct functional fingerprint, exactly like
-        # ActivityTrace: NFA regexes become GATHER units of the fused
-        # compilation, DFA-mode regexes become subset-constructed table
-        # units sharing the same class map and prefilter, and NBVA
-        # regexes keep the exact pure-Python scan.
-        nfa_unit_of: dict[object, int] = {}
-        nfa_programs = []
-        dfa_unit_of: dict[object, int] = {}
-        dfa_programs = []
-        for compiled in ruleset:
-            if compiled.mode is CompiledMode.NFA:
-                unit_of, programs = nfa_unit_of, nfa_programs
-            elif compiled.mode is CompiledMode.DFA:
-                unit_of, programs = dfa_unit_of, dfa_programs
-            else:
-                continue
-            key = regex_fingerprint(compiled)
-            if key in unit_of:
-                continue
-            unit_of[key] = len(programs)
-            programs.append(
-                NFASimulator(compiled.automaton).program(
-                    anchored_start=compiled.anchored_start,
-                    anchored_end=compiled.anchored_end,
-                )
-            )
-
-        fused = FusedRuleset(
-            [c.layout.packed.program for c in collectors],
-            nfa_programs,
-            dfa_programs,
-        )
+        plan = FusedPlan(self._ruleset, self._mapping, self._hw)
+        fused = plan.fused
         tin = fused.translate(data)
 
-        nfa_results = {
-            key: fused.scan_unit(index, tin)
-            for key, index in nfa_unit_of.items()
-        }
-        dfa_results = {
-            key: fused.scan_dfa_unit(index, tin)
-            for key, index in dfa_unit_of.items()
-        }
-        nbva_results: dict[object, RegexActivity] = {}
-        regex: dict[int, RegexActivity] = {}
-        for compiled in ruleset:
-            if compiled.mode is CompiledMode.LNFA:
-                continue
-            key = regex_fingerprint(compiled)
-            if compiled.mode in (CompiledMode.NFA, CompiledMode.DFA):
-                events, stats = (
-                    nfa_results[key]
-                    if compiled.mode is CompiledMode.NFA
-                    else dfa_results[key]
-                )
-                regex[compiled.regex_id] = RegexActivity(
-                    regex_id=compiled.regex_id,
-                    mode=compiled.mode,
-                    cycles=stats.cycles,
-                    matches=[i for i, _ in events],
-                    active_state_cycles=stats.active_states,
-                )
-                continue
-            found = nbva_results.get(key)
-            if found is None:
-                found = collect_regex_activity(compiled, data)
-                nbva_results[key] = found
-            regex[compiled.regex_id] = replace(
-                found,
-                regex_id=compiled.regex_id,
-                matches=list(found.matches),
-                bv_cycle_indices=list(found.bv_cycle_indices),
+        def scanned(compiled: CompiledRegex, events, stats) -> RegexActivity:
+            return unit_activity(
+                compiled,
+                [i for i, _ in events],
+                stats.active_states,
+                stats.cycles,
             )
 
-        if collectors:
-            FusedBinFeeder(collectors, fused).feed(data, at_end=True)
-        lnfa_bins: dict[int, list] = {
-            index: []
-            for index, array in enumerate(mapping.arrays)
-            if array.mode is TileMode.LNFA
+        units = {
+            CompiledMode.NFA: [
+                scanned(compiled, *fused.scan_unit(index, tin))
+                for index, compiled in enumerate(plan.nfa_units)
+            ],
+            CompiledMode.DFA: [
+                scanned(compiled, *fused.scan_dfa_unit(index, tin))
+                for index, compiled in enumerate(plan.dfa_units)
+            ],
+            CompiledMode.NBVA: [
+                collect_regex_activity(compiled, data)
+                for compiled in plan.nbva_units
+            ],
         }
-        for (index, _), collector in zip(bin_keys, collectors):
-            lnfa_bins[index].append(collector.activity())
-        return RunActivity(
-            regex=regex, lnfa_bins=lnfa_bins, input_symbols=len(data)
+        collectors = [
+            BinActivityCollector(bin_obj, self._hw, layout)
+            for bin_obj, layout in zip(plan.bins, plan.layouts)
+        ]
+        if collectors:
+            FusedBinFeeder(collectors, plan.scanner).feed(
+                data, at_end=True, tin=tin
+            )
+        return plan.run_activity(
+            units, [c.activity() for c in collectors], len(data)
         )

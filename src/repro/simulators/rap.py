@@ -22,9 +22,10 @@ replaced by the ring network).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.compiler.program import CompiledMode, CompiledRuleset
+from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.registry import resolve_backend
 from repro.core.trace import ActivityTrace
 from repro.hardware.circuits import TABLE1, CircuitLibrary
@@ -63,6 +64,39 @@ class RunActivity:
     regex: dict[int, RegexActivity]
     lnfa_bins: dict[int, list[BinActivity]]
     input_symbols: int
+
+    @classmethod
+    def in_collection_order(
+        cls,
+        ruleset: CompiledRuleset,
+        mapping: Mapping,
+        regex_of: Callable[[CompiledRegex], RegexActivity],
+        bin_of: Callable[[int, int], BinActivity],
+        input_symbols: int,
+    ) -> "RunActivity":
+        """Assemble per-unit activity exactly as a sequential collection
+        lays it out: regexes in ruleset order, bins per LNFA array in
+        mapping order.  Every collection path (serial, sharded, fused,
+        input-split, durable) builds its result here, so even dict
+        iteration order is the reference run's.  ``bin_of`` takes the
+        ``(array index, bin index)`` of :meth:`Mapping.lnfa_bins`.
+        """
+        return cls(
+            regex={
+                r.regex_id: regex_of(r)
+                for r in ruleset
+                if r.mode is not CompiledMode.LNFA
+            },
+            lnfa_bins={
+                index: [
+                    bin_of(index, bin_index)
+                    for bin_index in range(len(array.bins))
+                ]
+                for index, array in enumerate(mapping.arrays)
+                if array.mode is TileMode.LNFA
+            },
+            input_symbols=input_symbols,
+        )
 
 
 class RAPSimulator(ApStyleSimulator):
@@ -106,21 +140,14 @@ class RAPSimulator(ApStyleSimulator):
 
             return FusedRun(ruleset, mapping, self.hw).collect(data)
         trace = shared_trace(data, trace)
-        regex = {
-            r.regex_id: trace.regex_activity(r)
-            for r in ruleset
-            if r.mode is not CompiledMode.LNFA
-        }
-        lnfa_bins = {
-            index: [
-                trace.bin_activity(bin_obj, self.hw)
-                for bin_obj in array.bins
-            ]
-            for index, array in enumerate(mapping.arrays)
-            if array.mode is TileMode.LNFA
-        }
-        return RunActivity(
-            regex=regex, lnfa_bins=lnfa_bins, input_symbols=len(data)
+        return RunActivity.in_collection_order(
+            ruleset,
+            mapping,
+            trace.regex_activity,
+            lambda index, bin_index: trace.bin_activity(
+                mapping.arrays[index].bins[bin_index], self.hw
+            ),
+            len(data),
         )
 
     def run(

@@ -1,4 +1,4 @@
-"""Fused-machine tests: class maps, lane packing, prefilter, LRU caches.
+"""Fused-machine tests: class maps, lane packing, prefilter.
 
 The fused backend's exactness rests on two mechanical claims, both
 driven here by hypothesis:
@@ -9,9 +9,8 @@ driven here by hypothesis:
 * the class-indexed gather scan reproduces the per-program kernel scan
   event-for-event and counter-for-counter.
 
-The module also covers the two cache satellites (the bounded NumPy LUT
-cache and label-table interning is covered in tests/regex) and the
-prefilter's find-chain/LUT parity.  Skips cleanly without NumPy.
+The module also covers the prefilter's find-chain/LUT parity (label-table
+interning is covered in tests/regex).  Skips cleanly without NumPy.
 """
 
 import pytest
@@ -23,8 +22,7 @@ np = pytest.importorskip("numpy")
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator
 from repro.automata.shift_and import MultiShiftAnd
-from repro.core import KernelState, available_backends, get_kernel
-from repro.core import npkernel
+from repro.core import KernelState, available_backends, get_kernel, use_backend
 from repro.core.fused import (
     AlphabetClasses,
     FusedRuleset,
@@ -39,8 +37,8 @@ from tests.automata.test_lnfa import lnfa_strategy
 from tests.helpers import inputs, regex_trees
 
 pytestmark = pytest.mark.skipif(
-    "numpy" not in available_backends(),
-    reason="NumPy backend not available",
+    "fused" not in available_backends(),
+    reason="fused backend not available",
 )
 
 
@@ -83,7 +81,7 @@ class TestLanePacking:
     ):
         fused = FusedRuleset(programs)
         rows, end = collect_rows(fused, data)
-        kernel = get_kernel("python")
+        kernel = get_kernel()
         for j, program in enumerate(programs):
             expected_last = 0
             for i, states in kernel.iter_states(program, data):
@@ -147,7 +145,7 @@ class TestClassIndexedGather:
         shifts = [MultiShiftAnd(lnfas).program] if lnfas else []
         fused = FusedRuleset(shifts, gathers)
         tin = fused.translate(data)
-        kernel = get_kernel("python")
+        kernel = get_kernel()
         for index, program in enumerate(gathers):
             expected = kernel.scan(program, data)
             assert fused.scan_unit(index, tin) == expected
@@ -230,49 +228,6 @@ class TestWordHelpers:
         assert popcount_words(arr).tolist() == expected
 
 
-class TestNpTablesCacheBound:
-    """Satellite: the NumPy LUT cache must be bounded with LRU eviction."""
-
-    def test_eviction_keeps_results_correct(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "_NP_TABLES_CAP", 3)
-        monkeypatch.setattr(
-            npkernel, "_np_tables_cache", type(npkernel._np_tables_cache)()
-        )
-        kernel = get_kernel("numpy")
-        python = get_kernel("python")
-        programs = [
-            MultiShiftAnd([make_lnfa(text)]).program
-            for text in ("ab", "cd", "xy", "pq", "mn")
-        ]
-        data = b"abcdxypqmnabcd"
-        for program in programs:
-            assert kernel.scan(program, data) == python.scan(program, data)
-        assert len(npkernel._np_tables_cache) == 3
-        # The oldest entries were evicted; rescanning them must rebuild
-        # the tables and still agree with the oracle.
-        for program in programs[:2]:
-            assert program not in npkernel._np_tables_cache
-            assert kernel.scan(program, data) == python.scan(program, data)
-        assert len(npkernel._np_tables_cache) == 3
-
-    def test_lru_hit_refreshes_recency(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "_NP_TABLES_CAP", 2)
-        monkeypatch.setattr(
-            npkernel, "_np_tables_cache", type(npkernel._np_tables_cache)()
-        )
-        kernel = get_kernel("numpy")
-        p1, p2, p3 = (
-            MultiShiftAnd([make_lnfa(text)]).program
-            for text in ("ab", "cd", "xy")
-        )
-        kernel.scan(p1, b"ab")
-        kernel.scan(p2, b"cd")
-        kernel.scan(p1, b"ab")  # refresh p1: p2 is now least recent
-        kernel.scan(p3, b"xy")
-        assert p1 in npkernel._np_tables_cache
-        assert p2 not in npkernel._np_tables_cache
-
-
 def make_lnfa(text: str):
     """A literal LNFA (one CharClass per byte of ``text``)."""
     from repro.automata.lnfa import LNFA
@@ -294,16 +249,20 @@ def unfold_all_tree(pattern: str):
 def test_fused_backend_registered():
     assert "fused" in available_backends()
     assert resolve_backend("fused") == "fused"
-    assert get_kernel("fused").name == "fused"
+    # A backend names how rulesets execute; the step kernel under
+    # standalone scans is the one python oracle whatever is selected.
+    assert get_kernel().name == "python"
 
 
 def test_fused_kernel_scan_segment_roundtrip():
-    # The fused StepKernel inherits the NumPy per-program path; spot
-    # check the segment API returns continuing KernelStates.
+    # Standalone programs step through the one python kernel on the
+    # fused backend too; spot check that its segment API returns
+    # continuing KernelStates there.
     program = MultiShiftAnd([make_lnfa("abc")]).program
-    kernel = get_kernel("fused")
-    events, stats, state = kernel.scan_segment(program, b"xxabc", None)
+    with use_backend("fused"):
+        kernel = get_kernel()
+        events, stats, state = kernel.scan_segment(program, b"xxabc", None)
+        whole, _ = kernel.scan(program, b"xxabc")
     assert isinstance(state, KernelState)
     assert state.offset == 5
-    whole, _ = kernel.scan(program, b"xxabc")
     assert events == whole

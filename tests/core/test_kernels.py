@@ -1,12 +1,22 @@
-"""Differential kernel tests: NumPy must be bit-identical to pure Python.
+"""Differential kernel tests: the fused plan's interpreters must be
+bit-identical to the pure-Python kernel.
 
-The backend contract (see :mod:`repro.core.registry`) is that kernels
+The backend contract (see :mod:`repro.core.registry`) is that backends
 only change speed, never results: the same program over the same bytes
 yields the same match events and the same exact integer
-:class:`~repro.core.StepStats` on every backend.  Hypothesis drives all
-three program kinds (GATHER from Glushkov NFAs, SHIFT_LEFT from packed
-Shift-And layouts, SHIFT_RIGHT from the bit-serial datapath) through
-both kernels, including anchoring combinations and warm-up offsets.
+:class:`~repro.core.StepStats` whichever executor steps it.  The stdlib
+:class:`~repro.core.pykernel.PythonKernel` is the oracle.  Hypothesis
+drives all three program kinds against it:
+
+* GATHER programs (Glushkov NFAs) through the plan's unit spans
+  (:meth:`FusedRuleset.scan_unit_span`), including anchoring
+  combinations and warm-up offsets;
+* SHIFT_LEFT programs (packed Shift-And layouts) through the plan's
+  lane machine, reduced to events and counters by the step rule the
+  :class:`~repro.core.program.KernelProgram` docstring states;
+* SHIFT_RIGHT programs (the bit-serial datapath), which no plan
+  executes, through the kernel's own lazy per-cycle view reduced the
+  same way — block path against per-cycle path.
 
 The whole module skips cleanly when NumPy is not installed.
 """
@@ -15,11 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+pytest.importorskip("numpy")
+
 from repro.automata.bitserial import BitSerialLNFA
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd, ShiftAnd
-from repro.core import available_backends, get_kernel, use_backend
+from repro.core import ProgramKind, available_backends, get_kernel
+from repro.core.fused import FusedRuleset, int_from_words
 from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
 
@@ -27,20 +40,74 @@ from tests.automata.test_lnfa import lnfa_strategy
 from tests.helpers import inputs, regex_trees
 
 pytestmark = pytest.mark.skipif(
-    "numpy" not in available_backends(),
-    reason="NumPy backend not available",
+    "fused" not in available_backends(),
+    reason="fused backend not available",
 )
 
 
+def reduce_states(program, states_at, n: int, stats_from: int):
+    """Events and counters from per-cycle state vectors — the step rule
+    of the ``KernelProgram`` docstring, written out cycle by cycle."""
+    events = []
+    active = 0
+    for i in range(stats_from, n):
+        states = states_at(i)
+        active += states.bit_count()
+        hits = states & program.final
+        if i != n - 1:
+            hits &= ~program.end_anchored_finals
+        if hits:
+            events.append((i, hits))
+    return events, active
+
+
+def lane_states(program, data: bytes) -> dict[int, int]:
+    """Live cycles of one SHIFT_LEFT program on the plan's lane machine."""
+    fused = FusedRuleset([program])
+    rows: dict[int, int] = {}
+
+    def sink(positions, matrix):
+        for pos, row in zip(positions.tolist(), matrix):
+            rows[pos] = int_from_words(row)
+
+    fused.lane_feed(
+        fused.translate(data), 0, fresh=True, at_end=True, sink=sink
+    )
+    return rows
+
+
 def assert_kernels_agree(program, data: bytes, stats_from: int = 0) -> None:
-    py_events, py_stats = get_kernel("python").scan(
+    py_events, py_stats = get_kernel().scan(
         program, data, stats_from=stats_from
     )
-    np_events, np_stats = get_kernel("numpy").scan(
-        program, data, stats_from=stats_from
+    # The kernel clamps a warm-up prefix to the input; span callers
+    # never pass one past the end.
+    stats_from = min(stats_from, len(data))
+    if program.kind is ProgramKind.GATHER:
+        fused = FusedRuleset((), [program])
+        events, stats, _ = fused.scan_unit_span(
+            0, fused.translate(data), stats_from=stats_from
+        )
+        assert events == py_events
+        assert stats == py_stats
+        return
+    if program.kind is ProgramKind.SHIFT_LEFT:
+        states_at = lane_states(program, data).get
+        events, active = reduce_states(
+            program, lambda i: states_at(i, 0), len(data), stats_from
+        )
+    else:
+        cycles = dict(get_kernel().iter_states(program, data))
+        events, active = reduce_states(
+            program, cycles.__getitem__, len(data), stats_from
+        )
+    assert events == py_events
+    assert py_stats == StepStats(
+        cycles=len(data) - stats_from,
+        active_states=active,
+        matched_states=0,  # shift programs leave track_matched off
+        reports=len(events),
     )
-    assert np_events == py_events
-    assert np_stats == py_stats
 
 
 anchor_flags = st.booleans()
@@ -113,12 +180,11 @@ class TestEndToEnd:
     @given(regex_trees(max_leaves=6), inputs(max_size=24))
     def test_simulator_results_identical_across_backends(self, tree, data):
         sim = NFASimulator(build_automaton(unfold_all(tree)))
-        results = {}
-        for backend in ("python", "numpy"):
-            stats = StepStats()
-            with use_backend(backend):
-                results[backend] = (sim.find_matches(data, stats), stats)
-        assert results["python"] == results["numpy"]
+        stats = StepStats()
+        matches = sim.find_matches(data, stats)
+        fused = FusedRuleset((), [sim.program()])
+        events, unit_stats = fused.scan_unit(0, fused.translate(data))
+        assert ([i for i, _ in events], unit_stats) == (matches, stats)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -127,11 +193,17 @@ class TestEndToEnd:
     )
     def test_packed_matcher_identical_across_backends(self, lnfas, data):
         matcher = MultiShiftAnd(lnfas)
-        with use_backend("python"):
-            py = matcher.find_matches(data)
-        with use_backend("numpy"):
-            np_ = matcher.find_matches(data)
-        assert py == np_
+        finals = {
+            sum(len(p) for p in lnfas[: k + 1]) - 1: k
+            for k in range(len(lnfas))
+        }
+        lane = [
+            (finals[bit], i)
+            for i, states in sorted(lane_states(matcher.program, data).items())
+            for bit in sorted(finals)
+            if states >> bit & 1
+        ]
+        assert lane == matcher.find_matches(data)
 
 
 class TestIterStates:
@@ -139,13 +211,13 @@ class TestIterStates:
     @given(lnfa_strategy(max_len=4), inputs(max_size=16))
     def test_iter_states_identical(self, lnfa, data):
         program = ShiftAnd(lnfa).program()
-        py = list(get_kernel("python").iter_states(program, data))
-        np_ = list(get_kernel("numpy").iter_states(program, data))
-        assert py == np_
+        lane = lane_states(program, data)
+        for i, states in get_kernel().iter_states(program, data):
+            assert lane.get(i, 0) == states
 
 
 def test_long_cold_stream_with_sparse_hits():
-    """The NumPy cold-skip path over a realistic mostly-idle stream."""
+    """The plan's cold-skip path over a realistic mostly-idle stream."""
     sim = NFASimulator(build_automaton(unfold_all(parse("ab[cd]d"))))
     data = (b"x" * 997 + b"abcd") * 40 + b"a" * 100
     assert_kernels_agree(sim.program(), data)

@@ -33,7 +33,6 @@ from repro.core import (
 )
 from repro.core.native import (
     NATIVE_DISABLE_ENV,
-    native_available,
     native_unavailable_reason,
 )
 from repro.engine import BatchEngine, EngineConfig
@@ -45,7 +44,7 @@ from repro.simulators.rap import RAPSimulator
 
 from tests.helpers import inputs, regex_trees
 
-NATIVE = native_available() and "numpy" in available_backends()
+NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(
     not NATIVE, reason="native backend not available (no C toolchain?)"
 )

@@ -9,12 +9,13 @@ from repro.core import (
     backend_names,
     get_kernel,
     resolve_backend,
+    resolve_backend_with_reason,
     set_default_backend,
     use_backend,
 )
 from repro.core import registry as registry_mod
 
-HAVE_NUMPY = "numpy" in available_backends()
+HAVE_FUSED = "fused" in available_backends()
 
 
 @pytest.fixture(autouse=True)
@@ -32,9 +33,12 @@ class TestResolution:
         assert "python" in available_backends()
         assert set(available_backends()) <= set(backend_names())
 
+    def test_three_backends_are_registered(self):
+        assert backend_names() == ("python", "fused", "native")
+
     def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        expected = "numpy" if HAVE_NUMPY else "python"
+        monkeypatch.setenv(BACKEND_ENV, "fused")
+        expected = "fused" if HAVE_FUSED else "python"
         assert resolve_backend() == expected
 
     def test_env_is_case_insensitive(self, monkeypatch):
@@ -50,21 +54,39 @@ class TestResolution:
             resolve_backend("cuda")
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setenv(BACKEND_ENV, "fused")
         assert resolve_backend("python") == "python"
 
     def test_unavailable_backend_falls_back_silently(self, monkeypatch):
-        monkeypatch.setitem(
-            registry_mod._BACKENDS, "ghost", (lambda: False, lambda: None)
-        )
+        monkeypatch.setitem(registry_mod._BACKENDS, "ghost", lambda: False)
         assert resolve_backend("ghost") == "python"
         monkeypatch.setenv(BACKEND_ENV, "ghost")
         assert resolve_backend() == "python"
 
+    def test_fallback_chain_is_one_hop_each(self, monkeypatch):
+        # native -> fused -> python: each unavailable tier costs exactly
+        # one hop, and the reason names every hop taken.
+        monkeypatch.setitem(registry_mod._BACKENDS, "native", lambda: False)
+        resolved, reason = resolve_backend_with_reason("native")
+        assert resolved == ("fused" if HAVE_FUSED else "python")
+        assert reason.startswith("native unavailable: ")
+        monkeypatch.setitem(registry_mod._BACKENDS, "fused", lambda: False)
+        resolved, reason = resolve_backend_with_reason("native")
+        assert resolved == "python"
+        assert [hop.split(" ")[0] for hop in reason.split("; ")] == [
+            "native",
+            "fused",
+        ]
+
+    @pytest.mark.parametrize("name", [None, "python", "fused", "native"])
+    def test_resolve_is_the_reasoned_resolution(self, name, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "native")
+        assert resolve_backend(name) == resolve_backend_with_reason(name)[0]
+
 
 class TestDefaultPinning:
     def test_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        monkeypatch.setenv(BACKEND_ENV, "fused")
         set_default_backend("python")
         assert resolve_backend() == "python"
 
@@ -77,37 +99,49 @@ class TestDefaultPinning:
     def test_pinning_resolves_eagerly(self, monkeypatch):
         # An unavailable pin resolves to python at pin time, so a later
         # (hypothetically successful) probe cannot flip the choice.
-        monkeypatch.setitem(
-            registry_mod._BACKENDS, "ghost", (lambda: False, lambda: None)
-        )
+        monkeypatch.setitem(registry_mod._BACKENDS, "ghost", lambda: False)
         set_default_backend("ghost")
         assert registry_mod._default == "python"
 
     def test_use_backend_scopes_and_restores(self):
         set_default_backend("python")
-        with use_backend("numpy") as resolved:
-            assert resolved == ("numpy" if HAVE_NUMPY else "python")
+        with use_backend("fused") as resolved:
+            assert resolved == ("fused" if HAVE_FUSED else "python")
             assert resolve_backend() == resolved
         assert resolve_backend() == "python"
 
     def test_use_backend_restores_on_error(self):
         set_default_backend("python")
         with pytest.raises(RuntimeError):
-            with use_backend("numpy"):
+            with use_backend("fused"):
                 raise RuntimeError("boom")
         assert registry_mod._default == "python"
 
 
 class TestKernels:
     def test_instances_are_shared(self):
-        assert get_kernel("python") is get_kernel("python")
+        assert get_kernel() is get_kernel()
 
     def test_kernel_reports_its_name(self):
-        assert get_kernel("python").name == "python"
+        assert get_kernel().name == "python"
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not available")
-    def test_numpy_kernel_resolves(self):
-        assert get_kernel("numpy").name == "numpy"
+    def test_numpy_kernel_resolves(self, monkeypatch):
+        """The retired ``numpy`` name is just an unknown name: a stale
+        ``RAP_BACKEND=numpy`` must not break a run (it resolves to the
+        python kernel) and operators must be able to see why."""
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        assert resolve_backend_with_reason() == (
+            "python",
+            "unknown backend 'numpy'",
+        )
+        assert get_kernel().name == "python"
+        with pytest.raises(ValueError, match="unknown backend 'numpy'"):
+            resolve_backend("numpy")
+
+    def test_kernel_is_the_oracle_on_every_backend(self):
+        for backend in available_backends():
+            with use_backend(backend):
+                assert get_kernel().name == "python"
 
     def test_format_version_is_a_positive_int(self):
         assert isinstance(KERNEL_FORMAT_VERSION, int)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import CompilerConfig, compile_ruleset
+from repro.core import available_backends, use_backend
 from repro.engine import (
     BatchEngine,
     BatchReport,
@@ -151,6 +152,31 @@ class TestParallelScan:
         data = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 8
         engine = BatchEngine(EngineConfig(jobs=2, use_cache=False))
         assert engine.scan(ruleset, data) == RAPSimulator().run(ruleset, data)
+
+    @pytest.mark.parametrize("backend", ["fused", "native"])
+    def test_planned_backends_scan_with_the_plan_not_the_fork(
+        self, backend, monkeypatch
+    ):
+        # jobs > 1 used to route every backend through the pure-Python
+        # unit x chunk fork (tens of times slower than the plan it
+        # bypassed); the fork is the python backend's path only.
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+
+        def forked(*args, **kwargs):
+            raise AssertionError("planned backends must not fork per unit")
+
+        monkeypatch.setattr(batch_mod, "parallel_map", forked)
+        ruleset = compiled(WINDOWABLE + UNBOUNDED)
+        data = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 40
+        with use_backend("python"):
+            reference = RAPSimulator().run(ruleset, data)
+        engine = BatchEngine(
+            EngineConfig(
+                jobs=2, backend=backend, use_cache=False, min_chunk_bytes=256
+            )
+        )
+        assert engine.scan(ruleset, data) == reference
 
     def test_jobs_one_is_the_reference_path(self):
         ruleset = compiled(WINDOWABLE)

@@ -659,3 +659,206 @@ class TestDetachedResume:
         diverged = continue_with(b"x" * 1000)
         assert same == identical
         assert same != diverged
+
+
+# -- the fused plan under durable scans ---------------------------------------
+
+PLANNED_BACKENDS = [b for b in ("fused", "native") if b in available_backends()]
+
+# Three rulesets, one short witness stream each.  The NFA and DFA sets
+# repeat a pattern so two regexes share one unit of the plan; the NFA
+# set carries both anchors, and its stream ends on the end-anchored
+# witness so that final must fire on the last byte and nowhere else.
+NFA_ONLY = ["ab*c", "ab*c", "x[yz]+w$", "^ab", "q.*r"]
+NFA_STREAM = b"abc.abbbc xyzw q..r.abbc..xyyw"
+DFA_FORCED = ["ab*c", "ab*c", "foo[0-9]*bar", "q.*r"]
+DFA_STREAM = b"abc.abbbc foo42bar q..r.ac foobar"
+MIX_STREAM = (
+    b"..p7/p&rxx&&jn?..9/8xiq..gsef9zzb7..a1k=rkebm..86chl--z/vwfkn."
+)
+
+
+def _plan_ruleset(name: str):
+    from repro.compiler import CompiledMode, CompilerConfig
+    from repro.workloads.datasets import generate_benchmark
+
+    if name == "nfa":
+        config = CompilerConfig(forced_mode=CompiledMode.NFA)
+        return compile_ruleset(NFA_ONLY, config), NFA_STREAM
+    if name == "dfa":
+        config = CompilerConfig(forced_mode=CompiledMode.DFA)
+        return compile_ruleset(DFA_FORCED, config), DFA_STREAM
+    # The paper's Fig. 1 mix (Snort, 16 regexes: NBVA + NFA + LNFA).
+    patterns = list(generate_benchmark("Snort", 16).patterns)
+    return compile_ruleset(patterns), MIX_STREAM
+
+
+def _collector_docs(scan: DurableScan) -> bytes:
+    """A snapshot's canonical bytes, minus the one field allowed to
+    differ across backends."""
+    doc = scan.snapshot()
+    del doc["fingerprint"]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
+@pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+@pytest.mark.parametrize("name", ["nfa", "dfa", "mix"])
+class TestPlanDifferential:
+    """``durable_scan`` ≡ ``scan`` ≡ the ``python`` oracle, with every
+    collector document byte-identical at every possible checkpoint."""
+
+    def _oracle(self, ruleset, mapping, data, **kwargs):
+        """Per-offset snapshot bytes and the final activity of the
+        python-backend durable scan (fed a byte at a time: the segment
+        contract makes that equal to any other segmentation)."""
+        docs = {}
+        with use_backend("python"):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG, **kwargs)
+            for offset in range(1, len(data)):
+                scan.feed(data[offset - 1 : offset], at_end=False)
+                docs[offset] = _collector_docs(scan)
+            scan.feed(data[-1:], at_end=True)
+            return docs, scan.finish()
+
+    def test_every_seam_and_restore(self, name, backend):
+        ruleset, data = _plan_ruleset(name)
+        sim = RAPSimulator(DEFAULT_CONFIG)
+        mapping = sim.build_mapping(ruleset)
+        docs, final = self._oracle(ruleset, mapping, data)
+        with use_backend("python"):
+            reference = sim.run(ruleset, data)
+        assert any(reference.matches.values())
+        if name == "nfa":  # the end-anchored final fired, on the last byte
+            assert reference.matches[2] == [len(data) - 1]
+
+        with use_backend(backend):
+            assert sim.run(ruleset, data) == reference
+            config = EngineConfig(checkpoint_every_bytes=7)
+            assert BatchEngine(config).durable_scan(ruleset, data).result == (
+                reference
+            )
+
+            # Every byte its own segment: a checkpoint at every offset.
+            stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            for offset in range(1, len(data)):
+                stepped.feed(data[offset - 1 : offset], at_end=False)
+                assert _collector_docs(stepped) == docs[offset], offset
+            stepped.feed(data[-1:], at_end=True)
+            assert stepped.finish() == final
+
+            # One seam at every offset, with and without a JSON
+            # snapshot -> restore into a fresh scan at the seam.
+            for cut in range(1, len(data)):
+                scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                scan.feed(data[:cut], at_end=False)
+                assert _collector_docs(scan) == docs[cut], cut
+                resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                resumed.restore(json.loads(json.dumps(scan.snapshot())), data)
+                for continued in (scan, resumed):
+                    continued.feed(data[cut:], at_end=True)
+                    assert continued.finish() == final, cut
+
+    def test_shed_regex_sharing_a_unit(self, name, backend):
+        # Regex 1 is the lowest-weight unit, so it is the one shed; in
+        # the NFA and DFA sets it shares its unit with regex 0, which
+        # must keep scanning (and keep its own state) unaffected.
+        ruleset, data = _plan_ruleset(name)
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        cut = len(data) // 3
+
+        def degraded(which):
+            with use_backend(which):
+                scan = DurableScan(
+                    ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1}
+                )
+                scan.feed(data[:cut], at_end=False)
+                assert scan.shed(1e-9, "test pressure") == [("regex", 1)]
+                scan.feed(data[cut : 2 * cut], at_end=False)
+                mid = _collector_docs(scan)
+                scan.feed(data[2 * cut :], at_end=True)
+                return mid, scan.finish()
+
+        assert degraded(backend) == degraded("python")
+
+    def test_input_jobs_2(self, name, backend, tmp_path):
+        ruleset, data = _plan_ruleset(name)
+        data = data * 6
+        with use_backend("python"):
+            reference = RAPSimulator(DEFAULT_CONFIG).run(ruleset, data)
+        engine = BatchEngine(
+            EngineConfig(
+                backend=backend,
+                input_jobs=2,
+                min_chunk_bytes=16,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every_bytes=len(data) // 2 + 1,
+            )
+        )
+        assert engine.scan(ruleset, data) == reference
+        outcome = engine.durable_scan(ruleset, data)
+        assert outcome.result == reference
+        assert outcome.checkpoints_written == 1
+
+
+@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
+class TestPlanFingerprint:
+    """What rolls over when durable scans move onto the full plan, and
+    what must not."""
+
+    @pytest.fixture(autouse=True)
+    def serial_layout(self, monkeypatch):
+        # These compare against the serial recipe; an ambient
+        # RAP_INPUT_JOBS (CI's split leg) would add a split layout.
+        monkeypatch.delenv(checkpoint.INPUT_JOBS_ENV, raising=False)
+
+    def _bins_only_fingerprint(self, ruleset, mapping, native: bool) -> str:
+        """The pre-plan recipe: a FusedRuleset over the bins alone."""
+        from repro.core import NATIVE_FORMAT_VERSION
+        from repro.core.fused import FusedRuleset
+        from repro.io.serialize import scan_fingerprint
+        from repro.simulators.activity import BinActivityCollector
+
+        programs = [
+            BinActivityCollector(bin_obj, DEFAULT_CONFIG).layout.packed.program
+            for _, _, bin_obj in mapping.lnfa_bins()
+        ]
+        layout = FusedRuleset(programs).signature
+        if native:
+            layout += f":native{NATIVE_FORMAT_VERSION}"
+        return scan_fingerprint(
+            ruleset, DEFAULT_CONFIG, None, fused_layout=layout
+        )
+
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    def test_keyword_rulesets_keep_their_fingerprint(self, backend):
+        from repro.compiler import CompiledMode
+
+        ruleset = compile_ruleset(["needle", "marker", "hello|world"])
+        assert all(r.mode is CompiledMode.LNFA for r in ruleset)
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        with use_backend(backend):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+        assert scan.fingerprint == self._bins_only_fingerprint(
+            ruleset, mapping, native=backend == "native"
+        )
+
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    def test_mixed_ruleset_refuses_the_bins_only_fingerprint(
+        self, backend, ruleset, data
+    ):
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        old = self._bins_only_fingerprint(
+            ruleset, mapping, native=backend == "native"
+        )
+        with use_backend(backend):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            assert scan.fingerprint != old
+            scan.feed(data[:1000], at_end=False)
+            doc = scan.snapshot()
+            doc["fingerprint"] = old
+            fresh = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            with pytest.raises(CheckpointError, match="different scan"):
+                fresh.restore(doc, data)
+            with pytest.raises(CheckpointError, match="different scan"):
+                fresh.restore_detached(doc)

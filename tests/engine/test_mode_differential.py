@@ -31,7 +31,7 @@ from repro.regex.charclass import CharClass
 
 from tests.helpers import inputs, regex_trees
 
-NUMPY = "numpy" in available_backends()
+FUSED = "fused" in available_backends()
 
 
 def scannable_trees(max_leaves: int = 6):
@@ -41,7 +41,7 @@ def scannable_trees(max_leaves: int = 6):
         lambda t: ast.concat(ast.lit(CharClass.of("a")), t)
     )
 
-needs_numpy = pytest.mark.skipif(not NUMPY, reason="NumPy backend not available")
+needs_fused = pytest.mark.skipif(not FUSED, reason="fused backend not available")
 
 
 def _forced(patterns, mode: CompiledMode):
@@ -84,7 +84,7 @@ class TestRandomRegexes:
         # Both modes also agree with the reference oracle.
         assert result.matches[0] == ReferenceMatcher(tree).find_matches(data)
 
-    @needs_numpy
+    @needs_fused
     @settings(max_examples=60, deadline=None)
     @given(tree=scannable_trees(max_leaves=6), data=inputs(max_size=48))
     def test_fused_backend(self, tree, data):
@@ -92,7 +92,7 @@ class TestRandomRegexes:
         assume(_dfa_eligible(pattern))
         _dfa_equals_nfa([pattern], data, "fused")
 
-    @needs_numpy
+    @needs_fused
     @settings(max_examples=30, deadline=None)
     @given(
         trees=st.lists(scannable_trees(max_leaves=5), min_size=2, max_size=6),
@@ -123,7 +123,7 @@ def _seam_data(n: int = 24000, seed: int = 11) -> bytes:
     return bytes(base)
 
 
-@needs_numpy
+@needs_fused
 class TestFusedSeams:
     def test_prefilter_cold_skip_seam(self):
         # A long cold run no pattern can start in: the literal prefilter

@@ -32,8 +32,8 @@ from repro.simulators.rap import RAPSimulator
 from repro.workloads.inputs import generate_input
 
 pytestmark = pytest.mark.skipif(
-    "numpy" not in available_backends(),
-    reason="NumPy backend not available",
+    "fused" not in available_backends(),
+    reason="fused backend not available",
 )
 
 # Lanes + bounded/statemap DFA + bounded NFA + cyclic (frontier) NFA +
@@ -86,7 +86,7 @@ class TestSplitCollect:
         assert FRONTIER in comp.unit_kind  # a(?:b.*|c)d is cyclic NFA
         assert BOUNDED in comp.dfa_kind  # ab?c?d is an acyclic DFA
         assert STATEMAP in comp.dfa_kind  # a(bc)*d is a cyclic DFA
-        assert comp.nbva_rep  # k{20,400}m carries counters
+        assert comp.nbva_units  # k{20,400}m carries counters
         assert comp.warm >= max(len(p) for p in ["abcdef", "hello"])
 
     @pytest.mark.parametrize("input_jobs", [2, 3, 4, 7])

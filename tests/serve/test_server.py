@@ -98,6 +98,28 @@ class TestStreaming:
 
         run(scenario())
 
+    def test_welcome_explains_a_retired_backend_name(
+        self, registry, tmp_path, monkeypatch
+    ):
+        # RAP_BACKEND=numpy predates the three-backend registry: the
+        # session must run (on python) and the ack must say why.
+        monkeypatch.setenv("RAP_BACKEND", "numpy")
+        # A process-wide pin (left by an earlier test's in-process
+        # worker fallback) would outrank the environment.
+        monkeypatch.setattr("repro.core.registry._default", None)
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                client = ScanClient(
+                    "127.0.0.1", server.port, "stale", "s", PATTERNS
+                )
+                welcome = await client.connect()
+                assert welcome["backend"] == "python"
+                assert welcome["backend_reason"] == "unknown backend 'numpy'"
+                await client.close()
+
+        run(scenario())
+
     def test_completed_sessions_free_admission_slots(
         self, registry, data, golden, tmp_path
     ):

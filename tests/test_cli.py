@@ -348,3 +348,41 @@ class TestServeCLI:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestRetiredNumpyBackend:
+    """The per-pattern ``numpy`` tier is gone: the flag refuses the name,
+    a stale environment resolves to python and says so."""
+
+    def test_backend_flag_rejects_numpy(self, pattern_file, input_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "scan",
+                    "--patterns",
+                    str(pattern_file),
+                    str(input_file),
+                    "--backend",
+                    "numpy",
+                ]
+            )
+        assert err.value.code == 2
+        assert "invalid choice: 'numpy'" in capsys.readouterr().err
+
+    def test_stale_env_is_explained(
+        self, pattern_file, input_file, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("RAP_BACKEND", "numpy")
+        monkeypatch.setattr("repro.core.registry._default", None)
+        code = main(
+            [
+                "scan",
+                "--patterns",
+                str(pattern_file),
+                str(input_file),
+                "--explain",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "backend: python (unknown backend 'numpy')" in out
