@@ -24,7 +24,8 @@ the same event counts the hardware energy model consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from repro.automata.glushkov import Automaton, EdgeAction
 from repro.regex.charclass import ALPHABET_SIZE, interned_label_masks, members
@@ -56,6 +57,22 @@ class NBVAStats:
     def bv_activation_rate(self) -> float:
         """Fraction of cycles that trigger the BV phase."""
         return self.bv_phase_cycles / self.cycles if self.cycles else 0.0
+
+    def merge(self, other: "NBVAStats") -> "NBVAStats":
+        """Associative combination of two consecutive spans of one run:
+        counters add, recorded ``bv_cycle_indices`` concatenate (``None``
+        only when neither side recorded)."""
+        merged = NBVAStats(
+            *(
+                getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)[:-1]
+            )
+        )
+        if (self.bv_cycle_indices, other.bv_cycle_indices) != (None, None):
+            merged.bv_cycle_indices = (self.bv_cycle_indices or []) + (
+                other.bv_cycle_indices or []
+            )
+        return merged
 
 
 class NBVASimulator:
@@ -182,6 +199,16 @@ class NBVASimulator:
 NBVA_STATE_VERSION = 1
 
 
+class NBVAState(NamedTuple):
+    """An NBVA scanner's mid-stream frontier as one hashable value —
+    exactly what :meth:`NBVAScanner.snapshot` serializes (``vectors`` is
+    the live ``(pid, vector)`` pairs in ascending pid order)."""
+
+    offset: int = 0
+    active: int = 0
+    vectors: tuple[tuple[int, int], ...] = ()
+
+
 class NBVAScanner:
     """Streaming NBVA scan: feed segments, snapshot/restore mid-stream.
 
@@ -210,6 +237,19 @@ class NBVAScanner:
     def offset(self) -> int:
         """Global stream position: bytes consumed so far."""
         return self._offset
+
+    @property
+    def state(self) -> NBVAState:
+        """The mid-stream frontier (settable: the fused plan steps the
+        unit itself and writes the continuation back)."""
+        return NBVAState(
+            self._offset, self._active, tuple(sorted(self._vectors.items()))
+        )
+
+    @state.setter
+    def state(self, state: NBVAState) -> None:
+        self._offset, self._active = state.offset, state.active
+        self._vectors = dict(state.vectors)
 
     def feed(
         self,

@@ -653,7 +653,8 @@ def _print_explain(entries) -> None:
                 cost(trace.costs["dfa"]),
                 cost(trace.costs["nbva"]),
                 cost(trace.costs["lnfa"]),
-                trace.reason,
+                trace.reason
+                + (f"; unit tier: {entry.tier}" if entry.tier else ""),
             )
         )
     widths = [

@@ -20,7 +20,8 @@ feature product ``x``:
   point) is pinned by normalizing ``nfa_base`` to 1.0.
 * DFA: same two-point solve over ``x = activity * dfa_states`` for
   ``dfa_lookup`` and ``dfa_density``.
-* NBVA: one probe; ``nbva_base = t/(u) - nfa_active * x``.
+* NBVA: one probe, stepped like every probe by the backend's own plan
+  (generated C on ``native``); ``nbva_base = t/(u) - nfa_active * x``.
 * LNFA: one 64-keyword probe; ``lnfa_word = t / (u * lanes)`` where
   ``lanes`` is the packed machine's 64-bit word count.
 

@@ -242,6 +242,10 @@ class ExplainEntry:
     pattern: str
     trace: DecisionTrace | None
     error: str | None = None
+    #: NBVA-mode patterns only, filled in by ``BatchEngine.explain``:
+    #: the tier that steps the unit — ``"native"``, or ``"interpreted
+    #: (<why>)``.
+    tier: str | None = None
 
 
 def explain_patterns(

@@ -15,9 +15,24 @@ Two translation units per ruleset:
 * :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine plus
   per-tile wake-up accounting and final-hit extraction (the whole
   :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path).
-* :func:`unit_scan_source` — one function per GATHER unit whose state
-  word fits 64 bits, and one per DFA-tier unit.  Wider gather units
-  keep the interpreted path (identical results, just slower).
+* :func:`unit_scan_source` — the three unit kinds: one function per
+  GATHER unit whose state word fits 64 bits, one per DFA-tier unit, and
+  *one* table-driven ``rap_nbva_span`` for all NBVA units of at most
+  :data:`NBVA_NATIVE_MAX_STATES` states (a function per unit would cost
+  ~0.1 s of ``cc`` each; the tables cost nothing).  Wider gather and
+  NBVA units keep the interpreted path (identical results, just slower).
+
+The NBVA ABI carries exactly what ``NBVAScanner.snapshot()`` holds: the
+plain active set and the set of live counted positions as one word each
+(bit ``p`` = Glushkov position ``p``), and every live bit vector as
+``ceil(width / 64)`` little-endian words at its position's offset in
+one flat array (:func:`nbva_vector_layout`).  Per unit, ``static const``
+tables give the class-indexed plain-label / counted-match rows and, per
+position, the ACTIVATE / SET1 / COPY / SHIFT target masks, vector width,
+word offset, read predicate (an EXACT bit, or rAll) and first shift
+target (the one the overflow checker tests).  All eleven ``NBVAStats``
+counters accumulate in caller memory; match positions and
+``bv_cycle_indices`` come back through one event buffer.
 
 Every source begins with a header naming
 :data:`~repro.core.registry.NATIVE_FORMAT_VERSION`, so the SHA-256 of
@@ -39,11 +54,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.automata.glushkov import EdgeAction, ReadKind
 from repro.core.registry import NATIVE_FORMAT_VERSION
 
 # GATHER units wider than one machine word stay on the interpreted
 # path: the per-bit successor walk no longer fits a single uint64.
 GATHER_NATIVE_MAX_WIDTH = 64
+
+# NBVA units keep one bit per state (plain *and* counted) in a single
+# machine word; larger automata stay on ``NBVAScanner``.
+NBVA_NATIVE_MAX_STATES = 64
 
 # Bounded event buffers (entries) between continuation returns.
 HIT_BUFFER_ENTRIES = 4096
@@ -415,6 +435,222 @@ def _dfa_function(fused, index: int) -> str:
     return "\n".join(parts)
 
 
+# -- NBVA units ---------------------------------------------------------------
+
+NBVA_CDEF = (
+    "int rap_nbva_span(const uint8_t *cls, long long n, long long start_i,\n"
+    "    int unit, uint64_t *active, uint64_t *live,\n"
+    "    uint64_t *vecs, uint64_t *scratch, int fresh, int at_end,\n"
+    "    long long *counters, long long *ev, long long cap,\n"
+    "    long long *n_ev, long long *resume_i);"
+)
+
+# The one table-driven stepping function shared by every NBVA unit of a
+# translation unit: a line-for-line mirror of ``NBVAScanner.iter_feed``.
+# Bit ``p`` of every mask is Glushkov position ``p``; counted position
+# ``p``'s vector is little-endian words at ``vecs[pos[p][P_VOFF]]`` (only
+# positions in ``*live`` hold meaningful words).  ``counters`` is the
+# eleven ``NBVAStats`` integers in field order; each event is
+# ``position << 2 | report << 1 | bv_phase``.
+_NBVA_KERNEL = r"""
+/* Table-driven and branchy: -O3 spends ~0.1 s of cc vectorizing word
+   loops that run one or two iterations, for no measurable speed. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize ("O1")
+#endif
+
+/* columns of pos[]: ACTIVATE / SET1 / COPY / SHIFT target masks, then
+   vector width, word offset, read bit + 1 (0: rAll), first shift target */
+enum { P_ACT, P_SET1, P_COPY, P_SHIFT, P_WIDTH, P_VOFF, P_READ, P_SHF };
+typedef struct {
+  uint64_t init_plain, init_set1, final_plain, final_counted;
+  int anchored_start, anchored_end, total_words;
+  const uint64_t (*cls)[2];  /* per class: plain labels, counted matches */
+  const uint64_t (*pos)[8];
+} rap_nbva_unit;
+#define NBVA_WORDS(u, p) ((int)((u)->pos[p][P_WIDTH] + 63) >> 6)
+
+static int nbva_any(const uint64_t *v, int words)
+{
+  int w;
+  for (w = 0; w < words; w++) if (v[w]) return 1;
+  return 0;
+}
+
+static int nbva_read(const rap_nbva_unit *u, int p, const uint64_t *v)
+{
+  int rb = (int)u->pos[p][P_READ] - 1;
+  if (rb >= 0) return (int)(v[rb >> 6] >> (rb & 63)) & 1;
+  return nbva_any(v, NBVA_WORDS(u, p));
+}
+
+static void nbva_or(const rap_nbva_unit *u, uint64_t targets,
+    const uint64_t *v, int words, uint64_t *nxt)
+{
+  for (; targets; targets &= targets - 1) {
+    uint64_t *dst = nxt + u->pos[__builtin_ctzll(targets)][P_VOFF];
+    int w;
+    for (w = 0; w < words; w++) dst[w] |= v[w];
+  }
+}
+"""
+
+_NBVA_SPAN = r"""
+{
+  const rap_nbva_unit *u = &NBVA_UNITS[unit];
+  long long i = start_i, last = n - 1, ne = 0;
+  uint64_t act = *active, lv = *live, *cur = vecs, *nxt = scratch;
+  uint64_t shifted[NBVA_MAX_WORDS];
+  int w, cur_dirty = 1, nxt_dirty = 1;
+  for (; i < n; i++) {
+    int c = cls[i], start = !(u->anchored_start && !(fresh && i == 0));
+    uint64_t avail = start ? u->init_plain : 0;
+    uint64_t set1 = start ? u->init_set1 : 0;
+    uint64_t matching = u->cls[c][1], touched = 0, a, nlv = 0;
+    long long flags = 0;
+    if (nxt_dirty) for (w = 0; w < u->total_words; w++) nxt[w] = 0;
+    for (a = act; a; a &= a - 1) {
+      const uint64_t *src = u->pos[__builtin_ctzll(a)];
+      avail |= src[P_ACT]; set1 |= src[P_SET1];
+    }
+    for (a = lv; a; a &= a - 1) {
+      int p = __builtin_ctzll(a), words = NBVA_WORDS(u, p);
+      const uint64_t *src = u->pos[p], *v = cur + src[P_VOFF];
+      nbva_or(u, src[P_COPY], v, words, nxt);
+      if (src[P_SHIFT]) {
+        uint64_t carry = 0;
+        for (w = 0; w < words; w++) {
+          shifted[w] = v[w] << 1 | carry; carry = v[w] >> 63;
+        }
+        if (src[P_WIDTH] & 63)
+          shifted[words - 1] &= (1ULL << (src[P_WIDTH] & 63)) - 1;
+        /* the overflow checker: matched, but every count shifted out */
+        if ((matching >> src[P_SHF] & 1) && !nbva_any(shifted, words))
+          counters[10]++;
+        nbva_or(u, src[P_SHIFT], shifted, words, nxt);
+      }
+      touched |= src[P_COPY] | src[P_SHIFT];
+      counters[8] += POP(src[P_COPY]);
+      counters[7] += POP(src[P_SHIFT]);
+      if (nbva_read(u, p, v)) {
+        counters[9]++;
+        avail |= src[P_ACT]; set1 |= src[P_SET1];
+      }
+    }
+    for (a = set1; a; a &= a - 1)
+      nxt[u->pos[__builtin_ctzll(a)][P_VOFF]] |= 1;
+    touched |= set1;
+    /* state-matching gate */
+    act = avail & u->cls[c][0];
+    for (a = touched & matching; a; a &= a - 1) {
+      int d = __builtin_ctzll(a);
+      if (nbva_any(nxt + u->pos[d][P_VOFF], NBVA_WORDS(u, d)))
+        nlv |= 1ULL << d;
+    }
+    lv = nlv;
+    { uint64_t *t = cur; cur = nxt; nxt = t; }
+    nxt_dirty = cur_dirty; cur_dirty = touched != 0;
+    counters[0]++;
+    counters[1] += POP(act) + POP(lv);
+    counters[2] += POP(u->cls[c][0]) + POP(matching);
+    counters[6] += POP(set1);
+    counters[5] += POP(lv);
+    if (lv) { counters[4]++; flags |= 1; }
+    {
+      int matched = (act & u->final_plain) != 0;
+      for (a = lv & u->final_counted; a && !matched; a &= a - 1) {
+        int p = __builtin_ctzll(a);
+        matched = nbva_read(u, p, cur + u->pos[p][P_VOFF]);
+      }
+      if (matched && (!u->anchored_end || (at_end && i == last))) {
+        counters[3]++; flags |= 2;
+      }
+    }
+    if (flags) {
+      ev[ne++] = i << 2 | flags;
+      if (ne >= cap) { i++; break; }
+    }
+  }
+  if (cur != vecs) for (w = 0; w < u->total_words; w++) vecs[w] = cur[w];
+  *active = act; *live = lv; *n_ev = ne; *resume_i = i;
+  return i < n;
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+"""
+
+
+def nbva_interpreted_reason(automaton) -> str | None:
+    """Why an NBVA unit must stay on ``NBVAScanner`` even under the
+    native backend, or None when the C kernel can run it."""
+    if automaton.state_count <= NBVA_NATIVE_MAX_STATES:
+        return None
+    return f"state_count {automaton.state_count} > {NBVA_NATIVE_MAX_STATES}"
+
+
+def native_nbva_indices(fused) -> tuple[int, ...]:
+    """The NBVA units narrow enough for the single-word C kernel."""
+    return tuple(
+        j
+        for j in range(fused.nbva_count)
+        if nbva_interpreted_reason(fused._nbva[j].automaton) is None
+    )
+
+
+def nbva_vector_layout(automaton) -> tuple[dict[int, tuple[int, int]], int]:
+    """``({counted pid: (word offset, words)}, total words)`` — where
+    each bit vector sits in the flat ``vecs`` array crossing the ABI
+    (ascending pid order, ``ceil(width / 64)`` words each)."""
+    layout: dict[int, tuple[int, int]] = {}
+    total = 0
+    for pos in automaton.positions:
+        if pos.is_counted:
+            words = -(-automaton.group_of(pos.pid).width // 64)
+            layout[pos.pid] = (total, words)
+            total += words
+    return layout, total
+
+
+def _nbva_section(fused, indices: Sequence[int]) -> str:
+    """The NBVA kernel plus each listed unit's tables and unit-table row."""
+    parts, rows, max_words = [_NBVA_KERNEL], [], 1
+    # pos[] columns, as the C enum names them: P_ACT..P_SHIFT are the
+    # EdgeAction members in order, then P_WIDTH, P_VOFF, P_READ, P_SHF.
+    column = {action: k for k, action in enumerate(EdgeAction)}
+    for slot, j in enumerate(indices):
+        unit = fused._nbva[j]
+        automaton = unit.automaton
+        layout, total = nbva_vector_layout(automaton)
+        pos = [[0] * 8 for _ in automaton.positions]
+        for edge in automaton.edges:
+            if edge.action is EdgeAction.SHIFT and not pos[edge.src][3]:
+                pos[edge.src][7] = edge.dst
+            pos[edge.src][column[edge.action]] |= 1 << edge.dst
+        for pid, (offset, words) in layout.items():
+            group = automaton.group_of(pid)
+            exact = group.read is ReadKind.EXACT
+            pos[pid][4:7] = group.width, offset, group.read_bound if exact else 0
+            max_words = max(max_words, words)
+        parts.append(_u64_matrix(f"B{slot}_CLS", zip(unit.labels, unit.cmatch), 2))
+        parts.append(_u64_matrix(f"B{slot}_POS", pos, 8))
+        masks = [
+            sum(1 << p for p in pids if (p in layout) is counted)
+            for pids in (automaton.initial, automaton.finals)
+            for counted in (False, True)
+        ]
+        rows.append(
+            f"  {{ {', '.join(map(_u64, masks))}, {int(unit.anchored_start)}, "
+            f"{int(unit.anchored_end)}, {total}, B{slot}_CLS, B{slot}_POS }},"
+        )
+    parts += ["static const rap_nbva_unit NBVA_UNITS[] = {", *rows, "};"]
+    parts.append(f"#define NBVA_MAX_WORDS {max_words}")
+    parts.append(NBVA_CDEF[:-1] + _NBVA_SPAN)
+    return "\n".join(parts)
+
+
 def unit_scan_source(fused) -> str:
     """One translation unit covering every native-eligible scan unit.
 
@@ -424,13 +660,16 @@ def unit_scan_source(fused) -> str:
     native-eligible, so callers can skip the build entirely.
     """
     gathers = native_gather_indices(fused)
-    if not gathers and not fused.dfa_count:
+    nbvas = native_nbva_indices(fused)
+    if not gathers and not fused.dfa_count and not nbvas:
         return ""
     parts = [_header("scan units", fused.signature)]
     for j in gathers:
         parts.append(_gather_function(fused, j))
     for j in range(fused.dfa_count):
         parts.append(_dfa_function(fused, j))
+    if nbvas:
+        parts.append(_nbva_section(fused, nbvas))
     return "\n".join(parts)
 
 
@@ -438,4 +677,6 @@ def unit_cdefs(fused) -> str:
     """The cffi ``cdef`` block matching :func:`unit_scan_source`."""
     decls = [gather_cdef(j) for j in native_gather_indices(fused)]
     decls.extend(dfa_cdef(j) for j in range(fused.dfa_count))
+    if native_nbva_indices(fused):
+        decls.append(NBVA_CDEF)
     return "\n".join(decls)

@@ -52,6 +52,14 @@ import numpy as np
 # this module is a lazily-loaded backend leaf, so the upward import does
 # not create a cycle (repro.automata never imports repro.core.fused).
 from repro.automata.dfa import ClassDFA, determinize_classes
+from repro.automata.glushkov import Automaton
+from repro.automata.nbva import (
+    NBVA_STATE_VERSION,
+    NBVAScanner,
+    NBVASimulator,
+    NBVAState,
+    NBVAStats,
+)
 from repro.core.kernel import MatchEvent, StepStats
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import (
@@ -67,6 +75,7 @@ from repro.core.sfa import (
     shift_map_over,
     state_map_over,
 )
+from repro.regex.charclass import interned_label_masks
 
 # Use a `bytes.find` chain when at most this many distinct byte values
 # can revive the machine; beyond that one vectorized LUT pass wins.
@@ -278,6 +287,43 @@ class _DfaUnit:
         )
 
 
+class _NbvaUnit:
+    """One NBVA (bit-vector) unit: its automaton and anchors, plus the
+    per-byte — once the shared classes exist, per-class — masks of the
+    plain (``labels``) and counted (``cmatch``) positions matching a
+    symbol.  The stepping tables live in the generated C; the
+    interpreted path builds the ``NBVASimulator`` oracle on first use.
+    """
+
+    __slots__ = (
+        "automaton", "anchored_start", "anchored_end", "labels", "cmatch", "_sim"
+    )
+
+    def __init__(
+        self, automaton: Automaton, anchored_start: bool, anchored_end: bool
+    ):
+        self.automaton = automaton
+        self.anchored_start = anchored_start
+        self.anchored_end = anchored_end
+        self.labels, self.cmatch = (
+            interned_label_masks(
+                (p.pid, p.cc)
+                for p in automaton.positions
+                if p.is_counted is counted
+            )
+            for counted in (False, True)
+        )
+        self._sim = None
+
+    def scanner(self) -> NBVAScanner:
+        """A fresh oracle scanner over this unit (simulator memoized)."""
+        if self._sim is None:
+            self._sim = NBVASimulator(self.automaton)
+        return self._sim.scanner(
+            anchored_start=self.anchored_start, anchored_end=self.anchored_end
+        )
+
+
 def _span_stats(
     unit: _GatherUnit | _DfaUnit,
     tin: TranslatedSegment,
@@ -319,7 +365,11 @@ class FusedRuleset:
     input and prefilter.  ``dfa_programs`` are GATHER programs executed
     through the DFA tier instead: each is subset-constructed over the
     shared classes into a dense table consuming one lookup per symbol
-    (:class:`_DfaUnit`), with the same translated input and prefilter.  The packed machine's per-unit projection
+    (:class:`_DfaUnit`), with the same translated input and prefilter.
+    ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
+    bit-vector automata: their label tables join the shared classes and
+    each is stepped whole-frontier by :meth:`scan_nbva_unit_span` (no
+    prefilter — their counters are priced on every symbol).  The packed machine's per-unit projection
     ``(word >> base) & (2**width - 1)`` evolves bit-identically to a
     standalone scan of that unit: within a SHIFT_LEFT program the low
     bit is only ever set by injection, so a neighbour's top bit leaking
@@ -334,6 +384,7 @@ class FusedRuleset:
         shift_programs: Sequence[KernelProgram] = (),
         gather_programs: Sequence[KernelProgram] = (),
         dfa_programs: Sequence[KernelProgram] = (),
+        nbva_units: Sequence[tuple[Automaton, bool, bool]] = (),
     ):
         self._shift = tuple(shift_programs)
         for program in self._shift:
@@ -370,11 +421,18 @@ class FusedRuleset:
                     "the DFA tier cannot execute end-anchored finals"
                 )
 
+        # -- (automaton, anchored_start, anchored_end) NBVA units ---------
+        self._nbva = tuple(_NbvaUnit(*unit) for unit in nbva_units)
+
         self.classes = AlphabetClasses(
             [p.labels for p in self._shift]
             + [p.labels for p in gathers]
             + [p.labels for p in dfas]
+            + [table for u in self._nbva for table in (u.labels, u.cmatch)]
         )
+        for unit in self._nbva:
+            unit.labels = self.classes.project(unit.labels)
+            unit.cmatch = self.classes.project(unit.cmatch)
         k = self.classes.k
 
         # -- lane-pack the shift programs into one wide word ------------
@@ -518,6 +576,13 @@ class FusedRuleset:
                     (unit.program.width, unit.dfa.state_count)
                     for unit in self._dfa
                 ),
+            )
+        if self._nbva:
+            # Same rule: only NBVA-bearing rulesets roll over.
+            doc = doc + (
+                "nbva",
+                NBVA_STATE_VERSION,
+                tuple(unit.automaton.state_count for unit in self._nbva),
             )
         return hashlib.sha256(repr(doc).encode("ascii")).hexdigest()
 
@@ -865,6 +930,36 @@ class FusedRuleset:
             i += 1
         return raw, active, s
 
+    # -- the NBVA (bit-vector) units -------------------------------------
+
+    def scan_nbva_unit_span(
+        self,
+        index: int,
+        tin: TranslatedSegment,
+        *,
+        state: NBVAState = NBVAState(),
+        at_end: bool = True,
+    ) -> tuple[list[int], NBVAStats, NBVAState]:
+        """Scan NBVA unit ``index`` over the next span of its stream.
+
+        ``state`` is the frontier entering the span; returns the global
+        match positions, the span's counters (global
+        ``bv_cycle_indices``) and the exit frontier — exactly what
+        :meth:`NBVAScanner.feed` yields, stepped by the generated C when
+        the unit is narrow enough and by the oracle itself otherwise.
+        Vectors carry unbounded history: there is no warm-up form.
+        """
+        native = self._native_scanner()
+        if native is not None and native.has_nbva(index):
+            return native.nbva_span(
+                index, tin.cls_bytes, state=state, at_end=at_end
+            )
+        scanner = self._nbva[index].scanner()
+        scanner.state = state
+        stats = NBVAStats(bv_cycle_indices=[])
+        matches = scanner.feed(tin.data, stats, at_end=at_end)
+        return matches, stats, scanner.state
+
     # -- chunk mappings (SFA stitching) ---------------------------------
 
     def lane_chunk_map(
@@ -928,6 +1023,11 @@ class FusedRuleset:
     def dfa_count(self) -> int:
         """Number of DFA-tier units in the fused compilation."""
         return len(self._dfa)
+
+    @property
+    def nbva_count(self) -> int:
+        """Number of NBVA units in the fused compilation."""
+        return len(self._nbva)
 
     def dfa_table(self, index: int) -> ClassDFA:
         """DFA unit ``index``'s table: the state index ↔ NFA subset

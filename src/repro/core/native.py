@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.automata.nbva import NBVAState, NBVAStats
 from repro.core import codegen
 from repro.core.fused import int_from_words, words_from_int
 
@@ -349,7 +350,7 @@ class NativeLaneScanner:
 
 
 class NativeUnitScanner:
-    """Compiled GATHER/DFA span kernels of one fused ruleset."""
+    """Compiled GATHER/DFA/NBVA span kernels of one fused ruleset."""
 
     def __init__(self, fused):
         source = codegen.unit_scan_source(fused)
@@ -363,10 +364,46 @@ class NativeUnitScanner:
         self._dfa_fns = {
             j: lib.fn(f"rap_dfa_scan_{j}") for j in range(fused.dfa_count)
         }
+        # NBVA unit index -> (slot in the C unit table, {counted pid:
+        # (word offset, words)} vector layout, total vector words)
+        self._nbva = {
+            j: (slot, *codegen.nbva_vector_layout(fused._nbva[j].automaton))
+            for slot, j in enumerate(codegen.native_nbva_indices(fused))
+        }
+        self._nbva_fn = lib.fn("rap_nbva_span") if self._nbva else None
         self._cap = codegen.HIT_BUFFER_ENTRIES
 
     def has_gather(self, index: int) -> bool:
         return index in self._gather_fns
+
+    def has_nbva(self, index: int) -> bool:
+        return index in self._nbva
+
+    def _drain(self, fn, cls_bytes: bytes, *args):
+        """Drive one span kernel through the continuation protocol.
+
+        Calls ``fn(cls, n, start_i, *args, cap, n_ev, resume_i)`` until
+        it reports completion, yielding after each return the number of
+        entries it left in the caller's event buffers (to be consumed
+        before the next re-entry overwrites them).
+        """
+        n_ev = np.zeros(1, dtype=np.int64)
+        resume = np.zeros(1, dtype=np.int64)
+        i = 0
+        while True:
+            rc = fn(
+                _ptr(cls_bytes),
+                len(cls_bytes),
+                i,
+                *args,
+                self._cap,
+                _ptr(n_ev),
+                _ptr(resume),
+            )
+            yield int(n_ev[0])
+            i = int(resume[0])
+            if rc == 0:
+                return
 
     def gather_span(
         self,
@@ -379,38 +416,23 @@ class NativeUnitScanner:
         stats_from: int,
     ) -> tuple[list[tuple[int, int]], int, int]:
         """``(events, active_state_sum, exit_state)`` for one span."""
-        fn = self._gather_fns[index]
-        n = len(cls_bytes)
-        cap = self._cap
         word = np.array([state], dtype=np.uint64)
         active = np.zeros(1, dtype=np.int64)
-        ev_pos = np.empty(cap, dtype=np.int64)
-        ev_word = np.empty(cap, dtype=np.uint64)
-        n_ev = np.zeros(1, dtype=np.int64)
-        resume = np.zeros(1, dtype=np.int64)
+        ev_pos = np.empty(self._cap, dtype=np.int64)
+        ev_word = np.empty(self._cap, dtype=np.uint64)
         events: list[tuple[int, int]] = []
-        i = 0
-        while True:
-            rc = fn(
-                _ptr(cls_bytes),
-                n,
-                i,
-                _ptr(word),
-                1 if fresh else 0,
-                1 if at_end else 0,
-                stats_from,
-                _ptr(active),
-                _ptr(ev_pos),
-                _ptr(ev_word),
-                cap,
-                _ptr(n_ev),
-                _ptr(resume),
-            )
-            for r in range(int(n_ev[0])):
-                events.append((int(ev_pos[r]), int(ev_word[r])))
-            i = int(resume[0])
-            if rc == 0:
-                break
+        for count in self._drain(
+            self._gather_fns[index],
+            cls_bytes,
+            _ptr(word),
+            1 if fresh else 0,
+            1 if at_end else 0,
+            stats_from,
+            _ptr(active),
+            _ptr(ev_pos),
+            _ptr(ev_word),
+        ):
+            events.extend(zip(ev_pos[:count].tolist(), ev_word[:count].tolist()))
         return events, int(active[0]), int(word[0])
 
     def dfa_span(
@@ -422,34 +444,71 @@ class NativeUnitScanner:
         stats_from: int,
     ) -> tuple[list[tuple[int, int]], int, int]:
         """``(raw (pos, dfa_state) events, active_sum, exit_state)``."""
-        fn = self._dfa_fns[index]
-        n = len(cls_bytes)
-        cap = self._cap
         word = np.array([state], dtype=np.int32)
         active = np.zeros(1, dtype=np.int64)
-        ev_pos = np.empty(cap, dtype=np.int64)
-        ev_state = np.empty(cap, dtype=np.int32)
-        n_ev = np.zeros(1, dtype=np.int64)
-        resume = np.zeros(1, dtype=np.int64)
+        ev_pos = np.empty(self._cap, dtype=np.int64)
+        ev_state = np.empty(self._cap, dtype=np.int32)
         events: list[tuple[int, int]] = []
-        i = 0
-        while True:
-            rc = fn(
-                _ptr(cls_bytes),
-                n,
-                i,
-                _ptr(word),
-                stats_from,
-                _ptr(active),
-                _ptr(ev_pos),
-                _ptr(ev_state),
-                cap,
-                _ptr(n_ev),
-                _ptr(resume),
-            )
-            for r in range(int(n_ev[0])):
-                events.append((int(ev_pos[r]), int(ev_state[r])))
-            i = int(resume[0])
-            if rc == 0:
-                break
+        for count in self._drain(
+            self._dfa_fns[index],
+            cls_bytes,
+            _ptr(word),
+            stats_from,
+            _ptr(active),
+            _ptr(ev_pos),
+            _ptr(ev_state),
+        ):
+            events.extend(zip(ev_pos[:count].tolist(), ev_state[:count].tolist()))
         return events, int(active[0]), int(word[0])
+
+    def nbva_span(
+        self,
+        index: int,
+        cls_bytes: bytes,
+        *,
+        state: NBVAState,
+        at_end: bool,
+    ) -> tuple[list[int], NBVAStats, NBVAState]:
+        """``(global matches, counters + global bv_cycle_indices, exit
+        frontier)`` for one span — :meth:`NBVAScanner.feed`'s results."""
+        slot, layout, total = self._nbva[index]
+        base = state.offset
+        vecs = np.zeros(max(1, total), dtype=np.uint64)
+        live = 0
+        for pid, vec in state.vectors:
+            offset, words = layout[pid]
+            vecs[offset : offset + words] = words_from_int(vec, words)
+            live |= 1 << pid
+        active = np.array([state.active], dtype=np.uint64)
+        live = np.array([live], dtype=np.uint64)
+        scratch = np.empty_like(vecs)
+        counters = np.zeros(11, dtype=np.int64)
+        ev = np.empty(self._cap, dtype=np.int64)
+        matches: list[int] = []
+        bv_cycles: list[int] = []
+        for count in self._drain(
+            self._nbva_fn,
+            cls_bytes,
+            slot,
+            _ptr(active),
+            _ptr(live),
+            _ptr(vecs),
+            _ptr(scratch),
+            1 if base == 0 else 0,
+            1 if at_end else 0,
+            _ptr(counters),
+            _ptr(ev),
+        ):
+            events = ev[:count]
+            positions = (events >> 2) + base
+            bv_cycles.extend(positions[(events & 1) != 0].tolist())
+            matches.extend(positions[(events & 2) != 0].tolist())
+        exit_live = int(live[0])
+        vectors = tuple(
+            (pid, int_from_words(vecs[offset : offset + words]))
+            for pid, (offset, words) in layout.items()
+            if exit_live >> pid & 1
+        )
+        stats = NBVAStats(*counters.tolist(), bv_cycle_indices=bv_cycles)
+        end = base + len(cls_bytes)
+        return matches, stats, NBVAState(end, int(active[0]), vectors)

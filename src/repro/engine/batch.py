@@ -27,16 +27,15 @@ descriptors are tiny tuples.
 from __future__ import annotations
 
 import pickle
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass, field, replace
 
-from repro.compiler import CompilerConfig, explain_patterns
+from repro.compiler import CompilerConfig, compile_ruleset, explain_patterns
 from repro.compiler.costmodel import MODE_CHOICES, mode_override, resolve_mode
 from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core import (
     resolve_backend,
     resolve_backend_with_reason,
-    set_default_backend,
     use_backend,
 )
 from repro.engine import faults
@@ -267,12 +266,23 @@ class BatchEngine:
         predicted byte costs, the chosen mode, and the reason — or the
         compile error for patterns the compiler would reject.  Runs
         under the engine's backend scope so the cost constants scored
-        are the ones a real compile on this engine would use.
+        are the ones a real compile on this engine would use.  Entries
+        that land in NBVA mode also say which tier will step their unit
+        (``tier``): the generated C, or ``NBVAScanner`` and why.
         """
+        compiler = self._effective_compiler(compiler)
+        resolved, fallback = self.backend_report()
         with self._backend_scope():
-            return explain_patterns(
-                list(patterns), self._effective_compiler(compiler)
-            )
+            entries = explain_patterns(list(patterns), compiler)
+            for index, entry in enumerate(entries):
+                if entry.trace and entry.trace.mode is CompiledMode.NBVA:
+                    entries[index] = replace(
+                        entry,
+                        tier=_nbva_tier(
+                            entry.pattern, compiler, resolved, fallback
+                        ),
+                    )
+        return entries
 
     def backend_report(self) -> tuple[str, str | None]:
         """The *resolved* step-kernel backend, with the fallback reason.
@@ -736,6 +746,22 @@ class BatchEngine:
 # -- policy helpers ---------------------------------------------------------
 
 
+def _nbva_tier(
+    pattern: str, compiler: CompilerConfig, resolved: str, fallback: str | None
+) -> str | None:
+    """Which tier steps an NBVA-mode pattern's unit on the ``resolved``
+    backend: ``"native"``, or ``"interpreted (<why>)"``."""
+    if resolved != "native":
+        return f"interpreted ({fallback or resolved + ' backend'})"
+    from repro.core.codegen import nbva_interpreted_reason
+
+    compiled = compile_ruleset([pattern], compiler).regexes
+    if not compiled or compiled[0].mode is not CompiledMode.NBVA:
+        return None
+    why = nbva_interpreted_reason(compiled[0].automaton)
+    return f"interpreted ({why})" if why else "native"
+
+
 def _rejection_error(ruleset: CompiledRuleset, patterns: list) -> CompileError:
     """The structured error for the first rejected pattern of a compile."""
     pattern, reason = ruleset.rejected[0]
@@ -792,7 +818,8 @@ _WORKER_STATE: dict = {}
 def _init_scan_worker(payload: bytes) -> None:
     """Seed one worker process with the scan's shared state."""
     ruleset, data, bin_size, hw, backend = pickle.loads(payload)
-    set_default_backend(backend)
+    _WORKER_STATE["backend_scope"] = scope = ExitStack()
+    scope.enter_context(use_backend(backend))
     sim = RAPSimulator(hw)
     _WORKER_STATE["data"] = data
     _WORKER_STATE["hw"] = hw
@@ -806,8 +833,12 @@ def _reset_scan_worker() -> None:
     Worker processes die with their state, but the in-process fallback
     runs ``_init_scan_worker`` in the *parent* — without this reset the
     seeded ruleset/stream would leak into (and pin memory for) every
-    later scan in the process.
+    later scan in the process, and the backend pin would outrank every
+    later ``RAP_BACKEND`` change.
     """
+    scope = _WORKER_STATE.pop("backend_scope", None)
+    if scope is not None:
+        scope.close()
     _WORKER_STATE.clear()
 
 

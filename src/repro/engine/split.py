@@ -44,10 +44,11 @@ match ordering, and every counter equal the serial fused run exactly.
 from __future__ import annotations
 
 import pickle
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from repro.compiler.program import CompiledMode, CompiledRuleset
-from repro.core import set_default_backend
+from repro.core import use_backend
 from repro.engine.partition import longest_activation_path, plan_chunks
 from repro.engine.pool import parallel_map
 from repro.hardware.config import HardwareConfig
@@ -55,7 +56,7 @@ from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivity,
     RegexActivity,
-    collect_regex_activity,
+    nbva_activity,
 )
 from repro.simulators.fused import FusedPlan, unit_activity
 from repro.simulators.rap import RAPSimulator, RunActivity
@@ -192,8 +193,8 @@ def split_collect(
     for unit, kind in enumerate(comp.unit_kind):
         if kind is SERIAL:
             tasks.append(("serial_nfa", unit))
-    for compiled in comp.nbva_units:
-        tasks.append(("nbva", compiled.regex_id))
+    for unit in range(len(comp.nbva_units)):
+        tasks.append(("nbva", unit))
 
     pool = dict(
         jobs=jobs,
@@ -333,7 +334,7 @@ def _assemble(
             for compiled, result in zip(comp.dfa_units, dfa)
         ],
         CompiledMode.NBVA: [
-            nbva_out[compiled.regex_id] for compiled in comp.nbva_units
+            nbva_out[unit] for unit in range(len(comp.nbva_units))
         ],
     }
 
@@ -365,16 +366,20 @@ _SPLIT_STATE: dict = {}
 def _init_split_worker(payload: bytes) -> None:
     """Seed one worker with the scan's shared, deterministic state."""
     ruleset, data, bin_size, hw, backend = pickle.loads(payload)
-    set_default_backend(backend)
+    _SPLIT_STATE["backend_scope"] = scope = ExitStack()
+    scope.enter_context(use_backend(backend))
     mapping = RAPSimulator(hw).build_mapping(ruleset, bin_size=bin_size)
     _SPLIT_STATE["data"] = data
     _SPLIT_STATE["comp"] = SplitCompilation(ruleset, mapping, hw)
-    _SPLIT_STATE["regex_by_id"] = {r.regex_id: r for r in ruleset}
 
 
 def _reset_split_worker() -> None:
     """Clear the worker globals (the in-process fallback seeds the
-    parent, which must not pin the stream afterwards)."""
+    parent, which must not pin the stream — or the backend —
+    afterwards)."""
+    scope = _SPLIT_STATE.pop("backend_scope", None)
+    if scope is not None:
+        scope.close()
     _SPLIT_STATE.clear()
 
 
@@ -422,8 +427,11 @@ def _split_task(task: tuple):
             stats.cycles,
             exit_state,
         )
-    _, rid = task  # "nbva"
-    return collect_regex_activity(_SPLIT_STATE["regex_by_id"][rid], data)
+    _, unit = task  # "nbva"
+    matches, stats, _ = comp.fused.scan_nbva_unit_span(
+        unit, comp.fused.translate(data)
+    )
+    return nbva_activity(comp.nbva_units[unit], matches, stats)
 
 
 def _run_chunk(

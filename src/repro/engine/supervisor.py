@@ -245,9 +245,9 @@ def _run_inline(
     ``initializer`` is scoped: ``finalizer`` runs even on failure so
     nothing leaks into the parent process.
     """
-    if initializer is not None:
-        initializer(*initargs)
     try:
+        if initializer is not None:
+            initializer(*initargs)
         for i in indices:
             budget = max(attempts[i] + 1, cfg.retries + 1)
             while attempts[i] < budget:

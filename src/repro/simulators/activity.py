@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.automata.dfa import DFAScanner
-from repro.automata.nbva import NBVASimulator, NBVAStats
+from repro.automata.nbva import NBVASimulator, NBVAState, NBVAStats
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd
 from repro.compiler.program import CompiledMode, CompiledRegex
@@ -109,6 +109,26 @@ class BinActivity:
         )
 
 
+def nbva_activity(
+    compiled: CompiledRegex, matches: list[int], stats: NBVAStats
+) -> RegexActivity:
+    """An NBVA scan's (global) matches and counters as its regex's
+    activity (fresh lists: callers may keep feeding ``stats``)."""
+    return RegexActivity(
+        regex_id=compiled.regex_id,
+        mode=compiled.mode,
+        cycles=stats.cycles,
+        matches=list(matches),
+        active_state_cycles=stats.active_states,
+        bv_phase_cycles=stats.bv_phase_cycles,
+        bv_cycle_indices=list(stats.bv_cycle_indices or []),
+        bv_updates=stats.bv_updates,
+        set1_events=stats.set1_events,
+        shift_events=stats.shift_events,
+        copy_events=stats.copy_events,
+    )
+
+
 def collect_regex_activity(
     compiled: CompiledRegex,
     data: bytes,
@@ -167,20 +187,10 @@ def collect_regex_activity(
     matches = NBVASimulator(compiled.automaton).find_matches(
         data, stats, **anchors
     )
-    bv_indices = stats.bv_cycle_indices or []
-    return RegexActivity(
-        regex_id=compiled.regex_id,
-        mode=compiled.mode,
-        cycles=stats.cycles,
-        matches=[base + m for m in matches] if base else matches,
-        active_state_cycles=stats.active_states,
-        bv_phase_cycles=stats.bv_phase_cycles,
-        bv_cycle_indices=[base + i for i in bv_indices] if base else bv_indices,
-        bv_updates=stats.bv_updates,
-        set1_events=stats.set1_events,
-        shift_events=stats.shift_events,
-        copy_events=stats.copy_events,
-    )
+    if base:
+        matches = [base + m for m in matches]
+        stats.bv_cycle_indices = [base + i for i in stats.bv_cycle_indices]
+    return nbva_activity(compiled, matches, stats)
 
 
 @dataclass(frozen=True)
@@ -352,21 +362,27 @@ class RegexActivityCollector:
         return self._matches
 
     @property
-    def state(self) -> KernelState:
-        """The NFA/DFA scanner's mid-stream kernel state (its active
-        set, whichever of the two modes executes the regex)."""
+    def state(self) -> KernelState | NBVAState:
+        """The scanner's mid-stream state: the active set of an NFA/DFA
+        regex (whichever of the two modes executes it), the plain active
+        set plus live bit vectors of an NBVA one."""
         return self._scanner.state
 
     def apply_segment(
-        self, *, stats: StepStats, matches: list[int], state: KernelState
+        self,
+        *,
+        stats: StepStats | NBVAStats,
+        matches: list[int],
+        state: KernelState | NBVAState,
     ) -> None:
         """Fold one segment's precomputed activity into the collector.
 
-        The NFA/DFA counterpart of :meth:`BinActivityCollector.
+        The per-regex counterpart of :meth:`BinActivityCollector.
         apply_segment`: the fused plan steps the regex's unit once per
         segment and hands over the exact deltas :meth:`feed` would have
-        accumulated — counters, global match positions, and the
-        continuation state.  Callers own the exactness contract.
+        accumulated — counters (of the regex's own kind), global match
+        positions, and the continuation state.  Callers own the
+        exactness contract.
         """
         self._stats = self._stats.merge(stats)
         self._matches.extend(matches)
@@ -383,26 +399,14 @@ class RegexActivityCollector:
         would report it for the bytes consumed so far."""
         compiled = self._compiled
         stats = self._stats
-        if not self._nbva:
-            return RegexActivity(
-                regex_id=compiled.regex_id,
-                mode=compiled.mode,
-                cycles=stats.cycles,
-                matches=list(self._matches),
-                active_state_cycles=stats.active_states,
-            )
+        if self._nbva:
+            return nbva_activity(compiled, self._matches, stats)
         return RegexActivity(
             regex_id=compiled.regex_id,
             mode=compiled.mode,
             cycles=stats.cycles,
             matches=list(self._matches),
             active_state_cycles=stats.active_states,
-            bv_phase_cycles=stats.bv_phase_cycles,
-            bv_cycle_indices=list(stats.bv_cycle_indices or []),
-            bv_updates=stats.bv_updates,
-            set1_events=stats.set1_events,
-            shift_events=stats.shift_events,
-            copy_events=stats.copy_events,
         )
 
     def snapshot(self) -> dict:

@@ -31,9 +31,8 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
 * :class:`FusedRun` reproduces
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities` for a
   whole run: the input is translated once through the shared alphabet
-  classes, NFA and DFA units scan off the shared translation, LNFA bins
-  run through the feeder, and NBVA-mode regexes fall back to the exact
-  pure scan (their counter dataflow is not a bitset program).
+  classes, and NFA, DFA and NBVA units scan off the shared translation
+  while LNFA bins run through the feeder.
 
 Import this module lazily, only after the backend registry has resolved
 ``fused`` or ``native`` — it requires NumPy.
@@ -69,7 +68,10 @@ from repro.simulators.activity import (
     RegexActivityCollector,
     _bin_layout,
     _BinLayout,
-    collect_regex_activity,
+    # Re-exported only: the benchmark ledger wraps this name on this
+    # module (span ``automata.nbva_scan``), which the plan no longer calls.
+    collect_regex_activity,  # noqa: F401
+    nbva_activity,
 )
 from repro.simulators.rap import RunActivity
 
@@ -565,13 +567,13 @@ def _lane_chunk(task: tuple) -> LaneDelta:
 class FusedRegexFeeder:
     """Feed a durable scan's regex collectors through the plan.
 
-    The regex-side peer of :class:`FusedBinFeeder`: each NFA/DFA unit
-    is stepped once per segment through the plan's span scanners
-    (compiled C when attached) and the result folded into the collector
-    of *every* regex sharing the unit, instead of each regex stepping
-    its own scanner.  NBVA regexes keep their exact per-regex scanner.
-    The feeder holds no stream state — entry states are read from the
-    collectors' :class:`~repro.core.KernelState` and the continuation is
+    The regex-side peer of :class:`FusedBinFeeder`: each NFA, DFA and
+    NBVA unit is stepped once per segment through the plan's span
+    scanners (compiled C when attached) and the result folded into the
+    collector of *every* regex sharing the unit, instead of each regex
+    stepping its own scanner.  The feeder holds no stream state — entry
+    states are read from the collectors (:class:`~repro.core.KernelState`
+    or :class:`~repro.automata.nbva.NBVAState`) and the continuation is
     written back — so snapshots stay byte-identical to the ``python``
     backend's.
     """
@@ -580,15 +582,12 @@ class FusedRegexFeeder:
         self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
     ):
         self._fused = plan.fused
-        self._nbva: list[tuple[int, RegexActivityCollector]] = []
-        # (is DFA, unit index) -> the collectors of the regexes sharing it
-        self._units: dict[tuple[bool, int], list] = {}
+        # (mode, unit index) -> the collectors of the regexes sharing it
+        self._units: dict[tuple[CompiledMode, int], list] = {}
         for compiled in plan.ruleset:
             rid = compiled.regex_id
-            if compiled.mode is CompiledMode.NBVA:
-                self._nbva.append((rid, collectors[rid]))
-            elif compiled.mode is not CompiledMode.LNFA:
-                key = (compiled.mode is CompiledMode.DFA, plan.unit_index[rid])
+            if compiled.mode is not CompiledMode.LNFA:
+                key = (compiled.mode, plan.unit_index[rid])
                 self._units.setdefault(key, []).append((rid, collectors[rid]))
 
     def feed(
@@ -600,45 +599,54 @@ class FusedRegexFeeder:
     ) -> None:
         """Consume the next (translated) segment on every regex whose id
         is not in ``skip`` (shed regexes stay frozen where they are)."""
-        n = len(tin.data)
-        if not n:
+        if not tin.data:
             return
-        fused = self._fused
-        for rid, collector in self._nbva:
-            if rid not in skip:
-                collector.feed(tin.data, at_end=at_end)
-        for (is_dfa, unit), members in self._units.items():
+        for (mode, unit), members in self._units.items():
             # Regexes sharing a unit have been fed the same bytes, so
             # the live ones agree on one entry state; grouping by it
             # (rather than assuming it) keeps a restored snapshot whose
             # collectors disagree exact, merely slower.
-            entries: dict[KernelState, list[RegexActivityCollector]] = {}
+            entries: dict[object, list[RegexActivityCollector]] = {}
             for rid, collector in members:
                 if rid not in skip:
                     entries.setdefault(collector.state, []).append(collector)
             for entry, group in entries.items():
-                if is_dfa:
-                    # KernelState words are NFA active sets; the table's
-                    # subset memory maps them to DFA state indices.
-                    dfa = fused.dfa_table(unit)
-                    events, stats, exit_state = fused.scan_dfa_unit_span(
-                        unit, tin, state=dfa.state_of(entry.states)
-                    )
-                    exit_state = dfa.subsets[exit_state]
-                else:
-                    events, stats, exit_state = fused.scan_unit_span(
-                        unit,
-                        tin,
-                        state=entry.states,
-                        fresh=entry.offset == 0,
-                        at_end=at_end,
-                    )
-                matches = [entry.offset + i for i, _ in events]
-                state = KernelState(offset=entry.offset + n, states=exit_state)
+                matches, stats, state = self._step(
+                    mode, unit, tin, entry, at_end
+                )
                 for collector in group:
                     collector.apply_segment(
                         stats=stats, matches=matches, state=state
                     )
+
+    def _step(self, mode: CompiledMode, unit: int, tin, entry, at_end: bool):
+        """One unit's span from ``entry``: ``(global matches, counters,
+        continuation state)``, each of the unit's own kind."""
+        fused = self._fused
+        if mode is CompiledMode.NBVA:
+            return fused.scan_nbva_unit_span(
+                unit, tin, state=entry, at_end=at_end
+            )
+        if mode is CompiledMode.DFA:
+            # KernelState words are NFA active sets; the table's subset
+            # memory maps them to DFA state indices.
+            dfa = fused.dfa_table(unit)
+            events, stats, exit_state = fused.scan_dfa_unit_span(
+                unit, tin, state=dfa.state_of(entry.states)
+            )
+            exit_state = dfa.subsets[exit_state]
+        else:
+            events, stats, exit_state = fused.scan_unit_span(
+                unit,
+                tin,
+                state=entry.states,
+                fresh=entry.offset == 0,
+                at_end=at_end,
+            )
+        state = KernelState(
+            offset=entry.offset + len(tin.data), states=exit_state
+        )
+        return [entry.offset + i for i, _ in events], stats, state
 
 
 def unit_activity(
@@ -667,9 +675,9 @@ class FusedPlan:
       ruleset order; ``unit_index`` maps every non-LNFA regex id to its
       unit's position in its mode's list;
     * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
-      holding the bins' shift programs and the NFA/DFA units' gather
-      programs, so all of them share one class map, one translated
-      input, and one prefilter.
+      holding the bins' shift programs, the NFA/DFA units' gather
+      programs and the NBVA units' automata, so all of them share one
+      class map, one translated input, and one prefilter.
     """
 
     def __init__(
@@ -715,6 +723,10 @@ class FusedPlan:
             [layout.packed.program for layout in self.layouts],
             [program(compiled) for compiled in self.nfa_units],
             [program(compiled) for compiled in self.dfa_units],
+            [
+                (c.automaton, c.anchored_start, c.anchored_end)
+                for c in self.nbva_units
+            ],
         )
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
@@ -808,8 +820,10 @@ class FusedRun:
                 for index, compiled in enumerate(plan.dfa_units)
             ],
             CompiledMode.NBVA: [
-                collect_regex_activity(compiled, data)
-                for compiled in plan.nbva_units
+                nbva_activity(
+                    compiled, *fused.scan_nbva_unit_span(index, tin)[:2]
+                )
+                for index, compiled in enumerate(plan.nbva_units)
             ],
         }
         collectors = [

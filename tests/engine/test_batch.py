@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.core import available_backends, use_backend
+from repro.core import registry as registry_mod
 from repro.engine import (
     BatchEngine,
     BatchReport,
@@ -51,7 +52,10 @@ def chunked_scan_inprocess(ruleset, data, overlap, pieces):
         (ruleset, data, None, engine.hw, batch_mod.resolve_backend())
     )
     batch_mod._init_scan_worker(payload)
-    outcomes = [batch_mod._scan_unit(unit) for unit in units]
+    try:
+        outcomes = [batch_mod._scan_unit(unit) for unit in units]
+    finally:
+        batch_mod._reset_scan_worker()
     activity = BatchEngine._merge_outcomes(ruleset, mapping, outcomes, len(data))
     return sim.run_from_activity(ruleset, activity, mapping)
 
@@ -395,10 +399,12 @@ class TestFaultInjectedExecution:
 
 
 class TestWorkerStateHygiene:
-    def test_inline_fallback_clears_worker_state(self):
+    def test_inline_fallback_clears_worker_state(self, monkeypatch):
         # The in-process path seeds _WORKER_STATE in the *parent*; the
         # finalizer must clear it so a scan cannot pin its ruleset and
-        # stream in memory for the life of the process (regression).
+        # stream in memory for the life of the process (regression) —
+        # nor its backend, which would outrank later RAP_BACKEND changes.
+        monkeypatch.setattr("repro.core.registry._default", None)
         ruleset = compiled(["abcd"])
         data = b"xxabcdxx" * 4
         sim = RAPSimulator()
@@ -419,6 +425,7 @@ class TestWorkerStateHygiene:
         )
         assert all(o.ok for o in outcomes)
         assert batch_mod._WORKER_STATE == {}
+        assert registry_mod._default is None
 
     def test_scan_leaves_no_parent_state(self):
         # End to end: exhaust the pool for every unit so scan's own

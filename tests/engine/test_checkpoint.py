@@ -665,14 +665,17 @@ class TestDetachedResume:
 
 PLANNED_BACKENDS = [b for b in ("fused", "native") if b in available_backends()]
 
-# Three rulesets, one short witness stream each.  The NFA and DFA sets
-# repeat a pattern so two regexes share one unit of the plan; the NFA
-# set carries both anchors, and its stream ends on the end-anchored
-# witness so that final must fire on the last byte and nowhere else.
+# Four rulesets, one short witness stream each.  The NFA, DFA and NBVA
+# sets repeat a pattern so two regexes share one unit of the plan; the
+# NFA and NBVA sets carry both anchors, and their streams end on the
+# end-anchored witness so that final must fire on the last byte and
+# nowhere else.
 NFA_ONLY = ["ab*c", "ab*c", "x[yz]+w$", "^ab", "q.*r"]
 NFA_STREAM = b"abc.abbbc xyzw q..r.abbc..xyyw"
 DFA_FORCED = ["ab*c", "ab*c", "foo[0-9]*bar", "q.*r"]
 DFA_STREAM = b"abc.abbbc foo42bar q..r.ac foobar"
+NBVA_FORCED = ["ab{20}c", "ab{20}c", "x[yz]{2,70}w", "^q.{0,100}r$"]
+NBVA_STREAM = b"q.a" + b"b" * 20 + b"c.xyzzyw.ab" + b"b" * 21 + b"c.xyw..r"
 MIX_STREAM = (
     b"..p7/p&rxx&&jn?..9/8xiq..gsef9zzb7..a1k=rkebm..86chl--z/vwfkn."
 )
@@ -688,6 +691,9 @@ def _plan_ruleset(name: str):
     if name == "dfa":
         config = CompilerConfig(forced_mode=CompiledMode.DFA)
         return compile_ruleset(DFA_FORCED, config), DFA_STREAM
+    if name == "nbva":
+        config = CompilerConfig(forced_mode=CompiledMode.NBVA)
+        return compile_ruleset(NBVA_FORCED, config), NBVA_STREAM
     # The paper's Fig. 1 mix (Snort, 16 regexes: NBVA + NFA + LNFA).
     patterns = list(generate_benchmark("Snort", 16).patterns)
     return compile_ruleset(patterns), MIX_STREAM
@@ -703,7 +709,7 @@ def _collector_docs(scan: DurableScan) -> bytes:
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
-@pytest.mark.parametrize("name", ["nfa", "dfa", "mix"])
+@pytest.mark.parametrize("name", ["nfa", "dfa", "nbva", "mix"])
 class TestPlanDifferential:
     """``durable_scan`` ≡ ``scan`` ≡ the ``python`` oracle, with every
     collector document byte-identical at every possible checkpoint."""
@@ -731,6 +737,10 @@ class TestPlanDifferential:
         assert any(reference.matches.values())
         if name == "nfa":  # the end-anchored final fired, on the last byte
             assert reference.matches[2] == [len(data) - 1]
+        if name == "nbva":
+            assert all(r.mode.value == "NBVA" for r in ruleset)
+            assert reference.matches[3] == [len(data) - 1]
+            assert all(reference.matches[rid] for rid in range(4))
 
         with use_backend(backend):
             assert sim.run(ruleset, data) == reference
@@ -741,6 +751,12 @@ class TestPlanDifferential:
 
             # Every byte its own segment: a checkpoint at every offset.
             stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            if backend == "native":  # no silent NBVA fallback to compare
+                fused = stepped._plan.fused
+                assert all(
+                    fused._native_scanner().has_nbva(unit)
+                    for unit in range(fused.nbva_count)
+                )
             for offset in range(1, len(data)):
                 stepped.feed(data[offset - 1 : offset], at_end=False)
                 assert _collector_docs(stepped) == docs[offset], offset
@@ -761,8 +777,8 @@ class TestPlanDifferential:
 
     def test_shed_regex_sharing_a_unit(self, name, backend):
         # Regex 1 is the lowest-weight unit, so it is the one shed; in
-        # the NFA and DFA sets it shares its unit with regex 0, which
-        # must keep scanning (and keep its own state) unaffected.
+        # the NFA, DFA and NBVA sets it shares its unit with regex 0,
+        # which must keep scanning (and keep its own state) unaffected.
         ruleset, data = _plan_ruleset(name)
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
         cut = len(data) // 3
@@ -862,3 +878,70 @@ class TestPlanFingerprint:
                 fresh.restore(doc, data)
             with pytest.raises(CheckpointError, match="different scan"):
                 fresh.restore_detached(doc)
+
+
+    # As of the commit before NBVA units joined the plan (0e1bad8):
+    # name -> backend -> (scan_fingerprint, keys of the generated unit
+    # and lane sources).  Rulesets without an NBVA unit must keep every
+    # one of these — their checkpoints stay resumable and their cached
+    # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.
+    PRE_NBVA = {
+        "lnfa": {
+            "fused": ("4f5be8323cd28222", []),
+            "native": (
+                "e87b5ba8a30b3da0",
+                ["e3b0c44298fc1c14", "e9fce62494722bba"],
+            ),
+        },
+        "nfa": {
+            "fused": ("847ce74d3258c81f", []),
+            "native": ("fcae215c15995b75", ["631446e170deb70e"]),
+        },
+        "dfa": {
+            "fused": ("ecb415f0c230b1ad", []),
+            "native": ("16aabb5461a7af58", ["455bc10b2678b025"]),
+        },
+        "mix": {
+            "fused": ("3d74adbffc70473a", []),
+            "native": (
+                "9ecb192f498d9771",
+                ["6a7366b3aa41bf05", "f554109919781123"],
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    @pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "mix"])
+    def test_only_nbva_bearing_rulesets_roll_over(self, name, backend):
+        from repro.core import codegen
+        from repro.core.native import source_key
+
+        if name == "lnfa":
+            ruleset = compile_ruleset(["needle", "marker", "hello|world"])
+            data = b"a needle, a marker, hello"
+        else:
+            ruleset, data = _plan_ruleset(name)
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        old_fingerprint, old_keys = self.PRE_NBVA[name][backend]
+        with use_backend(backend):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            plan = scan._plan
+            keys = []
+            if backend == "native":
+                keys.append(source_key(codegen.unit_scan_source(plan.fused)))
+                if plan.scanner is not None:
+                    assert plan.scanner.native_active
+                    keys.append(source_key(plan.scanner._native._source))
+            keys = [key[:16] for key in keys]
+            if name != "mix":
+                assert scan.fingerprint[:16] == old_fingerprint
+                assert keys == old_keys
+                return
+            assert scan.fingerprint[:16] != old_fingerprint
+            assert not set(keys) & set(old_keys)
+            scan.feed(data[:20], at_end=False)
+            doc = scan.snapshot()
+            doc["fingerprint"] = old_fingerprint
+            fresh = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            with pytest.raises(CheckpointError, match="different scan"):
+                fresh.restore(doc, data)

@@ -89,6 +89,32 @@ class TestSplitCollect:
         assert comp.nbva_units  # k{20,400}m carries counters
         assert comp.warm >= max(len(p) for p in ["abcdef", "hello"])
 
+    def test_in_process_workers_leave_no_parent_state(
+        self, ruleset, mapped, monkeypatch
+    ):
+        # jobs=1 seeds the worker globals in this very process: neither
+        # the stream nor the backend pin may outlive the scan.
+        from repro.core import registry
+        from repro.engine import split as split_mod
+
+        monkeypatch.setattr(registry, "_default", None)
+        _, mapping = mapped
+        data = generate_input("text", 4000, seed=3, patterns=PATTERNS)
+        got = split_collect(
+            ruleset,
+            mapping,
+            DEFAULT_CONFIG,
+            data,
+            bin_size=None,
+            backend="fused",
+            input_jobs=2,
+            jobs=1,
+            min_chunk_bytes=64,
+        )
+        assert got is not None
+        assert split_mod._SPLIT_STATE == {}
+        assert registry._default is None
+
     @pytest.mark.parametrize("input_jobs", [2, 3, 4, 7])
     def test_bit_identical_to_serial_fused(self, ruleset, mapped, input_jobs):
         sim, mapping = mapped

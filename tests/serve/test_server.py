@@ -104,9 +104,6 @@ class TestStreaming:
         # RAP_BACKEND=numpy predates the three-backend registry: the
         # session must run (on python) and the ack must say why.
         monkeypatch.setenv("RAP_BACKEND", "numpy")
-        # A process-wide pin (left by an earlier test's in-process
-        # worker fallback) would outrank the environment.
-        monkeypatch.setattr("repro.core.registry._default", None)
 
         async def scenario():
             async with running_server(tmp_path, registry) as server:

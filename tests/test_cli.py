@@ -373,7 +373,6 @@ class TestRetiredNumpyBackend:
         self, pattern_file, input_file, capsys, monkeypatch
     ):
         monkeypatch.setenv("RAP_BACKEND", "numpy")
-        monkeypatch.setattr("repro.core.registry._default", None)
         code = main(
             [
                 "scan",
