@@ -20,7 +20,7 @@ plan preserves the per-tile activity accounting the energy model needs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.automata.glushkov import Automaton, ReadKind
 from repro.automata.lnfa import LNFA
@@ -160,6 +160,12 @@ class CompiledRuleset:
     rejected_errors: tuple[CompileError, ...] = field(
         default=(), compare=False, repr=False
     )
+
+    def __getstate__(self) -> dict:
+        # Only the declared fields travel (worker payloads, copies):
+        # what a process attaches to the instance — its scan bindings,
+        # which hold dlopen'ed kernels — stays behind.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __len__(self) -> int:
         return len(self.regexes)

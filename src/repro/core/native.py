@@ -2,7 +2,8 @@
 
 :mod:`repro.core.codegen` emits a specialized C translation unit per
 compiled ruleset; this module owns everything after that — the
-capability probe (a working C compiler, cached per process), the build
+capability probe (a working C compiler, looked up and smoke-tested
+once per process and ``$CC``/``$PATH``), the build
 (``cc -O3 -shared`` into the keyed on-disk compile cache, loaded via
 ``cffi`` with a ``ctypes`` fallback), and the thin scanner wrappers the
 fused layers call.
@@ -60,14 +61,21 @@ _SMOKE: dict[str, str | None] = {}  # cc path -> failure reason (None = ok)
 _SMOKE_SOURCE = "int rap_probe(void) { return 42; }\n"
 
 
+_COMPILERS: dict[tuple, str | None] = {}  # ($CC, $PATH) -> cc path
+
+
 def _find_compiler() -> str | None:
-    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if not candidate:
-            continue
-        found = shutil.which(candidate)
-        if found:
-            return found
-    return None
+    """The C compiler on ``$PATH``, looked up once per ``($CC, $PATH)``:
+    every ``resolve_backend()`` lands here, several times per scan."""
+    key = (os.environ.get("CC"), os.environ.get("PATH"))
+    if key not in _COMPILERS:
+        found = None
+        for candidate in (key[0], "cc", "gcc", "clang"):
+            found = shutil.which(candidate) if candidate else None
+            if found:
+                break
+        _COMPILERS[key] = found
+    return _COMPILERS[key]
 
 
 def _smoke_test(cc: str) -> str | None:

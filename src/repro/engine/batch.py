@@ -62,7 +62,7 @@ from repro.simulators.activity import (
     collect_bin_activity,
     collect_regex_activity,
 )
-from repro.simulators.rap import RAPSimulator, RunActivity
+from repro.simulators.rap import RAPSimulator, RunActivity, bind
 from repro.simulators.result import SimulationResult
 
 @dataclass(frozen=True)
@@ -209,6 +209,7 @@ class BatchEngine:
 
         self.config = config or EngineConfig()
         self.hw = hw or DEFAULT_CONFIG
+        self.sim = RAPSimulator(self.hw)
         self.cache = (
             CompileCache(self.config.cache_dir)
             if self.config.use_cache
@@ -477,14 +478,14 @@ class BatchEngine:
             ruleset = source
         else:
             ruleset = self.compile(source, compiler)
+        sim = self.sim
         with self._backend_scope():
-            sim = RAPSimulator(self.hw)
+            mapping = bind(ruleset, self.hw, bin_size).mapping
             input_jobs = self._input_jobs()
             planned = resolve_backend() in ("fused", "native")
             if input_jobs > 1 and data and len(ruleset) and planned:
                 from repro.engine.split import split_collect
 
-                mapping = sim.build_mapping(ruleset, bin_size=bin_size)
                 activity = split_collect(
                     ruleset,
                     mapping,
@@ -510,9 +511,8 @@ class BatchEngine:
             # fused plan scans the stream in one pass (its intra-stream
             # parallelism is ``input_jobs``, handled above).
             if planned or jobs <= 1 or not len(ruleset) or not data:
-                return sim.run(ruleset, data, bin_size=bin_size)
+                return sim.run(ruleset, data, mapping)
 
-            mapping = sim.build_mapping(ruleset, bin_size=bin_size)
             chunks = self._plan(ruleset, len(data), jobs)
             units = self._work_units(ruleset, mapping, chunks)
             if len(units) <= 1:
@@ -577,9 +577,9 @@ class BatchEngine:
             ruleset = self.compile(source, compiler)
         config = self.config
         plan = faults.resolve_plan(config.fault_plan)
+        sim = self.sim
         with self._backend_scope():
-            sim = RAPSimulator(self.hw)
-            mapping = sim.build_mapping(ruleset, bin_size=bin_size)
+            mapping = bind(ruleset, self.hw, bin_size).mapping
             scan = DurableScan(
                 ruleset,
                 mapping,

@@ -48,7 +48,7 @@ from repro.simulators.activity import (
     BinActivityCollector,
     RegexActivityCollector,
 )
-from repro.simulators.rap import RunActivity
+from repro.simulators.rap import RunActivity, bind
 
 CHECKPOINT_FORMAT = "rap-repro-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -465,13 +465,9 @@ class DurableScan:
         self._bin_feeder = None
         layouts: dict = {}  # bin key -> geometry the plan already packed
         if resolve_backend() in ("fused", "native"):
-            from repro.simulators.fused import (
-                FusedBinFeeder,
-                FusedPlan,
-                FusedRegexFeeder,
-            )
+            from repro.simulators.fused import FusedBinFeeder, FusedRegexFeeder
 
-            self._plan = FusedPlan(ruleset, mapping, hw)
+            self._plan = bind(ruleset, hw, mapping=mapping).plan
             self._regex_feeder = FusedRegexFeeder(self._plan, self._regex)
             layouts = dict(zip(self._plan.bin_keys, self._plan.layouts))
         self._bins: dict[tuple[int, int], BinActivityCollector] = {

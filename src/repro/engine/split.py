@@ -58,8 +58,8 @@ from repro.simulators.activity import (
     RegexActivity,
     nbva_activity,
 )
-from repro.simulators.fused import FusedPlan, unit_activity
-from repro.simulators.rap import RAPSimulator, RunActivity
+from repro.simulators.fused import unit_activity
+from repro.simulators.rap import RunActivity, bind
 
 # Frontier-map tables cost one frontier per state bit; beyond this width
 # a cyclic unit is cheaper as one serial whole-stream task.
@@ -93,18 +93,21 @@ class SplitLayout:
         )
 
 
-class SplitCompilation(FusedPlan):
-    """One ruleset's fused plan, classified for input-parallel scanning.
+class SplitCompilation:
+    """One ruleset's bound fused plan, classified for input-parallel
+    scanning.
 
     Adds the split classification to the plan's unit layout: each NFA
     and DFA unit's mechanism (``unit_kind`` / ``dfa_kind``, indexed like
     ``nfa_units`` / ``dfa_units``) and the ruleset-wide warm-up window.
+    Everything else (``bins``, ``fused``, ``scanner``, the unit lists,
+    ``run_activity``) reads through to ``plan``.
     """
 
     def __init__(
         self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
     ):
-        super().__init__(ruleset, mapping, hw)
+        self.plan = bind(ruleset, hw, mapping=mapping).plan
         warm = self.scanner.warm if self.scanner is not None else 1
         self.unit_kind: list[str] = []
         for compiled in self.nfa_units:
@@ -127,6 +130,9 @@ class SplitCompilation(FusedPlan):
             else:
                 self.dfa_kind.append(STATEMAP)
         self.warm = warm
+
+    def __getattr__(self, name: str):
+        return getattr(self.plan, name)
 
     @property
     def splittable(self) -> bool:
@@ -368,7 +374,7 @@ def _init_split_worker(payload: bytes) -> None:
     ruleset, data, bin_size, hw, backend = pickle.loads(payload)
     _SPLIT_STATE["backend_scope"] = scope = ExitStack()
     scope.enter_context(use_backend(backend))
-    mapping = RAPSimulator(hw).build_mapping(ruleset, bin_size=bin_size)
+    mapping = bind(ruleset, hw, bin_size).mapping
     _SPLIT_STATE["data"] = data
     _SPLIT_STATE["comp"] = SplitCompilation(ruleset, mapping, hw)
 

@@ -16,7 +16,9 @@ supervised through three lines of defense:
    attempts, sleeping ``backoff * 2**round`` (capped) between rounds.
    A ``BrokenProcessPool`` marks every unfinished unit as a retryable
    :class:`~repro.errors.WorkerCrashError` and respawns the pool for
-   *only the missing units*; completed results are kept.
+   *only the missing units*; completed results are kept.  A pool that
+   breaks while the parent is still submitting is the same crash: the
+   units it refused never ran and re-queue without a charged attempt.
 3. **In-process sequential fallback** — units that exhaust their pool
    retries get one final attempt inline in the parent (no pool, no
    pickling), so a flaky pool can degrade the run to sequential speed
@@ -177,6 +179,7 @@ def _pool_round(
     non-retryable failures become final outcomes immediately.
     """
     retry: list[int] = []
+    unsubmitted: list[int] = []
     degraded = False  # a worker crashed or a unit timed out
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(pending)),
@@ -185,11 +188,25 @@ def _pool_round(
     )
     try:
         futures = []
-        for i in pending:
-            payload = (fn, i, attempts[i], items[i])
+        for position, i in enumerate(pending):
+            try:
+                future = pool.submit(_call_unit, (fn, i, attempts[i], items[i]))
+            except BrokenProcessPool:
+                # A worker died while the parent was still submitting:
+                # the pool refuses this unit and every later one.  They
+                # never ran, so they re-queue uncharged.
+                degraded = True
+                unsubmitted = pending[position:]
+                outcomes[i].error = WorkerCrashError(
+                    f"worker crashed before unit {i} could be submitted",
+                    unit=i,
+                    attempts=attempts[i],
+                    phase="execute",
+                )
+                break
             attempts[i] += 1
             outcomes[i].attempts += 1
-            futures.append((i, pool.submit(_call_unit, payload)))
+            futures.append((i, future))
         for i, future in futures:
             try:
                 result = future.result(timeout=cfg.timeout)
@@ -230,7 +247,7 @@ def _pool_round(
             pool.shutdown(wait=False, cancel_futures=True)
         else:
             pool.shutdown(wait=True)
-    return retry
+    return retry + unsubmitted
 
 
 def _run_inline(

@@ -4,9 +4,9 @@ The RAP paper's reconfigurability story, applied to a service: each
 tenant owns a ruleset namespace that can be swapped on the fly.  A
 :class:`TenantRegistry` compiles through the engine's keyed on-disk
 compile cache (so two workers — or a worker resuming another worker's
-session — deterministically rebuild the identical ruleset), builds the
-hardware mapping once per generation, and hands out immutable
-:class:`TenantEntry` snapshots.
+session — deterministically rebuild the identical ruleset), binds it
+(hardware mapping + fused plan, :func:`~repro.simulators.rap.bind`) once
+per generation, and hands out immutable :class:`TenantEntry` snapshots.
 
 Hot reload is generation-based: ``reload`` compiles the *new*
 fingerprint (in the server this runs on an executor thread so the
@@ -29,7 +29,7 @@ from repro.engine.batch import BatchEngine
 from repro.errors import CompileError, ServeError
 from repro.io.serialize import ruleset_to_json
 from repro.mapping.mapper import Mapping
-from repro.simulators.rap import RAPSimulator
+from repro.simulators.rap import bind
 
 
 def ruleset_fingerprint(ruleset: CompiledRuleset) -> str:
@@ -50,6 +50,12 @@ class TenantEntry:
     ruleset: CompiledRuleset
     mapping: Mapping
     fingerprint: str
+
+    @property
+    def plan(self):
+        """The generation's bound fused plan: every session scanning
+        this generation steps this one object (fused/native only)."""
+        return bind(self.ruleset, self.mapping.hw, mapping=self.mapping).plan
 
 
 class TenantRegistry:
@@ -82,9 +88,7 @@ class TenantRegistry:
         if not patterns:
             raise CompileError("a session needs at least one pattern")
         ruleset = self.engine.compile(patterns, on_error="fail")
-        mapping = RAPSimulator(self.hw).build_mapping(
-            ruleset, bin_size=self.bin_size
-        )
+        mapping = bind(ruleset, self.hw, self.bin_size).mapping
         return ruleset, mapping, ruleset_fingerprint(ruleset)
 
     def get(self, tenant: str) -> TenantEntry | None:

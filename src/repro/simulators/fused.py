@@ -12,7 +12,8 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   a :class:`~repro.simulators.rap.RunActivity` in collection order.
   Bulk scans (:class:`FusedRun`), input-parallel scans
   (:mod:`repro.engine.split`) and durable / served scans
-  (:class:`~repro.engine.checkpoint.DurableScan`) all consume it.
+  (:class:`~repro.engine.checkpoint.DurableScan`) all consume the one
+  plan :func:`~repro.simulators.rap.bind` keeps per compiled ruleset.
 * :class:`FusedLaneScanner` steps the lane-packed machine over one
   span of a stream and returns the per-bin activity deltas
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
@@ -73,7 +74,7 @@ from repro.simulators.activity import (
     collect_regex_activity,  # noqa: F401
     nbva_activity,
 )
-from repro.simulators.rap import RunActivity
+from repro.simulators.rap import RunActivity, bind
 
 log = logging.getLogger(__name__)
 
@@ -786,7 +787,8 @@ class FusedPlan:
 
 
 class FusedRun:
-    """One-shot fused activity collection for a mapped ruleset."""
+    """Fused activity collection for a mapped ruleset, through the
+    ruleset's bound plan (:func:`~repro.simulators.rap.bind`)."""
 
     def __init__(
         self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
@@ -798,7 +800,7 @@ class FusedRun:
     def collect(self, data: bytes) -> RunActivity:
         """The run's :class:`RunActivity`, bit-identical to the unfused
         :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`."""
-        plan = FusedPlan(self._ruleset, self._mapping, self._hw)
+        plan = bind(self._ruleset, self._hw, mapping=self._mapping).plan
         fused = plan.fused
         tin = fused.translate(data)
 

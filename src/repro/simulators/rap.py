@@ -22,8 +22,11 @@ replaced by the ring network).
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.registry import resolve_backend
@@ -99,6 +102,84 @@ class RunActivity:
         )
 
 
+class Binding:
+    """One compiled ruleset configured for scanning: its mapping, and —
+    built on first use — the fused plan over that mapping.
+
+    The software analogue of programming the arrays: derived once by
+    :func:`bind`, then every scan of the ruleset streams through it.
+    ``plan`` carries the lane/unit scanners and their lazily attached
+    native handles; it is stateless between scans, so bulk scans,
+    durable scans and every session of a tenant generation share it.
+    """
+
+    def __init__(
+        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+    ):
+        self.ruleset = ruleset
+        self.mapping = mapping
+        self.hw = hw
+
+    @cached_property
+    def plan(self):
+        """The ruleset's :class:`~repro.simulators.fused.FusedPlan`
+        (requires NumPy; the ``python`` backend never asks for it)."""
+        from repro.simulators.fused import FusedPlan
+
+        return FusedPlan(self.ruleset, self.mapping, self.hw)
+
+
+# Bindings a ruleset keeps at once (distinct hw / bin_size / backend /
+# caller-supplied mapping); the oldest is dropped beyond this.
+MAX_BINDINGS = 4
+
+_BIND_LOCK = threading.Lock()
+
+
+def bind(
+    ruleset: CompiledRuleset,
+    hw: HardwareConfig,
+    bin_size: int | None = None,
+    *,
+    mapping: Mapping | None = None,
+) -> Binding:
+    """The ruleset's :class:`Binding` for ``(hw, bin_size)`` on the
+    backend in force, derived on the first call and reused afterwards.
+
+    Bindings live on the ruleset *object* (so they die with it, and a
+    recompiled or unpickled ruleset starts unbound), keyed by ``hw``,
+    ``bin_size`` and the backend :func:`resolve_backend` returns now —
+    a ``use_backend`` / ``RAP_BACKEND`` / ``RAP_NATIVE_DISABLE`` flip
+    between two scans binds again.  A caller that already holds the
+    ruleset's ``mapping`` passes it instead of ``bin_size``: the binding
+    made from (or for) that very object is returned, without re-mapping.
+    """
+    backend = resolve_backend()
+    with _BIND_LOCK:
+        bound = vars(ruleset).setdefault("_bindings", {})
+        if mapping is None:
+            key = (hw, backend, bin_size)
+            found = bound.get(key)
+        else:
+            # Adopted mappings are only ever found by identity, below.
+            key = (hw, backend, object())
+            found = next(
+                (
+                    b
+                    for (h, name, _), b in bound.items()
+                    if b.mapping is mapping and name == backend and h == hw
+                ),
+                None,
+            )
+        if found is None:
+            if mapping is None:
+                mapping = map_ruleset(ruleset, hw, bin_size=bin_size)
+            while len(bound) >= MAX_BINDINGS:
+                del bound[next(iter(bound))]
+            found = bound[key] = Binding(ruleset, mapping, hw)
+    return found
+
+
 class RAPSimulator(ApStyleSimulator):
     """Cycle-level simulation of the full reconfigurable design."""
 
@@ -107,8 +188,6 @@ class RAPSimulator(ApStyleSimulator):
         hw: HardwareConfig = DEFAULT_CONFIG,
         circuits: CircuitLibrary = TABLE1,
     ):
-        import dataclasses
-
         super().__init__(rap_nfa_params(circuits), hw)
         self.circuits = circuits
         self.params = dataclasses.replace(self.params, name="RAP")
@@ -160,7 +239,7 @@ class RAPSimulator(ApStyleSimulator):
     ) -> SimulationResult:
         """Simulate the mapped ruleset on RAP over ``data``."""
         if mapping is None:
-            mapping = self.build_mapping(ruleset, bin_size=bin_size)
+            mapping = bind(ruleset, self.hw, bin_size).mapping
         activity = self.collect_activities(ruleset, data, mapping, trace)
         return self.run_from_activity(ruleset, activity, mapping)
 

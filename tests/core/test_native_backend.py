@@ -95,6 +95,41 @@ class TestProbeAndFallback:
         assert "native unavailable" in reason
         assert "disabled" in reason
 
+    @needs_native
+    def test_probe_honours_env_changes_between_calls(self, monkeypatch, tmp_path):
+        """The compiler lookup is memoised on ``($CC, $PATH)`` and
+        ``RAP_NATIVE_DISABLE`` is read live: flipping any of the three
+        between two resolutions takes effect, flipping back restores."""
+        import shutil
+
+        from repro.core import native
+
+        monkeypatch.delenv("CC", raising=False)
+        real = native._find_compiler()
+        lookups = []
+        which = shutil.which
+        monkeypatch.setattr(
+            native.shutil, "which", lambda c: lookups.append(c) or which(c)
+        )
+        for _ in range(3):
+            assert resolve_backend("native") == "native"
+        assert lookups == []  # same ($CC, $PATH): no filesystem walk
+
+        monkeypatch.setenv("PATH", str(tmp_path))  # no compiler here
+        assert native._find_compiler() is None
+        assert resolve_backend_with_reason("native") == (
+            "fused", "native unavailable: no C compiler"
+        )
+        monkeypatch.setenv("CC", real)  # an absolute $CC needs no $PATH
+        assert native._find_compiler() == real
+        assert resolve_backend("native") == "native"
+        monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
+        assert resolve_backend("native") == "fused"
+        monkeypatch.delenv(NATIVE_DISABLE_ENV)
+        assert resolve_backend("native") == "native"
+        before = len(lookups)
+        assert native._find_compiler() == real and len(lookups) == before
+
     def test_unknown_env_backend_reports_reason(self, monkeypatch):
         monkeypatch.setenv("RAP_BACKEND", "warp-drive")
         resolved, reason = resolve_backend_with_reason()

@@ -194,6 +194,156 @@ class TestParallelScan:
         assert result.match_count == 0
 
 
+PLANNED = ["fused", "native"]
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` to log each call; the log's length is the count."""
+    calls: list = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBinding:
+    """compile -> bind -> scan: mapping, fused plan and generated C are
+    derived once per (ruleset object, hw, bin_size, resolved backend)."""
+
+    # LNFA bins + a cyclic NFA unit + an NBVA unit: every plan tier.
+    PATTERNS = WINDOWABLE + UNBOUNDED
+    DATA = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 8
+
+    @pytest.fixture(autouse=True)
+    def serial(self, monkeypatch):
+        monkeypatch.delenv("RAP_INPUT_JOBS", raising=False)
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.core import codegen
+        from repro.core.fused import FusedRuleset
+        from repro.simulators import rap
+
+        return {
+            "map": _count_calls(monkeypatch, rap, "map_ruleset"),
+            "fuse": _count_calls(monkeypatch, FusedRuleset, "__init__"),
+            "unit_c": _count_calls(monkeypatch, codegen, "unit_scan_source"),
+            "lane_c": _count_calls(monkeypatch, codegen, "lane_scan_source"),
+        }
+
+    def _reference(self, ruleset, **kwargs):
+        with use_backend("python"):
+            return RAPSimulator().run(ruleset, self.DATA, **kwargs)
+
+    @pytest.mark.parametrize("backend", PLANNED)
+    def test_scans_and_durable_scan_bind_once(self, backend, counters):
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+        ruleset = compiled(self.PATTERNS)
+        reference = self._reference(ruleset)
+        for calls in counters.values():
+            calls.clear()
+        engine = BatchEngine(EngineConfig(backend=backend, use_cache=False))
+        assert engine.scan(ruleset, self.DATA) == reference
+        assert engine.scan(ruleset, self.DATA) == reference
+        assert engine.durable_scan(ruleset, self.DATA).result == reference
+        generated = 1 if backend == "native" else 0
+        assert {name: len(calls) for name, calls in counters.items()} == {
+            "map": 1, "fuse": 1, "unit_c": generated, "lane_c": generated,
+        }
+        # An equal ruleset that is another object starts unbound.
+        assert engine.scan(compiled(self.PATTERNS), self.DATA) == reference
+        assert len(counters["fuse"]) == 2
+
+    @pytest.mark.parametrize(
+        "change", ["bin_size", "hw", "use_backend", "native_disable"]
+    )
+    def test_a_different_key_rebinds(self, change, counters, monkeypatch):
+        import dataclasses
+
+        from repro.core.native import NATIVE_DISABLE_ENV
+        from repro.hardware.config import DEFAULT_CONFIG
+
+        top = "native" if "native" in available_backends() else "fused"
+        if top == "fused" and change in ("use_backend", "native_disable"):
+            pytest.skip("needs the native backend to flip away from")
+        config = EngineConfig(backend=top, use_cache=False)
+        engine = changed = BatchEngine(config)
+        hw, kwargs = DEFAULT_CONFIG, {}
+        if change == "bin_size":
+            kwargs = {"bin_size": 2}
+        elif change == "hw":
+            hw = dataclasses.replace(DEFAULT_CONFIG, tiles_per_array=8)
+            changed = BatchEngine(config, hw=hw)
+        elif change == "use_backend":
+            changed = BatchEngine(EngineConfig(backend="fused", use_cache=False))
+        ruleset = compiled(self.PATTERNS)
+        reference = self._reference(ruleset)
+        with use_backend("python"):
+            expected = RAPSimulator(hw).run(ruleset, self.DATA, **kwargs)
+        for calls in counters.values():
+            calls.clear()
+
+        assert engine.scan(ruleset, self.DATA) == reference
+        if change == "native_disable":  # read live by the capability probe
+            monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
+        assert changed.scan(ruleset, self.DATA, **kwargs) == expected
+        monkeypatch.delenv(NATIVE_DISABLE_ENV, raising=False)
+        assert engine.scan(ruleset, self.DATA) == reference  # still bound
+        assert len(counters["map"]) == len(counters["fuse"]) == 2
+        flipped_to_fused = change in ("use_backend", "native_disable")
+        native_binds = 0 if top == "fused" else 1 if flipped_to_fused else 2
+        assert len(counters["unit_c"]) == native_binds
+
+    def test_bindings_per_ruleset_are_bounded(self):
+        from repro.hardware.config import DEFAULT_CONFIG
+        from repro.simulators.rap import MAX_BINDINGS, bind
+
+        ruleset = compiled(WINDOWABLE)
+        sim = RAPSimulator()
+        first = bind(ruleset, DEFAULT_CONFIG)
+        assert bind(ruleset, DEFAULT_CONFIG) is first
+        for bin_size in range(1, 2 * MAX_BINDINGS):
+            bind(ruleset, DEFAULT_CONFIG, bin_size)
+            bind(ruleset, DEFAULT_CONFIG, mapping=sim.build_mapping(ruleset))
+            assert len(vars(ruleset)["_bindings"]) <= MAX_BINDINGS
+        assert bind(ruleset, DEFAULT_CONFIG) is not first  # evicted, rebuilt
+        assert bind(ruleset, DEFAULT_CONFIG).mapping == first.mapping
+
+    def test_a_callers_mapping_is_adopted_not_remapped(self, counters):
+        from repro.hardware.config import DEFAULT_CONFIG
+        from repro.simulators.rap import bind
+
+        ruleset = compiled(self.PATTERNS)
+        sim = RAPSimulator()
+        mapping = sim.build_mapping(ruleset)
+        counters["map"].clear()
+        with use_backend("fused"):
+            adopted = bind(ruleset, DEFAULT_CONFIG, mapping=mapping)
+            assert adopted.mapping is mapping and not counters["map"]
+            assert bind(ruleset, DEFAULT_CONFIG, mapping=mapping) is adopted
+            assert sim.collect_activities(ruleset, self.DATA, mapping)
+            assert len(counters["fuse"]) == 1 and adopted.plan is not None
+            # bind()'s own mapping is found again when handed back.
+            own = bind(ruleset, DEFAULT_CONFIG)
+            assert own is not adopted
+            assert bind(ruleset, DEFAULT_CONFIG, mapping=own.mapping) is own
+
+    def test_a_pickled_ruleset_travels_unbound(self):
+        from repro.hardware.config import DEFAULT_CONFIG
+        from repro.simulators.rap import bind
+
+        ruleset = compiled(WINDOWABLE)
+        bind(ruleset, DEFAULT_CONFIG)
+        clone = pickle.loads(pickle.dumps(ruleset))
+        assert clone == ruleset and "_bindings" not in vars(clone)
+
+
 class TestRunBatch:
     def test_batch_matches_sequential_runs(self):
         ruleset = compiled(WINDOWABLE + UNBOUNDED)

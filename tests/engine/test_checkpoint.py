@@ -859,6 +859,37 @@ class TestPlanFingerprint:
             ruleset, mapping, native=backend == "native"
         )
 
+    def test_backend_flip_between_scans_rebinds(self, monkeypatch):
+        # One ruleset and mapping *object* scanned under fused, native,
+        # disabled native and fused again: each scan runs the binding of
+        # the backend in force at that moment, so the fingerprint suffix
+        # follows the flips exactly as the fresh-object tests above pin.
+        from repro.core.native import NATIVE_DISABLE_ENV
+
+        if "native" not in PLANNED_BACKENDS:
+            pytest.skip("native backend not available")
+        ruleset = compile_ruleset(["needle", "marker", "hello|world"])
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        fused_fp, native_fp = (
+            self._bins_only_fingerprint(ruleset, mapping, native=native)
+            for native in (False, True)
+        )
+
+        def scanned(backend: str):
+            with use_backend(backend):
+                return DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+
+        first = scanned("fused")
+        assert first.fingerprint == fused_fp
+        native = scanned("native")
+        assert native.fingerprint == native_fp
+        assert native._plan is not first._plan
+        monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
+        assert scanned("native").fingerprint == fused_fp
+        monkeypatch.delenv(NATIVE_DISABLE_ENV)
+        assert scanned("native")._plan is native._plan
+        assert scanned("fused")._plan is first._plan
+
     @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
     def test_mixed_ruleset_refuses_the_bins_only_fingerprint(
         self, backend, ruleset, data

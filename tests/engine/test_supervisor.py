@@ -191,6 +191,72 @@ class TestPooledPath:
         assert [o.result for o in outcomes] == [18, 20]
         assert outcomes[0].attempts == FAST.retries + 2
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_submit_into_a_broken_pool_requeues_uncharged(self, monkeypatch, k):
+        # A worker that dies while the parent is still submitting breaks
+        # the pool before the guarded future.result loop: the k-th
+        # submit of the first pool raises.  The refused unit and every
+        # later one never ran, so they re-run without a charged attempt.
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import supervisor
+
+        pools = []
+
+        class StubPool:
+            def __init__(self, **kwargs):
+                pools.append(self)
+                self.first = len(pools) == 1
+                self.submitted = 0
+
+            def submit(self, fn, payload):
+                if self.first and self.submitted == k:
+                    raise BrokenProcessPool("worker died during submit")
+                self.submitted += 1
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", StubPool)
+        items = [1, 2, 3, 4, 5]
+        outcomes = run_supervised(
+            _double, items, jobs=2, config=FAST, fault_plan=""
+        )
+        assert [o.result for o in outcomes] == [x * 2 for x in items]
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert [pool.submitted for pool in pools] == [k, len(items) - k]
+
+    def test_submit_refusal_is_a_worker_crash(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import supervisor
+        from repro.engine.faults import FaultPlan
+
+        class DeadPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def submit(self, fn, payload):
+                raise BrokenProcessPool("worker died during submit")
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", DeadPool)
+        outcomes = [UnitOutcome(index=i) for i in range(2)]
+        attempts = [0, 0]
+        retry = supervisor._pool_round(
+            _double, [1, 2], [0, 1], attempts, 2, None, (),
+            FaultPlan.parse(""), FAST, outcomes,
+        )
+        assert retry == [0, 1] and attempts == [0, 0]
+        assert isinstance(outcomes[0].error, WorkerCrashError)
+        assert outcomes[0].error.unit == 0
+
     def test_deterministic_error_not_retried_in_pool(self):
         outcomes = run_supervised(
             _bad_input, ["a", "b"], jobs=2, config=FAST, fault_plan=""

@@ -7,13 +7,16 @@ matches and energy, proven against the uninterrupted golden.
 """
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
+from repro.core import use_backend
 from repro.engine.budget import AdmissionPolicy
 from repro.errors import AdmissionError, ServeError
 from repro.serve import protocol
-from repro.serve.client import ScanClient
+from repro.serve.client import ScanClient, serial_totals
 from repro.serve.protocol import encode_frame, read_frame, send_frame
 from repro.serve.registry import TenantRegistry
 from repro.serve.server import (
@@ -133,6 +136,35 @@ class TestStreaming:
                 assert server.stats.completed == 2
 
         run(scenario())
+
+
+    def test_sessions_of_a_generation_share_one_plan(
+        self, registry, data, tmp_path
+    ):
+        pytest.importorskip("numpy")
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                clients = [
+                    ScanClient("127.0.0.1", server.port, "shared", name, PATTERNS)
+                    for name in ("a", "b")
+                ]
+                for client in clients:
+                    await client.connect()
+                plan = registry.get("shared").plan
+                sessions = list(server._sessions.values())
+                assert len(sessions) == 2
+                assert all(s.scan._plan is plan for s in sessions)
+                # Interleaved segments through the one (stateless) plan.
+                return await asyncio.gather(
+                    *(finish_stream(client, data, SEG) for client in clients)
+                )
+
+        with use_backend("fused"):
+            results = run(scenario())
+            totals = serial_totals(PATTERNS, [data], registry)
+        for result in results:
+            assert (result["matches"], result["energy_uj"]) == totals
 
 
 class TestAdmission:
@@ -398,6 +430,32 @@ class TestHotReload:
         ).energy_uj
         assert result["matches"] == matches_a + matches_b
         assert result["energy_uj"] == energy_a + energy_b
+
+    def test_retired_generation_is_collectable(self, data, tmp_path):
+        # The binding (mapping + plan) rides on the ruleset object, so a
+        # generation nobody scans any more takes its plan with it.
+        pytest.importorskip("numpy")
+        registry = TenantRegistry()
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                client = ScanClient(
+                    "127.0.0.1", server.port, "retire", "s", PATTERNS
+                )
+                await client.connect()
+                await client.send(data[:SEG])
+                client.offset = SEG
+                retired = weakref.ref(registry.get("retire").ruleset)
+                assert (await client.reload(ALT_PATTERNS))["swapped"]
+                await client.send(data[SEG : 2 * SEG])  # rotates the session
+                client.offset = 2 * SEG
+                assert server.stats.swaps == 1
+                gc.collect()
+                assert retired() is None
+                await finish_stream(client, data, SEG)
+
+        with use_backend("fused"):
+            run(scenario())
 
     def test_identical_reload_never_rotates(
         self, registry, data, golden, tmp_path
