@@ -621,6 +621,15 @@ def _print_backend_report(engine) -> None:
         )
 
 
+def _tier_note(entry) -> str:
+    """``; lane tier: ...`` (LNFA: the shared lane machine) or ``; unit
+    tier: ...`` (NBVA: the pattern's own unit) for an explain row."""
+    if not entry.tier:
+        return ""
+    kind = "lane" if entry.trace.mode is CompiledMode.LNFA else "unit"
+    return f"; {kind} tier: {entry.tier}"
+
+
 def _print_explain(entries) -> None:
     """Render ``BatchEngine.explain`` output as the ``--explain`` table."""
 
@@ -653,8 +662,7 @@ def _print_explain(entries) -> None:
                 cost(trace.costs["dfa"]),
                 cost(trace.costs["nbva"]),
                 cost(trace.costs["lnfa"]),
-                trace.reason
-                + (f"; unit tier: {entry.tier}" if entry.tier else ""),
+                trace.reason + _tier_note(entry),
             )
         )
     widths = [

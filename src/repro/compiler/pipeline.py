@@ -242,9 +242,11 @@ class ExplainEntry:
     pattern: str
     trace: DecisionTrace | None
     error: str | None = None
-    #: NBVA-mode patterns only, filled in by ``BatchEngine.explain``:
-    #: the tier that steps the unit — ``"native"``, or ``"interpreted
-    #: (<why>)``.
+    #: Filled in by ``BatchEngine.explain``.  NBVA-mode patterns: the
+    #: tier that steps the unit — ``"native"``, or ``"interpreted
+    #: (<why>)``.  LNFA-mode patterns: the tier of the lane machine they
+    #: share — ``"dfa (S states / B bins)"``, ``"bit-parallel (bin j
+    #: closure > cap)"`` or ``"interpreted (<why>)"``.
     tier: str | None = None
 
 

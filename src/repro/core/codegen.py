@@ -1,20 +1,47 @@
 """C source emission for the ``native`` backend.
 
-Each compiled ruleset becomes its *own* C translation unit: the lane
-count is a compile-time constant, per-class label/revival rows and tile
-masks are baked in as ``static const`` arrays, gather units carry their
-successor tables inline, and DFA-tier units become flat
-``next[state][class]`` tables.  The emitted loops are line-for-line
-mirrors of the interpreted scans in :mod:`repro.core.fused` — same hot
-skip, same warm-up (``stats_from``) gating, same end-anchored masking —
-so the bit-identity contract holds by construction rather than by
+Each compiled ruleset becomes its *own* C translation unit: every table
+is baked in as a ``static const`` array — the lane machine's per-bin
+DFAs, gather units' successor tables, DFA-tier units' flat
+``next[state][class]`` tables.  The emitted loops compute exactly what
+the interpreted scans in :mod:`repro.core.fused` compute — same warm-up
+(``stats_from``) gating, same end-anchored masking, same counters — so
+the bit-identity contract holds by construction rather than by
 translation-layer luck.
 
 Two translation units per ruleset:
 
 * :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine plus
   per-tile wake-up accounting and final-hit extraction (the whole
-  :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path).
+  :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path), as
+  **one DFA per bin**.  A bin's slice of the packed word evolves
+  independently of its neighbours, and the words it can reach are an
+  Aho–Corasick-sized set, so at bind time each bin is closed
+  breadth-first (:func:`_close_bin`) and emitted as
+
+  - ``N<j>[state][class]`` — successor state ids (``uint16``); an
+    anchored bin carries one extra last row, the stream-start
+    pseudo-state whose successors are ``inject_first & labels[c]``;
+  - ``T<j>[state][tile]`` — how many of the state's bits lie in each of
+    the bin's tiles (a tile is awake iff that is non-zero);
+  - ``F<j>[state]`` — hit flags: 1 = holds a final that fires anywhere,
+    2 = holds one that fires only on the stream's last byte;
+  - its row of ``BINS[]`` (table pointers, state and tile counts, the
+    start state, where its visit counters and tiles begin).
+
+  Per byte the kernel does one lookup per bin, ``visits[state]++`` and a
+  flag test; ``tile_cycles`` / ``tile_bits`` are folded once per call as
+  ``sum(visits[s] * T[s][tile])`` — exact 64-bit integers, the same
+  totals the per-byte popcounts would have reached.  State ids never
+  leave :mod:`repro.core.native`: callers see packed words.
+
+  :data:`LANE_DFA_MAX_STATES` caps each closure.  A ruleset with a bin
+  beyond it (``a`` followed by twenty explicit ``.``: every subset of
+  twenty positions is reachable) gets :func:`_lane_bitparallel_source`
+  instead — the packed word stepped as 64-bit lanes with a carry chain
+  and per-tile popcounts on every live byte — chosen from the closure
+  just measured, never by an option.  Exactly one lane kernel is emitted
+  per ruleset.
 * :func:`unit_scan_source` — the three unit kinds: one function per
   GATHER unit whose state word fits 64 bits, one per DFA-tier unit, and
   *one* table-driven ``rap_nbva_span`` for all NBVA units of at most
@@ -39,12 +66,12 @@ Every source begins with a header naming
 the source text — the shared-object cache key — rolls over whenever the
 ABI or the emitted semantics change.
 
-Match events cross the ABI as bounded ``(position, word)`` buffers with
+Match events cross the ABI as bounded ``(position, state)`` buffers with
 a continuation protocol: when a buffer fills the kernel returns 1 with
 the resume index and the exit state, the caller drains and re-enters.
-Counters (tile cycles/bits, active-state sums) accumulate in caller
-memory across continuations, so the drained stream is identical to an
-unbounded one.
+Counters (state visits, tile cycles/bits, active-state sums) accumulate
+in caller memory across continuations, so the drained stream is
+identical to an unbounded one.
 
 This module only *writes* C; building and loading live in
 :mod:`repro.core.native`.
@@ -52,10 +79,14 @@ This module only *writes* C; building and loading live in
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from repro.automata.glushkov import EdgeAction, ReadKind
 from repro.core.registry import NATIVE_FORMAT_VERSION
+
+log = logging.getLogger(__name__)
 
 # GATHER units wider than one machine word stay on the interpreted
 # path: the per-bit successor walk no longer fits a single uint64.
@@ -64,6 +95,11 @@ GATHER_NATIVE_MAX_WIDTH = 64
 # NBVA units keep one bit per state (plain *and* counted) in a single
 # machine word; larger automata stay on ``NBVAScanner``.
 NBVA_NATIVE_MAX_STATES = 64
+
+# A lane bin whose determinised closure holds more states than this
+# sends its whole ruleset to the bit-parallel lane kernel: ids, and the
+# stream-start row one past them, must fit the ``uint16`` tables.
+LANE_DFA_MAX_STATES = 32768
 
 # Bounded event buffers (entries) between continuation returns.
 HIT_BUFFER_ENTRIES = 4096
@@ -96,6 +132,11 @@ def _u8_array(name: str, values: Iterable[int]) -> str:
     return f"static const uint8_t {name}[] = {{ {body} }};"
 
 
+def _u16_array(name: str, values: Iterable[int]) -> str:
+    body = ", ".join(map(str, values))
+    return f"static const uint16_t {name}[] = {{ {body} }};"
+
+
 def _i64_array(name: str, values: Iterable[int]) -> str:
     body = ", ".join(f"{int(v)}LL" for v in values)
     return f"static const long long {name}[] = {{ {body} }};"
@@ -118,35 +159,223 @@ def _header(kind: str, layout_digest: str) -> str:
     )
 
 
-# -- the lane-packed machine --------------------------------------------------
-
-LANE_CDEF = (
-    "int rap_lane_scan(const uint8_t *cls, long long n, long long start_i,\n"
-    "    uint64_t *state, int fresh, int at_end, long long stats_from,\n"
-    "    long long *tile_cycles, long long *tile_bits,\n"
-    "    long long *hit_pos, uint64_t *hit_words, long long hit_cap,\n"
-    "    long long *n_hits, long long *resume_i);"
-)
+# -- the lane machine ---------------------------------------------------------
 
 
-def lane_scan_source(fused, tile_rows: Sequence[Sequence[int]]) -> str:
-    """The C mirror of ``lane_feed`` + the scanner's stats sink.
+def lane_cdef(dfa: bool) -> str:
+    """The lane kernel's prototype.  One state element is a per-bin DFA
+    state id (``dfa``) or a 64-bit lane of the packed word; ``visits``
+    is one zeroed counter per DFA state (the bit-parallel kernel ignores
+    it)."""
+    word = "uint16_t" if dfa else "uint64_t"
+    return (
+        "int rap_lane_scan(const uint8_t *cls, long long n, long long start_i,\n"
+        f"    {word} *state, int fresh, int at_end, long long stats_from,\n"
+        "    long long *tile_cycles, long long *tile_bits, long long *visits,\n"
+        f"    long long *hit_pos, {word} *hit_states, long long hit_cap,\n"
+        "    long long *n_hits, long long *resume_i);"
+    )
+
+
+class LaneKernel(NamedTuple):
+    """What :func:`lane_scan_source` hands the loader: the C text, per
+    bin the closure's state words in id order (``None``: the
+    bit-parallel kernel, whose states are the packed word itself), and
+    the tier as ``--explain`` names it."""
+
+    source: str
+    closure: list[list[int]] | None
+    tier: str
+
+
+def lane_scan_source(fused, tile_masks: Sequence[Sequence[int]]) -> LaneKernel:
+    """The lane kernel of one ruleset: the C mirror of ``lane_feed`` +
+    the scanner's stats sink.
 
     ``fused`` is a :class:`~repro.core.fused.FusedRuleset` with at least
-    one SHIFT_LEFT program; ``tile_rows`` the scanner's flattened
-    (bin, tile) full-width masks, each already expressed as ``lanes``
-    little-endian 64-bit words.  Positions with a live packed word feed
-    per-tile cycle/bit counters; final hits are emitted as
-    ``(position, word)`` pairs with end-anchored finals already masked,
-    exactly as the interpreted sink computes them.
+    one SHIFT_LEFT program (one per bin); ``tile_masks[j]`` are bin
+    ``j``'s per-tile masks over its own slice of the packed word.  Every
+    bin is determinised (:func:`_close_bin`); if one closes over more
+    than :data:`LANE_DFA_MAX_STATES` states the whole ruleset gets the
+    bit-parallel kernel instead.
     """
-    lanes = fused.lanes
-    if lanes <= 0:
+    if fused.lanes <= 0:
         raise ValueError("lane codegen requires at least one shift program")
-    k = fused.classes.k
-    tiles = [list(row) for row in tile_rows]
+    bins = []
+    for j in range(len(fused.bases)):
+        closed = _close_bin(fused, j)
+        if closed is None:
+            log.debug(
+                "lane bin %d closes over more than %d states: bit-parallel kernel",
+                j, LANE_DFA_MAX_STATES,
+            )
+            return LaneKernel(
+                _lane_bitparallel_source(fused, tile_masks),
+                None,
+                f"bit-parallel (bin {j} closure > {LANE_DFA_MAX_STATES})",
+            )
+        bins.append(closed)
+    total = sum(len(states) for states, _ in bins)
+    return LaneKernel(
+        _lane_dfa_source(fused, tile_masks, bins),
+        [states for states, _ in bins],
+        f"dfa ({total} states / {len(bins)} bins)",
+    )
 
-    parts = [_header("lane machine", fused.signature)]
+
+def _close_bin(fused, j: int) -> tuple[list[int], list[list[int]]] | None:
+    """Bin ``j``'s slice of the packed machine, determinised.
+
+    Breadth-first over ``((s << 1) & keep | inject) & labels[c]`` from
+    the empty word (id 0), classes in index order, so ids — and the
+    emitted source — are the same in every process.  Returns the state
+    words in id order and one ``next[class]`` row of ids per state; an
+    anchored bin (``inject_first != inject_always``) gets one more row
+    at the end, the stream-start pseudo-state whose successors are
+    ``inject_first & labels[c]``.  ``None`` past the cap.
+    """
+    keep, inject, first = (
+        fused.extract(word, j)
+        for word in (fused.keep, fused.inject_always, fused.inject_first)
+    )
+    labels = [fused.extract(m, j) for m in fused._labels_cls]
+    # Most classes exist for some *other* unit's sake: step each state
+    # once per distinct label of this bin, then spread over the classes.
+    distinct = list(dict.fromkeys(labels))
+    column = [distinct.index(m) for m in labels]
+    index = {0: 0}
+    states = [0]
+
+    def successors(avail: int) -> list[int]:
+        row = []
+        for m in distinct:
+            ns = avail & m
+            sid = index.get(ns)
+            if sid is None:
+                sid = index[ns] = len(states)
+                states.append(ns)
+            row.append(sid)
+        return [row[col] for col in column]
+
+    start = successors(first) if first != inject else None
+    rows = []
+    while len(rows) < len(states):
+        if len(states) > LANE_DFA_MAX_STATES:
+            return None
+        rows.append(successors((states[len(rows)] << 1) & keep | inject))
+    if start is not None:
+        rows.append(start)
+    return states, rows
+
+
+# The DFA lane kernel is the same text for every ruleset; the tables
+# and ``NBINS`` above it are what is generated (a constant trip count,
+# so the per-bin loops unroll and ``BINS[j]`` folds to its literals).
+_LANE_DFA_KERNEL = r"""
+{
+  long long i = start_i, last = n - 1, nh = 0;
+  uint32_t s[NBINS];
+  int j;
+  for (j = 0; j < NBINS; j++)
+    s[j] = fresh && i == 0 && n > 0 ? BINS[j].start : state[j];
+  /* the warm-up prefix drives the states but owns no statistics */
+  for (; i < n && i < stats_from; i++)
+    for (j = 0; j < NBINS; j++) s[j] = BINS[j].next[s[j] * NCLS + cls[i]];
+  for (; i < n; i++) {
+    int f = 0;
+    for (j = 0; j < NBINS; j++) {
+      s[j] = BINS[j].next[s[j] * NCLS + cls[i]];
+      visits[BINS[j].visit0 + s[j]]++;
+      f |= BINS[j].flags[s[j]];
+    }
+    if (f && ((f & 1) || (at_end && i == last))) {
+      hit_pos[nh] = i;
+      for (j = 0; j < NBINS; j++) hit_states[nh * NBINS + j] = (uint16_t)s[j];
+      if (++nh >= hit_cap) { i++; break; }
+    }
+  }
+  for (j = 0; j < NBINS; j++) state[j] = (uint16_t)s[j];
+  *n_hits = nh; *resume_i = i;
+  if (i < n) return 1;
+  /* tile statistics are a property of the state: fold the visit counts */
+  for (j = 0; j < NBINS; j++) {
+    const lane_bin *b = &BINS[j];
+    int sid, t;
+    for (sid = 1; sid < b->states; sid++) {
+      long long v = visits[b->visit0 + sid];
+      if (!v) continue;
+      for (t = 0; t < b->tiles; t++) {
+        long long bits = b->bits[sid * b->tiles + t];
+        if (bits) {
+          tile_cycles[b->tile0 + t] += v; tile_bits[b->tile0 + t] += v * bits;
+        }
+      }
+    }
+  }
+  return 0;
+}
+"""
+
+
+def _lane_dfa_source(fused, tile_masks, bins) -> str:
+    """Per bin the ``N`` / ``T`` / ``F`` tables and ``BINS`` row the
+    module docstring describes, then the one kernel text."""
+    parts = [_header("lane machine (per-bin dfa)", fused.signature)]
+    parts.append(f"#define NCLS {fused.classes.k}")
+    parts.append(f"#define NBINS {len(bins)}")
+    table = []
+    tile0 = visit0 = 0
+    for j, ((states, rows), masks) in enumerate(zip(bins, tile_masks)):
+        final, ends = (
+            fused.extract(word, j) for word in (fused.final, fused.end_anchored)
+        )
+        parts.append(_u16_array(f"N{j}", (t for row in rows for t in row)))
+        parts.append(
+            _u16_array(
+                f"T{j}", ((s & m).bit_count() for s in states for m in masks)
+            )
+        )
+        parts.append(
+            _u8_array(
+                f"F{j}",
+                (
+                    bool(s & final & ~ends) | bool(s & final & ends) << 1
+                    for s in states
+                ),
+            )
+        )
+        start = len(states) if len(rows) > len(states) else 0
+        table.append(
+            f"  {{ N{j}, T{j}, F{j}, {len(states)}, {len(masks)}, {start}, "
+            f"{visit0}, {tile0} }},"
+        )
+        tile0 += len(masks)
+        visit0 += len(states)
+    parts.append(
+        "typedef struct {\n"
+        "  const uint16_t *next, *bits; const uint8_t *flags;\n"
+        "  int states, tiles, start, visit0, tile0;\n"
+        "} lane_bin;"
+    )
+    parts += ["static const lane_bin BINS[NBINS] = {", *table, "};"]
+    parts.append(lane_cdef(True)[:-1] + _LANE_DFA_KERNEL)
+    return "\n".join(parts)
+
+
+def _lane_bitparallel_source(fused, tile_masks) -> str:
+    """The packed word stepped as ``lanes`` 64-bit words with carry,
+    per-tile popcounts on every live byte: the kernel of a ruleset with
+    a bin too large to determinise.  Hits are ``(position, word)`` with
+    end-anchored finals already masked."""
+    lanes = fused.lanes
+    k = fused.classes.k
+    tiles = [
+        _words(mask << base, lanes)
+        for base, masks in zip(fused.bases, tile_masks)
+        for mask in masks
+    ]
+
+    parts = [_header("lane machine (bit-parallel)", fused.signature)]
     parts.append(f"#define LANES {lanes}")
     parts.append(f"#define NCLS {k}")
     parts.append(
@@ -206,7 +435,7 @@ def lane_scan_source(fused, tile_rows: Sequence[Sequence[int]]) -> str:
         for w in range(lanes)
     )
     fresh_load = "\n".join(
-        f"      s[{w}] = INJECT_FIRST[{w}] & LABELS[c][{w}]; any |= s[{w}];"
+        f"        s[{w}] = INJECT_FIRST[{w}] & LABELS[c][{w}]; any |= s[{w}];"
         for w in range(lanes)
     )
     hit_load = "\n".join(
@@ -218,7 +447,7 @@ def lane_scan_source(fused, tile_rows: Sequence[Sequence[int]]) -> str:
         for w in range(lanes)
     )
     hit_store = "\n".join(
-        f"        hit_words[nh * LANES + {w}] = h[{w}];"
+        f"        hit_states[nh * LANES + {w}] = h[{w}];"
         for w in range(lanes)
     )
     state_out = "\n".join(
@@ -230,34 +459,18 @@ def lane_scan_source(fused, tile_rows: Sequence[Sequence[int]]) -> str:
 
     parts.append(
         f"""
-{LANE_CDEF[:-1]}
+{lane_cdef(False)[:-1]}
 {{
   long long i = start_i, last = n - 1, nh = 0;
   uint64_t s[LANES], any = 0;
+  (void)visits;
 {state_in}
-  if (fresh && i == 0 && n > 0) {{
-    int c = cls[0];
-    any = 0;
-{fresh_load}
-    if (any && stats_from <= 0) {{
-      uint64_t h[LANES], hany = 0;
-{hit_load}
-      if (hany && !(at_end && last == 0)) {{
-        hany = 0;
-{hit_mask}
-      }}
-{tile_stats_code}
-      if (hany) {{
-        hit_pos[nh] = 0;
-{hit_store}
-        nh++;
-      }}
-    }}
-    i = 1;
-  }}
   while (i < n) {{
     int c;
-    if (!any) {{
+    if (fresh && i == 0) {{
+      c = cls[0]; any = 0;
+{fresh_load}
+    }} else if (!any) {{
       while (i < n && !HOT[cls[i]]) i++;
       if (i >= n) break;
       c = cls[i];

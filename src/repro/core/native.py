@@ -34,6 +34,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -177,19 +178,21 @@ class _CffiLibrary:
         import cffi
 
         self._ffi = cffi.FFI()
-        self._ffi.cdef(cdef)
+        # Every pointer parameter is declared ``void *``: that is what
+        # lets ``from_buffer`` hand a bytes object or an ndarray of any
+        # dtype straight to the call, with no per-argument cast.
+        self._ffi.cdef(re.sub(r"(?:const )?\w+(?: \w+)? \*", "void *", cdef))
         self._lib = self._ffi.dlopen(str(path))
 
     def fn(self, name: str):
+        """``name`` as a callable over ints and buffers (bytes objects
+        or C-contiguous ndarrays, passed by address)."""
         raw = getattr(self._lib, name)
-        cast = self._ffi.cast
+        from_buffer = self._ffi.from_buffer
 
         def call(*args):
             return raw(
-                *(
-                    cast("void *", a) if isinstance(a, _Ptr) else a
-                    for a in args
-                )
+                *(a if isinstance(a, int) else from_buffer(a) for a in args)
             )
 
         return call
@@ -201,7 +204,7 @@ class _CtypesLibrary:
     kind = "ctypes"
 
     def __init__(self, path: Path, cdef: str):
-        del cdef  # ctypes needs no declarations; args are pre-wrapped
+        del cdef  # ctypes needs no declarations; args are wrapped per call
         self._lib = ctypes.CDLL(str(path))
 
     def fn(self, name: str):
@@ -211,9 +214,9 @@ class _CtypesLibrary:
         def call(*args):
             return raw(
                 *(
-                    ctypes.c_void_p(int(a))
-                    if isinstance(a, _Ptr)
-                    else ctypes.c_longlong(a)
+                    ctypes.c_longlong(a)
+                    if isinstance(a, int)
+                    else ctypes.c_void_p(_address(a))
                     for a in args
                 )
             )
@@ -221,17 +224,11 @@ class _CtypesLibrary:
         return call
 
 
-class _Ptr(int):
-    """An argument that is a raw data pointer, not an integer scalar."""
-
-
-def _ptr(buf) -> _Ptr:
+def _address(buf) -> int:
     """The data address of a bytes object or a C-contiguous ndarray."""
     if isinstance(buf, np.ndarray):
-        return _Ptr(buf.ctypes.data)
-    return _Ptr(
-        ctypes.cast(ctypes.c_char_p(buf), ctypes.c_void_p).value or 0
-    )
+        return buf.ctypes.data
+    return ctypes.cast(ctypes.c_char_p(buf), ctypes.c_void_p).value or 0
 
 
 _Library = _CffiLibrary | _CtypesLibrary
@@ -290,18 +287,99 @@ class NativeLaneScanner:
 
     Mirrors :meth:`FusedLaneScanner.scan`'s inner work: one call (plus
     continuations when the hit buffer fills) returns the per-tile
-    cycle/bit counters, the ``(position, packed-final-word)`` hit pairs
-    with end-anchored finals already masked, and the exit word.
+    cycle/bit counters, the final hits as ``(position, ((bin,
+    regex_id), ...))`` with end-anchored finals already dropped
+    everywhere but the stream end, and the exit word.
+
+    The kernel is a DFA per bin whenever every bin's closure fits
+    :data:`~repro.core.codegen.LANE_DFA_MAX_STATES` (``tier`` says
+    which ran): the packed entry word becomes one state id per bin on
+    the way in, ids become the packed word again on the way out, so
+    callers — and every snapshot — only ever see packed words.
+    ``decode`` maps a packed word of finals to its ``(bin, regex_id)``
+    pairs.
     """
 
-    def __init__(self, fused, tile_rows):
-        self._source = codegen.lane_scan_source(fused, tile_rows)
-        self._fn = load_source(self._source, codegen.LANE_CDEF).fn(
-            "rap_lane_scan"
-        )
-        self._lanes = fused.lanes
-        self._tiles = len(tile_rows)
+    def __init__(self, fused, tile_masks, decode):
+        kernel = codegen.lane_scan_source(fused, tile_masks)
+        self._source = kernel.source
+        closure = self._closure = kernel.closure
+        self._fn = load_source(
+            kernel.source, codegen.lane_cdef(closure is not None)
+        ).fn("rap_lane_scan")
+        self.tier = kernel.tier
+        self._fused = fused
+        self._tiles = sum(len(masks) for masks in tile_masks)
         self._cap = codegen.HIT_BUFFER_ENTRIES
+        self._decode = decode
+        self._foreign_logged = False
+        if closure is None:
+            self._word, self._width, self._visits = np.uint64, fused.lanes, 1
+            return
+        self._word, self._width = np.uint16, len(closure)
+        self._visits = sum(len(states) for states in closure)
+        self._ids = [
+            {word: sid for sid, word in enumerate(states)} for states in closure
+        ]
+        # Per bin, state id -> the finals it reports: mid-stream (the
+        # unanchored ones) and on the stream's last byte (all of them).
+        self._mid_finals, self._end_finals = [], []
+        for j, states in enumerate(closure):
+            final = fused.extract(fused.final, j)
+            ends = fused.extract(fused.end_anchored, j)
+            for table, mask in (
+                (self._mid_finals, final & ~ends), (self._end_finals, final)
+            ):
+                table.append(
+                    {
+                        sid: decode((word & mask) << fused.bases[j])
+                        for sid, word in enumerate(states)
+                        if word & mask
+                    }
+                )
+
+    def _enter(self, entry: int, fresh: bool) -> np.ndarray | None:
+        """A packed entry word in the kernel's terms: its 64-bit lanes,
+        or one state id per bin (``None``: some bin's word is in no
+        closure)."""
+        if self._closure is None:
+            return words_from_int(entry, self._width).copy()
+        if fresh:  # the kernel starts every bin itself
+            return np.zeros(self._width, dtype=self._word)
+        ids = [
+            known.get(self._fused.extract(entry, j))
+            for j, known in enumerate(self._ids)
+        ]
+        if None in ids:
+            if not self._foreign_logged:
+                self._foreign_logged = True
+                j = ids.index(None)
+                log.debug(
+                    "lane bin %d entry word is outside its %d-state "
+                    "closure: such spans are interpreted",
+                    j, len(self._closure[j]),
+                )
+            return None
+        return np.array(ids, dtype=self._word)
+
+    def _leave(self, state: np.ndarray) -> int:
+        """The packed word of an exit state (inverse of :meth:`_enter`)."""
+        if self._closure is None:
+            return int_from_words(state)
+        return self._fused.pack(
+            [self._closure[j][sid] for j, sid in enumerate(state.tolist())]
+        )
+
+    def _found(self, row: list[int], ended: bool) -> tuple:
+        """The ``(bin, regex_id)`` finals of one hit row: the masked
+        final word itself, or one state id per bin (``ended``: the hit
+        is on the stream's last byte)."""
+        if self._closure is None:
+            return self._decode(sum(lane << 64 * w for w, lane in enumerate(row)))
+        finals = self._end_finals if ended else self._mid_finals
+        return tuple(
+            pair for j, sid in enumerate(row) for pair in finals[j].get(sid, ())
+        )
 
     def scan(
         self,
@@ -311,50 +389,53 @@ class NativeLaneScanner:
         fresh: bool,
         at_end: bool,
         stats_from: int,
-    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], int]:
+    ) -> tuple[list[int], list[int], list[tuple[int, tuple]], int] | None:
+        """``None`` when ``entry`` holds a bin state outside the DFA's
+        closure (no scan of this machine produces one; a hand-edited
+        snapshot can): the caller interprets that span."""
         n = len(cls_bytes)
-        lanes = self._lanes
+        state = self._enter(entry, fresh)
+        if state is None:
+            return None
         cap = self._cap
-        state = words_from_int(entry, lanes).copy()
         tile_cycles = np.zeros(self._tiles, dtype=np.int64)
         tile_bits = np.zeros(self._tiles, dtype=np.int64)
+        visits = np.zeros(self._visits, dtype=np.int64)
         hit_pos = np.empty(cap, dtype=np.int64)
-        hit_words = np.empty(cap * lanes, dtype=np.uint64)
+        hit_states = np.empty((cap, self._width), dtype=self._word)
         n_hits = np.zeros(1, dtype=np.int64)
         resume = np.zeros(1, dtype=np.int64)
-        hits: list[tuple[int, int]] = []
+        hits: list[tuple[int, tuple]] = []
         i = 0
         while True:
             rc = self._fn(
-                _ptr(cls_bytes),
+                cls_bytes,
                 n,
                 i,
-                _ptr(state),
+                state,
                 1 if fresh else 0,
                 1 if at_end else 0,
                 stats_from,
-                _ptr(tile_cycles),
-                _ptr(tile_bits),
-                _ptr(hit_pos),
-                _ptr(hit_words),
+                tile_cycles,
+                tile_bits,
+                visits,
+                hit_pos,
+                hit_states,
                 cap,
-                _ptr(n_hits),
-                _ptr(resume),
+                n_hits,
+                resume,
             )
             nh = int(n_hits[0])
-            for r in range(nh):
-                hits.append(
-                    (
-                        int(hit_pos[r]),
-                        int_from_words(
-                            hit_words[r * lanes : (r + 1) * lanes]
-                        ),
-                    )
+            hits.extend(
+                (position, self._found(row, at_end and position == n - 1))
+                for position, row in zip(
+                    hit_pos[:nh].tolist(), hit_states[:nh].tolist()
                 )
+            )
             i = int(resume[0])
             if rc == 0:
                 break
-        return tile_cycles, tile_bits, hits, int_from_words(state)
+        return tile_cycles.tolist(), tile_bits.tolist(), hits, self._leave(state)
 
 
 class NativeUnitScanner:
@@ -400,13 +481,13 @@ class NativeUnitScanner:
         i = 0
         while True:
             rc = fn(
-                _ptr(cls_bytes),
+                cls_bytes,
                 len(cls_bytes),
                 i,
                 *args,
                 self._cap,
-                _ptr(n_ev),
-                _ptr(resume),
+                n_ev,
+                resume,
             )
             yield int(n_ev[0])
             i = int(resume[0])
@@ -432,13 +513,13 @@ class NativeUnitScanner:
         for count in self._drain(
             self._gather_fns[index],
             cls_bytes,
-            _ptr(word),
+            word,
             1 if fresh else 0,
             1 if at_end else 0,
             stats_from,
-            _ptr(active),
-            _ptr(ev_pos),
-            _ptr(ev_word),
+            active,
+            ev_pos,
+            ev_word,
         ):
             events.extend(zip(ev_pos[:count].tolist(), ev_word[:count].tolist()))
         return events, int(active[0]), int(word[0])
@@ -460,11 +541,11 @@ class NativeUnitScanner:
         for count in self._drain(
             self._dfa_fns[index],
             cls_bytes,
-            _ptr(word),
+            word,
             stats_from,
-            _ptr(active),
-            _ptr(ev_pos),
-            _ptr(ev_state),
+            active,
+            ev_pos,
+            ev_state,
         ):
             events.extend(zip(ev_pos[:count].tolist(), ev_state[:count].tolist()))
         return events, int(active[0]), int(word[0])
@@ -498,14 +579,14 @@ class NativeUnitScanner:
             self._nbva_fn,
             cls_bytes,
             slot,
-            _ptr(active),
-            _ptr(live),
-            _ptr(vecs),
-            _ptr(scratch),
+            active,
+            live,
+            vecs,
+            scratch,
             1 if base == 0 else 0,
             1 if at_end else 0,
-            _ptr(counters),
-            _ptr(ev),
+            counters,
+            ev,
         ):
             events = ev[:count]
             positions = (events >> 2) + base

@@ -269,21 +269,42 @@ class BatchEngine:
         under the engine's backend scope so the cost constants scored
         are the ones a real compile on this engine would use.  Entries
         that land in NBVA mode also say which tier will step their unit
-        (``tier``): the generated C, or ``NBVAScanner`` and why.
+        (``tier``): the generated C, or ``NBVAScanner`` and why; LNFA
+        entries say which tier steps the lane machine they share.
         """
         compiler = self._effective_compiler(compiler)
         resolved, fallback = self.backend_report()
         with self._backend_scope():
             entries = explain_patterns(list(patterns), compiler)
+            lane_tier = None
             for index, entry in enumerate(entries):
-                if entry.trace and entry.trace.mode is CompiledMode.NBVA:
-                    entries[index] = replace(
-                        entry,
-                        tier=_nbva_tier(
-                            entry.pattern, compiler, resolved, fallback
-                        ),
-                    )
+                if entry.trace is None:
+                    continue
+                tier = None
+                if entry.trace.mode is CompiledMode.NBVA:
+                    tier = _nbva_tier(entry.pattern, compiler, resolved, fallback)
+                elif entry.trace.mode is CompiledMode.LNFA:
+                    if lane_tier is None:
+                        lane_tier = self._lane_tier(
+                            [e.pattern for e in entries if e.trace],
+                            compiler, resolved, fallback,
+                        )
+                    tier = lane_tier
+                if tier:
+                    entries[index] = replace(entry, tier=tier)
         return entries
+
+    def _lane_tier(
+        self, patterns, compiler: CompilerConfig, resolved: str,
+        fallback: str | None,
+    ) -> str | None:
+        """Which tier steps the lane machine of ``patterns`` on the
+        ``resolved`` backend (:attr:`FusedLaneScanner.lane_tier`; on
+        native this builds the lane kernel a scan would)."""
+        if resolved != "native":
+            return f"interpreted ({fallback or resolved + ' backend'})"
+        scanner = bind(compile_ruleset(patterns, compiler), self.hw).plan.scanner
+        return scanner.lane_tier if scanner is not None else None
 
     def backend_report(self) -> tuple[str, str | None]:
         """The *resolved* step-kernel backend, with the fallback reason.

@@ -68,6 +68,8 @@ class ScanSession:
         self.prior_matches = 0  # matches rolled up from completed epochs
         self.prior_energy_uj = 0.0
         self._emitted: dict[int, int] = {}  # rid -> events emitted (epoch)
+        # ((epoch_start, scan offset, generation), energy) last priced
+        self._priced: tuple[tuple[int, int, int], float] | None = None
         self._pending: bytes | None = None
         self.ended = False
         self.last_active = time.monotonic()
@@ -151,10 +153,16 @@ class ScanSession:
         return sum(len(ends) for ends in self.scan.match_lists().values())
 
     def _epoch_energy_uj(self) -> float:
-        result = RAPSimulator(self.hw).run_from_activity(
-            self.entry.ruleset, self.scan.finish(), self.entry.mapping
-        )
-        return result.energy_uj
+        # Pricing is a whole ``finish()`` + ``run_from_activity``, and
+        # one frame's replies ask for it two or three times with no
+        # byte fed in between: price each point of the stream once.
+        key = (self.epoch_start, self.scan.offset, self.generation)
+        if self._priced is None or self._priced[0] != key:
+            result = RAPSimulator(self.hw).run_from_activity(
+                self.entry.ruleset, self.scan.finish(), self.entry.mapping
+            )
+            self._priced = (key, result.energy_uj)
+        return self._priced[1]
 
     def total_matches(self) -> int:
         """Authoritative match total across every epoch (not derived

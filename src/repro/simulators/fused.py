@@ -57,7 +57,10 @@ from repro.core.fused import (
     popcount_words,
     words_from_int,
 )
-from repro.core.registry import NATIVE_FORMAT_VERSION, resolve_backend
+from repro.core.registry import (
+    NATIVE_FORMAT_VERSION,
+    resolve_backend_with_reason,
+)
 from repro.core.state import KernelState
 from repro.core.trace import regex_fingerprint
 from repro.hardware.config import HardwareConfig
@@ -159,11 +162,11 @@ class FusedLaneScanner:
         # (workers inherit the decision through pickling), compiled and
         # loaded lazily on the first scan.  Build failures fall back to
         # the interpreted path with identical results.
-        self._native_requested = (
-            fused.lanes > 0 and resolve_backend() == "native"
-        )
+        resolved, why = resolve_backend_with_reason()
+        self._native_requested = fused.lanes > 0 and resolved == "native"
         self._native = None
         self._native_tried = False
+        self._interpreted_why = why or f"{resolved} backend"
 
     def __getstate__(self):
         # dlopen'd library handles are process-local; chunk workers
@@ -182,17 +185,40 @@ class FusedLaneScanner:
                 from repro.core.native import NativeLaneScanner
 
                 self._native = NativeLaneScanner(
-                    self._fused, self._tile_words
+                    self._fused,
+                    [layout.tile_masks for layout in self._layouts],
+                    self._decode,
                 )
             except Exception as err:
                 log.debug("native lane kernel unavailable: %s", err)
                 self._native = None
+                self._interpreted_why = str(err)
         return self._native
 
     @property
     def native_active(self) -> bool:
         """Whether scans run the compiled lane kernel (builds lazily)."""
         return self._native_scanner() is not None
+
+    @property
+    def lane_tier(self) -> str:
+        """What steps the lane machine: ``dfa (S states / B bins)``,
+        ``bit-parallel (bin j closure > cap)`` — the two compiled
+        kernels — or ``interpreted (<why>)`` (builds lazily)."""
+        native = self._native_scanner()
+        if native is not None:
+            return native.tier
+        return f"interpreted ({self._interpreted_why})"
+
+    def _decode(self, word: int) -> tuple[tuple[int, int], ...]:
+        """A packed word of final bits as its ``(bin, regex_id)`` pairs."""
+        finals = self._finals
+        found = []
+        while word:
+            low = word & -word
+            word ^= low
+            found.append(finals[low.bit_length() - 1])
+        return tuple(found)
 
     @property
     def fused(self) -> FusedRuleset:
@@ -252,26 +278,25 @@ class FusedLaneScanner:
             entry=entry, fresh=fresh, at_end=at_end, stats_from=stats_from
         )
         native = self._native_scanner()
-        if native is not None:
-            flat_cycles, flat_bits, hits, packed = native.scan(
-                tin.cls_bytes, **span
+        scanned = native.scan(tin.cls_bytes, **span) if native else None
+        if scanned is None:  # no kernel, or an entry word it cannot take
+            flat_cycles, flat_bits, words, packed = self._interpret(tin, **span)
+            scanned = (
+                flat_cycles,
+                flat_bits,
+                [(position, self._decode(word)) for position, word in words],
+                packed,
             )
-            flat_cycles, flat_bits = flat_cycles.tolist(), flat_bits.tolist()
-        else:
-            flat_cycles, flat_bits, hits, packed = self._interpret(tin, **span)
+        flat_cycles, flat_bits, hits, packed = scanned
 
-        # Either tier hands back flattened per-tile counters and
-        # end-anchored-masked (position, packed-final-word) hit pairs;
-        # the decomposition below is shared, so the delta — and every
-        # snapshot built from it — is byte-identical across tiers
+        # Every tier hands back flattened per-tile counters and the
+        # finals firing at each hit position, end-anchored ones already
+        # dropped; the decomposition below is shared, so the delta — and
+        # every snapshot built from it — is byte-identical across tiers
         # (plain Python ints, same ordering).
-        finals = self._finals
         matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
-        for position, word in hits:
-            while word:
-                low = word & -word
-                word ^= low
-                j, rid = finals[low.bit_length() - 1]
+        for position, found in hits:
+            for j, rid in found:
                 matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
         per_bin_cycles: list[list[int]] = []

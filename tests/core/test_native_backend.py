@@ -11,13 +11,16 @@ an unchanged ``scan_fingerprint``, and pins the fingerprint *fold* when
 native actually attaches (a checkpoint names the kernel that wrote it).
 """
 
+import contextlib
 import dataclasses
 import json
+import logging
 import os
 import random
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -210,6 +213,68 @@ class TestNativeDifferential:
         _assert_results_identical(got, want)
 
 
+def _sigkill_resume(tmp_path, patterns, data, golden_backend, extra=()):
+    """Golden run on ``golden_backend``; SIGKILLed + resumed run on
+    native (with the ``extra`` flags); the printed matches (and float
+    energy) must be byte-identical."""
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    rules = tmp_path / "rules.txt"
+    rules.write_text("\n".join(patterns) + "\n")
+    stream = tmp_path / "input.bin"
+    stream.write_bytes(data)
+    ckpts = tmp_path / "ckpts"
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop("RAP_FAULT_PLAN", None)
+    base = [
+        sys.executable,
+        "-m",
+        "repro",
+        "scan",
+        "--patterns",
+        str(rules),
+        str(stream),
+        "--no-cache",
+    ]
+    durable = [
+        *base,
+        "--backend",
+        "native",
+        "--checkpoint-dir",
+        str(ckpts),
+        "--checkpoint-every",
+        "1000",
+        *extra,
+    ]
+    golden = subprocess.run(
+        [*base, "--backend", golden_backend],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=repo,
+    )
+    assert golden.returncode == 0, golden.stderr
+    assert golden.stdout.strip()
+    killed = subprocess.run(
+        durable,
+        capture_output=True,
+        text=True,
+        env=dict(env, RAP_FAULT_PLAN="kill@2"),
+        cwd=repo,
+    )
+    assert killed.returncode in (-signal.SIGKILL, 137)
+    assert list(ckpts.glob("ckpt-*.json")), "no checkpoint survived"
+    resumed = subprocess.run(
+        [*durable, "--resume"],
+        capture_output=True,
+        text=True,
+        env=dict(env, RAP_FAULT_PLAN=""),
+        cwd=repo,
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == golden.stdout
+    assert "resumed from checkpoint" in resumed.stderr
+
+
 @needs_native
 class TestNativeSeams:
     """Input-parallel seams and checkpoint state under native."""
@@ -266,70 +331,10 @@ class TestNativeSeams:
             got = sim.run_from_activity(ruleset, resumed.finish(), mapping)
         _assert_results_identical(got, plain)
 
-    def _sigkill_resume(self, tmp_path, patterns, data, golden_backend):
-        """Golden run on ``golden_backend``; SIGKILLed + resumed run on
-        native; the printed matches (and float energy) must be
-        byte-identical."""
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        rules = tmp_path / "rules.txt"
-        rules.write_text("\n".join(patterns) + "\n")
-        stream = tmp_path / "input.bin"
-        stream.write_bytes(data)
-        ckpts = tmp_path / "ckpts"
-        env = dict(os.environ, PYTHONPATH="src")
-        env.pop("RAP_FAULT_PLAN", None)
-        base = [
-            sys.executable,
-            "-m",
-            "repro",
-            "scan",
-            "--patterns",
-            str(rules),
-            str(stream),
-            "--no-cache",
-        ]
-        durable = [
-            *base,
-            "--backend",
-            "native",
-            "--checkpoint-dir",
-            str(ckpts),
-            "--checkpoint-every",
-            "1000",
-        ]
-        golden = subprocess.run(
-            [*base, "--backend", golden_backend],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=repo,
-        )
-        assert golden.returncode == 0, golden.stderr
-        assert golden.stdout.strip()
-        killed = subprocess.run(
-            durable,
-            capture_output=True,
-            text=True,
-            env=dict(env, RAP_FAULT_PLAN="kill@2"),
-            cwd=repo,
-        )
-        assert killed.returncode in (-signal.SIGKILL, 137)
-        assert list(ckpts.glob("ckpt-*.json")), "no checkpoint survived"
-        resumed = subprocess.run(
-            [*durable, "--resume"],
-            capture_output=True,
-            text=True,
-            env=dict(env, RAP_FAULT_PLAN=""),
-            cwd=repo,
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == golden.stdout
-        assert "resumed from checkpoint" in resumed.stderr
-
     def test_sigkill_mid_scan_then_resume_matches_fused_golden(
         self, tmp_path
     ):
-        self._sigkill_resume(
+        _sigkill_resume(
             tmp_path, MIXED_PATTERNS, _mixed_data(8000, seed=47), "fused"
         )
 
@@ -345,7 +350,7 @@ class TestNativeSeams:
         data = generate_input(
             "network", 6000, seed=5, patterns=patterns, plant_every=200
         )
-        self._sigkill_resume(tmp_path, patterns, data, "python")
+        _sigkill_resume(tmp_path, patterns, data, "python")
 
 
 def _nbva_unit(automaton, anchored_start=False, anchored_end=False):
@@ -526,9 +531,12 @@ class TestNativeNbva:
             return [entry.tier for entry in engine.explain(patterns)]
 
         assert tiers("native") == [
-            "native", "interpreted (state_count 73 > 64)", None
+            "native",
+            "interpreted (state_count 73 > 64)",
+            "dfa (7 states / 1 bins)",
         ]
-        assert tiers("fused")[:2] == ["interpreted (fused backend)"] * 2
+        assert tiers("fused") == ["interpreted (fused backend)"] * 3
+        assert tiers("python")[2] == "interpreted (python backend)"
         rules = tmp_path / "rules.txt"
         rules.write_text("\n".join(patterns) + "\n")
         stream = tmp_path / "in.bin"
@@ -538,10 +546,13 @@ class TestNativeNbva:
         out = capsys.readouterr().out
         assert "unit tier: native" in out
         assert "unit tier: interpreted (state_count 73 > 64)" in out
+        assert "lane tier: dfa (7 states / 1 bins)" in out
+        monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 4)
+        assert tiers("native")[2] == "bit-parallel (bin 0 closure > 4)"
         monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
-        assert tiers("native")[0] == (
+        assert tiers("native") == [
             "interpreted (native unavailable: disabled by RAP_NATIVE_DISABLE)"
-        )
+        ] * 3
 
     def test_calibrate_measures_nbva_through_the_plan(self):
         """``nbva_base`` describes the tier that runs: within an order
@@ -572,6 +583,229 @@ class TestNativeNbva:
         )
 
 
+def lnfa_rulesets():
+    """2-6 linear patterns — literals, classes, runs of ``.``, ``(?i)``,
+    ``^`` / ``$`` — led by a long literal, so the packed machine spans
+    64-bit word boundaries and one bin closes over more than 8 states."""
+    atom = st.sampled_from(["a", "b", "c", "x", "[ab]", "[^a]", ".", ".."])
+    body = st.lists(atom, min_size=1, max_size=6).map("".join)
+    decorated = st.tuples(
+        st.booleans(), st.booleans(), st.booleans(), body
+    ).map(
+        lambda t: "(?i)" * t[0] + "^" * t[1] + t[3] + "$" * t[2]
+    )
+    long_literal = st.integers(9, 70).map(
+        lambda n: "".join("abc"[i * i % 3] for i in range(n))
+    )
+    return st.tuples(
+        long_literal, st.lists(decorated, min_size=1, max_size=5)
+    ).map(lambda t: [t[0], *t[1]])
+
+
+def _lane_worthy(patterns, data) -> bool:
+    """At least two patterns land in LNFA mode, none is rejected."""
+    ruleset = compile_ruleset(patterns)
+    lanes = sum(r.mode is CompiledMode.LNFA for r in ruleset)
+    return not ruleset.rejected and lanes >= 2 and len(data) > 1
+
+
+def _interpreted_scanner(plan):
+    """The NumPy-tier lane scanner over a native plan's bins."""
+    from repro.simulators.fused import FusedLaneScanner
+
+    with use_backend("fused"):
+        return FusedLaneScanner(plan.layouts, plan.fused)
+
+
+def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=None):
+    """One ruleset and stream through every contract of the compiled
+    lane kernel, against the ``python`` oracle: snapshot bytes at every
+    offset, one seam at every offset, warm-up windows, ``input_jobs=2``."""
+    from tests.engine.test_checkpoint import _collector_docs
+
+    ruleset = compile_ruleset(patterns)
+    assert not ruleset.rejected and len(data) > 1
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    docs = []
+    with use_backend("python"):
+        oracle = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+        for i in range(len(data)):
+            oracle.feed(data[i : i + 1], at_end=i == len(data) - 1)
+            docs.append(_collector_docs(oracle))
+        final = oracle.finish()
+        reference = RAPSimulator(DEFAULT_CONFIG).run(ruleset, data)
+
+    with contextlib.ExitStack() as patches:
+        if hit_cap is not None:
+            patches.enter_context(
+                mock.patch.object(codegen, "HIT_BUFFER_ENTRIES", hit_cap)
+            )
+        if states_cap is not None:
+            patches.enter_context(
+                mock.patch.object(codegen, "LANE_DFA_MAX_STATES", states_cap)
+            )
+        patches.enter_context(use_backend("native"))
+        stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+        plan = stepped._plan
+        assert plan.scanner.lane_tier.startswith(tier)
+        for i in range(len(data)):
+            stepped.feed(data[i : i + 1], at_end=i == len(data) - 1)
+            assert _collector_docs(stepped) == docs[i], i
+        assert stepped.finish() == final
+        for cut in range(1, len(data)):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            scan.feed(data[:cut], at_end=False)
+            assert _collector_docs(scan) == docs[cut - 1], cut
+            scan.feed(data[cut:], at_end=True)
+            assert scan.finish() == final, cut
+
+        # Warm-up windows: the prefix drives the states, owns nothing.
+        interpreted = _interpreted_scanner(plan)
+        for warm_start in (0, 1, len(data) // 2):
+            for start in range(warm_start, len(data), 3):
+                span = dict(
+                    fresh=warm_start == 0,
+                    at_end=True,
+                    base=warm_start,
+                    stats_from=start - warm_start,
+                )
+                assert plan.scanner.scan(
+                    data[warm_start:], **span
+                ) == interpreted.scan(data[warm_start:], **span)
+
+        config = EngineConfig(
+            backend="native", input_jobs=2, min_chunk_bytes=4, use_cache=False
+        )
+        assert BatchEngine(config).scan(ruleset, data) == reference
+
+
+@needs_native
+class TestNativeLaneDfa:
+    """The per-bin DFA lane kernel ≡ the ``python`` oracle, state and
+    all — and so is the bit-parallel kernel an over-cap bin selects."""
+
+    @settings(max_examples=12, deadline=None)  # one cc run per example
+    @given(
+        patterns=lnfa_rulesets(),
+        data=inputs(alphabet="abcxAB", max_size=36),
+        hit_cap=st.sampled_from([1, 2, codegen.HIT_BUFFER_ENTRIES]),
+    )
+    def test_random_lnfa_rulesets_at_every_seam(self, patterns, data, hit_cap):
+        assume(_lane_worthy(patterns, data))
+        _assert_lane_identical(patterns, data, tier="dfa (", hit_cap=hit_cap)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        patterns=lnfa_rulesets(),
+        data=inputs(alphabet="abcxAB", max_size=36),
+        hit_cap=st.sampled_from([1, codegen.HIT_BUFFER_ENTRIES]),
+    )
+    def test_over_cap_bin_selects_the_bit_parallel_kernel(
+        self, patterns, data, hit_cap
+    ):
+        assume(_lane_worthy(patterns, data))
+        _assert_lane_identical(
+            patterns, data, tier="bit-parallel (bin 0 closure > 8)",
+            hit_cap=hit_cap, states_cap=8,
+        )
+
+    def test_anchors_classes_and_dense_hits(self):
+        """Deterministic: every decoration at once, a hit on nearly
+        every byte through a one-entry hit buffer, the end-anchored
+        witness on the last byte."""
+        patterns = [
+            "abcabcabc" * 8, "^ab", "(?i)b.a", "[ab]", "a..[^c]", "c$", "^abc$",
+        ]
+        data = b"abcabcABCabcabcabcxabBAabcabcab.c"
+        _assert_lane_identical(patterns, data, tier="dfa (", hit_cap=1)
+        _assert_lane_identical(
+            patterns, data, tier="bit-parallel", hit_cap=1, states_cap=8
+        )
+
+    def test_twenty_wildcards_exceed_the_real_cap(self):
+        """``a`` then twenty ``.``: every subset of the last twenty
+        positions is reachable, so the closure passes 32 768 states and
+        the ruleset keeps the bit-parallel kernel — by measurement."""
+        patterns = ["a" + "." * 20, "needle"]
+        data = b"a.aa" * 9 + b"needle" + b"a" * 30
+        _assert_lane_identical(
+            patterns, data,
+            tier=f"bit-parallel (bin 0 closure > {codegen.LANE_DFA_MAX_STATES})",
+        )
+
+    def test_entry_word_outside_the_closure_is_interpreted(self, caplog):
+        from repro.simulators.fused import FusedPlan
+
+        ruleset = compile_ruleset(["abcdef", "bcdxyz"])
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        with use_backend("native"):
+            plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
+        scanner = plan.scanner
+        assert scanner.lane_tier.startswith("dfa (")
+        # "abc" and "bcdx" matched so far: no input leaves both true.
+        entry = plan.fused.pack([1 << 2 | 1 << 6 + 3])
+        assert plan.fused.extract(entry, 0) not in scanner._native._ids[0]
+        span = dict(entry=entry, fresh=False, at_end=True, base=100)
+        with caplog.at_level(logging.DEBUG, logger="repro.core.native"):
+            got = scanner.scan(b"defyz..abcdef", **span)
+            assert scanner._native.scan(
+                plan.fused.translate(b"d").cls_bytes,
+                entry=entry, fresh=False, at_end=False, stats_from=0,
+            ) is None
+        logged = [r for r in caplog.records if "outside its" in r.message]
+        assert len(logged) == 1 and "bin 0" in logged[0].message
+        assert got == _interpreted_scanner(plan).scan(b"defyz..abcdef", **span)
+        assert got.matches[0] == {0: [102, 112]}
+        # ... and its exit word is back inside: the kernel takes over.
+        assert scanner._native.scan(
+            plan.fused.translate(b"q").cls_bytes,
+            entry=got.exit_packed, fresh=False, at_end=True, stats_from=0,
+        ) is not None
+
+    def test_keywords64_input_jobs_and_sigkill_resume(self, tmp_path):
+        from benchmarks.ledger.workloads import keyword_patterns
+        from repro.workloads.inputs import generate_input
+
+        patterns = keyword_patterns()
+        data = generate_input(
+            "network", 6000, seed=9, patterns=patterns,
+            plant_every=400,
+        )
+        _sigkill_resume(
+            tmp_path, patterns, data, "python", extra=("--input-jobs", "2")
+        )
+
+    def test_fresh_processes_emit_the_same_lane_source(self):
+        """The closure is numbered breadth-first over ordered
+        containers only: hash randomisation cannot reorder it, so two
+        processes agree on the ``.so`` cache key."""
+        program = (
+            "from benchmarks.ledger.workloads import keyword_patterns\n"
+            "from repro.compiler import compile_ruleset\n"
+            "from repro.core import codegen, use_backend\n"
+            "from repro.core.native import source_key\n"
+            "from repro.hardware.config import DEFAULT_CONFIG\n"
+            "from repro.simulators.rap import bind\n"
+            "ruleset = compile_ruleset(keyword_patterns() + ['^ab.d$'])\n"
+            "with use_backend('fused'):\n"
+            "    plan = bind(ruleset, DEFAULT_CONFIG).plan\n"
+            "masks = [layout.tile_masks for layout in plan.layouts]\n"
+            "kernel = codegen.lane_scan_source(plan.fused, masks)\n"
+            "print(kernel.tier, source_key(kernel.source))\n"
+        )
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, cwd=repo, check=True,
+                env=dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("dfa (")
+
+
 @needs_native
 @pytest.mark.parametrize(
     "name, kernels",
@@ -582,9 +816,13 @@ class TestNativeNbva:
         ("forced_dfa", {"rap_dfa_scan_0"}),
     ],
 )
-def test_generated_sources_compile_warning_free(name, kernels, tmp_path):
+def test_generated_sources_compile_warning_free(
+    name, kernels, tmp_path, monkeypatch
+):
     """Every translation unit the three ledger rulesets (plus a forced
-    DFA set) generate passes ``cc -fsyntax-only -Wall -Wextra -Werror``."""
+    DFA set) generate passes ``cc -fsyntax-only -Wall -Wextra -Werror`` —
+    the lane machine both as per-bin DFAs and, with the cap forced down,
+    as the bit-parallel kernel."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -600,9 +838,13 @@ def test_generated_sources_compile_warning_free(name, kernels, tmp_path):
         plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
     sources = [codegen.unit_scan_source(plan.fused)]
     if plan.scanner is not None:
-        sources.append(
-            codegen.lane_scan_source(plan.fused, plan.scanner._tile_words)
-        )
+        masks = [layout.tile_masks for layout in plan.layouts]
+        lane = codegen.lane_scan_source(plan.fused, masks)
+        assert lane.tier.startswith("dfa (")
+        monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 8)
+        over_cap = codegen.lane_scan_source(plan.fused, masks)
+        assert over_cap.tier == "bit-parallel (bin 0 closure > 8)"
+        sources += [lane.source, over_cap.source]
     emitted = "\n".join(sources)
     assert all(f"int {kernel}(" in emitted for kernel in kernels)
     for index, source in enumerate(filter(None, sources)):
@@ -615,6 +857,117 @@ def test_generated_sources_compile_warning_free(name, kernels, tmp_path):
             text=True,
         )
         assert proc.returncode == 0, proc.stderr[:2000]
+
+
+_SANITIZED_MAIN = r"""
+#include <stdio.h>
+#include <stdlib.h>
+/* Every buffer is an exact-size heap block, so an out-of-range table
+   index or hit slot lands in a redzone. */
+int main(int argc, char **argv)
+{
+  long long n = atoll(argv[2]), cap = %(cap)d, nh = 0, resume = 0, h, j;
+  uint8_t *cls = malloc(n);
+  uint16_t *state = calloc(%(bins)d, sizeof *state);
+  long long *cycles = calloc(%(tiles)d, sizeof *cycles);
+  long long *bits = calloc(%(tiles)d, sizeof *bits);
+  long long *visits = calloc(%(states)d, sizeof *visits);
+  long long *hit_pos = malloc(cap * sizeof *hit_pos);
+  uint16_t *hit_states = malloc(cap * %(bins)d * sizeof *hit_states);
+  FILE *f = fopen(argv[1], "rb");
+  int rc;
+  if (argc != 3 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
+  do {
+    rc = rap_lane_scan(cls, n, resume, state, 1, 1, 0, cycles, bits, visits,
+                       hit_pos, hit_states, cap, &nh, &resume);
+    for (h = 0; h < nh; h++) {
+      printf("hit %%lld", hit_pos[h]);
+      for (j = 0; j < %(bins)d; j++) printf(" %%u", hit_states[h * %(bins)d + j]);
+      printf("\n");
+    }
+  } while (rc);
+  for (j = 0; j < %(tiles)d; j++) printf("tile %%lld %%lld\n", cycles[j], bits[j]);
+  free(cls); free(state); free(cycles); free(bits); free(visits);
+  free(hit_pos); free(hit_states); fclose(f);
+  return 0;
+}
+"""
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["keywords64", "snort_nfa64", "snort_mix16"])
+def test_lane_kernel_sanitized(name, tmp_path):
+    """The DFA lane kernel of each ledger ruleset, built with a generated
+    ``main()`` under ASan + UBSan, over a recorded class stream: clean
+    exit, and counters and hits equal to the ``python`` oracle's.  (The
+    kernel's failure mode is an out-of-range table index, which corrupts
+    silently in an ordinary build.)"""
+    from benchmarks.ledger.workloads import RULESETS
+    from repro.core.native import _find_compiler
+    from repro.simulators.activity import collect_bin_activity
+    from repro.simulators.fused import FusedPlan
+    from repro.workloads.inputs import generate_input
+
+    patterns = RULESETS[name]()
+    ruleset = compile_ruleset(patterns)
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    with use_backend("fused"):
+        plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
+    if plan.scanner is None:
+        pytest.skip(f"{name} packs no LNFA bins: there is no lane kernel")
+    masks = [layout.tile_masks for layout in plan.layouts]
+    kernel = codegen.lane_scan_source(plan.fused, masks)
+    assert kernel.tier.startswith("dfa (")
+    data = generate_input(
+        "network", 1 << 16, seed=4, patterns=patterns, plant_every=300
+    )
+    source = tmp_path / "lane.c"
+    source.write_text(
+        kernel.source
+        + _SANITIZED_MAIN
+        % dict(
+            cap=3,  # continuations mid-stream
+            bins=len(kernel.closure),
+            tiles=sum(map(len, masks)),
+            states=sum(map(len, kernel.closure)),
+        )
+    )
+    binary = tmp_path / "lane"
+    build = subprocess.run(
+        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+    stream = tmp_path / "cls.bin"
+    stream.write_bytes(plan.fused.translate(data).cls_bytes)
+    run = subprocess.run(
+        [str(binary), str(stream), str(len(data))], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    tiles = [(int(c), int(b)) for tag, c, b in (l for l in lines if l[0] == "tile")]
+    hits = [[int(v) for v in l[1:]] for l in lines if l[0] == "hit"]
+    assert hits and len(hits) > 3
+
+    tile0 = 0
+    for j, (bin_obj, layout) in enumerate(zip(plan.bins, plan.layouts)):
+        want = collect_bin_activity(bin_obj, data, DEFAULT_CONFIG)
+        got = tiles[tile0 : tile0 + len(layout.tile_masks)]
+        tile0 += len(layout.tile_masks)
+        # tile 0 is never gated: the oracle counts every cycle there
+        assert [c for c, _ in got][1:] == want.tile_active_cycles[1:]
+        assert [b for _, b in got] == want.tile_active_bits
+        matches = {rid: [] for rid in want.matches}
+        for position, *ids in hits:
+            word = kernel.closure[j][ids[j]]
+            if position != len(data) - 1:
+                word &= ~layout.end_anchored_mask
+            for bit, rid in sorted(layout.finals.items()):
+                if word >> bit & 1:
+                    matches[rid].append(position)
+        assert matches == want.matches
 
 
 @needs_native

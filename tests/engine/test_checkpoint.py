@@ -665,11 +665,19 @@ class TestDetachedResume:
 
 PLANNED_BACKENDS = [b for b in ("fused", "native") if b in available_backends()]
 
-# Four rulesets, one short witness stream each.  The NFA, DFA and NBVA
+# Five rulesets, one short witness stream each.  The NFA, DFA and NBVA
 # sets repeat a pattern so two regexes share one unit of the plan; the
-# NFA and NBVA sets carry both anchors, and their streams end on the
-# end-anchored witness so that final must fire on the last byte and
-# nowhere else.
+# NFA, NBVA and LNFA sets carry both anchors, and their streams end on
+# the end-anchored witness so that final must fire on the last byte and
+# nowhere else.  The LNFA set packs three bins, the first wider than one
+# 64-bit lane (regexes 5, 0, 1, 6 / 4, 3 / 2).
+LNFA_ONLY = [
+    "needle", "needle", "^ab.d", "mark[e3]r", "(?i)hello", "..end$",
+    "a" + "bc" * 20 + "d",
+]
+LNFA_STREAM = (
+    b"abxd needle mark3r HeLLo a" + b"bc" * 20 + b"d marker needles.xxend"
+)
 NFA_ONLY = ["ab*c", "ab*c", "x[yz]+w$", "^ab", "q.*r"]
 NFA_STREAM = b"abc.abbbc xyzw q..r.abbc..xyyw"
 DFA_FORCED = ["ab*c", "ab*c", "foo[0-9]*bar", "q.*r"]
@@ -685,6 +693,8 @@ def _plan_ruleset(name: str):
     from repro.compiler import CompiledMode, CompilerConfig
     from repro.workloads.datasets import generate_benchmark
 
+    if name == "lnfa":
+        return compile_ruleset(LNFA_ONLY), LNFA_STREAM
     if name == "nfa":
         config = CompilerConfig(forced_mode=CompiledMode.NFA)
         return compile_ruleset(NFA_ONLY, config), NFA_STREAM
@@ -709,7 +719,7 @@ def _collector_docs(scan: DurableScan) -> bytes:
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
-@pytest.mark.parametrize("name", ["nfa", "dfa", "nbva", "mix"])
+@pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "nbva", "mix"])
 class TestPlanDifferential:
     """``durable_scan`` ≡ ``scan`` ≡ the ``python`` oracle, with every
     collector document byte-identical at every possible checkpoint."""
@@ -735,6 +745,10 @@ class TestPlanDifferential:
         with use_backend("python"):
             reference = sim.run(ruleset, data)
         assert any(reference.matches.values())
+        if name == "lnfa":
+            assert all(r.mode.value == "LNFA" for r in ruleset)
+            assert reference.matches[5] == [len(data) - 1]
+            assert all(reference.matches[rid] for rid in range(7))
         if name == "nfa":  # the end-anchored final fired, on the last byte
             assert reference.matches[2] == [len(data) - 1]
         if name == "nbva":
@@ -779,9 +793,12 @@ class TestPlanDifferential:
         # Regex 1 is the lowest-weight unit, so it is the one shed; in
         # the NFA, DFA and NBVA sets it shares its unit with regex 0,
         # which must keep scanning (and keep its own state) unaffected.
+        # In the LNFA set its whole bin goes, and the two other bins
+        # leave the lane machine for the per-bin path.
         ruleset, data = _plan_ruleset(name)
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
         cut = len(data) // 3
+        victim = ("bin", 0, 0) if name == "lnfa" else ("regex", 1)
 
         def degraded(which):
             with use_backend(which):
@@ -789,7 +806,7 @@ class TestPlanDifferential:
                     ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1}
                 )
                 scan.feed(data[:cut], at_end=False)
-                assert scan.shed(1e-9, "test pressure") == [("regex", 1)]
+                assert scan.shed(1e-9, "test pressure") == [victim]
                 scan.feed(data[cut : 2 * cut], at_end=False)
                 mid = _collector_docs(scan)
                 scan.feed(data[2 * cut :], at_end=True)
@@ -915,13 +932,16 @@ class TestPlanFingerprint:
     # name -> backend -> (scan_fingerprint, keys of the generated unit
     # and lane sources).  Rulesets without an NBVA unit must keep every
     # one of these — their checkpoints stay resumable and their cached
-    # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.
+    # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.  The
+    # one exception: lane source keys (the second of a pair) are as of
+    # the per-bin DFA lane kernel, which rolled them — and no
+    # fingerprint, so checkpoints written before it still resume.
     PRE_NBVA = {
         "lnfa": {
             "fused": ("4f5be8323cd28222", []),
             "native": (
                 "e87b5ba8a30b3da0",
-                ["e3b0c44298fc1c14", "e9fce62494722bba"],
+                ["e3b0c44298fc1c14", "dceb206748b278a7"],
             ),
         },
         "nfa": {

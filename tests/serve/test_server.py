@@ -167,6 +167,37 @@ class TestStreaming:
             assert (result["matches"], result["energy_uj"]) == totals
 
 
+    def test_each_point_of_the_stream_is_priced_once(
+        self, registry, data, golden, tmp_path, monkeypatch
+    ):
+        """A reply quotes the session's energy, and ``end`` sends two
+        replies: one ``run_from_activity`` per data frame (the first
+        prices offset 0, each later one the segment it flushed) and one
+        for ``end`` — not the two or three an unmemoised total cost."""
+        from repro.simulators.rap import RAPSimulator
+
+        priced = []
+        price = RAPSimulator.run_from_activity
+
+        def counting(self, ruleset, activity, *args, **kwargs):
+            priced.append(activity.input_symbols)
+            return price(self, ruleset, activity, *args, **kwargs)
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                client = ScanClient("127.0.0.1", server.port, "once", "s", PATTERNS)
+                await client.connect()
+                monkeypatch.setattr(RAPSimulator, "run_from_activity", counting)
+                return await finish_stream(client, data, SEG)
+
+        result = run(scenario())
+        monkeypatch.undo()
+        frames = -(-len(data) // SEG)
+        assert priced == [min(k * SEG, len(data)) for k in range(frames + 1)]
+        assert (result["matches"], result["energy_uj"]) == golden
+        assert golden == serial_totals(PATTERNS, [data], registry)
+
+
 class TestAdmission:
     def test_session_cap_rejects_with_retry_after(
         self, registry, data, golden, tmp_path
