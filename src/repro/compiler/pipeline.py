@@ -245,8 +245,8 @@ class ExplainEntry:
     #: Filled in by ``BatchEngine.explain``.  NBVA-mode patterns: the
     #: tier that steps the unit — ``"native"``, or ``"interpreted
     #: (<why>)``.  LNFA-mode patterns: the tier of the lane machine they
-    #: share — ``"dfa (S states / B bins)"``, ``"bit-parallel (bin j
-    #: closure > cap)"`` or ``"interpreted (<why>)"``.
+    #: share — ``"dfa (S states / B bins)"`` or ``"interpreted (<why>)"``
+    #: (the table walker; ``bin j closure > cap`` is one such why).
     tier: str | None = None
 
 

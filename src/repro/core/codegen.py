@@ -4,7 +4,7 @@ Each compiled ruleset becomes its *own* C translation unit: every table
 is baked in as a ``static const`` array — the lane machine's per-bin
 DFAs, gather units' successor tables, DFA-tier units' flat
 ``next[state][class]`` tables.  The emitted loops compute exactly what
-the interpreted scans in :mod:`repro.core.fused` compute — same warm-up
+the portable scans in :mod:`repro.core.fused` compute — same warm-up
 (``stats_from``) gating, same end-anchored masking, same counters — so
 the bit-identity contract holds by construction rather than by
 translation-layer luck.
@@ -14,10 +14,9 @@ Two translation units per ruleset:
 * :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine plus
   per-tile wake-up accounting and final-hit extraction (the whole
   :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path), as
-  **one DFA per bin**.  A bin's slice of the packed word evolves
-  independently of its neighbours, and the words it can reach are an
-  Aho–Corasick-sized set, so at bind time each bin is closed
-  breadth-first (:func:`_close_bin`) and emitted as
+  **one DFA per bin**.  The tables are not built here: each bin's
+  :class:`~repro.core.fused.LaneDfa` — the lane IR the portable table
+  walker steps too — is closed breadth-first at bind time and dumped as
 
   - ``N<j>[state][class]`` — successor state ids (``uint16``); an
     anchored bin carries one extra last row, the stream-start
@@ -32,16 +31,14 @@ Two translation units per ruleset:
   Per byte the kernel does one lookup per bin, ``visits[state]++`` and a
   flag test; ``tile_cycles`` / ``tile_bits`` are folded once per call as
   ``sum(visits[s] * T[s][tile])`` — exact 64-bit integers, the same
-  totals the per-byte popcounts would have reached.  State ids never
-  leave :mod:`repro.core.native`: callers see packed words.
+  totals per-byte popcounts would reach.  State ids never leave
+  :mod:`repro.core.native`: callers see packed words.
 
   :data:`LANE_DFA_MAX_STATES` caps each closure.  A ruleset with a bin
   beyond it (``a`` followed by twenty explicit ``.``: every subset of
-  twenty positions is reachable) gets :func:`_lane_bitparallel_source`
-  instead — the packed word stepped as 64-bit lanes with a carry chain
-  and per-tile popcounts on every live byte — chosen from the closure
-  just measured, never by an option.  Exactly one lane kernel is emitted
-  per ruleset.
+  twenty positions is reachable) gets no lane kernel at all — the
+  walker interns such a bin's states as it meets them — decided from
+  the closure just measured, never by an option.
 * :func:`unit_scan_source` — the three unit kinds: one function per
   GATHER unit whose state word fits 64 bits, one per DFA-tier unit, and
   *one* table-driven ``rap_nbva_span`` for all NBVA units of at most
@@ -79,14 +76,11 @@ This module only *writes* C; building and loading live in
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from repro.automata.glushkov import EdgeAction, ReadKind
 from repro.core.registry import NATIVE_FORMAT_VERSION
-
-log = logging.getLogger(__name__)
 
 # GATHER units wider than one machine word stay on the interpreted
 # path: the per-bit successor walk no longer fits a single uint64.
@@ -97,8 +91,9 @@ GATHER_NATIVE_MAX_WIDTH = 64
 NBVA_NATIVE_MAX_STATES = 64
 
 # A lane bin whose determinised closure holds more states than this
-# sends its whole ruleset to the bit-parallel lane kernel: ids, and the
-# stream-start row one past them, must fit the ``uint16`` tables.
+# leaves its ruleset to the table walker (which restarts its lazily
+# filled table at the same size): ids, and the stream-start row one past
+# them, must fit the ``uint16`` tables.
 LANE_DFA_MAX_STATES = 32768
 
 # Bounded event buffers (entries) between continuation returns.
@@ -107,11 +102,6 @@ HIT_BUFFER_ENTRIES = 4096
 
 def _u64(value: int) -> str:
     return f"0x{value & 0xFFFFFFFFFFFFFFFF:016x}ULL"
-
-
-def _words(value: int, lanes: int) -> list[int]:
-    """A (possibly huge) Python int as little-endian 64-bit words."""
-    return [(value >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(lanes)]
 
 
 def _u64_array(name: str, values: Iterable[int]) -> str:
@@ -162,110 +152,50 @@ def _header(kind: str, layout_digest: str) -> str:
 # -- the lane machine ---------------------------------------------------------
 
 
-def lane_cdef(dfa: bool) -> str:
-    """The lane kernel's prototype.  One state element is a per-bin DFA
-    state id (``dfa``) or a 64-bit lane of the packed word; ``visits``
-    is one zeroed counter per DFA state (the bit-parallel kernel ignores
-    it)."""
-    word = "uint16_t" if dfa else "uint64_t"
-    return (
-        "int rap_lane_scan(const uint8_t *cls, long long n, long long start_i,\n"
-        f"    {word} *state, int fresh, int at_end, long long stats_from,\n"
-        "    long long *tile_cycles, long long *tile_bits, long long *visits,\n"
-        f"    long long *hit_pos, {word} *hit_states, long long hit_cap,\n"
-        "    long long *n_hits, long long *resume_i);"
-    )
+# One state element is a per-bin DFA state id; ``visits`` is one zeroed
+# counter per DFA state.
+LANE_CDEF = (
+    "int rap_lane_scan(const uint8_t *cls, long long n, long long start_i,\n"
+    "    uint16_t *state, int fresh, int at_end, long long stats_from,\n"
+    "    long long *tile_cycles, long long *tile_bits, long long *visits,\n"
+    "    long long *hit_pos, uint16_t *hit_states, long long hit_cap,\n"
+    "    long long *n_hits, long long *resume_i);"
+)
 
 
 class LaneKernel(NamedTuple):
-    """What :func:`lane_scan_source` hands the loader: the C text, per
-    bin the closure's state words in id order (``None``: the
-    bit-parallel kernel, whose states are the packed word itself), and
-    the tier as ``--explain`` names it."""
+    """What :func:`lane_scan_source` hands the loader: the C text, the
+    closed :class:`~repro.core.fused.LaneDfa` of every bin (``closure[j]
+    [sid]`` is bin ``j``'s state ``sid`` as its word), and the tier as
+    ``--explain`` names it."""
 
     source: str
-    closure: list[list[int]] | None
+    closure: list
     tier: str
 
 
 def lane_scan_source(fused, tile_masks: Sequence[Sequence[int]]) -> LaneKernel:
-    """The lane kernel of one ruleset: the C mirror of ``lane_feed`` +
-    the scanner's stats sink.
+    """The lane kernel of one ruleset: every bin's closed DFA, dumped.
 
     ``fused`` is a :class:`~repro.core.fused.FusedRuleset` with at least
     one SHIFT_LEFT program (one per bin); ``tile_masks[j]`` are bin
-    ``j``'s per-tile masks over its own slice of the packed word.  Every
-    bin is determinised (:func:`_close_bin`); if one closes over more
-    than :data:`LANE_DFA_MAX_STATES` states the whole ruleset gets the
-    bit-parallel kernel instead.
+    ``j``'s per-tile masks over its own slice of the packed word.  A bin
+    closing over more than :data:`LANE_DFA_MAX_STATES` states is
+    reported (``ValueError``): there is no second kernel, the table
+    walker steps such a ruleset.
     """
-    if fused.lanes <= 0:
+    if not fused.bases:
         raise ValueError("lane codegen requires at least one shift program")
-    bins = []
-    for j in range(len(fused.bases)):
-        closed = _close_bin(fused, j)
-        if closed is None:
-            log.debug(
-                "lane bin %d closes over more than %d states: bit-parallel kernel",
-                j, LANE_DFA_MAX_STATES,
-            )
-            return LaneKernel(
-                _lane_bitparallel_source(fused, tile_masks),
-                None,
-                f"bit-parallel (bin {j} closure > {LANE_DFA_MAX_STATES})",
-            )
-        bins.append(closed)
-    total = sum(len(states) for states, _ in bins)
+    bins = [fused.lane_dfa(j, masks) for j, masks in enumerate(tile_masks)]
+    for j, dfa in enumerate(bins):
+        if not dfa.close(LANE_DFA_MAX_STATES):
+            raise ValueError(f"bin {j} closure > {LANE_DFA_MAX_STATES}")
+    total = sum(dfa.closed for dfa in bins)
     return LaneKernel(
-        _lane_dfa_source(fused, tile_masks, bins),
-        [states for states, _ in bins],
+        _lane_dfa_source(fused, bins),
+        bins,
         f"dfa ({total} states / {len(bins)} bins)",
     )
-
-
-def _close_bin(fused, j: int) -> tuple[list[int], list[list[int]]] | None:
-    """Bin ``j``'s slice of the packed machine, determinised.
-
-    Breadth-first over ``((s << 1) & keep | inject) & labels[c]`` from
-    the empty word (id 0), classes in index order, so ids — and the
-    emitted source — are the same in every process.  Returns the state
-    words in id order and one ``next[class]`` row of ids per state; an
-    anchored bin (``inject_first != inject_always``) gets one more row
-    at the end, the stream-start pseudo-state whose successors are
-    ``inject_first & labels[c]``.  ``None`` past the cap.
-    """
-    keep, inject, first = (
-        fused.extract(word, j)
-        for word in (fused.keep, fused.inject_always, fused.inject_first)
-    )
-    labels = [fused.extract(m, j) for m in fused._labels_cls]
-    # Most classes exist for some *other* unit's sake: step each state
-    # once per distinct label of this bin, then spread over the classes.
-    distinct = list(dict.fromkeys(labels))
-    column = [distinct.index(m) for m in labels]
-    index = {0: 0}
-    states = [0]
-
-    def successors(avail: int) -> list[int]:
-        row = []
-        for m in distinct:
-            ns = avail & m
-            sid = index.get(ns)
-            if sid is None:
-                sid = index[ns] = len(states)
-                states.append(ns)
-            row.append(sid)
-        return [row[col] for col in column]
-
-    start = successors(first) if first != inject else None
-    rows = []
-    while len(rows) < len(states):
-        if len(states) > LANE_DFA_MAX_STATES:
-            return None
-        rows.append(successors((states[len(rows)] << 1) & keep | inject))
-    if start is not None:
-        rows.append(start)
-    return states, rows
 
 
 # The DFA lane kernel is the same text for every ruleset; the tables
@@ -317,7 +247,7 @@ _LANE_DFA_KERNEL = r"""
 """
 
 
-def _lane_dfa_source(fused, tile_masks, bins) -> str:
+def _lane_dfa_source(fused, bins) -> str:
     """Per bin the ``N`` / ``T`` / ``F`` tables and ``BINS`` row the
     module docstring describes, then the one kernel text."""
     parts = [_header("lane machine (per-bin dfa)", fused.signature)]
@@ -325,32 +255,21 @@ def _lane_dfa_source(fused, tile_masks, bins) -> str:
     parts.append(f"#define NBINS {len(bins)}")
     table = []
     tile0 = visit0 = 0
-    for j, ((states, rows), masks) in enumerate(zip(bins, tile_masks)):
-        final, ends = (
-            fused.extract(word, j) for word in (fused.final, fused.end_anchored)
-        )
+    for j, dfa in enumerate(bins):
+        states, tiles = dfa.closed, len(dfa.tile_masks)
+        anchored = dfa.start is not None  # one more row, id ``states``
+        rows = dfa.rows[:states] + ([dfa.start] if anchored else [])
         parts.append(_u16_array(f"N{j}", (t for row in rows for t in row)))
         parts.append(
-            _u16_array(
-                f"T{j}", ((s & m).bit_count() for s in states for m in masks)
-            )
+            _u16_array(f"T{j}", (n for bits in dfa.bits[:states] for n in bits))
         )
-        parts.append(
-            _u8_array(
-                f"F{j}",
-                (
-                    bool(s & final & ~ends) | bool(s & final & ends) << 1
-                    for s in states
-                ),
-            )
-        )
-        start = len(states) if len(rows) > len(states) else 0
+        parts.append(_u8_array(f"F{j}", dfa.flags[:states]))
         table.append(
-            f"  {{ N{j}, T{j}, F{j}, {len(states)}, {len(masks)}, {start}, "
-            f"{visit0}, {tile0} }},"
+            f"  {{ N{j}, T{j}, F{j}, {states}, {tiles}, "
+            f"{states if anchored else 0}, {visit0}, {tile0} }},"
         )
-        tile0 += len(masks)
-        visit0 += len(states)
+        tile0 += tiles
+        visit0 += states
     parts.append(
         "typedef struct {\n"
         "  const uint16_t *next, *bits; const uint8_t *flags;\n"
@@ -358,154 +277,7 @@ def _lane_dfa_source(fused, tile_masks, bins) -> str:
         "} lane_bin;"
     )
     parts += ["static const lane_bin BINS[NBINS] = {", *table, "};"]
-    parts.append(lane_cdef(True)[:-1] + _LANE_DFA_KERNEL)
-    return "\n".join(parts)
-
-
-def _lane_bitparallel_source(fused, tile_masks) -> str:
-    """The packed word stepped as ``lanes`` 64-bit words with carry,
-    per-tile popcounts on every live byte: the kernel of a ruleset with
-    a bin too large to determinise.  Hits are ``(position, word)`` with
-    end-anchored finals already masked."""
-    lanes = fused.lanes
-    k = fused.classes.k
-    tiles = [
-        _words(mask << base, lanes)
-        for base, masks in zip(fused.bases, tile_masks)
-        for mask in masks
-    ]
-
-    parts = [_header("lane machine (bit-parallel)", fused.signature)]
-    parts.append(f"#define LANES {lanes}")
-    parts.append(f"#define NCLS {k}")
-    parts.append(
-        _u64_matrix(
-            "LABELS",
-            [_words(m, lanes) for m in fused._labels_cls],
-            lanes,
-        )
-    )
-    parts.append(
-        _u64_matrix(
-            "COLD", [_words(m, lanes) for m in fused._cold_cls], lanes
-        )
-    )
-    parts.append(_u64_array("KEEP", _words(fused.keep, lanes)))
-    parts.append(_u64_array("INJECT", _words(fused.inject_always, lanes)))
-    parts.append(_u64_array("INJECT_FIRST", _words(fused.inject_first, lanes)))
-    parts.append(_u64_array("FINAL", _words(fused.final, lanes)))
-    parts.append(
-        _u64_array("END_ANCH", _words(fused.end_anchored, lanes))
-    )
-    parts.append(
-        _u8_array("HOT", (1 if h else 0 for h in fused.lane_hot_cls))
-    )
-
-    # Per-tile stats, fully unrolled over only the lanes the tile's mask
-    # touches (tile masks are narrow slices of the packed word).
-    tile_stats: list[str] = []
-    for m, row in enumerate(tiles):
-        live = [(w, v) for w, v in enumerate(row) if v]
-        if not live:
-            continue
-        block = ["      { uint64_t acc = 0; long long bits = 0; uint64_t x;"]
-        for w, v in live:
-            block.append(
-                f"        x = s[{w}] & {_u64(v)}; acc |= x; bits += POP(x);"
-            )
-        block.append(
-            f"        if (acc) {{ tile_cycles[{m}]++; "
-            f"tile_bits[{m}] += bits; }} }}"
-        )
-        tile_stats.append("\n".join(block))
-    tile_stats_code = "\n".join(tile_stats)
-
-    step_lines = []
-    step_lines.append("        uint64_t carry = 0, ns; any = 0;")
-    for w in range(lanes):
-        step_lines.append(
-            f"        ns = (s[{w}] << 1) | carry; carry = s[{w}] >> 63;\n"
-            f"        ns = ((ns & KEEP[{w}]) | INJECT[{w}]) "
-            f"& LABELS[c][{w}]; s[{w}] = ns; any |= ns;"
-        )
-    step_code = "\n".join(step_lines)
-
-    cold_load = "\n".join(
-        f"        s[{w}] = COLD[c][{w}]; any |= s[{w}];"
-        for w in range(lanes)
-    )
-    fresh_load = "\n".join(
-        f"        s[{w}] = INJECT_FIRST[{w}] & LABELS[c][{w}]; any |= s[{w}];"
-        for w in range(lanes)
-    )
-    hit_load = "\n".join(
-        f"      h[{w}] = s[{w}] & FINAL[{w}]; hany |= h[{w}];"
-        for w in range(lanes)
-    )
-    hit_mask = "\n".join(
-        f"        h[{w}] &= ~END_ANCH[{w}]; hany |= h[{w}];"
-        for w in range(lanes)
-    )
-    hit_store = "\n".join(
-        f"        hit_states[nh * LANES + {w}] = h[{w}];"
-        for w in range(lanes)
-    )
-    state_out = "\n".join(
-        f"  state[{w}] = s[{w}];" for w in range(lanes)
-    )
-    state_in = "\n".join(
-        f"  s[{w}] = state[{w}]; any |= s[{w}];" for w in range(lanes)
-    )
-
-    parts.append(
-        f"""
-{lane_cdef(False)[:-1]}
-{{
-  long long i = start_i, last = n - 1, nh = 0;
-  uint64_t s[LANES], any = 0;
-  (void)visits;
-{state_in}
-  while (i < n) {{
-    int c;
-    if (fresh && i == 0) {{
-      c = cls[0]; any = 0;
-{fresh_load}
-    }} else if (!any) {{
-      while (i < n && !HOT[cls[i]]) i++;
-      if (i >= n) break;
-      c = cls[i];
-{cold_load}
-    }} else {{
-      c = cls[i];
-{step_code}
-    }}
-    if (any && i >= stats_from) {{
-{tile_stats_code}
-      uint64_t h[LANES], hany = 0;
-{hit_load}
-      if (hany) {{
-        if (!(at_end && i == last)) {{
-          hany = 0;
-{hit_mask}
-        }}
-        if (hany) {{
-          hit_pos[nh] = i;
-{hit_store}
-          nh++;
-          if (nh >= hit_cap) {{
-{state_out}
-            *n_hits = nh; *resume_i = i + 1; return 1;
-          }}
-        }}
-      }}
-    }}
-    i++;
-  }}
-{state_out}
-  *n_hits = nh; *resume_i = n; return 0;
-}}
-"""
-    )
+    parts.append(LANE_CDEF[:-1] + _LANE_DFA_KERNEL)
     return "\n".join(parts)
 
 

@@ -5,7 +5,7 @@ with a private 256-entry byte LUT, so on multi-pattern rule sets the
 per-unit Python overhead — not the automata math — dominates wall
 clock.  Data-parallel regex engines (SFA-style lockstep execution, the
 BVAP compressed match tables) recover the lost throughput with three
-ruleset-level tricks, and this module implements all three on NumPy:
+ruleset-level tricks, and this module implements all three:
 
 1. **Alphabet equivalence classes** (:class:`AlphabetClasses`): two
    bytes that every unit's label table treats identically are the same
@@ -14,13 +14,15 @@ ruleset-level tricks, and this module implements all three on NumPy:
    being re-examined per pattern.
 
 2. **Lane packing** (:class:`FusedRuleset`): every Shift-And/LNFA unit
-   is concatenated into one wide state word laid out as ``uint64``
-   lanes, with per-class label/revival rows forming 2-D ``(k, lanes)``
-   matrices.  One pass steps the whole ruleset per input symbol, and
-   live state rows are buffered into a ``(block, lanes)`` matrix so
-   activity pricing (per-tile popcounts) is vectorized per block
-   instead of per cycle.  Plain-NFA units are grouped into class-indexed
-   mask stacks and scanned over the shared translated input.
+   is concatenated into one wide state word with per-class label rows —
+   the form snapshots and entry/exit states travel in.  A unit's slice
+   of the word never interacts with its neighbours', so each is stepped
+   as its own lazily determinised table (:class:`LaneDfa`, the lane IR):
+   one row lookup per symbol, activity priced from a histogram of state
+   visits.  The generated C dumps the same table closed
+   (:mod:`repro.core.codegen`); :meth:`LaneDfa.walk` is the portable
+   stepper.  Plain-NFA units are grouped into class-indexed mask stacks
+   and scanned over the shared translated input.
 
 3. **Literal prefiltering**: the classes that can revive an empty
    machine are known at compile time, so cold stretches are skipped by
@@ -44,7 +46,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections.abc import Callable, Iterable, Sequence
+import re
+import threading
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from repro.automata.nbva import (
     NBVAState,
     NBVAStats,
 )
+from repro.core import codegen
 from repro.core.kernel import MatchEvent, StepStats
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import (
@@ -69,10 +74,8 @@ from repro.core.registry import (
 )
 from repro.core.sfa import (
     FrontierMap,
-    ShiftMap,
     StateMap,
     gather_map_over,
-    shift_map_over,
     state_map_over,
 )
 from repro.regex.charclass import interned_label_masks
@@ -81,25 +84,7 @@ from repro.regex.charclass import interned_label_masks
 # can revive the machine; beyond that one vectorized LUT pass wins.
 _PREFILTER_FIND_MAX = 4
 
-# Live state rows are flushed to the stats sink in blocks of this many
-# cycles, bounding buffer memory while amortizing the vectorized pricing.
-_FLUSH_BLOCK = 4096
-
 log = logging.getLogger(__name__)
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Elementwise population count of a ``uint64`` array."""
-        return np.bitwise_count(words).astype(np.int64)
-
-else:  # pragma: no cover - exercised only on older NumPy
-    _POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
-
-    def popcount_words(words: np.ndarray) -> np.ndarray:
-        """Elementwise population count of a ``uint64`` array."""
-        grouped = words.view(np.uint8).reshape(words.shape + (8,))
-        return _POP8[grouped].sum(axis=-1)
 
 
 def words_from_int(value: int, lanes: int) -> np.ndarray:
@@ -350,10 +335,174 @@ def _span_stats(
     )
 
 
-# A stats sink receives each flushed block of live cycles: the segment
-# positions (int64) and the matching state rows as a (len, lanes)
-# uint64 matrix.
-StatsSink = Callable[[np.ndarray, np.ndarray], None]
+class LaneDfa:
+    """One bin's slice of the packed machine, determinised on demand —
+    the lane IR both steppers read.
+
+    A bin's word evolves independently of its neighbours as ``s' = ((s
+    << 1) & keep | inject) & labels[c]``, and the words it can reach are
+    an Aho–Corasick-sized set.  State words are interned to ids in
+    discovery order from the empty word (id 0); a state's ``next[class]``
+    row is filled the first time it is asked for (:meth:`row`); each
+    state knows its per-tile live bit counts (``bits``) and hit flags
+    (``flags``: 1 = holds a final that fires anywhere, 2 = one that
+    fires only on the stream's last byte).  An anchored bin
+    (``inject_first != inject_always``) has a ``start`` row, the
+    stream-start pseudo-state's successors.
+
+    :meth:`close` runs the same rule breadth-first to fixpoint: the
+    generated C dumps a closed table, and its ids stay valid because
+    states met afterwards only ever append.  :meth:`walk` is the
+    portable stepper; it needs no closure.  The interned table is a
+    process-local cache, never pickled; walkers take turns on it.
+    """
+
+    def __init__(self, fused: FusedRuleset, index: int, tile_masks: Sequence[int]):
+        self._keep, self._inject, first, final, ends = (
+            fused.extract(word, index)
+            for word in (
+                fused.keep,
+                fused.inject_always,
+                fused.inject_first,
+                fused.final,
+                fused.end_anchored,
+            )
+        )
+        self._first = first if first != self._inject else None
+        self._mid_final, self._end_final = final & ~ends, final & ends
+        self.tile_masks = tuple(tile_masks)
+        labels = [fused.extract(m, index) for m in fused._labels_cls]
+        # Most classes exist for some *other* unit's sake: step each state
+        # once per distinct label of this bin, then spread over the classes.
+        self._distinct = list(dict.fromkeys(labels))
+        self._column = [self._distinct.index(m) for m in labels]
+        # The classes that revive the empty word: state 0 sleeps until one.
+        hot = bytes(c for c, m in enumerate(labels) if self._inject & m)
+        self._wake = re.compile(b"[" + re.escape(hot) + b"]" if hot else b"(?!)")
+        self.words: list[int] = []
+        self.ids: dict[int, int] = {}
+        self.rows: list[list[int] | None] = []
+        self.bits: list[tuple[int, ...]] = []
+        self.flags: list[int] = []
+        self.closed = 0  # states a close() fixed: the ids the C tables hold
+        self._walking = threading.Lock()
+        self.restart()
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, sid: int) -> int:
+        """State ``sid``'s word."""
+        return self.words[sid]
+
+    def intern(self, word: int) -> int:
+        """The id of state ``word`` (a new last id if never met)."""
+        sid = self.ids.get(word)
+        if sid is None:
+            sid = self.ids[word] = len(self.words)
+            self.words.append(word)
+            self.rows.append(None)
+            self.bits.append(tuple((word & m).bit_count() for m in self.tile_masks))
+            self.flags.append(
+                bool(word & self._mid_final) | bool(word & self._end_final) << 1
+            )
+        return sid
+
+    def _successors(self, avail: int) -> list[int]:
+        known = self.ids.get  # most successors are states already met
+        row = [known(avail & m) or self.intern(avail & m) for m in self._distinct]
+        return [row[col] for col in self._column]
+
+    def row(self, sid: int) -> list[int]:
+        """State ``sid``'s successor id per class."""
+        row = self.rows[sid]
+        if row is None:
+            row = self.rows[sid] = self._successors(
+                (self.words[sid] << 1) & self._keep | self._inject
+            )
+        return row
+
+    def restart(self) -> None:
+        """Forget every state interned since :meth:`close` (without one:
+        all but the empty word).  Ids held across a restart are void."""
+        for word in self.words[self.closed :]:
+            del self.ids[word]
+        for column in (self.words, self.rows, self.bits, self.flags):
+            del column[self.closed :]
+        if not self.closed:
+            self.intern(0)
+            self.start = (
+                None if self._first is None else self._successors(self._first)
+            )
+
+    def close(self, cap: int) -> bool:
+        """Fill every row of a fresh table, breadth-first with classes in
+        index order — so ids, and the source emitted from them, are the
+        same in every process.  False, nothing fixed, past ``cap``."""
+        sid = 0
+        while sid < len(self.words):
+            if len(self.words) > cap:
+                return False
+            self.row(sid)
+            sid += 1
+        self.closed = sid
+        return True
+
+    def _fold(self, visits: list[int], cycles: list[int], bits: list[int]) -> None:
+        """Tile statistics are a property of the state: add a visit
+        histogram's wake-ups and live bits, exactly as the C does."""
+        for sid, count in enumerate(visits):
+            if count:
+                for t, live in enumerate(self.bits[sid]):
+                    if live:
+                        cycles[t] += count
+                        bits[t] += count * live
+
+    def walk(
+        self, cls: bytes, word: int, *, fresh: bool, at_end: bool, stats_from: int
+    ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
+        """Step the bin over one class stream from state ``word``
+        (ignored when ``fresh``): one row lookup per byte, asleep in
+        state 0 until a reviving class.  Returns per-tile ``(cycles,
+        bits)`` of the owned bytes, ``(position, state word)`` wherever a
+        final fires, and the exit word — the C kernel's results, bin by
+        bin.  Past the cap the table restarts mid-stream, so a hostile
+        stream over an unclosable bin cannot grow it without limit."""
+        with self._walking:  # the table is shared by every scan of the plan
+            words, rows, flags = self.words, self.rows, self.flags
+            wake = self._wake.search
+            cycles, bits = [0] * len(self.tile_masks), [0] * len(self.tile_masks)
+            hits: list[tuple[int, int]] = []
+            sid = 0 if fresh else self.intern(word)
+            row = self.start if fresh else None
+            visits = [0] * len(words)
+            last = len(cls) - 1 if at_end else -1
+            i, n = 0, len(cls)
+            while i < n:
+                if row is None:
+                    if not sid:
+                        woken = wake(cls, i)
+                        if woken is None:
+                            break
+                        i = woken.start()
+                    row = rows[sid]
+                    if row is None:
+                        if len(words) > codegen.LANE_DFA_MAX_STATES + self.closed:
+                            word = words[sid]  # ids do not survive a restart
+                            self._fold(visits, cycles, bits)
+                            self.restart()
+                            sid, visits = self.intern(word), []
+                        row = self.row(sid)
+                        visits += [0] * (len(words) - len(visits))
+                sid, row = row[cls[i]], None
+                if sid and i >= stats_from:
+                    visits[sid] += 1
+                    hit = flags[sid]
+                    if hit and (hit & 1 or i == last):
+                        hits.append((i, words[sid]))
+                i += 1
+            self._fold(visits, cycles, bits)
+            return cycles, bits, hits, words[sid]
 
 
 class FusedRuleset:
@@ -444,8 +593,6 @@ class FusedRuleset:
         self.bases: tuple[int, ...] = tuple(bases)
         self.widths: tuple[int, ...] = tuple(p.width for p in self._shift)
         self.width: int = offset
-        self.lanes: int = max(1, -(-offset // 64)) if offset else 0
-        self._lane_bytes = self.lanes * 8
 
         inject_first = inject_always = final = end_anchored = clear = 0
         for base, program in zip(self.bases, self._shift):
@@ -468,30 +615,15 @@ class FusedRuleset:
         self.keep = ~clear
 
         labels_cls = []
-        cold_cls = []
         for rep in self.classes.representatives:
             word = 0
             for base, program in zip(self.bases, self._shift):
                 word |= program.labels[rep] << base
             labels_cls.append(word)
-            cold_cls.append(inject_always & word)
         self._labels_cls = tuple(labels_cls)
-        self._cold_cls = tuple(cold_cls)
         self.lane_hot_cls = np.fromiter(
-            (m != 0 for m in cold_cls), dtype=bool, count=k
+            (inject_always & m != 0 for m in labels_cls), dtype=bool, count=k
         )
-        # The canonical lane-packed artifacts: per-class label/revival
-        # rows as 2-D uint64 matrices (k rows × lanes columns).
-        if self.lanes:
-            self.labels_matrix = np.vstack(
-                [words_from_int(m, self.lanes) for m in labels_cls]
-            )
-            self.cold_matrix = np.vstack(
-                [words_from_int(m, self.lanes) for m in cold_cls]
-            )
-        else:
-            self.labels_matrix = np.zeros((k, 0), dtype=np.uint64)
-            self.cold_matrix = np.zeros((k, 0), dtype=np.uint64)
 
         # -- class-indexed mask stacks for the gather programs ----------
         self._gather = tuple(_GatherUnit(p, self.classes) for p in gathers)
@@ -597,6 +729,13 @@ class FusedRuleset:
             word |= (state & ((1 << width) - 1)) << base
         return word
 
+    def lane_dfa(self, index: int, tile_masks: Sequence[int] = ()) -> LaneDfa:
+        """A fresh :class:`LaneDfa` over shift program ``index``'s slice
+        of the packed word; ``tile_masks`` are its tiles' masks over
+        that slice.  (How :mod:`repro.core.codegen`, which this module
+        imports, gets its bins.)"""
+        return LaneDfa(self, index, tile_masks)
+
     # -- translation + prefilter ----------------------------------------
 
     def translate(self, data: bytes) -> TranslatedSegment:
@@ -629,91 +768,6 @@ class FusedRuleset:
             positions.sort()
             return positions
         return np.flatnonzero(self._hot_lut[arr]).tolist()
-
-    # -- the packed shift machine ---------------------------------------
-
-    def lane_feed(
-        self,
-        tin: TranslatedSegment,
-        state: int,
-        *,
-        fresh: bool,
-        at_end: bool,
-        sink: StatsSink,
-        block: int = _FLUSH_BLOCK,
-        stats_from: int = 0,
-    ) -> int:
-        """Step the packed machine over one translated segment.
-
-        ``state`` is the packed word after the previous segment
-        (``fresh`` marks the true stream start, which receives
-        ``inject_first``); the returned word continues the stream.
-        Every cycle with a non-empty active set is recorded and flushed
-        to ``sink`` in ``(positions, rows)`` blocks for vectorized
-        pricing; empty stretches are skipped via the prefilter exactly
-        like the gather and DFA unit spans.  ``at_end`` is accepted for
-        symmetry with the segment API — final-hit masking happens in
-        the sink, which knows the positions.  ``stats_from`` marks the
-        first owned position of a chunked scan: earlier symbols still
-        drive the state word (the warm-up window) but are never
-        recorded.
-        """
-        del at_end  # finals are decomposed (and masked) by the sink
-        if not self._shift:
-            return state
-        data = tin.data
-        n = len(data)
-        if n == 0:
-            return state
-        cls = tin.cls_bytes
-        labels = self._labels_cls
-        cold = self._cold_cls
-        keep = self.keep
-        inject = self.inject_always
-        hot_idx = tin.hot_for(self.lane_hot_cls)
-        n_hot = len(hot_idx)
-        positions: list[int] = []
-        rows: list[int] = []
-        states = state
-        i = 0
-        if fresh:
-            states = self.inject_first & labels[cls[0]]
-            if states and stats_from <= 0:
-                positions.append(0)
-                rows.append(states)
-            i = 1
-        k = 0  # monotone cursor into hot_idx (indices only grow)
-        while i < n:
-            if not states:
-                while k < n_hot and hot_idx[k] < i:
-                    k += 1
-                if k == n_hot:
-                    break
-                i = hot_idx[k]
-                k += 1
-                states = cold[cls[i]]
-            else:
-                states = ((states << 1) & keep | inject) & labels[cls[i]]
-            if states and i >= stats_from:
-                positions.append(i)
-                rows.append(states)
-                if len(rows) >= block:
-                    self._flush(positions, rows, sink)
-                    positions, rows = [], []
-            i += 1
-        if rows:
-            self._flush(positions, rows, sink)
-        return states
-
-    def _flush(
-        self, positions: list[int], rows: list[int], sink: StatsSink
-    ) -> None:
-        nbytes = self._lane_bytes
-        buf = b"".join(word.to_bytes(nbytes, "little") for word in rows)
-        matrix = np.frombuffer(buf, dtype=np.uint64).reshape(
-            len(rows), self.lanes
-        )
-        sink(np.asarray(positions, dtype=np.int64), matrix)
 
     # -- the gather mask stacks -----------------------------------------
 
@@ -961,23 +1015,6 @@ class FusedRuleset:
         return matches, stats, scanner.state
 
     # -- chunk mappings (SFA stitching) ---------------------------------
-
-    def lane_chunk_map(
-        self, tin: TranslatedSegment, *, start: int = 0
-    ) -> ShiftMap:
-        """The packed machine's :class:`ShiftMap` over ``tin[start:]``.
-
-        The mid-stream mapping of the whole lane word; because every
-        surviving bit rides the shift chain of its own unit, it turns
-        constant within the widest unit's width — the bound the split
-        engine's warm-up windows rest on.
-        """
-        return shift_map_over(
-            tin.cls_bytes[start:] if start else tin.cls_bytes,
-            self._labels_cls,
-            keep=self.keep,
-            inject=self.inject_always,
-        )
 
     def gather_unit_map(
         self, index: int, tin: TranslatedSegment, *, start: int = 0

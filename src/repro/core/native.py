@@ -287,99 +287,55 @@ class NativeLaneScanner:
 
     Mirrors :meth:`FusedLaneScanner.scan`'s inner work: one call (plus
     continuations when the hit buffer fills) returns the per-tile
-    cycle/bit counters, the final hits as ``(position, ((bin,
-    regex_id), ...))`` with end-anchored finals already dropped
-    everywhere but the stream end, and the exit word.
+    cycle/bit counters, ``(position, packed state word)`` wherever some
+    bin's state holds a final that fires there, and the exit word.
 
-    The kernel is a DFA per bin whenever every bin's closure fits
-    :data:`~repro.core.codegen.LANE_DFA_MAX_STATES` (``tier`` says
-    which ran): the packed entry word becomes one state id per bin on
-    the way in, ids become the packed word again on the way out, so
-    callers — and every snapshot — only ever see packed words.
-    ``decode`` maps a packed word of finals to its ``(bin, regex_id)``
-    pairs.
+    The kernel steps ``dfas`` — every bin's closed
+    :class:`~repro.core.fused.LaneDfa`, the objects the table walker
+    reads too: the packed entry word becomes one state id per bin on the
+    way in, ids become the packed word again on the way out, so callers
+    — and every snapshot — only ever see packed words.
     """
 
-    def __init__(self, fused, tile_masks, decode):
+    def __init__(self, fused, tile_masks):
         kernel = codegen.lane_scan_source(fused, tile_masks)
         self._source = kernel.source
-        closure = self._closure = kernel.closure
-        self._fn = load_source(
-            kernel.source, codegen.lane_cdef(closure is not None)
-        ).fn("rap_lane_scan")
+        self.dfas = kernel.closure
+        self._fn = load_source(kernel.source, codegen.LANE_CDEF).fn(
+            "rap_lane_scan"
+        )
         self.tier = kernel.tier
         self._fused = fused
         self._tiles = sum(len(masks) for masks in tile_masks)
+        self._visits = sum(dfa.closed for dfa in self.dfas)
         self._cap = codegen.HIT_BUFFER_ENTRIES
-        self._decode = decode
         self._foreign_logged = False
-        if closure is None:
-            self._word, self._width, self._visits = np.uint64, fused.lanes, 1
-            return
-        self._word, self._width = np.uint16, len(closure)
-        self._visits = sum(len(states) for states in closure)
-        self._ids = [
-            {word: sid for sid, word in enumerate(states)} for states in closure
-        ]
-        # Per bin, state id -> the finals it reports: mid-stream (the
-        # unanchored ones) and on the stream's last byte (all of them).
-        self._mid_finals, self._end_finals = [], []
-        for j, states in enumerate(closure):
-            final = fused.extract(fused.final, j)
-            ends = fused.extract(fused.end_anchored, j)
-            for table, mask in (
-                (self._mid_finals, final & ~ends), (self._end_finals, final)
-            ):
-                table.append(
-                    {
-                        sid: decode((word & mask) << fused.bases[j])
-                        for sid, word in enumerate(states)
-                        if word & mask
-                    }
-                )
 
     def _enter(self, entry: int, fresh: bool) -> np.ndarray | None:
-        """A packed entry word in the kernel's terms: its 64-bit lanes,
-        or one state id per bin (``None``: some bin's word is in no
-        closure)."""
-        if self._closure is None:
-            return words_from_int(entry, self._width).copy()
+        """A packed entry word as one state id per bin (``None``: some
+        bin's word is not in its closure — never met, or interned by the
+        walker after the tables were dumped)."""
         if fresh:  # the kernel starts every bin itself
-            return np.zeros(self._width, dtype=self._word)
-        ids = [
-            known.get(self._fused.extract(entry, j))
-            for j, known in enumerate(self._ids)
-        ]
-        if None in ids:
-            if not self._foreign_logged:
-                self._foreign_logged = True
-                j = ids.index(None)
-                log.debug(
-                    "lane bin %d entry word is outside its %d-state "
-                    "closure: such spans are interpreted",
-                    j, len(self._closure[j]),
-                )
-            return None
-        return np.array(ids, dtype=self._word)
+            return np.zeros(len(self.dfas), dtype=np.uint16)
+        ids = []
+        for j, dfa in enumerate(self.dfas):
+            sid = dfa.ids.get(self._fused.extract(entry, j), dfa.closed)
+            if sid >= dfa.closed:
+                if not self._foreign_logged:
+                    self._foreign_logged = True
+                    log.debug(
+                        "lane bin %d entry word is outside its %d-state "
+                        "closure: such spans are walked",
+                        j, dfa.closed,
+                    )
+                return None
+            ids.append(sid)
+        return np.array(ids, dtype=np.uint16)
 
-    def _leave(self, state: np.ndarray) -> int:
-        """The packed word of an exit state (inverse of :meth:`_enter`)."""
-        if self._closure is None:
-            return int_from_words(state)
-        return self._fused.pack(
-            [self._closure[j][sid] for j, sid in enumerate(state.tolist())]
-        )
-
-    def _found(self, row: list[int], ended: bool) -> tuple:
-        """The ``(bin, regex_id)`` finals of one hit row: the masked
-        final word itself, or one state id per bin (``ended``: the hit
-        is on the stream's last byte)."""
-        if self._closure is None:
-            return self._decode(sum(lane << 64 * w for w, lane in enumerate(row)))
-        finals = self._end_finals if ended else self._mid_finals
-        return tuple(
-            pair for j, sid in enumerate(row) for pair in finals[j].get(sid, ())
-        )
+    def _leave(self, ids: list[int]) -> int:
+        """The packed word of one state id per bin (inverse of
+        :meth:`_enter`)."""
+        return self._fused.pack([dfa[sid] for dfa, sid in zip(self.dfas, ids)])
 
     def scan(
         self,
@@ -389,10 +345,10 @@ class NativeLaneScanner:
         fresh: bool,
         at_end: bool,
         stats_from: int,
-    ) -> tuple[list[int], list[int], list[tuple[int, tuple]], int] | None:
+    ) -> tuple[list[int], list[int], list[tuple[int, int]], int] | None:
         """``None`` when ``entry`` holds a bin state outside the DFA's
         closure (no scan of this machine produces one; a hand-edited
-        snapshot can): the caller interprets that span."""
+        snapshot can): the caller walks that span."""
         n = len(cls_bytes)
         state = self._enter(entry, fresh)
         if state is None:
@@ -402,10 +358,10 @@ class NativeLaneScanner:
         tile_bits = np.zeros(self._tiles, dtype=np.int64)
         visits = np.zeros(self._visits, dtype=np.int64)
         hit_pos = np.empty(cap, dtype=np.int64)
-        hit_states = np.empty((cap, self._width), dtype=self._word)
+        hit_states = np.empty((cap, len(self.dfas)), dtype=np.uint16)
         n_hits = np.zeros(1, dtype=np.int64)
         resume = np.zeros(1, dtype=np.int64)
-        hits: list[tuple[int, tuple]] = []
+        hits: list[tuple[int, int]] = []
         i = 0
         while True:
             rc = self._fn(
@@ -427,15 +383,14 @@ class NativeLaneScanner:
             )
             nh = int(n_hits[0])
             hits.extend(
-                (position, self._found(row, at_end and position == n - 1))
-                for position, row in zip(
-                    hit_pos[:nh].tolist(), hit_states[:nh].tolist()
-                )
+                zip(hit_pos[:nh].tolist(), map(self._leave, hit_states[:nh].tolist()))
             )
             i = int(resume[0])
             if rc == 0:
                 break
-        return tile_cycles.tolist(), tile_bits.tolist(), hits, self._leave(state)
+        return (
+            tile_cycles.tolist(), tile_bits.tolist(), hits, self._leave(state.tolist())
+        )
 
 
 class NativeUnitScanner:

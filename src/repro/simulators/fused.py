@@ -19,6 +19,11 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
   from an explicit entry word or from a warm-up window, which is what
   both the durable feeder and the input-parallel split engine build on.
+  Every bin is one :class:`~repro.core.fused.LaneDfa`; the generated C
+  steps them closed, the table walker (:meth:`LaneDfa.walk
+  <repro.core.fused.LaneDfa.walk>`) fills them as it goes — with no
+  compiler, for a bin too large to close, or from an entry word outside
+  a closure.
 * :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
   scan's ordinary collectors through the plan, one segment at a time.
   Both are stateless between feeds — they load each unit's entry state
@@ -36,7 +41,7 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   while LNFA bins run through the feeder.
 
 Import this module lazily, only after the backend registry has resolved
-``fused`` or ``native`` — it requires NumPy.
+``fused`` or ``native`` — :mod:`repro.core.fused` requires NumPy.
 """
 
 from __future__ import annotations
@@ -46,17 +51,9 @@ import pickle
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
-from repro.core.fused import (
-    FusedRuleset,
-    TranslatedSegment,
-    int_from_words,
-    popcount_words,
-    words_from_int,
-)
+from repro.core.fused import FusedRuleset, LaneDfa, TranslatedSegment
 from repro.core.registry import (
     NATIVE_FORMAT_VERSION,
     resolve_backend_with_reason,
@@ -107,8 +104,10 @@ class FusedLaneScanner:
     Built from the bins' packed-machine layouts (in bin order); the
     fused compilation is shared with the caller's when supplied, so the
     alphabet classes and prefilter match the rest of the run.  The
-    scanner is stateless and picklable — parallel chunk workers each
-    scan their own span of the same machine.
+    scanner holds no stream state and is picklable — parallel chunk
+    workers each scan their own span of the same machine; its compiled
+    library and the DFA rows it interned are process-local caches that a
+    pickled copy rebuilds.
     """
 
     def __init__(
@@ -119,20 +118,6 @@ class FusedLaneScanner:
         if fused is None:
             fused = FusedRuleset(programs)
         self._fused = fused
-        lanes = fused.lanes
-
-        # Flattened (bin, tile) geometry: one full-width word mask per
-        # tile, stacked into a 2-D lane matrix for the vectorized sink.
-        words: list[np.ndarray] = []
-        for j, layout in enumerate(self._layouts):
-            base = fused.bases[j]
-            for mask in layout.tile_masks:
-                words.append(words_from_int(mask << base, lanes))
-        self._tile_words = (
-            np.vstack(words)
-            if words
-            else np.zeros((0, max(lanes, 1)), dtype=np.uint64)
-        )
         self._tile_starts: list[int] = []
         start = 0
         for layout in self._layouts:
@@ -146,8 +131,6 @@ class FusedLaneScanner:
             for bit, rid in layout.finals.items():
                 finals[base + bit] = (j, rid)
         self._finals = finals
-        self._final_words = words_from_int(fused.final, max(lanes, 1))
-        self._end_anchored = fused.end_anchored
 
         # The warm-up window: a packed entry bit can only influence the
         # word while riding its own member's shift chain, so any state
@@ -161,19 +144,22 @@ class FusedLaneScanner:
         # Native-codegen attachment: decided when the scanner is built
         # (workers inherit the decision through pickling), compiled and
         # loaded lazily on the first scan.  Build failures fall back to
-        # the interpreted path with identical results.
+        # the table walker with identical results.
         resolved, why = resolve_backend_with_reason()
-        self._native_requested = fused.lanes > 0 and resolved == "native"
+        self._native_requested = bool(self._layouts) and resolved == "native"
         self._native = None
         self._native_tried = False
         self._interpreted_why = why or f"{resolved} backend"
+        self._dfas: list[LaneDfa] | None = None  # the walker's, unclosed
 
     def __getstate__(self):
-        # dlopen'd library handles are process-local; chunk workers
-        # rebuild them from the on-disk shared-object cache.
+        # dlopen'd library handles and lazily interned DFA rows are
+        # process-local; chunk workers rebuild the former from the
+        # on-disk shared-object cache and the latter as they walk.
         state = self.__dict__.copy()
         state["_native"] = None
         state["_native_tried"] = False
+        state["_dfas"] = None
         return state
 
     def _native_scanner(self):
@@ -187,7 +173,6 @@ class FusedLaneScanner:
                 self._native = NativeLaneScanner(
                     self._fused,
                     [layout.tile_masks for layout in self._layouts],
-                    self._decode,
                 )
             except Exception as err:
                 log.debug("native lane kernel unavailable: %s", err)
@@ -202,23 +187,27 @@ class FusedLaneScanner:
 
     @property
     def lane_tier(self) -> str:
-        """What steps the lane machine: ``dfa (S states / B bins)``,
-        ``bit-parallel (bin j closure > cap)`` — the two compiled
-        kernels — or ``interpreted (<why>)`` (builds lazily)."""
+        """What steps the lane machine: ``dfa (S states / B bins)`` —
+        the compiled kernel — or ``interpreted (<why>)``, the table
+        walker (builds lazily)."""
         native = self._native_scanner()
         if native is not None:
             return native.tier
         return f"interpreted ({self._interpreted_why})"
 
-    def _decode(self, word: int) -> tuple[tuple[int, int], ...]:
-        """A packed word of final bits as its ``(bin, regex_id)`` pairs."""
-        finals = self._finals
-        found = []
-        while word:
-            low = word & -word
-            word ^= low
-            found.append(finals[low.bit_length() - 1])
-        return tuple(found)
+    def lane_dfas(self) -> list[LaneDfa]:
+        """Every bin's DFA, the one table both steppers read: the
+        compiled kernel's closed ones when it attached, else ones the
+        walker fills as it goes."""
+        native = self._native_scanner()
+        if native is not None:
+            return native.dfas
+        if self._dfas is None:
+            self._dfas = [
+                self._fused.lane_dfa(j, layout.tile_masks)
+                for j, layout in enumerate(self._layouts)
+            ]
+        return self._dfas
 
     @property
     def fused(self) -> FusedRuleset:
@@ -280,23 +269,25 @@ class FusedLaneScanner:
         native = self._native_scanner()
         scanned = native.scan(tin.cls_bytes, **span) if native else None
         if scanned is None:  # no kernel, or an entry word it cannot take
-            flat_cycles, flat_bits, words, packed = self._interpret(tin, **span)
-            scanned = (
-                flat_cycles,
-                flat_bits,
-                [(position, self._decode(word)) for position, word in words],
-                packed,
-            )
+            scanned = self._walk(tin.cls_bytes, **span)
         flat_cycles, flat_bits, hits, packed = scanned
 
-        # Every tier hands back flattened per-tile counters and the
-        # finals firing at each hit position, end-anchored ones already
-        # dropped; the decomposition below is shared, so the delta — and
-        # every snapshot built from it — is byte-identical across tiers
-        # (plain Python ints, same ordering).
+        # Either tier hands back flattened per-tile counters and the
+        # packed state word at each hit position; the decomposition
+        # below is shared, so the delta — and every snapshot built from
+        # it — is byte-identical across tiers (plain Python ints, same
+        # ordering).  End-anchored finals fire on the stream's last byte
+        # only.
+        finals = self._finals
+        mid_final = fused.final & ~fused.end_anchored
+        last = n - 1 if at_end else -1
         matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
-        for position, found in hits:
-            for j, rid in found:
+        for position, word in hits:
+            word &= fused.final if position == last else mid_final
+            while word:
+                low = word & -word
+                word ^= low
+                j, rid = finals[low.bit_length() - 1]
                 matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
         per_bin_cycles: list[list[int]] = []
@@ -322,54 +313,31 @@ class FusedLaneScanner:
             exit_packed=packed,
         )
 
-    def _interpret(
-        self,
-        tin: TranslatedSegment,
-        *,
-        entry: int,
-        fresh: bool,
-        at_end: bool,
-        stats_from: int,
+    def _walk(
+        self, cls: bytes, *, entry: int, fresh: bool, at_end: bool, stats_from: int
     ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
-        """The NumPy-tier mirror of :meth:`NativeLaneScanner.scan
-        <repro.core.native.NativeLaneScanner.scan>`: the lane machine
-        stepped by :meth:`FusedRuleset.lane_feed`, priced per block."""
-        last = len(tin.data) - 1
-        tile_words = self._tile_words
-        tile_count = len(tile_words)
-        tile_cycles = [0] * tile_count
-        tile_bits = [0] * tile_count
-        hits: list[tuple[int, int]] = []
-        final_words = self._final_words
-        end_anchored = self._end_anchored
-
-        def sink(positions: np.ndarray, rows: np.ndarray) -> None:
-            for m in range(tile_count):
-                live = rows & tile_words[m]
-                active = live.any(axis=1)
-                count = int(active.sum())
-                if not count:
-                    continue
-                tile_cycles[m] += count
-                tile_bits[m] += int(popcount_words(live).sum())
-            found = rows & final_words
-            for r in np.flatnonzero(found.any(axis=1)):
-                position = int(positions[r])
-                word = int_from_words(found[r])
-                if not (at_end and position == last):
-                    word &= ~end_anchored
-                if word:
-                    hits.append((position, word))
-
-        packed = self._fused.lane_feed(
-            tin,
-            entry,
-            fresh=fresh,
-            at_end=at_end,
-            sink=sink,
-            stats_from=stats_from,
-        )
-        return tile_cycles, tile_bits, hits, packed
+        """The portable mirror of :meth:`NativeLaneScanner.scan
+        <repro.core.native.NativeLaneScanner.scan>`: bins never
+        interact, so each one's DFA is walked over the span in turn."""
+        fused = self._fused
+        flat_cycles: list[int] = []
+        flat_bits: list[int] = []
+        exits: list[int] = []
+        hits: dict[int, int] = {}
+        for j, dfa in enumerate(self.lane_dfas()):
+            cycles, bits, found, word = dfa.walk(
+                cls,
+                fused.extract(entry, j),
+                fresh=fresh,
+                at_end=at_end,
+                stats_from=stats_from,
+            )
+            flat_cycles += cycles
+            flat_bits += bits
+            exits.append(word)
+            for position, state in found:
+                hits[position] = hits.get(position, 0) | state << fused.bases[j]
+        return flat_cycles, flat_bits, sorted(hits.items()), fused.pack(exits)
 
     def merge_deltas(self, deltas: list[LaneDelta]) -> LaneDelta:
         """Fold chunk deltas, in chunk order, into one segment delta.

@@ -27,7 +27,6 @@ from repro.core.fused import (
     AlphabetClasses,
     FusedRuleset,
     int_from_words,
-    popcount_words,
     words_from_int,
 )
 from repro.core.registry import resolve_backend
@@ -59,18 +58,20 @@ def shift_program_lists(draw, max_packs: int = 3):
     return programs
 
 
-def collect_rows(fused, data, state=0, *, fresh=True, at_end=True):
-    """Run the lane machine, returning {position: packed_word} + end."""
+def lane_words(fused, data, state=0, *, fresh=True):
+    """Step every shift program's DFA over ``data`` row by row,
+    returning {position: packed word} of the live cycles + the end word."""
+    dfas = [fused.lane_dfa(j) for j in range(len(fused.bases))]
+    sids = [dfa.intern(fused.extract(state, j)) for j, dfa in enumerate(dfas)]
     rows = {}
-
-    def sink(positions, matrix):
-        for pos, row in zip(positions.tolist(), matrix):
-            rows[pos] = int_from_words(row)
-
-    end = fused.lane_feed(
-        fused.translate(data), state, fresh=fresh, at_end=at_end, sink=sink
-    )
-    return rows, end
+    for i, c in enumerate(fused.translate(data).cls_bytes):
+        sids = [
+            (fresh and i == 0 and dfa.start or dfa.row(sid))[c]
+            for dfa, sid in zip(dfas, sids)
+        ]
+        if any(sids):
+            rows[i] = fused.pack([dfa[sid] for dfa, sid in zip(dfas, sids)])
+    return rows, fused.pack([dfa[sid] for dfa, sid in zip(dfas, sids)])
 
 
 class TestLanePacking:
@@ -80,7 +81,7 @@ class TestLanePacking:
         self, programs, data
     ):
         fused = FusedRuleset(programs)
-        rows, end = collect_rows(fused, data)
+        rows, end = lane_words(fused, data)
         kernel = get_kernel()
         for j, program in enumerate(programs):
             expected_last = 0
@@ -98,11 +99,9 @@ class TestLanePacking:
     def test_segmented_feed_equals_whole_stream(self, programs, data, cut):
         cut = min(cut, len(data))
         fused = FusedRuleset(programs)
-        whole_rows, whole_end = collect_rows(fused, data)
-        first, state = collect_rows(fused, data[:cut], at_end=False)
-        second, end = collect_rows(
-            fused, data[cut:], state, fresh=cut == 0, at_end=True
-        )
+        whole_rows, whole_end = lane_words(fused, data)
+        first, state = lane_words(fused, data[:cut])
+        second, end = lane_words(fused, data[cut:], state, fresh=cut == 0)
         stitched = dict(first)
         stitched.update({cut + i: word for i, word in second.items()})
         assert stitched == whole_rows
@@ -219,13 +218,6 @@ class TestWordHelpers:
     @given(st.integers(0, (1 << 200) - 1), st.integers(4, 6))
     def test_int_word_roundtrip(self, value, lanes):
         assert int_from_words(words_from_int(value, lanes)) == value
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8))
-    def test_popcount_words(self, values):
-        arr = np.array(values, dtype=np.uint64)
-        expected = [v.bit_count() for v in values]
-        assert popcount_words(arr).tolist() == expected
 
 
 def make_lnfa(text: str):

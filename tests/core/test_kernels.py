@@ -32,7 +32,7 @@ from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd, ShiftAnd
 from repro.core import ProgramKind, available_backends, get_kernel
-from repro.core.fused import FusedRuleset, int_from_words
+from repro.core.fused import FusedRuleset
 from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
 
@@ -62,17 +62,16 @@ def reduce_states(program, states_at, n: int, stats_from: int):
 
 
 def lane_states(program, data: bytes) -> dict[int, int]:
-    """Live cycles of one SHIFT_LEFT program on the plan's lane machine."""
+    """Live cycles of one SHIFT_LEFT program on the plan's lane machine:
+    its DFA stepped row by row, each visited state read as its word."""
     fused = FusedRuleset([program])
+    dfa = fused.lane_dfa(0)
     rows: dict[int, int] = {}
-
-    def sink(positions, matrix):
-        for pos, row in zip(positions.tolist(), matrix):
-            rows[pos] = int_from_words(row)
-
-    fused.lane_feed(
-        fused.translate(data), 0, fresh=True, at_end=True, sink=sink
-    )
+    sid = 0
+    for i, c in enumerate(fused.translate(data).cls_bytes):
+        sid = (i == 0 and dfa.start or dfa.row(sid))[c]
+        if sid:
+            rows[i] = dfa[sid]
     return rows
 
 

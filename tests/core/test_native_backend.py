@@ -36,13 +36,14 @@ from repro.automata.nbva import NBVASimulator, NBVAState, NBVAStats
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.compiler.program import CompiledMode
 from repro.core import (
+    KernelState,
     available_backends,
     backend_names,
     resolve_backend,
     resolve_backend_with_reason,
     use_backend,
 )
-from repro.core import codegen
+from repro.core import codegen, native
 from repro.core.native import (
     NATIVE_DISABLE_ENV,
     native_unavailable_reason,
@@ -548,7 +549,7 @@ class TestNativeNbva:
         assert "unit tier: interpreted (state_count 73 > 64)" in out
         assert "lane tier: dfa (7 states / 1 bins)" in out
         monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 4)
-        assert tiers("native")[2] == "bit-parallel (bin 0 closure > 4)"
+        assert tiers("native")[2] == "interpreted (bin 0 closure > 4)"
         monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
         assert tiers("native") == [
             "interpreted (native unavailable: disabled by RAP_NATIVE_DISABLE)"
@@ -609,18 +610,70 @@ def _lane_worthy(patterns, data) -> bool:
     return not ruleset.rejected and lanes >= 2 and len(data) > 1
 
 
-def _interpreted_scanner(plan):
-    """The NumPy-tier lane scanner over a native plan's bins."""
-    from repro.simulators.fused import FusedLaneScanner
+def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0):
+    """One lane span by the ``python`` oracle: each bin's own collector
+    restored to the entry word and fed the warm-up prefix, then the
+    owned bytes — what the second feed added is the span's delta."""
+    from repro.simulators.activity import BinActivityCollector
+    from repro.simulators.fused import LaneDelta
 
-    with use_backend("fused"):
-        return FusedLaneScanner(plan.layouts, plan.fused)
+    assert fresh == (base == 0)  # the collectors read freshness off the offset
+    tile_cycles, tile_bits, matches, exits = [], [], [], []
+    for j, (bin_obj, layout) in enumerate(zip(plan.bins, plan.layouts)):
+        collector = BinActivityCollector(bin_obj, DEFAULT_CONFIG, layout)
+        state = KernelState(offset=base, states=plan.fused.extract(entry, j))
+        collector.restore({**collector.snapshot(), "state": state.to_json()})
+        collector.feed(segment[:stats_from], at_end=False)
+        warm = collector.activity()
+        collector.feed(segment[stats_from:], at_end=at_end)
+        done = collector.activity()
+        tile_cycles.append(
+            [a - b for a, b in zip(done.tile_active_cycles, warm.tile_active_cycles)]
+        )
+        tile_bits.append(
+            [a - b for a, b in zip(done.tile_active_bits, warm.tile_active_bits)]
+        )
+        matches.append(
+            {
+                rid: ends[len(warm.matches[rid]) :]
+                for rid, ends in done.matches.items()
+                if len(ends) > len(warm.matches[rid])
+            }
+        )
+        exits.append(collector.state.states)
+    return LaneDelta(
+        cycles=len(segment) - stats_from,
+        tile_cycles=tile_cycles,
+        tile_bits=tile_bits,
+        matches=matches,
+        exit_states=exits,
+        exit_packed=plan.fused.pack(exits),
+    )
+
+
+@contextlib.contextmanager
+def _counting_restarts():
+    """Count :meth:`LaneDfa.restart` calls on tables that hold states
+    (the one every constructor makes on its empty table aside)."""
+    from repro.core.fused import LaneDfa
+
+    calls = []
+    restart = LaneDfa.restart
+
+    def counted(dfa):
+        if len(dfa):
+            calls.append(len(dfa))
+        restart(dfa)
+
+    with mock.patch.object(LaneDfa, "restart", counted):
+        yield calls
 
 
 def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=None):
-    """One ruleset and stream through every contract of the compiled
-    lane kernel, against the ``python`` oracle: snapshot bytes at every
-    offset, one seam at every offset, warm-up windows, ``input_jobs=2``."""
+    """One ruleset and stream through every contract of the lane
+    machine (``tier``: the compiled kernel or the table walker), against
+    the ``python`` oracle: snapshot bytes at every offset, one seam at
+    every offset, warm-up windows, ``input_jobs=2``."""
     from tests.engine.test_checkpoint import _collector_docs
 
     ruleset = compile_ruleset(patterns)
@@ -645,9 +698,23 @@ def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=Non
                 mock.patch.object(codegen, "LANE_DFA_MAX_STATES", states_cap)
             )
         patches.enter_context(use_backend("native"))
+        loaded = []
+        patches.enter_context(
+            mock.patch.object(
+                native,
+                "load_source",
+                lambda source, cdef, load=native.load_source: (
+                    loaded.append(source), load(source, cdef)
+                )[1],
+            )
+        )
         stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
         plan = stepped._plan
         assert plan.scanner.lane_tier.startswith(tier)
+        # a walked ruleset never hands the loader a lane source: no .so
+        assert any("lane machine" in source for source in loaded) == (
+            plan.scanner._native is not None
+        ) == tier.startswith("dfa (")
         for i in range(len(data)):
             stepped.feed(data[i : i + 1], at_end=i == len(data) - 1)
             assert _collector_docs(stepped) == docs[i], i
@@ -660,7 +727,6 @@ def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=Non
             assert scan.finish() == final, cut
 
         # Warm-up windows: the prefix drives the states, owns nothing.
-        interpreted = _interpreted_scanner(plan)
         for warm_start in (0, 1, len(data) // 2):
             for start in range(warm_start, len(data), 3):
                 span = dict(
@@ -671,7 +737,7 @@ def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=Non
                 )
                 assert plan.scanner.scan(
                     data[warm_start:], **span
-                ) == interpreted.scan(data[warm_start:], **span)
+                ) == _oracle_delta(plan, data[warm_start:], **span)
 
         config = EngineConfig(
             backend="native", input_jobs=2, min_chunk_bytes=4, use_cache=False
@@ -682,7 +748,8 @@ def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=Non
 @needs_native
 class TestNativeLaneDfa:
     """The per-bin DFA lane kernel ≡ the ``python`` oracle, state and
-    all — and so is the bit-parallel kernel an over-cap bin selects."""
+    all — and so is the table walker an over-cap bin leaves the ruleset
+    to, restarting its table whenever it outgrows the cap."""
 
     @settings(max_examples=12, deadline=None)  # one cc run per example
     @given(
@@ -700,13 +767,13 @@ class TestNativeLaneDfa:
         data=inputs(alphabet="abcxAB", max_size=36),
         hit_cap=st.sampled_from([1, codegen.HIT_BUFFER_ENTRIES]),
     )
-    def test_over_cap_bin_selects_the_bit_parallel_kernel(
+    def test_over_cap_bin_leaves_the_ruleset_to_the_walker(
         self, patterns, data, hit_cap
     ):
         assume(_lane_worthy(patterns, data))
+        # whichever bin the mapper gave the long literal
         _assert_lane_identical(
-            patterns, data, tier="bit-parallel (bin 0 closure > 8)",
-            hit_cap=hit_cap, states_cap=8,
+            patterns, data, tier="interpreted (bin ", hit_cap=hit_cap, states_cap=8
         )
 
     def test_anchors_classes_and_dense_hits(self):
@@ -718,20 +785,46 @@ class TestNativeLaneDfa:
         ]
         data = b"abcabcABCabcabcabcxabBAabcabcab.c"
         _assert_lane_identical(patterns, data, tier="dfa (", hit_cap=1)
-        _assert_lane_identical(
-            patterns, data, tier="bit-parallel", hit_cap=1, states_cap=8
-        )
+        with _counting_restarts() as restarts:
+            _assert_lane_identical(
+                patterns, data, tier="interpreted (bin 0 closure > 8)",
+                hit_cap=1, states_cap=8,
+            )
+        assert restarts  # the 72-state literal alone outgrows 8 mid-stream
 
-    def test_twenty_wildcards_exceed_the_real_cap(self):
+    def test_twenty_wildcards_exceed_the_real_cap(self, tmp_path, monkeypatch):
         """``a`` then twenty ``.``: every subset of the last twenty
         positions is reachable, so the closure passes 32 768 states and
-        the ruleset keeps the bit-parallel kernel — by measurement."""
+        the ruleset is walked — by measurement — with no lane ``.so``
+        built, and however hostile the stream the table stays within one
+        row's worth of the cap."""
+        from repro.core.fused import LaneDfa
+
+        monkeypatch.setenv("RAP_CACHE_DIR", str(tmp_path))
         patterns = ["a" + "." * 20, "needle"]
         data = b"a.aa" * 9 + b"needle" + b"a" * 30
+        cap = codegen.LANE_DFA_MAX_STATES
         _assert_lane_identical(
-            patterns, data,
-            tier=f"bit-parallel (bin 0 closure > {codegen.LANE_DFA_MAX_STATES})",
+            patterns, data, tier=f"interpreted (bin 0 closure > {cap})"
         )
+        assert not list(tmp_path.rglob("*.so"))  # and these rules have no units
+
+        ruleset = compile_ruleset(patterns)
+        sizes = []
+        row = LaneDfa.row
+
+        def measured(dfa, sid):
+            sizes.append(len(dfa))
+            return row(dfa, sid)
+
+        stream = bytes(random.Random(7).choices(b"ab", k=60_000))
+        serial = EngineConfig(backend="fused", input_jobs=1, use_cache=False)
+        with _counting_restarts() as restarts:  # one process: one table
+            with mock.patch.object(LaneDfa, "row", measured):
+                got = BatchEngine(serial).scan(ruleset, stream)
+        with use_backend("python"):
+            assert got == RAPSimulator(DEFAULT_CONFIG).run(ruleset, stream)
+        assert restarts and max(sizes) <= cap + 2  # a row of this bin: ≤ 2 new states
 
     def test_entry_word_outside_the_closure_is_interpreted(self, caplog):
         from repro.simulators.fused import FusedPlan
@@ -742,25 +835,40 @@ class TestNativeLaneDfa:
             plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
         scanner = plan.scanner
         assert scanner.lane_tier.startswith("dfa (")
+        (dfa,) = scanner.lane_dfas()
+        assert dfa is scanner._native.dfas[0] and len(dfa) == dfa.closed
+        source = scanner._native._source
         # "abc" and "bcdx" matched so far: no input leaves both true.
         entry = plan.fused.pack([1 << 2 | 1 << 6 + 3])
-        assert plan.fused.extract(entry, 0) not in scanner._native._ids[0]
+        assert plan.fused.extract(entry, 0) not in dfa.ids
         span = dict(entry=entry, fresh=False, at_end=True, base=100)
         with caplog.at_level(logging.DEBUG, logger="repro.core.native"):
             got = scanner.scan(b"defyz..abcdef", **span)
+            # the walker interned the word past the closure: still not
+            # a state of the C tables
+            assert dfa.ids[plan.fused.extract(entry, 0)] >= dfa.closed
             assert scanner._native.scan(
                 plan.fused.translate(b"d").cls_bytes,
                 entry=entry, fresh=False, at_end=False, stats_from=0,
             ) is None
         logged = [r for r in caplog.records if "outside its" in r.message]
         assert len(logged) == 1 and "bin 0" in logged[0].message
-        assert got == _interpreted_scanner(plan).scan(b"defyz..abcdef", **span)
+        assert got == _oracle_delta(plan, b"defyz..abcdef", **span)
         assert got.matches[0] == {0: [102, 112]}
         # ... and its exit word is back inside: the kernel takes over.
         assert scanner._native.scan(
             plan.fused.translate(b"q").cls_bytes,
             entry=got.exit_packed, fresh=False, at_end=True, stats_from=0,
         ) is not None
+        # States met lazily only ever append: the closure's ids, and so
+        # the source a fresh process would emit, are untouched.
+        masks = [layout.tile_masks for layout in plan.layouts]
+        assert codegen.lane_scan_source(plan.fused, masks).source == source
+        with use_backend("fused"):  # ... nor do portable scans move them
+            walked = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
+            walked.scanner.scan(b"defyz..abcdef", **span)
+        assert walked.scanner.lane_tier == "interpreted (fused backend)"
+        assert codegen.lane_scan_source(walked.fused, masks).source == source
 
     def test_keywords64_input_jobs_and_sigkill_resume(self, tmp_path):
         from benchmarks.ledger.workloads import keyword_patterns
@@ -820,9 +928,7 @@ def test_generated_sources_compile_warning_free(
     name, kernels, tmp_path, monkeypatch
 ):
     """Every translation unit the three ledger rulesets (plus a forced
-    DFA set) generate passes ``cc -fsyntax-only -Wall -Wextra -Werror`` —
-    the lane machine both as per-bin DFAs and, with the cap forced down,
-    as the bit-parallel kernel."""
+    DFA set) generate passes ``cc -fsyntax-only -Wall -Wextra -Werror``."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -841,10 +947,10 @@ def test_generated_sources_compile_warning_free(
         masks = [layout.tile_masks for layout in plan.layouts]
         lane = codegen.lane_scan_source(plan.fused, masks)
         assert lane.tier.startswith("dfa (")
+        sources.append(lane.source)
         monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 8)
-        over_cap = codegen.lane_scan_source(plan.fused, masks)
-        assert over_cap.tier == "bit-parallel (bin 0 closure > 8)"
-        sources += [lane.source, over_cap.source]
+        with pytest.raises(ValueError, match="bin 0 closure > 8"):
+            codegen.lane_scan_source(plan.fused, masks)
     emitted = "\n".join(sources)
     assert all(f"int {kernel}(" in emitted for kernel in kernels)
     for index, source in enumerate(filter(None, sources)):

@@ -996,3 +996,28 @@ class TestPlanFingerprint:
             fresh = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             with pytest.raises(CheckpointError, match="different scan"):
                 fresh.restore(doc, data)
+
+    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+    def test_lane_source_key_ignores_what_was_walked_first(self, backend):
+        """Closure ids are pure breadth-first order: portable scans of
+        the plan — one from an entry word no scan produces — before the
+        source is emitted do not move the pinned key."""
+        from repro.core import codegen
+        from repro.core.native import source_key
+
+        ruleset = compile_ruleset(["needle", "marker", "hello|world"])
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        pinned = self.PRE_NBVA["lnfa"]["native"][1][1]
+        with use_backend(backend):
+            plan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan
+            scanner, fused = plan.scanner, plan.fused
+            foreign = fused.pack([(1 << width) - 1 for width in fused.widths])
+            walked = sum(map(len, scanner.lane_dfas()))
+            scanner.scan(b"a needle", entry=foreign, fresh=False, at_end=False)
+            scanner.scan(b"a needle, a marker, hello", fresh=True, at_end=True)
+            assert sum(map(len, scanner.lane_dfas())) > walked
+            masks = [layout.tile_masks for layout in plan.layouts]
+            kernel = codegen.lane_scan_source(fused, masks)
+            assert source_key(kernel.source)[:16] == pinned
+            if backend == "native":
+                assert source_key(scanner._native._source)[:16] == pinned

@@ -122,6 +122,44 @@ class TestBackendDifferential:
         with use_backend("fused"):
             assert sim.run(ruleset, data, bin_size=2) == reference
 
+    def test_threads_share_one_lane_table(self, monkeypatch):
+        """Every scan of a bound plan walks the same lazily filled
+        tables; with the cap forced down they restart constantly, and
+        four threads over two streams still each get the serial answer."""
+        import sys
+        import threading
+
+        from repro.core import codegen
+
+        monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 4)
+        ruleset = compile_ruleset(["abcabc", "cat", "hello|world", "a.c"])
+        streams = [
+            b"".join(random.Random(seed).choices(TOKENS, k=400)) for seed in (1, 2)
+        ]
+        sim = RAPSimulator(DEFAULT_CONFIG)
+        with use_backend("python"):
+            want = [sim.run(ruleset, data) for data in streams]
+        got = {}
+
+        def scan(k):
+            got[k] = sim.run(ruleset, streams[k % 2])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_backend("fused"):  # process-wide: set once, not per thread
+                threads = [
+                    threading.Thread(target=scan, args=(k,)) for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[k] for k in range(4)] == [want[k % 2] for k in range(4)]
+
 
 class TestFeederDifferential:
     def _collectors(self, mapping):
