@@ -1,14 +1,15 @@
-"""DFA-tier speed: the table lookup must beat the fused NFA mask stack.
+"""DFA-mode speed: the NFA-mode scan inherited the table lookup.
 
-The cost model's pitch for the DFA tier is that one ``translated[i] ->
+The cost model's pitch for the DFA tier was that one ``translated[i] ->
 next_state`` lookup per byte replaces the NFA's per-live-state gather
-union.  This gate pins that pitch on the regime where it matters: a
-64-keyword low-activity ruleset whose patterns overlap heavily (long
-keywords over a tiny sub-alphabet), so the forced-NFA scan carries
-several live states per byte while the forced-DFA scan still does one
-lookup.  Both sides run on the fused backend; forced modes keep the
-comparison honest (auto mode would route plain keywords to LNFA).
-The floor is regression-gated at 1.5x.
+union.  Every GATHER unit is determinised at bind time now, NFA-mode and
+DFA-mode alike, so on the regime where that mattered — a 64-keyword
+low-activity ruleset whose patterns overlap heavily (long keywords over
+a tiny sub-alphabet, several live NFA states per byte) — both forced
+modes walk the same tables.  The gate pins that: a forced-NFA scan that
+falls behind the forced-DFA one has dropped back to the mask stack.
+Both sides run on the fused backend; forced modes keep the comparison
+honest (auto mode would route plain keywords to LNFA).
 """
 
 import dataclasses
@@ -94,7 +95,8 @@ def test_dfa_ruleset_scan_speed(benchmark, workload):
 
 @requires_fused
 def test_dfa_beats_forced_nfa(benchmark, workload):
-    """The regression-gated 1.5x floor from the DFA-tier issue."""
+    """Forced-NFA within 1.25x of forced-DFA: one table under both
+    modes (the DFA-tier issue's 1.5x floor, inverted)."""
     sim, (dfa_rs, dfa_map), (nfa_rs, nfa_map) = workload
 
     def dfa_scan():
@@ -110,8 +112,8 @@ def test_dfa_beats_forced_nfa(benchmark, workload):
     dfa_time = min(_timed(dfa_scan) for _ in range(3))
     nfa_time = min(_timed(nfa_scan) for _ in range(3))
     benchmark.pedantic(dfa_scan, rounds=1, iterations=1)
-    assert dfa_time * 1.5 <= nfa_time, (
-        f"DFA scan {dfa_time:.4f}s is not 1.5x faster than forced-NFA "
-        f"{nfa_time:.4f}s on a {len(STREAM)}-byte stream with "
-        f"{len(PATTERNS)} patterns"
+    assert nfa_time <= 1.25 * dfa_time, (
+        f"forced-NFA scan {nfa_time:.4f}s fell behind the forced-DFA "
+        f"{dfa_time:.4f}s on a {len(STREAM)}-byte stream with "
+        f"{len(PATTERNS)} patterns: the NFA-mode scan lost the lookup"
     )

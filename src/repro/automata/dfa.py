@@ -26,7 +26,9 @@ counters, and snapshots that serialize as the very same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 from repro.automata.glushkov import Automaton, EdgeAction
@@ -152,19 +154,45 @@ class ClassDFA:
     class ``cls``.  ``subsets[s]`` is the NFA active-set bitmask state
     ``s`` stands for (state 0 is the empty set — "nothing live"), which
     gives the exact counters the energy model prices: ``pops[s]`` is the
-    live-state count and ``final_hits[s]`` the mask of final positions
-    reporting at ``s`` (the same hit integers the NFA kernels emit).
+    live-state count and ``flags[s]`` says whether the state reports — 1
+    = it holds a final that fires anywhere, 2 = one that fires only on
+    the stream's last byte (the hit integer the NFA kernels emit is then
+    ``subsets[s] & final``).  A stream enters at ``start``: state 0, or
+    — when the first byte's injection differs from every later one's —
+    one extra last row (id ``state_count``, no subset, never a target)
+    holding the stream-start successors.  Rows are flat arrays, not
+    lists of ints: the table travels in pickled plans, and only these
+    six fields do — the subset index and :attr:`walk_view` are per process.
     """
 
     k: int
-    transitions: tuple[int, ...]
+    transitions: array
     subsets: tuple[int, ...]
-    pops: tuple[int, ...]
-    final_hits: tuple[int, ...]
+    pops: array
+    flags: bytes
+    start: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_index", {subset: i for i, subset in enumerate(self.subsets)}
+        )
+
+    def __getstate__(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    @cached_property
+    def walk_view(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(rows, pops)`` as tuples — ``rows[s][cls]`` is
+        ``transitions[s * k + cls]`` — for the Python steppers, which
+        index tuples faster than arrays; built on first use."""
+        k, flat = self.k, tuple(self.transitions)
+        return (
+            tuple(flat[at : at + k] for at in range(0, len(flat), k)),
+            tuple(self.pops),
         )
 
     @property
@@ -193,6 +221,8 @@ def determinize_classes(
     initial: int,
     final: int,
     *,
+    first: int | None = None,
+    end_anchored: int = 0,
     max_states: int = 1 << 16,
 ) -> ClassDFA:
     """Subset-construct a scanning :class:`ClassDFA` over class labels.
@@ -202,13 +232,38 @@ def determinize_classes(
     bitmask tables.  Like :func:`determinize`, every subset implicitly
     re-includes the always-available initial positions (unanchored
     scanning), so the reachable subsets — and their count — are exactly
-    those of the byte-alphabet construction.
+    those of the byte-alphabet construction.  ``first`` is the injection
+    of the stream's first byte when it is not ``initial`` (a start
+    anchor: the table gains its stream-start row), ``end_anchored`` the
+    finals that fire on the stream's last byte only.  Ids are discovery
+    order, breadth-first with classes in index order — the same in every
+    process.
     """
     k = len(class_labels)
     succ = tuple(succ)
+    # Most classes of a shared alphabet exist for some *other* unit's
+    # sake: step each subset once per distinct label, then spread.
+    distinct = list(dict.fromkeys(class_labels))
+    column = [distinct.index(label) for label in class_labels]
     index: dict[int, int] = {0: 0}
     order: list[int] = [0]
-    transitions: list[int] = []
+    transitions = array("H" if max_states <= 1 << 16 else "I")
+
+    def row(avail: int) -> list[int]:
+        targets = []
+        for label in distinct:
+            target = avail & label
+            target_index = index.get(target)
+            if target_index is None:
+                target_index = len(order)
+                if target_index >= max_states:
+                    raise DFABlowupError(target_index + 1, max_states)
+                index[target] = target_index
+                order.append(target)
+            targets.append(target_index)
+        return [targets[col] for col in column]
+
+    start_row = None if first is None or first == initial else row(first)
     frontier = 0
     while frontier < len(order):
         subset = order[frontier]
@@ -219,22 +274,21 @@ def determinize_classes(
             low = a & -a
             avail |= succ[low.bit_length() - 1]
             a ^= low
-        for cls in range(k):
-            target = avail & class_labels[cls]
-            target_index = index.get(target)
-            if target_index is None:
-                target_index = len(order)
-                if target_index >= max_states:
-                    raise DFABlowupError(target_index + 1, max_states)
-                index[target] = target_index
-                order.append(target)
-            transitions.append(target_index)
+        transitions.extend(row(avail))
+    mid, end = final & ~end_anchored, final & end_anchored
+    pops = array("I", (s.bit_count() for s in order))
+    flags = bytes(bool(s & mid) | bool(s & end) << 1 for s in order)
+    if start_row is not None:
+        transitions.extend(start_row)
+        pops.append(0)
+        flags += b"\0"
     return ClassDFA(
         k=k,
-        transitions=tuple(transitions),
+        transitions=transitions,
         subsets=tuple(order),
-        pops=tuple(s.bit_count() for s in order),
-        final_hits=tuple(s & final for s in order),
+        pops=pops,
+        flags=flags,
+        start=len(order) if start_row is not None else 0,
     )
 
 
@@ -369,20 +423,17 @@ class DFAScanner:
         """
         del at_end
         plan = self._plan
-        dfa = plan.dfa
-        trans = dfa.transitions
-        pops = dfa.pops
-        final_hits = dfa.final_hits
-        k = dfa.k
+        rows, pops = plan.dfa.walk_view
+        flags = plan.dfa.flags
         base = self._offset
         s = self._state
         active = 0
         matches: list[int] = []
         for i, cls in enumerate(segment.translate(plan.table)):
-            s = trans[s * k + cls]
+            s = rows[s][cls]
             if s:
                 active += pops[s]
-                if final_hits[s]:
+                if flags[s]:
                     matches.append(base + i)
         self._state = s
         self._offset = base + len(segment)
@@ -407,11 +458,8 @@ class DFAScanner:
         streaming state this scanner carries.
         """
         plan = self._plan
-        dfa = plan.dfa
-        trans = dfa.transitions
-        pops = dfa.pops
-        final_hits = dfa.final_hits
-        k = dfa.k
+        rows, pops = plan.dfa.walk_view
+        flags = plan.dfa.flags
         n = len(data)
         stats_from = min(max(stats_from, 0), n)
         s = 0
@@ -419,14 +467,14 @@ class DFAScanner:
         matches: list[int] = []
         translated = data.translate(plan.table)
         for cls in memoryview(translated)[:stats_from]:
-            s = trans[s * k + cls]
+            s = rows[s][cls]
         for i, cls in enumerate(
             memoryview(translated)[stats_from:], stats_from
         ):
-            s = trans[s * k + cls]
+            s = rows[s][cls]
             if s:
                 active += pops[s]
-                if final_hits[s]:
+                if flags[s]:
                     matches.append(i)
         if stats is not None:
             stats.cycles += n - stats_from

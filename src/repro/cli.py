@@ -623,7 +623,8 @@ def _print_backend_report(engine) -> None:
 
 def _tier_note(entry) -> str:
     """``; lane tier: ...`` (LNFA: the shared lane machine) or ``; unit
-    tier: ...`` (NBVA: the pattern's own unit) for an explain row."""
+    tier: ...`` (NBVA, NFA, DFA: the pattern's own unit) for an explain
+    row."""
     if not entry.tier:
         return ""
     kind = "lane" if entry.trace.mode is CompiledMode.LNFA else "unit"

@@ -244,7 +244,9 @@ class ExplainEntry:
     error: str | None = None
     #: Filled in by ``BatchEngine.explain``.  NBVA-mode patterns: the
     #: tier that steps the unit — ``"native"``, or ``"interpreted
-    #: (<why>)``.  LNFA-mode patterns: the tier of the lane machine they
+    #: (<why>)``.  NFA- and DFA-mode patterns: ``"table (S states)"``,
+    #: the unit's determinised closure, or ``"interpreted (closure >
+    #: N)"``.  LNFA-mode patterns: the tier of the lane machine they
     #: share — ``"dfa (S states / B bins)"`` or ``"interpreted (<why>)"``
     #: (the table walker; ``bin j closure > cap`` is one such why).
     tier: str | None = None

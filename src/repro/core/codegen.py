@@ -1,10 +1,10 @@
 """C source emission for the ``native`` backend.
 
-Each compiled ruleset becomes its *own* C translation unit: every table
-is baked in as a ``static const`` array — the lane machine's per-bin
-DFAs, gather units' successor tables, DFA-tier units' flat
-``next[state][class]`` tables.  The emitted loops compute exactly what
-the portable scans in :mod:`repro.core.fused` compute — same warm-up
+Each compiled ruleset becomes its *own* C: every table is baked in as a
+``static const`` array — the lane machine's per-bin DFAs, the GATHER
+units' forest of DFAs, the NBVA units' rows — under kernel texts that
+are the same for every ruleset.  The loops compute exactly what the
+portable scans in :mod:`repro.core.fused` compute — same warm-up
 (``stats_from``) gating, same end-anchored masking, same counters — so
 the bit-identity contract holds by construction rather than by
 translation-layer luck.
@@ -39,12 +39,35 @@ Two translation units per ruleset:
   twenty positions is reachable) gets no lane kernel at all — the
   walker interns such a bin's states as it meets them — decided from
   the closure just measured, never by an option.
-* :func:`unit_scan_source` — the three unit kinds: one function per
-  GATHER unit whose state word fits 64 bits, one per DFA-tier unit, and
-  *one* table-driven ``rap_nbva_span`` for all NBVA units of at most
-  :data:`NBVA_NATIVE_MAX_STATES` states (a function per unit would cost
-  ~0.1 s of ``cc`` each; the tables cost nothing).  Wider gather and
-  NBVA units keep the interpreted path (identical results, just slower).
+* :func:`unit_scan_source` — the scan units, as tables under two fixed
+  kernel texts.  Every GATHER unit (NFA-mode and DFA-mode alike) was
+  determinised when the plan was built — its subset closure over the
+  shared classes, a :class:`~repro.automata.dfa.ClassDFA`, the unit IR
+  the portable walker steps too — and the tables are written as **one
+  forest**, each unit owning a disjoint range of global state ids
+  (:func:`unit_forest`):
+
+  - ``NEXT[state * NCLS + class]`` — successor ids (``uint16``; bit 15
+    says the *target* state carries a hit flag, so the per-byte loop
+    tests one OR of what it just loaded);
+  - ``POPS[state]`` — the state's live NFA positions (``active_states``
+    is their sum over the owned bytes);
+  - ``FLAGS[state]`` — 1 = holds a final that fires anywhere, 2 = one
+    that fires only on the stream's last byte.  An anchored unit's
+    stream-start row is one more state, its last.
+
+  ``rap_units_span`` walks ``m`` *cursors* byte-major.  A cursor is just
+  a forest state id, so all units of a bulk scan, the non-serial units
+  of one split chunk, round-two entries and two collectors of one unit
+  at different states are the same call; a fresh stream enters at the
+  unit's start state, so freshness is not a parameter.  Hit words are
+  decoded from the subset memory on the Python side (they can exceed 64
+  bits).  A unit whose closure passes :data:`UNIT_DFA_MAX_STATES` has no
+  table and keeps the mask-stack interpreter; one the 15-bit id space
+  has no room left for is walked in Python.  NBVA units of at most
+  :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
+  ``NBVA_UNITS[]`` under *one* table-driven ``rap_nbva_span`` (wider
+  ones stay on ``NBVAScanner``: identical results, just slower).
 
 The NBVA ABI carries exactly what ``NBVAScanner.snapshot()`` holds: the
 plain active set and the set of live counted positions as one word each
@@ -64,11 +87,12 @@ the source text — the shared-object cache key — rolls over whenever the
 ABI or the emitted semantics change.
 
 Match events cross the ABI as bounded ``(position, state)`` buffers with
-a continuation protocol: when a buffer fills the kernel returns 1 with
-the resume index and the exit state, the caller drains and re-enters.
-Counters (state visits, tile cycles/bits, active-state sums) accumulate
-in caller memory across continuations, so the drained stream is
-identical to an unbounded one.
+a continuation protocol: when a buffer fills — for the unit kernel, when
+it has no room left for a whole byte's ``m`` events — the kernel
+returns 1 with the resume index and the exit state, the caller drains
+and re-enters.  Counters (state visits, tile cycles/bits, active-state
+sums) accumulate in caller memory across continuations, so the drained
+stream is identical to an unbounded one.
 
 This module only *writes* C; building and loading live in
 :mod:`repro.core.native`.
@@ -82,9 +106,11 @@ from typing import NamedTuple
 from repro.automata.glushkov import EdgeAction, ReadKind
 from repro.core.registry import NATIVE_FORMAT_VERSION
 
-# GATHER units wider than one machine word stay on the interpreted
-# path: the per-bit successor walk no longer fits a single uint64.
-GATHER_NATIVE_MAX_WIDTH = 64
+# A GATHER unit whose subset closure holds more states than this keeps
+# its mask stack (:meth:`FusedRuleset._gather_span`): measured rulesets
+# close in tens of states per unit, a blown closure (``(a|b)*a(a|b){11}c``
+# under ``--mode nfa``) is exponential and not worth a table.
+UNIT_DFA_MAX_STATES = 4096
 
 # NBVA units keep one bit per state (plain *and* counted) in a single
 # machine word; larger automata stay on ``NBVAScanner``.
@@ -104,11 +130,6 @@ def _u64(value: int) -> str:
     return f"0x{value & 0xFFFFFFFFFFFFFFFF:016x}ULL"
 
 
-def _u64_array(name: str, values: Iterable[int]) -> str:
-    body = ", ".join(_u64(v) for v in values)
-    return f"static const uint64_t {name}[] = {{ {body} }};"
-
-
 def _u64_matrix(name: str, rows: Sequence[Sequence[int]], lanes: int) -> str:
     lines = [f"static const uint64_t {name}[][{lanes}] = {{"]
     for row in rows:
@@ -125,16 +146,6 @@ def _u8_array(name: str, values: Iterable[int]) -> str:
 def _u16_array(name: str, values: Iterable[int]) -> str:
     body = ", ".join(map(str, values))
     return f"static const uint16_t {name}[] = {{ {body} }};"
-
-
-def _i64_array(name: str, values: Iterable[int]) -> str:
-    body = ", ".join(f"{int(v)}LL" for v in values)
-    return f"static const long long {name}[] = {{ {body} }};"
-
-
-def _i32_array(name: str, values: Iterable[int]) -> str:
-    body = ", ".join(str(int(v)) for v in values)
-    return f"static const int32_t {name}[] = {{ {body} }};"
 
 
 def _header(kind: str, layout_digest: str) -> str:
@@ -281,143 +292,98 @@ def _lane_dfa_source(fused, bins) -> str:
     return "\n".join(parts)
 
 
-# -- GATHER + DFA units -------------------------------------------------------
+# -- GATHER units: one forest of tables ----------------------------------------
 
+UNITS_CDEF = (
+    "int rap_units_span(const uint8_t *cls, long long n, long long start_i,\n"
+    "    uint16_t *state, int m, int at_end, long long stats_from,\n"
+    "    long long *active, long long *ev_pos, int32_t *ev_cursor,\n"
+    "    uint16_t *ev_state, long long cap, long long *n_ev,\n"
+    "    long long *resume_i);"
+)
 
-def gather_cdef(index: int) -> str:
-    return (
-        f"int rap_gather_scan_{index}(const uint8_t *cls, long long n,\n"
-        "    long long start_i, uint64_t *state, int fresh, int at_end,\n"
-        "    long long stats_from, long long *active,\n"
-        "    long long *ev_pos, uint64_t *ev_word, long long cap,\n"
-        "    long long *n_ev, long long *resume_i);"
-    )
-
-
-def dfa_cdef(index: int) -> str:
-    return (
-        f"int rap_dfa_scan_{index}(const uint8_t *cls, long long n,\n"
-        "    long long start_i, int32_t *state, long long stats_from,\n"
-        "    long long *active, long long *ev_pos, int32_t *ev_state,\n"
-        "    long long cap, long long *n_ev, long long *resume_i);"
-    )
-
-
-def native_gather_indices(fused) -> tuple[int, ...]:
-    """The GATHER units narrow enough for the single-word C kernel."""
-    return tuple(
-        j
-        for j in range(fused.gather_count)
-        if fused._gather[j].program.width <= GATHER_NATIVE_MAX_WIDTH
-    )
-
-
-def _gather_function(fused, index: int) -> str:
-    unit = fused._gather[index]
-    program = unit.program
-    p = f"G{index}"
-    parts = [
-        _u64_array(f"{p}_LABELS", unit.labels),
-        _u64_array(f"{p}_COLD", unit.cold),
-        _u64_array(f"{p}_SUCC", program.succ),
-        _u8_array(f"{p}_HOT", (1 if h else 0 for h in unit.hot_cls)),
-    ]
-    parts.append(
-        f"""
-{gather_cdef(index)[:-1]}
-{{
-  const uint64_t FINALW = {_u64(program.final)};
-  const uint64_t ENDA = {_u64(program.end_anchored_finals)};
-  const uint64_t INJ = {_u64(program.inject_always)};
-  const uint64_t INJF = {_u64(program.inject_first)};
-  long long i = start_i, last = n - 1, ne = 0, act = 0;
-  uint64_t s = *state;
-  if (fresh && i == 0 && n > 0) {{
-    s = INJF & {p}_LABELS[cls[0]];
-    if (s && stats_from <= 0) {{
-      act += POP(s);
-      uint64_t hits = s & FINALW;
-      if (hits && !(at_end && last == 0)) hits &= ~ENDA;
-      if (hits) {{ ev_pos[ne] = 0; ev_word[ne] = hits; ne++; }}
-    }}
-    i = 1;
-  }}
-  while (i < n) {{
-    if (!s) {{
-      while (i < n && !{p}_HOT[cls[i]]) i++;
-      if (i >= n) break;
-      s = {p}_COLD[cls[i]];
-    }} else {{
-      uint64_t avail = INJ, a = s;
-      while (a) {{
-        avail |= {p}_SUCC[__builtin_ctzll(a)];
-        a &= a - 1;
-      }}
-      s = avail & {p}_LABELS[cls[i]];
-    }}
-    if (s && i >= stats_from) {{
-      act += POP(s);
-      uint64_t hits = s & FINALW;
-      if (hits) {{
-        if (!(at_end && i == last)) hits &= ~ENDA;
-        if (hits) {{
-          ev_pos[ne] = i; ev_word[ne] = hits; ne++;
-          if (ne >= cap) {{
-            *state = s; *active += act;
-            *n_ev = ne; *resume_i = i + 1; return 1;
-          }}
-        }}
-      }}
-    }}
-    i++;
-  }}
-  *state = s; *active += act; *n_ev = ne; *resume_i = n; return 0;
-}}
+# The unit kernel is the same text for every ruleset.  A *cursor* is one
+# forest state id: ``m`` of them — any units, any entries, one unit twice
+# — step byte-major over the class stream.  It stops at a byte boundary
+# once fewer than ``m`` event slots remain, so ``cap >= m`` is the
+# caller's side of the continuation protocol.
+_UNITS_KERNEL = r"""
+{
+  long long i = start_i, last = at_end ? n - 1 : -1, ne = 0;
+  int u;
+  /* the warm-up prefix drives the states but owns no statistics */
+  for (; i < n && i < stats_from; i++) {
+    const uint16_t *next = NEXT + cls[i];
+    for (u = 0; u < m; u++) state[u] = next[state[u] * NCLS] & 0x7fff;
+  }
+  for (; i < n && cap - ne >= m; i++) {
+    const uint16_t *next = NEXT + cls[i];
+    unsigned f = 0;
+    for (u = 0; u < m; u++) {
+      unsigned t = next[state[u] * NCLS];
+      f |= t;
+      state[u] = t &= 0x7fff;
+      active[u] += POPS[t];
+    }
+    if (f & 0x8000)
+      for (u = 0; u < m; u++) {
+        int hit = FLAGS[state[u]];
+        if ((hit & 1) || ((hit & 2) && i == last)) {
+          ev_pos[ne] = i; ev_cursor[ne] = u; ev_state[ne] = state[u]; ne++;
+        }
+      }
+  }
+  *n_ev = ne; *resume_i = i;
+  return i < n;
+}
 """
-    )
-    return "\n".join(parts)
 
 
-def _dfa_function(fused, index: int) -> str:
-    unit = fused._dfa[index]
-    dfa = unit.dfa
-    p = f"D{index}"
-    parts = [
-        f"#define {p}_K {dfa.k}",
-        _i32_array(f"{p}_TRANS", dfa.transitions),
-        _i64_array(f"{p}_POPS", dfa.pops),
-        _u8_array(f"{p}_HOT", (1 if h else 0 for h in unit.hot_cls)),
-        _u8_array(f"{p}_HASHIT", (1 if m else 0 for m in dfa.final_hits)),
-    ]
-    parts.append(
-        f"""
-{dfa_cdef(index)[:-1]}
-{{
-  long long i = start_i, ne = 0, act = 0;
-  int32_t s = *state;
-  while (i < n) {{
-    if (!s) {{
-      while (i < n && !{p}_HOT[cls[i]]) i++;
-      if (i >= n) break;
-    }}
-    s = {p}_TRANS[(long long)s * {p}_K + cls[i]];
-    if (s && i >= stats_from) {{
-      act += {p}_POPS[s];
-      if ({p}_HASHIT[s]) {{
-        ev_pos[ne] = i; ev_state[ne] = s; ne++;
-        if (ne >= cap) {{
-          *state = s; *active += act;
-          *n_ev = ne; *resume_i = i + 1; return 1;
-        }}
-      }}
-    }}
-    i++;
-  }}
-  *state = s; *active += act; *n_ev = ne; *resume_i = n; return 0;
-}}
-"""
+def unit_forest(fused) -> list[int | None]:
+    """Where each GATHER unit's table starts in the forest's global
+    state ids (units numbered as :meth:`FusedRuleset.scan_units_span
+    <repro.core.fused.FusedRuleset.scan_units_span>` does), ``None`` for
+    a unit that is not in it: one without a table, or one the 15-bit id
+    space has no room left for (its cursors walk the table in Python)."""
+    bases: list[int | None] = []
+    total = 0
+    for unit in fused._units:
+        rows = len(unit.dfa.flags) if unit.dfa is not None else None
+        if rows is None or total + rows > 0x8000:
+            bases.append(None)
+        else:
+            bases.append(total)
+            total += rows
+    return bases
+
+
+def _forest_section(fused, bases: Sequence[int | None]) -> str:
+    """``NEXT`` / ``POPS`` / ``FLAGS`` as the module docstring describes
+    them — every placed unit's table at its id range — then the one
+    kernel text."""
+    nxt: list[str] = []
+    pops: list[int] = []
+    flags = b""
+    for unit, base in zip(fused._units, bases):
+        if base is not None:
+            dfa = unit.dfa
+            # one string per *state*, looked up per transition: the text
+            # is built without a list of every entry as an int
+            target = [
+                str((base + t) | (bool(f) << 15)) for t, f in enumerate(dfa.flags)
+            ]
+            nxt.append(", ".join(map(target.__getitem__, dfa.transitions)))
+            pops += dfa.pops
+            flags += dfa.flags
+    return "\n".join(
+        [
+            f"#define NCLS {fused.classes.k}",
+            f"static const uint16_t NEXT[] = {{ {', '.join(nxt)} }};",
+            f"static const uint32_t POPS[] = {{ {', '.join(map(str, pops))} }};",
+            _u8_array("FLAGS", flags),
+            UNITS_CDEF[:-1] + _UNITS_KERNEL,
+        ]
     )
-    return "\n".join(parts)
 
 
 # -- NBVA units ---------------------------------------------------------------
@@ -637,22 +603,19 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
 
 
 def unit_scan_source(fused) -> str:
-    """One translation unit covering every native-eligible scan unit.
-
-    Emits ``rap_gather_scan_<j>`` for each GATHER unit of width ≤ 64
-    (see :func:`native_gather_indices`) and ``rap_dfa_scan_<j>`` for
-    every DFA-tier unit.  Returns an empty string when nothing is
-    native-eligible, so callers can skip the build entirely.
+    """One translation unit covering every native-eligible scan unit:
+    the GATHER units' forest under ``rap_units_span`` and the NBVA
+    units' tables under ``rap_nbva_span``.  Returns an empty string when
+    nothing is native-eligible, so callers can skip the build entirely.
     """
-    gathers = native_gather_indices(fused)
+    bases = unit_forest(fused)
+    placed = any(base is not None for base in bases)
     nbvas = native_nbva_indices(fused)
-    if not gathers and not fused.dfa_count and not nbvas:
+    if not placed and not nbvas:
         return ""
     parts = [_header("scan units", fused.signature)]
-    for j in gathers:
-        parts.append(_gather_function(fused, j))
-    for j in range(fused.dfa_count):
-        parts.append(_dfa_function(fused, j))
+    if placed:
+        parts.append(_forest_section(fused, bases))
     if nbvas:
         parts.append(_nbva_section(fused, nbvas))
     return "\n".join(parts)
@@ -660,8 +623,9 @@ def unit_scan_source(fused) -> str:
 
 def unit_cdefs(fused) -> str:
     """The cffi ``cdef`` block matching :func:`unit_scan_source`."""
-    decls = [gather_cdef(j) for j in native_gather_indices(fused)]
-    decls.extend(dfa_cdef(j) for j in range(fused.dfa_count))
+    decls = []
+    if any(base is not None for base in unit_forest(fused)):
+        decls.append(UNITS_CDEF)
     if native_nbva_indices(fused):
         decls.append(NBVA_CDEF)
     return "\n".join(decls)

@@ -21,8 +21,10 @@ ruleset-level tricks, and this module implements all three:
    one row lookup per symbol, activity priced from a histogram of state
    visits.  The generated C dumps the same table closed
    (:mod:`repro.core.codegen`); :meth:`LaneDfa.walk` is the portable
-   stepper.  Plain-NFA units are grouped into class-indexed mask stacks
-   and scanned over the shared translated input.
+   stepper.  Plain-NFA (GATHER) units keep their own state words, are
+   determinised whole at build time — NFA-mode and DFA-mode alike, the
+   unit IR — and step as cursors over one forest of tables, all in one
+   call (:meth:`FusedRuleset.scan_units_span`).
 
 3. **Literal prefiltering**: the classes that can revive an empty
    machine are known at compile time, so cold stretches are skipped by
@@ -55,7 +57,7 @@ import numpy as np
 # The DFA tier's subset construction lives with the automata oracles;
 # this module is a lazily-loaded backend leaf, so the upward import does
 # not create a cycle (repro.automata never imports repro.core.fused).
-from repro.automata.dfa import ClassDFA, determinize_classes
+from repro.automata.dfa import ClassDFA, DFABlowupError, determinize_classes
 from repro.automata.glushkov import Automaton
 from repro.automata.nbva import (
     NBVA_STATE_VERSION,
@@ -217,9 +219,18 @@ class TranslatedSegment:
 
 
 class _GatherUnit:
-    """Class-indexed tables for one GATHER (plain NFA) unit."""
+    """One GATHER unit — NFA-mode or DFA-mode alike — over the shared
+    classes: the mask stack (``labels`` / ``cold``), and its subset
+    closure as a class-indexed table (``dfa``), the unit IR both steppers
+    read.  State ``s`` of the table stands for exactly the NFA active
+    set ``dfa.subsets[s]``, so every event and counter an NFA scan
+    reports is recovered from that memory (:mod:`repro.automata.dfa`),
+    anchors included.  A closure past :data:`codegen.UNIT_DFA_MAX_STATES
+    <repro.core.codegen.UNIT_DFA_MAX_STATES>` leaves ``dfa`` ``None``:
+    such a unit is stepped as the mask stack it is (``tier`` says so).
+    """
 
-    __slots__ = ("program", "labels", "cold", "hot_cls", "pops")
+    __slots__ = ("program", "labels", "cold", "hot_cls", "pops", "dfa", "tier")
 
     def __init__(self, program: KernelProgram, classes: AlphabetClasses):
         self.program = program
@@ -233,43 +244,35 @@ class _GatherUnit:
             dtype=np.int64,
             count=classes.k,
         )
+        cap = codegen.UNIT_DFA_MAX_STATES
+        try:
+            self.dfa: ClassDFA | None = determinize_classes(
+                self.labels,
+                program.succ,
+                program.inject_always,
+                program.final,
+                first=program.inject_first,
+                end_anchored=program.end_anchored_finals,
+                max_states=cap,
+            )
+            self.tier = f"table ({self.dfa.state_count} states)"
+        except DFABlowupError:
+            self.dfa = None
+            self.tier = f"interpreted (closure > {cap})"
 
-
-class _DfaUnit:
-    """Subset-constructed class table for one DFA-tier unit.
-
-    Built from the same GATHER program an NFA scan of the regex would
-    execute — the determinization bakes the unanchored restart in, so
-    DFA state ``s`` stands for exactly the NFA active set
-    ``dfa.subsets[s]`` and every counter the sink prices is recovered
-    from that memory (:mod:`repro.automata.dfa`).
-    """
-
-    __slots__ = ("program", "labels", "dfa", "hot_cls", "pops")
-
-    def __init__(self, program: KernelProgram, classes: AlphabetClasses):
-        self.program = program
-        self.labels = classes.project(program.labels)
-        self.dfa = determinize_classes(
-            self.labels,
-            program.succ,
-            program.inject_always,
-            program.final,
-        )
-        # The revival classes are state 0's live transitions — the same
-        # ``inject_always & labels[c]`` masks the gather units index, so
-        # the shared union prefilter covers this unit too.
-        trans = self.dfa.transitions
-        self.hot_cls = np.fromiter(
-            (trans[c] != 0 for c in range(classes.k)),
-            dtype=bool,
-            count=classes.k,
-        )
-        self.pops = np.fromiter(
-            (m.bit_count() for m in self.labels),
-            dtype=np.int64,
-            count=classes.k,
-        )
+    def enter(self, entry: int | None) -> int | None:
+        """The table state a span enters at: the stream start for
+        ``None``, else the state standing for active set ``entry`` —
+        ``None`` without a table, or when no scan reaches that set."""
+        dfa = self.dfa
+        if dfa is None:
+            return None
+        if entry is None:
+            return dfa.start
+        try:
+            return dfa.state_of(entry)
+        except ValueError:
+            return None
 
 
 class _NbvaUnit:
@@ -307,32 +310,6 @@ class _NbvaUnit:
         return self._sim.scanner(
             anchored_start=self.anchored_start, anchored_end=self.anchored_end
         )
-
-
-def _span_stats(
-    unit: _GatherUnit | _DfaUnit,
-    tin: TranslatedSegment,
-    stats_from: int,
-    active: int,
-    reports: int,
-) -> StepStats:
-    """One unit span's counters — the same tail whichever tier ran it.
-
-    ``cycles`` and ``matched_states`` are pure functions of the owned
-    input (one per-class dot product); only ``active`` and ``reports``
-    come from the stepping loop.
-    """
-    matched = (
-        int(tin.counts_from(stats_from) @ unit.pops)
-        if unit.program.track_matched
-        else 0
-    )
-    return StepStats(
-        cycles=len(tin.data) - max(0, stats_from),
-        active_states=active,
-        matched_states=matched,
-        reports=reports,
-    )
 
 
 class LaneDfa:
@@ -511,14 +488,17 @@ class FusedRuleset:
     All SHIFT_LEFT programs (packed LNFA bins, standalone Shift-And
     units) are concatenated into a single wide machine word; GATHER
     programs keep their own state words but share the class-translated
-    input and prefilter.  ``dfa_programs`` are GATHER programs executed
-    through the DFA tier instead: each is subset-constructed over the
-    shared classes into a dense table consuming one lookup per symbol
-    (:class:`_DfaUnit`), with the same translated input and prefilter.
+    input and prefilter.  Every GATHER program — ``gather_programs`` are
+    the NFA-mode ones, ``dfa_programs`` the DFA-mode ones; the split
+    only names them for callers and :attr:`signature` — is closed at
+    build time into one class-indexed table consuming one lookup per
+    symbol (:class:`_GatherUnit`), stepped through
+    :meth:`scan_units_span`.
     ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
     bit-vector automata: their label tables join the shared classes and
     each is stepped whole-frontier by :meth:`scan_nbva_unit_span` (no
-    prefilter — their counters are priced on every symbol).  The packed machine's per-unit projection
+    prefilter — their counters are priced on every symbol).  The packed
+    machine's per-unit projection
     ``(word >> base) & (2**width - 1)`` evolves bit-identically to a
     standalone scan of that unit: within a SHIFT_LEFT program the low
     bit is only ever set by injection, so a neighbour's top bit leaking
@@ -542,32 +522,12 @@ class FusedRuleset:
                     "fused lane packing requires SHIFT_LEFT programs, "
                     f"got {program.kind.value}"
                 )
-        gathers = tuple(gather_programs)
-        for program in gathers:
+        gathers, dfas = tuple(gather_programs), tuple(dfa_programs)
+        for program in gathers + dfas:
             if program.kind is not ProgramKind.GATHER:
                 raise ValueError(
-                    "fused mask stacks require GATHER programs, "
+                    "fused unit tables require GATHER programs, "
                     f"got {program.kind.value}"
-                )
-        dfas = tuple(dfa_programs)
-        for program in dfas:
-            # The DFA table bakes unanchored scanning in (every state
-            # re-includes the restart injection); anchored programs
-            # would need a different construction, and the compiler's
-            # eligibility gate never sends them here.
-            if program.kind is not ProgramKind.GATHER:
-                raise ValueError(
-                    "the DFA tier determinizes GATHER programs, "
-                    f"got {program.kind.value}"
-                )
-            if program.inject_first != program.inject_always:
-                raise ValueError(
-                    "the DFA tier requires unanchored programs "
-                    "(inject_first == inject_always)"
-                )
-            if program.end_anchored_finals:
-                raise ValueError(
-                    "the DFA tier cannot execute end-anchored finals"
                 )
 
         # -- (automaton, anchored_start, anchored_end) NBVA units ---------
@@ -625,17 +585,17 @@ class FusedRuleset:
             (inject_always & m != 0 for m in labels_cls), dtype=bool, count=k
         )
 
-        # -- class-indexed mask stacks for the gather programs ----------
-        self._gather = tuple(_GatherUnit(p, self.classes) for p in gathers)
-
-        # -- subset-constructed tables for the DFA-tier programs --------
-        self._dfa = tuple(_DfaUnit(p, self.classes) for p in dfas)
+        # -- the GATHER units: mask stacks, each closed into its table ---
+        # One numbering serves every span call: the NFA-mode programs,
+        # then the DFA-mode ones.
+        self._units = tuple(_GatherUnit(p, self.classes) for p in gathers + dfas)
+        self._gather = self._units[: len(gathers)]
+        self._dfa = self._units[len(gathers) :]
+        self._foreign_logged = False
 
         # -- the union prefilter ----------------------------------------
         union_hot = self.lane_hot_cls.copy()
-        for unit in self._gather:
-            union_hot |= unit.hot_cls
-        for unit in self._dfa:
+        for unit in self._units:
             union_hot |= unit.hot_cls
         self.union_hot_cls = union_hot
         self._hot_lut = union_hot[self.classes.np_map]  # per raw byte
@@ -769,19 +729,116 @@ class FusedRuleset:
             return positions
         return np.flatnonzero(self._hot_lut[arr]).tolist()
 
-    # -- the gather mask stacks -----------------------------------------
+    # -- the GATHER units -----------------------------------------------
+
+    def scan_units_span(
+        self,
+        cursors: Sequence[tuple[int, int | None]],
+        tin: TranslatedSegment,
+        *,
+        stats_from: int = 0,
+        at_end: bool = True,
+    ) -> list[tuple[list[MatchEvent], StepStats, int]]:
+        """Scan any number of GATHER-unit *cursors* over one span.
+
+        A cursor is ``(unit, entry)``: ``unit`` numbers the NFA-mode
+        programs first, then the DFA-mode ones (DFA unit ``j`` is
+        ``gather_count + j``); ``entry`` is the NFA active set entering
+        the span, ``None`` at the true stream start (where
+        ``inject_first`` applies).  All units of a bulk scan, the
+        non-serial units of one split chunk, round-two entries, two
+        collectors of one unit at different entry words — each is one
+        call.  ``stats_from`` is the first owned position (earlier
+        symbols only warm the state up — no events, no counters) and
+        ``at_end`` whether the span's last symbol is the stream's last
+        (end-anchored finals fire nowhere else).  Returns, per cursor,
+        the events, the owned-region counters and the exit active set —
+        identical to :meth:`PythonKernel.scan
+        <repro.core.pykernel.PythonKernel.scan>` of the unit's program.
+
+        A cursor whose entry is a state of its unit's table steps that
+        table: in the generated C when it is attached — every such
+        cursor of a mode in one call — else through :meth:`_dfa_span`.
+        A unit without a table, and an entry no scan of the machine
+        produces (a hand-edited snapshot), run the mask stack itself
+        (:meth:`_gather_span`): identical results, only slower.
+        """
+        if not cursors or not tin.data:
+            return [([], StepStats(), entry or 0) for _, entry in cursors]
+        last = len(tin.data) - 1 if at_end else -1
+
+        def decoded(number, raw, active, sid):
+            # Steppers record (position, table state); the subset memory
+            # turns each into its final-position mask, which can exceed
+            # 64 bits and so stays on this side of the C ABI.
+            unit = self._units[number]
+            subsets, final = unit.dfa.subsets, unit.program.final
+            mid = final & ~unit.program.end_anchored_finals
+            events = [
+                (pos, subsets[s] & (final if pos == last else mid))
+                for pos, s in raw
+            ]
+            return events, active, subsets[sid]
+
+        native = self._native_scanner()
+        spans: list = [None] * len(cursors)
+        compiled: tuple[list, list] = ([], [])  # NFA-mode, DFA-mode cursors
+        for slot, (number, entry) in enumerate(cursors):
+            unit = self._units[number]
+            sid = unit.enter(entry)
+            if sid is None:
+                if not self._foreign_logged:
+                    self._foreign_logged = True
+                    log.debug(
+                        "unit %d (%s) entered at %r: such spans step the "
+                        "mask stack", number, unit.tier, entry,
+                    )
+                spans[slot] = self._gather_span(
+                    unit, tin, entry or 0, entry is None, stats_from, at_end
+                )
+            elif native is not None and native.bases[number] is not None:
+                dfa_mode = number >= len(self._gather)
+                compiled[dfa_mode].append((slot, number, sid))
+            else:
+                spans[slot] = decoded(
+                    number, *self._dfa_span(unit, tin, sid, stats_from, at_end)
+                )
+        if native is not None:  # at most one crossing per mode
+            for group, span in zip(compiled, (native.gather_span, native.dfa_span)):
+                if group:
+                    walked = span(
+                        tin.cls_bytes,
+                        [cursor[1:] for cursor in group],
+                        at_end=at_end,
+                        stats_from=stats_from,
+                    )
+                    for (slot, number, _), result in zip(group, walked):
+                        spans[slot] = decoded(number, *result)
+
+        # ``cycles`` and ``matched_states`` are pure functions of the
+        # owned input (one per-class dot product); only ``active`` and
+        # the events come from the stepping loops.
+        counts = tin.counts_from(stats_from)
+        cycles = len(tin.data) - max(0, stats_from)
+        out = []
+        for (number, _), (events, active, state) in zip(cursors, spans):
+            unit = self._units[number]
+            stats = StepStats(
+                cycles=cycles,
+                active_states=active,
+                matched_states=(
+                    int(counts @ unit.pops) if unit.program.track_matched else 0
+                ),
+                reports=len(events),
+            )
+            out.append((events, stats, state))
+        return out
 
     def scan_unit(
         self, index: int, tin: TranslatedSegment
     ) -> tuple[list[MatchEvent], StepStats]:
-        """Scan GATHER unit ``index`` over the shared translated input.
-
-        Identical events and counters to :meth:`PythonKernel.scan
-        <repro.core.pykernel.PythonKernel.scan>` of the unit's program,
-        but the byte LUTs shrink to k entries, cold stretches are
-        skipped through the shared prefilter positions, and
-        ``matched_states`` is one per-class dot product.
-        """
+        """Scan GATHER unit ``index`` over the shared translated input:
+        the whole-stream, single-cursor :meth:`scan_units_span`."""
         events, stats, _ = self.scan_unit_span(index, tin)
         return events, stats
 
@@ -795,37 +852,23 @@ class FusedRuleset:
         stats_from: int = 0,
         at_end: bool = True,
     ) -> tuple[list[MatchEvent], StepStats, int]:
-        """Scan GATHER unit ``index`` over one span of a longer stream.
+        """One cursor of :meth:`scan_units_span` on unit ``index``,
+        entering at active set ``state`` (ignored when ``fresh``, which
+        marks the true stream start)."""
+        (span,) = self.scan_units_span(
+            [(index, None if fresh else state)],
+            tin,
+            stats_from=stats_from,
+            at_end=at_end,
+        )
+        return span
 
-        The chunked generalization of :meth:`scan_unit`: ``state`` is
-        the active set entering the span (ignored when ``fresh``, which
-        marks the true stream start and applies ``inject_first``),
-        ``stats_from`` the first owned position (earlier symbols only
-        warm the active set up — no events, no counters), and
-        ``at_end`` whether the span's last symbol is the stream's last
-        (end-anchored finals fire nowhere else).  Returns the events,
-        the owned-region counters, and the exit state continuing the
-        stream.
-        """
-        unit = self._gather[index]
-        if not tin.data:
-            return [], StepStats(), state
-        native = self._native_scanner()
-        if native is not None and native.has_gather(index):
-            events, active, exit_state = native.gather_span(
-                index,
-                tin.cls_bytes,
-                state=state,
-                fresh=fresh,
-                at_end=at_end,
-                stats_from=stats_from,
-            )
-        else:
-            events, active, exit_state = self._gather_span(
-                unit, tin, state, fresh, stats_from, at_end
-            )
-        stats = _span_stats(unit, tin, stats_from, active, len(events))
-        return events, stats, exit_state
+    def scan_dfa_unit_span(
+        self, index: int, tin: TranslatedSegment, **span
+    ) -> tuple[list[MatchEvent], StepStats, int]:
+        """:meth:`scan_unit_span` of DFA-mode unit ``index`` (``state``
+        is an NFA active set here too: :meth:`dfa_table` translates)."""
+        return self.scan_unit_span(len(self._gather) + index, tin, **span)
 
     @staticmethod
     def _gather_span(
@@ -836,8 +879,9 @@ class FusedRuleset:
         stats_from: int,
         at_end: bool,
     ) -> tuple[list[MatchEvent], int, int]:
-        """The NumPy-tier interpreter of :meth:`scan_unit_span`:
-        ``(events, active-state sum, exit state)``."""
+        """The mask-stack interpreter of one cursor — what a unit without
+        a table, or an entry outside it, falls back to: ``(events,
+        active-state sum, exit state)``."""
         program = unit.program
         cls = tin.cls_bytes
         labels = unit.labels
@@ -895,72 +939,22 @@ class FusedRuleset:
             i += 1
         return events, active, states
 
-    # -- the DFA-tier tables --------------------------------------------
-
-    def scan_dfa_unit(
-        self, index: int, tin: TranslatedSegment
-    ) -> tuple[list[MatchEvent], StepStats]:
-        """Scan DFA unit ``index`` over the shared translated input."""
-        events, stats, _ = self.scan_dfa_unit_span(index, tin)
-        return events, stats
-
-    def scan_dfa_unit_span(
-        self,
-        index: int,
-        tin: TranslatedSegment,
-        *,
-        state: int = 0,
-        fresh: bool = True,
-        stats_from: int = 0,
-        at_end: bool = True,
-    ) -> tuple[list[MatchEvent], StepStats, int]:
-        """Scan DFA unit ``index`` over one span of a longer stream.
-
-        The deterministic mirror of :meth:`scan_unit_span`: one table
-        lookup per symbol replaces the per-state gather union, and the
-        subset each state remembers recovers the exact events and
-        counters the NFA scan reports.  ``state`` is the DFA state index
-        entering the span.  ``fresh`` and ``at_end`` are accepted for
-        API symmetry but irrelevant here: the constructor only admits
-        unanchored programs, whose first-byte and mid-stream step rules
-        coincide (state 0 *is* the fresh start) and which have no
-        end-anchored finals to mask.  Returns the events, the
-        owned-region counters, and the exit DFA state.
-        """
-        del fresh, at_end
-        unit = self._dfa[index]
-        if not tin.data:
-            return [], StepStats(), state
-        native = self._native_scanner()
-        if native is not None:
-            raw, active, exit_state = native.dfa_span(
-                index, tin.cls_bytes, state=state, stats_from=stats_from
-            )
-        else:
-            raw, active, exit_state = self._dfa_span(
-                unit, tin, state, stats_from
-            )
-        # Both tiers record (position, DFA state); the subset memory
-        # decodes each state to its final-position mask, which can
-        # exceed 64 bits and so stays on this side of the C ABI.
-        final_hits = unit.dfa.final_hits
-        events = [(pos, final_hits[s]) for pos, s in raw]
-        stats = _span_stats(unit, tin, stats_from, active, len(events))
-        return events, stats, exit_state
-
     @staticmethod
     def _dfa_span(
-        unit: _DfaUnit, tin: TranslatedSegment, state: int, stats_from: int
+        unit: _GatherUnit,
+        tin: TranslatedSegment,
+        state: int,
+        stats_from: int,
+        at_end: bool,
     ) -> tuple[list[tuple[int, int]], int, int]:
-        """The NumPy-tier interpreter of :meth:`scan_dfa_unit_span`:
-        ``(raw (position, DFA state) events, active sum, exit state)``."""
-        dfa = unit.dfa
-        trans = dfa.transitions
-        pops = dfa.pops
-        final_hits = dfa.final_hits
-        kcls = dfa.k
+        """The portable stepper of one table cursor — the generated C's
+        results for it: ``(raw (position, table state) events, active
+        sum, exit state)``.  Asleep in state 0 between the shared
+        prefilter's hot positions."""
+        (rows, pops), flags = unit.dfa.walk_view, unit.dfa.flags
         cls = tin.cls_bytes
         n = len(cls)
+        last = n - 1 if at_end else -1
         hot_idx = tin.hot_for(unit.hot_cls)
         n_hot = len(hot_idx)
         raw: list[tuple[int, int]] = []
@@ -976,10 +970,11 @@ class FusedRuleset:
                     break
                 i = hot_idx[cursor]
                 cursor += 1
-            s = trans[s * kcls + cls[i]]
+            s = rows[s][cls[i]]
             if s and i >= stats_from:
                 active += pops[s]
-                if final_hits[s]:
+                hit = flags[s]
+                if hit and (hit & 1 or i == last):
                     raw.append((i, s))
             i += 1
         return raw, active, s
@@ -1066,8 +1061,15 @@ class FusedRuleset:
         """Number of NBVA units in the fused compilation."""
         return len(self._nbva)
 
-    def dfa_table(self, index: int) -> ClassDFA:
-        """DFA unit ``index``'s table: the state index ↔ NFA subset
-        memory (``subsets`` / ``state_of``) span callers translate
-        :class:`~repro.core.state.KernelState` words through."""
+    def dfa_table(self, index: int) -> ClassDFA | None:
+        """DFA unit ``index``'s table — the state index ↔ NFA subset
+        memory (``subsets`` / ``state_of``) the split engine's
+        :class:`StateMap` entries translate through — or ``None`` when
+        its closure passed the cap."""
         return self._dfa[index].dfa
+
+    def unit_tier(self, number: int) -> str:
+        """What steps GATHER unit ``number`` (numbered as
+        :meth:`scan_units_span` does), as ``--explain`` names it:
+        ``table (S states)`` or ``interpreted (closure > N)``."""
+        return self._units[number].tier

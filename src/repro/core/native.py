@@ -394,20 +394,25 @@ class NativeLaneScanner:
 
 
 class NativeUnitScanner:
-    """Compiled GATHER/DFA/NBVA span kernels of one fused ruleset."""
+    """The compiled unit kernels of one fused ruleset: the GATHER units'
+    forest of tables (``rap_units_span``) and the NBVA units
+    (``rap_nbva_span``)."""
 
     def __init__(self, fused):
         source = codegen.unit_scan_source(fused)
         if not source:
             raise NativeBuildError("no native-eligible scan units")
         lib = load_source(source, codegen.unit_cdefs(fused))
-        self._gather_fns = {
-            j: lib.fn(f"rap_gather_scan_{j}")
-            for j in codegen.native_gather_indices(fused)
-        }
-        self._dfa_fns = {
-            j: lib.fn(f"rap_dfa_scan_{j}") for j in range(fused.dfa_count)
-        }
+        # unit number -> first forest state id (None: not in the forest)
+        self.bases = codegen.unit_forest(fused)
+        placed = sum(base is not None for base in self.bases)
+        self._units_fn = lib.fn("rap_units_span") if placed else None
+        crowded = sum(unit.dfa is not None for unit in fused._units) - placed
+        if crowded:
+            log.debug(
+                "%d unit tables do not fit the forest's 15-bit state ids: "
+                "their cursors are walked in Python", crowded,
+            )
         # NBVA unit index -> (slot in the C unit table, {counted pid:
         # (word offset, words)} vector layout, total vector words)
         self._nbva = {
@@ -417,13 +422,10 @@ class NativeUnitScanner:
         self._nbva_fn = lib.fn("rap_nbva_span") if self._nbva else None
         self._cap = codegen.HIT_BUFFER_ENTRIES
 
-    def has_gather(self, index: int) -> bool:
-        return index in self._gather_fns
-
     def has_nbva(self, index: int) -> bool:
         return index in self._nbva
 
-    def _drain(self, fn, cls_bytes: bytes, *args):
+    def _drain(self, fn, cls_bytes: bytes, cap: int, *args):
         """Drive one span kernel through the continuation protocol.
 
         Calls ``fn(cls, n, start_i, *args, cap, n_ev, resume_i)`` until
@@ -440,7 +442,7 @@ class NativeUnitScanner:
                 len(cls_bytes),
                 i,
                 *args,
-                self._cap,
+                cap,
                 n_ev,
                 resume,
             )
@@ -449,61 +451,62 @@ class NativeUnitScanner:
             if rc == 0:
                 return
 
-    def gather_span(
+    def _cursors_span(
         self,
-        index: int,
         cls_bytes: bytes,
+        cursors: list[tuple[int, int]],
         *,
-        state: int,
-        fresh: bool,
         at_end: bool,
         stats_from: int,
-    ) -> tuple[list[tuple[int, int]], int, int]:
-        """``(events, active_state_sum, exit_state)`` for one span."""
-        word = np.array([state], dtype=np.uint64)
-        active = np.zeros(1, dtype=np.int64)
-        ev_pos = np.empty(self._cap, dtype=np.int64)
-        ev_word = np.empty(self._cap, dtype=np.uint64)
-        events: list[tuple[int, int]] = []
+    ) -> list[tuple[list[tuple[int, int]], int, int]]:
+        """Step ``(unit number, table state)`` cursors — any units of the
+        forest, in any multiplicity — over one span in one call (plus
+        continuations when the event buffer fills): per cursor, ``(raw
+        (position, table state) events, active-state sum, exit table
+        state)``.  Forest ids never leave this method."""
+        m = len(cursors)
+        bases = [self.bases[number] for number, _ in cursors]
+        state = np.array(
+            [base + sid for base, (_, sid) in zip(bases, cursors)], dtype=np.uint16
+        )
+        active = np.zeros(m, dtype=np.int64)
+        cap = max(self._cap, m)  # the kernel emits whole bytes: up to m events
+        ev_pos = np.empty(cap, dtype=np.int64)
+        ev_cursor = np.empty(cap, dtype=np.int32)
+        ev_state = np.empty(cap, dtype=np.uint16)
+        events: list[list[tuple[int, int]]] = [[] for _ in cursors]
         for count in self._drain(
-            self._gather_fns[index],
+            self._units_fn,
             cls_bytes,
-            word,
-            1 if fresh else 0,
+            cap,
+            state,
+            m,
             1 if at_end else 0,
             stats_from,
             active,
             ev_pos,
-            ev_word,
-        ):
-            events.extend(zip(ev_pos[:count].tolist(), ev_word[:count].tolist()))
-        return events, int(active[0]), int(word[0])
-
-    def dfa_span(
-        self,
-        index: int,
-        cls_bytes: bytes,
-        *,
-        state: int,
-        stats_from: int,
-    ) -> tuple[list[tuple[int, int]], int, int]:
-        """``(raw (pos, dfa_state) events, active_sum, exit_state)``."""
-        word = np.array([state], dtype=np.int32)
-        active = np.zeros(1, dtype=np.int64)
-        ev_pos = np.empty(self._cap, dtype=np.int64)
-        ev_state = np.empty(self._cap, dtype=np.int32)
-        events: list[tuple[int, int]] = []
-        for count in self._drain(
-            self._dfa_fns[index],
-            cls_bytes,
-            word,
-            stats_from,
-            active,
-            ev_pos,
+            ev_cursor,
             ev_state,
         ):
-            events.extend(zip(ev_pos[:count].tolist(), ev_state[:count].tolist()))
-        return events, int(active[0]), int(word[0])
+            for pos, u, sid in zip(
+                ev_pos[:count].tolist(),
+                ev_cursor[:count].tolist(),
+                ev_state[:count].tolist(),
+            ):
+                events[u].append((pos, sid - bases[u]))
+        exits = [sid - base for sid, base in zip(state.tolist(), bases)]
+        return list(zip(events, active.tolist(), exits))
+
+    # Two names for one call, so a traced scan attributes its (at most
+    # two) forest crossings to the NFA-mode and the DFA-mode units.
+
+    def gather_span(self, cls_bytes: bytes, cursors, **span):
+        """:meth:`_cursors_span` over the span's NFA-mode cursors."""
+        return self._cursors_span(cls_bytes, cursors, **span)
+
+    def dfa_span(self, cls_bytes: bytes, cursors, **span):
+        """:meth:`_cursors_span` over the span's DFA-mode cursors."""
+        return self._cursors_span(cls_bytes, cursors, **span)
 
     def nbva_span(
         self,
@@ -533,6 +536,7 @@ class NativeUnitScanner:
         for count in self._drain(
             self._nbva_fn,
             cls_bytes,
+            self._cap,
             slot,
             active,
             live,

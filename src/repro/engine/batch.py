@@ -267,10 +267,12 @@ class BatchEngine:
         predicted byte costs, the chosen mode, and the reason — or the
         compile error for patterns the compiler would reject.  Runs
         under the engine's backend scope so the cost constants scored
-        are the ones a real compile on this engine would use.  Entries
-        that land in NBVA mode also say which tier will step their unit
-        (``tier``): the generated C, or ``NBVAScanner`` and why; LNFA
-        entries say which tier steps the lane machine they share.
+        are the ones a real compile on this engine would use.  Every
+        entry also says which tier will step it (``tier``): NBVA-mode
+        ones the generated C, or ``NBVAScanner`` and why; NFA- and
+        DFA-mode ones their unit's table and its size, or the mask stack
+        when the closure blew the cap; LNFA ones the tier of the lane
+        machine they share.
         """
         compiler = self._effective_compiler(compiler)
         resolved, fallback = self.backend_report()
@@ -280,16 +282,17 @@ class BatchEngine:
             for index, entry in enumerate(entries):
                 if entry.trace is None:
                     continue
-                tier = None
-                if entry.trace.mode is CompiledMode.NBVA:
-                    tier = _nbva_tier(entry.pattern, compiler, resolved, fallback)
-                elif entry.trace.mode is CompiledMode.LNFA:
+                if entry.trace.mode is CompiledMode.LNFA:
                     if lane_tier is None:
                         lane_tier = self._lane_tier(
                             [e.pattern for e in entries if e.trace],
                             compiler, resolved, fallback,
                         )
                     tier = lane_tier
+                else:
+                    tier = self._unit_tier(
+                        entry.pattern, compiler, resolved, fallback
+                    )
                 if tier:
                     entries[index] = replace(entry, tier=tier)
         return entries
@@ -305,6 +308,31 @@ class BatchEngine:
             return f"interpreted ({fallback or resolved + ' backend'})"
         scanner = bind(compile_ruleset(patterns, compiler), self.hw).plan.scanner
         return scanner.lane_tier if scanner is not None else None
+
+    def _unit_tier(
+        self, pattern: str, compiler: CompilerConfig, resolved: str,
+        fallback: str | None,
+    ) -> str | None:
+        """Which tier steps a non-LNFA pattern's unit on the ``resolved``
+        backend.  NBVA mode: ``"native"``, or ``"interpreted (<why>)"``.
+        NFA and DFA mode, wherever a fused plan runs: ``"table (S
+        states)"``, or ``"interpreted (closure > N)"`` — the size is the
+        unit's own closure, the same under any ruleset's shared classes."""
+        interpreted = f"interpreted ({fallback or resolved + ' backend'})"
+        if resolved == "python":
+            return interpreted
+        ruleset = compile_ruleset([pattern], compiler)
+        mode = ruleset.regexes[0].mode if ruleset.regexes else CompiledMode.LNFA
+        if mode is CompiledMode.LNFA:
+            return None
+        if mode is not CompiledMode.NBVA:
+            return bind(ruleset, self.hw).plan.fused.unit_tier(0)
+        if resolved != "native":
+            return interpreted
+        from repro.core.codegen import nbva_interpreted_reason
+
+        why = nbva_interpreted_reason(ruleset.regexes[0].automaton)
+        return f"interpreted ({why})" if why else "native"
 
     def backend_report(self) -> tuple[str, str | None]:
         """The *resolved* step-kernel backend, with the fallback reason.
@@ -765,22 +793,6 @@ class BatchEngine:
 
 
 # -- policy helpers ---------------------------------------------------------
-
-
-def _nbva_tier(
-    pattern: str, compiler: CompilerConfig, resolved: str, fallback: str | None
-) -> str | None:
-    """Which tier steps an NBVA-mode pattern's unit on the ``resolved``
-    backend: ``"native"``, or ``"interpreted (<why>)"``."""
-    if resolved != "native":
-        return f"interpreted ({fallback or resolved + ' backend'})"
-    from repro.core.codegen import nbva_interpreted_reason
-
-    compiled = compile_ruleset([pattern], compiler).regexes
-    if not compiled or compiled[0].mode is not CompiledMode.NBVA:
-        return None
-    why = nbva_interpreted_reason(compiled[0].automaton)
-    return f"interpreted ({why})" if why else "native"
 
 
 def _rejection_error(ruleset: CompiledRuleset, patterns: list) -> CompileError:

@@ -26,11 +26,12 @@ Each compiled unit rides the cheapest sound mechanism:
   frontier per state bit, so units wider than
   :data:`MAX_FRONTIER_STATES` fall back to one serial whole-stream
   task.
-* **DFA-tier tables** — acyclic automata ride the bounded warm-up
+* **DFA-mode tables** — acyclic automata ride the bounded warm-up
   window exactly like NFA mask stacks; cyclic ones use the same
   two-round scheme with a :class:`~repro.core.sfa.StateMap` instead of
   a frontier table.  A DFA chunk mapping is plain function composition
-  over at most the state budget, so no serial fallback is ever needed.
+  over the unit's table, so only a unit whose closure blew the table
+  cap (it has none) falls back to a serial task.
 * **NBVA counter units** — counter vectors carry unbounded history;
   they always run as serial whole-stream tasks (in parallel with the
   chunk tasks, deduped by functional fingerprint).
@@ -99,7 +100,8 @@ class SplitCompilation:
 
     Adds the split classification to the plan's unit layout: each NFA
     and DFA unit's mechanism (``unit_kind`` / ``dfa_kind``, indexed like
-    ``nfa_units`` / ``dfa_units``) and the ruleset-wide warm-up window.
+    ``nfa_units`` / ``dfa_units``; ``kinds`` is the two end to end, by
+    cursor number) and the ruleset-wide warm-up window.
     Everything else (``bins``, ``fused``, ``scanner``, the unit lists,
     ``run_activity``) reads through to ``plan``.
     """
@@ -120,15 +122,20 @@ class SplitCompilation:
             else:
                 self.unit_kind.append(SERIAL)
         self.dfa_kind: list[str] = []
-        for compiled in self.dfa_units:
+        for unit, compiled in enumerate(self.dfa_units):
             bound = longest_activation_path(compiled.automaton)
-            # Cyclic DFA units never need a serial fallback: their
-            # chunk mapping is a StateMap over ≤ budget states.
+            # A cyclic DFA unit's chunk mapping is a StateMap over its
+            # table; only one whose closure blew the cap has none.
             if bound is not None:
                 self.dfa_kind.append(BOUNDED)
                 warm = max(warm, bound + 1)
-            else:
+            elif self.fused.dfa_table(unit) is not None:
                 self.dfa_kind.append(STATEMAP)
+            else:
+                self.dfa_kind.append(SERIAL)
+        # By cursor number, as the plan's span call numbers its units:
+        # the NFA-mode ones, then the DFA-mode ones.
+        self.kinds = self.unit_kind + self.dfa_kind
         self.warm = warm
 
     def __getattr__(self, name: str):
@@ -139,9 +146,7 @@ class SplitCompilation:
         """Whether any unit benefits from input chunking at all."""
         if self.scanner is not None:
             return True
-        if self.dfa_kind:
-            return True
-        return any(kind is not SERIAL for kind in self.unit_kind)
+        return any(kind is not SERIAL for kind in self.kinds)
 
 
 def split_collect(
@@ -196,9 +201,10 @@ def split_collect(
         )
         for ci, chunk in enumerate(chunks)
     ]
-    for unit, kind in enumerate(comp.unit_kind):
+    kinds = comp.kinds
+    for number, kind in enumerate(kinds):
         if kind is SERIAL:
-            tasks.append(("serial_nfa", unit))
+            tasks.append(("serial", number))
     for unit in range(len(comp.nbva_units)):
         tasks.append(("nbva", unit))
 
@@ -215,129 +221,97 @@ def split_collect(
     outcomes = parallel_map(_split_task, tasks, **pool)
 
     chunk_out: dict[int, tuple] = {}
-    serial_nfa: dict[int, tuple] = {}
+    serial: dict[int, tuple] = {}
     nbva_out: dict[int, RegexActivity] = {}
     for task, outcome in zip(tasks, outcomes):
         if task[0] == "chunk":
             chunk_out[task[1]] = outcome
-        elif task[0] == "serial_nfa":
-            serial_nfa[task[1]] = outcome
+        elif task[0] == "serial":
+            serial[task[1]] = outcome
         else:
             nbva_out[task[1]] = outcome
 
     # Two-round composition: chunk 0 scanned fresh and reported its exit
-    # state; later chunks reported their chunk mapping (FrontierMap for
-    # cyclic NFA units, StateMap for cyclic DFA units), through which
-    # the exact entry state of every chunk is composed — then round two
-    # rescans those chunks from their true entries, fully in parallel.
-    frontier_units = [
-        unit for unit, kind in enumerate(comp.unit_kind) if kind is FRONTIER
+    # state; later chunks reported their chunk mapping (FrontierMap over
+    # active sets for cyclic NFA units, StateMap over table states for
+    # cyclic DFA units), through which the exact entry state of every
+    # chunk is composed — then round two rescans those chunks from their
+    # true entries, fully in parallel.
+    two_round = [
+        number for number, kind in enumerate(kinds) if kind in (FRONTIER, STATEMAP)
     ]
-    statemap_units = [
-        unit for unit, kind in enumerate(comp.dfa_kind) if kind is STATEMAP
-    ]
-    frontier_parts: dict[tuple[int, int], tuple] = {}
-    dfa_parts: dict[tuple[int, int], tuple] = {}
-    if (frontier_units or statemap_units) and len(chunks) > 1:
+    round_two_parts: dict[tuple[int, int], tuple] = {}
+    if two_round:
         entries: dict[int, dict[int, int]] = {ci: {} for ci in range(1, len(chunks))}
-        for unit in frontier_units:
-            _, _, _, exit_state = chunk_out[0][1][unit]
-            state = exit_state
-            for ci in range(1, len(chunks)):
-                entries[ci][unit] = state
-                if ci < last:
-                    state = chunk_out[ci][2][unit].apply(state)
-        dfa_entries: dict[int, dict[int, int]] = {
-            ci: {} for ci in range(1, len(chunks))
-        }
-        for unit in statemap_units:
-            _, _, _, exit_state = chunk_out[0][3][unit]
-            state = exit_state
-            for ci in range(1, len(chunks)):
-                dfa_entries[ci][unit] = state
-                if ci < last:
-                    state = chunk_out[ci][4][unit].apply(state)
-        round_two = [
-            (
-                "round2",
-                ci,
-                chunks[ci].start,
-                chunks[ci].end,
-                ci == last,
-                entries[ci],
-                dfa_entries[ci],
+        for number in two_round:
+            state = chunk_out[0][1][number][3]
+            table = (
+                comp.fused.dfa_table(number - len(comp.unit_kind))
+                if kinds[number] is STATEMAP
+                else None
             )
+            for ci in range(1, len(chunks)):
+                entries[ci][number] = state
+                if ci == last:
+                    break
+                mapped = chunk_out[ci][2][number]
+                if table is None:
+                    state = mapped.apply(state)
+                else:  # spans speak active sets, state maps table states
+                    state = table.subsets[mapped.apply(table.state_of(state))]
+        round_two = [
+            ("round2", ci, chunks[ci].start, chunks[ci].end, ci == last, entries[ci])
             for ci in range(1, len(chunks))
         ]
         for (_, ci, *_), result in zip(
             round_two, parallel_map(_split_task, round_two, **pool)
         ):
-            nfa_result, dfa_result = result
-            for unit, part in nfa_result.items():
-                frontier_parts[(unit, ci)] = part
-            for unit, part in dfa_result.items():
-                dfa_parts[(unit, ci)] = part
+            for number, part in result.items():
+                round_two_parts[(number, ci)] = part
 
-    return _assemble(
-        comp,
-        chunks,
-        chunk_out,
-        serial_nfa,
-        nbva_out,
-        frontier_parts,
-        dfa_parts,
-        n,
-    )
+    return _assemble(comp, chunks, chunk_out, serial, nbva_out, round_two_parts, n)
 
 
 def _assemble(
     comp: SplitCompilation,
     chunks,
     chunk_out,
-    serial_nfa,
+    serial,
     nbva_out,
-    frontier_parts,
-    dfa_parts,
+    round_two_parts,
     n: int,
 ) -> RunActivity:
     """Fold per-chunk results, in chunk order, into the sequential run's
     exact :class:`RunActivity` (containers in collection order)."""
     order = range(len(chunks))
+    kinds = comp.kinds
 
-    def folded(unit: int, slot: int, round_two: dict | None) -> tuple:
-        """One unit's ``(positions, active, cycles)`` over all chunks;
-        ``round_two`` holds the rescans of two-round units' later chunks."""
+    def folded(number: int) -> tuple:
+        """One unit's ``(positions, active, cycles)`` over all chunks
+        (round two holds the rescans of two-round units' later chunks)."""
+        if kinds[number] is SERIAL:
+            return serial[number]
         positions: list[int] = []
         active = 0
         cycles = 0
         for ci in order:
-            if round_two is not None and ci > 0:
-                part = round_two[(unit, ci)]
+            if ci > 0 and kinds[number] in (FRONTIER, STATEMAP):
+                part = round_two_parts[(number, ci)]
             else:
-                part = chunk_out[ci][slot][unit]
+                part = chunk_out[ci][1][number]
             positions.extend(part[0])
             active += part[1]
             cycles += part[2]
         return positions, active, cycles
 
-    nfa = [
-        serial_nfa[unit][:3]
-        if kind is SERIAL
-        else folded(unit, 1, frontier_parts if kind is FRONTIER else None)
-        for unit, kind in enumerate(comp.unit_kind)
-    ]
-    dfa = [
-        folded(unit, 3, dfa_parts if kind is STATEMAP else None)
-        for unit, kind in enumerate(comp.dfa_kind)
-    ]
     units: dict[CompiledMode, list[RegexActivity]] = {
         CompiledMode.NFA: [
-            unit_activity(compiled, *result)
-            for compiled, result in zip(comp.nfa_units, nfa)
+            unit_activity(compiled, *folded(number))
+            for number, compiled in enumerate(comp.nfa_units)
         ],
         CompiledMode.DFA: [
-            unit_activity(compiled, *result)
-            for compiled, result in zip(comp.dfa_units, dfa)
+            unit_activity(compiled, *folded(number))
+            for number, compiled in enumerate(comp.dfa_units, len(comp.unit_kind))
         ],
         CompiledMode.NBVA: [
             nbva_out[unit] for unit in range(len(comp.nbva_units))
@@ -389,6 +363,20 @@ def _reset_split_worker() -> None:
     _SPLIT_STATE.clear()
 
 
+def _unit_parts(spans, base: int) -> list[tuple]:
+    """Span results as the ``(global positions, active, cycles, exit
+    active set)`` parts the parent folds."""
+    return [
+        (
+            [base + i for i, _ in events],
+            stats.active_states,
+            stats.cycles,
+            exit_state,
+        )
+        for events, stats, exit_state in spans
+    ]
+
+
 def _split_task(task: tuple):
     """Execute one split work unit inside a worker."""
     comp: SplitCompilation = _SPLIT_STATE["comp"]
@@ -398,41 +386,19 @@ def _split_task(task: tuple):
         _, ci, start, end, warm_start, at_end = task
         return _run_chunk(comp, data, ci, start, end, warm_start, at_end)
     if kind == "round2":
-        _, ci, start, end, at_end, entries, dfa_entries = task
-        tin = comp.fused.translate(data[start:end])
-        out = {}
-        for unit, entry in entries.items():
-            events, stats, exit_state = comp.fused.scan_unit_span(
-                unit, tin, state=entry, fresh=False, at_end=at_end
-            )
-            out[unit] = (
-                [start + i for i, _ in events],
-                stats.active_states,
-                stats.cycles,
-                exit_state,
-            )
-        dfa_out = {}
-        for unit, entry in dfa_entries.items():
-            events, stats, exit_state = comp.fused.scan_dfa_unit_span(
-                unit, tin, state=entry, fresh=False, at_end=at_end
-            )
-            dfa_out[unit] = (
-                [start + i for i, _ in events],
-                stats.active_states,
-                stats.cycles,
-                exit_state,
-            )
-        return (out, dfa_out)
-    if kind == "serial_nfa":
-        _, unit = task
-        tin = comp.fused.translate(data)
-        events, stats, exit_state = comp.fused.scan_unit_span(unit, tin)
-        return (
-            [i for i, _ in events],
-            stats.active_states,
-            stats.cycles,
-            exit_state,
+        _, ci, start, end, at_end, entries = task
+        spans = comp.fused.scan_units_span(
+            list(entries.items()),
+            comp.fused.translate(data[start:end]),
+            at_end=at_end,
         )
+        return dict(zip(entries, _unit_parts(spans, start)))
+    if kind == "serial":
+        _, number = task
+        spans = comp.fused.scan_units_span(
+            [(number, None)], comp.fused.translate(data)
+        )
+        return _unit_parts(spans, 0)[0][:3]
     _, unit = task  # "nbva"
     matches, stats, _ = comp.fused.scan_nbva_unit_span(
         unit, comp.fused.translate(data)
@@ -449,16 +415,18 @@ def _run_chunk(
     warm_start: int,
     at_end: bool,
 ):
-    """Scan one chunk: lanes plus every non-serial NFA unit.
+    """Scan one chunk: lanes plus every non-serial NFA and DFA unit.
 
     ``warm_start == 0`` replays from the true stream start (``fresh``),
     which keeps short-chunk plans exact; otherwise the warm-up window
     guarantees the zero-entry scan equals the sequential state by
     ``start``.  Frontier and statemap units are scanned directly only
     on chunk 0; later chunks return their owned-span chunk mapping
-    (FrontierMap / StateMap) for round two.
+    (FrontierMap / StateMap) for round two.  Returns ``(lane delta,
+    {unit number: part}, {unit number: chunk mapping})``.
     """
-    tin = comp.fused.translate(data[warm_start:end])
+    fused = comp.fused
+    tin = fused.translate(data[warm_start:end])
     stats_from = start - warm_start
     fresh = warm_start == 0
     lane = None
@@ -472,40 +440,21 @@ def _run_chunk(
             stats_from=stats_from,
             tin=tin,
         )
-    nfa_out: dict[int, tuple] = {}
+    scanned: list[int] = []
     maps_out: dict[int, object] = {}
-    for unit, kind in enumerate(comp.unit_kind):
-        if kind is SERIAL:
-            continue
-        if kind is FRONTIER and ci > 0:
-            maps_out[unit] = comp.fused.gather_unit_map(
-                unit, tin, start=stats_from
+    for number, kind in enumerate(comp.kinds):
+        if kind is BOUNDED or (kind is not SERIAL and ci == 0):
+            scanned.append(number)
+        elif kind is FRONTIER:
+            maps_out[number] = fused.gather_unit_map(number, tin, start=stats_from)
+        elif kind is STATEMAP:
+            maps_out[number] = fused.dfa_unit_map(
+                number - fused.gather_count, tin, start=stats_from
             )
-            continue
-        events, stats, exit_state = comp.fused.scan_unit_span(
-            unit, tin, fresh=fresh, stats_from=stats_from, at_end=at_end
-        )
-        nfa_out[unit] = (
-            [warm_start + i for i, _ in events],
-            stats.active_states,
-            stats.cycles,
-            exit_state,
-        )
-    dfa_out: dict[int, tuple] = {}
-    dfa_maps_out: dict[int, object] = {}
-    for unit, kind in enumerate(comp.dfa_kind):
-        if kind is STATEMAP and ci > 0:
-            dfa_maps_out[unit] = comp.fused.dfa_unit_map(
-                unit, tin, start=stats_from
-            )
-            continue
-        events, stats, exit_state = comp.fused.scan_dfa_unit_span(
-            unit, tin, fresh=fresh, stats_from=stats_from, at_end=at_end
-        )
-        dfa_out[unit] = (
-            [warm_start + i for i, _ in events],
-            stats.active_states,
-            stats.cycles,
-            exit_state,
-        )
-    return (lane, nfa_out, maps_out, dfa_out, dfa_maps_out)
+    spans = fused.scan_units_span(
+        [(number, None if fresh else 0) for number in scanned],
+        tin,
+        stats_from=stats_from,
+        at_end=at_end,
+    )
+    return lane, dict(zip(scanned, _unit_parts(spans, warm_start))), maps_out

@@ -576,13 +576,17 @@ class FusedRegexFeeder:
         self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
     ):
         self._fused = plan.fused
-        # (mode, unit index) -> the collectors of the regexes sharing it
+        # (mode, unit) -> the collectors of the regexes sharing it; NFA-
+        # and DFA-mode units by their cursor number (DFA after NFA).
+        first = {CompiledMode.DFA: plan.fused.gather_count}
         self._units: dict[tuple[CompiledMode, int], list] = {}
         for compiled in plan.ruleset:
             rid = compiled.regex_id
             if compiled.mode is not CompiledMode.LNFA:
-                key = (compiled.mode, plan.unit_index[rid])
-                self._units.setdefault(key, []).append((rid, collectors[rid]))
+                unit = first.get(compiled.mode, 0) + plan.unit_index[rid]
+                self._units.setdefault((compiled.mode, unit), []).append(
+                    (rid, collectors[rid])
+                )
 
     def feed(
         self,
@@ -595,52 +599,46 @@ class FusedRegexFeeder:
         is not in ``skip`` (shed regexes stay frozen where they are)."""
         if not tin.data:
             return
+        fused = self._fused
+        # Regexes sharing a unit have been fed the same bytes, so the
+        # live ones agree on one entry state; grouping by it (rather
+        # than assuming it) keeps a restored snapshot whose collectors
+        # disagree exact: one more cursor of the same unit.
+        groups: dict[tuple, list[RegexActivityCollector]] = {}
         for (mode, unit), members in self._units.items():
-            # Regexes sharing a unit have been fed the same bytes, so
-            # the live ones agree on one entry state; grouping by it
-            # (rather than assuming it) keeps a restored snapshot whose
-            # collectors disagree exact, merely slower.
-            entries: dict[object, list[RegexActivityCollector]] = {}
             for rid, collector in members:
                 if rid not in skip:
-                    entries.setdefault(collector.state, []).append(collector)
-            for entry, group in entries.items():
-                matches, stats, state = self._step(
-                    mode, unit, tin, entry, at_end
-                )
-                for collector in group:
-                    collector.apply_segment(
-                        stats=stats, matches=matches, state=state
+                    groups.setdefault((mode, unit, collector.state), []).append(
+                        collector
                     )
-
-    def _step(self, mode: CompiledMode, unit: int, tin, entry, at_end: bool):
-        """One unit's span from ``entry``: ``(global matches, counters,
-        continuation state)``, each of the unit's own kind."""
-        fused = self._fused
-        if mode is CompiledMode.NBVA:
-            return fused.scan_nbva_unit_span(
-                unit, tin, state=entry, at_end=at_end
-            )
-        if mode is CompiledMode.DFA:
-            # KernelState words are NFA active sets; the table's subset
-            # memory maps them to DFA state indices.
-            dfa = fused.dfa_table(unit)
-            events, stats, exit_state = fused.scan_dfa_unit_span(
-                unit, tin, state=dfa.state_of(entry.states)
-            )
-            exit_state = dfa.subsets[exit_state]
-        else:
-            events, stats, exit_state = fused.scan_unit_span(
-                unit,
-                tin,
-                state=entry.states,
-                fresh=entry.offset == 0,
-                at_end=at_end,
-            )
-        state = KernelState(
-            offset=entry.offset + len(tin.data), states=exit_state
+        # KernelState words are NFA active sets, as cursors take them:
+        # every NFA- and DFA-mode group is one cursor of one call.
+        table = [key for key in groups if key[0] is not CompiledMode.NBVA]
+        spans = fused.scan_units_span(
+            [
+                (unit, entry.states if entry.offset else None)
+                for _, unit, entry in table
+            ],
+            tin,
+            at_end=at_end,
         )
-        return [entry.offset + i for i, _ in events], stats, state
+        stepped = {
+            key: (
+                [key[2].offset + i for i, _ in events],
+                stats,
+                KernelState(offset=key[2].offset + len(tin.data), states=word),
+            )
+            for key, (events, stats, word) in zip(table, spans)
+        }
+        for key, group in groups.items():
+            mode, unit, entry = key
+            if mode is CompiledMode.NBVA:
+                stepped[key] = fused.scan_nbva_unit_span(
+                    unit, tin, state=entry, at_end=at_end
+                )
+            matches, stats, state = stepped[key]
+            for collector in group:
+                collector.apply_segment(stats=stats, matches=matches, state=state)
 
 
 def unit_activity(
@@ -797,23 +795,23 @@ class FusedRun:
         fused = plan.fused
         tin = fused.translate(data)
 
-        def scanned(compiled: CompiledRegex, events, stats) -> RegexActivity:
-            return unit_activity(
-                compiled,
-                [i for i, _ in events],
-                stats.active_states,
-                stats.cycles,
-            )
+        # Every NFA- and DFA-mode unit from the stream start: one call.
+        split = fused.gather_count
+        spans = fused.scan_units_span(
+            [(number, None) for number in range(split + fused.dfa_count)], tin
+        )
+
+        def scanned(members, spans) -> list[RegexActivity]:
+            return [
+                unit_activity(
+                    compiled, [i for i, _ in events], stats.active_states, stats.cycles
+                )
+                for compiled, (events, stats, _) in zip(members, spans)
+            ]
 
         units = {
-            CompiledMode.NFA: [
-                scanned(compiled, *fused.scan_unit(index, tin))
-                for index, compiled in enumerate(plan.nfa_units)
-            ],
-            CompiledMode.DFA: [
-                scanned(compiled, *fused.scan_dfa_unit(index, tin))
-                for index, compiled in enumerate(plan.dfa_units)
-            ],
+            CompiledMode.NFA: scanned(plan.nfa_units, spans[:split]),
+            CompiledMode.DFA: scanned(plan.dfa_units, spans[split:]),
             CompiledMode.NBVA: [
                 nbva_activity(
                     compiled, *fused.scan_nbva_unit_span(index, tin)[:2]

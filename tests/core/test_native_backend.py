@@ -62,6 +62,9 @@ NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(
     not NATIVE, reason="native backend not available (no C toolchain?)"
 )
+needs_fused = pytest.mark.skipif(
+    "fused" not in available_backends(), reason="fused backend not available"
+)
 
 
 def scannable_trees(max_leaves: int = 6):
@@ -524,6 +527,7 @@ class TestNativeNbva:
     def test_explain_names_the_tier_and_why(self, monkeypatch, capsys, tmp_path):
         from repro.cli import main
 
+        monkeypatch.delenv("RAP_MODE", raising=False)  # the auto-mode rows
         wide = "abcdefghij" * 7 + "x{5,9}y"
         patterns = ["ab{10,20}c", wide, "needle"]
 
@@ -559,12 +563,22 @@ class TestNativeNbva:
         """``nbva_base`` describes the tier that runs: within an order
         of magnitude of the default on native, not the ~100x of the
         pure-Python scan."""
-        from repro.compiler.calibrate import calibrate
+        from repro.compiler import calibrate as cal
         from repro.compiler.costmodel import DEFAULT_CONSTANTS
 
-        report = calibrate("native", probe_bytes=32768, repeats=1)
+        report = cal.calibrate("native", probe_bytes=32768, repeats=1)
         assert report.measurements["nbva"] < 20 * report.measurements["nfa_sparse"]
         assert report.constants.nbva_base < 10 * DEFAULT_CONSTANTS.nbva_base
+        # NFA-mode units step a table: one lookup per byte whatever the
+        # activity.  Probes that show no slope leave the documented
+        # default in force rather than a fitted zero.
+        measured = report.measurements
+        if measured["nfa_dense"] <= measured["nfa_sparse"]:
+            assert report.constants.nfa_active == DEFAULT_CONSTANTS.nfa_active
+        with mock.patch.object(cal, "_time_scan", lambda *probe: 1e-8):
+            flat = cal.calibrate("native").constants
+        assert flat.nfa_active == DEFAULT_CONSTANTS.nfa_active
+        assert flat.dfa_density == DEFAULT_CONSTANTS.dfa_density
 
     def test_stats_merge_is_associative_and_concatenates(self):
         automaton = build_automaton(parse_anchored("a[bc]{3}d").regex)
@@ -914,14 +928,392 @@ class TestNativeLaneDfa:
         assert outputs[0].startswith("dfa (")
 
 
+def nfa_rulesets():
+    """2-5 regexes a forced-NFA compile keeps as GATHER units — classes,
+    alternations, stars, ``^`` / ``$`` — led by a literal wider than one
+    machine word (the bit-parallel C emitter this table replaced could
+    not take it; a table has no width)."""
+    atom = st.sampled_from(
+        ["a", "b", "c", "[ab]", "[^a]", ".", "(a|bc)", "(ab|c)", "a*", "b+",
+         "(a|b)*", "c?"]
+    )
+    body = st.lists(atom, min_size=2, max_size=5).map("".join)
+    decorated = st.tuples(st.booleans(), st.booleans(), body).map(
+        lambda t: "^" * t[0] + t[2] + "$" * t[1]
+    )
+    wide = st.integers(65, 80).map(
+        lambda n: "".join("abc"[i * i % 3] for i in range(n))
+    )
+    return st.tuples(wide, st.lists(decorated, min_size=1, max_size=4)).map(
+        lambda t: [t[0], *t[1]]
+    )
+
+
+def _nfa_programs(patterns):
+    """The GATHER programs of a forced-NFA compile, or ``None`` when the
+    compiler rejects a pattern (an empty-matching body, say)."""
+    from repro.automata.nfa import NFASimulator
+
+    ruleset = compile_ruleset(patterns, CompilerConfig(forced_mode=CompiledMode.NFA))
+    if ruleset.rejected or any(r.mode is not CompiledMode.NFA for r in ruleset):
+        return None
+    return [
+        NFASimulator(r.automaton).program(
+            anchored_start=r.anchored_start, anchored_end=r.anchored_end
+        )
+        for r in ruleset
+    ]
+
+
+def _assert_units_identical(
+    programs, stream, *, backend, slack=4096, states_cap=None, seed=0
+):
+    """GATHER programs and one stream through every contract of
+    :meth:`FusedRuleset.scan_units_span`, cursor by cursor against
+    ``PythonKernel``: all units in one call, one seam at every offset
+    chained through the exit words, warm-up windows, and random cursor
+    lists — any units, one unit several times at different entry words.
+    ``slack`` sizes the event buffer: ``m + slack`` entries for ``m``
+    cursors (0: the kernel returns after every byte that reports)."""
+    from repro.core.fused import FusedRuleset
+    from repro.core.pykernel import PythonKernel
+
+    oracle = PythonKernel()
+    rng = random.Random(seed)
+    numbers = range(len(programs))
+
+    def want(number, entry, segment, *, stats_from=0, at_end=True):
+        # scan_segment reads freshness off the offset; any other offset
+        # is "mid-stream", and only shifts the reported positions
+        shift = 0 if entry is None else 1
+        state = KernelState(offset=shift, states=entry or 0)
+        _, _, state = oracle.scan_segment(
+            programs[number], segment[:stats_from], state, at_end=False
+        )
+        events, stats, state = oracle.scan_segment(
+            programs[number], segment[stats_from:], state, at_end=at_end
+        )
+        return [(i - shift, hits) for i, hits in events], stats, state.states
+
+    with contextlib.ExitStack() as patches:
+        if states_cap is not None:
+            patches.enter_context(
+                mock.patch.object(codegen, "UNIT_DFA_MAX_STATES", states_cap)
+            )
+        patches.enter_context(use_backend(backend))
+        fused = FusedRuleset(gather_programs=programs)
+        tiers = [fused.unit_tier(number) for number in numbers]
+        if states_cap is None:
+            assert all(tier.startswith("table (") for tier in tiers), tiers
+            assert fused.native_active == (backend == "native")
+            assert "rap_units_span" in codegen.unit_scan_source(fused)
+        else:  # the wide literal alone closes over > 64 states
+            assert tiers[0] == f"interpreted (closure > {states_cap})"
+
+        def check(cursors, segment, **span):
+            if fused.native_active:
+                fused._native_scanner()._cap = len(cursors) + slack
+            got = fused.scan_units_span(cursors, fused.translate(segment), **span)
+            assert got == [
+                want(number, entry, segment, **span) for number, entry in cursors
+            ], (cursors, segment, span)
+            return got
+
+        fresh = [(number, None) for number in numbers]
+        check(fresh, stream)
+        reached = [{0} for _ in numbers]  # active sets met at some seam
+        for cut in range(1, len(stream)):
+            first = check(fresh, stream[:cut], at_end=False)
+            exits = [word for _, _, word in first]
+            for words, word in zip(reached, exits):
+                words.add(word)
+            check(list(zip(numbers, exits)), stream[cut:])
+
+        # Warm-up windows: the prefix drives the states, owns nothing.
+        for warm_start in (0, 1, len(stream) // 2):
+            entry = None if warm_start == 0 else 0
+            for start in range(warm_start, len(stream), 3):
+                check(
+                    [(number, entry) for number in numbers],
+                    stream[warm_start:],
+                    stats_from=start - warm_start,
+                )
+
+        # Any cursor list is one call: a subset of the units, a unit
+        # twice, fresh beside mid-stream.
+        for _ in range(12):
+            cursors = [
+                (number, rng.choice([None, *sorted(reached[number])]))
+                for number in rng.choices(numbers, k=rng.randint(1, 2 * len(numbers)))
+            ]
+            cut = rng.randrange(len(stream))
+            check(cursors, stream[cut:], at_end=rng.random() < 0.5)
+    return fused
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param("fused", marks=needs_fused),
+        pytest.param("native", marks=needs_native),
+    ],
+)
+class TestUnitForest:
+    """Every GATHER unit is one table, stepped as cursors over a forest
+    — by the generated ``rap_units_span`` or the portable walker — ≡
+    ``PythonKernel``, event words, counters and exit sets; and so is the
+    mask stack a unit keeps when its closure blows the cap."""
+
+    @settings(max_examples=12, deadline=None)  # one cc run per native example
+    @given(
+        patterns=nfa_rulesets(),
+        data=inputs(alphabet="abcx", max_size=24),
+        slack=st.sampled_from([0, 1, codegen.HIT_BUFFER_ENTRIES]),
+    )
+    def test_random_nfa_rulesets_at_every_seam(self, backend, patterns, data, slack):
+        programs = _nfa_programs(patterns)
+        assume(programs is not None)
+        # the wide literal itself in the stream: subsets past bit 64
+        half = len(data) // 2
+        stream = data[:half] + patterns[0].encode() + data[half:] + b"a"
+        _assert_units_identical(
+            programs, stream, backend=backend, slack=slack, seed=len(data)
+        )
+
+    @settings(max_examples=5, deadline=None)
+    @given(patterns=nfa_rulesets(), data=inputs(alphabet="abcx", max_size=24))
+    def test_over_cap_units_keep_the_mask_stack(self, backend, patterns, data):
+        programs = _nfa_programs(patterns)
+        assume(programs is not None)
+        stream = patterns[0].encode() + data + b"b"
+        _assert_units_identical(
+            programs, stream, backend=backend, slack=0, states_cap=8
+        )
+
+    def test_anchors_alternations_and_dense_events(self, backend):
+        """Deterministic: every decoration at once, an event on nearly
+        every byte through an ``m``-entry buffer, end-anchored witnesses
+        on the last byte."""
+        patterns = [
+            "abcabcabc" * 8, "^ab", "[ab]", "(a|b)*c", "^(ab|c)+$", "b.a", "c$",
+            "a(b|c)*a",
+        ]
+        stream = b"abcabcABCabcabcabcxabBAabcabcab.cabc"
+        programs = _nfa_programs(patterns)
+        for slack in (0, 1):
+            _assert_units_identical(programs, stream, backend=backend, slack=slack)
+        fused = _assert_units_identical(
+            programs, stream, backend=backend, states_cap=8
+        )
+        assert {fused.unit_tier(n).split(" (")[0] for n in range(len(patterns))} == {
+            "table", "interpreted"
+        }
+
+    def test_the_real_blow_up_stays_interpreted(self, backend, capsys, tmp_path):
+        """``(a|b)*a(a|b){11}c`` as an NFA: 4 098 subsets, two past the
+        cap — found out quickly, said by ``--explain``, scanned exactly."""
+        import time
+
+        from repro.cli import main
+
+        pattern = "(a|b)*a(a|b){11}c"
+        (program,) = _nfa_programs([pattern])
+        fused = _assert_units_identical(
+            [program], b"abbaabababbbcabababbbbaabbac", backend=backend,
+            states_cap=codegen.UNIT_DFA_MAX_STATES,
+        )
+        assert fused.unit_tier(0) == "interpreted (closure > 4096)"
+        with mock.patch.object(codegen, "UNIT_DFA_MAX_STATES", 4098):
+            with use_backend(backend):
+                from repro.core.fused import FusedRuleset
+
+                closed = FusedRuleset(gather_programs=[program])
+        assert closed.unit_tier(0) == "table (4098 states)"
+        start = time.perf_counter()
+        with use_backend(backend):
+            FusedRuleset(gather_programs=[program])
+        assert time.perf_counter() - start < 0.5  # ~10 ms at reference speed
+
+        engine = BatchEngine(
+            EngineConfig(backend=backend, mode="nfa", use_cache=False)
+        )
+        easy = "ab(c|d)*e"
+        assert [entry.tier for entry in engine.explain([pattern, easy])] == [
+            "interpreted (closure > 4096)", "table (6 states)",
+        ]
+        rules = tmp_path / "rules.txt"
+        rules.write_text(f"{pattern}\n{easy}\n")
+        stream = tmp_path / "in.bin"
+        stream.write_bytes(b"x")
+        assert main(
+            ["scan", "--patterns", str(rules), str(stream), "--explain",
+             "--mode", "nfa", "--backend", backend]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "unit tier: interpreted (closure > 4096)" in out
+        assert "unit tier: table (6 states)" in out
+        data = bytes(random.Random(5).choices(b"ab", k=4000)) + b"c"
+        ruleset = compile_ruleset(
+            [pattern, easy], CompilerConfig(forced_mode=CompiledMode.NFA)
+        )
+        assert _run(ruleset, data, backend) == _run(ruleset, data, "python")
+        with mock.patch.object(codegen, "UNIT_DFA_MAX_STATES", 8):
+            assert [e.tier for e in engine.explain(["abcabcabc", easy])] == [
+                "interpreted (closure > 8)", "table (6 states)",
+            ]
+
+    def test_units_the_forest_has_no_room_for_are_walked(self, backend, caplog):
+        """Sixteen 2 050-state closures: the sixteenth would pass the
+        forest's 15-bit state ids, so its cursors walk the table in
+        Python beside the compiled fifteen — said once, results equal."""
+        from repro.core.fused import FusedRuleset
+
+        programs = _nfa_programs(
+            [f"(a|b)*a(a|b){{10}}{chr(last)}" for last in range(ord("c"), ord("s"))]
+        )
+        witness = b"a" + b"b" * 10
+        noise = bytes(random.Random(3).choices(b"ab", k=300))
+        stream = noise + witness + b"q" + witness + b"r"
+        with use_backend(backend):
+            fused = FusedRuleset(gather_programs=programs)
+        assert {fused.unit_tier(n) for n in range(16)} == {"table (2050 states)"}
+        with caplog.at_level(logging.DEBUG, logger="repro.core.native"):
+            got = fused.scan_units_span(
+                [(n, None) for n in range(16)], fused.translate(stream)
+            )
+        if backend == "native":
+            bases = fused._native_scanner().bases
+            assert bases[:15] == [2050 * n for n in range(15)] and bases[15] is None
+            assert any("do not fit the forest" in r.message for r in caplog.records)
+        from repro.core.pykernel import PythonKernel
+
+        assert [(events, stats) for events, stats, _ in got] == [
+            PythonKernel().scan(program, stream) for program in programs
+        ]
+        assert all(events for events, _, _ in got[-2:])  # ...q and ...r fired
+
+    def test_entry_word_outside_the_closure_steps_the_mask_stack(
+        self, backend, caplog
+    ):
+        from repro.core.pykernel import PythonKernel
+
+        programs = _nfa_programs(["abcdef", "b(c|d)*e"])
+        with use_backend(backend):
+            from repro.core.fused import FusedRuleset
+
+            fused = FusedRuleset(gather_programs=programs)
+        # "abc" and "abcde" matched so far: no input leaves both true.
+        foreign = 1 << 2 | 1 << 4
+        assert fused._units[0].enter(foreign) is None
+        tin = fused.translate(b"fab.abcdef")
+        with caplog.at_level(logging.DEBUG, logger="repro.core.fused"):
+            got = fused.scan_units_span([(0, foreign), (1, 0), (0, foreign)], tin)
+            fused.scan_units_span([(0, foreign)], tin)
+        logged = [r for r in caplog.records if "mask stack" in r.message]
+        assert len(logged) == 1 and "unit 0" in logged[0].message
+        want = [
+            PythonKernel().scan_segment(
+                programs[number], tin.data, KernelState(offset=1, states=entry)
+            )
+            for number, entry in [(0, foreign), (1, 0), (0, foreign)]
+        ]
+        assert got == [
+            ([(i - 1, hits) for i, hits in events], stats, state.states)
+            for events, stats, state in want
+        ]
+        assert [i for i, _ in got[0][0]] == [0, 9]  # abcde|f, then the whole word
+        # ... and the exit set is back inside the table.
+        assert fused._units[0].enter(got[0][2]) is not None
+
+    def test_collectors_of_one_unit_restored_to_different_states(self, backend):
+        """A hand-assembled snapshot whose two regexes share a unit but
+        disagree on its state: two cursors of the one call, each exact."""
+        from tests.engine.test_checkpoint import _collector_docs, _plan_ruleset
+
+        ruleset, data = _plan_ruleset("nfa")
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        cut = 7  # "abc.abb": regexes 0 and 1 (ab*c twice) are mid-match
+        other = b"q..xyza"  # as long, and leaves their unit elsewhere
+
+        with use_backend(backend):
+            plan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan
+        assert plan.unit_index[0] == plan.unit_index[1]
+
+        def resumed(which):
+            with use_backend(which):
+                docs = []
+                for prefix in (data[:cut], other):
+                    scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                    scan.feed(prefix, at_end=False)
+                    docs.append(scan.snapshot())
+                doc, donor = docs
+                states = [d["regex"][1][1]["scanner"]["states"] for d in docs]
+                assert "0" not in states and states[0] != states[1]
+                doc["regex"][1] = donor["regex"][1]
+                scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                scan.restore_detached(json.loads(json.dumps(doc)))
+                scan.feed(data[cut:], at_end=True)
+                return _collector_docs(scan), scan.finish()
+
+        assert resumed(backend) == resumed("python")
+
+    def test_snort_nfa64_input_jobs_and_sigkill_resume(self, backend, tmp_path):
+        from benchmarks.ledger.workloads import RULESETS
+        from repro.workloads.inputs import generate_input
+
+        patterns = RULESETS["snort_nfa64"]()
+        data = generate_input(
+            "network", 4000, seed=9, patterns=patterns, plant_every=400
+        )
+        ruleset = compile_ruleset(patterns)
+        config = EngineConfig(
+            backend=backend, input_jobs=2, min_chunk_bytes=512, use_cache=False
+        )
+        assert BatchEngine(config).scan(ruleset, data) == _run(ruleset, data, "python")
+        if backend == "native":  # the golden: the serial fused scan just checked
+            _sigkill_resume(
+                tmp_path, patterns, data, "fused", extra=("--input-jobs", "2")
+            )
+
+
+@needs_fused
+def test_fresh_processes_emit_the_same_unit_source():
+    """Closure ids are breadth-first over ordered containers only:
+    hash randomisation cannot reorder a table, so two processes
+    agree on the unit ``.so`` cache key."""
+    program = (
+        "from benchmarks.ledger.workloads import RULESETS\n"
+        "from repro.compiler import compile_ruleset\n"
+        "from repro.core import codegen, use_backend\n"
+        "from repro.core.native import source_key\n"
+        "from repro.hardware.config import DEFAULT_CONFIG\n"
+        "from repro.simulators.rap import bind\n"
+        "ruleset = compile_ruleset(RULESETS['snort_nfa64']() + ['^a(b|c)*d$'])\n"
+        "with use_backend('fused'):\n"
+        "    fused = bind(ruleset, DEFAULT_CONFIG).plan.fused\n"
+        "print(fused.unit_tier(0), source_key(codegen.unit_scan_source(fused)))\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, cwd=repo, check=True,
+            env=dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("table (")
+
+
 @needs_native
 @pytest.mark.parametrize(
     "name, kernels",
     [
         ("keywords64", {"rap_lane_scan"}),
-        ("snort_nfa64", {"rap_gather_scan_0"}),
-        ("snort_mix16", {"rap_lane_scan", "rap_gather_scan_0", "rap_nbva_span"}),
-        ("forced_dfa", {"rap_dfa_scan_0"}),
+        ("snort_nfa64", {"rap_units_span"}),
+        ("snort_mix16", {"rap_lane_scan", "rap_units_span", "rap_nbva_span"}),
+        ("forced_dfa", {"rap_units_span"}),
     ],
 )
 def test_generated_sources_compile_warning_free(
@@ -1074,6 +1466,113 @@ def test_lane_kernel_sanitized(name, tmp_path):
                 if word >> bit & 1:
                     matches[rid].append(position)
         assert matches == want.matches
+
+
+_SANITIZED_UNITS_MAIN = r"""
+#include <stdio.h>
+#include <stdlib.h>
+/* Exact-size heap blocks again; the forest itself is static const, so an
+   out-of-range state id is a global-buffer-overflow. */
+int main(int argc, char **argv)
+{
+  static const uint16_t entry[] = { %(entry)s };
+  enum { M = sizeof entry / sizeof *entry };
+  long long n = atoll(argv[2]), cap = M, ne = 0, resume = 0, e;
+  uint8_t *cls = malloc(n);
+  uint16_t *state = malloc(sizeof entry);
+  long long *active = calloc(M, sizeof *active);
+  long long *ev_pos = malloc(cap * sizeof *ev_pos);
+  int32_t *ev_cursor = malloc(cap * sizeof *ev_cursor);
+  uint16_t *ev_state = malloc(cap * sizeof *ev_state);
+  FILE *f = fopen(argv[1], "rb");
+  int rc, u;
+  if (argc != 3 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
+  for (u = 0; u < M; u++) state[u] = entry[u];
+  do {
+    rc = rap_units_span(cls, n, resume, state, M, 1, 0, active, ev_pos,
+                        ev_cursor, ev_state, cap, &ne, &resume);
+    for (e = 0; e < ne; e++)
+      printf("ev %%lld %%d %%u\n", ev_pos[e], ev_cursor[e], ev_state[e]);
+    printf("return %%d\n", rc);
+  } while (rc);
+  for (u = 0; u < M; u++) printf("exit %%u %%lld\n", state[u], active[u]);
+  free(cls); free(state); free(active); free(ev_pos); free(ev_cursor);
+  free(ev_state); fclose(f);
+  return 0;
+}
+"""
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["snort_nfa64", "snort_mix16"])
+def test_unit_kernel_sanitized(name, tmp_path):
+    """The unit forest of each ledger ruleset with GATHER units, built
+    with a generated ``main()`` under ASan + UBSan: every unit a fresh
+    cursor, an ``m``-entry event buffer so the kernel returns and
+    re-enters mid-stream — clean exit, and events, hit words, active
+    sums and exit sets equal to ``PythonKernel``'s."""
+    from benchmarks.ledger.workloads import RULESETS
+    from repro.core.native import _find_compiler
+    from repro.core.pykernel import PythonKernel
+    from repro.simulators.fused import FusedPlan
+    from repro.workloads.inputs import generate_input
+
+    patterns = RULESETS[name]()
+    ruleset = compile_ruleset(patterns)
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    with use_backend("fused"):
+        fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
+    bases = codegen.unit_forest(fused)
+    units = fused._units
+    assert units and None not in bases
+    data = generate_input(
+        "network", 1 << 15, seed=4, patterns=patterns, plant_every=150
+    )
+    source = tmp_path / "units.c"
+    source.write_text(
+        codegen.unit_scan_source(fused)
+        + _SANITIZED_UNITS_MAIN
+        % dict(
+            entry=", ".join(
+                str(base + unit.dfa.start) for base, unit in zip(bases, units)
+            )
+        )
+    )
+    binary = tmp_path / "units"
+    build = subprocess.run(
+        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+    stream = tmp_path / "cls.bin"
+    stream.write_bytes(fused.translate(data).cls_bytes)
+    run = subprocess.run(
+        [str(binary), str(stream), str(len(data))], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert sum(line == ["return", "1"] for line in lines) > 3  # continuations
+    events = [[] for _ in units]
+    for _, position, cursor, sid in (l for l in lines if l[0] == "ev"):
+        events[int(cursor)].append((int(position), int(sid)))
+    exits = [(int(l[1]), int(l[2])) for l in lines if l[0] == "exit"]
+    assert any(events) and len(exits) == len(units)
+    for unit, base, found, (sid, active) in zip(units, bases, events, exits):
+        program = unit.program
+        want, stats, state = PythonKernel().scan_segment(program, data)
+        assert active == stats.active_states
+        mid = program.final & ~program.end_anchored_finals
+        assert [
+            (
+                position,
+                unit.dfa.subsets[s - base]
+                & (program.final if position == len(data) - 1 else mid),
+            )
+            for position, s in found
+        ] == want
+        assert unit.dfa.subsets[sid - base] == state.states
 
 
 @needs_native

@@ -933,9 +933,10 @@ class TestPlanFingerprint:
     # and lane sources).  Rulesets without an NBVA unit must keep every
     # one of these — their checkpoints stay resumable and their cached
     # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.  The
-    # one exception: lane source keys (the second of a pair) are as of
-    # the per-bin DFA lane kernel, which rolled them — and no
-    # fingerprint, so checkpoints written before it still resume.
+    # exceptions are source keys, never fingerprints — checkpoints
+    # written before either change still resume: lane keys (the second
+    # of a pair) are as of the per-bin DFA lane kernel, unit keys (the
+    # first of the ``nfa`` / ``dfa`` pairs) as of the unit forest.
     PRE_NBVA = {
         "lnfa": {
             "fused": ("4f5be8323cd28222", []),
@@ -946,11 +947,11 @@ class TestPlanFingerprint:
         },
         "nfa": {
             "fused": ("847ce74d3258c81f", []),
-            "native": ("fcae215c15995b75", ["631446e170deb70e"]),
+            "native": ("fcae215c15995b75", ["e50d0f804e3b4aa0"]),
         },
         "dfa": {
             "fused": ("ecb415f0c230b1ad", []),
-            "native": ("16aabb5461a7af58", ["455bc10b2678b025"]),
+            "native": ("16aabb5461a7af58", ["87cf442ffa86720f"]),
         },
         "mix": {
             "fused": ("3d74adbffc70473a", []),

@@ -22,6 +22,7 @@ from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.split import (
     BOUNDED,
     FRONTIER,
+    SERIAL,
     STATEMAP,
     SplitCompilation,
     split_collect,
@@ -188,6 +189,31 @@ class TestSeams:
         self._assert_identical(
             [pattern, "hello"], data, input_jobs=8, min_chunk=1
         )
+
+    def test_units_without_a_table_still_stitch(self, monkeypatch):
+        """A closure past the table cap leaves a unit its mask stack. A
+        cyclic NFA-mode one splits as before (frontier maps never read
+        the table); a cyclic DFA-mode one has no ``StateMap`` and runs
+        as one serial task — bit-identical either way."""
+        from repro.core import codegen
+
+        monkeypatch.setattr(codegen, "UNIT_DFA_MAX_STATES", 3)
+        ruleset = compile_ruleset(PATTERNS)  # a new object: binds under the cap
+        sim = RAPSimulator(DEFAULT_CONFIG)
+        mapping = sim.build_mapping(ruleset, bin_size=None)
+        data = generate_input("text", 16000, seed=3, patterns=PATTERNS)
+        with use_backend("fused"):
+            comp = SplitCompilation(ruleset, mapping, DEFAULT_CONFIG)
+            assert FRONTIER in comp.unit_kind
+            assert comp.dfa_kind == [BOUNDED, SERIAL]  # ab?c?d, a(bc)*d
+            assert comp.fused.unit_tier(0) == "interpreted (closure > 3)"
+            serial = sim.collect_activities(ruleset, data, mapping)
+            got = _split(ruleset, mapping, data, input_jobs=3)
+            priced = sim.run_from_activity(ruleset, got, mapping)
+        assert got.regex == serial.regex
+        assert got.lnfa_bins == serial.lnfa_bins
+        with use_backend("python"):
+            assert priced == sim.run(ruleset, data)
 
     def test_pattern_straddles_a_seam(self):
         from repro.engine.partition import plan_chunks
