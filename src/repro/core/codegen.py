@@ -15,8 +15,8 @@ Two translation units per ruleset:
   per-tile wake-up accounting and final-hit extraction (the whole
   :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path), as
   **one DFA per bin**.  The tables are not built here: each bin's
-  :class:`~repro.core.fused.LaneDfa` — the lane IR the portable table
-  walker steps too — is closed breadth-first at bind time and dumped as
+  :class:`~repro.core.table.StepTable` — the ruleset's own, the one the
+  portable walker steps too — is closed breadth-first and dumped as
 
   - ``N<j>[state][class]`` — successor state ids (``uint16``); an
     anchored bin carries one extra last row, the stream-start
@@ -42,8 +42,8 @@ Two translation units per ruleset:
 * :func:`unit_scan_source` — the scan units, as tables under two fixed
   kernel texts.  Every GATHER unit (NFA-mode and DFA-mode alike) was
   determinised when the plan was built — its subset closure over the
-  shared classes, a :class:`~repro.automata.dfa.ClassDFA`, the unit IR
-  the portable walker steps too — and the tables are written as **one
+  shared classes, a closed :class:`~repro.core.table.StepTable`, the
+  same class the bins use — and the tables are written as **one
   forest**, each unit owning a disjoint range of global state ids
   (:func:`unit_forest`):
 
@@ -62,9 +62,9 @@ Two translation units per ruleset:
   at different states are the same call; a fresh stream enters at the
   unit's start state, so freshness is not a parameter.  Hit words are
   decoded from the subset memory on the Python side (they can exceed 64
-  bits).  A unit whose closure passes :data:`UNIT_DFA_MAX_STATES` has no
-  table and keeps the mask-stack interpreter; one the 15-bit id space
-  has no room left for is walked in Python.  NBVA units of at most
+  bits).  A unit whose closure passes :data:`UNIT_DFA_MAX_STATES`, and
+  one the 15-bit id space has no room left for, is not in the forest:
+  its cursors are walked in Python on the same table.  NBVA units of at most
   :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
   ``NBVA_UNITS[]`` under *one* table-driven ``rap_nbva_span`` (wider
   ones stay on ``NBVAScanner``: identical results, just slower).
@@ -101,15 +101,17 @@ This module only *writes* C; building and loading live in
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import NamedTuple
 
 from repro.automata.glushkov import EdgeAction, ReadKind
 from repro.core.registry import NATIVE_FORMAT_VERSION
 
-# A GATHER unit whose subset closure holds more states than this keeps
-# its mask stack (:meth:`FusedRuleset._gather_span`): measured rulesets
-# close in tens of states per unit, a blown closure (``(a|b)*a(a|b){11}c``
-# under ``--mode nfa``) is exponential and not worth a table.
+# A GATHER unit whose subset closure holds more states than this is not
+# closed (its table is walked, and restarts at the same size): measured
+# rulesets close in tens of states per unit, a blown closure
+# (``(a|b)*a(a|b){11}c`` under ``--mode nfa``) is exponential and not
+# worth dumping.
 UNIT_DFA_MAX_STATES = 4096
 
 # NBVA units keep one bit per state (plain *and* counted) in a single
@@ -176,9 +178,9 @@ LANE_CDEF = (
 
 class LaneKernel(NamedTuple):
     """What :func:`lane_scan_source` hands the loader: the C text, the
-    closed :class:`~repro.core.fused.LaneDfa` of every bin (``closure[j]
-    [sid]`` is bin ``j``'s state ``sid`` as its word), and the tier as
-    ``--explain`` names it."""
+    closed :class:`~repro.core.table.StepTable` of every bin
+    (``closure[j][sid]`` is bin ``j``'s state ``sid`` as its word), and
+    the tier as ``--explain`` names it."""
 
     source: str
     closure: list
@@ -198,10 +200,10 @@ def lane_scan_source(fused, tile_masks: Sequence[Sequence[int]]) -> LaneKernel:
     if not fused.bases:
         raise ValueError("lane codegen requires at least one shift program")
     bins = [fused.lane_dfa(j, masks) for j, masks in enumerate(tile_masks)]
-    for j, dfa in enumerate(bins):
-        if not dfa.close(LANE_DFA_MAX_STATES):
-            raise ValueError(f"bin {j} closure > {LANE_DFA_MAX_STATES}")
-    total = sum(dfa.closed for dfa in bins)
+    for j, table in enumerate(bins):
+        if not table.close():
+            raise ValueError(f"bin {j} closure > {table.cap}")
+    total = sum(table.closed for table in bins)
     return LaneKernel(
         _lane_dfa_source(fused, bins),
         bins,
@@ -264,18 +266,17 @@ def _lane_dfa_source(fused, bins) -> str:
     parts = [_header("lane machine (per-bin dfa)", fused.signature)]
     parts.append(f"#define NCLS {fused.classes.k}")
     parts.append(f"#define NBINS {len(bins)}")
-    table = []
+    rows = []
     tile0 = visit0 = 0
-    for j, dfa in enumerate(bins):
-        states, tiles = dfa.closed, len(dfa.tile_masks)
-        anchored = dfa.start is not None  # one more row, id ``states``
-        rows = dfa.rows[:states] + ([dfa.start] if anchored else [])
-        parts.append(_u16_array(f"N{j}", (t for row in rows for t in row)))
+    for j, table in enumerate(bins):
+        states, tiles = table.closed, len(table.masks)
+        anchored = table.start is not None  # one more row, id ``states``
+        parts.append(_u16_array(f"N{j}", chain(table.flat, table.start or ())))
         parts.append(
-            _u16_array(f"T{j}", (n for bits in dfa.bits[:states] for n in bits))
+            _u16_array(f"T{j}", (n for bits in table.bits[:states] for n in bits))
         )
-        parts.append(_u8_array(f"F{j}", dfa.flags[:states]))
-        table.append(
+        parts.append(_u8_array(f"F{j}", table.flags[:states]))
+        rows.append(
             f"  {{ N{j}, T{j}, F{j}, {states}, {tiles}, "
             f"{states if anchored else 0}, {visit0}, {tile0} }},"
         )
@@ -287,7 +288,7 @@ def _lane_dfa_source(fused, bins) -> str:
         "  int states, tiles, start, visit0, tile0;\n"
         "} lane_bin;"
     )
-    parts += ["static const lane_bin BINS[NBINS] = {", *table, "};"]
+    parts += ["static const lane_bin BINS[NBINS] = {", *rows, "};"]
     parts.append(LANE_CDEF[:-1] + _LANE_DFA_KERNEL)
     return "\n".join(parts)
 
@@ -343,13 +344,15 @@ def unit_forest(fused) -> list[int | None]:
     """Where each GATHER unit's table starts in the forest's global
     state ids (units numbered as :meth:`FusedRuleset.scan_units_span
     <repro.core.fused.FusedRuleset.scan_units_span>` does), ``None`` for
-    a unit that is not in it: one without a table, or one the 15-bit id
-    space has no room left for (its cursors walk the table in Python)."""
+    a unit that is not in it: one whose table is not closed, or one the
+    15-bit id space has no room left for (either way its cursors walk
+    the table in Python)."""
     bases: list[int | None] = []
     total = 0
     for unit in fused._units:
-        rows = len(unit.dfa.flags) if unit.dfa is not None else None
-        if rows is None or total + rows > 0x8000:
+        table = unit.table
+        rows = table.closed + (table.start is not None)  # a start row is a state
+        if not table.closed or total + rows > 0x8000:
             bases.append(None)
         else:
             bases.append(total)
@@ -366,15 +369,22 @@ def _forest_section(fused, bases: Sequence[int | None]) -> str:
     flags = b""
     for unit, base in zip(fused._units, bases):
         if base is not None:
-            dfa = unit.dfa
+            table = unit.table
+            states = table.closed
+            anchored = table.start is not None  # the start row: one more state
+            unit_flags = bytes(table.flags[:states]) + b"\0" * anchored
             # one string per *state*, looked up per transition: the text
             # is built without a list of every entry as an int
             target = [
-                str((base + t) | (bool(f) << 15)) for t, f in enumerate(dfa.flags)
+                str((base + t) | (bool(f) << 15)) for t, f in enumerate(unit_flags)
             ]
-            nxt.append(", ".join(map(target.__getitem__, dfa.transitions)))
-            pops += dfa.pops
-            flags += dfa.flags
+            nxt.append(
+                ", ".join(
+                    map(target.__getitem__, chain(table.flat, table.start or ()))
+                )
+            )
+            pops += [live for (live,) in table.bits[:states]] + [0] * anchored
+            flags += unit_flags
     return "\n".join(
         [
             f"#define NCLS {fused.classes.k}",

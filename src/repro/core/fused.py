@@ -13,32 +13,28 @@ ruleset-level tricks, and this module implements all three:
    the input is translated once (one vectorized gather) instead of
    being re-examined per pattern.
 
-2. **Lane packing** (:class:`FusedRuleset`): every Shift-And/LNFA unit
-   is concatenated into one wide state word with per-class label rows —
-   the form snapshots and entry/exit states travel in.  A unit's slice
-   of the word never interacts with its neighbours', so each is stepped
-   as its own lazily determinised table (:class:`LaneDfa`, the lane IR):
-   one row lookup per symbol, activity priced from a histogram of state
-   visits.  The generated C dumps the same table closed
-   (:mod:`repro.core.codegen`); :meth:`LaneDfa.walk` is the portable
-   stepper.  Plain-NFA (GATHER) units keep their own state words, are
-   determinised whole at build time — NFA-mode and DFA-mode alike, the
-   unit IR — and step as cursors over one forest of tables, all in one
-   call (:meth:`FusedRuleset.scan_units_span`).
+2. **Lane packing** (:class:`FusedRuleset`): the state words of every
+   Shift-And/LNFA unit travel concatenated into one wide word at fixed
+   bit bases — the form snapshots and entry/exit states are in.  A
+   unit's slice of the word never interacts with its neighbours', and
+   plain-NFA (GATHER) units keep their own state words.
 
-3. **Literal prefiltering**: the classes that can revive an empty
-   machine are known at compile time, so cold stretches are skipped by
-   jumping between precomputed hot positions — found with
-   ``bytes.find`` chains when few distinct byte values are hot, or one
-   vectorized LUT pass otherwise.  Both prefilters yield identical
-   position streams.
+3. **One step table per machine** (:class:`~repro.core.table.StepTable`):
+   every shift unit and every GATHER unit — NFA-mode and DFA-mode alike
+   — is one lazily determinised table, built once per ruleset: one row
+   lookup per symbol, activity priced from a histogram of state visits,
+   asleep in the empty state until a class that can revive it.  Units
+   are closed when the ruleset is built, bins when their C is generated
+   (:mod:`repro.core.codegen` dumps closed rows); whatever the C cannot
+   take — no compiler, a closure past its cap, an entry word outside a
+   closure — is walked by :meth:`StepTable.walk
+   <repro.core.table.StepTable.walk>`, the one portable stepper.
 
-Exactness is the contract: the packed machine evolves each unit's state
-word bit-identically to a standalone scan (the cross-unit shift leak is
-absorbed exactly as the packed multi-pattern layout absorbs its
-internal boundaries), and every counter is priced from per-class
-popcounts that equal the per-byte sums by construction.  The
-differential suite asserts bit-identity against the ``python`` oracle.
+Exactness is the contract: a table state *is* the state word a
+standalone scan of its unit would hold, and every counter is priced
+from per-state or per-class popcounts that equal the per-byte sums by
+construction.  The differential suite asserts bit-identity against the
+``python`` oracle.
 
 Import this module only after the backend registry has resolved
 ``fused`` or ``native`` — it requires NumPy.
@@ -48,16 +44,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import re
-import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-# The DFA tier's subset construction lives with the automata oracles;
-# this module is a lazily-loaded backend leaf, so the upward import does
-# not create a cycle (repro.automata never imports repro.core.fused).
-from repro.automata.dfa import ClassDFA, DFABlowupError, determinize_classes
 from repro.automata.glushkov import Automaton
 from repro.automata.nbva import (
     NBVA_STATE_VERSION,
@@ -80,11 +70,8 @@ from repro.core.sfa import (
     gather_map_over,
     state_map_over,
 )
+from repro.core.table import StepTable
 from repro.regex.charclass import interned_label_masks
-
-# Use a `bytes.find` chain when at most this many distinct byte values
-# can revive the machine; beyond that one vectorized LUT pass wins.
-_PREFILTER_FIND_MAX = 4
 
 log = logging.getLogger(__name__)
 
@@ -141,46 +128,18 @@ class TranslatedSegment:
     unit of the fused ruleset.
 
     ``cls_bytes`` is the class stream as a ``bytes`` object (fastest
-    per-symbol indexing from Python), ``hot_idx`` the ascending
-    positions that can revive *any* unit (the union prefilter), and
-    ``counts`` the lazy per-class histogram used to price
-    ``matched_states`` in one dot product.  ``hot_idx`` may be passed
-    as a zero-argument factory, materialized on first use — the native
-    backend's compiled kernels do their own cold skipping and never
-    touch the Python-side index.
+    per-symbol indexing from Python) and ``counts`` the lazy per-class
+    histogram used to price ``matched_states`` in one dot product.
     """
 
-    __slots__ = (
-        "data",
-        "cls_arr",
-        "cls_bytes",
-        "k",
-        "_hot_factory",
-        "_hot_idx",
-        "_hot_np",
-        "_counts",
-    )
+    __slots__ = ("data", "cls_arr", "cls_bytes", "k", "_counts")
 
-    def __init__(self, data: bytes, cls_arr: np.ndarray, k: int, hot_idx):
+    def __init__(self, data: bytes, cls_arr: np.ndarray, k: int):
         self.data = data
         self.cls_arr = cls_arr
         self.cls_bytes = cls_arr.tobytes()
         self.k = k
-        if callable(hot_idx):
-            self._hot_factory = hot_idx
-            self._hot_idx: list[int] | None = None
-        else:
-            self._hot_factory = None
-            self._hot_idx = hot_idx
-        self._hot_np: np.ndarray | None = None
         self._counts: np.ndarray | None = None
-
-    @property
-    def hot_idx(self) -> list[int]:
-        """The union prefilter's hot positions (materialized lazily)."""
-        if self._hot_idx is None:
-            self._hot_idx = self._hot_factory()
-        return self._hot_idx
 
     @property
     def counts(self) -> np.ndarray:
@@ -203,76 +162,34 @@ class TranslatedSegment:
             np.int64
         )
 
-    def hot_for(self, hot_cls: np.ndarray) -> list[int]:
-        """The union hot positions restricted to one unit's hot classes.
-
-        Every unit's revival classes are a subset of the union the
-        prefilter indexed, so filtering (one vectorized gather) is
-        position-identical to scanning for that unit's classes directly.
-        """
-        if self._hot_np is None:
-            self._hot_np = np.asarray(self.hot_idx, dtype=np.int64)
-        idx = self._hot_np
-        if idx.size == 0:
-            return []
-        return idx[hot_cls[self.cls_arr[idx]]].tolist()
-
 
 class _GatherUnit:
     """One GATHER unit — NFA-mode or DFA-mode alike — over the shared
-    classes: the mask stack (``labels`` / ``cold``), and its subset
-    closure as a class-indexed table (``dfa``), the unit IR both steppers
-    read.  State ``s`` of the table stands for exactly the NFA active
-    set ``dfa.subsets[s]``, so every event and counter an NFA scan
-    reports is recovered from that memory (:mod:`repro.automata.dfa`),
-    anchors included.  A closure past :data:`codegen.UNIT_DFA_MAX_STATES
-    <repro.core.codegen.UNIT_DFA_MAX_STATES>` leaves ``dfa`` ``None``:
-    such a unit is stepped as the mask stack it is (``tier`` says so).
+    classes: its per-class ``labels`` and their popcounts, and ``table``,
+    its :class:`~repro.core.table.StepTable` (one all-ones payload mask:
+    a state's ``bits[0]`` is its live-position count), closed when the
+    unit is built.  A closure past :data:`codegen.UNIT_DFA_MAX_STATES
+    <repro.core.codegen.UNIT_DFA_MAX_STATES>` stays unclosed: such a
+    unit is walked, its table filled — and restarted at that cap — as
+    the stream demands (``tier`` says so).
     """
 
-    __slots__ = ("program", "labels", "cold", "hot_cls", "pops", "dfa", "tier")
+    __slots__ = ("program", "labels", "pops", "table", "tier")
 
     def __init__(self, program: KernelProgram, classes: AlphabetClasses):
         self.program = program
         self.labels = classes.project(program.labels)
-        self.cold = tuple(program.inject_always & m for m in self.labels)
-        self.hot_cls = np.fromiter(
-            (m != 0 for m in self.cold), dtype=bool, count=classes.k
-        )
         self.pops = np.fromiter(
             (m.bit_count() for m in self.labels),
             dtype=np.int64,
             count=classes.k,
         )
         cap = codegen.UNIT_DFA_MAX_STATES
-        try:
-            self.dfa: ClassDFA | None = determinize_classes(
-                self.labels,
-                program.succ,
-                program.inject_always,
-                program.final,
-                first=program.inject_first,
-                end_anchored=program.end_anchored_finals,
-                max_states=cap,
-            )
-            self.tier = f"table ({self.dfa.state_count} states)"
-        except DFABlowupError:
-            self.dfa = None
+        self.table = StepTable(program, self.labels, masks=(-1,), cap=cap)
+        if self.table.close():
+            self.tier = f"table ({self.table.closed} states)"
+        else:
             self.tier = f"interpreted (closure > {cap})"
-
-    def enter(self, entry: int | None) -> int | None:
-        """The table state a span enters at: the stream start for
-        ``None``, else the state standing for active set ``entry`` —
-        ``None`` without a table, or when no scan reaches that set."""
-        dfa = self.dfa
-        if dfa is None:
-            return None
-        if entry is None:
-            return dfa.start
-        try:
-            return dfa.state_of(entry)
-        except ValueError:
-            return None
 
 
 class _NbvaUnit:
@@ -312,200 +229,24 @@ class _NbvaUnit:
         )
 
 
-class LaneDfa:
-    """One bin's slice of the packed machine, determinised on demand —
-    the lane IR both steppers read.
-
-    A bin's word evolves independently of its neighbours as ``s' = ((s
-    << 1) & keep | inject) & labels[c]``, and the words it can reach are
-    an Aho–Corasick-sized set.  State words are interned to ids in
-    discovery order from the empty word (id 0); a state's ``next[class]``
-    row is filled the first time it is asked for (:meth:`row`); each
-    state knows its per-tile live bit counts (``bits``) and hit flags
-    (``flags``: 1 = holds a final that fires anywhere, 2 = one that
-    fires only on the stream's last byte).  An anchored bin
-    (``inject_first != inject_always``) has a ``start`` row, the
-    stream-start pseudo-state's successors.
-
-    :meth:`close` runs the same rule breadth-first to fixpoint: the
-    generated C dumps a closed table, and its ids stay valid because
-    states met afterwards only ever append.  :meth:`walk` is the
-    portable stepper; it needs no closure.  The interned table is a
-    process-local cache, never pickled; walkers take turns on it.
-    """
-
-    def __init__(self, fused: FusedRuleset, index: int, tile_masks: Sequence[int]):
-        self._keep, self._inject, first, final, ends = (
-            fused.extract(word, index)
-            for word in (
-                fused.keep,
-                fused.inject_always,
-                fused.inject_first,
-                fused.final,
-                fused.end_anchored,
-            )
-        )
-        self._first = first if first != self._inject else None
-        self._mid_final, self._end_final = final & ~ends, final & ends
-        self.tile_masks = tuple(tile_masks)
-        labels = [fused.extract(m, index) for m in fused._labels_cls]
-        # Most classes exist for some *other* unit's sake: step each state
-        # once per distinct label of this bin, then spread over the classes.
-        self._distinct = list(dict.fromkeys(labels))
-        self._column = [self._distinct.index(m) for m in labels]
-        # The classes that revive the empty word: state 0 sleeps until one.
-        hot = bytes(c for c, m in enumerate(labels) if self._inject & m)
-        self._wake = re.compile(b"[" + re.escape(hot) + b"]" if hot else b"(?!)")
-        self.words: list[int] = []
-        self.ids: dict[int, int] = {}
-        self.rows: list[list[int] | None] = []
-        self.bits: list[tuple[int, ...]] = []
-        self.flags: list[int] = []
-        self.closed = 0  # states a close() fixed: the ids the C tables hold
-        self._walking = threading.Lock()
-        self.restart()
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __getitem__(self, sid: int) -> int:
-        """State ``sid``'s word."""
-        return self.words[sid]
-
-    def intern(self, word: int) -> int:
-        """The id of state ``word`` (a new last id if never met)."""
-        sid = self.ids.get(word)
-        if sid is None:
-            sid = self.ids[word] = len(self.words)
-            self.words.append(word)
-            self.rows.append(None)
-            self.bits.append(tuple((word & m).bit_count() for m in self.tile_masks))
-            self.flags.append(
-                bool(word & self._mid_final) | bool(word & self._end_final) << 1
-            )
-        return sid
-
-    def _successors(self, avail: int) -> list[int]:
-        known = self.ids.get  # most successors are states already met
-        row = [known(avail & m) or self.intern(avail & m) for m in self._distinct]
-        return [row[col] for col in self._column]
-
-    def row(self, sid: int) -> list[int]:
-        """State ``sid``'s successor id per class."""
-        row = self.rows[sid]
-        if row is None:
-            row = self.rows[sid] = self._successors(
-                (self.words[sid] << 1) & self._keep | self._inject
-            )
-        return row
-
-    def restart(self) -> None:
-        """Forget every state interned since :meth:`close` (without one:
-        all but the empty word).  Ids held across a restart are void."""
-        for word in self.words[self.closed :]:
-            del self.ids[word]
-        for column in (self.words, self.rows, self.bits, self.flags):
-            del column[self.closed :]
-        if not self.closed:
-            self.intern(0)
-            self.start = (
-                None if self._first is None else self._successors(self._first)
-            )
-
-    def close(self, cap: int) -> bool:
-        """Fill every row of a fresh table, breadth-first with classes in
-        index order — so ids, and the source emitted from them, are the
-        same in every process.  False, nothing fixed, past ``cap``."""
-        sid = 0
-        while sid < len(self.words):
-            if len(self.words) > cap:
-                return False
-            self.row(sid)
-            sid += 1
-        self.closed = sid
-        return True
-
-    def _fold(self, visits: list[int], cycles: list[int], bits: list[int]) -> None:
-        """Tile statistics are a property of the state: add a visit
-        histogram's wake-ups and live bits, exactly as the C does."""
-        for sid, count in enumerate(visits):
-            if count:
-                for t, live in enumerate(self.bits[sid]):
-                    if live:
-                        cycles[t] += count
-                        bits[t] += count * live
-
-    def walk(
-        self, cls: bytes, word: int, *, fresh: bool, at_end: bool, stats_from: int
-    ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
-        """Step the bin over one class stream from state ``word``
-        (ignored when ``fresh``): one row lookup per byte, asleep in
-        state 0 until a reviving class.  Returns per-tile ``(cycles,
-        bits)`` of the owned bytes, ``(position, state word)`` wherever a
-        final fires, and the exit word — the C kernel's results, bin by
-        bin.  Past the cap the table restarts mid-stream, so a hostile
-        stream over an unclosable bin cannot grow it without limit."""
-        with self._walking:  # the table is shared by every scan of the plan
-            words, rows, flags = self.words, self.rows, self.flags
-            wake = self._wake.search
-            cycles, bits = [0] * len(self.tile_masks), [0] * len(self.tile_masks)
-            hits: list[tuple[int, int]] = []
-            sid = 0 if fresh else self.intern(word)
-            row = self.start if fresh else None
-            visits = [0] * len(words)
-            last = len(cls) - 1 if at_end else -1
-            i, n = 0, len(cls)
-            while i < n:
-                if row is None:
-                    if not sid:
-                        woken = wake(cls, i)
-                        if woken is None:
-                            break
-                        i = woken.start()
-                    row = rows[sid]
-                    if row is None:
-                        if len(words) > codegen.LANE_DFA_MAX_STATES + self.closed:
-                            word = words[sid]  # ids do not survive a restart
-                            self._fold(visits, cycles, bits)
-                            self.restart()
-                            sid, visits = self.intern(word), []
-                        row = self.row(sid)
-                        visits += [0] * (len(words) - len(visits))
-                sid, row = row[cls[i]], None
-                if sid and i >= stats_from:
-                    visits[sid] += 1
-                    hit = flags[sid]
-                    if hit and (hit & 1 or i == last):
-                        hits.append((i, words[sid]))
-                i += 1
-            self._fold(visits, cycles, bits)
-            return cycles, bits, hits, words[sid]
-
-
 class FusedRuleset:
     """One ruleset compiled for lockstep execution.
 
-    All SHIFT_LEFT programs (packed LNFA bins, standalone Shift-And
-    units) are concatenated into a single wide machine word; GATHER
-    programs keep their own state words but share the class-translated
-    input and prefilter.  Every GATHER program — ``gather_programs`` are
-    the NFA-mode ones, ``dfa_programs`` the DFA-mode ones; the split
-    only names them for callers and :attr:`signature` — is closed at
-    build time into one class-indexed table consuming one lookup per
-    symbol (:class:`_GatherUnit`), stepped through
-    :meth:`scan_units_span`.
+    SHIFT_LEFT programs (packed LNFA bins, standalone Shift-And units)
+    and GATHER programs — ``gather_programs`` are the NFA-mode ones,
+    ``dfa_programs`` the DFA-mode ones; the split only names them for
+    callers and :attr:`signature` — share the class-translated input,
+    and each is stepped as its own :class:`~repro.core.table.StepTable`
+    consuming one lookup per symbol: a shift program's through
+    :meth:`lane_dfa`, a GATHER program's (closed at build time,
+    :class:`_GatherUnit`) through :meth:`scan_units_span`.  The shift
+    programs' state words travel concatenated into one wide word at
+    fixed bit bases (:meth:`pack` / :meth:`extract`) — the form lane
+    snapshots and entry/exit states are in.
     ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
     bit-vector automata: their label tables join the shared classes and
-    each is stepped whole-frontier by :meth:`scan_nbva_unit_span` (no
-    prefilter — their counters are priced on every symbol).  The packed
-    machine's per-unit projection
-    ``(word >> base) & (2**width - 1)`` evolves bit-identically to a
-    standalone scan of that unit: within a SHIFT_LEFT program the low
-    bit is only ever set by injection, so a neighbour's top bit leaking
-    across the concatenation boundary is either absorbed by the very
-    injection that would set it anyway or force-cleared — the same
-    absorption argument the packed multi-pattern layout uses for its
-    internal pattern boundaries.
+    each is stepped whole-frontier by :meth:`scan_nbva_unit_span` (never
+    asleep — their counters are priced on every symbol).
     """
 
     def __init__(
@@ -542,9 +283,8 @@ class FusedRuleset:
         for unit in self._nbva:
             unit.labels = self.classes.project(unit.labels)
             unit.cmatch = self.classes.project(unit.cmatch)
-        k = self.classes.k
 
-        # -- lane-pack the shift programs into one wide word ------------
+        # -- lane-pack the shift programs' state words into one ----------
         bases = []
         offset = 0
         for program in self._shift:
@@ -552,40 +292,12 @@ class FusedRuleset:
             offset += program.width
         self.bases: tuple[int, ...] = tuple(bases)
         self.widths: tuple[int, ...] = tuple(p.width for p in self._shift)
-        self.width: int = offset
+        self.final = self.pack([p.final for p in self._shift])
+        self.end_anchored = self.pack([p.end_anchored_finals for p in self._shift])
+        # (bin, tile masks) -> its step table, built when first asked for
+        self._lanes: dict[tuple, StepTable] = {}
 
-        inject_first = inject_always = final = end_anchored = clear = 0
-        for base, program in zip(self.bases, self._shift):
-            inject_first |= program.inject_first << base
-            inject_always |= program.inject_always << base
-            final |= program.final << base
-            end_anchored |= program.end_anchored_finals << base
-            clear |= program.clear_after_shift << base
-            # The concatenation boundary: the previous unit's top bit
-            # shifts onto this unit's bit 0.  Harmless when bit 0 is
-            # injected every cycle anyway; otherwise it must be cleared
-            # (exact, because a SHIFT_LEFT unit's bit 0 is only ever
-            # activated by injection, never by its own shift).
-            if not program.inject_always & 1:
-                clear |= 1 << base
-        self.inject_first = inject_first
-        self.inject_always = inject_always
-        self.final = final
-        self.end_anchored = end_anchored
-        self.keep = ~clear
-
-        labels_cls = []
-        for rep in self.classes.representatives:
-            word = 0
-            for base, program in zip(self.bases, self._shift):
-                word |= program.labels[rep] << base
-            labels_cls.append(word)
-        self._labels_cls = tuple(labels_cls)
-        self.lane_hot_cls = np.fromiter(
-            (inject_always & m != 0 for m in labels_cls), dtype=bool, count=k
-        )
-
-        # -- the GATHER units: mask stacks, each closed into its table ---
+        # -- the GATHER units, each closed into its step table -----------
         # One numbering serves every span call: the NFA-mode programs,
         # then the DFA-mode ones.
         self._units = tuple(_GatherUnit(p, self.classes) for p in gathers + dfas)
@@ -593,13 +305,18 @@ class FusedRuleset:
         self._dfa = self._units[len(gathers) :]
         self._foreign_logged = False
 
-        # -- the union prefilter ----------------------------------------
-        union_hot = self.lane_hot_cls.copy()
-        for unit in self._units:
-            union_hot |= unit.hot_cls
-        self.union_hot_cls = union_hot
-        self._hot_lut = union_hot[self.classes.np_map]  # per raw byte
-        self._hot_bytes = bytes(np.flatnonzero(self._hot_lut).tolist())
+        # The classes that can revive some idle machine (each table
+        # sleeps through the rest; the union is what a trace reports as
+        # the hot-byte ratio).
+        programs = self._shift + gathers + dfas
+        self.union_hot_cls = np.fromiter(
+            (
+                any(p.inject_always & p.labels[rep] for p in programs)
+                for rep in self.classes.representatives
+            ),
+            dtype=bool,
+            count=self.classes.k,
+        )
 
         # -- native-codegen attachment (lazy, silent-fallback) ----------
         # Decided at construction time so pickled copies shipped to
@@ -615,6 +332,7 @@ class FusedRuleset:
         state = self.__dict__.copy()
         state["_native_units"] = None
         state["_native_tried"] = False
+        state["_lanes"] = dict(self._lanes)  # another scan may be adding a bin's
         return state
 
     def _native_scanner(self):
@@ -665,7 +383,7 @@ class FusedRuleset:
             doc = doc + (
                 DFA_FORMAT_VERSION,
                 tuple(
-                    (unit.program.width, unit.dfa.state_count)
+                    (unit.program.width, unit.table.closed)
                     for unit in self._dfa
                 ),
             )
@@ -689,45 +407,32 @@ class FusedRuleset:
             word |= (state & ((1 << width) - 1)) << base
         return word
 
-    def lane_dfa(self, index: int, tile_masks: Sequence[int] = ()) -> LaneDfa:
-        """A fresh :class:`LaneDfa` over shift program ``index``'s slice
-        of the packed word; ``tile_masks`` are its tiles' masks over
-        that slice.  (How :mod:`repro.core.codegen`, which this module
-        imports, gets its bins.)"""
-        return LaneDfa(self, index, tile_masks)
+    def lane_dfa(self, index: int, tile_masks: Sequence[int] = ()) -> StepTable:
+        """Shift program ``index`` as its :class:`~repro.core.table.
+        StepTable` — the one every stepper of the bin shares, built on
+        first request; ``tile_masks`` (the payload) are its tiles' masks
+        over the program's own state word."""
+        key = (index, tuple(tile_masks))
+        table = self._lanes.get(key)
+        if table is None:
+            program = self._shift[index]
+            table = self._lanes.setdefault(
+                key,
+                StepTable(
+                    program,
+                    self.classes.project(program.labels),
+                    masks=key[1],
+                    cap=codegen.LANE_DFA_MAX_STATES,
+                ),
+            )
+        return table
 
-    # -- translation + prefilter ----------------------------------------
+    # -- translation ------------------------------------------------------
 
     def translate(self, data: bytes) -> TranslatedSegment:
-        """Translate one segment to class indices and prefilter it.
-
-        The prefilter index is lazy: it materializes the first time an
-        interpreted scan asks for hot positions, and never does when
-        every consumer runs a compiled native kernel.
-        """
+        """Translate one segment to class indices."""
         arr = np.frombuffer(data, dtype=np.uint8)
-        cls_arr = self.classes.np_map[arr]
-        return TranslatedSegment(
-            data,
-            cls_arr,
-            self.classes.k,
-            lambda: self._hot_positions(data, arr),
-        )
-
-    def _hot_positions(self, data: bytes, arr: np.ndarray) -> list[int]:
-        hot_bytes = self._hot_bytes
-        if not hot_bytes:
-            return []
-        if len(hot_bytes) <= _PREFILTER_FIND_MAX:
-            positions: list[int] = []
-            for value in hot_bytes:
-                pos = data.find(value)
-                while pos != -1:
-                    positions.append(pos)
-                    pos = data.find(value, pos + 1)
-            positions.sort()
-            return positions
-        return np.flatnonzero(self._hot_lut[arr]).tolist()
+        return TranslatedSegment(data, self.classes.np_map[arr], self.classes.k)
 
     # -- the GATHER units -----------------------------------------------
 
@@ -756,73 +461,74 @@ class FusedRuleset:
         identical to :meth:`PythonKernel.scan
         <repro.core.pykernel.PythonKernel.scan>` of the unit's program.
 
-        A cursor whose entry is a state of its unit's table steps that
-        table: in the generated C when it is attached — every such
-        cursor of a mode in one call — else through :meth:`_dfa_span`.
-        A unit without a table, and an entry no scan of the machine
-        produces (a hand-edited snapshot), run the mask stack itself
-        (:meth:`_gather_span`): identical results, only slower.
+        A cursor whose entry is a closed state of its unit's table steps
+        it in the generated C when that is attached — every such cursor
+        of a mode in one call.  Everything else — no compiler, a unit
+        whose closure passed the cap or the forest has no room for, an
+        entry no scan of the machine produces (a hand-edited snapshot)
+        — is walked (:meth:`StepTable.walk
+        <repro.core.table.StepTable.walk>`): identical results, only
+        slower.
         """
         if not cursors or not tin.data:
             return [([], StepStats(), entry or 0) for _, entry in cursors]
-        last = len(tin.data) - 1 if at_end else -1
-
-        def decoded(number, raw, active, sid):
-            # Steppers record (position, table state); the subset memory
-            # turns each into its final-position mask, which can exceed
-            # 64 bits and so stays on this side of the C ABI.
-            unit = self._units[number]
-            subsets, final = unit.dfa.subsets, unit.program.final
-            mid = final & ~unit.program.end_anchored_finals
-            events = [
-                (pos, subsets[s] & (final if pos == last else mid))
-                for pos, s in raw
-            ]
-            return events, active, subsets[sid]
-
         native = self._native_scanner()
+        # per cursor: (position, state word) hits, active sum, exit word
         spans: list = [None] * len(cursors)
         compiled: tuple[list, list] = ([], [])  # NFA-mode, DFA-mode cursors
         for slot, (number, entry) in enumerate(cursors):
-            unit = self._units[number]
-            sid = unit.enter(entry)
-            if sid is None:
-                if not self._foreign_logged:
-                    self._foreign_logged = True
-                    log.debug(
-                        "unit %d (%s) entered at %r: such spans step the "
-                        "mask stack", number, unit.tier, entry,
-                    )
-                spans[slot] = self._gather_span(
-                    unit, tin, entry or 0, entry is None, stats_from, at_end
+            table = self._units[number].table
+            sid = table.closed_id(entry)
+            placed = native is not None and native.bases[number] is not None
+            if placed and sid is not None:
+                compiled[number >= len(self._gather)].append((slot, number, sid))
+                continue
+            if sid is None and table.closed and not self._foreign_logged:
+                self._foreign_logged = True
+                log.debug(
+                    "unit %d entered at %r, outside its %d-state closure: "
+                    "such spans are walked", number, entry, table.closed,
                 )
-            elif native is not None and native.bases[number] is not None:
-                dfa_mode = number >= len(self._gather)
-                compiled[dfa_mode].append((slot, number, sid))
-            else:
-                spans[slot] = decoded(
-                    number, *self._dfa_span(unit, tin, sid, stats_from, at_end)
-                )
+            _, bits, hits, word = table.walk(
+                tin.cls_bytes,
+                entry or 0,
+                fresh=entry is None,
+                at_end=at_end,
+                stats_from=stats_from,
+            )
+            spans[slot] = hits, bits[0], word
         if native is not None:  # at most one crossing per mode
             for group, span in zip(compiled, (native.gather_span, native.dfa_span)):
                 if group:
-                    walked = span(
+                    stepped = span(
                         tin.cls_bytes,
                         [cursor[1:] for cursor in group],
                         at_end=at_end,
                         stats_from=stats_from,
                     )
-                    for (slot, number, _), result in zip(group, walked):
-                        spans[slot] = decoded(number, *result)
+                    # table state ids stay on this side of the span API
+                    for (slot, number, _), (raw, active, sid) in zip(group, stepped):
+                        words = self._units[number].table.words
+                        spans[slot] = (
+                            [(pos, words[s]) for pos, s in raw], active, words[sid]
+                        )
 
         # ``cycles`` and ``matched_states`` are pure functions of the
         # owned input (one per-class dot product); only ``active`` and
         # the events come from the stepping loops.
         counts = tin.counts_from(stats_from)
         cycles = len(tin.data) - max(0, stats_from)
+        last = len(tin.data) - 1 if at_end else -1
         out = []
-        for (number, _), (events, active, state) in zip(cursors, spans):
+        for (number, _), (hits, active, state) in zip(cursors, spans):
             unit = self._units[number]
+            # A hit's event word is the finals its state holds, which can
+            # exceed 64 bits; end-anchored ones fire on the last byte only.
+            final = unit.program.final
+            mid = final & ~unit.program.end_anchored_finals
+            events = [
+                (pos, word & (final if pos == last else mid)) for pos, word in hits
+            ]
             stats = StepStats(
                 cycles=cycles,
                 active_states=active,
@@ -862,122 +568,6 @@ class FusedRuleset:
             at_end=at_end,
         )
         return span
-
-    def scan_dfa_unit_span(
-        self, index: int, tin: TranslatedSegment, **span
-    ) -> tuple[list[MatchEvent], StepStats, int]:
-        """:meth:`scan_unit_span` of DFA-mode unit ``index`` (``state``
-        is an NFA active set here too: :meth:`dfa_table` translates)."""
-        return self.scan_unit_span(len(self._gather) + index, tin, **span)
-
-    @staticmethod
-    def _gather_span(
-        unit: _GatherUnit,
-        tin: TranslatedSegment,
-        state: int,
-        fresh: bool,
-        stats_from: int,
-        at_end: bool,
-    ) -> tuple[list[MatchEvent], int, int]:
-        """The mask-stack interpreter of one cursor — what a unit without
-        a table, or an entry outside it, falls back to: ``(events,
-        active-state sum, exit state)``."""
-        program = unit.program
-        cls = tin.cls_bytes
-        labels = unit.labels
-        cold_next = unit.cold
-        hot_idx = tin.hot_for(unit.hot_cls)
-        n_hot = len(hot_idx)
-
-        succ = program.succ
-        final = program.final
-        end_anchored = program.end_anchored_finals
-        inject = program.inject_always
-        n = len(cls)
-        last = n - 1
-        events: list[MatchEvent] = []
-        active = 0
-        i = 0
-        if fresh:
-            states = program.inject_first & labels[cls[0]]
-            if states and stats_from <= 0:
-                active += states.bit_count()
-                hits = states & final
-                if hits and not (at_end and last == 0):
-                    hits &= ~end_anchored
-                if hits:
-                    events.append((0, hits))
-            i = 1
-        else:
-            states = state
-        k = 0  # monotone cursor into hot_idx (indices only grow)
-        while i < n:
-            if not states:
-                while k < n_hot and hot_idx[k] < i:
-                    k += 1
-                if k == n_hot:
-                    break
-                i = hot_idx[k]
-                k += 1
-                states = cold_next[cls[i]]
-            else:
-                avail = inject
-                a = states
-                while a:
-                    low = a & -a
-                    avail |= succ[low.bit_length() - 1]
-                    a ^= low
-                states = avail & labels[cls[i]]
-            if states and i >= stats_from:
-                active += states.bit_count()
-                hits = states & final
-                if hits:
-                    if not (at_end and i == last):
-                        hits &= ~end_anchored
-                    if hits:
-                        events.append((i, hits))
-            i += 1
-        return events, active, states
-
-    @staticmethod
-    def _dfa_span(
-        unit: _GatherUnit,
-        tin: TranslatedSegment,
-        state: int,
-        stats_from: int,
-        at_end: bool,
-    ) -> tuple[list[tuple[int, int]], int, int]:
-        """The portable stepper of one table cursor — the generated C's
-        results for it: ``(raw (position, table state) events, active
-        sum, exit state)``.  Asleep in state 0 between the shared
-        prefilter's hot positions."""
-        (rows, pops), flags = unit.dfa.walk_view, unit.dfa.flags
-        cls = tin.cls_bytes
-        n = len(cls)
-        last = n - 1 if at_end else -1
-        hot_idx = tin.hot_for(unit.hot_cls)
-        n_hot = len(hot_idx)
-        raw: list[tuple[int, int]] = []
-        active = 0
-        s = state
-        i = 0
-        cursor = 0  # monotone cursor into hot_idx (indices only grow)
-        while i < n:
-            if not s:
-                while cursor < n_hot and hot_idx[cursor] < i:
-                    cursor += 1
-                if cursor == n_hot:
-                    break
-                i = hot_idx[cursor]
-                cursor += 1
-            s = rows[s][cls[i]]
-            if s and i >= stats_from:
-                active += pops[s]
-                hit = flags[s]
-                if hit and (hit & 1 or i == last):
-                    raw.append((i, s))
-            i += 1
-        return raw, active, s
 
     # -- the NBVA (bit-vector) units -------------------------------------
 
@@ -1037,13 +627,12 @@ class FusedRuleset:
         trivially composable form the input-parallel split engine folds
         for cyclic DFA-tier units.
         """
-        unit = self._dfa[index]
-        dfa = unit.dfa
+        table = self._dfa[index].table
         return state_map_over(
             tin.cls_bytes[start:] if start else tin.cls_bytes,
-            dfa.transitions,
-            dfa.k,
-            states=dfa.state_count,
+            table.flat,
+            table.k,
+            states=table.closed,
         )
 
     @property
@@ -1061,12 +650,13 @@ class FusedRuleset:
         """Number of NBVA units in the fused compilation."""
         return len(self._nbva)
 
-    def dfa_table(self, index: int) -> ClassDFA | None:
-        """DFA unit ``index``'s table — the state index ↔ NFA subset
-        memory (``subsets`` / ``state_of``) the split engine's
+    def dfa_table(self, index: int) -> StepTable | None:
+        """DFA unit ``index``'s closed table — the state id ↔ NFA active
+        set memory (``words`` / ``ids``) the split engine's
         :class:`StateMap` entries translate through — or ``None`` when
         its closure passed the cap."""
-        return self._dfa[index].dfa
+        table = self._dfa[index].table
+        return table if table.closed else None
 
     def unit_tier(self, number: int) -> str:
         """What steps GATHER unit ``number`` (numbered as

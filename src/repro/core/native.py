@@ -291,10 +291,11 @@ class NativeLaneScanner:
     bin's state holds a final that fires there, and the exit word.
 
     The kernel steps ``dfas`` — every bin's closed
-    :class:`~repro.core.fused.LaneDfa`, the objects the table walker
-    reads too: the packed entry word becomes one state id per bin on the
-    way in, ids become the packed word again on the way out, so callers
-    — and every snapshot — only ever see packed words.
+    :class:`~repro.core.table.StepTable`, the ruleset's own objects,
+    which the table walker reads too: the packed entry word becomes one
+    state id per bin on the way in, ids become the packed word again on
+    the way out, so callers — and every snapshot — only ever see packed
+    words.
     """
 
     def __init__(self, fused, tile_masks):
@@ -318,15 +319,15 @@ class NativeLaneScanner:
         if fresh:  # the kernel starts every bin itself
             return np.zeros(len(self.dfas), dtype=np.uint16)
         ids = []
-        for j, dfa in enumerate(self.dfas):
-            sid = dfa.ids.get(self._fused.extract(entry, j), dfa.closed)
-            if sid >= dfa.closed:
+        for j, table in enumerate(self.dfas):
+            sid = table.closed_id(self._fused.extract(entry, j))
+            if sid is None:
                 if not self._foreign_logged:
                     self._foreign_logged = True
                     log.debug(
                         "lane bin %d entry word is outside its %d-state "
                         "closure: such spans are walked",
-                        j, dfa.closed,
+                        j, table.closed,
                     )
                 return None
             ids.append(sid)
@@ -407,7 +408,7 @@ class NativeUnitScanner:
         self.bases = codegen.unit_forest(fused)
         placed = sum(base is not None for base in self.bases)
         self._units_fn = lib.fn("rap_units_span") if placed else None
-        crowded = sum(unit.dfa is not None for unit in fused._units) - placed
+        crowded = sum(unit.table.closed > 0 for unit in fused._units) - placed
         if crowded:
             log.debug(
                 "%d unit tables do not fit the forest's 15-bit state ids: "
@@ -459,11 +460,11 @@ class NativeUnitScanner:
         at_end: bool,
         stats_from: int,
     ) -> list[tuple[list[tuple[int, int]], int, int]]:
-        """Step ``(unit number, table state)`` cursors — any units of the
-        forest, in any multiplicity — over one span in one call (plus
-        continuations when the event buffer fills): per cursor, ``(raw
-        (position, table state) events, active-state sum, exit table
-        state)``.  Forest ids never leave this method."""
+        """Step ``(unit number, closed table state)`` cursors — any
+        units of the forest, in any multiplicity — over one span in one
+        call (plus continuations when the event buffer fills): per
+        cursor, ``(raw (position, table state) events, active-state sum,
+        exit table state)``.  Forest ids never leave this method."""
         m = len(cursors)
         bases = [self.bases[number] for number, _ in cursors]
         state = np.array(

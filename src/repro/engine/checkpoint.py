@@ -175,42 +175,66 @@ class CheckpointStore:
         self.writes = 0  # write ordinal (fault-injection point)
         self.discarded = 0  # corrupt entries dropped during load
         self.lock_breaks = 0  # stale locks broken (diagnostics)
+        self._own_stamp: tuple[int, bytes] = (0, b"")  # (pid, its lock stamp)
+
+    def _stamp(self) -> bytes:
+        """This process's lock stamp — JSON ``{"pid", "start"}`` — read
+        from ``/proc`` once per store and process, not per acquisition
+        (a forked child is another process)."""
+        pid = os.getpid()
+        if self._own_stamp[0] != pid:
+            stamp = {"pid": pid}
+            start = process_start_time(pid)
+            if start is not None:
+                stamp["start"] = start
+            self._own_stamp = (pid, json.dumps(stamp).encode())
+        return self._own_stamp[1]
 
     @contextlib.contextmanager
     def _exclusive(self):
-        """Hold the store's exclusive-create lock for one critical
-        section.  Raises ``OSError(EWOULDBLOCK)`` after the acquisition
-        timeout — callers already treat a failed write as lost
-        durability, never a failed scan."""
+        """Hold the store's exclusive lock for one critical section.
+        Raises ``OSError(EWOULDBLOCK)`` after the acquisition timeout —
+        callers already treat a failed write as lost durability, never
+        a failed scan.
+
+        The lock is published *with* its stamp: the stamp goes to a
+        private temp file first and ``os.link`` makes that file the
+        lock, so no instant exists — and a writer killed at any point
+        leaves none — at which ``.lock`` is there but does not yet say
+        whose it is.  (An empty lock must be presumed live for
+        ``LOCK_STALE_SECONDS``; one naming a dead holder breaks at once.)
+        """
         lock = self.root / ".lock"
+        stamp = self._stamp()
         deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if self._break_stale_lock(lock):
-                    continue
-                if time.monotonic() >= deadline:
-                    raise OSError(
-                        errno.EWOULDBLOCK,
-                        f"checkpoint store {self.root} is locked by "
-                        "another writer",
-                    ) from None
-                time.sleep(0.002)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".lock-", suffix=".tmp")
         try:
-            stamp = {"pid": os.getpid()}
-            start = process_start_time(os.getpid())
-            if start is not None:
-                stamp["start"] = start
-            os.write(fd, json.dumps(stamp).encode())
-            os.close(fd)
+            try:
+                os.write(fd, stamp)
+            finally:
+                os.close(fd)
+            while True:
+                try:
+                    os.link(tmp, lock)
+                    break
+                except FileExistsError:
+                    if self._break_stale_lock(lock):
+                        continue
+                    if time.monotonic() >= deadline:
+                        raise OSError(
+                            errno.EWOULDBLOCK,
+                            f"checkpoint store {self.root} is locked by "
+                            "another writer",
+                        ) from None
+                    time.sleep(0.002)
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        try:
             yield
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(lock)
-            except OSError:
-                pass
 
     def _break_stale_lock(self, lock: Path) -> bool:
         """Remove a lock whose holder is provably dead or ancient.
@@ -244,8 +268,10 @@ class CheckpointStore:
             except ValueError:
                 pid = 0
         if pid <= 0:
-            # The holder may be between O_EXCL-create and writing its
-            # pid; only break a pid-less lock once it is clearly stale.
+            # No writer of this build publishes a lock without its
+            # stamp, but a legacy one may be between O_EXCL-create and
+            # writing its pid: only break a pid-less lock once it is
+            # clearly stale.
             if age < LOCK_STALE_SECONDS:
                 return False
         else:
@@ -332,12 +358,18 @@ class CheckpointStore:
             os.close(fd)
 
     def _prune(self) -> None:
-        """Drop all but the newest ``KEEP`` checkpoints."""
+        """Drop all but the newest ``KEEP`` checkpoints — and any lock
+        temp a writer killed mid-acquisition orphaned (no live acquirer
+        holds one for longer than ``LOCK_TIMEOUT_SECONDS``)."""
         for path in self._paths()[:-KEEP]:
             try:
                 os.unlink(path)
             except OSError:
                 pass
+        for orphan in self.root.glob(".lock-*.tmp"):
+            with contextlib.suppress(OSError):
+                if time.time() - orphan.stat().st_mtime >= LOCK_STALE_SECONDS:
+                    orphan.unlink()
 
     def load_latest(self) -> dict | None:
         """The newest intact snapshot payload, or ``None``.

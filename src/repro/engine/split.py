@@ -30,8 +30,8 @@ Each compiled unit rides the cheapest sound mechanism:
   window exactly like NFA mask stacks; cyclic ones use the same
   two-round scheme with a :class:`~repro.core.sfa.StateMap` instead of
   a frontier table.  A DFA chunk mapping is plain function composition
-  over the unit's table, so only a unit whose closure blew the table
-  cap (it has none) falls back to a serial task.
+  over the unit's closed table, so only a unit whose closure blew the
+  table cap (it is never closed) falls back to a serial task.
 * **NBVA counter units** — counter vectors carry unbounded history;
   they always run as serial whole-stream tasks (in parallel with the
   chunk tasks, deduped by functional fingerprint).
@@ -125,7 +125,7 @@ class SplitCompilation:
         for unit, compiled in enumerate(self.dfa_units):
             bound = longest_activation_path(compiled.automaton)
             # A cyclic DFA unit's chunk mapping is a StateMap over its
-            # table; only one whose closure blew the cap has none.
+            # closed table; only one whose closure blew the cap has none.
             if bound is not None:
                 self.dfa_kind.append(BOUNDED)
                 warm = max(warm, bound + 1)
@@ -258,7 +258,7 @@ def split_collect(
                 if table is None:
                     state = mapped.apply(state)
                 else:  # spans speak active sets, state maps table states
-                    state = table.subsets[mapped.apply(table.state_of(state))]
+                    state = table.words[mapped.apply(table.ids[state])]
         round_two = [
             ("round2", ci, chunks[ci].start, chunks[ci].end, ci == last, entries[ci])
             for ci in range(1, len(chunks))

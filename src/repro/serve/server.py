@@ -173,6 +173,7 @@ class ServerStats:
     completed: int = 0
     protocol_errors: int = 0
     checkpoint_failures: int = 0
+    last_checkpoint_error: str | None = None
     reloads: int = 0
     swaps: int = field(default=0)
 
@@ -240,8 +241,7 @@ class ScanServer:
             asyncio.get_running_loop().time() + self.config.drain_seconds
         )
         for key, session in list(self._sessions.items()):
-            if not session.checkpoint():
-                self.stats.checkpoint_failures += 1
+            self._checkpoint(session)
             attachment = self._attached.get(key)
             if attachment is not None:
                 attachment.closed_by_server = "drain"
@@ -310,8 +310,7 @@ class ScanServer:
             and session.idle_seconds() >= self.config.idle_timeout
         ]
         for key, session in now_idle:
-            if not session.checkpoint():
-                self.stats.checkpoint_failures += 1
+            if not self._checkpoint(session):
                 continue  # keep it in memory: the state would be lost
             del self._sessions[key]
             self.stats.evicted_idle += 1
@@ -334,8 +333,7 @@ class ScanServer:
             key=lambda k: (self._sessions[k].weight, k),
         )
         session = self._sessions[key]
-        if not session.checkpoint():
-            self.stats.checkpoint_failures += 1
+        if not self._checkpoint(session):
             return None
         attachment = self._attached.get(key)
         if attachment is not None:
@@ -375,8 +373,7 @@ class ScanServer:
         released = 0
         for key, session in list(self._sessions.items()):
             session.park()
-            if not session.checkpoint():
-                self.stats.checkpoint_failures += 1
+            if not self._checkpoint(session):
                 continue
             attachment = self._attached.pop(key, None)
             if attachment is not None:
@@ -402,6 +399,15 @@ class ScanServer:
             )
         return released
 
+    def _checkpoint(self, session: ScanSession) -> bool:
+        """Persist ``session``; a failure is counted, and its reason
+        (which the session has logged) kept for the health report."""
+        if session.checkpoint():
+            return True
+        self.stats.checkpoint_failures += 1
+        self.stats.last_checkpoint_error = session.checkpoint_error
+        return False
+
     def health_report(self) -> dict:
         """The worker snapshot answered to a pre-``open`` ``health`` op."""
         return {
@@ -412,6 +418,7 @@ class ScanServer:
             "released": self.stats.released,
             "shed": self.stats.shed,
             "checkpoint_failures": self.stats.checkpoint_failures,
+            "last_checkpoint_error": self.stats.last_checkpoint_error,
         }
 
     # -- connection handling -------------------------------------------------
@@ -470,8 +477,7 @@ class ScanServer:
         if session is None or key in self._attached:
             return  # completed/evicted, or reattached elsewhere already
         session.park()
-        if not session.checkpoint():
-            self.stats.checkpoint_failures += 1
+        self._checkpoint(session)
 
     async def _converse(
         self,
@@ -533,8 +539,7 @@ class ScanServer:
                     await self._send(writer, {"op": "pong"})
                 elif op == "detach":
                     session.park()
-                    if not session.checkpoint():
-                        self.stats.checkpoint_failures += 1
+                    self._checkpoint(session)
                     await self._send(
                         writer,
                         {
@@ -566,11 +571,9 @@ class ScanServer:
                     return None  # shed or drained from under us
                 if session.idle_seconds() >= self.config.idle_timeout:
                     session.park()
-                    if session.checkpoint():
+                    if self._checkpoint(session):
                         self._sessions.pop(key, None)
                         self.stats.evicted_idle += 1
-                    else:
-                        self.stats.checkpoint_failures += 1
                     self._attached.pop(key, None)
                     with contextlib.suppress(Exception):
                         await self._send(
@@ -757,10 +760,8 @@ class ScanServer:
             attachment.bytes_since_checkpoint
             >= self.config.checkpoint_interval_bytes
         ):
-            if session.checkpoint():
+            if self._checkpoint(session):
                 attachment.bytes_since_checkpoint = 0
-            else:
-                self.stats.checkpoint_failures += 1
 
     async def _maybe_swap(
         self, session: ScanSession, writer: asyncio.StreamWriter

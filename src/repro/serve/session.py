@@ -29,6 +29,7 @@ Two mechanics deserve a note:
 
 from __future__ import annotations
 
+import logging
 import time
 
 from repro.engine.checkpoint import CheckpointStore, DurableScan
@@ -38,6 +39,8 @@ from repro.simulators.rap import RAPSimulator
 
 SESSION_FORMAT = "rap-serve-session"
 SESSION_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class ScanSession:
@@ -73,6 +76,7 @@ class ScanSession:
         self._pending: bytes | None = None
         self.ended = False
         self.last_active = time.monotonic()
+        self.checkpoint_error: str | None = None  # why the last failed one did
 
     # -- identity ------------------------------------------------------------
 
@@ -225,7 +229,11 @@ class ScanSession:
         try:
             self.store.write(self.envelope(), self.offset)
             return True
-        except OSError:
+        except OSError as err:
+            self.checkpoint_error = (
+                f"tenant={self.tenant} session={self.id} offset={self.offset}: {err}"
+            )
+            log.warning("checkpoint failed: %s", self.checkpoint_error)
             return False
 
     @classmethod

@@ -19,11 +19,11 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
   from an explicit entry word or from a warm-up window, which is what
   both the durable feeder and the input-parallel split engine build on.
-  Every bin is one :class:`~repro.core.fused.LaneDfa`; the generated C
-  steps them closed, the table walker (:meth:`LaneDfa.walk
-  <repro.core.fused.LaneDfa.walk>`) fills them as it goes — with no
-  compiler, for a bin too large to close, or from an entry word outside
-  a closure.
+  Every bin is one :class:`~repro.core.table.StepTable` of the fused
+  ruleset; the generated C steps them closed, the table walker
+  (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) fills them
+  as it goes — with no compiler, for a bin too large to close, or from
+  an entry word outside a closure.
 * :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
   scan's ordinary collectors through the plan, one segment at a time.
   Both are stateless between feeds — they load each unit's entry state
@@ -53,12 +53,13 @@ from dataclasses import dataclass, replace
 
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
-from repro.core.fused import FusedRuleset, LaneDfa, TranslatedSegment
+from repro.core.fused import FusedRuleset, TranslatedSegment
 from repro.core.registry import (
     NATIVE_FORMAT_VERSION,
     resolve_backend_with_reason,
 )
 from repro.core.state import KernelState
+from repro.core.table import StepTable
 from repro.core.trace import regex_fingerprint
 from repro.hardware.config import HardwareConfig
 from repro.mapping.mapper import Mapping
@@ -102,12 +103,12 @@ class FusedLaneScanner:
     """Scan spans of the lane-packed machine, producing per-bin deltas.
 
     Built from the bins' packed-machine layouts (in bin order); the
-    fused compilation is shared with the caller's when supplied, so the
-    alphabet classes and prefilter match the rest of the run.  The
-    scanner holds no stream state and is picklable — parallel chunk
-    workers each scan their own span of the same machine; its compiled
-    library and the DFA rows it interned are process-local caches that a
-    pickled copy rebuilds.
+    fused compilation — which owns every bin's table — is shared with
+    the caller's when supplied, so the alphabet classes match the rest
+    of the run.  The scanner holds no stream state and is picklable —
+    parallel chunk workers each scan their own span of the same machine;
+    its compiled library is a process-local cache that a pickled copy
+    rebuilds.
     """
 
     def __init__(
@@ -150,16 +151,13 @@ class FusedLaneScanner:
         self._native = None
         self._native_tried = False
         self._interpreted_why = why or f"{resolved} backend"
-        self._dfas: list[LaneDfa] | None = None  # the walker's, unclosed
 
     def __getstate__(self):
-        # dlopen'd library handles and lazily interned DFA rows are
-        # process-local; chunk workers rebuild the former from the
-        # on-disk shared-object cache and the latter as they walk.
+        # dlopen'd library handles are process-local; chunk workers
+        # rebuild them from the on-disk shared-object cache.
         state = self.__dict__.copy()
         state["_native"] = None
         state["_native_tried"] = False
-        state["_dfas"] = None
         return state
 
     def _native_scanner(self):
@@ -195,19 +193,13 @@ class FusedLaneScanner:
             return native.tier
         return f"interpreted ({self._interpreted_why})"
 
-    def lane_dfas(self) -> list[LaneDfa]:
-        """Every bin's DFA, the one table both steppers read: the
-        compiled kernel's closed ones when it attached, else ones the
-        walker fills as it goes."""
-        native = self._native_scanner()
-        if native is not None:
-            return native.dfas
-        if self._dfas is None:
-            self._dfas = [
-                self._fused.lane_dfa(j, layout.tile_masks)
-                for j, layout in enumerate(self._layouts)
-            ]
-        return self._dfas
+    def lane_dfas(self) -> list[StepTable]:
+        """Every bin's table, the one both steppers read: closed when
+        the compiled kernel attached, else filled as the walker goes."""
+        return [
+            self._fused.lane_dfa(j, layout.tile_masks)
+            for j, layout in enumerate(self._layouts)
+        ]
 
     @property
     def fused(self) -> FusedRuleset:
@@ -669,7 +661,7 @@ class FusedPlan:
     * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
       holding the bins' shift programs, the NFA/DFA units' gather
       programs and the NBVA units' automata, so all of them share one
-      class map, one translated input, and one prefilter.
+      class map and one translated input.
     """
 
     def __init__(

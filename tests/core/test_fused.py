@@ -168,35 +168,6 @@ class TestAlphabetClasses:
         assert set(classes.class_of) == {0}
 
 
-class TestPrefilter:
-    def _oracle(self, fused, data):
-        arr = np.frombuffer(data, dtype=np.uint8)
-        return np.flatnonzero(fused._hot_lut[arr]).tolist()
-
-    @settings(max_examples=80, deadline=None)
-    @given(inputs(max_size=40))
-    def test_find_chain_path_matches_lut_path(self, data):
-        # Two literal patterns -> at most two hot byte values: the
-        # bytes.find chain is selected and must be position-identical.
-        fused = FusedRuleset(
-            [MultiShiftAnd([make_lnfa("ab"), make_lnfa("ba")]).program]
-        )
-        assert len(fused._hot_bytes) <= 4
-        assert fused._hot_positions(
-            data, np.frombuffer(data, dtype=np.uint8)
-        ) == self._oracle(fused, data)
-
-    @settings(max_examples=40, deadline=None)
-    @given(inputs(alphabet="abcdwxyz", max_size=40))
-    def test_lut_path_positions(self, data):
-        # A dotted head makes every byte hot -> the LUT path runs.
-        fused = FusedRuleset([MultiShiftAnd([make_lnfa(".a")]).program])
-        assert len(fused._hot_bytes) > 4
-        assert fused._hot_positions(
-            data, np.frombuffer(data, dtype=np.uint8)
-        ) == self._oracle(fused, data)
-
-
 class TestSignature:
     def test_stable_and_layout_sensitive(self):
         a = [MultiShiftAnd([make_lnfa("abc"), make_lnfa("xy")]).program]

@@ -13,7 +13,10 @@ drives all three program kinds against it:
   combinations and warm-up offsets;
 * SHIFT_LEFT programs (packed Shift-And layouts) through the plan's
   lane machine, reduced to events and counters by the step rule the
-  :class:`~repro.core.program.KernelProgram` docstring states;
+  :class:`~repro.core.program.KernelProgram` docstring states — and
+  both kinds through :meth:`StepTable.walk
+  <repro.core.table.StepTable.walk>`, the one portable stepper, under
+  the same assertions;
 * SHIFT_RIGHT programs (the bit-serial datapath), which no plan
   executes, through the kernel's own lazy per-cycle view reduced the
   same way — block path against per-cycle path.
@@ -37,6 +40,7 @@ from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
 
 from tests.automata.test_lnfa import lnfa_strategy
+from tests.core.test_fused import make_lnfa
 from tests.helpers import inputs, regex_trees
 
 pytestmark = pytest.mark.skipif(
@@ -75,6 +79,34 @@ def lane_states(program, data: bytes) -> dict[int, int]:
     return rows
 
 
+def step_table(program):
+    """``program`` — a lane bin or a GATHER unit — as the plan's table,
+    under one all-ones payload mask (``bits[0]``: live positions)."""
+    if program.kind is ProgramKind.GATHER:
+        fused = FusedRuleset((), [program])
+        return fused, fused._units[0].table
+    fused = FusedRuleset([program])
+    return fused, fused.lane_dfa(0, (-1,))
+
+
+def assert_walk_agrees(program, data: bytes, stats_from: int, want) -> None:
+    """The one walker, whichever successor rule fills the rows: hit
+    words masked to the finals that fire are the kernel's events, the
+    live bits under the all-ones payload its active-state sum."""
+    events, stats = want
+    fused, table = step_table(program)
+    _, (active,), hits, _ = table.walk(
+        fused.translate(data).cls_bytes, 0,
+        fresh=True, at_end=True, stats_from=stats_from,
+    )
+    mid = program.final & ~program.end_anchored_finals
+    assert [
+        (i, word & (program.final if i == len(data) - 1 else mid))
+        for i, word in hits
+    ] == events
+    assert active == stats.active_states
+
+
 def assert_kernels_agree(program, data: bytes, stats_from: int = 0) -> None:
     py_events, py_stats = get_kernel().scan(
         program, data, stats_from=stats_from
@@ -82,6 +114,8 @@ def assert_kernels_agree(program, data: bytes, stats_from: int = 0) -> None:
     # The kernel clamps a warm-up prefix to the input; span callers
     # never pass one past the end.
     stats_from = min(stats_from, len(data))
+    if program.kind is not ProgramKind.SHIFT_RIGHT:
+        assert_walk_agrees(program, data, stats_from, (py_events, py_stats))
     if program.kind is ProgramKind.GATHER:
         fused = FusedRuleset((), [program])
         events, stats, _ = fused.scan_unit_span(
@@ -172,6 +206,37 @@ class TestShiftPrograms:
     def test_shift_right_differential(self, lnfa, data, astart, aend):
         engine = BitSerialLNFA(lnfa, anchored_start=astart)
         assert_kernels_agree(engine.program(anchored_end=aend), data)
+
+
+@pytest.mark.parametrize("kind", [ProgramKind.SHIFT_LEFT, ProgramKind.GATHER])
+def test_one_walker_steps_a_bin_and_a_unit_alike(kind):
+    """``abc`` as an LNFA bin and as an NFA unit — one table class, two
+    successor rules: the same hits and live-bit sums from the same
+    walk, whole or across a seam, as the plan built the table (a bin
+    fills as it is walked, a unit is closed) and closed."""
+    if kind is ProgramKind.SHIFT_LEFT:
+        program = ShiftAnd(make_lnfa("abc")).program()
+    else:
+        program = NFASimulator(build_automaton(parse("abc"))).program()
+    assert program.kind is kind
+    fused, table = step_table(program)
+    cls = fused.translate(b"ab.abcabxabcc").cls_bytes
+    span = dict(at_end=True, stats_from=0)
+    assert table.closed == (4 if kind is ProgramKind.GATHER else 0)
+    for _ in range(2):
+        cycles, bits, hits, word = table.walk(cls, 0, fresh=True, **span)
+        assert [i for i, _ in hits] == [5, 11] and word == 0
+        # a, ab | a, ab, abc, a, ab | a, ab, abc: one live bit per byte
+        assert (cycles, bits) == ([10], [10])
+        for cut in range(1, len(cls)):
+            _, (left,), first, word = table.walk(
+                cls[:cut], 0, fresh=True, at_end=False, stats_from=0
+            )
+            _, (right,), rest, _ = table.walk(cls[cut:], word, fresh=False, **span)
+            assert left + right == 10
+            assert first + [(cut + i, w) for i, w in rest] == hits
+        assert len(table) == 4  # the empty word, a, ab, abc — and no more
+        assert table.close() and table.closed == 4
 
 
 class TestEndToEnd:

@@ -667,20 +667,29 @@ def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0
 
 @contextlib.contextmanager
 def _counting_restarts():
-    """Count :meth:`LaneDfa.restart` calls on tables that hold states
-    (the one every constructor makes on its empty table aside)."""
-    from repro.core.fused import LaneDfa
+    """Count the walker's :meth:`StepTable.restart` calls: those on
+    tables that hold states, outside any :meth:`StepTable.close` (which
+    restarts the table it is about to fill, and one it could not)."""
+    from repro.core.table import StepTable
 
-    calls = []
-    restart = LaneDfa.restart
+    calls, closing = [], []
+    restart, close = StepTable.restart, StepTable.close
 
-    def counted(dfa):
-        if len(dfa):
-            calls.append(len(dfa))
-        restart(dfa)
+    def counted(table):
+        if len(table) and not closing:
+            calls.append(len(table))
+        restart(table)
 
-    with mock.patch.object(LaneDfa, "restart", counted):
-        yield calls
+    def closed(table):
+        closing.append(table)
+        try:
+            return close(table)
+        finally:
+            closing.pop()
+
+    with mock.patch.object(StepTable, "restart", counted):
+        with mock.patch.object(StepTable, "close", closed):
+            yield calls
 
 
 def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=None):
@@ -812,7 +821,7 @@ class TestNativeLaneDfa:
         the ruleset is walked — by measurement — with no lane ``.so``
         built, and however hostile the stream the table stays within one
         row's worth of the cap."""
-        from repro.core.fused import LaneDfa
+        from repro.core.table import StepTable
 
         monkeypatch.setenv("RAP_CACHE_DIR", str(tmp_path))
         patterns = ["a" + "." * 20, "needle"]
@@ -825,7 +834,7 @@ class TestNativeLaneDfa:
 
         ruleset = compile_ruleset(patterns)
         sizes = []
-        row = LaneDfa.row
+        row = StepTable.row
 
         def measured(dfa, sid):
             sizes.append(len(dfa))
@@ -834,7 +843,7 @@ class TestNativeLaneDfa:
         stream = bytes(random.Random(7).choices(b"ab", k=60_000))
         serial = EngineConfig(backend="fused", input_jobs=1, use_cache=False)
         with _counting_restarts() as restarts:  # one process: one table
-            with mock.patch.object(LaneDfa, "row", measured):
+            with mock.patch.object(StepTable, "row", measured):
                 got = BatchEngine(serial).scan(ruleset, stream)
         with use_backend("python"):
             assert got == RAPSimulator(DEFAULT_CONFIG).run(ruleset, stream)
@@ -1061,8 +1070,8 @@ def _assert_units_identical(
 class TestUnitForest:
     """Every GATHER unit is one table, stepped as cursors over a forest
     — by the generated ``rap_units_span`` or the portable walker — ≡
-    ``PythonKernel``, event words, counters and exit sets; and so is the
-    mask stack a unit keeps when its closure blows the cap."""
+    ``PythonKernel``, event words, counters and exit sets; and so is a
+    unit whose closure blows the cap, walked on a table that restarts."""
 
     @settings(max_examples=12, deadline=None)  # one cc run per native example
     @given(
@@ -1162,6 +1171,97 @@ class TestUnitForest:
                 "interpreted (closure > 8)", "table (6 states)",
             ]
 
+    def test_hostile_stream_cannot_grow_an_unclosed_table(self, backend):
+        """The blow-up again, under a stream that visits every one of
+        its 4 098 subsets: the walker interns them as they come,
+        restarts at the cap, and holds at most ``closed + cap`` states
+        plus the row it is filling — results equal ``PythonKernel``'s
+        span by span."""
+        from repro.core.fused import FusedRuleset
+        from repro.core.pykernel import PythonKernel
+        from repro.core.table import StepTable
+
+        (program,) = _nfa_programs(["(a|b)*a(a|b){11}c"])
+        with use_backend(backend):
+            fused = FusedRuleset(gather_programs=[program])
+        table = fused._units[0].table
+        cap = codegen.UNIT_DFA_MAX_STATES
+        assert (table.closed, table.cap, len(table)) == (0, cap, 1)
+        rng = random.Random(11)
+        stream = b"".join(
+            bytes(rng.choices(b"ab", k=rng.randrange(12, 400))) + b"c"
+            for _ in range(400)
+        )
+        sizes = []
+        row = StepTable.row
+
+        def measured(table, sid):
+            sizes.append(len(table))
+            return row(table, sid)
+
+        state, entry = KernelState(), None
+        with _counting_restarts() as restarts:
+            with mock.patch.object(StepTable, "row", measured):
+                for at in range(0, len(stream), 20_000):
+                    segment = stream[at : at + 20_000]
+                    at_end = at + 20_000 >= len(stream)
+                    ((events, stats, entry),) = fused.scan_units_span(
+                        [(0, entry)], fused.translate(segment), at_end=at_end
+                    )
+                    want, want_stats, state = PythonKernel().scan_segment(
+                        program, segment, state, at_end=at_end
+                    )
+                    assert [(at + i, hits) for i, hits in events] == want
+                    assert (stats, entry) == (want_stats, state.states)
+        assert restarts and not table.closed
+        # a row of this unit interns at most one state per distinct label
+        assert max(sizes) <= cap + 1 and len(table) <= cap + 1 + 3
+
+    def test_pickled_ruleset_ships_closed_rows_only(self, backend):
+        """States the walker met after a closure — a foreign entry word
+        here, on a unit and on a bin — are a per-process cache: the
+        pickled ruleset carries neither them, nor a lock, nor a filled
+        row, and walks identically."""
+        import pickle
+
+        from repro.automata.shift_and import MultiShiftAnd
+        from repro.core.fused import FusedRuleset
+        from tests.core.test_fused import make_lnfa
+
+        lanes = [MultiShiftAnd([make_lnfa("abcdef"), make_lnfa("bcdxyz")]).program]
+        with use_backend(backend):
+            fused = FusedRuleset(lanes, _nfa_programs(["abcdef", "b(c|d)*e"]))
+        unit, lane = fused._units[0].table, fused.lane_dfa(0, (0b111, 0b111000))
+        assert unit.closed and lane.close()
+        foreign = 1 << 2 | 1 << 4  # "abc" and "abcde": no input leaves both true
+        tin = fused.translate(b"fab.abcdef")
+        span = dict(fresh=False, at_end=True, stats_from=0)
+        got = fused.scan_units_span([(0, foreign), (1, None)], tin)
+        walked = lane.walk(tin.cls_bytes, foreign, **span)
+        for table in (unit, lane):
+            assert len(table) > table.closed and table.ids[foreign] >= table.closed
+            assert any(table.rows)
+
+        clone = pickle.loads(pickle.dumps(fused))
+        for table, original in (
+            (clone._units[0].table, unit),
+            (clone.lane_dfa(0, (0b111, 0b111000)), lane),
+        ):
+            assert table is not original and table.closed == original.closed
+            assert len(table) == table.closed == len(table.ids)
+            assert table.rows == [None] * table.closed and foreign not in table.ids
+            assert (table.flat, table.start) == (original.flat, original.start)
+            assert table.words == original.words[: table.closed]
+            assert not table._walking.locked()
+        assert clone.scan_units_span([(0, foreign), (1, None)], tin) == got
+        assert clone.lane_dfa(0, (0b111, 0b111000)).walk(
+            tin.cls_bytes, foreign, **span
+        ) == walked
+        # an unclosed table ships its parameters alone
+        lazy = pickle.loads(pickle.dumps(fused.lane_dfa(0)))
+        assert len(lazy) == 1 and not lazy.closed
+        assert lazy.walk(tin.cls_bytes, foreign, **span)[2:] == walked[2:]
+
     def test_units_the_forest_has_no_room_for_are_walked(self, backend, caplog):
         """Sixteen 2 050-state closures: the sixteenth would pass the
         forest's 15-bit state ids, so its cursors walk the table in
@@ -1204,13 +1304,17 @@ class TestUnitForest:
             fused = FusedRuleset(gather_programs=programs)
         # "abc" and "abcde" matched so far: no input leaves both true.
         foreign = 1 << 2 | 1 << 4
-        assert fused._units[0].enter(foreign) is None
+        table = fused._units[0].table
+        assert table.closed_id(foreign) is None and len(table) == table.closed
         tin = fused.translate(b"fab.abcdef")
         with caplog.at_level(logging.DEBUG, logger="repro.core.fused"):
             got = fused.scan_units_span([(0, foreign), (1, 0), (0, foreign)], tin)
             fused.scan_units_span([(0, foreign)], tin)
-        logged = [r for r in caplog.records if "mask stack" in r.message]
+        logged = [r for r in caplog.records if "outside its" in r.message]
         assert len(logged) == 1 and "unit 0" in logged[0].message
+        # interned past the closure: still not a state of the C tables
+        assert table.ids[foreign] >= table.closed
+        assert table.closed_id(foreign) is None
         want = [
             PythonKernel().scan_segment(
                 programs[number], tin.data, KernelState(offset=1, states=entry)
@@ -1222,8 +1326,8 @@ class TestUnitForest:
             for events, stats, state in want
         ]
         assert [i for i, _ in got[0][0]] == [0, 9]  # abcde|f, then the whole word
-        # ... and the exit set is back inside the table.
-        assert fused._units[0].enter(got[0][2]) is not None
+        # ... and the exit set is back inside the closure.
+        assert table.closed_id(got[0][2]) is not None
 
     def test_collectors_of_one_unit_restored_to_different_states(self, backend):
         """A hand-assembled snapshot whose two regexes share a unit but
@@ -1340,9 +1444,12 @@ def test_generated_sources_compile_warning_free(
         lane = codegen.lane_scan_source(plan.fused, masks)
         assert lane.tier.startswith("dfa (")
         sources.append(lane.source)
+        # a bin's cap is read when its table is built: a new plan
         monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 8)
+        with use_backend("native"):
+            capped = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
         with pytest.raises(ValueError, match="bin 0 closure > 8"):
-            codegen.lane_scan_source(plan.fused, masks)
+            codegen.lane_scan_source(capped.fused, masks)
     emitted = "\n".join(sources)
     assert all(f"int {kernel}(" in emitted for kernel in kernels)
     for index, source in enumerate(filter(None, sources)):
@@ -1534,7 +1641,8 @@ def test_unit_kernel_sanitized(name, tmp_path):
         + _SANITIZED_UNITS_MAIN
         % dict(
             entry=", ".join(
-                str(base + unit.dfa.start) for base, unit in zip(bases, units)
+                str(base + unit.table.closed_id(None))
+                for base, unit in zip(bases, units)
             )
         )
     )
@@ -1567,12 +1675,146 @@ def test_unit_kernel_sanitized(name, tmp_path):
         assert [
             (
                 position,
-                unit.dfa.subsets[s - base]
+                unit.table[s - base]
                 & (program.final if position == len(data) - 1 else mid),
             )
             for position, s in found
         ] == want
-        assert unit.dfa.subsets[sid - base] == state.states
+        assert unit.table[sid - base] == state.states
+
+
+_SANITIZED_NBVA_MAIN = r"""
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+/* Exact-size heap blocks once more — each span's class bytes, the
+   vector words, the scratch copy, the eleven counters, a ONE-entry event
+   buffer — so a word offset or event slot out of range is a redzone hit.
+   Every unit scans the stream as three spans chained through the exit
+   frontier. */
+int main(int argc, char **argv)
+{
+  static const int words[] = { %(words)s };
+  enum { UNITS = sizeof words / sizeof *words };
+  long long n, cuts[4], ne, resume, ev[1], *counters;
+  uint8_t *stream;
+  FILE *f;
+  int u, span, w, rc;
+  if (argc != 5 || !(f = fopen(argv[1], "rb"))) return 2;
+  n = atoll(argv[2]);
+  cuts[0] = 0; cuts[1] = atoll(argv[3]); cuts[2] = atoll(argv[4]); cuts[3] = n;
+  stream = malloc(n);
+  if (fread(stream, 1, n, f) != (size_t)n) return 2;
+  for (u = 0; u < UNITS; u++) {
+    uint64_t active = 0, live = 0;
+    uint64_t *vecs = calloc(words[u] ? words[u] : 1, sizeof *vecs);
+    uint64_t *scratch = malloc((words[u] ? words[u] : 1) * sizeof *scratch);
+    for (span = 0; span < 3; span++) {
+      long long base = cuts[span], len = cuts[span + 1] - base;
+      uint8_t *cls = malloc(len);
+      memcpy(cls, stream + base, len);
+      counters = calloc(11, sizeof *counters);
+      resume = 0;
+      do {
+        rc = rap_nbva_span(cls, len, resume, u, &active, &live, vecs, scratch,
+                           base == 0, span == 2, counters, ev, 1, &ne, &resume);
+        if (ne) printf("ev %%d %%d %%lld\n", u, span, ev[0]);
+      } while (rc);
+      printf("span %%d %%d", u, span);
+      for (w = 0; w < 11; w++) printf(" %%lld", counters[w]);
+      printf(" | %%llu %%llu", (unsigned long long)active, (unsigned long long)live);
+      for (w = 0; w < words[u]; w++) printf(" %%llu", (unsigned long long)vecs[w]);
+      printf("\n");
+      free(cls); free(counters);
+    }
+    free(vecs); free(scratch);
+  }
+  free(stream); fclose(f);
+  return 0;
+}
+"""
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["snort_mix16"])
+def test_nbva_kernel_sanitized(name, tmp_path):
+    """The NBVA kernel — stack vectors, a scratch swap, word-offset
+    arithmetic — of the ledger ruleset with NBVA units, built with a
+    generated ``main()`` under ASan + UBSan: a one-entry event buffer so
+    every event forces a continuation, two seams chained through the
+    exit frontier — clean exit, and matches, all eleven counters,
+    ``bv_cycle_indices`` and exit frontiers equal to ``NBVAScanner``'s."""
+    from benchmarks.ledger.workloads import RULESETS
+    from repro.core.native import _find_compiler
+    from repro.simulators.fused import FusedPlan
+    from repro.workloads.inputs import generate_input
+
+    patterns = RULESETS[name]()
+    ruleset = compile_ruleset(patterns)
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    with use_backend("fused"):
+        fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
+    indices = codegen.native_nbva_indices(fused)
+    assert indices
+    layouts = [codegen.nbva_vector_layout(fused._nbva[j].automaton) for j in indices]
+    assert max(words for layout, _ in layouts for _, words in layout.values()) > 1
+    data = generate_input(
+        "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
+    )
+    cuts = [0, len(data) // 3, len(data) // 3 + 1, len(data)]  # a 1-byte span
+    source = tmp_path / "nbva.c"
+    source.write_text(
+        codegen.unit_scan_source(fused)
+        + _SANITIZED_NBVA_MAIN
+        % dict(words=", ".join(str(total) for _, total in layouts))
+    )
+    binary = tmp_path / "nbva"
+    build = subprocess.run(
+        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+    stream = tmp_path / "cls.bin"
+    stream.write_bytes(fused.translate(data).cls_bytes)
+    run = subprocess.run(
+        [str(binary), str(stream), str(len(data)), str(cuts[1]), str(cuts[2])],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    events = [tuple(map(int, l[1:])) for l in lines if l[0] == "ev"]
+    spans = {
+        (int(l[1]), int(l[2])): ([int(v) for v in l[3:14]], [int(v) for v in l[15:]])
+        for l in lines if l[0] == "span"
+    }
+    assert len(spans) == 3 * len(indices)
+    fired = 0
+    for slot, (j, (layout, _)) in enumerate(zip(indices, layouts)):
+        scanner = fused._nbva[j].scanner()
+        for span in range(3):
+            base, end = cuts[span], cuts[span + 1]
+            stats = NBVAStats(bv_cycle_indices=[])
+            matches = scanner.feed(data[base:end], stats, at_end=span == 2)
+            found = [ev for u, sp, ev in events if (u, sp) == (slot, span)]
+            assert [base + (ev >> 2) for ev in found if ev & 2] == matches
+            assert [
+                base + (ev >> 2) for ev in found if ev & 1
+            ] == stats.bv_cycle_indices
+            counters, (active, live, *vecs) = spans[slot, span]
+            assert counters == list(dataclasses.astuple(stats)[:11])
+            assert scanner.state == NBVAState(
+                end,
+                active,
+                tuple(
+                    (pid, sum(w << 64 * i for i, w in enumerate(vecs[at : at + n])))
+                    for pid, (at, n) in layout.items()
+                    if live >> pid & 1
+                ),
+            )
+            fired += len(found)
+    assert fired > 3 * len(indices)  # continuations: one per event
 
 
 @needs_native

@@ -550,6 +550,68 @@ class TestStoreLocking:
             )
         assert not (store.root / ".lock").exists()  # released on exit
 
+    # A writer that dies — as under SIGKILL: no ``finally`` runs — on its
+    # k-th call of one of the functions lock acquisition goes through.
+    _DYING_WRITER = (
+        "import os, sys\n"
+        "from repro.engine import checkpoint\n"
+        "name, k, root = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
+        "owner = checkpoint if name == 'process_start_time' else os\n"
+        "real, calls = getattr(owner, name), []\n"
+        "def dying(*args, **kwargs):\n"
+        "    calls.append(name)\n"
+        "    if len(calls) == k:\n"
+        "        os._exit(9)\n"
+        "    return real(*args, **kwargs)\n"
+        "setattr(owner, name, dying)\n"
+        "print(os.getpid(), flush=True)\n"
+        "checkpoint.CheckpointStore(root).write({'n': 0}, 0)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "name", ["open", "write", "link", "unlink", "process_start_time"]
+    )
+    def test_writer_killed_at_any_step_never_wedges_the_store(
+        self, name, tmp_path, monkeypatch
+    ):
+        """A lock is published together with its stamp: wherever in the
+        acquisition (or after it) a writer is killed, ``.lock`` — if it
+        is there at all — names the dead holder, so the next writer
+        breaks it at once instead of presuming an empty lock live for
+        ``LOCK_STALE_SECONDS``; and the lock temp a crash orphans is
+        swept once it is stale."""
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.5)
+        killed = 0
+        for k in range(1, 10):
+            root = tmp_path / f"{name}-{k}"
+            root.mkdir()
+            child = subprocess.run(
+                [sys.executable, "-c", self._DYING_WRITER, name, str(k), str(root)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH="src"),
+                cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+            )
+            if child.returncode == 0:
+                break  # fewer than k calls in a whole write: every step tried
+            assert child.returncode == 9, child.stderr[-2000:]
+            killed += 1
+            lock = root / ".lock"
+            held = lock.exists()
+            if held:
+                assert json.loads(lock.read_text())["pid"] == int(child.stdout)
+            store = CheckpointStore(root)
+            started = time.monotonic()
+            store.write({"n": 1}, 1)  # no wait: nothing to time out on
+            assert time.monotonic() - started < 0.5
+            assert store.lock_breaks == held
+            assert store.load_latest() == {"n": 1}
+            old = time.time() - checkpoint.LOCK_STALE_SECONDS - 1
+            for orphan in root.glob(".lock-*.tmp"):
+                os.utime(orphan, (old, old))
+            store.write({"n": 2}, 2)
+            assert not list(root.glob(".lock*"))
+        assert killed and child.returncode == 0
+
     def test_pid_reuse_impostor_breaks_immediately(self, tmp_path):
         # The fleet scenario: a SIGKILLed worker's lock survives, the
         # pid space wraps, and an unrelated *live* process now wears the

@@ -346,6 +346,47 @@ class TestWatchdogs:
 
         run(scenario())
 
+    def test_failed_checkpoint_says_why(
+        self, registry, data, golden, tmp_path, monkeypatch, caplog
+    ):
+        """A checkpoint that cannot be written is logged with tenant,
+        session, offset and the error, and the health report keeps the
+        last reason — the scan itself is unharmed."""
+        import json
+        import logging
+        import os
+
+        from repro.engine import checkpoint
+
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.05)
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                assert server.health_report()["last_checkpoint_error"] is None
+                client = ScanClient("127.0.0.1", server.port, "why", "s", PATTERNS)
+                await client.connect()
+                await client.send(data[:SEG])
+                await client.send(data[SEG : 2 * SEG])  # feeds the first
+                store = server._store_for(session_key("why", "s"))
+                store.root.mkdir(parents=True, exist_ok=True)
+                held = store.root / ".lock"  # a live writer: this process
+                held.write_text(json.dumps({"pid": os.getpid()}))
+                with caplog.at_level(logging.WARNING, logger="repro.serve.session"):
+                    await client.detach()
+                held.unlink()
+                report = server.health_report()
+                # the detach itself, and the disconnect that follows it
+                assert report["checkpoint_failures"] == len(caplog.records) >= 1
+                record = caplog.records[-1]
+                for said in (report["last_checkpoint_error"], record.getMessage()):
+                    assert f"tenant=why session=s offset={SEG}: " in said
+                    assert "locked by another writer" in said
+                await client.reconnect()
+                result = await finish_stream(client, data, SEG)
+                assert result["matches"] == golden[0]
+
+        run(scenario())
+
     def test_shed_drops_exactly_the_lowest_weight_session(
         self, registry, data, golden, tmp_path
     ):
