@@ -103,10 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-jobs",
         type=int,
         default=None,
-        help="split the input stream across this many chunks and stitch "
-        "them with simultaneous-automata state maps (fused backend "
-        "only; other backends scan serially); output is bit-identical "
-        "at every level (default: RAP_INPUT_JOBS or 1)",
+        help="split the input stream across this many warm-up-window "
+        "chunks, and the units that have no window into as many "
+        "whole-stream tasks (fused and native backends; python ignores "
+        "it); output is bit-identical at every level (default: "
+        "RAP_INPUT_JOBS or 1)",
     )
     p_scan.add_argument(
         "--cache",
@@ -183,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-jobs",
         type=int,
         default=None,
-        help="input-parallel chunks per stream (fused backend only); "
-        "reported numbers are independent of the level "
+        help="input-parallel warm-up-window chunks and whole-stream unit "
+        "tasks per stream (fused and native backends; python ignores "
+        "it); reported numbers are independent of the level "
         "(default: RAP_INPUT_JOBS or 1)",
     )
     p_exp.add_argument(
@@ -597,12 +599,17 @@ def _print_backend_report(engine) -> None:
     against measured (``rap calibrate``) or default constants.
     """
     from repro.compiler.costmodel import DEFAULT_CONSTANTS, active_constants
+    from repro.engine import resolve_input_jobs
 
     resolved, reason = engine.backend_report()
     line = f"backend: {resolved}"
     if reason:
         line += f" ({reason})"
     print(line)
+    input_jobs = resolve_input_jobs(engine.config.input_jobs)
+    if input_jobs > 1:
+        ignored = " (ignored: python backend)" if resolved == "python" else ""
+        print(f"input-jobs: {input_jobs}{ignored}")
     constants = active_constants(resolved)
     if constants.source == "measured":
         pairs = " ".join(
@@ -624,11 +631,14 @@ def _print_backend_report(engine) -> None:
 def _tier_note(entry) -> str:
     """``; lane tier: ...`` (LNFA: the shared lane machine) or ``; unit
     tier: ...`` (NBVA, NFA, DFA: the pattern's own unit) for an explain
-    row."""
+    row, then ``; split: ...`` when the scan is input-parallel."""
     if not entry.tier:
         return ""
     kind = "lane" if entry.trace.mode is CompiledMode.LNFA else "unit"
-    return f"; {kind} tier: {entry.tier}"
+    note = f"; {kind} tier: {entry.tier}"
+    if entry.split:
+        note += f"; split: {entry.split}"
+    return note
 
 
 def _print_explain(entries) -> None:

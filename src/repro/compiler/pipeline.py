@@ -250,6 +250,11 @@ class ExplainEntry:
     #: share — ``"dfa (S states / B bins)"`` or ``"interpreted (<why>)"``
     #: (the table walker; ``bin j closure > cap`` is one such why).
     tier: str | None = None
+    #: Filled in by ``BatchEngine.explain`` when ``input_jobs > 1`` on a
+    #: backend that honours it: ``"window N"`` — the row rides the chunk
+    #: tasks behind an N-symbol warm-up window (a unit's own; for LNFA
+    #: rows the one every chunk shares) — or ``"whole stream"``.
+    split: str | None = None
 
 
 def explain_patterns(

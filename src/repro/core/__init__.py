@@ -5,10 +5,11 @@ they actually run on.  The automata layer describes each engine as a
 :class:`~repro.core.program.KernelProgram`; a pluggable
 :class:`~repro.core.kernel.StepKernel` executes it.  Backends register
 in :mod:`repro.core.registry` (``RAP_BACKEND`` / ``--backend`` select
-one, with silent fallback to the stdlib kernel): ``python`` steps each
-unit through that kernel, ``fused`` and ``native`` run the ruleset-wide
-plan, and all are bit-identical by contract — switching backends can
-change speed, never results.
+one, with silent fallback to the stdlib kernel): ``python`` — the
+oracle — steps each unit through that kernel; ``fused`` (portable) and
+``native`` run the ruleset-wide plan of step tables, walked in Python
+or stepped by generated C; all are bit-identical by contract —
+switching backends can change speed, never results.
 
 :mod:`repro.core.trace` (the scan-once/price-many
 :class:`~repro.core.trace.ActivityTrace`) bridges to the simulator
@@ -18,16 +19,6 @@ this package importable from the automata layer without cycles.
 
 from repro.core.kernel import MatchEvent, StepKernel, StepStats
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.sfa import (
-    FrontierMap,
-    ShiftMap,
-    StateMap,
-    frontier_identity,
-    gather_chunk_map,
-    shift_chunk_map,
-    shift_identity,
-    state_identity,
-)
 from repro.core.registry import (
     BACKEND_ENV,
     DFA_FORMAT_VERSION,
@@ -55,21 +46,13 @@ __all__ = [
     "KERNEL_FORMAT_VERSION",
     "NATIVE_FORMAT_VERSION",
     "STATE_FORMAT_VERSION",
-    "FrontierMap",
     "KernelProgram",
     "KernelState",
     "MatchEvent",
     "ProgramKind",
-    "ShiftMap",
-    "StateMap",
     "StepKernel",
     "StepStats",
-    "frontier_identity",
-    "gather_chunk_map",
     "iter_states_from",
-    "shift_chunk_map",
-    "shift_identity",
-    "state_identity",
     "available_backends",
     "backend_names",
     "get_kernel",

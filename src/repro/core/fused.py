@@ -64,12 +64,6 @@ from repro.core.registry import (
     FUSED_FORMAT_VERSION,
     resolve_backend,
 )
-from repro.core.sfa import (
-    FrontierMap,
-    StateMap,
-    gather_map_over,
-    state_map_over,
-)
 from repro.core.table import StepTable
 from repro.regex.charclass import interned_label_masks
 
@@ -451,14 +445,14 @@ class FusedRuleset:
         ``gather_count + j``); ``entry`` is the NFA active set entering
         the span, ``None`` at the true stream start (where
         ``inject_first`` applies).  All units of a bulk scan, the
-        non-serial units of one split chunk, round-two entries, two
-        collectors of one unit at different entry words — each is one
-        call.  ``stats_from`` is the first owned position (earlier
-        symbols only warm the state up — no events, no counters) and
-        ``at_end`` whether the span's last symbol is the stream's last
-        (end-anchored finals fire nowhere else).  Returns, per cursor,
-        the events, the owned-region counters and the exit active set —
-        identical to :meth:`PythonKernel.scan
+        windowed units of one split chunk, one worker's share of the
+        windowless ones, two collectors of one unit at different entry
+        words — each is one call.  ``stats_from`` is the first owned
+        position (earlier symbols only warm the state up — no events,
+        no counters) and ``at_end`` whether the span's last symbol is
+        the stream's last (end-anchored finals fire nowhere else).
+        Returns, per cursor, the events, the owned-region counters and
+        the exit active set — identical to :meth:`PythonKernel.scan
         <repro.core.pykernel.PythonKernel.scan>` of the unit's program.
 
         A cursor whose entry is a closed state of its unit's table steps
@@ -599,42 +593,6 @@ class FusedRuleset:
         matches = scanner.feed(tin.data, stats, at_end=at_end)
         return matches, stats, scanner.state
 
-    # -- chunk mappings (SFA stitching) ---------------------------------
-
-    def gather_unit_map(
-        self, index: int, tin: TranslatedSegment, *, start: int = 0
-    ) -> FrontierMap:
-        """GATHER unit ``index``'s :class:`FrontierMap` over ``tin[start:]``.
-
-        The bounded frontier-function table of one chunk: sound even
-        for cyclic units, where no warm-up window exists.
-        """
-        unit = self._gather[index]
-        return gather_map_over(
-            tin.cls_bytes[start:] if start else tin.cls_bytes,
-            unit.labels,
-            unit.program.succ,
-            inject=unit.program.inject_always,
-            width=unit.program.width,
-        )
-
-    def dfa_unit_map(
-        self, index: int, tin: TranslatedSegment, *, start: int = 0
-    ) -> StateMap:
-        """DFA unit ``index``'s :class:`StateMap` over ``tin[start:]``.
-
-        Function composition over at most the DFA's state count — the
-        trivially composable form the input-parallel split engine folds
-        for cyclic DFA-tier units.
-        """
-        table = self._dfa[index].table
-        return state_map_over(
-            tin.cls_bytes[start:] if start else tin.cls_bytes,
-            table.flat,
-            table.k,
-            states=table.closed,
-        )
-
     @property
     def gather_count(self) -> int:
         """Number of GATHER units in the fused compilation."""
@@ -649,14 +607,6 @@ class FusedRuleset:
     def nbva_count(self) -> int:
         """Number of NBVA units in the fused compilation."""
         return len(self._nbva)
-
-    def dfa_table(self, index: int) -> StepTable | None:
-        """DFA unit ``index``'s closed table — the state id ↔ NFA active
-        set memory (``words`` / ``ids``) the split engine's
-        :class:`StateMap` entries translate through — or ``None`` when
-        its closure passed the cap."""
-        table = self._dfa[index].table
-        return table if table.closed else None
 
     def unit_tier(self, number: int) -> str:
         """What steps GATHER unit ``number`` (numbered as

@@ -8,10 +8,13 @@ Selection order (first hit wins):
 3. the ``RAP_BACKEND`` environment variable;
 4. ``"python"``.
 
-``python`` steps every unit through the stdlib :class:`~repro.core.
-pykernel.PythonKernel` — the oracle.  ``fused`` runs the ruleset-wide
-lane-packed plan through its NumPy interpreter, ``native`` through its
-generated C.  Every backend is capability-flagged: requesting ``native``
+Three backends, three steppers.  ``python`` is the *oracle*: every unit
+steps through the stdlib :class:`~repro.core.pykernel.PythonKernel`.
+``fused`` is the *portable* tier: the ruleset-wide plan, every bin and
+unit one :class:`~repro.core.table.StepTable` stepped by the table
+walker (NumPy only translates the input).  ``native`` runs the same
+plan's closed tables through generated C, and walks whatever the C
+cannot take.  Every backend is capability-flagged: requesting ``native``
 without a C compiler, or ``fused`` without NumPy, *silently* resolves
 down the fallback chain (``native`` → ``fused`` → ``python``), so
 scripts and CI recipes can pin ``RAP_BACKEND=native`` unconditionally.

@@ -87,12 +87,12 @@ class EngineConfig:
     # than two chunks run unchunked.
     min_chunk_bytes: int = 4096
     # Input-parallel scanning (the CLI's --input-jobs): split one stream
-    # into this many chunks and stitch them with simultaneous-automata
-    # state mappings (repro.engine.split) — bit-identical to serial by
-    # construction.  Requires the fused backend; other backends fall
-    # back to ruleset sharding.  None defers to RAP_INPUT_JOBS, <= 1
-    # disables.  Composes with ``jobs``: the chunk pool is sized
-    # max(jobs, input_jobs).
+    # into this many warm-up-window chunks, with the units that have no
+    # window scanned whole in as many tasks (repro.engine.split) —
+    # bit-identical to serial by construction.  Requires the fused
+    # backend; other backends fall back to ruleset sharding.  None
+    # defers to RAP_INPUT_JOBS, <= 1 disables.  Composes with ``jobs``:
+    # the pool is sized max(jobs, input_jobs).
     input_jobs: int | None = None
     # Force a stitching window instead of deriving the safe bound (tests
     # and experiments with known match lengths); None derives it.
@@ -270,69 +270,81 @@ class BatchEngine:
         are the ones a real compile on this engine would use.  Every
         entry also says which tier will step it (``tier``): NBVA-mode
         ones the generated C, or ``NBVAScanner`` and why; NFA- and
-        DFA-mode ones their unit's table and its size, or the mask stack
+        DFA-mode ones their unit's table and its size, or the walker
         when the closure blew the cap; LNFA ones the tier of the lane
-        machine they share.
+        machine they share.  With ``input_jobs > 1`` on a backend that
+        honours it, ``split`` says how the row rides the workers.
         """
         compiler = self._effective_compiler(compiler)
         resolved, fallback = self.backend_report()
+        splits = resolved != "python" and self._input_jobs() > 1
         with self._backend_scope():
             entries = explain_patterns(list(patterns), compiler)
-            lane_tier = None
+            lanes = None  # the one (tier, split) every LNFA row shares
             for index, entry in enumerate(entries):
                 if entry.trace is None:
                     continue
                 if entry.trace.mode is CompiledMode.LNFA:
-                    if lane_tier is None:
-                        lane_tier = self._lane_tier(
+                    if lanes is None:
+                        lanes = self._lane_tier(
                             [e.pattern for e in entries if e.trace],
-                            compiler, resolved, fallback,
+                            compiler, resolved, fallback, splits,
                         )
-                    tier = lane_tier
+                    tier, split = lanes
                 else:
-                    tier = self._unit_tier(
-                        entry.pattern, compiler, resolved, fallback
+                    tier, split = self._unit_tier(
+                        entry.pattern, compiler, resolved, fallback, splits
                     )
                 if tier:
-                    entries[index] = replace(entry, tier=tier)
+                    entries[index] = replace(entry, tier=tier, split=split)
         return entries
 
     def _lane_tier(
         self, patterns, compiler: CompilerConfig, resolved: str,
-        fallback: str | None,
-    ) -> str | None:
+        fallback: str | None, splits: bool,
+    ) -> tuple[str | None, str | None]:
         """Which tier steps the lane machine of ``patterns`` on the
         ``resolved`` backend (:attr:`FusedLaneScanner.lane_tier`; on
-        native this builds the lane kernel a scan would)."""
-        if resolved != "native":
-            return f"interpreted ({fallback or resolved + ' backend'})"
-        scanner = bind(compile_ruleset(patterns, compiler), self.hw).plan.scanner
-        return scanner.lane_tier if scanner is not None else None
+        native this builds the lane kernel a scan would) and, when the
+        scan ``splits``, the warm-up window its chunks share."""
+        tier = f"interpreted ({fallback or resolved + ' backend'})"
+        if resolved != "native" and not splits:
+            return tier, None
+        plan = bind(compile_ruleset(patterns, compiler), self.hw).plan
+        if plan.scanner is None:
+            return None, None
+        if resolved == "native":
+            tier = plan.scanner.lane_tier
+        return tier, _split_note(plan, None) if splits else None
 
     def _unit_tier(
         self, pattern: str, compiler: CompilerConfig, resolved: str,
-        fallback: str | None,
-    ) -> str | None:
+        fallback: str | None, splits: bool,
+    ) -> tuple[str | None, str | None]:
         """Which tier steps a non-LNFA pattern's unit on the ``resolved``
         backend.  NBVA mode: ``"native"``, or ``"interpreted (<why>)"``.
         NFA and DFA mode, wherever a fused plan runs: ``"table (S
         states)"``, or ``"interpreted (closure > N)"`` — the size is the
-        unit's own closure, the same under any ruleset's shared classes."""
+        unit's own closure, the same under any ruleset's shared classes.
+        Second, when the scan ``splits``: the unit's own warm-up window,
+        or ``whole stream``."""
         interpreted = f"interpreted ({fallback or resolved + ' backend'})"
         if resolved == "python":
-            return interpreted
+            return interpreted, None
         ruleset = compile_ruleset([pattern], compiler)
         mode = ruleset.regexes[0].mode if ruleset.regexes else CompiledMode.LNFA
         if mode is CompiledMode.LNFA:
-            return None
+            return None, None
         if mode is not CompiledMode.NBVA:
-            return bind(ruleset, self.hw).plan.fused.unit_tier(0)
+            plan = bind(ruleset, self.hw).plan
+            return plan.fused.unit_tier(0), _split_note(plan, 0) if splits else None
+        split = "whole stream" if splits else None  # counters: no window
         if resolved != "native":
-            return interpreted
+            return interpreted, split
         from repro.core.codegen import nbva_interpreted_reason
 
         why = nbva_interpreted_reason(ruleset.regexes[0].automaton)
-        return f"interpreted ({why})" if why else "native"
+        return (f"interpreted ({why})" if why else "native"), split
 
     def backend_report(self) -> tuple[str, str | None]:
         """The *resolved* step-kernel backend, with the fallback reason.
@@ -793,6 +805,18 @@ class BatchEngine:
 
 
 # -- policy helpers ---------------------------------------------------------
+
+
+def _split_note(plan, unit: int | None) -> str:
+    """How one ``--explain`` row rides ``input_jobs`` workers: GATHER
+    cursor ``unit``'s own warm-up window — ``None`` asks for the lane
+    machine's row, the window every chunk of the plan shares — or
+    ``whole stream`` for a unit that has none."""
+    from repro.engine.split import unit_windows
+
+    windows, warm = unit_windows(plan)
+    window = warm if unit is None else windows[unit]
+    return "whole stream" if window is None else f"window {window}"
 
 
 def _rejection_error(ruleset: CompiledRuleset, patterns: list) -> CompileError:

@@ -17,8 +17,9 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
 * :class:`FusedLaneScanner` steps the lane-packed machine over one
   span of a stream and returns the per-bin activity deltas
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
-  from an explicit entry word or from a warm-up window, which is what
-  both the durable feeder and the input-parallel split engine build on.
+  from an explicit entry word (the durable feeder's segments) or from a
+  warm-up window (the input-parallel split engine's chunks, and the
+  feeder's under ``input_jobs``).
   Every bin is one :class:`~repro.core.table.StepTable` of the fused
   ruleset; the generated C steps them closed, the table walker
   (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) fills them

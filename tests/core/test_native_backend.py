@@ -559,6 +559,44 @@ class TestNativeNbva:
             "interpreted (native unavailable: disabled by RAP_NATIVE_DISABLE)"
         ] * 3
 
+    def test_explain_says_how_each_row_splits(self, monkeypatch, capsys, tmp_path):
+        from repro.cli import main
+
+        monkeypatch.delenv("RAP_MODE", raising=False)  # the auto-mode rows
+        monkeypatch.delenv("RAP_INPUT_JOBS", raising=False)
+        splits = {  # tests/engine/test_split.py's ruleset: one row per kind
+            "abcdef": "window 6",  # LNFA rows: the window the chunks share
+            "hello": "window 6",
+            "ab?c?d": "window 4",
+            "a(bc)*d": "whole stream",
+            "k{20,400}m": "whole stream",
+            "(?:a.|.b){2}x": "window 5",
+            "a(?:b.*|c)d": "whole stream",
+        }
+        rules = tmp_path / "rules.txt"
+        rules.write_text("\n".join(splits) + "\n")
+        stream = tmp_path / "in.bin"
+        stream.write_bytes(b"x")
+        argv = ["scan", "--patterns", str(rules), str(stream), "--explain"]
+
+        def explained(*extra):
+            assert main([*argv, *extra]) == 0
+            return capsys.readouterr().out
+
+        for backend in ("fused", "native"):
+            out = explained("--backend", backend, "--input-jobs", "2")
+            assert "\ninput-jobs: 2\n" in out
+            rows = {line.split()[0]: line for line in out.splitlines()}
+            for pattern, split in splits.items():
+                assert rows[pattern].endswith(f"; split: {split}")
+        out = explained("--backend", "python", "--input-jobs", "2")
+        assert "\ninput-jobs: 2 (ignored: python backend)\n" in out
+        assert "split:" not in out
+        serial = explained("--backend", "fused")
+        assert "input-jobs" not in serial and "split:" not in serial
+        monkeypatch.setenv("RAP_INPUT_JOBS", "1")
+        assert explained("--backend", "fused") == serial
+
     def test_calibrate_measures_nbva_through_the_plan(self):
         """``nbva_base`` describes the tier that runs: within an order
         of magnitude of the default on native, not the ~100x of the

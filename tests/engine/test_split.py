@@ -2,11 +2,11 @@
 
 The assertions compare whole ``RunActivity`` / ``SimulationResult``
 objects — matches, cycle counts, per-tile wake-ups, the energy ledger —
-between the serial fused path and the SFA-stitched split path, across
-every unit mechanism (lane bins, bounded NFA, cyclic frontier NFA,
-serial-fallback NBVA) and across the seams the stitching must survive:
-chunks shorter than the longest pattern, patterns straddling a seam, a
-seam inside a literal-prefilter cold skip, and degenerate plans.
+between the serial fused path and the split path, across both split
+rules (warm-up windows: lane bins and acyclic NFA/DFA units; whole-stream
+tasks: cyclic units and NBVA counters) and across the seams the windows
+must survive: chunks shorter than the longest pattern, patterns
+straddling a seam, a seam inside a cold run, and degenerate plans.
 """
 
 import pytest
@@ -15,21 +15,16 @@ from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.compiler import compile_ruleset
+from repro.compiler import CompilerConfig, compile_ruleset
+from repro.compiler.program import CompiledMode
 from repro.core import available_backends, resolve_backend, use_backend
 from repro.engine import BatchEngine, BatchTask, EngineConfig, INPUT_JOBS_ENV
 from repro.engine.checkpoint import CheckpointStore, DurableScan
-from repro.engine.split import (
-    BOUNDED,
-    FRONTIER,
-    SERIAL,
-    STATEMAP,
-    SplitCompilation,
-    split_collect,
-)
+from repro.engine.partition import plan_chunks
+from repro.engine.split import split_collect, unit_windows
 from repro.errors import CheckpointError
 from repro.hardware.config import DEFAULT_CONFIG
-from repro.simulators.rap import RAPSimulator
+from repro.simulators.rap import RAPSimulator, bind
 from repro.workloads.inputs import generate_input
 
 pytestmark = pytest.mark.skipif(
@@ -37,10 +32,10 @@ pytestmark = pytest.mark.skipif(
     reason="fused backend not available",
 )
 
-# Lanes + bounded/statemap DFA + bounded NFA + cyclic (frontier) NFA +
-# NBVA counters: one ruleset that exercises every split mechanism at
-# once.  The dense dot patterns stay NFA under the cost model; the
-# low-activity optional/star patterns take the DFA tier.
+# Lanes + acyclic and cyclic DFA + acyclic and cyclic NFA + NBVA
+# counters: one ruleset that exercises both split rules on every kind of
+# unit at once.  The dense dot patterns stay NFA under the cost model;
+# the low-activity optional/star patterns take the DFA tier.
 PATTERNS = [
     "abcdef",
     "hello",
@@ -63,6 +58,32 @@ def mapped(ruleset):
     return sim, sim.build_mapping(ruleset, bin_size=None)
 
 
+# A cyclic unit wider than a machine word, forced to NFA mode.
+WIDE = "a.*" + "bcdefghij" * 8
+BACKENDS = [b for b in ("fused", "native") if b in available_backends()]
+
+
+@pytest.fixture(scope="module")
+def cases(ruleset, mapped):
+    """name -> (patterns, ruleset, mapping): the plan shapes the split
+    engine must keep exact."""
+    sim, mapping = mapped
+    found = {"mixed": (PATTERNS, ruleset, mapping)}
+    for name, patterns, mode in [
+        # no lanes, no windowed unit: whole-stream tasks only, no chunks
+        ("windowless", ["a(bc)*d", "a(?:b.*|c)d", "k{20,400}m"], None),
+        # one wide cyclic unit beside windowed ones
+        ("wide", [WIDE, "hello", "ab?c?d"], CompiledMode.NFA),
+        # a lone windowless unit: nothing to run beside it
+        ("lone", ["a(?:b.*|c)d"], None),
+    ]:
+        compiled = compile_ruleset(
+            patterns, CompilerConfig().with_mode_override(mode)
+        )
+        found[name] = patterns, compiled, sim.build_mapping(compiled, bin_size=None)
+    return found
+
+
 def _split(ruleset, mapping, data, *, input_jobs, min_chunk_bytes=64, jobs=1):
     return split_collect(
         ruleset,
@@ -81,14 +102,20 @@ class TestSplitCollect:
     def test_classifies_every_mechanism(self, ruleset, mapped):
         _, mapping = mapped
         with use_backend("fused"):
-            comp = SplitCompilation(ruleset, mapping, DEFAULT_CONFIG)
-        assert comp.bins  # lane-packed LNFA units
-        assert BOUNDED in comp.unit_kind  # (?:a.|.b){2}x is acyclic NFA
-        assert FRONTIER in comp.unit_kind  # a(?:b.*|c)d is cyclic NFA
-        assert BOUNDED in comp.dfa_kind  # ab?c?d is an acyclic DFA
-        assert STATEMAP in comp.dfa_kind  # a(bc)*d is a cyclic DFA
-        assert comp.nbva_units  # k{20,400}m carries counters
-        assert comp.warm >= max(len(p) for p in ["abcdef", "hello"])
+            plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
+            windows, warm = unit_windows(plan)
+        assert plan.bins  # lane-packed LNFA units
+        by_pattern = dict(
+            zip((c.pattern for c in plan.nfa_units + plan.dfa_units), windows)
+        )
+        assert by_pattern == {
+            "(?:a.|.b){2}x": 5,  # acyclic NFA: five positions deep
+            "a(?:b.*|c)d": None,  # cyclic NFA
+            "ab?c?d": 4,  # acyclic DFA
+            "a(bc)*d": None,  # cyclic DFA
+        }
+        assert [c.pattern for c in plan.nbva_units] == ["k{20,400}m"]
+        assert warm >= max(len(p) for p in ["abcdef", "hello"])
 
     def test_in_process_workers_leave_no_parent_state(
         self, ruleset, mapped, monkeypatch
@@ -131,24 +158,30 @@ class TestSplitCollect:
             ruleset, got, mapping
         ) == sim.run_from_activity(ruleset, serial, mapping)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
+        case=st.sampled_from(["mixed", "windowless", "wide", "lone"]),
+        backend=st.sampled_from(BACKENDS),
+        jobs=st.sampled_from([1, 2]),
         length=st.integers(200, 3000),
         input_jobs=st.integers(2, 6),
         min_chunk=st.sampled_from([1, 17, 256]),
         seed=st.integers(0, 5),
     )
     def test_arbitrary_split_points_compose_exactly(
-        self, ruleset, mapped, length, input_jobs, min_chunk, seed
+        self, cases, case, backend, jobs, length, input_jobs, min_chunk, seed
     ):
         # min_chunk=1 drives seams to arbitrary byte positions, so the
         # drawn (length, input_jobs, min_chunk) triple explores the
-        # whole plan space the composition law must hold over.
-        sim, mapping = mapped
+        # whole plan space the composition law must hold over; the drawn
+        # case, every shape of task list (``input_jobs`` above and below
+        # the number of windowless units included).
+        patterns, ruleset, mapping = cases[case]
+        sim = RAPSimulator(DEFAULT_CONFIG)
         data = generate_input(
-            "text", length, seed=seed, patterns=PATTERNS, plant_every=97
+            "text", length, seed=seed, patterns=patterns, plant_every=97
         )
-        with use_backend("fused"):
+        with use_backend(backend):
             serial = sim.collect_activities(ruleset, data, mapping)
             got = _split(
                 ruleset,
@@ -156,11 +189,82 @@ class TestSplitCollect:
                 data,
                 input_jobs=input_jobs,
                 min_chunk_bytes=min_chunk,
+                jobs=jobs,
             )
-        if got is None:  # plan degenerated to one chunk: fallback is fine
+            _, warm = unit_windows(bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan)
+        if case == "lone" or len(plan_chunks(length, input_jobs, warm, min_chunk)) <= 1:
+            assert got is None  # nothing to run side by side: serial scan
             return
         assert got.regex == serial.regex
         assert got.lnfa_bins == serial.lnfa_bins
+
+    @pytest.mark.parametrize("case", ["mixed", "windowless"])
+    @pytest.mark.parametrize("input_jobs", [2, 3])
+    def test_windowless_units_are_stepped_once_from_the_start(
+        self, cases, case, input_jobs, monkeypatch
+    ):
+        """The shape of a split scan, not its speed: one pool round, and
+        every byte of every unit's stream stepped by exactly one task."""
+        from repro.core.fused import FusedRuleset
+        from repro.engine import split as split_mod
+
+        rounds: list[int] = []
+        unit_calls: list[tuple] = []
+        nbva_calls: list[int] = []
+        real_map = split_mod.parallel_map
+        real_units = FusedRuleset.scan_units_span
+        real_nbva = FusedRuleset.scan_nbva_unit_span
+
+        def counted_map(fn, tasks, **pool):
+            rounds.append(len(tasks))
+            return real_map(fn, tasks, **pool)
+
+        def counted_units(self, cursors, tin, *, stats_from=0, at_end=True):
+            unit_calls.append((list(cursors), len(tin.data), stats_from))
+            return real_units(self, cursors, tin, stats_from=stats_from, at_end=at_end)
+
+        def counted_nbva(self, index, tin, **span):
+            nbva_calls.append(len(tin.data))
+            return real_nbva(self, index, tin, **span)
+
+        monkeypatch.setattr(split_mod, "parallel_map", counted_map)
+        monkeypatch.setattr(FusedRuleset, "scan_units_span", counted_units)
+        monkeypatch.setattr(FusedRuleset, "scan_nbva_unit_span", counted_nbva)
+        patterns, ruleset, mapping = cases[case]
+        data = generate_input("text", 6000, seed=3, patterns=patterns)
+        n = len(data)
+        with use_backend("fused"):
+            plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
+            windows, _ = unit_windows(plan)
+            # in-process workers (jobs=1): the wrappers see every call
+            assert _split(ruleset, mapping, data, input_jobs=input_jobs) is not None
+
+        assert len(rounds) == 1
+        windowless = {number for number, w in enumerate(windows) if w is None}
+        whole = [
+            call
+            for call in unit_calls
+            if windowless.intersection(number for number, _ in call[0])
+        ]
+        # each windowless cursor in exactly one call, from the stream
+        # start (entry None) over the whole stream, its task's share of
+        # them all at once
+        assert sorted(number for call in whole for number, _ in call[0]) == sorted(
+            windowless
+        )
+        assert len(whole) == min(input_jobs, len(windowless))
+        for cursors, length, stats_from in whole:
+            assert all(entry is None for _, entry in cursors)
+            assert (length, stats_from) == (n, 0)
+        # ownership is exact: no byte of any unit's stream stepped twice
+        # (beyond warm-up) or not at all
+        stepped = sum(
+            len(cursors) * (length - stats_from)
+            for cursors, length, stats_from in unit_calls
+        )
+        units = len(windows) + len(plan.nbva_units)
+        assert nbva_calls == [n] * len(plan.nbva_units)
+        assert stepped + sum(nbva_calls) == units * n
 
 
 class TestSeams:
@@ -191,10 +295,9 @@ class TestSeams:
         )
 
     def test_units_without_a_table_still_stitch(self, monkeypatch):
-        """A closure past the table cap leaves a unit its mask stack. A
-        cyclic NFA-mode one splits as before (frontier maps never read
-        the table); a cyclic DFA-mode one has no ``StateMap`` and runs
-        as one serial task — bit-identical either way."""
+        """A closure past the table cap leaves a unit unclosed: it is
+        walked, and windowed or whole-stream like any other — how a unit
+        splits never reads its table."""
         from repro.core import codegen
 
         monkeypatch.setattr(codegen, "UNIT_DFA_MAX_STATES", 3)
@@ -203,10 +306,11 @@ class TestSeams:
         mapping = sim.build_mapping(ruleset, bin_size=None)
         data = generate_input("text", 16000, seed=3, patterns=PATTERNS)
         with use_backend("fused"):
-            comp = SplitCompilation(ruleset, mapping, DEFAULT_CONFIG)
-            assert FRONTIER in comp.unit_kind
-            assert comp.dfa_kind == [BOUNDED, SERIAL]  # ab?c?d, a(bc)*d
-            assert comp.fused.unit_tier(0) == "interpreted (closure > 3)"
+            plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
+            assert unit_windows(plan)[0] == [5, None, 4, None]
+            assert {plan.fused.unit_tier(number) for number in range(4)} == {
+                "interpreted (closure > 3)"
+            }
             serial = sim.collect_activities(ruleset, data, mapping)
             got = _split(ruleset, mapping, data, input_jobs=3)
             priced = sim.run_from_activity(ruleset, got, mapping)
@@ -216,16 +320,14 @@ class TestSeams:
             assert priced == sim.run(ruleset, data)
 
     def test_pattern_straddles_a_seam(self):
-        from repro.engine.partition import plan_chunks
-
         patterns = ["needle", "a(bc)*d"]
         ruleset = compile_ruleset(patterns)
         sim = RAPSimulator(DEFAULT_CONFIG)
         mapping = sim.build_mapping(ruleset, bin_size=None)
         with use_backend("fused"):
-            comp = SplitCompilation(ruleset, mapping, DEFAULT_CONFIG)
+            _, warm = unit_windows(bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan)
         n = 4096
-        chunks = plan_chunks(n, 2, comp.warm, min_owned=64)
+        chunks = plan_chunks(n, 2, warm, min_owned=64)
         seam = chunks[1].start
         base = bytearray(b"." * n)
         base[seam - 3 : seam + 3] = b"needle"  # straddles the seam
