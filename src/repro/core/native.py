@@ -19,7 +19,8 @@ Contracts:
   its generated source, which embeds
   :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` — same layout,
   same key; any codegen change rolls every key over.  Artifacts live
-  under ``<cache>/native/`` beside the compiled-ruleset entries and are
+  under ``<cache>/native/`` beside the compiled-ruleset entries,
+  published the same way (:func:`repro.io.envelope.publish`) and
   subject to the same ``RAP_CACHE_MAX_MB`` size bound.
 * **Byte-identical state.**  Kernel entry/exit states cross the ABI as
   the same little-endian ``uint64`` words
@@ -45,6 +46,7 @@ import numpy as np
 from repro.automata.nbva import NBVAState, NBVAStats
 from repro.core import codegen
 from repro.core.fused import int_from_words, words_from_int
+from repro.io.envelope import publish
 
 NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"
 
@@ -159,14 +161,9 @@ def _compile_shared(cc: str, source: str, target: Path) -> None:
             raise NativeBuildError(
                 "cc failed: " + proc.stderr.decode(errors="replace")[:500]
             )
-        # Atomic publish: racing processes both compile, last replace
-        # wins, every loader sees a complete file.
-        fd, tmp_so = tempfile.mkstemp(
-            dir=target.parent, prefix=".so-", suffix=".tmp"
-        )
-        os.close(fd)
-        shutil.copyfile(out, tmp_so)
-        os.replace(tmp_so, target)
+        # Racing processes both compile, the last publish wins, every
+        # loader sees a complete file.
+        publish(target, out.read_bytes())
 
 
 class _CffiLibrary:

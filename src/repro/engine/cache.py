@@ -18,25 +18,24 @@ under different execution semantics.  Bumping either version therefore
 invalidates every cached entry, and two processes racing on the same
 key both write the same bytes.
 
-Writes are atomic (temp file + ``os.replace``) and carry a SHA-256
-content checksum over the serialized payload; reads verify it before
-deserializing, so *any* corruption — truncation, bit rot, a partial
-write from a crashed process — is caught positively rather than by
-hoping the deserializer chokes.  A failed entry is mapped onto
-:class:`~repro.errors.CacheCorruptionError`, logged at debug level,
-evicted, and treated as a miss: a broken cache can slow a run down but
-never change its results.
+Entries are written and verified by :mod:`repro.io.envelope` — atomic
+publish, checksummed envelope — so *any* corruption (truncation, bit
+rot, a partial write from a crashed process) is caught positively
+rather than by hoping the deserializer chokes.  A failed entry is
+mapped onto :class:`~repro.errors.CacheCorruptionError`, logged at
+debug level, evicted, and treated as a miss: a broken cache can slow a
+run down but never change its results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
 import json
 import logging
 import os
-import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -49,10 +48,10 @@ from repro.core import (
     resolve_backend,
 )
 from repro.errors import CacheCorruptionError
+from repro.io import envelope
 from repro.io.serialize import (
     FORMAT_NAME,
     FORMAT_VERSION,
-    SerializationError,
     ruleset_from_json,
     ruleset_to_json,
 )
@@ -141,7 +140,7 @@ def enforce_cache_budget(
         return 0
     entries.sort(key=lambda item: item[0])
     evicted = 0
-    for _stamp, size, path in entries:
+    for _used, size, path in entries:
         if total <= budget:
             break
         try:
@@ -206,14 +205,9 @@ def ruleset_cache_key(
 class CompileCache:
     """A directory of compiled rulesets addressed by content hash.
 
-    Entries are checksummed envelopes::
-
-        {"format": ..., "entry_version": 1,
-         "checksum": sha256(payload), "payload": "<ruleset JSON text>"}
-
-    The checksum is computed over the exact payload text written, so a
-    read verifies content integrity byte-for-byte before touching the
-    deserializer.
+    Entries are :mod:`repro.io.envelope` documents whose payload is the
+    ruleset's JSON text: a read verifies content integrity
+    byte-for-byte before touching the deserializer.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -230,53 +224,32 @@ class CompileCache:
 
     def get(self, key: str) -> CompiledRuleset | None:
         """The cached ruleset, or None on a miss or a corrupted entry."""
-        path = self.path(key)
         try:
-            with open(path) as f:
-                document = json.load(f)
+            ruleset = self._load(
+                self.path(key), lambda text: ruleset_from_json(json.loads(text))
+            )
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError) as err:
-            return self._evict(path, f"unreadable entry: {err}")
-        try:
-            ruleset = self._verify(document)
-        except CacheCorruptionError as err:
-            return self._evict(path, str(err))
-        self.hits += 1
-        try:
-            # Freshen the entry so LRU budget eviction sees it as used.
-            os.utime(path)
-        except OSError:
-            pass
+        if ruleset is not None:
+            self.hits += 1
         return ruleset
 
-    def _verify(self, document) -> CompiledRuleset:
-        """Checksum-validate one envelope and deserialize its payload."""
-        if not isinstance(document, dict) or "checksum" not in document:
-            raise CacheCorruptionError(
-                "entry predates the checksummed envelope format"
-            )
-        if document.get("entry_version") != ENTRY_VERSION:
-            raise CacheCorruptionError(
-                f"entry version {document.get('entry_version')!r} "
-                f"(this build writes {ENTRY_VERSION})"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, str):
-            raise CacheCorruptionError("entry payload missing")
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        if digest != document["checksum"]:
-            raise CacheCorruptionError(
-                f"checksum mismatch: entry says {document['checksum']!r}, "
-                f"payload hashes to {digest!r}"
-            )
+    def _load(self, path: Path, decode):
+        """One envelope's payload through ``decode``; a corrupt entry is
+        evicted and reads as ``None``, an absent one raises."""
         try:
-            return ruleset_from_json(json.loads(payload))
-        except (ValueError, KeyError, TypeError, SerializationError) as err:
+            value = decode(envelope.load(path, version=ENTRY_VERSION))
+        except envelope.EnvelopeError as err:
+            return self._evict(path, err.reason)
+        except (ValueError, KeyError, TypeError) as err:
             # Checksum passed but the payload is version-skewed or was
             # written by a buggy serializer: still an eviction.
-            raise CacheCorruptionError(f"undeserializable payload: {err}")
+            return self._evict(path, f"undeserializable payload: {err}")
+        # Freshen the entry so LRU budget eviction sees it as used.
+        with contextlib.suppress(OSError):
+            os.utime(path)
+        return value
 
     def _evict(self, path: Path, reason: str) -> None:
         """Drop a corrupt entry, mapping it onto CacheCorruptionError.
@@ -291,38 +264,21 @@ class CompileCache:
         )
         log.debug("%s", error)
         self.last_corruption = error
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(path)
-        except OSError:
-            pass
         self.misses += 1
         self.evictions += 1
         return None
 
+    def _store(self, path: Path, payload: str) -> Path:
+        """Publish ``payload`` at ``path`` inside the cache's envelope."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        envelope.dump(path, payload, format=FORMAT_NAME, version=ENTRY_VERSION)
+        return path
+
     def put(self, key: str, ruleset: CompiledRuleset) -> Path:
         """Atomically persist a compiled ruleset under ``key``."""
-        path = self.path(key)
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(ruleset_to_json(ruleset))
-        document = {
-            "format": FORMAT_NAME,
-            "entry_version": ENTRY_VERSION,
-            "checksum": hashlib.sha256(payload.encode()).hexdigest(),
-            "payload": payload,
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(document, f)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        path = self._store(self.path(key), json.dumps(ruleset_to_json(ruleset)))
         # Deterministic fault injection: a "truncate_cache" directive
         # corrupts this write so recovery paths are testable in CI.
         from repro.engine import faults
@@ -346,58 +302,16 @@ class CompileCache:
 
     def get_blob(self, name: str):
         """The stored JSON value, or None on a miss or corruption."""
-        path = self.blob_path(name)
         try:
-            with open(path) as f:
-                document = json.load(f)
+            return self._load(self.blob_path(name), json.loads)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as err:
-            return self._evict(path, f"unreadable blob: {err}")
-        if (
-            not isinstance(document, dict)
-            or document.get("entry_version") != ENTRY_VERSION
-            or not isinstance(document.get("payload"), str)
-        ):
-            return self._evict(path, "malformed blob envelope")
-        payload = document["payload"]
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        if digest != document.get("checksum"):
-            return self._evict(path, "blob checksum mismatch")
-        try:
-            value = json.loads(payload)
-        except ValueError as err:
-            return self._evict(path, f"undeserializable blob: {err}")
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return value
 
     def put_blob(self, name: str, value) -> Path:
         """Atomically persist a JSON-serializable value under ``name``."""
-        path = self.blob_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(value, sort_keys=True)
-        document = {
-            "format": FORMAT_NAME,
-            "entry_version": ENTRY_VERSION,
-            "checksum": hashlib.sha256(payload.encode()).hexdigest(),
-            "payload": payload,
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{name[:16]}-", suffix=".tmp"
+        path = self._store(
+            self.blob_path(name), json.dumps(value, sort_keys=True)
         )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(document, f)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.evictions += enforce_cache_budget(self.root, keep=path)
         return path
 

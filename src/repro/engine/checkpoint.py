@@ -11,11 +11,12 @@ worse, silently changing its answer.  Two pieces make that possible:
   JSON document.  Restoring that document and feeding the remaining
   bytes reproduces the uninterrupted run bit for bit, because every
   engine's segment contract guarantees segmentation independence.
-* :class:`CheckpointStore` persists those documents atomically (temp
-  file + fsync + ``os.replace``) inside a checksummed envelope — the
-  same scheme as the compile cache — so a torn or bit-rotten checkpoint
-  is *detected*, discarded, and an older intact one used instead.
-  Corruption can cost re-scanned bytes, never correctness.
+* :class:`CheckpointStore` persists those documents through
+  :mod:`repro.io.envelope` — the compile cache's atomic publish and
+  checksummed envelope, here with the fsyncs that make it durable — so
+  a torn or bit-rotten checkpoint is *detected*, discarded, and an
+  older intact one used instead.  Corruption can cost re-scanned bytes,
+  never correctness.
 
 A checkpoint binds to its scan via :func:`~repro.io.serialize.scan_fingerprint`
 (ruleset + hardware + bin size) and to its input via a SHA-256 over the
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import fcntl
 import hashlib
 import json
 import logging
 import math
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from repro.core.registry import resolve_backend
 from repro.engine import faults
 from repro.errors import CheckpointError, QuarantineEntry
 from repro.hardware.config import HardwareConfig
+from repro.io import envelope
 from repro.io.serialize import scan_fingerprint
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
@@ -86,38 +88,8 @@ log = logging.getLogger(__name__)
 
 # How long a writer waits on another writer's exclusive lock before
 # giving up (the caller treats it like any other failed write: the scan
-# keeps its previous restore point).  Lock holders dead longer than the
-# stale threshold are broken — a crashed writer must not wedge the
-# store forever.
+# keeps its previous restore point).
 LOCK_TIMEOUT_SECONDS = 5.0
-LOCK_STALE_SECONDS = 30.0
-
-
-def process_start_time(pid: int) -> str | None:
-    """The kernel's start-time stamp for ``pid``, or ``None``.
-
-    A bare pid does not identify a process: after the pid space wraps,
-    an unrelated live process can wear a dead lock holder's number and
-    keep its lock un-breakable.  ``(pid, start time)`` does identify
-    one — field 22 of ``/proc/<pid>/stat`` is the jiffy count at which
-    the process started, which a recycled pid can never reproduce.
-    Returns ``None`` where ``/proc`` is unavailable (non-Linux), making
-    the start-time check inert rather than wrong.
-
-    The stat line embeds the comm field in parentheses (itself allowed
-    to contain spaces and parens), so fields are counted from the last
-    ``)``, not split naively.
-    """
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    # comm ends at the last ')'; field 3 (state) starts after it, so
-    # start time — field 22 overall — is the 20th space-split token.
-    tail = stat.rpartition(")")[2].split()
-    if len(tail) < 20:
-        return None
-    return tail[19]
 
 
 def session_dirname(session: str) -> str:
@@ -141,11 +113,12 @@ class CheckpointStore:
     """A directory of atomic, checksummed scan checkpoints.
 
     File names encode the stream offset (``ckpt-<offset>.json``) so the
-    newest checkpoint sorts last lexicographically.  Writes go through
-    a temp file, ``fsync``, and ``os.replace`` — a crash at any instant
-    leaves either the previous set or the new file, never a torn
-    committed entry (torn files can still appear via injected faults or
-    disk corruption, which is what the checksum envelope catches).
+    newest checkpoint sorts last lexicographically.  Writes are durable
+    :func:`repro.io.envelope.dump` calls followed by a directory fsync —
+    a crash at any instant leaves either the previous set or the new
+    file, never a torn committed entry (torn files can still appear via
+    injected faults or disk corruption, which is what the checksum
+    envelope catches).
 
     Two safeguards make a *shared* root safe:
 
@@ -154,10 +127,11 @@ class CheckpointStore:
       root can never prune each other's checkpoints — without it, a
       writer whose offsets sort below a neighbour's would delete its own
       newest entry right after committing it.
-    * an exclusive-create lock file serializes the write+prune critical
-      section between two stores pointed at the *same* directory (a
-      split-brain resume of one session), so an interleaved prune can
-      never observe — and delete — a half-committed set.
+    * an exclusive ``flock`` on the directory itself serializes the
+      write+prune critical section between two stores pointed at the
+      *same* directory (a split-brain resume of one session), so an
+      interleaved prune can never observe — and delete — a
+      half-committed set.
     """
 
     def __init__(
@@ -174,126 +148,40 @@ class CheckpointStore:
         self.plan = plan  # explicit fault plan; None defers to env
         self.writes = 0  # write ordinal (fault-injection point)
         self.discarded = 0  # corrupt entries dropped during load
-        self.lock_breaks = 0  # stale locks broken (diagnostics)
-        self._own_stamp: tuple[int, bytes] = (0, b"")  # (pid, its lock stamp)
-
-    def _stamp(self) -> bytes:
-        """This process's lock stamp — JSON ``{"pid", "start"}`` — read
-        from ``/proc`` once per store and process, not per acquisition
-        (a forked child is another process)."""
-        pid = os.getpid()
-        if self._own_stamp[0] != pid:
-            stamp = {"pid": pid}
-            start = process_start_time(pid)
-            if start is not None:
-                stamp["start"] = start
-            self._own_stamp = (pid, json.dumps(stamp).encode())
-        return self._own_stamp[1]
 
     @contextlib.contextmanager
     def _exclusive(self):
-        """Hold the store's exclusive lock for one critical section.
-        Raises ``OSError(EWOULDBLOCK)`` after the acquisition timeout —
-        callers already treat a failed write as lost durability, never
-        a failed scan.
+        """Hold the store's exclusive lock for one critical section,
+        yielding the locked directory descriptor.  Raises
+        ``OSError(EWOULDBLOCK)`` after the acquisition timeout — callers
+        already treat a failed write as lost durability, never a failed
+        scan.
 
-        The lock is published *with* its stamp: the stamp goes to a
-        private temp file first and ``os.link`` makes that file the
-        lock, so no instant exists — and a writer killed at any point
-        leaves none — at which ``.lock`` is there but does not yet say
-        whose it is.  (An empty lock must be presumed live for
-        ``LOCK_STALE_SECONDS``; one naming a dead holder breaks at once.)
+        The lock is a ``flock`` on the directory's own descriptor, opened
+        per section: there is no lock file to go stale, the kernel drops
+        the lock the instant its holder dies, and a holder that is
+        stopped but alive keeps it.
         """
-        lock = self.root / ".lock"
-        stamp = self._stamp()
-        deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".lock-", suffix=".tmp")
+        fd = os.open(self.root, os.O_RDONLY)
         try:
-            try:
-                os.write(fd, stamp)
-            finally:
-                os.close(fd)
+            deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
             while True:
                 try:
-                    os.link(tmp, lock)
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                     break
-                except FileExistsError:
-                    if self._break_stale_lock(lock):
-                        continue
+                except BlockingIOError:
                     if time.monotonic() >= deadline:
                         raise OSError(
                             errno.EWOULDBLOCK,
-                            f"checkpoint store {self.root} is locked by "
-                            "another writer",
+                            f"checkpoint store {self.root}"
+                            + (f" (session={self.session})" if self.session else "")
+                            + " is locked by another writer: gave up after "
+                            f"{LOCK_TIMEOUT_SECONDS:g} s",
                         ) from None
                     time.sleep(0.002)
+            yield fd
         finally:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(lock)
-
-    def _break_stale_lock(self, lock: Path) -> bool:
-        """Remove a lock whose holder is provably dead or ancient.
-
-        The stamp is JSON ``{"pid", "start"}``; a holder whose pid is
-        alive but whose measured start time differs from the stamped
-        one is a pid-reuse impostor — the real holder is dead, so the
-        lock breaks immediately instead of wedging behind an unrelated
-        process.  Legacy bare-pid stamps (older writers, hand-written
-        locks) keep the conservative liveness-only rule.
-        """
-        try:
-            age = time.time() - lock.stat().st_mtime
-        except OSError:
-            return True  # lock vanished under us: retry immediately
-        pid, stamped_start = 0, None
-        try:
-            raw = lock.read_text().strip()
-        except OSError:
-            raw = ""
-        if raw.startswith("{"):
-            try:
-                stamp = json.loads(raw)
-                pid = int(stamp.get("pid") or 0)
-                stamped_start = stamp.get("start")
-            except (ValueError, TypeError, AttributeError):
-                pid = 0
-        else:
-            try:
-                pid = int(raw or "0")
-            except ValueError:
-                pid = 0
-        if pid <= 0:
-            # No writer of this build publishes a lock without its
-            # stamp, but a legacy one may be between O_EXCL-create and
-            # writing its pid: only break a pid-less lock once it is
-            # clearly stale.
-            if age < LOCK_STALE_SECONDS:
-                return False
-        else:
-            try:
-                os.kill(pid, 0)
-                alive = True
-            except ProcessLookupError:
-                alive = False
-            except OSError:
-                alive = True  # e.g. EPERM: someone owns it, assume live
-            if alive and stamped_start is not None:
-                current = process_start_time(pid)
-                if current is not None and current != stamped_start:
-                    alive = False  # same pid, different process
-            if alive and age < LOCK_STALE_SECONDS:
-                return False
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
-        self.lock_breaks += 1
-        return True
+            os.close(fd)
 
     def _paths(self) -> list[Path]:
         """Checkpoint files, oldest first."""
@@ -316,60 +204,28 @@ class CheckpointStore:
         payload = json.dumps(
             payload_doc, sort_keys=True, separators=(",", ":")
         )
-        document = {
-            "format": CHECKPOINT_FORMAT,
-            "entry_version": CHECKPOINT_VERSION,
-            "checksum": hashlib.sha256(payload.encode()).hexdigest(),
-            "payload": payload,
-        }
         path = self.root / f"ckpt-{offset:016d}.json"
-        with self._exclusive():
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".ckpt-", suffix=".tmp"
+        with self._exclusive() as dirfd:
+            envelope.dump(
+                path,
+                payload,
+                format=CHECKPOINT_FORMAT,
+                version=CHECKPOINT_VERSION,
+                durable=True,
             )
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(document, f)
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self._fsync_dir()
+            # Best-effort: make the rename itself durable.
+            with contextlib.suppress(OSError):
+                os.fsync(dirfd)
             faults.inject_checkpoint_commit(path, ordinal, self.plan)
             self._prune()
         return path
 
-    def _fsync_dir(self) -> None:
-        """Best-effort directory fsync so the rename itself is durable."""
-        try:
-            fd = os.open(self.root, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def _prune(self) -> None:
-        """Drop all but the newest ``KEEP`` checkpoints — and any lock
-        temp a writer killed mid-acquisition orphaned (no live acquirer
-        holds one for longer than ``LOCK_TIMEOUT_SECONDS``)."""
-        for path in self._paths()[:-KEEP]:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        for orphan in self.root.glob(".lock-*.tmp"):
+    def _prune(self, keep: int = KEEP) -> None:
+        """Drop all but the newest ``keep`` checkpoints."""
+        paths = self._paths()
+        for path in paths[: max(0, len(paths) - keep)]:
             with contextlib.suppress(OSError):
-                if time.time() - orphan.stat().st_mtime >= LOCK_STALE_SECONDS:
-                    orphan.unlink()
+                os.unlink(path)
 
     def load_latest(self) -> dict | None:
         """The newest intact snapshot payload, or ``None``.
@@ -386,30 +242,13 @@ class CheckpointStore:
 
     def _load_one(self, path: Path) -> dict | None:
         try:
-            with open(path) as f:
-                document = json.load(f)
-        except (OSError, ValueError) as err:
-            return self._discard(path, f"unreadable entry: {err}")
-        if not isinstance(document, dict) or "checksum" not in document:
-            return self._discard(path, "missing checksum envelope")
-        if document.get("format") != CHECKPOINT_FORMAT:
-            return self._discard(
-                path, f"not a checkpoint (format={document.get('format')!r})"
+            payload_doc = json.loads(
+                envelope.load(
+                    path, version=CHECKPOINT_VERSION, format=CHECKPOINT_FORMAT
+                )
             )
-        if document.get("entry_version") != CHECKPOINT_VERSION:
-            return self._discard(
-                path,
-                f"entry version {document.get('entry_version')!r} "
-                f"(this build reads {CHECKPOINT_VERSION})",
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, str):
-            return self._discard(path, "payload missing")
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        if digest != document["checksum"]:
-            return self._discard(path, "checksum mismatch")
-        try:
-            payload_doc = json.loads(payload)
+        except (OSError, envelope.EnvelopeError) as err:
+            return self._discard(path, str(err))
         except ValueError as err:
             return self._discard(path, f"undecodable payload: {err}")
         if not isinstance(payload_doc, dict):
@@ -419,10 +258,8 @@ class CheckpointStore:
     def _discard(self, path: Path, reason: str) -> None:
         log.debug("checkpoint %s corrupt (%s); discarded", path.name, reason)
         self.discarded += 1
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(path)
-        except OSError:
-            pass
         return None
 
     def clear(self) -> None:
@@ -431,19 +268,11 @@ class CheckpointStore:
             return
         try:
             with self._exclusive():
-                for path in self._paths():
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                self._prune(keep=0)
         except OSError:
-            # A wedged lock must not fail scan completion; leftover
-            # checkpoints are garbage-collected by the next writer.
-            for path in self._paths():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            # A held lock must not fail scan completion; whatever a
+            # concurrent writer re-creates is pruned by the next one.
+            self._prune(keep=0)
 
 
 class DurableScan:
@@ -573,16 +402,12 @@ class DurableScan:
             for rid, collector in self._regex.items():
                 if rid not in shed_regexes:
                     collector.feed(segment, at_end=at_end)
-        if self._bin_feeder is not None and not any(
-            key[0] == "bin" for key in self._shed
-        ):
-            # The packed machine steps every bin in lockstep; a shed bin
-            # would desynchronize it, so degradation falls back to the
-            # per-collector loop below.
-            self._bin_feeder.feed(segment, at_end=at_end, tin=tin)
+        shed_bins = {self._bins[key[1:]] for key in self._shed if key[0] == "bin"}
+        if self._bin_feeder is not None:
+            self._bin_feeder.feed(segment, at_end=at_end, tin=tin, skip=shed_bins)
         else:
-            for (index, bin_index), collector in self._bins.items():
-                if ("bin", index, bin_index) not in self._shed:
+            for collector in self._bins.values():
+                if collector not in shed_bins:
                     collector.feed(segment, at_end=at_end)
         self._offset += len(segment)
         self._hasher.update(segment)
@@ -857,6 +682,5 @@ __all__ = [
     "KEEP",
     "CheckpointStore",
     "DurableScan",
-    "process_start_time",
     "session_dirname",
 ]

@@ -423,26 +423,34 @@ class FusedBinFeeder:
         *,
         at_end: bool = True,
         tin: TranslatedSegment | None = None,
+        skip=(),
     ) -> None:
         """Consume the next stream segment on every bin at once.
 
         ``tin`` is the segment already translated by the scanner's
         fused compilation, when the caller shares one with other units.
+        ``skip`` holds the collectors of shed bins: the packed machine
+        still steps their lanes (bins never interact), but they enter at
+        the empty word, their delta is dropped and the collectors stay
+        frozen where they were shed.
         """
         if not segment:
             return
-        collectors = self._collectors
-        if not collectors:
+        live = [(j, c) for j, c in enumerate(self._collectors) if c not in skip]
+        if not live:
             return
-        offsets = {c.offset for c in collectors}
+        offsets = {c.offset for _, c in live}
         if len(offsets) != 1:
             raise ValueError(
                 "fused feeding requires all bins at one stream offset, "
                 f"got {sorted(offsets)}"
             )
-        stream_base = collectors[0].offset
+        stream_base = live[0][1].offset
         scanner = self._scanner
-        entry = scanner.fused.pack([c.state.states for c in collectors])
+        states = [0] * len(self._collectors)
+        for j, collector in live:
+            states[j] = collector.state.states
+        entry = scanner.fused.pack(states)
         delta = None
         if self._input_jobs > 1:
             delta = self._split_feed(segment, entry, stream_base, at_end)
@@ -456,7 +464,7 @@ class FusedBinFeeder:
                 tin=tin,
             )
         n = len(segment)
-        for j, collector in enumerate(collectors):
+        for j, collector in live:
             collector.apply_segment(
                 cycles=n,
                 tile_cycles=delta.tile_cycles[j],

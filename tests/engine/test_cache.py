@@ -18,6 +18,7 @@ from repro.engine.cache import (
 )
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.io.serialize import ruleset_to_json
+from tests.helpers import killed_at, persistence_trace
 
 PATTERNS = ["abc", "a{4}b", "x[yz]w"]
 
@@ -131,6 +132,34 @@ class TestCompileCache:
         cached_compile_ruleset(PATTERNS, cache=cache)
         # No temp droppings survive a successful write.
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+    def test_put_killed_at_any_step_is_a_hit_or_a_miss(self, tmp_path):
+        """Every crash point of ``put``: the next ``get`` is a miss or a
+        hit with the whole ruleset — the old entry until the rename ran,
+        the new one after — and the orphaned temp is never served."""
+        from repro.compiler import compile_ruleset
+
+        old, new = compile_ruleset(PATTERNS), compile_ruleset(PATTERNS + ["q+r"])
+        key = ruleset_cache_key(PATTERNS, CompilerConfig())
+        trace = persistence_trace(lambda: CompileCache(tmp_path / "c").put(key, new))
+        names = [name for name, _ in trace]
+        assert "fsync" not in names  # a cache entry can be recompiled
+        for overwrite in (False, True):
+            for k in range(len(trace)):
+                cache = CompileCache(tmp_path / f"killed-{overwrite}-{k}")
+                if overwrite:
+                    cache.put(key, old)
+                killed_at(k, lambda cache=cache: cache.put(key, new))
+                survivor = CompileCache(cache.root)
+                found = survivor.get(key)
+                if k > names.index("replace"):
+                    assert ruleset_to_json(found) == ruleset_to_json(new), k
+                elif overwrite:
+                    assert ruleset_to_json(found) == ruleset_to_json(old), k
+                else:
+                    assert found is None and survivor.misses == 1, k
+                assert survivor.evictions == 0
 
 
 class TestChecksumIntegrity:

@@ -6,8 +6,10 @@ checkpoint produces byte-identical matches, energy totals, and metrics
 to an uninterrupted run, under every injected fault kind.
 """
 
+import contextlib
 import dataclasses
 import errno
+import fcntl
 import json
 import os
 import random
@@ -32,6 +34,7 @@ from repro.engine.checkpoint import (
 from repro.errors import BudgetExceededError, CheckpointError
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.simulators.rap import RAPSimulator
+from tests.helpers import killed_at, persistence_trace
 
 # A mixed-mode ruleset: LNFA bins, one NBVA, one NFA.
 PATTERNS = ["abc", "a.c", "end$", "hello|world", "ab{10,20}c", "xy*z"]
@@ -486,180 +489,234 @@ class TestStoreRecovery:
         assert store.discarded == 0
 
 
+@contextlib.contextmanager
+def held_lock(root):
+    """Another writer inside its critical section: a second open file
+    description of the store directory holding the ``flock``."""
+    fd = os.open(root, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+# Takes the store lock the way ``CheckpointStore._exclusive`` does, says
+# so, and holds it until killed.
+_LOCK_HOLDER = (
+    "import fcntl, os, signal, sys\n"
+    "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+    "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+    "print('held', flush=True)\n"
+    "signal.pause()\n"
+)
+
+
+@contextlib.contextmanager
+def lock_holder_process(root):
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _LOCK_HOLDER, str(root)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        yield holder
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+
+
 class TestStoreLocking:
-    """Satellite: the write+prune critical section is serialized."""
+    """Satellite: the write+prune critical section is serialized by a
+    ``flock`` on the store directory — nothing on disk says who holds
+    it, so nothing on disk can be stale."""
 
     def test_live_holder_times_out_the_writer(self, tmp_path, monkeypatch):
         monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
-        store = CheckpointStore(tmp_path)
+        store = CheckpointStore(tmp_path, session="t/s")
         store.root.mkdir(parents=True, exist_ok=True)
-        lock = store.root / ".lock"
-        lock.write_text(str(os.getpid()))  # this process: provably alive
-        with pytest.raises(OSError) as info:
-            store.write({"n": 1}, 1)
+        with held_lock(store.root):
+            with pytest.raises(OSError) as info:
+                store.write({"n": 1}, 1)
         assert info.value.errno == errno.EWOULDBLOCK
-        lock.unlink()
+        # What an operator can act on: where, whose, and how long.
+        said = str(info.value)
+        assert str(store.root) in said and "session=t/s" in said
+        assert "locked by another writer" in said and "0.1 s" in said
         store.write({"n": 1}, 1)  # released: writes proceed again
-        assert store.load_latest() == {"n": 1}
-
-    def test_dead_holder_lock_breaks_immediately(self, tmp_path):
-        probe = subprocess.Popen([sys.executable, "-c", "pass"])
-        probe.wait()  # reaped: the pid is provably dead
-        store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        (store.root / ".lock").write_text(str(probe.pid))
-        store.write({"n": 2}, 2)  # no timeout wait needed
-        assert store.lock_breaks == 1
-        assert store.load_latest() == {"n": 2}
-
-    def test_pidless_lock_only_breaks_when_stale(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
-        store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        lock = store.root / ".lock"
-        # A holder caught between O_EXCL-create and writing its pid must
-        # not be broken while fresh...
-        lock.write_text("")
-        with pytest.raises(OSError):
-            store.write({"n": 1}, 1)
-        assert store.lock_breaks == 0
-        # ...but once clearly stale it must not wedge the store forever.
-        old = time.time() - checkpoint.LOCK_STALE_SECONDS - 1
-        os.utime(lock, (old, old))
-        store.write({"n": 1}, 1)
-        assert store.lock_breaks == 1
         assert store.load_latest() == {"n": 1}
 
     def test_clear_survives_a_wedged_lock(self, tmp_path, monkeypatch):
         monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
         store = CheckpointStore(tmp_path)
         store.write({"n": 1}, 1)
-        (store.root / ".lock").write_text(str(os.getpid()))
-        store.clear()  # must not raise: completion beats the lock
+        with held_lock(store.root):
+            store.clear()  # must not raise: completion beats the lock
         assert store.load_latest() is None
 
-    def test_stamp_carries_pid_and_start_time(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        with store._exclusive():
-            stamp = json.loads((store.root / ".lock").read_text())
-        assert stamp["pid"] == os.getpid()
-        if checkpoint.process_start_time(os.getpid()) is not None:
-            assert stamp["start"] == checkpoint.process_start_time(
-                os.getpid()
-            )
-        assert not (store.root / ".lock").exists()  # released on exit
-
-    # A writer that dies — as under SIGKILL: no ``finally`` runs — on its
-    # k-th call of one of the functions lock acquisition goes through.
-    _DYING_WRITER = (
-        "import os, sys\n"
-        "from repro.engine import checkpoint\n"
-        "name, k, root = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
-        "owner = checkpoint if name == 'process_start_time' else os\n"
-        "real, calls = getattr(owner, name), []\n"
-        "def dying(*args, **kwargs):\n"
-        "    calls.append(name)\n"
-        "    if len(calls) == k:\n"
-        "        os._exit(9)\n"
-        "    return real(*args, **kwargs)\n"
-        "setattr(owner, name, dying)\n"
-        "print(os.getpid(), flush=True)\n"
-        "checkpoint.CheckpointStore(root).write({'n': 0}, 0)\n"
-    )
-
-    @pytest.mark.parametrize(
-        "name", ["open", "write", "link", "unlink", "process_start_time"]
-    )
-    def test_writer_killed_at_any_step_never_wedges_the_store(
-        self, name, tmp_path, monkeypatch
-    ):
-        """A lock is published together with its stamp: wherever in the
-        acquisition (or after it) a writer is killed, ``.lock`` — if it
-        is there at all — names the dead holder, so the next writer
-        breaks it at once instead of presuming an empty lock live for
-        ``LOCK_STALE_SECONDS``; and the lock temp a crash orphans is
-        swept once it is stale."""
-        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.5)
-        killed = 0
-        for k in range(1, 10):
-            root = tmp_path / f"{name}-{k}"
-            root.mkdir()
-            child = subprocess.run(
-                [sys.executable, "-c", self._DYING_WRITER, name, str(k), str(root)],
-                capture_output=True, text=True,
-                env=dict(os.environ, PYTHONPATH="src"),
-                cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-            )
-            if child.returncode == 0:
-                break  # fewer than k calls in a whole write: every step tried
-            assert child.returncode == 9, child.stderr[-2000:]
-            killed += 1
-            lock = root / ".lock"
-            held = lock.exists()
-            if held:
-                assert json.loads(lock.read_text())["pid"] == int(child.stdout)
-            store = CheckpointStore(root)
-            started = time.monotonic()
-            store.write({"n": 1}, 1)  # no wait: nothing to time out on
-            assert time.monotonic() - started < 0.5
-            assert store.lock_breaks == held
-            assert store.load_latest() == {"n": 1}
-            old = time.time() - checkpoint.LOCK_STALE_SECONDS - 1
-            for orphan in root.glob(".lock-*.tmp"):
-                os.utime(orphan, (old, old))
-            store.write({"n": 2}, 2)
-            assert not list(root.glob(".lock*"))
-        assert killed and child.returncode == 0
-
-    def test_pid_reuse_impostor_breaks_immediately(self, tmp_path):
-        # The fleet scenario: a SIGKILLed worker's lock survives, the
-        # pid space wraps, and an unrelated *live* process now wears the
-        # dead holder's number.  A bare pid would wedge the store for
-        # LOCK_STALE_SECONDS; the start-time stamp proves the real
-        # holder is gone.
-        if checkpoint.process_start_time(os.getpid()) is None:
-            pytest.skip("no /proc: start-time stamping is inert here")
-        store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        (store.root / ".lock").write_text(
-            json.dumps({"pid": os.getpid(), "start": "1"})  # boot-time pid
-        )
-        store.write({"n": 3}, 3)  # no timeout wait needed
-        assert store.lock_breaks == 1
-        assert store.load_latest() == {"n": 3}
-
-    def test_matching_start_stamp_is_an_honored_live_holder(
-        self, tmp_path, monkeypatch
-    ):
-        if checkpoint.process_start_time(os.getpid()) is None:
-            pytest.skip("no /proc: start-time stamping is inert here")
+    def test_killed_holder_releases_at_once(self, tmp_path, monkeypatch):
+        """The kernel drops a dead holder's lock: no stamp to read, no
+        liveness to probe, no staleness window to wait out."""
         monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
         store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        (store.root / ".lock").write_text(
-            json.dumps(
-                {
-                    "pid": os.getpid(),
-                    "start": checkpoint.process_start_time(os.getpid()),
-                }
+        with lock_holder_process(tmp_path) as holder:
+            with pytest.raises(OSError):
+                store.write({"n": 0}, 0)  # it really is held
+            holder.send_signal(signal.SIGKILL)
+            holder.wait()
+            started = time.monotonic()
+            store.write({"n": 1}, 1)
+            assert time.monotonic() - started < 1.0
+        assert store.load_latest() == {"n": 1}
+
+    def test_stopped_live_holder_keeps_the_lock(self, tmp_path, monkeypatch):
+        """A holder that is alive but not running (SIGSTOP, stalled I/O)
+        for however long still holds the lock: later writers time out —
+        a counted failed checkpoint — and never enter beside it, however
+        old anything in the directory looks."""
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
+        first = CheckpointStore(tmp_path)
+        first.write({"n": 1}, 1)
+        second = CheckpointStore(tmp_path)
+
+        def an_hour_later_the_second_store_still_waits():
+            long_ago = time.time() - 3600.0
+            for entry in [*tmp_path.iterdir(), tmp_path]:
+                os.utime(entry, (long_ago, long_ago))
+            with pytest.raises(OSError) as info:
+                second.write({"n": 2}, 2)
+            assert info.value.errno == errno.EWOULDBLOCK
+
+        with first._exclusive():  # two objects in one process...
+            an_hour_later_the_second_store_still_waits()
+        with lock_holder_process(tmp_path) as holder:  # ...a stopped process
+            holder.send_signal(signal.SIGSTOP)
+            an_hour_later_the_second_store_still_waits()
+        assert second.load_latest() == {"n": 1}
+        second.write({"n": 3}, 3)  # the holder is dead now
+        assert second.load_latest() == {"n": 3}
+
+    def test_failed_lock_is_a_counted_failed_checkpoint(
+        self, ruleset, data, reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.01)
+        tmp_path.mkdir(exist_ok=True)
+        engine = BatchEngine(
+            EngineConfig(
+                checkpoint_dir=str(tmp_path), checkpoint_every_bytes=1500
             )
         )
-        with pytest.raises(OSError) as info:
-            store.write({"n": 1}, 1)
-        assert info.value.errno == errno.EWOULDBLOCK
-        assert store.lock_breaks == 0
+        with held_lock(tmp_path):
+            outcome = engine.durable_scan(ruleset, data)
+        assert outcome.checkpoints_written == 0
+        assert outcome.checkpoint_failures >= 2
+        assert outcome.result == reference  # durability lost, never the scan
 
-    def test_dead_holder_json_stamp_breaks_immediately(self, tmp_path):
-        probe = subprocess.Popen([sys.executable, "-c", "pass"])
-        probe.wait()  # reaped: the pid is provably dead
-        store = CheckpointStore(tmp_path)
-        store.root.mkdir(parents=True, exist_ok=True)
-        (store.root / ".lock").write_text(
-            json.dumps({"pid": probe.pid, "start": "12345"})
-        )
-        store.write({"n": 4}, 4)
-        assert store.lock_breaks == 1
+    # A writer whose every critical section trips over a neighbour's: a
+    # marker created with O_EXCL on entry and removed on exit.
+    _EXCLUDED_WRITER = (
+        "import os, sys, time\n"
+        "from repro.engine import checkpoint\n"
+        "root, who = sys.argv[1], int(sys.argv[2])\n"
+        "marker = os.path.join(os.path.dirname(root), 'inside')\n"
+        "dump, prune = checkpoint.envelope.dump, checkpoint.CheckpointStore._prune\n"
+        "def entering(*args, **kwargs):\n"
+        "    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))\n"
+        "    time.sleep(0.002)\n"
+        "    return dump(*args, **kwargs)\n"
+        "def leaving(self, *args):\n"
+        "    prune(self, *args)\n"
+        "    os.unlink(marker)\n"
+        "checkpoint.envelope.dump = entering\n"
+        "checkpoint.CheckpointStore._prune = leaving\n"
+        "store = checkpoint.CheckpointStore(root)\n"
+        "for n in range(25):\n"
+        "    store.write({'who': who, 'n': n}, 2 * n + who)\n"
+    )
+
+    def test_two_writer_processes_never_overlap(self, tmp_path):
+        root = tmp_path / "store"
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", self._EXCLUDED_WRITER, str(root), str(who)],
+                stderr=subprocess.PIPE, text=True, cwd=repo,
+                env=dict(os.environ, PYTHONPATH="src"),
+            )
+            for who in (0, 1)
+        ]
+        for writer in writers:
+            _, err = writer.communicate(timeout=120)
+            assert writer.returncode == 0, err[-2000:]
+        store = CheckpointStore(root)
+        assert [p.name for p in store._paths()] == [
+            f"ckpt-{offset:016d}.json" for offset in (48, 49)
+        ]
+        assert store.load_latest() == {"who": 1, "n": 24}
+
+    def test_no_lock_litter_and_no_descriptor_leak(self, tmp_path):
+        store = CheckpointStore(tmp_path, session="s")
+        store.write({"n": -1}, 0)  # directory made, imports warm
+        before = len(os.listdir("/proc/self/fd"))
+        for n in range(50):
+            store.write({"n": n}, n + 1)
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            f"ckpt-{offset:016d}.json" for offset in (49, 50)
+        ]
+        store.clear()
+        assert list(store.root.iterdir()) == []
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_writer_killed_at_any_step_never_wedges_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Every crash point of the one primitive: a writer killed
+        entering any call of its write leaves the previous checkpoint or
+        the new one as the latest — the new one exactly when the rename
+        ran — holds nobody up afterwards, and the temp file it orphans
+        is never read as a checkpoint."""
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.5)
+        docs = [{"n": n, "pad": "x" * 64} for n in range(4)]
+
+        def seeded(root):
+            store = CheckpointStore(root)
+            for n in (0, 1):
+                store.write(docs[n], n)
+            return store
+
+        clean = seeded(tmp_path / "clean")
+        trace = persistence_trace(lambda: clean.write(docs[2], 2))
+        names = [name for name, _ in trace]
+        # flock the directory; fsync the file, rename it, fsync that
+        # same directory descriptor; prune; unlock by closing.
+        steps = [
+            (name, args) for name, args in trace
+            if name in ("flock", "fsync", "replace", "unlink", "close")
+        ]
+        assert [name for name, _ in steps] == [
+            "flock", "fsync", "replace", "fsync", "unlink", "close",
+        ]
+        dirfd = steps[0][1][0]
+        assert steps[1][1] != (dirfd,)  # the temp file's own descriptor
+        assert steps[3][1] == (dirfd,) and steps[5][1] == (dirfd,)
+        assert steps[4][1] == (clean.root / "ckpt-0000000000000000.json",)
+        assert clean.load_latest() == docs[2]
+
+        renamed = names.index("replace")
+        for k in range(len(trace)):
+            store = seeded(tmp_path / f"killed-{k}")
+            killed_at(k, lambda store=store: store.write(docs[2], 2))
+            orphans = [p.name for p in store.root.iterdir() if p.suffix == ".tmp"]
+            assert len(orphans) == (names.index("fdopen") <= k <= renamed), k
+            survivor = CheckpointStore(store.root)
+            assert survivor.load_latest() == docs[2 if k > renamed else 1], k
+            assert survivor.discarded == 0
+            started = time.monotonic()
+            survivor.write(docs[3], 3)  # no wait: the lock died with its holder
+            assert time.monotonic() - started < 0.5, k
+            assert survivor.load_latest() == docs[3]
+            assert len(survivor._paths()) == KEEP
 
 
 class TestDetachedResume:
@@ -856,7 +913,7 @@ class TestPlanDifferential:
         # the NFA, DFA and NBVA sets it shares its unit with regex 0,
         # which must keep scanning (and keep its own state) unaffected.
         # In the LNFA set its whole bin goes, and the two other bins
-        # leave the lane machine for the per-bin path.
+        # stay on the lane machine (test_shed_bin_stays_on_the_lane_machine).
         ruleset, data = _plan_ruleset(name)
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
         cut = len(data) // 3
@@ -894,6 +951,52 @@ class TestPlanDifferential:
         outcome = engine.durable_scan(ruleset, data)
         assert outcome.result == reference
         assert outcome.checkpoints_written == 1
+
+
+@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
+@pytest.mark.parametrize("backend", PLANNED_BACKENDS)
+def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
+    """Shedding a bin must not drop the live bins onto the per-byte
+    python collectors: the packed machine keeps stepping them, the shed
+    bin's delta is dropped, and what the live bins accumulate is what
+    an unshed scan accumulates for them."""
+    from repro.simulators.activity import BinActivityCollector
+    from repro.simulators.fused import FusedLaneScanner
+
+    ruleset, data = _plan_ruleset("lnfa")
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    cut = len(data) // 3
+    spans = []
+    lane_scan = FusedLaneScanner.scan
+
+    def counted(self, segment, **kwargs):
+        spans.append(len(segment))
+        return lane_scan(self, segment, **kwargs)
+
+    def per_byte_oracle(self, segment, **kwargs):
+        raise AssertionError("a planned backend fed a bin collector directly")
+
+    monkeypatch.setattr(FusedLaneScanner, "scan", counted)
+    monkeypatch.setattr(BinActivityCollector, "feed", per_byte_oracle)
+    with use_backend(backend):
+        whole = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+        shed = DurableScan(ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1})
+        for scan in (whole, shed):
+            scan.feed(data[:cut], at_end=False)
+        assert shed.shed(1e-9, "test pressure") == [("bin", 0, 0)]
+        frozen = shed._bins[(0, 0)].snapshot()
+        del spans[:]
+        for scan in (whole, shed):
+            scan.feed(data[cut : 2 * cut], at_end=False)
+            scan.feed(data[2 * cut :], at_end=True)
+    assert spans == [cut, len(data) - 2 * cut] * 2
+    live = [key for key in shed._bins if key != (0, 0)]
+    assert len(live) == 2
+    for key in live:
+        assert shed._bins[key].snapshot() == whole._bins[key].snapshot()
+        assert shed._bins[key].activity() == whole._bins[key].activity()
+    assert shed._bins[(0, 0)].snapshot() == frozen
+    assert whole._bins[(0, 0)].snapshot() != frozen
 
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")

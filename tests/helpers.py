@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import itertools
+import os
 import re
+import tempfile
 
 from hypothesis import strategies as st
 
@@ -69,3 +74,68 @@ def inputs(alphabet: str = SAFE_ALPHABET + "x", max_size: int = 24):
     return st.text(alphabet=alphabet, max_size=max_size).map(
         lambda s: s.encode("ascii")
     )
+
+
+# -- crash points of the persistence code -------------------------------------
+#
+# Everything that puts bytes on disk goes through ``repro.io.envelope``
+# and (for checkpoints) a directory ``flock``; these are the calls that
+# path makes.  Shimming them lets a test record their order and kill a
+# writer — as under SIGKILL: no ``finally`` runs — entering any one.
+
+PERSISTENCE_CALLS = [
+    (os, "mkdir"),
+    (os, "open"),
+    (fcntl, "flock"),
+    (tempfile, "mkstemp"),
+    (os, "fdopen"),
+    (os, "fsync"),
+    (os, "replace"),
+    (os, "unlink"),
+    (os, "utime"),
+    (os, "close"),
+]
+
+
+@contextlib.contextmanager
+def shimmed_persistence(on_call):
+    """Call ``on_call(index, name, args)`` ahead of every persistence call."""
+    counter = itertools.count()
+
+    def wrap(name, real):
+        def call(*args, **kwargs):
+            on_call(next(counter), name, args)
+            return real(*args, **kwargs)
+
+        return call
+
+    saved = [(mod, name, getattr(mod, name)) for mod, name in PERSISTENCE_CALLS]
+    for mod, name, real in saved:
+        setattr(mod, name, wrap(name, real))
+    try:
+        yield
+    finally:
+        for mod, name, real in saved:
+            setattr(mod, name, real)
+
+
+def persistence_trace(action) -> list[tuple[str, tuple]]:
+    """The ``(name, args)`` of each persistence call ``action()`` makes."""
+    calls: list[tuple[str, tuple]] = []
+    with shimmed_persistence(lambda _i, name, args: calls.append((name, args))):
+        action()
+    return calls
+
+
+def killed_at(k: int, action) -> None:
+    """Run ``action()`` in a forked child that dies entering call ``k``."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1  # the action raised: not the death that was asked for
+        try:
+            with shimmed_persistence(lambda i, _n, _a: i == k and os._exit(9)):
+                action()
+            status = 0  # fewer than k + 1 calls
+        finally:
+            os._exit(status)
+    assert os.WEXITSTATUS(os.waitpid(pid, 0)[1]) == 9, (k, "child outlived it")

@@ -352,7 +352,7 @@ class TestWatchdogs:
         """A checkpoint that cannot be written is logged with tenant,
         session, offset and the error, and the health report keeps the
         last reason — the scan itself is unharmed."""
-        import json
+        import fcntl
         import logging
         import os
 
@@ -369,11 +369,13 @@ class TestWatchdogs:
                 await client.send(data[SEG : 2 * SEG])  # feeds the first
                 store = server._store_for(session_key("why", "s"))
                 store.root.mkdir(parents=True, exist_ok=True)
-                held = store.root / ".lock"  # a live writer: this process
-                held.write_text(json.dumps({"pid": os.getpid()}))
+                # A live writer inside its critical section: another
+                # open file description holding the directory's flock.
+                held = os.open(store.root, os.O_RDONLY)
+                fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 with caplog.at_level(logging.WARNING, logger="repro.serve.session"):
                     await client.detach()
-                held.unlink()
+                os.close(held)
                 report = server.health_report()
                 # the detach itself, and the disconnect that follows it
                 assert report["checkpoint_failures"] == len(caplog.records) >= 1
@@ -381,6 +383,7 @@ class TestWatchdogs:
                 for said in (report["last_checkpoint_error"], record.getMessage()):
                     assert f"tenant=why session=s offset={SEG}: " in said
                     assert "locked by another writer" in said
+                    assert f"{store.root} (session=why/s)" in said
                 await client.reconnect()
                 result = await finish_stream(client, data, SEG)
                 assert result["matches"] == golden[0]
