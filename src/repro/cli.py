@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.compiler import CompiledMode, CompilerConfig, compile_ruleset
@@ -103,10 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-jobs",
         type=int,
         default=None,
-        help="split the input stream across this many warm-up-window "
-        "chunks, and the units that have no window into as many "
-        "whole-stream tasks (fused and native backends; python ignores "
-        "it); output is bit-identical at every level (default: "
+        help="bulk scans: split the input stream across this many "
+        "warm-up-window chunks, and the units that have no window into "
+        "as many whole-stream tasks (fused and native backends; python "
+        "ignores it, and so does a durable scan — --checkpoint-dir, "
+        "--max-seconds, --max-rss-mb — which feeds each segment whole); "
+        "output is bit-identical at every level (default: "
         "RAP_INPUT_JOBS or 1)",
     )
     p_scan.add_argument(
@@ -184,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--input-jobs",
         type=int,
         default=None,
-        help="input-parallel warm-up-window chunks and whole-stream unit "
-        "tasks per stream (fused and native backends; python ignores "
-        "it); reported numbers are independent of the level "
-        "(default: RAP_INPUT_JOBS or 1)",
+        help="bulk scans: input-parallel warm-up-window chunks and "
+        "whole-stream unit tasks per stream (fused and native backends; "
+        "python ignores it); reported numbers are independent of the "
+        "level (default: RAP_INPUT_JOBS or 1)",
     )
     p_exp.add_argument(
         "--cache",
@@ -590,13 +593,15 @@ def _load_hw(path):
         return HardwareConfig.from_json(json.load(f))
 
 
-def _print_backend_report(engine) -> None:
+def _print_backend_report(engine, durable: bool) -> None:
     """The ``--explain`` header: resolved backend and cost constants.
 
     Reports the backend that will *actually* execute (after the
     probe-and-fall-back chain) with the fallback reason when the
-    requested one is unavailable, and whether the cost model is scoring
-    against measured (``rap calibrate``) or default constants.
+    requested one is unavailable, whether ``--input-jobs`` will do
+    anything (not on python, not on a ``durable`` scan), and whether
+    the cost model is scoring against measured (``rap calibrate``) or
+    default constants.
     """
     from repro.compiler.costmodel import DEFAULT_CONSTANTS, active_constants
     from repro.engine import resolve_input_jobs
@@ -608,7 +613,11 @@ def _print_backend_report(engine) -> None:
     print(line)
     input_jobs = resolve_input_jobs(engine.config.input_jobs)
     if input_jobs > 1:
-        ignored = " (ignored: python backend)" if resolved == "python" else ""
+        ignored = ""
+        if resolved == "python":
+            ignored = " (ignored: python backend)"
+        elif durable:
+            ignored = " (ignored: durable scan)"
         print(f"input-jobs: {input_jobs}{ignored}")
     constants = active_constants(resolved)
     if constants.source == "measured":
@@ -720,6 +729,11 @@ def cmd_scan(args) -> int:
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    durable = (
+        args.checkpoint_dir is not None
+        or args.max_seconds is not None
+        or args.max_rss_mb is not None
+    )
     engine = BatchEngine(
         EngineConfig(
             jobs=args.jobs,
@@ -746,10 +760,11 @@ def cmd_scan(args) -> int:
             patterns = _read_patterns(args.patterns)
         else:
             patterns = [r.pattern for r in load_ruleset(args.ruleset)]
-        _print_backend_report(engine)
-        _print_explain(
-            engine.explain(patterns, CompilerConfig(bv_depth=args.bv_depth))
-        )
+        _print_backend_report(engine, durable)
+        entries = engine.explain(patterns, CompilerConfig(bv_depth=args.bv_depth))
+        if durable:  # no row rides input-parallel workers
+            entries = [replace(entry, split=None) for entry in entries]
+        _print_explain(entries)
         return 0
     quarantined = 0
     if args.ruleset:
@@ -773,11 +788,6 @@ def cmd_scan(args) -> int:
                 print("# all patterns quarantined", file=sys.stderr)
                 return 4
     data = args.input.read_bytes()
-    durable = (
-        args.checkpoint_dir is not None
-        or args.max_seconds is not None
-        or args.max_rss_mb is not None
-    )
     outcome = None
     if durable:
         try:

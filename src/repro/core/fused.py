@@ -313,21 +313,11 @@ class FusedRuleset:
         )
 
         # -- native-codegen attachment (lazy, silent-fallback) ----------
-        # Decided at construction time so pickled copies shipped to
-        # worker processes re-attach under the same policy; the compiled
-        # library itself is rebuilt (from the .so cache) on first use.
+        # Decided at construction time; the compiled library itself is
+        # built (or loaded from the .so cache) on first use.
         self._native_requested = resolve_backend() == "native"
         self._native_units = None
         self._native_tried = False
-
-    def __getstate__(self):
-        # Compiled-library handles are process-local (dlopen'd shared
-        # objects); workers rebuild them lazily from the on-disk cache.
-        state = self.__dict__.copy()
-        state["_native_units"] = None
-        state["_native_tried"] = False
-        state["_lanes"] = dict(self._lanes)  # another scan may be adding a bin's
-        return state
 
     def _native_scanner(self):
         """The compiled unit kernels, or None (unrequested/unbuildable).

@@ -61,8 +61,8 @@ class StepTable:
     append, and :meth:`restart` forgets them again once more than
     ``cap`` have piled up, so a hostile stream over an unclosable
     machine cannot grow the table without limit.  Everything past the
-    closure is a per-process cache: a pickled table ships its closed
-    states only, and walkers of one table take turns.
+    closure is a cache the walkers of one table fill taking turns; the
+    table never leaves its process.
     """
 
     def __init__(
@@ -101,22 +101,6 @@ class StepTable:
         self.flat = array("H")  # their rows
         self._walking = threading.Lock()
         self.restart()
-
-    def __getstate__(self) -> dict:
-        with self._walking:
-            state = self.__dict__.copy()
-            for column in ("words", "bits", "flags"):
-                state[column] = state[column][: self.closed]
-        del state["ids"], state["rows"], state["_walking"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.ids = {word: sid for sid, word in enumerate(self.words)}
-        self.rows = [None] * self.closed
-        self._walking = threading.Lock()
-        if not self.closed:
-            self.restart()
 
     def __len__(self) -> int:
         return len(self.words)

@@ -16,11 +16,13 @@ Failures that survive recovery follow the engine's ``on_error`` policy
 """
 
 from repro.engine.batch import (
+    INPUT_JOBS_ENV,
     BatchEngine,
     BatchReport,
     BatchTask,
     DurableScanOutcome,
     EngineConfig,
+    resolve_input_jobs,
 )
 from repro.engine.budget import (
     DEGRADE_POLICIES,
@@ -36,12 +38,7 @@ from repro.engine.cache import (
     default_cache_dir,
     ruleset_cache_key,
 )
-from repro.engine.checkpoint import (
-    INPUT_JOBS_ENV,
-    CheckpointStore,
-    DurableScan,
-    resolve_input_jobs,
-)
+from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.faults import FAULT_PLAN_ENV, FaultDirective, FaultPlan
 from repro.engine.partition import (
     Chunk,

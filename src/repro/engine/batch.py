@@ -26,6 +26,7 @@ descriptors are tiny tuples.
 
 from __future__ import annotations
 
+import os
 import pickle
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
@@ -41,11 +42,7 @@ from repro.core import (
 from repro.engine import faults
 from repro.engine.budget import BudgetMonitor, ResourceBudget, validate_degrade
 from repro.engine.cache import CompileCache, cached_compile_ruleset
-from repro.engine.checkpoint import (
-    CheckpointStore,
-    DurableScan,
-    resolve_input_jobs,
-)
+from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.partition import Chunk, plan_chunks, required_overlap
 from repro.engine.pool import effective_jobs, parallel_map
 from repro.engine.supervisor import SupervisorConfig, run_supervised
@@ -64,6 +61,27 @@ from repro.simulators.activity import (
 )
 from repro.simulators.rap import RAPSimulator, RunActivity, bind
 from repro.simulators.result import SimulationResult
+
+# Environment fallback for the input-parallelism level of bulk scans
+# (like RAP_BACKEND for backends).
+INPUT_JOBS_ENV = "RAP_INPUT_JOBS"
+
+
+def resolve_input_jobs(explicit: int | None = None) -> int:
+    """``explicit`` if given, else ``RAP_INPUT_JOBS``, else 1 (floor 1)."""
+    if explicit is None:
+        raw = os.environ.get(INPUT_JOBS_ENV, "").strip()
+        if raw:
+            try:
+                explicit = int(raw)
+            except ValueError as err:
+                raise ValueError(
+                    f"{INPUT_JOBS_ENV} must be an integer, got {raw!r}"
+                ) from err
+        else:
+            explicit = 1
+    return max(1, explicit)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -86,17 +104,16 @@ class EngineConfig:
     # Smallest owned-bytes-per-chunk worth forking for; streams shorter
     # than two chunks run unchunked.
     min_chunk_bytes: int = 4096
-    # Input-parallel scanning (the CLI's --input-jobs): split one stream
-    # into this many warm-up-window chunks, with the units that have no
-    # window scanned whole in as many tasks (repro.engine.split) —
-    # bit-identical to serial by construction.  Requires the fused
-    # backend; other backends fall back to ruleset sharding.  None
-    # defers to RAP_INPUT_JOBS, <= 1 disables.  Composes with ``jobs``:
-    # the pool is sized max(jobs, input_jobs).
+    # Input-parallel scanning of bulk scans (the CLI's --input-jobs;
+    # ``scan`` and ``run_batch`` only — a durable scan feeds each
+    # segment whole): split one stream into this many warm-up-window
+    # chunks, with the units that have no window scanned whole in as
+    # many tasks (repro.engine.split) — bit-identical to serial by
+    # construction.  Requires the fused backend; other backends fall
+    # back to ruleset sharding.  None defers to RAP_INPUT_JOBS, <= 1
+    # disables.  Composes with ``jobs``: the pool is sized
+    # max(jobs, input_jobs).
     input_jobs: int | None = None
-    # Force a stitching window instead of deriving the safe bound (tests
-    # and experiments with known match lengths); None derives it.
-    overlap: int | None = None
     # -- fault tolerance (the CLI's --timeout/--retries/--on-error) --------
     # Per-unit deadline in seconds; None disables deadlines.
     timeout: float | None = None
@@ -647,8 +664,6 @@ class BatchEngine:
                 self.hw,
                 bin_size=bin_size,
                 weights=weights,
-                input_jobs=self._input_jobs(),
-                min_chunk_bytes=self.config.min_chunk_bytes,
             )
             store = (
                 CheckpointStore(config.checkpoint_dir, plan)
@@ -721,11 +736,7 @@ class BatchEngine:
 
     def _plan(self, ruleset, n: int, jobs: int) -> list[Chunk]:
         """Chunk the stream when safe and worthwhile, else one chunk."""
-        overlap = (
-            self.config.overlap
-            if self.config.overlap is not None
-            else required_overlap(ruleset)
-        )
+        overlap = required_overlap(ruleset)
         whole = [Chunk(start=0, end=n, warm_start=0)]
         if overlap is None:
             return whole

@@ -60,30 +60,6 @@ CHECKPOINT_VERSION = 1
 # a usable restore point.
 KEEP = 2
 
-# Environment fallback for the input-parallelism level (like RAP_BACKEND
-# for backends).  It is honored wherever an explicit value is not given
-# — including :class:`DurableScan` itself — so a checkpoint writer and
-# its resumer running under the same environment always resolve the
-# same split layout and therefore the same fingerprint.
-INPUT_JOBS_ENV = "RAP_INPUT_JOBS"
-
-
-def resolve_input_jobs(explicit: int | None = None) -> int:
-    """``explicit`` if given, else ``RAP_INPUT_JOBS``, else 1 (floor 1)."""
-    if explicit is None:
-        raw = os.environ.get(INPUT_JOBS_ENV, "").strip()
-        if raw:
-            try:
-                explicit = int(raw)
-            except ValueError as err:
-                raise ValueError(
-                    f"{INPUT_JOBS_ENV} must be an integer, got {raw!r}"
-                ) from err
-        else:
-            explicit = 1
-    return max(1, explicit)
-
-
 log = logging.getLogger(__name__)
 
 # How long a writer waits on another writer's exclusive lock before
@@ -300,10 +276,7 @@ class DurableScan:
         *,
         bin_size: int | None = None,
         weights: dict[int, float] | None = None,
-        input_jobs: int | None = None,
-        min_chunk_bytes: int = 4096,
     ):
-        input_jobs = resolve_input_jobs(input_jobs)
         self._ruleset = ruleset
         self._mapping = mapping
         self._weights = dict(weights or {})
@@ -339,24 +312,13 @@ class DurableScan:
         }
         if self._plan is not None and self._bins:
             self._bin_feeder = FusedBinFeeder(
-                list(self._bins.values()),
-                self._plan.scanner,
-                input_jobs=input_jobs,
-                min_chunk_bytes=min_chunk_bytes,
+                list(self._bins.values()), self._plan.scanner
             )
-        # The split layout is part of the fingerprint even though split
-        # and serial feeds are bit-identical: a checkpoint names the
-        # exact execution configuration that wrote it, so a resume under
-        # a different parallelism level is a deliberate, visible rebind
-        # (drop --input-jobs or re-shard) rather than a silent one.
         self.fingerprint = scan_fingerprint(
             ruleset,
             hw,
             bin_size,
             fused_layout=self._plan.signature if self._plan else None,
-            split_layout=(
-                self._bin_feeder.split_layout if self._bin_feeder else None
-            ),
         )
         self._offset = 0
         self._hasher = hashlib.sha256()
@@ -474,8 +436,7 @@ class DurableScan:
         if doc.get("fingerprint") != self.fingerprint:
             raise CheckpointError(
                 "checkpoint belongs to a different scan: ruleset, hardware "
-                "config, bin size, or input-parallel split layout "
-                "(--input-jobs) changed since it was written",
+                "config or bin size changed since it was written",
                 phase="checkpoint",
             )
 

@@ -295,7 +295,7 @@ def _run_benchmark_worker(item):
     level around one worker."""
     worker, name, config = item
     if config.input_jobs is not None:
-        from repro.engine.checkpoint import INPUT_JOBS_ENV
+        from repro.engine import INPUT_JOBS_ENV
 
         os.environ[INPUT_JOBS_ENV] = str(config.input_jobs)
     if config.backend is None:

@@ -259,7 +259,6 @@ def scan_fingerprint(
     hw,
     bin_size: int | None = None,
     fused_layout: str | None = None,
-    split_layout: str | None = None,
 ) -> str:
     """Content hash identifying one scan's execution semantics.
 
@@ -269,21 +268,16 @@ def scan_fingerprint(
     ``fused_layout`` is the fused-ruleset signature (class map + lane
     layout) when the scan runs on the ``fused`` backend, ``None``
     otherwise — a checkpoint written under one fusion layout (or none)
-    must never be resumed under another.  ``split_layout`` names the
-    input-parallel chunking policy the same way (``None`` when serial);
-    split feeds are bit-identical to serial ones, but a checkpoint still
-    records the configuration that wrote it so resuming under another
-    parallelism level is an explicit rebind, not a silent one.  Same
-    idea as the compile-cache key, applied to mid-stream state instead
-    of compiler output.  ``split_layout=None`` keeps pre-split
-    fingerprints byte-stable.
+    must never be resumed under another.  Same idea as the
+    compile-cache key, applied to mid-stream state instead of compiler
+    output.  Nothing about parallelism is covered: a durable scan feeds
+    every segment whole, whatever ``--input-jobs`` says.
 
     When the ruleset contains a DFA-mode regex the fingerprint also
     covers :data:`~repro.core.registry.DFA_FORMAT_VERSION` — a
     checkpoint carrying DFA scanner state must not be restored under a
     different subset-construction/table encoding.  Rulesets without a
-    DFA regex keep their pre-DFA fingerprints byte-stable (same
-    conditional-key pattern as ``split_layout``).
+    DFA regex keep their pre-DFA fingerprints byte-stable.
     """
     doc = {
         "format": FORMAT_NAME,
@@ -293,8 +287,6 @@ def scan_fingerprint(
         "bin_size": bin_size,
         "fused_layout": fused_layout,
     }
-    if split_layout is not None:
-        doc["split_layout"] = split_layout
     if any(r.mode is CompiledMode.DFA for r in ruleset.regexes):
         from repro.core.registry import DFA_FORMAT_VERSION
 

@@ -18,8 +18,7 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   span of a stream and returns the per-bin activity deltas
   (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
   from an explicit entry word (the durable feeder's segments) or from a
-  warm-up window (the input-parallel split engine's chunks, and the
-  feeder's under ``input_jobs``).
+  warm-up window (the input-parallel split engine's chunks).
   Every bin is one :class:`~repro.core.table.StepTable` of the fused
   ruleset; the generated C steps them closed, the table walker
   (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) fills them
@@ -31,10 +30,8 @@ This is the simulator-layer half of the ``fused`` / ``native`` backends
   from the collectors' :class:`~repro.core.KernelState` and write the
   continuation back — so snapshot/restore documents are byte-identical
   to the ``python`` backend's and a SIGKILL-resume replays the same
-  integer stream.  With ``input_jobs > 1`` the bin feeder splits each
-  segment into warm-up-window chunks scanned in parallel; the folded
-  deltas (and therefore every snapshot) stay byte-identical to the
-  serial feed.
+  integer stream.  A segment is never cut: only
+  :mod:`repro.engine.split` splits a stream, and only a bulk one.
 * :class:`FusedRun` reproduces
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities` for a
   whole run: the input is translated once through the shared alphabet
@@ -48,7 +45,6 @@ Import this module lazily, only after the backend registry has resolved
 from __future__ import annotations
 
 import logging
-import pickle
 from collections.abc import Collection
 from dataclasses import dataclass, replace
 
@@ -106,10 +102,9 @@ class FusedLaneScanner:
     Built from the bins' packed-machine layouts (in bin order); the
     fused compilation — which owns every bin's table — is shared with
     the caller's when supplied, so the alphabet classes match the rest
-    of the run.  The scanner holds no stream state and is picklable —
-    parallel chunk workers each scan their own span of the same machine;
-    its compiled library is a process-local cache that a pickled copy
-    rebuilds.
+    of the run.  The scanner holds no stream state, so one serves every
+    scan of its plan; it never leaves its process (a worker is seeded
+    with the ruleset and binds its own).
     """
 
     def __init__(
@@ -143,23 +138,14 @@ class FusedLaneScanner:
                 warm = max(warm, len(lnfa))
         self.warm = warm
 
-        # Native-codegen attachment: decided when the scanner is built
-        # (workers inherit the decision through pickling), compiled and
-        # loaded lazily on the first scan.  Build failures fall back to
-        # the table walker with identical results.
+        # Native-codegen attachment: decided when the scanner is built,
+        # compiled and loaded lazily on the first scan.  Build failures
+        # fall back to the table walker with identical results.
         resolved, why = resolve_backend_with_reason()
         self._native_requested = bool(self._layouts) and resolved == "native"
         self._native = None
         self._native_tried = False
         self._interpreted_why = why or f"{resolved} backend"
-
-    def __getstate__(self):
-        # dlopen'd library handles are process-local; chunk workers
-        # rebuild them from the on-disk shared-object cache.
-        state = self.__dict__.copy()
-        state["_native"] = None
-        state["_native_tried"] = False
-        return state
 
     def _native_scanner(self):
         if not self._native_requested:
@@ -379,42 +365,16 @@ class FusedBinFeeder:
     bins-only one is compiled when none is supplied).  Each
     :meth:`feed` accumulates, per bin, the exact deltas the collector's
     own ``feed`` would have produced for the same segment.
-
-    ``input_jobs > 1`` splits each segment into warm-up-window chunks
-    scanned over worker processes (chunks shorter than
-    ``min_chunk_bytes`` or the warm window are not worth forking for);
-    the chunk deltas fold associatively, so the collectors — and any
-    checkpoint snapshot taken between feeds — stay byte-identical to
-    the serial feed.
     """
 
     def __init__(
         self,
         collectors: list[BinActivityCollector],
         scanner: FusedLaneScanner | None = None,
-        *,
-        input_jobs: int = 1,
-        min_chunk_bytes: int = 4096,
     ):
         self._collectors = list(collectors)
         self._scanner = scanner or FusedLaneScanner(
             [c.layout for c in self._collectors]
-        )
-        self._input_jobs = max(1, input_jobs)
-        self._min_chunk_bytes = max(1, min_chunk_bytes)
-
-    @property
-    def split_layout(self) -> str | None:
-        """The input-parallel feed policy, or None when feeding serially.
-
-        Deterministic from configuration alone, so it can be hashed
-        into a durable scan's fingerprint.
-        """
-        if self._input_jobs <= 1:
-            return None
-        return (
-            f"lane-split:v1:jobs={self._input_jobs}"
-            f":min={self._min_chunk_bytes}:warm={self._scanner.warm}"
         )
 
     def feed(
@@ -451,18 +411,14 @@ class FusedBinFeeder:
         for j, collector in live:
             states[j] = collector.state.states
         entry = scanner.fused.pack(states)
-        delta = None
-        if self._input_jobs > 1:
-            delta = self._split_feed(segment, entry, stream_base, at_end)
-        if delta is None:
-            delta = scanner.scan(
-                segment,
-                entry=entry,
-                fresh=stream_base == 0,
-                at_end=at_end,
-                base=stream_base,
-                tin=tin,
-            )
+        delta = scanner.scan(
+            segment,
+            entry=entry,
+            fresh=stream_base == 0,
+            at_end=at_end,
+            base=stream_base,
+            tin=tin,
+        )
         n = len(segment)
         for j, collector in live:
             collector.apply_segment(
@@ -474,89 +430,6 @@ class FusedBinFeeder:
                     offset=stream_base + n, states=delta.exit_states[j]
                 ),
             )
-
-    def _split_feed(
-        self, segment: bytes, entry: int, stream_base: int, at_end: bool
-    ) -> LaneDelta | None:
-        """One segment scanned as parallel warm-up-window chunks.
-
-        Returns None when the segment is too short to split — the
-        caller falls back to the serial span.  Chunk 0 continues from
-        the true entry word; later chunks warm up from zero over the
-        preceding ``warm`` bytes, which forgets any entry state by
-        construction (their owned start is at least ``warm`` bytes in).
-        """
-        from repro.engine.partition import plan_chunks
-        from repro.engine.pool import parallel_map
-
-        scanner = self._scanner
-        warm = scanner.warm
-        chunks = plan_chunks(
-            len(segment),
-            self._input_jobs,
-            warm,
-            min_owned=max(self._min_chunk_bytes, warm),
-        )
-        if len(chunks) <= 1:
-            return None
-        payload = pickle.dumps(
-            (scanner, segment, entry, stream_base, at_end, len(chunks)),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        tasks = [
-            (ci, chunk.start, chunk.end, chunk.warm_start)
-            for ci, chunk in enumerate(chunks)
-        ]
-        deltas = parallel_map(
-            _lane_chunk,
-            tasks,
-            jobs=self._input_jobs,
-            initializer=_init_lane_worker,
-            initargs=(payload,),
-            finalizer=_reset_lane_worker,
-        )
-        return scanner.merge_deltas(deltas)
-
-
-# -- lane-chunk worker functions (module level: picklable by the pool) ------
-
-_LANE_WORKER: dict = {}
-
-
-def _init_lane_worker(payload: bytes) -> None:
-    """Seed one worker process with the segment's shared state."""
-    scanner, segment, entry, stream_base, at_end, chunk_count = pickle.loads(
-        payload
-    )
-    _LANE_WORKER["scanner"] = scanner
-    _LANE_WORKER["segment"] = segment
-    _LANE_WORKER["entry"] = entry
-    _LANE_WORKER["stream_base"] = stream_base
-    _LANE_WORKER["at_end"] = at_end
-    _LANE_WORKER["chunk_count"] = chunk_count
-
-
-def _reset_lane_worker() -> None:
-    """Clear the worker globals (the in-process fallback seeds the
-    parent, which must not pin the segment afterwards)."""
-    _LANE_WORKER.clear()
-
-
-def _lane_chunk(task: tuple) -> LaneDelta:
-    """Scan one chunk of the seeded segment inside a worker."""
-    ci, start, end, warm_start = task
-    scanner = _LANE_WORKER["scanner"]
-    segment = _LANE_WORKER["segment"]
-    stream_base = _LANE_WORKER["stream_base"]
-    first = ci == 0
-    return scanner.scan(
-        segment[warm_start:end],
-        entry=_LANE_WORKER["entry"] if first else 0,
-        fresh=stream_base == 0 and warm_start == 0,
-        at_end=_LANE_WORKER["at_end"] and ci == _LANE_WORKER["chunk_count"] - 1,
-        base=stream_base + warm_start,
-        stats_from=start - warm_start,
-    )
 
 
 class FusedRegexFeeder:

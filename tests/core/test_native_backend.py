@@ -301,8 +301,8 @@ class TestNativeSeams:
         _assert_results_identical(got, serial)
 
     def test_checkpoint_at_a_seam_resumes_identically(self, tmp_path):
-        """Snapshot mid-stream with input_jobs=2 on native, restore,
-        finish: results equal the uninterrupted fused scan."""
+        """Snapshot mid-stream on native, restore, finish: results
+        equal the uninterrupted fused scan."""
         ruleset = compile_ruleset(MIXED_PATTERNS)
         data = _mixed_data(seed=43)
         plain = BatchEngine(
@@ -311,24 +311,12 @@ class TestNativeSeams:
         with use_backend("native"):
             sim = RAPSimulator(DEFAULT_CONFIG)
             mapping = sim.build_mapping(ruleset, bin_size=None)
-            scan = DurableScan(
-                ruleset,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             store = CheckpointStore(tmp_path)
             scan.feed(data[: len(data) // 2], at_end=False)
             store.write(scan.snapshot(), scan.offset)
 
-            resumed = DurableScan(
-                ruleset,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             resumed.restore(store.load_latest(), data)
             assert resumed.offset == len(data) // 2
             resumed.feed(data[resumed.offset :], at_end=True)
@@ -592,6 +580,10 @@ class TestNativeNbva:
         out = explained("--backend", "python", "--input-jobs", "2")
         assert "\ninput-jobs: 2 (ignored: python backend)\n" in out
         assert "split:" not in out
+        for durable in ("--checkpoint-dir", "--max-seconds", "--max-rss-mb"):
+            out = explained("--backend", "fused", "--input-jobs", "2", durable, "9")
+            assert "\ninput-jobs: 2 (ignored: durable scan)\n" in out
+            assert "split:" not in out
         serial = explained("--backend", "fused")
         assert "input-jobs" not in serial and "split:" not in serial
         monkeypatch.setenv("RAP_INPUT_JOBS", "1")
@@ -1255,51 +1247,6 @@ class TestUnitForest:
         # a row of this unit interns at most one state per distinct label
         assert max(sizes) <= cap + 1 and len(table) <= cap + 1 + 3
 
-    def test_pickled_ruleset_ships_closed_rows_only(self, backend):
-        """States the walker met after a closure — a foreign entry word
-        here, on a unit and on a bin — are a per-process cache: the
-        pickled ruleset carries neither them, nor a lock, nor a filled
-        row, and walks identically."""
-        import pickle
-
-        from repro.automata.shift_and import MultiShiftAnd
-        from repro.core.fused import FusedRuleset
-        from tests.core.test_fused import make_lnfa
-
-        lanes = [MultiShiftAnd([make_lnfa("abcdef"), make_lnfa("bcdxyz")]).program]
-        with use_backend(backend):
-            fused = FusedRuleset(lanes, _nfa_programs(["abcdef", "b(c|d)*e"]))
-        unit, lane = fused._units[0].table, fused.lane_dfa(0, (0b111, 0b111000))
-        assert unit.closed and lane.close()
-        foreign = 1 << 2 | 1 << 4  # "abc" and "abcde": no input leaves both true
-        tin = fused.translate(b"fab.abcdef")
-        span = dict(fresh=False, at_end=True, stats_from=0)
-        got = fused.scan_units_span([(0, foreign), (1, None)], tin)
-        walked = lane.walk(tin.cls_bytes, foreign, **span)
-        for table in (unit, lane):
-            assert len(table) > table.closed and table.ids[foreign] >= table.closed
-            assert any(table.rows)
-
-        clone = pickle.loads(pickle.dumps(fused))
-        for table, original in (
-            (clone._units[0].table, unit),
-            (clone.lane_dfa(0, (0b111, 0b111000)), lane),
-        ):
-            assert table is not original and table.closed == original.closed
-            assert len(table) == table.closed == len(table.ids)
-            assert table.rows == [None] * table.closed and foreign not in table.ids
-            assert (table.flat, table.start) == (original.flat, original.start)
-            assert table.words == original.words[: table.closed]
-            assert not table._walking.locked()
-        assert clone.scan_units_span([(0, foreign), (1, None)], tin) == got
-        assert clone.lane_dfa(0, (0b111, 0b111000)).walk(
-            tin.cls_bytes, foreign, **span
-        ) == walked
-        # an unclosed table ships its parameters alone
-        lazy = pickle.loads(pickle.dumps(fused.lane_dfa(0)))
-        assert len(lazy) == 1 and not lazy.closed
-        assert lazy.walk(tin.cls_bytes, foreign, **span)[2:] == walked[2:]
-
     def test_units_the_forest_has_no_room_for_are_walked(self, backend, caplog):
         """Sixteen 2 050-state closures: the sixteenth would pass the
         forest's 15-bit state ids, so its cursors walk the table in
@@ -1876,8 +1823,7 @@ class TestFingerprintFold:
 
     def test_attached_native_folds_into_fingerprint(self):
         """When the native kernel actually executes, checkpoints name
-        it: resuming under a different tier is an explicit rebind, the
-        same contract as ``split_layout``."""
+        it: resuming under a different tier is an explicit rebind."""
         with use_backend("fused"):
             fused_fp = self._fingerprint()
         with use_backend("native"):

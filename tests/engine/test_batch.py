@@ -532,7 +532,6 @@ class TestFaultInjectedExecution:
                 jobs=2,
                 use_cache=False,
                 min_chunk_bytes=8,
-                overlap=8,
                 timeout=10.0,
                 retries=3,
                 backoff=0.001,
@@ -590,7 +589,6 @@ class TestWorkerStateHygiene:
                 jobs=2,
                 use_cache=False,
                 min_chunk_bytes=64,
-                overlap=8,
                 retries=2,
                 backoff=0.001,
                 fault_plan=plan,

@@ -1004,12 +1004,6 @@ class TestPlanFingerprint:
     """What rolls over when durable scans move onto the full plan, and
     what must not."""
 
-    @pytest.fixture(autouse=True)
-    def serial_layout(self, monkeypatch):
-        # These compare against the serial recipe; an ambient
-        # RAP_INPUT_JOBS (CI's split leg) would add a split layout.
-        monkeypatch.delenv(checkpoint.INPUT_JOBS_ENV, raising=False)
-
     def _bins_only_fingerprint(self, ruleset, mapping, native: bool) -> str:
         """The pre-plan recipe: a FusedRuleset over the bins alone."""
         from repro.core import NATIVE_FORMAT_VERSION

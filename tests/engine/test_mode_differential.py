@@ -167,10 +167,8 @@ class TestFusedSeams:
         _assert_results_identical(got, serial)
 
     def test_checkpoint_at_a_seam_resumes_identically(self, tmp_path):
-        # Snapshot mid-stream with input_jobs=2 (so the feeder's seam
-        # falls inside the fed segment), restore into a fresh scan, and
-        # finish: the DFA-mode result must equal the uninterrupted
-        # NFA-mode scan.
+        # Snapshot mid-stream, restore into a fresh scan, and finish:
+        # the DFA-mode result must equal the uninterrupted NFA-mode scan.
         data = _seam_data(seed=13)
         nfa_rs = _forced(SEAM_PATTERNS, CompiledMode.NFA)
         dfa_rs = _forced(SEAM_PATTERNS, CompiledMode.DFA)
@@ -181,24 +179,12 @@ class TestFusedSeams:
             ).scan(nfa_rs, data)
 
             mapping = sim.build_mapping(dfa_rs, bin_size=None)
-            scan = DurableScan(
-                dfa_rs,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            scan = DurableScan(dfa_rs, mapping, DEFAULT_CONFIG)
             store = CheckpointStore(tmp_path)
             scan.feed(data[: len(data) // 2], at_end=False)
             store.write(scan.snapshot(), scan.offset)
 
-            resumed = DurableScan(
-                dfa_rs,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            resumed = DurableScan(dfa_rs, mapping, DEFAULT_CONFIG)
             resumed.restore(store.load_latest(), data)
             assert resumed.offset == len(data) // 2
             resumed.feed(data[resumed.offset :], at_end=True)

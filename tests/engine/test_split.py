@@ -9,6 +9,12 @@ must survive: chunks shorter than the longest pattern, patterns
 straddling a seam, a seam inside a cold run, and degenerate plans.
 """
 
+import os
+import shutil
+import signal
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +28,6 @@ from repro.engine import BatchEngine, BatchTask, EngineConfig, INPUT_JOBS_ENV
 from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.partition import plan_chunks
 from repro.engine.split import split_collect, unit_windows
-from repro.errors import CheckpointError
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.simulators.rap import RAPSimulator, bind
 from repro.workloads.inputs import generate_input
@@ -430,27 +435,14 @@ class TestDurableSeams:
             mapping = sim.build_mapping(ruleset, bin_size=None)
             plain = BatchEngine(EngineConfig(jobs=1)).scan(ruleset, data)
 
-            scan = DurableScan(
-                ruleset,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             store = CheckpointStore(tmp_path)
-            # Feed to exactly half the stream: with input_jobs=2 the
-            # feeder's seam falls inside this segment, so the snapshot
-            # is taken at a state the stitching produced.
+            # Feed to exactly half the stream: the seam is the segment
+            # boundary the snapshot is taken at.
             scan.feed(data[: len(data) // 2], at_end=False)
             store.write(scan.snapshot(), scan.offset)
 
-            resumed = DurableScan(
-                ruleset,
-                mapping,
-                DEFAULT_CONFIG,
-                input_jobs=2,
-                min_chunk_bytes=512,
-            )
+            resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             resumed.restore(store.load_latest(), data)
             assert resumed.offset == len(data) // 2
             resumed.feed(data[resumed.offset :], at_end=True)
@@ -474,31 +466,108 @@ class TestDurableSeams:
         ).durable_scan(ruleset, data)
         assert outcome.result == plain
 
-    def test_fingerprint_binds_split_layout(
-        self, ruleset, mapped, tmp_path, monkeypatch
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checkpoint_resumes_under_any_input_jobs(
+        self, ruleset, mapped, backend, tmp_path, monkeypatch
     ):
+        """``--input-jobs`` sizes bulk scans only, so nothing about it is
+        in a fingerprint: a scan SIGKILLed under 2 resumes under 1 and
+        under 4, equal to the uninterrupted run."""
         _, mapping = mapped
-        # This test is about *explicit* configurations; DurableScan also
-        # honors RAP_INPUT_JOBS when no value is given (so CI's env-wide
-        # split runs keep writer and resumer consistent), which would
-        # otherwise turn the no-argument scans below into split ones.
-        monkeypatch.delenv(INPUT_JOBS_ENV, raising=False)
-        with use_backend("fused"):
+        with use_backend(backend):
+            monkeypatch.delenv(INPUT_JOBS_ENV, raising=False)
             serial = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            default = DurableScan(ruleset, mapping, DEFAULT_CONFIG, input_jobs=1)
-            split = DurableScan(
-                ruleset, mapping, DEFAULT_CONFIG, input_jobs=2
-            )
-            # input_jobs=1 is the serial layout: fingerprints (and thus
-            # old checkpoints) stay valid.  A split layout is a
-            # different fingerprint, so resuming across parallelism
-            # levels is an explicit rebind.
-            assert default.fingerprint == serial.fingerprint
-            assert split.fingerprint != serial.fingerprint
+            monkeypatch.setenv(INPUT_JOBS_ENV, "4")
+            split = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            assert split.fingerprint == serial.fingerprint
 
-            data = generate_input("text", 8000, seed=5, patterns=PATTERNS)
-            split.feed(data[:4000], at_end=False)
-            store = CheckpointStore(tmp_path)
-            store.write(split.snapshot(), split.offset)
-            with pytest.raises(CheckpointError):
-                serial.restore(store.load_latest(), data)
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("\n".join(PATTERNS) + "\n")
+        stream = tmp_path / "input.bin"
+        stream.write_bytes(generate_input("text", 24000, seed=5, patterns=PATTERNS))
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop(INPUT_JOBS_ENV, None)
+        argv = [sys.executable, "-m", "repro", "scan", "--patterns", str(rules)]
+        argv += [str(stream), "--no-cache", "--metrics", "--backend", backend]
+
+        def run(*extra, fault_plan=""):
+            return subprocess.run(
+                [*argv, *extra],
+                capture_output=True,
+                text=True,
+                cwd=repo,
+                env=dict(env, RAP_FAULT_PLAN=fault_plan),
+            )
+
+        def metrics(proc):
+            return [ln for ln in proc.stderr.splitlines() if ln.startswith("# RAP")]
+
+        golden = run()
+        assert golden.returncode == 0, golden.stderr
+        assert golden.stdout.strip() and metrics(golden)
+        durable = ["--checkpoint-every", "4096", "--checkpoint-dir"]
+        killed_dir = tmp_path / "killed"
+        killed = run(
+            *durable, str(killed_dir), "--input-jobs", "2", fault_plan="kill@2"
+        )
+        assert killed.returncode in (-signal.SIGKILL, 137)
+        assert list(killed_dir.glob("ckpt-*.json")), "no checkpoint survived"
+        for input_jobs in ("1", "4"):
+            ckpts = tmp_path / f"resume-{input_jobs}"
+            shutil.copytree(killed_dir, ckpts)
+            resumed = run(
+                *durable, str(ckpts), "--resume", "--input-jobs", input_jobs
+            )
+            assert resumed.returncode == 0, resumed.stderr
+            assert "resumed from checkpoint" in resumed.stderr
+            assert resumed.stdout == golden.stdout
+            assert metrics(resumed) == metrics(golden)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_durable_feed_never_forks(self, backend, tmp_path, monkeypatch):
+        """``RAP_INPUT_JOBS`` reaches neither a durable scan nor a served
+        session: every segment is fed whole, in this process."""
+        from benchmarks.ledger.workloads import keyword_patterns
+        from repro.engine import batch, pool
+        from repro.serve.registry import TenantRegistry
+        from repro.serve.session import ScanSession
+        from tests.serve.util import entry_for
+
+        patterns = keyword_patterns()
+        data = generate_input(
+            "network", 1 << 20, seed=9, patterns=patterns, plant_every=4000
+        )
+        segment = 1 << 16
+        with use_backend(backend):
+            registry = TenantRegistry()
+            entry = entry_for(registry, patterns)
+            monkeypatch.delenv(INPUT_JOBS_ENV, raising=False)
+            plain = BatchEngine(EngineConfig(jobs=1, use_cache=False)).scan(
+                entry.ruleset, data
+            )
+
+            monkeypatch.setenv(INPUT_JOBS_ENV, "4")
+
+            def forked(*args, **kwargs):
+                raise AssertionError("a durable feed reached the worker pool")
+
+            for module in (pool, batch):
+                monkeypatch.setattr(module, "run_supervised", forked)
+            scan = DurableScan(entry.ruleset, entry.mapping, registry.hw)
+            scan.feed(data, at_end=True)
+            got = RAPSimulator(registry.hw).run_from_activity(
+                entry.ruleset, scan.finish(), entry.mapping
+            )
+            assert got == plain
+
+            monkeypatch.setenv(INPUT_JOBS_ENV, "lots")  # never consulted
+            store = CheckpointStore(tmp_path, session="t/s")
+            session = ScanSession("t", "s", entry, store, registry.hw)
+            for at in range(0, len(data), segment):
+                session.feed(data[at : at + segment])
+            session.end()
+            assert session.total_matches() == sum(
+                len(ends) for ends in plain.matches.values()
+            )
+            assert session.total_energy_uj() == plain.energy_uj
