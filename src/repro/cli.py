@@ -761,7 +761,10 @@ def cmd_scan(args) -> int:
         else:
             patterns = [r.pattern for r in load_ruleset(args.ruleset)]
         _print_backend_report(engine, durable)
-        entries = engine.explain(patterns, CompilerConfig(bv_depth=args.bv_depth))
+        compiler = CompilerConfig(bv_depth=args.bv_depth)
+        for line in engine.forest_report(patterns, compiler):
+            print(line)
+        entries = engine.explain(patterns, compiler)
         if durable:  # no row rides input-parallel workers
             entries = [replace(entry, split=None) for entry in entries]
         _print_explain(entries)

@@ -47,11 +47,12 @@ Two translation units per ruleset:
   forest**, each unit owning a disjoint range of global state ids
   (:func:`unit_forest`):
 
-  - ``NEXT[state * NCLS + class]`` — successor ids (``uint16``; bit 15
-    says the *target* state carries a hit flag, so the per-byte loop
-    tests one OR of what it just loaded);
-  - ``POPS[state]`` — the state's live NFA positions (``active_states``
-    is their sum over the owned bytes);
+  - ``NEXT[row + class]`` — one ``uint32`` per transition, all a step
+    needs of its *target*: the target's row offset (``id * NCLS``, bits
+    0-22: the next lookup adds a class, no multiply), its live NFA
+    positions (bits 23-30; ``active_states`` is their sum over the owned
+    bytes) and whether it carries a hit flag (bit 31, so the per-byte
+    loop tests one OR of what it just loaded);
   - ``FLAGS[state]`` — 1 = holds a final that fires anywhere, 2 = one
     that fires only on the stream's last byte.  An anchored unit's
     stream-start row is one more state, its last.
@@ -60,10 +61,13 @@ Two translation units per ruleset:
   a forest state id, so all units of a bulk scan, the non-serial units
   of one split chunk, round-two entries and two collectors of one unit
   at different states are the same call; a fresh stream enters at the
-  unit's start state, so freshness is not a parameter.  Hit words are
-  decoded from the subset memory on the Python side (they can exceed 64
-  bits).  A unit whose closure passes :data:`UNIT_DFA_MAX_STATES`, and
-  one the 15-bit id space has no room left for, is not in the forest:
+  unit's start state, so freshness is not a parameter.  Inside, a
+  cursor is a row offset and a 32-bit live sum in private arrays — no
+  store to caller memory, which may alias — flushed every 65 536 bytes.
+  Hit words are decoded from the subset memory on the Python side (they
+  can exceed 64 bits).  A unit whose closure passes
+  :data:`UNIT_DFA_MAX_STATES`, or with more live positions or rows than
+  a ``NEXT`` word can say (:func:`unit_forest`), is not in the forest:
   its cursors are walked in Python on the same table.  NBVA units of at most
   :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
   ``NBVA_UNITS[]`` under *one* table-driven ``rap_nbva_span`` (wider
@@ -297,9 +301,9 @@ def _lane_dfa_source(fused, bins) -> str:
 
 UNITS_CDEF = (
     "int rap_units_span(const uint8_t *cls, long long n, long long start_i,\n"
-    "    uint16_t *state, int m, int at_end, long long stats_from,\n"
+    "    uint32_t *state, int m, int at_end, long long stats_from,\n"
     "    long long *active, long long *ev_pos, int32_t *ev_cursor,\n"
-    "    uint16_t *ev_state, long long cap, long long *n_ev,\n"
+    "    uint32_t *ev_state, long long cap, long long *n_ev,\n"
     "    long long *resume_i);"
 )
 
@@ -311,64 +315,73 @@ UNITS_CDEF = (
 _UNITS_KERNEL = r"""
 {
   long long i = start_i, last = at_end ? n - 1 : -1, ne = 0;
+  uint32_t s[MAXM], a[MAXM];  /* row offsets; live sums since the last flush */
   int u;
-  /* the warm-up prefix drives the states but owns no statistics */
-  for (; i < n && i < stats_from; i++) {
-    const uint16_t *next = NEXT + cls[i];
-    for (u = 0; u < m; u++) state[u] = next[state[u] * NCLS] & 0x7fff;
-  }
+  for (u = 0; u < m; u++) { s[u] = state[u] * NCLS; a[u] = 0; }
   for (; i < n && cap - ne >= m; i++) {
-    const uint16_t *next = NEXT + cls[i];
-    unsigned f = 0;
+    const uint32_t *next = NEXT + cls[i];
+    /* the warm-up prefix drives the states but owns no statistics */
+    uint32_t own = i >= stats_from ? 0x800000ffu : 0, f = 0;
     for (u = 0; u < m; u++) {
-      unsigned t = next[state[u] * NCLS];
+      uint32_t t = next[s[u]];
       f |= t;
-      state[u] = t &= 0x7fff;
-      active[u] += POPS[t];
+      s[u] = t & 0x7fffff;
+      a[u] += t >> 23 & own;
     }
-    if (f & 0x8000)
+    if (f & own & 0x80000000u)
       for (u = 0; u < m; u++) {
-        int hit = FLAGS[state[u]];
-        if ((hit & 1) || ((hit & 2) && i == last)) {
-          ev_pos[ne] = i; ev_cursor[ne] = u; ev_state[ne] = state[u]; ne++;
+        uint32_t sid = s[u] / NCLS;
+        if ((FLAGS[sid] & 1) || ((FLAGS[sid] & 2) && i == last)) {
+          ev_pos[ne] = i; ev_cursor[ne] = u; ev_state[ne] = sid; ne++;
         }
       }
+    if (!(~i & 0xffff))  /* 65 536 bytes of <= 255 live positions fit 32 bits */
+      for (u = 0; u < m; u++) { active[u] += a[u]; a[u] = 0; }
   }
+  for (u = 0; u < m; u++) { state[u] = s[u] / NCLS; active[u] += a[u]; }
   *n_ev = ne; *resume_i = i;
   return i < n;
 }
 """
 
+# ``NEXT`` words a 23-bit row offset reaches; cursors the kernel's arrays hold.
+FOREST_ENTRIES = 1 << 23
+UNIT_SPAN_CURSORS = 1024
 
-def unit_forest(fused) -> list[int | None]:
+
+def unit_forest(fused) -> tuple[list[int | str], int]:
     """Where each GATHER unit's table starts in the forest's global
     state ids (units numbered as :meth:`FusedRuleset.scan_units_span
-    <repro.core.fused.FusedRuleset.scan_units_span>` does), ``None`` for
-    a unit that is not in it: one whose table is not closed, or one the
-    15-bit id space has no room left for (either way its cursors walk
-    the table in Python)."""
-    bases: list[int | None] = []
+    <repro.core.fused.FusedRuleset.scan_units_span>` does) — or, as a
+    ``str``, why the unit is not in it: a table not closed, a live count
+    or a row offset past its ``NEXT`` field (either way its cursors walk
+    the table in Python) — and the forest's rows in all."""
+    bases: list[int | str] = []
     total = 0
     for unit in fused._units:
         table = unit.table
         rows = table.closed + (table.start is not None)  # a start row is a state
-        if not table.closed or total + rows > 0x8000:
-            bases.append(None)
+        if not table.closed:
+            bases.append(f"closure > {table.cap}")
+        elif max(live for (live,) in table.bits[: table.closed]) > 255:
+            bases.append("live > 255")
+        elif (total + rows) * fused.classes.k > FOREST_ENTRIES:
+            bases.append("forest full")
         else:
             bases.append(total)
             total += rows
-    return bases
+    return bases, total
 
 
-def _forest_section(fused, bases: Sequence[int | None]) -> str:
-    """``NEXT`` / ``POPS`` / ``FLAGS`` as the module docstring describes
-    them — every placed unit's table at its id range — then the one
-    kernel text."""
+def _forest_section(fused, bases: Sequence[int | str]) -> str:
+    """``NEXT`` / ``FLAGS`` as the module docstring describes them —
+    every placed unit's table at its id range — then the one kernel
+    text."""
+    ncls = fused.classes.k
     nxt: list[str] = []
-    pops: list[int] = []
     flags = b""
     for unit, base in zip(fused._units, bases):
-        if base is not None:
+        if isinstance(base, int):
             table = unit.table
             states = table.closed
             anchored = table.start is not None  # the start row: one more state
@@ -376,20 +389,19 @@ def _forest_section(fused, bases: Sequence[int | None]) -> str:
             # one string per *state*, looked up per transition: the text
             # is built without a list of every entry as an int
             target = [
-                str((base + t) | (bool(f) << 15)) for t, f in enumerate(unit_flags)
+                str((base + t) * ncls | live << 23 | bool(f) << 31)
+                for t, ((live,), f) in enumerate(zip(table.bits[:states], unit_flags))
             ]
             nxt.append(
                 ", ".join(
                     map(target.__getitem__, chain(table.flat, table.start or ()))
                 )
             )
-            pops += [live for (live,) in table.bits[:states]] + [0] * anchored
             flags += unit_flags
     return "\n".join(
         [
-            f"#define NCLS {fused.classes.k}",
-            f"static const uint16_t NEXT[] = {{ {', '.join(nxt)} }};",
-            f"static const uint32_t POPS[] = {{ {', '.join(map(str, pops))} }};",
+            f"#define NCLS {ncls}\n#define MAXM {UNIT_SPAN_CURSORS}",
+            f"static const uint32_t NEXT[] = {{ {', '.join(nxt)} }};",
             _u8_array("FLAGS", flags),
             UNITS_CDEF[:-1] + _UNITS_KERNEL,
         ]
@@ -618,24 +630,13 @@ def unit_scan_source(fused) -> str:
     units' tables under ``rap_nbva_span``.  Returns an empty string when
     nothing is native-eligible, so callers can skip the build entirely.
     """
-    bases = unit_forest(fused)
-    placed = any(base is not None for base in bases)
+    bases, rows = unit_forest(fused)
     nbvas = native_nbva_indices(fused)
-    if not placed and not nbvas:
+    if not rows and not nbvas:
         return ""
     parts = [_header("scan units", fused.signature)]
-    if placed:
+    if rows:
         parts.append(_forest_section(fused, bases))
     if nbvas:
         parts.append(_nbva_section(fused, nbvas))
     return "\n".join(parts)
-
-
-def unit_cdefs(fused) -> str:
-    """The cffi ``cdef`` block matching :func:`unit_scan_source`."""
-    decls = []
-    if any(base is not None for base in unit_forest(fused)):
-        decls.append(UNITS_CDEF)
-    if native_nbva_indices(fused):
-        decls.append(NBVA_CDEF)
-    return "\n".join(decls)

@@ -463,7 +463,7 @@ class FusedRuleset:
         for slot, (number, entry) in enumerate(cursors):
             table = self._units[number].table
             sid = table.closed_id(entry)
-            placed = native is not None and native.bases[number] is not None
+            placed = native is not None and isinstance(native.bases[number], int)
             if placed and sid is not None:
                 compiled[number >= len(self._gather)].append((slot, number, sid))
                 continue

@@ -19,7 +19,7 @@ Contracts:
   its generated source, which embeds
   :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` — same layout,
   same key; any codegen change rolls every key over.  Artifacts live
-  under ``<cache>/native/`` beside the compiled-ruleset entries,
+  under ``<cache>/native/`` as ``<key>.<host tag>.so``,
   published the same way (:func:`repro.io.envelope.publish`) and
   subject to the same ``RAP_CACHE_MAX_MB`` size bound.
 * **Byte-identical state.**  Kernel entry/exit states cross the ABI as
@@ -32,9 +32,11 @@ Contracts:
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -139,6 +141,16 @@ def _native_cache_dir() -> Path:
 def source_key(source: str) -> str:
     """The shared-object cache key: SHA-256 of the generated source."""
     return hashlib.sha256(source.encode()).hexdigest()
+
+
+@functools.cache
+def _host_tag() -> str:
+    """What ``-march=native`` means here, for a shared object's file name:
+    hosts sharing a cache directory must not load each other's objects."""
+    proc = Path("/proc/cpuinfo")
+    cpu = proc.read_text() if proc.exists() else ""
+    isa = re.search(r"^(flags|Features)\b.*", cpu, re.M)
+    return source_key(isa[0])[:12] if isa else platform.machine()
 
 
 def _compile_shared(cc: str, source: str, target: Path) -> None:
@@ -248,7 +260,7 @@ def load_source(source: str, cdef: str) -> _Library:
     if reason is not None:
         raise NativeBuildError(reason)
     try:
-        path = _native_cache_dir() / f"{key}.so"
+        path = _native_cache_dir() / f"{key}.{_host_tag()}.so"
         if not path.is_file():
             cc = _find_compiler()
             assert cc is not None  # the probe above just found one
@@ -400,16 +412,21 @@ class NativeUnitScanner:
         source = codegen.unit_scan_source(fused)
         if not source:
             raise NativeBuildError("no native-eligible scan units")
-        lib = load_source(source, codegen.unit_cdefs(fused))
-        # unit number -> first forest state id (None: not in the forest)
-        self.bases = codegen.unit_forest(fused)
-        placed = sum(base is not None for base in self.bases)
-        self._units_fn = lib.fn("rap_units_span") if placed else None
+        # cffi resolves a declared symbol when first asked for it
+        lib = load_source(source, codegen.UNITS_CDEF + codegen.NBVA_CDEF)
+        # unit number -> first forest state id (a str: why it is not placed)
+        self.bases, rows = codegen.unit_forest(fused)
+        self._units_fn = lib.fn("rap_units_span") if rows else None
+        placed = sum(isinstance(base, int) for base in self.bases)
+        self.forest = [  # what --explain says of the ruleset
+            f"unit forest: {placed} of {len(self.bases)} tables placed, "
+            f"{rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries",
+        ] + [f"  unit {n}: {b}" for n, b in enumerate(self.bases) if type(b) is str]
         crowded = sum(unit.table.closed > 0 for unit in fused._units) - placed
         if crowded:
-            log.debug(
-                "%d unit tables do not fit the forest's 15-bit state ids: "
-                "their cursors are walked in Python", crowded,
+            log.warning(
+                "%d closed unit tables are not in the forest (--explain says "
+                "why): their cursors are walked in Python", crowded,
             )
         # NBVA unit index -> (slot in the C unit table, {counted pid:
         # (word offset, words)} vector layout, total vector words)
@@ -462,16 +479,20 @@ class NativeUnitScanner:
         call (plus continuations when the event buffer fills): per
         cursor, ``(raw (position, table state) events, active-state sum,
         exit table state)``.  Forest ids never leave this method."""
-        m = len(cursors)
+        m, span = len(cursors), dict(at_end=at_end, stats_from=stats_from)
+        if m > (cut := codegen.UNIT_SPAN_CURSORS):  # the kernel's arrays are full
+            return self._cursors_span(cls_bytes, cursors[:cut], **span) + (
+                self._cursors_span(cls_bytes, cursors[cut:], **span)
+            )
         bases = [self.bases[number] for number, _ in cursors]
         state = np.array(
-            [base + sid for base, (_, sid) in zip(bases, cursors)], dtype=np.uint16
+            [base + sid for base, (_, sid) in zip(bases, cursors)], dtype=np.uint32
         )
         active = np.zeros(m, dtype=np.int64)
         cap = max(self._cap, m)  # the kernel emits whole bytes: up to m events
         ev_pos = np.empty(cap, dtype=np.int64)
         ev_cursor = np.empty(cap, dtype=np.int32)
-        ev_state = np.empty(cap, dtype=np.uint16)
+        ev_state = np.empty(cap, dtype=np.uint32)
         events: list[list[tuple[int, int]]] = [[] for _ in cursors]
         for count in self._drain(
             self._units_fn,

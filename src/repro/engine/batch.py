@@ -363,6 +363,18 @@ class BatchEngine:
         why = nbva_interpreted_reason(ruleset.regexes[0].automaton)
         return (f"interpreted ({why})" if why else "native"), split
 
+    def forest_report(self, patterns, compiler: CompilerConfig | None = None):
+        """``--explain``'s ruleset-level lines on ``native`` (none
+        elsewhere): how full the unit forest a scan of ``patterns``
+        builds is, and why each unit outside it is walked in Python."""
+        if self.backend_report()[0] != "native":  # nothing to build: no compile
+            return []
+        compiler = self._effective_compiler(compiler)
+        with self._backend_scope():
+            ruleset = compile_ruleset(list(patterns), compiler)
+            native = bind(ruleset, self.hw).plan.fused._native_scanner()
+        return native.forest if native is not None and native.bases else []
+
     def backend_report(self) -> tuple[str, str | None]:
         """The *resolved* step-kernel backend, with the fallback reason.
 

@@ -13,6 +13,7 @@ native actually attaches (a checkpoint names the kernel that wrote it).
 
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -136,6 +137,40 @@ class TestProbeAndFallback:
         assert resolve_backend("native") == "native"
         before = len(lookups)
         assert native._find_compiler() == real and len(lookups) == before
+
+    @needs_native
+    def test_hosts_sharing_a_cache_dir_keep_their_own_objects(
+        self, monkeypatch, tmp_path
+    ):
+        """``-march=native`` objects are named by source key *and* host
+        tag: a second host on the same ``RAP_CACHE_DIR`` builds its own
+        file, and each loader opens only its own."""
+        from repro.core import native
+
+        monkeypatch.setenv("RAP_CACHE_DIR", str(tmp_path))
+        source = f"int rap_tagged(void) {{ return 7; }}  /* {tmp_path} */\n"
+        key = native.source_key(source)
+        assert native._host_tag() == native._host_tag() != ""  # memoised, usable
+        built, opened = [], []
+        compile_shared, cffi_library = native._compile_shared, native._CffiLibrary
+        monkeypatch.setattr(
+            native, "_compile_shared",
+            lambda cc, src, target: built.append(target.name)
+            or compile_shared(cc, src, target),
+        )
+        monkeypatch.setattr(
+            native, "_CffiLibrary",
+            lambda path, cdef: opened.append(path.name) or cffi_library(path, cdef),
+        )
+        for tag in ("hostA", "hostB", "hostA"):
+            monkeypatch.setattr(native, "_host_tag", lambda tag=tag: tag)
+            native._LIB_MEMO.pop(key, None)  # a fresh process on that host
+            lib = native.load_source(source, "int rap_tagged(void);")
+            assert lib.fn("rap_tagged")() == 7
+        native._LIB_MEMO.pop(key, None)
+        names = [f"{key}.hostA.so", f"{key}.hostB.so"]
+        assert built == names and opened == [*names, names[0]]
+        assert sorted(p.name for p in (tmp_path / "native").iterdir()) == names
 
     def test_unknown_env_backend_reports_reason(self, monkeypatch):
         monkeypatch.setenv("RAP_BACKEND", "warp-drive")
@@ -1247,35 +1282,73 @@ class TestUnitForest:
         # a row of this unit interns at most one state per distinct label
         assert max(sizes) <= cap + 1 and len(table) <= cap + 1 + 3
 
-    def test_units_the_forest_has_no_room_for_are_walked(self, backend, caplog):
-        """Sixteen 2 050-state closures: the sixteenth would pass the
-        forest's 15-bit state ids, so its cursors walk the table in
-        Python beside the compiled fifteen — said once, results equal."""
+    def test_units_the_forest_has_no_room_for_are_walked(
+        self, backend, caplog, capsys, tmp_path
+    ):
+        """Sixteen 2 050-state closures: all place in a forest of 2^23
+        ``NEXT`` words, so the capacity is patched down to fifteen of
+        them — the sixteenth walks its table in Python beside the
+        compiled fifteen, and so does a unit one of whose states holds
+        more than 255 live positions.  Said once, out loud; named by
+        ``--explain``; results equal."""
         from repro.core.fused import FusedRuleset
-
-        programs = _nfa_programs(
-            [f"(a|b)*a(a|b){{10}}{chr(last)}" for last in range(ord("c"), ord("s"))]
-        )
-        witness = b"a" + b"b" * 10
-        noise = bytes(random.Random(3).choices(b"ab", k=300))
-        stream = noise + witness + b"q" + witness + b"r"
-        with use_backend(backend):
-            fused = FusedRuleset(gather_programs=programs)
-        assert {fused.unit_tier(n) for n in range(16)} == {"table (2050 states)"}
-        with caplog.at_level(logging.DEBUG, logger="repro.core.native"):
-            got = fused.scan_units_span(
-                [(n, None) for n in range(16)], fused.translate(stream)
-            )
-        if backend == "native":
-            bases = fused._native_scanner().bases
-            assert bases[:15] == [2050 * n for n in range(15)] and bases[15] is None
-            assert any("do not fit the forest" in r.message for r in caplog.records)
         from repro.core.pykernel import PythonKernel
 
+        crowd = [f"(a|b)*a(a|b){{10}}{chr(last)}" for last in range(ord("c"), ord("s"))]
+        tails = "cdefghijklmnopqrst"  # 18 x 18 branches, all live after an ``a``
+        fan = "|".join(f"a[b{x}][b{y}]" for x in tails for y in tails)
+        patterns = crowd + [fan]
+        programs = _nfa_programs(patterns)
+        witness = b"a" + b"b" * 10
+        noise = bytes(random.Random(3).choices(b"ab", k=300))
+        stream = noise + witness + b"q" + witness + b"r" + b"abc"
+        cursors = [(n, None) for n in range(17)]
+        with use_backend(backend):
+            fused = FusedRuleset(gather_programs=programs)
+            roomy = FusedRuleset(gather_programs=programs[:16])
+        assert {fused.unit_tier(n) for n in range(16)} == {"table (2050 states)"}
+        assert max(live for (live,) in fused._units[16].table.bits) == 18 * 18
+        room = 15 * 2050 * fused.classes.k
+        with mock.patch.object(codegen, "FOREST_ENTRIES", room):
+            with caplog.at_level(logging.WARNING, logger="repro.core.native"):
+                got = fused.scan_units_span(cursors, fused.translate(stream))
+                fused.scan_units_span(cursors, fused.translate(stream))
+            said = [(r.levelno, r.args) for r in caplog.records]
+            engine = BatchEngine(
+                EngineConfig(backend=backend, mode="nfa", use_cache=False)
+            )
+            report = engine.forest_report(patterns)
+            (tmp_path / "rules.txt").write_text("\n".join(patterns) + "\n")
+            (tmp_path / "in.bin").write_bytes(stream)
+            from repro.cli import main
+
+            assert main(
+                ["scan", "--patterns", str(tmp_path / "rules.txt"),
+                 str(tmp_path / "in.bin"), "--explain", "--mode", "nfa",
+                 "--backend", backend]
+            ) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[2 : 2 + len(report)] == report  # under the two header lines
+        if backend == "native":
+            native = fused._native_scanner()
+            assert native.bases == [
+                *(2050 * n for n in range(15)), "forest full", "live > 255"
+            ]
+            assert roomy._native_scanner().bases == [2050 * n for n in range(16)]
+            assert said == [(logging.WARNING, (2,))]  # once per ruleset
+            assert report == [
+                f"unit forest: 15 of 17 tables placed, {room} of {room} entries",
+                "  unit 15: forest full",
+                "  unit 16: live > 255",
+            ]
+        else:
+            assert report == [] and said == []
         assert [(events, stats) for events, stats, _ in got] == [
             PythonKernel().scan(program, stream) for program in programs
         ]
-        assert all(events for events, _, _ in got[-2:])  # ...q and ...r fired
+        assert all(events for events, _, _ in got[-3:])  # ...q, ...r and abc fired
+        placed = roomy.scan_units_span(cursors[:16], roomy.translate(stream))
+        assert [span[:2] for span in got[:16]] == [span[:2] for span in placed]
 
     def test_entry_word_outside_the_closure_steps_the_mask_stack(
         self, backend, caplog
@@ -1345,6 +1418,30 @@ class TestUnitForest:
                 return _collector_docs(scan), scan.finish()
 
         assert resumed(backend) == resumed("python")
+
+    def test_more_cursors_than_one_call_steps(self, backend):
+        """Past the kernel's private arrays a cursor list is as many
+        calls as it takes: 2 060 cursors — three units at every state a
+        scan of the stream meets, over and over — each equal to its own
+        single-cursor scan."""
+        from repro.core.fused import FusedRuleset
+
+        programs = _nfa_programs(["a(b|c)*d", "^ab", "b.a$"])
+        stream = b"abcbcdxabbadab.a"
+        with use_backend(backend):
+            fused = FusedRuleset(gather_programs=programs)
+        tin = fused.translate(stream)
+        entries = [(n, None) for n in range(3)]
+        for cut in range(1, len(stream)):
+            exits = fused.scan_units_span(
+                entries[:3], fused.translate(stream[:cut]), at_end=False
+            )
+            entries += [(n, word) for n, (_, _, word) in enumerate(exits)]
+        cursors = (entries * 43)[:2060]
+        assert len(cursors) > 2 * codegen.UNIT_SPAN_CURSORS
+        alone = {cursor: fused.scan_units_span([cursor], tin)[0] for cursor in entries}
+        assert fused.scan_units_span(cursors, tin) == [alone[c] for c in cursors]
+        assert any(events for events, _, _ in alone.values())
 
     def test_snort_nfa64_input_jobs_and_sigkill_resume(self, backend, tmp_path):
         from benchmarks.ledger.workloads import RULESETS
@@ -1563,31 +1660,31 @@ def test_lane_kernel_sanitized(name, tmp_path):
 _SANITIZED_UNITS_MAIN = r"""
 #include <stdio.h>
 #include <stdlib.h>
-/* Exact-size heap blocks again; the forest itself is static const, so an
-   out-of-range state id is a global-buffer-overflow. */
+/* units <class stream> <n> <stats_from> <cap - m> <forest id>...: exact-size
+   heap blocks again; the forest itself is static const, so an out-of-range
+   row offset is a global-buffer-overflow. */
 int main(int argc, char **argv)
 {
-  static const uint16_t entry[] = { %(entry)s };
-  enum { M = sizeof entry / sizeof *entry };
-  long long n = atoll(argv[2]), cap = M, ne = 0, resume = 0, e;
+  int m = argc - 5, rc, u;
+  long long n = atoll(argv[2]), stats_from = atoll(argv[3]);
+  long long cap = m + atoll(argv[4]), ne = 0, resume = 0, e;
   uint8_t *cls = malloc(n);
-  uint16_t *state = malloc(sizeof entry);
-  long long *active = calloc(M, sizeof *active);
+  uint32_t *state = malloc(m * sizeof *state);
+  long long *active = calloc(m, sizeof *active);
   long long *ev_pos = malloc(cap * sizeof *ev_pos);
   int32_t *ev_cursor = malloc(cap * sizeof *ev_cursor);
-  uint16_t *ev_state = malloc(cap * sizeof *ev_state);
+  uint32_t *ev_state = malloc(cap * sizeof *ev_state);
   FILE *f = fopen(argv[1], "rb");
-  int rc, u;
-  if (argc != 3 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
-  for (u = 0; u < M; u++) state[u] = entry[u];
+  if (m < 1 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
+  for (u = 0; u < m; u++) state[u] = strtoul(argv[5 + u], 0, 10);
   do {
-    rc = rap_units_span(cls, n, resume, state, M, 1, 0, active, ev_pos,
+    rc = rap_units_span(cls, n, resume, state, m, 1, stats_from, active, ev_pos,
                         ev_cursor, ev_state, cap, &ne, &resume);
     for (e = 0; e < ne; e++)
-      printf("ev %%lld %%d %%u\n", ev_pos[e], ev_cursor[e], ev_state[e]);
-    printf("return %%d\n", rc);
+      printf("ev %lld %d %u\n", ev_pos[e], ev_cursor[e], ev_state[e]);
+    printf("return %d %lld\n", rc, resume);
   } while (rc);
-  for (u = 0; u < M; u++) printf("exit %%u %%lld\n", state[u], active[u]);
+  for (u = 0; u < m; u++) printf("exit %u %lld\n", state[u], active[u]);
   free(cls); free(state); free(active); free(ev_pos); free(ev_cursor);
   free(ev_state); fclose(f);
   return 0;
@@ -1599,10 +1696,18 @@ int main(int argc, char **argv)
 @pytest.mark.parametrize("name", ["snort_nfa64", "snort_mix16"])
 def test_unit_kernel_sanitized(name, tmp_path):
     """The unit forest of each ledger ruleset with GATHER units, built
-    with a generated ``main()`` under ASan + UBSan: every unit a fresh
-    cursor, an ``m``-entry event buffer so the kernel returns and
-    re-enters mid-stream — clean exit, and events, hit words, active
-    sums and exit sets equal to ``PythonKernel``'s."""
+    with a generated ``main()`` under ASan + UBSan and run over fresh
+    cursors, each shape against ``PythonKernel`` — events, hit words,
+    active sums and exit sets:
+
+    * 1, 3, 17 and 65 cursors (no vector multiple; past the unit count a
+      unit rides twice) through an ``m``-entry event buffer, so the
+      kernel returns and re-enters after every reporting byte;
+    * three cursors over two 65 536-byte accumulator blocks and a tail,
+      ``cap = m``, the first event on the first block's last byte: the
+      flush and the continuation return coincide;
+    * seventeen over the same stream in one call, the warm-up window
+      ending inside the second block."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.core.pykernel import PythonKernel
@@ -1614,23 +1719,11 @@ def test_unit_kernel_sanitized(name, tmp_path):
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
         fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
-    bases = codegen.unit_forest(fused)
+    bases, _ = codegen.unit_forest(fused)
     units = fused._units
-    assert units and None not in bases
-    data = generate_input(
-        "network", 1 << 15, seed=4, patterns=patterns, plant_every=150
-    )
+    assert units and all(isinstance(base, int) for base in bases)
     source = tmp_path / "units.c"
-    source.write_text(
-        codegen.unit_scan_source(fused)
-        + _SANITIZED_UNITS_MAIN
-        % dict(
-            entry=", ".join(
-                str(base + unit.table.closed_id(None))
-                for base, unit in zip(bases, units)
-            )
-        )
-    )
+    source.write_text(codegen.unit_scan_source(fused) + _SANITIZED_UNITS_MAIN)
     binary = tmp_path / "units"
     build = subprocess.run(
         [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
@@ -1639,33 +1732,72 @@ def test_unit_kernel_sanitized(name, tmp_path):
     )
     if build.returncode != 0:
         pytest.skip("no sanitizer runtime: " + build.stderr[:200])
-    stream = tmp_path / "cls.bin"
-    stream.write_bytes(fused.translate(data).cls_bytes)
-    run = subprocess.run(
-        [str(binary), str(stream), str(len(data))], capture_output=True, text=True
+    oracle = PythonKernel()
+
+    @functools.cache
+    def want(number, data, stats_from):
+        program = units[number].program
+        _, _, state = oracle.scan_segment(program, data[:stats_from], at_end=False)
+        events, stats, state = oracle.scan_segment(
+            program, data[stats_from:], state if stats_from else None
+        )
+        return events, stats.active_states, state.states
+
+    def run(data, numbers, *, stats_from=0, slack=0):
+        """The binary over ``data`` with one fresh cursor per entry of
+        ``numbers``; returns the continuation ``(rc, resume)`` pairs."""
+        stream = tmp_path / "cls.bin"
+        stream.write_bytes(fused.translate(data).cls_bytes)
+        ids = [bases[j] + units[j].table.closed_id(None) for j in numbers]
+        proc = subprocess.run(
+            [str(binary), str(stream), str(len(data)), str(stats_from), str(slack),
+             *map(str, ids)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        events = [[] for _ in numbers]
+        for _, position, cursor, sid in (l for l in lines if l[0] == "ev"):
+            events[int(cursor)].append((int(position), int(sid)))
+        exits = [(int(l[1]), int(l[2])) for l in lines if l[0] == "exit"]
+        assert len(exits) == len(numbers)
+        wanted = {j: want(j, data, stats_from) for j in set(numbers)}
+        for j, found, (sid, active) in zip(numbers, events, exits):
+            program, table = units[j].program, units[j].table
+            mid = program.final & ~program.end_anchored_finals
+            got = [
+                (
+                    position,
+                    table[s - bases[j]]
+                    & (program.final if position == len(data) - 1 else mid),
+                )
+                for position, s in found
+            ]
+            assert (got, active, table[sid - bases[j]]) == wanted[j], (j, numbers)
+        return [(int(l[1]), int(l[2])) for l in lines if l[0] == "return"]
+
+    dense = generate_input(
+        "network", (1 << 16) + 4097, seed=4, patterns=patterns, plant_every=150
     )
-    assert run.returncode == 0, run.stderr[-2000:]
-    lines = [line.split() for line in run.stdout.splitlines()]
-    assert sum(line == ["return", "1"] for line in lines) > 3  # continuations
-    events = [[] for _ in units]
-    for _, position, cursor, sid in (l for l in lines if l[0] == "ev"):
-        events[int(cursor)].append((int(position), int(sid)))
-    exits = [(int(l[1]), int(l[2])) for l in lines if l[0] == "exit"]
-    assert any(events) and len(exits) == len(units)
-    for unit, base, found, (sid, active) in zip(units, bases, events, exits):
-        program = unit.program
-        want, stats, state = PythonKernel().scan_segment(program, data)
-        assert active == stats.active_states
-        mid = program.final & ~program.end_anchored_finals
-        assert [
-            (
-                position,
-                unit.table[s - base]
-                & (program.final if position == len(data) - 1 else mid),
-            )
-            for position, s in found
-        ] == want
-        assert unit.table[sid - base] == state.states
+    for m in (1, 3, 17, 65):
+        returns = run(dense[: 1 << 15], [j % len(units) for j in range(m)])
+    assert len(returns) > 4  # continuations
+
+    # A quiet block whose last byte completes some unit's first match.
+    quiet = generate_input("network", 1 << 16, seed=4, plant_every=1 << 20)
+    silent = [j for j in range(min(8, len(units))) if not want(j, quiet, 0)[0]]
+    position, loud = min(
+        (want(j, dense, 0)[0][0][0], j) for j in silent if want(j, dense, 0)[0]
+    )
+    assert position >= 63
+    block = quiet[: (1 << 16) - 64] + dense[position - 63 : position + 1]
+    long = block + dense
+    assert [p for p, _ in want(loud, long, 0)[0]][0] == (1 << 16) - 1
+    returns = run(long, [loud, silent[0], loud])
+    assert returns[0] == (1, 1 << 16) and returns[-1] == (0, len(long))
+    assert run(
+        long, [j % len(units) for j in range(17)], stats_from=70_000, slack=4096
+    ) == [(0, len(long))]
 
 
 _SANITIZED_NBVA_MAIN = r"""

@@ -1095,7 +1095,8 @@ class TestPlanFingerprint:
     # exceptions are source keys, never fingerprints — checkpoints
     # written before either change still resume: lane keys (the second
     # of a pair) are as of the per-bin DFA lane kernel, unit keys (the
-    # first of the ``nfa`` / ``dfa`` pairs) as of the unit forest.
+    # first of the ``nfa`` / ``dfa`` pairs) as of the forest's packed
+    # 32-bit entries.
     PRE_NBVA = {
         "lnfa": {
             "fused": ("4f5be8323cd28222", []),
@@ -1106,11 +1107,11 @@ class TestPlanFingerprint:
         },
         "nfa": {
             "fused": ("847ce74d3258c81f", []),
-            "native": ("fcae215c15995b75", ["e50d0f804e3b4aa0"]),
+            "native": ("fcae215c15995b75", ["20beb9b2bd69537a"]),
         },
         "dfa": {
             "fused": ("ecb415f0c230b1ad", []),
-            "native": ("16aabb5461a7af58", ["87cf442ffa86720f"]),
+            "native": ("16aabb5461a7af58", ["d0f49c83848fabf4"]),
         },
         "mix": {
             "fused": ("3d74adbffc70473a", []),
