@@ -14,31 +14,40 @@ Two translation units per ruleset:
 * :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine plus
   per-tile wake-up accounting and final-hit extraction (the whole
   :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path), as
-  **one DFA per bin**.  The tables are not built here: each bin's
+  **one DFA per group of adjacent bins**.  Each bin's
   :class:`~repro.core.table.StepTable` — the ruleset's own, the one the
-  portable walker steps too — is closed breadth-first and dumped as
+  portable walker steps too — is closed breadth-first; a group then
+  takes in the next bin while the *joint* machine closes within the
+  states it replaces (literal keywords do, the Aho-Corasick regime;
+  class-heavy bins keep their own tables).  Per group:
 
-  - ``N<j>[state][class]`` — successor state ids (``uint16``); an
-    anchored bin carries one extra last row, the stream-start
+  - ``G<g>[state][class]`` — one ``uint64`` per transition, all a step
+    needs of its *target*: the row offset (``id * NCLS``, bits 0-31: the
+    next lookup adds a class, no multiply), the id (bits 32-62: the
+    visit counter to bump) and whether it carries a hit flag (bit 63);
+    an anchored group carries one extra last row, the stream-start
     pseudo-state whose successors are ``inject_first & labels[c]``;
-  - ``T<j>[state][tile]`` — how many of the state's bits lie in each of
-    the bin's tiles (a tile is awake iff that is non-zero);
-  - ``F<j>[state]`` — hit flags: 1 = holds a final that fires anywhere,
-    2 = holds one that fires only on the stream's last byte;
-  - its row of ``BINS[]`` (table pointers, state and tile counts, the
+  - ``T<g>[state][tile]`` — how many of the state's bits lie in each of
+    the member bins' tiles (a tile is awake iff that is non-zero);
+  - ``F<g>[state]`` — hit flags, read on a hit only: 1 = holds a final
+    that fires anywhere, 2 = one that fires only on the last byte;
+  - its row of ``GROUPS[]`` (table pointers, state and tile counts, the
     start state, where its visit counters and tiles begin).
 
-  Per byte the kernel does one lookup per bin, ``visits[state]++`` and a
-  flag test; ``tile_cycles`` / ``tile_bits`` are folded once per call as
+  Per byte the kernel does one lookup per group and ``visits[id]++``;
+  ``tile_cycles`` / ``tile_bits`` are folded once per call as
   ``sum(visits[s] * T[s][tile])`` — exact 64-bit integers, the same
-  totals per-byte popcounts would reach.  State ids never leave
-  :mod:`repro.core.native`: callers see packed words.
+  totals per-byte popcounts would reach.  A table walk is one dependent
+  load per byte, so owned bytes go ``K`` sub-spans of ``L`` bytes in
+  lockstep (a histogram each), the later ones entered empty ``WARM``
+  bytes early — the lanes remember no more; the warm-up prefix, tails
+  and a nearly full hit buffer take the serial loop.  State ids never
+  leave :mod:`repro.core.native`: callers see packed words.
 
-  :data:`LANE_DFA_MAX_STATES` caps each closure.  A ruleset with a bin
-  beyond it (``a`` followed by twenty explicit ``.``: every subset of
-  twenty positions is reachable) gets no lane kernel at all — the
-  walker interns such a bin's states as it meets them — decided from
-  the closure just measured, never by an option.
+  :data:`LANE_DFA_MAX_STATES` caps each bin's closure.  A ruleset with
+  a bin beyond it (``a`` and twenty ``.``: every subset of twenty
+  positions is reachable) gets no lane kernel at all — the walker steps
+  it — decided from the closure just measured, never by an option.
 * :func:`unit_scan_source` — the scan units, as tables under two fixed
   kernel texts.  Every GATHER unit (NFA-mode and DFA-mode alike) was
   determinised when the plan was built — its subset closure over the
@@ -88,7 +97,8 @@ counters accumulate in caller memory; match positions and
 Every source begins with a header naming
 :data:`~repro.core.registry.NATIVE_FORMAT_VERSION`, so the SHA-256 of
 the source text — the shared-object cache key — rolls over whenever the
-ABI or the emitted semantics change.
+ABI or the emitted semantics change — and with the 256-entry class map:
+kernels take raw bytes and read ``CLS[data[i]]``.
 
 Match events cross the ABI as bounded ``(position, state)`` buffers with
 a continuation protocol: when a buffer fills — for the unit kernel, when
@@ -154,52 +164,67 @@ def _u16_array(name: str, values: Iterable[int]) -> str:
     return f"static const uint16_t {name}[] = {{ {body} }};"
 
 
-def _header(kind: str, layout_digest: str) -> str:
+def _header(kind: str, fused) -> str:
+    """What every translation unit starts with; kernels read raw bytes
+    and map them to the ruleset's classes themselves (``CLS[data[i]]``)."""
     return (
         f"/* rap native kernel: {kind}\n"
         f" * native_format_version: {NATIVE_FORMAT_VERSION}\n"
-        f" * layout: {layout_digest}\n"
+        f" * layout: {fused.signature}\n"
         " * generated; do not edit.\n"
         " */\n"
         "#include <stdint.h>\n"
         "#define POP(x) ((long long)__builtin_popcountll(x))\n"
+        f"#define NCLS {fused.classes.k}\n"
+        + _u8_array("CLS", fused.classes.class_of)
     )
 
 
 # -- the lane machine ---------------------------------------------------------
 
 
-# One state element is a per-bin DFA state id; ``visits`` is one zeroed
-# counter per DFA state.
+# One state element is a per-group table state id; ``visits`` is
+# :data:`LANE_SUBSPANS` zeroed histograms of one counter per state.
 LANE_CDEF = (
-    "int rap_lane_scan(const uint8_t *cls, long long n, long long start_i,\n"
-    "    uint16_t *state, int fresh, int at_end, long long stats_from,\n"
+    "int rap_lane_scan(const uint8_t *data, long long n, long long start_i,\n"
+    "    uint32_t *state, int fresh, int at_end, long long stats_from,\n"
     "    long long *tile_cycles, long long *tile_bits, long long *visits,\n"
-    "    long long *hit_pos, uint16_t *hit_states, long long hit_cap,\n"
+    "    long long *hit_pos, uint32_t *hit_states, long long hit_cap,\n"
     "    long long *n_hits, long long *resume_i);"
 )
+
+# Sub-spans the lane kernel steps in lockstep, each at least this long
+# and at least 16 warm-up windows (re-stepping the seams costs < 1/16).
+LANE_SUBSPANS = 4
+LANE_SUBSPAN_BYTES = 128
 
 
 class LaneKernel(NamedTuple):
     """What :func:`lane_scan_source` hands the loader: the C text, the
-    closed :class:`~repro.core.table.StepTable` of every bin
-    (``closure[j][sid]`` is bin ``j``'s state ``sid`` as its word), and
-    the tier as ``--explain`` names it."""
+    groups — ``first[g]`` is group ``g``'s first bin, ``closure[g]`` its
+    closed :class:`~repro.core.table.StepTable` (``closure[g][sid]`` is
+    state ``sid`` as the group's slice of the packed word) — the bytes
+    of one lockstep block, and the tier as ``--explain`` names it."""
 
     source: str
     closure: list
+    first: list[int]
+    block: int
     tier: str
 
 
 def lane_scan_source(fused, tile_masks: Sequence[Sequence[int]]) -> LaneKernel:
-    """The lane kernel of one ruleset: every bin's closed DFA, dumped.
+    """The lane kernel of one ruleset: its bins' closed tables, dumped.
 
     ``fused`` is a :class:`~repro.core.fused.FusedRuleset` with at least
     one SHIFT_LEFT program (one per bin); ``tile_masks[j]`` are bin
     ``j``'s per-tile masks over its own slice of the packed word.  A bin
     closing over more than :data:`LANE_DFA_MAX_STATES` states is
     reported (``ValueError``): there is no second kernel, the table
-    walker steps such a ruleset.
+    walker steps such a ruleset.  A group takes in the next bin while
+    the joint table closes within the states it replaces (tables never
+    grow) and within one state per pattern position (a failed attempt
+    stays cheap).
     """
     if not fused.bases:
         raise ValueError("lane codegen requires at least one shift program")
@@ -207,55 +232,104 @@ def lane_scan_source(fused, tile_masks: Sequence[Sequence[int]]) -> LaneKernel:
     for j, table in enumerate(bins):
         if not table.close():
             raise ValueError(f"bin {j} closure > {table.cap}")
-    total = sum(table.closed for table in bins)
+    first, groups = [], []
+    for j, table in enumerate(bins):
+        if groups:
+            at = first[-1]
+            replaced = groups[-1].closed + table.closed
+            cap = min(replaced, sum(fused.widths[at : j + 1]) + 1)
+            joint = fused.lane_group(at, j + 1, tile_masks[at : j + 1], cap)
+            if joint.close():
+                groups[-1] = joint
+                continue
+        first.append(j)
+        groups.append(table)
+    total = sum(table.closed for table in groups)
+    block = LANE_SUBSPANS * max(LANE_SUBSPAN_BYTES, 16 * fused.warm)
     return LaneKernel(
-        _lane_dfa_source(fused, bins),
-        bins,
-        f"dfa ({total} states / {len(bins)} bins)",
+        _lane_dfa_source(fused, groups, block),
+        groups,
+        first,
+        block,
+        f"dfa ({total} states / {len(groups)} group{'s' * (len(groups) > 1)} "
+        f"of {len(bins)} bins)",
     )
 
 
 # The DFA lane kernel is the same text for every ruleset; the tables
-# and ``NBINS`` above it are what is generated (a constant trip count,
-# so the per-bin loops unroll and ``BINS[j]`` folds to its literals).
+# and ``NGROUPS`` above it are what is generated (a constant trip count,
+# so the per-group loops unroll and ``GROUPS[g]`` folds to its literals).
+# A cursor is a row offset per group; ``r[0]`` is the stream's.  The hit
+# test writes the cursor's state ids to the next free hit slot whether
+# or not they stay there.
 _LANE_DFA_KERNEL = r"""
+static int lane_hit(const uint32_t *r, int end, uint32_t *ids)
 {
-  long long i = start_i, last = n - 1, nh = 0;
-  uint32_t s[NBINS];
-  int j;
-  for (j = 0; j < NBINS; j++)
-    s[j] = fresh && i == 0 && n > 0 ? BINS[j].start : state[j];
-  /* the warm-up prefix drives the states but owns no statistics */
-  for (; i < n && i < stats_from; i++)
-    for (j = 0; j < NBINS; j++) s[j] = BINS[j].next[s[j] * NCLS + cls[i]];
-  for (; i < n; i++) {
-    int f = 0;
-    for (j = 0; j < NBINS; j++) {
-      s[j] = BINS[j].next[s[j] * NCLS + cls[i]];
-      visits[BINS[j].visit0 + s[j]]++;
-      f |= BINS[j].flags[s[j]];
-    }
-    if (f && ((f & 1) || (at_end && i == last))) {
-      hit_pos[nh] = i;
-      for (j = 0; j < NBINS; j++) hit_states[nh * NBINS + j] = (uint16_t)s[j];
-      if (++nh >= hit_cap) { i++; break; }
+  int g, f = 0;
+  for (g = 0; g < NGROUPS; g++) { ids[g] = r[g] / NCLS; f |= GROUPS[g].flags[ids[g]]; }
+  return (f & 1) || (end && (f & 2));
+}
+
+RAP_LANE_SCAN
+{
+  long long i = start_i, last = at_end ? n - 1 : -1, nh = 0, p;
+  uint32_t r[K][NGROUPS];
+  int g, k;
+  for (g = 0; g < NGROUPS; g++)
+    r[0][g] = (fresh && i == 0 && n > 0 ? GROUPS[g].start : state[g]) * NCLS;
+  while (i < n && nh < hit_cap) {
+    if (i >= stats_from && n - i > K * L && hit_cap - nh >= K * L) {
+      /* an owned block: K sub-spans of L bytes in lockstep, the later
+         ones entered empty WARM bytes early (the lanes remember no more) */
+      for (k = 1; k < K; k++) {
+        for (g = 0; g < NGROUPS; g++) r[k][g] = 0;
+        for (p = i + k * L - WARM; p < i + k * L; p++)
+          for (g = 0; g < NGROUPS; g++)
+            r[k][g] = (uint32_t)GROUPS[g].next[r[k][g] + CLS[data[p]]];
+      }
+      for (p = i; p < i + L; p++) {
+        uint64_t f = 0;
+        for (k = 0; k < K; k++)
+          for (g = 0; g < NGROUPS; g++) {
+            uint64_t t = GROUPS[g].next[r[k][g] + CLS[data[p + k * L]]];
+            r[k][g] = (uint32_t)t; f |= t;
+            visits[k * NVISITS + GROUPS[g].visit0 + (t >> 32 & 0x7fffffff)]++;
+          }
+        if (f >> 63)
+          for (k = 0; k < K; k++)
+            if (lane_hit(r[k], 0, hit_states + nh * NGROUPS))
+              hit_pos[nh++] = p + k * L;
+      }
+      for (g = 0; g < NGROUPS; g++) r[0][g] = r[K - 1][g];
+      i += K * L;
+    } else {
+      /* the warm-up prefix drives the states but owns no statistics */
+      int own = i >= stats_from;
+      uint64_t f = 0;
+      for (g = 0; g < NGROUPS; g++) {
+        uint64_t t = GROUPS[g].next[r[0][g] + CLS[data[i]]];
+        r[0][g] = (uint32_t)t; f |= t;
+        visits[GROUPS[g].visit0 + (t >> 32 & 0x7fffffff)] += own;
+      }
+      if (f >> 63 && own && lane_hit(r[0], i == last, hit_states + nh * NGROUPS))
+        hit_pos[nh++] = i;
+      i++;
     }
   }
-  for (j = 0; j < NBINS; j++) state[j] = (uint16_t)s[j];
+  for (g = 0; g < NGROUPS; g++) state[g] = r[0][g] / NCLS;
   *n_hits = nh; *resume_i = i;
   if (i < n) return 1;
   /* tile statistics are a property of the state: fold the visit counts */
-  for (j = 0; j < NBINS; j++) {
-    const lane_bin *b = &BINS[j];
+  for (g = 0; g < NGROUPS; g++) {
+    const lane_group *b = &GROUPS[g];
     int sid, t;
     for (sid = 1; sid < b->states; sid++) {
-      long long v = visits[b->visit0 + sid];
-      if (!v) continue;
-      for (t = 0; t < b->tiles; t++) {
+      long long v = 0;
+      for (k = 0; k < K; k++) v += visits[k * NVISITS + b->visit0 + sid];
+      for (t = 0; v && t < b->tiles; t++) {
         long long bits = b->bits[sid * b->tiles + t];
-        if (bits) {
-          tile_cycles[b->tile0 + t] += v; tile_bits[b->tile0 + t] += v * bits;
-        }
+        tile_cycles[b->tile0 + t] += bits ? v : 0;
+        tile_bits[b->tile0 + t] += v * bits;
       }
     }
   }
@@ -264,43 +338,53 @@ _LANE_DFA_KERNEL = r"""
 """
 
 
-def _lane_dfa_source(fused, bins) -> str:
-    """Per bin the ``N`` / ``T`` / ``F`` tables and ``BINS`` row the
+def _lane_dfa_source(fused, groups, block: int) -> str:
+    """Per group the ``G`` / ``T`` / ``F`` tables and ``GROUPS`` row the
     module docstring describes, then the one kernel text."""
-    parts = [_header("lane machine (per-bin dfa)", fused.signature)]
-    parts.append(f"#define NCLS {fused.classes.k}")
-    parts.append(f"#define NBINS {len(bins)}")
+    ncls = fused.classes.k
+    parts = [_header("lane machine (grouped dfa)", fused)]
+    parts.append(
+        f"#define NGROUPS {len(groups)}\n"
+        f"#define NVISITS {sum(table.closed for table in groups)}\n"
+        f"#define K {LANE_SUBSPANS}\n#define L {block // LANE_SUBSPANS}\n"
+        f"#define WARM {fused.warm}"
+    )
     rows = []
     tile0 = visit0 = 0
-    for j, table in enumerate(bins):
+    for j, table in enumerate(groups):
         states, tiles = table.closed, len(table.masks)
         anchored = table.start is not None  # one more row, id ``states``
-        parts.append(_u16_array(f"N{j}", chain(table.flat, table.start or ())))
+        target = [
+            hex(t * ncls | t << 32 | bool(f) << 63)
+            for t, f in enumerate(table.flags[:states])
+        ]
+        entries = map(target.__getitem__, chain(table.flat, table.start or ()))
+        parts.append(f"static const uint64_t G{j}[] = {{ {', '.join(entries)} }};")
         parts.append(
             _u16_array(f"T{j}", (n for bits in table.bits[:states] for n in bits))
         )
         parts.append(_u8_array(f"F{j}", table.flags[:states]))
         rows.append(
-            f"  {{ N{j}, T{j}, F{j}, {states}, {tiles}, "
+            f"  {{ G{j}, T{j}, F{j}, {states}, {tiles}, "
             f"{states if anchored else 0}, {visit0}, {tile0} }},"
         )
         tile0 += tiles
         visit0 += states
     parts.append(
         "typedef struct {\n"
-        "  const uint16_t *next, *bits; const uint8_t *flags;\n"
-        "  int states, tiles, start, visit0, tile0;\n"
-        "} lane_bin;"
+        "  const uint64_t *next; const uint16_t *bits; const uint8_t *flags;\n"
+        "  int states, tiles; uint32_t start; int visit0, tile0;\n"
+        "} lane_group;"
     )
-    parts += ["static const lane_bin BINS[NBINS] = {", *rows, "};"]
-    parts.append(LANE_CDEF[:-1] + _LANE_DFA_KERNEL)
+    parts += ["static const lane_group GROUPS[NGROUPS] = {", *rows, "};"]
+    parts.append(_LANE_DFA_KERNEL.replace("RAP_LANE_SCAN", LANE_CDEF[:-1]))
     return "\n".join(parts)
 
 
 # -- GATHER units: one forest of tables ----------------------------------------
 
 UNITS_CDEF = (
-    "int rap_units_span(const uint8_t *cls, long long n, long long start_i,\n"
+    "int rap_units_span(const uint8_t *data, long long n, long long start_i,\n"
     "    uint32_t *state, int m, int at_end, long long stats_from,\n"
     "    long long *active, long long *ev_pos, int32_t *ev_cursor,\n"
     "    uint32_t *ev_state, long long cap, long long *n_ev,\n"
@@ -309,7 +393,7 @@ UNITS_CDEF = (
 
 # The unit kernel is the same text for every ruleset.  A *cursor* is one
 # forest state id: ``m`` of them — any units, any entries, one unit twice
-# — step byte-major over the class stream.  It stops at a byte boundary
+# — step byte-major over the stream.  It stops at a byte boundary
 # once fewer than ``m`` event slots remain, so ``cap >= m`` is the
 # caller's side of the continuation protocol.
 _UNITS_KERNEL = r"""
@@ -319,7 +403,7 @@ _UNITS_KERNEL = r"""
   int u;
   for (u = 0; u < m; u++) { s[u] = state[u] * NCLS; a[u] = 0; }
   for (; i < n && cap - ne >= m; i++) {
-    const uint32_t *next = NEXT + cls[i];
+    const uint32_t *next = NEXT + CLS[data[i]];
     /* the warm-up prefix drives the states but owns no statistics */
     uint32_t own = i >= stats_from ? 0x800000ffu : 0, f = 0;
     for (u = 0; u < m; u++) {
@@ -400,7 +484,7 @@ def _forest_section(fused, bases: Sequence[int | str]) -> str:
             flags += unit_flags
     return "\n".join(
         [
-            f"#define NCLS {ncls}\n#define MAXM {UNIT_SPAN_CURSORS}",
+            f"#define MAXM {UNIT_SPAN_CURSORS}",
             f"static const uint32_t NEXT[] = {{ {', '.join(nxt)} }};",
             _u8_array("FLAGS", flags),
             UNITS_CDEF[:-1] + _UNITS_KERNEL,
@@ -411,7 +495,7 @@ def _forest_section(fused, bases: Sequence[int | str]) -> str:
 # -- NBVA units ---------------------------------------------------------------
 
 NBVA_CDEF = (
-    "int rap_nbva_span(const uint8_t *cls, long long n, long long start_i,\n"
+    "int rap_nbva_span(const uint8_t *data, long long n, long long start_i,\n"
     "    int unit, uint64_t *active, uint64_t *live,\n"
     "    uint64_t *vecs, uint64_t *scratch, int fresh, int at_end,\n"
     "    long long *counters, long long *ev, long long cap,\n"
@@ -477,7 +561,7 @@ _NBVA_SPAN = r"""
   uint64_t shifted[NBVA_MAX_WORDS];
   int w, cur_dirty = 1, nxt_dirty = 1;
   for (; i < n; i++) {
-    int c = cls[i], start = !(u->anchored_start && !(fresh && i == 0));
+    int c = CLS[data[i]], start = !(u->anchored_start && !(fresh && i == 0));
     uint64_t avail = start ? u->init_plain : 0;
     uint64_t set1 = start ? u->init_set1 : 0;
     uint64_t matching = u->cls[c][1], touched = 0, a, nlv = 0;
@@ -634,7 +718,7 @@ def unit_scan_source(fused) -> str:
     nbvas = native_nbva_indices(fused)
     if not rows and not nbvas:
         return ""
-    parts = [_header("scan units", fused.signature)]
+    parts = [_header("scan units", fused)]
     if rows:
         parts.append(_forest_section(fused, bases))
     if nbvas:

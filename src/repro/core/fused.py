@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections.abc import Iterable, Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,11 +87,12 @@ class AlphabetClasses:
     Two byte values are equivalent iff *every* table maps them to the
     same mask — then no unit in the ruleset can distinguish them, and
     the scan may run over class indices instead of raw bytes.  ``k``
-    is the class count (≤ 256), ``class_of`` the 256-entry map, and
+    is the class count (≤ 256), ``class_of`` the 256-entry map
+    (``table``: the same, as ``bytes.translate`` takes it), and
     ``representatives`` one canonical byte per class (the smallest).
     """
 
-    __slots__ = ("class_of", "representatives", "k", "np_map")
+    __slots__ = ("class_of", "representatives", "k", "table")
 
     def __init__(self, label_tables: Iterable[Sequence[int]]):
         tables = [tuple(table) for table in label_tables]
@@ -108,9 +110,8 @@ class AlphabetClasses:
         self.class_of: tuple[int, ...] = tuple(class_of)
         self.representatives: tuple[int, ...] = tuple(representatives)
         self.k: int = len(representatives)
-        # k ≤ 256 so class indices always fit a byte; uint8 keeps the
-        # translated input as compact as the raw one.
-        self.np_map = np.array(class_of, dtype=np.uint8)
+        # k ≤ 256, so class indices always fit a byte.
+        self.table = bytes(class_of)
 
     def project(self, table: Sequence[int]) -> tuple[int, ...]:
         """A 256-entry table as its k-entry per-class form."""
@@ -118,43 +119,38 @@ class AlphabetClasses:
 
 
 class TranslatedSegment:
-    """One input segment translated to class indices, shared by every
-    unit of the fused ruleset.
+    """One input segment as every unit of the fused ruleset shares it.
 
-    ``cls_bytes`` is the class stream as a ``bytes`` object (fastest
-    per-symbol indexing from Python) and ``counts`` the lazy per-class
-    histogram used to price ``matched_states`` in one dot product.
+    The generated C maps bytes to classes itself, so ``data`` is all a
+    compiled scan reads; ``cls_bytes`` — the class stream the walker
+    indexes, a ``bytes`` object — is built when first asked for.
     """
 
-    __slots__ = ("data", "cls_arr", "cls_bytes", "k", "_counts")
+    __slots__ = ("data", "_classes", "_cls")
 
-    def __init__(self, data: bytes, cls_arr: np.ndarray, k: int):
+    def __init__(self, data: bytes, classes: AlphabetClasses):
         self.data = data
-        self.cls_arr = cls_arr
-        self.cls_bytes = cls_arr.tobytes()
-        self.k = k
-        self._counts: np.ndarray | None = None
+        self._classes = classes
+        self._cls: bytes | None = None
 
     @property
-    def counts(self) -> np.ndarray:
-        """Per-class symbol counts over the whole segment (int64)."""
-        if self._counts is None:
-            self._counts = np.bincount(
-                self.cls_arr, minlength=self.k
-            ).astype(np.int64)
-        return self._counts
+    def cls_bytes(self) -> bytes:
+        if self._cls is None:
+            self._cls = self.data.translate(self._classes.table)
+        return self._cls
 
     def counts_from(self, start: int) -> np.ndarray:
-        """Per-class symbol counts over ``[start, len)`` (int64).
+        """Per-class symbol counts over ``[start, len)`` (int64): a byte
+        histogram folded through the class map.
 
         ``start`` is the owned-region boundary of a chunked scan: the
         warm-up prefix drives state but is excluded from pricing.
         """
-        if start <= 0:
-            return self.counts
-        return np.bincount(self.cls_arr[start:], minlength=self.k).astype(
-            np.int64
-        )
+        owned = np.frombuffer(self.data, dtype=np.uint8)[max(0, start) :]
+        counts = np.zeros(self._classes.k, dtype=np.int64)
+        classes = np.frombuffer(self._classes.table, dtype=np.uint8)
+        np.add.at(counts, classes, np.bincount(owned, minlength=256))
+        return counts
 
 
 class _GatherUnit:
@@ -288,6 +284,14 @@ class FusedRuleset:
         self.widths: tuple[int, ...] = tuple(p.width for p in self._shift)
         self.final = self.pack([p.final for p in self._shift])
         self.end_anchored = self.pack([p.end_anchored_finals for p in self._shift])
+        # The warm-up window: a packed bit only rides its own member's
+        # shift chain (members start at the ``inject_first`` bits), so any
+        # state is forgotten after the longest member's length.
+        self.warm = 1
+        for p in self._shift:
+            starts = [b for b in range(p.width) if p.inject_first >> b & 1]
+            for first, after in zip(starts, starts[1:] + [p.width]):
+                self.warm = max(self.warm, after - first)
         # (bin, tile masks) -> its step table, built when first asked for
         self._lanes: dict[tuple, StepTable] = {}
 
@@ -399,24 +403,42 @@ class FusedRuleset:
         key = (index, tuple(tile_masks))
         table = self._lanes.get(key)
         if table is None:
-            program = self._shift[index]
-            table = self._lanes.setdefault(
-                key,
-                StepTable(
-                    program,
-                    self.classes.project(program.labels),
-                    masks=key[1],
-                    cap=codegen.LANE_DFA_MAX_STATES,
-                ),
-            )
+            cap = codegen.LANE_DFA_MAX_STATES
+            table = self.lane_group(index, index + 1, [key[1]], cap)
+            table = self._lanes.setdefault(key, table)
         return table
+
+    def lane_group(self, start: int, stop: int, tile_masks, cap: int) -> StepTable:
+        """Shift programs ``start`` … ``stop - 1`` as *one* machine over
+        the slice of the packed word they share, the members' tile masks
+        (``tile_masks[j]``: bin ``start + j``'s) concatenated as payload.
+        Never cached: the lane codegen tries joins and keeps a few."""
+        members = self._shift[start:stop]
+        shifts = [base - self.bases[start] for base in self.bases[start:stop]]
+
+        def joined(values) -> int:
+            return sum(value << shift for value, shift in zip(values, shifts))
+
+        program = replace(
+            members[0],
+            width=sum(self.widths[start:stop]),
+            labels=tuple(joined(p.labels[b] for p in members) for b in range(256)),
+            **{
+                field: joined(getattr(p, field) for p in members)
+                for field in ("inject_first", "inject_always", "final",
+                              "end_anchored_finals", "clear_after_shift")
+            },
+        )
+        masks = [m << s for tiles, s in zip(tile_masks, shifts) for m in tiles]
+        labels = self.classes.project(program.labels)
+        return StepTable(program, labels, masks=masks, cap=cap)
 
     # -- translation ------------------------------------------------------
 
     def translate(self, data: bytes) -> TranslatedSegment:
-        """Translate one segment to class indices."""
-        arr = np.frombuffer(data, dtype=np.uint8)
-        return TranslatedSegment(data, self.classes.np_map[arr], self.classes.k)
+        """One segment as the units share it (nothing is copied until a
+        walker asks for the class stream)."""
+        return TranslatedSegment(data, self.classes)
 
     # -- the GATHER units -----------------------------------------------
 
@@ -485,7 +507,7 @@ class FusedRuleset:
             for group, span in zip(compiled, (native.gather_span, native.dfa_span)):
                 if group:
                     stepped = span(
-                        tin.cls_bytes,
+                        tin.data,
                         [cursor[1:] for cursor in group],
                         at_end=at_end,
                         stats_from=stats_from,
@@ -574,9 +596,7 @@ class FusedRuleset:
         """
         native = self._native_scanner()
         if native is not None and native.has_nbva(index):
-            return native.nbva_span(
-                index, tin.cls_bytes, state=state, at_end=at_end
-            )
+            return native.nbva_span(index, tin.data, state=state, at_end=at_end)
         scanner = self._nbva[index].scanner()
         scanner.state = state
         stats = NBVAStats(bv_cycle_indices=[])

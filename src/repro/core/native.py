@@ -299,12 +299,12 @@ class NativeLaneScanner:
     cycle/bit counters, ``(position, packed state word)`` wherever some
     bin's state holds a final that fires there, and the exit word.
 
-    The kernel steps ``dfas`` — every bin's closed
-    :class:`~repro.core.table.StepTable`, the ruleset's own objects,
-    which the table walker reads too: the packed entry word becomes one
-    state id per bin on the way in, ids become the packed word again on
-    the way out, so callers — and every snapshot — only ever see packed
-    words.
+    The kernel steps ``dfas`` — one closed
+    :class:`~repro.core.table.StepTable` per *group* of adjacent bins
+    (:func:`~repro.core.codegen.lane_scan_source`): the packed entry
+    word becomes one state id per group on the way in, ids become the
+    packed word again on the way out, so callers — and every snapshot —
+    only ever see packed words.
     """
 
     def __init__(self, fused, tile_masks):
@@ -315,51 +315,56 @@ class NativeLaneScanner:
             "rap_lane_scan"
         )
         self.tier = kernel.tier
-        self._fused = fused
+        # per group: its first bin, then where its slice of the word sits
+        ends = [fused.bases[j] for j in kernel.first[1:]] + [sum(fused.widths)]
+        self._slices = [
+            (j, fused.bases[j], (1 << end - fused.bases[j]) - 1)
+            for j, end in zip(kernel.first, ends)
+        ]
         self._tiles = sum(len(masks) for masks in tile_masks)
-        self._visits = sum(dfa.closed for dfa in self.dfas)
-        self._cap = codegen.HIT_BUFFER_ENTRIES
+        self._visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
+        self._cap = max(codegen.HIT_BUFFER_ENTRIES, kernel.block)
+        self._warm = fused.warm
         self._foreign_logged = False
 
     def _enter(self, entry: int, fresh: bool) -> np.ndarray | None:
-        """A packed entry word as one state id per bin (``None``: some
-        bin's word is not in its closure — never met, or interned by the
-        walker after the tables were dumped)."""
-        if fresh:  # the kernel starts every bin itself
-            return np.zeros(len(self.dfas), dtype=np.uint16)
+        """A packed entry word as one state id per group (``None``: some
+        group's word is not in its closure — a shed bin entering empty
+        beside live neighbours, a hand-edited snapshot)."""
+        if fresh:  # the kernel starts every group itself
+            return np.zeros(len(self.dfas), dtype=np.uint32)
         ids = []
-        for j, table in enumerate(self.dfas):
-            sid = table.closed_id(self._fused.extract(entry, j))
+        for table, (j, base, mask) in zip(self.dfas, self._slices):
+            sid = table.closed_id(entry >> base & mask)
             if sid is None:
                 if not self._foreign_logged:
                     self._foreign_logged = True
                     log.debug(
-                        "lane bin %d entry word is outside its %d-state "
-                        "closure: such spans are walked",
-                        j, table.closed,
+                        "lane bin %d entry word is outside its %d-state closure: "
+                        "the first %d bytes of such spans are walked",
+                        j, table.closed, self._warm,
                     )
                 return None
             ids.append(sid)
-        return np.array(ids, dtype=np.uint16)
+        return np.array(ids, dtype=np.uint32)
 
     def _leave(self, ids: list[int]) -> int:
-        """The packed word of one state id per bin (inverse of
+        """The packed word of one state id per group (inverse of
         :meth:`_enter`)."""
-        return self._fused.pack([dfa[sid] for dfa, sid in zip(self.dfas, ids)])
+        slices = zip(self.dfas, ids, self._slices)
+        return sum(dfa[sid] << base for dfa, sid, (_, base, _) in slices)
 
     def scan(
         self,
-        cls_bytes: bytes,
+        data: bytes,
         *,
         entry: int,
         fresh: bool,
         at_end: bool,
         stats_from: int,
     ) -> tuple[list[int], list[int], list[tuple[int, int]], int] | None:
-        """``None`` when ``entry`` holds a bin state outside the DFA's
-        closure (no scan of this machine produces one; a hand-edited
-        snapshot can): the caller walks that span."""
-        n = len(cls_bytes)
+        """``None`` when ``entry`` holds a state outside a group's
+        closure: the caller walks until the lanes have forgotten it."""
         state = self._enter(entry, fresh)
         if state is None:
             return None
@@ -368,36 +373,21 @@ class NativeLaneScanner:
         tile_bits = np.zeros(self._tiles, dtype=np.int64)
         visits = np.zeros(self._visits, dtype=np.int64)
         hit_pos = np.empty(cap, dtype=np.int64)
-        hit_states = np.empty((cap, len(self.dfas)), dtype=np.uint16)
+        hit_states = np.empty((cap, len(self.dfas)), dtype=np.uint32)
         n_hits = np.zeros(1, dtype=np.int64)
         resume = np.zeros(1, dtype=np.int64)
         hits: list[tuple[int, int]] = []
-        i = 0
-        while True:
+        rc = 1
+        while rc:
             rc = self._fn(
-                cls_bytes,
-                n,
-                i,
-                state,
-                1 if fresh else 0,
-                1 if at_end else 0,
-                stats_from,
-                tile_cycles,
-                tile_bits,
-                visits,
-                hit_pos,
-                hit_states,
-                cap,
-                n_hits,
-                resume,
+                data, len(data), int(resume[0]), state, int(fresh), int(at_end),
+                stats_from, tile_cycles, tile_bits, visits, hit_pos, hit_states,
+                cap, n_hits, resume,
             )
+            # a lockstep block reports its sub-spans' hits interleaved
             nh = int(n_hits[0])
-            hits.extend(
-                zip(hit_pos[:nh].tolist(), map(self._leave, hit_states[:nh].tolist()))
-            )
-            i = int(resume[0])
-            if rc == 0:
-                break
+            batch = sorted(zip(hit_pos[:nh].tolist(), hit_states[:nh].tolist()))
+            hits.extend((pos, self._leave(ids)) for pos, ids in batch)
         return (
             tile_cycles.tolist(), tile_bits.tolist(), hits, self._leave(state.tolist())
         )
@@ -440,10 +430,10 @@ class NativeUnitScanner:
     def has_nbva(self, index: int) -> bool:
         return index in self._nbva
 
-    def _drain(self, fn, cls_bytes: bytes, cap: int, *args):
+    def _drain(self, fn, data: bytes, cap: int, *args):
         """Drive one span kernel through the continuation protocol.
 
-        Calls ``fn(cls, n, start_i, *args, cap, n_ev, resume_i)`` until
+        Calls ``fn(data, n, start_i, *args, cap, n_ev, resume_i)`` until
         it reports completion, yielding after each return the number of
         entries it left in the caller's event buffers (to be consumed
         before the next re-entry overwrites them).
@@ -453,8 +443,8 @@ class NativeUnitScanner:
         i = 0
         while True:
             rc = fn(
-                cls_bytes,
-                len(cls_bytes),
+                data,
+                len(data),
                 i,
                 *args,
                 cap,
@@ -468,7 +458,7 @@ class NativeUnitScanner:
 
     def _cursors_span(
         self,
-        cls_bytes: bytes,
+        data: bytes,
         cursors: list[tuple[int, int]],
         *,
         at_end: bool,
@@ -481,8 +471,8 @@ class NativeUnitScanner:
         exit table state)``.  Forest ids never leave this method."""
         m, span = len(cursors), dict(at_end=at_end, stats_from=stats_from)
         if m > (cut := codegen.UNIT_SPAN_CURSORS):  # the kernel's arrays are full
-            return self._cursors_span(cls_bytes, cursors[:cut], **span) + (
-                self._cursors_span(cls_bytes, cursors[cut:], **span)
+            return self._cursors_span(data, cursors[:cut], **span) + (
+                self._cursors_span(data, cursors[cut:], **span)
             )
         bases = [self.bases[number] for number, _ in cursors]
         state = np.array(
@@ -496,7 +486,7 @@ class NativeUnitScanner:
         events: list[list[tuple[int, int]]] = [[] for _ in cursors]
         for count in self._drain(
             self._units_fn,
-            cls_bytes,
+            data,
             cap,
             state,
             m,
@@ -519,18 +509,18 @@ class NativeUnitScanner:
     # Two names for one call, so a traced scan attributes its (at most
     # two) forest crossings to the NFA-mode and the DFA-mode units.
 
-    def gather_span(self, cls_bytes: bytes, cursors, **span):
+    def gather_span(self, data: bytes, cursors, **span):
         """:meth:`_cursors_span` over the span's NFA-mode cursors."""
-        return self._cursors_span(cls_bytes, cursors, **span)
+        return self._cursors_span(data, cursors, **span)
 
-    def dfa_span(self, cls_bytes: bytes, cursors, **span):
+    def dfa_span(self, data: bytes, cursors, **span):
         """:meth:`_cursors_span` over the span's DFA-mode cursors."""
-        return self._cursors_span(cls_bytes, cursors, **span)
+        return self._cursors_span(data, cursors, **span)
 
     def nbva_span(
         self,
         index: int,
-        cls_bytes: bytes,
+        data: bytes,
         *,
         state: NBVAState,
         at_end: bool,
@@ -554,7 +544,7 @@ class NativeUnitScanner:
         bv_cycles: list[int] = []
         for count in self._drain(
             self._nbva_fn,
-            cls_bytes,
+            data,
             self._cap,
             slot,
             active,
@@ -577,5 +567,5 @@ class NativeUnitScanner:
             if exit_live >> pid & 1
         )
         stats = NBVAStats(*counters.tolist(), bv_cycle_indices=bv_cycles)
-        end = base + len(cls_bytes)
+        end = base + len(data)
         return matches, stats, NBVAState(end, int(active[0]), vectors)

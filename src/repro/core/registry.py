@@ -190,6 +190,6 @@ def use_backend(name: str | None) -> Iterator[str]:
     previous = _default
     set_default_backend(name)
     try:
-        yield resolve_backend()
+        yield _default or resolve_backend()
     finally:
         _default = previous

@@ -569,10 +569,11 @@ class BatchEngine:
         else:
             ruleset = self.compile(source, compiler)
         sim = self.sim
-        with self._backend_scope():
-            mapping = bind(ruleset, self.hw, bin_size).mapping
+        with self._backend_scope() as backend:
+            backend = backend or resolve_backend()  # once: passed down from here
+            mapping = bind(ruleset, self.hw, bin_size, backend=backend).mapping
             input_jobs = self._input_jobs()
-            planned = resolve_backend() in ("fused", "native")
+            planned = backend in ("fused", "native")
             if input_jobs > 1 and data and len(ruleset) and planned:
                 from repro.engine.split import split_collect
 
@@ -582,7 +583,7 @@ class BatchEngine:
                     self.hw,
                     data,
                     bin_size=bin_size,
-                    backend=resolve_backend(),
+                    backend=backend,
                     input_jobs=input_jobs,
                     jobs=effective_jobs(max(self.config.jobs, input_jobs)),
                     min_chunk_bytes=self.config.min_chunk_bytes,
@@ -592,7 +593,7 @@ class BatchEngine:
                     fault_plan=self.config.fault_plan,
                 )
                 if activity is not None:
-                    return sim.run_from_activity(ruleset, activity, mapping)
+                    return sim.run_from_activity(ruleset, activity, mapping, backend)
                 # stream too short (or nothing chunkable): fall through
                 # to the serial plan below
             jobs = effective_jobs(self.config.jobs)
@@ -601,7 +602,7 @@ class BatchEngine:
             # fused plan scans the stream in one pass (its intra-stream
             # parallelism is ``input_jobs``, handled above).
             if planned or jobs <= 1 or not len(ruleset) or not data:
-                return sim.run(ruleset, data, mapping)
+                return sim.run(ruleset, data, mapping, backend=backend)
 
             chunks = self._plan(ruleset, len(data), jobs)
             units = self._work_units(ruleset, mapping, chunks)
@@ -614,7 +615,7 @@ class BatchEngine:
             # Partitioned chunks run through the same kernel API as the
             # sequential path and collect the exact same integer activity.
             payload = pickle.dumps(
-                (ruleset, data, bin_size, self.hw, resolve_backend()),
+                (ruleset, data, bin_size, self.hw, backend),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
             outcomes = parallel_map(

@@ -129,14 +129,8 @@ class FusedLaneScanner:
                 finals[base + bit] = (j, rid)
         self._finals = finals
 
-        # The warm-up window: a packed entry bit can only influence the
-        # word while riding its own member's shift chain, so any state
-        # is forgotten after the longest member's length.
-        warm = 1
-        for layout in self._layouts:
-            for lnfa in layout.packed.patterns:
-                warm = max(warm, len(lnfa))
-        self.warm = warm
+        # The warm-up window: the lanes forget any state after it.
+        self.warm = fused.warm
 
         # Native-codegen attachment: decided when the scanner is built,
         # compiled and loaded lazily on the first scan.  Build failures
@@ -172,17 +166,18 @@ class FusedLaneScanner:
 
     @property
     def lane_tier(self) -> str:
-        """What steps the lane machine: ``dfa (S states / B bins)`` —
-        the compiled kernel — or ``interpreted (<why>)``, the table
-        walker (builds lazily)."""
+        """What steps the lane machine: ``dfa (S states / G groups of B
+        bins)`` — the compiled kernel — or ``interpreted (<why>)``, the
+        table walker (builds lazily)."""
         native = self._native_scanner()
         if native is not None:
             return native.tier
         return f"interpreted ({self._interpreted_why})"
 
     def lane_dfas(self) -> list[StepTable]:
-        """Every bin's table, the one both steppers read: closed when
-        the compiled kernel attached, else filled as the walker goes."""
+        """Every bin's table, the one the walker reads (and the compiled
+        kernel, for a bin that stayed its own group): closed when the
+        kernel attached, else filled as the walker goes."""
         return [
             self._fused.lane_dfa(j, layout.tile_masks)
             for j, layout in enumerate(self._layouts)
@@ -240,15 +235,27 @@ class FusedLaneScanner:
         if n == 0:
             return self.empty_delta(entry)
         fused = self._fused
-        if tin is None:
-            tin = fused.translate(segment)
         span = dict(
             entry=entry, fresh=fresh, at_end=at_end, stats_from=stats_from
         )
         native = self._native_scanner()
-        scanned = native.scan(tin.cls_bytes, **span) if native else None
-        if scanned is None:  # no kernel, or an entry word it cannot take
-            scanned = self._walk(tin.cls_bytes, **span)
+        scanned = native.scan(segment, **span) if native else None
+        if scanned is None and native and n > self.warm:
+            # An entry word the tables cannot take: walk until the lanes
+            # have forgotten it, hand the kernel the rest.
+            cut, own = self.warm, min(self.warm, stats_from)
+            head = self.scan(
+                segment[:cut], entry=entry, fresh=False, at_end=False, base=base,
+                stats_from=own,
+            )
+            rest = self.scan(
+                segment[cut:], entry=head.exit_packed, fresh=False, at_end=at_end,
+                base=base + cut, stats_from=stats_from - own,
+            )
+            return self.merge_deltas([head, rest])
+        if scanned is None:  # no kernel, or too short a span to hand over
+            cls = (tin or fused.translate(segment)).cls_bytes
+            scanned = self._walk(cls, **span)
         flat_cycles, flat_bits, hits, packed = scanned
 
         # Either tier hands back flattened per-tile counters and the
@@ -662,10 +669,12 @@ class FusedRun:
         self._mapping = mapping
         self._hw = hw
 
-    def collect(self, data: bytes) -> RunActivity:
+    def collect(self, data: bytes, backend: str | None = None) -> RunActivity:
         """The run's :class:`RunActivity`, bit-identical to the unfused
-        :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`."""
-        plan = bind(self._ruleset, self._hw, mapping=self._mapping).plan
+        :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`
+        (``backend``: the resolved one, when the caller holds it)."""
+        bound = bind(self._ruleset, self._hw, mapping=self._mapping, backend=backend)
+        plan = bound.plan
         fused = plan.fused
         tin = fused.translate(data)
 

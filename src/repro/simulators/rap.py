@@ -128,6 +128,18 @@ class Binding:
 
         return FusedPlan(self.ruleset, self.mapping, self.hw)
 
+    @cached_property
+    def tile_shares(self) -> dict[int, list[float]]:
+        """Per LNFA array (by mapping index), each bin's share of the
+        tiles it touches — bins share tiles at region granularity; its
+        controller charge scales with that.  Geometry: derived once."""
+        cols = self.hw.cam_cols
+        return {
+            index: [min(1.0, b.footprint_columns / (b.tiles * cols)) for b in a.bins]
+            for index, a in enumerate(self.mapping.arrays)
+            if a.mode is TileMode.LNFA
+        }
+
 
 # Bindings a ruleset keeps at once (distinct hw / bin_size / backend /
 # caller-supplied mapping); the oldest is dropped beyond this.
@@ -142,19 +154,21 @@ def bind(
     bin_size: int | None = None,
     *,
     mapping: Mapping | None = None,
+    backend: str | None = None,
 ) -> Binding:
     """The ruleset's :class:`Binding` for ``(hw, bin_size)`` on the
     backend in force, derived on the first call and reused afterwards.
 
     Bindings live on the ruleset *object* (so they die with it, and a
     recompiled or unpickled ruleset starts unbound), keyed by ``hw``,
-    ``bin_size`` and the backend :func:`resolve_backend` returns now —
-    a ``use_backend`` / ``RAP_BACKEND`` / ``RAP_NATIVE_DISABLE`` flip
-    between two scans binds again.  A caller that already holds the
-    ruleset's ``mapping`` passes it instead of ``bin_size``: the binding
-    made from (or for) that very object is returned, without re-mapping.
+    ``bin_size`` and ``backend`` (by default what :func:`resolve_backend`
+    returns now) — a ``use_backend`` / ``RAP_BACKEND`` /
+    ``RAP_NATIVE_DISABLE`` flip between two scans binds again.  A caller
+    that already holds the ruleset's ``mapping`` passes it instead of
+    ``bin_size``: the binding made from (or for) that very object is
+    returned, without re-mapping.
     """
-    backend = resolve_backend()
+    backend = backend or resolve_backend()
     with _BIND_LOCK:
         bound = vars(ruleset).setdefault("_bindings", {})
         if mapping is None:
@@ -204,6 +218,7 @@ class RAPSimulator(ApStyleSimulator):
         data: bytes,
         mapping: Mapping,
         trace: ActivityTrace | None = None,
+        backend: str | None = None,
     ) -> RunActivity:
         """Phase 1: run the functional engines and count every event.
 
@@ -214,10 +229,11 @@ class RAPSimulator(ApStyleSimulator):
         trace keeps the per-unit path so its memoized scans stay
         reusable across architectures.
         """
-        if trace is None and resolve_backend() in ("fused", "native"):
+        backend = backend or resolve_backend()
+        if trace is None and backend in ("fused", "native"):
             from repro.simulators.fused import FusedRun
 
-            return FusedRun(ruleset, mapping, self.hw).collect(data)
+            return FusedRun(ruleset, mapping, self.hw).collect(data, backend)
         trace = shared_trace(data, trace)
         return RunActivity.in_collection_order(
             ruleset,
@@ -236,22 +252,27 @@ class RAPSimulator(ApStyleSimulator):
         mapping: Mapping | None = None,
         bin_size: int | None = None,
         trace: ActivityTrace | None = None,
+        backend: str | None = None,
     ) -> SimulationResult:
-        """Simulate the mapped ruleset on RAP over ``data``."""
+        """Simulate the mapped ruleset on RAP over ``data`` (``backend``:
+        the resolved one, when the caller holds it)."""
+        backend = backend or resolve_backend()
         if mapping is None:
-            mapping = bind(ruleset, self.hw, bin_size).mapping
-        activity = self.collect_activities(ruleset, data, mapping, trace)
-        return self.run_from_activity(ruleset, activity, mapping)
+            mapping = bind(ruleset, self.hw, bin_size, backend=backend).mapping
+        activity = self.collect_activities(ruleset, data, mapping, trace, backend)
+        return self.run_from_activity(ruleset, activity, mapping, backend)
 
     def run_from_activity(
         self,
         ruleset: CompiledRuleset,
         activity: RunActivity,
         mapping: Mapping,
+        backend: str | None = None,
     ) -> SimulationResult:
         """Phase 2: price a run's collected activity with the Table 1
         circuit models.  Deterministic given ``activity`` — the parallel
         engine merges per-chunk activities and prices them here once."""
+        shares = bind(ruleset, self.hw, mapping=mapping, backend=backend).tile_shares
         ledger = EnergyLedger()
         matches: dict[int, list[int]] = {}
         compiled_by_id = {r.regex_id: r for r in ruleset}
@@ -271,7 +292,8 @@ class RAPSimulator(ApStyleSimulator):
                 # structure charged inside, with leakage scaled by the
                 # measured power-gating duty cycle (Fig. 7)
                 self._charge_lnfa_array(
-                    ledger, array, activity.lnfa_bins[index], n, matches
+                    ledger, array, activity.lnfa_bins[index], n, matches,
+                    shares[index],
                 )
                 outcome = _ArrayOutcome(cycles=n, stalls=0)
                 total_stalls += outcome.stalls
@@ -411,6 +433,7 @@ class RAPSimulator(ApStyleSimulator):
         activities: list[BinActivity],
         cycles: int,
         matches: dict[int, list[int]],
+        shares: list[float],
     ) -> None:
         p = self.params
         # Tile area is physical; tile leakage follows the power-gating
@@ -424,7 +447,7 @@ class RAPSimulator(ApStyleSimulator):
         retention = 0.1
         effective_leak = p.tile_leak_uw * (retention + (1 - retention) * duty)
         ledger.add_leakage("tile", effective_leak, tiles)
-        for bin_obj, activity in zip(array.bins, activities):
+        for bin_obj, activity, tile_share in zip(array.bins, activities, shares):
             for rid, ends in activity.matches.items():
                 if ends:
                     merged = matches.setdefault(rid, [])
@@ -433,14 +456,6 @@ class RAPSimulator(ApStyleSimulator):
                 self.hw.cam_cols
                 if bin_obj.kind is BinKind.CAM
                 else self.hw.local_switch_dim // 2
-            )
-            # Bins share physical tiles at region granularity, so this
-            # bin owns only a fraction of each tile it touches — its
-            # controller/sequencing charge scales with that share.
-            tile_share = min(
-                1.0,
-                bin_obj.footprint_columns
-                / (bin_obj.tiles * self.hw.cam_cols),
             )
             for t in range(bin_obj.tiles):
                 active_cycles = activity.tile_active_cycles[t]

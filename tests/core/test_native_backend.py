@@ -561,7 +561,7 @@ class TestNativeNbva:
         assert tiers("native") == [
             "native",
             "interpreted (state_count 73 > 64)",
-            "dfa (7 states / 1 bins)",
+            "dfa (7 states / 1 group of 1 bins)",
         ]
         assert tiers("fused") == ["interpreted (fused backend)"] * 3
         assert tiers("python")[2] == "interpreted (python backend)"
@@ -574,7 +574,7 @@ class TestNativeNbva:
         out = capsys.readouterr().out
         assert "unit tier: native" in out
         assert "unit tier: interpreted (state_count 73 > 64)" in out
-        assert "lane tier: dfa (7 states / 1 bins)" in out
+        assert "lane tier: dfa (7 states / 1 group of 1 bins)" in out
         monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 4)
         assert tiers("native")[2] == "interpreted (bin 0 closure > 4)"
         monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
@@ -803,6 +803,9 @@ def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=Non
         assert any("lane machine" in source for source in loaded) == (
             plan.scanner._native is not None
         ) == tier.startswith("dfa (")
+        if hit_cap is not None and plan.scanner._native is not None:
+            # (sized for a whole lockstep block when left alone)
+            plan.scanner._native._cap = hit_cap
         for i in range(len(data)):
             stepped.feed(data[i : i + 1], at_end=i == len(data) - 1)
             assert _collector_docs(stepped) == docs[i], i
@@ -924,29 +927,50 @@ class TestNativeLaneDfa:
         scanner = plan.scanner
         assert scanner.lane_tier.startswith("dfa (")
         (dfa,) = scanner.lane_dfas()
+        # one bin is its own group: the kernel steps the walker's table
         assert dfa is scanner._native.dfas[0] and len(dfa) == dfa.closed
         source = scanner._native._source
         # "abc" and "bcdx" matched so far: no input leaves both true.
         entry = plan.fused.pack([1 << 2 | 1 << 6 + 3])
         assert plan.fused.extract(entry, 0) not in dfa.ids
         span = dict(entry=entry, fresh=False, at_end=True, base=100)
+        walked = []
+        walk = type(dfa).walk
+
+        def counted(table, cls, *args, **kwargs):
+            walked.append(len(cls))
+            return walk(table, cls, *args, **kwargs)
+
         with caplog.at_level(logging.DEBUG, logger="repro.core.native"):
-            got = scanner.scan(b"defyz..abcdef", **span)
+            with mock.patch.object(type(dfa), "walk", counted):
+                got = scanner.scan(b"defyz..abcdef", **span)
+            # the lanes forget an entry in ``warm`` bytes: only those are
+            # walked, the kernel takes the rest
+            assert walked == [scanner.warm] and scanner.warm == 6
             # the walker interned the word past the closure: still not
             # a state of the C tables
             assert dfa.ids[plan.fused.extract(entry, 0)] >= dfa.closed
             assert scanner._native.scan(
-                plan.fused.translate(b"d").cls_bytes,
-                entry=entry, fresh=False, at_end=False, stats_from=0,
+                b"d", entry=entry, fresh=False, at_end=False, stats_from=0
             ) is None
         logged = [r for r in caplog.records if "outside its" in r.message]
         assert len(logged) == 1 and "bin 0" in logged[0].message
+        assert "first 6 bytes" in logged[0].message
         assert got == _oracle_delta(plan, b"defyz..abcdef", **span)
         assert got.matches[0] == {0: [102, 112]}
+        # a span no longer than the window is walked whole, warm-up included
+        for stats_from in (0, 2, 6):
+            short = dict(span, at_end=False, stats_from=stats_from)
+            assert scanner.scan(b"defyz.", **short) == _oracle_delta(
+                plan, b"defyz.", **short
+            )
+            longer = dict(span, stats_from=stats_from + 3)
+            assert scanner.scan(b"defyz..abcdef", **longer) == _oracle_delta(
+                plan, b"defyz..abcdef", **longer
+            )
         # ... and its exit word is back inside: the kernel takes over.
         assert scanner._native.scan(
-            plan.fused.translate(b"q").cls_bytes,
-            entry=got.exit_packed, fresh=False, at_end=True, stats_from=0,
+            b"q", entry=got.exit_packed, fresh=False, at_end=True, stats_from=0
         ) is not None
         # States met lazily only ever append: the closure's ids, and so
         # the source a fresh process would emit, are untouched.
@@ -957,6 +981,139 @@ class TestNativeLaneDfa:
             walked.scanner.scan(b"defyz..abcdef", **span)
         assert walked.scanner.lane_tier == "interpreted (fused backend)"
         assert codegen.lane_scan_source(walked.fused, masks).source == source
+
+    def test_grouping_is_decided_by_the_closure(self):
+        """Literal keywords merge (one table, smaller than the four it
+        replaces); class-heavy bins keep their own, untouched."""
+        from benchmarks.ledger.workloads import keyword_patterns
+        from repro.simulators.rap import bind
+        from repro.workloads.datasets import generate_mode_patterns
+        from repro.workloads.profiles import PROFILES
+
+        def kernel_of(patterns):
+            ruleset = compile_ruleset(patterns)
+            assert all(r.mode is CompiledMode.LNFA for r in ruleset)
+            with use_backend("fused"):
+                plan = bind(ruleset, DEFAULT_CONFIG).plan
+            masks = [layout.tile_masks for layout in plan.layouts]
+            return plan, masks, codegen.lane_scan_source(plan.fused, masks)
+
+        plan, masks, kernel = kernel_of(keyword_patterns())
+        assert kernel.tier == "dfa (378 states / 1 group of 4 bins)"
+        assert kernel.first == [0]
+        assert sum(plan.fused.lane_dfa(j, m).closed for j, m in enumerate(masks)) == 403
+        (joint,) = kernel.closure  # its payload: the four bins' tiles, in order
+        assert len(joint.masks) == sum(map(len, masks))
+
+        snort = generate_mode_patterns(PROFILES["Snort"], CompiledMode.LNFA, 64, seed=0)
+        plan, masks, kernel = kernel_of(list(snort))
+        assert kernel.tier == "dfa (3272 states / 5 groups of 5 bins)"
+        assert kernel.first == [0, 1, 2, 3, 4]
+        assert [table.closed for table in kernel.closure] == [899, 1079, 935, 115, 244]
+        for j, table in enumerate(kernel.closure):  # the walker's own tables
+            assert table is plan.fused.lane_dfa(j, masks[j])
+
+    def test_native_scan_never_translates_the_input(self):
+        """The kernels map bytes to classes themselves: on ``native`` no
+        class stream of a ``keywords64`` scan is ever built."""
+        from benchmarks.ledger.workloads import keyword_patterns
+        from repro.core.fused import FusedRuleset
+        from repro.workloads.inputs import generate_input
+
+        patterns = keyword_patterns()
+        ruleset = compile_ruleset(patterns)
+        data = generate_input(
+            "network", 1 << 14, seed=3, patterns=patterns, plant_every=500
+        )
+        translate, seen = FusedRuleset.translate, []
+
+        def recorded(fused, segment):
+            seen.append(translate(fused, segment))
+            return seen[-1]
+
+        with mock.patch.object(FusedRuleset, "translate", recorded):
+            for backend in ("native", "fused"):
+                del seen[:]
+                config = EngineConfig(backend=backend, use_cache=False)
+                result = BatchEngine(config).scan(ruleset, data)
+                assert seen and seen[0].data is data
+                assert all(tin._cls is None for tin in seen) == (backend == "native")
+        assert result == _run(ruleset, data, "python")
+
+    @settings(max_examples=6, deadline=None)  # one cc run per example
+    @given(
+        words=st.lists(
+            st.text("abc", min_size=3, max_size=6), min_size=4, max_size=7, unique=True
+        ),
+        classes=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_lockstep_blocks_at_every_seam(self, words, classes, seed):
+        """Streams longer than a lockstep block — literal-only rulesets,
+        whose bins merge, and class-bearing ones — cut at every seam,
+        each seam snapshotted and restored, then under ``input_jobs`` 1
+        and 2: native ≡ the walker ≡ the ``python`` oracle."""
+        from tests.engine.test_checkpoint import _collector_docs
+
+        if classes:  # every second character a class
+            words = [
+                "".join("[^a]" if i % 2 else c for i, c in enumerate(w)) for w in words
+            ]
+        ruleset = compile_ruleset(words)
+        assume(not ruleset.rejected)
+        assume(all(r.mode is CompiledMode.LNFA for r in ruleset))
+        rng = random.Random(seed)
+        stream = bytearray(rng.choices(b"abc", k=codegen.LANE_SUBSPANS * 128 + 90))
+        for at in range(7, len(stream) - 8, 61):  # witnesses, some across seams
+            literal = rng.choice(words).replace("[^a]", "b").encode()
+            stream[at : at + len(literal)] = literal
+        data = bytes(stream)
+        sim = RAPSimulator(DEFAULT_CONFIG)
+        mapping = sim.build_mapping(ruleset, bin_size=2)
+        assert len(list(mapping.lnfa_bins())) > 1
+        docs = []
+        with use_backend("python"):
+            oracle = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            for i in range(len(data)):
+                oracle.feed(data[i : i + 1], at_end=i == len(data) - 1)
+                docs.append(_collector_docs(oracle))
+            final = oracle.finish()
+            reference = sim.run(ruleset, data, bin_size=2)
+        for backend in ("native", "fused"):
+            with use_backend(backend):
+                lanes = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan.scanner
+                blocks = []
+                if backend == "native":
+                    assert lanes.lane_tier.startswith("dfa (")
+                    # literals: prefixes shared across bins only shrink a trie
+                    assert classes or " / 1 group of " in lanes.lane_tier
+                    fn = lanes._native._fn
+
+                    def probed(*args, fn=fn):
+                        rc = fn(*args)
+                        later = len(args[9]) // codegen.LANE_SUBSPANS
+                        blocks.append(bool(args[9][later:].any()))
+                        return rc
+
+                    lanes._native._fn = probed
+                for cut in range(1, len(data)):
+                    scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                    scan.feed(data[:cut], at_end=False)
+                    assert _collector_docs(scan) == docs[cut - 1], cut
+                    resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+                    resumed.restore_detached(scan.snapshot())
+                    resumed.feed(data[cut:], at_end=True)
+                    assert resumed.finish() == final, cut
+                # only the later sub-spans of a block count into the later
+                # histograms: the lockstep path ran, and not on every span
+                assert len(set(blocks)) == 2 * (backend == "native")
+            for input_jobs in (1, 2):
+                config = EngineConfig(
+                    backend=backend, input_jobs=input_jobs, min_chunk_bytes=64,
+                    use_cache=False,
+                )
+                got = BatchEngine(config).scan(ruleset, data, bin_size=2)
+                assert got == reference, (backend, input_jobs)
 
     def test_keywords64_input_jobs_and_sigkill_resume(self, tmp_path):
         from benchmarks.ledger.workloads import keyword_patterns
@@ -1549,75 +1706,88 @@ def test_generated_sources_compile_warning_free(
 _SANITIZED_MAIN = r"""
 #include <stdio.h>
 #include <stdlib.h>
-/* Every buffer is an exact-size heap block, so an out-of-range table
-   index or hit slot lands in a redzone. */
+/* lane <raw stream> <n> <stats_from> <cap>: every buffer is an exact-size
+   heap block, so an out-of-range table index or hit slot lands in a
+   redzone.  One "batch" line per return: a lockstep block's hits come out
+   of position order. */
 int main(int argc, char **argv)
 {
-  long long n = atoll(argv[2]), cap = %(cap)d, nh = 0, resume = 0, h, j;
-  uint8_t *cls = malloc(n);
-  uint16_t *state = calloc(%(bins)d, sizeof *state);
+  long long n = atoll(argv[2]), stats_from = atoll(argv[3]), cap = atoll(argv[4]);
+  long long nh = 0, resume = 0, h, j;
+  uint8_t *data = malloc(n);
+  uint32_t *state = calloc(NGROUPS, sizeof *state);
   long long *cycles = calloc(%(tiles)d, sizeof *cycles);
   long long *bits = calloc(%(tiles)d, sizeof *bits);
-  long long *visits = calloc(%(states)d, sizeof *visits);
+  long long *visits = calloc(K * NVISITS, sizeof *visits);
   long long *hit_pos = malloc(cap * sizeof *hit_pos);
-  uint16_t *hit_states = malloc(cap * %(bins)d * sizeof *hit_states);
+  uint32_t *hit_states = malloc(cap * NGROUPS * sizeof *hit_states);
   FILE *f = fopen(argv[1], "rb");
   int rc;
-  if (argc != 3 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
+  if (argc != 5 || !f || fread(data, 1, n, f) != (size_t)n) return 2;
   do {
-    rc = rap_lane_scan(cls, n, resume, state, 1, 1, 0, cycles, bits, visits,
-                       hit_pos, hit_states, cap, &nh, &resume);
+    rc = rap_lane_scan(data, n, resume, state, 1, 1, stats_from, cycles, bits,
+                       visits, hit_pos, hit_states, cap, &nh, &resume);
+    printf("batch %%d %%lld\n", rc, resume);
     for (h = 0; h < nh; h++) {
       printf("hit %%lld", hit_pos[h]);
-      for (j = 0; j < %(bins)d; j++) printf(" %%u", hit_states[h * %(bins)d + j]);
+      for (j = 0; j < NGROUPS; j++) printf(" %%u", hit_states[h * NGROUPS + j]);
       printf("\n");
     }
   } while (rc);
   for (j = 0; j < %(tiles)d; j++) printf("tile %%lld %%lld\n", cycles[j], bits[j]);
-  free(cls); free(state); free(cycles); free(bits); free(visits);
+  free(data); free(state); free(cycles); free(bits); free(visits);
   free(hit_pos); free(hit_states); fclose(f);
   return 0;
 }
 """
 
+_SANITIZED_L = 64  # sub-span bytes the sanitized lane kernel is rebuilt with
+
 
 @needs_native
-@pytest.mark.parametrize("name", ["keywords64", "snort_nfa64", "snort_mix16"])
+@pytest.mark.parametrize(
+    "name", ["keywords64", "snort_nfa64", "snort_mix16", "anchored"]
+)
 def test_lane_kernel_sanitized(name, tmp_path):
-    """The DFA lane kernel of each ledger ruleset, built with a generated
-    ``main()`` under ASan + UBSan, over a recorded class stream: clean
-    exit, and counters and hits equal to the ``python`` oracle's.  (The
-    kernel's failure mode is an out-of-range table index, which corrupts
-    silently in an ordinary build.)"""
-    from benchmarks.ledger.workloads import RULESETS
+    """The lane kernel of each ledger ruleset (and of keywords beside a
+    start-anchored and an end-anchored bin), rebuilt with ``L`` = 64 and a
+    generated ``main()`` under ASan + UBSan over *raw* bytes: clean exit,
+    and counters and hits equal to ``collect_bin_activity``'s — with a
+    witness across every sub-span seam (ending on a sub-span's last byte,
+    its first, and in between), ``stats_from`` inside the first block, a
+    three-entry buffer (serial continuations only), one that refills
+    between blocks, and streams of ``K·L − 1``, ``K·L`` and ``K·L + 1``
+    bytes ending on an end-anchored final.  (The kernel's failure mode is
+    an out-of-range table index, which corrupts silently in an ordinary
+    build.)"""
+    from benchmarks.ledger.workloads import RULESETS, keyword_patterns
     from repro.core.native import _find_compiler
     from repro.simulators.activity import collect_bin_activity
     from repro.simulators.fused import FusedPlan
     from repro.workloads.inputs import generate_input
 
-    patterns = RULESETS[name]()
+    if name == "anchored":
+        patterns = keyword_patterns()[:6] + ["^GET /idx", "tail$", "^ab"]
+    else:
+        patterns = RULESETS[name]()
     ruleset = compile_ruleset(patterns)
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
         plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
     if plan.scanner is None:
         pytest.skip(f"{name} packs no LNFA bins: there is no lane kernel")
+    fused = plan.fused
     masks = [layout.tile_masks for layout in plan.layouts]
-    kernel = codegen.lane_scan_source(plan.fused, masks)
+    kernel = codegen.lane_scan_source(fused, masks)
     assert kernel.tier.startswith("dfa (")
-    data = generate_input(
-        "network", 1 << 16, seed=4, patterns=patterns, plant_every=300
-    )
+    subspans, sub = codegen.LANE_SUBSPANS, _SANITIZED_L
+    block = subspans * sub
+    generated = f"#define L {kernel.block // subspans}\n"
+    assert sub >= fused.warm and generated in kernel.source
     source = tmp_path / "lane.c"
     source.write_text(
-        kernel.source
-        + _SANITIZED_MAIN
-        % dict(
-            cap=3,  # continuations mid-stream
-            bins=len(kernel.closure),
-            tiles=sum(map(len, masks)),
-            states=sum(map(len, kernel.closure)),
-        )
+        kernel.source.replace(generated, f"#define L {sub}\n")
+        + _SANITIZED_MAIN % dict(tiles=sum(map(len, masks)))
     )
     binary = tmp_path / "lane"
     build = subprocess.run(
@@ -1627,40 +1797,94 @@ def test_lane_kernel_sanitized(name, tmp_path):
     )
     if build.returncode != 0:
         pytest.skip("no sanitizer runtime: " + build.stderr[:200])
-    stream = tmp_path / "cls.bin"
-    stream.write_bytes(plan.fused.translate(data).cls_bytes)
-    run = subprocess.run(
-        [str(binary), str(stream), str(len(data))], capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr[-2000:]
-    lines = [line.split() for line in run.stdout.splitlines()]
-    tiles = [(int(c), int(b)) for tag, c, b in (l for l in lines if l[0] == "tile")]
-    hits = [[int(v) for v in l[1:]] for l in lines if l[0] == "hit"]
-    assert hits and len(hits) > 3
 
-    tile0 = 0
-    for j, (bin_obj, layout) in enumerate(zip(plan.bins, plan.layouts)):
-        want = collect_bin_activity(bin_obj, data, DEFAULT_CONFIG)
-        got = tiles[tile0 : tile0 + len(layout.tile_masks)]
-        tile0 += len(layout.tile_masks)
-        # tile 0 is never gated: the oracle counts every cycle there
-        assert [c for c, _ in got][1:] == want.tile_active_cycles[1:]
-        assert [b for _, b in got] == want.tile_active_bits
-        matches = {rid: [] for rid in want.matches}
-        for position, *ids in hits:
-            word = kernel.closure[j][ids[j]]
-            if position != len(data) - 1:
-                word &= ~layout.end_anchored_mask
-            for bit, rid in sorted(layout.finals.items()):
-                if word >> bit & 1:
-                    matches[rid].append(position)
-        assert matches == want.matches
+    def run(data, *, stats_from=0, cap=8192):
+        """The binary over ``data`` against the oracle; returns each
+        return's ``(rc, resume, hit positions)``."""
+        stream = tmp_path / "raw.bin"
+        stream.write_bytes(data)
+        proc = subprocess.run(
+            [str(binary), str(stream), str(len(data)), str(stats_from), str(cap)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        tiles = [(int(c), int(b)) for tag, c, b in (l for l in lines if l[0] == "tile")]
+        batches, hits = [], []
+        for tag, *values in lines:
+            if tag == "batch":
+                batches.append((int(values[0]), int(values[1]), []))
+            elif tag == "hit":
+                position, *ids = map(int, values)
+                batches[-1][2].append(position)
+                hits.append(
+                    (
+                        position,
+                        sum(
+                            kernel.closure[g][sid] << fused.bases[first]
+                            for g, (first, sid) in enumerate(zip(kernel.first, ids))
+                        ),
+                    )
+                )
+        hits.sort()
+        assert len({position for position, _ in hits}) == len(hits)
+        tile0 = 0
+        for j, (bin_obj, layout) in enumerate(zip(plan.bins, plan.layouts)):
+            want = collect_bin_activity(
+                bin_obj, data, DEFAULT_CONFIG, stats_from=stats_from
+            )
+            got = tiles[tile0 : tile0 + len(layout.tile_masks)]
+            tile0 += len(layout.tile_masks)
+            # tile 0 is never gated: the oracle counts every cycle there
+            assert [c for c, _ in got][1:] == want.tile_active_cycles[1:]
+            assert [b for _, b in got] == want.tile_active_bits
+            matches = {rid: [] for rid in want.matches}
+            for position, packed in hits:
+                word = fused.extract(packed, j)
+                if position != len(data) - 1:
+                    word &= ~layout.end_anchored_mask
+                for bit, rid in sorted(layout.finals.items()):
+                    if word >> bit & 1:
+                        matches[rid].append(position)
+            assert matches == want.matches
+        return batches
+
+    # A literal witness across every sub-span seam: ending on the last
+    # byte before it, on the first after it, and everywhere in between.
+    literals = [p.encode() for p in patterns if p.isalnum()]
+    body = bytearray(
+        generate_input("network", 1 << 16, seed=4, patterns=patterns, plant_every=300)
+    )
+    for seam in range(sub, len(body) - sub, sub):
+        word = literals[seam // sub % len(literals)] if literals else b""
+        end = seam - 1 + -(seam // sub) % (len(word) + 1)
+        body[end + 1 - len(word) : end + 1] = word
+    data = (b"GET /idx" + bytes(body))[: 1 << 16]
+
+    batches = run(data)
+    assert batches[-1][:2] == (0, len(data))
+    if literals:
+        assert len(sum((b[2] for b in batches), [])) > len(data) // sub // 2
+        # hits of one return out of position order: lockstep blocks ran
+        assert any(b[2] != sorted(b[2]) for b in batches)
+    assert run(data, stats_from=block // 2 + 3)[-1][:2] == (0, len(data))
+    serial = run(data[: 12 * block], cap=3)  # smaller than any block
+    assert all(b[2] == sorted(b[2]) for b in serial)
+    if literals:
+        assert len(serial) > 12 and all(len(b[2]) == 3 for b in serial[:-1])
+        refilled = run(data, cap=block + 2)  # room for a block when empty only
+        # ... and blocks resume after a drain
+        assert sum(b[2] != sorted(b[2]) for b in refilled) > 1
+    for n in (block - 1, block, block + 1, 2 * block + 1):
+        tail = data[: n - 4] + b"tail"
+        run(tail)
+        run(tail, stats_from=n - 1)
 
 
 _SANITIZED_UNITS_MAIN = r"""
 #include <stdio.h>
 #include <stdlib.h>
-/* units <class stream> <n> <stats_from> <cap - m> <forest id>...: exact-size
+/* units <raw stream> <n> <stats_from> <cap - m> <forest id>...: exact-size
    heap blocks again; the forest itself is static const, so an out-of-range
    row offset is a global-buffer-overflow. */
 int main(int argc, char **argv)
@@ -1668,24 +1892,24 @@ int main(int argc, char **argv)
   int m = argc - 5, rc, u;
   long long n = atoll(argv[2]), stats_from = atoll(argv[3]);
   long long cap = m + atoll(argv[4]), ne = 0, resume = 0, e;
-  uint8_t *cls = malloc(n);
+  uint8_t *data = malloc(n);
   uint32_t *state = malloc(m * sizeof *state);
   long long *active = calloc(m, sizeof *active);
   long long *ev_pos = malloc(cap * sizeof *ev_pos);
   int32_t *ev_cursor = malloc(cap * sizeof *ev_cursor);
   uint32_t *ev_state = malloc(cap * sizeof *ev_state);
   FILE *f = fopen(argv[1], "rb");
-  if (m < 1 || !f || fread(cls, 1, n, f) != (size_t)n) return 2;
+  if (m < 1 || !f || fread(data, 1, n, f) != (size_t)n) return 2;
   for (u = 0; u < m; u++) state[u] = strtoul(argv[5 + u], 0, 10);
   do {
-    rc = rap_units_span(cls, n, resume, state, m, 1, stats_from, active, ev_pos,
+    rc = rap_units_span(data, n, resume, state, m, 1, stats_from, active, ev_pos,
                         ev_cursor, ev_state, cap, &ne, &resume);
     for (e = 0; e < ne; e++)
       printf("ev %lld %d %u\n", ev_pos[e], ev_cursor[e], ev_state[e]);
     printf("return %d %lld\n", rc, resume);
   } while (rc);
   for (u = 0; u < m; u++) printf("exit %u %lld\n", state[u], active[u]);
-  free(cls); free(state); free(active); free(ev_pos); free(ev_cursor);
+  free(data); free(state); free(active); free(ev_pos); free(ev_cursor);
   free(ev_state); fclose(f);
   return 0;
 }
@@ -1746,8 +1970,8 @@ def test_unit_kernel_sanitized(name, tmp_path):
     def run(data, numbers, *, stats_from=0, slack=0):
         """The binary over ``data`` with one fresh cursor per entry of
         ``numbers``; returns the continuation ``(rc, resume)`` pairs."""
-        stream = tmp_path / "cls.bin"
-        stream.write_bytes(fused.translate(data).cls_bytes)
+        stream = tmp_path / "raw.bin"
+        stream.write_bytes(data)
         ids = [bases[j] + units[j].table.closed_id(None) for j in numbers]
         proc = subprocess.run(
             [str(binary), str(stream), str(len(data)), str(stats_from), str(slack),
@@ -1804,7 +2028,7 @@ _SANITIZED_NBVA_MAIN = r"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-/* Exact-size heap blocks once more — each span's class bytes, the
+/* Exact-size heap blocks once more — each span's raw bytes, the
    vector words, the scratch copy, the eleven counters, a ONE-entry event
    buffer — so a word offset or event slot out of range is a redzone hit.
    Every unit scans the stream as three spans chained through the exit
@@ -1828,12 +2052,12 @@ int main(int argc, char **argv)
     uint64_t *scratch = malloc((words[u] ? words[u] : 1) * sizeof *scratch);
     for (span = 0; span < 3; span++) {
       long long base = cuts[span], len = cuts[span + 1] - base;
-      uint8_t *cls = malloc(len);
-      memcpy(cls, stream + base, len);
+      uint8_t *data = malloc(len);
+      memcpy(data, stream + base, len);
       counters = calloc(11, sizeof *counters);
       resume = 0;
       do {
-        rc = rap_nbva_span(cls, len, resume, u, &active, &live, vecs, scratch,
+        rc = rap_nbva_span(data, len, resume, u, &active, &live, vecs, scratch,
                            base == 0, span == 2, counters, ev, 1, &ne, &resume);
         if (ne) printf("ev %%d %%d %%lld\n", u, span, ev[0]);
       } while (rc);
@@ -1842,7 +2066,7 @@ int main(int argc, char **argv)
       printf(" | %%llu %%llu", (unsigned long long)active, (unsigned long long)live);
       for (w = 0; w < words[u]; w++) printf(" %%llu", (unsigned long long)vecs[w]);
       printf("\n");
-      free(cls); free(counters);
+      free(data); free(counters);
     }
     free(vecs); free(scratch);
   }
@@ -1893,8 +2117,8 @@ def test_nbva_kernel_sanitized(name, tmp_path):
     )
     if build.returncode != 0:
         pytest.skip("no sanitizer runtime: " + build.stderr[:200])
-    stream = tmp_path / "cls.bin"
-    stream.write_bytes(fused.translate(data).cls_bytes)
+    stream = tmp_path / "raw.bin"
+    stream.write_bytes(data)
     run = subprocess.run(
         [str(binary), str(stream), str(len(data)), str(cuts[1]), str(cuts[2])],
         capture_output=True, text=True,

@@ -260,6 +260,34 @@ class TestBinding:
         assert engine.scan(compiled(self.PATTERNS), self.DATA) == reference
         assert len(counters["fuse"]) == 2
 
+    @pytest.mark.parametrize("backend", PLANNED)
+    def test_a_bound_scan_resolves_and_measures_once(self, backend, monkeypatch):
+        """Per op: one backend resolution, handed down to every layer.
+        Per binding: one pass over the bins' geometry, however many
+        activities are priced."""
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+        from repro.core import registry
+        from repro.mapping.binning import Bin
+
+        ruleset = compiled(self.PATTERNS)
+        reference = self._reference(ruleset)
+        measured = []
+        columns = Bin.footprint_columns.fget
+        monkeypatch.setattr(
+            Bin,
+            "footprint_columns",
+            property(lambda self: (measured.append(self), columns(self))[1]),
+        )
+        engine = BatchEngine(EngineConfig(backend=backend, use_cache=False))
+        assert engine.scan(ruleset, self.DATA) == reference  # binds
+        bins = len(measured)
+        assert bins
+        resolved = _count_calls(monkeypatch, registry, "resolve_backend_with_reason")
+        for _ in range(3):
+            assert engine.scan(ruleset, self.DATA) == reference
+        assert len(resolved) == 3 and len(measured) == bins
+
     @pytest.mark.parametrize(
         "change", ["bin_size", "hw", "use_backend", "native_disable"]
     )

@@ -959,44 +959,87 @@ def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
     """Shedding a bin must not drop the live bins onto the per-byte
     python collectors: the packed machine keeps stepping them, the shed
     bin's delta is dropped, and what the live bins accumulate is what
-    an unshed scan accumulates for them."""
+    an unshed scan accumulates for them.  Nor onto the walker: a shed
+    bin entering empty beside live neighbours is no state of their
+    *joint* table (``keywords64``: four bins, one group), so the compiled
+    kernel takes every segment once ``warm`` bytes have been walked."""
+    from benchmarks.ledger.workloads import keyword_patterns
+    from repro.core.native import NativeLaneScanner
+    from repro.core.table import StepTable
     from repro.simulators.activity import BinActivityCollector
     from repro.simulators.fused import FusedLaneScanner
+    from repro.workloads.inputs import generate_input
 
-    ruleset, data = _plan_ruleset("lnfa")
-    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-    cut = len(data) // 3
-    spans = []
-    lane_scan = FusedLaneScanner.scan
+    spans, kernel, walked = [], [], []
+    lane_scan, native_scan, walk = (
+        FusedLaneScanner.scan, NativeLaneScanner.scan, StepTable.walk
+    )
 
     def counted(self, segment, **kwargs):
         spans.append(len(segment))
-        return lane_scan(self, segment, **kwargs)
+        depth = len(spans)
+        try:
+            return lane_scan(self, segment, **kwargs)
+        finally:
+            del spans[depth:]  # a span handing itself on in parts counts once
+
+    def compiled(self, segment, **kwargs):
+        scanned = native_scan(self, segment, **kwargs)
+        kernel.append((len(segment), scanned is not None))
+        return scanned
+
+    def stepped(self, cls, *args, **kwargs):
+        walked.append(len(cls))
+        return walk(self, cls, *args, **kwargs)
 
     def per_byte_oracle(self, segment, **kwargs):
         raise AssertionError("a planned backend fed a bin collector directly")
 
     monkeypatch.setattr(FusedLaneScanner, "scan", counted)
+    monkeypatch.setattr(NativeLaneScanner, "scan", compiled)
+    monkeypatch.setattr(StepTable, "walk", stepped)
     monkeypatch.setattr(BinActivityCollector, "feed", per_byte_oracle)
-    with use_backend(backend):
-        whole = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-        shed = DurableScan(ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1})
-        for scan in (whole, shed):
-            scan.feed(data[:cut], at_end=False)
-        assert shed.shed(1e-9, "test pressure") == [("bin", 0, 0)]
-        frozen = shed._bins[(0, 0)].snapshot()
-        del spans[:]
-        for scan in (whole, shed):
-            scan.feed(data[cut : 2 * cut], at_end=False)
-            scan.feed(data[2 * cut :], at_end=True)
-    assert spans == [cut, len(data) - 2 * cut] * 2
-    live = [key for key in shed._bins if key != (0, 0)]
-    assert len(live) == 2
-    for key in live:
-        assert shed._bins[key].snapshot() == whole._bins[key].snapshot()
-        assert shed._bins[key].activity() == whole._bins[key].activity()
-    assert shed._bins[(0, 0)].snapshot() == frozen
-    assert whole._bins[(0, 0)].snapshot() != frozen
+    for name in ("lnfa", "keywords64"):
+        if name == "lnfa":
+            ruleset, data = _plan_ruleset("lnfa")
+        else:
+            ruleset = compile_ruleset(keyword_patterns())
+            data = generate_input(
+                "network", 9000, seed=6, patterns=keyword_patterns(), plant_every=40
+            )
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        cut = len(data) // 3
+        with use_backend(backend):
+            whole = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            shed = DurableScan(ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1})
+            for scan in (whole, shed):
+                scan.feed(data[:cut], at_end=False)
+            ((kind, *victim),) = shed.shed(1e-9, "test pressure")
+            assert kind == "bin"
+            victim = tuple(victim)  # (0, 0) of "lnfa": the bin holding regex 1
+            frozen = shed._bins[victim].snapshot()
+            for scan in (whole, shed):
+                del spans[:], kernel[:], walked[:]
+                scan.feed(data[cut : 2 * cut], at_end=False)
+                scan.feed(data[2 * cut :], at_end=True)
+                assert spans == [cut, len(data) - 2 * cut]
+                if backend == "native":
+                    warm = scan._plan.scanner.warm
+                    # each segment reached the kernel, all but <= warm bytes of it
+                    done = [size for size, taken in kernel if taken]
+                    assert len(done) == 2 and sum(done) >= len(data) - cut - 2 * warm
+                    assert not walked or max(walked) <= warm
+                    assert len(walked) <= 2 * len(shed._bins)
+        if (name, backend) == ("keywords64", "native"):
+            assert shed._plan.scanner.lane_tier.endswith("1 group of 4 bins)")
+            assert walked  # the foreign-entry path ran: (live, 0) is no joint state
+        live = [key for key in shed._bins if key != victim]
+        assert len(live) == len(shed._bins) - 1 >= 2
+        for key in live:
+            assert shed._bins[key].snapshot() == whole._bins[key].snapshot()
+            assert shed._bins[key].activity() == whole._bins[key].activity()
+        assert shed._bins[victim].snapshot() == frozen
+        assert whole._bins[victim].snapshot() != frozen
 
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
@@ -1093,25 +1136,25 @@ class TestPlanFingerprint:
     # one of these — their checkpoints stay resumable and their cached
     # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.  The
     # exceptions are source keys, never fingerprints — checkpoints
-    # written before either change still resume: lane keys (the second
-    # of a pair) are as of the per-bin DFA lane kernel, unit keys (the
-    # first of the ``nfa`` / ``dfa`` pairs) as of the forest's packed
-    # 32-bit entries.
+    # written before any of the changes still resume: lane keys (the
+    # second of a pair) and unit keys (the first of the ``nfa`` / ``dfa``
+    # pairs) are as of the kernels reading raw bytes through their own
+    # class map (the lane kernel's grouped, packed tables rolled with it).
     PRE_NBVA = {
         "lnfa": {
             "fused": ("4f5be8323cd28222", []),
             "native": (
                 "e87b5ba8a30b3da0",
-                ["e3b0c44298fc1c14", "dceb206748b278a7"],
+                ["e3b0c44298fc1c14", "5ebdaa6b77e8e9d5"],
             ),
         },
         "nfa": {
             "fused": ("847ce74d3258c81f", []),
-            "native": ("fcae215c15995b75", ["20beb9b2bd69537a"]),
+            "native": ("fcae215c15995b75", ["8ab0980cecee8672"]),
         },
         "dfa": {
             "fused": ("ecb415f0c230b1ad", []),
-            "native": ("16aabb5461a7af58", ["d0f49c83848fabf4"]),
+            "native": ("16aabb5461a7af58", ["bf643796d7d44708"]),
         },
         "mix": {
             "fused": ("3d74adbffc70473a", []),
