@@ -817,7 +817,9 @@ def cmd_scan(args) -> int:
             )
         if outcome.checkpoints_written or outcome.checkpoint_failures:
             print(
-                f"# checkpoints: {outcome.checkpoints_written} written, "
+                f"# checkpoints: {outcome.checkpoints_written} written "
+                f"({outcome.checkpoint_bytes / 1024:.1f} KiB, "
+                f"{outcome.checkpoint_sync_seconds * 1e3:.1f} ms in sync), "
                 f"{outcome.checkpoint_failures} failed",
                 file=sys.stderr,
             )

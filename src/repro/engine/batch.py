@@ -195,6 +195,8 @@ class DurableScanOutcome:
     resumed_from: int | None = None
     checkpoints_written: int = 0
     checkpoint_failures: int = 0
+    checkpoint_bytes: int = 0  # put on disk, slot padding included
+    checkpoint_sync_seconds: float = 0.0  # of the wall time, in fsync / fdatasync
     bytes_scanned: int = 0
 
     @property
@@ -744,6 +746,8 @@ class BatchEngine:
             resumed_from=resumed_from,
             checkpoints_written=checkpoints_written,
             checkpoint_failures=checkpoint_failures,
+            checkpoint_bytes=store.bytes_written if store else 0,
+            checkpoint_sync_seconds=store.sync_seconds if store else 0.0,
             bytes_scanned=scan.offset - start_offset,
         )
 

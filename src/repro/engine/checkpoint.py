@@ -12,11 +12,11 @@ worse, silently changing its answer.  Two pieces make that possible:
   bytes reproduces the uninterrupted run bit for bit, because every
   engine's segment contract guarantees segmentation independence.
 * :class:`CheckpointStore` persists those documents through
-  :mod:`repro.io.envelope` — the compile cache's atomic publish and
-  checksummed envelope, here with the fsyncs that make it durable — so
-  a torn or bit-rotten checkpoint is *detected*, discarded, and an
-  older intact one used instead.  Corruption can cost re-scanned bytes,
-  never correctness.
+  :mod:`repro.io.envelope` — the compile cache's checksummed envelope,
+  written in place into one of two slot files and synced once — so a
+  torn or bit-rotten checkpoint is *detected*, discarded, and the other
+  slot's intact one used instead.  Corruption can cost re-scanned
+  bytes, never correctness.
 
 A checkpoint binds to its scan via :func:`~repro.io.serialize.scan_fingerprint`
 (ruleset + hardware + bin size) and to its input via a SHA-256 over the
@@ -44,7 +44,6 @@ from repro.engine import faults
 from repro.errors import CheckpointError, QuarantineEntry
 from repro.hardware.config import HardwareConfig
 from repro.io import envelope
-from repro.io.serialize import scan_fingerprint
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivityCollector,
@@ -54,11 +53,15 @@ from repro.simulators.rap import RunActivity, bind
 
 CHECKPOINT_FORMAT = "rap-repro-checkpoint"
 CHECKPOINT_VERSION = 1
+ENVELOPE = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
 
-# Intact checkpoints retained per store: the newest plus one fallback,
-# so a torn latest (crash mid-rename, injected truncation) still leaves
-# a usable restore point.
+# Intact checkpoints retained per store, one slot file each: the newest
+# plus one fallback, so a torn latest (crash mid-write, injected
+# truncation) still leaves a usable restore point.
 KEEP = 2
+SLOTS = tuple(f"slot-{index}.json" for index in range(KEEP))
+EMPTY = (-1, 0)  # the order key of a slot holding nothing intact
+LEGACY = ("ckpt-*.json", ".ckpt-*.tmp")  # pre-slot builds' files (not read), orphans
 
 log = logging.getLogger(__name__)
 
@@ -86,28 +89,29 @@ def session_dirname(session: str) -> str:
 
 
 class CheckpointStore:
-    """A directory of atomic, checksummed scan checkpoints.
+    """Two slot files of checksummed scan checkpoints, written in place.
 
-    File names encode the stream offset (``ckpt-<offset>.json``) so the
-    newest checkpoint sorts last lexicographically.  Writes are durable
-    :func:`repro.io.envelope.dump` calls followed by a directory fsync —
-    a crash at any instant leaves either the previous set or the new
-    file, never a torn committed entry (torn files can still appear via
-    injected faults or disk corruption, which is what the checksum
-    envelope catches).
+    Each slot is one :mod:`repro.io.envelope` document whose payload
+    carries a snapshot and its order key ``[offset, sequence]``; the
+    latest checkpoint is the intact slot with the higher key.  A write
+    overwrites the **other** slot (one ``pwrite``, one ``fdatasync``), so
+    a crash at any instant leaves the previous checkpoint or the new one
+    as the latest intact, never neither.  Which slot that is comes off
+    the disk: the store trusts what it last wrote or verified only while
+    both slots still begin with the same bytes (they hold the checksum),
+    and verifies both in full otherwise — a split-brain writer may have
+    been here, or died here (docs/engine.md, "Atomic checkpoints").
 
     Two safeguards make a *shared* root safe:
 
     * ``session`` namespaces the store into a per-session subdirectory
       (``root/<session>/``), so independent scans sharing one configured
-      root can never prune each other's checkpoints — without it, a
-      writer whose offsets sort below a neighbour's would delete its own
-      newest entry right after committing it.
-    * an exclusive ``flock`` on the directory itself serializes the
-      write+prune critical section between two stores pointed at the
-      *same* directory (a split-brain resume of one session), so an
-      interleaved prune can never observe — and delete — a
-      half-committed set.
+      root never see each other's slots.
+    * an exclusive ``flock`` on the directory itself serializes writes,
+      loads and clears of two stores pointed at the *same* directory (a
+      split-brain resume of one session).  Loads take it too: an in-place
+      write is visible half done, and a reader beside it would unlink
+      the slot as corrupt.
     """
 
     def __init__(
@@ -121,12 +125,16 @@ class CheckpointStore:
         if session is not None:
             self.root = self.root / session_dirname(session)
         self.session = session
+        self._slots = [self.root / name for name in SLOTS]
         self.plan = plan  # explicit fault plan; None defers to env
         self.writes = 0  # write ordinal (fault-injection point)
         self.discarded = 0  # corrupt entries dropped during load
+        self.bytes_written = 0  # slot bytes put on disk, padding included
+        self.sync_seconds = 0.0  # spent inside fsync / fdatasync
+        self._known = None  # per slot, (head, order key) as last written or verified
 
     @contextlib.contextmanager
-    def _exclusive(self):
+    def _exclusive(self, create: bool = False):
         """Hold the store's exclusive lock for one critical section,
         yielding the locked directory descriptor.  Raises
         ``OSError(EWOULDBLOCK)`` after the acquisition timeout — callers
@@ -138,6 +146,8 @@ class CheckpointStore:
         the lock the instant its holder dies, and a holder that is
         stopped but alive keeps it.
         """
+        if create and not self.root.is_dir():  # the store's first write
+            self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.root, os.O_RDONLY)
         try:
             deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
@@ -160,13 +170,13 @@ class CheckpointStore:
             os.close(fd)
 
     def _paths(self) -> list[Path]:
-        """Checkpoint files, oldest first."""
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("ckpt-*.json"))
+        """Intact slot files, oldest first."""
+        self.load_latest()
+        ranked = sorted(zip((key for _, key in self._known or []), self._slots))
+        return [path for key, path in ranked if key != EMPTY]
 
     def write(self, payload_doc: dict, offset: int) -> Path:
-        """Atomically persist one snapshot taken at ``offset``.
+        """Durably persist one snapshot taken at ``offset``.
 
         Raises ``OSError`` when the disk is full (real or injected);
         the caller decides whether a failed checkpoint is fatal — for
@@ -176,79 +186,89 @@ class CheckpointStore:
         ordinal = self.writes
         self.writes += 1
         faults.inject_checkpoint_reserve(ordinal, self.plan)
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            payload_doc, sort_keys=True, separators=(",", ":")
-        )
-        path = self.root / f"ckpt-{offset:016d}.json"
-        with self._exclusive() as dirfd:
-            envelope.dump(
-                path,
-                payload,
-                format=CHECKPOINT_FORMAT,
-                version=CHECKPOINT_VERSION,
-                durable=True,
-            )
-            # Best-effort: make the rename itself durable.
-            with contextlib.suppress(OSError):
-                os.fsync(dirfd)
-            faults.inject_checkpoint_commit(path, ordinal, self.plan)
-            self._prune()
-        return path
+        with self._exclusive(create=True) as dirfd:
+            if self._known is None or any(
+                envelope.head(path) != seen
+                for path, (seen, _) in zip(self._slots, self._known)
+            ):
+                self._survey()
+            known, keys = self._known, [key for _, key in self._known]
+            victim = keys.index(min(keys))  # never the newest intact
+            order = (offset, 1 + max(sequence for _, sequence in keys))
+            entry = {"doc": payload_doc, "order": order}
+            payload = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            data = envelope.seal(payload, block=envelope.BLOCK, **ENVELOPE)
+            self._known = None  # a failed write knows nothing of the slots
+            self.sync_seconds += envelope.overwrite(self._slots[victim], data, dirfd)
+            self.bytes_written += len(data)
+            known[victim] = (data[: envelope.HEAD], order)
+            self._known = known
+            faults.inject_checkpoint_commit(self._slots[victim], ordinal, self.plan)
+        return self._slots[victim]
 
-    def _prune(self, keep: int = KEEP) -> None:
-        """Drop all but the newest ``keep`` checkpoints."""
-        paths = self._paths()
-        for path in paths[: max(0, len(paths) - keep)]:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
+    def _survey(self) -> list[dict | None]:
+        """Both slots verified in full, under the lock: their documents
+        (``None``: nothing intact; corrupt slots are unlinked)."""
+        found = [self._load_one(path) for path in self._slots]
+        self._known = [(seen, order) for seen, order, _ in found]
+        return [payload_doc for _, _, payload_doc in found]
 
     def load_latest(self) -> dict | None:
         """The newest intact snapshot payload, or ``None``.
 
-        Corrupt entries (bad envelope, checksum mismatch, undecodable
-        payload) are unlinked and the next-older checkpoint tried — the
-        recovery path a torn latest checkpoint exercises.
+        Corrupt slots (bad envelope, checksum mismatch, undecodable
+        payload) are unlinked and the other one used — the recovery path
+        a torn latest checkpoint exercises.  Raises ``CheckpointError``
+        when another writer keeps the store locked.
         """
-        for path in reversed(self._paths()):
-            payload_doc = self._load_one(path)
-            if payload_doc is not None:
-                return payload_doc
-        return None
-
-    def _load_one(self, path: Path) -> dict | None:
         try:
-            payload_doc = json.loads(
-                envelope.load(
-                    path, version=CHECKPOINT_VERSION, format=CHECKPOINT_FORMAT
-                )
+            with self._exclusive():
+                docs = self._survey()
+        except FileNotFoundError:
+            return None
+        except OSError as err:
+            raise CheckpointError(str(err), phase="checkpoint") from err
+        keys = [key for _, key in self._known]
+        if max(keys) == EMPTY and (old := len(list(self.root.glob(LEGACY[0])))):
+            log.warning(
+                f"{old} checkpoint file(s) of an older layout in {self.root} are "
+                "not read: the scan restarts from byte 0"
             )
+        return docs[keys.index(max(keys))]
+
+    def _load_one(self, path: Path) -> tuple[bytes, tuple[int, int], dict | None]:
+        """One slot's head, order key and document; a corrupt one is empty."""
+        seen = envelope.head(path)
+        if not seen:  # absent, or as a killed creator left it
+            return b"", EMPTY, None
+        try:
+            entry = json.loads(envelope.load(path, **ENVELOPE))
+            (offset, sequence), payload_doc = map(int, entry["order"]), entry["doc"]
         except (OSError, envelope.EnvelopeError) as err:
             return self._discard(path, str(err))
-        except ValueError as err:
+        except (ValueError, KeyError, TypeError) as err:
             return self._discard(path, f"undecodable payload: {err}")
-        if not isinstance(payload_doc, dict):
-            return self._discard(path, "payload is not an object")
-        return payload_doc
+        return seen, (offset, sequence), payload_doc
 
-    def _discard(self, path: Path, reason: str) -> None:
+    def _discard(self, path: Path, reason: str) -> tuple[bytes, tuple[int, int], None]:
         log.debug("checkpoint %s corrupt (%s); discarded", path.name, reason)
         self.discarded += 1
         with contextlib.suppress(OSError):
             os.unlink(path)
-        return None
+        return b"", EMPTY, None
 
     def clear(self) -> None:
-        """Remove every checkpoint (the scan completed)."""
-        if not self.root.is_dir():
-            return
-        try:
-            with self._exclusive():
-                self._prune(keep=0)
-        except OSError:
+        """Remove every checkpoint (the scan completed), old builds' too."""
+        self._known = None
+        with contextlib.ExitStack() as held:
             # A held lock must not fail scan completion; whatever a
-            # concurrent writer re-creates is pruned by the next one.
-            self._prune(keep=0)
+            # concurrent writer re-creates is its own to clear.
+            with contextlib.suppress(OSError):
+                held.enter_context(self._exclusive())
+            litter = [path for old in LEGACY for path in self.root.glob(old)]
+            for path in [*self._slots, *litter]:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
 
 
 class DurableScan:
@@ -298,10 +318,11 @@ class DurableScan:
         self._regex_feeder = None
         self._bin_feeder = None
         layouts: dict = {}  # bin key -> geometry the plan already packed
+        binding = bind(ruleset, hw, mapping=mapping)
         if resolve_backend() in ("fused", "native"):
             from repro.simulators.fused import FusedBinFeeder, FusedRegexFeeder
 
-            self._plan = bind(ruleset, hw, mapping=mapping).plan
+            self._plan = binding.plan
             self._regex_feeder = FusedRegexFeeder(self._plan, self._regex)
             layouts = dict(zip(self._plan.bin_keys, self._plan.layouts))
         self._bins: dict[tuple[int, int], BinActivityCollector] = {
@@ -314,11 +335,8 @@ class DurableScan:
             self._bin_feeder = FusedBinFeeder(
                 list(self._bins.values()), self._plan.scanner
             )
-        self.fingerprint = scan_fingerprint(
-            ruleset,
-            hw,
-            bin_size,
-            fused_layout=self._plan.signature if self._plan else None,
+        self.fingerprint = binding.fingerprint(
+            bin_size, self._plan.signature if self._plan else None
         )
         self._offset = 0
         self._hasher = hashlib.sha256()

@@ -32,8 +32,8 @@ Directive kinds and where they fire:
     this to prove checkpoint resume is bit-identical.
 ``torn_checkpoint``
     At the *index*-th checkpoint write of a durable scan: truncate the
-    freshly-committed checkpoint file to half its size (a torn write
-    that survived the rename — e.g. lost fsync semantics).  Resume must
+    freshly-committed checkpoint slot to half its content (a torn write
+    that outlived its sync — e.g. lost fsync semantics).  Resume must
     detect the damage via the envelope checksum and fall back to the
     previous good checkpoint.
 ``disk_full``
@@ -423,7 +423,7 @@ def inject_checkpoint_commit(
     if directive is None or directive.kind != "torn_checkpoint":
         return
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes().rstrip(b"\n")  # a slot's padding is not content
     path.write_bytes(data[: len(data) // 2])
 
 

@@ -14,21 +14,28 @@ JSON artefact wears the same checksummed envelope::
   the directory fsync that makes the rename itself survive power loss.
   A process killed mid-publish orphans a dot-prefixed ``*.tmp``, which
   no reader globs and no cache budget evicts.
-* :func:`dump` / :func:`load` wrap and verify the envelope.  The
-  checksum covers the exact payload text, so truncation, bit rot or a
-  foreign file is caught positively before any deserializer runs; what
-  a failed entry *means* (evict and recompile, fall back to the older
-  checkpoint) stays with the caller.
+* :func:`overwrite` writes a file in place and syncs it once, for a caller
+  that keeps the previous version elsewhere: a crash leaves this file torn.
+* :func:`seal` / :func:`dump` / :func:`load` wrap and verify the
+  envelope.  The checksum covers the exact payload text, so truncation,
+  bit rot or a foreign file is caught positively before any
+  deserializer runs; what a failed entry *means* (evict and recompile,
+  fall back to the other checkpoint) stays with the caller.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
+
+BLOCK = 4096  # in-place files are whole blocks: fdatasync never journals a size
+HEAD = 160  # leading bytes that hold an envelope's checksum: equal heads, equal files
 
 
 class EnvelopeError(Exception):
@@ -58,22 +65,59 @@ def publish(path: str | Path, data: bytes, *, durable: bool = False) -> None:
         raise
 
 
-def dump(
-    path: str | Path,
-    payload: str,
-    *,
-    format: str,
-    version: int,
-    durable: bool = False,
-) -> None:
-    """Publish ``payload`` (JSON text) inside a checksummed envelope."""
+def overwrite(path: str | Path, data: bytes, dirfd: int) -> float:
+    """Durably make ``data`` the content of ``path``, in place: one
+    ``pwrite``, one ``fdatasync``; the write that creates the file (or
+    finds it empty, as a killed creator left it) pays ``fsync`` plus one
+    of ``dirfd``, its directory.  Returns the seconds spent syncing.  A
+    short write is ``ENOSPC``; after a failure or a crash the file is torn.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600)
+    try:
+        size = os.fstat(fd).st_size
+        if os.pwrite(fd, data, 0) != len(data):
+            raise OSError(errno.ENOSPC, f"short write to {path}")
+        if size > len(data):
+            os.ftruncate(fd, len(data))
+        started = time.perf_counter()
+        if size:
+            getattr(os, "fdatasync", os.fsync)(fd)
+        else:
+            os.fsync(fd)
+            with contextlib.suppress(OSError):  # best-effort, as everywhere
+                os.fsync(dirfd)
+        return time.perf_counter() - started
+    finally:
+        os.close(fd)
+
+
+def head(path: str | Path) -> bytes:
+    """The first :data:`HEAD` bytes of ``path``; empty when it is absent."""
+    with contextlib.suppress(FileNotFoundError):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return os.pread(fd, HEAD, 0)
+        finally:
+            os.close(fd)
+    return b""
+
+
+def seal(payload: str, *, format: str, version: int, block: int = 1) -> bytes:
+    """``payload`` (JSON text) inside a checksummed envelope, padded to a
+    multiple of ``block`` bytes with newlines, which :func:`load` ignores."""
     document = {
         "format": format,
         "entry_version": version,
         "checksum": hashlib.sha256(payload.encode()).hexdigest(),
         "payload": payload,
     }
-    publish(path, json.dumps(document).encode(), durable=durable)
+    data = json.dumps(document).encode()
+    return data + b"\n" * (-len(data) % block)
+
+
+def dump(path: str | Path, payload: str, *, format: str, version: int) -> None:
+    """Publish ``payload`` (JSON text) inside a checksummed envelope."""
+    publish(path, seal(payload, format=format, version=version))
 
 
 def load(path: str | Path, *, version: int, format: str | None = None) -> str:
@@ -111,4 +155,4 @@ def load(path: str | Path, *, version: int, format: str | None = None) -> str:
     return payload
 
 
-__all__ = ["EnvelopeError", "dump", "load", "publish"]
+__all__ = ["EnvelopeError", "dump", "head", "load", "overwrite", "publish", "seal"]

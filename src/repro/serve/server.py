@@ -410,6 +410,7 @@ class ScanServer:
 
     def health_report(self) -> dict:
         """The worker snapshot answered to a pre-``open`` ``health`` op."""
+        live = self._sessions.values()
         return {
             "op": "health_report",
             "sessions": len(self._sessions),
@@ -419,6 +420,8 @@ class ScanServer:
             "shed": self.stats.shed,
             "checkpoint_failures": self.stats.checkpoint_failures,
             "last_checkpoint_error": self.stats.last_checkpoint_error,
+            "checkpoint_bytes": sum(s.store.bytes_written for s in live),
+            "checkpoint_sync_seconds": sum(s.store.sync_seconds for s in live),
         }
 
     # -- connection handling -------------------------------------------------

@@ -34,6 +34,7 @@ from repro.core.trace import ActivityTrace
 from repro.hardware.circuits import TABLE1, CircuitLibrary
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig, TileMode
 from repro.hardware.energy import EnergyLedger
+from repro.io.serialize import scan_fingerprint
 from repro.mapping.binning import BinKind
 from repro.mapping.mapper import Mapping, map_ruleset
 from repro.mapping.resources import ArrayBuilder
@@ -119,6 +120,14 @@ class Binding:
         self.ruleset = ruleset
         self.mapping = mapping
         self.hw = hw
+        self._fingerprints: dict[tuple, str] = {}
+
+    def fingerprint(self, bin_size: int | None, fused_layout: str | None) -> str:
+        """The scan fingerprint — the whole ruleset serialized, hashed: once."""
+        key = (bin_size, fused_layout)
+        if key not in self._fingerprints:
+            self._fingerprints[key] = scan_fingerprint(self.ruleset, self.hw, *key)
+        return self._fingerprints[key]
 
     @cached_property
     def plan(self):

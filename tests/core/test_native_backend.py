@@ -301,7 +301,7 @@ def _sigkill_resume(tmp_path, patterns, data, golden_backend, extra=()):
         cwd=repo,
     )
     assert killed.returncode in (-signal.SIGKILL, 137)
-    assert list(ckpts.glob("ckpt-*.json")), "no checkpoint survived"
+    assert CheckpointStore(ckpts)._paths(), "no checkpoint survived"
     resumed = subprocess.run(
         [*durable, "--resume"],
         capture_output=True,

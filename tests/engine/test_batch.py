@@ -240,6 +240,34 @@ class TestBinding:
         with use_backend("python"):
             return RAPSimulator().run(ruleset, self.DATA, **kwargs)
 
+    @pytest.mark.parametrize("backend", ["python", *PLANNED])
+    def test_durable_scans_hash_the_ruleset_once(self, backend, monkeypatch):
+        """The scan fingerprint serializes and hashes the whole ruleset:
+        once per binding, not per durable scan, session or reload."""
+        from repro.engine.checkpoint import DurableScan
+        from repro.io.serialize import scan_fingerprint
+        from repro.simulators import rap
+
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+        ruleset = compiled(self.PATTERNS)
+        engine = BatchEngine(EngineConfig(backend=backend, use_cache=False))
+        hashed = _count_calls(monkeypatch, rap, "scan_fingerprint")
+        for _ in range(3):
+            engine.durable_scan(ruleset, self.DATA)
+        with use_backend(backend):
+            mapping = rap.bind(ruleset, engine.hw).mapping
+            scan = DurableScan(ruleset, mapping, engine.hw)
+            layout = scan._plan.signature if scan._plan else None
+        assert len(hashed) == 1
+        assert scan.fingerprint == scan_fingerprint(
+            ruleset, engine.hw, None, fused_layout=layout
+        )
+        # what the fingerprint covers still moves it
+        with use_backend(backend):
+            other = DurableScan(ruleset, mapping, engine.hw, bin_size=3)
+        assert other.fingerprint != scan.fingerprint and len(hashed) == 2
+
     @pytest.mark.parametrize("backend", PLANNED)
     def test_scans_and_durable_scan_bind_once(self, backend, counters):
         if backend not in available_backends():

@@ -11,11 +11,14 @@ import dataclasses
 import errno
 import fcntl
 import json
+import logging
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -27,12 +30,14 @@ from repro.engine.budget import BudgetMonitor, ResourceBudget, validate_degrade
 from repro.engine import checkpoint
 from repro.engine.checkpoint import (
     KEEP,
+    SLOTS,
     CheckpointStore,
     DurableScan,
     session_dirname,
 )
 from repro.errors import BudgetExceededError, CheckpointError
 from repro.hardware.config import DEFAULT_CONFIG
+from repro.io import envelope
 from repro.simulators.rap import RAPSimulator
 from tests.helpers import killed_at, persistence_trace
 
@@ -77,7 +82,7 @@ class TestDurableEqualsSequential:
         assert outcome.checkpoints_written > 0
         assert outcome.bytes_scanned == len(data)
         # Completion clears the checkpoint directory.
-        assert not list(tmp_path.glob("ckpt-*.json"))
+        assert CheckpointStore(tmp_path)._paths() == []
 
     def test_without_checkpoint_dir(self, ruleset, data, reference):
         config = EngineConfig(checkpoint_every_bytes=1000)
@@ -139,8 +144,8 @@ class TestResume:
         self, ruleset, data, reference, tmp_path
     ):
         self._interrupt(ruleset, data, tmp_path, chunks=3, chunk=500)
-        newest = sorted(tmp_path.glob("ckpt-*.json"))[-1]
-        blob = newest.read_bytes()
+        newest = CheckpointStore(tmp_path)._paths()[-1]
+        blob = newest.read_bytes().rstrip()  # the padding is not content
         newest.write_bytes(blob[: len(blob) // 2])
         config = EngineConfig(
             checkpoint_dir=str(tmp_path),
@@ -269,7 +274,7 @@ class TestKillResumeEndToEnd:
             cwd=repo,
         )
         assert killed.returncode in (-signal.SIGKILL, 137)
-        assert list(ckpts.glob("ckpt-*.json")), "no checkpoint survived"
+        assert CheckpointStore(ckpts)._paths(), "no checkpoint survived"
         resumed = subprocess.run(
             [*durable, "--resume"],
             capture_output=True,
@@ -347,15 +352,14 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         for i in range(5):
             store.write({"i": i}, offset=i * 100)
-        paths = sorted(tmp_path.glob("ckpt-*.json"))
-        assert len(paths) == KEEP
+        assert len(store._paths()) == KEEP
         assert store.load_latest() == {"i": 4}
 
     def test_corrupt_entry_discarded(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.write({"i": 0}, offset=100)
         store.write({"i": 1}, offset=200)
-        newest = sorted(tmp_path.glob("ckpt-*.json"))[-1]
+        newest = store._paths()[-1]
         doc = json.loads(newest.read_text())
         doc["payload"] = doc["payload"].replace("1", "2")
         newest.write_text(json.dumps(doc))  # checksum now wrong
@@ -366,7 +370,7 @@ class TestCheckpointStore:
     def test_all_corrupt_is_none(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.write({"i": 0}, offset=100)
-        for path in tmp_path.glob("ckpt-*.json"):
+        for path in store._paths():
             path.write_text("garbage")
         assert store.load_latest() is None
 
@@ -473,12 +477,12 @@ class TestStoreRecovery:
         store.write({"n": 2}, 200)
         stray = tmp_path / "NOTES.txt"
         stray.write_text("operator breadcrumb, not a checkpoint")
-        for path in sorted(tmp_path.glob("ckpt-*.json")):
+        for path in store._paths():
             path.write_text("{ torn")
         assert store.load_latest() is None
         assert store.discarded == 2
         # Corrupt entries are unlinked; unrelated files are untouched.
-        assert list(tmp_path.glob("ckpt-*.json")) == []
+        assert store._paths() == [] and sorted(tmp_path.iterdir()) == [stray]
         assert stray.read_text() == "operator breadcrumb, not a checkpoint"
 
     def test_stray_json_is_not_parsed_as_a_checkpoint(self, tmp_path):
@@ -487,6 +491,11 @@ class TestStoreRecovery:
         (tmp_path / "summary.json").write_text("not a checkpoint")
         assert store.load_latest() == {"n": 1}
         assert store.discarded == 0
+
+
+def slot_order(path) -> list[int]:
+    """The ``[offset, sequence]`` order key the slot at ``path`` holds."""
+    return json.loads(envelope.load(path, **checkpoint.ENVELOPE))["order"]
 
 
 @contextlib.contextmanager
@@ -613,23 +622,22 @@ class TestStoreLocking:
         assert outcome.checkpoint_failures >= 2
         assert outcome.result == reference  # durability lost, never the scan
 
-    # A writer whose every critical section trips over a neighbour's: a
-    # marker created with O_EXCL on entry and removed on exit.
+    # A writer whose every in-place write trips over a neighbour's: a
+    # marker created with O_EXCL going in and removed coming out.
     _EXCLUDED_WRITER = (
         "import os, sys, time\n"
         "from repro.engine import checkpoint\n"
         "root, who = sys.argv[1], int(sys.argv[2])\n"
         "marker = os.path.join(os.path.dirname(root), 'inside')\n"
-        "dump, prune = checkpoint.envelope.dump, checkpoint.CheckpointStore._prune\n"
-        "def entering(*args, **kwargs):\n"
+        "overwrite = checkpoint.envelope.overwrite\n"
+        "def alone(*args, **kwargs):\n"
         "    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))\n"
         "    time.sleep(0.002)\n"
-        "    return dump(*args, **kwargs)\n"
-        "def leaving(self, *args):\n"
-        "    prune(self, *args)\n"
-        "    os.unlink(marker)\n"
-        "checkpoint.envelope.dump = entering\n"
-        "checkpoint.CheckpointStore._prune = leaving\n"
+        "    try:\n"
+        "        return overwrite(*args, **kwargs)\n"
+        "    finally:\n"
+        "        os.unlink(marker)\n"
+        "checkpoint.envelope.overwrite = alone\n"
         "store = checkpoint.CheckpointStore(root)\n"
         "for n in range(25):\n"
         "    store.write({'who': who, 'n': n}, 2 * n + who)\n"
@@ -650,9 +658,7 @@ class TestStoreLocking:
             _, err = writer.communicate(timeout=120)
             assert writer.returncode == 0, err[-2000:]
         store = CheckpointStore(root)
-        assert [p.name for p in store._paths()] == [
-            f"ckpt-{offset:016d}.json" for offset in (48, 49)
-        ]
+        assert [slot_order(path)[0] for path in store._paths()] == [48, 49]
         assert store.load_latest() == {"who": 1, "n": 24}
 
     def test_no_lock_litter_and_no_descriptor_leak(self, tmp_path):
@@ -661,9 +667,8 @@ class TestStoreLocking:
         before = len(os.listdir("/proc/self/fd"))
         for n in range(50):
             store.write({"n": n}, n + 1)
-        assert sorted(p.name for p in store.root.iterdir()) == [
-            f"ckpt-{offset:016d}.json" for offset in (49, 50)
-        ]
+        assert sorted(p.name for p in store.root.iterdir()) == list(SLOTS)
+        assert [slot_order(path)[0] for path in store._paths()] == [49, 50]
         store.clear()
         assert list(store.root.iterdir()) == []
         assert len(os.listdir("/proc/self/fd")) == before
@@ -671,52 +676,280 @@ class TestStoreLocking:
     def test_writer_killed_at_any_step_never_wedges_the_store(
         self, tmp_path, monkeypatch
     ):
-        """Every crash point of the one primitive: a writer killed
+        """Every crash point of the one primitive, for the write that
+        creates a slot and for the steady-state one: a writer killed
         entering any call of its write leaves the previous checkpoint or
-        the new one as the latest — the new one exactly when the rename
-        ran — holds nobody up afterwards, and the temp file it orphans
-        is never read as a checkpoint."""
+        the new one as the latest — never neither — and holds nobody up
+        afterwards."""
         monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.5)
-        docs = [{"n": n, "pad": "x" * 64} for n in range(4)]
+        docs = [{"n": n, "pad": "x" * 64} for n in range(5)]
+        durable = ("flock", "pwrite", "ftruncate", "fsync", "fdatasync")
+        forbidden = {"replace", "mkstemp", "fdopen", "unlink", "mkdir", "utime"}
 
-        def seeded(root):
+        def seeded(root, count):
             store = CheckpointStore(root)
-            for n in (0, 1):
+            for n in range(count):
                 store.write(docs[n], n)
             return store
 
-        clean = seeded(tmp_path / "clean")
-        trace = persistence_trace(lambda: clean.write(docs[2], 2))
-        names = [name for name, _ in trace]
-        # flock the directory; fsync the file, rename it, fsync that
-        # same directory descriptor; prune; unlock by closing.
-        steps = [
-            (name, args) for name, args in trace
-            if name in ("flock", "fsync", "replace", "unlink", "close")
-        ]
-        assert [name for name, _ in steps] == [
-            "flock", "fsync", "replace", "fsync", "unlink", "close",
-        ]
-        dirfd = steps[0][1][0]
-        assert steps[1][1] != (dirfd,)  # the temp file's own descriptor
-        assert steps[3][1] == (dirfd,) and steps[5][1] == (dirfd,)
-        assert steps[4][1] == (clean.root / "ckpt-0000000000000000.json",)
-        assert clean.load_latest() == docs[2]
+        # seeded with one checkpoint the next write creates the second
+        # slot; seeded with two, every later write is the steady state
+        for count, label in ((1, "creating"), (2, "steady")):
+            clean = seeded(tmp_path / f"clean-{label}", count)
+            trace = persistence_trace(lambda: clean.write(docs[count], count))
+            names = [name for name, _ in trace]
+            assert not forbidden & set(names), names
+            steps = [(name, args) for name, args in trace if name in durable]
+            dirfd = steps[0][1][0]
+            if label == "steady":
+                # flock the directory, read two heads, overwrite one slot
+                # in place, sync its data once, unlock by closing
+                assert [name for name, _ in steps] == [
+                    "flock", "pwrite", "fdatasync",
+                ]
+                assert [args[1:] for n, args in trace if n == "pread"] == [
+                    (envelope.HEAD, 0)
+                ] * 2
+                assert names.count("open") == 4  # directory, two heads, the slot
+            else:
+                # a new file: fsync it, then the (locked) directory
+                assert [name for name, _ in steps] == [
+                    "flock", "pwrite", "fsync", "fsync",
+                ]
+                assert steps[2][1] != (dirfd,) and steps[3][1] == (dirfd,)
+            assert trace[-1] == ("close", (dirfd,))
+            assert clean.load_latest() == docs[count]
 
-        renamed = names.index("replace")
-        for k in range(len(trace)):
-            store = seeded(tmp_path / f"killed-{k}")
-            killed_at(k, lambda store=store: store.write(docs[2], 2))
-            orphans = [p.name for p in store.root.iterdir() if p.suffix == ".tmp"]
-            assert len(orphans) == (names.index("fdopen") <= k <= renamed), k
-            survivor = CheckpointStore(store.root)
-            assert survivor.load_latest() == docs[2 if k > renamed else 1], k
-            assert survivor.discarded == 0
+            written = names.index("pwrite")
+            opened = written - 1  # the open that creates an absent slot
+            assert names[opened] == "open"
+            for k in range(len(trace)):
+                store = seeded(tmp_path / f"killed-{label}-{k}", count)
+                killed_at(k, lambda store=store: store.write(docs[count], count))
+                assert sorted(p.name for p in store.root.iterdir()) == sorted(
+                    SLOTS[: count + (k > opened)]
+                ), k
+                survivor = CheckpointStore(store.root)
+                latest = count if k > written else count - 1  # new or previous
+                assert survivor.load_latest() == docs[latest], k
+                assert survivor.discarded == 0, k  # a process kill tears nothing
+                started = time.monotonic()
+                survivor.write(docs[4], 4)  # no wait: the lock died with its holder
+                assert time.monotonic() - started < 0.5, k
+                assert survivor.load_latest() == docs[4]
+                assert len(survivor._paths()) == KEEP
+
+
+def torn_write(store, doc, offset) -> None:
+    """``store.write`` in a forked child that dies one sector into its
+    ``pwrite`` — what a power cut mid-overwrite leaves: the head of the
+    new slot, then the rest of the old one."""
+    pid = os.fork()
+    if pid == 0:
+        whole = os.pwrite
+
+        def sector(fd, data, position):
+            whole(fd, data[:512], position)
+            os._exit(9)
+
+        os.pwrite = sector
+        try:
+            store.write(doc, offset)
+        finally:
+            os._exit(1)
+    assert os.WEXITSTATUS(os.waitpid(pid, 0)[1]) == 9
+
+
+class TestSlots:
+    """Two slot files written in place: the slot overwritten is never the
+    one holding the newest intact checkpoint, whatever the disk — not the
+    writer's memory — says that is."""
+
+    DOCS = [{"n": n, "pad": "x" * (1500 - 100 * n)} for n in range(5)]
+
+    def _seeded(self, root):
+        store = CheckpointStore(root)
+        for n in (0, 1):
+            store.write(self.DOCS[n], n)
+        return store
+
+    def test_torn_overwrite_at_every_sector(self, tmp_path):
+        seeded = self._seeded(tmp_path / "seed")
+        slots = seeded._slots
+        old, other = (path.read_bytes() for path in slots)
+        assert seeded.write(self.DOCS[2], 2) == slots[0]
+        new = slots[0].read_bytes()
+        assert len(old) == len(new) == envelope.BLOCK
+        cuts = [*range(513), *range(1024, len(new), 512)]
+        seen = set()
+        for k in cuts:
+            root = tmp_path / f"cut-{k}"
+            root.mkdir()
+            torn = new[:k] + old[k:]
+            (root / SLOTS[0]).write_bytes(torn)
+            (root / SLOTS[1]).write_bytes(other)
+            store = CheckpointStore(root)
+            # old (the cut fell inside what both share), new (it fell in
+            # the padding) or neither: then the other slot carries on
+            state = {old: "old", new: "new"}.get(torn, "torn")
+            seen.add(state)
+            assert store.load_latest() == self.DOCS[2 if state == "new" else 1], k
+            assert store.discarded == (state == "torn"), k
+            assert (root / SLOTS[0]).exists() == (state != "torn"), k
+            landed = store.write(self.DOCS[3], 3)
+            assert landed == root / SLOTS[state == "new"], k
+            assert store.load_latest() == self.DOCS[3]
+            assert len(store._paths()) == KEEP
+        assert seen == {"old", "new", "torn"}
+
+    def test_grow_and_shrink_across_a_block(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        small = [{"n": n, "pad": "s" * 1000} for n in range(4)]
+        big = {"n": "big", "pad": "b" * 9000}
+        one, three = envelope.BLOCK, 3 * envelope.BLOCK
+        expected = [[one], [one, one], [three, one], [three, one], [one, one]]
+        for offset, doc in enumerate([small[0], small[1], big, small[2], small[3]]):
+            trace = persistence_trace(lambda: store.write(doc, offset))
+            # only the write that shrinks a slot truncates it
+            truncated = [args[1] for name, args in trace if name == "ftruncate"]
+            assert truncated == ([one] if doc is small[3] else []), offset
+            present = [path for path in store._slots if path.exists()]
+            assert [path.stat().st_size for path in present] == expected[offset]
+            for path in present:  # one document, then padding: no stale tail
+                assert json.loads(path.read_text())["payload"]
+                assert path.read_bytes().rstrip(b"\n").endswith(b'"}')
+            fresh = CheckpointStore(tmp_path)
+            assert fresh.load_latest() == doc
+            assert len(fresh._paths()) == len(present) and fresh.discarded == 0
+        assert store.bytes_written == 4 * one + three
+
+    def test_same_offset_twice_the_later_write_wins(self, tmp_path):
+        store = self._seeded(tmp_path)
+        first = store.write({"gen": 1}, 7)
+        second = store.write({"gen": 2}, 7)  # e.g. a reload at a boundary
+        assert first != second
+        assert CheckpointStore(tmp_path).load_latest() == {"gen": 2}
+        assert [slot_order(p)[0] for p in store._paths()] == [7, 7]
+
+    def test_double_fault_leaves_an_intact_checkpoint(self, tmp_path):
+        """Writer X dies mid-overwrite; writer Y, which wrote before X
+        came and never reloaded, dies mid-overwrite too.  Y must pick its
+        victim off the disk: its memory (and a plain toggle) says slot 0
+        is next, where the only intact checkpoint now lives."""
+        y = self._seeded(tmp_path)
+        x = CheckpointStore(tmp_path)
+        assert x.load_latest() == self.DOCS[1]
+        assert x.write(self.DOCS[2], 2) == tmp_path / SLOTS[0]
+        torn_write(x, self.DOCS[3], 3)  # X dies over slot 1
+        assert y._known is not None  # Y still believes what it wrote
+        torn_write(y, self.DOCS[4], 4)
+        survivor = CheckpointStore(tmp_path)
+        assert survivor.load_latest() == self.DOCS[2]
+        assert survivor.discarded == 1
+        assert survivor.write(self.DOCS[4], 4) == tmp_path / SLOTS[1]
+
+    def test_failed_write_forgets_the_slots(self, tmp_path, monkeypatch):
+        store = self._seeded(tmp_path)
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: len(data) // 2)
+        with pytest.raises(OSError) as info:
+            store.write(self.DOCS[2], 2)
+        assert info.value.errno == errno.ENOSPC
+        assert store._known is None
+        monkeypatch.undo()
+        # the next write verifies both slots in full before choosing
+        reads = [
+            name
+            for name, _ in persistence_trace(lambda: store.write(self.DOCS[3], 3))
+            if name in ("pread", "fdopen", "pwrite")
+        ]
+        assert reads.count("pread") == 2 and reads[-1] == "pwrite"
+        assert store.load_latest() == self.DOCS[3]
+        assert [slot_order(p)[0] for p in store._paths()] == [1, 3]
+
+    def test_reader_beside_a_writer_waits_and_unlinks_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """An in-place write is visible half done, so a load must not
+        run beside one: it would unlink the slot as corrupt."""
+        store = self._seeded(tmp_path)
+        torn_write(store, self.DOCS[2], 2)  # slot 0 as a writer mid-write shows it
+        reader = CheckpointStore(tmp_path)
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 0.1)
+        with lock_holder_process(tmp_path):
+            with pytest.raises(CheckpointError) as info:
+                reader.load_latest()
+            assert "locked by another writer" in str(info.value)
+            assert reader.discarded == 0 and (tmp_path / SLOTS[0]).exists()
+        monkeypatch.setattr(checkpoint, "LOCK_TIMEOUT_SECONDS", 5.0)
+        with lock_holder_process(tmp_path) as holder:
+            release = threading.Timer(0.3, holder.kill)
+            release.start()
             started = time.monotonic()
-            survivor.write(docs[3], 3)  # no wait: the lock died with its holder
-            assert time.monotonic() - started < 0.5, k
-            assert survivor.load_latest() == docs[3]
-            assert len(survivor._paths()) == KEEP
+            assert reader.load_latest() == self.DOCS[1]  # it waited
+            assert 0.25 < time.monotonic() - started < 4.0
+            release.join()
+        # the holder is dead: what it left torn is discarded now
+        assert reader.discarded == 1 and not (tmp_path / SLOTS[0]).exists()
+
+    def test_old_layout_is_warned_about_and_swept(self, tmp_path, caplog):
+        root = tmp_path / "ck"
+        root.mkdir()
+        litter = [f"ckpt-{offset:016d}.json" for offset in (100, 200, 300)]
+        litter += [".ckpt-00000000000-abc123.tmp", ".ckpt-00000000000-def456.tmp"]
+        for name in litter:
+            (root / name).write_text("{}")
+        (root / "NOTES.txt").write_text("operator breadcrumb")
+        store = CheckpointStore(root)
+        with caplog.at_level(logging.WARNING, logger=checkpoint.__name__):
+            assert store.load_latest() is None
+        (record,) = caplog.records
+        said = record.getMessage()
+        assert "3 checkpoint file(s)" in said and str(root) in said
+        assert "restarts from byte 0" in said
+        caplog.clear()
+        store.write({"n": 1}, 1)
+        with caplog.at_level(logging.WARNING, logger=checkpoint.__name__):
+            assert store.load_latest() == {"n": 1}  # an intact slot: no noise
+        assert not caplog.records
+        store.clear()
+        assert [p.name for p in root.iterdir()] == ["NOTES.txt"]
+
+    def test_resume_over_an_old_layout_restarts_with_one_warning(
+        self, ruleset, data, reference, tmp_path, caplog
+    ):
+        (tmp_path / "ckpt-0000000000001000.json").write_text("{}")
+        config = EngineConfig(
+            checkpoint_dir=str(tmp_path), checkpoint_every_bytes=1000, resume=True
+        )
+        with caplog.at_level(logging.WARNING, logger=checkpoint.__name__):
+            outcome = BatchEngine(config).durable_scan(ruleset, data)
+        assert outcome.resumed_from is None and outcome.result == reference
+        assert len(caplog.records) == 1
+        assert list(tmp_path.iterdir()) == []  # swept on completion
+
+    def test_the_outcome_says_what_durability_cost(
+        self, ruleset, data, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        config = EngineConfig(checkpoint_dir=str(tmp_path), checkpoint_every_bytes=1000)
+        outcome = BatchEngine(config).durable_scan(ruleset, data)
+        assert outcome.checkpoints_written == 4
+        assert outcome.checkpoint_bytes % envelope.BLOCK == 0
+        assert outcome.checkpoint_bytes >= 4 * envelope.BLOCK
+        assert 0 < outcome.checkpoint_sync_seconds < 5.0
+        rules = tmp_path / "rules.txt"
+        rules.write_text("\n".join(PATTERNS) + "\n")
+        stream = tmp_path / "input.bin"
+        stream.write_bytes(data)
+        args = ["scan", "--patterns", str(rules), str(stream), "--no-cache"]
+        args += ["--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "1000"]
+        assert main(args) == 0
+        assert re.search(
+            r"^# checkpoints: 4 written \(\d+\.\d KiB, \d+\.\d ms in sync\), 0 failed$",
+            capsys.readouterr().err,
+            re.MULTILINE,
+        )
 
 
 class TestDetachedResume:

@@ -512,7 +512,7 @@ class TestDurableSeams:
             *durable, str(killed_dir), "--input-jobs", "2", fault_plan="kill@2"
         )
         assert killed.returncode in (-signal.SIGKILL, 137)
-        assert list(killed_dir.glob("ckpt-*.json")), "no checkpoint survived"
+        assert CheckpointStore(killed_dir)._paths(), "no checkpoint survived"
         for input_jobs in ("1", "4"):
             ckpts = tmp_path / f"resume-{input_jobs}"
             shutil.copytree(killed_dir, ckpts)

@@ -89,7 +89,11 @@ PERSISTENCE_CALLS = [
     (fcntl, "flock"),
     (tempfile, "mkstemp"),
     (os, "fdopen"),
+    (os, "pread"),
+    (os, "pwrite"),
+    (os, "ftruncate"),
     (os, "fsync"),
+    (os, "fdatasync"),
     (os, "replace"),
     (os, "unlink"),
     (os, "utime"),

@@ -390,6 +390,30 @@ class TestWatchdogs:
 
         run(scenario())
 
+    def test_health_report_says_what_durability_cost(
+        self, registry, data, tmp_path
+    ):
+        """Bytes put on disk and seconds spent syncing them, summed over
+        the live sessions' stores: disk told apart from Python."""
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                report = server.health_report()
+                assert report["checkpoint_bytes"] == 0
+                assert report["checkpoint_sync_seconds"] == 0
+                client = ScanClient("127.0.0.1", server.port, "cost", "s", PATTERNS)
+                await client.connect()
+                await client.send(data[:SEG])
+                await client.send(data[SEG : 2 * SEG])
+                await client.detach()  # checkpoints the session
+                report = server.health_report()
+                assert report["sessions"] == 1
+                assert report["checkpoint_bytes"] >= 4096
+                assert report["checkpoint_bytes"] % 4096 == 0
+                assert 0 < report["checkpoint_sync_seconds"] < 5.0
+
+        run(scenario())
+
     def test_shed_drops_exactly_the_lowest_weight_session(
         self, registry, data, golden, tmp_path
     ):
