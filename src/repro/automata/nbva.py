@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from repro.automata.glushkov import Automaton, EdgeAction
+from repro.io.envelope import STATE_VERSION
 from repro.regex.charclass import ALPHABET_SIZE, interned_label_masks, members
 
 
@@ -193,10 +194,6 @@ class NBVASimulator:
         return NBVAScanner(
             self, anchored_start=anchored_start, anchored_end=anchored_end
         )
-
-
-# Version of the serialized NBVA frontier encoding.
-NBVA_STATE_VERSION = 1
 
 
 class NBVAState(NamedTuple):
@@ -374,7 +371,7 @@ class NBVAScanner:
         dict order never affects results, but determinism keeps the
         serialized bytes, and hence checkpoint checksums, stable)."""
         return {
-            "version": NBVA_STATE_VERSION,
+            "version": STATE_VERSION,
             "offset": self._offset,
             "active": f"{self._active:x}",
             "vectors": [
@@ -387,10 +384,10 @@ class NBVAScanner:
         """Adopt a state produced by :meth:`snapshot`."""
         try:
             version = doc["version"]
-            if version != NBVA_STATE_VERSION:
+            if version != STATE_VERSION:
                 raise ValueError(
                     f"NBVA-state version {version!r} "
-                    f"(this build reads {NBVA_STATE_VERSION})"
+                    f"(this build reads {STATE_VERSION})"
                 )
             offset = int(doc["offset"])
             active = int(doc["active"], 16)

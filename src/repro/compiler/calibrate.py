@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.compiler.costmodel import (
-    CALIBRATION_VERSION,
     CONSTANT_RANGE,
     DEFAULT_CONSTANTS,
     CostConstants,
@@ -261,12 +260,13 @@ def calibrate(
 def save_calibration(report: CalibrationReport, cache=None) -> None:
     """Persist measured constants for the report's backend."""
     from repro.engine.cache import CompileCache
+    from repro.io.envelope import PLAN_VERSION
 
     cache = cache if cache is not None else CompileCache()
     cache.put_blob(
         calibration_blob_name(report.backend),
         {
-            "version": CALIBRATION_VERSION,
+            "version": PLAN_VERSION,
             "backend": report.backend,
             "constants": report.constants.numbers(),
             "measurements": report.measurements,

@@ -94,10 +94,6 @@ C_LNFA_WORD = 0.3
 
 # -- measured constants (``rap calibrate``) -----------------------------------
 
-#: Version of the persisted calibration payload; bumping it orphans
-#: every stored calibration (treated as "never calibrated").
-CALIBRATION_VERSION = 1
-
 #: Measured constants outside this range are implausible (a degenerate
 #: micro-benchmark, clock glitch, or corrupted blob) and are clamped.
 CONSTANT_RANGE = (0.01, 100.0)
@@ -174,6 +170,7 @@ def active_constants(backend: str | None = None) -> CostConstants:
     # module-level import here would be circular.
     from repro.core import resolve_backend
     from repro.engine.cache import CompileCache, default_cache_dir
+    from repro.io.envelope import PLAN_VERSION
 
     resolved = backend if backend is not None else resolve_backend()
     key = (str(default_cache_dir()), resolved)
@@ -187,7 +184,7 @@ def active_constants(backend: str | None = None) -> CostConstants:
         payload = None
     if (
         isinstance(payload, dict)
-        and payload.get("version") == CALIBRATION_VERSION
+        and payload.get("version") == PLAN_VERSION
         and isinstance(payload.get("constants"), dict)
     ):
         raw = payload["constants"]

@@ -21,10 +21,6 @@ from repro.core.kernel import MatchEvent, StepKernel, StepStats
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import (
     BACKEND_ENV,
-    DFA_FORMAT_VERSION,
-    FUSED_FORMAT_VERSION,
-    KERNEL_FORMAT_VERSION,
-    NATIVE_FORMAT_VERSION,
     available_backends,
     backend_names,
     get_kernel,
@@ -33,19 +29,10 @@ from repro.core.registry import (
     set_default_backend,
     use_backend,
 )
-from repro.core.state import (
-    STATE_FORMAT_VERSION,
-    KernelState,
-    iter_states_from,
-)
+from repro.core.state import KernelState, iter_states_from
 
 __all__ = [
     "BACKEND_ENV",
-    "DFA_FORMAT_VERSION",
-    "FUSED_FORMAT_VERSION",
-    "KERNEL_FORMAT_VERSION",
-    "NATIVE_FORMAT_VERSION",
-    "STATE_FORMAT_VERSION",
     "KernelProgram",
     "KernelState",
     "MatchEvent",

@@ -95,10 +95,10 @@ counters accumulate in caller memory; match positions and
 ``bv_cycle_indices`` come back through one event buffer.
 
 Every source begins with a header naming
-:data:`~repro.core.registry.NATIVE_FORMAT_VERSION`, so the SHA-256 of
-the source text — the shared-object cache key — rolls over whenever the
-ABI or the emitted semantics change — and with the 256-entry class map:
-kernels take raw bytes and read ``CLS[data[i]]``.
+:data:`~repro.io.envelope.PLAN_VERSION`, so the SHA-256 of the source
+text — the shared-object cache key — rolls over whenever the ABI or the
+emitted semantics change — and with the 256-entry class map: kernels
+take raw bytes and read ``CLS[data[i]]``.
 
 Match events cross the ABI as bounded ``(position, state)`` buffers with
 a continuation protocol: when a buffer fills — for the unit kernel, when
@@ -119,7 +119,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from repro.automata.glushkov import EdgeAction, ReadKind
-from repro.core.registry import NATIVE_FORMAT_VERSION
+from repro.io.envelope import PLAN_VERSION
 
 # A GATHER unit whose subset closure holds more states than this is not
 # closed (its table is walked, and restarts at the same size): measured
@@ -169,8 +169,7 @@ def _header(kind: str, fused) -> str:
     and map them to the ruleset's classes themselves (``CLS[data[i]]``)."""
     return (
         f"/* rap native kernel: {kind}\n"
-        f" * native_format_version: {NATIVE_FORMAT_VERSION}\n"
-        f" * layout: {fused.signature}\n"
+        f" * plan_version: {PLAN_VERSION}\n"
         " * generated; do not edit.\n"
         " */\n"
         "#include <stdint.h>\n"

@@ -42,7 +42,6 @@ Import this module only after the backend registry has resolved
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
@@ -50,21 +49,11 @@ from dataclasses import replace
 import numpy as np
 
 from repro.automata.glushkov import Automaton
-from repro.automata.nbva import (
-    NBVA_STATE_VERSION,
-    NBVAScanner,
-    NBVASimulator,
-    NBVAState,
-    NBVAStats,
-)
+from repro.automata.nbva import NBVAScanner, NBVASimulator, NBVAState, NBVAStats
 from repro.core import codegen
 from repro.core.kernel import MatchEvent, StepStats
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.registry import (
-    DFA_FORMAT_VERSION,
-    FUSED_FORMAT_VERSION,
-    resolve_backend,
-)
+from repro.core.registry import resolve_backend
 from repro.core.table import StepTable
 from repro.regex.charclass import interned_label_masks
 
@@ -225,7 +214,7 @@ class FusedRuleset:
     SHIFT_LEFT programs (packed LNFA bins, standalone Shift-And units)
     and GATHER programs — ``gather_programs`` are the NFA-mode ones,
     ``dfa_programs`` the DFA-mode ones; the split only names them for
-    callers and :attr:`signature` — share the class-translated input,
+    callers — share the class-translated input,
     and each is stepped as its own :class:`~repro.core.table.StepTable`
     consuming one lookup per symbol: a shift program's through
     :meth:`lane_dfa`, a GATHER program's (closed at build time,
@@ -347,42 +336,6 @@ class FusedRuleset:
     def native_active(self) -> bool:
         """Whether unit spans run compiled kernels (builds lazily)."""
         return self._native_scanner() is not None
-
-    # -- identity -------------------------------------------------------
-
-    @property
-    def signature(self) -> str:
-        """Digest of the class map and lane layout.
-
-        Cache keys and durable-scan fingerprints embed this so an
-        artifact produced under one fusion layout can never be decoded
-        under another.
-        """
-        doc = (
-            FUSED_FORMAT_VERSION,
-            self.classes.k,
-            self.classes.class_of,
-            tuple(zip(self.bases, self.widths)),
-            tuple(unit.program.width for unit in self._gather),
-        )
-        if self._dfa:
-            # Appended only when DFA units exist so rulesets without the
-            # tier keep their pre-DFA signatures byte-for-byte.
-            doc = doc + (
-                DFA_FORMAT_VERSION,
-                tuple(
-                    (unit.program.width, unit.table.closed)
-                    for unit in self._dfa
-                ),
-            )
-        if self._nbva:
-            # Same rule: only NBVA-bearing rulesets roll over.
-            doc = doc + (
-                "nbva",
-                NBVA_STATE_VERSION,
-                tuple(unit.automaton.state_count for unit in self._nbva),
-            )
-        return hashlib.sha256(repr(doc).encode("ascii")).hexdigest()
 
     def extract(self, word: int, index: int) -> int:
         """Unit ``index``'s state projected out of the packed word."""

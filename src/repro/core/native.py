@@ -17,8 +17,8 @@ Contracts:
   ``RAP_NATIVE_DISABLE=1`` to force this without uninstalling anything.
 * **Keyed shared objects.**  A library's cache key is the SHA-256 of
   its generated source, which embeds
-  :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` — same layout,
-  same key; any codegen change rolls every key over.  Artifacts live
+  :data:`~repro.io.envelope.PLAN_VERSION` — same tables, same key; any
+  codegen change rolls every key over.  Artifacts live
   under ``<cache>/native/`` as ``<key>.<host tag>.so``,
   published the same way (:func:`repro.io.envelope.publish`) and
   subject to the same ``RAP_CACHE_MAX_MB`` size bound.

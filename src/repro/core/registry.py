@@ -19,10 +19,9 @@ without a C compiler, or ``fused`` without NumPy, *silently* resolves
 down the fallback chain (``native`` → ``fused`` → ``python``), so
 scripts and CI recipes can pin ``RAP_BACKEND=native`` unconditionally.
 This is safe because backends are bit-identical by contract — the
-backend only changes speed, never results.  Anything that persists
-derived artifacts (the engine's compile cache, durable-scan checkpoints)
-must embed :data:`KERNEL_FORMAT_VERSION` / :data:`FUSED_FORMAT_VERSION`
-and the resolved backend in its keys.
+backend only changes speed, never results — and it is why nothing
+persisted names one: a compile-cache entry, a checkpoint or a served
+session written under any backend is read under any other.
 """
 
 from __future__ import annotations
@@ -35,33 +34,6 @@ from repro.core.kernel import StepKernel
 from repro.core.pykernel import PythonKernel
 
 BACKEND_ENV = "RAP_BACKEND"
-
-# Version of the kernel program encoding / step semantics.  Bump on any
-# change to KernelProgram's meaning so keyed caches can never serve an
-# artifact produced under different execution semantics.
-KERNEL_FORMAT_VERSION = 1
-
-# Version of the fused ruleset compilation (alphabet class maps, lane
-# packing, prefilter semantics).  Bump on any change to how
-# repro.core.fused lays out lanes or prices activity; lives here rather
-# than in repro.core.fused so NumPy-free importers (the compile cache)
-# can embed it in keys.
-FUSED_FORMAT_VERSION = 1
-
-# Version of the DFA execution tier (subset construction over alphabet
-# classes, transition-table layout, scanner snapshot encoding).  Bump on
-# any change to repro.automata.dfa's table semantics; lives here rather
-# than beside the DFA code so NumPy-free importers (the compile cache,
-# scan fingerprints) can embed it in keys.
-DFA_FORMAT_VERSION = 1
-
-# Version of the native-codegen tier: the C source the ``native``
-# backend emits per compiled ruleset, its call ABI, and the shared-object
-# cache layout.  Bump on any change to repro.core.codegen's emitted
-# kernels so a cached ``.so`` (or a checkpoint whose fingerprint names a
-# native layout) can never be used under different codegen semantics.
-# Lives here so compiler-free importers can embed it in keys.
-NATIVE_FORMAT_VERSION = 1
 
 
 def _numpy_available() -> bool:

@@ -11,8 +11,8 @@ run would have performed.
 
 Serialization is deterministic and exact: the state word is a hex
 string (Python ints are arbitrary precision, so no width assumptions),
-and the document carries :data:`STATE_FORMAT_VERSION` so a checkpoint
-can never be silently decoded under different semantics.
+and the document carries :data:`~repro.io.envelope.STATE_VERSION` so a
+checkpoint can never be silently decoded under different semantics.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.io.envelope import STATE_VERSION
+
 if TYPE_CHECKING:
     from repro.core.program import KernelProgram
-
-# Version of the serialized state encoding.  Bump on any change to the
-# meaning of the fields below; checkpoint envelopes embed it.
-STATE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class KernelState:
     def to_json(self) -> dict:
         """JSON-ready document (hex state word, exact at any width)."""
         return {
-            "version": STATE_FORMAT_VERSION,
+            "version": STATE_VERSION,
             "offset": self.offset,
             "states": f"{self.states:x}",
         }
@@ -62,10 +60,10 @@ class KernelState:
         """Decode :meth:`to_json` output, validating the version."""
         try:
             version = doc["version"]
-            if version != STATE_FORMAT_VERSION:
+            if version != STATE_VERSION:
                 raise ValueError(
                     f"kernel-state version {version!r} "
-                    f"(this build reads {STATE_FORMAT_VERSION})"
+                    f"(this build reads {STATE_VERSION})"
                 )
             return cls(offset=int(doc["offset"]), states=int(doc["states"], 16))
         except (KeyError, TypeError) as err:
@@ -126,4 +124,4 @@ def iter_states_from(
             yield i, states
 
 
-__all__ = ["STATE_FORMAT_VERSION", "KernelState", "iter_states_from"]
+__all__ = ["KernelState", "iter_states_from"]

@@ -689,7 +689,7 @@ class BatchEngine:
             if config.resume and store is not None:
                 doc = store.load_latest()
                 if doc is not None:
-                    scan.restore(doc, data)  # CheckpointError on mismatch
+                    scan.restore(doc, data, store.root)  # CheckpointError on mismatch
                     resumed_from = scan.offset
             monitor = BudgetMonitor(
                 ResourceBudget(

@@ -10,13 +10,12 @@ the ``RAP_CACHE_DIR`` environment variable or an explicit root).
 The key is a SHA-256 over the canonical JSON of everything that can
 change the compiler's output: the pattern list (in order), every
 :class:`~repro.compiler.pipeline.CompilerConfig` field including the
-full hardware config, and the serializer's ``FORMAT_VERSION`` — plus
-the resolved step-kernel backend and
-:data:`~repro.core.KERNEL_FORMAT_VERSION`, so switching ``RAP_BACKEND``
-(or bumping the kernel encoding) can never serve an artifact produced
-under different execution semantics.  Bumping either version therefore
-invalidates every cached entry, and two processes racing on the same
-key both write the same bytes.
+full hardware config, the cost constants in force, and
+:data:`~repro.io.envelope.PLAN_VERSION`.  No backend is in it: the
+compiled ruleset is the same document on every backend, so one entry
+serves them all (a calibrated backend's constants differ, and so do its
+keys).  Bumping the version invalidates every cached entry, and two
+processes racing on the same key both write the same bytes.
 
 Entries are written and verified by :mod:`repro.io.envelope` — atomic
 publish, checksummed envelope — so *any* corruption (truncation, bit
@@ -41,27 +40,13 @@ from pathlib import Path
 
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.compiler.program import CompiledRuleset
-from repro.core import (
-    DFA_FORMAT_VERSION,
-    FUSED_FORMAT_VERSION,
-    KERNEL_FORMAT_VERSION,
-    resolve_backend,
-)
 from repro.errors import CacheCorruptionError
 from repro.io import envelope
-from repro.io.serialize import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    ruleset_from_json,
-    ruleset_to_json,
-)
+from repro.io.envelope import PLAN_VERSION
+from repro.io.serialize import FORMAT_NAME, ruleset_from_json, ruleset_to_json
 
 CACHE_DIR_ENV = "RAP_CACHE_DIR"
 CACHE_MAX_MB_ENV = "RAP_CACHE_MAX_MB"
-
-# Version of the on-disk envelope (checksum wrapper), independent of
-# the payload's FORMAT_VERSION; bumping it invalidates every entry.
-ENTRY_VERSION = 1
 
 log = logging.getLogger(__name__)
 
@@ -167,10 +152,6 @@ def ruleset_cache_key(
     Uses ``dataclasses.asdict`` over the compiler config so that any
     field added to :class:`CompilerConfig` (or to the nested
     :class:`HardwareConfig`) automatically becomes part of the key.
-    The active step-kernel backend and the kernel/fused format versions
-    are part of the key too: kernels are bit-identical by contract, but
-    a cache entry must never outlive the execution semantics it was
-    produced under.
     """
     from repro.compiler.costmodel import active_constants
 
@@ -178,19 +159,12 @@ def ruleset_cache_key(
     constants = active_constants()
     doc = {
         "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "backend": resolve_backend(),
+        "version": PLAN_VERSION,
         # Mode selection scores against the calibrated cost constants,
         # so recalibrating must orphan entries compiled under the old
         # anchors (NFA/DFA splits are bit-identical, but the cached
         # artifact should match what a fresh compile would choose).
         "cost_constants": {**constants.numbers(), "source": constants.source},
-        "kernel_format": KERNEL_FORMAT_VERSION,
-        "fused_format": FUSED_FORMAT_VERSION,
-        # Mode selection probes subset construction (the dfa_states
-        # feature), so a DFA-encoding bump can change compiler output
-        # even for rulesets that end up without a DFA regex.
-        "dfa_format": DFA_FORMAT_VERSION,
         "patterns": list(patterns),
         "config": dataclasses.asdict(config),
     }
@@ -239,7 +213,7 @@ class CompileCache:
         """One envelope's payload through ``decode``; a corrupt entry is
         evicted and reads as ``None``, an absent one raises."""
         try:
-            value = decode(envelope.load(path, version=ENTRY_VERSION))
+            value = decode(envelope.load(path))
         except envelope.EnvelopeError as err:
             return self._evict(path, err.reason)
         except (ValueError, KeyError, TypeError) as err:
@@ -273,7 +247,7 @@ class CompileCache:
     def _store(self, path: Path, payload: str) -> Path:
         """Publish ``payload`` at ``path`` inside the cache's envelope."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        envelope.dump(path, payload, format=FORMAT_NAME, version=ENTRY_VERSION)
+        envelope.dump(path, payload, format=FORMAT_NAME)
         return path
 
     def put(self, key: str, ruleset: CompiledRuleset) -> Path:

@@ -22,7 +22,8 @@ A checkpoint binds to its scan via :func:`~repro.io.serialize.scan_fingerprint`
 (ruleset + hardware + bin size) and to its input via a SHA-256 over the
 consumed prefix; resuming under a different ruleset, config, or input
 raises :class:`~repro.errors.CheckpointError` instead of producing a
-plausible-but-wrong result.
+plausible-but-wrong result.  Nothing binds it to a backend: every
+backend writes the same snapshot, so a checkpoint resumes on any.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.engine import faults
 from repro.errors import CheckpointError, QuarantineEntry
 from repro.hardware.config import HardwareConfig
 from repro.io import envelope
+from repro.io.envelope import STATE_VERSION
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivityCollector,
@@ -52,8 +54,6 @@ from repro.simulators.activity import (
 from repro.simulators.rap import RunActivity, bind
 
 CHECKPOINT_FORMAT = "rap-repro-checkpoint"
-CHECKPOINT_VERSION = 1
-ENVELOPE = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
 
 # Intact checkpoints retained per store, one slot file each: the newest
 # plus one fallback, so a torn latest (crash mid-write, injected
@@ -69,6 +69,20 @@ log = logging.getLogger(__name__)
 # giving up (the caller treats it like any other failed write: the scan
 # keeps its previous restore point).
 LOCK_TIMEOUT_SECONDS = 5.0
+
+
+def version_refused(
+    what: str, version, store_dir: Path | None, phase: str
+) -> CheckpointError:
+    """The refusal of a document another build's ``STATE_VERSION``
+    wrote, naming where it lies and the two ways out."""
+    where = store_dir or "the checkpoint directory"
+    return CheckpointError(
+        f"unsupported {what} version {version!r} (this build reads "
+        f"{STATE_VERSION}): finish the scan with the build that wrote "
+        f"{where}, or rerun without --resume (or delete {where})",
+        phase=phase,
+    )
 
 
 def session_dirname(session: str) -> str:
@@ -197,7 +211,9 @@ class CheckpointStore:
             order = (offset, 1 + max(sequence for _, sequence in keys))
             entry = {"doc": payload_doc, "order": order}
             payload = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            data = envelope.seal(payload, block=envelope.BLOCK, **ENVELOPE)
+            data = envelope.seal(
+                payload, format=CHECKPOINT_FORMAT, block=envelope.BLOCK
+            )
             self._known = None  # a failed write knows nothing of the slots
             self.sync_seconds += envelope.overwrite(self._slots[victim], data, dirfd)
             self.bytes_written += len(data)
@@ -242,7 +258,7 @@ class CheckpointStore:
         if not seen:  # absent, or as a killed creator left it
             return b"", EMPTY, None
         try:
-            entry = json.loads(envelope.load(path, **ENVELOPE))
+            entry = json.loads(envelope.load(path, format=CHECKPOINT_FORMAT))
             (offset, sequence), payload_doc = map(int, entry["order"]), entry["doc"]
         except (OSError, envelope.EnvelopeError) as err:
             return self._discard(path, str(err))
@@ -311,9 +327,8 @@ class DurableScan:
         # NFA/DFA unit once for every regex sharing it.  The feeders are
         # stateless between feeds (they read and write the collectors'
         # KernelStates), so snapshot and restore go through the
-        # collectors unchanged and resuming stays byte-identical; the
-        # plan's layout digest binds the checkpoints to this exact fusion
-        # via the fingerprint.
+        # collectors unchanged and resuming stays byte-identical — on
+        # this backend or any other.
         self._plan = None
         self._regex_feeder = None
         self._bin_feeder = None
@@ -335,9 +350,7 @@ class DurableScan:
             self._bin_feeder = FusedBinFeeder(
                 list(self._bins.values()), self._plan.scanner
             )
-        self.fingerprint = binding.fingerprint(
-            bin_size, self._plan.signature if self._plan else None
-        )
+        self.fingerprint = binding.fingerprint(bin_size)
         self._offset = 0
         self._hasher = hashlib.sha256()
         self._detached = False
@@ -406,7 +419,7 @@ class DurableScan:
         """
         doc = {
             "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
+            "version": STATE_VERSION,
             "fingerprint": self.fingerprint,
             "offset": self._offset,
             "input_sha": self._hasher.copy().hexdigest(),
@@ -438,18 +451,16 @@ class DurableScan:
             doc["detached"] = True
         return doc
 
-    def _check_header(self, doc: dict) -> None:
+    def _check_header(self, doc: dict, store_dir: Path | None) -> None:
         """Refuse a snapshot that does not belong to this exact scan."""
         if doc.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(
                 f"not a checkpoint document (format={doc.get('format')!r})",
                 phase="checkpoint",
             )
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {doc.get('version')!r} "
-                f"(this build reads {CHECKPOINT_VERSION})",
-                phase="checkpoint",
+        if doc.get("version") != STATE_VERSION:
+            raise version_refused(
+                "checkpoint", doc.get("version"), store_dir, "checkpoint"
             )
         if doc.get("fingerprint") != self.fingerprint:
             raise CheckpointError(
@@ -493,15 +504,17 @@ class DurableScan:
         for key, sub in bin_docs.items():
             self._bins[key].restore(sub)
 
-    def restore(self, doc: dict, data: bytes) -> None:
+    def restore(self, doc: dict, data: bytes, store_dir: Path | None = None) -> None:
         """Adopt a snapshot, verifying it belongs to *this* scan.
 
         ``data`` is the full input stream: the snapshot's consumed
         prefix must hash to the recorded digest, or the checkpoint was
         taken over different bytes and resuming would silently corrupt
         the result — that is a :class:`~repro.errors.CheckpointError`.
+        ``store_dir`` is where the snapshot was read from, for the
+        refusal of one another build wrote.
         """
-        self._check_header(doc)
+        self._check_header(doc, store_dir)
         if doc.get("detached"):
             raise CheckpointError(
                 "checkpoint belongs to a detached (streaming) resume "
@@ -540,7 +553,7 @@ class DurableScan:
         self._shed = shed
         self.quarantine_entries = quarantine
 
-    def restore_detached(self, doc: dict) -> None:
+    def restore_detached(self, doc: dict, store_dir: Path | None = None) -> None:
         """Adopt a snapshot without the consumed prefix bytes.
 
         The streaming service evicts idle sessions to checkpoints and
@@ -554,7 +567,7 @@ class DurableScan:
         (two lineages that fed different bytes can never converge on
         one digest).
         """
-        self._check_header(doc)
+        self._check_header(doc, store_dir)
         (
             offset,
             input_sha,
@@ -657,7 +670,6 @@ class DurableScan:
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
     "KEEP",
     "CheckpointStore",
     "DurableScan",

@@ -21,6 +21,10 @@ JSON artefact wears the same checksummed envelope::
   bit rot or a foreign file is caught positively before any
   deserializer runs; what a failed entry *means* (evict and recompile,
   fall back to the other checkpoint) stays with the caller.
+
+The versions of the on-disk boundaries live here too, one each (the
+fourth boundary, the wire, is ``repro.serve.protocol.PROTOCOL_VERSION``).
+None names a backend: every backend reads and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ from pathlib import Path
 
 BLOCK = 4096  # in-place files are whole blocks: fdatasync never journals a size
 HEAD = 160  # leading bytes that hold an envelope's checksum: equal heads, equal files
+
+# What a compiled artefact means: the ruleset document, a calibration
+# blob, the compile-cache key and the generated C's header carry it.
+PLAN_VERSION = 1
+# What a mid-stream document means: kernel and NBVA scanner state, a
+# durable-scan snapshot, a served session's envelope.
+STATE_VERSION = 2
+# This envelope's own layout (its ``entry_version``).
+STORE_VERSION = 1
 
 
 class EnvelopeError(Exception):
@@ -102,12 +115,12 @@ def head(path: str | Path) -> bytes:
     return b""
 
 
-def seal(payload: str, *, format: str, version: int, block: int = 1) -> bytes:
+def seal(payload: str, *, format: str, block: int = 1) -> bytes:
     """``payload`` (JSON text) inside a checksummed envelope, padded to a
     multiple of ``block`` bytes with newlines, which :func:`load` ignores."""
     document = {
         "format": format,
-        "entry_version": version,
+        "entry_version": STORE_VERSION,
         "checksum": hashlib.sha256(payload.encode()).hexdigest(),
         "payload": payload,
     }
@@ -115,17 +128,17 @@ def seal(payload: str, *, format: str, version: int, block: int = 1) -> bytes:
     return data + b"\n" * (-len(data) % block)
 
 
-def dump(path: str | Path, payload: str, *, format: str, version: int) -> None:
+def dump(path: str | Path, payload: str, *, format: str) -> None:
     """Publish ``payload`` (JSON text) inside a checksummed envelope."""
-    publish(path, seal(payload, format=format, version=version))
+    publish(path, seal(payload, format=format))
 
 
-def load(path: str | Path, *, version: int, format: str | None = None) -> str:
+def load(path: str | Path, *, format: str | None = None) -> str:
     """The verified payload text of the envelope at ``path``.
 
     Raises :class:`EnvelopeError` for anything but an intact envelope of
-    this ``version`` (and ``format``, when given); a missing file is the
-    caller's ``FileNotFoundError``.
+    :data:`STORE_VERSION` (and ``format``, when given); a missing file is
+    the caller's ``FileNotFoundError``.
     """
     try:
         with open(path) as f:
@@ -138,10 +151,10 @@ def load(path: str | Path, *, version: int, format: str | None = None) -> str:
         raise EnvelopeError("missing checksum envelope")
     if format is not None and document.get("format") != format:
         raise EnvelopeError(f"format {document.get('format')!r}, not {format!r}")
-    if document.get("entry_version") != version:
+    if document.get("entry_version") != STORE_VERSION:
         raise EnvelopeError(
             f"entry version {document.get('entry_version')!r} "
-            f"(this build reads {version})"
+            f"(this build reads {STORE_VERSION})"
         )
     payload = document.get("payload")
     if not isinstance(payload, str):
@@ -155,4 +168,15 @@ def load(path: str | Path, *, version: int, format: str | None = None) -> str:
     return payload
 
 
-__all__ = ["EnvelopeError", "dump", "head", "load", "overwrite", "publish", "seal"]
+__all__ = [
+    "PLAN_VERSION",
+    "STATE_VERSION",
+    "STORE_VERSION",
+    "EnvelopeError",
+    "dump",
+    "head",
+    "load",
+    "overwrite",
+    "publish",
+    "seal",
+]

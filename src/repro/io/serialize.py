@@ -29,10 +29,10 @@ from repro.compiler.program import (
     TileRequest,
 )
 from repro.hardware.config import TileMode
+from repro.io.envelope import PLAN_VERSION
 from repro.regex.charclass import CharClass
 
 FORMAT_NAME = "rap-repro-ruleset"
-FORMAT_VERSION = 1
 
 
 class SerializationError(ValueError):
@@ -205,7 +205,7 @@ def ruleset_to_json(ruleset: CompiledRuleset) -> dict:
     """CompiledRuleset -> versioned JSON document."""
     return {
         "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
+        "version": PLAN_VERSION,
         "regexes": [_regex_to_json(r) for r in ruleset.regexes],
         "rejected": [list(item) for item in ruleset.rejected],
     }
@@ -217,10 +217,10 @@ def ruleset_from_json(doc: dict) -> CompiledRuleset:
         raise SerializationError(
             f"not a {FORMAT_NAME} document (format={doc.get('format')!r})"
         )
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != PLAN_VERSION:
         raise SerializationError(
             f"unsupported version {doc.get('version')!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads version {PLAN_VERSION})"
         )
     return CompiledRuleset(
         regexes=tuple(_regex_from_json(r) for r in doc["regexes"]),
@@ -254,43 +254,20 @@ def _fingerprint_default(value):
     raise TypeError(f"unhashable fingerprint component: {value!r}")
 
 
-def scan_fingerprint(
-    ruleset,
-    hw,
-    bin_size: int | None = None,
-    fused_layout: str | None = None,
-) -> str:
-    """Content hash identifying one scan's execution semantics.
-
-    Covers everything that determines a durable scan's behavior apart
-    from the input bytes: the serialized ruleset, the full hardware
-    config, the bin size, and this serializer's format version.
-    ``fused_layout`` is the fused-ruleset signature (class map + lane
-    layout) when the scan runs on the ``fused`` backend, ``None``
-    otherwise — a checkpoint written under one fusion layout (or none)
-    must never be resumed under another.  Same idea as the
-    compile-cache key, applied to mid-stream state instead of compiler
-    output.  Nothing about parallelism is covered: a durable scan feeds
-    every segment whole, whatever ``--input-jobs`` says.
-
-    When the ruleset contains a DFA-mode regex the fingerprint also
-    covers :data:`~repro.core.registry.DFA_FORMAT_VERSION` — a
-    checkpoint carrying DFA scanner state must not be restored under a
-    different subset-construction/table encoding.  Rulesets without a
-    DFA regex keep their pre-DFA fingerprints byte-stable.
+def scan_fingerprint(ruleset, hw, bin_size: int | None) -> str:
+    """Content hash identifying one scan's semantics: the ruleset
+    document (which carries :data:`~repro.io.envelope.PLAN_VERSION`),
+    the full hardware config and the bin size — everything that decides
+    a durable scan's result apart from the input bytes, and nothing
+    else.  No backend, tier or ``--input-jobs`` value is covered: every
+    backend writes the same mid-stream state, so a checkpoint resumes
+    on any of them.
     """
     doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
         "ruleset": ruleset_to_json(ruleset),
         "hw": dataclasses.asdict(hw),
         "bin_size": bin_size,
-        "fused_layout": fused_layout,
     }
-    if any(r.mode is CompiledMode.DFA for r in ruleset.regexes):
-        from repro.core.registry import DFA_FORMAT_VERSION
-
-        doc["dfa_format"] = DFA_FORMAT_VERSION
     canonical = json.dumps(
         doc,
         sort_keys=True,

@@ -19,30 +19,20 @@ reload that compiles to the identical ruleset fingerprint is a no-op
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass
 
 from repro.compiler.program import CompiledRuleset
 from repro.engine.batch import BatchEngine
 from repro.errors import CompileError, ServeError
-from repro.io.serialize import ruleset_to_json
 from repro.mapping.mapper import Mapping
 from repro.simulators.rap import bind
 
 
-def ruleset_fingerprint(ruleset: CompiledRuleset) -> str:
-    """Content hash of a compiled ruleset (reload no-op detection)."""
-    doc = json.dumps(
-        ruleset_to_json(ruleset), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class TenantEntry:
-    """One immutable generation of one tenant's namespace."""
+    """One immutable generation of one tenant's namespace; its
+    ``fingerprint`` is the scan fingerprint of its binding."""
 
     tenant: str
     generation: int
@@ -88,8 +78,8 @@ class TenantRegistry:
         if not patterns:
             raise CompileError("a session needs at least one pattern")
         ruleset = self.engine.compile(patterns, on_error="fail")
-        mapping = bind(ruleset, self.hw, self.bin_size).mapping
-        return ruleset, mapping, ruleset_fingerprint(ruleset)
+        binding = bind(ruleset, self.hw, self.bin_size)
+        return ruleset, binding.mapping, binding.fingerprint(self.bin_size)
 
     def get(self, tenant: str) -> TenantEntry | None:
         """The tenant's current generation, or ``None``."""
@@ -156,4 +146,4 @@ class TenantRegistry:
             return sorted(self._entries)
 
 
-__all__ = ["TenantEntry", "TenantRegistry", "ruleset_fingerprint"]
+__all__ = ["TenantEntry", "TenantRegistry"]

@@ -32,13 +32,13 @@ from __future__ import annotations
 import logging
 import time
 
-from repro.engine.checkpoint import CheckpointStore, DurableScan
+from repro.engine.checkpoint import CheckpointStore, DurableScan, version_refused
 from repro.errors import CheckpointError
+from repro.io.envelope import STATE_VERSION
 from repro.serve.registry import TenantEntry
 from repro.simulators.rap import RAPSimulator
 
 SESSION_FORMAT = "rap-serve-session"
-SESSION_VERSION = 1
 
 log = logging.getLogger(__name__)
 
@@ -210,7 +210,7 @@ class ScanSession:
         """The session's complete persistable state."""
         return {
             "serve_format": SESSION_FORMAT,
-            "serve_version": SESSION_VERSION,
+            "serve_version": STATE_VERSION,
             "tenant": self.tenant,
             "session": self.id,
             "patterns": list(self.entry.patterns),
@@ -260,11 +260,12 @@ class ScanSession:
                     f"(serve_format={envelope.get('serve_format')!r})",
                     phase="serve",
                 )
-            if envelope.get("serve_version") != SESSION_VERSION:
-                raise CheckpointError(
-                    "unsupported serve session version "
-                    f"{envelope.get('serve_version')!r}",
-                    phase="serve",
+            if envelope.get("serve_version") != STATE_VERSION:
+                raise version_refused(
+                    "serve session",
+                    envelope.get("serve_version"),
+                    store.root,
+                    "serve",
                 )
             tenant = envelope["tenant"]
             session_id = envelope["session"]
@@ -303,7 +304,7 @@ class ScanSession:
                 else float(envelope.get("weight", 1.0))
             ),
         )
-        session.scan.restore_detached(scan_doc)
+        session.scan.restore_detached(scan_doc, store.root)
         session.epoch_start = epoch_start
         session.prior_matches = prior_matches
         session.prior_energy_uj = prior_energy_uj
@@ -311,4 +312,4 @@ class ScanSession:
         return session
 
 
-__all__ = ["SESSION_FORMAT", "SESSION_VERSION", "ScanSession"]
+__all__ = ["SESSION_FORMAT", "ScanSession"]

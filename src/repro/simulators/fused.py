@@ -51,10 +51,7 @@ from dataclasses import dataclass, replace
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.fused import FusedRuleset, TranslatedSegment
-from repro.core.registry import (
-    NATIVE_FORMAT_VERSION,
-    resolve_backend_with_reason,
-)
+from repro.core.registry import resolve_backend_with_reason
 from repro.core.state import KernelState
 from repro.core.table import StepTable
 from repro.core.trace import regex_fingerprint
@@ -604,26 +601,6 @@ class FusedPlan:
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
         )
-
-    @property
-    def signature(self) -> str:
-        """The fused compilation's layout digest (class map + lanes +
-        units) — what durable-scan fingerprints embed.
-
-        When the native backend's compiled kernels are attached the
-        digest carries a ``:native<version>`` suffix, folding
-        :data:`~repro.core.registry.NATIVE_FORMAT_VERSION` into every
-        fingerprint built from it — a checkpoint records the execution
-        tier that wrote it.  A silent fallback (no compiler, build
-        failure) leaves the plain fused digest, so fingerprints are
-        unchanged whenever native does not actually run.
-        """
-        sig = self.fused.signature
-        if self.fused.native_active or (
-            self.scanner is not None and self.scanner.native_active
-        ):
-            sig = f"{sig}:native{NATIVE_FORMAT_VERSION}"
-        return sig
 
     def run_activity(
         self,

@@ -120,14 +120,15 @@ class Binding:
         self.ruleset = ruleset
         self.mapping = mapping
         self.hw = hw
-        self._fingerprints: dict[tuple, str] = {}
+        self._fingerprints: dict[int | None, str] = {}
 
-    def fingerprint(self, bin_size: int | None, fused_layout: str | None) -> str:
+    def fingerprint(self, bin_size: int | None) -> str:
         """The scan fingerprint — the whole ruleset serialized, hashed: once."""
-        key = (bin_size, fused_layout)
-        if key not in self._fingerprints:
-            self._fingerprints[key] = scan_fingerprint(self.ruleset, self.hw, *key)
-        return self._fingerprints[key]
+        if bin_size not in self._fingerprints:
+            self._fingerprints[bin_size] = scan_fingerprint(
+                self.ruleset, self.hw, bin_size
+            )
+        return self._fingerprints[bin_size]
 
     @cached_property
     def plan(self):

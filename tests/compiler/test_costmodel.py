@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.compiler.costmodel import (
-    CALIBRATION_VERSION,
     CONSTANT_RANGE,
     DEFAULT_CONSTANTS,
     DFA_MAX_SOURCE_STATES,
@@ -25,6 +24,7 @@ from repro.compiler.costmodel import (
     resolve_mode,
 )
 from repro.compiler.program import CompiledMode, CompileError
+from repro.io.envelope import PLAN_VERSION
 from repro.regex.parser import parse
 
 
@@ -185,7 +185,7 @@ class TestCalibratedConstants:
     def test_measured_constants_load_and_score(self):
         self._store(
             {
-                "version": CALIBRATION_VERSION,
+                "version": PLAN_VERSION,
                 "backend": "python",
                 "constants": {
                     "nfa_base": 1.0,
@@ -210,21 +210,21 @@ class TestCalibratedConstants:
     def test_version_skew_degrades_to_defaults(self):
         self._store(
             {
-                "version": CALIBRATION_VERSION + 1,
+                "version": PLAN_VERSION + 1,
                 "constants": {"nfa_base": 1.0},
             }
         )
         assert active_constants("python") == DEFAULT_CONSTANTS
 
     def test_malformed_payload_degrades_to_defaults(self):
-        self._store({"version": CALIBRATION_VERSION, "constants": "junk"})
+        self._store({"version": PLAN_VERSION, "constants": "junk"})
         assert active_constants("python") == DEFAULT_CONSTANTS
 
     def test_implausible_values_are_clamped(self):
         lo, hi = CONSTANT_RANGE
         self._store(
             {
-                "version": CALIBRATION_VERSION,
+                "version": PLAN_VERSION,
                 "constants": {
                     "nfa_base": 1.0,
                     "nfa_active": 1e9,
@@ -242,7 +242,7 @@ class TestCalibratedConstants:
     def test_calibrations_are_per_backend(self):
         self._store(
             {
-                "version": CALIBRATION_VERSION,
+                "version": PLAN_VERSION,
                 "constants": dict(
                     DEFAULT_CONSTANTS.numbers(), nfa_active=9.0
                 ),

@@ -168,22 +168,6 @@ class TestAlphabetClasses:
         assert set(classes.class_of) == {0}
 
 
-class TestSignature:
-    def test_stable_and_layout_sensitive(self):
-        a = [MultiShiftAnd([make_lnfa("abc"), make_lnfa("xy")]).program]
-        b = [MultiShiftAnd([make_lnfa("abc"), make_lnfa("xz")]).program]
-        assert FusedRuleset(a).signature == FusedRuleset(a).signature
-        assert FusedRuleset(a).signature != FusedRuleset(b).signature
-
-    def test_gather_units_affect_signature(self):
-        shifts = [MultiShiftAnd([make_lnfa("abc")]).program]
-        gather = NFASimulator(build_automaton(unfold_all_tree("ab"))).program()
-        assert (
-            FusedRuleset(shifts).signature
-            != FusedRuleset(shifts, [gather]).signature
-        )
-
-
 class TestWordHelpers:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, (1 << 200) - 1), st.integers(4, 6))

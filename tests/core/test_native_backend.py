@@ -6,9 +6,9 @@ runs it through ``cffi``/``ctypes``; its entire contract is that it is
 ledger, checkpoints, and the input-parallel seam protocol must be
 byte-identical to the fused (and pure-Python) tiers.  This suite drives
 random regexes and deterministic seam workloads through native/fused/
-python triples, proves the no-compiler probe falls back silently with
-an unchanged ``scan_fingerprint``, and pins the fingerprint *fold* when
-native actually attaches (a checkpoint names the kernel that wrote it).
+python triples, proves the no-compiler probe falls back silently, and
+pins that the ``scan_fingerprint`` names no backend: a checkpoint written
+on one resumes on any other.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -2177,14 +2178,73 @@ class TestFingerprintFold:
             assert resolve_backend() == "fused"
             assert self._fingerprint() == fused_fp
 
-    def test_attached_native_folds_into_fingerprint(self):
-        """When the native kernel actually executes, checkpoints name
-        it: resuming under a different tier is an explicit rebind."""
-        with use_backend("fused"):
-            fused_fp = self._fingerprint()
+    def test_fingerprint_is_the_same_on_every_backend(self, monkeypatch):
+        """Nothing persisted names a backend: the oracle, the portable
+        tier, attached native kernels and a native request that fell
+        back all write checkpoints any of the others resumes."""
+        fingerprints = []
+        for backend in ("python", "fused", "native"):
+            with use_backend(backend):
+                fingerprints.append(self._fingerprint())
+        monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
         with use_backend("native"):
-            native_fp = self._fingerprint()
-        assert native_fp != fused_fp
+            fingerprints.append(self._fingerprint())
+        assert len(set(fingerprints)) == 1
+
+    @pytest.mark.parametrize("name", ["keywords64", "mixed"])
+    def test_checkpoint_resumes_on_any_backend(self, name, tmp_path):
+        """A scan SIGKILLed on one backend resumes on another — native
+        on fused and on python, fused on native — and prints what the
+        uninterrupted scan prints: matches and the ``# RAP`` metrics."""
+        from benchmarks.ledger.workloads import RULESETS, keyword_patterns
+        from repro.workloads.inputs import generate_input
+
+        if name == "keywords64":
+            patterns = keyword_patterns()
+        else:  # the NFA profile, an anchored unit, an LNFA bin, an NBVA unit
+            patterns = RULESETS["snort_nfa64"]()
+            patterns += ["^ab(c|d)*e$", "needle", "ab{10,20}c"]
+        data = generate_input(
+            "network", 6000, seed=9, patterns=patterns, plant_every=300
+        )
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        rules, stream = tmp_path / "rules.txt", tmp_path / "input.bin"
+        rules.write_text("\n".join(patterns) + "\n")
+        stream.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH="src", RAP_CACHE_DIR=str(tmp_path / "c"))
+        env.pop("RAP_FAULT_PLAN", None)
+
+        def scan(backend, ckpts=None, *extra, fault=""):
+            args = ["scan", "--patterns", str(rules), str(stream), "--metrics"]
+            if ckpts is not None:
+                args += ["--checkpoint-dir", str(ckpts), "--checkpoint-every", "1000"]
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args, "--backend", backend, *extra],
+                capture_output=True, text=True, cwd=repo,
+                env=dict(env, RAP_FAULT_PLAN=fault),
+            )
+
+        def printed(run):
+            rap = [line for line in run.stderr.splitlines() if line.startswith("# RAP")]
+            return run.stdout, rap
+
+        golden = scan("python")
+        assert golden.returncode == 0, golden.stderr
+        assert golden.stdout.strip()
+        directions = (("native", ("fused", "python")), ("fused", ("native",)))
+        for writer, readers in directions:
+            killed = tmp_path / f"killed-{writer}"
+            assert scan(writer, killed, fault="kill@2").returncode in (
+                -signal.SIGKILL, 137
+            )
+            assert CheckpointStore(killed)._paths(), "no checkpoint survived"
+            for reader in readers:
+                ckpts = tmp_path / f"{writer}-to-{reader}"
+                shutil.copytree(killed, ckpts)
+                resumed = scan(reader, ckpts, "--resume")
+                assert resumed.returncode == 0, resumed.stderr
+                assert "resumed from checkpoint at byte 2000" in resumed.stderr
+                assert printed(resumed) == printed(golden), (writer, reader)
 
     def test_native_fingerprint_is_stable(self):
         with use_backend("native"):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     BACKEND_ENV,
-    KERNEL_FORMAT_VERSION,
     available_backends,
     backend_names,
     get_kernel,
@@ -14,6 +13,7 @@ from repro.core import (
     use_backend,
 )
 from repro.core import registry as registry_mod
+from repro.io.envelope import PLAN_VERSION
 
 HAVE_FUSED = "fused" in available_backends()
 
@@ -144,5 +144,5 @@ class TestKernels:
                 assert get_kernel().name == "python"
 
     def test_format_version_is_a_positive_int(self):
-        assert isinstance(KERNEL_FORMAT_VERSION, int)
-        assert KERNEL_FORMAT_VERSION >= 1
+        assert isinstance(PLAN_VERSION, int)
+        assert PLAN_VERSION >= 1

@@ -258,11 +258,8 @@ class TestBinding:
         with use_backend(backend):
             mapping = rap.bind(ruleset, engine.hw).mapping
             scan = DurableScan(ruleset, mapping, engine.hw)
-            layout = scan._plan.signature if scan._plan else None
         assert len(hashed) == 1
-        assert scan.fingerprint == scan_fingerprint(
-            ruleset, engine.hw, None, fused_layout=layout
-        )
+        assert scan.fingerprint == scan_fingerprint(ruleset, engine.hw, None)
         # what the fingerprint covers still moves it
         with use_backend(backend):
             other = DurableScan(ruleset, mapping, engine.hw, bin_size=3)

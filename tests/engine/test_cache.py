@@ -17,6 +17,7 @@ from repro.engine.cache import (
     ruleset_cache_key,
 )
 from repro.hardware.config import DEFAULT_CONFIG
+from repro.io import envelope
 from repro.io.serialize import ruleset_to_json
 from tests.helpers import killed_at, persistence_trace
 
@@ -55,9 +56,7 @@ class TestCacheKey:
 
     def test_key_tracks_format_version(self, monkeypatch):
         base = ruleset_cache_key(PATTERNS)
-        monkeypatch.setattr(
-            cache_mod, "FORMAT_VERSION", cache_mod.FORMAT_VERSION + 1
-        )
+        monkeypatch.setattr(cache_mod, "PLAN_VERSION", cache_mod.PLAN_VERSION + 1)
         assert ruleset_cache_key(PATTERNS) != base
 
     def test_non_string_patterns_rejected(self):
@@ -91,12 +90,24 @@ class TestCompileCache:
         assert cache.misses == 2
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    def test_one_cache_entry_serves_every_backend(self, tmp_path):
+        """The compiled ruleset is one document on every backend, so the
+        key names none: a native compile hits what python wrote."""
+        from repro.core import use_backend
+
+        cache = CompileCache(tmp_path)
+        with use_backend("python"):
+            cold = cached_compile_ruleset(PATTERNS, cache=cache)
+        with use_backend("native"):
+            warm = cached_compile_ruleset(PATTERNS, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert ruleset_to_json(warm) == ruleset_to_json(cold)
+
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         cache = CompileCache(tmp_path)
         cached_compile_ruleset(PATTERNS, cache=cache)
-        monkeypatch.setattr(
-            cache_mod, "FORMAT_VERSION", cache_mod.FORMAT_VERSION + 1
-        )
+        monkeypatch.setattr(cache_mod, "PLAN_VERSION", cache_mod.PLAN_VERSION + 1)
         cached_compile_ruleset(PATTERNS, cache=cache)
         assert cache.hits == 0
         assert cache.misses == 2
@@ -170,7 +181,7 @@ class TestChecksumIntegrity:
     def test_entries_carry_a_checksum(self, tmp_path):
         cache = CompileCache(tmp_path)
         document = json.loads(self.entry(cache).read_text())
-        assert document["entry_version"] == cache_mod.ENTRY_VERSION
+        assert document["entry_version"] == envelope.STORE_VERSION
         assert len(document["checksum"]) == 64
         assert isinstance(document["payload"], str)
 

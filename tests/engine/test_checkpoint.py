@@ -495,7 +495,7 @@ class TestStoreRecovery:
 
 def slot_order(path) -> list[int]:
     """The ``[offset, sequence]`` order key the slot at ``path`` holds."""
-    return json.loads(envelope.load(path, **checkpoint.ENVELOPE))["order"]
+    return json.loads(envelope.load(path, format=checkpoint.CHECKPOINT_FORMAT))["order"]
 
 
 @contextlib.contextmanager
@@ -1062,11 +1062,9 @@ def _plan_ruleset(name: str):
 
 
 def _collector_docs(scan: DurableScan) -> bytes:
-    """A snapshot's canonical bytes, minus the one field allowed to
-    differ across backends."""
-    doc = scan.snapshot()
-    del doc["fingerprint"]
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    """A snapshot's canonical bytes, fingerprint included: no field of
+    it may differ across backends."""
+    return json.dumps(scan.snapshot(), sort_keys=True, separators=(",", ":")).encode()
 
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
@@ -1275,164 +1273,124 @@ def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
         assert whole._bins[victim].snapshot() != frozen
 
 
+def _as_the_parent_wrote(doc, fingerprint: str):
+    """``doc`` as the build before one state version per boundary wrote
+    it: every version field 1, the fingerprint of the previous recipe —
+    which folded in the fusion layout, and so named the backend."""
+    if isinstance(doc, list):
+        return [_as_the_parent_wrote(item, fingerprint) for item in doc]
+    if not isinstance(doc, dict):
+        return doc
+    old = {key: _as_the_parent_wrote(value, fingerprint) for key, value in doc.items()}
+    for key in ("version", "serve_version"):
+        if key in old:
+            old[key] = 1
+    if "fingerprint" in old:
+        old["fingerprint"] = fingerprint
+    return old
+
+
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 class TestPlanFingerprint:
-    """What rolls over when durable scans move onto the full plan, and
-    what must not."""
+    """One fingerprint recipe — the ruleset document, the hardware
+    config and the bin size, hashed — the same on every backend."""
 
-    def _bins_only_fingerprint(self, ruleset, mapping, native: bool) -> str:
-        """The pre-plan recipe: a FusedRuleset over the bins alone."""
-        from repro.core import NATIVE_FORMAT_VERSION
-        from repro.core.fused import FusedRuleset
-        from repro.io.serialize import scan_fingerprint
-        from repro.simulators.activity import BinActivityCollector
+    # name -> (scan_fingerprint, keys of the generated unit and lane
+    # sources), one row for every backend: the fingerprint names none,
+    # and the sources are what a native binding emits.
+    PINNED = {
+        "lnfa": ("d595f123b45f155c", ["e3b0c44298fc1c14", "36ff42aad190c07f"]),
+        "nfa": ("47fdbf4da19d8421", ["76d2ecf972ed2003"]),
+        "dfa": ("08c85ccd44781aa5", ["94adef58eac4d87a"]),
+        "mix": ("23ea81447e9dcd85", ["3cb24367419a4ee6", "2b84d373179562e4"]),
+    }
 
-        programs = [
-            BinActivityCollector(bin_obj, DEFAULT_CONFIG).layout.packed.program
-            for _, _, bin_obj in mapping.lnfa_bins()
-        ]
-        layout = FusedRuleset(programs).signature
-        if native:
-            layout += f":native{NATIVE_FORMAT_VERSION}"
-        return scan_fingerprint(
-            ruleset, DEFAULT_CONFIG, None, fused_layout=layout
-        )
+    # What the previous recipe wrote for the module's mixed ruleset.
+    PARENT_FINGERPRINTS = {
+        "python": "98c53b33d61ca44398ba7e2bd2c4f5d7aa22c4ca9bfb91df76ed968cb3b5ae2b",
+        "fused": "7e9030e87dd8fa3491173c019023a570f05bccb1a1d1ce0789ce6fd1a5127bc7",
+        "native": "b7978e356c957fd3b4c79e243b83fc15c0a655a23a0e98b90182655b4bea71f7",
+    }
 
-    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
-    def test_keyword_rulesets_keep_their_fingerprint(self, backend):
-        from repro.compiler import CompiledMode
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "mix"])
+    def test_fingerprint_and_keys_pinned(self, name, backend):
+        from repro.core import codegen
+        from repro.core.native import source_key
+        from repro.simulators.rap import bind
 
-        ruleset = compile_ruleset(["needle", "marker", "hello|world"])
-        assert all(r.mode is CompiledMode.LNFA for r in ruleset)
+        if name == "lnfa":
+            ruleset = compile_ruleset(["needle", "marker", "hello|world"])
+        else:
+            ruleset, _ = _plan_ruleset(name)
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        fingerprint, pinned = self.PINNED[name]
         with use_backend(backend):
             scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-        assert scan.fingerprint == self._bins_only_fingerprint(
-            ruleset, mapping, native=backend == "native"
-        )
+            plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
+            keys = [source_key(codegen.unit_scan_source(plan.fused))]
+            if plan.scanner is not None:
+                masks = [layout.tile_masks for layout in plan.layouts]
+                lane = codegen.lane_scan_source(plan.fused, masks).source
+                keys.append(source_key(lane))
+                if backend == "native":
+                    assert plan.scanner.native_active
+                    assert source_key(plan.scanner._native._source) == keys[-1]
+        assert scan.fingerprint[:16] == fingerprint
+        assert [key[:16] for key in keys] == pinned
 
     def test_backend_flip_between_scans_rebinds(self, monkeypatch):
         # One ruleset and mapping *object* scanned under fused, native,
         # disabled native and fused again: each scan runs the binding of
-        # the backend in force at that moment, so the fingerprint suffix
-        # follows the flips exactly as the fresh-object tests above pin.
+        # the backend in force at that moment, and all write one
+        # fingerprint.
         from repro.core.native import NATIVE_DISABLE_ENV
 
         if "native" not in PLANNED_BACKENDS:
             pytest.skip("native backend not available")
         ruleset = compile_ruleset(["needle", "marker", "hello|world"])
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        fused_fp, native_fp = (
-            self._bins_only_fingerprint(ruleset, mapping, native=native)
-            for native in (False, True)
-        )
 
         def scanned(backend: str):
             with use_backend(backend):
                 return DurableScan(ruleset, mapping, DEFAULT_CONFIG)
 
         first = scanned("fused")
-        assert first.fingerprint == fused_fp
         native = scanned("native")
-        assert native.fingerprint == native_fp
         assert native._plan is not first._plan
         monkeypatch.setenv(NATIVE_DISABLE_ENV, "1")
-        assert scanned("native").fingerprint == fused_fp
+        disabled = scanned("native")
+        assert disabled._plan is first._plan
         monkeypatch.delenv(NATIVE_DISABLE_ENV)
         assert scanned("native")._plan is native._plan
         assert scanned("fused")._plan is first._plan
+        assert first.fingerprint == native.fingerprint == disabled.fingerprint
 
-    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
-    def test_mixed_ruleset_refuses_the_bins_only_fingerprint(
-        self, backend, ruleset, data
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_parent_checkpoint_refused_and_kept(
+        self, backend, ruleset, data, tmp_path
     ):
+        """The one rollover: a checkpoint the previous recipe wrote is
+        refused by its version — not blamed on the ruleset — with the
+        store and the two ways out named, and both slots stay on disk
+        for the build that wrote them."""
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        old = self._bins_only_fingerprint(
-            ruleset, mapping, native=backend == "native"
-        )
+        store = CheckpointStore(tmp_path)
         with use_backend(backend):
             scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            assert scan.fingerprint != old
-            scan.feed(data[:1000], at_end=False)
-            doc = scan.snapshot()
-            doc["fingerprint"] = old
-            fresh = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            with pytest.raises(CheckpointError, match="different scan"):
-                fresh.restore(doc, data)
-            with pytest.raises(CheckpointError, match="different scan"):
-                fresh.restore_detached(doc)
-
-
-    # As of the commit before NBVA units joined the plan (0e1bad8):
-    # name -> backend -> (scan_fingerprint, keys of the generated unit
-    # and lane sources).  Rulesets without an NBVA unit must keep every
-    # one of these — their checkpoints stay resumable and their cached
-    # ``.so``s stay valid; the NBVA-bearing mix rolls over, once.  The
-    # exceptions are source keys, never fingerprints — checkpoints
-    # written before any of the changes still resume: lane keys (the
-    # second of a pair) and unit keys (the first of the ``nfa`` / ``dfa``
-    # pairs) are as of the kernels reading raw bytes through their own
-    # class map (the lane kernel's grouped, packed tables rolled with it).
-    PRE_NBVA = {
-        "lnfa": {
-            "fused": ("4f5be8323cd28222", []),
-            "native": (
-                "e87b5ba8a30b3da0",
-                ["e3b0c44298fc1c14", "5ebdaa6b77e8e9d5"],
-            ),
-        },
-        "nfa": {
-            "fused": ("847ce74d3258c81f", []),
-            "native": ("fcae215c15995b75", ["8ab0980cecee8672"]),
-        },
-        "dfa": {
-            "fused": ("ecb415f0c230b1ad", []),
-            "native": ("16aabb5461a7af58", ["bf643796d7d44708"]),
-        },
-        "mix": {
-            "fused": ("3d74adbffc70473a", []),
-            "native": (
-                "9ecb192f498d9771",
-                ["6a7366b3aa41bf05", "f554109919781123"],
-            ),
-        },
-    }
-
-    @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
-    @pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "mix"])
-    def test_only_nbva_bearing_rulesets_roll_over(self, name, backend):
-        from repro.core import codegen
-        from repro.core.native import source_key
-
-        if name == "lnfa":
-            ruleset = compile_ruleset(["needle", "marker", "hello|world"])
-            data = b"a needle, a marker, hello"
-        else:
-            ruleset, data = _plan_ruleset(name)
-        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        old_fingerprint, old_keys = self.PRE_NBVA[name][backend]
-        with use_backend(backend):
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            plan = scan._plan
-            keys = []
-            if backend == "native":
-                keys.append(source_key(codegen.unit_scan_source(plan.fused)))
-                if plan.scanner is not None:
-                    assert plan.scanner.native_active
-                    keys.append(source_key(plan.scanner._native._source))
-            keys = [key[:16] for key in keys]
-            if name != "mix":
-                assert scan.fingerprint[:16] == old_fingerprint
-                assert keys == old_keys
-                return
-            assert scan.fingerprint[:16] != old_fingerprint
-            assert not set(keys) & set(old_keys)
-            scan.feed(data[:20], at_end=False)
-            doc = scan.snapshot()
-            doc["fingerprint"] = old_fingerprint
-            fresh = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            with pytest.raises(CheckpointError, match="different scan"):
-                fresh.restore(doc, data)
+            for offset in (700, 1400):
+                scan.feed(data[offset - 700 : offset], at_end=False)
+                parent = self.PARENT_FINGERPRINTS[backend]
+                store.write(_as_the_parent_wrote(scan.snapshot(), parent), offset)
+            config = EngineConfig(checkpoint_dir=str(tmp_path), resume=True)
+            with pytest.raises(CheckpointError) as info:
+                BatchEngine(config).durable_scan(ruleset, data)
+        said = str(info.value)
+        assert said.startswith("unsupported checkpoint version 1 (this build reads 2)")
+        assert said.count(str(tmp_path)) == 2 and "without --resume" in said
+        assert "the build that wrote" in said
+        assert sorted(p.name for p in tmp_path.iterdir()) == list(SLOTS)
+        assert store.load_latest()["fingerprint"] == parent
 
     @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
     def test_lane_source_key_ignores_what_was_walked_first(self, backend):
@@ -1444,7 +1402,7 @@ class TestPlanFingerprint:
 
         ruleset = compile_ruleset(["needle", "marker", "hello|world"])
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        pinned = self.PRE_NBVA["lnfa"]["native"][1][1]
+        pinned = self.PINNED["lnfa"][1][1]
         with use_backend(backend):
             plan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan
             scanner, fused = plan.scanner, plan.fused

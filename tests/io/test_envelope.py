@@ -12,23 +12,23 @@ from repro.io.envelope import EnvelopeError
 
 def test_dump_writes_the_envelope_bytes_every_store_always_wrote(tmp_path):
     path = tmp_path / "entry.json"
-    envelope.dump(path, '{"a":1}', format="rap-test", version=3)
+    envelope.dump(path, '{"a":1}', format="rap-test")
     assert path.read_bytes() == json.dumps(
         {
             "format": "rap-test",
-            "entry_version": 3,
+            "entry_version": envelope.STORE_VERSION,
             "checksum": hashlib.sha256(b'{"a":1}').hexdigest(),
             "payload": '{"a":1}',
         }
     ).encode()
-    assert envelope.load(path, version=3) == '{"a":1}'
-    assert envelope.load(path, version=3, format="rap-test") == '{"a":1}'
+    assert envelope.load(path) == '{"a":1}'
+    assert envelope.load(path, format="rap-test") == '{"a":1}'
     assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
 
 def test_missing_file_is_the_callers_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
-        envelope.load(tmp_path / "absent.json", version=1)
+        envelope.load(tmp_path / "absent.json")
 
 
 @pytest.mark.parametrize(
@@ -46,11 +46,11 @@ def test_missing_file_is_the_callers_file_not_found(tmp_path):
 )
 def test_anything_but_an_intact_envelope_says_why(tmp_path, mangle, reason):
     path = tmp_path / "entry.json"
-    envelope.dump(path, "[1]", format="rap-test", version=1)
+    envelope.dump(path, "[1]", format="rap-test")
     mangled = mangle(json.loads(path.read_text()))
     path.write_bytes(mangled if isinstance(mangled, bytes) else mangled.encode())
     with pytest.raises(EnvelopeError) as info:
-        envelope.load(path, version=1, format="rap-test")
+        envelope.load(path, format="rap-test")
     assert reason in info.value.reason == str(info.value)
 
 
@@ -71,19 +71,19 @@ def test_failed_publish_leaves_the_old_file_and_no_temp(tmp_path, monkeypatch):
 def test_overwrite_writes_in_place_and_load_ignores_the_padding(tmp_path):
     path = tmp_path / "slot.json"
     assert envelope.head(path) == b""  # absent
-    first = envelope.seal('{"a":1}', format="rap-test", version=3, block=envelope.BLOCK)
+    first = envelope.seal('{"a":1}', format="rap-test", block=envelope.BLOCK)
     assert len(first) == envelope.BLOCK and first.endswith(b"\n\n")
-    assert first.rstrip(b"\n") == envelope.seal('{"a":1}', format="rap-test", version=3)
+    assert first.rstrip(b"\n") == envelope.seal('{"a":1}', format="rap-test")
     dirfd = os.open(tmp_path, os.O_RDONLY)
     assert envelope.overwrite(path, first, dirfd) >= 0.0
     inode = path.stat().st_ino
     assert path.read_bytes() == first
-    assert envelope.load(path, version=3, format="rap-test") == '{"a":1}'
+    assert envelope.load(path, format="rap-test") == '{"a":1}'
     # the head holds the checksum: equal heads, equal contents
     assert envelope.head(path) == first[: envelope.HEAD]
     assert hashlib.sha256(b'{"a":1}').hexdigest().encode() in envelope.head(path)
     longer = envelope.seal(
-        json.dumps("x" * 5000), format="rap-test", version=3, block=envelope.BLOCK
+        json.dumps("x" * 5000), format="rap-test", block=envelope.BLOCK
     )
     for data in (longer, first):  # grows, then shrinks: the same file, no tail
         envelope.overwrite(path, data, dirfd)

@@ -13,6 +13,9 @@ import signal
 import subprocess
 import sys
 
+import pytest
+
+from repro.core import available_backends
 from repro.engine.faults import FaultPlan
 from repro.serve.client import LoadGenerator, ScanClient, serial_totals
 from tests.serve.util import PATTERNS, make_data, run, running_server
@@ -93,8 +96,8 @@ class TestWorkerKill:
     same port and checkpoint root must finish the session bit-identically.
     """
 
-    def _spawn(self, port, ckpt):
-        env = dict(os.environ)
+    def _spawn(self, port, ckpt, **extra_env):
+        env = dict(os.environ, **extra_env)
         env["PYTHONPATH"] = "src"
         proc = subprocess.Popen(
             [
@@ -119,12 +122,17 @@ class TestWorkerKill:
         assert "listening on" in line, line
         return proc, int(line.strip().rsplit(":", 1)[1])
 
-    def test_sigkill_mid_stream_resumes_byte_identically(self, tmp_path):
+    def _kill_and_restart(self, tmp_path, first_env, second_env):
+        """Stream a session, SIGKILL the worker (started with
+        ``first_env``) a third of the way in, restart it with
+        ``second_env``: the totals must equal the serial golden."""
         data = make_data(12000, seed=33)
         ckpt = tmp_path / "ckpt"
 
         async def scenario():
-            proc, port = await asyncio.to_thread(self._spawn, 0, ckpt)
+            proc, port = await asyncio.to_thread(
+                self._spawn, 0, ckpt, **first_env
+            )
             try:
                 client = ScanClient(
                     "127.0.0.1", port, "kill-t", "s", PATTERNS
@@ -144,7 +152,9 @@ class TestWorkerKill:
             except BaseException:
                 proc.kill()
                 raise
-            proc2, _ = await asyncio.to_thread(self._spawn, port, ckpt)
+            proc2, _ = await asyncio.to_thread(
+                self._spawn, port, ckpt, **second_env
+            )
             try:
                 result = await task
             finally:
@@ -158,3 +168,21 @@ class TestWorkerKill:
         matches, energy = serial_totals(PATTERNS, [data])
         assert result["matches"] == matches
         assert result["energy_uj"] == energy
+
+    def test_sigkill_mid_stream_resumes_byte_identically(self, tmp_path):
+        self._kill_and_restart(tmp_path, {}, {})
+
+    @pytest.mark.skipif(
+        "native" not in available_backends(), reason="native backend not available"
+    )
+    def test_native_worker_session_resumes_on_a_worker_without_native(
+        self, tmp_path
+    ):
+        """Sessions migrate whatever backend each worker resolved: one
+        checkpointed by a native worker finishes on a worker whose native
+        build is disabled (it resolves fused)."""
+        self._kill_and_restart(
+            tmp_path,
+            {"RAP_BACKEND": "native"},
+            {"RAP_BACKEND": "native", "RAP_NATIVE_DISABLE": "1"},
+        )

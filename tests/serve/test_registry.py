@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import CompileError, ServeError
-from repro.serve.registry import TenantRegistry, ruleset_fingerprint
+from repro.io.serialize import scan_fingerprint
+from repro.serve.registry import TenantRegistry
 from tests.serve.util import ALT_PATTERNS, PATTERNS
 
 
@@ -18,7 +19,8 @@ class TestCompile:
         first, _, fp1 = registry.compile(PATTERNS)
         second, _, fp2 = registry.compile(list(PATTERNS))
         assert fp1 == fp2
-        assert fp1 == ruleset_fingerprint(first) == ruleset_fingerprint(second)
+        assert fp1 == scan_fingerprint(first, registry.hw, registry.bin_size)
+        assert fp2 == scan_fingerprint(second, registry.hw, registry.bin_size)
 
     def test_distinct_patterns_distinct_fingerprints(self, registry):
         _, _, fp1 = registry.compile(PATTERNS)

@@ -119,6 +119,30 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version"):
             ScanSession.from_envelope(envelope, registry, session.store)
 
+    def test_parent_envelope_is_refused_naming_the_store(
+        self, registry, data, tmp_path
+    ):
+        """An envelope the previous state version wrote is refused by
+        version, naming the store and the ways out, and stays stored."""
+        from tests.engine.test_checkpoint import _as_the_parent_wrote
+
+        session = build_session(registry, tmp_path)
+        feed_range(session, data, 0, 3 * SEGMENT)
+        session.park()
+        envelope = json.loads(json.dumps(session.envelope()))
+        parent = _as_the_parent_wrote(envelope, "f" * 64)
+        session.store.write(parent, session.offset)
+        with pytest.raises(CheckpointError) as info:
+            ScanSession.from_envelope(
+                session.store.load_latest(), registry, session.store
+            )
+        said = str(info.value)
+        assert said.startswith(
+            "unsupported serve session version 1 (this build reads 2)"
+        )
+        assert str(session.store.root) in said and "without --resume" in said
+        assert session.store.load_latest() == parent
+
     def test_missing_field_is_structured(self, registry, tmp_path):
         session = build_session(registry, tmp_path)
         envelope = session.envelope()
