@@ -681,7 +681,7 @@ class BatchEngine:
                 weights=weights,
             )
             store = (
-                CheckpointStore(config.checkpoint_dir, plan)
+                CheckpointStore(config.checkpoint_dir)
                 if config.checkpoint_dir is not None
                 else None
             )

@@ -41,7 +41,6 @@ from pathlib import Path
 
 from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core.registry import resolve_backend
-from repro.engine import faults
 from repro.errors import CheckpointError, QuarantineEntry
 from repro.hardware.config import HardwareConfig
 from repro.io import envelope
@@ -128,20 +127,12 @@ class CheckpointStore:
       the slot as corrupt.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        plan: faults.FaultPlan | None = None,
-        *,
-        session: str | None = None,
-    ):
+    def __init__(self, root: str | Path, *, session: str | None = None):
         self.root = Path(root)
         if session is not None:
             self.root = self.root / session_dirname(session)
         self.session = session
         self._slots = [self.root / name for name in SLOTS]
-        self.plan = plan  # explicit fault plan; None defers to env
-        self.writes = 0  # write ordinal (fault-injection point)
         self.discarded = 0  # corrupt entries dropped during load
         self.bytes_written = 0  # slot bytes put on disk, padding included
         self.sync_seconds = 0.0  # spent inside fsync / fdatasync
@@ -192,14 +183,11 @@ class CheckpointStore:
     def write(self, payload_doc: dict, offset: int) -> Path:
         """Durably persist one snapshot taken at ``offset``.
 
-        Raises ``OSError`` when the disk is full (real or injected);
+        Raises ``OSError`` when the disk is full (or the lock times out);
         the caller decides whether a failed checkpoint is fatal — for
         the durable scan it is not, the scan just keeps going with the
         previous restore point.
         """
-        ordinal = self.writes
-        self.writes += 1
-        faults.inject_checkpoint_reserve(ordinal, self.plan)
         with self._exclusive(create=True) as dirfd:
             if self._known is None or any(
                 envelope.head(path) != seen
@@ -219,7 +207,6 @@ class CheckpointStore:
             self.bytes_written += len(data)
             known[victim] = (data[: envelope.HEAD], order)
             self._known = known
-            faults.inject_checkpoint_commit(self._slots[victim], ordinal, self.plan)
         return self._slots[victim]
 
     def _survey(self) -> list[dict | None]:
@@ -316,6 +303,11 @@ class DurableScan:
         self._ruleset = ruleset
         self._mapping = mapping
         self._weights = dict(weights or {})
+        self._unions = {
+            r.regex_id
+            for r in ruleset
+            if r.mode is CompiledMode.LNFA and len(r.lnfas) > 1
+        }
         self._regex: dict[int, RegexActivityCollector] = {
             r.regex_id: RegexActivityCollector(r)
             for r in ruleset
@@ -373,14 +365,18 @@ class DurableScan:
         The returned lists are the collectors' live, append-only
         containers — callers slice them for incremental event emission
         (the streaming service diffs against a per-regex emitted count
-        every segment) and must not mutate them.
+        every segment) and must not mutate them.  A regex compiled to
+        several LNFA sequences reports once per sequence, in one bin or
+        several: its list is their sorted union, as a bulk scan's
+        result has it (a new list, still growing only at its end).
         """
-        out: dict[int, list[int]] = {}
-        for rid, collector in self._regex.items():
-            out[rid] = collector.matches
+        out = {rid: collector.matches for rid, collector in self._regex.items()}
         for collector in self._bins.values():
-            for rid, ends in collector.matches.items():
-                out[rid] = ends
+            out.update(collector.matches)
+        for rid in self._unions:
+            out[rid] = sorted(
+                {end for c in self._bins.values() for end in c.matches.get(rid, ())}
+            )
         return out
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:

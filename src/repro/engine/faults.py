@@ -30,17 +30,6 @@ Directive kinds and where they fire:
     the process dies with ``SIGKILL`` — the unskippable signal, exactly
     what a host OOM killer or operator ``kill -9`` delivers.  CI uses
     this to prove checkpoint resume is bit-identical.
-``torn_checkpoint``
-    At the *index*-th checkpoint write of a durable scan: truncate the
-    freshly-committed checkpoint slot to half its content (a torn write
-    that outlived its sync — e.g. lost fsync semantics).  Resume must
-    detect the damage via the envelope checksum and fall back to the
-    previous good checkpoint.
-``disk_full``
-    At the *index*-th checkpoint write of a durable scan: fail the
-    write with ``ENOSPC`` before any bytes land.  The scan must degrade
-    gracefully — keep scanning, count the failure, rely on an earlier
-    checkpoint if interrupted.
 ``disconnect`` / ``stall`` / ``garbage`` / ``reload``
     At the *index*-th data segment of one scan-service connection
     (``repro.serve``): abort the transport mid-stream, freeze the
@@ -77,7 +66,6 @@ results.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import pickle
@@ -93,7 +81,6 @@ FAULT_PLAN_ENV = "RAP_FAULT_PLAN"
 UNIT_KINDS = ("crash", "hang", "error", "pickle")
 CACHE_KINDS = ("truncate_cache",)
 CHUNK_KINDS = ("kill",)
-CHECKPOINT_KINDS = ("torn_checkpoint", "disk_full")
 # Connection-level kinds, fired at the *index*-th data segment of one
 # scan-service connection (see repro.serve): ``disconnect`` aborts the
 # transport mid-stream, ``stall`` freezes the sender for ``seconds``
@@ -110,14 +97,7 @@ CONN_KINDS = ("disconnect", "stall", "garbage", "reload")
 # gate, fencing, and session re-homing; neither may cost a client a
 # byte of results.
 FLEET_KINDS = ("killworker", "wedge")
-ALL_KINDS = (
-    UNIT_KINDS
-    + CACHE_KINDS
-    + CHUNK_KINDS
-    + CHECKPOINT_KINDS
-    + CONN_KINDS
-    + FLEET_KINDS
-)
+ALL_KINDS = UNIT_KINDS + CACHE_KINDS + CHUNK_KINDS + CONN_KINDS + FLEET_KINDS
 
 
 @dataclass(frozen=True)
@@ -217,16 +197,6 @@ class FaultPlan:
         """The chunk directive firing at the given scan-chunk ordinal."""
         for directive in self.directives:
             if directive.kind in CHUNK_KINDS and directive.index == ordinal:
-                return directive
-        return None
-
-    def for_checkpoint_write(self, ordinal: int) -> FaultDirective | None:
-        """The checkpoint directive firing at the given write ordinal."""
-        for directive in self.directives:
-            if (
-                directive.kind in CHECKPOINT_KINDS
-                and directive.index == ordinal
-            ):
                 return directive
         return None
 
@@ -399,34 +369,6 @@ def inject_chunk(ordinal: int, plan: FaultPlan | None = None) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def inject_checkpoint_reserve(
-    ordinal: int, plan: FaultPlan | None = None
-) -> None:
-    """Fire a ``disk_full`` directive before checkpoint bytes land."""
-    active = plan if plan is not None else active_plan()
-    directive = active.for_checkpoint_write(ordinal)
-    if directive is None or directive.kind != "disk_full":
-        return
-    raise OSError(
-        errno.ENOSPC,
-        f"injected disk-full at checkpoint write {ordinal}",
-    )
-
-
-def inject_checkpoint_commit(
-    path: str | Path, ordinal: int, plan: FaultPlan | None = None
-) -> None:
-    """Fire a ``torn_checkpoint`` directive after a checkpoint commit:
-    truncate the committed file to half its size."""
-    active = plan if plan is not None else active_plan()
-    directive = active.for_checkpoint_write(ordinal)
-    if directive is None or directive.kind != "torn_checkpoint":
-        return
-    path = Path(path)
-    data = path.read_bytes().rstrip(b"\n")  # a slot's padding is not content
-    path.write_bytes(data[: len(data) // 2])
-
-
 def reset() -> None:
     """Clear injection state (tests)."""
     global _installed, _cache_puts
@@ -437,7 +379,6 @@ def reset() -> None:
 __all__ = [
     "ALL_KINDS",
     "CACHE_KINDS",
-    "CHECKPOINT_KINDS",
     "CHUNK_KINDS",
     "CONN_KINDS",
     "FAULT_PLAN_ENV",
@@ -447,8 +388,6 @@ __all__ = [
     "FaultPlan",
     "active_plan",
     "inject_cache_put",
-    "inject_checkpoint_commit",
-    "inject_checkpoint_reserve",
     "inject_chunk",
     "inject_unit",
     "install_plan",

@@ -125,6 +125,11 @@ def run_supervised(
             fn, items, attempts, jobs, initializer, initargs, plan, cfg,
             outcomes,
         )
+        # A unit the broken pool refused re-queued uncharged, so it can
+        # leave with pool attempts unused: the last resort is numbered
+        # past the whole pool budget, where no plan aimed at it reaches.
+        for i in pending:
+            attempts[i] = max(attempts[i], cfg.retries + 1)
     else:
         pending = list(range(len(items)))
     if pending:

@@ -24,20 +24,13 @@ from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
 
 from tests.automata.test_lnfa import lnfa_strategy
-from tests.helpers import inputs, regex_trees
+from tests.helpers import inputs, regex_trees, segments_of
 
 BACKENDS = available_backends()
 
 anchor_flags = st.booleans()
 # Random cut points, mapped into [0, len(data)] per example.
 cut_seeds = st.lists(st.integers(0, 10_000), max_size=6)
-
-
-def segments_of(data: bytes, seeds: list[int]) -> list[bytes]:
-    """Split ``data`` at pseudo-random cut points derived from seeds."""
-    cuts = sorted({s % (len(data) + 1) for s in seeds})
-    bounds = [0, *cuts, len(data)]
-    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def roundtrip(scanner, doc_factory):

@@ -1,9 +1,11 @@
 """Unit tests for the cost-model feature extraction and scoring."""
 
 import math
+import random
 
 import pytest
 
+from repro.compiler import compile_ruleset
 from repro.compiler.costmodel import (
     CONSTANT_RANGE,
     DEFAULT_CONSTANTS,
@@ -24,6 +26,7 @@ from repro.compiler.costmodel import (
     resolve_mode,
 )
 from repro.compiler.program import CompiledMode, CompileError
+from repro.engine import BatchEngine, EngineConfig
 from repro.io.envelope import PLAN_VERSION
 from repro.regex.parser import parse
 
@@ -286,7 +289,7 @@ class TestCalibrationSolver:
     def test_probe_patterns_are_eligible(self):
         """Every probe must actually compile in its forced mode, or the
         calibration silently degrades that constant to its default."""
-        from repro.compiler import CompilerConfig, compile_ruleset
+        from repro.compiler import CompilerConfig
         from repro.compiler import calibrate as cal
 
         for pattern, mode in (
@@ -300,3 +303,46 @@ class TestCalibrationSolver:
                 [pattern], CompilerConfig(forced_mode=mode)
             )
             assert not ruleset.rejected, (pattern, mode)
+
+
+class TestAutoSelection:
+    def test_auto_picks_dfa_for_low_activity_workload(self):
+        # A seeded keyword-with-gap workload: unbounded stars keep it
+        # off NBVA/LNFA, single-char labels keep the predicted activity
+        # low, so the cost model sends it to the DFA tier.
+        rng = random.Random(42)
+        alphabet = "abcdefghijklmnopqrstuvwxyz"
+        words = [
+            "".join(rng.choice(alphabet) for _ in range(6)) for _ in range(12)
+        ]
+        patterns = [f"{w[:3]}{w[3]}*{w[4:]}" for w in words]
+        ruleset = compile_ruleset(patterns)
+        modes = [r.mode for r in ruleset]
+        assert CompiledMode.DFA in modes
+        assert modes.count(CompiledMode.DFA) >= len(patterns) // 2
+
+    def test_engine_mode_knob_routes_compiles(self, monkeypatch):
+        monkeypatch.delenv(MODE_ENV, raising=False)
+        engine = BatchEngine(EngineConfig(use_cache=False, mode="nfa"))
+        ruleset = engine.compile(["ab*c", "needle"])
+        assert all(r.mode is CompiledMode.NFA for r in ruleset)
+        # Env route: auto defers to RAP_MODE.
+        monkeypatch.setenv(MODE_ENV, "dfa")
+        engine = BatchEngine(EngineConfig(use_cache=False))
+        ruleset = engine.compile(["ab*c", "needle"])
+        assert all(r.mode is CompiledMode.DFA for r in ruleset)
+
+    def test_engine_mode_validation(self):
+        with pytest.raises(ValueError):
+            EngineConfig(mode="warp-speed")
+
+    def test_explain_reports_choice_and_costs(self, monkeypatch):
+        monkeypatch.delenv(MODE_ENV, raising=False)
+        engine = BatchEngine(EngineConfig(use_cache=False))
+        entries = engine.explain(["ab*c", "needle", "a(b"])
+        by_pattern = {e.pattern: e for e in entries}
+        star = by_pattern["ab*c"]
+        assert star.trace.mode is CompiledMode.DFA
+        assert star.trace.costs["dfa"] < star.trace.costs["nfa"]
+        assert by_pattern["needle"].trace.mode is CompiledMode.LNFA
+        assert by_pattern["a(b"].error is not None

@@ -18,8 +18,6 @@ import json
 import logging
 import os
 import random
-import shutil
-import signal
 import subprocess
 import sys
 from unittest import mock
@@ -30,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.automata.glushkov import (
     EdgeAction,
-    GlushkovError,
     ReadKind,
     build_automaton,
 )
@@ -51,14 +48,17 @@ from repro.core.native import (
     native_unavailable_reason,
 )
 from repro.engine import BatchEngine, EngineConfig
-from repro.engine.checkpoint import CheckpointStore, DurableScan
+from repro.engine.checkpoint import DurableScan
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.regex import ast
 from repro.regex.charclass import CharClass
 from repro.regex.parser import parse_anchored
 from repro.simulators.rap import RAPSimulator
+from repro.workloads.inputs import generate_input
 
-from tests.helpers import inputs, regex_trees
+from tests.conformance import cells
+from tests.conformance.cells import HOST, Case
+from tests.helpers import inputs, scannable_trees
 
 NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(
@@ -67,18 +67,6 @@ needs_native = pytest.mark.skipif(
 needs_fused = pytest.mark.skipif(
     "fused" not in available_backends(), reason="fused backend not available"
 )
-
-
-def scannable_trees(max_leaves: int = 6):
-    return regex_trees(max_leaves=max_leaves).map(
-        lambda t: ast.concat(ast.lit(CharClass.of("a")), t)
-    )
-
-
-def _assert_results_identical(got, want):
-    assert got.matches == want.matches
-    assert got.energy_breakdown_pj == want.energy_breakdown_pj
-    assert dataclasses.asdict(got.metrics) == dataclasses.asdict(want.metrics)
 
 
 def _run(ruleset, data: bytes, backend: str):
@@ -194,7 +182,7 @@ class TestProbeAndFallback:
 MIXED_PATTERNS = ["needle", "marker", "foo[0-9]*bar", "ab{10,20}c", "x(y|z)w"]
 
 
-def _mixed_data(n: int = 30000, seed: int = 23) -> bytes:
+def _mixed_data(n: int = 6000, seed: int = 23) -> bytes:
     rng = random.Random(seed)
     base = bytearray(
         rng.choice(b"\x00\x00\x00 abfnoxyzw") for _ in range(n)
@@ -209,110 +197,32 @@ def _mixed_data(n: int = 30000, seed: int = 23) -> bytes:
 
 @needs_native
 class TestNativeDifferential:
-    """native == fused == python on matches, counters, and energy."""
+    """native == fused == python: cells of the conformance matrix
+    (``tests/conformance``) on this module's rulesets."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=5, deadline=None)
     @given(tree=scannable_trees(max_leaves=6), data=inputs(max_size=48))
     def test_random_regexes(self, tree, data):
-        pattern = tree.to_pattern()
-        ruleset = compile_ruleset([pattern])
-        assume(not ruleset.rejected)
-        want = _run(ruleset, data, "python")
-        _assert_results_identical(_run(ruleset, data, "fused"), want)
-        _assert_results_identical(_run(ruleset, data, "native"), want)
+        case = Case([tree.to_pattern()], data)
+        for backend in HOST:
+            cells.bulk(case, "auto", backend, 1)
 
     def test_mixed_mode_ruleset(self):
-        ruleset = compile_ruleset(MIXED_PATTERNS)
-        assert not ruleset.rejected
-        data = _mixed_data()
-        want = _run(ruleset, data, "fused")
-        _assert_results_identical(_run(ruleset, data, "native"), want)
-        _assert_results_identical(_run(ruleset, data, "python"), want)
+        case = Case(MIXED_PATTERNS, _mixed_data())
+        cells.durable(case, "auto", seams=(2000, 4000))
 
     @pytest.mark.parametrize("mode", [CompiledMode.NFA, CompiledMode.DFA])
     def test_forced_unit_tiers(self, mode):
         """The gather and DFA unit kernels, not just the lane machine."""
-        ruleset = compile_ruleset(
-            ["needle", "foo[0-9]*bar", "x(y|z)w"],
-            CompilerConfig(forced_mode=mode),
-        )
-        assert not ruleset.rejected
+        config = CompilerConfig(forced_mode=mode)
         data = _mixed_data(seed=31)
-        want = _run(ruleset, data, "fused")
-        _assert_results_identical(_run(ruleset, data, "native"), want)
+        case = Case(["needle", "foo[0-9]*bar", "x(y|z)w"], data, compiler=config)
+        cells.bulk(case, "auto", "native", 1)
 
     def test_engine_scan_matches_fused(self):
-        ruleset = compile_ruleset(MIXED_PATTERNS)
-        data = _mixed_data(seed=37)
-        want = BatchEngine(
-            EngineConfig(jobs=1, backend="fused", use_cache=False)
-        ).scan(ruleset, data)
-        got = BatchEngine(
-            EngineConfig(jobs=1, backend="native", use_cache=False)
-        ).scan(ruleset, data)
-        _assert_results_identical(got, want)
-
-
-def _sigkill_resume(tmp_path, patterns, data, golden_backend, extra=()):
-    """Golden run on ``golden_backend``; SIGKILLed + resumed run on
-    native (with the ``extra`` flags); the printed matches (and float
-    energy) must be byte-identical."""
-    repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    rules = tmp_path / "rules.txt"
-    rules.write_text("\n".join(patterns) + "\n")
-    stream = tmp_path / "input.bin"
-    stream.write_bytes(data)
-    ckpts = tmp_path / "ckpts"
-    env = dict(os.environ, PYTHONPATH="src")
-    env.pop("RAP_FAULT_PLAN", None)
-    base = [
-        sys.executable,
-        "-m",
-        "repro",
-        "scan",
-        "--patterns",
-        str(rules),
-        str(stream),
-        "--no-cache",
-    ]
-    durable = [
-        *base,
-        "--backend",
-        "native",
-        "--checkpoint-dir",
-        str(ckpts),
-        "--checkpoint-every",
-        "1000",
-        *extra,
-    ]
-    golden = subprocess.run(
-        [*base, "--backend", golden_backend],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=repo,
-    )
-    assert golden.returncode == 0, golden.stderr
-    assert golden.stdout.strip()
-    killed = subprocess.run(
-        durable,
-        capture_output=True,
-        text=True,
-        env=dict(env, RAP_FAULT_PLAN="kill@2"),
-        cwd=repo,
-    )
-    assert killed.returncode in (-signal.SIGKILL, 137)
-    assert CheckpointStore(ckpts)._paths(), "no checkpoint survived"
-    resumed = subprocess.run(
-        [*durable, "--resume"],
-        capture_output=True,
-        text=True,
-        env=dict(env, RAP_FAULT_PLAN=""),
-        cwd=repo,
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    assert resumed.stdout == golden.stdout
-    assert "resumed from checkpoint" in resumed.stderr
+        case = Case(MIXED_PATTERNS, _mixed_data(seed=37))
+        for backend in ("fused", "native"):
+            cells.bulk(case, "auto", backend, 1)
 
 
 @needs_native
@@ -320,65 +230,24 @@ class TestNativeSeams:
     """Input-parallel seams and checkpoint state under native."""
 
     def test_input_jobs_matches_serial(self):
-        ruleset = compile_ruleset(MIXED_PATTERNS)
-        data = _mixed_data(seed=41)
-        serial = BatchEngine(
-            EngineConfig(jobs=1, backend="fused", use_cache=False)
-        ).scan(ruleset, data)
-        got = BatchEngine(
-            EngineConfig(
-                jobs=1,
-                input_jobs=2,
-                backend="native",
-                min_chunk_bytes=512,
-                use_cache=False,
-            )
-        ).scan(ruleset, data)
-        _assert_results_identical(got, serial)
+        case = Case(MIXED_PATTERNS, _mixed_data(seed=41))
+        cells.bulk(case, "auto", "native", 2, pool=True, min_chunk=512)
 
-    def test_checkpoint_at_a_seam_resumes_identically(self, tmp_path):
-        """Snapshot mid-stream on native, restore, finish: results
-        equal the uninterrupted fused scan."""
-        ruleset = compile_ruleset(MIXED_PATTERNS)
+    def test_checkpoint_at_a_seam_resumes_identically(self):
         data = _mixed_data(seed=43)
-        plain = BatchEngine(
-            EngineConfig(jobs=1, backend="fused", use_cache=False)
-        ).scan(ruleset, data)
-        with use_backend("native"):
-            sim = RAPSimulator(DEFAULT_CONFIG)
-            mapping = sim.build_mapping(ruleset, bin_size=None)
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            store = CheckpointStore(tmp_path)
-            scan.feed(data[: len(data) // 2], at_end=False)
-            store.write(scan.snapshot(), scan.offset)
+        cells.durable(Case(MIXED_PATTERNS, data), "auto", seams=[len(data) // 2])
 
-            resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            resumed.restore(store.load_latest(), data)
-            assert resumed.offset == len(data) // 2
-            resumed.feed(data[resumed.offset :], at_end=True)
-            got = sim.run_from_activity(ruleset, resumed.finish(), mapping)
-        _assert_results_identical(got, plain)
-
-    def test_sigkill_mid_scan_then_resume_matches_fused_golden(
-        self, tmp_path
-    ):
-        _sigkill_resume(
-            tmp_path, MIXED_PATTERNS, _mixed_data(8000, seed=47), "fused"
-        )
+    def test_sigkill_mid_scan_then_resume_matches_fused_golden(self, tmp_path):
+        case = Case(MIXED_PATTERNS, _mixed_data(4000, seed=47))
+        cells.sigkill_resume(case, tmp_path, "native", ["fused"])
 
     def test_sigkill_resume_of_the_fig1_mix_matches_python_golden(
         self, tmp_path
     ):
         """The paper's Fig. 1 mix (7 of 16 NBVA): checkpoints written
         with live bit vectors by the C kernel, resumed by it."""
-        from repro.workloads.datasets import generate_benchmark
-        from repro.workloads.inputs import generate_input
-
-        patterns = list(generate_benchmark("Snort", 16).patterns)
-        data = generate_input(
-            "network", 6000, seed=5, patterns=patterns, plant_every=200
-        )
-        _sigkill_resume(tmp_path, patterns, data, "python")
+        mix = cells.pinned("snort_mix16")
+        cells.sigkill_resume(mix, tmp_path, "native", ["native"])
 
 
 def _nbva_unit(automaton, anchored_start=False, anchored_end=False):
@@ -442,8 +311,9 @@ def _bodies():
 
 def counted_regexes():
     """Concatenations of 1-3 counter groups (``r{m}`` / ``r{0,k}``, the
-    two hardware-readable shapes) around plain literals."""
-    group = st.tuples(_bodies(), st.booleans(), st.integers(1, 6)).map(
+    two hardware-readable shapes, too wide to unfold) around plain
+    literals."""
+    group = st.tuples(_bodies(), st.booleans(), st.integers(9, 14)).map(
         lambda t: ast.repeat(t[0], t[2] if t[1] else 0, t[2])
     )
     piece = st.one_of(group, _bodies(), _bodies().map(ast.star))
@@ -456,21 +326,19 @@ def counted_regexes():
 class TestNativeNbva:
     """The generated-C NBVA unit kernel ≡ ``NBVAScanner``, state and all."""
 
-    @settings(max_examples=20, deadline=None)  # one cc run per example
+    @settings(max_examples=5, deadline=None)
     @given(
         tree=counted_regexes(),
         data=inputs(alphabet="abx", max_size=40),
         anchors=st.tuples(st.booleans(), st.booleans()),
     )
     def test_random_counted_regexes_at_every_seam(self, tree, data, anchors):
-        try:
-            automaton = build_automaton(tree)
-        except GlushkovError:
-            assume(False)
-        assume(not automaton.is_plain)
-        _assert_nbva_identical(
-            automaton, data, anchors, cuts=range(1, len(data))
-        )
+        """A cell of the conformance matrix: every seam, every backend."""
+        pattern = "^" * anchors[0] + tree.to_pattern() + "$" * anchors[1]
+        ruleset = compile_ruleset([pattern])
+        assume(not ruleset.rejected)
+        assume(ruleset.regexes[0].mode is CompiledMode.NBVA)
+        cells.durable(Case([pattern], data), "auto", backends=HOST)
 
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129, 1000])
     @pytest.mark.parametrize("read", [ReadKind.EXACT, ReadKind.ALL])
@@ -758,115 +626,28 @@ def _counting_restarts():
             yield calls
 
 
-def _assert_lane_identical(patterns, data, *, tier, hit_cap=None, states_cap=None):
-    """One ruleset and stream through every contract of the lane
-    machine (``tier``: the compiled kernel or the table walker), against
-    the ``python`` oracle: snapshot bytes at every offset, one seam at
-    every offset, warm-up windows, ``input_jobs=2``."""
-    from tests.engine.test_checkpoint import _collector_docs
-
-    ruleset = compile_ruleset(patterns)
-    assert not ruleset.rejected and len(data) > 1
-    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-    docs = []
-    with use_backend("python"):
-        oracle = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-        for i in range(len(data)):
-            oracle.feed(data[i : i + 1], at_end=i == len(data) - 1)
-            docs.append(_collector_docs(oracle))
-        final = oracle.finish()
-        reference = RAPSimulator(DEFAULT_CONFIG).run(ruleset, data)
-
-    with contextlib.ExitStack() as patches:
-        if hit_cap is not None:
-            patches.enter_context(
-                mock.patch.object(codegen, "HIT_BUFFER_ENTRIES", hit_cap)
-            )
-        if states_cap is not None:
-            patches.enter_context(
-                mock.patch.object(codegen, "LANE_DFA_MAX_STATES", states_cap)
-            )
-        patches.enter_context(use_backend("native"))
-        loaded = []
-        patches.enter_context(
-            mock.patch.object(
-                native,
-                "load_source",
-                lambda source, cdef, load=native.load_source: (
-                    loaded.append(source), load(source, cdef)
-                )[1],
-            )
-        )
-        stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-        plan = stepped._plan
-        assert plan.scanner.lane_tier.startswith(tier)
-        # a walked ruleset never hands the loader a lane source: no .so
-        assert any("lane machine" in source for source in loaded) == (
-            plan.scanner._native is not None
-        ) == tier.startswith("dfa (")
-        if hit_cap is not None and plan.scanner._native is not None:
-            # (sized for a whole lockstep block when left alone)
-            plan.scanner._native._cap = hit_cap
-        for i in range(len(data)):
-            stepped.feed(data[i : i + 1], at_end=i == len(data) - 1)
-            assert _collector_docs(stepped) == docs[i], i
-        assert stepped.finish() == final
-        for cut in range(1, len(data)):
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            scan.feed(data[:cut], at_end=False)
-            assert _collector_docs(scan) == docs[cut - 1], cut
-            scan.feed(data[cut:], at_end=True)
-            assert scan.finish() == final, cut
-
-        # Warm-up windows: the prefix drives the states, owns nothing.
-        for warm_start in (0, 1, len(data) // 2):
-            for start in range(warm_start, len(data), 3):
-                span = dict(
-                    fresh=warm_start == 0,
-                    at_end=True,
-                    base=warm_start,
-                    stats_from=start - warm_start,
-                )
-                assert plan.scanner.scan(
-                    data[warm_start:], **span
-                ) == _oracle_delta(plan, data[warm_start:], **span)
-
-        config = EngineConfig(
-            backend="native", input_jobs=2, min_chunk_bytes=4, use_cache=False
-        )
-        assert BatchEngine(config).scan(ruleset, data) == reference
-
-
 @needs_native
 class TestNativeLaneDfa:
     """The per-bin DFA lane kernel ≡ the ``python`` oracle, state and
     all — and so is the table walker an over-cap bin leaves the ruleset
     to, restarting its table whenever it outgrows the cap."""
 
-    @settings(max_examples=12, deadline=None)  # one cc run per example
-    @given(
-        patterns=lnfa_rulesets(),
-        data=inputs(alphabet="abcxAB", max_size=36),
-        hit_cap=st.sampled_from([1, 2, codegen.HIT_BUFFER_ENTRIES]),
-    )
-    def test_random_lnfa_rulesets_at_every_seam(self, patterns, data, hit_cap):
+    @settings(max_examples=4, deadline=None)  # one cc run per example
+    @given(patterns=lnfa_rulesets(), data=inputs(alphabet="abcxAB", max_size=36))
+    def test_random_lnfa_rulesets_at_every_seam(self, patterns, data):
+        """Cells of the conformance matrix: every seam, every backend,
+        and one-entry hit buffers."""
         assume(_lane_worthy(patterns, data))
-        _assert_lane_identical(patterns, data, tier="dfa (", hit_cap=hit_cap)
+        case = Case(patterns, data)
+        cells.durable(case, "auto", backends=HOST)
+        cells.sweep(case, "auto", "hit buffer 1")
 
-    @settings(max_examples=8, deadline=None)
-    @given(
-        patterns=lnfa_rulesets(),
-        data=inputs(alphabet="abcxAB", max_size=36),
-        hit_cap=st.sampled_from([1, codegen.HIT_BUFFER_ENTRIES]),
-    )
-    def test_over_cap_bin_leaves_the_ruleset_to_the_walker(
-        self, patterns, data, hit_cap
-    ):
+    @settings(max_examples=3, deadline=None)
+    @given(patterns=lnfa_rulesets(), data=inputs(alphabet="abcxAB", max_size=36))
+    def test_over_cap_bin_leaves_the_ruleset_to_the_walker(self, patterns, data):
         assume(_lane_worthy(patterns, data))
         # whichever bin the mapper gave the long literal
-        _assert_lane_identical(
-            patterns, data, tier="interpreted (bin ", hit_cap=hit_cap, states_cap=8
-        )
+        cells.sweep(Case(patterns, data), "auto", "lane cap 8")
 
     def test_anchors_classes_and_dense_hits(self):
         """Deterministic: every decoration at once, a hit on nearly
@@ -875,13 +656,10 @@ class TestNativeLaneDfa:
         patterns = [
             "abcabcabc" * 8, "^ab", "(?i)b.a", "[ab]", "a..[^c]", "c$", "^abc$",
         ]
-        data = b"abcabcABCabcabcabcxabBAabcabcab.c"
-        _assert_lane_identical(patterns, data, tier="dfa (", hit_cap=1)
+        case = Case(patterns, b"abcabcABCabcabcabcxabBAabcabcab.c")
+        cells.sweep(case, "auto", "hit buffer 1")
         with _counting_restarts() as restarts:
-            _assert_lane_identical(
-                patterns, data, tier="interpreted (bin 0 closure > 8)",
-                hit_cap=1, states_cap=8,
-            )
+            cells.sweep(case, "auto", "lane cap 8")
         assert restarts  # the 72-state literal alone outgrows 8 mid-stream
 
     def test_twenty_wildcards_exceed_the_real_cap(self, tmp_path, monkeypatch):
@@ -896,9 +674,11 @@ class TestNativeLaneDfa:
         patterns = ["a" + "." * 20, "needle"]
         data = b"a.aa" * 9 + b"needle" + b"a" * 30
         cap = codegen.LANE_DFA_MAX_STATES
-        _assert_lane_identical(
-            patterns, data, tier=f"interpreted (bin 0 closure > {cap})"
-        )
+        case = Case(patterns, data)
+        cells.durable(case, "auto", backends=HOST)
+        with cells.on("native"):
+            tier = cells.bound(case, "auto", "native").plan.scanner.lane_tier
+        assert tier == f"interpreted (bin 0 closure > {cap})"
         assert not list(tmp_path.rglob("*.so"))  # and these rules have no units
 
         ruleset = compile_ruleset(patterns)
@@ -1041,7 +821,7 @@ class TestNativeLaneDfa:
                 assert all(tin._cls is None for tin in seen) == (backend == "native")
         assert result == _run(ruleset, data, "python")
 
-    @settings(max_examples=6, deadline=None)  # one cc run per example
+    @settings(max_examples=3, deadline=None)  # one cc run per example
     @given(
         words=st.lists(
             st.text("abc", min_size=3, max_size=6), min_size=4, max_size=7, unique=True
@@ -1051,11 +831,10 @@ class TestNativeLaneDfa:
     )
     def test_lockstep_blocks_at_every_seam(self, words, classes, seed):
         """Streams longer than a lockstep block — literal-only rulesets,
-        whose bins merge, and class-bearing ones — cut at every seam,
-        each seam snapshotted and restored, then under ``input_jobs`` 1
-        and 2: native ≡ the walker ≡ the ``python`` oracle."""
-        from tests.engine.test_checkpoint import _collector_docs
-
+        whose bins merge, and class-bearing ones — through cells of the
+        conformance matrix: a seam every few bytes, snapshotted and
+        restored on every backend, then bulk under ``input_jobs`` 1 and
+        2; the lockstep path ran, and not on every span."""
         if classes:  # every second character a class
             words = [
                 "".join("[^a]" if i % 2 else c for i, c in enumerate(w)) for w in words
@@ -1068,65 +847,33 @@ class TestNativeLaneDfa:
         for at in range(7, len(stream) - 8, 61):  # witnesses, some across seams
             literal = rng.choice(words).replace("[^a]", "b").encode()
             stream[at : at + len(literal)] = literal
-        data = bytes(stream)
-        sim = RAPSimulator(DEFAULT_CONFIG)
-        mapping = sim.build_mapping(ruleset, bin_size=2)
-        assert len(list(mapping.lnfa_bins())) > 1
-        docs = []
-        with use_backend("python"):
-            oracle = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            for i in range(len(data)):
-                oracle.feed(data[i : i + 1], at_end=i == len(data) - 1)
-                docs.append(_collector_docs(oracle))
-            final = oracle.finish()
-            reference = sim.run(ruleset, data, bin_size=2)
-        for backend in ("native", "fused"):
-            with use_backend(backend):
-                lanes = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan.scanner
-                blocks = []
-                if backend == "native":
-                    assert lanes.lane_tier.startswith("dfa (")
-                    # literals: prefixes shared across bins only shrink a trie
-                    assert classes or " / 1 group of " in lanes.lane_tier
-                    fn = lanes._native._fn
+        case = Case(words, bytes(stream), bin_size=2)
+        with cells.on("native"):
+            lanes = cells.bound(case, "auto", "native").plan.scanner
+        assert lanes.bin_count > 1
+        # literals: prefixes shared across bins only shrink a trie
+        assert classes or " / 1 group of " in lanes.lane_tier
+        blocks, fn = [], lanes._native._fn
 
-                    def probed(*args, fn=fn):
-                        rc = fn(*args)
-                        later = len(args[9]) // codegen.LANE_SUBSPANS
-                        blocks.append(bool(args[9][later:].any()))
-                        return rc
+        def probed(*args):
+            rc = fn(*args)
+            later = len(args[9]) // codegen.LANE_SUBSPANS
+            blocks.append(bool(args[9][later:].any()))
+            return rc
 
-                    lanes._native._fn = probed
-                for cut in range(1, len(data)):
-                    scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-                    scan.feed(data[:cut], at_end=False)
-                    assert _collector_docs(scan) == docs[cut - 1], cut
-                    resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-                    resumed.restore_detached(scan.snapshot())
-                    resumed.feed(data[cut:], at_end=True)
-                    assert resumed.finish() == final, cut
-                # only the later sub-spans of a block count into the later
-                # histograms: the lockstep path ran, and not on every span
-                assert len(set(blocks)) == 2 * (backend == "native")
-            for input_jobs in (1, 2):
-                config = EngineConfig(
-                    backend=backend, input_jobs=input_jobs, min_chunk_bytes=64,
-                    use_cache=False,
-                )
-                got = BatchEngine(config).scan(ruleset, data, bin_size=2)
-                assert got == reference, (backend, input_jobs)
+        lanes._native._fn = probed
+        cells.durable(case, "auto", range(1, len(stream), 7), backends=HOST)
+        for backend in HOST:
+            for input_jobs in cells.INPUT_JOBS:
+                cells.bulk(case, "auto", backend, input_jobs, min_chunk=64)
+        # only the later sub-spans of a block count into the later
+        # histograms: the lockstep path ran, and not on every span
+        assert set(blocks) == {False, True}
 
     def test_keywords64_input_jobs_and_sigkill_resume(self, tmp_path):
-        from benchmarks.ledger.workloads import keyword_patterns
-        from repro.workloads.inputs import generate_input
-
-        patterns = keyword_patterns()
-        data = generate_input(
-            "network", 6000, seed=9, patterns=patterns,
-            plant_every=400,
-        )
-        _sigkill_resume(
-            tmp_path, patterns, data, "python", extra=("--input-jobs", "2")
+        keywords = cells.pinned("keywords64")
+        cells.sigkill_resume(
+            keywords, tmp_path, "native", [("native", 2)], input_jobs=2
         )
 
     def test_fresh_processes_emit_the_same_lane_source(self):
@@ -1296,21 +1043,25 @@ class TestUnitForest:
     ``PythonKernel``, event words, counters and exit sets; and so is a
     unit whose closure blows the cap, walked on a table that restarts."""
 
-    @settings(max_examples=12, deadline=None)  # one cc run per native example
+    @settings(max_examples=4, deadline=None)  # one cc run per native example
     @given(
         patterns=nfa_rulesets(),
         data=inputs(alphabet="abcx", max_size=24),
-        slack=st.sampled_from([0, 1, codegen.HIT_BUFFER_ENTRIES]),
+        knob=st.sampled_from(["hit buffer 1", "event slack 1"]),
     )
-    def test_random_nfa_rulesets_at_every_seam(self, backend, patterns, data, slack):
-        programs = _nfa_programs(patterns)
-        assume(programs is not None)
+    def test_random_nfa_rulesets_at_every_seam(self, backend, patterns, data, knob):
+        """Cells of the conformance matrix, every unit forced to NFA: a
+        seam at every offset restored on every backend, and on native an
+        event buffer of one entry per cursor, or one more."""
+        assume(_nfa_programs(patterns) is not None)
         # the wide literal itself in the stream: subsets past bit 64
         half = len(data) // 2
         stream = data[:half] + patterns[0].encode() + data[half:] + b"a"
-        _assert_units_identical(
-            programs, stream, backend=backend, slack=slack, seed=len(data)
-        )
+        config = CompilerConfig(forced_mode=CompiledMode.NFA)
+        case = Case(patterns, stream, compiler=config)
+        cells.durable(case, "auto", backends=("python", backend))
+        if backend == "native":
+            cells.sweep(case, "auto", knob)
 
     @settings(max_examples=5, deadline=None)
     @given(patterns=nfa_rulesets(), data=inputs(alphabet="abcx", max_size=24))
@@ -1548,7 +1299,7 @@ class TestUnitForest:
     def test_collectors_of_one_unit_restored_to_different_states(self, backend):
         """A hand-assembled snapshot whose two regexes share a unit but
         disagree on its state: two cursors of the one call, each exact."""
-        from tests.engine.test_checkpoint import _collector_docs, _plan_ruleset
+        from tests.engine.test_checkpoint import _plan_ruleset
 
         ruleset, data = _plan_ruleset("nfa")
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
@@ -1573,7 +1324,7 @@ class TestUnitForest:
                 scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
                 scan.restore_detached(json.loads(json.dumps(doc)))
                 scan.feed(data[cut:], at_end=True)
-                return _collector_docs(scan), scan.finish()
+                return cells.canonical(scan.snapshot()), scan.finish()
 
         assert resumed(backend) == resumed("python")
 
@@ -1602,22 +1353,10 @@ class TestUnitForest:
         assert any(events for events, _, _ in alone.values())
 
     def test_snort_nfa64_input_jobs_and_sigkill_resume(self, backend, tmp_path):
-        from benchmarks.ledger.workloads import RULESETS
-        from repro.workloads.inputs import generate_input
-
-        patterns = RULESETS["snort_nfa64"]()
-        data = generate_input(
-            "network", 4000, seed=9, patterns=patterns, plant_every=400
-        )
-        ruleset = compile_ruleset(patterns)
-        config = EngineConfig(
-            backend=backend, input_jobs=2, min_chunk_bytes=512, use_cache=False
-        )
-        assert BatchEngine(config).scan(ruleset, data) == _run(ruleset, data, "python")
-        if backend == "native":  # the golden: the serial fused scan just checked
-            _sigkill_resume(
-                tmp_path, patterns, data, "fused", extra=("--input-jobs", "2")
-            )
+        snort = cells.pinned("snort_nfa64")
+        cells.bulk(snort, "auto", backend, 2, min_chunk=512)
+        if backend == "native":
+            cells.sigkill_resume(snort, tmp_path, "native", ["fused"], input_jobs=2)
 
 
 @needs_fused
@@ -2193,58 +1932,22 @@ class TestFingerprintFold:
 
     @pytest.mark.parametrize("name", ["keywords64", "mixed"])
     def test_checkpoint_resumes_on_any_backend(self, name, tmp_path):
-        """A scan SIGKILLed on one backend resumes on another — native
-        on fused and on python, fused on native — and prints what the
-        uninterrupted scan prints: matches and the ``# RAP`` metrics."""
-        from benchmarks.ledger.workloads import RULESETS, keyword_patterns
-        from repro.workloads.inputs import generate_input
-
+        """A scan SIGKILLed on one backend resumes on another and prints
+        what the uninterrupted scan prints: matches and the ``# RAP``
+        metrics (more pairs: ``tests/conformance``)."""
         if name == "keywords64":
-            patterns = keyword_patterns()
-        else:  # the NFA profile, an anchored unit, an LNFA bin, an NBVA unit
-            patterns = RULESETS["snort_nfa64"]()
-            patterns += ["^ab(c|d)*e$", "needle", "ab{10,20}c"]
+            case = cells.pinned("keywords64")
+            cells.sigkill_resume(case, tmp_path, "fused", ["native", "python"])
+            return
+        # the NFA profile, an anchored unit, an LNFA bin, an NBVA unit
+        patterns = [
+            *cells.pinned("snort_nfa64").patterns, "^ab(c|d)*e$", "needle", "ab{10,20}c"
+        ]
         data = generate_input(
-            "network", 6000, seed=9, patterns=patterns, plant_every=300
+            "network", 4000, seed=9, patterns=patterns, plant_every=300
         )
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        rules, stream = tmp_path / "rules.txt", tmp_path / "input.bin"
-        rules.write_text("\n".join(patterns) + "\n")
-        stream.write_bytes(data)
-        env = dict(os.environ, PYTHONPATH="src", RAP_CACHE_DIR=str(tmp_path / "c"))
-        env.pop("RAP_FAULT_PLAN", None)
-
-        def scan(backend, ckpts=None, *extra, fault=""):
-            args = ["scan", "--patterns", str(rules), str(stream), "--metrics"]
-            if ckpts is not None:
-                args += ["--checkpoint-dir", str(ckpts), "--checkpoint-every", "1000"]
-            return subprocess.run(
-                [sys.executable, "-m", "repro", *args, "--backend", backend, *extra],
-                capture_output=True, text=True, cwd=repo,
-                env=dict(env, RAP_FAULT_PLAN=fault),
-            )
-
-        def printed(run):
-            rap = [line for line in run.stderr.splitlines() if line.startswith("# RAP")]
-            return run.stdout, rap
-
-        golden = scan("python")
-        assert golden.returncode == 0, golden.stderr
-        assert golden.stdout.strip()
-        directions = (("native", ("fused", "python")), ("fused", ("native",)))
-        for writer, readers in directions:
-            killed = tmp_path / f"killed-{writer}"
-            assert scan(writer, killed, fault="kill@2").returncode in (
-                -signal.SIGKILL, 137
-            )
-            assert CheckpointStore(killed)._paths(), "no checkpoint survived"
-            for reader in readers:
-                ckpts = tmp_path / f"{writer}-to-{reader}"
-                shutil.copytree(killed, ckpts)
-                resumed = scan(reader, ckpts, "--resume")
-                assert resumed.returncode == 0, resumed.stderr
-                assert "resumed from checkpoint at byte 2000" in resumed.stderr
-                assert printed(resumed) == printed(golden), (writer, reader)
+        case = Case(patterns, data)
+        cells.sigkill_resume(case, tmp_path, "native", ["fused", "python"])
 
     def test_native_fingerprint_is_stable(self):
         with use_backend("native"):

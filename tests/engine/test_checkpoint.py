@@ -10,6 +10,8 @@ import contextlib
 import dataclasses
 import errno
 import fcntl
+import functools
+import itertools
 import json
 import logging
 import os
@@ -23,7 +25,7 @@ import time
 
 import pytest
 
-from repro.compiler import compile_ruleset
+from repro.compiler import CompiledMode, CompilerConfig, compile_ruleset
 from repro.core import available_backends, use_backend
 from repro.engine import BatchEngine, EngineConfig
 from repro.engine.budget import BudgetMonitor, ResourceBudget, validate_degrade
@@ -39,7 +41,9 @@ from repro.errors import BudgetExceededError, CheckpointError
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.io import envelope
 from repro.simulators.rap import RAPSimulator
-from tests.helpers import killed_at, persistence_trace
+from tests.conformance import cells
+from tests.conformance.cells import Case
+from tests.helpers import killed_at, persistence_trace, shimmed_persistence
 
 # A mixed-mode ruleset: LNFA bins, one NBVA, one NFA.
 PATTERNS = ["abc", "a.c", "end$", "hello|world", "ab{10,20}c", "xy*z"]
@@ -174,33 +178,36 @@ class TestInjectedFaults:
     def test_disk_full_counts_failure_and_completes(
         self, ruleset, data, reference, tmp_path
     ):
-        config = EngineConfig(
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every_bytes=1000,
-            fault_plan="disk_full@0",
-        )
-        outcome = BatchEngine(config).durable_scan(ruleset, data)
-        assert outcome.result == reference
-        assert outcome.checkpoint_failures == 1
-        assert outcome.checkpoints_written > 0
+        """``ENOSPC`` from the ``k``-th ``pwrite``: that checkpoint is a
+        counted failure, and the scan finishes identically."""
+        for k in range(3):
+            pwrites = itertools.count()
+
+            def full(_index, name, _args, k=k):
+                if name == "pwrite" and next(pwrites) == k:
+                    raise OSError(errno.ENOSPC, "no space left on device")
+
+            config = EngineConfig(
+                checkpoint_dir=str(tmp_path / str(k)), checkpoint_every_bytes=1000
+            )
+            with shimmed_persistence(full):
+                outcome = BatchEngine(config).durable_scan(ruleset, data)
+            assert outcome.result == reference
+            assert outcome.checkpoint_failures == 1
+            assert outcome.checkpoints_written > 0
 
     def test_torn_checkpoint_injection_then_resume(
         self, ruleset, data, reference, tmp_path
     ):
-        # Tear the second write, kill before the fourth chunk; resume
-        # must fall back to the first intact checkpoint... except the
-        # torn one was pruned/evicted, so the older one carries it.
+        # The second write torn one sector into its pwrite (a power cut
+        # mid-overwrite): resume falls back to the first, intact one.
         sim = RAPSimulator(DEFAULT_CONFIG)
         scan = DurableScan(ruleset, sim.build_mapping(ruleset), DEFAULT_CONFIG)
-        from repro.engine.faults import FaultPlan
-
-        store = CheckpointStore(tmp_path, FaultPlan.parse("torn_checkpoint@1"))
-        offset = 0
-        for _ in range(2):
-            end = offset + 800
-            scan.feed(data[offset:end], at_end=False)
-            offset = end
-            store.write(scan.snapshot(), offset)
+        store = CheckpointStore(tmp_path)
+        scan.feed(data[:800], at_end=False)
+        store.write(scan.snapshot(), 800)
+        scan.feed(data[800:1600], at_end=False)
+        torn_write(store, scan.snapshot(), 1600)
         config = EngineConfig(
             checkpoint_dir=str(tmp_path),
             checkpoint_every_bytes=800,
@@ -1041,103 +1048,64 @@ MIX_STREAM = (
 )
 
 
+# name -> the forced tier of its set (the LNFA set compiles there
+# unforced; "mix" is the Fig. 1 mix over MIX_STREAM, unforced).
+PLAN_SETS = {
+    "lnfa": (LNFA_ONLY, LNFA_STREAM, None),
+    "nfa": (NFA_ONLY, NFA_STREAM, CompiledMode.NFA),
+    "dfa": (DFA_FORCED, DFA_STREAM, CompiledMode.DFA),
+    "nbva": (NBVA_FORCED, NBVA_STREAM, CompiledMode.NBVA),
+}
+
+
+@functools.cache
+def _plan_case(name: str) -> Case:
+    """One of the five sets as a conformance-matrix case."""
+    if name == "mix":
+        from repro.workloads.datasets import generate_benchmark
+
+        return Case(generate_benchmark("Snort", 16).patterns, MIX_STREAM)
+    patterns, stream, mode = PLAN_SETS[name]
+    return Case(patterns, stream, compiler=CompilerConfig(forced_mode=mode))
+
+
 def _plan_ruleset(name: str):
-    from repro.compiler import CompiledMode, CompilerConfig
-    from repro.workloads.datasets import generate_benchmark
-
-    if name == "lnfa":
-        return compile_ruleset(LNFA_ONLY), LNFA_STREAM
-    if name == "nfa":
-        config = CompilerConfig(forced_mode=CompiledMode.NFA)
-        return compile_ruleset(NFA_ONLY, config), NFA_STREAM
-    if name == "dfa":
-        config = CompilerConfig(forced_mode=CompiledMode.DFA)
-        return compile_ruleset(DFA_FORCED, config), DFA_STREAM
-    if name == "nbva":
-        config = CompilerConfig(forced_mode=CompiledMode.NBVA)
-        return compile_ruleset(NBVA_FORCED, config), NBVA_STREAM
-    # The paper's Fig. 1 mix (Snort, 16 regexes: NBVA + NFA + LNFA).
-    patterns = list(generate_benchmark("Snort", 16).patterns)
-    return compile_ruleset(patterns), MIX_STREAM
-
-
-def _collector_docs(scan: DurableScan) -> bytes:
-    """A snapshot's canonical bytes, fingerprint included: no field of
-    it may differ across backends."""
-    return json.dumps(scan.snapshot(), sort_keys=True, separators=(",", ":")).encode()
+    """A newly compiled ruleset of one set, and its stream."""
+    case = _plan_case(name)
+    return compile_ruleset(case.patterns, case.compiler), case.data
 
 
 @pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
 @pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "nbva", "mix"])
 class TestPlanDifferential:
-    """``durable_scan`` ≡ ``scan`` ≡ the ``python`` oracle, with every
-    collector document byte-identical at every possible checkpoint."""
-
-    def _oracle(self, ruleset, mapping, data, **kwargs):
-        """Per-offset snapshot bytes and the final activity of the
-        python-backend durable scan (fed a byte at a time: the segment
-        contract makes that equal to any other segmentation)."""
-        docs = {}
-        with use_backend("python"):
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG, **kwargs)
-            for offset in range(1, len(data)):
-                scan.feed(data[offset - 1 : offset], at_end=False)
-                docs[offset] = _collector_docs(scan)
-            scan.feed(data[-1:], at_end=True)
-            return docs, scan.finish()
+    """``durable_scan`` ≡ ``scan`` ≡ the ``python`` oracle, one tier at a
+    time: cells of the conformance matrix (``tests/conformance``) with a
+    seam, a restore and a byte-identical document at every offset."""
 
     def test_every_seam_and_restore(self, name, backend):
-        ruleset, data = _plan_ruleset(name)
-        sim = RAPSimulator(DEFAULT_CONFIG)
-        mapping = sim.build_mapping(ruleset)
-        docs, final = self._oracle(ruleset, mapping, data)
-        with use_backend("python"):
-            reference = sim.run(ruleset, data)
+        case = _plan_case(name)
+        reference, data = case.reference(), case.data
         assert any(reference.matches.values())
         if name == "lnfa":
-            assert all(r.mode.value == "LNFA" for r in ruleset)
+            assert all(r.mode.value == "LNFA" for r in case.ruleset())
             assert reference.matches[5] == [len(data) - 1]
             assert all(reference.matches[rid] for rid in range(7))
         if name == "nfa":  # the end-anchored final fired, on the last byte
             assert reference.matches[2] == [len(data) - 1]
         if name == "nbva":
-            assert all(r.mode.value == "NBVA" for r in ruleset)
+            assert all(r.mode.value == "NBVA" for r in case.ruleset())
             assert reference.matches[3] == [len(data) - 1]
             assert all(reference.matches[rid] for rid in range(4))
-
-        with use_backend(backend):
-            assert sim.run(ruleset, data) == reference
-            config = EngineConfig(checkpoint_every_bytes=7)
-            assert BatchEngine(config).durable_scan(ruleset, data).result == (
-                reference
+        cells.bulk(case, "auto", backend, 1)
+        cells.durable(case, "auto", backends=("python", backend))
+        if backend == "native":  # no silent NBVA fallback to compare
+            with cells.on(backend):
+                fused = cells.bound(case, "auto", backend).plan.fused
+            assert all(
+                fused._native_scanner().has_nbva(unit)
+                for unit in range(fused.nbva_count)
             )
-
-            # Every byte its own segment: a checkpoint at every offset.
-            stepped = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            if backend == "native":  # no silent NBVA fallback to compare
-                fused = stepped._plan.fused
-                assert all(
-                    fused._native_scanner().has_nbva(unit)
-                    for unit in range(fused.nbva_count)
-                )
-            for offset in range(1, len(data)):
-                stepped.feed(data[offset - 1 : offset], at_end=False)
-                assert _collector_docs(stepped) == docs[offset], offset
-            stepped.feed(data[-1:], at_end=True)
-            assert stepped.finish() == final
-
-            # One seam at every offset, with and without a JSON
-            # snapshot -> restore into a fresh scan at the seam.
-            for cut in range(1, len(data)):
-                scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-                scan.feed(data[:cut], at_end=False)
-                assert _collector_docs(scan) == docs[cut], cut
-                resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-                resumed.restore(json.loads(json.dumps(scan.snapshot())), data)
-                for continued in (scan, resumed):
-                    continued.feed(data[cut:], at_end=True)
-                    assert continued.finish() == final, cut
 
     def test_shed_regex_sharing_a_unit(self, name, backend):
         # Regex 1 is the lowest-weight unit, so it is the one shed; in
@@ -1158,29 +1126,26 @@ class TestPlanDifferential:
                 scan.feed(data[:cut], at_end=False)
                 assert scan.shed(1e-9, "test pressure") == [victim]
                 scan.feed(data[cut : 2 * cut], at_end=False)
-                mid = _collector_docs(scan)
+                mid = cells.canonical(scan.snapshot())
                 scan.feed(data[2 * cut :], at_end=True)
                 return mid, scan.finish()
 
         assert degraded(backend) == degraded("python")
 
     def test_input_jobs_2(self, name, backend, tmp_path):
-        ruleset, data = _plan_ruleset(name)
-        data = data * 6
-        with use_backend("python"):
-            reference = RAPSimulator(DEFAULT_CONFIG).run(ruleset, data)
+        short = _plan_case(name)
+        case = Case(short.patterns, short.data * 6, compiler=short.compiler)
+        cells.bulk(case, "auto", backend, 2, pool=True, min_chunk=16)
         engine = BatchEngine(
             EngineConfig(
                 backend=backend,
                 input_jobs=2,
-                min_chunk_bytes=16,
                 checkpoint_dir=str(tmp_path),
-                checkpoint_every_bytes=len(data) // 2 + 1,
+                checkpoint_every_bytes=len(case.data) // 2 + 1,
             )
         )
-        assert engine.scan(ruleset, data) == reference
-        outcome = engine.durable_scan(ruleset, data)
-        assert outcome.result == reference
+        outcome = engine.durable_scan(case.ruleset(), case.data)
+        assert outcome.result == case.reference()
         assert outcome.checkpoints_written == 1
 
 

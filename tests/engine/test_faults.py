@@ -175,38 +175,19 @@ class TestPlanHardening:
             FaultPlan.parse('[{"kind": "hang", "seconds": -1}]')
 
     def test_new_kinds_parse(self):
-        plan = FaultPlan.parse("kill@2;torn_checkpoint@1;disk_full@0")
-        assert [d.kind for d in plan.directives] == [
-            "kill",
-            "torn_checkpoint",
-            "disk_full",
-        ]
+        plan = FaultPlan.parse("kill@2")
+        assert [d.kind for d in plan.directives] == ["kill"]
         assert FaultPlan.parse(plan.spec()) == plan
+        # A torn or full disk is a test-side shim of the persistence
+        # calls now (tests/engine/test_checkpoint.py), not a plan kind.
+        for gone in ("torn_checkpoint@1", "disk_full@0"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultPlan.parse(gone)
 
 
 class TestCheckpointInjection:
     def test_chunk_noop_without_directive(self):
         faults.inject_chunk(0, FaultPlan.parse("kill@5"))
-
-    def test_disk_full_raises_enospc(self):
-        import errno
-
-        plan = FaultPlan.parse("disk_full@1")
-        faults.inject_checkpoint_reserve(0, plan)  # ordinal 0: untouched
-        with pytest.raises(OSError) as info:
-            faults.inject_checkpoint_reserve(1, plan)
-        assert info.value.errno == errno.ENOSPC
-
-    def test_torn_checkpoint_truncates_committed_file(self, tmp_path):
-        plan = FaultPlan.parse("torn_checkpoint@1")
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        first.write_bytes(b"x" * 100)
-        second.write_bytes(b"y" * 100)
-        faults.inject_checkpoint_commit(first, 0, plan)
-        faults.inject_checkpoint_commit(second, 1, plan)
-        assert first.read_bytes() == b"x" * 100
-        assert second.read_bytes() == b"y" * 50
 
 
 class TestConnectionKinds:
@@ -242,7 +223,6 @@ class TestConnectionKinds:
         assert plan.for_unit(0, 0) is None
         assert plan.for_chunk(0) is None
         assert plan.for_cache_put(0) is None
-        assert plan.for_checkpoint_write(0) is None
 
 
 class TestFleetKinds:
@@ -271,4 +251,3 @@ class TestFleetKinds:
         assert plan.for_unit(0, 0) is None
         assert plan.for_chunk(0) is None
         assert plan.for_conn(0) is None
-        assert plan.for_checkpoint_write(0) is None

@@ -9,12 +9,6 @@ must survive: chunks shorter than the longest pattern, patterns
 straddling a seam, a seam inside a cold run, and degenerate plans.
 """
 
-import os
-import shutil
-import signal
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +25,9 @@ from repro.engine.split import split_collect, unit_windows
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.simulators.rap import RAPSimulator, bind
 from repro.workloads.inputs import generate_input
+
+from tests.conformance import cells
+from tests.conformance.cells import Case
 
 pytestmark = pytest.mark.skipif(
     "fused" not in available_backends(),
@@ -55,6 +52,12 @@ PATTERNS = [
 @pytest.fixture(scope="module")
 def ruleset():
     return compile_ruleset(PATTERNS)
+
+
+@pytest.fixture(scope="module")
+def text():
+    """``PATTERNS`` over 16 000 bytes of text: a conformance-matrix case."""
+    return Case(PATTERNS, generate_input("text", 16000, seed=3, patterns=PATTERNS))
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +152,8 @@ class TestSplitCollect:
         assert registry._default is None
 
     @pytest.mark.parametrize("input_jobs", [2, 3, 4, 7])
-    def test_bit_identical_to_serial_fused(self, ruleset, mapped, input_jobs):
-        sim, mapping = mapped
-        data = generate_input("text", 16000, seed=3, patterns=PATTERNS)
-        with use_backend("fused"):
-            serial = sim.collect_activities(ruleset, data, mapping)
-            got = _split(ruleset, mapping, data, input_jobs=input_jobs)
-        assert got is not None
-        assert got.regex == serial.regex
-        assert got.lnfa_bins == serial.lnfa_bins
-        assert got.input_symbols == serial.input_symbols
-        assert sim.run_from_activity(
-            ruleset, got, mapping
-        ) == sim.run_from_activity(ruleset, serial, mapping)
+    def test_bit_identical_to_serial_fused(self, text, input_jobs):
+        cells.bulk(text, "auto", "fused", input_jobs, min_chunk=64)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -428,26 +420,8 @@ class TestEngineWiring:
 
 
 class TestDurableSeams:
-    def test_checkpoint_at_a_seam_resumes_identically(self, ruleset, tmp_path):
-        data = generate_input("text", 24000, seed=6, patterns=PATTERNS)
-        with use_backend("fused"):
-            sim = RAPSimulator(DEFAULT_CONFIG)
-            mapping = sim.build_mapping(ruleset, bin_size=None)
-            plain = BatchEngine(EngineConfig(jobs=1)).scan(ruleset, data)
-
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            store = CheckpointStore(tmp_path)
-            # Feed to exactly half the stream: the seam is the segment
-            # boundary the snapshot is taken at.
-            scan.feed(data[: len(data) // 2], at_end=False)
-            store.write(scan.snapshot(), scan.offset)
-
-            resumed = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            resumed.restore(store.load_latest(), data)
-            assert resumed.offset == len(data) // 2
-            resumed.feed(data[resumed.offset :], at_end=True)
-            got = sim.run_from_activity(ruleset, resumed.finish(), mapping)
-        assert got == plain
+    def test_checkpoint_at_a_seam_resumes_identically(self, text):
+        cells.durable(text, "auto", [len(text.data) // 2], backends=("python", "fused"))
 
     def test_durable_scan_engine_path(self, ruleset, tmp_path):
         data = generate_input("text", 24000, seed=8, patterns=PATTERNS)
@@ -481,48 +455,11 @@ class TestDurableSeams:
             split = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
             assert split.fingerprint == serial.fingerprint
 
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        rules = tmp_path / "rules.txt"
-        rules.write_text("\n".join(PATTERNS) + "\n")
-        stream = tmp_path / "input.bin"
-        stream.write_bytes(generate_input("text", 24000, seed=5, patterns=PATTERNS))
-        env = dict(os.environ, PYTHONPATH="src")
-        env.pop(INPUT_JOBS_ENV, None)
-        argv = [sys.executable, "-m", "repro", "scan", "--patterns", str(rules)]
-        argv += [str(stream), "--no-cache", "--metrics", "--backend", backend]
-
-        def run(*extra, fault_plan=""):
-            return subprocess.run(
-                [*argv, *extra],
-                capture_output=True,
-                text=True,
-                cwd=repo,
-                env=dict(env, RAP_FAULT_PLAN=fault_plan),
-            )
-
-        def metrics(proc):
-            return [ln for ln in proc.stderr.splitlines() if ln.startswith("# RAP")]
-
-        golden = run()
-        assert golden.returncode == 0, golden.stderr
-        assert golden.stdout.strip() and metrics(golden)
-        durable = ["--checkpoint-every", "4096", "--checkpoint-dir"]
-        killed_dir = tmp_path / "killed"
-        killed = run(
-            *durable, str(killed_dir), "--input-jobs", "2", fault_plan="kill@2"
+        data = generate_input("text", 24000, seed=5, patterns=PATTERNS)
+        cells.sigkill_resume(
+            Case(PATTERNS, data), tmp_path, backend, [(backend, 1), (backend, 4)],
+            input_jobs=2,
         )
-        assert killed.returncode in (-signal.SIGKILL, 137)
-        assert CheckpointStore(killed_dir)._paths(), "no checkpoint survived"
-        for input_jobs in ("1", "4"):
-            ckpts = tmp_path / f"resume-{input_jobs}"
-            shutil.copytree(killed_dir, ckpts)
-            resumed = run(
-                *durable, str(ckpts), "--resume", "--input-jobs", input_jobs
-            )
-            assert resumed.returncode == 0, resumed.stderr
-            assert "resumed from checkpoint" in resumed.stderr
-            assert resumed.stdout == golden.stdout
-            assert metrics(resumed) == metrics(golden)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_durable_feed_never_forks(self, backend, tmp_path, monkeypatch):

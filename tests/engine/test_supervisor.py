@@ -230,6 +230,44 @@ class TestPooledPath:
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert [pool.submitted for pool in pools] == [k, len(items) - k]
 
+    def test_last_resort_is_numbered_past_the_pool_budget(self, monkeypatch):
+        # Unit 1 is refused at submit in round 0 (uncharged), then dies
+        # in flight in rounds 1 and 2: it leaves the pool having used
+        # attempts 0 and 1 of 0..2.  A plan crashing attempt 2 — a pool
+        # attempt — must not reach the inline last resort.
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import supervisor
+
+        rounds = []
+
+        class FlakyPool:
+            def __init__(self, **kwargs):
+                rounds.append(self)
+
+            def submit(self, fn, payload):
+                _, index, _, item = payload
+                future = Future()
+                if index != 1:
+                    future.set_result(_double(item))
+                elif len(rounds) == 1:
+                    raise BrokenProcessPool("worker died during submit")
+                else:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", FlakyPool)
+        outcomes = run_supervised(
+            _double, [1, 2], jobs=2, config=FAST, fault_plan="crash@1:2"
+        )
+        assert len(rounds) == FAST.retries + 1
+        assert [o.result for o in outcomes] == [2, 4]
+        assert outcomes[1].ok and outcomes[1].attempts == 3
+
     def test_submit_refusal_is_a_worker_crash(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import fcntl
 import itertools
 import os
@@ -70,10 +71,33 @@ def regex_trees(
     return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
+def scannable_trees(max_leaves: int = 6) -> st.SearchStrategy:
+    """Random trees behind a literal: never nullable, so every draw
+    compiles (and almost every one is DFA-eligible)."""
+    return regex_trees(max_leaves=max_leaves).map(
+        lambda t: ast.concat(ast.lit(CharClass.of("a")), t)
+    )
+
+
 def inputs(alphabet: str = SAFE_ALPHABET + "x", max_size: int = 24):
     return st.text(alphabet=alphabet, max_size=max_size).map(
         lambda s: s.encode("ascii")
     )
+
+
+def segments_of(data: bytes, cuts: list[int]) -> list[bytes]:
+    """``data`` cut at every offset of ``cuts``, each taken modulo
+    ``len(data) + 1`` (so any integers will do)."""
+    bounds = [0, *sorted({c % (len(data) + 1) for c in cuts}), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def assert_results_identical(got, want) -> None:
+    """Two ``SimulationResult`` s agree on matches, energy and metrics
+    (what two labels of one automaton share; their array reports differ)."""
+    assert got.matches == want.matches
+    assert got.energy_breakdown_pj == want.energy_breakdown_pj
+    assert dataclasses.asdict(got.metrics) == dataclasses.asdict(want.metrics)
 
 
 # -- crash points of the persistence code -------------------------------------

@@ -7,14 +7,27 @@ hot-reload swap prices each epoch under the ruleset that scanned it.
 """
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
+from repro.core import use_backend
+from repro.engine import BatchEngine, EngineConfig
 from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.errors import CheckpointError
+from repro.serve.client import serial_totals
 from repro.serve.registry import TenantRegistry
 from repro.serve.session import ScanSession
 from repro.simulators.rap import RAPSimulator
+from tests.conformance.cells import HOST
 from tests.serve.util import ALT_PATTERNS, PATTERNS, entry_for
 
 SEGMENT = 700
@@ -214,3 +227,137 @@ class TestHotReload:
         assert session.total_matches() == matches_a + matches_b
         assert session.total_energy_uj() == energy_a + energy_b
         assert len(events) == matches_a + matches_b
+
+
+# Segments drawn from witnesses of PATTERNS and ALT_PATTERNS.
+PIECES = [b"abc", b"a.c", b"xyyz", b"hello", b"world", b"end", b"zzz", b" "]
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """One served session driven by feed, park, resume (the envelope
+    restored on a drawn backend), hot reload and end.  The model: the
+    durable offset never moves back; the events, deduplicated by
+    ``(end, rid)``, are the serial scan of the bytes each ruleset epoch
+    consumed; the totals are ``serial_totals``."""
+
+    def __init__(self):
+        super().__init__()
+        self.registry = TenantRegistry(BatchEngine(EngineConfig(use_cache=False)))
+        self.store = CheckpointStore(tempfile.mkdtemp(), session="t/s")
+        entry = entry_for(self.registry, PATTERNS)
+        self.session = ScanSession("t", "s", entry, self.store, self.registry.hw)
+        self.epochs = [(PATTERNS, 0, bytearray())]  # patterns, start, bytes fed
+        self.events: set[tuple[int, int]] = set()
+        self.offset = 0
+
+    def _drop_pending(self) -> None:
+        """What the session forgets: its held segment (a client replays it)."""
+        pending = self.session.pending_bytes
+        del self.epochs[-1][2][len(self.epochs[-1][2]) - pending :]
+
+    def _emitted(self, events) -> None:
+        self.events.update(map(tuple, events))
+
+    @precondition(lambda self: not self.session.ended)
+    @rule(segment=st.lists(st.sampled_from(PIECES), max_size=4).map(b"".join))
+    def feed(self, segment):
+        self._emitted(self.session.feed(segment))
+        self.epochs[-1][2].extend(segment)
+
+    @precondition(lambda self: not self.session.ended)
+    @rule()
+    def park(self):
+        self._drop_pending()
+        self.session.park()
+
+    @precondition(lambda self: not self.session.ended)
+    @rule(backend=st.sampled_from(HOST))
+    def resume(self, backend):
+        self._drop_pending()
+        envelope = json.loads(json.dumps(self.session.envelope()))
+        with use_backend(backend):
+            self.session = ScanSession.from_envelope(
+                envelope, self.registry, self.store
+            )
+
+    @precondition(lambda self: not self.session.ended)
+    @rule()
+    def maybe_swap(self):
+        patterns = ALT_PATTERNS if self.epochs[-1][0] is PATTERNS else PATTERNS
+        entry = entry_for(self.registry, patterns, generation=len(self.epochs) + 1)
+        flushed = self.session.maybe_swap(entry)
+        assert flushed is not None  # the two rulesets differ
+        self._emitted(flushed)
+        self.epochs.append((patterns, self.session.offset, bytearray()))
+
+    @precondition(lambda self: not self.session.ended)
+    @rule()
+    def end(self):
+        self._emitted(self.session.end())
+
+    def _serial(self, patterns, data, at_end):
+        """(matches by rid, energy) of one uninterrupted scan."""
+        ruleset, mapping, _ = self.registry.compile(patterns)
+        with use_backend("python"):
+            scan = DurableScan(ruleset, mapping, self.registry.hw)
+            scan.feed(bytes(data), at_end=at_end)
+            energy = RAPSimulator(self.registry.hw).run_from_activity(
+                ruleset, scan.finish(), mapping
+            ).energy_uj
+        return scan.match_lists(), energy
+
+    @invariant()
+    def durable_offset_never_moves_back(self):
+        assert self.session.offset >= self.offset
+        self.offset = self.session.offset
+
+    @invariant()
+    def events_are_the_serial_scan_of_each_epoch(self):
+        want = set()
+        for k, (patterns, start, data) in enumerate(self.epochs):
+            live = k == len(self.epochs) - 1
+            consumed = data[: len(data) - self.session.pending_bytes * live]
+            at_end = live and self.session.ended
+            matches, _ = self._serial(patterns, consumed, at_end)
+            want |= {(start + e, rid) for rid, ends in matches.items() for e in ends}
+        assert self.events == want
+
+    @precondition(lambda self: self.session.ended)
+    @rule()
+    def totals(self):
+        (patterns, _, last), *earlier = reversed(self.epochs)
+        matches, energy = 0, 0.0
+        for old, _, data in reversed(earlier):
+            found, spent = self._serial(old, data, at_end=False)
+            matches += sum(map(len, found.values()))
+            energy += spent
+        final = serial_totals(patterns, [bytes(last)], self.registry)
+        assert self.session.total_matches() == matches + final[0]
+        assert self.session.total_energy_uj() == energy + final[1]
+
+
+TestSessionMachine = SessionMachine.TestCase
+TestSessionMachine.settings = settings(
+    max_examples=15, stateful_step_count=10, deadline=None
+)
+
+
+@pytest.mark.parametrize("bin_size", [None, 1])
+def test_a_regex_of_several_lnfa_sequences_reports_each_match_once(bin_size, tmp_path):
+    """``a(?:a|.)`` and ``xy|zw`` compile to two LNFA sequences each; the
+    first pair ends together on every ``aa``.  In one bin, or
+    (``bin_size=1``) one bin per sequence, the session's events and totals
+    are the bulk scan's: each match once, none lost."""
+    registry = TenantRegistry(bin_size=bin_size)
+    entry = entry_for(registry, ["aa", "a(?:a|.)", "xy|zw"])
+    assert [len(r.lnfas) for r in entry.ruleset] == [1, 2, 2]
+    data = b"xaab.aaaxy.zw"
+    store = CheckpointStore(tmp_path, session="t/s")
+    session = ScanSession("t", "s", entry, store, registry.hw, bin_size=bin_size)
+    events = session.feed(data[:3]) + session.feed(data[3:]) + session.end()
+    want = RAPSimulator(registry.hw).run(entry.ruleset, data, bin_size=bin_size)
+    assert want.matches == {0: [2, 6, 7], 1: [2, 3, 6, 7, 8], 2: [9, 12]}
+    assert sorted(events) == sorted(
+        [end, rid] for rid, ends in want.matches.items() for end in ends
+    )
+    assert session.total_matches() == 10

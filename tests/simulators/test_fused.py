@@ -7,7 +7,6 @@ path fails loudly.  Segmented durable scans round-trip their
 checkpoints through JSON mid-stream, mirroring a SIGKILL-resume.
 """
 
-import json
 import random
 
 import pytest
@@ -21,8 +20,11 @@ from repro.core import available_backends, use_backend
 from repro.engine.checkpoint import DurableScan
 from repro.hardware.config import DEFAULT_CONFIG, TileMode
 from repro.simulators.activity import BinActivityCollector
-from repro.simulators.fused import FusedBinFeeder, FusedRun
+from repro.simulators.fused import FusedBinFeeder
 from repro.simulators.rap import RAPSimulator
+
+from tests.conformance import cells
+from tests.conformance.cells import HOST, Case
 
 pytestmark = pytest.mark.skipif(
     "fused" not in available_backends(),
@@ -78,37 +80,24 @@ def cut_points(count: int = 3):
     return st.lists(st.integers(0, 400), min_size=0, max_size=count)
 
 
-def segments_of(data: bytes, cuts: list[int]) -> list[bytes]:
-    bounds = sorted({min(c, len(data)) for c in cuts})
-    out, prev = [], 0
-    for b in bounds:
-        out.append(data[prev:b])
-        prev = b
-    out.append(data[prev:])
-    return out
+def seams_of(data: bytes, cuts: list[int]) -> list[int]:
+    """The drawn cut points as interior offsets of ``data``."""
+    return sorted({cut % (len(data) + 1) for cut in cuts} - {0, len(data)})
 
 
 class TestBackendDifferential:
-    @settings(max_examples=25, deadline=None)
+    """Cells of the conformance matrix (``tests/conformance``) over this
+    module's pattern pool."""
+
+    @settings(max_examples=4, deadline=None)
     @given(pattern_sets(), token_streams())
     def test_run_bit_identical_across_backends(self, patterns, data):
-        ruleset = compile_ruleset(patterns)
-        sim = RAPSimulator(DEFAULT_CONFIG)
-        with use_backend("python"):
-            reference = sim.run(ruleset, data)
-        with use_backend("fused"):
-            assert sim.run(ruleset, data) == reference
+        cells.bulk(Case(patterns, data), "auto", "fused", 1)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=4, deadline=None)
     @given(pattern_sets(), token_streams())
     def test_fused_activity_collection_identical(self, patterns, data):
-        ruleset = compile_ruleset(patterns)
-        sim = RAPSimulator(DEFAULT_CONFIG)
-        mapping = sim.build_mapping(ruleset)
-        with use_backend("python"):
-            expected = sim.collect_activities(ruleset, data, mapping)
-        got = FusedRun(ruleset, mapping, DEFAULT_CONFIG).collect(data)
-        assert got == expected
+        cells.bulk(Case(patterns, data), "auto", "fused", 2)
 
     def test_small_bins_shard_the_lane_machine(self):
         # A tiny bin_size forces many narrow bins; the packed lane
@@ -170,29 +159,14 @@ class TestFeederDifferential:
             for bin_obj in array.bins
         ]
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=6, deadline=None)
     @given(token_streams(), cut_points())
     def test_feeder_equals_per_collector_feed(self, data, cuts):
-        ruleset = compile_ruleset(
-            ["abc", "cat", "hello|world", "end$", "^start"]
-        )
-        assert any(r.mode is CompiledMode.LNFA for r in ruleset)
-        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        fused_side = self._collectors(mapping)
-        plain_side = self._collectors(mapping)
-        assert fused_side
-
-        feeder = FusedBinFeeder(fused_side)
-        pieces = segments_of(data, cuts)
-        for index, piece in enumerate(pieces):
-            at_end = index == len(pieces) - 1
-            feeder.feed(piece, at_end=at_end)
-            for collector in plain_side:
-                collector.feed(piece, at_end=at_end)
-
-        for fused_c, plain_c in zip(fused_side, plain_side):
-            assert fused_c.activity() == plain_c.activity()
-            assert fused_c.state == plain_c.state
+        """The lane machine feeding every bin's collector at once ≡ each
+        collector fed alone, at every cut."""
+        case = Case(["abc", "cat", "hello|world", "end$", "^start"], data)
+        assert any(r.mode is CompiledMode.LNFA for r in case.ruleset())
+        cells.durable(case, "auto", seams_of(data, cuts), backends=("python", "fused"))
 
     def test_feeder_rejects_skewed_offsets(self):
         ruleset = compile_ruleset(["abc", "cat"])
@@ -207,34 +181,12 @@ class TestFeederDifferential:
 
 
 class TestDurableFused:
-    @settings(max_examples=10, deadline=None)
-    @given(token_streams(max_tokens=40), cut_points(), st.integers(0, 3))
-    def test_segmented_resume_roundtrip(self, data, cuts, resume_at):
-        ruleset = compile_ruleset(PATTERN_POOL)
-        sim = RAPSimulator(DEFAULT_CONFIG)
-        mapping = sim.build_mapping(ruleset)
-        with use_backend("python"):
-            whole = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            whole.feed(data, at_end=True)
-            reference = whole.finish()
-
-        pieces = segments_of(data, cuts)
-        with use_backend("fused"):
-            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            offset = 0
-            for index, piece in enumerate(pieces):
-                if index == min(resume_at, len(pieces) - 1):
-                    # JSON round-trip, then resume in a fresh scan: the
-                    # path a SIGKILL-recovery takes.
-                    doc = json.loads(json.dumps(scan.snapshot()))
-                    scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-                    scan.restore(doc, data[:offset])
-                # at_end belongs to the last piece carrying real bytes:
-                # an empty feed is a no-op and cannot deliver it.
-                at_end = not any(pieces[index + 1 :])
-                scan.feed(piece, at_end=at_end)
-                offset += len(piece)
-            assert scan.finish() == reference
+    @settings(max_examples=4, deadline=None)
+    @given(token_streams(max_tokens=40), cut_points())
+    def test_segmented_resume_roundtrip(self, data, cuts):
+        """Resumed at each cut from a JSON round trip, on every backend."""
+        case = Case(PATTERN_POOL, data)
+        cells.durable(case, "auto", seams_of(data, cuts), backends=HOST)
 
     def test_shedding_falls_back_to_per_bin_path(self):
         ruleset = compile_ruleset(PATTERN_POOL)
