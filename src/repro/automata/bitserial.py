@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.automata.lnfa import LNFA
+from repro.automata.streaming import ProgramScanner
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.registry import get_kernel
 from repro.regex.charclass import interned_label_masks
 
 
@@ -105,11 +105,10 @@ class BitSerialLNFA:
     def find_matches(
         self, data: bytes, *, anchored_end: bool = False
     ) -> list[int]:
-        """All end positions of non-empty matches in ``data``."""
-        events, _ = get_kernel().scan(
-            self.program(anchored_end=anchored_end), data
-        )
-        return [i for i, _ in events]
+        """All end positions of non-empty matches in ``data`` (one feed
+        of a fresh :class:`~repro.automata.streaming.ProgramScanner`)."""
+        scanner = ProgramScanner(self.program(anchored_end=anchored_end))
+        return [i for i, _ in scanner.feed(data)[0]]
 
     def active_columns(self, states: int) -> list[int]:
         """Which CAM columns the active vector keeps enabled (the power

@@ -172,28 +172,6 @@ class DFAScanner:
         """Global stream position: bytes consumed so far."""
         return self._offset
 
-    def _walk(
-        self, data: bytes, states: int, stats: StepStats | None, stats_from: int
-    ) -> tuple[list[int], int]:
-        """Span-local match positions and the exit active set of
-        ``data`` entered at ``states``.  The DFA tier never executes
-        anchored regexes (eligibility excludes them), so no span is a
-        stream start and no final needs last-byte masking."""
-        _, (active,), hits, states = self._table.walk(
-            data.translate(self._class_of),
-            states,
-            fresh=False,
-            at_end=False,
-            stats_from=stats_from,
-        )
-        if stats is not None:
-            stats.cycles += len(data) - stats_from
-            stats.active_states += active
-            # a pure function of the input, exactly as in the NFA kernel
-            stats.matched_states += _matched_states(self._program, data, stats_from)
-            stats.reports += len(hits)
-        return [i for i, _ in hits], states
-
     def feed(
         self,
         segment: bytes,
@@ -201,29 +179,30 @@ class DFAScanner:
         *,
         at_end: bool = True,
     ) -> list[int]:
-        """Consume the next segment; match positions are global
-        (``at_end`` is accepted for interface parity only)."""
+        """Consume the next segment; match positions are global.
+
+        ``at_end`` is accepted for interface parity only: the DFA tier
+        never executes anchored regexes (eligibility excludes them), so
+        no segment is a stream start and no final needs last-byte
+        masking.
+        """
         del at_end
         base = self._offset
-        matches, self._states = self._walk(segment, self._states, stats, 0)
+        _, (active,), hits, self._states = self._table.walk(
+            segment.translate(self._class_of),
+            self._states,
+            fresh=False,
+            at_end=False,
+            stats_from=0,
+        )
         self._offset = base + len(segment)
-        return [base + i for i in matches]
-
-    def find_matches(
-        self,
-        data: bytes,
-        stats: StepStats | None = None,
-        *,
-        stats_from: int = 0,
-    ) -> list[int]:
-        """Whole-stream scan with the NFA simulator's warm-up contract.
-
-        The first ``stats_from`` bytes drive the state but contribute
-        neither matches nor counters; starts fresh regardless of any
-        streaming state this scanner carries.
-        """
-        stats_from = min(max(stats_from, 0), len(data))
-        return self._walk(data, 0, stats, stats_from)[0]
+        if stats is not None:
+            stats.cycles += len(segment)
+            stats.active_states += active
+            # a pure function of the input, exactly as in the NFA kernel
+            stats.matched_states += _matched_states(self._program, segment, 0)
+            stats.reports += len(hits)
+        return [base + i for i, _ in hits]
 
     @property
     def state(self) -> KernelState:

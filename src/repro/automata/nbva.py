@@ -160,32 +160,15 @@ class NBVASimulator:
         anchored_start: bool = False,
         anchored_end: bool = False,
     ) -> list[int]:
-        """All end positions of non-empty matches in ``data``."""
-        return list(
-            self.iter_matches(
-                data,
-                stats,
-                anchored_start=anchored_start,
-                anchored_end=anchored_end,
-            )
-        )
-
-    def iter_matches(
-        self,
-        data: bytes,
-        stats: NBVAStats | None = None,
-        *,
-        anchored_start: bool = False,
-        anchored_end: bool = False,
-    ):
-        """Generator over match end positions (and stats, if given)."""
+        """All end positions of non-empty matches in ``data`` (one feed
+        of a fresh :meth:`scanner`)."""
         return self.scanner(
             anchored_start=anchored_start, anchored_end=anchored_end
-        ).iter_feed(data, stats, at_end=True)
+        ).feed(data, stats)
 
     def count_matches(self, data: bytes) -> int:
         """Number of non-empty matches in ``data``."""
-        return sum(1 for _ in self.iter_matches(data))
+        return len(self.find_matches(data))
 
     def scanner(
         self, *, anchored_start: bool = False, anchored_end: bool = False
@@ -269,7 +252,7 @@ class NBVAScanner:
 
         The frontier advances per consumed symbol, so abandoning the
         generator mid-segment leaves the scanner at the last consumed
-        position (the whole-stream ``iter_matches`` relies on this).
+        position.
         """
         sim = self._sim
         plain_act = sim._plain_act

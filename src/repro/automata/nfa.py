@@ -9,8 +9,9 @@ bitsets, which keeps the inner loop allocation-free.
 
 The loop itself lives in the execution-core layer: this module lowers an
 automaton to a :class:`~repro.core.program.KernelProgram` (a ``GATHER``
-machine) and delegates scanning to the step kernel — the same program
-the fused plan executes ruleset-wide.  The per-cycle activity statistics
+machine) and scans it through :class:`NFAScanner` — a whole-stream scan
+is one feed of a fresh scanner — over the same program the fused plan
+executes ruleset-wide.  The per-cycle activity statistics
 the hardware simulators price come back as the kernel's exact integer
 counters.
 """
@@ -21,7 +22,6 @@ from repro.automata.glushkov import Automaton, EdgeAction
 from repro.automata.streaming import ProgramScanner
 from repro.core.kernel import StepStats
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.registry import get_kernel
 from repro.core.state import KernelState
 from repro.regex.charclass import interned_label_masks
 
@@ -86,63 +86,17 @@ class NFASimulator:
         *,
         anchored_start: bool = False,
         anchored_end: bool = False,
-        stats_from: int = 0,
     ) -> list[int]:
-        """All end positions of non-empty matches in ``data``.
+        """All end positions of non-empty matches in ``data``: one feed
+        of a fresh :meth:`scanner`.
 
         ``anchored_start`` makes the initial states start-of-data STEs
         (available only for the first symbol); ``anchored_end`` reports
-        only matches that consume the final symbol.  ``stats_from`` turns
-        the first bytes into a warm-up prefix: they drive the active set
-        but are excluded from ``stats`` and reporting (the parallel
-        engine's overlap-window stitching).
+        only matches that consume the final symbol.
         """
-        events, run = get_kernel().scan(
-            self.program(
-                anchored_start=anchored_start, anchored_end=anchored_end
-            ),
-            data,
-            stats_from=stats_from,
-        )
-        if stats is not None:
-            stats.cycles += run.cycles
-            stats.active_states += run.active_states
-            stats.matched_states += run.matched_states
-            stats.reports += run.reports
-        return [i for i, _ in events]
-
-    def iter_matches(
-        self,
-        data: bytes,
-        stats: StepStats | None = None,
-        *,
-        anchored_start: bool = False,
-        anchored_end: bool = False,
-        stats_from: int = 0,
-    ):
-        """Generator over match end positions; optionally fills ``stats``.
-
-        The lazy view steps through the kernel's per-cycle iterator;
-        callers that want the whole scan should prefer
-        :meth:`find_matches`, which uses the kernel's block path.
-        """
-        program = self.program(
+        return self.scanner(
             anchored_start=anchored_start, anchored_end=anchored_end
-        )
-        labels = program.labels
-        final = program.final
-        last = len(data) - 1
-        for i, active in get_kernel().iter_states(program, data):
-            if i < stats_from:
-                continue
-            if stats is not None:
-                stats.cycles += 1
-                stats.active_states += active.bit_count()
-                stats.matched_states += labels[data[i]].bit_count()
-            if active & final and (not anchored_end or i == last):
-                if stats is not None:
-                    stats.reports += 1
-                yield i
+        ).feed(data, stats)
 
     def count_matches(self, data: bytes) -> int:
         """Number of non-empty matches in ``data``."""
@@ -163,8 +117,8 @@ class NFAScanner:
     """Streaming NFA scan: feed segments, snapshot/restore mid-stream.
 
     Feeding a stream in any segmentation yields the same match
-    positions and accumulated stats as one :meth:`NFASimulator.
-    find_matches` call over the whole stream.
+    positions and accumulated stats as one feed of the whole stream
+    (:meth:`NFASimulator.find_matches`).
     """
 
     def __init__(self, program: KernelProgram):

@@ -12,10 +12,11 @@ Two variants are implemented, matching the paper's usage:
   across a pattern boundary — no boundary masking is needed.
 
 Both lower to ``SHIFT_LEFT`` :class:`~repro.core.program.KernelProgram`
-machines and scan through the registered step kernel.  The hardware LNFA
-mode (Fig. 6) uses a mirrored bit order (right shift, initial at the
-MSB); that bit-serial variant lives in the tile simulator, and its
-equivalence to :class:`ShiftAnd` is covered by tests.
+machines and scan through their streaming scanners (a whole-stream scan
+is one feed of a fresh one).  The hardware LNFA mode (Fig. 6) uses a
+mirrored bit order (right shift, initial at the MSB); that bit-serial
+variant lives in the tile simulator, and its equivalence to
+:class:`ShiftAnd` is covered by tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from repro.automata.lnfa import LNFA
 from repro.automata.streaming import ProgramScanner
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.registry import get_kernel
 from repro.regex.charclass import interned_label_masks
 
 
@@ -85,39 +85,11 @@ class ShiftAnd:
         anchored_start: bool = False,
         anchored_end: bool = False,
     ) -> list[int]:
-        """All end positions of non-empty matches in ``data``."""
-        events, run = get_kernel().scan(
-            self.program(
-                anchored_start=anchored_start, anchored_end=anchored_end
-            ),
-            data,
-        )
-        if stats is not None:
-            stats.cycles += run.cycles
-            stats.active_bits += run.active_states
-            stats.reports += run.reports
-        return [i for i, _ in events]
-
-    def iter_matches(
-        self,
-        data: bytes,
-        stats: ShiftAndStats | None = None,
-        *,
-        anchored_start: bool = False,
-        anchored_end: bool = False,
-    ):
-        """Generator over match end positions (and stats, if given)."""
-        final = self._final
-        last = len(data) - 1
-        program = self.program(anchored_start=anchored_start)
-        for i, states in get_kernel().iter_states(program, data):
-            if stats is not None:
-                stats.cycles += 1
-                stats.active_bits += states.bit_count()
-            if states & final and (not anchored_end or i == last):
-                if stats is not None:
-                    stats.reports += 1
-                yield i
+        """All end positions of non-empty matches in ``data`` (one feed
+        of a fresh :meth:`scanner`)."""
+        return self.scanner(
+            anchored_start=anchored_start, anchored_end=anchored_end
+        ).feed(data, stats)
 
     def scanner(
         self, *, anchored_start: bool = False, anchored_end: bool = False
@@ -252,28 +224,9 @@ class MultiShiftAnd:
     def find_matches(
         self, data: bytes, stats: ShiftAndStats | None = None
     ) -> list[tuple[int, int]]:
-        """All end positions of non-empty matches in ``data``."""
-        events, run = get_kernel().scan(self._program, data)
-        pattern_of_final = self._pattern_of_final
-        out: list[tuple[int, int]] = []
-        for i, hits in events:
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                out.append((pattern_of_final[low.bit_length() - 1], i))
-        if stats is not None:
-            stats.cycles += run.cycles
-            stats.active_bits += run.active_states
-            stats.reports += len(out)
-        return out
-
-    def iter_states(self, data: bytes):
-        """Yield ``(index, packed_state_vector)`` per input byte.
-
-        The hardware simulators map the packed bits back to tiles/regions
-        to account power gating per cycle.
-        """
-        return get_kernel().iter_states(self._program, data)
+        """All ``(pattern_index, end_position)`` pairs of non-empty
+        matches in ``data`` (one feed of a fresh :meth:`scanner`)."""
+        return self.scanner().feed(data, stats)
 
     def bit_location(self, bit: int) -> tuple[int, int]:
         """Map a packed bit index to ``(pattern_index, state_index)``."""
@@ -281,26 +234,6 @@ class MultiShiftAnd:
             if bit >= self._offsets[k]:
                 return k, bit - self._offsets[k]
         raise ValueError(f"bit {bit} out of range")
-
-    def iter_matches(self, data: bytes, stats: ShiftAndStats | None = None):
-        """Generator over match end positions (and stats, if given)."""
-        pattern_of_final = self._pattern_of_final
-        final = self._final
-        end_anchored = self._end_anchored_finals
-        last = len(data) - 1
-        for i, states in self.iter_states(data):
-            if stats is not None:
-                stats.cycles += 1
-                stats.active_bits += states.bit_count()
-            hits = states & final
-            if i != last:
-                hits &= ~end_anchored
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                if stats is not None:
-                    stats.reports += 1
-                yield pattern_of_final[low.bit_length() - 1], i
 
     def scanner(self) -> "MultiShiftAndScanner":
         """A streaming scanner with snapshot/restore for this pack."""

@@ -9,7 +9,9 @@ restored in a fresh process continues the scan bit-identically — the
 primitive the durable-scan checkpoint layer is built on.
 
 Match events come back with *global* stream positions, so a consumer
-never needs to know how the stream was segmented.
+never needs to know how the stream was segmented.  It is also the only
+way the automata scan a program: each engine's one-shot
+``find_matches`` is a single ``at_end=True`` feed of a fresh scanner.
 """
 
 from __future__ import annotations

@@ -97,8 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="worker processes (0 = one per CPU); parallel output is "
-        "bit-identical to --jobs 1",
+        help="worker processes (0 = one per CPU): the python backend "
+        "chunks the stream and shards it per regex and per bin across "
+        "them; fused and native scan serially and --jobs only sizes the "
+        "--input-jobs pool; output is bit-identical to --jobs 1",
     )
     p_scan.add_argument(
         "--input-jobs",
@@ -182,15 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for per-benchmark simulation "
         "(0 = one per CPU); results are independent of the job count",
-    )
-    p_exp.add_argument(
-        "--input-jobs",
-        type=int,
-        default=None,
-        help="bulk scans: input-parallel warm-up-window chunks and "
-        "whole-stream unit tasks per stream (fused and native backends; "
-        "python ignores it); reported numbers are independent of the "
-        "level (default: RAP_INPUT_JOBS or 1)",
     )
     p_exp.add_argument(
         "--cache",
@@ -863,7 +856,6 @@ def cmd_experiment(args) -> int:
         input_length=args.input_length or base.input_length,
         seed=args.seed,
         jobs=args.jobs,
-        input_jobs=args.input_jobs,
         use_cache=args.cache,
         backend=args.backend,
         timeout=args.timeout,

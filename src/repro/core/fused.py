@@ -417,8 +417,9 @@ class FusedRuleset:
         no counters) and ``at_end`` whether the span's last symbol is
         the stream's last (end-anchored finals fire nowhere else).
         Returns, per cursor, the events, the owned-region counters and
-        the exit active set — identical to :meth:`PythonKernel.scan
-        <repro.core.pykernel.PythonKernel.scan>` of the unit's program.
+        the exit active set — identical to :meth:`PythonKernel.scan_segment
+        <repro.core.pykernel.PythonKernel.scan_segment>` of the unit's
+        program over the owned symbols, entered at the warmed-up state.
 
         A cursor whose entry is a closed state of its unit's table steps
         it in the generated C when that is attached — every such cursor

@@ -9,14 +9,16 @@ derived — a successor-mask gather for plain NFAs, a shift for (multi-)
 Shift-And and the bit-serial tile datapath — which a
 :class:`~repro.core.program.KernelProgram` captures declaratively.
 
-A :class:`StepKernel` executes a program over a byte chunk and emits the
-exact integer counters (:class:`StepStats`) the hardware simulators
-price.  The stdlib :class:`~repro.core.pykernel.PythonKernel` is the one
-implementation and the oracle: the fused plan's interpreters (NumPy and
-generated C) must produce bit-identical match events and counters for
-the same program and input, so switching ``RAP_BACKEND`` can never
-change a reported number — only how fast it is computed.  The
-differential test suite enforces the contract.
+A :class:`StepKernel` executes a program over one segment of a stream
+(``scan_segment``) and emits the exact integer counters
+(:class:`StepStats`) the hardware simulators price.  A whole-stream scan
+is one ``at_end=True`` segment from the zero state; there is no other
+block path.  The stdlib :class:`~repro.core.pykernel.PythonKernel` is
+the one implementation and the oracle: the fused plan's table walker and
+generated C must produce bit-identical match events and counters for the
+same program and input, so switching ``RAP_BACKEND`` can never change a
+reported number — only how fast it is computed.  The conformance matrix
+(``tests/conformance``) enforces the contract.
 """
 
 from __future__ import annotations
@@ -66,30 +68,10 @@ class StepStats:
 
 @runtime_checkable
 class StepKernel(Protocol):
-    """Executes :class:`~repro.core.program.KernelProgram` byte chunks.
-
-    ``scan`` and ``scan_segment`` are the block paths; ``iter_states``
-    is the lazy per-cycle view.
-    """
+    """Executes :class:`~repro.core.program.KernelProgram` byte chunks,
+    one stream segment at a time."""
 
     name: str
-
-    def scan(
-        self,
-        program: "KernelProgram",
-        data: bytes,
-        *,
-        stats_from: int = 0,
-    ) -> tuple[list[MatchEvent], StepStats]:
-        """Run ``program`` over ``data``.
-
-        Returns the reporting cycles — ``(end_position, final_hits)``
-        pairs — together with fresh exact counters.  The first
-        ``stats_from`` bytes are a warm-up prefix: they drive the active
-        set but contribute neither events nor counters (the parallel
-        engine's overlap-window stitching).
-        """
-        ...
 
     def scan_segment(
         self,
@@ -107,10 +89,6 @@ class StepKernel(Protocol):
         says more input follows, so end-anchored finals are masked even
         on the segment's last byte.  Feeding a stream in any segmentation
         yields the same concatenated events and merged stats as one
-        ``scan`` over the whole stream — the durable-scan invariant.
+        feed of the whole stream — the durable-scan invariant.
         """
-        ...
-
-    def iter_states(self, program: "KernelProgram", data: bytes):
-        """Per-cycle ``(index, packed_state_vector)`` view (lazy)."""
         ...

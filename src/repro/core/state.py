@@ -13,18 +13,20 @@ Serialization is deterministic and exact: the state word is a hex
 string (Python ints are arbitrary precision, so no width assumptions),
 and the document carries :data:`~repro.io.envelope.STATE_VERSION` so a
 checkpoint can never be silently decoded under different semantics.
+
+The module also holds :func:`iter_states_from`, the per-cycle view of a
+``SHIFT_LEFT`` program the LNFA bin collector prices tile by tile — the
+only loop besides :meth:`PythonKernel.scan_segment
+<repro.core.pykernel.PythonKernel.scan_segment>` that steps a program.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.core.program import KernelProgram, ProgramKind
 from repro.io.envelope import STATE_VERSION
-
-if TYPE_CHECKING:
-    from repro.core.program import KernelProgram
 
 
 @dataclass(frozen=True)
@@ -73,55 +75,34 @@ class KernelState:
 def iter_states_from(
     program: KernelProgram, data: bytes, state: KernelState | None = None
 ) -> Iterator[tuple[int, int]]:
-    """Per-cycle ``(segment_index, packed_state_vector)`` continuation.
+    """Per-cycle ``(segment_index, packed_state_vector)`` of a
+    ``SHIFT_LEFT`` program, continuing from a saved :class:`KernelState`.
 
-    Generalizes ``StepKernel.iter_states`` to start from a saved
-    :class:`KernelState`: symbol ``i`` of ``data`` is global symbol
-    ``state.offset + i``, and only the true global first symbol receives
-    ``inject_first``.  The loop is pure Python and backend-independent —
-    callers that consume every cycle's vector (the LNFA bin collectors)
-    pay the same cost on every backend, exactly like ``iter_states``.
+    The LNFA bin collector prices every cycle's vector tile by tile, so
+    it needs each one, not just events and counters; the other program
+    kinds only ever run through the kernel's ``scan_segment``.  Symbol
+    ``i`` of ``data`` is global symbol ``state.offset + i``, and only the
+    true global first symbol receives ``inject_first``.  The loop is
+    pure Python and backend-independent.
 
     The caller reconstructs the continuation state from the last yielded
     vector: ``KernelState(state.offset + len(data), last_states)``.
     """
-    from repro.core.program import ProgramKind
-
+    if program.kind is not ProgramKind.SHIFT_LEFT:
+        raise ValueError(f"per-cycle view of a {program.kind.name} program")
     state = state or KernelState()
     labels = program.labels
-    inject_first = program.inject_first
     inject = program.inject_always
-    fresh = state.offset == 0
+    keep = ~program.clear_after_shift
     states = state.states
-    if program.kind is ProgramKind.GATHER:
-        succ = program.succ
-        for i, byte in enumerate(data):
-            if fresh and i == 0:
-                states = inject_first & labels[byte]
-            else:
-                avail = inject
-                a = states
-                while a:
-                    low = a & -a
-                    avail |= succ[low.bit_length() - 1]
-                    a ^= low
-                states = avail & labels[byte]
-            yield i, states
-    elif program.kind is ProgramKind.SHIFT_LEFT:
-        keep = ~program.clear_after_shift
-        for i, byte in enumerate(data):
-            if fresh and i == 0:
-                states = inject_first & labels[byte]
-            else:
-                states = ((states << 1) & keep | inject) & labels[byte]
-            yield i, states
-    else:
-        for i, byte in enumerate(data):
-            if fresh and i == 0:
-                states = inject_first & labels[byte]
-            else:
-                states = (states >> 1 | inject) & labels[byte]
-            yield i, states
+    symbols = enumerate(data)
+    if state.offset == 0 and data:
+        states = program.inject_first & labels[data[0]]
+        yield 0, states
+        symbols = enumerate(memoryview(data)[1:], 1)
+    for i, byte in symbols:
+        states = ((states << 1) & keep | inject) & labels[byte]
+        yield i, states
 
 
 __all__ = ["KernelState", "iter_states_from"]

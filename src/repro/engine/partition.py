@@ -5,8 +5,10 @@ every chunk is preceded by a *warm-up window* long enough that the
 automaton state at the chunk's first owned byte equals the state a
 sequential run would have there.  Warm-up bytes drive the state but are
 excluded from statistics and match reporting, so summing per-chunk
-activity reproduces the sequential run exactly (see
-``collect_regex_activity``'s ``stats_from``).
+activity reproduces the sequential run exactly (a chunk's ``stats_from``
+is how many bytes ``collect_regex_activity`` / ``collect_bin_activity``
+feed their fresh collector through its state-only ``warm`` before the
+owned bytes).
 
 The window is only sound when state memory is bounded:
 

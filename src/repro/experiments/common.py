@@ -50,12 +50,6 @@ class ExperimentConfig:
     # the step kernel for the hot loops, but never change any reported
     # number (kernels are bit-identical by contract).
     jobs: int = 1
-    # Input-parallel chunks per scanned stream (the CLI's --input-jobs):
-    # exported as RAP_INPUT_JOBS around each benchmark worker, so every
-    # engine-level scan inside resolves it.  Like the other execution
-    # knobs it never changes a reported number — split scans are
-    # bit-identical to serial by construction.
-    input_jobs: int | None = None
     use_cache: bool = False
     backend: str | None = None  # None: RAP_BACKEND or python
     # Supervised-execution knobs (the CLI's --timeout/--retries): a
@@ -291,13 +285,8 @@ def map_benchmarks(
 
 
 def _run_benchmark_worker(item):
-    """Pool trampoline: scope the configured backend and input-parallel
-    level around one worker."""
+    """Pool trampoline: scope the configured backend around one worker."""
     worker, name, config = item
-    if config.input_jobs is not None:
-        from repro.engine import INPUT_JOBS_ENV
-
-        os.environ[INPUT_JOBS_ENV] = str(config.input_jobs)
     if config.backend is None:
         return worker((name, config))
     from repro.core import use_backend

@@ -119,6 +119,10 @@ class ScanSession:
         pending segment, now known not to be final.
         """
         self.touch()
+        if not segment:
+            # An empty frame says nothing about whether more data
+            # follows: the held segment may still be the final one.
+            return []
         events = []
         if self._pending is not None:
             events = self._feed_now(self._pending, at_end=False)

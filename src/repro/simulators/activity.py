@@ -18,6 +18,7 @@ from repro.automata.nbva import NBVASimulator, NBVAState, NBVAStats
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd
 from repro.compiler.program import CompiledMode, CompiledRegex
+from repro.core.registry import get_kernel
 from repro.core.state import KernelState, iter_states_from
 from repro.hardware.config import HardwareConfig
 from repro.mapping.binning import Bin, states_per_tile
@@ -129,6 +130,14 @@ def nbva_activity(
     )
 
 
+def _one_shot(collector, data: bytes, stats_from: int):
+    """A fresh collector's activity over ``data[stats_from:]`` as a whole
+    stream, its state warmed over the bytes before."""
+    collector.warm(data[:stats_from])
+    collector.feed(data[stats_from:])
+    return collector.activity()
+
+
 def collect_regex_activity(
     compiled: CompiledRegex,
     data: bytes,
@@ -136,7 +145,9 @@ def collect_regex_activity(
     base: int = 0,
     stats_from: int = 0,
 ) -> RegexActivity:
-    """Run one NFA- or NBVA-mode regex and harvest its event counts.
+    """Run one NFA-, DFA- or NBVA-mode regex and harvest its event counts:
+    one fresh :class:`RegexActivityCollector`, warmed over the first
+    ``stats_from`` bytes and fed the rest as the whole stream.
 
     ``data`` may be a slice of a longer stream starting at global offset
     ``base``: reported match positions and BV cycle indices are globally
@@ -148,49 +159,11 @@ def collect_regex_activity(
     supported for NBVA-mode regexes (their counter vectors carry
     unbounded history).
     """
-    if compiled.mode is CompiledMode.LNFA:
-        raise ValueError("LNFA regexes are executed per bin; see collect_bin_activity")
-    assert compiled.automaton is not None
-    anchors = dict(
-        anchored_start=compiled.anchored_start,
-        anchored_end=compiled.anchored_end,
-    )
-    if compiled.mode is CompiledMode.NFA:
-        stats = StepStats()
-        matches = NFASimulator(compiled.automaton).find_matches(
-            data, stats, stats_from=stats_from, **anchors
-        )
-        return RegexActivity(
-            regex_id=compiled.regex_id,
-            mode=compiled.mode,
-            cycles=stats.cycles,
-            matches=[base + m for m in matches] if base else matches,
-            active_state_cycles=stats.active_states,
-        )
-    if compiled.mode is CompiledMode.DFA:
-        if compiled.anchored_start or compiled.anchored_end:
-            raise ValueError("DFA-mode regexes are unanchored by eligibility")
-        stats = StepStats()
-        matches = DFAScanner(compiled.automaton).find_matches(
-            data, stats, stats_from=stats_from
-        )
-        return RegexActivity(
-            regex_id=compiled.regex_id,
-            mode=compiled.mode,
-            cycles=stats.cycles,
-            matches=[base + m for m in matches] if base else matches,
-            active_state_cycles=stats.active_states,
-        )
-    if stats_from:
-        raise ValueError("NBVA regexes cannot be chunk-windowed")
-    stats = NBVAStats(bv_cycle_indices=[])
-    matches = NBVASimulator(compiled.automaton).find_matches(
-        data, stats, **anchors
-    )
+    activity = _one_shot(RegexActivityCollector(compiled), data, stats_from)
     if base:
-        matches = [base + m for m in matches]
-        stats.bv_cycle_indices = [base + i for i in stats.bv_cycle_indices]
-    return nbva_activity(compiled, matches, stats)
+        activity.matches = [base + m for m in activity.matches]
+        activity.bv_cycle_indices = [base + i for i in activity.bv_cycle_indices]
+    return activity
 
 
 @dataclass(frozen=True)
@@ -254,58 +227,21 @@ def collect_bin_activity(
     base: int = 0,
     stats_from: int = 0,
 ) -> BinActivity:
-    """Run one LNFA bin, tracking which of its tiles wake up each cycle.
+    """Run one LNFA bin, tracking which of its tiles wake up each cycle:
+    one fresh :class:`BinActivityCollector`, warmed and fed exactly as in
+    :func:`collect_regex_activity`.
 
     ``base``/``stats_from`` have the same chunk-windowing semantics as in
     :func:`collect_regex_activity`: the slice's first ``stats_from``
     bytes warm up the shift registers without being counted, and match
     positions are offset to the global stream.
-
-    The bin's LNFAs are mapped regex-sliced: tile ``t`` holds states
-    ``[t * region, (t + 1) * region)`` of every member, where ``region``
-    is the per-LNFA share of the tile's capacity.  Tile 0 holds all the
-    initial states, so it is awake every cycle; later tiles are awake only
-    on cycles where they hold at least one active state (Fig. 7's power
-    gating).
     """
-    layout = _bin_layout(bin_obj, hw)
-    packed = layout.packed
-    tile_masks = layout.tile_masks
-    tile_count = len(tile_masks)
-    finals = layout.finals
-    final_mask = layout.final_mask
-    end_anchored_mask = layout.end_anchored_mask
-
-    matches: dict[int, list[int]] = {item.regex_id: [] for item in bin_obj.items}
-    tile_active_cycles = [0] * tile_count
-    tile_active_bits = [0] * tile_count
-    cycles = 0
-    last = len(data) - 1
-    for i, states in packed.iter_states(data):
-        if i < stats_from:
-            continue
-        cycles += 1
-        tile_active_cycles[0] += 1  # initial tile is never gated
-        tile_active_bits[0] += (states & tile_masks[0]).bit_count()
-        for t in range(1, tile_count):
-            live = states & tile_masks[t]
-            if live:
-                tile_active_cycles[t] += 1
-                tile_active_bits[t] += live.bit_count()
-        hits = states & final_mask
-        if i != last:
-            hits &= ~end_anchored_mask
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            matches[finals[low.bit_length() - 1]].append(base + i)
-    return BinActivity(
-        bin=bin_obj,
-        cycles=cycles,
-        matches=matches,
-        tile_active_cycles=tile_active_cycles,
-        tile_active_bits=tile_active_bits,
-    )
+    activity = _one_shot(BinActivityCollector(bin_obj, hw), data, stats_from)
+    if base:
+        activity.matches = {
+            rid: [base + m for m in ends] for rid, ends in activity.matches.items()
+        }
+    return activity
 
 
 class RegexActivityCollector:
@@ -388,6 +324,15 @@ class RegexActivityCollector:
         self._matches.extend(matches)
         self._scanner.state = state
 
+    def warm(self, segment: bytes) -> None:
+        """Consume the next segment for state only: no match, no counter
+        (the input-parallel chunks' warm-up window; more input follows)."""
+        if not segment:
+            return
+        if self._nbva:
+            raise ValueError("NBVA regexes cannot be chunk-windowed")
+        self._scanner.feed(segment, at_end=False)
+
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream."""
         self._matches.extend(
@@ -439,6 +384,10 @@ class BinActivityCollector:
     segment feeds accumulate per-tile wake-up counters and global match
     positions, and :meth:`activity` reproduces the whole-stream
     :class:`BinActivity` exactly.
+
+    Tile 0 holds all the initial states (see :func:`_bin_layout`), so it
+    is awake every cycle; later tiles are awake only on cycles where they
+    hold at least one active state (Fig. 7's power gating).
     """
 
     def __init__(
@@ -503,6 +452,13 @@ class BinActivityCollector:
         for rid, ends in matches.items():
             self._matches[rid].extend(ends)
         self._state = state
+
+    def warm(self, segment: bytes) -> None:
+        """Consume the next segment for state only: no match, no counter
+        (the input-parallel chunks' warm-up window; more input follows)."""
+        _, _, self._state = get_kernel().scan_segment(
+            self._layout.packed.program, segment, self._state, at_end=False
+        )
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream."""

@@ -64,8 +64,9 @@ from repro.simulators.activity import (
     RegexActivityCollector,
     _bin_layout,
     _BinLayout,
-    # Re-exported only: the benchmark ledger wraps this name on this
-    # module (span ``automata.nbva_scan``), which the plan no longer calls.
+    # Unused here, kept importable: the benchmark ledger wraps this name
+    # on this module (span ``automata.nbva_scan``); it goes when the
+    # ledger reads spans instead of wrapping names (ROADMAP item 1).
     collect_regex_activity,  # noqa: F401
     nbva_activity,
 )

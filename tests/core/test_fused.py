@@ -22,7 +22,13 @@ np = pytest.importorskip("numpy")
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator
 from repro.automata.shift_and import MultiShiftAnd
-from repro.core import KernelState, available_backends, get_kernel, use_backend
+from repro.core import (
+    KernelState,
+    available_backends,
+    get_kernel,
+    iter_states_from,
+    use_backend,
+)
 from repro.core.fused import (
     AlphabetClasses,
     FusedRuleset,
@@ -82,10 +88,9 @@ class TestLanePacking:
     ):
         fused = FusedRuleset(programs)
         rows, end = lane_words(fused, data)
-        kernel = get_kernel()
         for j, program in enumerate(programs):
             expected_last = 0
-            for i, states in kernel.iter_states(program, data):
+            for i, states in iter_states_from(program, data):
                 assert fused.extract(rows.get(i, 0), j) == states
                 expected_last = states
             assert fused.extract(end, j) == expected_last
@@ -146,8 +151,8 @@ class TestClassIndexedGather:
         tin = fused.translate(data)
         kernel = get_kernel()
         for index, program in enumerate(gathers):
-            expected = kernel.scan(program, data)
-            assert fused.scan_unit(index, tin) == expected
+            events, stats, _ = kernel.scan_segment(program, data)
+            assert fused.scan_unit(index, tin) == (events, stats)
 
 
 class TestAlphabetClasses:
@@ -208,8 +213,9 @@ def test_fused_kernel_scan_segment_roundtrip():
     program = MultiShiftAnd([make_lnfa("abc")]).program
     with use_backend("fused"):
         kernel = get_kernel()
-        events, stats, state = kernel.scan_segment(program, b"xxabc", None)
-        whole, _ = kernel.scan(program, b"xxabc")
+        whole, _, _ = kernel.scan_segment(program, b"xxabc", None)
+        first, _, state = kernel.scan_segment(program, b"xxa", None, at_end=False)
+        rest, _, state = kernel.scan_segment(program, b"bc", state)
     assert isinstance(state, KernelState)
     assert state.offset == 5
-    assert events == whole
+    assert first + rest == whole == [(4, 0b100)]

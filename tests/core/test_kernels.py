@@ -18,8 +18,12 @@ drives all three program kinds against it:
   <repro.core.table.StepTable.walk>`, the one portable stepper, under
   the same assertions;
 * SHIFT_RIGHT programs (the bit-serial datapath), which no plan
-  executes, through the kernel's own lazy per-cycle view reduced the
-  same way — block path against per-cycle path.
+  executes, against :meth:`BitSerialLNFA.trace
+  <repro.automata.bitserial.BitSerialLNFA.trace>` — the Fig. 6 loop,
+  written independently of the kernel — reduced the same way.
+
+The oracle side is always one ``scan_segment`` feed of the owned bytes,
+entered at the state a state-only feed of the warm-up prefix left.
 
 The whole module skips cleanly when NumPy is not installed.
 """
@@ -34,10 +38,24 @@ from repro.automata.bitserial import BitSerialLNFA
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd, ShiftAnd
-from repro.core import ProgramKind, available_backends, get_kernel
+from repro.compiler import (
+    CompiledMode,
+    CompilerConfig,
+    compile_pattern,
+    compile_ruleset,
+)
+from repro.core import (
+    ProgramKind,
+    available_backends,
+    get_kernel,
+    iter_states_from,
+)
 from repro.core.fused import FusedRuleset
+from repro.hardware.config import DEFAULT_CONFIG
+from repro.mapping.mapper import map_ruleset
 from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
+from repro.simulators.activity import collect_bin_activity, collect_regex_activity
 
 from tests.automata.test_lnfa import lnfa_strategy
 from tests.core.test_fused import make_lnfa
@@ -107,13 +125,23 @@ def assert_walk_agrees(program, data: bytes, stats_from: int, want) -> None:
     assert active == stats.active_states
 
 
-def assert_kernels_agree(program, data: bytes, stats_from: int = 0) -> None:
-    py_events, py_stats = get_kernel().scan(
-        program, data, stats_from=stats_from
-    )
-    # The kernel clamps a warm-up prefix to the input; span callers
-    # never pass one past the end.
+def oracle(program, data: bytes, stats_from: int):
+    """The kernel's events and counters over ``data[stats_from:]``, the
+    prefix before it fed for state only."""
+    kernel = get_kernel()
+    _, _, state = kernel.scan_segment(program, data[:stats_from], at_end=False)
+    events, stats, _ = kernel.scan_segment(program, data[stats_from:], state)
+    return events, stats
+
+
+def assert_kernels_agree(
+    program, data: bytes, stats_from: int = 0, *, trace=None
+) -> None:
+    """``trace``: a SHIFT_RIGHT program's per-cycle
+    :class:`~repro.automata.bitserial.BitSerialTrace` rows."""
+    # Span callers never pass a warm-up prefix past the end.
     stats_from = min(stats_from, len(data))
+    py_events, py_stats = oracle(program, data, stats_from)
     if program.kind is not ProgramKind.SHIFT_RIGHT:
         assert_walk_agrees(program, data, stats_from, (py_events, py_stats))
     if program.kind is ProgramKind.GATHER:
@@ -130,9 +158,8 @@ def assert_kernels_agree(program, data: bytes, stats_from: int = 0) -> None:
             program, lambda i: states_at(i, 0), len(data), stats_from
         )
     else:
-        cycles = dict(get_kernel().iter_states(program, data))
         events, active = reduce_states(
-            program, cycles.__getitem__, len(data), stats_from
+            program, lambda i: trace[i].states, len(data), stats_from
         )
     assert events == py_events
     assert py_stats == StepStats(
@@ -165,8 +192,21 @@ class TestGatherPrograms:
         assert_kernels_agree(sim.program(), b"")
 
     def test_stats_from_past_the_end(self):
+        """A warm-up past the end: every byte drives state, none counts —
+        in a unit span and in the collectors, which own the warm-up."""
         sim = NFASimulator(build_automaton(unfold_all(parse("ab"))))
         assert_kernels_agree(sim.program(), b"abab", stats_from=99)
+        for mode in (CompiledMode.NFA, CompiledMode.DFA):
+            regex = compile_pattern("ab", 0, CompilerConfig(forced_mode=mode))
+            got = collect_regex_activity(regex, b"abab", base=5, stats_from=99)
+            assert (got.cycles, got.matches, got.active_state_cycles) == (0, [], 0)
+        ruleset = compile_ruleset(["ab"])
+        assert ruleset.regexes[0].mode is CompiledMode.LNFA
+        ((_, _, bin_obj),) = map_ruleset(ruleset).lnfa_bins()
+        got = collect_bin_activity(
+            bin_obj, b"abab", DEFAULT_CONFIG, base=5, stats_from=99
+        )
+        assert (got.cycles, got.matches, got.woken_tile_cycles) == (0, {0: []}, 0)
 
 
 class TestShiftPrograms:
@@ -205,7 +245,9 @@ class TestShiftPrograms:
     )
     def test_shift_right_differential(self, lnfa, data, astart, aend):
         engine = BitSerialLNFA(lnfa, anchored_start=astart)
-        assert_kernels_agree(engine.program(anchored_end=aend), data)
+        assert_kernels_agree(
+            engine.program(anchored_end=aend), data, trace=engine.trace(data)
+        )
 
 
 @pytest.mark.parametrize("kind", [ProgramKind.SHIFT_LEFT, ProgramKind.GATHER])
@@ -276,7 +318,7 @@ class TestIterStates:
     def test_iter_states_identical(self, lnfa, data):
         program = ShiftAnd(lnfa).program()
         lane = lane_states(program, data)
-        for i, states in get_kernel().iter_states(program, data):
+        for i, states in iter_states_from(program, data):
             assert lane.get(i, 0) == states
 
 

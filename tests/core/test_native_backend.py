@@ -560,8 +560,8 @@ def _lane_worthy(patterns, data) -> bool:
 
 def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0):
     """One lane span by the ``python`` oracle: each bin's own collector
-    restored to the entry word and fed the warm-up prefix, then the
-    owned bytes — what the second feed added is the span's delta."""
+    restored to the entry word, warmed over the prefix, then fed the
+    owned bytes — everything it reports is the span's delta."""
     from repro.simulators.activity import BinActivityCollector
     from repro.simulators.fused import LaneDelta
 
@@ -571,23 +571,12 @@ def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0
         collector = BinActivityCollector(bin_obj, DEFAULT_CONFIG, layout)
         state = KernelState(offset=base, states=plan.fused.extract(entry, j))
         collector.restore({**collector.snapshot(), "state": state.to_json()})
-        collector.feed(segment[:stats_from], at_end=False)
-        warm = collector.activity()
+        collector.warm(segment[:stats_from])
         collector.feed(segment[stats_from:], at_end=at_end)
         done = collector.activity()
-        tile_cycles.append(
-            [a - b for a, b in zip(done.tile_active_cycles, warm.tile_active_cycles)]
-        )
-        tile_bits.append(
-            [a - b for a, b in zip(done.tile_active_bits, warm.tile_active_bits)]
-        )
-        matches.append(
-            {
-                rid: ends[len(warm.matches[rid]) :]
-                for rid, ends in done.matches.items()
-                if len(ends) > len(warm.matches[rid])
-            }
-        )
+        tile_cycles.append(done.tile_active_cycles)
+        tile_bits.append(done.tile_active_bits)
+        matches.append({rid: ends for rid, ends in done.matches.items() if ends})
         exits.append(collector.state.states)
     return LaneDelta(
         cycles=len(segment) - stats_from,
@@ -1253,7 +1242,7 @@ class TestUnitForest:
         else:
             assert report == [] and said == []
         assert [(events, stats) for events, stats, _ in got] == [
-            PythonKernel().scan(program, stream) for program in programs
+            PythonKernel().scan_segment(program, stream)[:2] for program in programs
         ]
         assert all(events for events, _, _ in got[-3:])  # ...q, ...r and abc fired
         placed = roomy.scan_units_span(cursors[:16], roomy.translate(stream))

@@ -66,6 +66,12 @@ class TestStreaming:
         assert len(events) == matches
         assert events == sorted(events)
 
+    def test_an_empty_segment_keeps_the_final_one_pending(self, registry, tmp_path):
+        session = build_session(registry, tmp_path)
+        assert session.feed(b"xend") == session.feed(b"") == []
+        assert session.pending_bytes == 4
+        assert [3, PATTERNS.index("end$")] in session.end()
+
     def test_park_drops_pending_bytes(self, registry, data, tmp_path):
         session = build_session(registry, tmp_path)
         session.feed(data[:SEGMENT])
@@ -238,7 +244,9 @@ class SessionMachine(RuleBasedStateMachine):
     restored on a drawn backend), hot reload and end.  The model: the
     durable offset never moves back; the events, deduplicated by
     ``(end, rid)``, are the serial scan of the bytes each ruleset epoch
-    consumed; the totals are ``serial_totals``."""
+    consumed; the totals are ``serial_totals``.  End anchors fire only
+    in a segment still held at ``end``: once park or resume dropped the
+    held one, the bytes before it were fed knowing more would follow."""
 
     def __init__(self):
         super().__init__()
@@ -249,6 +257,7 @@ class SessionMachine(RuleBasedStateMachine):
         self.epochs = [(PATTERNS, 0, bytearray())]  # patterns, start, bytes fed
         self.events: set[tuple[int, int]] = set()
         self.offset = 0
+        self.end_fires = False  # a segment was held when the stream ended
 
     def _drop_pending(self) -> None:
         """What the session forgets: its held segment (a client replays it)."""
@@ -293,6 +302,7 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.session.ended)
     @rule()
     def end(self):
+        self.end_fires = self.session.pending_bytes > 0
         self._emitted(self.session.end())
 
     def _serial(self, patterns, data, at_end):
@@ -317,7 +327,7 @@ class SessionMachine(RuleBasedStateMachine):
         for k, (patterns, start, data) in enumerate(self.epochs):
             live = k == len(self.epochs) - 1
             consumed = data[: len(data) - self.session.pending_bytes * live]
-            at_end = live and self.session.ended
+            at_end = live and self.end_fires
             matches, _ = self._serial(patterns, consumed, at_end)
             want |= {(start + e, rid) for rid, ends in matches.items() for e in ends}
         assert self.events == want
@@ -331,7 +341,11 @@ class SessionMachine(RuleBasedStateMachine):
             found, spent = self._serial(old, data, at_end=False)
             matches += sum(map(len, found.values()))
             energy += spent
-        final = serial_totals(patterns, [bytes(last)], self.registry)
+        if self.end_fires:
+            final = serial_totals(patterns, [bytes(last)], self.registry)
+        else:
+            found, spent = self._serial(patterns, last, at_end=False)
+            final = sum(map(len, found.values())), spent
         assert self.session.total_matches() == matches + final[0]
         assert self.session.total_energy_uj() == energy + final[1]
 

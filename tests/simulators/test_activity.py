@@ -1,11 +1,24 @@
 """Activity collection tests (the event source for every energy model)."""
 
-import pytest
+from dataclasses import replace
 
-from repro.compiler import CompiledMode, CompilerConfig, compile_pattern
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import (
+    CompiledMode,
+    CompilerConfig,
+    compile_pattern,
+    compile_ruleset,
+)
+from repro.engine.partition import required_overlap
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.mapping.binning import BinItem, plan_bins
+from repro.mapping.mapper import map_ruleset
 from repro.simulators.activity import (
+    BinActivityCollector,
+    RegexActivityCollector,
     collect_bin_activity,
     collect_regex_activity,
 )
@@ -109,3 +122,73 @@ class TestBinActivity:
         bin_obj = self.bin_of(["abc"])
         activity = collect_bin_activity(bin_obj, b"x" * 37, DEFAULT_CONFIG)
         assert activity.cycles == 37
+
+
+# Acyclic, unanchored, counter-free pieces (an optional one never
+# first, so no pattern matches the empty string): every ruleset drawn
+# from them has a bounded warm-up window.
+MANDATORY = ["a", "b", "c", "[ab]", ".", "(a|bc)", "cab"]
+PATTERNS = st.builds(
+    lambda head, tail: head + "".join(tail),
+    st.sampled_from(MANDATORY),
+    st.lists(st.sampled_from(MANDATORY + ["b?", "c?"]), max_size=3),
+)
+
+
+class TestWarmUp:
+    """The warm-up an input chunk needs lives in the collectors: warmed
+    over ``data[w:s]`` and fed ``data[s:e]``, a collector reports the
+    whole stream's matches in ``[s, e)`` over ``e - s`` cycles — and
+    exactly what the one-shot ``collect_*_activity`` reports for the
+    same window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(PATTERNS, min_size=1, max_size=4, unique=True),
+        st.sampled_from([None, CompiledMode.NFA, CompiledMode.DFA]),
+        st.text(alphabet="abcx", max_size=60).map(str.encode),
+        st.data(),
+    )
+    def test_warmed_collector_owns_its_window(self, patterns, mode, data, draw):
+        ruleset = compile_ruleset(patterns, CompilerConfig(forced_mode=mode))
+        assume(not ruleset.rejected)
+        overlap = required_overlap(ruleset)
+        assert overlap is not None
+        e = draw.draw(st.integers(0, len(data)))
+        s = draw.draw(st.integers(0, e))
+        w = max(0, s - overlap - draw.draw(st.integers(0, 3)))
+
+        def owned(ends):
+            return [m for m in ends if s <= m < e]
+
+        def globalized(ends):
+            return [w + m for m in ends]
+
+        for regex in ruleset:
+            if regex.mode is CompiledMode.LNFA:
+                continue
+            whole, part = RegexActivityCollector(regex), RegexActivityCollector(regex)
+            whole.feed(data)
+            part.warm(data[w:s])
+            part.feed(data[s:e])
+            got = part.activity()
+            assert globalized(got.matches) == owned(whole.matches)
+            assert got.cycles == e - s
+            one_shot = collect_regex_activity(
+                regex, data[w:e], base=w, stats_from=s - w
+            )
+            assert one_shot == replace(got, matches=globalized(got.matches))
+        for _, _, bin_obj in map_ruleset(ruleset).lnfa_bins():
+            whole = BinActivityCollector(bin_obj, DEFAULT_CONFIG)
+            part = BinActivityCollector(bin_obj, DEFAULT_CONFIG)
+            whole.feed(data)
+            part.warm(data[w:s])
+            part.feed(data[s:e])
+            got = part.activity()
+            matches = {rid: globalized(ends) for rid, ends in got.matches.items()}
+            assert matches == {rid: owned(ends) for rid, ends in whole.matches.items()}
+            assert got.cycles == e - s
+            one_shot = collect_bin_activity(
+                bin_obj, data[w:e], DEFAULT_CONFIG, base=w, stats_from=s - w
+            )
+            assert one_shot == replace(got, matches=matches)
