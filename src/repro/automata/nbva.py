@@ -239,21 +239,6 @@ class NBVAScanner:
         at_end: bool = True,
     ) -> list[int]:
         """Consume the next segment; match positions are global."""
-        return list(self.iter_feed(segment, stats, at_end=at_end))
-
-    def iter_feed(
-        self,
-        segment: bytes,
-        stats: NBVAStats | None = None,
-        *,
-        at_end: bool = True,
-    ):
-        """Lazy :meth:`feed`: yields global match positions as found.
-
-        The frontier advances per consumed symbol, so abandoning the
-        generator mid-segment leaves the scanner at the last consumed
-        position.
-        """
         sim = self._sim
         plain_act = sim._plain_act
         set1_targets = sim._set1_targets
@@ -270,6 +255,7 @@ class NBVAScanner:
         last = len(segment) - 1
         active = self._active
         vectors = self._vectors
+        matches: list[int] = []
         for i, byte in enumerate(segment):
             if anchored_start and (offset + i):
                 avail = 0
@@ -322,9 +308,6 @@ class NBVAScanner:
             vectors = {
                 dst: vec for dst, vec in contrib.items() if vec and dst in matching
             }
-            self._active = active
-            self._vectors = vectors
-            self._offset = offset + i + 1
 
             if stats is not None:
                 stats.cycles += 1
@@ -347,7 +330,11 @@ class NBVAScanner:
             if matched and (not anchored_end or (at_end and i == last)):
                 if stats is not None:
                     stats.reports += 1
-                yield offset + i
+                matches.append(offset + i)
+        self._active = active
+        self._vectors = vectors
+        self._offset = offset + len(segment)
+        return matches
 
     def snapshot(self) -> dict:
         """JSON-ready mid-stream state (vectors in sorted pid order —

@@ -82,17 +82,33 @@ Two translation units per ruleset:
   ``NBVA_UNITS[]`` under *one* table-driven ``rap_nbva_span`` (wider
   ones stay on ``NBVAScanner``: identical results, just slower).
 
-The NBVA ABI carries exactly what ``NBVAScanner.snapshot()`` holds: the
-plain active set and the set of live counted positions as one word each
-(bit ``p`` = Glushkov position ``p``), and every live bit vector as
-``ceil(width / 64)`` little-endian words at its position's offset in
-one flat array (:func:`nbva_vector_layout`).  Per unit, ``static const``
-tables give the class-indexed plain-label / counted-match rows and, per
-position, the ACTIVATE / SET1 / COPY / SHIFT target masks, vector width,
-word offset, read predicate (an EXACT bit, or rAll) and first shift
-target (the one the overflow checker tests).  All eleven ``NBVAStats``
-counters accumulate in caller memory; match positions and
-``bv_cycle_indices`` come back through one event buffer.
+``rap_nbva_span`` steps ``m`` NBVA *cursors* cursor-outer over one
+span — every NBVA unit of a bulk scan or of a durable segment, two
+entries of one unit: one crossing.  A cursor is one row of
+:data:`NBVA_COLUMNS` words, carrying exactly what
+``NBVAScanner.snapshot()`` holds: the unit's slot, whether it enters at
+the stream start, the plain active set and the set of live counted
+positions as one word each (bit ``p`` = Glushkov position ``p``), and
+the offset of its region of one flat ``vecs`` array, where every live
+bit vector sits as ``ceil(width / 64)`` little-endian words at its
+position's offset (:func:`nbva_vector_layout`), followed by as many
+scratch words.  All eleven ``NBVAStats`` counters accumulate in the
+row; match positions and ``bv_cycle_indices`` come back through one
+event buffer, each cursor's events in turn and their count in its row.
+Per unit, ``static const`` tables give the class-indexed plain-label /
+counted-match rows and, per position, the ACTIVATE / SET1 / COPY /
+SHIFT target masks, vector width, word offset, read predicate (an EXACT
+bit, or rAll) and first shift target (the one the overflow checker
+tests) — and ``B<slot>_IDLE``, one ``uint16`` per byte value: the
+byte's class's plain-label plus counted-match popcount, with ``0x100``
+set when the class keeps an empty frontier empty (it matches no initial
+position).  The skip rule, RAP's power gating in software: with no
+active state and no live vector, a byte's step depends on its class
+alone and fires nothing, so the kernel runs a tight loop over ``IDLE``
+instead, adding one cycle, the popcount to ``matched_states`` and the
+initial counted positions to ``set1_events`` per byte, until a byte
+would wake the unit; an anchored-start unit past its first byte never
+wakes again, and skips to the span's end.
 
 Every source begins with a header naming
 :data:`~repro.io.envelope.PLAN_VERSION`, so the SHA-256 of the source
@@ -103,10 +119,11 @@ take raw bytes and read ``CLS[data[i]]``.
 Match events cross the ABI as bounded ``(position, state)`` buffers with
 a continuation protocol: when a buffer fills — for the unit kernel, when
 it has no room left for a whole byte's ``m`` events — the kernel
-returns 1 with the resume index and the exit state, the caller drains
-and re-enters.  Counters (state visits, tile cycles/bits, active-state
-sums) accumulate in caller memory across continuations, so the drained
-stream is identical to an unbounded one.
+returns 1 with the resume index (for the NBVA kernel, ``(cursor,
+position)``) and the exit state, the caller drains and re-enters.
+Counters (state visits, tile cycles/bits, active-state sums, NBVA
+counters) accumulate in caller memory across continuations, so the
+drained stream is identical to an unbounded one.
 
 This module only *writes* C; building and loading live in
 :mod:`repro.core.native`.
@@ -494,20 +511,27 @@ def _forest_section(fused, bases: Sequence[int | str]) -> str:
 # -- NBVA units ---------------------------------------------------------------
 
 NBVA_CDEF = (
-    "int rap_nbva_span(const uint8_t *data, long long n, long long start_i,\n"
-    "    int unit, uint64_t *active, uint64_t *live,\n"
-    "    uint64_t *vecs, uint64_t *scratch, int fresh, int at_end,\n"
-    "    long long *counters, long long *ev, long long cap,\n"
-    "    long long *n_ev, long long *resume_i);"
+    "int rap_nbva_span(const uint8_t *data, long long n, int m, int at_end,\n"
+    "    uint64_t *cursors, uint64_t *vecs, long long *ev, long long cap,\n"
+    "    long long *at);"
 )
 
-# The one table-driven stepping function shared by every NBVA unit of a
-# translation unit: a line-for-line mirror of ``NBVAScanner.iter_feed``.
+# A cursor row's columns, ``uint64`` each: the unit's slot in
+# ``NBVA_UNITS``, whether it enters at the stream start, the word offset
+# of its vectors in ``vecs`` (as many scratch words follow them), the
+# plain active set, the live counted set, its events in the buffer at
+# the last return, then the eleven ``NBVAStats`` counters.
+NBVA_COLUMNS = 17
+
+# The one table-driven stepping loop shared by every NBVA unit of a
+# translation unit: ``NBVAScanner.feed``'s step, line for line, except
+# that a run of bytes which leaves an empty frontier empty — which the
+# oracle steps one byte at a time — is skipped in one tight loop over the
+# unit's ``IDLE`` row, adding the constant counters those bytes add.
 # Bit ``p`` of every mask is Glushkov position ``p``; counted position
-# ``p``'s vector is little-endian words at ``vecs[pos[p][P_VOFF]]`` (only
-# positions in ``*live`` hold meaningful words).  ``counters`` is the
-# eleven ``NBVAStats`` integers in field order; each event is
-# ``position << 2 | report << 1 | bv_phase``.
+# ``p``'s vector is little-endian words at ``pos[p][P_VOFF]`` past the
+# cursor's offset (only positions in its live set hold meaningful
+# words).  Each event is ``position << 2 | report << 1 | bv_phase``.
 _NBVA_KERNEL = r"""
 /* Table-driven and branchy: -O3 spends ~0.1 s of cc vectorizing word
    loops that run one or two iterations, for no measurable speed. */
@@ -524,7 +548,13 @@ typedef struct {
   int anchored_start, anchored_end, total_words;
   const uint64_t (*cls)[2];  /* per class: plain labels, counted matches */
   const uint64_t (*pos)[8];
+  const uint16_t *idle;  /* per byte: IDLE_POPS, IDLE_STAYS when not waking */
 } rap_nbva_unit;
+/* columns of a cursor row: see NBVA_COLUMNS in repro.core.codegen */
+enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NEV, C_STATS,
+       NBVA_COLUMNS = C_STATS + 11 };
+#define IDLE_POPS 0xff
+#define IDLE_STAYS 0x100
 #define NBVA_WORDS(u, p) ((int)((u)->pos[p][P_WIDTH] + 63) >> 6)
 
 static int nbva_any(const uint64_t *v, int words)
@@ -553,18 +583,42 @@ static void nbva_or(const rap_nbva_unit *u, uint64_t targets,
 """
 
 _NBVA_SPAN = r"""
+/* One cursor from byte i: stops at n, or after the byte whose event
+   fills the buffer; its frontier goes back to its row. */
+static long long nbva_cursor(const uint8_t *data, long long n, long long i,
+    int at_end, uint64_t *row, uint64_t *vecs, long long *ev, long long cap,
+    long long *n_ev)
 {
-  const rap_nbva_unit *u = &NBVA_UNITS[unit];
-  long long i = start_i, last = n - 1, ne = 0;
-  uint64_t act = *active, lv = *live, *cur = vecs, *nxt = scratch;
+  const rap_nbva_unit *u = &NBVA_UNITS[row[C_UNIT]];
+  uint64_t act = row[C_ACT], lv = row[C_LIVE], *counters = row + C_STATS;
+  uint64_t *own = vecs + row[C_VOFF], *cur = own, *nxt = own + u->total_words;
   uint64_t shifted[NBVA_MAX_WORDS];
-  int w, cur_dirty = 1, nxt_dirty = 1;
+  long long last = n - 1, ne = *n_ev;
+  int w, cur_dirty = 1, nxt_dirty = 1, fresh = (int)row[C_FRESH];
   for (; i < n; i++) {
     int c = CLS[data[i]], start = !(u->anchored_start && !(fresh && i == 0));
-    uint64_t avail = start ? u->init_plain : 0;
-    uint64_t set1 = start ? u->init_set1 : 0;
-    uint64_t matching = u->cls[c][1], touched = 0, a, nlv = 0;
+    uint64_t avail, set1, matching, touched = 0, a, nlv = 0;
     long long flags = 0;
+    if (!act && !lv && !(u->anchored_start && start)) {
+      /* an empty frontier: skip the bytes that keep it empty (past an
+         anchored start, all of them), adding what each would count.
+         Neither vector buffer is written, so their dirty flags hold. */
+      long long j = i;
+      uint64_t pops = 0, idle;
+      if (u->anchored_start)
+        for (; j < n; j++) pops += u->idle[data[j]] & IDLE_POPS;
+      else
+        for (; j < n && ((idle = u->idle[data[j]]) & IDLE_STAYS); j++)
+          pops += idle & IDLE_POPS;
+      counters[0] += j - i;
+      counters[2] += pops;
+      counters[6] += start ? (j - i) * POP(u->init_set1) : 0;
+      if ((i = j) == n) break;
+      c = CLS[data[i]];
+    }
+    avail = start ? u->init_plain : 0;
+    set1 = start ? u->init_set1 : 0;
+    matching = u->cls[c][1];
     if (nxt_dirty) for (w = 0; w < u->total_words; w++) nxt[w] = 0;
     for (a = act; a; a &= a - 1) {
       const uint64_t *src = u->pos[__builtin_ctzll(a)];
@@ -628,9 +682,26 @@ _NBVA_SPAN = r"""
       if (ne >= cap) { i++; break; }
     }
   }
-  if (cur != vecs) for (w = 0; w < u->total_words; w++) vecs[w] = cur[w];
-  *active = act; *live = lv; *n_ev = ne; *resume_i = i;
-  return i < n;
+  if (cur != own) for (w = 0; w < u->total_words; w++) own[w] = cur[w];
+  row[C_ACT] = act; row[C_LIVE] = lv; *n_ev = ne;
+  return i;
+}
+
+/* Cursor-outer: each cursor's tables and vectors stay in cache over the
+   span.  A full buffer returns 1 with the (cursor, position) to resume. */
+RAP_NBVA_SPAN
+{
+  long long k, i = at[1], ne = 0, first;
+  for (k = 0; k < m; k++) cursors[k * NBVA_COLUMNS + C_NEV] = 0;
+  for (k = at[0]; k < m; k++, i = 0) {
+    uint64_t *row = cursors + k * NBVA_COLUMNS;
+    first = ne;
+    i = nbva_cursor(data, n, i, at_end, row, vecs, ev, cap, &ne);
+    row[C_NEV] = ne - first;
+    if (ne >= cap) break;
+  }
+  at[0] = k; at[1] = i;
+  return k < m;
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -673,6 +744,7 @@ def nbva_vector_layout(automaton) -> tuple[dict[int, tuple[int, int]], int]:
 def _nbva_section(fused, indices: Sequence[int]) -> str:
     """The NBVA kernel plus each listed unit's tables and unit-table row."""
     parts, rows, max_words = [_NBVA_KERNEL], [], 1
+    class_of = fused.classes.class_of
     # pos[] columns, as the C enum names them: P_ACT..P_SHIFT are the
     # EdgeAction members in order, then P_WIDTH, P_VOFF, P_READ, P_SHF.
     column = {action: k for k, action in enumerate(EdgeAction)}
@@ -697,13 +769,23 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
             for pids in (automaton.initial, automaton.finals)
             for counted in (False, True)
         ]
+        # per class: what an idle byte adds to matched_states, and
+        # whether it leaves an empty frontier empty — spelled out per
+        # byte value, so the skip loop makes one lookup a byte
+        idle = [
+            (plain | counted).bit_count()
+            | (not (masks[0] & plain or masks[1] & counted)) << 8
+            for plain, counted in zip(unit.labels, unit.cmatch)
+        ]
+        parts.append(_u16_array(f"B{slot}_IDLE", map(idle.__getitem__, class_of)))
         rows.append(
             f"  {{ {', '.join(map(_u64, masks))}, {int(unit.anchored_start)}, "
-            f"{int(unit.anchored_end)}, {total}, B{slot}_CLS, B{slot}_POS }},"
+            f"{int(unit.anchored_end)}, {total}, B{slot}_CLS, B{slot}_POS, "
+            f"B{slot}_IDLE }},"
         )
     parts += ["static const rap_nbva_unit NBVA_UNITS[] = {", *rows, "};"]
     parts.append(f"#define NBVA_MAX_WORDS {max_words}")
-    parts.append(NBVA_CDEF[:-1] + _NBVA_SPAN)
+    parts.append(_NBVA_SPAN.replace("RAP_NBVA_SPAN", NBVA_CDEF[:-1]))
     return "\n".join(parts)
 
 

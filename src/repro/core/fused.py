@@ -224,8 +224,10 @@ class FusedRuleset:
     snapshots and entry/exit states are in.
     ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
     bit-vector automata: their label tables join the shared classes and
-    each is stepped whole-frontier by :meth:`scan_nbva_unit_span` (never
-    asleep — their counters are priced on every symbol).
+    all of a span's are stepped whole-frontier by
+    :meth:`scan_nbva_units_span` (their counters are priced on every
+    symbol; the generated C skips, and counts, the bytes of an empty
+    frontier).
     """
 
     def __init__(
@@ -531,31 +533,48 @@ class FusedRuleset:
 
     # -- the NBVA (bit-vector) units -------------------------------------
 
-    def scan_nbva_unit_span(
+    def scan_nbva_units_span(
         self,
-        index: int,
+        cursors: Sequence[tuple[int, NBVAState]],
         tin: TranslatedSegment,
         *,
-        state: NBVAState = NBVAState(),
         at_end: bool = True,
-    ) -> tuple[list[int], NBVAStats, NBVAState]:
-        """Scan NBVA unit ``index`` over the next span of its stream.
+    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
+        """Scan any number of NBVA-unit *cursors* over the next span of
+        their stream.
 
-        ``state`` is the frontier entering the span; returns the global
+        A cursor is ``(unit, entry frontier)`` — ``NBVAState()`` at the
+        stream start; all units of a bulk scan, the NBVA units of one
+        durable segment, two collectors of one unit at different
+        frontiers — each is one call.  Returns, per cursor, the global
         match positions, the span's counters (global
         ``bv_cycle_indices``) and the exit frontier — exactly what
-        :meth:`NBVAScanner.feed` yields, stepped by the generated C when
-        the unit is narrow enough and by the oracle itself otherwise.
-        Vectors carry unbounded history: there is no warm-up form.
+        :meth:`NBVAScanner.feed` yields.  Every cursor on a unit narrow
+        enough for the generated C steps in one crossing; the others on
+        the oracle itself.  Vectors carry unbounded history: there is no
+        warm-up form.
         """
         native = self._native_scanner()
-        if native is not None and native.has_nbva(index):
-            return native.nbva_span(index, tin.data, state=state, at_end=at_end)
-        scanner = self._nbva[index].scanner()
-        scanner.state = state
-        stats = NBVAStats(bv_cycle_indices=[])
-        matches = scanner.feed(tin.data, stats, at_end=at_end)
-        return matches, stats, scanner.state
+        spans: list = [None] * len(cursors)
+        compiled = [
+            k
+            for k, (index, _) in enumerate(cursors)
+            if native is not None and native.has_nbva(index)
+        ]
+        if compiled:
+            stepped = native.nbva_span(
+                tin.data, [cursors[k] for k in compiled], at_end=at_end
+            )
+            for k, span in zip(compiled, stepped):
+                spans[k] = span
+        for k, (index, state) in enumerate(cursors):
+            if spans[k] is None:
+                scanner = self._nbva[index].scanner()
+                scanner.state = state
+                stats = NBVAStats(bv_cycle_indices=[])
+                matches = scanner.feed(tin.data, stats, at_end=at_end)
+                spans[k] = matches, stats, scanner.state
+        return spans
 
     @property
     def gather_count(self) -> int:

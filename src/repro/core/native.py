@@ -41,6 +41,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -430,32 +431,6 @@ class NativeUnitScanner:
     def has_nbva(self, index: int) -> bool:
         return index in self._nbva
 
-    def _drain(self, fn, data: bytes, cap: int, *args):
-        """Drive one span kernel through the continuation protocol.
-
-        Calls ``fn(data, n, start_i, *args, cap, n_ev, resume_i)`` until
-        it reports completion, yielding after each return the number of
-        entries it left in the caller's event buffers (to be consumed
-        before the next re-entry overwrites them).
-        """
-        n_ev = np.zeros(1, dtype=np.int64)
-        resume = np.zeros(1, dtype=np.int64)
-        i = 0
-        while True:
-            rc = fn(
-                data,
-                len(data),
-                i,
-                *args,
-                cap,
-                n_ev,
-                resume,
-            )
-            yield int(n_ev[0])
-            i = int(resume[0])
-            if rc == 0:
-                return
-
     def _cursors_span(
         self,
         data: bytes,
@@ -483,20 +458,16 @@ class NativeUnitScanner:
         ev_pos = np.empty(cap, dtype=np.int64)
         ev_cursor = np.empty(cap, dtype=np.int32)
         ev_state = np.empty(cap, dtype=np.uint32)
+        n_ev = np.zeros(1, dtype=np.int64)
+        resume = np.zeros(1, dtype=np.int64)
         events: list[list[tuple[int, int]]] = [[] for _ in cursors]
-        for count in self._drain(
-            self._units_fn,
-            data,
-            cap,
-            state,
-            m,
-            1 if at_end else 0,
-            stats_from,
-            active,
-            ev_pos,
-            ev_cursor,
-            ev_state,
-        ):
+        rc = 1
+        while rc:
+            rc = self._units_fn(
+                data, len(data), int(resume[0]), state, m, int(at_end), stats_from,
+                active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume,
+            )
+            count = int(n_ev[0])
             for pos, u, sid in zip(
                 ev_pos[:count].tolist(),
                 ev_cursor[:count].tolist(),
@@ -518,54 +489,64 @@ class NativeUnitScanner:
         return self._cursors_span(data, cursors, **span)
 
     def nbva_span(
-        self,
-        index: int,
-        data: bytes,
-        *,
-        state: NBVAState,
-        at_end: bool,
-    ) -> tuple[list[int], NBVAStats, NBVAState]:
-        """``(global matches, counters + global bv_cycle_indices, exit
-        frontier)`` for one span — :meth:`NBVAScanner.feed`'s results."""
-        slot, layout, total = self._nbva[index]
-        base = state.offset
-        vecs = np.zeros(max(1, total), dtype=np.uint64)
-        live = 0
-        for pid, vec in state.vectors:
-            offset, words = layout[pid]
-            vecs[offset : offset + words] = words_from_int(vec, words)
-            live |= 1 << pid
-        active = np.array([state.active], dtype=np.uint64)
-        live = np.array([live], dtype=np.uint64)
-        scratch = np.empty_like(vecs)
-        counters = np.zeros(11, dtype=np.int64)
+        self, data: bytes, cursors: list[tuple[int, NBVAState]], *, at_end: bool
+    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
+        """Step ``(NBVA unit, entry frontier)`` cursors over one span in
+        one ``rap_nbva_span`` call (plus continuations when the event
+        buffer fills): per cursor ``(global matches, counters + global
+        bv_cycle_indices, exit frontier)`` — :meth:`NBVAScanner.feed`'s
+        results."""
+        rows, size = [], 0
+        for index, state in cursors:
+            slot, _, total = self._nbva[index]
+            live = 0
+            for pid, _ in state.vectors:
+                live |= 1 << pid
+            rows.append((slot, state.offset == 0, size, state.active, live))
+            size += 2 * total  # the cursor's vectors, then its scratch
+        table = np.zeros((len(cursors), codegen.NBVA_COLUMNS), dtype=np.uint64)
+        table[:, :5] = rows
+        vecs = np.zeros(max(1, size), dtype=np.uint64)
+        for (index, state), row in zip(cursors, rows):
+            for pid, vec in state.vectors:
+                at, words = self._nbva[index][1][pid]
+                at += row[2]
+                vecs[at : at + words] = words_from_int(vec, words)
+        offsets = np.array([state.offset for _, state in cursors], dtype=np.int64)
         ev = np.empty(self._cap, dtype=np.int64)
-        matches: list[int] = []
-        bv_cycles: list[int] = []
-        for count in self._drain(
-            self._nbva_fn,
-            data,
-            self._cap,
-            slot,
-            active,
-            live,
-            vecs,
-            scratch,
-            1 if base == 0 else 0,
-            1 if at_end else 0,
-            counters,
-            ev,
+        resume = np.zeros(2, dtype=np.int64)  # (cursor, position)
+        matches: list[list[int]] = [[] for _ in cursors]
+        bv_cycles: list[list[int]] = [[] for _ in cursors]
+        rc = 1
+        while rc:
+            rc = self._nbva_fn(
+                data, len(data), len(cursors), int(at_end), table, vecs, ev,
+                self._cap, resume,
+            )
+            # the buffer holds each cursor's events in turn, ``C_NEV`` each:
+            # a flag's hits are cut per cursor where its events end
+            counts = table[:, 5].tolist()
+            ends = list(accumulate(counts))
+            if ends[-1]:
+                events = ev[: ends[-1]]
+                positions = (events >> 2) + np.repeat(offsets, counts)
+                for bit, found in (1, bv_cycles), (2, matches):
+                    at = np.flatnonzero(events & bit)
+                    hits = positions[at].tolist()
+                    cut = 0
+                    for k, end in enumerate(np.searchsorted(at, ends).tolist()):
+                        found[k] += hits[cut:end]
+                        cut = end
+        spans = []
+        for k, ((index, state), row, (active, live), counters) in enumerate(
+            zip(cursors, rows, table[:, 3:5].tolist(), table[:, -11:].tolist())
         ):
-            events = ev[:count]
-            positions = (events >> 2) + base
-            bv_cycles.extend(positions[(events & 1) != 0].tolist())
-            matches.extend(positions[(events & 2) != 0].tolist())
-        exit_live = int(live[0])
-        vectors = tuple(
-            (pid, int_from_words(vecs[offset : offset + words]))
-            for pid, (offset, words) in layout.items()
-            if exit_live >> pid & 1
-        )
-        stats = NBVAStats(*counters.tolist(), bv_cycle_indices=bv_cycles)
-        end = base + len(data)
-        return matches, stats, NBVAState(end, int(active[0]), vectors)
+            vectors = tuple(
+                (pid, int_from_words(vecs[row[2] + at : row[2] + at + words]))
+                for pid, (at, words) in self._nbva[index][1].items()
+                if live >> pid & 1
+            )
+            stats = NBVAStats(*counters, bv_cycle_indices=bv_cycles[k])
+            frontier = NBVAState(state.offset + len(data), active, vectors)
+            spans.append((matches[k], stats, frontier))
+        return spans

@@ -20,7 +20,9 @@ workers, and both are bit-identical to the serial fused scan:
   start, exactly as the serial scan steps them: the windowless cursor
   numbers dealt round-robin into at most ``input_jobs`` tasks of one
   :meth:`~repro.core.fused.FusedRuleset.scan_units_span` call each,
-  the NBVA units (deduped by functional fingerprint) one task apiece.
+  the NBVA units (deduped by functional fingerprint) dealt the same way
+  into tasks of one :meth:`~repro.core.fused.FusedRuleset.
+  scan_nbva_units_span` call.
   That is parallelism across units, not across the input — the shape
   of the hardware, and of the ``python`` backend's per-regex sharding.
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import pickle
 from contextlib import ExitStack
 
+from repro.automata.nbva import NBVAState
 from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core import use_backend
 from repro.core.fused import TranslatedSegment
@@ -108,11 +111,11 @@ def split_collect(
         ("chunk", chunk.start, chunk.end, chunk.warm_start, ci == last, windowed)
         for ci, chunk in enumerate(chunks)
     ]
-    tasks += [
-        ("whole", tuple(whole[first::input_jobs]))
-        for first in range(min(input_jobs, len(whole)))
-    ]
-    tasks += [("nbva", unit) for unit in range(len(plan.nbva_units))]
+    for kind, numbers in ("whole", whole), ("nbva", range(len(plan.nbva_units))):
+        tasks += [
+            (kind, tuple(numbers[first::input_jobs]))
+            for first in range(min(input_jobs, len(numbers)))
+        ]
     if len(tasks) <= 1:
         return None
 
@@ -132,27 +135,29 @@ def split_collect(
         backoff=backoff,
         fault_plan=fault_plan,
     )
-    # tasks are laid out chunks, whole-stream groups, NBVA units
-    head, tail = len(chunks), len(tasks) - len(plan.nbva_units)
-    whole_out = {
-        number: part
-        for task, parts in zip(tasks[head:tail], outcomes[head:tail])
+    # tasks are laid out chunks, then whole-stream and NBVA groups
+    head = len(chunks)
+    unit_out = {
+        (task[0], number): part
+        for task, parts in zip(tasks[head:], outcomes[head:])
         for number, part in zip(task[1], parts)
     }
-    return _assemble(plan, outcomes[:head], whole_out, outcomes[tail:], n)
+    return _assemble(plan, outcomes[:head], unit_out, n)
 
 
 def _assemble(
-    plan: FusedPlan, chunk_out: list, whole_out: dict, nbva_out: list, n: int
+    plan: FusedPlan, chunk_out: list, unit_out: dict, n: int
 ) -> RunActivity:
     """Fold per-chunk results, in chunk order, into the sequential run's
-    exact :class:`RunActivity` (containers in collection order)."""
+    exact :class:`RunActivity` (containers in collection order);
+    ``unit_out`` holds the whole-stream tasks' results by ``(kind,
+    number)``."""
 
     def folded(number: int) -> tuple:
         """One unit's ``(positions, active, cycles)``: its whole-stream
         scan, or its windowed parts over all chunks."""
-        if number in whole_out:
-            return whole_out[number]
+        if ("whole", number) in unit_out:
+            return unit_out["whole", number]
         positions: list[int] = []
         active = 0
         cycles = 0
@@ -173,7 +178,9 @@ def _assemble(
             unit_activity(compiled, *folded(number))
             for number, compiled in enumerate(plan.dfa_units, split)
         ],
-        CompiledMode.NBVA: list(nbva_out),
+        CompiledMode.NBVA: [
+            unit_out["nbva", number] for number in range(len(plan.nbva_units))
+        ],
     }
 
     # -- LNFA bins: fold lane deltas per chunk --------------------------
@@ -248,9 +255,14 @@ def _split_task(task: tuple):
     if kind == "whole":
         cursors = [(number, None) for number in task[1]]
         return _unit_parts(plan.fused.scan_units_span(cursors, _whole_stream()), 0)
-    _, unit = task  # "nbva"
-    matches, stats, _ = plan.fused.scan_nbva_unit_span(unit, _whole_stream())
-    return nbva_activity(plan.nbva_units[unit], matches, stats)
+    units = task[1]  # "nbva"
+    spans = plan.fused.scan_nbva_units_span(
+        [(unit, NBVAState()) for unit in units], _whole_stream()
+    )
+    return [
+        nbva_activity(plan.nbva_units[unit], matches, stats)
+        for unit, (matches, stats, _) in zip(units, spans)
+    ]
 
 
 def _run_chunk(

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Collection
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.automata.nbva import NBVAState
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.fused import FusedRuleset, TranslatedSegment
@@ -491,8 +492,10 @@ class FusedRegexFeeder:
                         collector
                     )
         # KernelState words are NFA active sets, as cursors take them:
-        # every NFA- and DFA-mode group is one cursor of one call.
+        # every NFA- and DFA-mode group is one cursor of one call, every
+        # NBVA group one cursor of another.
         table = [key for key in groups if key[0] is not CompiledMode.NBVA]
+        nbva = [key for key in groups if key[0] is CompiledMode.NBVA]
         spans = fused.scan_units_span(
             [
                 (unit, entry.states if entry.offset else None)
@@ -509,12 +512,11 @@ class FusedRegexFeeder:
             )
             for key, (events, stats, word) in zip(table, spans)
         }
+        cursors = [(unit, entry) for _, unit, entry in nbva]
+        stepped.update(
+            zip(nbva, fused.scan_nbva_units_span(cursors, tin, at_end=at_end))
+        )
         for key, group in groups.items():
-            mode, unit, entry = key
-            if mode is CompiledMode.NBVA:
-                stepped[key] = fused.scan_nbva_unit_span(
-                    unit, tin, state=entry, at_end=at_end
-                )
             matches, stats, state = stepped[key]
             for collector in group:
                 collector.apply_segment(stats=stats, matches=matches, state=state)
@@ -620,11 +622,18 @@ class FusedPlan:
 
         def regex_of(compiled: CompiledRegex) -> RegexActivity:
             found = units[compiled.mode][self.unit_index[compiled.regex_id]]
-            return replace(
-                found,
+            return RegexActivity(
                 regex_id=compiled.regex_id,
+                mode=found.mode,
+                cycles=found.cycles,
                 matches=list(found.matches),
+                active_state_cycles=found.active_state_cycles,
+                bv_phase_cycles=found.bv_phase_cycles,
                 bv_cycle_indices=list(found.bv_cycle_indices),
+                bv_updates=found.bv_updates,
+                set1_events=found.set1_events,
+                shift_events=found.shift_events,
+                copy_events=found.copy_events,
             )
 
         return RunActivity.in_collection_order(
@@ -661,6 +670,10 @@ class FusedRun:
         spans = fused.scan_units_span(
             [(number, None) for number in range(split + fused.dfa_count)], tin
         )
+        # ... and every NBVA unit: one more.
+        nbva = fused.scan_nbva_units_span(
+            [(index, NBVAState()) for index in range(fused.nbva_count)], tin
+        )
 
         def scanned(members, spans) -> list[RegexActivity]:
             return [
@@ -674,10 +687,8 @@ class FusedRun:
             CompiledMode.NFA: scanned(plan.nfa_units, spans[:split]),
             CompiledMode.DFA: scanned(plan.dfa_units, spans[split:]),
             CompiledMode.NBVA: [
-                nbva_activity(
-                    compiled, *fused.scan_nbva_unit_span(index, tin)[:2]
-                )
-                for index, compiled in enumerate(plan.nbva_units)
+                nbva_activity(compiled, matches, stats)
+                for compiled, (matches, stats, _) in zip(plan.nbva_units, nbva)
             ],
         }
         collectors = [

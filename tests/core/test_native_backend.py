@@ -275,8 +275,8 @@ def _assert_nbva_spans(fused, oracle, segments, *, native=True):
         at_end = k == len(segments) - 1
         want_stats = NBVAStats(bv_cycle_indices=[])
         want = oracle.feed(segment, want_stats, at_end=at_end)
-        got, got_stats, state = fused.scan_nbva_unit_span(
-            0, fused.translate(segment), state=state, at_end=at_end
+        ((got, got_stats, state),) = fused.scan_nbva_units_span(
+            [(0, state)], fused.translate(segment), at_end=at_end
         )
         assert got == want
         assert got_stats == want_stats
@@ -322,6 +322,16 @@ def counted_regexes():
     ).map(lambda t: ast.concat(*t[0], t[1], *t[2]))
 
 
+def idle_streams():
+    """Long runs of ``x`` — a byte no counted regex reads, which the
+    native kernel skips — around sparse witnesses."""
+    return st.lists(
+        st.tuples(st.integers(0, 90), inputs(alphabet="ab", max_size=8)),
+        min_size=1,
+        max_size=3,
+    ).map(lambda parts: b"".join(b"x" * run + witness for run, witness in parts))
+
+
 @needs_native
 class TestNativeNbva:
     """The generated-C NBVA unit kernel ≡ ``NBVAScanner``, state and all."""
@@ -329,7 +339,7 @@ class TestNativeNbva:
     @settings(max_examples=5, deadline=None)
     @given(
         tree=counted_regexes(),
-        data=inputs(alphabet="abx", max_size=40),
+        data=st.one_of(idle_streams(), inputs(alphabet="abx", max_size=40)),
         anchors=st.tuples(st.booleans(), st.booleans()),
     )
     def test_random_counted_regexes_at_every_seam(self, tree, data, anchors):
@@ -415,6 +425,102 @@ class TestNativeNbva:
         stats = NBVAStats(bv_cycle_indices=[])
         NBVASimulator(automaton).find_matches(data, stats)
         assert stats.bv_phase_cycles > 2 * codegen.HIT_BUFFER_ENTRIES
+
+    # -- the idle skip: bytes that keep an empty frontier empty ----------
+
+    def test_spans_start_and_end_inside_idle_runs(self):
+        automaton = build_automaton(parse_anchored("ab[bc]{0,12}d").regex)
+        data = b"x" * 50 + b"abbcbd" + b"x" * 40 + b"abcd" + b"x" * 60
+        _assert_nbva_identical(automaton, data, cuts=(25, 80, 120, 159))
+        fused, oracle = _nbva_unit(automaton)
+        state = _assert_nbva_spans(fused, oracle, [data[:25], data[25:80], data[80:]])
+        assert state == NBVAState(len(data))  # the frontier died out
+
+    def test_anchored_start_entered_fresh_and_mid_stream(self):
+        parsed = parse_anchored("^ab[bc]{0,12}d")
+        automaton = build_automaton(parsed.regex)
+        for data in (b"abbcd" + b"xab" * 30, b"xabbcd" + b"abbcd" * 20):
+            # fresh: byte 0 is stepped, then the rest is one skip; entered
+            # mid-stream (inside or after the match), whole spans are
+            _assert_nbva_identical(automaton, data, (True, False), cuts=(3, 7, 40))
+
+    def test_counted_initial_positions_accrue_set1_while_skipping(self):
+        automaton = build_automaton(parse_anchored("[ab]{0,12}c").regex)
+        assert any(automaton.positions[p].is_counted for p in automaton.initial)
+        data = b"x" * 100 + b"abac" + b"x" * 100 + b"bbbbc" + b"x" * 30
+        stats = NBVAStats()
+        NBVASimulator(automaton).find_matches(data, stats)
+        assert stats.set1_events >= data.count(b"x")  # one per idle byte
+        _assert_nbva_identical(automaton, data, cuts=(50, 102, 104, 210))
+
+    def test_stream_without_an_idle_byte(self):
+        automaton = build_automaton(parse_anchored("[ab][ab]{0,20}c").regex)
+        rng = random.Random(5)
+        data = b"".join(rng.choice([b"a", b"b", b"ac", b"bc"]) for _ in range(200))
+        fused, _ = _nbva_unit(automaton)
+        row = "static const uint16_t B0_IDLE[] = { "
+        source = codegen.unit_scan_source(fused)
+        idle = [int(v) for v in source.split(row)[1].split(" }")[0].split(", ")]
+        # every "a" and "b" wakes the unit, and no "c" finds it empty
+        assert not idle[ord("a")] & 0x100 and not idle[ord("b")] & 0x100
+        assert b"cc" not in data and data[0] in b"ab"
+        _assert_nbva_identical(automaton, data, cuts=(1, 150, len(data) - 1))
+
+    def test_two_entries_of_one_unit_in_one_call(self, monkeypatch):
+        """One unit as three cursors — fresh, and entered at two frontiers
+        of different offsets — in one call: each equals the oracle fed
+        alone, with the default event buffer and with a one-entry one
+        whose continuations cross from cursor to cursor."""
+        automaton = build_automaton(parse_anchored("ab[bc]{0,12}d").regex)
+        fused, _ = _nbva_unit(automaton)
+        prefixes = [b"", b"xxab" + b"b" * 8, b"x" * 20 + b"abc"]
+        segment = b"bbd" + b"x" * 30 + b"abcbd" + b"abd"
+        cursors, want = [], []
+        for prefix in prefixes:
+            oracle = NBVASimulator(automaton).scanner()
+            oracle.feed(prefix, at_end=False)
+            cursors.append((0, oracle.state))
+            stats = NBVAStats(bv_cycle_indices=[])
+            matches = oracle.feed(segment, stats)
+            want.append((matches, stats, oracle.state))
+        assert len({state for _, state in cursors}) == 3
+        assert all(matches for matches, _, _ in want[1:])
+        tin = fused.translate(segment)
+        crossings = []
+        scanner = fused._native_scanner()
+        fn = scanner._nbva_fn
+        monkeypatch.setattr(
+            scanner, "_nbva_fn", lambda *args: crossings.append(args[2]) or fn(*args)
+        )
+        assert fused.scan_nbva_units_span(cursors, tin) == want
+        assert crossings == [3]
+        monkeypatch.setattr(scanner, "_cap", 1)
+        assert fused.scan_nbva_units_span(cursors, tin) == want
+        events = sum(len(s.bv_cycle_indices) + len(m) for m, s, _ in want)
+        assert len(crossings) - 1 > events // 2  # about one per event
+
+    def test_a_bulk_scan_crosses_once_for_all_nbva_units(self, monkeypatch):
+        """``FusedRun.collect`` of the Fig. 1 mix, and one durable segment
+        of it: every NBVA unit steps in the same ``rap_nbva_span`` call."""
+        from repro.simulators.fused import FusedRun
+        from repro.simulators.rap import bind
+
+        mix = cells.pinned("snort_mix16")
+        ruleset = mix.ruleset("auto")
+        with use_backend("native"):
+            binding = bind(ruleset, DEFAULT_CONFIG)
+            fused = binding.plan.fused
+            scanner = fused._native_scanner()
+            assert len(scanner._nbva) == fused.nbva_count == 7
+            fn, crossings = scanner._nbva_fn, []
+            monkeypatch.setattr(
+                scanner, "_nbva_fn", lambda *a: crossings.append(a[2]) or fn(*a)
+            )
+            FusedRun(ruleset, binding.mapping, DEFAULT_CONFIG).collect(mix.data)
+            assert crossings == [7]
+            scan = DurableScan(ruleset, binding.mapping, DEFAULT_CONFIG)
+            scan.feed(mix.data[:1000], at_end=False)
+            assert crossings == [7, 7]
 
     def test_explain_names_the_tier_and_why(self, monkeypatch, capsys, tmp_path):
         from repro.cli import main
@@ -1757,49 +1863,64 @@ _SANITIZED_NBVA_MAIN = r"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-/* Exact-size heap blocks once more — each span's raw bytes, the
-   vector words, the scratch copy, the eleven counters, a ONE-entry event
-   buffer — so a word offset or event slot out of range is a redzone hit.
-   Every unit scans the stream as three spans chained through the exit
-   frontier. */
+/* nbva <raw stream> <n> <cut>...: exact-size heap blocks once more — each
+   span's raw bytes, the cursor table, the vector words (each cursor's,
+   then its scratch) — and a ONE-entry event buffer, so a word offset or
+   event slot out of range is a redzone hit and every event forces a
+   continuation, some across a cursor boundary.  Every unit is a cursor
+   of one call per span; the spans chain through the exit frontiers. */
 int main(int argc, char **argv)
 {
   static const int words[] = { %(words)s };
-  enum { UNITS = sizeof words / sizeof *words };
-  long long n, cuts[4], ne, resume, ev[1], *counters;
+  enum { UNITS = sizeof words / sizeof *words, SPANS = %(spans)d };
+  long long n, cuts[SPANS + 1], at[2], ev[1], size = 0;
+  uint64_t *cursors = calloc(UNITS * NBVA_COLUMNS, sizeof *cursors), *vecs, *row;
   uint8_t *stream;
   FILE *f;
   int u, span, w, rc;
-  if (argc != 5 || !(f = fopen(argv[1], "rb"))) return 2;
+  if (argc != SPANS + 2 || !(f = fopen(argv[1], "rb"))) return 2;
   n = atoll(argv[2]);
-  cuts[0] = 0; cuts[1] = atoll(argv[3]); cuts[2] = atoll(argv[4]); cuts[3] = n;
+  cuts[0] = 0; cuts[SPANS] = n;
+  for (span = 1; span < SPANS; span++) cuts[span] = atoll(argv[span + 2]);
   stream = malloc(n);
   if (fread(stream, 1, n, f) != (size_t)n) return 2;
   for (u = 0; u < UNITS; u++) {
-    uint64_t active = 0, live = 0;
-    uint64_t *vecs = calloc(words[u] ? words[u] : 1, sizeof *vecs);
-    uint64_t *scratch = malloc((words[u] ? words[u] : 1) * sizeof *scratch);
-    for (span = 0; span < 3; span++) {
-      long long base = cuts[span], len = cuts[span + 1] - base;
-      uint8_t *data = malloc(len);
-      memcpy(data, stream + base, len);
-      counters = calloc(11, sizeof *counters);
-      resume = 0;
-      do {
-        rc = rap_nbva_span(data, len, resume, u, &active, &live, vecs, scratch,
-                           base == 0, span == 2, counters, ev, 1, &ne, &resume);
-        if (ne) printf("ev %%d %%d %%lld\n", u, span, ev[0]);
-      } while (rc);
-      printf("span %%d %%d", u, span);
-      for (w = 0; w < 11; w++) printf(" %%lld", counters[w]);
-      printf(" | %%llu %%llu", (unsigned long long)active, (unsigned long long)live);
-      for (w = 0; w < words[u]; w++) printf(" %%llu", (unsigned long long)vecs[w]);
-      printf("\n");
-      free(data); free(counters);
-    }
-    free(vecs); free(scratch);
+    cursors[u * NBVA_COLUMNS + C_UNIT] = u;
+    cursors[u * NBVA_COLUMNS + C_VOFF] = size;
+    size += 2 * words[u];
   }
-  free(stream); fclose(f);
+  vecs = calloc(size, sizeof *vecs);
+  for (span = 0; span < SPANS; span++) {
+    long long base = cuts[span], len = cuts[span + 1] - base;
+    uint8_t *data = malloc(len);
+    memcpy(data, stream + base, len);
+    for (u = 0; u < UNITS; u++) {
+      row = cursors + u * NBVA_COLUMNS;
+      row[C_FRESH] = base == 0;
+      for (w = C_STATS; w < NBVA_COLUMNS; w++) row[w] = 0;
+    }
+    at[0] = at[1] = 0;
+    do {
+      rc = rap_nbva_span(data, len, UNITS, span == SPANS - 1, cursors, vecs, ev,
+                         1, at);
+      for (u = 0; u < UNITS; u++)
+        if (cursors[u * NBVA_COLUMNS + C_NEV])
+          printf("ev %%d %%d %%lld\n", u, span, ev[0]);
+    } while (rc);
+    for (u = 0; u < UNITS; u++) {
+      row = cursors + u * NBVA_COLUMNS;
+      printf("span %%d %%d", u, span);
+      for (w = C_STATS; w < NBVA_COLUMNS; w++)
+        printf(" %%llu", (unsigned long long)row[w]);
+      printf(" | %%llu %%llu", (unsigned long long)row[C_ACT],
+             (unsigned long long)row[C_LIVE]);
+      for (w = 0; w < words[u]; w++)
+        printf(" %%llu", (unsigned long long)vecs[row[C_VOFF] + w]);
+      printf("\n");
+    }
+    free(data);
+  }
+  free(stream); free(cursors); free(vecs); fclose(f);
   return 0;
 }
 """
@@ -1809,34 +1930,41 @@ int main(int argc, char **argv)
 @pytest.mark.parametrize("name", ["snort_mix16"])
 def test_nbva_kernel_sanitized(name, tmp_path):
     """The NBVA kernel — stack vectors, a scratch swap, word-offset
-    arithmetic — of the ledger ruleset with NBVA units, built with a
-    generated ``main()`` under ASan + UBSan: a one-entry event buffer so
-    every event forces a continuation, two seams chained through the
-    exit frontier — clean exit, and matches, all eleven counters,
-    ``bv_cycle_indices`` and exit frontiers equal to ``NBVAScanner``'s."""
+    arithmetic, both idle skips — of the ledger ruleset with NBVA units
+    (plus one start-anchored unit), built with a generated ``main()``
+    under ASan + UBSan: all units as the cursors of one call per span, a
+    one-entry event buffer so every event forces a continuation, four
+    spans chained through the exit frontiers — one of them a single
+    byte, the last a run of idle bytes the frontiers die out in — clean
+    exit, and matches, all eleven counters, ``bv_cycle_indices`` and exit
+    frontiers equal to ``NBVAScanner``'s."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
     from repro.workloads.inputs import generate_input
 
-    patterns = RULESETS[name]()
+    patterns = RULESETS[name]() + ["^ab{10,20}c"]
     ruleset = compile_ruleset(patterns)
+    assert ruleset.regexes[-1].mode is CompiledMode.NBVA
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
         fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
     indices = codegen.native_nbva_indices(fused)
-    assert indices
+    assert len(indices) == fused.nbva_count
+    assert any(fused._nbva[j].anchored_start for j in indices)
     layouts = [codegen.nbva_vector_layout(fused._nbva[j].automaton) for j in indices]
     assert max(words for layout, _ in layouts for _, words in layout.values()) > 1
-    data = generate_input(
+    traffic = b"a" + b"b" * 12 + b"c" + generate_input(
         "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
     )
-    cuts = [0, len(data) // 3, len(data) // 3 + 1, len(data)]  # a 1-byte span
+    data = traffic + b"\0" * 1024
+    third = len(traffic) // 3
+    cuts = [0, third, third + 1, len(traffic), len(data)]  # a 1-byte span
     source = tmp_path / "nbva.c"
     source.write_text(
         codegen.unit_scan_source(fused)
         + _SANITIZED_NBVA_MAIN
-        % dict(words=", ".join(str(total) for _, total in layouts))
+        % dict(words=", ".join(str(total) for _, total in layouts), spans=4)
     )
     binary = tmp_path / "nbva"
     build = subprocess.run(
@@ -1849,7 +1977,7 @@ def test_nbva_kernel_sanitized(name, tmp_path):
     stream = tmp_path / "raw.bin"
     stream.write_bytes(data)
     run = subprocess.run(
-        [str(binary), str(stream), str(len(data)), str(cuts[1]), str(cuts[2])],
+        [str(binary), str(stream), str(len(data)), *map(str, cuts[1:-1])],
         capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr[-2000:]
@@ -1859,14 +1987,14 @@ def test_nbva_kernel_sanitized(name, tmp_path):
         (int(l[1]), int(l[2])): ([int(v) for v in l[3:14]], [int(v) for v in l[15:]])
         for l in lines if l[0] == "span"
     }
-    assert len(spans) == 3 * len(indices)
+    assert len(spans) == 4 * len(indices)
     fired = 0
     for slot, (j, (layout, _)) in enumerate(zip(indices, layouts)):
         scanner = fused._nbva[j].scanner()
-        for span in range(3):
+        for span in range(4):
             base, end = cuts[span], cuts[span + 1]
             stats = NBVAStats(bv_cycle_indices=[])
-            matches = scanner.feed(data[base:end], stats, at_end=span == 2)
+            matches = scanner.feed(data[base:end], stats, at_end=span == 3)
             found = [ev for u, sp, ev in events if (u, sp) == (slot, span)]
             assert [base + (ev >> 2) for ev in found if ev & 2] == matches
             assert [
@@ -1884,6 +2012,7 @@ def test_nbva_kernel_sanitized(name, tmp_path):
                 ),
             )
             fired += len(found)
+        assert scanner.state.active == 0 and not scanner.state.vectors  # died out
     assert fired > 3 * len(indices)  # continuations: one per event
 
 

@@ -1267,7 +1267,7 @@ class TestPlanFingerprint:
         "lnfa": ("d595f123b45f155c", ["e3b0c44298fc1c14", "36ff42aad190c07f"]),
         "nfa": ("47fdbf4da19d8421", ["76d2ecf972ed2003"]),
         "dfa": ("08c85ccd44781aa5", ["94adef58eac4d87a"]),
-        "mix": ("23ea81447e9dcd85", ["3cb24367419a4ee6", "2b84d373179562e4"]),
+        "mix": ("23ea81447e9dcd85", ["87cbc5cf470750e9", "2b84d373179562e4"]),
     }
 
     # What the previous recipe wrote for the module's mixed ruleset.

@@ -210,7 +210,7 @@ class TestSplitCollect:
         nbva_calls: list[int] = []
         real_map = split_mod.parallel_map
         real_units = FusedRuleset.scan_units_span
-        real_nbva = FusedRuleset.scan_nbva_unit_span
+        real_nbva = FusedRuleset.scan_nbva_units_span
 
         def counted_map(fn, tasks, **pool):
             rounds.append(len(tasks))
@@ -220,13 +220,13 @@ class TestSplitCollect:
             unit_calls.append((list(cursors), len(tin.data), stats_from))
             return real_units(self, cursors, tin, stats_from=stats_from, at_end=at_end)
 
-        def counted_nbva(self, index, tin, **span):
-            nbva_calls.append(len(tin.data))
-            return real_nbva(self, index, tin, **span)
+        def counted_nbva(self, cursors, tin, **span):
+            nbva_calls.extend(len(tin.data) for _ in cursors)  # per cursor
+            return real_nbva(self, cursors, tin, **span)
 
         monkeypatch.setattr(split_mod, "parallel_map", counted_map)
         monkeypatch.setattr(FusedRuleset, "scan_units_span", counted_units)
-        monkeypatch.setattr(FusedRuleset, "scan_nbva_unit_span", counted_nbva)
+        monkeypatch.setattr(FusedRuleset, "scan_nbva_units_span", counted_nbva)
         patterns, ruleset, mapping = cases[case]
         data = generate_input("text", 6000, seed=3, patterns=patterns)
         n = len(data)
