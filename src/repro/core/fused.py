@@ -128,41 +128,26 @@ class TranslatedSegment:
             self._cls = self.data.translate(self._classes.table)
         return self._cls
 
-    def counts_from(self, start: int) -> np.ndarray:
-        """Per-class symbol counts over ``[start, len)`` (int64): a byte
-        histogram folded through the class map.
-
-        ``start`` is the owned-region boundary of a chunked scan: the
-        warm-up prefix drives state but is excluded from pricing.
-        """
-        owned = np.frombuffer(self.data, dtype=np.uint8)[max(0, start) :]
-        counts = np.zeros(self._classes.k, dtype=np.int64)
-        classes = np.frombuffer(self._classes.table, dtype=np.uint8)
-        np.add.at(counts, classes, np.bincount(owned, minlength=256))
-        return counts
-
 
 class _GatherUnit:
     """One GATHER unit — NFA-mode or DFA-mode alike — over the shared
-    classes: its per-class ``labels`` and their popcounts, and ``table``,
-    its :class:`~repro.core.table.StepTable` (one all-ones payload mask:
-    a state's ``bits[0]`` is its live-position count), closed when the
+    classes: its per-class ``labels``, its events' finals (``final`` on
+    the stream's last byte, ``mid`` elsewhere), and ``table``, its
+    :class:`~repro.core.table.StepTable` (one all-ones payload mask: a
+    state's ``bits[0]`` is its live-position count), closed when the
     unit is built.  A closure past :data:`codegen.UNIT_DFA_MAX_STATES
     <repro.core.codegen.UNIT_DFA_MAX_STATES>` stays unclosed: such a
     unit is walked, its table filled — and restarted at that cap — as
     the stream demands (``tier`` says so).
     """
 
-    __slots__ = ("program", "labels", "pops", "table", "tier")
+    __slots__ = ("program", "labels", "final", "mid", "table", "tier")
 
     def __init__(self, program: KernelProgram, classes: AlphabetClasses):
         self.program = program
         self.labels = classes.project(program.labels)
-        self.pops = np.fromiter(
-            (m.bit_count() for m in self.labels),
-            dtype=np.int64,
-            count=classes.k,
-        )
+        self.final = program.final
+        self.mid = program.final & ~program.end_anchored_finals
         cap = codegen.UNIT_DFA_MAX_STATES
         self.table = StepTable(program, self.labels, masks=(-1,), cap=cap)
         if self.table.close():
@@ -293,6 +278,19 @@ class FusedRuleset:
         self._gather = self._units[: len(gathers)]
         self._dfa = self._units[len(gathers) :]
         self._foreign_logged = False
+        # ``matched_states`` per unit is the owned bytes' histogram dotted
+        # with this (unit x byte) matrix of each byte's class's label
+        # popcount (zero for a unit that does not track it): exact sums.
+        self._byte_pops = np.array(
+            [
+                [
+                    u.labels[c].bit_count() * u.program.track_matched
+                    for c in self.classes.class_of
+                ]
+                for u in self._units
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 256)
 
         # The classes that can revive some idle machine (each table
         # sleeps through the rest; the union is what a trace reports as
@@ -435,14 +433,15 @@ class FusedRuleset:
         if not cursors or not tin.data:
             return [([], StepStats(), entry or 0) for _, entry in cursors]
         native = self._native_scanner()
+        placed = native.bases if native is not None else ()
+        units = self._units
         # per cursor: (position, state word) hits, active sum, exit word
         spans: list = [None] * len(cursors)
         compiled: tuple[list, list] = ([], [])  # NFA-mode, DFA-mode cursors
         for slot, (number, entry) in enumerate(cursors):
-            table = self._units[number].table
+            table = units[number].table
             sid = table.closed_id(entry)
-            placed = native is not None and isinstance(native.bases[number], int)
-            if placed and sid is not None:
+            if sid is not None and placed and type(placed[number]) is int:
                 compiled[number >= len(self._gather)].append((slot, number, sid))
                 continue
             if sid is None and table.closed and not self._foreign_logged:
@@ -470,66 +469,37 @@ class FusedRuleset:
                     )
                     # table state ids stay on this side of the span API
                     for (slot, number, _), (raw, active, sid) in zip(group, stepped):
-                        words = self._units[number].table.words
+                        words = units[number].table.words
                         spans[slot] = (
                             [(pos, words[s]) for pos, s in raw], active, words[sid]
                         )
 
         # ``cycles`` and ``matched_states`` are pure functions of the
-        # owned input (one per-class dot product); only ``active`` and
+        # owned input (one byte histogram per span); only ``active`` and
         # the events come from the stepping loops.
-        counts = tin.counts_from(stats_from)
-        cycles = len(tin.data) - max(0, stats_from)
+        owned = np.frombuffer(tin.data, dtype=np.uint8)[max(0, stats_from) :]
+        # (bincount casts to intp itself, more slowly than astype)
+        counts = np.bincount(owned.astype(np.intp), minlength=256)
+        matched = self._byte_pops.dot(counts).tolist()
+        cycles = len(owned)
         last = len(tin.data) - 1 if at_end else -1
         out = []
         for (number, _), (hits, active, state) in zip(cursors, spans):
-            unit = self._units[number]
+            unit = units[number]
             # A hit's event word is the finals its state holds, which can
             # exceed 64 bits; end-anchored ones fire on the last byte only.
-            final = unit.program.final
-            mid = final & ~unit.program.end_anchored_finals
-            events = [
-                (pos, word & (final if pos == last else mid)) for pos, word in hits
-            ]
+            mid = unit.mid
+            events = [(pos, word & mid) for pos, word in hits]
+            if events and events[-1][0] == last:
+                events[-1] = (last, hits[-1][1] & unit.final)
             stats = StepStats(
                 cycles=cycles,
                 active_states=active,
-                matched_states=(
-                    int(counts @ unit.pops) if unit.program.track_matched else 0
-                ),
+                matched_states=matched[number],
                 reports=len(events),
             )
             out.append((events, stats, state))
         return out
-
-    def scan_unit(
-        self, index: int, tin: TranslatedSegment
-    ) -> tuple[list[MatchEvent], StepStats]:
-        """Scan GATHER unit ``index`` over the shared translated input:
-        the whole-stream, single-cursor :meth:`scan_units_span`."""
-        events, stats, _ = self.scan_unit_span(index, tin)
-        return events, stats
-
-    def scan_unit_span(
-        self,
-        index: int,
-        tin: TranslatedSegment,
-        *,
-        state: int = 0,
-        fresh: bool = True,
-        stats_from: int = 0,
-        at_end: bool = True,
-    ) -> tuple[list[MatchEvent], StepStats, int]:
-        """One cursor of :meth:`scan_units_span` on unit ``index``,
-        entering at active set ``state`` (ignored when ``fresh``, which
-        marks the true stream start)."""
-        (span,) = self.scan_units_span(
-            [(index, None if fresh else state)],
-            tin,
-            stats_from=stats_from,
-            at_end=at_end,
-        )
-        return span
 
     # -- the NBVA (bit-vector) units -------------------------------------
 
@@ -561,6 +531,8 @@ class FusedRuleset:
             for k, (index, _) in enumerate(cursors)
             if native is not None and native.has_nbva(index)
         ]
+        if compiled and len(compiled) == len(cursors):
+            return native.nbva_span(tin.data, cursors, at_end=at_end)
         if compiled:
             stepped = native.nbva_span(
                 tin.data, [cursors[k] for k in compiled], at_end=at_end

@@ -41,7 +41,7 @@ import re
 import shutil
 import subprocess
 import tempfile
-from itertools import accumulate
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -193,17 +193,22 @@ class _CffiLibrary:
         # dtype straight to the call, with no per-argument cast.
         self._ffi.cdef(re.sub(r"(?:const )?\w+(?: \w+)? \*", "void *", cdef))
         self._lib = self._ffi.dlopen(str(path))
+        self._as_is = (int, type(self.pointer(bytearray(1))))
+
+    def pointer(self, buf):
+        """``buf``'s address, as :meth:`fn` callables pass it on unchanged
+        (``buf`` must outlive it)."""
+        return self._ffi.from_buffer(buf)
 
     def fn(self, name: str):
-        """``name`` as a callable over ints and buffers (bytes objects
-        or C-contiguous ndarrays, passed by address)."""
+        """``name`` as a callable over ints, :meth:`pointer` results and
+        buffers (bytes objects or C-contiguous ndarrays, passed by
+        address)."""
         raw = getattr(self._lib, name)
-        from_buffer = self._ffi.from_buffer
+        from_buffer, as_is = self._ffi.from_buffer, self._as_is
 
         def call(*args):
-            return raw(
-                *(a if isinstance(a, int) else from_buffer(a) for a in args)
-            )
+            return raw(*[a if isinstance(a, as_is) else from_buffer(a) for a in args])
 
         return call
 
@@ -217,18 +222,23 @@ class _CtypesLibrary:
         del cdef  # ctypes needs no declarations; args are wrapped per call
         self._lib = ctypes.CDLL(str(path))
 
+    def pointer(self, buf):
+        return ctypes.c_void_p(_address(buf))
+
     def fn(self, name: str):
         raw = getattr(self._lib, name)
         raw.restype = ctypes.c_int
 
         def call(*args):
             return raw(
-                *(
+                *[
                     ctypes.c_longlong(a)
                     if isinstance(a, int)
+                    else a
+                    if isinstance(a, ctypes.c_void_p)
                     else ctypes.c_void_p(_address(a))
                     for a in args
-                )
+                ]
             )
 
         return call
@@ -292,6 +302,23 @@ def load_source(source: str, cdef: str) -> _Library:
 # -- scanner wrappers ---------------------------------------------------------
 
 
+class _Workspace(threading.local):
+    """A scanner's fixed-size out-buffers, allocated on its first span in
+    each thread: ``layout`` maps a name to ``(dtype, count)``; each buffer
+    is a view of one block (``name``) plus the library's pointer to it
+    (``at_<name>``), so a span neither allocates nor converts them."""
+
+    def __init__(self, lib: _Library, layout: dict[str, tuple[type, int]]):
+        words = [-(-np.dtype(t).itemsize * n // 8) for t, n in layout.values()]
+        self.block = np.empty(sum(words), dtype=np.int64)
+        at = 0
+        for (name, (dtype, count)), size in zip(layout.items(), words):
+            view = self.block[at : at + size].view(dtype)[:count]
+            setattr(self, name, view)
+            setattr(self, "at_" + name, lib.pointer(view))
+            at += size
+
+
 class NativeLaneScanner:
     """The compiled lane machine of one scanner layout.
 
@@ -312,9 +339,8 @@ class NativeLaneScanner:
         kernel = codegen.lane_scan_source(fused, tile_masks)
         self._source = kernel.source
         self.dfas = kernel.closure
-        self._fn = load_source(kernel.source, codegen.LANE_CDEF).fn(
-            "rap_lane_scan"
-        )
+        lib = load_source(kernel.source, codegen.LANE_CDEF)
+        self._fn = lib.fn("rap_lane_scan")
         self.tier = kernel.tier
         # per group: its first bin, then where its slice of the word sits
         ends = [fused.bases[j] for j in kernel.first[1:]] + [sum(fused.widths)]
@@ -322,18 +348,29 @@ class NativeLaneScanner:
             (j, fused.bases[j], (1 << end - fused.bases[j]) - 1)
             for j, end in zip(kernel.first, ends)
         ]
-        self._tiles = sum(len(masks) for masks in tile_masks)
-        self._visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
-        self._cap = max(codegen.HIT_BUFFER_ENTRIES, kernel.block)
+        # per group: its state words and where they sit in the packed word
+        self._words = [
+            (dfa.words, base) for dfa, (_, base, _) in zip(self.dfas, self._slices)
+        ]
+        tiles = sum(len(masks) for masks in tile_masks)
+        visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
+        self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, kernel.block)
+        self._counters = 2 * tiles + visits  # the words each span zeroes
+        groups = len(self.dfas)
+        layout = dict(tile_cycles=(np.int64, tiles), tile_bits=(np.int64, tiles))
+        layout.update(visits=(np.int64, visits), state=(np.uint32, groups))
+        layout.update(hit_pos=(np.int64, cap), hit_states=(np.uint32, cap * groups))
+        layout.update(n_hits=(np.int64, 1), resume=(np.int64, 1))
+        self._ws = _Workspace(lib, layout)
         self._warm = fused.warm
         self._foreign_logged = False
 
-    def _enter(self, entry: int, fresh: bool) -> np.ndarray | None:
+    def _enter(self, entry: int, fresh: bool) -> list[int] | None:
         """A packed entry word as one state id per group (``None``: some
         group's word is not in its closure — a shed bin entering empty
         beside live neighbours, a hand-edited snapshot)."""
         if fresh:  # the kernel starts every group itself
-            return np.zeros(len(self.dfas), dtype=np.uint32)
+            return [0] * len(self.dfas)
         ids = []
         for table, (j, base, mask) in zip(self.dfas, self._slices):
             sid = table.closed_id(entry >> base & mask)
@@ -347,13 +384,15 @@ class NativeLaneScanner:
                     )
                 return None
             ids.append(sid)
-        return np.array(ids, dtype=np.uint32)
+        return ids
 
     def _leave(self, ids: list[int]) -> int:
         """The packed word of one state id per group (inverse of
         :meth:`_enter`)."""
-        slices = zip(self.dfas, ids, self._slices)
-        return sum(dfa[sid] << base for dfa, sid, (_, base, _) in slices)
+        word = 0
+        for (words, base), sid in zip(self._words, ids):
+            word |= words[sid] << base
+        return word
 
     def scan(
         self,
@@ -366,31 +405,29 @@ class NativeLaneScanner:
     ) -> tuple[list[int], list[int], list[tuple[int, int]], int] | None:
         """``None`` when ``entry`` holds a state outside a group's
         closure: the caller walks until the lanes have forgotten it."""
-        state = self._enter(entry, fresh)
-        if state is None:
+        ids = self._enter(entry, fresh)
+        if ids is None:
             return None
-        cap = self._cap
-        tile_cycles = np.zeros(self._tiles, dtype=np.int64)
-        tile_bits = np.zeros(self._tiles, dtype=np.int64)
-        visits = np.zeros(self._visits, dtype=np.int64)
-        hit_pos = np.empty(cap, dtype=np.int64)
-        hit_states = np.empty((cap, len(self.dfas)), dtype=np.uint32)
-        n_hits = np.zeros(1, dtype=np.int64)
-        resume = np.zeros(1, dtype=np.int64)
+        ws, cap, groups = self._ws, self._cap, len(self.dfas)
+        ws.block[: self._counters] = 0
+        ws.state[:] = ids
         hits: list[tuple[int, int]] = []
-        rc = 1
+        rc, start = 1, 0
         while rc:
             rc = self._fn(
-                data, len(data), int(resume[0]), state, int(fresh), int(at_end),
-                stats_from, tile_cycles, tile_bits, visits, hit_pos, hit_states,
-                cap, n_hits, resume,
+                data, len(data), start, ws.at_state, int(fresh), int(at_end),
+                stats_from, ws.at_tile_cycles, ws.at_tile_bits, ws.at_visits,
+                ws.at_hit_pos, ws.at_hit_states, cap, ws.at_n_hits, ws.at_resume,
             )
             # a lockstep block reports its sub-spans' hits interleaved
-            nh = int(n_hits[0])
-            batch = sorted(zip(hit_pos[:nh].tolist(), hit_states[:nh].tolist()))
-            hits.extend((pos, self._leave(ids)) for pos, ids in batch)
+            nh, start = ws.n_hits.tolist()[0], ws.resume.tolist()[0]
+            if nh:
+                states = ws.hit_states[: nh * groups].reshape(nh, groups).tolist()
+                batch = sorted(zip(ws.hit_pos[:nh].tolist(), states))
+                hits += [(pos, self._leave(ids)) for pos, ids in batch]
         return (
-            tile_cycles.tolist(), tile_bits.tolist(), hits, self._leave(state.tolist())
+            ws.tile_cycles.tolist(), ws.tile_bits.tolist(), hits,
+            self._leave(ws.state.tolist()),
         )
 
 
@@ -426,7 +463,16 @@ class NativeUnitScanner:
             for slot, j in enumerate(codegen.native_nbva_indices(fused))
         }
         self._nbva_fn = lib.fn("rap_nbva_span") if self._nbva else None
-        self._cap = codegen.HIT_BUFFER_ENTRIES
+        self._cap = cap = codegen.HIT_BUFFER_ENTRIES
+        # a span's cursors, and its events: whole bytes, up to one per cursor
+        most = codegen.UNIT_SPAN_CURSORS
+        events = max(cap, most)
+        layout = dict(active=(np.int64, most), n_ev=(np.int64, 1))
+        layout.update(resume=(np.int64, 1), ev_pos=(np.int64, events))
+        layout.update(state=(np.uint32, most), ev_cursor=(np.int32, events))
+        layout.update(ev_state=(np.uint32, events))
+        self._units_ws = _Workspace(lib, layout)
+        self._nbva_ws = _Workspace(lib, dict(at=(np.int64, 2), ev=(np.int64, cap)))
 
     def has_nbva(self, index: int) -> bool:
         return index in self._nbva
@@ -444,38 +490,35 @@ class NativeUnitScanner:
         call (plus continuations when the event buffer fills): per
         cursor, ``(raw (position, table state) events, active-state sum,
         exit table state)``.  Forest ids never leave this method."""
-        m, span = len(cursors), dict(at_end=at_end, stats_from=stats_from)
+        m = len(cursors)
         if m > (cut := codegen.UNIT_SPAN_CURSORS):  # the kernel's arrays are full
+            span = dict(at_end=at_end, stats_from=stats_from)
             return self._cursors_span(data, cursors[:cut], **span) + (
                 self._cursors_span(data, cursors[cut:], **span)
             )
         bases = [self.bases[number] for number, _ in cursors]
-        state = np.array(
-            [base + sid for base, (_, sid) in zip(bases, cursors)], dtype=np.uint32
-        )
-        active = np.zeros(m, dtype=np.int64)
-        cap = max(self._cap, m)  # the kernel emits whole bytes: up to m events
-        ev_pos = np.empty(cap, dtype=np.int64)
-        ev_cursor = np.empty(cap, dtype=np.int32)
-        ev_state = np.empty(cap, dtype=np.uint32)
-        n_ev = np.zeros(1, dtype=np.int64)
-        resume = np.zeros(1, dtype=np.int64)
+        ws = self._units_ws
+        # the kernel emits whole bytes (up to m events): cap >= m
+        cap = min(max(self._cap, m), len(ws.ev_pos))
+        ws.block[:m] = 0  # the active sums
+        ws.state[:m] = [base + sid for base, (_, sid) in zip(bases, cursors)]
         events: list[list[tuple[int, int]]] = [[] for _ in cursors]
-        rc = 1
+        rc, start = 1, 0
         while rc:
             rc = self._units_fn(
-                data, len(data), int(resume[0]), state, m, int(at_end), stats_from,
-                active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume,
+                data, len(data), start, ws.at_state, m, int(at_end), stats_from,
+                ws.at_active, ws.at_ev_pos, ws.at_ev_cursor, ws.at_ev_state, cap,
+                ws.at_n_ev, ws.at_resume,
             )
-            count = int(n_ev[0])
+            count, start = ws.n_ev.tolist()[0], ws.resume.tolist()[0]
             for pos, u, sid in zip(
-                ev_pos[:count].tolist(),
-                ev_cursor[:count].tolist(),
-                ev_state[:count].tolist(),
+                ws.ev_pos[:count].tolist(),
+                ws.ev_cursor[:count].tolist(),
+                ws.ev_state[:count].tolist(),
             ):
                 events[u].append((pos, sid - bases[u]))
-        exits = [sid - base for sid, base in zip(state.tolist(), bases)]
-        return list(zip(events, active.tolist(), exits))
+        exits = [sid - base for sid, base in zip(ws.state[:m].tolist(), bases)]
+        return list(zip(events, ws.active[:m].tolist(), exits))
 
     # Two names for one call, so a traced scan attributes its (at most
     # two) forest crossings to the NFA-mode and the DFA-mode units.
@@ -496,57 +539,73 @@ class NativeUnitScanner:
         buffer fills): per cursor ``(global matches, counters + global
         bv_cycle_indices, exit frontier)`` — :meth:`NBVAScanner.feed`'s
         results."""
+        m, layouts = len(cursors), self._nbva
         rows, size = [], 0
         for index, state in cursors:
-            slot, _, total = self._nbva[index]
+            slot, _, total = layouts[index]
             live = 0
             for pid, _ in state.vectors:
                 live |= 1 << pid
             rows.append((slot, state.offset == 0, size, state.active, live))
             size += 2 * total  # the cursor's vectors, then its scratch
-        table = np.zeros((len(cursors), codegen.NBVA_COLUMNS), dtype=np.uint64)
+        table = np.zeros((m, codegen.NBVA_COLUMNS), dtype=np.uint64)
         table[:, :5] = rows
         vecs = np.zeros(max(1, size), dtype=np.uint64)
         for (index, state), row in zip(cursors, rows):
-            for pid, vec in state.vectors:
-                at, words = self._nbva[index][1][pid]
+            for pid, vec in state.vectors:  # a fresh cursor has none
+                at, words = layouts[index][1][pid]
                 at += row[2]
                 vecs[at : at + words] = words_from_int(vec, words)
-        offsets = np.array([state.offset for _, state in cursors], dtype=np.int64)
-        ev = np.empty(self._cap, dtype=np.int64)
-        resume = np.zeros(2, dtype=np.int64)  # (cursor, position)
+        offsets = [state.offset for _, state in cursors]
+        ws = self._nbva_ws
+        ws.at[:] = 0  # (cursor, position) to resume at
         matches: list[list[int]] = [[] for _ in cursors]
         bv_cycles: list[list[int]] = [[] for _ in cursors]
         rc = 1
         while rc:
             rc = self._nbva_fn(
-                data, len(data), len(cursors), int(at_end), table, vecs, ev,
-                self._cap, resume,
+                data, len(data), m, int(at_end), table, vecs, ws.at_ev,
+                min(self._cap, len(ws.ev)), ws.at_at,
             )
-            # the buffer holds each cursor's events in turn, ``C_NEV`` each:
-            # a flag's hits are cut per cursor where its events end
-            counts = table[:, 5].tolist()
-            ends = list(accumulate(counts))
-            if ends[-1]:
-                events = ev[: ends[-1]]
-                positions = (events >> 2) + np.repeat(offsets, counts)
-                for bit, found in (1, bv_cycles), (2, matches):
-                    at = np.flatnonzero(events & bit)
-                    hits = positions[at].tolist()
-                    cut = 0
-                    for k, end in enumerate(np.searchsorted(at, ends).tolist()):
-                        found[k] += hits[cut:end]
-                        cut = end
+            # Each cursor's events in turn, ``C_NEV`` each, nearly all a BV
+            # cycle alone (flags 1, taken as slices); reports one by one.
+            rows_out = table.tolist()
+            counts = [row[5] for row in rows_out]
+            total = sum(counts)
+            if not total:
+                continue
+            events = ws.ev[:total]
+            positions = events >> 2
+            if any(offsets):
+                positions += np.repeat(np.array(offsets, dtype=np.int64), counts)
+            found = positions.tolist()
+            flags = events & 3
+            odd = np.flatnonzero(flags != 1)
+            odd_flags, odd = flags[odd].tolist(), odd.tolist()
+            cut = j = 0
+            for k, count in enumerate(counts):
+                end = cut + count
+                while j < len(odd) and odd[j] < end:
+                    at, flag = odd[j], odd_flags[j]
+                    bv_cycles[k] += found[cut:at]
+                    if flag & 1:
+                        bv_cycles[k].append(found[at])
+                    if flag & 2:
+                        matches[k].append(found[at])
+                    cut, j = at + 1, j + 1
+                bv_cycles[k] += found[cut:end]
+                cut = end
         spans = []
-        for k, ((index, state), row, (active, live), counters) in enumerate(
-            zip(cursors, rows, table[:, 3:5].tolist(), table[:, -11:].tolist())
+        for k, ((index, _), (_, _, voff, _, _), out) in enumerate(
+            zip(cursors, rows, rows_out)
         ):
+            active, live = out[3], out[4]
             vectors = tuple(
-                (pid, int_from_words(vecs[row[2] + at : row[2] + at + words]))
-                for pid, (at, words) in self._nbva[index][1].items()
+                (pid, int_from_words(vecs[voff + at : voff + at + words]))
+                for pid, (at, words) in layouts[index][1].items()
                 if live >> pid & 1
             )
-            stats = NBVAStats(*counters, bv_cycle_indices=bv_cycles[k])
-            frontier = NBVAState(state.offset + len(data), active, vectors)
+            stats = NBVAStats(*out[6:], bv_cycle_indices=bv_cycles[k])
+            frontier = NBVAState(offsets[k] + len(data), active, vectors)
             spans.append((matches[k], stats, frontier))
         return spans

@@ -573,7 +573,8 @@ class BatchEngine:
         sim = self.sim
         with self._backend_scope() as backend:
             backend = backend or resolve_backend()  # once: passed down from here
-            mapping = bind(ruleset, self.hw, bin_size, backend=backend).mapping
+            bound = bind(ruleset, self.hw, bin_size, backend=backend)  # once, too
+            mapping = bound.mapping
             input_jobs = self._input_jobs()
             planned = backend in ("fused", "native")
             if input_jobs > 1 and data and len(ruleset) and planned:
@@ -595,7 +596,9 @@ class BatchEngine:
                     fault_plan=self.config.fault_plan,
                 )
                 if activity is not None:
-                    return sim.run_from_activity(ruleset, activity, mapping, backend)
+                    return sim.run_from_activity(
+                        ruleset, activity, mapping, backend, bound
+                    )
                 # stream too short (or nothing chunkable): fall through
                 # to the serial plan below
             jobs = effective_jobs(self.config.jobs)
@@ -604,16 +607,13 @@ class BatchEngine:
             # fused plan scans the stream in one pass (its intra-stream
             # parallelism is ``input_jobs``, handled above).
             if planned or jobs <= 1 or not len(ruleset) or not data:
-                return sim.run(ruleset, data, mapping, backend=backend)
+                return sim.run(ruleset, data, backend=backend, binding=bound)
 
             chunks = self._plan(ruleset, len(data), jobs)
             units = self._work_units(ruleset, mapping, chunks)
             if len(units) <= 1:
-                return sim.run_from_activity(
-                    ruleset,
-                    sim.collect_activities(ruleset, data, mapping),
-                    mapping,
-                )
+                activity = sim.collect_activities(ruleset, data, mapping)
+                return sim.run_from_activity(ruleset, activity, mapping, backend, bound)
             # Partitioned chunks run through the same kernel API as the
             # sequential path and collect the exact same integer activity.
             payload = pickle.dumps(
@@ -635,7 +635,7 @@ class BatchEngine:
             activity = self._merge_outcomes(
                 ruleset, mapping, outcomes, len(data)
             )
-            return sim.run_from_activity(ruleset, activity, mapping)
+            return sim.run_from_activity(ruleset, activity, mapping, backend, bound)
 
     def durable_scan(
         self,
@@ -739,7 +739,9 @@ class BatchEngine:
                         break
             if store is not None:
                 store.clear()
-            result = sim.run_from_activity(ruleset, scan.finish(), mapping)
+            result = sim.run_from_activity(
+                ruleset, scan.finish(), mapping, binding=scan.binding
+            )
         return DurableScanOutcome(
             result=result,
             quarantine=QuarantineReport(tuple(scan.quarantine_entries)),

@@ -325,7 +325,7 @@ class DurableScan:
         self._regex_feeder = None
         self._bin_feeder = None
         layouts: dict = {}  # bin key -> geometry the plan already packed
-        binding = bind(ruleset, hw, mapping=mapping)
+        self.binding = binding = bind(ruleset, hw, mapping=mapping)
         if resolve_backend() in ("fused", "native"):
             from repro.simulators.fused import FusedBinFeeder, FusedRegexFeeder
 

@@ -548,7 +548,7 @@ def serial_totals(patterns, payloads, registry=None) -> tuple[int, float]:
         scan.feed(payload, at_end=True)
         matches += sum(len(ends) for ends in scan.match_lists().values())
         energy_uj += sim.run_from_activity(
-            ruleset, scan.finish(), mapping
+            ruleset, scan.finish(), mapping, binding=scan.binding
         ).energy_uj
     return matches, energy_uj
 

@@ -67,6 +67,7 @@ class ScanSession:
         self.scan = DurableScan(
             entry.ruleset, entry.mapping, hw, bin_size=bin_size
         )
+        self._sim = RAPSimulator(hw)  # prices every segment of every epoch
         self.epoch_start = 0  # global offset where the current epoch began
         self.prior_matches = 0  # matches rolled up from completed epochs
         self.prior_energy_uj = 0.0
@@ -166,8 +167,9 @@ class ScanSession:
         # byte fed in between: price each point of the stream once.
         key = (self.epoch_start, self.scan.offset, self.generation)
         if self._priced is None or self._priced[0] != key:
-            result = RAPSimulator(self.hw).run_from_activity(
-                self.entry.ruleset, self.scan.finish(), self.entry.mapping
+            entry, scan = self.entry, self.scan
+            result = self._sim.run_from_activity(
+                entry.ruleset, scan.finish(), entry.mapping, binding=scan.binding
             )
             self._priced = (key, result.energy_uj)
         return self._priced[1]

@@ -22,8 +22,7 @@ from repro.hardware.circuits import TABLE1, CircuitLibrary
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.hardware.energy import EnergyLedger
 from repro.mapping.mapper import Mapping, map_ruleset
-from repro.mapping.resources import ArrayBuilder, PhysicalTile
-from repro.simulators.activity import RegexActivity
+from repro.mapping.resources import ArrayBuilder
 from repro.simulators.result import SimulationResult
 
 
@@ -188,14 +187,14 @@ class ApStyleSimulator:
             regex.regex_id: trace.regex_activity(regex) for regex in ruleset
         }
         compiled_by_id = {r.regex_id: r for r in ruleset}
+        mean = {rid: a.mean_activity for rid, a in activities.items()}
         for activity in activities.values():
             matches[activity.regex_id] = activity.matches
         cycles = len(data)
         for array in mapping.arrays:
             self.charge_array_structure(ledger, array, include_overhead=False)
-            self.charge_nfa_array_energy(
-                ledger, array, activities, compiled_by_id, cycles
-            )
+            geometry = ArrayGeometry.of(array, compiled_by_id, self.hw)
+            self.charge_nfa_array_energy(ledger, geometry, mean, cycles)
         self.charge_overhead_units(ledger, mapping.total_tiles)
         metrics = ledger.metrics(
             cycles=cycles, input_symbols=len(data), clock_ghz=self.params.clock_ghz
@@ -215,7 +214,7 @@ class ApStyleSimulator:
     def charge_array_structure(
         self,
         ledger: EnergyLedger,
-        array: ArrayBuilder,
+        array: "ArrayBuilder | ArrayGeometry",
         *,
         include_overhead: bool = True,
     ) -> None:
@@ -243,44 +242,48 @@ class ApStyleSimulator:
         ledger.add_leakage("array-overhead", p.array_leak_uw, units)
 
     def tile_switch_activity(
-        self,
-        tile: PhysicalTile,
-        activities: dict[int, RegexActivity],
-        compiled_by_id,
+        self, tile: "TileGeometry", mean: dict[int, float]
     ) -> float:
-        """Mean fraction of this tile's switch rows driven per cycle."""
+        """Mean fraction of this tile's switch rows driven per cycle
+        (``mean``: each regex's mean active states per cycle)."""
         driven = 0.0
-        for regex_id, request in tile.occupants:
-            activity = activities[regex_id]
-            total_states = max(compiled_by_id[regex_id].states, 1)
-            share = request.states / total_states
-            driven += activity.mean_activity * share
+        for regex_id, share in tile.occupants:
+            driven += mean[regex_id] * share
         return driven / self.hw.local_switch_dim
 
     def charge_nfa_array_energy(
         self,
         ledger: EnergyLedger,
-        array: ArrayBuilder,
-        activities: dict[int, RegexActivity],
-        compiled_by_id,
+        array: "ArrayGeometry",
+        mean: dict[int, float],
         cycles: int,
         *,
         charge_gctrl: bool = True,
     ) -> None:
         """Per-cycle matching/transition/control energy of one NFA array."""
         p = self.params
-        ports_used = 0
         for tile in array.tiles:
-            act = self.tile_switch_activity(tile, activities, compiled_by_id)
+            act = self.tile_switch_activity(tile, mean)
             ledger.charge("state-matching", p.match_pj, cycles)
             ledger.charge("state-transition", p.switch_pj(act), cycles)
             ledger.charge("local-control", p.local_ctrl_pj, cycles)
-            ports_used += tile.ports
         if charge_gctrl:
             ledger.charge("global-control", p.global_ctrl_pj, cycles)
+        self.charge_global_switch(ledger, array, mean, cycles)
+
+    def charge_global_switch(
+        self,
+        ledger: EnergyLedger,
+        array: "ArrayGeometry",
+        mean: dict[int, float],
+        cycles: int,
+    ) -> None:
+        """The array's global switch and wires, driven by its ports."""
+        ports_used = array.ports
         if ports_used:
+            p = self.params
             port_frac = ports_used / self.hw.global_switch_dim
-            mean_act = _array_mean_activity(array, activities, compiled_by_id)
+            mean_act = array.mean_activity(mean)
             ledger.charge(
                 "global-switch", p.gswitch_pj(port_frac * mean_act), cycles
             )
@@ -289,16 +292,60 @@ class ApStyleSimulator:
             )
 
 
-def _array_mean_activity(
-    array: ArrayBuilder,
-    activities: dict[int, RegexActivity],
-    compiled_by_id,
-) -> float:
-    """Mean per-state activity across the regexes in one array."""
-    total_states = 0
-    weighted = 0.0
-    for rid in array.regex_ids:
-        states = max(compiled_by_id[rid].states, 1)
-        weighted += activities[rid].mean_activity
-        total_states += states
-    return min(1.0, weighted / total_states) if total_states else 0.0
+@dataclass(frozen=True)
+class TileGeometry:
+    """What pricing reads of one NFA/NBVA tile: its occupants as
+    ``(regex id, share of that regex's states)``, its global-switch ports
+    and the share of its CAM columns holding character classes (those an
+    NBVA tile enables while matching)."""
+
+    occupants: tuple[tuple[int, float], ...]
+    ports: int
+    cc_frac: float
+
+
+@dataclass(frozen=True)
+class ArrayGeometry:
+    """What pricing reads of one mapped NFA/NBVA array but the activity,
+    derived once per mapping.  ``regex_ids`` keeps the array's own (set)
+    iteration order, so sums over it add in the order they always did;
+    ``depth`` is the last BV depth a tile set."""
+
+    tiles: tuple[TileGeometry, ...]
+    tiles_used: int
+    regex_ids: tuple[int, ...]
+    states: int  # sum over regex_ids of max(states, 1)
+    ports: int
+    depth: int | None
+
+    @classmethod
+    def of(
+        cls, array: ArrayBuilder, compiled_by_id, hw: HardwareConfig
+    ) -> "ArrayGeometry":
+        tiles = tuple(
+            TileGeometry(
+                occupants=tuple(
+                    (rid, request.states / max(compiled_by_id[rid].states, 1))
+                    for rid, request in tile.occupants
+                ),
+                ports=tile.ports,
+                cc_frac=(tile.columns - tile.bv_columns) / hw.cam_cols,
+            )
+            for tile in array.tiles
+        )
+        depths = [tile.depth for tile in array.tiles if tile.depth is not None]
+        return cls(
+            tiles=tiles,
+            tiles_used=array.tiles_used,
+            regex_ids=tuple(array.regex_ids),
+            states=sum(max(compiled_by_id[r].states, 1) for r in array.regex_ids),
+            ports=sum(tile.ports for tile in tiles),
+            depth=depths[-1] if depths else None,
+        )
+
+    def mean_activity(self, mean: dict[int, float]) -> float:
+        """Mean per-state activity across the array's regexes."""
+        weighted = 0.0
+        for rid in self.regex_ids:
+            weighted += mean[rid]
+        return min(1.0, weighted / self.states) if self.states else 0.0

@@ -56,7 +56,7 @@ from repro.core.registry import resolve_backend_with_reason
 from repro.core.state import KernelState
 from repro.core.table import StepTable
 from repro.core.trace import regex_fingerprint
-from repro.hardware.config import HardwareConfig
+from repro.hardware.config import HardwareConfig, TileMode
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivity,
@@ -71,7 +71,7 @@ from repro.simulators.activity import (
     collect_regex_activity,  # noqa: F401
     nbva_activity,
 )
-from repro.simulators.rap import RunActivity, bind
+from repro.simulators.rap import Binding, RunActivity, bind
 
 log = logging.getLogger(__name__)
 
@@ -114,10 +114,11 @@ class FusedLaneScanner:
         if fused is None:
             fused = FusedRuleset(programs)
         self._fused = fused
-        self._tile_starts: list[int] = []
+        # each bin's run of the flattened per-tile counters
+        self._tile_spans: list[tuple[int, int]] = []
         start = 0
         for layout in self._layouts:
-            self._tile_starts.append(start)
+            self._tile_spans.append((start, start + len(layout.tile_masks)))
             start += len(layout.tile_masks)
 
         # Global final-bit → (bin, regex_id), for match decomposition.
@@ -127,6 +128,7 @@ class FusedLaneScanner:
             for bit, rid in layout.finals.items():
                 finals[base + bit] = (j, rid)
         self._finals = finals
+        self._mid_final = fused.final & ~fused.end_anchored
 
         # The warm-up window: the lanes forget any state after it.
         self.warm = fused.warm
@@ -263,8 +265,7 @@ class FusedLaneScanner:
         # it — is byte-identical across tiers (plain Python ints, same
         # ordering).  End-anchored finals fire on the stream's last byte
         # only.
-        finals = self._finals
-        mid_final = fused.final & ~fused.end_anchored
+        finals, mid_final = self._finals, self._mid_final
         last = n - 1 if at_end else -1
         matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
         for position, word in hits:
@@ -275,26 +276,16 @@ class FusedLaneScanner:
                 j, rid = finals[low.bit_length() - 1]
                 matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
-        per_bin_cycles: list[list[int]] = []
-        per_bin_bits: list[list[int]] = []
-        for j, layout in enumerate(self._layouts):
-            start = self._tile_starts[j]
-            tiles = len(layout.tile_masks)
-            # Tile 0 is never power-gated: it accrues a cycle per owned
-            # input symbol regardless of liveness (only its *bits* come
-            # from live cycles) — the closed form of the per-cycle loop.
-            per_bin_cycles.append(
-                [owned] + flat_cycles[start + 1 : start + tiles]
-            )
-            per_bin_bits.append(flat_bits[start : start + tiles])
+        # Tile 0 is never power-gated: it accrues a cycle per owned input
+        # symbol regardless of liveness (only its *bits* come from live
+        # cycles) — the closed form of the per-cycle loop.
+        spans = self._tile_spans
         return LaneDelta(
             cycles=owned,
-            tile_cycles=per_bin_cycles,
-            tile_bits=per_bin_bits,
+            tile_cycles=[[owned] + flat_cycles[a + 1 : b] for a, b in spans],
+            tile_bits=[flat_bits[a:b] for a, b in spans],
             matches=matches,
-            exit_states=[
-                fused.extract(packed, j) for j in range(len(self._layouts))
-            ],
+            exit_states=[fused.extract(packed, j) for j in range(len(spans))],
             exit_packed=packed,
         )
 
@@ -535,6 +526,9 @@ def unit_activity(
     )
 
 
+_UNIT_MODES = (CompiledMode.NFA, CompiledMode.DFA, CompiledMode.NBVA)
+
+
 class FusedPlan:
     """One mapped ruleset laid out for fused execution, derived once.
 
@@ -604,6 +598,24 @@ class FusedPlan:
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
         )
+        # Every unit's cursor at the stream start, as a bulk scan takes them.
+        units = self.fused.gather_count + self.fused.dfa_count
+        self.fresh_units = [(number, None) for number in range(units)]
+        self.fresh_nbva = [(j, NBVAState()) for j in range(self.fused.nbva_count)]
+        # Collection order, derived once: the non-LNFA regexes in ruleset
+        # order as (id, index in _UNIT_MODES, unit), and per LNFA array
+        # (mapping order) the run of ``bin_keys`` it owns.
+        self._regex_units = [
+            (c.regex_id, _UNIT_MODES.index(c.mode), self.unit_index[c.regex_id])
+            for c in ruleset
+            if c.mode is not CompiledMode.LNFA
+        ]
+        self._bin_runs: list[tuple[int, int, int]] = []
+        start = 0
+        for index, array in enumerate(mapping.arrays):
+            if array.mode is TileMode.LNFA:
+                self._bin_runs.append((index, start, start + len(array.bins)))
+                start += len(array.bins)
 
     def run_activity(
         self,
@@ -613,17 +625,21 @@ class FusedPlan:
     ) -> RunActivity:
         """Unit results as the run's activity, in collection order.
 
-        ``units[mode][i]`` is the activity of unit ``i`` of that mode's
-        unit list; every regex sharing the unit gets its own copy
-        rebound to its id (fresh lists, so regexes never alias each
-        other's matches).  ``bins`` is in plan (mapping) order.
+        ``units[mode][i]`` is the fresh activity of unit ``i`` of that
+        mode's unit list, made for its representative regex, which takes
+        it; every other regex sharing the unit gets a copy rebound to its
+        id (fresh lists, so regexes never alias each other's matches).
+        ``bins`` is in plan (mapping) order.
         """
-        bin_of = dict(zip(self.bin_keys, bins))
-
-        def regex_of(compiled: CompiledRegex) -> RegexActivity:
-            found = units[compiled.mode][self.unit_index[compiled.regex_id]]
-            return RegexActivity(
-                regex_id=compiled.regex_id,
+        regex = {}
+        by_mode = [units[mode] for mode in _UNIT_MODES]
+        for rid, mode, unit in self._regex_units:
+            found = by_mode[mode][unit]
+            if found.regex_id == rid:
+                regex[rid] = found
+                continue
+            regex[rid] = RegexActivity(
+                regex_id=rid,
                 mode=found.mode,
                 cycles=found.cycles,
                 matches=list(found.matches),
@@ -635,57 +651,61 @@ class FusedPlan:
                 shift_events=found.shift_events,
                 copy_events=found.copy_events,
             )
-
-        return RunActivity.in_collection_order(
-            self.ruleset,
-            self.mapping,
-            regex_of,
-            lambda index, bin_index: bin_of[(index, bin_index)],
-            input_symbols,
+        return RunActivity(
+            regex=regex,
+            lnfa_bins={
+                index: bins[start:stop] for index, start, stop in self._bin_runs
+            },
+            input_symbols=input_symbols,
         )
 
 
 class FusedRun:
     """Fused activity collection for a mapped ruleset, through the
-    ruleset's bound plan (:func:`~repro.simulators.rap.bind`)."""
+    ruleset's bound plan (:func:`~repro.simulators.rap.bind`; ``binding``:
+    the one the caller already holds)."""
 
     def __init__(
-        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+        self,
+        ruleset: CompiledRuleset,
+        mapping: Mapping,
+        hw: HardwareConfig,
+        *,
+        binding: Binding | None = None,
     ):
         self._ruleset = ruleset
         self._mapping = mapping
         self._hw = hw
+        self._binding = binding
 
     def collect(self, data: bytes, backend: str | None = None) -> RunActivity:
         """The run's :class:`RunActivity`, bit-identical to the unfused
         :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`
         (``backend``: the resolved one, when the caller holds it)."""
-        bound = bind(self._ruleset, self._hw, mapping=self._mapping, backend=backend)
+        bound = self._binding or bind(
+            self._ruleset, self._hw, mapping=self._mapping, backend=backend
+        )
         plan = bound.plan
         fused = plan.fused
         tin = fused.translate(data)
 
         # Every NFA- and DFA-mode unit from the stream start: one call.
         split = fused.gather_count
-        spans = fused.scan_units_span(
-            [(number, None) for number in range(split + fused.dfa_count)], tin
-        )
+        spans = fused.scan_units_span(plan.fresh_units, tin)
         # ... and every NBVA unit: one more.
-        nbva = fused.scan_nbva_units_span(
-            [(index, NBVAState()) for index in range(fused.nbva_count)], tin
-        )
+        nbva = fused.scan_nbva_units_span(plan.fresh_nbva, tin)
 
-        def scanned(members, spans) -> list[RegexActivity]:
-            return [
-                unit_activity(
-                    compiled, [i for i, _ in events], stats.active_states, stats.cycles
-                )
-                for compiled, (events, stats, _) in zip(members, spans)
-            ]
-
+        scanned = [
+            unit_activity(
+                compiled, [i for i, _ in events], stats.active_states, stats.cycles
+            )
+            for compiled, (events, stats, _) in zip(
+                plan.nfa_units + plan.dfa_units, spans
+            )
+        ]
         units = {
-            CompiledMode.NFA: scanned(plan.nfa_units, spans[:split]),
-            CompiledMode.DFA: scanned(plan.dfa_units, spans[split:]),
+            CompiledMode.NFA: scanned[:split],
+            CompiledMode.DFA: scanned[split:],
             CompiledMode.NBVA: [
                 nbva_activity(compiled, matches, stats)
                 for compiled, (matches, stats, _) in zip(plan.nbva_units, nbva)

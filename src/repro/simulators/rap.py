@@ -18,6 +18,12 @@ The simulator executes a mapped ruleset over an input stream:
 Areas and leakage come from the Table 1 components; the global switch of
 an LNFA array is present (area, leakage) but never accessed (power-gated,
 replaced by the ring network).
+
+Everything pricing needs but the event counts — tile occupancy and
+shares, BV depths, bin capacities, array totals — is a binding's
+:class:`ChargePlan`, derived once.  A run replays it: the same ledger
+calls in the same order, on operands computed by the same expressions,
+so every float is what pricing from scratch would produce.
 """
 
 from __future__ import annotations
@@ -37,20 +43,15 @@ from repro.hardware.energy import EnergyLedger
 from repro.io.serialize import scan_fingerprint
 from repro.mapping.binning import BinKind
 from repro.mapping.mapper import Mapping, map_ruleset
-from repro.mapping.resources import ArrayBuilder
 from repro.simulators.activity import BinActivity, RegexActivity
 from repro.simulators.asic_base import (
     ApStyleSimulator,
+    ArchParams,
+    ArrayGeometry,
     rap_nfa_params,
     shared_trace,
 )
 from repro.simulators.result import ArrayReport, SimulationResult
-
-
-@dataclass
-class _ArrayOutcome:
-    cycles: int
-    stalls: int
 
 
 @dataclass
@@ -103,6 +104,94 @@ class RunActivity:
         )
 
 
+class ChargePlan:
+    """Everything :meth:`RAPSimulator.run_from_activity` computes from
+    ``(ruleset, mapping, hw)`` alone, derived once per :class:`Binding`.
+    ``arrays``: per array in mapping order ``(index, mode, geometry,
+    detail)`` — an NFA/NBVA array's :class:`ArrayGeometry`, and as detail
+    per NBVA regex ``(id, BV depth, its vectors' share of the CAM)``, or
+    for LNFA ``(tiles, the bins' tiles, per bin (tiles, CAM bin?,
+    enabled-column capacity, size, share of the tiles it touches))``."""
+
+    def __init__(
+        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+    ):
+        compiled_by_id = {r.regex_id: r for r in ruleset}
+        self.hw = hw
+        self.lnfa_ids = tuple(
+            r.regex_id for r in ruleset if r.mode is CompiledMode.LNFA
+        )
+        self.arrays: list[tuple] = []
+        for index, array in enumerate(mapping.arrays):
+            geometry, detail = None, ()
+            if array.mode is TileMode.LNFA:
+                bins = []
+                for b in array.bins:
+                    cam = b.kind is BinKind.CAM
+                    capacity = hw.cam_cols if cam else hw.local_switch_dim // 2
+                    # bins share tiles at region granularity: a bin's
+                    # controller charge scales with its share
+                    share = min(1.0, b.footprint_columns / (b.tiles * hw.cam_cols))
+                    bins.append((b.tiles, cam, capacity, b.size, share))
+                detail = (array.tiles_used, sum(b.tiles for b in array.bins), bins)
+            else:
+                geometry = ArrayGeometry.of(array, compiled_by_id, hw)
+            if array.mode is TileMode.NBVA:
+                depth = geometry.depth or hw.bv_depth_choices[0]
+                bv_cols = {
+                    rid: sum(t.bv_columns for t in compiled_by_id[rid].tile_requests)
+                    for rid in geometry.regex_ids
+                }
+                detail = tuple(
+                    (rid, depth, min(1.0, cols / hw.cam_cols))
+                    for rid, cols in bv_cols.items()
+                )
+            self.arrays.append((index, array.mode, geometry, detail))
+        self.total_tiles = mapping.total_tiles
+        self.total_arrays = mapping.total_arrays
+        self.physical_arrays = mapping.physical_arrays()
+        self._priced: tuple = (None, None, [])
+
+    def priced(self, params: ArchParams, circuits: CircuitLibrary) -> list:
+        """Per array, the prices every replay under ``params`` / ``circuits``
+        (by identity) charges alike: an NBVA array's per-tile matching and
+        per-regex BV-phase pJ, an LNFA array's per-bin control and ring pJ
+        and its ring area — computed once, by a replay's expressions."""
+        held = self._priced
+        if held[0] is not params or held[1] is not circuits:
+            p, hw = params, self.hw
+            wire = circuits.global_wire_mm
+            hop_pj = wire.energy() * hw.ring_hop_wire_mm
+            prices: list = []
+            for _, mode, geometry, detail in self.arrays:
+                if mode is TileMode.NBVA:
+                    prices.append((
+                        [p.match_pj * tile.cc_frac for tile in geometry.tiles],
+                        [
+                            regex_depth * (
+                                2 * p.match_pj * bv_frac  # CAM read + write-back
+                                + p.switch_pj(bv_frac)  # routing and BV actions
+                                + p.local_ctrl_pj
+                            )
+                            for _, regex_depth, bv_frac in detail
+                        ],
+                    ))
+                elif mode is TileMode.LNFA:
+                    tiles, _, bins = detail
+                    prices.append((
+                        [(p.local_ctrl_pj * b[4], hop_pj * b[3]) for b in bins],
+                        # ring_width wires linking adjacent tiles
+                        hw.ring_width_bits
+                        * hw.ring_hop_wire_mm
+                        * wire.area_um2
+                        * max(tiles - 1, 0),
+                    ))
+                else:
+                    prices.append(None)
+            held = self._priced = (params, circuits, prices)
+        return held[2]
+
+
 class Binding:
     """One compiled ruleset configured for scanning: its mapping, and —
     built on first use — the fused plan over that mapping.
@@ -139,16 +228,11 @@ class Binding:
         return FusedPlan(self.ruleset, self.mapping, self.hw)
 
     @cached_property
-    def tile_shares(self) -> dict[int, list[float]]:
-        """Per LNFA array (by mapping index), each bin's share of the
-        tiles it touches — bins share tiles at region granularity; its
-        controller charge scales with that.  Geometry: derived once."""
-        cols = self.hw.cam_cols
-        return {
-            index: [min(1.0, b.footprint_columns / (b.tiles * cols)) for b in a.bins]
-            for index, a in enumerate(self.mapping.arrays)
-            if a.mode is TileMode.LNFA
-        }
+    def charges(self) -> ChargePlan:
+        """What pricing reads of the mapped ruleset besides the activity
+        (:class:`ChargePlan`): derived once, replayed by every
+        :meth:`RAPSimulator.run_from_activity` of the binding."""
+        return ChargePlan(self.ruleset, self.mapping, self.hw)
 
 
 # Bindings a ruleset keeps at once (distinct hw / bin_size / backend /
@@ -229,6 +313,7 @@ class RAPSimulator(ApStyleSimulator):
         mapping: Mapping,
         trace: ActivityTrace | None = None,
         backend: str | None = None,
+        binding: Binding | None = None,
     ) -> RunActivity:
         """Phase 1: run the functional engines and count every event.
 
@@ -237,13 +322,15 @@ class RAPSimulator(ApStyleSimulator):
         Without one, the ``fused`` backend collects the whole ruleset in
         a single lockstep pass (bit-identical by contract); a shared
         trace keeps the per-unit path so its memoized scans stay
-        reusable across architectures.
+        reusable across architectures.  ``binding``: the ruleset's, when
+        the caller holds it.
         """
         backend = backend or resolve_backend()
         if trace is None and backend in ("fused", "native"):
             from repro.simulators.fused import FusedRun
 
-            return FusedRun(ruleset, mapping, self.hw).collect(data, backend)
+            run = FusedRun(ruleset, mapping, self.hw, binding=binding)
+            return run.collect(data, backend)
         trace = shared_trace(data, trace)
         return RunActivity.in_collection_order(
             ruleset,
@@ -263,14 +350,22 @@ class RAPSimulator(ApStyleSimulator):
         bin_size: int | None = None,
         trace: ActivityTrace | None = None,
         backend: str | None = None,
+        binding: Binding | None = None,
     ) -> SimulationResult:
-        """Simulate the mapped ruleset on RAP over ``data`` (``backend``:
-        the resolved one, when the caller holds it)."""
+        """Simulate the mapped ruleset on RAP over ``data`` (``backend``
+        and ``binding``: the resolved backend and the ruleset's binding,
+        when the caller holds them)."""
         backend = backend or resolve_backend()
-        if mapping is None:
-            mapping = bind(ruleset, self.hw, bin_size, backend=backend).mapping
-        activity = self.collect_activities(ruleset, data, mapping, trace, backend)
-        return self.run_from_activity(ruleset, activity, mapping, backend)
+        if binding is None:
+            binding = bind(
+                ruleset, self.hw, bin_size, mapping=mapping, backend=backend
+            )
+        activity = self.collect_activities(
+            ruleset, data, binding.mapping, trace, backend, binding
+        )
+        return self.run_from_activity(
+            ruleset, activity, binding.mapping, backend, binding
+        )
 
     def run_from_activity(
         self,
@@ -278,75 +373,71 @@ class RAPSimulator(ApStyleSimulator):
         activity: RunActivity,
         mapping: Mapping,
         backend: str | None = None,
+        binding: Binding | None = None,
     ) -> SimulationResult:
         """Phase 2: price a run's collected activity with the Table 1
         circuit models.  Deterministic given ``activity`` — the parallel
-        engine merges per-chunk activities and prices them here once."""
-        shares = bind(ruleset, self.hw, mapping=mapping, backend=backend).tile_shares
+        engine merges per-chunk activities and prices them here once.
+
+        A replay of the binding's :class:`ChargePlan`: the same ledger
+        calls, in the same order, on operands computed by the same
+        expressions as when every term was derived here — so every float
+        is bit-identical."""
+        if binding is None:
+            binding = bind(ruleset, self.hw, mapping=mapping, backend=backend)
+        plan = binding.charges
+        p = self.params
         ledger = EnergyLedger()
-        matches: dict[int, list[int]] = {}
-        compiled_by_id = {r.regex_id: r for r in ruleset}
-        activities = activity.regex
-        for regex_activity in activities.values():
-            matches[regex_activity.regex_id] = regex_activity.matches
-        for r in ruleset:
-            if r.mode is CompiledMode.LNFA:
-                matches[r.regex_id] = []
+        regexes = activity.regex
+        matches = {a.regex_id: a.matches for a in regexes.values()}
+        for rid in plan.lnfa_ids:
+            matches[rid] = []
+        mean = {rid: a.mean_activity for rid, a in regexes.items()}
 
         n = activity.input_symbols
         total_stalls = 0
-        worst_cycles = n if n else 0
+        worst_cycles = n
         array_reports: list[ArrayReport] = []
-        for index, array in enumerate(mapping.arrays):
-            if array.mode is TileMode.LNFA:
+        for (index, mode, geometry, detail), prices in zip(
+            plan.arrays, plan.priced(p, self.circuits)
+        ):
+            if mode is TileMode.LNFA:
                 # structure charged inside, with leakage scaled by the
                 # measured power-gating duty cycle (Fig. 7)
                 self._charge_lnfa_array(
-                    ledger, array, activity.lnfa_bins[index], n, matches,
-                    shares[index],
+                    ledger, detail, prices, activity.lnfa_bins[index], n, matches
                 )
-                outcome = _ArrayOutcome(cycles=n, stalls=0)
-                total_stalls += outcome.stalls
-                worst_cycles = max(worst_cycles, outcome.cycles)
                 array_reports.append(
                     ArrayReport(
-                        mode=array.mode.value,
-                        tiles=array.tiles_used,
-                        cycles=outcome.cycles,
+                        mode=mode.value,
+                        tiles=detail[0],
+                        cycles=n,
                         stalls=0,
-                        throughput_gchps=(
-                            self.params.clock_ghz if n else 0.0
-                        ),
+                        throughput_gchps=p.clock_ghz if n else 0.0,
                     )
                 )
                 continue
-            self.charge_array_structure(ledger, array, include_overhead=False)
-            if array.mode is TileMode.NBVA:
-                outcome = self._charge_nbva_array(
-                    ledger, array, activities, compiled_by_id, n
+            self.charge_array_structure(ledger, geometry, include_overhead=False)
+            if mode is TileMode.NBVA:
+                stalls = self._charge_nbva_array(
+                    ledger, geometry, detail, prices, regexes, mean, n
                 )
             else:
                 self.charge_nfa_array_energy(
-                    ledger,
-                    array,
-                    activities,
-                    compiled_by_id,
-                    n,
-                    charge_gctrl=False,
+                    ledger, geometry, mean, n, charge_gctrl=False
                 )
-                outcome = _ArrayOutcome(cycles=n, stalls=0)
-            total_stalls += outcome.stalls
-            worst_cycles = max(worst_cycles, outcome.cycles)
+                stalls = 0
+            cycles = n + stalls
+            total_stalls += stalls
+            worst_cycles = max(worst_cycles, cycles)
             array_reports.append(
                 ArrayReport(
-                    mode=array.mode.value,
-                    tiles=array.tiles_used,
-                    cycles=outcome.cycles,
-                    stalls=outcome.stalls,
+                    mode=mode.value,
+                    tiles=geometry.tiles_used,
+                    cycles=cycles,
+                    stalls=stalls,
                     throughput_gchps=(
-                        n / outcome.cycles * self.params.clock_ghz
-                        if outcome.cycles
-                        else 0.0
+                        n / cycles * p.clock_ghz if cycles else 0.0
                     ),
                 )
             )
@@ -354,27 +445,26 @@ class RAPSimulator(ApStyleSimulator):
         # tiles; one global controller runs per physical array (NFA and
         # LNFA tiles consolidate into shared arrays per Section 3.3,
         # NBVA arrays stay dedicated because their stalls are array-wide).
-        self.charge_overhead_units(ledger, mapping.total_tiles)
-        groups = mapping.physical_arrays()
+        self.charge_overhead_units(ledger, plan.total_tiles)
         if n:
             ledger.charge(
-                "global-control", self.params.global_ctrl_pj, n * groups
+                "global-control", p.global_ctrl_pj, n * plan.physical_arrays
             )
 
         metrics = ledger.metrics(
             cycles=worst_cycles,
             input_symbols=n,
-            clock_ghz=self.params.clock_ghz,
+            clock_ghz=p.clock_ghz,
         )
         return SimulationResult(
-            architecture=self.params.name,
+            architecture=p.name,
             metrics=metrics,
             matches=merge_lnfa_matches(matches),
             energy_breakdown_pj=ledger.energy_breakdown(),
             area_breakdown_um2=ledger.area_breakdown(),
             stall_cycles=total_stalls,
-            arrays=mapping.total_arrays,
-            tiles=mapping.total_tiles,
+            arrays=plan.total_arrays,
+            tiles=plan.total_tiles,
             array_reports=tuple(array_reports),
         )
 
@@ -383,127 +473,83 @@ class RAPSimulator(ApStyleSimulator):
     def _charge_nbva_array(
         self,
         ledger: EnergyLedger,
-        array: ArrayBuilder,
-        activities,
-        compiled_by_id,
+        geometry: ArrayGeometry,
+        counted,
+        prices,
+        activities: dict[int, RegexActivity],
+        mean: dict[int, float],
         cycles: int,
-    ) -> _ArrayOutcome:
+    ) -> int:
+        """Charge one NBVA array; returns its stall cycles."""
         p = self.params
-        cam_cols = self.hw.cam_cols
-        stall_cycles: set[int] = set()
-        depth = None
-        for tile in array.tiles:
-            act = self.tile_switch_activity(tile, activities, compiled_by_id)
+        matching, phases = prices
+        for tile, match_pj in zip(geometry.tiles, matching):
+            act = self.tile_switch_activity(tile, mean)
             # State matching activates only the columns that hold CCs (and
             # the set1 columns routed during transitions).
-            cc_frac = (tile.columns - tile.bv_columns) / cam_cols
-            ledger.charge("state-matching", p.match_pj * cc_frac, cycles)
+            ledger.charge("state-matching", match_pj, cycles)
             ledger.charge("state-transition", p.switch_pj(act), cycles)
             ledger.charge("local-control", p.local_ctrl_pj, cycles)
-            if tile.depth is not None:
-                depth = tile.depth
-
-        ports_used = sum(t.ports for t in array.tiles)
-        if ports_used:
-            from repro.simulators.asic_base import _array_mean_activity
-
-            port_frac = ports_used / self.hw.global_switch_dim
-            mean_act = _array_mean_activity(array, activities, compiled_by_id)
-            ledger.charge(
-                "global-switch", p.gswitch_pj(port_frac * mean_act), cycles
-            )
-            ledger.charge("global-wire", p.wire_pj * ports_used * mean_act, cycles)
+        self.charge_global_switch(ledger, geometry, mean, cycles)
 
         # Bit-vector-processing phase: depth pipeline iterations of
         # BV-word read, switch routing, and write-back per triggering
         # cycle, for each regex with live counters.
-        for rid in array.regex_ids:
+        stall_cycles: set[int] = set()
+        for (rid, _, _), per_phase in zip(counted, phases):
             activity = activities[rid]
-            compiled = compiled_by_id[rid]
-            regex_depth = depth or self.hw.bv_depth_choices[0]
-            bv_cols = sum(t.bv_columns for t in compiled.tile_requests)
-            bv_frac = min(1.0, bv_cols / cam_cols)
-            per_phase = regex_depth * (
-                2 * p.match_pj * bv_frac  # CAM word read + write-back
-                + p.switch_pj(bv_frac)  # routing and BV actions
-                + p.local_ctrl_pj
-            )
             ledger.charge("bv-processing", per_phase, activity.bv_phase_cycles)
             stall_cycles.update(activity.bv_cycle_indices)
-
-        stalls = (depth or 0) * len(stall_cycles)
-        return _ArrayOutcome(cycles=cycles + stalls, stalls=stalls)
+        return (geometry.depth or 0) * len(stall_cycles)
 
     # -- LNFA arrays ---------------------------------------------------------
 
     def _charge_lnfa_array(
         self,
         ledger: EnergyLedger,
-        array: ArrayBuilder,
+        detail,
+        prices,
         activities: list[BinActivity],
         cycles: int,
         matches: dict[int, list[int]],
-        shares: list[float],
     ) -> None:
         p = self.params
+        tiles, bin_tiles, bins = detail
+        bin_prices, ring_area = prices
         # Tile area is physical; tile leakage follows the power-gating
         # duty cycle (a gated tile retains its configuration at ~10% of
         # active leakage).
-        tiles = array.tiles_used
         ledger.add_area("tile", p.tile_area_um2, tiles)
-        possible = sum(a.bin.tiles for a in activities) * cycles
+        possible = bin_tiles * cycles
         woken = sum(a.woken_tile_cycles for a in activities)
         duty = min(1.0, woken / possible) if possible else 1.0
         retention = 0.1
         effective_leak = p.tile_leak_uw * (retention + (1 - retention) * duty)
         ledger.add_leakage("tile", effective_leak, tiles)
-        for bin_obj, activity, tile_share in zip(array.bins, activities, shares):
+        for (tile_count, cam, capacity, _, _), (ctrl_pj, ring_pj), activity in zip(
+            bins, bin_prices, activities
+        ):
             for rid, ends in activity.matches.items():
                 if ends:
-                    merged = matches.setdefault(rid, [])
-                    merged.extend(ends)
-            capacity = (
-                self.hw.cam_cols
-                if bin_obj.kind is BinKind.CAM
-                else self.hw.local_switch_dim // 2
-            )
-            for t in range(bin_obj.tiles):
-                active_cycles = activity.tile_active_cycles[t]
+                    matches.setdefault(rid, []).extend(ends)
+            active = activity.tile_active_cycles
+            for t in range(tile_count):
+                active_cycles = active[t]
                 if not active_cycles:
                     continue
                 # Enabled columns follow the active vector; the initial
                 # column of tile 0 is always enabled.
                 enabled = activity.tile_active_bits[t] + active_cycles
                 col_frac = min(1.0, enabled / (active_cycles * capacity))
-                if bin_obj.kind is BinKind.CAM:
-                    ledger.charge(
-                        "state-matching", p.match_pj * col_frac, active_cycles
-                    )
-                else:
-                    ledger.charge(
-                        "state-matching", p.switch_pj(col_frac), active_cycles
-                    )
                 ledger.charge(
-                    "local-control",
-                    p.local_ctrl_pj * tile_share,
+                    "state-matching",
+                    p.match_pj * col_frac if cam else p.switch_pj(col_frac),
                     active_cycles,
                 )
+                ledger.charge("local-control", ctrl_pj, active_cycles)
             # Ring network: one short hop per tile boundary per cycle the
             # downstream tile is awake.
-            boundary_hops = sum(activity.tile_active_cycles[1:])
-            ring_pj = (
-                self.circuits.global_wire_mm.energy()
-                * self.hw.ring_hop_wire_mm
-                * bin_obj.size
-            )
-            ledger.charge("ring-network", ring_pj, boundary_hops)
-        # Ring wiring area: ring_width wires linking adjacent tiles.
-        ring_area = (
-            self.hw.ring_width_bits
-            * self.hw.ring_hop_wire_mm
-            * self.circuits.global_wire_mm.area_um2
-            * max(array.tiles_used - 1, 0)
-        )
+            ledger.charge("ring-network", ring_pj, sum(active[1:]))
         ledger.add_area("ring-network", ring_area, 1)
 
     # -- post-run dedup -----------------------------------------------------

@@ -952,8 +952,9 @@ class TestNativeLaneDfa:
 
         def probed(*args):
             rc = fn(*args)
-            later = len(args[9]) // codegen.LANE_SUBSPANS
-            blocks.append(bool(args[9][later:].any()))
+            visits = lanes._native._ws.visits  # the buffer args[9] points at
+            later = len(visits) // codegen.LANE_SUBSPANS
+            blocks.append(bool(visits[later:].any()))
             return rc
 
         lanes._native._fn = probed

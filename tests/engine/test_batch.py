@@ -286,6 +286,38 @@ class TestBinding:
         assert len(counters["fuse"]) == 2
 
     @pytest.mark.parametrize("backend", PLANNED)
+    def test_a_scan_binds_once(self, backend, monkeypatch):
+        """``BatchEngine.scan`` looks its binding up once and hands it
+        down: neither collection nor pricing binds again."""
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+        from repro.engine import checkpoint, split
+        from repro.simulators import fused, rap
+
+        ruleset = compiled(self.PATTERNS)
+        reference = self._reference(ruleset)
+        engine = BatchEngine(EngineConfig(backend=backend, use_cache=False))
+        assert engine.scan(ruleset, self.DATA) == reference  # binds
+        calls = []
+        inner = rap.bind
+        for module in (batch_mod, rap, fused, checkpoint, split):
+            monkeypatch.setattr(
+                module, "bind", lambda *a, **k: calls.append(a) or inner(*a, **k)
+            )
+        for _ in range(3):
+            assert engine.scan(ruleset, self.DATA) == reference
+        assert len(calls) == 3
+
+    def test_per_op_derivations_are_gone(self):
+        """Pricing replays a plan derived per binding; the unit span
+        reads one byte histogram (no class fold)."""
+        from repro.core.fused import TranslatedSegment
+        from repro.simulators.rap import Binding
+
+        assert not hasattr(TranslatedSegment, "counts_from")
+        assert not hasattr(Binding, "tile_shares")
+
+    @pytest.mark.parametrize("backend", PLANNED)
     def test_a_bound_scan_resolves_and_measures_once(self, backend, monkeypatch):
         """Per op: one backend resolution, handed down to every layer.
         Per binding: one pass over the bins' geometry, however many

@@ -72,6 +72,31 @@ class TestStreaming:
         assert session.pending_bytes == 4
         assert [3, PATTERNS.index("end$")] in session.end()
 
+    def test_one_simulator_prices_every_segment(
+        self, registry, data, golden, tmp_path, monkeypatch
+    ):
+        """Each priced point of the stream replays the binding's charge
+        plan through the session's one simulator: none is built per
+        segment, and nothing binds again."""
+        from repro.serve import session as session_mod
+        from repro.simulators import rap
+
+        built, bound = [], []
+        simulator, bind = session_mod.RAPSimulator, rap.bind
+        monkeypatch.setattr(
+            session_mod, "RAPSimulator", lambda hw: built.append(hw) or simulator(hw)
+        )
+        session = build_session(registry, tmp_path)
+        monkeypatch.setattr(
+            rap, "bind", lambda *a, **k: bound.append(a) or bind(*a, **k)
+        )
+        for at in range(0, len(data), SEGMENT):
+            session.feed(data[at : at + SEGMENT])
+            session.total_energy_uj()
+        session.end()
+        assert (session.total_matches(), session.total_energy_uj()) == golden
+        assert len(built) == 1 and not bound
+
     def test_park_drops_pending_bytes(self, registry, data, tmp_path):
         session = build_session(registry, tmp_path)
         session.feed(data[:SEGMENT])

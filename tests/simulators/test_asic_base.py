@@ -8,7 +8,7 @@ from repro.hardware.energy import EnergyLedger
 from repro.mapping.mapper import map_ruleset
 from repro.simulators.asic_base import (
     ApStyleSimulator,
-    _array_mean_activity,
+    ArrayGeometry,
     cama_params,
     rap_nfa_params,
     rap_tile_area,
@@ -83,8 +83,9 @@ class TestChargingHelpers:
             r.regex_id: collect_regex_activity(r, data) for r in ruleset
         }
         compiled = {r.regex_id: r for r in ruleset}
-        value = _array_mean_activity(mapping.arrays[0], activities, compiled)
-        assert 0.0 <= value <= 1.0
+        geometry = ArrayGeometry.of(mapping.arrays[0], compiled, mapping.hw)
+        mean = {rid: a.mean_activity for rid, a in activities.items()}
+        assert 0.0 <= geometry.mean_activity(mean) <= 1.0
 
     def test_run_rejects_mixed_modes(self):
         mixed = compile_ruleset(["ab{40}c"], CompilerConfig())
