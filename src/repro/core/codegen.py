@@ -1,132 +1,61 @@
 """C source emission for the ``native`` backend.
 
-Each compiled ruleset becomes its *own* C: every table is baked in as a
-``static const`` array — the lane machine's per-bin DFAs, the GATHER
-units' forest of DFAs, the NBVA units' rows — under kernel texts that
-are the same for every ruleset.  The loops compute exactly what the
-portable scans in :mod:`repro.core.fused` compute — same warm-up
-(``stats_from``) gating, same end-anchored masking, same counters — so
-the bit-identity contract holds by construction rather than by
-translation-layer luck.
+Each compiled ruleset becomes its *own* C: every table is a ``static
+const`` array under kernel texts that are the same for every ruleset,
+and the loops compute exactly what the portable scans of
+:mod:`repro.core.fused` compute (same ``stats_from`` warm-up gating,
+end-anchored masking and counters), so bit-identity holds by
+construction.  One translation unit per binding (:func:`binding_source`),
+built by one ``cc`` run: a binding with one tier emits that tier's text
+alone, one with the lanes and some units gets both and ``rap_scan_span``,
+which steps every tier over a span — and counts the histogram of its
+owned bytes — in one crossing.  The tiers:
 
-Two translation units per ruleset:
-
-* :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine plus
-  per-tile wake-up accounting and final-hit extraction (the whole
-  :meth:`~repro.simulators.fused.FusedLaneScanner.scan` hot path), as
-  **one DFA per group of adjacent bins**.  Each bin's
-  :class:`~repro.core.table.StepTable` — the ruleset's own, the one the
-  portable walker steps too — is closed breadth-first; a group then
-  takes in the next bin while the *joint* machine closes within the
-  states it replaces (literal keywords do, the Aho-Corasick regime;
-  class-heavy bins keep their own tables).  Per group:
-
-  - ``G<g>[state][class]`` — one ``uint64`` per transition, all a step
-    needs of its *target*: the row offset (``id * NCLS``, bits 0-31: the
-    next lookup adds a class, no multiply), the id (bits 32-62: the
-    visit counter to bump) and whether it carries a hit flag (bit 63);
-    an anchored group carries one extra last row, the stream-start
-    pseudo-state whose successors are ``inject_first & labels[c]``;
-  - ``T<g>[state][tile]`` — how many of the state's bits lie in each of
-    the member bins' tiles (a tile is awake iff that is non-zero);
-  - ``F<g>[state]`` — hit flags, read on a hit only: 1 = holds a final
-    that fires anywhere, 2 = one that fires only on the last byte;
-  - its row of ``GROUPS[]`` (table pointers, state and tile counts, the
-    start state, where its visit counters and tiles begin).
-
-  Per byte the kernel does one lookup per group and ``visits[id]++``;
-  ``tile_cycles`` / ``tile_bits`` are folded once per call as
-  ``sum(visits[s] * T[s][tile])`` — exact 64-bit integers, the same
-  totals per-byte popcounts would reach.  A table walk is one dependent
-  load per byte, so owned bytes go ``K`` sub-spans of ``L`` bytes in
-  lockstep (a histogram each), the later ones entered empty ``WARM``
-  bytes early — the lanes remember no more; the warm-up prefix, tails
-  and a nearly full hit buffer take the serial loop.  State ids never
-  leave :mod:`repro.core.native`: callers see packed words.
-
-  :data:`LANE_DFA_MAX_STATES` caps each bin's closure.  A ruleset with
-  a bin beyond it (``a`` and twenty ``.``: every subset of twenty
-  positions is reachable) gets no lane kernel at all — the walker steps
-  it — decided from the closure just measured, never by an option.
-* :func:`unit_scan_source` — the scan units, as tables under two fixed
-  kernel texts.  Every GATHER unit (NFA-mode and DFA-mode alike) was
-  determinised when the plan was built — its subset closure over the
-  shared classes, a closed :class:`~repro.core.table.StepTable`, the
-  same class the bins use — and the tables are written as **one
-  forest**, each unit owning a disjoint range of global state ids
-  (:func:`unit_forest`):
-
-  - ``NEXT[row + class]`` — one ``uint32`` per transition, all a step
-    needs of its *target*: the target's row offset (``id * NCLS``, bits
-    0-22: the next lookup adds a class, no multiply), its live NFA
-    positions (bits 23-30; ``active_states`` is their sum over the owned
-    bytes) and whether it carries a hit flag (bit 31, so the per-byte
-    loop tests one OR of what it just loaded);
-  - ``FLAGS[state]`` — 1 = holds a final that fires anywhere, 2 = one
-    that fires only on the stream's last byte.  An anchored unit's
-    stream-start row is one more state, its last.
-
-  ``rap_units_span`` walks ``m`` *cursors* byte-major.  A cursor is just
-  a forest state id, so all units of a bulk scan, the non-serial units
-  of one split chunk, round-two entries and two collectors of one unit
-  at different states are the same call; a fresh stream enters at the
-  unit's start state, so freshness is not a parameter.  Inside, a
-  cursor is a row offset and a 32-bit live sum in private arrays — no
-  store to caller memory, which may alias — flushed every 65 536 bytes.
-  Hit words are decoded from the subset memory on the Python side (they
-  can exceed 64 bits).  A unit whose closure passes
-  :data:`UNIT_DFA_MAX_STATES`, or with more live positions or rows than
-  a ``NEXT`` word can say (:func:`unit_forest`), is not in the forest:
-  its cursors are walked in Python on the same table.  NBVA units of at most
-  :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
-  ``NBVA_UNITS[]`` under *one* table-driven ``rap_nbva_span`` (wider
-  ones stay on ``NBVAScanner``: identical results, just slower).
-
-``rap_nbva_span`` steps ``m`` NBVA *cursors* cursor-outer over one
-span — every NBVA unit of a bulk scan or of a durable segment, two
-entries of one unit: one crossing.  A cursor is one row of
-:data:`NBVA_COLUMNS` words, carrying exactly what
-``NBVAScanner.snapshot()`` holds: the unit's slot, whether it enters at
-the stream start, the plain active set and the set of live counted
-positions as one word each (bit ``p`` = Glushkov position ``p``), and
-the offset of its region of one flat ``vecs`` array, where every live
-bit vector sits as ``ceil(width / 64)`` little-endian words at its
-position's offset (:func:`nbva_vector_layout`), followed by as many
-scratch words.  All eleven ``NBVAStats`` counters accumulate in the
-row; match positions and ``bv_cycle_indices`` come back through one
-event buffer, each cursor's events in turn and their count in its row.
-Per unit, ``static const`` tables give the class-indexed plain-label /
-counted-match rows and, per position, the ACTIVATE / SET1 / COPY /
-SHIFT target masks, vector width, word offset, read predicate (an EXACT
-bit, or rAll) and first shift target (the one the overflow checker
-tests) — and ``B<slot>_IDLE``, one ``uint16`` per byte value: the
-byte's class's plain-label plus counted-match popcount, with ``0x100``
-set when the class keeps an empty frontier empty (it matches no initial
-position).  The skip rule, RAP's power gating in software: with no
-active state and no live vector, a byte's step depends on its class
-alone and fires nothing, so the kernel runs a tight loop over ``IDLE``
-instead, adding one cycle, the popcount to ``matched_states`` and the
-initial counted positions to ``set1_events`` per byte, until a byte
-would wake the unit; an anchored-start unit past its first byte never
-wakes again, and skips to the span's end.
+* :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine as **one
+  DFA per group of adjacent bins**: each bin's closed
+  :class:`~repro.core.table.StepTable` (the one the portable walker steps
+  too), a group taking in the next bin while the *joint* table closes
+  within the states it replaces.  Per group ``G<g>[state][class]`` holds
+  one ``uint64`` per transition (the target's row offset ``id * NCLS`` in
+  bits 0-31, its id in 32-62, a hit flag in 63; an anchored group has one
+  more row, the stream start), ``T<g>[state][tile]`` the state's bits per
+  tile and ``F<g>[state]`` its hit flags (1: a final that fires anywhere,
+  2: one that fires only on the last byte).  Per byte: one lookup per
+  group and ``visits[id]++``; tile counters are folded from the visits
+  once per call.  Owned bytes go ``K`` sub-spans of ``L`` bytes in
+  lockstep, the later ones entered empty ``WARM`` bytes early; a bin
+  closing past :data:`LANE_DFA_MAX_STATES` leaves the lanes to the walker.
+* :func:`unit_scan_source` — every GATHER unit's closed table as **one
+  forest** of disjoint state-id ranges (:func:`unit_forest`):
+  ``NEXT[row + class]`` is one ``uint32`` per transition (row offset in
+  bits 0-22, live NFA positions in 23-30, a hit flag in 31) and
+  ``FLAGS[state]`` the hit flags.  ``rap_units_span`` steps ``m``
+  *cursors* — forest state ids: any units, any entries — byte-major, in
+  private registers flushed every 65 536 bytes; beside the lanes its body
+  is also inlined with ``m`` the binding's fresh cursor count (at most
+  :data:`UNIT_FOLD_CURSORS`), so a bulk scan's loops unroll.  NBVA units
+  of at most :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
+  ``NBVA_UNITS[]`` under ``rap_nbva_span``, which steps ``m`` cursors
+  cursor-outer: a row of :data:`NBVA_COLUMNS` words each — the unit's
+  slot, the stream-start flag, the offset of its vectors in ``vecs``
+  (:func:`nbva_vector_layout`), the plain active set, the live counted
+  set, its event count and the ``NBVAStats`` counters but
+  ``matched_states``, which the caller takes from the span's byte
+  histogram.  With an empty frontier a byte's step depends on its class
+  alone (RAP's power gating): the kernel skips to the next byte that can
+  wake the unit — ``memchr`` when one or two byte values do
+  (``B<slot>_STAYS`` marks the rest) — counting the cycles and SET1s the
+  skipped bytes add.
 
 Every source begins with a header naming
-:data:`~repro.io.envelope.PLAN_VERSION`, so the SHA-256 of the source
-text — the shared-object cache key — rolls over whenever the ABI or the
-emitted semantics change — and with the 256-entry class map: kernels
-take raw bytes and read ``CLS[data[i]]``.
-
-Match events cross the ABI as bounded ``(position, state)`` buffers with
-a continuation protocol: when a buffer fills — for the unit kernel, when
-it has no room left for a whole byte's ``m`` events — the kernel
-returns 1 with the resume index (for the NBVA kernel, ``(cursor,
-position)``) and the exit state, the caller drains and re-enters.
-Counters (state visits, tile cycles/bits, active-state sums, NBVA
-counters) accumulate in caller memory across continuations, so the
-drained stream is identical to an unbounded one.
-
-This module only *writes* C; building and loading live in
-:mod:`repro.core.native`.
+:data:`~repro.io.envelope.PLAN_VERSION` (the SHA-256 of the text is the
+shared-object cache key) and the 256-entry class map: kernels read raw
+bytes as ``CLS[data[i]]``.  Events cross the ABI as bounded buffers with
+a continuation protocol: a full buffer returns 1 with where to resume
+(for ``rap_scan_span``, the tier too), the caller drains and re-enters;
+counters accumulate in caller memory, so the drained stream is identical
+to an unbounded one.  This module only *writes* C; building and loading
+live in :mod:`repro.core.native`.
 """
 
 from __future__ import annotations
@@ -444,9 +373,34 @@ _UNITS_KERNEL = r"""
 }
 """
 
-# ``NEXT`` words a 23-bit row offset reaches; cursors the kernel's arrays hold.
+# The kernel again, for a binding whose fresh cursor count ``FRESH_M``
+# is small: the same body always inlined, once with ``m`` that constant
+# (its per-cursor loops unroll into registers), once generic.
+_UNITS_FOLD = (
+    "#define FRESH_M %(fold)d\n"
+    + UNITS_CDEF[:-1].replace(
+        "int rap_units_span",
+        "static inline __attribute__((always_inline)) int units_body",
+    )
+    + "%(body)s"
+    + UNITS_CDEF[:-1]
+    + r"""
+{
+  if (m == FRESH_M)
+    return units_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
+        active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
+  return units_body(data, n, start_i, state, m, at_end, stats_from, active,
+      ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
+}
+"""
+)
+
+# ``NEXT`` words a 23-bit row offset reaches; cursors the kernel's arrays
+# hold; the most fresh cursors a binding's unit kernel is folded for
+# (register-blocking many more measured slower than the generic loop).
 FOREST_ENTRIES = 1 << 23
 UNIT_SPAN_CURSORS = 1024
+UNIT_FOLD_CURSORS = 16
 
 
 def unit_forest(fused) -> tuple[list[int | str], int]:
@@ -473,10 +427,11 @@ def unit_forest(fused) -> tuple[list[int | str], int]:
     return bases, total
 
 
-def _forest_section(fused, bases: Sequence[int | str]) -> str:
+def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
     """``NEXT`` / ``FLAGS`` as the module docstring describes them —
     every placed unit's table at its id range — then the one kernel
-    text."""
+    text; with ``fold``, as the body of a ``rap_units_span`` that steps
+    ``m == fold`` cursors with ``m`` a constant."""
     ncls = fused.classes.k
     nxt: list[str] = []
     flags = b""
@@ -503,7 +458,8 @@ def _forest_section(fused, bases: Sequence[int | str]) -> str:
             f"#define MAXM {UNIT_SPAN_CURSORS}",
             f"static const uint32_t NEXT[] = {{ {', '.join(nxt)} }};",
             _u8_array("FLAGS", flags),
-            UNITS_CDEF[:-1] + _UNITS_KERNEL,
+            _UNITS_FOLD % dict(fold=fold, body=_UNITS_KERNEL) if fold
+            else UNITS_CDEF[:-1] + _UNITS_KERNEL,
         ]
     )
 
@@ -519,19 +475,22 @@ NBVA_CDEF = (
 # A cursor row's columns, ``uint64`` each: the unit's slot in
 # ``NBVA_UNITS``, whether it enters at the stream start, the word offset
 # of its vectors in ``vecs`` (as many scratch words follow them), the
-# plain active set, the live counted set, its events in the buffer at
-# the last return, then the eleven ``NBVAStats`` counters.
-NBVA_COLUMNS = 17
+# plain active set, the live counted set, its BV cycles and its matches
+# in the buffer at the last return, then the eleven ``NBVAStats``
+# counters (``matched_states`` left at 0).  The buffer holds every
+# cursor's BV-cycle positions in turn from its front, their matches
+# from its back.
+NBVA_COLUMNS = 18
 
 # The one table-driven stepping loop shared by every NBVA unit of a
 # translation unit: ``NBVAScanner.feed``'s step, line for line, except
 # that a run of bytes which leaves an empty frontier empty — which the
-# oracle steps one byte at a time — is skipped in one tight loop over the
-# unit's ``IDLE`` row, adding the constant counters those bytes add.
-# Bit ``p`` of every mask is Glushkov position ``p``; counted position
-# ``p``'s vector is little-endian words at ``pos[p][P_VOFF]`` past the
-# cursor's offset (only positions in its live set hold meaningful
-# words).  Each event is ``position << 2 | report << 1 | bv_phase``.
+# oracle steps one byte at a time — is skipped (``memchr``, or the unit's
+# ``STAYS`` row), adding the constant counters those bytes add, and that
+# ``matched_states`` is the caller's.  Bit ``p`` of every mask is
+# Glushkov position ``p``; counted position ``p``'s vector is
+# little-endian words at ``pos[p][P_VOFF]`` past the cursor's offset
+# (only positions in its live set hold meaningful words).
 _NBVA_KERNEL = r"""
 /* Table-driven and branchy: -O3 spends ~0.1 s of cc vectorizing word
    loops that run one or two iterations, for no measurable speed. */
@@ -539,6 +498,8 @@ _NBVA_KERNEL = r"""
 #pragma GCC push_options
 #pragma GCC optimize ("O1")
 #endif
+
+#include <string.h>
 
 /* columns of pos[]: ACTIVATE / SET1 / COPY / SHIFT target masks, then
    vector width, word offset, read bit + 1 (0: rAll), first shift target */
@@ -548,13 +509,12 @@ typedef struct {
   int anchored_start, anchored_end, total_words;
   const uint64_t (*cls)[2];  /* per class: plain labels, counted matches */
   const uint64_t (*pos)[8];
-  const uint16_t *idle;  /* per byte: IDLE_POPS, IDLE_STAYS when not waking */
+  const uint8_t *stays;  /* per byte: 1 when it keeps an empty frontier empty */
+  int wakes, wake[2];  /* how many byte values wake it; the first two */
 } rap_nbva_unit;
 /* columns of a cursor row: see NBVA_COLUMNS in repro.core.codegen */
-enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NEV, C_STATS,
+enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NBV, C_NMATCH, C_STATS,
        NBVA_COLUMNS = C_STATS + 11 };
-#define IDLE_POPS 0xff
-#define IDLE_STAYS 0x100
 #define NBVA_WORDS(u, p) ((int)((u)->pos[p][P_WIDTH] + 63) >> 6)
 
 static int nbva_any(const uint64_t *v, int words)
@@ -583,17 +543,18 @@ static void nbva_or(const rap_nbva_unit *u, uint64_t targets,
 """
 
 _NBVA_SPAN = r"""
-/* One cursor from byte i: stops at n, or after the byte whose event
-   fills the buffer; its frontier goes back to its row. */
+/* One cursor from byte i: stops at n, or after the byte that leaves the
+   buffer no room for another byte's two events; its frontier goes back
+   to its row. */
 static long long nbva_cursor(const uint8_t *data, long long n, long long i,
     int at_end, uint64_t *row, uint64_t *vecs, long long *ev, long long cap,
-    long long *n_ev)
+    long long *nb, long long *nm)
 {
   const rap_nbva_unit *u = &NBVA_UNITS[row[C_UNIT]];
   uint64_t act = row[C_ACT], lv = row[C_LIVE], *counters = row + C_STATS;
   uint64_t *own = vecs + row[C_VOFF], *cur = own, *nxt = own + u->total_words;
   uint64_t shifted[NBVA_MAX_WORDS];
-  long long last = n - 1, ne = *n_ev;
+  long long last = n - 1, n_idle;
   int w, cur_dirty = 1, nxt_dirty = 1, fresh = (int)row[C_FRESH];
   for (; i < n; i++) {
     int c = CLS[data[i]], start = !(u->anchored_start && !(fresh && i == 0));
@@ -601,17 +562,26 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
     long long flags = 0;
     if (!act && !lv && !(u->anchored_start && start)) {
       /* an empty frontier: skip the bytes that keep it empty (past an
-         anchored start, all of them), adding what each would count.
-         Neither vector buffer is written, so their dirty flags hold. */
-      long long j = i;
-      uint64_t pops = 0, idle;
-      if (u->anchored_start)
-        for (; j < n; j++) pops += u->idle[data[j]] & IDLE_POPS;
-      else
-        for (; j < n && ((idle = u->idle[data[j]]) & IDLE_STAYS); j++)
-          pops += idle & IDLE_POPS;
+         anchored start, all of them) — memchr for the one or two byte
+         values that wake most units, else eight lookups at a time —
+         adding what each would count.  Neither vector buffer is
+         written, so their dirty flags hold. */
+      const uint8_t *st = u->stays, *p;
+      long long j = u->anchored_start ? n : i;
+      if (j < n && u->wakes <= 2) {
+        p = u->wakes ? memchr(data + j, u->wake[0], n - j) : 0;
+        n_idle = p ? p - data : n;
+        p = u->wakes == 2 ? memchr(data + j, u->wake[1], n_idle - j) : 0;
+        j = p ? p - data : n_idle;
+      }
+      for (; j + 8 <= n; j += 8) {
+        const uint8_t *d = data + j;
+        if (!(st[d[0]] & st[d[1]] & st[d[2]] & st[d[3]] & st[d[4]] & st[d[5]]
+              & st[d[6]] & st[d[7]]))
+          break;
+      }
+      for (; j < n && st[data[j]]; j++) {}
       counters[0] += j - i;
-      counters[2] += pops;
       counters[6] += start ? (j - i) * POP(u->init_set1) : 0;
       if ((i = j) == n) break;
       c = CLS[data[i]];
@@ -663,7 +633,6 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
     nxt_dirty = cur_dirty; cur_dirty = touched != 0;
     counters[0]++;
     counters[1] += POP(act) + POP(lv);
-    counters[2] += POP(u->cls[c][0]) + POP(matching);
     counters[6] += POP(set1);
     counters[5] += POP(lv);
     if (lv) { counters[4]++; flags |= 1; }
@@ -677,28 +646,29 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
         counters[3]++; flags |= 2;
       }
     }
-    if (flags) {
-      ev[ne++] = i << 2 | flags;
-      if (ne >= cap) { i++; break; }
-    }
+    if (flags & 1) ev[(*nb)++] = i;
+    if (flags & 2) ev[cap - ++*nm] = i;
+    if (flags && *nb + *nm + 2 > cap) { i++; break; }
   }
   if (cur != own) for (w = 0; w < u->total_words; w++) own[w] = cur[w];
-  row[C_ACT] = act; row[C_LIVE] = lv; *n_ev = ne;
+  row[C_ACT] = act; row[C_LIVE] = lv;
   return i;
 }
 
 /* Cursor-outer: each cursor's tables and vectors stay in cache over the
-   span.  A full buffer returns 1 with the (cursor, position) to resume. */
+   span.  A full buffer (cap >= 2) returns 1 with the (cursor, position)
+   to resume. */
 RAP_NBVA_SPAN
 {
-  long long k, i = at[1], ne = 0, first;
-  for (k = 0; k < m; k++) cursors[k * NBVA_COLUMNS + C_NEV] = 0;
+  long long k, i = at[1], nb = 0, nm = 0, b0, m0;
+  for (k = 0; k < m; k++)
+    cursors[k * NBVA_COLUMNS + C_NBV] = cursors[k * NBVA_COLUMNS + C_NMATCH] = 0;
   for (k = at[0]; k < m; k++, i = 0) {
     uint64_t *row = cursors + k * NBVA_COLUMNS;
-    first = ne;
-    i = nbva_cursor(data, n, i, at_end, row, vecs, ev, cap, &ne);
-    row[C_NEV] = ne - first;
-    if (ne >= cap) break;
+    b0 = nb; m0 = nm;
+    i = nbva_cursor(data, n, i, at_end, row, vecs, ev, cap, &nb, &nm);
+    row[C_NBV] = nb - b0; row[C_NMATCH] = nm - m0;
+    if (nb + nm + 2 > cap) break;
   }
   at[0] = k; at[1] = i;
   return k < m;
@@ -769,19 +739,19 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
             for pids in (automaton.initial, automaton.finals)
             for counted in (False, True)
         ]
-        # per class: what an idle byte adds to matched_states, and
-        # whether it leaves an empty frontier empty — spelled out per
-        # byte value, so the skip loop makes one lookup a byte
-        idle = [
-            (plain | counted).bit_count()
-            | (not (masks[0] & plain or masks[1] & counted)) << 8
+        # per class: whether it leaves an empty frontier empty — spelled
+        # out per byte value, so the skip loop makes one lookup a byte
+        stays = [
+            not (masks[0] & plain or masks[1] & counted)
             for plain, counted in zip(unit.labels, unit.cmatch)
         ]
-        parts.append(_u16_array(f"B{slot}_IDLE", map(idle.__getitem__, class_of)))
+        parts.append(_u8_array(f"B{slot}_STAYS", map(stays.__getitem__, class_of)))
+        wake = [b for b in range(256) if not stays[class_of[b]]]
+        first = ", ".join(map(str, (wake + [0, 0])[:2]))
         rows.append(
             f"  {{ {', '.join(map(_u64, masks))}, {int(unit.anchored_start)}, "
             f"{int(unit.anchored_end)}, {total}, B{slot}_CLS, B{slot}_POS, "
-            f"B{slot}_IDLE }},"
+            f"B{slot}_STAYS, {len(wake)}, {{ {first} }} }},"
         )
     parts += ["static const rap_nbva_unit NBVA_UNITS[] = {", *rows, "};"]
     parts.append(f"#define NBVA_MAX_WORDS {max_words}")
@@ -789,11 +759,12 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
     return "\n".join(parts)
 
 
-def unit_scan_source(fused) -> str:
+def unit_scan_source(fused, fold: int = 0) -> str:
     """One translation unit covering every native-eligible scan unit:
-    the GATHER units' forest under ``rap_units_span`` and the NBVA
-    units' tables under ``rap_nbva_span``.  Returns an empty string when
-    nothing is native-eligible, so callers can skip the build entirely.
+    the GATHER units' forest under ``rap_units_span`` (its kernel also
+    inlined for ``fold`` cursors, a merged binding's fresh count) and the
+    NBVA units' tables under ``rap_nbva_span``.  Returns an empty string
+    when nothing is native-eligible, so callers can skip the build.
     """
     bases, rows = unit_forest(fused)
     nbvas = native_nbva_indices(fused)
@@ -801,7 +772,125 @@ def unit_scan_source(fused) -> str:
         return ""
     parts = [_header("scan units", fused)]
     if rows:
-        parts.append(_forest_section(fused, bases))
+        parts.append(_forest_section(fused, bases, fold))
     if nbvas:
         parts.append(_nbva_section(fused, nbvas))
     return "\n".join(parts)
+
+
+# ``rap_scan_span``'s control words, in order (``ctl[S_<NAME>]``): the
+# tier to resume (0 lanes, 1 units, 2 NBVA) and where in it (the NBVA
+# kernel's cursor and position), the lanes' fresh flag (-1: no lanes),
+# the unit and NBVA cursor counts, each tier's event cap, and the lane
+# hits and unit events the call left in their buffers.
+SCAN_CTL = (
+    "tier", "at", "nbva_cursor", "nbva_at", "lanes", "units", "nbva",
+    "lane_cap", "unit_cap", "nbva_cap", "hits", "events",
+)
+
+SCAN_CDEF = (
+    "int rap_scan_span(const uint8_t *data, long long n, int at_end,\n"
+    "    long long stats_from, uint64_t *cursors, uint64_t *vecs, long long *ctl,\n"
+    "    uint32_t *lane_state, long long *tile_cycles, long long *tile_bits,\n"
+    "    long long *visits, long long *hit_pos, uint32_t *hit_states,\n"
+    "    uint32_t *unit_state, long long *active, long long *ev_pos,\n"
+    "    int32_t *ev_cursor, uint32_t *ev_state, long long *ev, long long *hist);"
+)
+
+# Every tier's kernel in turn over one span and, for the units' and
+# NBVA units' ``matched_states``, the histogram of its owned bytes.  A
+# full event buffer returns 1 with the tier and the place to resume at
+# in ``ctl``; the caller drains every tier's buffer (each kernel's
+# events since the last return) and re-enters.
+_SCAN_SPAN = r"""
+RAP_SCAN_SPAN
+{
+  long long i;
+  ctl[S_HITS] = ctl[S_EVENTS] = 0;
+  switch (ctl[S_TIER]) {
+  case 0:
+    if (ctl[S_LANES] >= 0 && rap_lane_scan(data, n, ctl[S_AT], lane_state,
+            (int)ctl[S_LANES], at_end, stats_from, tile_cycles, tile_bits,
+            visits, hit_pos, hit_states, ctl[S_LANE_CAP], ctl + S_HITS,
+            ctl + S_AT))
+      return 1;
+    ctl[S_TIER] = 1;
+    ctl[S_AT] = 0;
+    if (ctl[S_UNITS] || ctl[S_NBVA])
+      for (i = stats_from > 0 ? stats_from : 0; i < n; i++) hist[data[i]]++;
+    /* fall through */
+  case 1:
+#ifdef MAXM
+    if (ctl[S_UNITS] && rap_units_span(data, n, ctl[S_AT], unit_state,
+            (int)ctl[S_UNITS], at_end, stats_from, active, ev_pos, ev_cursor,
+            ev_state, ctl[S_UNIT_CAP], ctl + S_EVENTS, ctl + S_AT))
+      return 1;
+#else
+    (void)unit_state; (void)active; (void)ev_pos; (void)ev_cursor; (void)ev_state;
+#endif
+    ctl[S_TIER] = 2;
+    /* fall through */
+  default:
+#ifdef NBVA_MAX_WORDS
+    return ctl[S_NBVA] && rap_nbva_span(data, n, (int)ctl[S_NBVA], at_end,
+        cursors, vecs, ev, ctl[S_NBVA_CAP], ctl + S_NBVA_CURSOR);
+#else
+    (void)cursors; (void)vecs; (void)ev;
+    return 0;
+#endif
+  }
+}
+"""
+
+
+_OPTIMIZE = "#if defined(__GNUC__) && !defined(__clang__)\n#pragma GCC %s\n#endif"
+
+
+class BindingKernel(NamedTuple):
+    """What :func:`binding_source` hands the loader: the one C text
+    (empty: no tier compiles), its lane kernel (``None``, and why in
+    ``lanes_why``, when the lanes are walked), whether it holds
+    ``rap_scan_span`` and the fresh cursor count its unit kernel is
+    folded for (0: none)."""
+
+    source: str
+    lanes: LaneKernel | None
+    lanes_why: str | None
+    merged: bool
+    fold: int
+
+
+def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
+    """The one translation unit of a binding: its lane kernel's text
+    alone, its units' alone — each as :func:`lane_scan_source` and
+    :func:`unit_scan_source` emit them — or, holding both, one text with
+    the lanes, the units (the forest folded for the fresh cursor count)
+    and ``rap_scan_span`` over them all."""
+    lanes = why = None
+    if fused.bases:
+        try:
+            lanes = lane_scan_source(fused, tile_masks)
+        except ValueError as err:
+            why = str(err)
+    fresh = sum(isinstance(base, int) for base in unit_forest(fused)[0])
+    fold = fresh if lanes and fresh <= UNIT_FOLD_CURSORS else 0
+    units = unit_scan_source(fused, fold)
+    if lanes is None or not units:
+        return BindingKernel(lanes.source if lanes else units, lanes, why, False, 0)
+    head = _header("lane machine (grouped dfa)", fused)
+    ctl = ", ".join("S_" + name.upper() for name in SCAN_CTL)
+    source = "\n".join(
+        [
+            _header("binding: lanes and units", fused),
+            # Beside the units the lanes step spans of kilobytes: -O1 reads
+            # them as fast as -O3 (the mix: ~37 us either way) for ~0.1 s
+            # less of cc.
+            _OPTIMIZE % "push_options\n#pragma GCC optimize (\"O1\")",
+            lanes.source.removeprefix(head + "\n"),
+            _OPTIMIZE % "pop_options",
+            units.removeprefix(_header("scan units", fused) + "\n"),
+            f"enum {{ {ctl} }};",
+            _SCAN_SPAN.replace("RAP_SCAN_SPAN", SCAN_CDEF[:-1]),
+        ]
+    )
+    return BindingKernel(source, lanes, None, True, fold)

@@ -1,43 +1,28 @@
-"""Fused ruleset-wide scanning (``RAP_BACKEND=fused``).
+"""Fused ruleset-wide scanning (``RAP_BACKEND=fused`` and ``native``).
 
-The stdlib kernel steps each compiled unit through its own scan loop
-with a private 256-entry byte LUT, so on multi-pattern rule sets the
-per-unit Python overhead — not the automata math — dominates wall
-clock.  Data-parallel regex engines (SFA-style lockstep execution, the
-BVAP compressed match tables) recover the lost throughput with three
-ruleset-level tricks, and this module implements all three:
+Stepping each compiled unit through its own loop lets per-unit Python
+overhead dominate multi-pattern rule sets; three ruleset-level tricks
+(SFA-style lockstep execution, BVAP's compressed match tables) win the
+throughput back:
 
-1. **Alphabet equivalence classes** (:class:`AlphabetClasses`): two
-   bytes that every unit's label table treats identically are the same
-   symbol.  The shared 256→k class map is computed once per ruleset and
-   the input is translated once (one vectorized gather) instead of
-   being re-examined per pattern.
-
-2. **Lane packing** (:class:`FusedRuleset`): the state words of every
-   Shift-And/LNFA unit travel concatenated into one wide word at fixed
-   bit bases — the form snapshots and entry/exit states are in.  A
-   unit's slice of the word never interacts with its neighbours', and
-   plain-NFA (GATHER) units keep their own state words.
-
+1. **Alphabet equivalence classes** (:class:`AlphabetClasses`): bytes
+   every unit's label table treats alike are one symbol, one 256→k map
+   per ruleset.
+2. **Lane packing** (:class:`FusedRuleset`): every Shift-And/LNFA unit's
+   state word rides one wide word at a fixed bit base — the form
+   snapshots and entry/exit states are in; GATHER units keep their own.
 3. **One step table per machine** (:class:`~repro.core.table.StepTable`):
-   every shift unit and every GATHER unit — NFA-mode and DFA-mode alike
-   — is one lazily determinised table, built once per ruleset: one row
-   lookup per symbol, activity priced from a histogram of state visits,
-   asleep in the empty state until a class that can revive it.  Units
-   are closed when the ruleset is built, bins when their C is generated
-   (:mod:`repro.core.codegen` dumps closed rows); whatever the C cannot
-   take — no compiler, a closure past its cap, an entry word outside a
-   closure — is walked by :meth:`StepTable.walk
+   every shift and GATHER unit is one lazily determinised table — one
+   row lookup per symbol, activity priced from a histogram of state
+   visits.  The generated C (:mod:`repro.core.codegen`) steps the closed
+   ones; whatever it cannot take is walked by :meth:`StepTable.walk
    <repro.core.table.StepTable.walk>`, the one portable stepper.
 
 Exactness is the contract: a table state *is* the state word a
-standalone scan of its unit would hold, and every counter is priced
-from per-state or per-class popcounts that equal the per-byte sums by
-construction.  The differential suite asserts bit-identity against the
-``python`` oracle.
-
-Import this module only after the backend registry has resolved
-``fused`` or ``native`` — it requires NumPy.
+standalone scan of its unit would hold, and every counter equals the
+per-byte sums by construction (the conformance matrix checks it against
+the ``python`` oracle).  Import this module only after the backend
+registry resolved ``fused`` or ``native``: it requires NumPy.
 """
 
 from __future__ import annotations
@@ -53,7 +38,7 @@ from repro.automata.nbva import NBVAScanner, NBVASimulator, NBVAState, NBVAStats
 from repro.core import codegen
 from repro.core.kernel import MatchEvent, StepStats
 from repro.core.program import KernelProgram, ProgramKind
-from repro.core.registry import resolve_backend
+from repro.core.registry import resolve_backend_with_reason
 from repro.core.table import StepTable
 from repro.regex.charclass import interned_label_masks
 
@@ -196,23 +181,15 @@ class _NbvaUnit:
 class FusedRuleset:
     """One ruleset compiled for lockstep execution.
 
-    SHIFT_LEFT programs (packed LNFA bins, standalone Shift-And units)
-    and GATHER programs — ``gather_programs`` are the NFA-mode ones,
-    ``dfa_programs`` the DFA-mode ones; the split only names them for
-    callers — share the class-translated input,
-    and each is stepped as its own :class:`~repro.core.table.StepTable`
-    consuming one lookup per symbol: a shift program's through
-    :meth:`lane_dfa`, a GATHER program's (closed at build time,
-    :class:`_GatherUnit`) through :meth:`scan_units_span`.  The shift
-    programs' state words travel concatenated into one wide word at
-    fixed bit bases (:meth:`pack` / :meth:`extract`) — the form lane
-    snapshots and entry/exit states are in.
+    SHIFT_LEFT programs (LNFA bins, their tiles' ``tile_masks``) and
+    GATHER programs — ``gather_programs`` NFA-mode, ``dfa_programs``
+    DFA-mode — share one class map; each is one
+    :class:`~repro.core.table.StepTable` (a bin's through
+    :meth:`lane_dfa`, a GATHER unit's closed at build time).  The shift
+    programs' words travel packed (:meth:`pack` / :meth:`extract`).
     ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
-    bit-vector automata: their label tables join the shared classes and
-    all of a span's are stepped whole-frontier by
-    :meth:`scan_nbva_units_span` (their counters are priced on every
-    symbol; the generated C skips, and counts, the bytes of an empty
-    frontier).
+    bit-vector automata, stepped whole-frontier.  :meth:`scan_span`
+    steps any of them over one span.
     """
 
     def __init__(
@@ -221,8 +198,13 @@ class FusedRuleset:
         gather_programs: Sequence[KernelProgram] = (),
         dfa_programs: Sequence[KernelProgram] = (),
         nbva_units: Sequence[tuple[Automaton, bool, bool]] = (),
+        tile_masks: Sequence[Sequence[int]] = (),
     ):
         self._shift = tuple(shift_programs)
+        # per shift program, its tiles' masks (the lane kernel's payload)
+        self.tile_masks = [tuple(masks) for masks in tile_masks] or [
+            () for _ in self._shift
+        ]
         for program in self._shift:
             if program.kind is not ProgramKind.SHIFT_LEFT:
                 raise ValueError(
@@ -306,35 +288,36 @@ class FusedRuleset:
         )
 
         # -- native-codegen attachment (lazy, silent-fallback) ----------
-        # Decided at construction time; the compiled library itself is
+        # Decided at construction time; the binding's one library is
         # built (or loaded from the .so cache) on first use.
-        self._native_requested = resolve_backend() == "native"
-        self._native_units = None
+        resolved, why = resolve_backend_with_reason()
+        self._native_requested = resolved == "native"
+        self.native_why = why or f"{resolved} backend"
+        self._native = None
         self._native_tried = False
 
     def _native_scanner(self):
-        """The compiled unit kernels, or None (unrequested/unbuildable).
+        """The binding's compiled kernels (:class:`~repro.core.native.
+        NativeScanner`), or None (unrequested/unbuildable).
 
         Any build or load failure falls back to the interpreted scan —
         results are identical by the bit-identity contract, only speed
         changes — so a missing compiler can never fail a run.
         """
-        if not self._native_requested:
-            return None
-        if not self._native_tried:
+        if self._native_requested and not self._native_tried:
             self._native_tried = True
             try:
-                from repro.core.native import NativeUnitScanner
+                from repro.core.native import NativeScanner
 
-                self._native_units = NativeUnitScanner(self)
+                self._native = NativeScanner(self)
             except Exception as err:
-                log.debug("native unit kernels unavailable: %s", err)
-                self._native_units = None
-        return self._native_units
+                log.debug("native kernels unavailable: %s", err)
+                self.native_why = str(err)
+        return self._native
 
     @property
     def native_active(self) -> bool:
-        """Whether unit spans run compiled kernels (builds lazily)."""
+        """Whether the binding's generated C is attached (builds lazily)."""
         return self._native_scanner() is not None
 
     def extract(self, word: int, index: int) -> int:
@@ -403,43 +386,65 @@ class FusedRuleset:
         stats_from: int = 0,
         at_end: bool = True,
     ) -> list[tuple[list[MatchEvent], StepStats, int]]:
-        """Scan any number of GATHER-unit *cursors* over one span.
+        """:meth:`scan_span` over GATHER-unit cursors alone."""
+        span = dict(stats_from=stats_from, at_end=at_end)
+        return self.scan_span(tin, cursors, **span)[1]
 
-        A cursor is ``(unit, entry)``: ``unit`` numbers the NFA-mode
-        programs first, then the DFA-mode ones (DFA unit ``j`` is
-        ``gather_count + j``); ``entry`` is the NFA active set entering
-        the span, ``None`` at the true stream start (where
-        ``inject_first`` applies).  All units of a bulk scan, the
-        windowed units of one split chunk, one worker's share of the
-        windowless ones, two collectors of one unit at different entry
-        words — each is one call.  ``stats_from`` is the first owned
-        position (earlier symbols only warm the state up — no events,
-        no counters) and ``at_end`` whether the span's last symbol is
-        the stream's last (end-anchored finals fire nowhere else).
-        Returns, per cursor, the events, the owned-region counters and
-        the exit active set — identical to :meth:`PythonKernel.scan_segment
-        <repro.core.pykernel.PythonKernel.scan_segment>` of the unit's
-        program over the owned symbols, entered at the warmed-up state.
+    def scan_nbva_units_span(
+        self,
+        cursors: Sequence[tuple[int, NBVAState]],
+        tin: TranslatedSegment,
+        *,
+        at_end: bool = True,
+    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
+        """:meth:`scan_span` over NBVA-unit cursors alone."""
+        return self.scan_span(tin, (), cursors, at_end=at_end)[2]
 
-        A cursor whose entry is a closed state of its unit's table steps
-        it in the generated C when that is attached — every such cursor
-        of a mode in one call.  Everything else — no compiler, a unit
-        whose closure passed the cap or the forest has no room for, an
-        entry no scan of the machine produces (a hand-edited snapshot)
-        — is walked (:meth:`StepTable.walk
-        <repro.core.table.StepTable.walk>`): identical results, only
-        slower.
+    def scan_span(
+        self,
+        tin: TranslatedSegment,
+        units: Sequence[tuple[int, int | None]] = (),
+        nbva: Sequence[tuple[int, NBVAState]] = (),
+        *,
+        lanes: tuple[int, bool] | None = None,
+        stats_from: int = 0,
+        at_end: bool = True,
+    ) -> tuple:
+        """One span of any cursors of every tier: ``(lanes, units,
+        nbva)``.  A GATHER cursor is ``(unit, entry)`` — NFA-mode units
+        numbered first, then DFA-mode ones; ``entry`` is the NFA active
+        set entering the span, ``None`` at the stream start — and comes
+        back as its events, owned-region counters and exit set, exactly
+        :meth:`PythonKernel.scan_segment <repro.core.pykernel.PythonKernel.
+        scan_segment>` of its program over the owned symbols
+        (``stats_from`` is the first owned position; earlier ones only
+        warm the state up).  An NBVA cursor is ``(unit, entry frontier)``
+        and comes back as :meth:`NBVAScanner.feed`'s global matches,
+        counters and exit frontier (no warm-up: vectors carry unbounded
+        history).  ``lanes`` — the packed word entering the span and
+        whether the stream starts here — asks for the lane machine's raw
+        span from the generated C (:meth:`NativeScanner.span
+        <repro.core.native.NativeScanner.span>`); ``None`` comes back
+        when the caller must step them itself.  ``at_end``: the span's
+        last symbol is the stream's (end-anchored finals fire only there).
+
+        Every cursor the generated C can take steps there — all of them
+        and the lanes in one crossing when the binding's library holds
+        ``rap_scan_span``, else one per unit mode and one for the NBVA
+        units.  The rest — no compiler, a unit past a cap or outside the
+        forest, an entry no scan produces, a wide NBVA unit — is walked
+        (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) or
+        stepped by the oracle: identical results, only slower.
         """
-        if not cursors or not tin.data:
-            return [([], StepStats(), entry or 0) for _, entry in cursors]
         native = self._native_scanner()
         placed = native.bases if native is not None else ()
-        units = self._units
+        gathers = self._units
+        data = tin.data
         # per cursor: (position, state word) hits, active sum, exit word
-        spans: list = [None] * len(cursors)
+        spans: list = [None] * len(units)
         compiled: tuple[list, list] = ([], [])  # NFA-mode, DFA-mode cursors
-        for slot, (number, entry) in enumerate(cursors):
-            table = units[number].table
+        for slot, (number, entry) in enumerate(units if data else ()):
+            table = gathers[number].table
             sid = table.closed_id(entry)
             if sid is not None and placed and type(placed[number]) is int:
                 compiled[number >= len(self._gather)].append((slot, number, sid))
@@ -458,34 +463,63 @@ class FusedRuleset:
                 stats_from=stats_from,
             )
             spans[slot] = hits, bits[0], word
-        if native is not None:  # at most one crossing per mode
-            for group, span in zip(compiled, (native.gather_span, native.dfa_span)):
+        native_nbva = [
+            k for k, (j, _) in enumerate(nbva) if native and native.has_nbva(j)
+        ]
+        flat = compiled[0] + compiled[1]
+        lane_out = hist = None
+        stepped: list = []
+        by_c: list = []
+        span = dict(at_end=at_end, stats_from=stats_from)
+        if native is not None and native.merged:
+            if lanes is not None or flat or native_nbva:  # one crossing
+                lane_out, stepped, by_c, hist = native.span(
+                    data,
+                    lanes=lanes,
+                    units=[cursor[1:] for cursor in flat],
+                    nbva=[nbva[k] for k in native_nbva],
+                    **span,
+                )
+        elif native is not None:  # at most one crossing per tier or mode
+            for group, step in zip(compiled, (native.gather_span, native.dfa_span)):
                 if group:
-                    stepped = span(
-                        tin.data,
-                        [cursor[1:] for cursor in group],
-                        at_end=at_end,
-                        stats_from=stats_from,
-                    )
-                    # table state ids stay on this side of the span API
-                    for (slot, number, _), (raw, active, sid) in zip(group, stepped):
-                        words = units[number].table.words
-                        spans[slot] = (
-                            [(pos, words[s]) for pos, s in raw], active, words[sid]
-                        )
+                    stepped += step(data, [cursor[1:] for cursor in group], **span)
+            if native_nbva:
+                cursors = [nbva[k] for k in native_nbva]
+                by_c = native.nbva_span(data, cursors, at_end=at_end)
+        nbva_out: list = [None] * len(nbva)
+        for k, out in zip(native_nbva, by_c):
+            nbva_out[k] = out
+        # table state ids stay on this side of the span API
+        for (slot, number, _), (raw, active, sid) in zip(flat, stepped):
+            words = gathers[number].table.words
+            spans[slot] = [(pos, words[s]) for pos, s in raw], active, words[sid]
+        for k, (index, state) in enumerate(nbva):
+            if nbva_out[k] is None:
+                scanner = self._nbva[index].scanner()
+                scanner.state = state
+                stats = NBVAStats(bv_cycle_indices=[])
+                matches = scanner.feed(data, stats, at_end=at_end)
+                nbva_out[k] = matches, stats, scanner.state
+        units_out = self._unit_results(units, spans, tin, hist, **span)
+        return lane_out, units_out, nbva_out
 
+    def _unit_results(self, cursors, spans, tin, hist, *, stats_from, at_end):
+        """Per GATHER cursor its events, ``StepStats`` and exit word."""
+        if not cursors or not tin.data:
+            return [([], StepStats(), entry or 0) for _, entry in cursors]
         # ``cycles`` and ``matched_states`` are pure functions of the
         # owned input (one byte histogram per span); only ``active`` and
         # the events come from the stepping loops.
-        owned = np.frombuffer(tin.data, dtype=np.uint8)[max(0, stats_from) :]
-        # (bincount casts to intp itself, more slowly than astype)
-        counts = np.bincount(owned.astype(np.intp), minlength=256)
-        matched = self._byte_pops.dot(counts).tolist()
-        cycles = len(owned)
+        cycles = len(tin.data) - max(0, stats_from)
+        if hist is None:
+            owned = np.frombuffer(tin.data, dtype=np.uint8)[max(0, stats_from) :]
+            hist = np.bincount(owned.astype(np.intp), minlength=256)
+        matched = self._byte_pops.dot(hist).tolist()
         last = len(tin.data) - 1 if at_end else -1
         out = []
         for (number, _), (hits, active, state) in zip(cursors, spans):
-            unit = units[number]
+            unit = self._units[number]
             # A hit's event word is the finals its state holds, which can
             # exceed 64 bits; end-anchored ones fire on the last byte only.
             mid = unit.mid
@@ -500,53 +534,6 @@ class FusedRuleset:
             )
             out.append((events, stats, state))
         return out
-
-    # -- the NBVA (bit-vector) units -------------------------------------
-
-    def scan_nbva_units_span(
-        self,
-        cursors: Sequence[tuple[int, NBVAState]],
-        tin: TranslatedSegment,
-        *,
-        at_end: bool = True,
-    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
-        """Scan any number of NBVA-unit *cursors* over the next span of
-        their stream.
-
-        A cursor is ``(unit, entry frontier)`` — ``NBVAState()`` at the
-        stream start; all units of a bulk scan, the NBVA units of one
-        durable segment, two collectors of one unit at different
-        frontiers — each is one call.  Returns, per cursor, the global
-        match positions, the span's counters (global
-        ``bv_cycle_indices``) and the exit frontier — exactly what
-        :meth:`NBVAScanner.feed` yields.  Every cursor on a unit narrow
-        enough for the generated C steps in one crossing; the others on
-        the oracle itself.  Vectors carry unbounded history: there is no
-        warm-up form.
-        """
-        native = self._native_scanner()
-        spans: list = [None] * len(cursors)
-        compiled = [
-            k
-            for k, (index, _) in enumerate(cursors)
-            if native is not None and native.has_nbva(index)
-        ]
-        if compiled and len(compiled) == len(cursors):
-            return native.nbva_span(tin.data, cursors, at_end=at_end)
-        if compiled:
-            stepped = native.nbva_span(
-                tin.data, [cursors[k] for k in compiled], at_end=at_end
-            )
-            for k, span in zip(compiled, stepped):
-                spans[k] = span
-        for k, (index, state) in enumerate(cursors):
-            if spans[k] is None:
-                scanner = self._nbva[index].scanner()
-                scanner.state = state
-                stats = NBVAStats(bv_cycle_indices=[])
-                matches = scanner.feed(tin.data, stats, at_end=at_end)
-                spans[k] = matches, stats, scanner.state
-        return spans
 
     @property
     def gather_count(self) -> int:

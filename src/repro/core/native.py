@@ -1,32 +1,22 @@
 """The ``native`` backend: runtime-compiled C kernels for fused scans.
 
-:mod:`repro.core.codegen` emits a specialized C translation unit per
-compiled ruleset; this module owns everything after that — the
-capability probe (a working C compiler, looked up and smoke-tested
-once per process and ``$CC``/``$PATH``), the build
-(``cc -O3 -shared`` into the keyed on-disk compile cache, loaded via
-``cffi`` with a ``ctypes`` fallback), and the thin scanner wrappers the
-fused layers call.
+:mod:`repro.core.codegen` emits one C translation unit per binding; this
+module owns the rest — the capability probe (a C compiler, found and
+smoke-tested once per process and ``$CC``/``$PATH``), the build (``cc
+-O3 -shared`` into the on-disk cache, loaded via ``cffi`` or ``ctypes``)
+and :class:`NativeScanner`, the library's one Python face.
 
-Contracts:
-
-* **Silent fallback.**  Every failure mode — no compiler, a build
-  error, a load error — degrades to the interpreted fused path with
-  identical results; callers catch :class:`NativeBuildError` (or see
-  the registry resolve ``native`` down to ``fused``).  Set
-  ``RAP_NATIVE_DISABLE=1`` to force this without uninstalling anything.
-* **Keyed shared objects.**  A library's cache key is the SHA-256 of
-  its generated source, which embeds
-  :data:`~repro.io.envelope.PLAN_VERSION` — same tables, same key; any
-  codegen change rolls every key over.  Artifacts live
-  under ``<cache>/native/`` as ``<key>.<host tag>.so``,
-  published the same way (:func:`repro.io.envelope.publish`) and
-  subject to the same ``RAP_CACHE_MAX_MB`` size bound.
-* **Byte-identical state.**  Kernel entry/exit states cross the ABI as
-  the same little-endian ``uint64`` words
-  :func:`~repro.core.fused.words_from_int` defines, so every
-  :class:`~repro.core.state.KernelState` a native scan round-trips is
-  the one the interpreted scan would have produced.
+* **Silent fallback.**  No compiler, a build or a load error: the
+  interpreted fused path runs instead, with identical results (callers
+  catch :class:`NativeBuildError`; ``RAP_NATIVE_DISABLE=1`` forces it).
+* **Keyed shared objects.**  A library's key is the SHA-256 of its
+  source, which names :data:`~repro.io.envelope.PLAN_VERSION`; objects
+  live under ``<cache>/native/`` as ``<key>.<host tag>.so``, published
+  by :func:`repro.io.envelope.publish` within ``RAP_CACHE_MAX_MB``.
+* **Byte-identical state.**  Entry/exit states cross the ABI as the
+  little-endian ``uint64`` words of :func:`~repro.core.fused.
+  words_from_int`: every state a native scan round-trips is the one the
+  interpreted scan would have produced.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ import numpy as np
 
 from repro.automata.nbva import NBVAState, NBVAStats
 from repro.core import codegen
-from repro.core.fused import int_from_words, words_from_int
+from repro.core.fused import words_from_int
 from repro.io.envelope import publish
 
 NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"
@@ -306,9 +296,10 @@ class _Workspace(threading.local):
     """A scanner's fixed-size out-buffers, allocated on its first span in
     each thread: ``layout`` maps a name to ``(dtype, count)``; each buffer
     is a view of one block (``name``) plus the library's pointer to it
-    (``at_<name>``), so a span neither allocates nor converts them."""
+    (``at_<name>``), so a span neither allocates nor converts them;
+    ``args`` are the pointers of the buffers ``names`` lists."""
 
-    def __init__(self, lib: _Library, layout: dict[str, tuple[type, int]]):
+    def __init__(self, lib: _Library, layout: dict[str, tuple[type, int]], names=()):
         words = [-(-np.dtype(t).itemsize * n // 8) for t, n in layout.values()]
         self.block = np.empty(sum(words), dtype=np.int64)
         at = 0
@@ -317,53 +308,116 @@ class _Workspace(threading.local):
             setattr(self, name, view)
             setattr(self, "at_" + name, lib.pointer(view))
             at += size
+        self.args = tuple(getattr(self, "at_" + name) for name in names)
 
 
-class NativeLaneScanner:
-    """The compiled lane machine of one scanner layout.
+_FRESH = NBVAState()
 
-    Mirrors :meth:`FusedLaneScanner.scan`'s inner work: one call (plus
-    continuations when the hit buffer fills) returns the per-tile
-    cycle/bit counters, ``(position, packed state word)`` wherever some
-    bin's state holds a final that fires there, and the exit word.
 
-    The kernel steps ``dfas`` — one closed
-    :class:`~repro.core.table.StepTable` per *group* of adjacent bins
-    (:func:`~repro.core.codegen.lane_scan_source`): the packed entry
-    word becomes one state id per group on the way in, ids become the
-    packed word again on the way out, so callers — and every snapshot —
-    only ever see packed words.
-    """
+class NativeScanner:
+    """The compiled kernels of one binding: one library, one ``cc`` build
+    (:func:`~repro.core.codegen.binding_source`), holding whichever tiers
+    compiled — the lane machine (``dfas``: one closed
+    :class:`~repro.core.table.StepTable` per group of adjacent bins;
+    callers only ever see packed words), the unit forest (``bases``: per
+    unit its first forest state id, or why it is not placed) and the
+    narrow NBVA units.  :meth:`span` steps any of them over one span: in
+    one ``rap_scan_span`` call when the library holds the lanes and some
+    units (``merged``), else one call per tier — plus continuations
+    whenever an event buffer fills."""
 
-    def __init__(self, fused, tile_masks):
-        kernel = codegen.lane_scan_source(fused, tile_masks)
-        self._source = kernel.source
-        self.dfas = kernel.closure
-        lib = load_source(kernel.source, codegen.LANE_CDEF)
-        self._fn = lib.fn("rap_lane_scan")
-        self.tier = kernel.tier
-        # per group: its first bin, then where its slice of the word sits
-        ends = [fused.bases[j] for j in kernel.first[1:]] + [sum(fused.widths)]
-        self._slices = [
-            (j, fused.bases[j], (1 << end - fused.bases[j]) - 1)
-            for j, end in zip(kernel.first, ends)
-        ]
-        # per group: its state words and where they sit in the packed word
-        self._words = [
-            (dfa.words, base) for dfa, (_, base, _) in zip(self.dfas, self._slices)
-        ]
-        tiles = sum(len(masks) for masks in tile_masks)
+    def __init__(self, fused):
+        kernel = codegen.binding_source(fused, fused.tile_masks)
+        self.lanes_why, self.merged = kernel.lanes_why, kernel.merged
+        if not kernel.source:
+            raise NativeBuildError(kernel.lanes_why or "no native-eligible tier")
+        self._source, lanes = kernel.source, kernel.lanes
+        # cffi resolves a declared symbol when first asked for it
+        cdef = codegen.LANE_CDEF + codegen.UNITS_CDEF + codegen.NBVA_CDEF
+        lib = load_source(kernel.source, cdef + codegen.SCAN_CDEF)
+        self.bases, rows = codegen.unit_forest(fused)
+        nbva, classes = codegen.native_nbva_indices(fused), fused.classes.class_of
+        fns = ("rap_scan_span", kernel.merged), ("rap_lane_scan", lanes)
+        fns += ("rap_units_span", rows), ("rap_nbva_span", nbva)
+        self._span_fn, self._lane_fn, self._units_fn, self._nbva_fn = (
+            lib.fn(name) if present else None for name, present in fns
+        )
+        self.dfas, self.tier = (lanes.closure, lanes.tier) if lanes else ([], None)
+        if lanes:  # per group: its first bin, where its slice of the word sits
+            ends = [fused.bases[j] for j in lanes.first[1:]] + [sum(fused.widths)]
+            self._slices = [
+                (j, fused.bases[j], (1 << end - fused.bases[j]) - 1)
+                for j, end in zip(lanes.first, ends)
+            ]
+        placed = sum(isinstance(base, int) for base in self.bases)
+        tiers = [f"lanes {lanes.tier}"] if lanes else []
+        tiers += [f"lanes walked ({kernel.lanes_why})"] * bool(kernel.lanes_why)
+        tiers += [
+            f"unit forest {placed} of {len(self.bases)} tables "
+            f"({rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries)"
+            + f", {kernel.fold} cursors folded" * bool(kernel.fold)
+        ] * bool(self.bases)
+        tiers += [f"NBVA slots {len(nbva)} of {fused.nbva_count}"] * bool(nbva)
+        self.report = [  # what --explain says of the binding
+            f"native library {source_key(kernel.source)[:16]}: " + "; ".join(tiers)
+        ] + [f"  unit {n}: {b}" for n, b in enumerate(self.bases) if type(b) is str]
+        crowded = sum(unit.table.closed > 0 for unit in fused._units) - placed
+        if crowded:
+            log.warning(
+                "%d closed unit tables are not in the forest (--explain says "
+                "why): their cursors are walked in Python", crowded,
+            )
+        # NBVA unit index -> (slot in the C unit table, {counted pid:
+        # (word offset, words)} vector layout, total vector words); per
+        # slot what each byte adds to matched_states, which the C leaves
+        # to the span's byte histogram
+        self._nbva = {
+            j: (slot, *codegen.nbva_vector_layout(fused._nbva[j].automaton))
+            for slot, j in enumerate(nbva)
+        }
+        self._nbva_pops = np.array(
+            [
+                [u.labels[c].bit_count() + u.cmatch[c].bit_count() for c in classes]
+                for u in map(fused._nbva.__getitem__, nbva)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 256)
+        # One event cap for every tier, each clamping it to its buffer; a
+        # span's unit events are whole bytes, up to one per cursor.
+        self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, lanes.block if lanes else 0)
+        tiles = sum(map(len, fused.tile_masks)) if lanes else 0
         visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
-        self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, kernel.block)
-        self._counters = 2 * tiles + visits  # the words each span zeroes
-        groups = len(self.dfas)
-        layout = dict(tile_cycles=(np.int64, tiles), tile_bits=(np.int64, tiles))
-        layout.update(visits=(np.int64, visits), state=(np.uint32, groups))
-        layout.update(hit_pos=(np.int64, cap), hit_states=(np.uint32, cap * groups))
-        layout.update(n_hits=(np.int64, 1), resume=(np.int64, 1))
-        self._ws = _Workspace(lib, layout)
+        groups, hits = len(self.dfas), cap if lanes else 0
+        most = codegen.UNIT_SPAN_CURSORS if rows else 0
+        events = max(codegen.HIT_BUFFER_ENTRIES, most) if rows else 0
+        # the words each span zeroes: counters, control and resume words
+        self._counters = 256 + 2 * tiles + visits + len(codegen.SCAN_CTL) + 3
+        i64, u32 = np.int64, np.uint32
+        self._ws = _Workspace(
+            lib,
+            dict(
+                hist=(i64, 256), tile_cycles=(i64, tiles), tile_bits=(i64, tiles),
+                visits=(i64, visits), ctl=(i64, len(codegen.SCAN_CTL)),
+                out=(i64, 2), resume=(i64, 1), active=(i64, most),
+                state=(u32, groups), hit_pos=(i64, hits),
+                hit_states=(u32, hits * groups), units=(u32, most),
+                ev_pos=(i64, events), ev_cursor=(np.int32, events),
+                ev_state=(u32, events),
+                ev=(i64, codegen.HIT_BUFFER_ENTRIES if nbva else 2),
+            ),
+            # rap_scan_span's buffers, in its order
+            "ctl state tile_cycles tile_bits visits hit_pos hit_states units "
+            "active ev_pos ev_cursor ev_state ev hist".split(),
+        )
+        self._fresh: dict[tuple, tuple] = {}  # NBVA units -> fresh cursor rows
+        self._hit_words: dict[tuple, int] = {}  # lane state ids -> packed word
         self._warm = fused.warm
         self._foreign_logged = False
+
+    def has_nbva(self, index: int) -> bool:
+        return index in self._nbva
+
+    # -- the lane machine's words ------------------------------------------
 
     def _enter(self, entry: int, fresh: bool) -> list[int] | None:
         """A packed entry word as one state id per group (``None``: some
@@ -390,157 +444,151 @@ class NativeLaneScanner:
         """The packed word of one state id per group (inverse of
         :meth:`_enter`)."""
         word = 0
-        for (words, base), sid in zip(self._words, ids):
-            word |= words[sid] << base
+        for table, (_, base, _), sid in zip(self.dfas, self._slices, ids):
+            word |= table.words[sid] << base
         return word
 
-    def scan(
+    # -- one span of any tiers -----------------------------------------------
+
+    def span(
         self,
         data: bytes,
         *,
-        entry: int,
-        fresh: bool,
         at_end: bool,
-        stats_from: int,
-    ) -> tuple[list[int], list[int], list[tuple[int, int]], int] | None:
-        """``None`` when ``entry`` holds a state outside a group's
-        closure: the caller walks until the lanes have forgotten it."""
-        ids = self._enter(entry, fresh)
-        if ids is None:
-            return None
-        ws, cap, groups = self._ws, self._cap, len(self.dfas)
+        stats_from: int = 0,
+        lanes: tuple[int, bool] | None = None,
+        units: list[tuple[int, int]] = (),
+        nbva: list[tuple[int, NBVAState]] = (),
+    ) -> tuple:
+        """Step the lane machine (``lanes``: its packed entry word and
+        whether the stream starts here), ``(unit number, closed table
+        state)`` forest cursors and ``(NBVA unit, entry frontier)``
+        cursors over one span.  Returns ``(lanes, units, nbva,
+        histogram)``: the per-tile cycle and bit counters, ``(position,
+        packed word)`` wherever a bin holds a final that fires, and the
+        exit word (``None`` when not asked, or when the entry word is
+        outside a group's closure: the caller walks until the lanes forget
+        it); per unit cursor its raw ``(position, table state)`` events,
+        active-state sum and exit state; per NBVA cursor
+        :meth:`NBVAScanner.feed`'s global matches, counters and exit
+        frontier; and the owned bytes' histogram (``None`` for the lanes
+        alone).  Forest and lane state ids never leave this method."""
+        span = dict(at_end=at_end, stats_from=stats_from)
+        if len(units) > (cut := codegen.UNIT_SPAN_CURSORS):  # arrays full
+            head = self.span(data, lanes=lanes, units=units[:cut], nbva=nbva, **span)
+            rest = self.span(data, units=units[cut:], **span)[1]
+            return head[0], head[1] + rest, head[2], head[3]
+        ws, n, m, k = self._ws, len(data), len(units), len(nbva)
+        ids = self._enter(*lanes) if lanes is not None and self.dfas else None
         ws.block[: self._counters] = 0
-        ws.state[:] = ids
-        hits: list[tuple[int, int]] = []
-        rc, start = 1, 0
-        while rc:
-            rc = self._fn(
-                data, len(data), start, ws.at_state, int(fresh), int(at_end),
-                stats_from, ws.at_tile_cycles, ws.at_tile_bits, ws.at_visits,
-                ws.at_hit_pos, ws.at_hit_states, cap, ws.at_n_hits, ws.at_resume,
-            )
-            # a lockstep block reports its sub-spans' hits interleaved
-            nh, start = ws.n_hits.tolist()[0], ws.resume.tolist()[0]
-            if nh:
-                states = ws.hit_states[: nh * groups].reshape(nh, groups).tolist()
-                batch = sorted(zip(ws.hit_pos[:nh].tolist(), states))
-                hits += [(pos, self._leave(ids)) for pos, ids in batch]
-        return (
-            ws.tile_cycles.tolist(), ws.tile_bits.tolist(), hits,
-            self._leave(ws.state.tolist()),
+        if ids is not None:
+            ws.state[:] = ids
+        bases = [self.bases[number] for number, _ in units]
+        if m:
+            ws.active[:m] = 0
+            ws.units[:m] = [base + sid for base, (_, sid) in zip(bases, units)]
+        # (rap_scan_span reads no cursor table without NBVA cursors)
+        table, vecs = self._nbva_rows(nbva) if k else (ws.at_hist,) * 2
+        caps = (  # the NBVA kernel writes whole bytes: up to two events
+            self._cap, min(max(self._cap, m), len(ws.ev_pos)),
+            min(max(self._cap, 2), len(ws.ev)),
         )
-
-
-class NativeUnitScanner:
-    """The compiled unit kernels of one fused ruleset: the GATHER units'
-    forest of tables (``rap_units_span``) and the NBVA units
-    (``rap_nbva_span``)."""
-
-    def __init__(self, fused):
-        source = codegen.unit_scan_source(fused)
-        if not source:
-            raise NativeBuildError("no native-eligible scan units")
-        # cffi resolves a declared symbol when first asked for it
-        lib = load_source(source, codegen.UNITS_CDEF + codegen.NBVA_CDEF)
-        # unit number -> first forest state id (a str: why it is not placed)
-        self.bases, rows = codegen.unit_forest(fused)
-        self._units_fn = lib.fn("rap_units_span") if rows else None
-        placed = sum(isinstance(base, int) for base in self.bases)
-        self.forest = [  # what --explain says of the ruleset
-            f"unit forest: {placed} of {len(self.bases)} tables placed, "
-            f"{rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries",
-        ] + [f"  unit {n}: {b}" for n, b in enumerate(self.bases) if type(b) is str]
-        crowded = sum(unit.table.closed > 0 for unit in fused._units) - placed
-        if crowded:
-            log.warning(
-                "%d closed unit tables are not in the forest (--explain says "
-                "why): their cursors are walked in Python", crowded,
+        hits: list[tuple[int, int]] = []
+        events: list[list[tuple[int, int]]] = [[] for _ in units]
+        found = [([], []) for _ in nbva]  # per NBVA cursor: matches, BV cycles
+        offsets = [state.offset for _, state in nbva]
+        hist, rc = None, 1
+        if self._span_fn is not None:  # one crossing, whatever was asked
+            # codegen.SCAN_CTL: "lanes" .. "nbva_cap"; "hits", "events" last
+            ws.ctl[4:10] = -1 if ids is None else int(lanes[1]), m, k, *caps
+            while rc:
+                rc = self._span_fn(
+                    data, n, int(at_end), stats_from, table, vecs, *ws.args
+                )
+                count, ev_count = ws.ctl[-2:].tolist()
+                self._lane_hits(count, hits)
+                self._unit_events(ev_count, events, bases)
+                if k:
+                    self._nbva_events(table, offsets, found, caps[2])
+            hist = ws.hist.copy() if m or k else None
+        else:
+            if m or k:
+                owned = np.frombuffer(data, dtype=np.uint8)[max(0, stats_from) :]
+                # (bincount casts to intp itself, more slowly than astype)
+                hist = np.bincount(owned.astype(np.intp), minlength=256)
+            tier = self._lane_fn if ids is not None else None
+            while tier and rc:
+                rc = tier(
+                    data, n, ws.resume.tolist()[0], ws.at_state, int(lanes[1]),
+                    int(at_end), stats_from, ws.at_tile_cycles, ws.at_tile_bits,
+                    ws.at_visits, ws.at_hit_pos, ws.at_hit_states, caps[0],
+                    ws.at_out, ws.at_resume,
+                )
+                self._lane_hits(ws.out.tolist()[0], hits)
+            if m:
+                ws.resume[0], rc = 0, 1
+            while m and rc:
+                rc = self._units_fn(
+                    data, n, ws.resume.tolist()[0], ws.at_units, m, int(at_end),
+                    stats_from, ws.at_active, ws.at_ev_pos, ws.at_ev_cursor,
+                    ws.at_ev_state, caps[1], ws.at_out, ws.at_resume,
+                )
+                self._unit_events(ws.out.tolist()[0], events, bases)
+            if k:
+                ws.out[:], rc = 0, 1  # (cursor, position) to resume at
+            while k and rc:
+                rc = self._nbva_fn(
+                    data, n, k, int(at_end), table, vecs, ws.at_ev, caps[2],
+                    ws.at_out,
+                )
+                self._nbva_events(table, offsets, found, caps[2])
+        lane_out = None
+        if ids is not None:
+            lane_out = (
+                ws.tile_cycles.tolist(), ws.tile_bits.tolist(), hits,
+                self._leave(ws.state.tolist()),
             )
-        # NBVA unit index -> (slot in the C unit table, {counted pid:
-        # (word offset, words)} vector layout, total vector words)
-        self._nbva = {
-            j: (slot, *codegen.nbva_vector_layout(fused._nbva[j].automaton))
-            for slot, j in enumerate(codegen.native_nbva_indices(fused))
-        }
-        self._nbva_fn = lib.fn("rap_nbva_span") if self._nbva else None
-        self._cap = cap = codegen.HIT_BUFFER_ENTRIES
-        # a span's cursors, and its events: whole bytes, up to one per cursor
-        most = codegen.UNIT_SPAN_CURSORS
-        events = max(cap, most)
-        layout = dict(active=(np.int64, most), n_ev=(np.int64, 1))
-        layout.update(resume=(np.int64, 1), ev_pos=(np.int64, events))
-        layout.update(state=(np.uint32, most), ev_cursor=(np.int32, events))
-        layout.update(ev_state=(np.uint32, events))
-        self._units_ws = _Workspace(lib, layout)
-        self._nbva_ws = _Workspace(lib, dict(at=(np.int64, 2), ev=(np.int64, cap)))
+        unit_out = []
+        if m:
+            exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
+            unit_out = list(zip(events, ws.active[:m].tolist(), exits))
+        nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n) if k else []
+        return lane_out, unit_out, nbva_out, hist
 
-    def has_nbva(self, index: int) -> bool:
-        return index in self._nbva
+    def _lane_hits(self, count: int, hits: list) -> None:
+        """The lane hits of the last return, in position order (a
+        lockstep block reports its sub-spans' hits interleaved)."""
+        if count:
+            ws, groups = self._ws, len(self.dfas)
+            ids = ws.hit_states[: count * groups].tolist()
+            at = range(0, count * groups, groups)
+            for pos, k in sorted(zip(ws.hit_pos[:count].tolist(), at)):
+                key = tuple(ids[k : k + groups])
+                word = self._hit_words.get(key)
+                if word is None:
+                    word = self._hit_words[key] = self._leave(key)
+                hits.append((pos, word))
 
-    def _cursors_span(
-        self,
-        data: bytes,
-        cursors: list[tuple[int, int]],
-        *,
-        at_end: bool,
-        stats_from: int,
-    ) -> list[tuple[list[tuple[int, int]], int, int]]:
-        """Step ``(unit number, closed table state)`` cursors — any
-        units of the forest, in any multiplicity — over one span in one
-        call (plus continuations when the event buffer fills): per
-        cursor, ``(raw (position, table state) events, active-state sum,
-        exit table state)``.  Forest ids never leave this method."""
-        m = len(cursors)
-        if m > (cut := codegen.UNIT_SPAN_CURSORS):  # the kernel's arrays are full
-            span = dict(at_end=at_end, stats_from=stats_from)
-            return self._cursors_span(data, cursors[:cut], **span) + (
-                self._cursors_span(data, cursors[cut:], **span)
-            )
-        bases = [self.bases[number] for number, _ in cursors]
-        ws = self._units_ws
-        # the kernel emits whole bytes (up to m events): cap >= m
-        cap = min(max(self._cap, m), len(ws.ev_pos))
-        ws.block[:m] = 0  # the active sums
-        ws.state[:m] = [base + sid for base, (_, sid) in zip(bases, cursors)]
-        events: list[list[tuple[int, int]]] = [[] for _ in cursors]
-        rc, start = 1, 0
-        while rc:
-            rc = self._units_fn(
-                data, len(data), start, ws.at_state, m, int(at_end), stats_from,
-                ws.at_active, ws.at_ev_pos, ws.at_ev_cursor, ws.at_ev_state, cap,
-                ws.at_n_ev, ws.at_resume,
-            )
-            count, start = ws.n_ev.tolist()[0], ws.resume.tolist()[0]
+    def _unit_events(self, count: int, events: list, bases: list) -> None:
+        """The unit events of the last return, routed to their cursors."""
+        if count:
+            ws = self._ws
             for pos, u, sid in zip(
                 ws.ev_pos[:count].tolist(),
                 ws.ev_cursor[:count].tolist(),
                 ws.ev_state[:count].tolist(),
             ):
                 events[u].append((pos, sid - bases[u]))
-        exits = [sid - base for sid, base in zip(ws.state[:m].tolist(), bases)]
-        return list(zip(events, ws.active[:m].tolist(), exits))
 
-    # Two names for one call, so a traced scan attributes its (at most
-    # two) forest crossings to the NFA-mode and the DFA-mode units.
-
-    def gather_span(self, data: bytes, cursors, **span):
-        """:meth:`_cursors_span` over the span's NFA-mode cursors."""
-        return self._cursors_span(data, cursors, **span)
-
-    def dfa_span(self, data: bytes, cursors, **span):
-        """:meth:`_cursors_span` over the span's DFA-mode cursors."""
-        return self._cursors_span(data, cursors, **span)
-
-    def nbva_span(
-        self, data: bytes, cursors: list[tuple[int, NBVAState]], *, at_end: bool
-    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
-        """Step ``(NBVA unit, entry frontier)`` cursors over one span in
-        one ``rap_nbva_span`` call (plus continuations when the event
-        buffer fills): per cursor ``(global matches, counters + global
-        bv_cycle_indices, exit frontier)`` — :meth:`NBVAScanner.feed`'s
-        results."""
-        m, layouts = len(cursors), self._nbva
-        rows, size = [], 0
+    def _nbva_rows(self, cursors):
+        """The cursor table and vector words ``rap_nbva_span`` takes for
+        ``(NBVA unit, entry frontier)`` cursors (fresh ones' from a
+        template made once)."""
+        fresh = all(state == _FRESH for _, state in cursors)
+        if fresh and (key := tuple(index for index, _ in cursors)) in self._fresh:
+            table, size = self._fresh[key]
+            return table.copy(), np.zeros(size, dtype=np.uint64)
+        layouts, rows, size = self._nbva, [], 0
         for index, state in cursors:
             slot, _, total = layouts[index]
             live = 0
@@ -548,64 +596,78 @@ class NativeUnitScanner:
                 live |= 1 << pid
             rows.append((slot, state.offset == 0, size, state.active, live))
             size += 2 * total  # the cursor's vectors, then its scratch
-        table = np.zeros((m, codegen.NBVA_COLUMNS), dtype=np.uint64)
-        table[:, :5] = rows
+        table = np.zeros((max(1, len(rows)), codegen.NBVA_COLUMNS), dtype=np.uint64)
+        if rows:
+            table[:, :5] = rows
         vecs = np.zeros(max(1, size), dtype=np.uint64)
         for (index, state), row in zip(cursors, rows):
             for pid, vec in state.vectors:  # a fresh cursor has none
                 at, words = layouts[index][1][pid]
                 at += row[2]
                 vecs[at : at + words] = words_from_int(vec, words)
-        offsets = [state.offset for _, state in cursors]
-        ws = self._nbva_ws
-        ws.at[:] = 0  # (cursor, position) to resume at
-        matches: list[list[int]] = [[] for _ in cursors]
-        bv_cycles: list[list[int]] = [[] for _ in cursors]
-        rc = 1
-        while rc:
-            rc = self._nbva_fn(
-                data, len(data), m, int(at_end), table, vecs, ws.at_ev,
-                min(self._cap, len(ws.ev)), ws.at_at,
-            )
-            # Each cursor's events in turn, ``C_NEV`` each, nearly all a BV
-            # cycle alone (flags 1, taken as slices); reports one by one.
-            rows_out = table.tolist()
-            counts = [row[5] for row in rows_out]
-            total = sum(counts)
-            if not total:
-                continue
-            events = ws.ev[:total]
-            positions = events >> 2
-            if any(offsets):
-                positions += np.repeat(np.array(offsets, dtype=np.int64), counts)
-            found = positions.tolist()
-            flags = events & 3
-            odd = np.flatnonzero(flags != 1)
-            odd_flags, odd = flags[odd].tolist(), odd.tolist()
-            cut = j = 0
-            for k, count in enumerate(counts):
-                end = cut + count
-                while j < len(odd) and odd[j] < end:
-                    at, flag = odd[j], odd_flags[j]
-                    bv_cycles[k] += found[cut:at]
-                    if flag & 1:
-                        bv_cycles[k].append(found[at])
-                    if flag & 2:
-                        matches[k].append(found[at])
-                    cut, j = at + 1, j + 1
-                bv_cycles[k] += found[cut:end]
-                cut = end
-        spans = []
-        for k, ((index, _), (_, _, voff, _, _), out) in enumerate(
-            zip(cursors, rows, rows_out)
+        if fresh:
+            self._fresh[key] = table.copy(), len(vecs)
+        return table, vecs
+
+    def _nbva_events(self, table, offsets: list[int], found: list, cap: int):
+        """The NBVA events of the last return, as each cursor's runs: its
+        BV cycles (``C_NBV`` of them, in turn from the buffer's front)
+        and its matches (``C_NMATCH``, in turn from its back)."""
+        counts = table[: len(found), 5:7].tolist()
+        if not any(map(any, counts)):
+            return
+        ev = self._ws.ev
+        bv = ev[: sum(c for c, _ in counts)].tolist()
+        ends = ev[cap - sum(c for _, c in counts) : cap][::-1].tolist()
+        at = back = 0
+        for (matches, bv_cycles), (nbv, nmatch), off in zip(found, counts, offsets):
+            if off:  # spans report span-local positions
+                bv_cycles += [p + off for p in bv[at : at + nbv]]
+                matches += [p + off for p in ends[back : back + nmatch]]
+            else:
+                bv_cycles += bv[at : at + nbv]
+                matches += ends[back : back + nmatch]
+            at, back = at + nbv, back + nmatch
+
+    def _nbva_out(self, cursors, table, vecs, found, hist, n: int) -> list:
+        """Per NBVA cursor ``(matches, NBVAStats, exit frontier)``: its
+        vectors are little-endian words at its row's offset, its
+        ``matched_states`` the histogram dotted with its byte popcounts."""
+        spans, words = [], vecs.tobytes()
+        matched = self._nbva_pops.dot(hist).tolist()
+        for (index, state), out, (matches, bv_cycles) in zip(
+            cursors, table.tolist(), found
         ):
-            active, live = out[3], out[4]
-            vectors = tuple(
-                (pid, int_from_words(vecs[voff + at : voff + at + words]))
-                for pid, (at, words) in layouts[index][1].items()
+            out[9] = matched[out[0]]  # C_STATS + 2, by the unit's slot
+            live, at = out[4], 8 * out[2]
+            vectors = () if not live else tuple(
+                (pid, int.from_bytes(words[at + 8 * w : at + 8 * (w + k)], "little"))
+                for pid, (w, k) in self._nbva[index][1].items()
                 if live >> pid & 1
             )
-            stats = NBVAStats(*out[6:], bv_cycle_indices=bv_cycles[k])
-            frontier = NBVAState(offsets[k] + len(data), active, vectors)
-            spans.append((matches[k], stats, frontier))
+            stats = NBVAStats(*out[7:], bv_cycle_indices=bv_cycles)
+            frontier = NBVAState(state.offset + n, out[3], vectors)
+            spans.append((matches, stats, frontier))
         return spans
+
+    # -- one tier: the names a traced scan attributes crossings to ---------
+
+    def scan(self, data: bytes, *, entry: int, fresh: bool, **span):
+        """:meth:`span` over the lane machine alone."""
+        return self.span(data, lanes=(entry, fresh), **span)[0]
+
+    def gather_span(self, data: bytes, cursors, **span):
+        """:meth:`span` over the span's NFA-mode cursors."""
+        return self.span(data, units=cursors, **span)[1]
+
+    def dfa_span(self, data: bytes, cursors, **span):
+        """:meth:`span` over the span's DFA-mode cursors."""
+        return self.span(data, units=cursors, **span)[1]
+
+    def nbva_span(self, data: bytes, cursors, *, at_end: bool):
+        """:meth:`span` over NBVA cursors."""
+        return self.span(data, nbva=cursors, at_end=at_end)[2]
+
+
+# The names the layers above knew the two scanners by: one class now.
+NativeLaneScanner = NativeUnitScanner = NativeScanner

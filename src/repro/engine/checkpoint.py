@@ -382,18 +382,25 @@ class DurableScan:
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream on every live unit."""
         shed_regexes = {key[1] for key in self._shed if key[0] == "regex"}
-        tin = None
+        shed_bins = {self._bins[key[1:]] for key in self._shed if key[0] == "bin"}
+        tin = scanned = None
         if self._plan is not None and segment:
-            # One translation per segment, shared by every unit.
+            # One translation per segment, shared by every unit, and one
+            # crossing for every tier (the lanes' span rides along).
             tin = self._plan.fused.translate(segment)
-            self._regex_feeder.feed(tin, at_end=at_end, skip=shed_regexes)
+            riding = self._bin_feeder and self._regex  # lanes ride the units' call
+            lanes = self._bin_feeder.lanes(shed_bins) if riding else None
+            scanned = self._regex_feeder.feed(
+                tin, at_end=at_end, skip=shed_regexes, lanes=lanes
+            )
         else:
             for rid, collector in self._regex.items():
                 if rid not in shed_regexes:
                     collector.feed(segment, at_end=at_end)
-        shed_bins = {self._bins[key[1:]] for key in self._shed if key[0] == "bin"}
         if self._bin_feeder is not None:
-            self._bin_feeder.feed(segment, at_end=at_end, tin=tin, skip=shed_bins)
+            self._bin_feeder.feed(
+                segment, at_end=at_end, tin=tin, skip=shed_bins, scanned=scanned
+            )
         else:
             for collector in self._bins.values():
                 if collector not in shed_bins:

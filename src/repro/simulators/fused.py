@@ -1,42 +1,24 @@
 """Ruleset-wide fused execution of the functional collectors.
 
-This is the simulator-layer half of the ``fused`` / ``native`` backends
-(:mod:`repro.core.fused` is the machine itself).  Everything above the
-``python`` oracle executes one :class:`FusedPlan`:
+The simulator-layer half of the ``fused`` / ``native`` backends
+(:mod:`repro.core.fused` is the machine).  Everything above the
+``python`` oracle executes one :class:`FusedPlan`, derived once per
+binding (:func:`~repro.simulators.rap.bind`): LNFA bins in mapping
+order, NFA / DFA / NBVA units deduped by functional fingerprint, one
+:class:`~repro.core.fused.FusedRuleset` and one :class:`FusedLaneScanner`.
 
-* :class:`FusedPlan` derives a mapped ruleset's execution layout once —
-  LNFA bins in mapping order, NFA and DFA programs deduped by functional
-  fingerprint (exactly like :class:`~repro.core.trace.ActivityTrace`),
-  NBVA representatives, one :class:`~repro.core.fused.FusedRuleset`,
-  one :class:`FusedLaneScanner` — and assembles unit results back into
-  a :class:`~repro.simulators.rap.RunActivity` in collection order.
-  Bulk scans (:class:`FusedRun`), input-parallel scans
-  (:mod:`repro.engine.split`) and durable / served scans
-  (:class:`~repro.engine.checkpoint.DurableScan`) all consume the one
-  plan :func:`~repro.simulators.rap.bind` keeps per compiled ruleset.
-* :class:`FusedLaneScanner` steps the lane-packed machine over one
-  span of a stream and returns the per-bin activity deltas
-  (:class:`LaneDelta`) plus the exit state.  Spans may start mid-stream
-  from an explicit entry word (the durable feeder's segments) or from a
-  warm-up window (the input-parallel split engine's chunks).
-  Every bin is one :class:`~repro.core.table.StepTable` of the fused
-  ruleset; the generated C steps them closed, the table walker
-  (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) fills them
-  as it goes — with no compiler, for a bin too large to close, or from
-  an entry word outside a closure.
+* :class:`FusedLaneScanner` turns a span of the lane-packed machine into
+  per-bin deltas (:class:`LaneDelta`) — from an entry word (durable
+  segments) or a warm-up window (split chunks); the generated C steps
+  the closed bins, the table walker the rest.
 * :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
-  scan's ordinary collectors through the plan, one segment at a time.
-  Both are stateless between feeds — they load each unit's entry state
-  from the collectors' :class:`~repro.core.KernelState` and write the
-  continuation back — so snapshot/restore documents are byte-identical
-  to the ``python`` backend's and a SIGKILL-resume replays the same
-  integer stream.  A segment is never cut: only
-  :mod:`repro.engine.split` splits a stream, and only a bulk one.
-* :class:`FusedRun` reproduces
-  :meth:`~repro.simulators.rap.RAPSimulator.collect_activities` for a
-  whole run: the input is translated once through the shared alphabet
-  classes, and NFA, DFA and NBVA units scan off the shared translation
-  while LNFA bins run through the feeder.
+  scan's collectors one segment at a time, in one crossing of the
+  binding's library when it holds every tier.  Both read entry states
+  from the collectors and write them back, so snapshots are
+  byte-identical to the ``python`` backend's.
+* :class:`FusedRun` is a bulk scan's
+  :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`: one
+  crossing over the whole input, activities built from its buffers.
 
 Import this module lazily, only after the backend registry has resolved
 ``fused`` or ``native`` — :mod:`repro.core.fused` requires NumPy.
@@ -44,7 +26,6 @@ Import this module lazily, only after the backend registry has resolved
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -52,7 +33,6 @@ from repro.automata.nbva import NBVAState
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core.fused import FusedRuleset, TranslatedSegment
-from repro.core.registry import resolve_backend_with_reason
 from repro.core.state import KernelState
 from repro.core.table import StepTable
 from repro.core.trace import regex_fingerprint
@@ -69,11 +49,8 @@ from repro.simulators.activity import (
     # on this module (span ``automata.nbva_scan``); it goes when the
     # ledger reads spans instead of wrapping names (ROADMAP item 1).
     collect_regex_activity,  # noqa: F401
-    nbva_activity,
 )
 from repro.simulators.rap import Binding, RunActivity, bind
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -110,9 +87,11 @@ class FusedLaneScanner:
         self, layouts: list[_BinLayout], fused: FusedRuleset | None = None
     ):
         self._layouts = list(layouts)
-        programs = [layout.packed.program for layout in self._layouts]
         if fused is None:
-            fused = FusedRuleset(programs)
+            fused = FusedRuleset(
+                [layout.packed.program for layout in self._layouts],
+                tile_masks=[layout.tile_masks for layout in self._layouts],
+            )
         self._fused = fused
         # each bin's run of the flattened per-tile counters
         self._tile_spans: list[tuple[int, int]] = []
@@ -133,32 +112,12 @@ class FusedLaneScanner:
         # The warm-up window: the lanes forget any state after it.
         self.warm = fused.warm
 
-        # Native-codegen attachment: decided when the scanner is built,
-        # compiled and loaded lazily on the first scan.  Build failures
-        # fall back to the table walker with identical results.
-        resolved, why = resolve_backend_with_reason()
-        self._native_requested = bool(self._layouts) and resolved == "native"
-        self._native = None
-        self._native_tried = False
-        self._interpreted_why = why or f"{resolved} backend"
-
     def _native_scanner(self):
-        if not self._native_requested:
-            return None
-        if not self._native_tried:
-            self._native_tried = True
-            try:
-                from repro.core.native import NativeLaneScanner
-
-                self._native = NativeLaneScanner(
-                    self._fused,
-                    [layout.tile_masks for layout in self._layouts],
-                )
-            except Exception as err:
-                log.debug("native lane kernel unavailable: %s", err)
-                self._native = None
-                self._interpreted_why = str(err)
-        return self._native
+        """The binding's compiled kernels when they hold the lanes (the
+        fused ruleset builds them on first use), else None: the table
+        walker steps the bins."""
+        native = self._fused._native_scanner() if self._layouts else None
+        return native if native is not None and native.dfas else None
 
     @property
     def native_active(self) -> bool:
@@ -173,7 +132,9 @@ class FusedLaneScanner:
         native = self._native_scanner()
         if native is not None:
             return native.tier
-        return f"interpreted ({self._interpreted_why})"
+        native = self._fused._native_scanner()
+        why = native.lanes_why if native is not None else self._fused.native_why
+        return f"interpreted ({why})"
 
     def lane_dfas(self) -> list[StepTable]:
         """Every bin's table, the one the walker reads (and the compiled
@@ -222,6 +183,7 @@ class FusedLaneScanner:
         base: int = 0,
         stats_from: int = 0,
         tin=None,
+        scanned=None,
     ) -> LaneDelta:
         """One span of the stream as its per-bin activity deltas.
 
@@ -230,7 +192,10 @@ class FusedLaneScanner:
         are globalized against it), and ``stats_from`` the span-local
         index of the first owned byte — the warm-up prefix drives the
         word but prices nothing.  ``at_end`` marks the true stream end
-        (end-anchored finals fire nowhere else).
+        (end-anchored finals fire nowhere else).  ``scanned`` is the
+        span's raw lane result when a crossing over every tier already
+        stepped it (:meth:`FusedRuleset.scan_span
+        <repro.core.fused.FusedRuleset.scan_span>`).
         """
         n = len(segment)
         if n == 0:
@@ -240,7 +205,8 @@ class FusedLaneScanner:
             entry=entry, fresh=fresh, at_end=at_end, stats_from=stats_from
         )
         native = self._native_scanner()
-        scanned = native.scan(segment, **span) if native else None
+        if scanned is None and native:
+            scanned = native.scan(segment, **span)
         if scanned is None and native and n > self.warm:
             # An entry word the tables cannot take: walk until the lanes
             # have forgotten it, hand the kernel the rest.
@@ -292,8 +258,8 @@ class FusedLaneScanner:
     def _walk(
         self, cls: bytes, *, entry: int, fresh: bool, at_end: bool, stats_from: int
     ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
-        """The portable mirror of :meth:`NativeLaneScanner.scan
-        <repro.core.native.NativeLaneScanner.scan>`: bins never
+        """The portable mirror of :meth:`NativeScanner.scan
+        <repro.core.native.NativeScanner.scan>`: bins never
         interact, so each one's DFA is walked over the span in turn."""
         fused = self._fused
         flat_cycles: list[int] = []
@@ -374,6 +340,20 @@ class FusedBinFeeder:
             [c.layout for c in self._collectors]
         )
 
+    def lanes(self, skip=()) -> tuple[int, bool] | None:
+        """The packed word entering the next segment and whether it is
+        the stream's first (``None``: every bin is shed): the ``lanes``
+        of :meth:`FusedRuleset.scan_span <repro.core.fused.FusedRuleset.
+        scan_span>`."""
+        offsets = {c.offset for c in self._collectors if c not in skip}
+        if len(offsets) > 1:
+            raise ValueError(
+                "fused feeding requires all bins at one stream offset, "
+                f"got {sorted(offsets)}"
+            )
+        states = [0 if c in skip else c.state.states for c in self._collectors]
+        return (self._scanner.fused.pack(states), 0 in offsets) if offsets else None
+
     def feed(
         self,
         segment: bytes,
@@ -381,67 +361,45 @@ class FusedBinFeeder:
         at_end: bool = True,
         tin: TranslatedSegment | None = None,
         skip=(),
+        scanned=None,
     ) -> None:
         """Consume the next stream segment on every bin at once.
 
         ``tin`` is the segment already translated by the scanner's
-        fused compilation, when the caller shares one with other units.
-        ``skip`` holds the collectors of shed bins: the packed machine
-        still steps their lanes (bins never interact), but they enter at
-        the empty word, their delta is dropped and the collectors stay
-        frozen where they were shed.
+        fused compilation, when the caller shares one with other units,
+        and ``scanned`` the lanes' raw span when a crossing over every
+        tier stepped them already.  ``skip`` holds the collectors of
+        shed bins: the packed machine still steps their lanes (bins
+        never interact), but they enter at the empty word, their delta
+        is dropped and the collectors stay frozen where they were shed.
         """
-        if not segment:
+        lanes = self.lanes(skip) if segment else None
+        if lanes is None:
             return
-        live = [(j, c) for j, c in enumerate(self._collectors) if c not in skip]
-        if not live:
-            return
-        offsets = {c.offset for _, c in live}
-        if len(offsets) != 1:
-            raise ValueError(
-                "fused feeding requires all bins at one stream offset, "
-                f"got {sorted(offsets)}"
-            )
-        stream_base = live[0][1].offset
-        scanner = self._scanner
-        states = [0] * len(self._collectors)
-        for j, collector in live:
-            states[j] = collector.state.states
-        entry = scanner.fused.pack(states)
-        delta = scanner.scan(
-            segment,
-            entry=entry,
-            fresh=stream_base == 0,
-            at_end=at_end,
-            base=stream_base,
-            tin=tin,
+        (base,) = {c.offset for c in self._collectors if c not in skip}
+        delta = self._scanner.scan(
+            segment, entry=lanes[0], fresh=lanes[1], at_end=at_end, base=base,
+            tin=tin, scanned=scanned,
         )
         n = len(segment)
-        for j, collector in live:
-            collector.apply_segment(
-                cycles=n,
-                tile_cycles=delta.tile_cycles[j],
-                tile_bits=delta.tile_bits[j],
-                matches=delta.matches[j],
-                state=KernelState(
-                    offset=stream_base + n, states=delta.exit_states[j]
-                ),
-            )
+        for j, collector in enumerate(self._collectors):
+            if collector not in skip:
+                collector.apply_segment(
+                    cycles=n,
+                    tile_cycles=delta.tile_cycles[j],
+                    tile_bits=delta.tile_bits[j],
+                    matches=delta.matches[j],
+                    state=KernelState(offset=base + n, states=delta.exit_states[j]),
+                )
 
 
 class FusedRegexFeeder:
-    """Feed a durable scan's regex collectors through the plan.
-
-    The regex-side peer of :class:`FusedBinFeeder`: each NFA, DFA and
-    NBVA unit is stepped once per segment through the plan's span
-    scanners (compiled C when attached) and the result folded into the
-    collector of *every* regex sharing the unit, instead of each regex
-    stepping its own scanner.  The feeder holds no stream state — entry
-    states are read from the collectors (:class:`~repro.core.KernelState`
-    or :class:`~repro.automata.nbva.NBVAState`) and the continuation is
-    written back — so snapshots stay byte-identical to the ``python``
-    backend's.
-    """
+    """Feed a durable scan's regex collectors through the plan: each
+    NFA, DFA and NBVA unit steps once per segment and its result folds
+    into the collector of every regex sharing it.  No stream state:
+    entry states are read from the collectors and the continuation is
+    written back, so snapshots stay byte-identical to the ``python``
+    backend's."""
 
     def __init__(
         self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
@@ -465,11 +423,14 @@ class FusedRegexFeeder:
         *,
         at_end: bool = True,
         skip: Collection[int] = (),
-    ) -> None:
+        lanes: tuple[int, bool] | None = None,
+    ):
         """Consume the next (translated) segment on every regex whose id
-        is not in ``skip`` (shed regexes stay frozen where they are)."""
-        if not tin.data:
-            return
+        is not in ``skip`` (shed regexes stay frozen where they are).
+        ``lanes`` (:meth:`FusedBinFeeder.lanes`) rides the same crossing:
+        the lanes' raw span comes back, for :meth:`FusedBinFeeder.feed`."""
+        if not tin.data or not self._units:
+            return None
         fused = self._fused
         # Regexes sharing a unit have been fed the same bytes, so the
         # live ones agree on one entry state; grouping by it (rather
@@ -487,12 +448,14 @@ class FusedRegexFeeder:
         # NBVA group one cursor of another.
         table = [key for key in groups if key[0] is not CompiledMode.NBVA]
         nbva = [key for key in groups if key[0] is CompiledMode.NBVA]
-        spans = fused.scan_units_span(
+        scanned, spans, by_nbva = fused.scan_span(
+            tin,
             [
                 (unit, entry.states if entry.offset else None)
                 for _, unit, entry in table
             ],
-            tin,
+            [(unit, entry) for _, unit, entry in nbva],
+            lanes=lanes,
             at_end=at_end,
         )
         stepped = {
@@ -503,27 +466,17 @@ class FusedRegexFeeder:
             )
             for key, (events, stats, word) in zip(table, spans)
         }
-        cursors = [(unit, entry) for _, unit, entry in nbva]
-        stepped.update(
-            zip(nbva, fused.scan_nbva_units_span(cursors, tin, at_end=at_end))
-        )
+        stepped.update(zip(nbva, by_nbva))
         for key, group in groups.items():
             matches, stats, state = stepped[key]
             for collector in group:
                 collector.apply_segment(stats=stats, matches=matches, state=state)
+        return scanned
 
 
-def unit_activity(
-    compiled: CompiledRegex, positions: list[int], active: int, cycles: int
-) -> RegexActivity:
+def unit_activity(compiled: CompiledRegex, positions, active: int, cycles: int):
     """One NFA/DFA unit's span results as its regex's activity."""
-    return RegexActivity(
-        regex_id=compiled.regex_id,
-        mode=compiled.mode,
-        cycles=cycles,
-        matches=positions,
-        active_state_cycles=active,
-    )
+    return RegexActivity(compiled.regex_id, compiled.mode, cycles, positions, active)
 
 
 _UNIT_MODES = (CompiledMode.NFA, CompiledMode.DFA, CompiledMode.NBVA)
@@ -594,6 +547,7 @@ class FusedPlan:
                 (c.automaton, c.anchored_start, c.anchored_end)
                 for c in self.nbva_units
             ],
+            tile_masks=[layout.tile_masks for layout in self.layouts],
         )
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
@@ -602,6 +556,7 @@ class FusedPlan:
         units = self.fused.gather_count + self.fused.dfa_count
         self.fresh_units = [(number, None) for number in range(units)]
         self.fresh_nbva = [(j, NBVAState()) for j in range(self.fused.nbva_count)]
+        self._compiled = None
         # Collection order, derived once: the non-LNFA regexes in ruleset
         # order as (id, index in _UNIT_MODES, unit), and per LNFA array
         # (mapping order) the run of ``bin_keys`` it owns.
@@ -616,6 +571,20 @@ class FusedPlan:
             if array.mode is TileMode.LNFA:
                 self._bin_runs.append((index, start, start + len(array.bins)))
                 start += len(array.bins)
+
+    def compiled(self):
+        """``(library, fresh forest cursors)`` when the binding's library
+        steps every tier of a bulk scan in one ``rap_scan_span`` crossing
+        — the lanes, every unit in the forest, every NBVA unit — else
+        ``None`` (decided once, when the library attaches)."""
+        native = self.fused._native_scanner()
+        if self._compiled is None and native is not None:
+            units, count = self.fused._units, self.fused.nbva_count
+            whole = native.merged and all(map(native.has_nbva, range(count)))
+            whole = whole and all(type(base) is int for base in native.bases)
+            cursors = [(n, u.table.closed_id(None)) for n, u in enumerate(units)]
+            self._compiled = (native, cursors) if whole else False
+        return self._compiled or None
 
     def run_activity(
         self,
@@ -689,36 +658,57 @@ class FusedRun:
         fused = plan.fused
         tin = fused.translate(data)
 
-        # Every NFA- and DFA-mode unit from the stream start: one call.
+        # Every unit and the lanes from the stream start: one crossing —
+        # straight into the binding's library when it steps every tier.
         split = fused.gather_count
-        spans = fused.scan_units_span(plan.fresh_units, tin)
-        # ... and every NBVA unit: one more.
-        nbva = fused.scan_nbva_units_span(plan.fresh_nbva, tin)
-
-        scanned = [
-            unit_activity(
-                compiled, [i for i, _ in events], stats.active_states, stats.cycles
+        lanes = (0, True) if plan.scanner is not None else None
+        compiled = plan.compiled()
+        if compiled is not None:
+            native, cursors = compiled
+            lane_raw, spans, nbva, _ = native.span(
+                data, at_end=True, lanes=lanes, units=cursors, nbva=plan.fresh_nbva
             )
-            for compiled, (events, stats, _) in zip(
+            spans = [([i for i, _ in hits], active) for hits, active, _ in spans]
+        else:
+            lane_raw, spans, nbva = fused.scan_span(
+                tin, plan.fresh_units, plan.fresh_nbva, lanes=lanes
+            )
+            spans = [([i for i, _ in ev], st.active_states) for ev, st, _ in spans]
+        scanned = [
+            unit_activity(regex, positions, active, len(data))
+            for regex, (positions, active) in zip(
                 plan.nfa_units + plan.dfa_units, spans
             )
         ]
         units = {
             CompiledMode.NFA: scanned[:split],
             CompiledMode.DFA: scanned[split:],
-            CompiledMode.NBVA: [
-                nbva_activity(compiled, matches, stats)
-                for compiled, (matches, stats, _) in zip(plan.nbva_units, nbva)
+            CompiledMode.NBVA: [  # this scan's own lists: no copies
+                RegexActivity(
+                    regex.regex_id, regex.mode, st.cycles, matches, st.active_states,
+                    st.bv_phase_cycles, st.bv_cycle_indices, st.bv_updates,
+                    st.set1_events, st.shift_events, st.copy_events,
+                )
+                for regex, (matches, st, _) in zip(plan.nbva_units, nbva)
             ],
         }
-        collectors = [
-            BinActivityCollector(bin_obj, self._hw, layout)
-            for bin_obj, layout in zip(plan.bins, plan.layouts)
-        ]
-        if collectors:
-            FusedBinFeeder(collectors, plan.scanner).feed(
-                data, at_end=True, tin=tin
+        # ... and every bin's activity straight from the lanes' delta.
+        bins = []
+        if plan.scanner is not None:
+            delta = plan.scanner.scan(
+                data, fresh=True, at_end=True, tin=tin, scanned=lane_raw
             )
-        return plan.run_activity(
-            units, [c.activity() for c in collectors], len(data)
-        )
+            bins = [
+                BinActivity(
+                    bin=bin_obj,
+                    cycles=len(data),
+                    matches={item.regex_id: found.get(item.regex_id, [])
+                             for item in bin_obj.items},
+                    tile_active_cycles=cycles,
+                    tile_active_bits=bits,
+                )
+                for bin_obj, found, cycles, bits in zip(
+                    plan.bins, delta.matches, delta.tile_cycles, delta.tile_bits
+                )
+            ]
+        return plan.run_activity(units, bins, len(data))

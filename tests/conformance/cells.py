@@ -308,8 +308,6 @@ def _hit_buffer(plan, entries: int) -> None:
     """Every event buffer of the bound kernels ``entries`` long (a unit
     call still holds one entry per cursor: the kernel emits whole
     bytes)."""
-    if plan.scanner is not None and plan.scanner.native_active:
-        plan.scanner._native._cap = entries
     if plan.fused.native_active:
         plan.fused._native_scanner()._cap = entries
 

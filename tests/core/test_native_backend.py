@@ -46,6 +46,7 @@ from repro.core import codegen, native
 from repro.core.native import (
     NATIVE_DISABLE_ENV,
     native_unavailable_reason,
+    source_key,
 )
 from repro.engine import BatchEngine, EngineConfig
 from repro.engine.checkpoint import DurableScan
@@ -458,11 +459,11 @@ class TestNativeNbva:
         rng = random.Random(5)
         data = b"".join(rng.choice([b"a", b"b", b"ac", b"bc"]) for _ in range(200))
         fused, _ = _nbva_unit(automaton)
-        row = "static const uint16_t B0_IDLE[] = { "
+        row = "static const uint8_t B0_STAYS[] = { "
         source = codegen.unit_scan_source(fused)
-        idle = [int(v) for v in source.split(row)[1].split(" }")[0].split(", ")]
+        stays = [int(v) for v in source.split(row)[1].split(" }")[0].split(", ")]
         # every "a" and "b" wakes the unit, and no "c" finds it empty
-        assert not idle[ord("a")] & 0x100 and not idle[ord("b")] & 0x100
+        assert not stays[ord("a")] and not stays[ord("b")] and stays[ord("c")]
         assert b"cc" not in data and data[0] in b"ab"
         _assert_nbva_identical(automaton, data, cuts=(1, 150, len(data) - 1))
 
@@ -498,29 +499,6 @@ class TestNativeNbva:
         assert fused.scan_nbva_units_span(cursors, tin) == want
         events = sum(len(s.bv_cycle_indices) + len(m) for m, s, _ in want)
         assert len(crossings) - 1 > events // 2  # about one per event
-
-    def test_a_bulk_scan_crosses_once_for_all_nbva_units(self, monkeypatch):
-        """``FusedRun.collect`` of the Fig. 1 mix, and one durable segment
-        of it: every NBVA unit steps in the same ``rap_nbva_span`` call."""
-        from repro.simulators.fused import FusedRun
-        from repro.simulators.rap import bind
-
-        mix = cells.pinned("snort_mix16")
-        ruleset = mix.ruleset("auto")
-        with use_backend("native"):
-            binding = bind(ruleset, DEFAULT_CONFIG)
-            fused = binding.plan.fused
-            scanner = fused._native_scanner()
-            assert len(scanner._nbva) == fused.nbva_count == 7
-            fn, crossings = scanner._nbva_fn, []
-            monkeypatch.setattr(
-                scanner, "_nbva_fn", lambda *a: crossings.append(a[2]) or fn(*a)
-            )
-            FusedRun(ruleset, binding.mapping, DEFAULT_CONFIG).collect(mix.data)
-            assert crossings == [7]
-            scan = DurableScan(ruleset, binding.mapping, DEFAULT_CONFIG)
-            scan.feed(mix.data[:1000], at_end=False)
-            assert crossings == [7, 7]
 
     def test_explain_names_the_tier_and_why(self, monkeypatch, capsys, tmp_path):
         from repro.cli import main
@@ -722,6 +700,109 @@ def _counting_restarts():
 
 
 @needs_native
+class TestOneCrossing:
+    """One library per binding, one crossing per span: counted on a cold
+    cache, so every library a scan needs is built inside the test."""
+
+    @pytest.fixture
+    def counted(self, tmp_path, monkeypatch):
+        """``(cc builds, library calls by name)`` from here on."""
+        monkeypatch.setenv("RAP_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(native, "_LIB_MEMO", {})
+        builds, calls = [], []
+        compile_shared = native._compile_shared
+        monkeypatch.setattr(
+            native,
+            "_compile_shared",
+            lambda *args: builds.append(args[2]) or compile_shared(*args),
+        )
+        for library in (native._CffiLibrary, native._CtypesLibrary):
+            def fn(self, name, _fn=library.fn):
+                call = _fn(self, name)
+                return lambda *args: calls.append(name) or call(*args)
+
+            monkeypatch.setattr(library, "fn", fn)
+        return builds, calls
+
+    def test_the_mix_builds_once_and_crosses_once_per_span(self, counted):
+        """``FusedRun.collect`` of the Fig. 1 mix — lanes, unit forest and
+        NBVA units — makes one ``cc`` build and one call; one durable
+        segment of it one more call."""
+        from repro.simulators.fused import FusedRun
+        from repro.simulators.rap import bind
+
+        builds, calls = counted
+        mix = cells.pinned("snort_mix16")
+        ruleset = compile_ruleset(mix.patterns)
+        with use_backend("native"):
+            binding = bind(ruleset, DEFAULT_CONFIG)
+            run = FusedRun(ruleset, binding.mapping, DEFAULT_CONFIG, binding=binding)
+            got = run.collect(mix.data)
+            assert (len(builds), calls) == (1, ["rap_scan_span"])
+            native_ = binding.plan.fused._native_scanner()
+            assert native_.merged and len(native_._nbva) == 7
+            scan = DurableScan(ruleset, binding.mapping, DEFAULT_CONFIG)
+            scan.feed(mix.data[:1000], at_end=False)
+            assert (len(builds), calls) == (1, ["rap_scan_span"] * 2)
+        assert got == RAPSimulator(DEFAULT_CONFIG).collect_activities(
+            ruleset, mix.data, binding.mapping, backend="python"
+        )
+
+    def test_explain_names_the_one_library_and_its_tiers(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """``--explain`` prints one line per binding: its library's key
+        and the tiers it holds — lane groups, the unit forest with its
+        folded cursor count, NBVA slots — and no separate forest line."""
+        from repro.cli import main
+        from repro.simulators.rap import bind
+
+        monkeypatch.delenv("RAP_MODE", raising=False)
+        rules, stream = tmp_path / "rules.txt", tmp_path / "in.bin"
+        stream.write_bytes(b"x")
+
+        def explained(patterns, backend="native", mode="auto"):
+            rules.write_text("\n".join(patterns) + "\n")
+            argv = ["scan", "--patterns", str(rules), str(stream), "--explain"]
+            assert main([*argv, "--backend", backend, "--mode", mode]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert not any(line.startswith("unit forest") for line in lines)
+            return [line for line in lines if line.startswith("native library ")]
+
+        mix = cells.pinned("snort_mix16").patterns
+        with use_backend("native"):
+            fused = bind(compile_ruleset(mix), DEFAULT_CONFIG).plan.fused
+            key = source_key(fused._native_scanner()._source)[:16]
+        (line,) = explained(mix)
+        assert line == (
+            f"native library {key}: lanes dfa (33 states / 2 groups of 2 bins); "
+            "unit forest 6 of 6 tables (7420 of 8388608 entries), 6 cursors "
+            "folded; NBVA slots 7 of 7"
+        )
+        (line,) = explained(cells.pinned("keywords64").patterns)
+        assert line.endswith(": lanes dfa (378 states / 1 group of 4 bins)")
+        (line,) = explained(["ab{10,20}c", "needle"], mode="nfa")
+        assert ": unit forest 2 of 2 tables (" in line
+        assert "lanes" not in line and "folded" not in line
+        assert not explained(mix, backend="fused")
+
+    @pytest.mark.parametrize(
+        "name, kernel",
+        [("keywords64", "rap_lane_scan"), ("snort_nfa64", "rap_units_span")],
+    )
+    def test_one_tier_bindings_build_once(self, counted, name, kernel):
+        """A lanes-only and a units-only binding emit and call what they
+        did before the mix was merged: one build, their own kernel."""
+        builds, calls = counted
+        case = cells.pinned(name)
+        ruleset = compile_ruleset(case.patterns)
+        with use_backend("native"):
+            got = RAPSimulator(DEFAULT_CONFIG).run(ruleset, case.data)
+        assert len(builds) == 1 and set(calls) == {kernel}
+        assert got == case.reference("auto")
+
+
+@needs_native
 class TestNativeLaneDfa:
     """The per-bin DFA lane kernel ≡ the ``python`` oracle, state and
     all — and so is the table walker an over-cap bin leaves the ruleset
@@ -804,8 +885,8 @@ class TestNativeLaneDfa:
         assert scanner.lane_tier.startswith("dfa (")
         (dfa,) = scanner.lane_dfas()
         # one bin is its own group: the kernel steps the walker's table
-        assert dfa is scanner._native.dfas[0] and len(dfa) == dfa.closed
-        source = scanner._native._source
+        assert dfa is scanner._native_scanner().dfas[0] and len(dfa) == dfa.closed
+        source = scanner._native_scanner()._source
         # "abc" and "bcdx" matched so far: no input leaves both true.
         entry = plan.fused.pack([1 << 2 | 1 << 6 + 3])
         assert plan.fused.extract(entry, 0) not in dfa.ids
@@ -826,7 +907,7 @@ class TestNativeLaneDfa:
             # the walker interned the word past the closure: still not
             # a state of the C tables
             assert dfa.ids[plan.fused.extract(entry, 0)] >= dfa.closed
-            assert scanner._native.scan(
+            assert scanner._native_scanner().scan(
                 b"d", entry=entry, fresh=False, at_end=False, stats_from=0
             ) is None
         logged = [r for r in caplog.records if "outside its" in r.message]
@@ -845,7 +926,7 @@ class TestNativeLaneDfa:
                 plan, b"defyz..abcdef", **longer
             )
         # ... and its exit word is back inside: the kernel takes over.
-        assert scanner._native.scan(
+        assert scanner._native_scanner().scan(
             b"q", entry=got.exit_packed, fresh=False, at_end=True, stats_from=0
         ) is not None
         # States met lazily only ever append: the closure's ids, and so
@@ -948,16 +1029,17 @@ class TestNativeLaneDfa:
         assert lanes.bin_count > 1
         # literals: prefixes shared across bins only shrink a trie
         assert classes or " / 1 group of " in lanes.lane_tier
-        blocks, fn = [], lanes._native._fn
+        native = lanes._native_scanner()
+        blocks, fn = [], native._lane_fn
 
         def probed(*args):
             rc = fn(*args)
-            visits = lanes._native._ws.visits  # the buffer args[9] points at
+            visits = native._ws.visits  # the buffer args[9] points at
             later = len(visits) // codegen.LANE_SUBSPANS
             blocks.append(bool(visits[later:].any()))
             return rc
 
-        lanes._native._fn = probed
+        native._lane_fn = probed
         cells.durable(case, "auto", range(1, len(stream), 7), backends=HOST)
         for backend in HOST:
             for input_jobs in cells.INPUT_JOBS:
@@ -1341,8 +1423,10 @@ class TestUnitForest:
             ]
             assert roomy._native_scanner().bases == [2050 * n for n in range(16)]
             assert said == [(logging.WARNING, (2,))]  # once per ruleset
+            key = source_key(native._source)[:16]
             assert report == [
-                f"unit forest: 15 of 17 tables placed, {room} of {room} entries",
+                f"native library {key}: unit forest 15 of 17 tables "
+                f"({room} of {room} entries)",
                 "  unit 15: forest full",
                 "  unit 16: live > 255",
             ]
@@ -1491,15 +1575,17 @@ def test_fresh_processes_emit_the_same_unit_source():
     [
         ("keywords64", {"rap_lane_scan"}),
         ("snort_nfa64", {"rap_units_span"}),
-        ("snort_mix16", {"rap_lane_scan", "rap_units_span", "rap_nbva_span"}),
+        ("snort_mix16", {"rap_scan_span", "rap_lane_scan", "rap_units_span",
+                         "rap_nbva_span"}),
         ("forced_dfa", {"rap_units_span"}),
     ],
 )
 def test_generated_sources_compile_warning_free(
     name, kernels, tmp_path, monkeypatch
 ):
-    """Every translation unit the three ledger rulesets (plus a forced
-    DFA set) generate passes ``cc -fsyntax-only -Wall -Wextra -Werror``."""
+    """The translation unit each of the three ledger rulesets (plus a
+    forced DFA set) binds — and the mix's without its lanes — passes ``cc
+    -fsyntax-only -Wall -Wextra -Werror``."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -1513,20 +1599,23 @@ def test_generated_sources_compile_warning_free(
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("native"):
         plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
-    sources = [codegen.unit_scan_source(plan.fused)]
+    masks = [layout.tile_masks for layout in plan.layouts]
+    binding = codegen.binding_source(plan.fused, masks)
+    sources = [binding.source]
+    assert all(f"int {kernel}(" in binding.source for kernel in kernels)
+    assert binding.merged == ("rap_scan_span" in kernels)
     if plan.scanner is not None:
-        masks = [layout.tile_masks for layout in plan.layouts]
-        lane = codegen.lane_scan_source(plan.fused, masks)
-        assert lane.tier.startswith("dfa (")
-        sources.append(lane.source)
+        assert binding.lanes.tier.startswith("dfa (")
         # a bin's cap is read when its table is built: a new plan
         monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", 8)
         with use_backend("native"):
             capped = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
         with pytest.raises(ValueError, match="bin 0 closure > 8"):
             codegen.lane_scan_source(capped.fused, masks)
-    emitted = "\n".join(sources)
-    assert all(f"int {kernel}(" in emitted for kernel in kernels)
+        walked = codegen.binding_source(capped.fused, masks)
+        assert walked.lanes is None and walked.lanes_why == "bin 0 closure > 8"
+        assert walked.source == codegen.unit_scan_source(capped.fused)
+        sources.append(walked.source)
     for index, source in enumerate(filter(None, sources)):
         path = tmp_path / f"unit{index}.c"
         path.write_text(source)
@@ -1586,7 +1675,8 @@ _SANITIZED_L = 64  # sub-span bytes the sanitized lane kernel is rebuilt with
 )
 def test_lane_kernel_sanitized(name, tmp_path):
     """The lane kernel of each ledger ruleset (and of keywords beside a
-    start-anchored and an end-anchored bin), rebuilt with ``L`` = 64 and a
+    start-anchored and an end-anchored bin), in the one text its binding
+    builds (the mix's beside its units), rebuilt with ``L`` = 64 and a
     generated ``main()`` under ASan + UBSan over *raw* bytes: clean exit,
     and counters and hits equal to ``collect_bin_activity``'s — with a
     witness across every sub-span seam (ending on a sub-span's last byte,
@@ -1616,13 +1706,15 @@ def test_lane_kernel_sanitized(name, tmp_path):
     masks = [layout.tile_masks for layout in plan.layouts]
     kernel = codegen.lane_scan_source(fused, masks)
     assert kernel.tier.startswith("dfa (")
+    binding = codegen.binding_source(fused, masks)  # the text a scan builds
+    assert binding.merged == (name == "snort_mix16")
     subspans, sub = codegen.LANE_SUBSPANS, _SANITIZED_L
     block = subspans * sub
     generated = f"#define L {kernel.block // subspans}\n"
-    assert sub >= fused.warm and generated in kernel.source
+    assert sub >= fused.warm and generated in binding.source
     source = tmp_path / "lane.c"
     source.write_text(
-        kernel.source.replace(generated, f"#define L {sub}\n")
+        binding.source.replace(generated, f"#define L {sub}\n")
         + _SANITIZED_MAIN % dict(tiles=sum(map(len, masks)))
     )
     binary = tmp_path / "lane"
@@ -1755,14 +1847,15 @@ int main(int argc, char **argv)
 @needs_native
 @pytest.mark.parametrize("name", ["snort_nfa64", "snort_mix16"])
 def test_unit_kernel_sanitized(name, tmp_path):
-    """The unit forest of each ledger ruleset with GATHER units, built
-    with a generated ``main()`` under ASan + UBSan and run over fresh
-    cursors, each shape against ``PythonKernel`` — events, hit words,
-    active sums and exit sets:
+    """The unit forest of each ledger ruleset with GATHER units, in the
+    one text its binding builds, with a generated ``main()`` under ASan +
+    UBSan and run over fresh cursors, each shape against ``PythonKernel``
+    — events, hit words, active sums and exit sets:
 
     * 1, 3, 17 and 65 cursors (no vector multiple; past the unit count a
-      unit rides twice) through an ``m``-entry event buffer, so the
-      kernel returns and re-enters after every reporting byte;
+      unit rides twice: the generic path) and the unit count (the mix's
+      folded one) through an ``m``-entry event buffer, so the kernel
+      returns and re-enters after every reporting byte;
     * three cursors over two 65 536-byte accumulator blocks and a tail,
       ``cap = m``, the first event on the first block's last byte: the
       flush and the continuation return coincide;
@@ -1782,8 +1875,11 @@ def test_unit_kernel_sanitized(name, tmp_path):
     bases, _ = codegen.unit_forest(fused)
     units = fused._units
     assert units and all(isinstance(base, int) for base in bases)
+    binding = codegen.binding_source(fused, fused.tile_masks)
+    # the mix's kernel is folded for its six fresh cursors; 64 are not
+    assert binding.fold == (6 if name == "snort_mix16" else 0)
     source = tmp_path / "units.c"
-    source.write_text(codegen.unit_scan_source(fused) + _SANITIZED_UNITS_MAIN)
+    source.write_text(binding.source + _SANITIZED_UNITS_MAIN)
     binary = tmp_path / "units"
     build = subprocess.run(
         [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
@@ -1839,7 +1935,7 @@ def test_unit_kernel_sanitized(name, tmp_path):
     dense = generate_input(
         "network", (1 << 16) + 4097, seed=4, patterns=patterns, plant_every=150
     )
-    for m in (1, 3, 17, 65):
+    for m in (1, 3, 17, 65, len(units)):  # the generic path, then the folded
         returns = run(dense[: 1 << 15], [j % len(units) for j in range(m)])
     assert len(returns) > 4  # continuations
 
@@ -1866,15 +1962,16 @@ _SANITIZED_NBVA_MAIN = r"""
 #include <string.h>
 /* nbva <raw stream> <n> <cut>...: exact-size heap blocks once more — each
    span's raw bytes, the cursor table, the vector words (each cursor's,
-   then its scratch) — and a ONE-entry event buffer, so a word offset or
-   event slot out of range is a redzone hit and every event forces a
-   continuation, some across a cursor boundary.  Every unit is a cursor
-   of one call per span; the spans chain through the exit frontiers. */
+   then its scratch) — and a TWO-entry event buffer (room for one byte's
+   BV cycle and match), so a word offset or event slot out of range is a
+   redzone hit and every event forces a continuation, some across a
+   cursor boundary.  Every unit is a cursor of one call per span; the
+   spans chain through the exit frontiers. */
 int main(int argc, char **argv)
 {
   static const int words[] = { %(words)s };
   enum { UNITS = sizeof words / sizeof *words, SPANS = %(spans)d };
-  long long n, cuts[SPANS + 1], at[2], ev[1], size = 0;
+  long long n, cuts[SPANS + 1], at[2], *ev = malloc(2 * sizeof *ev), size = 0;
   uint64_t *cursors = calloc(UNITS * NBVA_COLUMNS, sizeof *cursors), *vecs, *row;
   uint8_t *stream;
   FILE *f;
@@ -1903,10 +2000,12 @@ int main(int argc, char **argv)
     at[0] = at[1] = 0;
     do {
       rc = rap_nbva_span(data, len, UNITS, span == SPANS - 1, cursors, vecs, ev,
-                         1, at);
-      for (u = 0; u < UNITS; u++)
-        if (cursors[u * NBVA_COLUMNS + C_NEV])
-          printf("ev %%d %%d %%lld\n", u, span, ev[0]);
+                         2, at);
+      for (u = 0; u < UNITS; u++) {
+        row = cursors + u * NBVA_COLUMNS;
+        if (row[C_NBV]) printf("ev %%d %%d %%lld\n", u, span, ev[0] << 2 | 1);
+        if (row[C_NMATCH]) printf("ev %%d %%d %%lld\n", u, span, ev[1] << 2 | 2);
+      }
     } while (rc);
     for (u = 0; u < UNITS; u++) {
       row = cursors + u * NBVA_COLUMNS;
@@ -1921,7 +2020,7 @@ int main(int argc, char **argv)
     }
     free(data);
   }
-  free(stream); free(cursors); free(vecs); fclose(f);
+  free(stream); free(cursors); free(vecs); free(ev); fclose(f);
   return 0;
 }
 """
@@ -1932,13 +2031,15 @@ int main(int argc, char **argv)
 def test_nbva_kernel_sanitized(name, tmp_path):
     """The NBVA kernel — stack vectors, a scratch swap, word-offset
     arithmetic, both idle skips — of the ledger ruleset with NBVA units
-    (plus one start-anchored unit), built with a generated ``main()``
+    (plus one start-anchored unit), in the one text its binding builds
+    beside the lanes and the unit forest, built with a generated ``main()``
     under ASan + UBSan: all units as the cursors of one call per span, a
     one-entry event buffer so every event forces a continuation, four
     spans chained through the exit frontiers — one of them a single
     byte, the last a run of idle bytes the frontiers die out in — clean
-    exit, and matches, all eleven counters, ``bv_cycle_indices`` and exit
-    frontiers equal to ``NBVAScanner``'s."""
+    exit, and matches, all eleven counters (``matched_states`` from the
+    span's bytes), ``bv_cycle_indices`` and exit frontiers equal to
+    ``NBVAScanner``'s."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -1963,7 +2064,7 @@ def test_nbva_kernel_sanitized(name, tmp_path):
     cuts = [0, third, third + 1, len(traffic), len(data)]  # a 1-byte span
     source = tmp_path / "nbva.c"
     source.write_text(
-        codegen.unit_scan_source(fused)
+        codegen.binding_source(fused, fused.tile_masks).source
         + _SANITIZED_NBVA_MAIN
         % dict(words=", ".join(str(total) for _, total in layouts), spans=4)
     )
@@ -2002,6 +2103,13 @@ def test_nbva_kernel_sanitized(name, tmp_path):
                 base + (ev >> 2) for ev in found if ev & 1
             ] == stats.bv_cycle_indices
             counters, (active, live, *vecs) = spans[slot, span]
+            # matched_states is the span's bytes dotted with the unit's
+            # per-byte popcounts: the caller's sum, not the kernel's
+            unit = fused._nbva[j]
+            pops = [unit.labels[c].bit_count() + unit.cmatch[c].bit_count()
+                    for c in fused.classes.class_of]
+            assert sum(pops[b] for b in data[base:end]) == stats.matched_states
+            counters[2] = stats.matched_states
             assert counters == list(dataclasses.astuple(stats)[:11])
             assert scanner.state == NBVAState(
                 end,
@@ -2015,6 +2123,229 @@ def test_nbva_kernel_sanitized(name, tmp_path):
             fired += len(found)
         assert scanner.state.active == 0 and not scanner.state.vectors  # died out
     assert fired > 3 * len(indices)  # continuations: one per event
+
+
+_SANITIZED_SCAN_MAIN = r"""
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+/* scan <raw stream> <n> <cut>...: every tier of the binding through
+   rap_scan_span — a one-entry lane event buffer, a two-entry NBVA one
+   (one byte's BV cycle and match), an m-entry unit one — against the
+   same build's per-tier kernels with buffers no span fills, span by
+   span, each side's spans chained through its own exit states.
+   Exact-size heap blocks again. */
+static const uint32_t IDS[] = { %(ids)s };
+static const int WORDS[] = { %(words)s };
+enum { M = sizeof IDS / sizeof *IDS, U = sizeof WORDS / sizeof *WORDS,
+       SPANS = %(spans)d, TILES = %(tiles)d, BIG = 1 << 16 };
+typedef struct { long long pos; uint32_t ids[NGROUPS]; } hit;
+
+static int by_pos(const void *a, const void *b)
+{
+  return memcmp(a, b, sizeof(hit));  /* little-endian: positions are < 2^31 */
+}
+
+static int same(const void *a, const void *b, size_t size, const char *what, int span)
+{
+  if (!memcmp(a, b, size)) return 1;
+  printf("mismatch %%s %%d\n", what, span);
+  return 0;
+}
+
+int main(int argc, char **argv)
+{
+  long long n, cuts[SPANS + 1], size = 0, nh, ne, resume, at[2];
+  long long *ctl = calloc(S_EVENTS + 1, sizeof *ctl), *hist = calloc(256, sizeof *hist);
+  uint32_t *ls = calloc(NGROUPS, 4), *rls = calloc(NGROUPS, 4);
+  uint32_t *us = malloc(M * 4), *rus = malloc(M * 4);
+  uint64_t *cur = calloc(U * NBVA_COLUMNS, 8), *rcur = calloc(U * NBVA_COLUMNS, 8);
+  uint64_t *vecs, *rvecs;
+  uint8_t *stream;
+  FILE *f;
+  int span, u, rc, w;
+  if (argc != SPANS + 2 || !(f = fopen(argv[1], "rb"))) return 2;
+  n = atoll(argv[2]);
+  cuts[0] = 0; cuts[SPANS] = n;
+  for (span = 1; span < SPANS; span++) cuts[span] = atoll(argv[span + 2]);
+  stream = malloc(n);
+  if (fread(stream, 1, n, f) != (size_t)n) return 2;
+  for (u = 0; u < U; u++) {
+    cur[u * NBVA_COLUMNS + C_UNIT] = u;
+    cur[u * NBVA_COLUMNS + C_VOFF] = size;
+    size += 2 * WORDS[u];
+  }
+  memcpy(rcur, cur, U * NBVA_COLUMNS * 8);
+  vecs = calloc(size, 8); rvecs = calloc(size, 8);
+  memcpy(us, IDS, sizeof IDS); memcpy(rus, IDS, sizeof IDS);
+  for (span = 0; span < SPANS; span++) {
+    long long base = cuts[span], len = cuts[span + 1] - base, i, k, nr = 0, nm = 0;
+    long long rne = 0, mne = 0, rnv = 0, mnv = 0, rnx = 0, mnx = 0;
+    long long direct[256] = { 0 };
+    int at_end = span == SPANS - 1, ok = 1;
+    uint8_t *data = malloc(len);
+    long long *rtc = calloc(TILES, 8), *rtb = calloc(TILES, 8), *tc = calloc(TILES, 8);
+    long long *tb = calloc(TILES, 8), *rvis = calloc(K * NVISITS, 8);
+    long long *vis = calloc(K * NVISITS, 8);
+    long long *hp = malloc(BIG * 8), *rhp = malloc(BIG * 8);
+    uint32_t *hs = malloc(BIG * NGROUPS * 4), *rhs = malloc(BIG * NGROUPS * 4);
+    hit *rh = malloc(BIG * sizeof(hit)), *mh = malloc(BIG * sizeof(hit));
+    long long *act = calloc(M, 8), *ract = calloc(M, 8);
+    long long *ep = malloc(BIG * 8), *rep = malloc(BIG * 8);
+    int32_t *ec = malloc(BIG * 4), *rec = malloc(BIG * 4);
+    uint32_t *es = malloc(BIG * 4), *res = malloc(BIG * 4);
+    long long *ev = malloc(2 * 8), *rev = malloc(BIG * 8), *mev = malloc(BIG * 8);
+    long long *mex = malloc(BIG * 8);
+    long long *mep = malloc(BIG * 8);
+    int32_t *mec = malloc(BIG * 4);
+    uint32_t *mes = malloc(BIG * 4);
+    memcpy(data, stream + base, len);
+    for (i = 0; i < len; i++) direct[data[i]]++;
+    for (u = 0; u < U; u++)
+      for (w = C_FRESH; w < NBVA_COLUMNS; w++)
+        if (w == C_FRESH || w >= C_NBV)
+          cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w] =
+              w == C_FRESH && !base;
+    /* the reference: each tier alone, one call each */
+    resume = 0;
+    if (rap_lane_scan(data, len, 0, rls, !base, at_end, 0, rtc, rtb, rvis, rhp, rhs,
+                      BIG, &nh, &resume)) return 3;
+    for (k = 0; k < nh; k++) {
+      rh[k].pos = rhp[k];
+      memcpy(rh[k].ids, rhs + k * NGROUPS, sizeof rh[k].ids);
+    }
+    nr = nh;
+    if (rap_units_span(data, len, 0, rus, M, at_end, 0, ract, rep, rec, res, BIG,
+                       &rne, &resume)) return 3;
+    at[0] = at[1] = 0;
+    if (rap_nbva_span(data, len, U, at_end, rcur, rvecs, rev, BIG, at)) return 3;
+    for (u = 0; u < U; u++) {
+      rnv += rcur[u * NBVA_COLUMNS + C_NBV];
+      rnx += rcur[u * NBVA_COLUMNS + C_NMATCH];
+    }
+    /* the one crossing, re-entered after every full buffer */
+    memset(ctl, 0, (S_EVENTS + 1) * sizeof *ctl);
+    memset(hist, 0, 256 * sizeof *hist);
+    ctl[S_LANES] = !base; ctl[S_UNITS] = M; ctl[S_NBVA] = U;
+    ctl[S_LANE_CAP] = 1; ctl[S_UNIT_CAP] = M; ctl[S_NBVA_CAP] = 2;
+    do {
+      rc = rap_scan_span(data, len, at_end, 0, cur, vecs, ctl, ls, tc, tb, vis, hp,
+                         hs, us, act, ep, ec, es, ev, hist);
+      for (k = 0; k < ctl[S_HITS]; k++, nm++) {
+        mh[nm].pos = hp[k];
+        memcpy(mh[nm].ids, hs + k * NGROUPS, sizeof mh[nm].ids);
+      }
+      for (k = 0; k < ctl[S_EVENTS]; k++, mne++) {
+        mep[mne] = ep[k]; mec[mne] = ec[k]; mes[mne] = es[k];
+      }
+      for (u = 0, k = 0, i = 2; u < U; u++) {
+        for (w = 0; w < (int)cur[u * NBVA_COLUMNS + C_NBV]; w++) mev[mnv++] = ev[k++];
+        for (w = 0; w < (int)cur[u * NBVA_COLUMNS + C_NMATCH]; w++)
+          mex[mnx++] = ev[--i];
+      }
+      printf("return %%d %%lld\n", rc, ctl[S_TIER]);
+    } while (rc);
+    qsort(rh, nr, sizeof(hit), by_pos);
+    qsort(mh, nm, sizeof(hit), by_pos);
+    ok &= nr == nm && same(rh, mh, nr * sizeof(hit), "lane hits", span);
+    ok &= same(rtc, tc, TILES * 8, "tile cycles", span);
+    ok &= same(rtb, tb, TILES * 8, "tile bits", span);
+    ok &= same(rls, ls, NGROUPS * 4, "lane exit", span);
+    ok &= rne == mne && same(rep, mep, rne * 8, "unit positions", span);
+    ok &= same(rec, mec, rne * 4, "unit cursors", span);
+    ok &= same(res, mes, rne * 4, "unit states", span);
+    ok &= same(ract, act, M * 8, "active sums", span);
+    ok &= same(rus, us, M * 4, "unit exits", span);
+    ok &= rnv == mnv && same(rev, mev, rnv * 8, "nbva BV cycles", span);
+    for (k = 0; k < rnx; k++) rev[k] = rev[BIG - 1 - k];  /* BV cycles compared */
+    ok &= rnx == mnx && same(rev, mex, rnx * 8, "nbva matches", span);
+    for (u = 0; u < U; u++)
+      for (w = C_NBV; w <= C_NMATCH; w++)
+        cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w];
+    ok &= same(rcur, cur, U * NBVA_COLUMNS * 8, "nbva rows", span);
+    ok &= same(rvecs, vecs, size * 8, "nbva vectors", span);
+    ok &= same(direct, hist, sizeof direct, "histogram", span);
+    printf("span %%d %%s %%lld %%lld %%lld\n", span, ok ? "ok" : "bad", nr, rne,
+           rnv + rnx);
+    free(data); free(rtc); free(rtb); free(tc); free(tb); free(rvis); free(vis);
+    free(hp); free(rhp); free(hs); free(rhs); free(rh); free(mh); free(act); free(ract);
+    free(ep); free(rep); free(ec); free(rec); free(es); free(res); free(ev); free(rev);
+    free(mev); free(mex); free(mep); free(mec); free(mes);
+  }
+  free(stream); free(ctl); free(hist); free(ls); free(rls); free(us); free(rus);
+  free(cur); free(rcur); free(vecs); free(rvecs); fclose(f);
+  return 0;
+}
+"""
+
+
+@needs_native
+def test_scan_span_sanitized(tmp_path):
+    """``rap_scan_span`` of the Fig. 1 mix — lanes, the folded unit
+    forest, NBVA units — under ASan + UBSan against the same build's
+    per-tier kernels: a one-entry lane and NBVA event buffer (an
+    ``m``-entry unit one) refilled across every tier boundary, four
+    spans chained through the exit states — one of them a single byte,
+    the last all idle — and the histogram of each span's bytes."""
+    from benchmarks.ledger.workloads import RULESETS
+    from repro.core.native import _find_compiler
+    from repro.simulators.fused import FusedPlan
+    from repro.workloads.inputs import generate_input
+
+    patterns = RULESETS["snort_mix16"]()
+    ruleset = compile_ruleset(patterns)
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    with use_backend("fused"):
+        fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
+    binding = codegen.binding_source(fused, fused.tile_masks)
+    assert binding.merged and binding.fold == len(fused._units) == 6
+    bases, _ = codegen.unit_forest(fused)
+    ids = [base + unit.table.closed_id(None) for base, unit in zip(bases, fused._units)]
+    indices = codegen.native_nbva_indices(fused)
+    words = [codegen.nbva_vector_layout(fused._nbva[j].automaton)[1] for j in indices]
+    traffic = generate_input(
+        "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
+    )
+    data = traffic + b"\0" * 1024
+    third = len(traffic) // 3
+    cuts = [third, third + 1, len(traffic)]  # a 1-byte span, an idle last one
+    source = tmp_path / "scan.c"
+    source.write_text(
+        binding.source
+        + _SANITIZED_SCAN_MAIN
+        % dict(
+            ids=", ".join(map(str, ids)), words=", ".join(map(str, words)), spans=4,
+            tiles=sum(map(len, fused.tile_masks)),
+        )
+    )
+    binary = tmp_path / "scan"
+    build = subprocess.run(
+        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+    stream = tmp_path / "raw.bin"
+    stream.write_bytes(data)
+    run = subprocess.run(
+        [str(binary), str(stream), str(len(data)), *map(str, cuts)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert not [line for line in lines if line[0] == "mismatch"], run.stdout[-2000:]
+    spans = [line[1:] for line in lines if line[0] == "span"]
+    assert [(span, verdict) for span, verdict, *_ in spans] == [
+        (str(k), "ok") for k in range(4)
+    ]
+    hits, events, nbva = (sum(int(line[k]) for line in spans) for k in (2, 3, 4))
+    assert hits > 3 and events > 3 and nbva > 3
+    tiers = [int(line[2]) for line in lines if line[0] == "return"]
+    # full buffers in every tier, and a lane return followed by a later
+    # tier's: the drained buffer refilled across the boundary
+    assert {0, 1, 2} <= set(tiers)
+    assert any(a == 0 and b > 0 for a, b in zip(tiers, tiers[1:]))
 
 
 @needs_native

@@ -1260,14 +1260,14 @@ class TestPlanFingerprint:
     """One fingerprint recipe — the ruleset document, the hardware
     config and the bin size, hashed — the same on every backend."""
 
-    # name -> (scan_fingerprint, keys of the generated unit and lane
-    # sources), one row for every backend: the fingerprint names none,
-    # and the sources are what a native binding emits.
+    # name -> (scan_fingerprint, key of the one generated source a native
+    # binding emits), one row for every backend: the fingerprint names
+    # none.
     PINNED = {
-        "lnfa": ("d595f123b45f155c", ["e3b0c44298fc1c14", "36ff42aad190c07f"]),
+        "lnfa": ("d595f123b45f155c", ["36ff42aad190c07f"]),
         "nfa": ("47fdbf4da19d8421", ["76d2ecf972ed2003"]),
         "dfa": ("08c85ccd44781aa5", ["94adef58eac4d87a"]),
-        "mix": ("23ea81447e9dcd85", ["87cbc5cf470750e9", "2b84d373179562e4"]),
+        "mix": ("23ea81447e9dcd85", ["68b36ecc1eafa8c8"]),
     }
 
     # What the previous recipe wrote for the module's mixed ruleset.
@@ -1292,15 +1292,11 @@ class TestPlanFingerprint:
         fingerprint, pinned = self.PINNED[name]
         with use_backend(backend):
             scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
-            plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
-            keys = [source_key(codegen.unit_scan_source(plan.fused))]
-            if plan.scanner is not None:
-                masks = [layout.tile_masks for layout in plan.layouts]
-                lane = codegen.lane_scan_source(plan.fused, masks).source
-                keys.append(source_key(lane))
-                if backend == "native":
-                    assert plan.scanner.native_active
-                    assert source_key(plan.scanner._native._source) == keys[-1]
+            fused = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan.fused
+            kernel = codegen.binding_source(fused, fused.tile_masks)
+            keys = [source_key(kernel.source)]
+            if backend == "native":
+                assert source_key(fused._native_scanner()._source) == keys[0]
         assert scan.fingerprint[:16] == fingerprint
         assert [key[:16] for key in keys] == pinned
 
@@ -1367,7 +1363,7 @@ class TestPlanFingerprint:
 
         ruleset = compile_ruleset(["needle", "marker", "hello|world"])
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        pinned = self.PINNED["lnfa"][1][1]
+        pinned = self.PINNED["lnfa"][1][0]
         with use_backend(backend):
             plan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)._plan
             scanner, fused = plan.scanner, plan.fused
@@ -1380,4 +1376,4 @@ class TestPlanFingerprint:
             kernel = codegen.lane_scan_source(fused, masks)
             assert source_key(kernel.source)[:16] == pinned
             if backend == "native":
-                assert source_key(scanner._native._source)[:16] == pinned
+                assert source_key(fused._native_scanner()._source)[:16] == pinned
