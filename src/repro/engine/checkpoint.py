@@ -42,7 +42,7 @@ from pathlib import Path
 from repro.compiler.program import CompiledMode, CompiledRuleset
 from repro.core.registry import resolve_backend
 from repro.errors import CheckpointError, QuarantineEntry
-from repro.hardware.config import HardwareConfig
+from repro.hardware.config import HardwareConfig, TileMode
 from repro.io import envelope
 from repro.io.envelope import STATE_VERSION
 from repro.mapping.mapper import Mapping
@@ -342,6 +342,14 @@ class DurableScan:
             self._bin_feeder = FusedBinFeeder(
                 list(self._bins.values()), self._plan.scanner
             )
+        # Per LNFA array, its bins' collectors: the ``lnfa_bins`` of a
+        # quote from the running counters (:meth:`counters`).
+        self._lnfa_arrays = {
+            index: [self._bins[(index, b)] for b in range(len(array.bins))]
+            for index, array in enumerate(mapping.arrays)
+            if array.mode is TileMode.LNFA
+        }
+        self._mark_drained()
         self.fingerprint = binding.fingerprint(bin_size)
         self._offset = 0
         self._hasher = hashlib.sha256()
@@ -363,9 +371,8 @@ class DurableScan:
         """Per-regex match end positions consumed so far.
 
         The returned lists are the collectors' live, append-only
-        containers — callers slice them for incremental event emission
-        (the streaming service diffs against a per-regex emitted count
-        every segment) and must not mutate them.  A regex compiled to
+        containers, which callers must not mutate (:meth:`drain` hands
+        back only what they grew by).  A regex compiled to
         several LNFA sequences reports once per sequence, in one bin or
         several: its list is their sorted union, as a bulk scan's
         result has it (a new list, still growing only at its end).
@@ -378,6 +385,38 @@ class DurableScan:
                 {end for c in self._bins.values() for end in c.matches.get(rid, ())}
             )
         return out
+
+    def drain(self) -> dict[int, list[int]]:
+        """Per regex, the match ends appended since the last drain (or
+        restore): what :meth:`match_lists` grew by, a union's new ends —
+        all past the last drain — deduplicated and sorted.  Costs the
+        lists and the new ends, not the matches so far."""
+        rids, lists, done = self._drained
+        new: dict[int, list[int]] = {}
+        for i, ends in enumerate(lists):
+            if len(ends) > done[i]:
+                new.setdefault(rids[i], []).extend(ends[done[i] :])
+                done[i] = len(ends)
+        for rid in self._unions.intersection(new):
+            new[rid] = sorted(set(new[rid]))
+        return new
+
+    def _mark_drained(self) -> None:
+        """Per match list (regex collectors', then bins'), its regex and
+        its length now: everything so far counts as drained."""
+        lists = [c.matches for c in self._regex.values()]
+        rids = list(self._regex)
+        for collector in self._bins.values():
+            rids.extend(collector.matches)
+            lists.extend(collector.matches.values())
+        self._drained = (rids, lists, [len(ends) for ends in lists])
+
+    def counters(self) -> tuple[dict, dict, int]:
+        """The live collectors by regex and by LNFA array, and the bytes
+        consumed: :meth:`RAPSimulator.replay_charges
+        <repro.simulators.rap.RAPSimulator.replay_charges>`' arguments,
+        with no activity built and no match list copied."""
+        return self._regex, self._lnfa_arrays, self._offset
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream on every live unit."""
@@ -506,6 +545,7 @@ class DurableScan:
             self._regex[rid].restore(sub)
         for key, sub in bin_docs.items():
             self._bins[key].restore(sub)
+        self._mark_drained()  # new lists, drained by the snapshot's writer
 
     def restore(self, doc: dict, data: bytes, store_dir: Path | None = None) -> None:
         """Adopt a snapshot, verifying it belongs to *this* scan.

@@ -15,7 +15,7 @@ and interprets the connection-level fault kinds of
 
 ``disconnect``  abort the transport mid-stream, reconnect, resume
 ``stall``       freeze the sender for ``seconds`` (exercises the
-                server's read deadline and idle watchdog)
+                server's idle watchdog)
 ``garbage``     send an unparsable line — the server must fail the
                 *connection* and keep the session resumable
 ``reload``      request a hot ruleset reload at that segment boundary

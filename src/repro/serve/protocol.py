@@ -87,9 +87,13 @@ ERR_BREAKER = "breaker"  # tenant circuit breaker open; retry_after set
 ERR_INTERNAL = "internal"
 
 
+# ``json.dumps`` with these options builds an encoder per call; one serves.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_frame(obj: dict[str, Any]) -> bytes:
     """One frame as wire bytes (compact JSON + newline)."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+    return _ENCODER.encode(obj).encode() + b"\n"
 
 
 def decode_frame(line: bytes) -> dict[str, Any]:

@@ -12,9 +12,11 @@ the fleet:
   anyway, the lowest-weight session is checkpointed and its connection
   told to come back later; shedding costs a reconnect, never
   correctness.
-* **Watchdogs** — per-frame read deadlines, an idle timeout that
-  checkpoints and evicts parked or silent sessions, and bounded write
-  backpressure (every frame is drained to the transport).
+* **Watchdogs** — a read deadline on the pre-``open`` handshake, a
+  periodic sweep whose idle timeout checkpoints and evicts parked and
+  silent attached sessions (the latter told ``bye`` and their transport
+  closed, so an attached read needs no per-frame timer), and bounded
+  write backpressure (every frame is drained to the transport).
 * **Durability** — sessions checkpoint every ``checkpoint_interval_bytes``
   fed bytes and at every park/detach/drain, so a connection torn down by
   any of the chaos fault kinds — or the whole worker dying — resumes
@@ -85,7 +87,7 @@ class ServeConfig:
     max_rss_mb: float | None = None
     max_open_fds: int | None = None
     idle_timeout: float = 300.0
-    read_timeout: float = 10.0  # per-frame read deadline (watchdog tick)
+    read_timeout: float = 10.0  # read deadline of each pre-open frame
     drain_seconds: float = 5.0
     checkpoint_interval_bytes: int = 1 << 20
     watchdog_interval: float = 0.5
@@ -300,21 +302,34 @@ class ScanServer:
     async def _sweep(self) -> None:
         """One watchdog pass: evict idle sessions, shed under pressure.
 
-        Callable on its own so interleaving tests can run a sweep at a
-        chosen instant (e.g. mid-drain) instead of racing the timer.
+        A silent attached session is parked and checkpointed, told
+        ``bye``/``idle``, and its transport closed: its connection's
+        read sees EOF and stands down.  Callable on its own so
+        interleaving tests can run a sweep at a chosen instant (e.g.
+        mid-drain) instead of racing the timer.
         """
-        now_idle = [
-            (key, session)
-            for key, session in list(self._sessions.items())
-            if key not in self._attached
-            and session.idle_seconds() >= self.config.idle_timeout
-        ]
-        for key, session in now_idle:
-            if not self._checkpoint(session):
-                continue  # keep it in memory: the state would be lost
-            del self._sessions[key]
-            self.stats.evicted_idle += 1
-            log.info("evicted idle session %s at %d", key, session.offset)
+        for key, session in list(self._sessions.items()):
+            if session.idle_seconds() < self.config.idle_timeout:
+                continue
+            attachment = self._attached.get(key)
+            if attachment is not None:
+                if attachment.closed_by_server:
+                    continue  # a drain is standing it down already
+                del self._attached[key]
+                session.park()
+            # A session whose checkpoint fails stays in memory: its state
+            # would be lost.  Its connection is stood down all the same.
+            if self._checkpoint(session):
+                del self._sessions[key]
+                self.stats.evicted_idle += 1
+                log.info("evicted idle session %s at %d", key, session.offset)
+            if attachment is not None:
+                with contextlib.suppress(Exception):
+                    send_frame(
+                        attachment.writer,
+                        {"op": "bye", "reason": "idle", "offset": session.offset},
+                    )
+                attachment.writer.close()
         pressure = self.policy.pressure(len(self._sessions))
         if pressure is not None and pressure.limit != "max_sessions":
             await self.shed_lowest(str(pressure))
@@ -520,7 +535,7 @@ class ScanServer:
         attachment = self._attached[key]
         try:
             while True:
-                frame = await self._read_or_idle(reader, writer, key, session)
+                frame = await read_frame(reader)
                 if frame is None:
                     return
                 if self._attached.get(key) is not attachment:
@@ -556,38 +571,6 @@ class ScanServer:
                     raise ProtocolError(f"unknown op {op!r}", phase="serve")
         finally:
             self._park(key, writer)
-
-    async def _read_or_idle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        key: str,
-        session: ScanSession,
-    ) -> dict | None:
-        """One frame, enforcing the read deadline and the idle timeout."""
-        while True:
-            try:
-                return await read_frame(reader, self.config.read_timeout)
-            except asyncio.TimeoutError:
-                attachment = self._attached.get(key)
-                if attachment is None or attachment.writer is not writer:
-                    return None  # shed or drained from under us
-                if session.idle_seconds() >= self.config.idle_timeout:
-                    session.park()
-                    if self._checkpoint(session):
-                        self._sessions.pop(key, None)
-                        self.stats.evicted_idle += 1
-                    self._attached.pop(key, None)
-                    with contextlib.suppress(Exception):
-                        await self._send(
-                            writer,
-                            {
-                                "op": "bye",
-                                "reason": "idle",
-                                "offset": session.offset,
-                            },
-                        )
-                    return None
 
     async def _open(
         self, frame: dict, writer: asyncio.StreamWriter

@@ -11,7 +11,7 @@ is what makes a session crash-proof: another worker recompiles the
 envelope's patterns (a compile-cache hit), restores the scan detached,
 and continues bit-identically.
 
-Two mechanics deserve a note:
+Three mechanics deserve a note:
 
 * **Deferred segments.**  End-anchored patterns (``foo$``) need the
   final segment fed with ``at_end=True``, but a streaming server only
@@ -25,6 +25,14 @@ Two mechanics deserve a note:
   old ruleset, its matches and energy roll into the prior totals, and
   the new epoch starts at the current global offset under the new
   generation.  A reload to an identical fingerprint never rotates.
+* **A frame pays for its segment.**  Energy is event counts times unit
+  costs, so the ``energy_uj`` a reply quotes is the binding's charge
+  replay over the collectors' running counters
+  (:meth:`~repro.simulators.rap.RAPSimulator.replay_charges`) — the
+  priced result's float exactly, with no activity built and no match
+  list copied — and the events are what :meth:`DurableScan.drain
+  <repro.engine.checkpoint.DurableScan.drain>` says the match lists grew
+  by.  Neither grows with the session's age.
 """
 
 from __future__ import annotations
@@ -146,13 +154,10 @@ class ScanSession:
     def _drain_events(self) -> list[list[int]]:
         """Match ends newly appended since the last drain, globalized."""
         events: list[list[int]] = []
-        for rid, ends in sorted(self.scan.match_lists().items()):
-            done = self._emitted.get(rid, 0)
-            if len(ends) > done:
-                events.extend(
-                    [self.epoch_start + end, rid] for end in ends[done:]
-                )
-                self._emitted[rid] = len(ends)
+        base, emitted = self.epoch_start, self._emitted
+        for rid, ends in self.scan.drain().items():
+            emitted[rid] = emitted.get(rid, 0) + len(ends)
+            events.extend([base + end, rid] for end in ends)
         events.sort()
         return events
 
@@ -162,16 +167,13 @@ class ScanSession:
         return sum(len(ends) for ends in self.scan.match_lists().values())
 
     def _epoch_energy_uj(self) -> float:
-        # Pricing is a whole ``finish()`` + ``run_from_activity``, and
-        # one frame's replies ask for it two or three times with no
-        # byte fed in between: price each point of the stream once.
+        # One frame's replies ask for it two or three times with no byte
+        # fed in between: replay each point of the stream once.
         key = (self.epoch_start, self.scan.offset, self.generation)
         if self._priced is None or self._priced[0] != key:
-            entry, scan = self.entry, self.scan
-            result = self._sim.run_from_activity(
-                entry.ruleset, scan.finish(), entry.mapping, binding=scan.binding
-            )
-            self._priced = (key, result.energy_uj)
+            scan = self.scan
+            ledger = self._sim.replay_charges(scan.binding.charges, *scan.counters())
+            self._priced = (key, ledger.energy_uj)
         return self._priced[1]
 
     def total_matches(self) -> int:

@@ -298,6 +298,17 @@ class RegexActivityCollector:
         return self._matches
 
     @property
+    def mean_activity(self) -> float:
+        """:attr:`RegexActivity.mean_activity` of the bytes so far."""
+        stats = self._stats
+        return stats.active_states / stats.cycles if stats.cycles else 0.0
+
+    @property
+    def bv_phase_cycles(self) -> int:
+        """BV-phase triggering cycles so far (NBVA only)."""
+        return self._stats.bv_phase_cycles
+
+    @property
     def state(self) -> KernelState | NBVAState:
         """The scanner's mid-stream state: the active set of an NFA/DFA
         regex (whichever of the two modes executes it), the plain active
@@ -403,8 +414,10 @@ class BinActivityCollector:
             item.regex_id: [] for item in bin_obj.items
         }
         tile_count = len(self._layout.tile_masks)
-        self._tile_active_cycles = [0] * tile_count
-        self._tile_active_bits = [0] * tile_count
+        # Per tile, cycles awake and active bits so far (pricing reads
+        # them live; read-only to callers).
+        self.tile_active_cycles = [0] * tile_count
+        self.tile_active_bits = [0] * tile_count
 
     @property
     def offset(self) -> int:
@@ -446,9 +459,9 @@ class BinActivityCollector:
         """
         self._cycles += cycles
         for t, count in enumerate(tile_cycles):
-            self._tile_active_cycles[t] += count
+            self.tile_active_cycles[t] += count
         for t, bits in enumerate(tile_bits):
-            self._tile_active_bits[t] += bits
+            self.tile_active_bits[t] += bits
         for rid, ends in matches.items():
             self._matches[rid].extend(ends)
         self._state = state
@@ -471,8 +484,8 @@ class BinActivityCollector:
         finals = layout.finals
         final_mask = layout.final_mask
         end_anchored_mask = layout.end_anchored_mask
-        tile_active_cycles = self._tile_active_cycles
-        tile_active_bits = self._tile_active_bits
+        tile_active_cycles = self.tile_active_cycles
+        tile_active_bits = self.tile_active_bits
         matches = self._matches
         base = self._state.offset
         last = len(segment) - 1
@@ -502,8 +515,8 @@ class BinActivityCollector:
             bin=self._bin,
             cycles=self._cycles,
             matches={rid: list(ends) for rid, ends in self._matches.items()},
-            tile_active_cycles=list(self._tile_active_cycles),
-            tile_active_bits=list(self._tile_active_bits),
+            tile_active_cycles=list(self.tile_active_cycles),
+            tile_active_bits=list(self.tile_active_bits),
         )
 
     def snapshot(self) -> dict:
@@ -516,8 +529,8 @@ class BinActivityCollector:
                 [rid, list(ends)]
                 for rid, ends in sorted(self._matches.items())
             ],
-            "tile_active_cycles": list(self._tile_active_cycles),
-            "tile_active_bits": list(self._tile_active_bits),
+            "tile_active_cycles": list(self.tile_active_cycles),
+            "tile_active_bits": list(self.tile_active_bits),
         }
 
     def restore(self, doc: dict) -> None:
@@ -540,5 +553,5 @@ class BinActivityCollector:
         self._state = state
         self._cycles = cycles
         self._matches = matches
-        self._tile_active_cycles = tile_active_cycles
-        self._tile_active_bits = tile_active_bits
+        self.tile_active_cycles = tile_active_cycles
+        self.tile_active_bits = tile_active_bits

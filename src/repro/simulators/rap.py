@@ -379,22 +379,21 @@ class RAPSimulator(ApStyleSimulator):
         circuit models.  Deterministic given ``activity`` — the parallel
         engine merges per-chunk activities and prices them here once.
 
-        A replay of the binding's :class:`ChargePlan`: the same ledger
-        calls, in the same order, on operands computed by the same
-        expressions as when every term was derived here — so every float
-        is bit-identical."""
+        Energy is :meth:`replay_charges`; the rest of the result — merged
+        matches, NBVA stall unions, per-array reports, areas and leakage
+        — is built here, in the order a from-scratch pricing adds it, so
+        every float is bit-identical."""
         if binding is None:
             binding = bind(ruleset, self.hw, mapping=mapping, backend=backend)
         plan = binding.charges
         p = self.params
-        ledger = EnergyLedger()
         regexes = activity.regex
+        n = activity.input_symbols
+        ledger = self.replay_charges(plan, regexes, activity.lnfa_bins, n)
         matches = {a.regex_id: a.matches for a in regexes.values()}
         for rid in plan.lnfa_ids:
             matches[rid] = []
-        mean = {rid: a.mean_activity for rid, a in regexes.items()}
 
-        n = activity.input_symbols
         total_stalls = 0
         worst_cycles = n
         array_reports: list[ArrayReport] = []
@@ -402,15 +401,27 @@ class RAPSimulator(ApStyleSimulator):
             plan.arrays, plan.priced(p, self.circuits)
         ):
             if mode is TileMode.LNFA:
-                # structure charged inside, with leakage scaled by the
-                # measured power-gating duty cycle (Fig. 7)
-                self._charge_lnfa_array(
-                    ledger, detail, prices, activity.lnfa_bins[index], n, matches
-                )
+                tiles, bin_tiles, _ = detail
+                bins = activity.lnfa_bins[index]
+                # Tile area is physical; tile leakage follows the power-
+                # gating duty cycle (Fig. 7; a gated tile retains its
+                # configuration at ~10% of active leakage).
+                ledger.add_area("tile", p.tile_area_um2, tiles)
+                possible = bin_tiles * n
+                woken = sum(a.woken_tile_cycles for a in bins)
+                duty = min(1.0, woken / possible) if possible else 1.0
+                retention = 0.1
+                leak = p.tile_leak_uw * (retention + (1 - retention) * duty)
+                ledger.add_leakage("tile", leak, tiles)
+                ledger.add_area("ring-network", prices[1], 1)
+                for bin_activity in bins:
+                    for rid, ends in bin_activity.matches.items():
+                        if ends:
+                            matches.setdefault(rid, []).extend(ends)
                 array_reports.append(
                     ArrayReport(
                         mode=mode.value,
-                        tiles=detail[0],
+                        tiles=tiles,
                         cycles=n,
                         stalls=0,
                         throughput_gchps=p.clock_ghz if n else 0.0,
@@ -418,15 +429,14 @@ class RAPSimulator(ApStyleSimulator):
                 )
                 continue
             self.charge_array_structure(ledger, geometry, include_overhead=False)
+            stalls = 0
             if mode is TileMode.NBVA:
-                stalls = self._charge_nbva_array(
-                    ledger, geometry, detail, prices, regexes, mean, n
-                )
-            else:
-                self.charge_nfa_array_energy(
-                    ledger, geometry, mean, n, charge_gctrl=False
-                )
-                stalls = 0
+                # A BV phase stalls the whole array: the union of its
+                # regexes' triggering cycles, ``depth`` cycles each.
+                stall_cycles: set[int] = set()
+                for rid, _, _ in detail:
+                    stall_cycles.update(regexes[rid].bv_cycle_indices)
+                stalls = (geometry.depth or 0) * len(stall_cycles)
             cycles = n + stalls
             total_stalls += stalls
             worst_cycles = max(worst_cycles, cycles)
@@ -442,14 +452,8 @@ class RAPSimulator(ApStyleSimulator):
                 )
             )
         # Array-level structures: area/leakage proportional to occupied
-        # tiles; one global controller runs per physical array (NFA and
-        # LNFA tiles consolidate into shared arrays per Section 3.3,
-        # NBVA arrays stay dedicated because their stalls are array-wide).
+        # tiles (Section 3.3).
         self.charge_overhead_units(ledger, plan.total_tiles)
-        if n:
-            ledger.charge(
-                "global-control", p.global_ctrl_pj, n * plan.physical_arrays
-            )
 
         metrics = ledger.metrics(
             cycles=worst_cycles,
@@ -468,6 +472,43 @@ class RAPSimulator(ApStyleSimulator):
             array_reports=tuple(array_reports),
         )
 
+    def replay_charges(
+        self, plan: ChargePlan, regexes, lnfa_bins, n: int
+    ) -> EnergyLedger:
+        """The :class:`ChargePlan` replay: every energy charge of a run
+        over ``n`` input symbols, in order, into a fresh ledger.
+
+        Reads only counters — per regex (by id) ``mean_activity`` and,
+        for NBVA, ``bv_phase_cycles``; per LNFA array (by mapping index)
+        each bin's ``tile_active_cycles`` / ``tile_active_bits`` — so a
+        :class:`RunActivity` and a live scan's collectors both serve.
+        A run's energy is the sum of these charges alone: a quote from
+        the collectors is the priced result's ``energy_uj`` exactly."""
+        p = self.params
+        ledger = EnergyLedger()
+        mean = {rid: a.mean_activity for rid, a in regexes.items()}
+        for (index, mode, geometry, detail), prices in zip(
+            plan.arrays, plan.priced(p, self.circuits)
+        ):
+            if mode is TileMode.LNFA:
+                self._charge_lnfa_array(ledger, detail, prices, lnfa_bins[index])
+            elif mode is TileMode.NBVA:
+                self._charge_nbva_array(
+                    ledger, geometry, detail, prices, regexes, mean, n
+                )
+            else:
+                self.charge_nfa_array_energy(
+                    ledger, geometry, mean, n, charge_gctrl=False
+                )
+        # One global controller runs per physical array (NFA and LNFA
+        # tiles consolidate into shared arrays per Section 3.3, NBVA
+        # arrays stay dedicated because their stalls are array-wide).
+        if n:
+            ledger.charge(
+                "global-control", p.global_ctrl_pj, n * plan.physical_arrays
+            )
+        return ledger
+
     # -- NBVA arrays --------------------------------------------------------
 
     def _charge_nbva_array(
@@ -476,11 +517,11 @@ class RAPSimulator(ApStyleSimulator):
         geometry: ArrayGeometry,
         counted,
         prices,
-        activities: dict[int, RegexActivity],
+        regexes,
         mean: dict[int, float],
         cycles: int,
-    ) -> int:
-        """Charge one NBVA array; returns its stall cycles."""
+    ) -> None:
+        """Charge one NBVA array's energy."""
         p = self.params
         matching, phases = prices
         for tile, match_pj in zip(geometry.tiles, matching):
@@ -495,43 +536,17 @@ class RAPSimulator(ApStyleSimulator):
         # Bit-vector-processing phase: depth pipeline iterations of
         # BV-word read, switch routing, and write-back per triggering
         # cycle, for each regex with live counters.
-        stall_cycles: set[int] = set()
         for (rid, _, _), per_phase in zip(counted, phases):
-            activity = activities[rid]
-            ledger.charge("bv-processing", per_phase, activity.bv_phase_cycles)
-            stall_cycles.update(activity.bv_cycle_indices)
-        return (geometry.depth or 0) * len(stall_cycles)
+            ledger.charge("bv-processing", per_phase, regexes[rid].bv_phase_cycles)
 
     # -- LNFA arrays ---------------------------------------------------------
 
-    def _charge_lnfa_array(
-        self,
-        ledger: EnergyLedger,
-        detail,
-        prices,
-        activities: list[BinActivity],
-        cycles: int,
-        matches: dict[int, list[int]],
-    ) -> None:
+    def _charge_lnfa_array(self, ledger: EnergyLedger, detail, prices, bins) -> None:
         p = self.params
-        tiles, bin_tiles, bins = detail
-        bin_prices, ring_area = prices
-        # Tile area is physical; tile leakage follows the power-gating
-        # duty cycle (a gated tile retains its configuration at ~10% of
-        # active leakage).
-        ledger.add_area("tile", p.tile_area_um2, tiles)
-        possible = bin_tiles * cycles
-        woken = sum(a.woken_tile_cycles for a in activities)
-        duty = min(1.0, woken / possible) if possible else 1.0
-        retention = 0.1
-        effective_leak = p.tile_leak_uw * (retention + (1 - retention) * duty)
-        ledger.add_leakage("tile", effective_leak, tiles)
+        bin_prices, _ = prices
         for (tile_count, cam, capacity, _, _), (ctrl_pj, ring_pj), activity in zip(
-            bins, bin_prices, activities
+            detail[2], bin_prices, bins
         ):
-            for rid, ends in activity.matches.items():
-                if ends:
-                    matches.setdefault(rid, []).extend(ends)
             active = activity.tile_active_cycles
             for t in range(tile_count):
                 active_cycles = active[t]
@@ -550,7 +565,6 @@ class RAPSimulator(ApStyleSimulator):
             # Ring network: one short hop per tile boundary per cycle the
             # downstream tile is awake.
             ledger.charge("ring-network", ring_pj, sum(active[1:]))
-        ledger.add_area("ring-network", ring_area, 1)
 
     # -- post-run dedup -----------------------------------------------------
 

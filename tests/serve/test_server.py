@@ -19,6 +19,7 @@ from repro.serve import protocol
 from repro.serve.client import ScanClient, serial_totals
 from repro.serve.protocol import encode_frame, read_frame, send_frame
 from repro.serve.registry import TenantRegistry
+from repro.serve.session import ScanSession
 from repro.serve.server import (
     RETRY_AFTER_ADMISSION,
     RETRY_AFTER_MIGRATE,
@@ -171,23 +172,23 @@ class TestStreaming:
         self, registry, data, golden, tmp_path, monkeypatch
     ):
         """A reply quotes the session's energy, and ``end`` sends two
-        replies: one ``run_from_activity`` per data frame (the first
-        prices offset 0, each later one the segment it flushed) and one
-        for ``end`` — not the two or three an unmemoised total cost."""
+        replies: one charge replay per data frame (the first prices
+        offset 0, each later one the segment it flushed) and one for
+        ``end`` — not the two or three an unmemoised total cost."""
         from repro.simulators.rap import RAPSimulator
 
         priced = []
-        price = RAPSimulator.run_from_activity
+        price = RAPSimulator.replay_charges
 
-        def counting(self, ruleset, activity, *args, **kwargs):
-            priced.append(activity.input_symbols)
-            return price(self, ruleset, activity, *args, **kwargs)
+        def counting(self, plan, regexes, lnfa_bins, n):
+            priced.append(n)
+            return price(self, plan, regexes, lnfa_bins, n)
 
         async def scenario():
             async with running_server(tmp_path, registry) as server:
                 client = ScanClient("127.0.0.1", server.port, "once", "s", PATTERNS)
                 await client.connect()
-                monkeypatch.setattr(RAPSimulator, "run_from_activity", counting)
+                monkeypatch.setattr(RAPSimulator, "replay_charges", counting)
                 return await finish_stream(client, data, SEG)
 
         result = run(scenario())
@@ -294,7 +295,6 @@ class TestWatchdogs:
                 tmp_path,
                 registry,
                 idle_timeout=0.4,
-                read_timeout=0.1,
                 watchdog_interval=0.05,
             ) as server:
                 client = ScanClient(
@@ -303,19 +303,106 @@ class TestWatchdogs:
                 await client.connect()
                 for i in range(2):
                     await client.send(data[i * SEG : (i + 1) * SEG])
-                # Go silent: the read-deadline loop notices the idle
-                # timeout, checkpoints, evicts, and says goodbye.
-                bye = await asyncio.wait_for(client._control.get(), 10.0)
+                # Go silent: the watchdog sweep (not the 10 s read
+                # deadline, which only guards the handshake) notices the
+                # idle timeout, checkpoints, evicts, and says goodbye.
+                bye = await asyncio.wait_for(client._control.get(), 5.0)
                 assert bye["op"] == "bye"
                 assert bye["reason"] == "idle"
+                assert bye["offset"] == SEG  # the held segment is dropped
                 assert server.stats.evicted_idle == 1
                 assert session_key("idle", "s") not in server._sessions
+                store = server._store_for(session_key("idle", "s"))
+                assert store.load_latest()["scan"]["offset"] == SEG
                 await client.reconnect()
                 result = await finish_stream(client, data, SEG)
                 matches, energy = golden
                 assert result["matches"] == matches
                 assert result["energy_uj"] == energy
                 assert server.stats.resumed == 1
+
+        run(scenario())
+
+    @pytest.mark.parametrize("how", ["shed", "drain", "release"])
+    def test_a_connection_stood_down_by_the_server_is_not_parked_again(
+        self, registry, data, tmp_path, monkeypatch, how
+    ):
+        """Shed, drain and release persist the session themselves; the
+        handler that then reads EOF must not park or checkpoint it a
+        second time."""
+        parks, checkpoints = [], []
+        park, checkpoint = ScanSession.park, ScanSession.checkpoint
+        monkeypatch.setattr(
+            ScanSession, "park", lambda self: parks.append(1) or park(self)
+        )
+        monkeypatch.setattr(
+            ScanSession,
+            "checkpoint",
+            lambda self: checkpoints.append(1) or checkpoint(self),
+        )
+
+        def handlers():
+            return [
+                task
+                for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "ScanServer._handle"
+            ]
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                client = ScanClient("127.0.0.1", server.port, "down", how, PATTERNS)
+                await client.connect()
+                for i in range(2):
+                    await client.send(data[i * SEG : (i + 1) * SEG])
+                assert len(handlers()) == 1
+                if how == "shed":
+                    await server.shed_lowest("test")
+                elif how == "drain":
+                    await server.drain()
+                else:
+                    await server.release_sessions()
+                await poll_until(lambda: not handlers())
+                assert not server._sessions and not server._attached
+
+        run(scenario())
+        assert len(checkpoints) == 1
+        assert len(parks) == (how == "release")
+
+    def test_attached_frames_spawn_no_task(self, registry, tmp_path):
+        """An attached read awaits the stream itself: no per-frame
+        ``wait_for`` task, and the loop's task count stays flat."""
+
+        async def scenario():
+            async with running_server(tmp_path, registry) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    encode_frame(
+                        {"op": "open", "tenant": "flat", "session": "s",
+                         "patterns": PATTERNS}
+                    )
+                )
+                assert (await read_frame(reader))["op"] == "welcome"
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def factory(loop, coro, **kwargs):
+                    created.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                before = len(asyncio.all_tasks())
+                loop.set_task_factory(factory)
+                try:
+                    frame = encode_frame({"op": "data", "b64": "eHl6IGFiYw=="})
+                    for _ in range(1000):
+                        writer.write(frame)
+                        assert (await read_frame(reader))["op"] == "events"
+                finally:
+                    loop.set_task_factory(None)
+                assert len(asyncio.all_tasks()) == before
+                assert len(created) < 10
+                writer.close()
 
         run(scenario())
 

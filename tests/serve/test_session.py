@@ -27,7 +27,7 @@ from repro.serve.client import serial_totals
 from repro.serve.registry import TenantRegistry
 from repro.serve.session import ScanSession
 from repro.simulators.rap import RAPSimulator
-from tests.conformance.cells import HOST
+from tests.conformance.cells import HOST, pinned
 from tests.serve.util import ALT_PATTERNS, PATTERNS, entry_for
 
 SEGMENT = 700
@@ -258,6 +258,93 @@ class TestHotReload:
         assert session.total_matches() == matches_a + matches_b
         assert session.total_energy_uj() == energy_a + energy_b
         assert len(events) == matches_a + matches_b
+
+
+def priced_total(session) -> float:
+    """The banked epochs plus the live epoch's finished activity priced
+    in full — what a quote stands for."""
+    entry, scan = session.entry, session.scan
+    epoch = RAPSimulator(session.hw).run_from_activity(
+        entry.ruleset, scan.finish(), entry.mapping
+    )
+    return session.prior_energy_uj + epoch.energy_uj
+
+
+class TestEnergyQuote:
+    """A session quotes its energy by replaying the binding's charge plan
+    over the collectors' running counters: the priced result's
+    ``energy_uj`` bit for bit, at a cost that does not grow with the
+    session."""
+
+    @pytest.mark.parametrize(
+        "name, then",
+        [
+            ("keywords64", "snort_mix16"),
+            ("snort_mix16", "snort_nfa64"),  # NBVA arrays
+            ("snort_nfa64", "keywords64"),
+        ],
+    )
+    def test_every_quote_is_the_priced_result(
+        self, registry, tmp_path, name, then
+    ):
+        first, second = pinned(name), pinned(then)
+        session = build_session(registry, tmp_path, first.patterns)
+
+        def quote_each(data):
+            for at in range(0, len(data), 250):
+                session.feed(data[at : at + 250])
+                assert session.total_energy_uj().hex() == priced_total(session).hex()
+
+        quote_each(first.data[:1000])
+        # Detach, then resume from the envelope as another worker would.
+        session.park()
+        envelope = json.loads(json.dumps(session.envelope()))
+        session = ScanSession.from_envelope(envelope, registry, session.store)
+        assert session.total_energy_uj().hex() == priced_total(session).hex()
+        quote_each(first.data[1000:])
+        # A hot reload banks the old epoch (its held segment fed) at its
+        # full price.
+        old, old_scan, prior = session.entry, session.scan, session.prior_energy_uj
+        session.maybe_swap(entry_for(registry, second.patterns, generation=2))
+        banked = RAPSimulator(session.hw).run_from_activity(
+            old.ruleset, old_scan.finish(), old.mapping
+        )
+        assert session.prior_energy_uj.hex() == (prior + banked.energy_uj).hex()
+        quote_each(second.data)
+        session.end()
+        assert session.total_energy_uj().hex() == priced_total(session).hex()
+
+    def test_a_frame_at_segment_2000_copies_no_match_list(
+        self, registry, tmp_path, monkeypatch
+    ):
+        """The 2 001st data frame's drain and quote neither list every
+        match (``match_lists``), nor build the epoch's activity
+        (``finish``), nor merge LNFA matches."""
+        from repro.simulators import rap
+
+        case = pinned("keywords64")
+        session = build_session(registry, tmp_path, case.patterns)
+        stream = case.data * 4
+        for at in range(0, len(stream), 4):
+            session.feed(stream[at : at + 4])
+        assert session.total_matches() > 200
+        calls = []
+        for owner, name in (
+            (DurableScan, "match_lists"),
+            (DurableScan, "finish"),
+            (rap, "merge_lnfa_matches"),
+        ):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner,
+                name,
+                lambda *a, name=name, real=real: calls.append(name) or real(*a),
+            )
+        session.feed(stream[:4])
+        quote = session.total_energy_uj()
+        monkeypatch.undo()
+        assert not calls
+        assert quote.hex() == priced_total(session).hex()
 
 
 # Segments drawn from witnesses of PATTERNS and ALT_PATTERNS.
