@@ -406,7 +406,7 @@ class FusedRuleset:
         units: Sequence[tuple[int, int | None]] = (),
         nbva: Sequence[tuple[int, NBVAState]] = (),
         *,
-        lanes: tuple[int, bool] | None = None,
+        lanes=None,
         stats_from: int = 0,
         at_end: bool = True,
     ) -> tuple:
@@ -421,12 +421,13 @@ class FusedRuleset:
         warm the state up).  An NBVA cursor is ``(unit, entry frontier)``
         and comes back as :meth:`NBVAScanner.feed`'s global matches,
         counters and exit frontier (no warm-up: vectors carry unbounded
-        history).  ``lanes`` — the packed word entering the span and
-        whether the stream starts here — asks for the lane machine's raw
-        span from the generated C (:meth:`NativeScanner.span
-        <repro.core.native.NativeScanner.span>`); ``None`` comes back
-        when the caller must step them itself.  ``at_end``: the span's
-        last symbol is the stream's (end-anchored finals fire only there).
+        history).  ``lanes`` — a stream's lane machine the kernel holds
+        (:class:`~repro.simulators.fused.LaneStream`) — is stepped in
+        place by the generated C (:meth:`NativeScanner.span
+        <repro.core.native.NativeScanner.span>`) and its hits come back;
+        ``None`` comes back when the caller must step them itself.
+        ``at_end``: the span's last symbol is the stream's (end-anchored
+        finals fire only there).
 
         Every cursor the generated C can take steps there — all of them
         and the lanes in one crossing when the binding's library holds

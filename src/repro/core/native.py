@@ -318,8 +318,9 @@ class NativeScanner:
     """The compiled kernels of one binding: one library, one ``cc`` build
     (:func:`~repro.core.codegen.binding_source`), holding whichever tiers
     compiled — the lane machine (``dfas``: one closed
-    :class:`~repro.core.table.StepTable` per group of adjacent bins;
-    callers only ever see packed words), the unit forest (``bases``: per
+    :class:`~repro.core.table.StepTable` per group of adjacent bins,
+    its state ids kept in a stream's buffers, which it steps in place),
+    the unit forest (``bases``: per
     unit its first forest state id, or why it is not placed) and the
     narrow NBVA units.  :meth:`span` steps any of them over one span: in
     one ``rap_scan_span`` call when the library holds the lanes and some
@@ -385,30 +386,31 @@ class NativeScanner:
         # One event cap for every tier, each clamping it to its buffer; a
         # span's unit events are whole bytes, up to one per cursor.
         self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, lanes.block if lanes else 0)
-        tiles = sum(map(len, fused.tile_masks)) if lanes else 0
         visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
         groups, hits = len(self.dfas), cap if lanes else 0
         most = codegen.UNIT_SPAN_CURSORS if rows else 0
         events = max(codegen.HIT_BUFFER_ENTRIES, most) if rows else 0
         # the words each span zeroes: counters, control and resume words
-        self._counters = 256 + 2 * tiles + visits + len(codegen.SCAN_CTL) + 3
+        self._counters = 256 + visits + len(codegen.SCAN_CTL) + 3
         i64, u32 = np.int64, np.uint32
+        # A stream's lane state and tile counters are its own (LaneStream,
+        # resident between spans); the rest is scratch of one span.
         self._ws = _Workspace(
             lib,
             dict(
-                hist=(i64, 256), tile_cycles=(i64, tiles), tile_bits=(i64, tiles),
-                visits=(i64, visits), ctl=(i64, len(codegen.SCAN_CTL)),
-                out=(i64, 2), resume=(i64, 1), active=(i64, most),
-                state=(u32, groups), hit_pos=(i64, hits),
+                hist=(i64, 256), visits=(i64, visits),
+                ctl=(i64, len(codegen.SCAN_CTL)), out=(i64, 2), resume=(i64, 1),
+                active=(i64, most), hit_pos=(i64, hits),
                 hit_states=(u32, hits * groups), units=(u32, most),
                 ev_pos=(i64, events), ev_cursor=(np.int32, events),
                 ev_state=(u32, events),
                 ev=(i64, codegen.HIT_BUFFER_ENTRIES if nbva else 2),
             ),
-            # rap_scan_span's buffers, in its order
-            "ctl state tile_cycles tile_bits visits hit_pos hit_states units "
-            "active ev_pos ev_cursor ev_state ev hist".split(),
+            # rap_scan_span's buffers after the lanes', in its order
+            "visits hit_pos hit_states units active ev_pos ev_cursor ev_state "
+            "ev hist".split(),
         )
+        self._pointer = lib.pointer
         self._fresh: dict[tuple, tuple] = {}  # NBVA units -> fresh cursor rows
         self._hit_words: dict[tuple, int] = {}  # lane state ids -> packed word
         self._warm = fused.warm
@@ -419,15 +421,14 @@ class NativeScanner:
 
     # -- the lane machine's words ------------------------------------------
 
-    def _enter(self, entry: int, fresh: bool) -> list[int] | None:
-        """A packed entry word as one state id per group (``None``: some
-        group's word is not in its closure — a shed bin entering empty
-        beside live neighbours, a hand-edited snapshot)."""
-        if fresh:  # the kernel starts every group itself
-            return [0] * len(self.dfas)
+    def _enter(self, lanes) -> bool:
+        """Hold ``lanes`` (a :class:`~repro.simulators.fused.LaneStream`):
+        its word becomes one state id per group in its ``state``, which
+        the kernel steps in place (``False``: some group's word is not in
+        its closure — a ``python`` snapshot after a shed, a hand edit)."""
         ids = []
         for table, (j, base, mask) in zip(self.dfas, self._slices):
-            sid = table.closed_id(entry >> base & mask)
+            sid = 0 if lanes.fresh else table.closed_id(lanes.word >> base & mask)
             if sid is None:
                 if not self._foreign_logged:
                     self._foreign_logged = True
@@ -436,13 +437,20 @@ class NativeScanner:
                         "the first %d bytes of such spans are walked",
                         j, table.closed, self._warm,
                     )
-                return None
+                return False
             ids.append(sid)
-        return ids
+        if lanes.args is None:
+            lanes.state = np.zeros(len(self.dfas), dtype=np.uint32)
+            buffers = lanes.state, lanes.tile_cycles, lanes.tile_bits
+            lanes.args = tuple(map(self._pointer, buffers))
+        lanes.state[:], lanes.word = ids, None
+        return True
 
-    def _leave(self, ids: list[int]) -> int:
-        """The packed word of one state id per group (inverse of
-        :meth:`_enter`)."""
+    def _leave(self, lanes) -> int:
+        """The packed word of a held stream (read, not released)."""
+        return self._word(lanes.state.tolist())
+
+    def _word(self, ids) -> int:
         word = 0
         for table, (_, base, _), sid in zip(self.dfas, self._slices, ids):
             word |= table.words[sid] << base
@@ -456,33 +464,33 @@ class NativeScanner:
         *,
         at_end: bool,
         stats_from: int = 0,
-        lanes: tuple[int, bool] | None = None,
+        lanes=None,
         units: list[tuple[int, int]] = (),
         nbva: list[tuple[int, NBVAState]] = (),
     ) -> tuple:
-        """Step the lane machine (``lanes``: its packed entry word and
-        whether the stream starts here), ``(unit number, closed table
+        """Step the lane machine (``lanes``: a stream's
+        :class:`~repro.simulators.fused.LaneStream`, taken over by
+        :meth:`_enter` — its state ids and tile counters are stepped and
+        accumulated in place, never zeroed), ``(unit number, closed table
         state)`` forest cursors and ``(NBVA unit, entry frontier)``
         cursors over one span.  Returns ``(lanes, units, nbva,
-        histogram)``: the per-tile cycle and bit counters, ``(position,
-        packed word)`` wherever a bin holds a final that fires, and the
-        exit word (``None`` when not asked, or when the entry word is
-        outside a group's closure: the caller walks until the lanes forget
+        histogram)``: ``(position, packed word)`` wherever a bin holds a
+        final that fires (``None`` when not asked, or when the lanes' word
+        is outside a group's closure: the caller walks until they forget
         it); per unit cursor its raw ``(position, table state)`` events,
         active-state sum and exit state; per NBVA cursor
         :meth:`NBVAScanner.feed`'s global matches, counters and exit
         frontier; and the owned bytes' histogram (``None`` for the lanes
-        alone).  Forest and lane state ids never leave this method."""
+        alone).  Forest state ids never leave this method."""
         span = dict(at_end=at_end, stats_from=stats_from)
+        if lanes is not None and lanes.word is not None and not self._enter(lanes):
+            lanes = None  # the caller walks them
         if len(units) > (cut := codegen.UNIT_SPAN_CURSORS):  # arrays full
             head = self.span(data, lanes=lanes, units=units[:cut], nbva=nbva, **span)
             rest = self.span(data, units=units[cut:], **span)[1]
             return head[0], head[1] + rest, head[2], head[3]
         ws, n, m, k = self._ws, len(data), len(units), len(nbva)
-        ids = self._enter(*lanes) if lanes is not None and self.dfas else None
         ws.block[: self._counters] = 0
-        if ids is not None:
-            ws.state[:] = ids
         bases = [self.bases[number] for number, _ in units]
         if m:
             ws.active[:m] = 0
@@ -500,11 +508,11 @@ class NativeScanner:
         hist, rc = None, 1
         if self._span_fn is not None:  # one crossing, whatever was asked
             # codegen.SCAN_CTL: "lanes" .. "nbva_cap"; "hits", "events" last
-            ws.ctl[4:10] = -1 if ids is None else int(lanes[1]), m, k, *caps
+            ws.ctl[4:10] = -1 if lanes is None else int(lanes.fresh), m, k, *caps
+            own = lanes.args if lanes is not None else (ws.at_hist,) * 3
+            args = (ws.at_ctl, *own, *ws.args)
             while rc:
-                rc = self._span_fn(
-                    data, n, int(at_end), stats_from, table, vecs, *ws.args
-                )
+                rc = self._span_fn(data, n, int(at_end), stats_from, table, vecs, *args)
                 count, ev_count = ws.ctl[-2:].tolist()
                 self._lane_hits(count, hits)
                 self._unit_events(ev_count, events, bases)
@@ -516,15 +524,8 @@ class NativeScanner:
                 owned = np.frombuffer(data, dtype=np.uint8)[max(0, stats_from) :]
                 # (bincount casts to intp itself, more slowly than astype)
                 hist = np.bincount(owned.astype(np.intp), minlength=256)
-            tier = self._lane_fn if ids is not None else None
-            while tier and rc:
-                rc = tier(
-                    data, n, ws.resume.tolist()[0], ws.at_state, int(lanes[1]),
-                    int(at_end), stats_from, ws.at_tile_cycles, ws.at_tile_bits,
-                    ws.at_visits, ws.at_hit_pos, ws.at_hit_states, caps[0],
-                    ws.at_out, ws.at_resume,
-                )
-                self._lane_hits(ws.out.tolist()[0], hits)
+            if lanes is not None:
+                hits = self.scan(data, lanes=lanes, **span)
             if m:
                 ws.resume[0], rc = 0, 1
             while m and rc:
@@ -542,18 +543,14 @@ class NativeScanner:
                     ws.at_out,
                 )
                 self._nbva_events(table, offsets, found, caps[2])
-        lane_out = None
-        if ids is not None:
-            lane_out = (
-                ws.tile_cycles.tolist(), ws.tile_bits.tolist(), hits,
-                self._leave(ws.state.tolist()),
-            )
-        unit_out = []
+        if lanes is not None and n:
+            lanes.fresh = False
+        unit_out: list = []
         if m:
             exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
             unit_out = list(zip(events, ws.active[:m].tolist(), exits))
         nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n) if k else []
-        return lane_out, unit_out, nbva_out, hist
+        return hits if lanes is not None else None, unit_out, nbva_out, hist
 
     def _lane_hits(self, count: int, hits: list) -> None:
         """The lane hits of the last return, in position order (a
@@ -566,7 +563,7 @@ class NativeScanner:
                 key = tuple(ids[k : k + groups])
                 word = self._hit_words.get(key)
                 if word is None:
-                    word = self._hit_words[key] = self._leave(key)
+                    word = self._hit_words[key] = self._word(key)
                 hits.append((pos, word))
 
     def _unit_events(self, count: int, events: list, bases: list) -> None:
@@ -652,9 +649,24 @@ class NativeScanner:
 
     # -- one tier: the names a traced scan attributes crossings to ---------
 
-    def scan(self, data: bytes, *, entry: int, fresh: bool, **span):
-        """:meth:`span` over the lane machine alone."""
-        return self.span(data, lanes=(entry, fresh), **span)[0]
+    def scan(self, data: bytes, *, lanes, at_end: bool, stats_from: int = 0):
+        """:meth:`span` over the lane machine alone, in ``rap_lane_scan``
+        calls of its own."""
+        if lanes.word is not None and not self._enter(lanes):
+            return None
+        ws, hits, rc, at = self._ws, [], 1, 0
+        ws.visits[:] = 0
+        at_state, at_cycles, at_bits = lanes.args
+        while rc:
+            rc = self._lane_fn(
+                data, len(data), at, at_state, int(lanes.fresh), int(at_end),
+                stats_from, at_cycles, at_bits, ws.at_visits, ws.at_hit_pos,
+                ws.at_hit_states, self._cap, ws.at_out, ws.at_resume,
+            )
+            self._lane_hits(ws.out.tolist()[0], hits)
+            at = ws.resume.tolist()[0]
+        lanes.fresh = lanes.fresh and not data
+        return hits
 
     def gather_span(self, data: bytes, cursors, **span):
         """:meth:`span` over the span's NFA-mode cursors."""

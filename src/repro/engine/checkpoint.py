@@ -316,11 +316,11 @@ class DurableScan:
         # On the fused and native backends the collectors are stepped by
         # the ruleset's fused plan — the very plan a bulk scan executes:
         # all LNFA bins through one lane-packed machine per segment, each
-        # NFA/DFA unit once for every regex sharing it.  The feeders are
-        # stateless between feeds (they read and write the collectors'
-        # KernelStates), so snapshot and restore go through the
-        # collectors unchanged and resuming stays byte-identical — on
-        # this backend or any other.
+        # NFA/DFA unit once for every regex sharing it.  The lane machine
+        # stays resident in the bin feeder between feeds, written into the
+        # bins' collectors when they are read (:meth:`_sync`) and loaded
+        # from them at restore, so snapshots and resuming stay
+        # byte-identical — on this backend or any other.
         self._plan = None
         self._regex_feeder = None
         self._bin_feeder = None
@@ -350,6 +350,7 @@ class DurableScan:
             if array.mode is TileMode.LNFA
         }
         self._mark_drained()
+        self._dirty: set = set()  # the keys of the lists feeds grew
         self.fingerprint = binding.fingerprint(bin_size)
         self._offset = 0
         self._hasher = hashlib.sha256()
@@ -390,60 +391,79 @@ class DurableScan:
         """Per regex, the match ends appended since the last drain (or
         restore): what :meth:`match_lists` grew by, a union's new ends —
         all past the last drain — deduplicated and sorted.  Costs the
-        lists and the new ends, not the matches so far."""
-        rids, lists, done = self._drained
+        lists the feeds since grew and their new ends, not the matches
+        so far."""
         new: dict[int, list[int]] = {}
-        for i, ends in enumerate(lists):
-            if len(ends) > done[i]:
-                new.setdefault(rids[i], []).extend(ends[done[i] :])
-                done[i] = len(ends)
+        for key in self._dirty:
+            drained = self._drained[key]
+            rid, ends, done = drained
+            if len(ends) > done:
+                new.setdefault(rid, []).extend(ends[done:])
+                drained[2] = len(ends)
+        self._dirty.clear()
         for rid in self._unions.intersection(new):
             new[rid] = sorted(set(new[rid]))
         return new
 
     def _mark_drained(self) -> None:
-        """Per match list (regex collectors', then bins'), its regex and
-        its length now: everything so far counts as drained."""
-        lists = [c.matches for c in self._regex.values()]
-        rids = list(self._regex)
-        for collector in self._bins.values():
-            rids.extend(collector.matches)
-            lists.extend(collector.matches.values())
-        self._drained = (rids, lists, [len(ends) for ends in lists])
+        """Per match list — keyed by regex id, or by (bin in bin order,
+        regex id) — its regex, the list and its length now: everything
+        so far counts as drained."""
+        self._drained = {
+            rid: [rid, c.matches, len(c.matches)] for rid, c in self._regex.items()
+        }
+        for j, collector in enumerate(self._bins.values()):
+            for rid, ends in collector.matches.items():
+                self._drained[j, rid] = [rid, ends, len(ends)]
+
+    def _sync(self, states: bool = True) -> None:
+        """Write the resident lane machine into the live bins' collectors
+        before anything reads them (only counters without ``states``)."""
+        if self._bin_feeder is not None:
+            self._bin_feeder.sync(self._shed_bins(), states=states)
+
+    def _shed_bins(self) -> set:
+        return {self._bins[key[1:]] for key in self._shed if key[0] == "bin"}
 
     def counters(self) -> tuple[dict, dict, int]:
         """The live collectors by regex and by LNFA array, and the bytes
         consumed: :meth:`RAPSimulator.replay_charges
         <repro.simulators.rap.RAPSimulator.replay_charges>`' arguments,
         with no activity built and no match list copied."""
+        self._sync(states=False)
         return self._regex, self._lnfa_arrays, self._offset
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream on every live unit."""
         shed_regexes = {key[1] for key in self._shed if key[0] == "regex"}
-        shed_bins = {self._bins[key[1:]] for key in self._shed if key[0] == "bin"}
+        shed_bins = self._shed_bins() if self._shed else ()
+        bins, dirty = self._bin_feeder, self._dirty
         tin = scanned = None
-        if self._plan is not None and segment:
-            # One translation per segment, shared by every unit, and one
-            # crossing for every tier (the lanes' span rides along).
-            tin = self._plan.fused.translate(segment)
-            riding = self._bin_feeder and self._regex  # lanes ride the units' call
-            lanes = self._bin_feeder.lanes(shed_bins) if riding else None
-            scanned = self._regex_feeder.feed(
-                tin, at_end=at_end, skip=shed_regexes, lanes=lanes
-            )
-        else:
+        if self._plan is None or not segment:
             for rid, collector in self._regex.items():
                 if rid not in shed_regexes:
                     collector.feed(segment, at_end=at_end)
-        if self._bin_feeder is not None:
-            self._bin_feeder.feed(
-                segment, at_end=at_end, tin=tin, skip=shed_bins, scanned=scanned
+                    dirty.add(rid)
+        elif self._regex:
+            # One translation per segment, shared by every unit, and one
+            # crossing for every tier (the lanes ride along).
+            tin = self._plan.fused.translate(segment)
+            scanned, grown = self._regex_feeder.feed(
+                tin, at_end=at_end, skip=shed_regexes,
+                lanes=bins.lanes if bins is not None else None,
+            )
+            dirty.update(grown)
+        if bins is not None:
+            dirty.update(
+                bins.feed(
+                    segment, at_end=at_end, tin=tin, skip=shed_bins, scanned=scanned
+                )
             )
         else:
-            for collector in self._bins.values():
+            for j, collector in enumerate(self._bins.values()):
                 if collector not in shed_bins:
                     collector.feed(segment, at_end=at_end)
+                    dirty.update((j, rid) for rid in collector.matches)
         self._offset += len(segment)
         self._hasher.update(segment)
 
@@ -459,6 +479,7 @@ class DurableScan:
         verify.  Undetached snapshots keep their pre-detach bytes
         stable (no new key).
         """
+        self._sync()
         doc = {
             "format": CHECKPOINT_FORMAT,
             "version": STATE_VERSION,
@@ -540,12 +561,16 @@ class DurableScan:
             )
         return offset, input_sha, regex_docs, bin_docs, shed, quarantine
 
-    def _adopt(self, regex_docs: dict, bin_docs: dict) -> None:
+    def _adopt(self, regex_docs: dict, bin_docs: dict, shed: set) -> None:
         for rid, sub in regex_docs.items():
             self._regex[rid].restore(sub)
         for key, sub in bin_docs.items():
             self._bins[key].restore(sub)
+        self._shed = shed
+        if self._bin_feeder is not None:  # the snapshot's words, converted once
+            self._bin_feeder.load(self._shed_bins())
         self._mark_drained()  # new lists, drained by the snapshot's writer
+        self._dirty.clear()
 
     def restore(self, doc: dict, data: bytes, store_dir: Path | None = None) -> None:
         """Adopt a snapshot, verifying it belongs to *this* scan.
@@ -587,13 +612,12 @@ class DurableScan:
                 "digest",
                 phase="checkpoint",
             )
-        self._adopt(regex_docs, bin_docs)
+        self._adopt(regex_docs, bin_docs, shed)
         self._offset = offset
         hasher = hashlib.sha256()
         hasher.update(data[:offset])
         self._hasher = hasher
         self._detached = False
-        self._shed = shed
         self.quarantine_entries = quarantine
 
     def restore_detached(self, doc: dict, store_dir: Path | None = None) -> None:
@@ -624,13 +648,12 @@ class DurableScan:
                 "malformed checkpoint document: input_sha missing",
                 phase="checkpoint",
             )
-        self._adopt(regex_docs, bin_docs)
+        self._adopt(regex_docs, bin_docs, shed)
         self._offset = offset
         self._hasher = hashlib.sha256(
             b"rap-detached-chain:" + input_sha.encode()
         )
         self._detached = True
-        self._shed = shed
         self.quarantine_entries = quarantine
 
     # -- graceful degradation ------------------------------------------------
@@ -658,6 +681,7 @@ class DurableScan:
         costs most first), then by key for determinism.  Returns the
         shed unit keys.
         """
+        self._sync()  # a shed bin's collector freezes at what it holds now
         live = [
             key
             for key in (
@@ -702,6 +726,7 @@ class DurableScan:
 
     def finish(self) -> RunActivity:
         """The accumulated activity, in sequential collection order."""
+        self._sync()
         return RunActivity.in_collection_order(
             self._ruleset,
             self._mapping,

@@ -408,21 +408,23 @@ class BinActivityCollector:
         # ``layout`` shares a geometry the caller already derived (the
         # fused plan packs every bin before any collector exists).
         self._layout = layout or _bin_layout(bin_obj, hw)
-        self._state = KernelState()
-        self._cycles = 0
+        # The packed machine's kernel state and cycles fed, like the tile
+        # counters below written back by a resident fused feeder.
+        self.state = KernelState()
+        self.cycles = 0
         self._matches: dict[int, list[int]] = {
             item.regex_id: [] for item in bin_obj.items
         }
         tile_count = len(self._layout.tile_masks)
         # Per tile, cycles awake and active bits so far (pricing reads
-        # them live; read-only to callers).
+        # them live).
         self.tile_active_cycles = [0] * tile_count
         self.tile_active_bits = [0] * tile_count
 
     @property
     def offset(self) -> int:
         """Global stream position: bytes consumed so far."""
-        return self._state.offset
+        return self.state.offset
 
     @property
     def matches(self) -> dict[int, list[int]]:
@@ -435,42 +437,11 @@ class BinActivityCollector:
         """The bin's packed-machine geometry (program, tiles, finals)."""
         return self._layout
 
-    @property
-    def state(self) -> KernelState:
-        """The packed machine's mid-stream kernel state."""
-        return self._state
-
-    def apply_segment(
-        self,
-        *,
-        cycles: int,
-        tile_cycles: list[int],
-        tile_bits: list[int],
-        matches: dict[int, list[int]],
-        state: KernelState,
-    ) -> None:
-        """Fold one segment's precomputed activity into the collector.
-
-        The fused ruleset scanner steps every bin of a ruleset in one
-        pass and hands each collector the exact deltas its own
-        :meth:`feed` would have accumulated for the same segment —
-        counters, per-tile wake-ups, global match positions, and the
-        continuation state.  Callers own the exactness contract.
-        """
-        self._cycles += cycles
-        for t, count in enumerate(tile_cycles):
-            self.tile_active_cycles[t] += count
-        for t, bits in enumerate(tile_bits):
-            self.tile_active_bits[t] += bits
-        for rid, ends in matches.items():
-            self._matches[rid].extend(ends)
-        self._state = state
-
     def warm(self, segment: bytes) -> None:
         """Consume the next segment for state only: no match, no counter
         (the input-parallel chunks' warm-up window; more input follows)."""
-        _, _, self._state = get_kernel().scan_segment(
-            self._layout.packed.program, segment, self._state, at_end=False
+        _, _, self.state = get_kernel().scan_segment(
+            self._layout.packed.program, segment, self.state, at_end=False
         )
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
@@ -487,11 +458,11 @@ class BinActivityCollector:
         tile_active_cycles = self.tile_active_cycles
         tile_active_bits = self.tile_active_bits
         matches = self._matches
-        base = self._state.offset
+        base = self.state.offset
         last = len(segment) - 1
-        states = self._state.states
-        for i, states in iter_states_from(program, segment, self._state):
-            self._cycles += 1
+        states = self.state.states
+        for i, states in iter_states_from(program, segment, self.state):
+            self.cycles += 1
             tile_active_cycles[0] += 1  # initial tile is never gated
             tile_active_bits[0] += (states & tile_masks[0]).bit_count()
             for t in range(1, tile_count):
@@ -506,14 +477,14 @@ class BinActivityCollector:
                 low = hits & -hits
                 hits ^= low
                 matches[finals[low.bit_length() - 1]].append(base + i)
-        self._state = KernelState(offset=base + len(segment), states=states)
+        self.state = KernelState(offset=base + len(segment), states=states)
 
     def activity(self) -> BinActivity:
         """The accumulated activity, as :func:`collect_bin_activity`
         would report it for the bytes consumed so far."""
         return BinActivity(
             bin=self._bin,
-            cycles=self._cycles,
+            cycles=self.cycles,
             matches={rid: list(ends) for rid, ends in self._matches.items()},
             tile_active_cycles=list(self.tile_active_cycles),
             tile_active_bits=list(self.tile_active_bits),
@@ -523,8 +494,8 @@ class BinActivityCollector:
         """JSON-ready collector state (matches keyed in sorted regex-id
         order for deterministic serialized bytes)."""
         return {
-            "state": self._state.to_json(),
-            "cycles": self._cycles,
+            "state": self.state.to_json(),
+            "cycles": self.cycles,
             "matches": [
                 [rid, list(ends)]
                 for rid, ends in sorted(self._matches.items())
@@ -550,8 +521,8 @@ class BinActivityCollector:
             ) from err
         for item in self._bin.items:
             matches.setdefault(item.regex_id, [])
-        self._state = state
-        self._cycles = cycles
+        self.state = state
+        self.cycles = cycles
         self._matches = matches
         self.tile_active_cycles = tile_active_cycles
         self.tile_active_bits = tile_active_bits

@@ -7,15 +7,17 @@ binding (:func:`~repro.simulators.rap.bind`): LNFA bins in mapping
 order, NFA / DFA / NBVA units deduped by functional fingerprint, one
 :class:`~repro.core.fused.FusedRuleset` and one :class:`FusedLaneScanner`.
 
-* :class:`FusedLaneScanner` turns a span of the lane-packed machine into
-  per-bin deltas (:class:`LaneDelta`) — from an entry word (durable
-  segments) or a warm-up window (split chunks); the generated C steps
-  the closed bins, the table walker the rest.
+* :class:`FusedLaneScanner` steps a stream's lane machine
+  (:class:`LaneStream`) in place — the generated C the closed bins, the
+  table walker the rest — and turns one span into per-bin deltas
+  (:class:`LaneDelta`) for a bulk scan or a split chunk.
 * :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
   scan's collectors one segment at a time, in one crossing of the
-  binding's library when it holds every tier.  Both read entry states
-  from the collectors and write them back, so snapshots are
-  byte-identical to the ``python`` backend's.
+  binding's library when it holds every tier.  The bins' lanes stay
+  resident between segments and are written back on demand; the
+  regexes' entry states are read from their collectors and written
+  back.  Either way snapshots are byte-identical to the ``python``
+  backend's.
 * :class:`FusedRun` is a bulk scan's
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`: one
   crossing over the whole input, activities built from its buffers.
@@ -26,8 +28,11 @@ Import this module lazily, only after the backend registry has resolved
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Collection
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.automata.nbva import NBVAState
 from repro.automata.nfa import NFASimulator
@@ -55,13 +60,11 @@ from repro.simulators.rap import Binding, RunActivity, bind
 
 @dataclass
 class LaneDelta:
-    """Per-bin activity deltas of one lane-machine span.
-
-    Everything a :meth:`BinActivityCollector.apply_segment` fold needs,
-    as plain integers and lists (picklable, mergeable in chunk order):
-    owned cycle count, per-bin per-tile wake-ups (tile 0 already holds
-    the never-gated owned count), per-bin global match positions, and
-    the exit state continuing the stream.
+    """Per-bin activity deltas of one lane-machine span (a bulk scan's,
+    a split chunk's), as plain integers and lists (picklable, mergeable
+    in chunk order): owned cycle count, per-bin per-tile wake-ups (tile 0
+    already holds the never-gated owned count), per-bin global match
+    positions, and the exit state continuing the stream.
     """
 
     cycles: int
@@ -72,15 +75,31 @@ class LaneDelta:
     exit_packed: int
 
 
+class LaneStream:
+    """One stream's lane machine between its spans, stepped in place: per
+    tile of every bin (in bin order) its cycle and bit counters — tile 0's
+    cycles aside: never gated, it wakes once per owned byte — and the
+    packed ``word`` the walker steps, or (``word`` ``None``) one state id
+    per group in ``state``, which the kernel steps (``args``: the three
+    buffers' addresses).  ``fresh`` until the stream's first byte."""
+
+    def __init__(self, tiles: int, word: int = 0, fresh: bool = True):
+        self.word, self.fresh = word, fresh
+        self.tile_cycles = np.zeros(tiles, dtype=np.int64)
+        self.tile_bits = np.zeros(tiles, dtype=np.int64)
+        self.state = self.args = None
+
+
 class FusedLaneScanner:
-    """Scan spans of the lane-packed machine, producing per-bin deltas.
+    """Step streams of the lane-packed machine (:meth:`step`), or turn
+    one span into per-bin deltas (:meth:`scan`).
 
     Built from the bins' packed-machine layouts (in bin order); the
     fused compilation — which owns every bin's table — is shared with
     the caller's when supplied, so the alphabet classes match the rest
-    of the run.  The scanner holds no stream state, so one serves every
-    scan of its plan; it never leaves its process (a worker is seeded
-    with the ruleset and binds its own).
+    of the run.  A stream's state is its own :class:`LaneStream`, so one
+    scanner serves every scan of its plan; it never leaves its process
+    (a worker is seeded with the ruleset and binds its own).
     """
 
     def __init__(
@@ -99,6 +118,7 @@ class FusedLaneScanner:
         for layout in self._layouts:
             self._tile_spans.append((start, start + len(layout.tile_masks)))
             start += len(layout.tile_masks)
+        self._tiles = start
 
         # Global final-bit → (bin, regex_id), for match decomposition.
         finals: dict[int, tuple[int, int]] = {}
@@ -111,6 +131,7 @@ class FusedLaneScanner:
 
         # The warm-up window: the lanes forget any state after it.
         self.warm = fused.warm
+        self._once = threading.local()  # per thread: the stream of one-shot spans
 
     def _native_scanner(self):
         """The binding's compiled kernels when they hold the lanes (the
@@ -118,11 +139,6 @@ class FusedLaneScanner:
         walker steps the bins."""
         native = self._fused._native_scanner() if self._layouts else None
         return native if native is not None and native.dfas else None
-
-    @property
-    def native_active(self) -> bool:
-        """Whether scans run the compiled lane kernel (builds lazily)."""
-        return self._native_scanner() is not None
 
     @property
     def lane_tier(self) -> str:
@@ -155,23 +171,83 @@ class FusedLaneScanner:
         """Number of bins packed into the lane machine."""
         return len(self._layouts)
 
-    def empty_delta(self, entry: int = 0) -> LaneDelta:
-        """The delta of a zero-length span (merge identity)."""
+    def stream(self, entry: int = 0, fresh: bool = True) -> LaneStream:
+        """A stream's lanes entering at the packed word ``entry`` (ignored
+        when ``fresh``); the kernel takes them over at their first span
+        (the library is built then, not here)."""
+        return LaneStream(self._tiles, entry, fresh)
+
+    def once(self, entry: int = 0, fresh: bool = True) -> LaneStream:
+        """:meth:`stream` for one span (a bulk scan, a split chunk): this
+        thread's, reset — its buffers and the kernel's pointers to them
+        outlive the span, so no span allocates them."""
+        lanes = getattr(self._once, "lanes", None)
+        if lanes is None:
+            lanes = self._once.lanes = self.stream()
+        lanes.tile_cycles[:] = lanes.tile_bits[:] = 0
+        lanes.word, lanes.fresh = entry, fresh
+        return lanes
+
+    def word(self, lanes: LaneStream) -> int:
+        """The packed word ``lanes`` is at."""
+        held = lanes.word is None
+        return self._native_scanner()._leave(lanes) if held else lanes.word
+
+    def step(self, lanes, segment: bytes, *, at_end: bool, stats_from=0, tin=None):
+        """Step ``lanes`` over one span in place; its hits, ``(span-local
+        position, packed word)`` wherever a bin holds a final.
+        ``stats_from`` is the first owned byte's index (the warm-up prefix
+        drives the word, counts nothing), ``at_end`` marks the stream's
+        end.  A word outside the kernel's closure is walked until the
+        lanes forget it, then handed over for good."""
+        n, native = len(segment), self._native_scanner()
+        span = dict(at_end=at_end, stats_from=stats_from)
+        scanned = native.scan(segment, lanes=lanes, **span) if n and native else None
+        if scanned is not None:
+            return scanned
+        if native and n > self.warm:
+            cut, own = self.warm, min(self.warm, stats_from)
+            head = self.step(lanes, segment[:cut], at_end=False, stats_from=own)
+            rest = self.step(
+                lanes, segment[cut:], at_end=at_end, stats_from=stats_from - own
+            )
+            return head + [(cut + position, word) for position, word in rest]
+        if not n:
+            return []
+        # The portable mirror of the kernel: bins never interact, so each
+        # one's table is walked over the span in turn.
         fused = self._fused
-        return LaneDelta(
-            cycles=0,
-            tile_cycles=[
-                [0] * len(layout.tile_masks) for layout in self._layouts
-            ],
-            tile_bits=[
-                [0] * len(layout.tile_masks) for layout in self._layouts
-            ],
-            matches=[{} for _ in self._layouts],
-            exit_states=[
-                fused.extract(entry, j) for j in range(len(self._layouts))
-            ],
-            exit_packed=entry,
-        )
+        cls = (tin or fused.translate(segment)).cls_bytes
+        exits: list[int] = []
+        hits: dict[int, int] = {}
+        for j, (dfa, (a, b)) in enumerate(zip(self.lane_dfas(), self._tile_spans)):
+            cycles, bits, found, word = dfa.walk(
+                cls,
+                fused.extract(lanes.word, j),
+                fresh=lanes.fresh,
+                at_end=at_end,
+                stats_from=stats_from,
+            )
+            lanes.tile_cycles[a:b] += cycles
+            lanes.tile_bits[a:b] += bits
+            exits.append(word)
+            for position, state in found:
+                hits[position] = hits.get(position, 0) | state << fused.bases[j]
+        lanes.word, lanes.fresh = fused.pack(exits), False
+        return sorted(hits.items())
+
+    def reports(self, hits, n: int, at_end: bool):
+        """``(bin, regex id, span-local position)`` per final a span's
+        hits hold, in position order; ``n`` is the span's length
+        (end-anchored finals fire on the stream's last byte only)."""
+        finals, final, mid_final = self._finals, self._fused.final, self._mid_final
+        last = n - 1 if at_end else -1
+        for position, word in hits:
+            word &= final if position == last else mid_final
+            while word:
+                low = word & -word
+                word ^= low
+                yield (*finals[low.bit_length() - 1], position)
 
     def scan(
         self,
@@ -183,103 +259,44 @@ class FusedLaneScanner:
         base: int = 0,
         stats_from: int = 0,
         tin=None,
+        lanes: LaneStream | None = None,
         scanned=None,
     ) -> LaneDelta:
-        """One span of the stream as its per-bin activity deltas.
+        """One span of a stream as its per-bin activity deltas (a bulk
+        scan, a split chunk: nothing to fold into).
 
         ``entry`` is the packed word entering the span (ignored when
         ``fresh``), ``base`` the span's global offset (match positions
-        are globalized against it), and ``stats_from`` the span-local
-        index of the first owned byte — the warm-up prefix drives the
-        word but prices nothing.  ``at_end`` marks the true stream end
-        (end-anchored finals fire nowhere else).  ``scanned`` is the
-        span's raw lane result when a crossing over every tier already
-        stepped it (:meth:`FusedRuleset.scan_span
+        are globalized against it); ``stats_from`` and ``at_end`` are
+        :meth:`step`'s.  ``lanes`` and ``scanned`` are a fresh stream and
+        its hits when a crossing over every tier already stepped it
+        (:meth:`FusedRuleset.scan_span
         <repro.core.fused.FusedRuleset.scan_span>`).
         """
         n = len(segment)
-        if n == 0:
-            return self.empty_delta(entry)
-        fused = self._fused
-        span = dict(
-            entry=entry, fresh=fresh, at_end=at_end, stats_from=stats_from
-        )
-        native = self._native_scanner()
-        if scanned is None and native:
-            scanned = native.scan(segment, **span)
-        if scanned is None and native and n > self.warm:
-            # An entry word the tables cannot take: walk until the lanes
-            # have forgotten it, hand the kernel the rest.
-            cut, own = self.warm, min(self.warm, stats_from)
-            head = self.scan(
-                segment[:cut], entry=entry, fresh=False, at_end=False, base=base,
-                stats_from=own,
+        if scanned is None:
+            lanes = self.once(entry, fresh)
+            scanned = self.step(
+                lanes, segment, at_end=at_end, stats_from=stats_from, tin=tin
             )
-            rest = self.scan(
-                segment[cut:], entry=head.exit_packed, fresh=False, at_end=at_end,
-                base=base + cut, stats_from=stats_from - own,
-            )
-            return self.merge_deltas([head, rest])
-        if scanned is None:  # no kernel, or too short a span to hand over
-            cls = (tin or fused.translate(segment)).cls_bytes
-            scanned = self._walk(cls, **span)
-        flat_cycles, flat_bits, hits, packed = scanned
-
-        # Either tier hands back flattened per-tile counters and the
-        # packed state word at each hit position; the decomposition
-        # below is shared, so the delta — and every snapshot built from
-        # it — is byte-identical across tiers (plain Python ints, same
-        # ordering).  End-anchored finals fire on the stream's last byte
-        # only.
-        finals, mid_final = self._finals, self._mid_final
-        last = n - 1 if at_end else -1
         matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
-        for position, word in hits:
-            word &= fused.final if position == last else mid_final
-            while word:
-                low = word & -word
-                word ^= low
-                j, rid = finals[low.bit_length() - 1]
-                matches[j].setdefault(rid, []).append(base + position)
+        for j, rid, position in self.reports(scanned, n, at_end):
+            matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
+        flat_cycles, flat_bits = lanes.tile_cycles.tolist(), lanes.tile_bits.tolist()
+        packed = self.word(lanes)
+        spans = self._tile_spans
         # Tile 0 is never power-gated: it accrues a cycle per owned input
         # symbol regardless of liveness (only its *bits* come from live
         # cycles) — the closed form of the per-cycle loop.
-        spans = self._tile_spans
         return LaneDelta(
             cycles=owned,
             tile_cycles=[[owned] + flat_cycles[a + 1 : b] for a, b in spans],
             tile_bits=[flat_bits[a:b] for a, b in spans],
             matches=matches,
-            exit_states=[fused.extract(packed, j) for j in range(len(spans))],
+            exit_states=[self._fused.extract(packed, j) for j in range(len(spans))],
             exit_packed=packed,
         )
-
-    def _walk(
-        self, cls: bytes, *, entry: int, fresh: bool, at_end: bool, stats_from: int
-    ) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
-        """The portable mirror of :meth:`NativeScanner.scan
-        <repro.core.native.NativeScanner.scan>`: bins never
-        interact, so each one's DFA is walked over the span in turn."""
-        fused = self._fused
-        flat_cycles: list[int] = []
-        flat_bits: list[int] = []
-        exits: list[int] = []
-        hits: dict[int, int] = {}
-        for j, dfa in enumerate(self.lane_dfas()):
-            cycles, bits, found, word = dfa.walk(
-                cls,
-                fused.extract(entry, j),
-                fresh=fresh,
-                at_end=at_end,
-                stats_from=stats_from,
-            )
-            flat_cycles += cycles
-            flat_bits += bits
-            exits.append(word)
-            for position, state in found:
-                hits[position] = hits.get(position, 0) | state << fused.bases[j]
-        return flat_cycles, flat_bits, sorted(hits.items()), fused.pack(exits)
 
     def merge_deltas(self, deltas: list[LaneDelta]) -> LaneDelta:
         """Fold chunk deltas, in chunk order, into one segment delta.
@@ -289,8 +306,6 @@ class FusedLaneScanner:
         chunk's — the associative composition the split engine rests
         on.
         """
-        if not deltas:
-            return self.empty_delta()
         merged = deltas[0]
         for delta in deltas[1:]:
             matches: list[dict[int, list[int]]] = []
@@ -321,13 +336,14 @@ class FusedLaneScanner:
 
 
 class FusedBinFeeder:
-    """Feed many bin collectors through one lane-packed machine.
+    """Feed many bin collectors through one lane-packed machine, resident.
 
     ``collectors`` are the ruleset's LNFA bins in a fixed order;
     ``scanner`` is the plan's lane scanner over the same bins (a
-    bins-only one is compiled when none is supplied).  Each
-    :meth:`feed` accumulates, per bin, the exact deltas the collector's
-    own ``feed`` would have produced for the same segment.
+    bins-only one is compiled when none is supplied).  :meth:`load` makes
+    the collectors one :class:`LaneStream` (``lanes``), each :meth:`feed`
+    steps it and appends only reports, :meth:`sync` writes it back: what
+    each collector's own ``feed`` would hold.
     """
 
     def __init__(
@@ -339,20 +355,27 @@ class FusedBinFeeder:
         self._scanner = scanner or FusedLaneScanner(
             [c.layout for c in self._collectors]
         )
+        self.load()
 
-    def lanes(self, skip=()) -> tuple[int, bool] | None:
-        """The packed word entering the next segment and whether it is
-        the stream's first (``None``: every bin is shed): the ``lanes``
-        of :meth:`FusedRuleset.scan_span <repro.core.fused.FusedRuleset.
-        scan_span>`."""
+    def load(self, skip=()) -> None:
+        """Make the collectors resident: their packed word and counters
+        (``skip``: the collectors of shed bins, at an offset of their
+        own, whose lanes step on from their frozen state)."""
         offsets = {c.offset for c in self._collectors if c not in skip}
         if len(offsets) > 1:
             raise ValueError(
                 "fused feeding requires all bins at one stream offset, "
                 f"got {sorted(offsets)}"
             )
-        states = [0 if c in skip else c.state.states for c in self._collectors]
-        return (self._scanner.fused.pack(states), 0 in offsets) if offsets else None
+        self._offset = self._loaded = offsets.pop() if offsets else 0
+        collectors = self._collectors
+        self.lanes = lanes = self._scanner.stream(
+            self._scanner.fused.pack([c.state.states for c in collectors]),
+            fresh=self._offset == 0,
+        )
+        lanes.tile_cycles[:] = [n for c in collectors for n in c.tile_active_cycles]
+        lanes.tile_bits[:] = [n for c in collectors for n in c.tile_active_bits]
+        self._bases = [(c.cycles, c.tile_active_cycles[0]) for c in collectors]
 
     def feed(
         self,
@@ -362,35 +385,52 @@ class FusedBinFeeder:
         tin: TranslatedSegment | None = None,
         skip=(),
         scanned=None,
-    ) -> None:
-        """Consume the next stream segment on every bin at once.
+    ) -> list[tuple[int, int]]:
+        """Consume the next stream segment on every bin at once; returns
+        ``(bin, regex id)`` per report appended to a match list.
 
         ``tin`` is the segment already translated by the scanner's
         fused compilation, when the caller shares one with other units,
-        and ``scanned`` the lanes' raw span when a crossing over every
-        tier stepped them already.  ``skip`` holds the collectors of
-        shed bins: the packed machine still steps their lanes (bins
-        never interact), but they enter at the empty word, their delta
-        is dropped and the collectors stay frozen where they were shed.
+        and ``scanned`` the lanes' hits when a crossing over every tier
+        stepped :attr:`lanes` already.  ``skip`` holds the collectors of
+        shed bins: their lanes keep stepping (bins never interact), but
+        their reports are dropped and :meth:`sync` leaves them frozen.
         """
-        lanes = self.lanes(skip) if segment else None
-        if lanes is None:
+        collectors = self._collectors
+        if not segment or len(skip) == len(collectors):
+            return []
+        if scanned is None:
+            scanned = self._scanner.step(self.lanes, segment, at_end=at_end, tin=tin)
+        base = self._offset
+        self._offset += len(segment)
+        grown = []
+        for j, rid, position in self._scanner.reports(scanned, len(segment), at_end):
+            if collectors[j] not in skip:
+                collectors[j].matches[rid].append(base + position)
+                grown.append((j, rid))
+        return grown
+
+    def sync(self, skip=(), *, states: bool = True) -> None:
+        """Write the resident lanes into the collectors not in ``skip``,
+        as their own feeds would have left them: cycles and tile
+        counters (tile 0 wakes once per owned byte) and, with
+        ``states``, their kernel states."""
+        owned = self._offset - self._loaded
+        if not owned:
             return
-        (base,) = {c.offset for c in self._collectors if c not in skip}
-        delta = self._scanner.scan(
-            segment, entry=lanes[0], fresh=lanes[1], at_end=at_end, base=base,
-            tin=tin, scanned=scanned,
-        )
-        n = len(segment)
-        for j, collector in enumerate(self._collectors):
-            if collector not in skip:
-                collector.apply_segment(
-                    cycles=n,
-                    tile_cycles=delta.tile_cycles[j],
-                    tile_bits=delta.tile_bits[j],
-                    matches=delta.matches[j],
-                    state=KernelState(offset=base + n, states=delta.exit_states[j]),
-                )
+        scanner, lanes, offset = self._scanner, self.lanes, self._offset
+        word, extract = scanner.word(lanes) if states else 0, scanner.fused.extract
+        flat_cycles, flat_bits = lanes.tile_cycles.tolist(), lanes.tile_bits.tolist()
+        for j, (collector, (a, b), (cycles, tile0)) in enumerate(
+            zip(self._collectors, scanner._tile_spans, self._bases)
+        ):
+            if collector in skip:
+                continue
+            collector.cycles = cycles + owned
+            collector.tile_active_cycles = [tile0 + owned] + flat_cycles[a + 1 : b]
+            collector.tile_active_bits = flat_bits[a:b]
+            if states:
+                collector.state = KernelState(offset, extract(word, j))
 
 
 class FusedRegexFeeder:
@@ -423,25 +463,27 @@ class FusedRegexFeeder:
         *,
         at_end: bool = True,
         skip: Collection[int] = (),
-        lanes: tuple[int, bool] | None = None,
-    ):
+        lanes: LaneStream | None = None,
+    ) -> tuple[list | None, list[int]]:
         """Consume the next (translated) segment on every regex whose id
-        is not in ``skip`` (shed regexes stay frozen where they are).
-        ``lanes`` (:meth:`FusedBinFeeder.lanes`) rides the same crossing:
-        the lanes' raw span comes back, for :meth:`FusedBinFeeder.feed`."""
+        is not in ``skip`` (shed regexes stay frozen where they are);
+        returns the lanes' hits and the ids whose match lists grew.
+        ``lanes`` (a :attr:`FusedBinFeeder.lanes` the kernel holds) rides
+        the same crossing: its hits come back, for
+        :meth:`FusedBinFeeder.feed`."""
         if not tin.data or not self._units:
-            return None
+            return None, []
         fused = self._fused
         # Regexes sharing a unit have been fed the same bytes, so the
         # live ones agree on one entry state; grouping by it (rather
         # than assuming it) keeps a restored snapshot whose collectors
         # disagree exact: one more cursor of the same unit.
-        groups: dict[tuple, list[RegexActivityCollector]] = {}
+        groups: dict[tuple, list[tuple[int, RegexActivityCollector]]] = {}
         for (mode, unit), members in self._units.items():
             for rid, collector in members:
                 if rid not in skip:
                     groups.setdefault((mode, unit, collector.state), []).append(
-                        collector
+                        (rid, collector)
                     )
         # KernelState words are NFA active sets, as cursors take them:
         # every NFA- and DFA-mode group is one cursor of one call, every
@@ -467,11 +509,14 @@ class FusedRegexFeeder:
             for key, (events, stats, word) in zip(table, spans)
         }
         stepped.update(zip(nbva, by_nbva))
+        grown = []
         for key, group in groups.items():
             matches, stats, state = stepped[key]
-            for collector in group:
+            for rid, collector in group:
                 collector.apply_segment(stats=stats, matches=matches, state=state)
-        return scanned
+                if matches:
+                    grown.append(rid)
+        return scanned, grown
 
 
 def unit_activity(compiled: CompiledRegex, positions, active: int, cycles: int):
@@ -661,7 +706,7 @@ class FusedRun:
         # Every unit and the lanes from the stream start: one crossing —
         # straight into the binding's library when it steps every tier.
         split = fused.gather_count
-        lanes = (0, True) if plan.scanner is not None else None
+        lanes = plan.scanner.once() if plan.scanner is not None else None
         compiled = plan.compiled()
         if compiled is not None:
             native, cursors = compiled
@@ -696,7 +741,7 @@ class FusedRun:
         bins = []
         if plan.scanner is not None:
             delta = plan.scanner.scan(
-                data, fresh=True, at_end=True, tin=tin, scanned=lane_raw
+                data, fresh=True, at_end=True, tin=tin, lanes=lanes, scanned=lane_raw
             )
             bins = [
                 BinActivity(

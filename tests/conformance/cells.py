@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import json
 import os
 import re
@@ -46,6 +47,11 @@ BACKENDS = ("python", "fused", "native")
 # says when that is not all three).
 HOST = tuple(backend for backend in BACKENDS if backend in available_backends())
 INPUT_JOBS = (1, 2)
+# Feed sizes of the streamed durable and served cells: ending inside one
+# of the lane kernel's lockstep sub-spans (``codegen.LANE_SUBSPAN_BYTES``
+# is 128) or one byte past 4 KiB, with a quote, a drain and a restore
+# between feeds.
+SEGMENTS = (1, 127, 129, 4097)
 REPO = Path(__file__).resolve().parents[2]
 
 
@@ -229,12 +235,15 @@ def canonical(doc: dict) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def durable(case: Case, mode: str, seams=None, backends=BACKENDS) -> None:
+def durable(
+    case: Case, mode: str, seams=None, backends=BACKENDS, segments=()
+) -> None:
     """A durable scan on each backend, cut at ``seams`` (default: every
     byte) with a snapshot at each: the documents byte-identical across
     backends at every seam, each restored on every backend — its writer
     rotating over the others, so every ordered pair runs — and finished
-    equal to the uninterrupted scan; and ``BatchEngine.durable_scan``."""
+    equal to the uninterrupted scan; and ``BatchEngine.durable_scan``.
+    Then, per size of ``segments``, :func:`streamed`."""
     ruleset, data = case.ruleset(mode), case.data
     seams = list(range(1, len(data)) if seams is None else seams)
     docs, finals = {}, {}
@@ -271,13 +280,57 @@ def durable(case: Case, mode: str, seams=None, backends=BACKENDS) -> None:
                 resumed.restore(json.loads(docs[writer][k]), data)
                 resumed.feed(data[seam:], at_end=True)
                 assert resumed.finish() == finals[first], (writer, backend, seam)
+    for size in segments:
+        streamed(case, mode, size, backends)
+
+
+def streamed(case: Case, mode: str, size: int, backends=BACKENDS) -> None:
+    """A durable scan fed ``size`` bytes at a time on each backend, as a
+    served stream is: after each feed the energy quote and the drain,
+    and after every other one its snapshot restored into a second scan
+    that carries on.  Per feed the document (by SHA-256) and the quote
+    (by ``float.hex``) are the same on every backend; the drains add up
+    to the oracle's matches and the finish prices to the reference."""
+    ruleset, data = case.ruleset(mode), case.data
+    trails, finals = {}, {}
+    for backend in backends:
+        with on(backend):
+            mapping = bound(case, mode, backend).mapping
+            sim = RAPSimulator(HW)
+            scans = [
+                DurableScan(ruleset, mapping, HW, bin_size=case.bin_size)
+                for _ in range(2)
+            ]
+            trail, drained = [], {}
+            for k, at in enumerate(range(0, len(data), size)):
+                scan = scans[0]
+                scan.feed(data[at : at + size], at_end=at + size >= len(data))
+                quote = sim.replay_charges(scan.binding.charges, *scan.counters())
+                for rid, ends in scan.drain().items():
+                    drained.setdefault(rid, []).extend(ends)
+                doc = canonical(scan.snapshot())
+                trail.append((hashlib.sha256(doc).hexdigest(), quote.energy_uj.hex()))
+                if k % 2:
+                    scans[1].restore(json.loads(doc), data)
+                    scans.reverse()
+            finals[backend] = scans[0].finish()
+        want = {rid: ends for rid, ends in case.expected(mode).items() if ends}
+        assert drained == want, (backend, size)
+        trails[backend] = trail
+    first = backends[0]
+    for backend in backends:
+        assert trails[backend] == trails[first], (backend, size)
+        assert finals[backend] == finals[first], (backend, size)
+    priced = RAPSimulator(HW).run_from_activity(ruleset, finals[first], mapping)
+    assert_conforms(case, mode, priced)
 
 
 def served(case: Case, mode: str, backend: str, root, segment: int = 7) -> None:
-    """A served ``ScanSession`` fed ``segment`` bytes at a time: its
-    events, deduplicated by ``(end, rid)``, are the reference matches;
-    its totals the reference totals; its durable offset never moves
-    back."""
+    """A served ``ScanSession`` fed ``segment`` bytes at a time, quoted
+    after every frame and its scan restored from its own snapshot after
+    every other one: its events, deduplicated by ``(end, rid)``, are the
+    reference matches; its totals the reference totals; its quotes and
+    its durable offset never move back."""
     ruleset = case.ruleset(mode)
     want = case.reference(mode)
     with on(backend):
@@ -288,11 +341,17 @@ def served(case: Case, mode: str, backend: str, root, segment: int = 7) -> None:
         )
         store = CheckpointStore(root, session=f"{mode}-{backend}")
         session = ScanSession("t", "s", entry, store, HW, bin_size=case.bin_size)
-        events, offset = [], 0
-        for at in range(0, len(case.data), segment):
+        events, offset, quote = [], 0, 0.0
+        for k, at in enumerate(range(0, len(case.data), segment)):
             events += session.feed(case.data[at : at + segment])
-            assert session.offset >= offset
-            offset = session.offset
+            assert session.offset >= offset and session.total_energy_uj() >= quote
+            offset, quote = session.offset, session.total_energy_uj()
+            if k % 2:  # as a resume does (ScanSession.from_envelope)
+                resumed = DurableScan(
+                    ruleset, binding.mapping, HW, bin_size=case.bin_size
+                )
+                resumed.restore_detached(session.scan.snapshot())
+                session.scan = resumed
         events += session.end()
     ends = {(end, rid) for rid, found in want.matches.items() for end in found}
     assert sorted(map(tuple, events)) == sorted(ends)

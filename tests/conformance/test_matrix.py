@@ -14,6 +14,7 @@ from tests.conformance.cells import (
     INPUT_JOBS,
     MODES,
     PINNED,
+    SEGMENTS,
     SWEEPS,
     Case,
     pinned,
@@ -98,8 +99,9 @@ def test_every_path(patterns, data, knob, knob_mode, tmp_path_factory):
         for backend in HOST:
             for input_jobs in INPUT_JOBS:
                 cells.bulk(case, mode, backend, input_jobs)
-            cells.served(case, mode, backend, root)
-        cells.durable(case, mode, backends=HOST)
+            for segment in (1, 7):
+                cells.served(case, mode, backend, root, segment)
+        cells.durable(case, mode, backends=HOST, segments=SEGMENTS)
     cells.labels_agree(case)
     if "native" in HOST:
         cells.sweep(case, knob_mode, knob)
@@ -116,13 +118,20 @@ SEAMS = (1, 512, 513, 1999)
 @pytest.mark.parametrize("name", PINNED)
 def test_pinned(name, mode, tmp_path):
     """Every setting, bulk (``auto``: through the engine's worker pool),
-    durable and served."""
+    durable and served — streamed in segments ending inside a lockstep
+    sub-span, and (``keywords64``, the lanes alone) in 4 KiB + 1."""
     case = pinned(name)
     for backend in HOST:
         for input_jobs in INPUT_JOBS:
             cells.bulk(case, mode, backend, input_jobs, pool=mode == "auto")
-        cells.served(case, mode, backend, tmp_path, segment=512)
-    cells.durable(case, mode, SEAMS, backends=HOST)
+        for segment in (127, 512):
+            cells.served(case, mode, backend, tmp_path, segment=segment)
+    cells.durable(case, mode, SEAMS, backends=HOST, segments=(127, 129))
+    if name == "keywords64":
+        long = Case(case.patterns, case.data * 3)
+        for backend in HOST:
+            cells.served(long, mode, backend, tmp_path, segment=SEGMENTS[-1])
+        cells.durable(long, mode, (4097,), backends=HOST, segments=SEGMENTS[-1:])
     if mode == "dfa":
         cells.labels_agree(case)
 

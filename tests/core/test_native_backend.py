@@ -907,9 +907,9 @@ class TestNativeLaneDfa:
             # the walker interned the word past the closure: still not
             # a state of the C tables
             assert dfa.ids[plan.fused.extract(entry, 0)] >= dfa.closed
-            assert scanner._native_scanner().scan(
-                b"d", entry=entry, fresh=False, at_end=False, stats_from=0
-            ) is None
+            assert not scanner._native_scanner()._enter(
+                scanner.stream(entry, fresh=False)
+            )
         logged = [r for r in caplog.records if "outside its" in r.message]
         assert len(logged) == 1 and "bin 0" in logged[0].message
         assert "first 6 bytes" in logged[0].message
@@ -926,9 +926,9 @@ class TestNativeLaneDfa:
                 plan, b"defyz..abcdef", **longer
             )
         # ... and its exit word is back inside: the kernel takes over.
-        assert scanner._native_scanner().scan(
-            b"q", entry=got.exit_packed, fresh=False, at_end=True, stats_from=0
-        ) is not None
+        assert scanner._native_scanner()._enter(
+            scanner.stream(got.exit_packed, fresh=False)
+        )
         # States met lazily only ever append: the closure's ids, and so
         # the source a fresh process would emit, are untouched.
         masks = [layout.tile_masks for layout in plan.layouts]

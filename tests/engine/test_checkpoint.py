@@ -11,6 +11,7 @@ import dataclasses
 import errno
 import fcntl
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -1153,36 +1154,35 @@ class TestPlanDifferential:
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
 def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
     """Shedding a bin must not drop the live bins onto the per-byte
-    python collectors: the packed machine keeps stepping them, the shed
-    bin's delta is dropped, and what the live bins accumulate is what
-    an unshed scan accumulates for them.  Nor onto the walker: a shed
-    bin entering empty beside live neighbours is no state of their
-    *joint* table (``keywords64``: four bins, one group), so the compiled
-    kernel takes every segment once ``warm`` bytes have been walked."""
+    python collectors: the packed machine keeps stepping every bin — the
+    shed one's lanes too (bins never interact), its reports dropped —
+    and what the live bins accumulate is what an unshed scan accumulates
+    for them.  Nor onto the walker: on ``native`` the kernel takes every
+    segment whole, also where the shed bin shares a group with live ones
+    (``keywords64``: four bins, one group)."""
     from benchmarks.ledger.workloads import keyword_patterns
-    from repro.core.native import NativeLaneScanner
+    from repro.core.native import NativeScanner
     from repro.core.table import StepTable
     from repro.simulators.activity import BinActivityCollector
     from repro.simulators.fused import FusedLaneScanner
     from repro.workloads.inputs import generate_input
 
     spans, kernel, walked = [], [], []
-    lane_scan, native_scan, walk = (
-        FusedLaneScanner.scan, NativeLaneScanner.scan, StepTable.walk
+    lane_step, native_scan, walk = (
+        FusedLaneScanner.step, NativeScanner.scan, StepTable.walk
     )
 
-    def counted(self, segment, **kwargs):
+    def counted(self, lanes, segment, **kwargs):
         spans.append(len(segment))
         depth = len(spans)
         try:
-            return lane_scan(self, segment, **kwargs)
+            return lane_step(self, lanes, segment, **kwargs)
         finally:
             del spans[depth:]  # a span handing itself on in parts counts once
 
     def compiled(self, segment, **kwargs):
-        scanned = native_scan(self, segment, **kwargs)
-        kernel.append((len(segment), scanned is not None))
-        return scanned
+        kernel.append(len(segment))
+        return native_scan(self, segment, **kwargs)
 
     def stepped(self, cls, *args, **kwargs):
         walked.append(len(cls))
@@ -1191,8 +1191,8 @@ def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
     def per_byte_oracle(self, segment, **kwargs):
         raise AssertionError("a planned backend fed a bin collector directly")
 
-    monkeypatch.setattr(FusedLaneScanner, "scan", counted)
-    monkeypatch.setattr(NativeLaneScanner, "scan", compiled)
+    monkeypatch.setattr(FusedLaneScanner, "step", counted)
+    monkeypatch.setattr(NativeScanner, "scan", compiled)
     monkeypatch.setattr(StepTable, "walk", stepped)
     monkeypatch.setattr(BinActivityCollector, "feed", per_byte_oracle)
     for name in ("lnfa", "keywords64"):
@@ -1213,22 +1213,18 @@ def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
             ((kind, *victim),) = shed.shed(1e-9, "test pressure")
             assert kind == "bin"
             victim = tuple(victim)  # (0, 0) of "lnfa": the bin holding regex 1
-            frozen = shed._bins[victim].snapshot()
+            frozen = shed._bins[victim].snapshot()  # shed() wrote it back
             for scan in (whole, shed):
                 del spans[:], kernel[:], walked[:]
                 scan.feed(data[cut : 2 * cut], at_end=False)
                 scan.feed(data[2 * cut :], at_end=True)
                 assert spans == [cut, len(data) - 2 * cut]
                 if backend == "native":
-                    warm = scan._plan.scanner.warm
-                    # each segment reached the kernel, all but <= warm bytes of it
-                    done = [size for size, taken in kernel if taken]
-                    assert len(done) == 2 and sum(done) >= len(data) - cut - 2 * warm
-                    assert not walked or max(walked) <= warm
-                    assert len(walked) <= 2 * len(shed._bins)
+                    assert kernel == spans and not walked
+            for scan in (whole, shed):
+                scan.finish()  # the collectors, written back
         if (name, backend) == ("keywords64", "native"):
             assert shed._plan.scanner.lane_tier.endswith("1 group of 4 bins)")
-            assert walked  # the foreign-entry path ran: (live, 0) is no joint state
         live = [key for key in shed._bins if key != victim]
         assert len(live) == len(shed._bins) - 1 >= 2
         for key in live:
@@ -1236,6 +1232,120 @@ def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
             assert shed._bins[key].activity() == whole._bins[key].activity()
         assert shed._bins[victim].snapshot() == frozen
         assert whole._bins[victim].snapshot() != frozen
+
+
+def _keyword_stream(segments: int, size: int, seed: int):
+    """``keywords64`` newly compiled, its mapping, and ``segments``
+    segments of ``size`` bytes after a 4 KiB lead-in, witnesses planted."""
+    from benchmarks.ledger.workloads import keyword_patterns
+    from repro.workloads.inputs import generate_input
+
+    ruleset = compile_ruleset(keyword_patterns())
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    data = generate_input(
+        "network", 4096 + segments * size, seed=seed,
+        patterns=keyword_patterns(), plant_every=700,
+    )
+    cuts = range(4096, len(data), size)
+    return ruleset, mapping, data[:4096], [data[at : at + size] for at in cuts]
+
+
+def _digest(scan: DurableScan) -> str:
+    return hashlib.sha256(cells.canonical(scan.snapshot())).hexdigest()
+
+
+NATIVE = pytest.mark.skipif(
+    "native" not in available_backends(), reason="native backend unavailable"
+)
+
+
+@NATIVE
+def test_a_resident_lane_feed_is_one_crossing_and_no_fold(monkeypatch):
+    """A lanes-only durable scan keeps its lane machine resident: each of
+    100 steady-state 4 KiB feeds makes exactly one library call, and none
+    converts lane state (``NativeScanner._enter`` / ``_leave``) or walks
+    it in Python.  Its snapshot at every offset is the ``python``
+    backend's, by SHA-256."""
+    from repro.core import native
+    from repro.core.table import StepTable
+
+    ruleset, mapping, lead, segments = _keyword_stream(100, 4096, seed=11)
+    events = []
+
+    def logged(name, original):
+        return lambda *args, **kwargs: events.append(name) or original(
+            *args, **kwargs
+        )
+
+    monkeypatch.setattr(native, "_LIB_MEMO", {})  # libraries loaded anew, below
+    for library in (native._CffiLibrary, native._CtypesLibrary):
+        monkeypatch.setattr(
+            library, "fn", lambda self, name, _fn=library.fn: logged(
+                name, _fn(self, name)
+            ),
+        )
+    for name in ("_enter", "_leave"):
+        original = getattr(native.NativeScanner, name)
+        monkeypatch.setattr(native.NativeScanner, name, logged(name, original))
+    monkeypatch.setattr(StepTable, "walk", logged("walk", StepTable.walk))
+    digests = {}
+    for backend in ("python", "native"):
+        with use_backend(backend):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            scan.feed(lead, at_end=False)
+            digests[backend] = [_digest(scan)]
+            for segment in segments:
+                del events[:]
+                scan.feed(segment, at_end=False)
+                if backend == "native":
+                    assert events == ["rap_lane_scan"]
+                digests[backend].append(_digest(scan))
+        assert scan.drain()  # the planted witnesses were reported
+    assert digests["native"] == digests["python"]
+
+
+@NATIVE
+def test_shedding_keeps_the_kernel(monkeypatch):
+    """After a bin is shed, its lanes step on inside the packed machine
+    (they no longer enter empty beside live neighbours, which is no state
+    of their group's closure): none of 100 later feeds walks in Python,
+    every one is one kernel call, and the snapshot at every later offset
+    and the finished run, priced, are the ``python`` backend's."""
+    from repro.core.native import NativeScanner
+    from repro.core.table import StepTable
+
+    ruleset, mapping, lead, segments = _keyword_stream(100, 512, seed=12)
+    walked, kernel = [], []
+    walk, native_scan = StepTable.walk, NativeScanner.scan
+    monkeypatch.setattr(
+        StepTable, "walk", lambda *a, **k: walked.append(len(a[1])) or walk(*a, **k)
+    )
+    monkeypatch.setattr(
+        NativeScanner, "scan",
+        lambda self, data, **k: kernel.append(len(data)) or native_scan(
+            self, data, **k
+        ),
+    )
+    digests, priced = {}, {}
+    for backend in ("python", "native"):
+        with use_backend(backend):
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG, weights={1: 0.1})
+            scan.feed(lead, at_end=False)
+            ((kind, *_),) = scan.shed(1e-9, "test pressure")
+            assert kind == "bin"
+            del walked[:], kernel[:]
+            digests[backend] = []
+            for k, segment in enumerate(segments):
+                scan.feed(segment, at_end=k == len(segments) - 1)
+                digests[backend].append(_digest(scan))
+            if backend == "native":
+                assert not walked and kernel == list(map(len, segments))
+            priced[backend] = RAPSimulator(DEFAULT_CONFIG).run_from_activity(
+                ruleset, scan.finish(), mapping
+            )
+    assert digests["native"] == digests["python"]
+    assert priced["native"] == priced["python"]
+    assert priced["native"].energy_uj.hex() == priced["python"].energy_uj.hex()
 
 
 def _as_the_parent_wrote(doc, fingerprint: str):
