@@ -6,10 +6,9 @@ and the loops compute exactly what the portable scans of
 :mod:`repro.core.fused` compute (same ``stats_from`` warm-up gating,
 end-anchored masking and counters), so bit-identity holds by
 construction.  One translation unit per binding (:func:`binding_source`),
-built by one ``cc`` run: a binding with one tier emits that tier's text
-alone, one with the lanes and some units gets both and ``rap_scan_span``,
+built by one ``cc`` run: whichever tiers compile, then ``rap_scan_span``,
 which steps every tier over a span — and counts the histogram of its
-owned bytes — in one crossing.  The tiers:
+owned bytes — in one crossing, the binding's one entry point.  The tiers:
 
 * :func:`lane_scan_source` — the lane-packed SHIFT_LEFT machine as **one
   DFA per group of adjacent bins**: each bin's closed
@@ -51,8 +50,8 @@ Every source begins with a header naming
 :data:`~repro.io.envelope.PLAN_VERSION` (the SHA-256 of the text is the
 shared-object cache key) and the 256-entry class map: kernels read raw
 bytes as ``CLS[data[i]]``.  Events cross the ABI as bounded buffers with
-a continuation protocol: a full buffer returns 1 with where to resume
-(for ``rap_scan_span``, the tier too), the caller drains and re-enters;
+a continuation protocol: a full buffer returns 1 with the tier and the
+place in it to resume at, the caller drains and re-enters;
 counters accumulate in caller memory, so the drained stream is identical
 to an unbounded one.  This module only *writes* C; building and loading
 live in :mod:`repro.core.native`.
@@ -405,8 +404,8 @@ UNIT_FOLD_CURSORS = 16
 
 def unit_forest(fused) -> tuple[list[int | str], int]:
     """Where each GATHER unit's table starts in the forest's global
-    state ids (units numbered as :meth:`FusedRuleset.scan_units_span
-    <repro.core.fused.FusedRuleset.scan_units_span>` does) — or, as a
+    state ids (units numbered as :meth:`FusedRuleset.scan_span
+    <repro.core.fused.FusedRuleset.scan_span>` does) — or, as a
     ``str``, why the unit is not in it: a table not closed, a live count
     or a row offset past its ``NEXT`` field (either way its cursors walk
     the table in Python) — and the forest's rows in all."""
@@ -801,7 +800,10 @@ SCAN_CDEF = (
 # NBVA units' ``matched_states``, the histogram of its owned bytes.  A
 # full event buffer returns 1 with the tier and the place to resume at
 # in ``ctl``; the caller drains every tier's buffer (each kernel's
-# events since the last return) and re-enters.
+# events since the last return) and re-enters.  The span's counters
+# (visits, active sums, histogram) are zeroed here as each tier starts,
+# and a finished span leaves ``ctl`` at the start of the next one, so
+# the caller writes no word between spans of the same shape.
 _SCAN_SPAN = r"""
 RAP_SCAN_SPAN
 {
@@ -809,18 +811,30 @@ RAP_SCAN_SPAN
   ctl[S_HITS] = ctl[S_EVENTS] = 0;
   switch (ctl[S_TIER]) {
   case 0:
-    if (ctl[S_LANES] >= 0 && rap_lane_scan(data, n, ctl[S_AT], lane_state,
-            (int)ctl[S_LANES], at_end, stats_from, tile_cycles, tile_bits,
-            visits, hit_pos, hit_states, ctl[S_LANE_CAP], ctl + S_HITS,
-            ctl + S_AT))
-      return 1;
+#ifdef NGROUPS
+    if (ctl[S_LANES] >= 0) {
+      if (!ctl[S_AT])
+        for (i = 0; i < K * NVISITS; i++) visits[i] = 0;
+      if (rap_lane_scan(data, n, ctl[S_AT], lane_state, (int)ctl[S_LANES],
+              at_end, stats_from, tile_cycles, tile_bits, visits, hit_pos,
+              hit_states, ctl[S_LANE_CAP], ctl + S_HITS, ctl + S_AT))
+        return 1;
+    }
+#else
+    (void)lane_state; (void)tile_cycles; (void)tile_bits; (void)visits;
+    (void)hit_pos; (void)hit_states;
+#endif
     ctl[S_TIER] = 1;
     ctl[S_AT] = 0;
-    if (ctl[S_UNITS] || ctl[S_NBVA])
+    if (ctl[S_UNITS] || ctl[S_NBVA]) {
+      for (i = 0; i < 256; i++) hist[i] = 0;
       for (i = stats_from > 0 ? stats_from : 0; i < n; i++) hist[data[i]]++;
+    }
     /* fall through */
   case 1:
 #ifdef MAXM
+    if (!ctl[S_AT])
+      for (i = 0; i < ctl[S_UNITS]; i++) active[i] = 0;
     if (ctl[S_UNITS] && rap_units_span(data, n, ctl[S_AT], unit_state,
             (int)ctl[S_UNITS], at_end, stats_from, active, ev_pos, ev_cursor,
             ev_state, ctl[S_UNIT_CAP], ctl + S_EVENTS, ctl + S_AT))
@@ -832,12 +846,14 @@ RAP_SCAN_SPAN
     /* fall through */
   default:
 #ifdef NBVA_MAX_WORDS
-    return ctl[S_NBVA] && rap_nbva_span(data, n, (int)ctl[S_NBVA], at_end,
-        cursors, vecs, ev, ctl[S_NBVA_CAP], ctl + S_NBVA_CURSOR);
+    if (ctl[S_NBVA] && rap_nbva_span(data, n, (int)ctl[S_NBVA], at_end, cursors,
+            vecs, ev, ctl[S_NBVA_CAP], ctl + S_NBVA_CURSOR))
+      return 1;
 #else
     (void)cursors; (void)vecs; (void)ev;
-    return 0;
 #endif
+    ctl[S_TIER] = ctl[S_AT] = ctl[S_NBVA_CURSOR] = ctl[S_NBVA_AT] = 0;
+    return 0;
   }
 }
 """
@@ -849,23 +865,21 @@ _OPTIMIZE = "#if defined(__GNUC__) && !defined(__clang__)\n#pragma GCC %s\n#endi
 class BindingKernel(NamedTuple):
     """What :func:`binding_source` hands the loader: the one C text
     (empty: no tier compiles), its lane kernel (``None``, and why in
-    ``lanes_why``, when the lanes are walked), whether it holds
-    ``rap_scan_span`` and the fresh cursor count its unit kernel is
-    folded for (0: none)."""
+    ``lanes_why``, when the lanes are walked) and the fresh cursor count
+    its unit kernel is folded for (0: none)."""
 
     source: str
     lanes: LaneKernel | None
     lanes_why: str | None
-    merged: bool
     fold: int
 
 
 def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
-    """The one translation unit of a binding: its lane kernel's text
-    alone, its units' alone — each as :func:`lane_scan_source` and
-    :func:`unit_scan_source` emit them — or, holding both, one text with
-    the lanes, the units (the forest folded for the fresh cursor count)
-    and ``rap_scan_span`` over them all."""
+    """The one translation unit of a binding: whichever of the lane
+    kernel (:func:`lane_scan_source`) and the units' forest and NBVA
+    tables (:func:`unit_scan_source`, the forest folded for the fresh
+    cursor count beside the lanes) compile, then ``rap_scan_span`` over
+    them all — the tiers it lacks ``#ifdef``-guarded away."""
     lanes = why = None
     if fused.bases:
         try:
@@ -875,22 +889,26 @@ def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
     fresh = sum(isinstance(base, int) for base in unit_forest(fused)[0])
     fold = fresh if lanes and fresh <= UNIT_FOLD_CURSORS else 0
     units = unit_scan_source(fused, fold)
-    if lanes is None or not units:
-        return BindingKernel(lanes.source if lanes else units, lanes, why, False, 0)
-    head = _header("lane machine (grouped dfa)", fused)
+    if lanes is None and not units:
+        return BindingKernel("", None, why, 0)
+    held = ["lanes"] * bool(lanes) + ["units"] * bool(units)
+    parts = [_header("binding: " + " and ".join(held), fused)]
+    if lanes:
+        body = lanes.source.removeprefix(
+            _header("lane machine (grouped dfa)", fused) + "\n"
+        )
+        # Beside the units the lanes step spans of kilobytes: -O1 reads
+        # them as fast as -O3 (the mix: ~37 us either way) for ~0.1 s
+        # less of cc.  Alone they step whole streams, where -O1 costs
+        # a third more per byte.
+        if units:
+            body = "\n".join(
+                [_OPTIMIZE % "push_options\n#pragma GCC optimize (\"O1\")", body,
+                 _OPTIMIZE % "pop_options"]
+            )
+        parts.append(body)
+    if units:
+        parts.append(units.removeprefix(_header("scan units", fused) + "\n"))
     ctl = ", ".join("S_" + name.upper() for name in SCAN_CTL)
-    source = "\n".join(
-        [
-            _header("binding: lanes and units", fused),
-            # Beside the units the lanes step spans of kilobytes: -O1 reads
-            # them as fast as -O3 (the mix: ~37 us either way) for ~0.1 s
-            # less of cc.
-            _OPTIMIZE % "push_options\n#pragma GCC optimize (\"O1\")",
-            lanes.source.removeprefix(head + "\n"),
-            _OPTIMIZE % "pop_options",
-            units.removeprefix(_header("scan units", fused) + "\n"),
-            f"enum {{ {ctl} }};",
-            _SCAN_SPAN.replace("RAP_SCAN_SPAN", SCAN_CDEF[:-1]),
-        ]
-    )
-    return BindingKernel(source, lanes, None, True, fold)
+    parts += [f"enum {{ {ctl} }};", _SCAN_SPAN.replace("RAP_SCAN_SPAN", SCAN_CDEF[:-1])]
+    return BindingKernel("\n".join(parts), lanes, why, fold)

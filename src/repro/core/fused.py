@@ -36,7 +36,7 @@ import numpy as np
 from repro.automata.glushkov import Automaton
 from repro.automata.nbva import NBVAScanner, NBVASimulator, NBVAState, NBVAStats
 from repro.core import codegen
-from repro.core.kernel import MatchEvent, StepStats
+from repro.core.kernel import StepStats
 from repro.core.program import KernelProgram, ProgramKind
 from repro.core.registry import resolve_backend_with_reason
 from repro.core.table import StepTable
@@ -115,7 +115,7 @@ class TranslatedSegment:
 
 
 class _GatherUnit:
-    """One GATHER unit — NFA-mode or DFA-mode alike — over the shared
+    """One GATHER unit — whatever mode compiled it — over the shared
     classes: its per-class ``labels``, its events' finals (``final`` on
     the stream's last byte, ``mid`` elsewhere), and ``table``, its
     :class:`~repro.core.table.StepTable` (one all-ones payload mask: a
@@ -182,8 +182,8 @@ class FusedRuleset:
     """One ruleset compiled for lockstep execution.
 
     SHIFT_LEFT programs (LNFA bins, their tiles' ``tile_masks``) and
-    GATHER programs — ``gather_programs`` NFA-mode, ``dfa_programs``
-    DFA-mode — share one class map; each is one
+    GATHER programs (``gather_programs``, of any compiled mode) share one
+    class map; each is one
     :class:`~repro.core.table.StepTable` (a bin's through
     :meth:`lane_dfa`, a GATHER unit's closed at build time).  The shift
     programs' words travel packed (:meth:`pack` / :meth:`extract`).
@@ -196,7 +196,6 @@ class FusedRuleset:
         self,
         shift_programs: Sequence[KernelProgram] = (),
         gather_programs: Sequence[KernelProgram] = (),
-        dfa_programs: Sequence[KernelProgram] = (),
         nbva_units: Sequence[tuple[Automaton, bool, bool]] = (),
         tile_masks: Sequence[Sequence[int]] = (),
     ):
@@ -211,8 +210,8 @@ class FusedRuleset:
                     "fused lane packing requires SHIFT_LEFT programs, "
                     f"got {program.kind.value}"
                 )
-        gathers, dfas = tuple(gather_programs), tuple(dfa_programs)
-        for program in gathers + dfas:
+        gathers = tuple(gather_programs)
+        for program in gathers:
             if program.kind is not ProgramKind.GATHER:
                 raise ValueError(
                     "fused unit tables require GATHER programs, "
@@ -225,7 +224,6 @@ class FusedRuleset:
         self.classes = AlphabetClasses(
             [p.labels for p in self._shift]
             + [p.labels for p in gathers]
-            + [p.labels for p in dfas]
             + [table for u in self._nbva for table in (u.labels, u.cmatch)]
         )
         for unit in self._nbva:
@@ -254,11 +252,7 @@ class FusedRuleset:
         self._lanes: dict[tuple, StepTable] = {}
 
         # -- the GATHER units, each closed into its step table -----------
-        # One numbering serves every span call: the NFA-mode programs,
-        # then the DFA-mode ones.
-        self._units = tuple(_GatherUnit(p, self.classes) for p in gathers + dfas)
-        self._gather = self._units[: len(gathers)]
-        self._dfa = self._units[len(gathers) :]
+        self._units = tuple(_GatherUnit(p, self.classes) for p in gathers)
         self._foreign_logged = False
         # ``matched_states`` per unit is the owned bytes' histogram dotted
         # with this (unit x byte) matrix of each byte's class's label
@@ -277,7 +271,7 @@ class FusedRuleset:
         # The classes that can revive some idle machine (each table
         # sleeps through the rest; the union is what a trace reports as
         # the hot-byte ratio).
-        programs = self._shift + gathers + dfas
+        programs = self._shift + gathers
         self.union_hot_cls = np.fromiter(
             (
                 any(p.inject_always & p.labels[rep] for p in programs)
@@ -376,30 +370,6 @@ class FusedRuleset:
         walker asks for the class stream)."""
         return TranslatedSegment(data, self.classes)
 
-    # -- the GATHER units -----------------------------------------------
-
-    def scan_units_span(
-        self,
-        cursors: Sequence[tuple[int, int | None]],
-        tin: TranslatedSegment,
-        *,
-        stats_from: int = 0,
-        at_end: bool = True,
-    ) -> list[tuple[list[MatchEvent], StepStats, int]]:
-        """:meth:`scan_span` over GATHER-unit cursors alone."""
-        span = dict(stats_from=stats_from, at_end=at_end)
-        return self.scan_span(tin, cursors, **span)[1]
-
-    def scan_nbva_units_span(
-        self,
-        cursors: Sequence[tuple[int, NBVAState]],
-        tin: TranslatedSegment,
-        *,
-        at_end: bool = True,
-    ) -> list[tuple[list[int], NBVAStats, NBVAState]]:
-        """:meth:`scan_span` over NBVA-unit cursors alone."""
-        return self.scan_span(tin, (), cursors, at_end=at_end)[2]
-
     def scan_span(
         self,
         tin: TranslatedSegment,
@@ -411,8 +381,8 @@ class FusedRuleset:
         at_end: bool = True,
     ) -> tuple:
         """One span of any cursors of every tier: ``(lanes, units,
-        nbva)``.  A GATHER cursor is ``(unit, entry)`` — NFA-mode units
-        numbered first, then DFA-mode ones; ``entry`` is the NFA active
+        nbva)``.  A GATHER cursor is ``(unit, entry)`` — ``unit`` numbered
+        as ``gather_programs`` lists it; ``entry`` is the NFA active
         set entering the span, ``None`` at the stream start — and comes
         back as its events, owned-region counters and exit set, exactly
         :meth:`PythonKernel.scan_segment <repro.core.pykernel.PythonKernel.
@@ -429,11 +399,10 @@ class FusedRuleset:
         ``at_end``: the span's last symbol is the stream's (end-anchored
         finals fire only there).
 
-        Every cursor the generated C can take steps there — all of them
-        and the lanes in one crossing when the binding's library holds
-        ``rap_scan_span``, else one per unit mode and one for the NBVA
-        units.  The rest — no compiler, a unit past a cap or outside the
-        forest, an entry no scan produces, a wide NBVA unit — is walked
+        Every cursor the generated C can take steps there, all of them
+        and the lanes in one crossing.  The rest — no compiler, a unit
+        past a cap or outside the forest, an entry no scan produces, a
+        wide NBVA unit — is walked
         (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) or
         stepped by the oracle: identical results, only slower.
         """
@@ -443,12 +412,12 @@ class FusedRuleset:
         data = tin.data
         # per cursor: (position, state word) hits, active sum, exit word
         spans: list = [None] * len(units)
-        compiled: tuple[list, list] = ([], [])  # NFA-mode, DFA-mode cursors
+        compiled = []  # (slot, unit, closed state) of the forest's cursors
         for slot, (number, entry) in enumerate(units if data else ()):
             table = gathers[number].table
             sid = table.closed_id(entry)
             if sid is not None and placed and type(placed[number]) is int:
-                compiled[number >= len(self._gather)].append((slot, number, sid))
+                compiled.append((slot, number, sid))
                 continue
             if sid is None and table.closed and not self._foreign_logged:
                 self._foreign_logged = True
@@ -467,32 +436,24 @@ class FusedRuleset:
         native_nbva = [
             k for k, (j, _) in enumerate(nbva) if native and native.has_nbva(j)
         ]
-        flat = compiled[0] + compiled[1]
         lane_out = hist = None
         stepped: list = []
-        by_c: list = []
-        span = dict(at_end=at_end, stats_from=stats_from)
-        if native is not None and native.merged:
-            if lanes is not None or flat or native_nbva:  # one crossing
-                lane_out, stepped, by_c, hist = native.span(
-                    data,
-                    lanes=lanes,
-                    units=[cursor[1:] for cursor in flat],
-                    nbva=[nbva[k] for k in native_nbva],
-                    **span,
-                )
-        elif native is not None:  # at most one crossing per tier or mode
-            for group, step in zip(compiled, (native.gather_span, native.dfa_span)):
-                if group:
-                    stepped += step(data, [cursor[1:] for cursor in group], **span)
-            if native_nbva:
-                cursors = [nbva[k] for k in native_nbva]
-                by_c = native.nbva_span(data, cursors, at_end=at_end)
         nbva_out: list = [None] * len(nbva)
-        for k, out in zip(native_nbva, by_c):
-            nbva_out[k] = out
+        span = dict(at_end=at_end, stats_from=stats_from)
+        if native is None or not native.dfas:
+            lanes = None  # walked by the caller
+        if lanes is not None or compiled or native_nbva:
+            lane_out, stepped, by_c, hist = native.span(
+                data,
+                lanes=lanes,
+                units=[cursor[1:] for cursor in compiled],
+                nbva=[nbva[k] for k in native_nbva],
+                **span,
+            )
+            for k, out in zip(native_nbva, by_c):
+                nbva_out[k] = out
         # table state ids stay on this side of the span API
-        for (slot, number, _), (raw, active, sid) in zip(flat, stepped):
+        for (slot, number, _), (raw, active, sid) in zip(compiled, stepped):
             words = gathers[number].table.words
             spans[slot] = [(pos, words[s]) for pos, s in raw], active, words[sid]
         for k, (index, state) in enumerate(nbva):
@@ -537,14 +498,9 @@ class FusedRuleset:
         return out
 
     @property
-    def gather_count(self) -> int:
+    def unit_count(self) -> int:
         """Number of GATHER units in the fused compilation."""
-        return len(self._gather)
-
-    @property
-    def dfa_count(self) -> int:
-        """Number of DFA-tier units in the fused compilation."""
-        return len(self._dfa)
+        return len(self._units)
 
     @property
     def nbva_count(self) -> int:
@@ -553,6 +509,6 @@ class FusedRuleset:
 
     def unit_tier(self, number: int) -> str:
         """What steps GATHER unit ``number`` (numbered as
-        :meth:`scan_units_span` does), as ``--explain`` names it:
+        :meth:`scan_span` does), as ``--explain`` names it:
         ``table (S states)`` or ``interpreted (closure > N)``."""
         return self._units[number].tier

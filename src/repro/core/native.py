@@ -4,7 +4,8 @@
 module owns the rest — the capability probe (a C compiler, found and
 smoke-tested once per process and ``$CC``/``$PATH``), the build (``cc
 -O3 -shared`` into the on-disk cache, loaded via ``cffi`` or ``ctypes``)
-and :class:`NativeScanner`, the library's one Python face.
+and :class:`NativeScanner`, the library's one Python face, which enters
+it through one symbol, ``rap_scan_span``.
 
 * **Silent fallback.**  No compiler, a build or a load error: the
   interpreted fused path runs instead, with identical results (callers
@@ -179,28 +180,20 @@ class _CffiLibrary:
 
         self._ffi = cffi.FFI()
         # Every pointer parameter is declared ``void *``: that is what
-        # lets ``from_buffer`` hand a bytes object or an ndarray of any
-        # dtype straight to the call, with no per-argument cast.
+        # lets ``from_buffer`` hand an ndarray of any dtype to the call,
+        # and a bytes object go as it is.
         self._ffi.cdef(re.sub(r"(?:const )?\w+(?: \w+)? \*", "void *", cdef))
         self._lib = self._ffi.dlopen(str(path))
-        self._as_is = (int, type(self.pointer(bytearray(1))))
 
     def pointer(self, buf):
-        """``buf``'s address, as :meth:`fn` callables pass it on unchanged
-        (``buf`` must outlive it)."""
+        """``buf``'s address, as :meth:`fn` callables take it (``buf``
+        must outlive it)."""
         return self._ffi.from_buffer(buf)
 
     def fn(self, name: str):
-        """``name`` as a callable over ints, :meth:`pointer` results and
-        buffers (bytes objects or C-contiguous ndarrays, passed by
-        address)."""
-        raw = getattr(self._lib, name)
-        from_buffer, as_is = self._ffi.from_buffer, self._as_is
-
-        def call(*args):
-            return raw(*[a if isinstance(a, as_is) else from_buffer(a) for a in args])
-
-        return call
+        """``name`` as a callable over ints, bytes objects and
+        :meth:`pointer` results, unconverted."""
+        return getattr(self._lib, name)
 
 
 class _CtypesLibrary:
@@ -209,29 +202,25 @@ class _CtypesLibrary:
     kind = "ctypes"
 
     def __init__(self, path: Path, cdef: str):
-        del cdef  # ctypes needs no declarations; args are wrapped per call
         self._lib = ctypes.CDLL(str(path))
+        # per function its parameters' ctypes, from its declaration
+        self._argtypes = {
+            name: [
+                ctypes.c_void_p if "*" in param
+                else ctypes.c_longlong if "long long" in param
+                else ctypes.c_int
+                for param in params.split(",")
+            ]
+            for name, params in re.findall(r"(\w+)\(([^)]*)\)", cdef)
+        }
 
     def pointer(self, buf):
         return ctypes.c_void_p(_address(buf))
 
     def fn(self, name: str):
         raw = getattr(self._lib, name)
-        raw.restype = ctypes.c_int
-
-        def call(*args):
-            return raw(
-                *[
-                    ctypes.c_longlong(a)
-                    if isinstance(a, int)
-                    else a
-                    if isinstance(a, ctypes.c_void_p)
-                    else ctypes.c_void_p(_address(a))
-                    for a in args
-                ]
-            )
-
-        return call
+        raw.restype, raw.argtypes = ctypes.c_int, self._argtypes[name]
+        return raw
 
 
 def _address(buf) -> int:
@@ -297,11 +286,13 @@ class _Workspace(threading.local):
     each thread: ``layout`` maps a name to ``(dtype, count)``; each buffer
     is a view of one block (``name``) plus the library's pointer to it
     (``at_<name>``), so a span neither allocates nor converts them;
-    ``args`` are the pointers of the buffers ``names`` lists."""
+    ``args`` are the pointers of the buffers ``names`` lists, ``caps``
+    and ``shape`` what ``ctl``'s constant words were last written for,
+    ``words`` a memoryview of ``ctl``."""
 
     def __init__(self, lib: _Library, layout: dict[str, tuple[type, int]], names=()):
         words = [-(-np.dtype(t).itemsize * n // 8) for t, n in layout.values()]
-        self.block = np.empty(sum(words), dtype=np.int64)
+        self.block = np.zeros(sum(words), dtype=np.int64)
         at = 0
         for (name, (dtype, count)), size in zip(layout.items(), words):
             view = self.block[at : at + size].view(dtype)[:count]
@@ -309,6 +300,8 @@ class _Workspace(threading.local):
             setattr(self, "at_" + name, lib.pointer(view))
             at += size
         self.args = tuple(getattr(self, "at_" + name) for name in names)
+        self.caps = self.shape = None
+        self.words = memoryview(self.ctl)
 
 
 _FRESH = NBVAState()
@@ -322,27 +315,20 @@ class NativeScanner:
     its state ids kept in a stream's buffers, which it steps in place),
     the unit forest (``bases``: per
     unit its first forest state id, or why it is not placed) and the
-    narrow NBVA units.  :meth:`span` steps any of them over one span: in
-    one ``rap_scan_span`` call when the library holds the lanes and some
-    units (``merged``), else one call per tier — plus continuations
-    whenever an event buffer fills."""
+    narrow NBVA units.  :meth:`span` steps any of them over one span in
+    one ``rap_scan_span`` call — the library's one entry point — plus
+    continuations whenever an event buffer fills."""
 
     def __init__(self, fused):
         kernel = codegen.binding_source(fused, fused.tile_masks)
-        self.lanes_why, self.merged = kernel.lanes_why, kernel.merged
+        self.lanes_why = kernel.lanes_why
         if not kernel.source:
             raise NativeBuildError(kernel.lanes_why or "no native-eligible tier")
         self._source, lanes = kernel.source, kernel.lanes
-        # cffi resolves a declared symbol when first asked for it
-        cdef = codegen.LANE_CDEF + codegen.UNITS_CDEF + codegen.NBVA_CDEF
-        lib = load_source(kernel.source, cdef + codegen.SCAN_CDEF)
+        lib = load_source(kernel.source, codegen.SCAN_CDEF)
+        self._span_fn = lib.fn("rap_scan_span")
         self.bases, rows = codegen.unit_forest(fused)
         nbva, classes = codegen.native_nbva_indices(fused), fused.classes.class_of
-        fns = ("rap_scan_span", kernel.merged), ("rap_lane_scan", lanes)
-        fns += ("rap_units_span", rows), ("rap_nbva_span", nbva)
-        self._span_fn, self._lane_fn, self._units_fn, self._nbva_fn = (
-            lib.fn(name) if present else None for name, present in fns
-        )
         self.dfas, self.tier = (lanes.closure, lanes.tier) if lanes else ([], None)
         if lanes:  # per group: its first bin, where its slice of the word sits
             ends = [fused.bases[j] for j in lanes.first[1:]] + [sum(fused.widths)]
@@ -390,8 +376,6 @@ class NativeScanner:
         groups, hits = len(self.dfas), cap if lanes else 0
         most = codegen.UNIT_SPAN_CURSORS if rows else 0
         events = max(codegen.HIT_BUFFER_ENTRIES, most) if rows else 0
-        # the words each span zeroes: counters, control and resume words
-        self._counters = 256 + visits + len(codegen.SCAN_CTL) + 3
         i64, u32 = np.int64, np.uint32
         # A stream's lane state and tile counters are its own (LaneStream,
         # resident between spans); the rest is scratch of one span.
@@ -399,7 +383,7 @@ class NativeScanner:
             lib,
             dict(
                 hist=(i64, 256), visits=(i64, visits),
-                ctl=(i64, len(codegen.SCAN_CTL)), out=(i64, 2), resume=(i64, 1),
+                ctl=(i64, len(codegen.SCAN_CTL)),
                 active=(i64, most), hit_pos=(i64, hits),
                 hit_states=(u32, hits * groups), units=(u32, most),
                 ev_pos=(i64, events), ev_cursor=(np.int32, events),
@@ -473,112 +457,99 @@ class NativeScanner:
         :meth:`_enter` — its state ids and tile counters are stepped and
         accumulated in place, never zeroed), ``(unit number, closed table
         state)`` forest cursors and ``(NBVA unit, entry frontier)``
-        cursors over one span.  Returns ``(lanes, units, nbva,
-        histogram)``: ``(position, packed word)`` wherever a bin holds a
-        final that fires (``None`` when not asked, or when the lanes' word
-        is outside a group's closure: the caller walks until they forget
-        it); per unit cursor its raw ``(position, table state)`` events,
-        active-state sum and exit state; per NBVA cursor
-        :meth:`NBVAScanner.feed`'s global matches, counters and exit
-        frontier; and the owned bytes' histogram (``None`` for the lanes
-        alone).  Forest state ids never leave this method."""
-        span = dict(at_end=at_end, stats_from=stats_from)
-        if lanes is not None and lanes.word is not None and not self._enter(lanes):
+        cursors over one span, in one crossing.  Returns ``(lanes, units,
+        nbva, histogram)``: ``(position, packed word)`` wherever a bin
+        holds a final that fires (``None`` when not asked, or when the
+        lanes are not compiled or their word is outside a group's
+        closure: the caller walks until they forget it); per unit cursor
+        its raw ``(position, table state)`` events, active-state sum and
+        exit state; per NBVA cursor :meth:`NBVAScanner.feed`'s global
+        matches, counters and exit frontier; and the owned bytes'
+        histogram (``None`` for the lanes alone).  Forest state ids never
+        leave this method."""
+        if lanes is not None and not (
+            self.dfas and (lanes.word is None or self._enter(lanes))
+        ):
             lanes = None  # the caller walks them
         if len(units) > (cut := codegen.UNIT_SPAN_CURSORS):  # arrays full
+            span = dict(at_end=at_end, stats_from=stats_from)
             head = self.span(data, lanes=lanes, units=units[:cut], nbva=nbva, **span)
             rest = self.span(data, units=units[cut:], **span)[1]
             return head[0], head[1] + rest, head[2], head[3]
         ws, n, m, k = self._ws, len(data), len(units), len(nbva)
-        ws.block[: self._counters] = 0
-        bases = [self.bases[number] for number, _ in units]
-        if m:
-            ws.active[:m] = 0
-            ws.units[:m] = [base + sid for base, (_, sid) in zip(bases, units)]
-        # (rap_scan_span reads no cursor table without NBVA cursors)
-        table, vecs = self._nbva_rows(nbva) if k else (ws.at_hist,) * 2
-        caps = (  # the NBVA kernel writes whole bytes: up to two events
-            self._cap, min(max(self._cap, m), len(ws.ev_pos)),
-            min(max(self._cap, 2), len(ws.ev)),
-        )
+        shape = (-1 if lanes is None else int(lanes.fresh), m, k, self._cap)
+        if shape != ws.shape:  # codegen.SCAN_CTL: "lanes" .. "nbva_cap"
+            cap, ws.shape = self._cap, shape
+            # the unit and NBVA kernels write whole bytes: up to m and two
+            # events
+            ws.caps = (
+                cap, min(max(cap, m), len(ws.ev_pos)), min(max(cap, 2), len(ws.ev))
+            )
+            ws.ctl[4:10] = *shape[:3], *ws.caps
         hits: list[tuple[int, int]] = []
-        events: list[list[tuple[int, int]]] = [[] for _ in units]
-        found = [([], []) for _ in nbva]  # per NBVA cursor: matches, BV cycles
-        offsets = [state.offset for _, state in nbva]
-        hist, rc = None, 1
-        if self._span_fn is not None:  # one crossing, whatever was asked
-            # codegen.SCAN_CTL: "lanes" .. "nbva_cap"; "hits", "events" last
-            ws.ctl[4:10] = -1 if lanes is None else int(lanes.fresh), m, k, *caps
-            own = lanes.args if lanes is not None else (ws.at_hist,) * 3
-            args = (ws.at_ctl, *own, *ws.args)
+        events: list[list[tuple[int, int]]] = []
+        if m:
+            bases = [self.bases[number] for number, _ in units]
+            ws.units[:m] = [base + sid for base, (_, sid) in zip(bases, units)]
+            events = [[] for _ in units]
+        if k:
+            table, vecs = self._nbva_rows(nbva)
+            rows = self._pointer(table), self._pointer(vecs)
+            found = [([], []) for _ in nbva]  # per NBVA cursor: matches, BV cycles
+            offsets = [state.offset for _, state in nbva]
+        else:  # (rap_scan_span reads no cursor table without NBVA cursors)
+            rows = ws.at_hist, ws.at_hist
+        own = lanes.args if lanes is not None else (ws.at_hist,) * 3
+        args = (int(at_end), stats_from, *rows, ws.at_ctl, *own, *ws.args)
+        raw = data if type(data) is bytes else self._pointer(data)
+        words, rc = ws.words, 1
+        try:  # the C zeroes the span's counters and, done, its resume words
             while rc:
-                rc = self._span_fn(data, n, int(at_end), stats_from, table, vecs, *args)
-                count, ev_count = ws.ctl[-2:].tolist()
-                self._lane_hits(count, hits)
-                self._unit_events(ev_count, events, bases)
+                rc = self._span_fn(raw, n, *args)
+                if words[-2]:
+                    self._lane_hits(words[-2], hits)
+                if words[-1]:
+                    self._unit_events(words[-1], events, bases)
                 if k:
-                    self._nbva_events(table, offsets, found, caps[2])
-            hist = ws.hist.copy() if m or k else None
-        else:
-            if m or k:
-                owned = np.frombuffer(data, dtype=np.uint8)[max(0, stats_from) :]
-                # (bincount casts to intp itself, more slowly than astype)
-                hist = np.bincount(owned.astype(np.intp), minlength=256)
-            if lanes is not None:
-                hits = self.scan(data, lanes=lanes, **span)
-            if m:
-                ws.resume[0], rc = 0, 1
-            while m and rc:
-                rc = self._units_fn(
-                    data, n, ws.resume.tolist()[0], ws.at_units, m, int(at_end),
-                    stats_from, ws.at_active, ws.at_ev_pos, ws.at_ev_cursor,
-                    ws.at_ev_state, caps[1], ws.at_out, ws.at_resume,
-                )
-                self._unit_events(ws.out.tolist()[0], events, bases)
-            if k:
-                ws.out[:], rc = 0, 1  # (cursor, position) to resume at
-            while k and rc:
-                rc = self._nbva_fn(
-                    data, n, k, int(at_end), table, vecs, ws.at_ev, caps[2],
-                    ws.at_out,
-                )
-                self._nbva_events(table, offsets, found, caps[2])
+                    self._nbva_events(table, offsets, found, ws.caps[2])
+        finally:
+            if rc:  # an interrupted span: the next one starts afresh
+                ws.ctl[:4] = 0
         if lanes is not None and n:
             lanes.fresh = False
         unit_out: list = []
         if m:
             exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
             unit_out = list(zip(events, ws.active[:m].tolist(), exits))
+        hist = ws.hist.copy() if m or k else None
         nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n) if k else []
         return hits if lanes is not None else None, unit_out, nbva_out, hist
 
     def _lane_hits(self, count: int, hits: list) -> None:
         """The lane hits of the last return, in position order (a
         lockstep block reports its sub-spans' hits interleaved)."""
-        if count:
-            ws, groups = self._ws, len(self.dfas)
-            ids = ws.hit_states[: count * groups].tolist()
-            at = range(0, count * groups, groups)
-            for pos, k in sorted(zip(ws.hit_pos[:count].tolist(), at)):
-                key = tuple(ids[k : k + groups])
-                word = self._hit_words.get(key)
-                if word is None:
-                    word = self._hit_words[key] = self._word(key)
-                hits.append((pos, word))
+        ws, groups = self._ws, len(self.dfas)
+        ids = ws.hit_states[: count * groups].tolist()
+        at = range(0, count * groups, groups)
+        for pos, k in sorted(zip(ws.hit_pos[:count].tolist(), at)):
+            key = tuple(ids[k : k + groups])
+            word = self._hit_words.get(key)
+            if word is None:
+                word = self._hit_words[key] = self._word(key)
+            hits.append((pos, word))
 
     def _unit_events(self, count: int, events: list, bases: list) -> None:
         """The unit events of the last return, routed to their cursors."""
-        if count:
-            ws = self._ws
-            for pos, u, sid in zip(
-                ws.ev_pos[:count].tolist(),
-                ws.ev_cursor[:count].tolist(),
-                ws.ev_state[:count].tolist(),
-            ):
-                events[u].append((pos, sid - bases[u]))
+        ws = self._ws
+        for pos, u, sid in zip(
+            ws.ev_pos[:count].tolist(),
+            ws.ev_cursor[:count].tolist(),
+            ws.ev_state[:count].tolist(),
+        ):
+            events[u].append((pos, sid - bases[u]))
 
     def _nbva_rows(self, cursors):
-        """The cursor table and vector words ``rap_nbva_span`` takes for
+        """The cursor table and vector words the NBVA kernel takes for
         ``(NBVA unit, entry frontier)`` cursors (fresh ones' from a
         template made once)."""
         fresh = all(state == _FRESH for _, state in cursors)
@@ -647,39 +618,21 @@ class NativeScanner:
             spans.append((matches, stats, frontier))
         return spans
 
-    # -- one tier: the names a traced scan attributes crossings to ---------
+    # -- names over span: the lanes alone, and the benchmark ledger's --------
+    # ``benchmarks/ledger/layers.py`` times spans by wrapping ``scan``,
+    # ``gather_span``, ``dfa_span`` and the two class aliases below by
+    # name, and is frozen with the benchmark: that is the only reason the
+    # last four exist.  Every scan crosses through :meth:`span`.
 
     def scan(self, data: bytes, *, lanes, at_end: bool, stats_from: int = 0):
-        """:meth:`span` over the lane machine alone, in ``rap_lane_scan``
-        calls of its own."""
-        if lanes.word is not None and not self._enter(lanes):
-            return None
-        ws, hits, rc, at = self._ws, [], 1, 0
-        ws.visits[:] = 0
-        at_state, at_cycles, at_bits = lanes.args
-        while rc:
-            rc = self._lane_fn(
-                data, len(data), at, at_state, int(lanes.fresh), int(at_end),
-                stats_from, at_cycles, at_bits, ws.at_visits, ws.at_hit_pos,
-                ws.at_hit_states, self._cap, ws.at_out, ws.at_resume,
-            )
-            self._lane_hits(ws.out.tolist()[0], hits)
-            at = ws.resume.tolist()[0]
-        lanes.fresh = lanes.fresh and not data
-        return hits
+        """:meth:`span` over the lane machine alone."""
+        return self.span(data, lanes=lanes, at_end=at_end, stats_from=stats_from)[0]
 
     def gather_span(self, data: bytes, cursors, **span):
-        """:meth:`span` over the span's NFA-mode cursors."""
+        """:meth:`span` over GATHER cursors alone."""
         return self.span(data, units=cursors, **span)[1]
 
-    def dfa_span(self, data: bytes, cursors, **span):
-        """:meth:`span` over the span's DFA-mode cursors."""
-        return self.span(data, units=cursors, **span)[1]
-
-    def nbva_span(self, data: bytes, cursors, *, at_end: bool):
-        """:meth:`span` over NBVA cursors."""
-        return self.span(data, nbva=cursors, at_end=at_end)[2]
+    dfa_span = gather_span
 
 
-# The names the layers above knew the two scanners by: one class now.
 NativeLaneScanner = NativeUnitScanner = NativeScanner

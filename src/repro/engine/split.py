@@ -7,11 +7,13 @@ workers, and both are bit-identical to the serial fused scan:
 
 * **Warm-up windows** — a machine with bounded memory forgets its
   entry state after a fixed number of symbols: a lane-packed Shift-And
-  / LNFA bin after its widest member, a GATHER unit (NFA- or DFA-mode)
-  whose automaton is acyclic after ``longest_activation_path + 1``.
+  / LNFA bin after its widest member, a GATHER unit whose automaton is
+  acyclic after ``longest_activation_path + 1``.
   The stream is cut into ``input_jobs`` chunks, each scanned from the
   zero state over the shared window (the widest of them) before its
-  first owned byte; warm-up symbols drive state but price nothing.
+  first owned byte; warm-up symbols drive state but price nothing.  A
+  chunk steps its lanes and its windowed units in one
+  :meth:`~repro.core.fused.FusedRuleset.scan_span` call.
   Chunks too short for their window replay from the stream start
   instead (exact, merely slower), so any split point is sound.
 * **Whole-stream unit tasks** — every other GATHER unit is cyclic (no
@@ -19,10 +21,8 @@ workers, and both are bit-identical to the serial fused scan:
   unbounded history.  They are scanned over the whole stream from its
   start, exactly as the serial scan steps them: the windowless cursor
   numbers dealt round-robin into at most ``input_jobs`` tasks of one
-  :meth:`~repro.core.fused.FusedRuleset.scan_units_span` call each,
-  the NBVA units (deduped by functional fingerprint) dealt the same way
-  into tasks of one :meth:`~repro.core.fused.FusedRuleset.
-  scan_nbva_units_span` call.
+  ``scan_span`` call each, the NBVA units (deduped by functional
+  fingerprint) dealt the same way into tasks of one call.
   That is parallelism across units, not across the input — the shape
   of the hardware, and of the ``python`` backend's per-regex sharding.
 
@@ -39,7 +39,7 @@ import pickle
 from contextlib import ExitStack
 
 from repro.automata.nbva import NBVAState
-from repro.compiler.program import CompiledMode, CompiledRuleset
+from repro.compiler.program import CompiledRuleset
 from repro.core import use_backend
 from repro.core.fused import TranslatedSegment
 from repro.engine.partition import longest_activation_path, plan_chunks
@@ -54,16 +54,15 @@ from repro.simulators.rap import RunActivity, bind
 def unit_windows(plan: FusedPlan) -> tuple[list[int | None], int]:
     """How a bound plan's machines split: ``(windows, warm)``.
 
-    ``windows[n]`` is GATHER cursor ``n``'s warm-up window (numbered as
-    :meth:`~repro.core.fused.FusedRuleset.scan_units_span` does: the
-    NFA-mode units, then the DFA-mode ones) — the symbols after which
+    ``windows[n]`` is GATHER unit ``n``'s warm-up window (numbered as
+    ``plan.units`` lists them, in ruleset order) — the symbols after which
     its entry state is forgotten — or ``None`` for a cyclic unit, which
     has none and is scanned over the whole stream.  ``warm`` is the one
     window every chunk task warms up over: the widest of the units' and
     the lane machine's.
     """
     windows: list[int | None] = []
-    for compiled in plan.nfa_units + plan.dfa_units:
+    for compiled in plan.units:
         bound = longest_activation_path(compiled.automaton)
         windows.append(None if bound is None else bound + 1)
     lanes = plan.scanner.warm if plan.scanner is not None else 1
@@ -168,20 +167,11 @@ def _assemble(
             cycles += part[2]
         return positions, active, cycles
 
-    split = len(plan.nfa_units)
-    units = {
-        CompiledMode.NFA: [
-            unit_activity(compiled, *folded(number))
-            for number, compiled in enumerate(plan.nfa_units)
-        ],
-        CompiledMode.DFA: [
-            unit_activity(compiled, *folded(number))
-            for number, compiled in enumerate(plan.dfa_units, split)
-        ],
-        CompiledMode.NBVA: [
-            unit_out["nbva", number] for number in range(len(plan.nbva_units))
-        ],
-    }
+    units = [
+        unit_activity(compiled, *folded(number))
+        for number, compiled in enumerate(plan.units)
+    ]
+    nbva = [unit_out["nbva", number] for number in range(len(plan.nbva_units))]
 
     # -- LNFA bins: fold lane deltas per chunk --------------------------
     bins: list[BinActivity] = []
@@ -200,7 +190,7 @@ def _assemble(
                     tile_active_bits=merged.tile_bits[j],
                 )
             )
-    return plan.run_activity(units, bins, n)
+    return plan.run_activity(units, nbva, bins, n)
 
 
 # -- worker-side functions (module level: picklable by the pool) -----------
@@ -254,10 +244,10 @@ def _split_task(task: tuple):
         return _run_chunk(plan, _SPLIT_STATE["data"], *task[1:])
     if kind == "whole":
         cursors = [(number, None) for number in task[1]]
-        return _unit_parts(plan.fused.scan_units_span(cursors, _whole_stream()), 0)
+        return _unit_parts(plan.fused.scan_span(_whole_stream(), cursors)[1], 0)
     units = task[1]  # "nbva"
-    spans = plan.fused.scan_nbva_units_span(
-        [(unit, NBVAState()) for unit in units], _whole_stream()
+    _, _, spans = plan.fused.scan_span(
+        _whole_stream(), (), [(unit, NBVAState()) for unit in units]
     )
     return [
         nbva_activity(plan.nbva_units[unit], matches, stats)
@@ -274,32 +264,27 @@ def _run_chunk(
     at_end: bool,
     windowed: tuple[int, ...],
 ):
-    """Scan one chunk: lanes plus every windowed NFA and DFA unit.
+    """Scan one chunk: lanes plus every windowed GATHER unit, in one
+    span.
 
     ``warm_start == 0`` replays from the true stream start (``fresh``),
     which keeps short-chunk plans exact; otherwise the warm-up window
     guarantees the zero-entry scan equals the sequential state by
     ``start``.  Returns ``(lane delta, {unit number: part})``.
     """
-    fused = plan.fused
-    tin = fused.translate(data[warm_start:end])
-    stats_from = start - warm_start
+    scanner, segment = plan.scanner, data[warm_start:end]
+    tin = plan.fused.translate(segment)
+    span = dict(stats_from=start - warm_start, at_end=at_end)
     fresh = warm_start == 0
-    lane = None
-    if plan.scanner is not None:
-        lane = plan.scanner.scan(
-            data[warm_start:end],
-            entry=0,
-            fresh=fresh,
-            at_end=at_end,
-            base=warm_start,
-            stats_from=stats_from,
-            tin=tin,
-        )
-    spans = fused.scan_units_span(
-        [(number, None if fresh else 0) for number in windowed],
-        tin,
-        stats_from=stats_from,
-        at_end=at_end,
+    lanes = scanner.once(0, fresh) if scanner is not None else None
+    scanned, spans, _ = plan.fused.scan_span(
+        tin, [(number, None if fresh else 0) for number in windowed],
+        lanes=lanes, **span,
     )
+    lane = None
+    if scanner is not None:
+        lane = scanner.scan(
+            segment, fresh=fresh, base=warm_start, tin=tin, lanes=lanes,
+            scanned=scanned, **span,
+        )
     return lane, dict(zip(windowed, _unit_parts(spans, warm_start)))

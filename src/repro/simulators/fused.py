@@ -4,8 +4,11 @@ The simulator-layer half of the ``fused`` / ``native`` backends
 (:mod:`repro.core.fused` is the machine).  Everything above the
 ``python`` oracle executes one :class:`FusedPlan`, derived once per
 binding (:func:`~repro.simulators.rap.bind`): LNFA bins in mapping
-order, NFA / DFA / NBVA units deduped by functional fingerprint, one
-:class:`~repro.core.fused.FusedRuleset` and one :class:`FusedLaneScanner`.
+order, one list of GATHER units and one of NBVA units, each deduped by
+functional fingerprint, one :class:`~repro.core.fused.FusedRuleset` and
+one :class:`FusedLaneScanner`.  Whatever the binding's library holds
+steps in one crossing of it per span (:meth:`NativeScanner.span
+<repro.core.native.NativeScanner.span>`).
 
 * :class:`FusedLaneScanner` steps a stream's lane machine
   (:class:`LaneStream`) in place — the generated C the closed bins, the
@@ -13,11 +16,10 @@ order, NFA / DFA / NBVA units deduped by functional fingerprint, one
   (:class:`LaneDelta`) for a bulk scan or a split chunk.
 * :class:`FusedBinFeeder` and :class:`FusedRegexFeeder` step a durable
   scan's collectors one segment at a time, in one crossing of the
-  binding's library when it holds every tier.  The bins' lanes stay
-  resident between segments and are written back on demand; the
-  regexes' entry states are read from their collectors and written
-  back.  Either way snapshots are byte-identical to the ``python``
-  backend's.
+  binding's library.  The bins' lanes stay resident between segments
+  and are written back on demand; the regexes' entry states are read
+  from their collectors and written back.  Either way snapshots are
+  byte-identical to the ``python`` backend's.
 * :class:`FusedRun` is a bulk scan's
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`: one
   crossing over the whole input, activities built from its buffers.
@@ -52,7 +54,7 @@ from repro.simulators.activity import (
     _BinLayout,
     # Unused here, kept importable: the benchmark ledger wraps this name
     # on this module (span ``automata.nbva_scan``); it goes when the
-    # ledger reads spans instead of wrapping names (ROADMAP item 1).
+    # ledger reads spans instead of wrapping names (ROADMAP item 2(a)).
     collect_regex_activity,  # noqa: F401
 )
 from repro.simulators.rap import Binding, RunActivity, bind
@@ -435,7 +437,7 @@ class FusedBinFeeder:
 
 class FusedRegexFeeder:
     """Feed a durable scan's regex collectors through the plan: each
-    NFA, DFA and NBVA unit steps once per segment and its result folds
+    GATHER and NBVA unit steps once per segment and its result folds
     into the collector of every regex sharing it.  No stream state:
     entry states are read from the collectors and the continuation is
     written back, so snapshots stay byte-identical to the ``python``
@@ -445,17 +447,13 @@ class FusedRegexFeeder:
         self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
     ):
         self._fused = plan.fused
-        # (mode, unit) -> the collectors of the regexes sharing it; NFA-
-        # and DFA-mode units by their cursor number (DFA after NFA).
-        first = {CompiledMode.DFA: plan.fused.gather_count}
-        self._units: dict[tuple[CompiledMode, int], list] = {}
+        # (NBVA?, unit) -> the collectors of the regexes sharing it
+        self._units: dict[tuple[bool, int], list] = {}
         for compiled in plan.ruleset:
             rid = compiled.regex_id
             if compiled.mode is not CompiledMode.LNFA:
-                unit = first.get(compiled.mode, 0) + plan.unit_index[rid]
-                self._units.setdefault((compiled.mode, unit), []).append(
-                    (rid, collectors[rid])
-                )
+                key = compiled.mode is CompiledMode.NBVA, plan.unit_index[rid]
+                self._units.setdefault(key, []).append((rid, collectors[rid]))
 
     def feed(
         self,
@@ -479,17 +477,17 @@ class FusedRegexFeeder:
         # than assuming it) keeps a restored snapshot whose collectors
         # disagree exact: one more cursor of the same unit.
         groups: dict[tuple, list[tuple[int, RegexActivityCollector]]] = {}
-        for (mode, unit), members in self._units.items():
+        for (is_nbva, unit), members in self._units.items():
             for rid, collector in members:
                 if rid not in skip:
-                    groups.setdefault((mode, unit, collector.state), []).append(
+                    groups.setdefault((is_nbva, unit, collector.state), []).append(
                         (rid, collector)
                     )
         # KernelState words are NFA active sets, as cursors take them:
-        # every NFA- and DFA-mode group is one cursor of one call, every
-        # NBVA group one cursor of another.
-        table = [key for key in groups if key[0] is not CompiledMode.NBVA]
-        nbva = [key for key in groups if key[0] is CompiledMode.NBVA]
+        # every GATHER group is one GATHER cursor, every NBVA group one
+        # NBVA cursor, all of one span.
+        table = [key for key in groups if not key[0]]
+        nbva = [key for key in groups if key[0]]
         scanned, spans, by_nbva = fused.scan_span(
             tin,
             [
@@ -520,11 +518,9 @@ class FusedRegexFeeder:
 
 
 def unit_activity(compiled: CompiledRegex, positions, active: int, cycles: int):
-    """One NFA/DFA unit's span results as its regex's activity."""
+    """One GATHER unit's span results as its regex's activity (in the
+    mode its regex compiled to)."""
     return RegexActivity(compiled.regex_id, compiled.mode, cycles, positions, active)
-
-
-_UNIT_MODES = (CompiledMode.NFA, CompiledMode.DFA, CompiledMode.NBVA)
 
 
 class FusedPlan:
@@ -535,14 +531,14 @@ class FusedPlan:
 
     * ``bins`` / ``bin_keys`` / ``layouts`` — every LNFA bin in mapping
       order, lane-packed by ``scanner`` (``None`` without bins);
-    * ``nfa_units`` / ``dfa_units`` / ``nbva_units`` — one
+    * ``units`` (GATHER: NFA or DFA mode alike) / ``nbva_units`` — one
       representative regex per distinct functional fingerprint, in
       ruleset order; ``unit_index`` maps every non-LNFA regex id to its
-      unit's position in its mode's list;
+      unit's position in its list;
     * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
-      holding the bins' shift programs, the NFA/DFA units' gather
-      programs and the NBVA units' automata, so all of them share one
-      class map and one translated input.
+      holding the bins' shift programs, the GATHER units' programs and
+      the NBVA units' automata, so all of them share one class map and
+      one translated input.
     """
 
     def __init__(
@@ -558,20 +554,15 @@ class FusedPlan:
             self.bins.append(bin_obj)
             self.layouts.append(_bin_layout(bin_obj, hw))
 
-        self.nfa_units: list[CompiledRegex] = []
-        self.dfa_units: list[CompiledRegex] = []
+        self.units: list[CompiledRegex] = []
         self.nbva_units: list[CompiledRegex] = []
         self.unit_index: dict[int, int] = {}
-        by_mode = {
-            CompiledMode.NFA: self.nfa_units,
-            CompiledMode.DFA: self.dfa_units,
-            CompiledMode.NBVA: self.nbva_units,
-        }
         seen: dict[object, int] = {}
         for compiled in ruleset:
-            units = by_mode.get(compiled.mode)
-            if units is None:
+            if compiled.mode is CompiledMode.LNFA:
                 continue
+            nbva = compiled.mode is CompiledMode.NBVA
+            units = self.nbva_units if nbva else self.units
             key = regex_fingerprint(compiled)  # includes the mode
             if key not in seen:
                 seen[key] = len(units)
@@ -586,8 +577,7 @@ class FusedPlan:
 
         self.fused = FusedRuleset(
             [layout.packed.program for layout in self.layouts],
-            [program(compiled) for compiled in self.nfa_units],
-            [program(compiled) for compiled in self.dfa_units],
+            [program(compiled) for compiled in self.units],
             [
                 (c.automaton, c.anchored_start, c.anchored_end)
                 for c in self.nbva_units
@@ -598,15 +588,14 @@ class FusedPlan:
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
         )
         # Every unit's cursor at the stream start, as a bulk scan takes them.
-        units = self.fused.gather_count + self.fused.dfa_count
-        self.fresh_units = [(number, None) for number in range(units)]
-        self.fresh_nbva = [(j, NBVAState()) for j in range(self.fused.nbva_count)]
+        self.fresh_units = [(number, None) for number in range(len(self.units))]
+        self.fresh_nbva = [(j, NBVAState()) for j in range(len(self.nbva_units))]
         self._compiled = None
         # Collection order, derived once: the non-LNFA regexes in ruleset
-        # order as (id, index in _UNIT_MODES, unit), and per LNFA array
-        # (mapping order) the run of ``bin_keys`` it owns.
+        # order as (id, NBVA?, unit), and per LNFA array (mapping order)
+        # the run of ``bin_keys`` it owns.
         self._regex_units = [
-            (c.regex_id, _UNIT_MODES.index(c.mode), self.unit_index[c.regex_id])
+            (c.regex_id, c.mode is CompiledMode.NBVA, self.unit_index[c.regex_id])
             for c in ruleset
             if c.mode is not CompiledMode.LNFA
         ]
@@ -619,13 +608,13 @@ class FusedPlan:
 
     def compiled(self):
         """``(library, fresh forest cursors)`` when the binding's library
-        steps every tier of a bulk scan in one ``rap_scan_span`` crossing
-        — the lanes, every unit in the forest, every NBVA unit — else
-        ``None`` (decided once, when the library attaches)."""
+        steps every unit of a bulk scan — every GATHER unit in the
+        forest, every NBVA unit — else ``None`` (decided once, when the
+        library attaches)."""
         native = self.fused._native_scanner()
         if self._compiled is None and native is not None:
             units, count = self.fused._units, self.fused.nbva_count
-            whole = native.merged and all(map(native.has_nbva, range(count)))
+            whole = all(map(native.has_nbva, range(count)))
             whole = whole and all(type(base) is int for base in native.bases)
             cursors = [(n, u.table.closed_id(None)) for n, u in enumerate(units)]
             self._compiled = (native, cursors) if whole else False
@@ -633,22 +622,22 @@ class FusedPlan:
 
     def run_activity(
         self,
-        units: dict[CompiledMode, list[RegexActivity]],
+        units: list[RegexActivity],
+        nbva: list[RegexActivity],
         bins: list[BinActivity],
         input_symbols: int,
     ) -> RunActivity:
         """Unit results as the run's activity, in collection order.
 
-        ``units[mode][i]`` is the fresh activity of unit ``i`` of that
-        mode's unit list, made for its representative regex, which takes
-        it; every other regex sharing the unit gets a copy rebound to its
-        id (fresh lists, so regexes never alias each other's matches).
+        ``units[i]`` (``nbva[i]``) is the fresh activity of GATHER (NBVA)
+        unit ``i``, made for its representative regex, which takes it;
+        every other regex sharing the unit gets a copy rebound to its id
+        (fresh lists, so regexes never alias each other's matches).
         ``bins`` is in plan (mapping) order.
         """
         regex = {}
-        by_mode = [units[mode] for mode in _UNIT_MODES]
-        for rid, mode, unit in self._regex_units:
-            found = by_mode[mode][unit]
+        for rid, is_nbva, unit in self._regex_units:
+            found = (nbva if is_nbva else units)[unit]
             if found.regex_id == rid:
                 regex[rid] = found
                 continue
@@ -704,8 +693,7 @@ class FusedRun:
         tin = fused.translate(data)
 
         # Every unit and the lanes from the stream start: one crossing —
-        # straight into the binding's library when it steps every tier.
-        split = fused.gather_count
+        # straight into the binding's library when it steps every unit.
         lanes = plan.scanner.once() if plan.scanner is not None else None
         compiled = plan.compiled()
         if compiled is not None:
@@ -719,24 +707,18 @@ class FusedRun:
                 tin, plan.fresh_units, plan.fresh_nbva, lanes=lanes
             )
             spans = [([i for i, _ in ev], st.active_states) for ev, st, _ in spans]
-        scanned = [
+        units = [
             unit_activity(regex, positions, active, len(data))
-            for regex, (positions, active) in zip(
-                plan.nfa_units + plan.dfa_units, spans
-            )
+            for regex, (positions, active) in zip(plan.units, spans)
         ]
-        units = {
-            CompiledMode.NFA: scanned[:split],
-            CompiledMode.DFA: scanned[split:],
-            CompiledMode.NBVA: [  # this scan's own lists: no copies
-                RegexActivity(
-                    regex.regex_id, regex.mode, st.cycles, matches, st.active_states,
-                    st.bv_phase_cycles, st.bv_cycle_indices, st.bv_updates,
-                    st.set1_events, st.shift_events, st.copy_events,
-                )
-                for regex, (matches, st, _) in zip(plan.nbva_units, nbva)
-            ],
-        }
+        nbva = [  # this scan's own lists: no copies
+            RegexActivity(
+                regex.regex_id, regex.mode, st.cycles, matches, st.active_states,
+                st.bv_phase_cycles, st.bv_cycle_indices, st.bv_updates,
+                st.set1_events, st.shift_events, st.copy_events,
+            )
+            for regex, (matches, st, _) in zip(plan.nbva_units, nbva)
+        ]
         # ... and every bin's activity straight from the lanes' delta.
         bins = []
         if plan.scanner is not None:
@@ -756,4 +738,4 @@ class FusedRun:
                     plan.bins, delta.matches, delta.tile_cycles, delta.tile_bits
                 )
             ]
-        return plan.run_activity(units, bins, len(data))
+        return plan.run_activity(units, nbva, bins, len(data))

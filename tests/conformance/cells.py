@@ -178,7 +178,7 @@ def assert_compiled(plan) -> None:
         cap = f" closure > {codegen.LANE_DFA_MAX_STATES})"
         assert tier.startswith("dfa (") or tier.endswith(cap), tier
     fused = plan.fused
-    tiers = [fused.unit_tier(n) for n in range(fused.gather_count + fused.dfa_count)]
+    tiers = [fused.unit_tier(n) for n in range(fused.unit_count)]
     cap = f"interpreted (closure > {codegen.UNIT_DFA_MAX_STATES})"
     assert all(t.startswith("table (") or t == cap for t in tiers), tiers
     if any(t.startswith("table (") for t in tiers) or codegen.native_nbva_indices(
@@ -384,7 +384,7 @@ def sweep(case: Case, mode: str, knob: str, seams=None) -> None:
     with on("native"):
         plan = bound(case, mode, "native").plan
     lanes = plan.scanner.lane_dfas() if plan.scanner is not None else []
-    count = plan.fused.gather_count + plan.fused.dfa_count
+    count = plan.fused.unit_count
     units = [plan.fused.unit_tier(n) for n in range(count)]
     bases = plan.fused._native_scanner().bases if plan.fused.native_active else []
     placed = [base for base in bases if isinstance(base, int)]

@@ -9,7 +9,7 @@ yields the same match events and the same exact integer
 drives all three program kinds against it:
 
 * GATHER programs (Glushkov NFAs) through the plan's unit spans
-  (:meth:`FusedRuleset.scan_units_span`), including anchoring
+  (:meth:`FusedRuleset.scan_span`), including anchoring
   combinations and warm-up offsets;
 * SHIFT_LEFT programs (packed Shift-And layouts) through the plan's
   lane machine, reduced to events and counters by the step rule the
@@ -146,9 +146,9 @@ def assert_kernels_agree(
         assert_walk_agrees(program, data, stats_from, (py_events, py_stats))
     if program.kind is ProgramKind.GATHER:
         fused = FusedRuleset((), [program])
-        ((events, stats, _),) = fused.scan_units_span(
-            [(0, None)], fused.translate(data), stats_from=stats_from
-        )
+        ((events, stats, _),) = fused.scan_span(
+            fused.translate(data), [(0, None)], stats_from=stats_from
+        )[1]
         assert events == py_events
         assert stats == py_stats
         return
@@ -289,9 +289,9 @@ class TestEndToEnd:
         stats = StepStats()
         matches = sim.find_matches(data, stats)
         fused = FusedRuleset((), [sim.program()])
-        ((events, unit_stats, _),) = fused.scan_units_span(
-            [(0, None)], fused.translate(data)
-        )
+        ((events, unit_stats, _),) = fused.scan_span(
+            fused.translate(data), [(0, None)]
+        )[1]
         assert ([i for i, _ in events], unit_stats) == (matches, stats)
 
     @settings(max_examples=40, deadline=None)

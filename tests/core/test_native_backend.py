@@ -276,9 +276,9 @@ def _assert_nbva_spans(fused, oracle, segments, *, native=True):
         at_end = k == len(segments) - 1
         want_stats = NBVAStats(bv_cycle_indices=[])
         want = oracle.feed(segment, want_stats, at_end=at_end)
-        ((got, got_stats, state),) = fused.scan_nbva_units_span(
-            [(0, state)], fused.translate(segment), at_end=at_end
-        )
+        ((got, got_stats, state),) = fused.scan_span(
+            fused.translate(segment), (), [(0, state)], at_end=at_end
+        )[2]
         assert got == want
         assert got_stats == want_stats
         probe.state = state
@@ -487,16 +487,18 @@ class TestNativeNbva:
         assert len({state for _, state in cursors}) == 3
         assert all(matches for matches, _, _ in want[1:])
         tin = fused.translate(segment)
-        crossings = []
+        crossings = []  # per rap_scan_span call, its NBVA cursor count
         scanner = fused._native_scanner()
-        fn = scanner._nbva_fn
+        fn, nbva = scanner._span_fn, codegen.SCAN_CTL.index("nbva")
         monkeypatch.setattr(
-            scanner, "_nbva_fn", lambda *args: crossings.append(args[2]) or fn(*args)
+            scanner,
+            "_span_fn",
+            lambda *args: crossings.append(int(scanner._ws.ctl[nbva])) or fn(*args),
         )
-        assert fused.scan_nbva_units_span(cursors, tin) == want
+        assert fused.scan_span(tin, (), cursors)[2] == want
         assert crossings == [3]
         monkeypatch.setattr(scanner, "_cap", 1)
-        assert fused.scan_nbva_units_span(cursors, tin) == want
+        assert fused.scan_span(tin, (), cursors)[2] == want
         events = sum(len(s.bv_cycle_indices) + len(m) for m, s, _ in want)
         assert len(crossings) - 1 > events // 2  # about one per event
 
@@ -740,7 +742,7 @@ class TestOneCrossing:
             got = run.collect(mix.data)
             assert (len(builds), calls) == (1, ["rap_scan_span"])
             native_ = binding.plan.fused._native_scanner()
-            assert native_.merged and len(native_._nbva) == 7
+            assert len(native_.dfas) == 2 and len(native_._nbva) == 7
             scan = DurableScan(ruleset, binding.mapping, DEFAULT_CONFIG)
             scan.feed(mix.data[:1000], at_end=False)
             assert (len(builds), calls) == (1, ["rap_scan_span"] * 2)
@@ -787,19 +789,72 @@ class TestOneCrossing:
         assert not explained(mix, backend="fused")
 
     @pytest.mark.parametrize(
-        "name, kernel",
-        [("keywords64", "rap_lane_scan"), ("snort_nfa64", "rap_units_span")],
+        "shape, lane_cap",
+        [
+            ("keywords64", None),
+            ("snort_nfa64", None),
+            ("nbva_only", None),
+            ("snort_mix16", 8),
+            ("snort_mix16", None),
+        ],
+        ids=["lanes", "units", "nbva", "walked-lanes-and-units", "mix"],
     )
-    def test_one_tier_bindings_build_once(self, counted, name, kernel):
-        """A lanes-only and a units-only binding emit and call what they
-        did before the mix was merged: one build, their own kernel."""
+    def test_every_shape_builds_once_and_crosses_once(
+        self, counted, monkeypatch, shape, lane_cap
+    ):
+        """Whatever tiers a binding's library holds — lanes alone, units
+        alone, NBVA units alone, units beside lanes that closed past
+        ``lane_cap`` (walked), the mix — it is one ``cc`` build, and
+        Python enters it through ``rap_scan_span`` alone: one call per
+        bulk collect, per durable segment and per split task (a chunk of
+        walked lanes with no windowed unit has nothing to cross for)."""
+        from benchmarks.ledger.workloads import RULESETS
+        from repro.engine import split
+        from repro.simulators.fused import FusedRun
+        from repro.simulators.rap import bind
+
         builds, calls = counted
-        case = cells.pinned(name)
-        ruleset = compile_ruleset(case.patterns)
+        if lane_cap is not None:  # read when the tables are built: below
+            monkeypatch.setattr(codegen, "LANE_DFA_MAX_STATES", lane_cap)
+        patterns = NBVA_ONLY if shape == "nbva_only" else RULESETS[shape]()
+        ruleset = compile_ruleset(patterns)
+        data = generate_input(
+            "network", 3000, seed=9, patterns=patterns[:8], plant_every=25
+        )
+        tasks, run_task = [], split._split_task
+
+        def task(item):
+            del calls[:]
+            out = run_task(item)
+            tasks.append((item[0], list(calls)))
+            return out
+
+        monkeypatch.setattr(split, "_split_task", task)
         with use_backend("native"):
-            got = RAPSimulator(DEFAULT_CONFIG).run(ruleset, case.data)
-        assert len(builds) == 1 and set(calls) == {kernel}
-        assert got == case.reference("auto")
+            binding = bind(ruleset, DEFAULT_CONFIG)
+            native_ = binding.plan.fused._native_scanner()
+            assert (native_.lanes_why is not None) == (lane_cap is not None)
+            run = FusedRun(ruleset, binding.mapping, DEFAULT_CONFIG, binding=binding)
+            got = run.collect(data)
+            assert calls == ["rap_scan_span"]
+            scan = DurableScan(ruleset, binding.mapping, DEFAULT_CONFIG)
+            for segment in data[:1000], data[1000:]:
+                del calls[:]
+                scan.feed(segment, at_end=False)
+                assert calls == ["rap_scan_span"]
+            # jobs=1: every task runs in this process, under the wrapper
+            chunked = split.split_collect(
+                ruleset, binding.mapping, DEFAULT_CONFIG, data, bin_size=None,
+                backend="native", input_jobs=2, jobs=1, min_chunk_bytes=64,
+            )
+        assert len(builds) == 1 and tasks
+        for kind, crossed in tasks:
+            idle = lane_cap is not None and kind == "chunk"
+            assert crossed == ([] if idle else ["rap_scan_span"]), kind
+        want = RAPSimulator(DEFAULT_CONFIG).collect_activities(
+            ruleset, data, binding.mapping, backend="python"
+        )
+        assert got == want and chunked == want
 
 
 @needs_native
@@ -932,12 +987,12 @@ class TestNativeLaneDfa:
         # States met lazily only ever append: the closure's ids, and so
         # the source a fresh process would emit, are untouched.
         masks = [layout.tile_masks for layout in plan.layouts]
-        assert codegen.lane_scan_source(plan.fused, masks).source == source
+        assert codegen.binding_source(plan.fused, masks).source == source
         with use_backend("fused"):  # ... nor do portable scans move them
             walked = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
             walked.scanner.scan(b"defyz..abcdef", **span)
         assert walked.scanner.lane_tier == "interpreted (fused backend)"
-        assert codegen.lane_scan_source(walked.fused, masks).source == source
+        assert codegen.binding_source(walked.fused, masks).source == source
 
     def test_grouping_is_decided_by_the_closure(self):
         """Literal keywords merge (one table, smaller than the four it
@@ -1030,16 +1085,16 @@ class TestNativeLaneDfa:
         # literals: prefixes shared across bins only shrink a trie
         assert classes or " / 1 group of " in lanes.lane_tier
         native = lanes._native_scanner()
-        blocks, fn = [], native._lane_fn
+        blocks, fn = [], native._span_fn
 
         def probed(*args):
             rc = fn(*args)
-            visits = native._ws.visits  # the buffer args[9] points at
+            visits = native._ws.visits  # the buffer args[10] points at
             later = len(visits) // codegen.LANE_SUBSPANS
             blocks.append(bool(visits[later:].any()))
             return rc
 
-        native._lane_fn = probed
+        native._span_fn = probed
         cells.durable(case, "auto", range(1, len(stream), 7), backends=HOST)
         for backend in HOST:
             for input_jobs in cells.INPUT_JOBS:
@@ -1126,7 +1181,7 @@ def _assert_units_identical(
     programs, stream, *, backend, slack=4096, states_cap=None, seed=0
 ):
     """GATHER programs and one stream through every contract of
-    :meth:`FusedRuleset.scan_units_span`, cursor by cursor against
+    :meth:`FusedRuleset.scan_span`, cursor by cursor against
     ``PythonKernel``: all units in one call, one seam at every offset
     chained through the exit words, warm-up windows, and random cursor
     lists — any units, one unit several times at different entry words.
@@ -1170,7 +1225,7 @@ def _assert_units_identical(
         def check(cursors, segment, **span):
             if fused.native_active:
                 fused._native_scanner()._cap = len(cursors) + slack
-            got = fused.scan_units_span(cursors, fused.translate(segment), **span)
+            got = fused.scan_span(fused.translate(segment), cursors, **span)[1]
             assert got == [
                 want(number, entry, segment, **span) for number, entry in cursors
             ], (cursors, segment, span)
@@ -1357,9 +1412,9 @@ class TestUnitForest:
                 for at in range(0, len(stream), 20_000):
                     segment = stream[at : at + 20_000]
                     at_end = at + 20_000 >= len(stream)
-                    ((events, stats, entry),) = fused.scan_units_span(
-                        [(0, entry)], fused.translate(segment), at_end=at_end
-                    )
+                    ((events, stats, entry),) = fused.scan_span(
+                        fused.translate(segment), [(0, entry)], at_end=at_end
+                    )[1]
                     want, want_stats, state = PythonKernel().scan_segment(
                         program, segment, state, at_end=at_end
                     )
@@ -1398,8 +1453,8 @@ class TestUnitForest:
         room = 15 * 2050 * fused.classes.k
         with mock.patch.object(codegen, "FOREST_ENTRIES", room):
             with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-                got = fused.scan_units_span(cursors, fused.translate(stream))
-                fused.scan_units_span(cursors, fused.translate(stream))
+                got = fused.scan_span(fused.translate(stream), cursors)[1]
+                fused.scan_span(fused.translate(stream), cursors)
             said = [(r.levelno, r.args) for r in caplog.records]
             engine = BatchEngine(
                 EngineConfig(backend=backend, mode="nfa", use_cache=False)
@@ -1436,7 +1491,7 @@ class TestUnitForest:
             PythonKernel().scan_segment(program, stream)[:2] for program in programs
         ]
         assert all(events for events, _, _ in got[-3:])  # ...q, ...r and abc fired
-        placed = roomy.scan_units_span(cursors[:16], roomy.translate(stream))
+        placed = roomy.scan_span(roomy.translate(stream), cursors[:16])[1]
         assert [span[:2] for span in got[:16]] == [span[:2] for span in placed]
 
     def test_entry_word_outside_the_closure_steps_the_mask_stack(
@@ -1455,8 +1510,8 @@ class TestUnitForest:
         assert table.closed_id(foreign) is None and len(table) == table.closed
         tin = fused.translate(b"fab.abcdef")
         with caplog.at_level(logging.DEBUG, logger="repro.core.fused"):
-            got = fused.scan_units_span([(0, foreign), (1, 0), (0, foreign)], tin)
-            fused.scan_units_span([(0, foreign)], tin)
+            got = fused.scan_span(tin, [(0, foreign), (1, 0), (0, foreign)])[1]
+            fused.scan_span(tin, [(0, foreign)])
         logged = [r for r in caplog.records if "outside its" in r.message]
         assert len(logged) == 1 and "unit 0" in logged[0].message
         # interned past the closure: still not a state of the C tables
@@ -1522,14 +1577,14 @@ class TestUnitForest:
         tin = fused.translate(stream)
         entries = [(n, None) for n in range(3)]
         for cut in range(1, len(stream)):
-            exits = fused.scan_units_span(
-                entries[:3], fused.translate(stream[:cut]), at_end=False
-            )
+            exits = fused.scan_span(
+                fused.translate(stream[:cut]), entries[:3], at_end=False
+            )[1]
             entries += [(n, word) for n, (_, _, word) in enumerate(exits)]
         cursors = (entries * 43)[:2060]
         assert len(cursors) > 2 * codegen.UNIT_SPAN_CURSORS
-        alone = {cursor: fused.scan_units_span([cursor], tin)[0] for cursor in entries}
-        assert fused.scan_units_span(cursors, tin) == [alone[c] for c in cursors]
+        alone = {cursor: fused.scan_span(tin, [cursor])[1][0] for cursor in entries}
+        assert fused.scan_span(tin, cursors)[1] == [alone[c] for c in cursors]
         assert any(events for events, _, _ in alone.values())
 
     def test_snort_nfa64_input_jobs_and_sigkill_resume(self, backend, tmp_path):
@@ -1569,23 +1624,33 @@ def test_fresh_processes_emit_the_same_unit_source():
     assert outputs[0].startswith("table (")
 
 
+# Every C function a binding's text can hold; ``rap_scan_span`` is the
+# one Python calls, whichever of the others compiled.
+KERNELS = {"rap_scan_span", "rap_lane_scan", "rap_units_span", "rap_nbva_span"}
+
+# A ruleset of NBVA units alone (every pattern counted).
+NBVA_ONLY = ["ab{10,20}c", "x[0-9]{5,40}y", "q.{3,30}z"]
+
+
 @needs_native
 @pytest.mark.parametrize(
     "name, kernels",
     [
-        ("keywords64", {"rap_lane_scan"}),
-        ("snort_nfa64", {"rap_units_span"}),
-        ("snort_mix16", {"rap_scan_span", "rap_lane_scan", "rap_units_span",
-                         "rap_nbva_span"}),
-        ("forced_dfa", {"rap_units_span"}),
+        ("keywords64", {"rap_scan_span", "rap_lane_scan"}),
+        ("snort_nfa64", {"rap_scan_span", "rap_units_span"}),
+        ("snort_mix16", KERNELS),
+        ("forced_dfa", {"rap_scan_span", "rap_units_span"}),
+        ("nbva_only", {"rap_scan_span", "rap_nbva_span"}),
     ],
 )
 def test_generated_sources_compile_warning_free(
     name, kernels, tmp_path, monkeypatch
 ):
-    """The translation unit each of the three ledger rulesets (plus a
-    forced DFA set) binds — and the mix's without its lanes — passes ``cc
-    -fsyntax-only -Wall -Wextra -Werror``."""
+    """The one text each binding shape emits — the three ledger
+    rulesets, a forced DFA set and NBVA units alone, each with its lanes
+    walked when it has some — holds ``rap_scan_span`` and the kernels of
+    the tiers that compiled, and passes ``cc -fsyntax-only -Wall -Wextra
+    -Werror``."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -1595,15 +1660,15 @@ def test_generated_sources_compile_warning_free(
             ["ab*c", "foo[0-9]*bar"], CompilerConfig(forced_mode=CompiledMode.DFA)
         )
     else:
-        ruleset = compile_ruleset(RULESETS[name]())
+        patterns = NBVA_ONLY if name == "nbva_only" else RULESETS[name]()
+        ruleset = compile_ruleset(patterns)
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("native"):
         plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
     masks = [layout.tile_masks for layout in plan.layouts]
     binding = codegen.binding_source(plan.fused, masks)
     sources = [binding.source]
-    assert all(f"int {kernel}(" in binding.source for kernel in kernels)
-    assert binding.merged == ("rap_scan_span" in kernels)
+    assert {k for k in KERNELS if f"int {k}(" in binding.source} == kernels
     if plan.scanner is not None:
         assert binding.lanes.tier.startswith("dfa (")
         # a bin's cap is read when its table is built: a new plan
@@ -1614,7 +1679,8 @@ def test_generated_sources_compile_warning_free(
             codegen.lane_scan_source(capped.fused, masks)
         walked = codegen.binding_source(capped.fused, masks)
         assert walked.lanes is None and walked.lanes_why == "bin 0 closure > 8"
-        assert walked.source == codegen.unit_scan_source(capped.fused)
+        assert "int rap_lane_scan(" not in walked.source
+        assert bool(walked.source) == bool(codegen.unit_scan_source(capped.fused))
         sources.append(walked.source)
     for index, source in enumerate(filter(None, sources)):
         path = tmp_path / f"unit{index}.c"
@@ -1707,7 +1773,7 @@ def test_lane_kernel_sanitized(name, tmp_path):
     kernel = codegen.lane_scan_source(fused, masks)
     assert kernel.tier.startswith("dfa (")
     binding = codegen.binding_source(fused, masks)  # the text a scan builds
-    assert binding.merged == (name == "snort_mix16")
+    assert ("int rap_units_span(" in binding.source) == (name == "snort_mix16")
     subspans, sub = codegen.LANE_SUBSPANS, _SANITIZED_L
     block = subspans * sub
     generated = f"#define L {kernel.block // subspans}\n"
@@ -2133,12 +2199,24 @@ _SANITIZED_SCAN_MAIN = r"""
    rap_scan_span — a one-entry lane event buffer, a two-entry NBVA one
    (one byte's BV cycle and match), an m-entry unit one — against the
    same build's per-tier kernels with buffers no span fills, span by
-   span, each side's spans chained through its own exit states.
-   Exact-size heap blocks again. */
+   span, each side's spans chained through its own exit states.  A tier
+   the binding lacks is absent on both sides (its count 0, its buffers
+   one dummy entry).  Exact-size heap blocks again. */
+#ifdef NGROUPS
+#define LANES 1
+#else
+#define LANES 0
+#define NGROUPS 1
+#define K 1
+#define NVISITS 1
+#endif
+#ifndef NBVA_MAX_WORDS
+enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NBV, C_NMATCH, C_STATS,
+       NBVA_COLUMNS = C_STATS + 11 };
+#endif
 static const uint32_t IDS[] = { %(ids)s };
 static const int WORDS[] = { %(words)s };
-enum { M = sizeof IDS / sizeof *IDS, U = sizeof WORDS / sizeof *WORDS,
-       SPANS = %(spans)d, TILES = %(tiles)d, BIG = 1 << 16 };
+enum { M = %(m)d, U = %(u)d, SPANS = %(spans)d, TILES = %(tiles)d, BIG = 1 << 16 };
 typedef struct { long long pos; uint32_t ids[NGROUPS]; } hit;
 
 static int by_pos(const void *a, const void *b)
@@ -2155,11 +2233,12 @@ static int same(const void *a, const void *b, size_t size, const char *what, int
 
 int main(int argc, char **argv)
 {
-  long long n, cuts[SPANS + 1], size = 0, nh, ne, resume, at[2];
+  long long n, cuts[SPANS + 1], size = 0, nh = 0, ne, resume, at[2];
   long long *ctl = calloc(S_EVENTS + 1, sizeof *ctl), *hist = calloc(256, sizeof *hist);
   uint32_t *ls = calloc(NGROUPS, 4), *rls = calloc(NGROUPS, 4);
-  uint32_t *us = malloc(M * 4), *rus = malloc(M * 4);
-  uint64_t *cur = calloc(U * NBVA_COLUMNS, 8), *rcur = calloc(U * NBVA_COLUMNS, 8);
+  uint32_t *us = malloc(sizeof IDS), *rus = malloc(sizeof IDS);
+  uint64_t *cur = calloc((U + 1) * NBVA_COLUMNS, 8);
+  uint64_t *rcur = calloc((U + 1) * NBVA_COLUMNS, 8);
   uint64_t *vecs, *rvecs;
   uint8_t *stream;
   FILE *f;
@@ -2176,7 +2255,7 @@ int main(int argc, char **argv)
     size += 2 * WORDS[u];
   }
   memcpy(rcur, cur, U * NBVA_COLUMNS * 8);
-  vecs = calloc(size, 8); rvecs = calloc(size, 8);
+  vecs = calloc(size + 1, 8); rvecs = calloc(size + 1, 8);
   memcpy(us, IDS, sizeof IDS); memcpy(rus, IDS, sizeof IDS);
   for (span = 0; span < SPANS; span++) {
     long long base = cuts[span], len = cuts[span + 1] - base, i, k, nr = 0, nm = 0;
@@ -2190,7 +2269,7 @@ int main(int argc, char **argv)
     long long *hp = malloc(BIG * 8), *rhp = malloc(BIG * 8);
     uint32_t *hs = malloc(BIG * NGROUPS * 4), *rhs = malloc(BIG * NGROUPS * 4);
     hit *rh = malloc(BIG * sizeof(hit)), *mh = malloc(BIG * sizeof(hit));
-    long long *act = calloc(M, 8), *ract = calloc(M, 8);
+    long long *act = calloc(M + 1, 8), *ract = calloc(M + 1, 8);
     long long *ep = malloc(BIG * 8), *rep = malloc(BIG * 8);
     int32_t *ec = malloc(BIG * 4), *rec = malloc(BIG * 4);
     uint32_t *es = malloc(BIG * 4), *res = malloc(BIG * 4);
@@ -2200,25 +2279,32 @@ int main(int argc, char **argv)
     int32_t *mec = malloc(BIG * 4);
     uint32_t *mes = malloc(BIG * 4);
     memcpy(data, stream + base, len);
-    for (i = 0; i < len; i++) direct[data[i]]++;
+    /* the histogram counts owned bytes for the units' sake alone */
+    for (i = 0; (M || U) && i < len; i++) direct[data[i]]++;
     for (u = 0; u < U; u++)
       for (w = C_FRESH; w < NBVA_COLUMNS; w++)
         if (w == C_FRESH || w >= C_NBV)
           cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w] =
               w == C_FRESH && !base;
     /* the reference: each tier alone, one call each */
+#if LANES
     resume = 0;
     if (rap_lane_scan(data, len, 0, rls, !base, at_end, 0, rtc, rtb, rvis, rhp, rhs,
                       BIG, &nh, &resume)) return 3;
+#endif
     for (k = 0; k < nh; k++) {
       rh[k].pos = rhp[k];
       memcpy(rh[k].ids, rhs + k * NGROUPS, sizeof rh[k].ids);
     }
     nr = nh;
+#ifdef MAXM
     if (rap_units_span(data, len, 0, rus, M, at_end, 0, ract, rep, rec, res, BIG,
                        &rne, &resume)) return 3;
+#endif
     at[0] = at[1] = 0;
+#ifdef NBVA_MAX_WORDS
     if (rap_nbva_span(data, len, U, at_end, rcur, rvecs, rev, BIG, at)) return 3;
+#endif
     for (u = 0; u < U; u++) {
       rnv += rcur[u * NBVA_COLUMNS + C_NBV];
       rnx += rcur[u * NBVA_COLUMNS + C_NMATCH];
@@ -2226,7 +2312,7 @@ int main(int argc, char **argv)
     /* the one crossing, re-entered after every full buffer */
     memset(ctl, 0, (S_EVENTS + 1) * sizeof *ctl);
     memset(hist, 0, 256 * sizeof *hist);
-    ctl[S_LANES] = !base; ctl[S_UNITS] = M; ctl[S_NBVA] = U;
+    ctl[S_LANES] = LANES ? !base : -1; ctl[S_UNITS] = M; ctl[S_NBVA] = U;
     ctl[S_LANE_CAP] = 1; ctl[S_UNIT_CAP] = M; ctl[S_NBVA_CAP] = 2;
     do {
       rc = rap_scan_span(data, len, at_end, 0, cur, vecs, ctl, ls, tc, tb, vis, hp,
@@ -2263,7 +2349,10 @@ int main(int argc, char **argv)
       for (w = C_NBV; w <= C_NMATCH; w++)
         cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w];
     ok &= same(rcur, cur, U * NBVA_COLUMNS * 8, "nbva rows", span);
-    ok &= same(rvecs, vecs, size * 8, "nbva vectors", span);
+    for (u = 0; u < U; u++)  /* a cursor's vectors; its scratch half aside */
+      ok &= same(rvecs + rcur[u * NBVA_COLUMNS + C_VOFF],
+                 vecs + cur[u * NBVA_COLUMNS + C_VOFF], WORDS[u] * 8,
+                 "nbva vectors", span);
     ok &= same(direct, hist, sizeof direct, "histogram", span);
     printf("span %%d %%s %%lld %%lld %%lld\n", span, ok ? "ok" : "bad", nr, rne,
            rnv + rnx);
@@ -2280,72 +2369,96 @@ int main(int argc, char **argv)
 
 
 @needs_native
-def test_scan_span_sanitized(tmp_path):
-    """``rap_scan_span`` of the Fig. 1 mix — lanes, the folded unit
-    forest, NBVA units — under ASan + UBSan against the same build's
-    per-tier kernels: a one-entry lane and NBVA event buffer (an
-    ``m``-entry unit one) refilled across every tier boundary, four
-    spans chained through the exit states — one of them a single byte,
-    the last all idle — and the histogram of each span's bytes."""
+def test_scan_span_sanitized(tmp_path, monkeypatch):
+    """``rap_scan_span`` of every binding shape — lanes alone, the unit
+    forest alone, NBVA units alone, units beside walked lanes, and the
+    Fig. 1 mix (lanes, the folded unit forest, NBVA units) — under ASan +
+    UBSan against the same build's per-tier kernels: a one-entry lane
+    and NBVA event buffer (an ``m``-entry unit one) refilled across
+    every tier boundary, four spans chained through the exit states —
+    one of them a single byte, the last all idle — and the histogram of
+    each span's bytes (counted only beside units)."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
     from repro.workloads.inputs import generate_input
 
-    patterns = RULESETS["snort_mix16"]()
-    ruleset = compile_ruleset(patterns)
-    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-    with use_backend("fused"):
-        fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
-    binding = codegen.binding_source(fused, fused.tile_masks)
-    assert binding.merged and binding.fold == len(fused._units) == 6
-    bases, _ = codegen.unit_forest(fused)
-    ids = [base + unit.table.closed_id(None) for base, unit in zip(bases, fused._units)]
-    indices = codegen.native_nbva_indices(fused)
-    words = [codegen.nbva_vector_layout(fused._nbva[j].automaton)[1] for j in indices]
-    traffic = generate_input(
-        "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
-    )
-    data = traffic + b"\0" * 1024
-    third = len(traffic) // 3
-    cuts = [third, third + 1, len(traffic)]  # a 1-byte span, an idle last one
-    source = tmp_path / "scan.c"
-    source.write_text(
-        binding.source
-        + _SANITIZED_SCAN_MAIN
-        % dict(
-            ids=", ".join(map(str, ids)), words=", ".join(map(str, words)), spans=4,
-            tiles=sum(map(len, fused.tile_masks)),
-        )
-    )
-    binary = tmp_path / "scan"
-    build = subprocess.run(
-        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
-        capture_output=True, text=True,
-    )
-    if build.returncode != 0:
-        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
-    stream = tmp_path / "raw.bin"
-    stream.write_bytes(data)
-    run = subprocess.run(
-        [str(binary), str(stream), str(len(data)), *map(str, cuts)],
-        capture_output=True, text=True,
-    )
-    assert run.returncode == 0, run.stderr[-2000:]
-    lines = [line.split() for line in run.stdout.splitlines()]
-    assert not [line for line in lines if line[0] == "mismatch"], run.stdout[-2000:]
-    spans = [line[1:] for line in lines if line[0] == "span"]
-    assert [(span, verdict) for span, verdict, *_ in spans] == [
-        (str(k), "ok") for k in range(4)
+    shapes = [
+        ("keywords64", None), ("snort_nfa64", None), ("nbva_only", None),
+        ("snort_mix16", 8), ("snort_mix16", None),
     ]
-    hits, events, nbva = (sum(int(line[k]) for line in spans) for k in (2, 3, 4))
-    assert hits > 3 and events > 3 and nbva > 3
-    tiers = [int(line[2]) for line in lines if line[0] == "return"]
-    # full buffers in every tier, and a lane return followed by a later
-    # tier's: the drained buffer refilled across the boundary
-    assert {0, 1, 2} <= set(tiers)
-    assert any(a == 0 and b > 0 for a, b in zip(tiers, tiers[1:]))
+    for index, (name, lane_cap) in enumerate(shapes):
+        patterns = NBVA_ONLY if name == "nbva_only" else RULESETS[name]()
+        ruleset = compile_ruleset(patterns)
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        with monkeypatch.context() as patch, use_backend("fused"):
+            if lane_cap is not None:  # read when the tables are built
+                patch.setattr(codegen, "LANE_DFA_MAX_STATES", lane_cap)
+            fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
+            binding = codegen.binding_source(fused, fused.tile_masks)
+        lanes = binding.lanes is not None
+        if name == "snort_mix16" and lanes:
+            assert binding.fold == len(fused._units) == 6
+        bases, _ = codegen.unit_forest(fused)
+        assert all(isinstance(base, int) for base in bases), name
+        ids = [
+            base + unit.table.closed_id(None) for base, unit in zip(bases, fused._units)
+        ]
+        indices = codegen.native_nbva_indices(fused)
+        words = [
+            codegen.nbva_vector_layout(fused._nbva[j].automaton)[1] for j in indices
+        ]
+        traffic = generate_input(
+            "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
+        )
+        data = traffic + b"\0" * 1024
+        third = len(traffic) // 3
+        cuts = [third, third + 1, len(traffic)]  # a 1-byte span, an idle last one
+        source = tmp_path / f"scan{index}.c"
+        source.write_text(
+            binding.source
+            + _SANITIZED_SCAN_MAIN
+            % dict(
+                ids=", ".join(map(str, ids + [0])), m=len(ids),
+                words=", ".join(map(str, words + [0])), u=len(words), spans=4,
+                tiles=sum(map(len, fused.tile_masks)) if lanes else 1,
+            )
+        )
+        binary = tmp_path / f"scan{index}"
+        build = subprocess.run(
+            [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+            capture_output=True, text=True,
+        )
+        if build.returncode != 0:
+            pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+        stream = tmp_path / "raw.bin"
+        stream.write_bytes(data)
+        run = subprocess.run(
+            [str(binary), str(stream), str(len(data)), *map(str, cuts)],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 0, (name, run.stderr[-2000:])
+        lines = [line.split() for line in run.stdout.splitlines()]
+        bad = [line for line in lines if line[0] == "mismatch"]
+        assert not bad, (name, run.stdout[-2000:])
+        spans = [line[1:] for line in lines if line[0] == "span"]
+        assert [(span, verdict) for span, verdict, *_ in spans] == [
+            (str(k), "ok") for k in range(4)
+        ], name
+        held = lanes, bool(ids), bool(words)
+        counts = [sum(int(line[k]) for line in spans) for k in (2, 3, 4)]
+        assert [count > 3 for count in counts] == list(held), (name, counts)
+        returns = [line[1:] for line in lines if line[0] == "return"]
+        # a finished span leaves ctl at the next one's start (tier 0)
+        assert {tier for rc, tier in returns if rc == "0"} == {"0"}, name
+        tiers = [int(tier) for rc, tier in returns if rc == "1"]
+        # full buffers in every tier it holds, and a lane return followed
+        # by a later tier's: the drained buffer refilled across the
+        # boundary
+        assert {t for t, tier in enumerate(held) if tier} <= set(tiers), name
+        if lanes and held != (True, False, False):
+            assert any(a == 0 and b > 0 for a, b in zip(tiers, tiers[1:])), name
 
 
 @needs_native

@@ -1298,7 +1298,7 @@ def test_a_resident_lane_feed_is_one_crossing_and_no_fold(monkeypatch):
                 del events[:]
                 scan.feed(segment, at_end=False)
                 if backend == "native":
-                    assert events == ["rap_lane_scan"]
+                    assert events == ["rap_scan_span"]
                 digests[backend].append(_digest(scan))
         assert scan.drain()  # the planted witnesses were reported
     assert digests["native"] == digests["python"]
@@ -1374,10 +1374,10 @@ class TestPlanFingerprint:
     # binding emits), one row for every backend: the fingerprint names
     # none.
     PINNED = {
-        "lnfa": ("d595f123b45f155c", ["36ff42aad190c07f"]),
-        "nfa": ("47fdbf4da19d8421", ["76d2ecf972ed2003"]),
-        "dfa": ("08c85ccd44781aa5", ["94adef58eac4d87a"]),
-        "mix": ("23ea81447e9dcd85", ["68b36ecc1eafa8c8"]),
+        "lnfa": ("d595f123b45f155c", ["343403d88b13829e"]),
+        "nfa": ("47fdbf4da19d8421", ["acbf6afe314fe87b"]),
+        "dfa": ("08c85ccd44781aa5", ["0b7c24a68b7b6214"]),
+        "mix": ("23ea81447e9dcd85", ["6e8f575d0f199405"]),
     }
 
     # What the previous recipe wrote for the module's mixed ruleset.
@@ -1483,7 +1483,7 @@ class TestPlanFingerprint:
             scanner.scan(b"a needle, a marker, hello", fresh=True, at_end=True)
             assert sum(map(len, scanner.lane_dfas())) > walked
             masks = [layout.tile_masks for layout in plan.layouts]
-            kernel = codegen.lane_scan_source(fused, masks)
+            kernel = codegen.binding_source(fused, masks)
             assert source_key(kernel.source)[:16] == pinned
             if backend == "native":
                 assert source_key(fused._native_scanner()._source)[:16] == pinned

@@ -113,9 +113,7 @@ class TestSplitCollect:
             plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
             windows, warm = unit_windows(plan)
         assert plan.bins  # lane-packed LNFA units
-        by_pattern = dict(
-            zip((c.pattern for c in plan.nfa_units + plan.dfa_units), windows)
-        )
+        by_pattern = dict(zip((c.pattern for c in plan.units), windows))
         assert by_pattern == {
             "(?:a.|.b){2}x": 5,  # acyclic NFA: five positions deep
             "a(?:b.*|c)d": None,  # cyclic NFA
@@ -209,24 +207,20 @@ class TestSplitCollect:
         unit_calls: list[tuple] = []
         nbva_calls: list[int] = []
         real_map = split_mod.parallel_map
-        real_units = FusedRuleset.scan_units_span
-        real_nbva = FusedRuleset.scan_nbva_units_span
+        real_span = FusedRuleset.scan_span
 
         def counted_map(fn, tasks, **pool):
             rounds.append(len(tasks))
             return real_map(fn, tasks, **pool)
 
-        def counted_units(self, cursors, tin, *, stats_from=0, at_end=True):
-            unit_calls.append((list(cursors), len(tin.data), stats_from))
-            return real_units(self, cursors, tin, stats_from=stats_from, at_end=at_end)
-
-        def counted_nbva(self, cursors, tin, **span):
-            nbva_calls.extend(len(tin.data) for _ in cursors)  # per cursor
-            return real_nbva(self, cursors, tin, **span)
+        def counted_span(self, tin, units=(), nbva=(), *, stats_from=0, **span):
+            if units:
+                unit_calls.append((list(units), len(tin.data), stats_from))
+            nbva_calls.extend(len(tin.data) for _ in nbva)  # per cursor
+            return real_span(self, tin, units, nbva, stats_from=stats_from, **span)
 
         monkeypatch.setattr(split_mod, "parallel_map", counted_map)
-        monkeypatch.setattr(FusedRuleset, "scan_units_span", counted_units)
-        monkeypatch.setattr(FusedRuleset, "scan_nbva_units_span", counted_nbva)
+        monkeypatch.setattr(FusedRuleset, "scan_span", counted_span)
         patterns, ruleset, mapping = cases[case]
         data = generate_input("text", 6000, seed=3, patterns=patterns)
         n = len(data)
@@ -304,7 +298,7 @@ class TestSeams:
         data = generate_input("text", 16000, seed=3, patterns=PATTERNS)
         with use_backend("fused"):
             plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
-            assert unit_windows(plan)[0] == [5, None, 4, None]
+            assert unit_windows(plan)[0] == [4, None, 5, None]  # ruleset order
             assert {plan.fused.unit_tier(number) for number in range(4)} == {
                 "interpreted (closure > 3)"
             }
