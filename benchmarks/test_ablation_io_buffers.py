@@ -8,7 +8,7 @@ design point cost through output-buffer interrupts.
 from repro.compiler import CompiledMode
 from repro.experiments.common import ExperimentConfig, build_mode_workload
 from repro.experiments.common import compile_forced
-from repro.simulators.activity import collect_regex_activity
+from repro.core.trace import ActivityTrace
 from repro.simulators.bank import ArrayStream, BankSimulator, streams_from_activities
 
 from benchmarks.conftest import run_once
@@ -28,8 +28,10 @@ def test_ablation_io_buffer_hiding(benchmark):
     )
 
     def build_and_run():
+        # the python oracle's trace keeps each regex's BV-cycle positions
+        trace = ActivityTrace(workload.data)
         activities = [
-            collect_regex_activity(r, workload.data) for r in ruleset
+            (trace.regex_activity(r), trace.bv_cycle_indices(r)) for r in ruleset
         ]
         nbva_stream = streams_from_activities(
             [("nbva", activities)], {"nbva": workload.chosen_depth}

@@ -49,10 +49,6 @@ class NBVAStats:
     # counts of the Section 3.1 overflow checker firing: a shift pushed a
     # vector's last live bit past its width, deactivating the BV-STE
     overflow_events: int = 0
-    # When set to a list before the run, the indices of cycles that
-    # trigger the bit-vector-processing phase are recorded here (the
-    # array-level stall model needs the union across co-located regexes).
-    bv_cycle_indices: list[int] | None = None
 
     @property
     def bv_activation_rate(self) -> float:
@@ -61,19 +57,10 @@ class NBVAStats:
 
     def merge(self, other: "NBVAStats") -> "NBVAStats":
         """Associative combination of two consecutive spans of one run:
-        counters add, recorded ``bv_cycle_indices`` concatenate (``None``
-        only when neither side recorded)."""
-        merged = NBVAStats(
-            *(
-                getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)[:-1]
-            )
+        every counter adds."""
+        return NBVAStats(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
-        if (self.bv_cycle_indices, other.bv_cycle_indices) != (None, None):
-            merged.bv_cycle_indices = (self.bv_cycle_indices or []) + (
-                other.bv_cycle_indices or []
-            )
-        return merged
 
 
 class NBVASimulator:
@@ -196,7 +183,7 @@ class NBVAScanner:
     counted-state bit vector — exactly what the simulation step carries
     between symbols — so a scanner restored from :meth:`snapshot`
     continues the counter dataflow bit-identically.  Match positions
-    (and recorded ``bv_cycle_indices``) are *global* stream offsets.
+    (and recorded BV cycles) are *global* stream offsets.
     """
 
     def __init__(
@@ -237,8 +224,12 @@ class NBVAScanner:
         stats: NBVAStats | None = None,
         *,
         at_end: bool = True,
+        bv_cycles: list[int] | None = None,
     ) -> list[int]:
-        """Consume the next segment; match positions are global."""
+        """Consume the next segment; match positions are global.
+        ``bv_cycles``, when given, gets the global position of every
+        cycle that triggers the BV phase (an array's stalls are the union
+        of its regexes')."""
         sim = self._sim
         plain_act = sim._plain_act
         set1_targets = sim._set1_targets
@@ -317,8 +308,8 @@ class NBVAScanner:
                 stats.bv_updates += len(vectors)
                 if vectors:
                     stats.bv_phase_cycles += 1
-                    if stats.bv_cycle_indices is not None:
-                        stats.bv_cycle_indices.append(offset + i)
+            if vectors and bv_cycles is not None:
+                bv_cycles.append(offset + i)
 
             matched = bool(active & sim._final_plain)
             if not matched:

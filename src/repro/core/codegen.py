@@ -35,16 +35,21 @@ owned bytes — in one crossing, the binding's one entry point.  The tiers:
   :data:`UNIT_FOLD_CURSORS`), so a bulk scan's loops unroll.  NBVA units
   of at most :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
   ``NBVA_UNITS[]`` under ``rap_nbva_span``, which steps ``m`` cursors
-  cursor-outer: a row of :data:`NBVA_COLUMNS` words each — the unit's
-  slot, the stream-start flag, the offset of its vectors in ``vecs``
+  block by block (:data:`NBVA_BLOCK` bytes), cursor-outer within a block:
+  a row of :data:`NBVA_COLUMNS` words each — the unit's slot, the
+  stream-start flag, the offset of its vectors in ``vecs``
   (:func:`nbva_vector_layout`), the plain active set, the live counted
-  set, its event count and the ``NBVAStats`` counters but
-  ``matched_states``, which the caller takes from the span's byte
-  histogram.  With an empty frontier a byte's step depends on its class
-  alone (RAP's power gating): the kernel skips to the next byte that can
-  wake the unit — ``memchr`` when one or two byte values do
-  (``B<slot>_STAYS`` marks the rest) — counting the cycles and SET1s the
-  skipped bytes add.
+  set, its stall group, its match count and the ``NBVAStats`` counters
+  but ``matched_states``, which the caller takes from the span's byte
+  histogram.  A cursor ORs its BV cycles into its stall group's bitmap
+  of the block; at the block's end each group's bitmap is popcounted
+  into the group's stall counter — the cycles one BV phase or more
+  stalls the group's array — so no position leaves the kernel, and the
+  event buffer carries matches only.  With an empty frontier a byte's
+  step depends on its class alone (RAP's power gating): the kernel skips
+  to the next byte that can wake the unit — ``memchr`` when one or two
+  byte values do (``B<slot>_STAYS`` marks the rest) — counting the cycles
+  and SET1s the skipped bytes add.
 
 Every source begins with a header naming
 :data:`~repro.io.envelope.PLAN_VERSION` (the SHA-256 of the text is the
@@ -85,6 +90,10 @@ LANE_DFA_MAX_STATES = 32768
 
 # Bounded event buffers (entries) between continuation returns.
 HIT_BUFFER_ENTRIES = 4096
+
+# The NBVA kernel's block (bytes, a multiple of 64): per stall group, a
+# bitmap of one bit per byte unions the block's BV cycles.
+NBVA_BLOCK = 1 << 16
 
 
 def _u64(value: int) -> str:
@@ -468,17 +477,16 @@ def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
 NBVA_CDEF = (
     "int rap_nbva_span(const uint8_t *data, long long n, int m, int at_end,\n"
     "    uint64_t *cursors, uint64_t *vecs, long long *ev, long long cap,\n"
-    "    long long *at);"
+    "    long long *at, uint64_t *bits, long long *stalls, int groups);"
 )
 
 # A cursor row's columns, ``uint64`` each: the unit's slot in
 # ``NBVA_UNITS``, whether it enters at the stream start, the word offset
 # of its vectors in ``vecs`` (as many scratch words follow them), the
-# plain active set, the live counted set, its BV cycles and its matches
-# in the buffer at the last return, then the eleven ``NBVAStats``
-# counters (``matched_states`` left at 0).  The buffer holds every
-# cursor's BV-cycle positions in turn from its front, their matches
-# from its back.
+# plain active set, the live counted set, its stall group, its matches in
+# the buffer at the last return, then the eleven ``NBVAStats`` counters
+# (``matched_states`` left at 0).  The buffer holds every cursor's
+# matches in turn.
 NBVA_COLUMNS = 18
 
 # The one table-driven stepping loop shared by every NBVA unit of a
@@ -512,7 +520,7 @@ typedef struct {
   int wakes, wake[2];  /* how many byte values wake it; the first two */
 } rap_nbva_unit;
 /* columns of a cursor row: see NBVA_COLUMNS in repro.core.codegen */
-enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NBV, C_NMATCH, C_STATS,
+enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_GROUP, C_NMATCH, C_STATS,
        NBVA_COLUMNS = C_STATS + 11 };
 #define NBVA_WORDS(u, p) ((int)((u)->pos[p][P_WIDTH] + 63) >> 6)
 
@@ -542,12 +550,12 @@ static void nbva_or(const rap_nbva_unit *u, uint64_t targets,
 """
 
 _NBVA_SPAN = r"""
-/* One cursor from byte i: stops at n, or after the byte that leaves the
-   buffer no room for another byte's two events; its frontier goes back
-   to its row. */
-static long long nbva_cursor(const uint8_t *data, long long n, long long i,
-    int at_end, uint64_t *row, uint64_t *vecs, long long *ev, long long cap,
-    long long *nb, long long *nm)
+/* One cursor from byte i of the block [b, e): stops at e, or after the
+   match that fills the buffer; its frontier goes back to its row, its
+   BV cycles into its stall group's bitmap of the block. */
+static long long nbva_cursor(const uint8_t *data, long long n, long long e,
+    long long b, long long i, int at_end, uint64_t *row, uint64_t *vecs,
+    long long *ev, long long cap, long long *nm, uint64_t *bits)
 {
   const rap_nbva_unit *u = &NBVA_UNITS[row[C_UNIT]];
   uint64_t act = row[C_ACT], lv = row[C_LIVE], *counters = row + C_STATS;
@@ -555,10 +563,9 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
   uint64_t shifted[NBVA_MAX_WORDS];
   long long last = n - 1, n_idle;
   int w, cur_dirty = 1, nxt_dirty = 1, fresh = (int)row[C_FRESH];
-  for (; i < n; i++) {
+  for (; i < e; i++) {
     int c = CLS[data[i]], start = !(u->anchored_start && !(fresh && i == 0));
     uint64_t avail, set1, matching, touched = 0, a, nlv = 0;
-    long long flags = 0;
     if (!act && !lv && !(u->anchored_start && start)) {
       /* an empty frontier: skip the bytes that keep it empty (past an
          anchored start, all of them) — memchr for the one or two byte
@@ -566,23 +573,23 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
          adding what each would count.  Neither vector buffer is
          written, so their dirty flags hold. */
       const uint8_t *st = u->stays, *p;
-      long long j = u->anchored_start ? n : i;
-      if (j < n && u->wakes <= 2) {
-        p = u->wakes ? memchr(data + j, u->wake[0], n - j) : 0;
-        n_idle = p ? p - data : n;
+      long long j = u->anchored_start ? e : i;
+      if (j < e && u->wakes <= 2) {
+        p = u->wakes ? memchr(data + j, u->wake[0], e - j) : 0;
+        n_idle = p ? p - data : e;
         p = u->wakes == 2 ? memchr(data + j, u->wake[1], n_idle - j) : 0;
         j = p ? p - data : n_idle;
       }
-      for (; j + 8 <= n; j += 8) {
+      for (; j + 8 <= e; j += 8) {
         const uint8_t *d = data + j;
         if (!(st[d[0]] & st[d[1]] & st[d[2]] & st[d[3]] & st[d[4]] & st[d[5]]
               & st[d[6]] & st[d[7]]))
           break;
       }
-      for (; j < n && st[data[j]]; j++) {}
+      for (; j < e && st[data[j]]; j++) {}
       counters[0] += j - i;
       counters[6] += start ? (j - i) * POP(u->init_set1) : 0;
-      if ((i = j) == n) break;
+      if ((i = j) == e) break;
       c = CLS[data[i]];
     }
     avail = start ? u->init_plain : 0;
@@ -634,7 +641,10 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
     counters[1] += POP(act) + POP(lv);
     counters[6] += POP(set1);
     counters[5] += POP(lv);
-    if (lv) { counters[4]++; flags |= 1; }
+    if (lv) {
+      counters[4]++;
+      bits[(i - b) >> 6] |= 1ULL << ((i - b) & 63);
+    }
     {
       int matched = (act & u->final_plain) != 0;
       for (a = lv & u->final_counted; a && !matched; a &= a - 1) {
@@ -642,35 +652,53 @@ static long long nbva_cursor(const uint8_t *data, long long n, long long i,
         matched = nbva_read(u, p, cur + u->pos[p][P_VOFF]);
       }
       if (matched && (!u->anchored_end || (at_end && i == last))) {
-        counters[3]++; flags |= 2;
+        counters[3]++;
+        ev[(*nm)++] = i;
+        if (*nm == cap) { i++; break; }
       }
     }
-    if (flags & 1) ev[(*nb)++] = i;
-    if (flags & 2) ev[cap - ++*nm] = i;
-    if (flags && *nb + *nm + 2 > cap) { i++; break; }
   }
   if (cur != own) for (w = 0; w < u->total_words; w++) own[w] = cur[w];
   row[C_ACT] = act; row[C_LIVE] = lv;
   return i;
 }
 
-/* Cursor-outer: each cursor's tables and vectors stay in cache over the
-   span.  A full buffer (cap >= 2) returns 1 with the (cursor, position)
-   to resume. */
+/* Block-outer, cursor-inner; each group's bitmap is counted as its block
+   ends.  A full buffer (cap >= 1) returns 1 with the (cursor, position,
+   block) to resume at, as does a block ending with matches in the
+   buffer: a return holds each cursor's matches of one block in turn. */
 RAP_NBVA_SPAN
 {
-  long long k, i = at[1], nb = 0, nm = 0, b0, m0;
-  for (k = 0; k < m; k++)
-    cursors[k * NBVA_COLUMNS + C_NBV] = cursors[k * NBVA_COLUMNS + C_NMATCH] = 0;
-  for (k = at[0]; k < m; k++, i = 0) {
-    uint64_t *row = cursors + k * NBVA_COLUMNS;
-    b0 = nb; m0 = nm;
-    i = nbva_cursor(data, n, i, at_end, row, vecs, ev, cap, &nb, &nm);
-    row[C_NBV] = nb - b0; row[C_NMATCH] = nm - m0;
-    if (nb + nm + 2 > cap) break;
+  long long k, i = at[1], b = at[2], e, nm = 0, g, w, words;
+  if (!i)
+    for (g = 0; g < groups; g++) stalls[g] = 0;
+  for (k = 0; k < m; k++) cursors[k * NBVA_COLUMNS + C_NMATCH] = 0;
+  for (k = at[0]; b < n; b = e, k = 0, i = e) {
+    e = n - b > NBVA_BLOCK ? b + NBVA_BLOCK : n;
+    words = (e - b + 63) >> 6;
+    if (!k && i == b)
+      for (g = 0; g < groups; g++)
+        memset(bits + g * NBVA_BLOCK_WORDS, 0, (size_t)words * sizeof *bits);
+    for (; k < m; k++, i = b) {
+      uint64_t *row = cursors + k * NBVA_COLUMNS;
+      long long m0 = nm;
+      i = nbva_cursor(data, n, e, b, i, at_end, row, vecs, ev, cap, &nm,
+                      bits + row[C_GROUP] * NBVA_BLOCK_WORDS);
+      row[C_NMATCH] = nm - m0;
+      if (nm == cap) {
+        at[0] = k; at[1] = i; at[2] = b;
+        return 1;
+      }
+    }
+    for (g = 0; g < groups; g++)
+      for (w = 0; w < words; w++) stalls[g] += POP(bits[g * NBVA_BLOCK_WORDS + w]);
+    if (nm && e < n) {
+      at[0] = 0; at[1] = at[2] = e;
+      return 1;
+    }
   }
-  at[0] = k; at[1] = i;
-  return k < m;
+  at[0] = at[1] = at[2] = 0;
+  return 0;
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -754,6 +782,8 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
         )
     parts += ["static const rap_nbva_unit NBVA_UNITS[] = {", *rows, "};"]
     parts.append(f"#define NBVA_MAX_WORDS {max_words}")
+    parts.append(f"#define NBVA_BLOCK {NBVA_BLOCK}")
+    parts.append(f"#define NBVA_BLOCK_WORDS {NBVA_BLOCK // 64}")
     parts.append(_NBVA_SPAN.replace("RAP_NBVA_SPAN", NBVA_CDEF[:-1]))
     return "\n".join(parts)
 
@@ -779,12 +809,13 @@ def unit_scan_source(fused, fold: int = 0) -> str:
 
 # ``rap_scan_span``'s control words, in order (``ctl[S_<NAME>]``): the
 # tier to resume (0 lanes, 1 units, 2 NBVA) and where in it (the NBVA
-# kernel's cursor and position), the lanes' fresh flag (-1: no lanes),
-# the unit and NBVA cursor counts, each tier's event cap, and the lane
-# hits and unit events the call left in their buffers.
+# kernel's cursor, position and block), the lanes' fresh flag (-1: no
+# lanes), the unit and NBVA cursor counts, each tier's event cap, the
+# binding's stall group count, and the lane hits and unit events the
+# call left in their buffers.
 SCAN_CTL = (
-    "tier", "at", "nbva_cursor", "nbva_at", "lanes", "units", "nbva",
-    "lane_cap", "unit_cap", "nbva_cap", "hits", "events",
+    "tier", "at", "nbva_cursor", "nbva_at", "nbva_block", "lanes", "units",
+    "nbva", "lane_cap", "unit_cap", "nbva_cap", "groups", "hits", "events",
 )
 
 SCAN_CDEF = (
@@ -793,7 +824,8 @@ SCAN_CDEF = (
     "    uint32_t *lane_state, long long *tile_cycles, long long *tile_bits,\n"
     "    long long *visits, long long *hit_pos, uint32_t *hit_states,\n"
     "    uint32_t *unit_state, long long *active, long long *ev_pos,\n"
-    "    int32_t *ev_cursor, uint32_t *ev_state, long long *ev, long long *hist);"
+    "    int32_t *ev_cursor, uint32_t *ev_state, long long *ev, long long *hist,\n"
+    "    uint64_t *stall_bits, long long *stalls);"
 )
 
 # Every tier's kernel in turn over one span and, for the units' and
@@ -801,9 +833,9 @@ SCAN_CDEF = (
 # full event buffer returns 1 with the tier and the place to resume at
 # in ``ctl``; the caller drains every tier's buffer (each kernel's
 # events since the last return) and re-enters.  The span's counters
-# (visits, active sums, histogram) are zeroed here as each tier starts,
-# and a finished span leaves ``ctl`` at the start of the next one, so
-# the caller writes no word between spans of the same shape.
+# (visits, active sums, histogram, stall counts) are zeroed as each tier
+# starts, and a finished span leaves ``ctl`` at the start of the next
+# one, so the caller writes no word between spans of the same shape.
 _SCAN_SPAN = r"""
 RAP_SCAN_SPAN
 {
@@ -847,12 +879,13 @@ RAP_SCAN_SPAN
   default:
 #ifdef NBVA_MAX_WORDS
     if (ctl[S_NBVA] && rap_nbva_span(data, n, (int)ctl[S_NBVA], at_end, cursors,
-            vecs, ev, ctl[S_NBVA_CAP], ctl + S_NBVA_CURSOR))
+            vecs, ev, ctl[S_NBVA_CAP], ctl + S_NBVA_CURSOR, stall_bits, stalls,
+            (int)ctl[S_GROUPS]))
       return 1;
 #else
-    (void)cursors; (void)vecs; (void)ev;
+    (void)cursors; (void)vecs; (void)ev; (void)stall_bits; (void)stalls;
 #endif
-    ctl[S_TIER] = ctl[S_AT] = ctl[S_NBVA_CURSOR] = ctl[S_NBVA_AT] = 0;
+    ctl[S_TIER] = ctl[S_AT] = 0;
     return 0;
   }
 }

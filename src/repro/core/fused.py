@@ -188,8 +188,10 @@ class FusedRuleset:
     :meth:`lane_dfa`, a GATHER unit's closed at build time).  The shift
     programs' words travel packed (:meth:`pack` / :meth:`extract`).
     ``nbva_units`` are ``(automaton, anchored_start, anchored_end)``
-    bit-vector automata, stepped whole-frontier.  :meth:`scan_span`
-    steps any of them over one span.
+    bit-vector automata, stepped whole-frontier; ``nbva_groups`` their
+    stall groups (per NBVA array, its units; by default one per unit),
+    whose BV cycles are counted as one union.  :meth:`scan_span` steps
+    any of them over one span.
     """
 
     def __init__(
@@ -198,6 +200,7 @@ class FusedRuleset:
         gather_programs: Sequence[KernelProgram] = (),
         nbva_units: Sequence[tuple[Automaton, bool, bool]] = (),
         tile_masks: Sequence[Sequence[int]] = (),
+        nbva_groups: Sequence[Sequence[int]] = (),
     ):
         self._shift = tuple(shift_programs)
         # per shift program, its tiles' masks (the lane kernel's payload)
@@ -220,6 +223,9 @@ class FusedRuleset:
 
         # -- (automaton, anchored_start, anchored_end) NBVA units ---------
         self._nbva = tuple(_NbvaUnit(*unit) for unit in nbva_units)
+        self.nbva_groups = tuple(map(tuple, nbva_groups)) or tuple(
+            (j,) for j in range(len(self._nbva))
+        )
 
         self.classes = AlphabetClasses(
             [p.labels for p in self._shift]
@@ -374,24 +380,26 @@ class FusedRuleset:
         self,
         tin: TranslatedSegment,
         units: Sequence[tuple[int, int | None]] = (),
-        nbva: Sequence[tuple[int, NBVAState]] = (),
+        nbva: Sequence[tuple[int, NBVAState, int]] = (),
         *,
         lanes=None,
         stats_from: int = 0,
         at_end: bool = True,
     ) -> tuple:
-        """One span of any cursors of every tier: ``(lanes, units,
-        nbva)``.  A GATHER cursor is ``(unit, entry)`` — ``unit`` numbered
+        """One span of any cursors of every tier: ``(lanes, units, nbva,
+        stalls)``.  A GATHER cursor is ``(unit, entry)`` — ``unit`` numbered
         as ``gather_programs`` lists it; ``entry`` is the NFA active
         set entering the span, ``None`` at the stream start — and comes
         back as its events, owned-region counters and exit set, exactly
         :meth:`PythonKernel.scan_segment <repro.core.pykernel.PythonKernel.
         scan_segment>` of its program over the owned symbols
         (``stats_from`` is the first owned position; earlier ones only
-        warm the state up).  An NBVA cursor is ``(unit, entry frontier)``
-        and comes back as :meth:`NBVAScanner.feed`'s global matches,
-        counters and exit frontier (no warm-up: vectors carry unbounded
-        history).  ``lanes`` — a stream's lane machine the kernel holds
+        warm the state up).  An NBVA cursor is ``(unit, entry frontier,
+        stall group)`` and comes back as :meth:`NBVAScanner.feed`'s global
+        matches, counters and exit frontier (no warm-up: vectors carry
+        unbounded history); ``stalls`` is per stall group the span's
+        cycles in which one of its cursors triggers a BV phase.
+        ``lanes`` — a stream's lane machine the kernel holds
         (:class:`~repro.simulators.fused.LaneStream`) — is stepped in
         place by the generated C (:meth:`NativeScanner.span
         <repro.core.native.NativeScanner.span>`) and its hits come back;
@@ -402,7 +410,7 @@ class FusedRuleset:
         Every cursor the generated C can take steps there, all of them
         and the lanes in one crossing.  The rest — no compiler, a unit
         past a cap or outside the forest, an entry no scan produces, a
-        wide NBVA unit — is walked
+        stall group holding a wide NBVA unit — is walked
         (:meth:`StepTable.walk <repro.core.table.StepTable.walk>`) or
         stepped by the oracle: identical results, only slower.
         """
@@ -433,17 +441,17 @@ class FusedRuleset:
                 stats_from=stats_from,
             )
             spans[slot] = hits, bits[0], word
-        native_nbva = [
-            k for k, (j, _) in enumerate(nbva) if native and native.has_nbva(j)
-        ]
+        groups = native.native_groups if native is not None else ()
+        native_nbva = [k for k, cursor in enumerate(nbva) if cursor[2] in groups]
         lane_out = hist = None
         stepped: list = []
         nbva_out: list = [None] * len(nbva)
+        stalls = [0] * len(self.nbva_groups)
         span = dict(at_end=at_end, stats_from=stats_from)
         if native is None or not native.dfas:
             lanes = None  # walked by the caller
         if lanes is not None or compiled or native_nbva:
-            lane_out, stepped, by_c, hist = native.span(
+            lane_out, stepped, by_c, hist, stalls = native.span(
                 data,
                 lanes=lanes,
                 units=[cursor[1:] for cursor in compiled],
@@ -456,15 +464,20 @@ class FusedRuleset:
         for (slot, number, _), (raw, active, sid) in zip(compiled, stepped):
             words = gathers[number].table.words
             spans[slot] = [(pos, words[s]) for pos, s in raw], active, words[sid]
-        for k, (index, state) in enumerate(nbva):
+        cycles: dict[int, set] = {}  # the oracle's groups: positions, unioned
+        for k, (index, state, group) in enumerate(nbva):
             if nbva_out[k] is None:
                 scanner = self._nbva[index].scanner()
                 scanner.state = state
-                stats = NBVAStats(bv_cycle_indices=[])
-                matches = scanner.feed(data, stats, at_end=at_end)
+                found: list[int] = []
+                stats = NBVAStats()
+                matches = scanner.feed(data, stats, at_end=at_end, bv_cycles=found)
+                cycles.setdefault(group, set()).update(found)
                 nbva_out[k] = matches, stats, scanner.state
+        for group, found in cycles.items():
+            stalls[group] += len(found)
         units_out = self._unit_results(units, spans, tin, hist, **span)
-        return lane_out, units_out, nbva_out
+        return lane_out, units_out, nbva_out, stalls
 
     def _unit_results(self, cursors, spans, tin, hist, *, stats_from, at_end):
         """Per GATHER cursor its events, ``StepStats`` and exit word."""

@@ -362,6 +362,13 @@ class NativeScanner:
             j: (slot, *codegen.nbva_vector_layout(fused._nbva[j].automaton))
             for slot, j in enumerate(nbva)
         }
+        # the stall groups (NBVA arrays) whose units all run here: a group
+        # runs wholly in C or wholly on the oracle, so one side unions it
+        self._groups = groups = len(fused.nbva_groups)
+        self.native_groups = frozenset(
+            g for g, units in enumerate(fused.nbva_groups)
+            if all(j in self._nbva for j in units)
+        )
         self._nbva_pops = np.array(
             [
                 [u.labels[c].bit_count() + u.cmatch[c].bit_count() for c in classes]
@@ -373,7 +380,7 @@ class NativeScanner:
         # span's unit events are whole bytes, up to one per cursor.
         self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, lanes.block if lanes else 0)
         visits = codegen.LANE_SUBSPANS * sum(dfa.closed for dfa in self.dfas)
-        groups, hits = len(self.dfas), cap if lanes else 0
+        lane_groups, hits = len(self.dfas), cap if lanes else 0
         most = codegen.UNIT_SPAN_CURSORS if rows else 0
         events = max(codegen.HIT_BUFFER_ENTRIES, most) if rows else 0
         i64, u32 = np.int64, np.uint32
@@ -385,14 +392,17 @@ class NativeScanner:
                 hist=(i64, 256), visits=(i64, visits),
                 ctl=(i64, len(codegen.SCAN_CTL)),
                 active=(i64, most), hit_pos=(i64, hits),
-                hit_states=(u32, hits * groups), units=(u32, most),
+                hit_states=(u32, hits * lane_groups), units=(u32, most),
                 ev_pos=(i64, events), ev_cursor=(np.int32, events),
                 ev_state=(u32, events),
-                ev=(i64, codegen.HIT_BUFFER_ENTRIES if nbva else 2),
+                ev=(i64, codegen.HIT_BUFFER_ENTRIES if nbva else 1),
+                # per stall group, its bitmap of one block and its count
+                bits=(np.uint64, groups * codegen.NBVA_BLOCK // 64 if nbva else 1),
+                stalls=(i64, max(1, groups)),
             ),
             # rap_scan_span's buffers after the lanes', in its order
             "visits hit_pos hit_states units active ev_pos ev_cursor ev_state "
-            "ev hist".split(),
+            "ev hist bits stalls".split(),
         )
         self._pointer = lib.pointer
         self._fresh: dict[tuple, tuple] = {}  # NBVA units -> fresh cursor rows
@@ -450,23 +460,27 @@ class NativeScanner:
         stats_from: int = 0,
         lanes=None,
         units: list[tuple[int, int]] = (),
-        nbva: list[tuple[int, NBVAState]] = (),
+        nbva: list[tuple[int, NBVAState, int]] = (),
+        frontiers: bool = True,
     ) -> tuple:
         """Step the lane machine (``lanes``: a stream's
         :class:`~repro.simulators.fused.LaneStream`, taken over by
         :meth:`_enter` — its state ids and tile counters are stepped and
         accumulated in place, never zeroed), ``(unit number, closed table
-        state)`` forest cursors and ``(NBVA unit, entry frontier)``
-        cursors over one span, in one crossing.  Returns ``(lanes, units,
-        nbva, histogram)``: ``(position, packed word)`` wherever a bin
-        holds a final that fires (``None`` when not asked, or when the
-        lanes are not compiled or their word is outside a group's
-        closure: the caller walks until they forget it); per unit cursor
-        its raw ``(position, table state)`` events, active-state sum and
-        exit state; per NBVA cursor :meth:`NBVAScanner.feed`'s global
-        matches, counters and exit frontier; and the owned bytes'
-        histogram (``None`` for the lanes alone).  Forest state ids never
-        leave this method."""
+        state)`` forest cursors and ``(NBVA unit, entry frontier, stall
+        group)`` cursors over one span, in one crossing.  Returns
+        ``(lanes, units, nbva, histogram, stalls)``: ``(position, packed
+        word)`` wherever a bin holds a final that fires (``None`` when not
+        asked, or when the lanes are not compiled or their word is
+        outside a group's closure: the caller walks until they forget
+        it); per unit cursor its raw ``(position, table state)`` events,
+        active-state sum and exit state; per NBVA cursor
+        :meth:`NBVAScanner.feed`'s global matches, counters and exit
+        frontier (``None`` without ``frontiers``); the owned bytes'
+        histogram (``None`` for the lanes alone); and per stall group the
+        span's cycles in which one of its cursors triggers a BV phase.
+        Forest state ids and BV-cycle positions never leave this
+        method."""
         if lanes is not None and not (
             self.dfas and (lanes.word is None or self._enter(lanes))
         ):
@@ -475,17 +489,15 @@ class NativeScanner:
             span = dict(at_end=at_end, stats_from=stats_from)
             head = self.span(data, lanes=lanes, units=units[:cut], nbva=nbva, **span)
             rest = self.span(data, units=units[cut:], **span)[1]
-            return head[0], head[1] + rest, head[2], head[3]
+            return head[0], head[1] + rest, *head[2:]
         ws, n, m, k = self._ws, len(data), len(units), len(nbva)
         shape = (-1 if lanes is None else int(lanes.fresh), m, k, self._cap)
-        if shape != ws.shape:  # codegen.SCAN_CTL: "lanes" .. "nbva_cap"
+        if shape != ws.shape:  # codegen.SCAN_CTL: "lanes" .. "groups"
             cap, ws.shape = self._cap, shape
-            # the unit and NBVA kernels write whole bytes: up to m and two
-            # events
-            ws.caps = (
-                cap, min(max(cap, m), len(ws.ev_pos)), min(max(cap, 2), len(ws.ev))
-            )
-            ws.ctl[4:10] = *shape[:3], *ws.caps
+            # the unit and NBVA kernels write whole bytes: up to m events
+            # and one
+            ws.caps = cap, min(max(cap, m), len(ws.ev_pos)), min(cap, len(ws.ev))
+            ws.ctl[5:12] = *shape[:3], *ws.caps, self._groups
         hits: list[tuple[int, int]] = []
         events: list[list[tuple[int, int]]] = []
         if m:
@@ -495,8 +507,8 @@ class NativeScanner:
         if k:
             table, vecs = self._nbva_rows(nbva)
             rows = self._pointer(table), self._pointer(vecs)
-            found = [([], []) for _ in nbva]  # per NBVA cursor: matches, BV cycles
-            offsets = [state.offset for _, state in nbva]
+            found = [[] for _ in nbva]  # per NBVA cursor: its matches
+            offsets = [state.offset for _, state, _ in nbva]
         else:  # (rap_scan_span reads no cursor table without NBVA cursors)
             rows = ws.at_hist, ws.at_hist
         own = lanes.args if lanes is not None else (ws.at_hist,) * 3
@@ -511,10 +523,10 @@ class NativeScanner:
                 if words[-1]:
                     self._unit_events(words[-1], events, bases)
                 if k:
-                    self._nbva_events(table, offsets, found, ws.caps[2])
+                    self._nbva_events(table, offsets, found)
         finally:
             if rc:  # an interrupted span: the next one starts afresh
-                ws.ctl[:4] = 0
+                ws.ctl[:5] = 0
         if lanes is not None and n:
             lanes.fresh = False
         unit_out: list = []
@@ -522,8 +534,11 @@ class NativeScanner:
             exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
             unit_out = list(zip(events, ws.active[:m].tolist(), exits))
         hist = ws.hist.copy() if m or k else None
-        nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n) if k else []
-        return hits if lanes is not None else None, unit_out, nbva_out, hist
+        nbva_out, stalls = [], [0] * self._groups
+        if k:
+            nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n, frontiers)
+            stalls = ws.stalls[: self._groups].tolist()
+        return hits if lanes is not None else None, unit_out, nbva_out, hist, stalls
 
     def _lane_hits(self, count: int, hits: list) -> None:
         """The lane hits of the last return, in position order (a
@@ -550,25 +565,26 @@ class NativeScanner:
 
     def _nbva_rows(self, cursors):
         """The cursor table and vector words the NBVA kernel takes for
-        ``(NBVA unit, entry frontier)`` cursors (fresh ones' from a
-        template made once)."""
-        fresh = all(state == _FRESH for _, state in cursors)
-        if fresh and (key := tuple(index for index, _ in cursors)) in self._fresh:
+        ``(NBVA unit, entry frontier, stall group)`` cursors (fresh ones'
+        from a template made once)."""
+        fresh = all(state == _FRESH for _, state, _ in cursors)
+        key = tuple((index, group) for index, _, group in cursors)
+        if fresh and key in self._fresh:
             table, size = self._fresh[key]
             return table.copy(), np.zeros(size, dtype=np.uint64)
         layouts, rows, size = self._nbva, [], 0
-        for index, state in cursors:
+        for index, state, group in cursors:
             slot, _, total = layouts[index]
             live = 0
             for pid, _ in state.vectors:
                 live |= 1 << pid
-            rows.append((slot, state.offset == 0, size, state.active, live))
+            rows.append((slot, state.offset == 0, size, state.active, live, group))
             size += 2 * total  # the cursor's vectors, then its scratch
         table = np.zeros((max(1, len(rows)), codegen.NBVA_COLUMNS), dtype=np.uint64)
         if rows:
-            table[:, :5] = rows
+            table[:, :6] = rows
         vecs = np.zeros(max(1, size), dtype=np.uint64)
-        for (index, state), row in zip(cursors, rows):
+        for (index, state, _), row in zip(cursors, rows):
             for pid, vec in state.vectors:  # a fresh cursor has none
                 at, words = layouts[index][1][pid]
                 at += row[2]
@@ -577,46 +593,43 @@ class NativeScanner:
             self._fresh[key] = table.copy(), len(vecs)
         return table, vecs
 
-    def _nbva_events(self, table, offsets: list[int], found: list, cap: int):
-        """The NBVA events of the last return, as each cursor's runs: its
-        BV cycles (``C_NBV`` of them, in turn from the buffer's front)
-        and its matches (``C_NMATCH``, in turn from its back)."""
-        counts = table[: len(found), 5:7].tolist()
-        if not any(map(any, counts)):
+    def _nbva_events(self, table, offsets: list[int], found: list):
+        """The NBVA matches of the last return: each cursor's ``C_NMATCH``
+        of them, in turn from the buffer's front."""
+        counts = table[: len(found), 6].tolist()
+        total = sum(counts)
+        if not total:
             return
-        ev = self._ws.ev
-        bv = ev[: sum(c for c, _ in counts)].tolist()
-        ends = ev[cap - sum(c for _, c in counts) : cap][::-1].tolist()
-        at = back = 0
-        for (matches, bv_cycles), (nbv, nmatch), off in zip(found, counts, offsets):
-            if off:  # spans report span-local positions
-                bv_cycles += [p + off for p in bv[at : at + nbv]]
-                matches += [p + off for p in ends[back : back + nmatch]]
-            else:
-                bv_cycles += bv[at : at + nbv]
-                matches += ends[back : back + nmatch]
-            at, back = at + nbv, back + nmatch
+        ends, at = self._ws.ev[:total].tolist(), 0
+        for matches, count, off in zip(found, counts, offsets):
+            if count:  # spans report span-local positions
+                run = ends[at : at + count]
+                matches += [p + off for p in run] if off else run
+                at += count
 
-    def _nbva_out(self, cursors, table, vecs, found, hist, n: int) -> list:
-        """Per NBVA cursor ``(matches, NBVAStats, exit frontier)``: its
-        vectors are little-endian words at its row's offset, its
+    def _nbva_out(self, cursors, table, vecs, found, hist, n: int, frontiers):
+        """Per NBVA cursor ``(matches, NBVAStats, exit frontier)``, its
         ``matched_states`` the histogram dotted with its byte popcounts."""
-        spans, words = [], vecs.tobytes()
+        spans, words = [], vecs.tobytes() if frontiers else b""
         matched = self._nbva_pops.dot(hist).tolist()
-        for (index, state), out, (matches, bv_cycles) in zip(
-            cursors, table.tolist(), found
-        ):
+        for (index, state, _), out, matches in zip(cursors, table.tolist(), found):
             out[9] = matched[out[0]]  # C_STATS + 2, by the unit's slot
-            live, at = out[4], 8 * out[2]
-            vectors = () if not live else tuple(
-                (pid, int.from_bytes(words[at + 8 * w : at + 8 * (w + k)], "little"))
-                for pid, (w, k) in self._nbva[index][1].items()
-                if live >> pid & 1
-            )
-            stats = NBVAStats(*out[7:], bv_cycle_indices=bv_cycles)
-            frontier = NBVAState(state.offset + n, out[3], vectors)
-            spans.append((matches, stats, frontier))
+            frontier = None
+            if frontiers:
+                frontier = self._frontier(index, state, out, words, n)
+            spans.append((matches, NBVAStats(*out[7:]), frontier))
         return spans
+
+    def _frontier(self, index: int, state: NBVAState, row, words, n: int):
+        """A cursor's exit frontier: its vectors are little-endian words
+        at its row's offset."""
+        live, at = row[4], 8 * row[2]
+        vectors = () if not live else tuple(
+            (pid, int.from_bytes(words[at + 8 * w : at + 8 * (w + k)], "little"))
+            for pid, (w, k) in self._nbva[index][1].items()
+            if live >> pid & 1
+        )
+        return NBVAState(state.offset + n, row[3], vectors)
 
     # -- names over span: the lanes alone, and the benchmark ledger's --------
     # ``benchmarks/ledger/layers.py`` times spans by wrapping ``scan``,

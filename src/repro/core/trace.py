@@ -57,7 +57,8 @@ class ActivityTrace:
         #: fig12 scan-count test pins this to the number of distinct
         #: fingerprints, proving no input is ever scanned twice.
         self.scan_count = 0
-        self._regex: dict[object, RegexActivity] = {}
+        # per fingerprint: the activity and its BV cycles' positions
+        self._regex: dict[object, tuple[RegexActivity, list[int]]] = {}
         # Bins are mutable-ish aggregates without a cheap structural
         # key, so they memoize by identity; holding the (bin, hw) refs
         # keeps their ids unique for the trace's lifetime.
@@ -70,18 +71,30 @@ class ActivityTrace:
         copies, so simulators that share a scan can never alias each
         other's match lists.
         """
+        found = self._scan(compiled)[0]
+        return replace(
+            found, regex_id=compiled.regex_id, matches=list(found.matches)
+        )
+
+    def bv_cycle_indices(self, compiled: CompiledRegex) -> list[int]:
+        """The positions at which this regex triggers the BV phase (none
+        for an NFA-mode regex), scanning only on the first request."""
+        return list(self._scan(compiled)[1])
+
+    def stall_cycles(self, regexes) -> int:
+        """The cycles in which one of ``regexes`` (co-located in one
+        array) triggers the BV phase: the union of their positions."""
+        return len(set().union(*(self._scan(r)[1] for r in regexes)))
+
+    def _scan(self, compiled: CompiledRegex) -> tuple[RegexActivity, list[int]]:
         key = regex_fingerprint(compiled)
         found = self._regex.get(key)
         if found is None:
-            found = collect_regex_activity(compiled, self.data)
+            cycles: list[int] = []
+            found = collect_regex_activity(compiled, self.data, bv_cycles=cycles)
             self.scan_count += 1
-            self._regex[key] = found
-        return replace(
-            found,
-            regex_id=compiled.regex_id,
-            matches=list(found.matches),
-            bv_cycle_indices=list(found.bv_cycle_indices),
-        )
+            found = self._regex[key] = found, cycles
+        return found
 
     def bin_activity(self, bin_obj: Bin, hw: HardwareConfig) -> BinActivity:
         """One LNFA bin's activity, scanning only on the first request."""

@@ -768,14 +768,14 @@ class BatchEngine:
 
     @staticmethod
     def _work_units(ruleset, mapping, chunks) -> list[tuple]:
-        """Flat descriptors: every (regex | bin) x every chunk."""
-        units: list[tuple] = []
+        """Flat descriptors: every NFA/DFA regex and bin x every chunk,
+        and every NBVA array, whose stalls are one union (NBVA counters
+        cannot be warm-started: required_overlap forces one chunk)."""
+        units: list[tuple] = [("nbva", *array) for array in mapping.nbva_arrays()]
         for regex in ruleset:
-            if regex.mode is CompiledMode.LNFA:
+            if regex.mode in (CompiledMode.LNFA, CompiledMode.NBVA):
                 continue
             for chunk in chunks:
-                # NBVA counters cannot be warm-started; they only appear
-                # here unchunked (required_overlap forces one chunk).
                 units.append(
                     (
                         "regex",
@@ -805,9 +805,14 @@ class BatchEngine:
         exact activity a sequential run would have collected."""
         regex_parts: dict[int, RegexActivity] = {}
         bin_parts: dict[tuple[int, int], BinActivity] = {}
+        stalls: dict[int, int] = {}
         for outcome in outcomes:
             kind = outcome[0]
-            if kind == "regex":
+            if kind == "nbva":
+                _, index, activities, count = outcome
+                regex_parts.update(activities)
+                stalls[index] = count
+            elif kind == "regex":
                 _, rid, activity = outcome
                 prior = regex_parts.get(rid)
                 regex_parts[rid] = (
@@ -833,6 +838,7 @@ class BatchEngine:
             lambda r: regex_parts[r.regex_id],
             lambda index, bin_index: bin_parts[(index, bin_index)],
             n,
+            stalls,
         )
 
 
@@ -932,8 +938,15 @@ def _reset_scan_worker() -> None:
 
 
 def _scan_unit(unit: tuple):
-    """Collect one (regex | bin) x chunk activity inside a worker."""
+    """Collect one (regex | bin) x chunk activity, or one NBVA array's
+    regexes and stall count, inside a worker."""
     data = _WORKER_STATE["data"]
+    if unit[0] == "nbva":
+        found, by_id = [], _WORKER_STATE["regex_by_id"]
+        scans = {
+            r: collect_regex_activity(by_id[r], data, bv_cycles=found) for r in unit[2]
+        }
+        return ("nbva", unit[1], scans, len(set(found)))
     if unit[0] == "regex":
         _, rid, start, end, warm_start = unit
         activity = collect_regex_activity(

@@ -7,10 +7,11 @@ worse, silently changing its answer.  Two pieces make that possible:
 * :class:`DurableScan` drives every functional collector of one run
   (per-regex NFA/NBVA collectors, per-bin LNFA collectors) segment by
   segment and can serialize its **entire** mid-stream state — scanner
-  frontiers, counter vectors, activity counters, match lists — as one
-  JSON document.  Restoring that document and feeding the remaining
-  bytes reproduces the uninterrupted run bit for bit, because every
-  engine's segment contract guarantees segmentation independence.
+  frontiers, counter vectors, activity counters, each NBVA array's
+  stall count, match lists — as one JSON document.  Restoring that
+  document and feeding the remaining bytes reproduces the uninterrupted
+  run bit for bit, because every engine's segment contract guarantees
+  segmentation independence.
 * :class:`CheckpointStore` persists those documents through
   :mod:`repro.io.envelope` — the compile cache's checksummed envelope,
   written in place into one of two slot files and synced once — so a
@@ -342,6 +343,12 @@ class DurableScan:
             self._bin_feeder = FusedBinFeeder(
                 list(self._bins.values()), self._plan.scanner
             )
+        # Per NBVA array its stall count so far, and the array of every
+        # NBVA regex: each segment's BV cycles are unioned per array and
+        # counted, never kept.
+        nbva_arrays = mapping.nbva_arrays()
+        self._stalls = {index: 0 for index, _ in nbva_arrays}
+        self._stall_of = {rid: index for index, rids in nbva_arrays for rid in rids}
         # Per LNFA array, its bins' collectors: the ``lnfa_bins`` of a
         # quote from the running counters (:meth:`counters`).
         self._lnfa_arrays = {
@@ -440,19 +447,25 @@ class DurableScan:
         bins, dirty = self._bin_feeder, self._dirty
         tin = scanned = None
         if self._plan is None or not segment:
+            cycles: dict[int, list] = {index: [] for index in self._stalls}
             for rid, collector in self._regex.items():
                 if rid not in shed_regexes:
-                    collector.feed(segment, at_end=at_end)
+                    found = cycles.get(self._stall_of.get(rid))
+                    collector.feed(segment, at_end=at_end, bv_cycles=found)
                     dirty.add(rid)
+            for index, found in cycles.items():
+                self._stalls[index] += len(set(found))
         elif self._regex:
             # One translation per segment, shared by every unit, and one
             # crossing for every tier (the lanes ride along).
             tin = self._plan.fused.translate(segment)
-            scanned, grown = self._regex_feeder.feed(
+            scanned, grown, stalls = self._regex_feeder.feed(
                 tin, at_end=at_end, skip=shed_regexes,
                 lanes=bins.lanes if bins is not None else None,
             )
             dirty.update(grown)
+            for (index, _), count in zip(self._plan.stall_groups, stalls):
+                self._stalls[index] += count
         if bins is not None:
             dirty.update(
                 bins.feed(
@@ -496,6 +509,7 @@ class DurableScan:
                     self._bins.items()
                 )
             ],
+            "stalls": sorted(map(list, self._stalls.items())),
             "shed": sorted(list(key) for key in self._shed),
             "quarantine": [
                 {
@@ -544,6 +558,7 @@ class DurableScan:
                 (int(index), int(bin_index)): sub
                 for index, bin_index, sub in doc["bins"]
             }
+            stalls = {int(index): int(count) for index, count in doc["stalls"]}
             shed = {tuple(key) for key in doc.get("shed", [])}
             quarantine = [
                 QuarantineEntry(**entry) for entry in doc.get("quarantine", [])
@@ -552,16 +567,19 @@ class DurableScan:
             raise CheckpointError(
                 f"malformed checkpoint document: {err}", phase="checkpoint"
             ) from err
-        if set(regex_docs) != set(self._regex) or set(bin_docs) != set(
-            self._bins
+        if (
+            set(regex_docs) != set(self._regex)
+            or set(bin_docs) != set(self._bins)
+            or set(stalls) != set(self._stalls)
         ):
             raise CheckpointError(
                 "checkpoint work units do not match this scan's mapping",
                 phase="checkpoint",
             )
-        return offset, input_sha, regex_docs, bin_docs, shed, quarantine
+        return offset, input_sha, (regex_docs, bin_docs, stalls, shed), quarantine
 
-    def _adopt(self, regex_docs: dict, bin_docs: dict, shed: set) -> None:
+    def _adopt(self, regex_docs, bin_docs, stalls: dict, shed: set) -> None:
+        self._stalls = stalls
         for rid, sub in regex_docs.items():
             self._regex[rid].restore(sub)
         for key, sub in bin_docs.items():
@@ -590,14 +608,7 @@ class DurableScan:
                 "re-hashable prefix — resume it with restore_detached",
                 phase="checkpoint",
             )
-        (
-            offset,
-            input_sha,
-            regex_docs,
-            bin_docs,
-            shed,
-            quarantine,
-        ) = self._parse_state(doc)
+        offset, input_sha, state, quarantine = self._parse_state(doc)
         if offset > len(data):
             raise CheckpointError(
                 f"checkpoint offset {offset} beyond the input "
@@ -612,7 +623,7 @@ class DurableScan:
                 "digest",
                 phase="checkpoint",
             )
-        self._adopt(regex_docs, bin_docs, shed)
+        self._adopt(*state)
         self._offset = offset
         hasher = hashlib.sha256()
         hasher.update(data[:offset])
@@ -635,20 +646,13 @@ class DurableScan:
         one digest).
         """
         self._check_header(doc, store_dir)
-        (
-            offset,
-            input_sha,
-            regex_docs,
-            bin_docs,
-            shed,
-            quarantine,
-        ) = self._parse_state(doc)
+        offset, input_sha, state, quarantine = self._parse_state(doc)
         if not isinstance(input_sha, str) or not input_sha:
             raise CheckpointError(
                 "malformed checkpoint document: input_sha missing",
                 phase="checkpoint",
             )
-        self._adopt(regex_docs, bin_docs, shed)
+        self._adopt(*state)
         self._offset = offset
         self._hasher = hashlib.sha256(
             b"rap-detached-chain:" + input_sha.encode()
@@ -733,6 +737,7 @@ class DurableScan:
             lambda r: self._regex[r.regex_id].activity(),
             lambda index, bin_index: self._bins[(index, bin_index)].activity(),
             self._offset,
+            dict(self._stalls),
         )
 
 

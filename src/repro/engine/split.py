@@ -21,8 +21,9 @@ workers, and both are bit-identical to the serial fused scan:
   unbounded history.  They are scanned over the whole stream from its
   start, exactly as the serial scan steps them: the windowless cursor
   numbers dealt round-robin into at most ``input_jobs`` tasks of one
-  ``scan_span`` call each, the NBVA units (deduped by functional
-  fingerprint) dealt the same way into tasks of one call.
+  ``scan_span`` call each, the NBVA stall groups (per NBVA array, the
+  units its regexes share) dealt the same way into tasks of one call,
+  so each task counts its groups' stalls whole.
   That is parallelism across units, not across the input — the shape
   of the hardware, and of the ``python`` backend's per-regex sharding.
 
@@ -110,7 +111,7 @@ def split_collect(
         ("chunk", chunk.start, chunk.end, chunk.warm_start, ci == last, windowed)
         for ci, chunk in enumerate(chunks)
     ]
-    for kind, numbers in ("whole", whole), ("nbva", range(len(plan.nbva_units))):
+    for kind, numbers in ("whole", whole), ("nbva", range(len(plan.stall_groups))):
         tasks += [
             (kind, tuple(numbers[first::input_jobs]))
             for first in range(min(input_jobs, len(numbers)))
@@ -171,7 +172,10 @@ def _assemble(
         unit_activity(compiled, *folded(number))
         for number, compiled in enumerate(plan.units)
     ]
-    nbva = [unit_out["nbva", number] for number in range(len(plan.nbva_units))]
+    # per stall group its count and its units' activities
+    groups = [unit_out["nbva", g] for g in range(len(plan.stall_groups))]
+    nbva = {j: found for _, activities in groups for j, found in activities}
+    nbva = [nbva[j] for j in range(len(plan.nbva_units))]
 
     # -- LNFA bins: fold lane deltas per chunk --------------------------
     bins: list[BinActivity] = []
@@ -190,7 +194,7 @@ def _assemble(
                     tile_active_bits=merged.tile_bits[j],
                 )
             )
-    return plan.run_activity(units, nbva, bins, n)
+    return plan.run_activity(units, nbva, bins, n, [count for count, _ in groups])
 
 
 # -- worker-side functions (module level: picklable by the pool) -----------
@@ -245,14 +249,13 @@ def _split_task(task: tuple):
     if kind == "whole":
         cursors = [(number, None) for number in task[1]]
         return _unit_parts(plan.fused.scan_span(_whole_stream(), cursors)[1], 0)
-    units = task[1]  # "nbva"
-    _, _, spans = plan.fused.scan_span(
-        _whole_stream(), (), [(unit, NBVAState()) for unit in units]
-    )
-    return [
-        nbva_activity(plan.nbva_units[unit], matches, stats)
-        for unit, (matches, stats, _) in zip(units, spans)
-    ]
+    groups = task[1]  # "nbva": per stall group, its count and activities
+    cursors = [(j, NBVAState(), g) for g in groups for j in plan.stall_groups[g][1]]
+    _, _, spans, stalls = plan.fused.scan_span(_whole_stream(), (), cursors)
+    out = {g: (stalls[g], []) for g in groups}
+    for (j, _, g), (matches, stats, _) in zip(cursors, spans):
+        out[g][1].append((j, nbva_activity(plan.nbva_units[j], matches, stats)))
+    return [out[g] for g in groups]
 
 
 def _run_chunk(
@@ -277,7 +280,7 @@ def _run_chunk(
     span = dict(stats_from=start - warm_start, at_end=at_end)
     fresh = warm_start == 0
     lanes = scanner.once(0, fresh) if scanner is not None else None
-    scanned, spans, _ = plan.fused.scan_span(
+    scanned, spans, _, _ = plan.fused.scan_span(
         tin, [(number, None if fresh else 0) for number in windowed],
         lanes=lanes, **span,
     )

@@ -45,8 +45,9 @@ HEAD = 160  # leading bytes that hold an envelope's checksum: equal heads, equal
 # blob, the compile-cache key and the generated C's header carry it.
 PLAN_VERSION = 1
 # What a mid-stream document means: kernel and NBVA scanner state, a
-# durable-scan snapshot, a served session's envelope.
-STATE_VERSION = 2
+# durable-scan snapshot, a served session's envelope.  3: an NBVA array's
+# stalls are one count in the snapshot, no BV-cycle position is kept.
+STATE_VERSION = 3
 # This envelope's own layout (its ``entry_version``).
 STORE_VERSION = 1
 

@@ -47,6 +47,15 @@ class Mapping:
                 for bin_index, bin_obj in enumerate(array.bins):
                     yield index, bin_index, bin_obj
 
+    def nbva_arrays(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(array index, sorted regex ids)`` per NBVA array, in order:
+        the stall groups (a BV phase stalls its whole array)."""
+        return [
+            (index, tuple(sorted(array.regex_ids)))
+            for index, array in enumerate(self.arrays)
+            if array.mode is TileMode.NBVA
+        ]
+
     @property
     def total_arrays(self) -> int:
         """Arrays allocated during placement."""

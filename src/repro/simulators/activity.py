@@ -34,7 +34,6 @@ class RegexActivity:
     matches: list[int]
     active_state_cycles: int = 0  # sum over cycles of active state count
     bv_phase_cycles: int = 0
-    bv_cycle_indices: list[int] = field(default_factory=list)
     bv_updates: int = 0
     set1_events: int = 0
     shift_events: int = 0
@@ -48,8 +47,8 @@ class RegexActivity:
     def merge(self, other: "RegexActivity") -> "RegexActivity":
         """Associative combination of two disjoint slices of one run.
 
-        Every field is an integer counter or a list of global indices, so
-        the merge is exact: folding per-chunk activities in chunk order
+        Every field is an integer counter or a list of global match ends,
+        so the merge is exact: folding per-chunk activities in chunk order
         reproduces the whole-stream activity bit for bit (the invariant
         the parallel engine's energy accounting rests on).
         """
@@ -64,7 +63,6 @@ class RegexActivity:
                 self.active_state_cycles + other.active_state_cycles
             ),
             bv_phase_cycles=self.bv_phase_cycles + other.bv_phase_cycles,
-            bv_cycle_indices=self.bv_cycle_indices + other.bv_cycle_indices,
             bv_updates=self.bv_updates + other.bv_updates,
             set1_events=self.set1_events + other.set1_events,
             shift_events=self.shift_events + other.shift_events,
@@ -122,7 +120,6 @@ def nbva_activity(
         matches=list(matches),
         active_state_cycles=stats.active_states,
         bv_phase_cycles=stats.bv_phase_cycles,
-        bv_cycle_indices=list(stats.bv_cycle_indices or []),
         bv_updates=stats.bv_updates,
         set1_events=stats.set1_events,
         shift_events=stats.shift_events,
@@ -130,11 +127,11 @@ def nbva_activity(
     )
 
 
-def _one_shot(collector, data: bytes, stats_from: int):
+def _one_shot(collector, data: bytes, stats_from: int, **feed):
     """A fresh collector's activity over ``data[stats_from:]`` as a whole
     stream, its state warmed over the bytes before."""
     collector.warm(data[:stats_from])
-    collector.feed(data[stats_from:])
+    collector.feed(data[stats_from:], **feed)
     return collector.activity()
 
 
@@ -144,14 +141,16 @@ def collect_regex_activity(
     *,
     base: int = 0,
     stats_from: int = 0,
+    bv_cycles: list[int] | None = None,
 ) -> RegexActivity:
     """Run one NFA-, DFA- or NBVA-mode regex and harvest its event counts:
     one fresh :class:`RegexActivityCollector`, warmed over the first
-    ``stats_from`` bytes and fed the rest as the whole stream.
+    ``stats_from`` bytes and fed the rest as the whole stream.  An NBVA
+    regex's BV-cycle positions are appended to ``bv_cycles`` when given.
 
     ``data`` may be a slice of a longer stream starting at global offset
-    ``base``: reported match positions and BV cycle indices are globally
-    offset.  ``stats_from`` marks the first slice-local index that this
+    ``base``: reported match positions are globally offset (BV cycles
+    are not: an NBVA regex is only ever scanned unchunked).  ``stats_from`` marks the first slice-local index that this
     chunk owns; earlier bytes only warm the active set up (the parallel
     engine's overlap window) and contribute nothing to the counters.
     Warm-up is only sound for window-bounded regexes — see
@@ -159,10 +158,10 @@ def collect_regex_activity(
     supported for NBVA-mode regexes (their counter vectors carry
     unbounded history).
     """
-    activity = _one_shot(RegexActivityCollector(compiled), data, stats_from)
+    collector = RegexActivityCollector(compiled)
+    activity = _one_shot(collector, data, stats_from, bv_cycles=bv_cycles)
     if base:
         activity.matches = [base + m for m in activity.matches]
-        activity.bv_cycle_indices = [base + i for i in activity.bv_cycle_indices]
     return activity
 
 
@@ -269,7 +268,7 @@ class RegexActivityCollector:
         self._nbva = compiled.mode is CompiledMode.NBVA
         if self._nbva:
             self._scanner = NBVASimulator(compiled.automaton).scanner(**anchors)
-            self._stats = NBVAStats(bv_cycle_indices=[])
+            self._stats = NBVAStats()
         elif compiled.mode is CompiledMode.DFA:
             if compiled.anchored_start or compiled.anchored_end:
                 raise ValueError(
@@ -344,10 +343,14 @@ class RegexActivityCollector:
             raise ValueError("NBVA regexes cannot be chunk-windowed")
         self._scanner.feed(segment, at_end=False)
 
-    def feed(self, segment: bytes, *, at_end: bool = True) -> None:
-        """Consume the next segment of the stream."""
+    def feed(
+        self, segment: bytes, *, at_end: bool = True, bv_cycles: list | None = None
+    ) -> None:
+        """Consume the next segment of the stream (an NBVA regex appends
+        its BV cycles' positions to ``bv_cycles`` when given)."""
+        more = {"bv_cycles": bv_cycles} if self._nbva else {}
         self._matches.extend(
-            self._scanner.feed(segment, self._stats, at_end=at_end)
+            self._scanner.feed(segment, self._stats, at_end=at_end, **more)
         )
 
     def activity(self) -> RegexActivity:

@@ -249,18 +249,19 @@ def streams_from_activities(
 ) -> list[ArrayStream]:
     """Build :class:`ArrayStream` descriptors from regex activities.
 
-    ``names_and_activities`` yields ``(array_name, [RegexActivity, ...])``;
-    each array's stall schedule is the union of its regexes' bit-vector
-    phases at its configured depth, and its report schedule the union of
-    their match positions.
+    ``names_and_activities`` yields ``(array_name, [(RegexActivity, BV
+    cycles), ...])`` — the positions from an :class:`~repro.core.trace.
+    ActivityTrace`; each array's stall schedule is the union of its
+    regexes' bit-vector phases at its configured depth, and its report
+    schedule the union of their match positions.
     """
     streams = []
     for name, activities in names_and_activities:
         depth = depth_of.get(name, 0)
         stalls: dict[int, int] = {}
         reports: set[int] = set()
-        for activity in activities:
-            for index in activity.bv_cycle_indices:
+        for activity, bv_cycles in activities:
+            for index in bv_cycles:
                 stalls[index] = depth
             reports.update(activity.matches)
         streams.append(

@@ -176,7 +176,6 @@ class BVAPSimulator:
             )
             ledger.add_leakage("bvm", self.bvm_leak_uw, modules)
 
-            stall_cycles: set[int] = set()
             mean_act = 0.0
             total_states = 0
             for rid in members:
@@ -193,7 +192,6 @@ class BVAPSimulator:
                     + self.circuits.sram_128.energy(slot_frac * 0.3)
                 )
                 ledger.charge("bv-processing", per_phase, activity.bv_phase_cycles)
-                stall_cycles.update(activity.bv_cycle_indices)
             act = min(1.0, mean_act / total_states) if total_states else 0.0
 
             ledger.charge("state-matching", p.match_pj, n * tiles)
@@ -202,7 +200,9 @@ class BVAPSimulator:
             ledger.charge("global-control", p.global_ctrl_pj, n)
             ledger.charge("bvm-idle", self.bvm_idle_pj, n * active_modules)
 
-            stalls = BV_PHASE_CYCLES * len(stall_cycles)
+            stalls = BV_PHASE_CYCLES * trace.stall_cycles(
+                compiled_by_id[rid] for rid in members
+            )
             total_stalls += stalls
             worst_cycles = max(worst_cycles, n + stalls)
 

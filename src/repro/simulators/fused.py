@@ -56,6 +56,7 @@ from repro.simulators.activity import (
     # on this module (span ``automata.nbva_scan``); it goes when the
     # ledger reads spans instead of wrapping names (ROADMAP item 2(a)).
     collect_regex_activity,  # noqa: F401
+    nbva_activity,
 )
 from repro.simulators.rap import Binding, RunActivity, bind
 
@@ -447,12 +448,17 @@ class FusedRegexFeeder:
         self, plan: FusedPlan, collectors: dict[int, RegexActivityCollector]
     ):
         self._fused = plan.fused
-        # (NBVA?, unit) -> the collectors of the regexes sharing it
-        self._units: dict[tuple[bool, int], list] = {}
+        # (stall group, or None for GATHER; unit) -> the collectors of the
+        # regexes sharing it: an NBVA unit is a cursor per array it sits in
+        group_of = {
+            rid: g for g, (_, rids) in enumerate(plan.mapping.nbva_arrays())
+            for rid in rids
+        }
+        self._units: dict[tuple[int | None, int], list] = {}
         for compiled in plan.ruleset:
             rid = compiled.regex_id
             if compiled.mode is not CompiledMode.LNFA:
-                key = compiled.mode is CompiledMode.NBVA, plan.unit_index[rid]
+                key = group_of.get(rid), plan.unit_index[rid]
                 self._units.setdefault(key, []).append((rid, collectors[rid]))
 
     def feed(
@@ -462,39 +468,40 @@ class FusedRegexFeeder:
         at_end: bool = True,
         skip: Collection[int] = (),
         lanes: LaneStream | None = None,
-    ) -> tuple[list | None, list[int]]:
+    ) -> tuple[list | None, list[int], list[int]]:
         """Consume the next (translated) segment on every regex whose id
         is not in ``skip`` (shed regexes stay frozen where they are);
-        returns the lanes' hits and the ids whose match lists grew.
+        returns the lanes' hits, the ids whose match lists grew and per
+        stall group the segment's stall count (a group's live regexes').
         ``lanes`` (a :attr:`FusedBinFeeder.lanes` the kernel holds) rides
         the same crossing: its hits come back, for
         :meth:`FusedBinFeeder.feed`."""
         if not tin.data or not self._units:
-            return None, []
+            return None, [], [0] * len(self._fused.nbva_groups)
         fused = self._fused
         # Regexes sharing a unit have been fed the same bytes, so the
         # live ones agree on one entry state; grouping by it (rather
         # than assuming it) keeps a restored snapshot whose collectors
         # disagree exact: one more cursor of the same unit.
         groups: dict[tuple, list[tuple[int, RegexActivityCollector]]] = {}
-        for (is_nbva, unit), members in self._units.items():
+        for (stall, unit), members in self._units.items():
             for rid, collector in members:
                 if rid not in skip:
-                    groups.setdefault((is_nbva, unit, collector.state), []).append(
+                    groups.setdefault((stall, unit, collector.state), []).append(
                         (rid, collector)
                     )
         # KernelState words are NFA active sets, as cursors take them:
         # every GATHER group is one GATHER cursor, every NBVA group one
         # NBVA cursor, all of one span.
-        table = [key for key in groups if not key[0]]
-        nbva = [key for key in groups if key[0]]
-        scanned, spans, by_nbva = fused.scan_span(
+        table = [key for key in groups if key[0] is None]
+        nbva = [key for key in groups if key[0] is not None]
+        scanned, spans, by_nbva, stalls = fused.scan_span(
             tin,
             [
                 (unit, entry.states if entry.offset else None)
                 for _, unit, entry in table
             ],
-            [(unit, entry) for _, unit, entry in nbva],
+            [(unit, entry, stall) for stall, unit, entry in nbva],
             lanes=lanes,
             at_end=at_end,
         )
@@ -514,7 +521,7 @@ class FusedRegexFeeder:
                 collector.apply_segment(stats=stats, matches=matches, state=state)
                 if matches:
                     grown.append(rid)
-        return scanned, grown
+        return scanned, grown, stalls
 
 
 def unit_activity(compiled: CompiledRegex, positions, active: int, cycles: int):
@@ -535,6 +542,9 @@ class FusedPlan:
       representative regex per distinct functional fingerprint, in
       ruleset order; ``unit_index`` maps every non-LNFA regex id to its
       unit's position in its list;
+    * ``stall_groups`` — per NBVA array, its mapping index and the NBVA
+      units its regexes share, whose BV cycles a scan counts as one
+      union (a unit in two arrays counts in both);
     * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
       holding the bins' shift programs, the GATHER units' programs and
       the NBVA units' automata, so all of them share one class map and
@@ -575,6 +585,10 @@ class FusedPlan:
                 anchored_end=compiled.anchored_end,
             )
 
+        self.stall_groups = [
+            (index, tuple(sorted({self.unit_index[rid] for rid in rids})))
+            for index, rids in mapping.nbva_arrays()
+        ]
         self.fused = FusedRuleset(
             [layout.packed.program for layout in self.layouts],
             [program(compiled) for compiled in self.units],
@@ -583,13 +597,19 @@ class FusedPlan:
                 for c in self.nbva_units
             ],
             tile_masks=[layout.tile_masks for layout in self.layouts],
+            nbva_groups=[units for _, units in self.stall_groups],
         )
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None
         )
-        # Every unit's cursor at the stream start, as a bulk scan takes them.
+        # Every unit's cursor at the stream start, as a bulk scan takes them
+        # (an NBVA unit's in each of its stall groups).
         self.fresh_units = [(number, None) for number in range(len(self.units))]
-        self.fresh_nbva = [(j, NBVAState()) for j in range(len(self.nbva_units))]
+        self.fresh_nbva = [
+            (j, NBVAState(), g)
+            for g, (_, units) in enumerate(self.stall_groups)
+            for j in units
+        ]
         self._compiled = None
         # Collection order, derived once: the non-LNFA regexes in ruleset
         # order as (id, NBVA?, unit), and per LNFA array (mapping order)
@@ -626,6 +646,7 @@ class FusedPlan:
         nbva: list[RegexActivity],
         bins: list[BinActivity],
         input_symbols: int,
+        stalls: list[int],
     ) -> RunActivity:
         """Unit results as the run's activity, in collection order.
 
@@ -633,7 +654,8 @@ class FusedPlan:
         unit ``i``, made for its representative regex, which takes it;
         every other regex sharing the unit gets a copy rebound to its id
         (fresh lists, so regexes never alias each other's matches).
-        ``bins`` is in plan (mapping) order.
+        ``bins`` is in plan (mapping) order, ``stalls`` in
+        ``stall_groups`` order.
         """
         regex = {}
         for rid, is_nbva, unit in self._regex_units:
@@ -648,7 +670,6 @@ class FusedPlan:
                 matches=list(found.matches),
                 active_state_cycles=found.active_state_cycles,
                 bv_phase_cycles=found.bv_phase_cycles,
-                bv_cycle_indices=list(found.bv_cycle_indices),
                 bv_updates=found.bv_updates,
                 set1_events=found.set1_events,
                 shift_events=found.shift_events,
@@ -660,6 +681,7 @@ class FusedPlan:
                 index: bins[start:stop] for index, start, stop in self._bin_runs
             },
             input_symbols=input_symbols,
+            stalls={index: n for (index, _), n in zip(self.stall_groups, stalls)},
         )
 
 
@@ -698,12 +720,13 @@ class FusedRun:
         compiled = plan.compiled()
         if compiled is not None:
             native, cursors = compiled
-            lane_raw, spans, nbva, _ = native.span(
-                data, at_end=True, lanes=lanes, units=cursors, nbva=plan.fresh_nbva
+            lane_raw, spans, nbva, _, stalls = native.span(
+                data, at_end=True, lanes=lanes, units=cursors, nbva=plan.fresh_nbva,
+                frontiers=False,
             )
             spans = [([i for i, _ in hits], active) for hits, active, _ in spans]
         else:
-            lane_raw, spans, nbva = fused.scan_span(
+            lane_raw, spans, nbva, stalls = fused.scan_span(
                 tin, plan.fresh_units, plan.fresh_nbva, lanes=lanes
             )
             spans = [([i for i, _ in ev], st.active_states) for ev, st, _ in spans]
@@ -711,14 +734,9 @@ class FusedRun:
             unit_activity(regex, positions, active, len(data))
             for regex, (positions, active) in zip(plan.units, spans)
         ]
-        nbva = [  # this scan's own lists: no copies
-            RegexActivity(
-                regex.regex_id, regex.mode, st.cycles, matches, st.active_states,
-                st.bv_phase_cycles, st.bv_cycle_indices, st.bv_updates,
-                st.set1_events, st.shift_events, st.copy_events,
-            )
-            for regex, (matches, st, _) in zip(plan.nbva_units, nbva)
-        ]
+        # per NBVA unit, one of its cursors' results (they all agree)
+        by_unit = {j: out[:2] for (j, _, _), out in zip(plan.fresh_nbva, nbva)}
+        nbva = [nbva_activity(u, *by_unit[j]) for j, u in enumerate(plan.nbva_units)]
         # ... and every bin's activity straight from the lanes' delta.
         bins = []
         if plan.scanner is not None:
@@ -738,4 +756,4 @@ class FusedRun:
                     plan.bins, delta.matches, delta.tile_cycles, delta.tile_bits
                 )
             ]
-        return plan.run_activity(units, nbva, bins, len(data))
+        return plan.run_activity(units, nbva, bins, len(data), stalls)

@@ -9,7 +9,8 @@ The simulator executes a mapped ruleset over an input stream:
   the bit-vector-processing phase for ``depth`` cycles (read / route /
   update of every BV word), stalling the other tiles of the array (whose
   CAM and switch are disabled meanwhile).  Array throughput is derived
-  from the union of stall cycles across the array's regexes.
+  from the array's stall count: the cycles in which any of its regexes
+  triggers a BV phase, counted by the scan that stepped them.
 * **LNFA-mode tiles** execute bins with the bit-serial Shift-And path:
   the active vector gates CAM columns, the local switch (CAM bins) or
   CAM (switch bins) is power-gated, and non-initial tiles of a bin wake
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,14 +62,17 @@ class RunActivity:
     This is the integer-exact intermediate the parallel engine merges:
     ``regex`` holds per-regex event counts for NFA/NBVA modes, and
     ``lnfa_bins`` the per-bin wake-up statistics of every LNFA array,
-    keyed by the array's index in the mapping.  Pricing a merged
-    ``RunActivity`` performs the same float operations as pricing a
-    sequential run, so parallel results are bit-identical.
+    and ``stalls`` per NBVA array its stall count — the cycles in which
+    any of its regexes triggers a BV phase — both keyed by the array's
+    index in the mapping.  Pricing a merged ``RunActivity`` performs the
+    same float operations as pricing a sequential run, so parallel
+    results are bit-identical.
     """
 
     regex: dict[int, RegexActivity]
     lnfa_bins: dict[int, list[BinActivity]]
     input_symbols: int
+    stalls: dict[int, int]
 
     @classmethod
     def in_collection_order(
@@ -78,6 +82,7 @@ class RunActivity:
         regex_of: Callable[[CompiledRegex], RegexActivity],
         bin_of: Callable[[int, int], BinActivity],
         input_symbols: int,
+        stalls: dict[int, int],
     ) -> "RunActivity":
         """Assemble per-unit activity exactly as a sequential collection
         lays it out: regexes in ruleset order, bins per LNFA array in
@@ -101,6 +106,7 @@ class RunActivity:
                 if array.mode is TileMode.LNFA
             },
             input_symbols=input_symbols,
+            stalls=stalls,
         )
 
 
@@ -332,6 +338,7 @@ class RAPSimulator(ApStyleSimulator):
             run = FusedRun(ruleset, mapping, self.hw, binding=binding)
             return run.collect(data, backend)
         trace = shared_trace(data, trace)
+        by_id = {r.regex_id: r for r in ruleset}
         return RunActivity.in_collection_order(
             ruleset,
             mapping,
@@ -340,6 +347,10 @@ class RAPSimulator(ApStyleSimulator):
                 mapping.arrays[index].bins[bin_index], self.hw
             ),
             len(data),
+            {  # the oracle's positions, unioned per array
+                index: trace.stall_cycles(by_id[r] for r in rids)
+                for index, rids in mapping.nbva_arrays()
+            },
         )
 
     def run(
@@ -380,9 +391,10 @@ class RAPSimulator(ApStyleSimulator):
         engine merges per-chunk activities and prices them here once.
 
         Energy is :meth:`replay_charges`; the rest of the result — merged
-        matches, NBVA stall unions, per-array reports, areas and leakage
-        — is built here, in the order a from-scratch pricing adds it, so
-        every float is bit-identical."""
+        matches, per-array reports with each NBVA array's stalls (its
+        stall count, which the scan kept, times its BV depth), areas and
+        leakage — is built here, in the order a from-scratch pricing adds
+        it, so every float is bit-identical."""
         if binding is None:
             binding = bind(ruleset, self.hw, mapping=mapping, backend=backend)
         plan = binding.charges
@@ -431,12 +443,9 @@ class RAPSimulator(ApStyleSimulator):
             self.charge_array_structure(ledger, geometry, include_overhead=False)
             stalls = 0
             if mode is TileMode.NBVA:
-                # A BV phase stalls the whole array: the union of its
-                # regexes' triggering cycles, ``depth`` cycles each.
-                stall_cycles: set[int] = set()
-                for rid, _, _ in detail:
-                    stall_cycles.update(regexes[rid].bv_cycle_indices)
-                stalls = (geometry.depth or 0) * len(stall_cycles)
+                # A BV phase stalls the whole array: ``depth`` cycles for
+                # each cycle in which any of its regexes triggers one.
+                stalls = (geometry.depth or 0) * activity.stalls[index]
             cycles = n + stalls
             total_stalls += stalls
             worst_cycles = max(worst_cycles, cycles)
@@ -463,7 +472,7 @@ class RAPSimulator(ApStyleSimulator):
         return SimulationResult(
             architecture=p.name,
             metrics=metrics,
-            matches=merge_lnfa_matches(matches),
+            matches=merge_lnfa_matches(matches, plan.lnfa_ids),
             energy_breakdown_pj=ledger.energy_breakdown(),
             area_breakdown_um2=ledger.area_breakdown(),
             stall_cycles=total_stalls,
@@ -569,7 +578,9 @@ class RAPSimulator(ApStyleSimulator):
     # -- post-run dedup -----------------------------------------------------
 
 
-def merge_lnfa_matches(matches: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Sort and deduplicate per-regex match lists (bins may report the
-    same end position via several union members)."""
-    return {rid: sorted(set(ends)) for rid, ends in matches.items()}
+def merge_lnfa_matches(matches: dict, lnfa_ids: Collection[int]) -> dict:
+    """Per regex its match ends, a new list: the ``lnfa_ids``' sorted and
+    deduplicated (bins may report one end via several union members),
+    the rest copied (every path hands them over strictly increasing)."""
+    lnfa = set(lnfa_ids)
+    return {r: sorted(set(e)) if r in lnfa else list(e) for r, e in matches.items()}

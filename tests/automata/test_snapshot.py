@@ -169,23 +169,26 @@ class TestNBVAScanner:
         sim = NBVASimulator(compiled.automaton)
         anchors = dict(anchored_start=astart, anchored_end=aend)
         with use_backend(backend):
-            ref_stats = NBVAStats(bv_cycle_indices=[])
-            ref = sim.find_matches(data, ref_stats, **anchors)
+            ref_stats, ref_cycles = NBVAStats(), []
+            ref = sim.scanner(**anchors).feed(data, ref_stats, bv_cycles=ref_cycles)
             scanner = sim.scanner(**anchors)
-            stats = NBVAStats(bv_cycle_indices=[])
+            stats, cycles = NBVAStats(), []
             matches = []
             n = len(data)
             consumed = 0
             for segment in segments_of(data, seeds):
                 consumed += len(segment)
                 matches.extend(
-                    scanner.feed(segment, stats, at_end=(consumed == n))
+                    scanner.feed(
+                        segment, stats, at_end=(consumed == n), bv_cycles=cycles
+                    )
                 )
                 scanner = roundtrip(scanner, lambda: sim.scanner(**anchors))
         assert matches == ref
-        # Full stats equality including per-cycle BV indices: the
-        # counter vectors round-tripped bit for bit.
+        # Full stats equality and the same BV cycles: the counter vectors
+        # round-tripped bit for bit.
         assert dataclasses.asdict(stats) == dataclasses.asdict(ref_stats)
+        assert cycles == ref_cycles
 
     def test_restore_rejects_wrong_offset_resume(self):
         compiled = compile_pattern("ab{10,20}c", 0)

@@ -267,20 +267,21 @@ def _nbva_unit(automaton, anchored_start=False, anchored_end=False):
 
 def _assert_nbva_spans(fused, oracle, segments, *, native=True):
     """Feed ``segments`` through the plan's unit 0 and the oracle in
-    lockstep: matches, all 11 counters + ``bv_cycle_indices`` and the
-    serialized frontier must agree after every one."""
+    lockstep: matches, all 11 counters, the stall count (the oracle's BV
+    cycles) and the serialized frontier must agree after every one."""
     assert fused.native_active is native or not native
     probe = oracle._sim.scanner()
     state = NBVAState()
     for k, segment in enumerate(segments):
         at_end = k == len(segments) - 1
-        want_stats = NBVAStats(bv_cycle_indices=[])
-        want = oracle.feed(segment, want_stats, at_end=at_end)
-        ((got, got_stats, state),) = fused.scan_span(
-            fused.translate(segment), (), [(0, state)], at_end=at_end
-        )[2]
+        want_stats, cycles = NBVAStats(), []
+        want = oracle.feed(segment, want_stats, at_end=at_end, bv_cycles=cycles)
+        _, _, ((got, got_stats, state),), stalls = fused.scan_span(
+            fused.translate(segment), (), [(0, state, 0)], at_end=at_end
+        )
         assert got == want
         assert got_stats == want_stats
+        assert stalls == [len(cycles)]
         probe.state = state
         assert json.dumps(probe.snapshot()) == json.dumps(oracle.snapshot())
     return state
@@ -423,7 +424,7 @@ class TestNativeNbva:
         fused, oracle = _nbva_unit(automaton)
         state = _assert_nbva_spans(fused, oracle, [data])
         assert state.offset == len(data)
-        stats = NBVAStats(bv_cycle_indices=[])
+        stats = NBVAStats()
         NBVASimulator(automaton).find_matches(data, stats)
         assert stats.bv_phase_cycles > 2 * codegen.HIT_BUFFER_ENTRIES
 
@@ -480,11 +481,11 @@ class TestNativeNbva:
         for prefix in prefixes:
             oracle = NBVASimulator(automaton).scanner()
             oracle.feed(prefix, at_end=False)
-            cursors.append((0, oracle.state))
-            stats = NBVAStats(bv_cycle_indices=[])
+            cursors.append((0, oracle.state, 0))
+            stats = NBVAStats()
             matches = oracle.feed(segment, stats)
             want.append((matches, stats, oracle.state))
-        assert len({state for _, state in cursors}) == 3
+        assert len({state for _, state, _ in cursors}) == 3
         assert all(matches for matches, _, _ in want[1:])
         tin = fused.translate(segment)
         crossings = []  # per rap_scan_span call, its NBVA cursor count
@@ -499,8 +500,8 @@ class TestNativeNbva:
         assert crossings == [3]
         monkeypatch.setattr(scanner, "_cap", 1)
         assert fused.scan_span(tin, (), cursors)[2] == want
-        events = sum(len(s.bv_cycle_indices) + len(m) for m, s, _ in want)
-        assert len(crossings) - 1 > events // 2  # about one per event
+        events = sum(len(m) for m, _, _ in want)
+        assert crossings == [3] * (1 + events + 1)  # one more per match
 
     def test_explain_names_the_tier_and_why(self, monkeypatch, capsys, tmp_path):
         from repro.cli import main
@@ -606,10 +607,10 @@ class TestNativeNbva:
         parts = []
         scanner = NBVASimulator(automaton).scanner()
         for cut in (data[:7], data[7:30], data[30:]):
-            stats = NBVAStats(bv_cycle_indices=[])
+            stats = NBVAStats()
             scanner.feed(cut, stats, at_end=False)
             parts.append(stats)
-        whole = NBVAStats(bv_cycle_indices=[])
+        whole = NBVAStats()
         NBVASimulator(automaton).find_matches(data, whole)
         a, b, c = parts
         assert a.merge(b).merge(c) == a.merge(b.merge(c)) == whole
@@ -847,14 +848,17 @@ class TestOneCrossing:
                 ruleset, binding.mapping, DEFAULT_CONFIG, data, bin_size=None,
                 backend="native", input_jobs=2, jobs=1, min_chunk_bytes=64,
             )
-        assert len(builds) == 1 and tasks
+        # NBVA units alone are one stall group (one array): one task, so
+        # nothing splits
+        alone = shape == "nbva_only"
+        assert len(builds) == 1 and bool(tasks) != alone
         for kind, crossed in tasks:
             idle = lane_cap is not None and kind == "chunk"
             assert crossed == ([] if idle else ["rap_scan_span"]), kind
         want = RAPSimulator(DEFAULT_CONFIG).collect_activities(
             ruleset, data, binding.mapping, backend="python"
         )
-        assert got == want and chunked == want
+        assert got == want and chunked == (None if alone else want)
 
 
 @needs_native
@@ -1736,14 +1740,13 @@ _SANITIZED_L = 64  # sub-span bytes the sanitized lane kernel is rebuilt with
 
 
 @needs_native
-@pytest.mark.parametrize(
-    "name", ["keywords64", "snort_nfa64", "snort_mix16", "anchored"]
-)
+@pytest.mark.parametrize("name", ["keywords64", "snort_mix16", "anchored"])
 def test_lane_kernel_sanitized(name, tmp_path):
-    """The lane kernel of each ledger ruleset (and of keywords beside a
-    start-anchored and an end-anchored bin), in the one text its binding
-    builds (the mix's beside its units), rebuilt with ``L`` = 64 and a
-    generated ``main()`` under ASan + UBSan over *raw* bytes: clean exit,
+    """The lane kernel of each ledger ruleset with LNFA bins (and of
+    keywords beside a start-anchored and an end-anchored bin), in the
+    one text its binding builds (the mix's beside its units), rebuilt
+    with ``L`` = 64 and a generated ``main()`` under ASan + UBSan over
+    *raw* bytes: clean exit,
     and counters and hits equal to ``collect_bin_activity``'s — with a
     witness across every sub-span seam (ending on a sub-span's last byte,
     its first, and in between), ``stats_from`` inside the first block, a
@@ -1766,8 +1769,7 @@ def test_lane_kernel_sanitized(name, tmp_path):
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
         plan = FusedPlan(ruleset, mapping, DEFAULT_CONFIG)
-    if plan.scanner is None:
-        pytest.skip(f"{name} packs no LNFA bins: there is no lane kernel")
+    assert plan.scanner is not None  # the ruleset packs LNFA bins
     fused = plan.fused
     masks = [layout.tile_masks for layout in plan.layouts]
     kernel = codegen.lane_scan_source(fused, masks)
@@ -2028,16 +2030,20 @@ _SANITIZED_NBVA_MAIN = r"""
 #include <string.h>
 /* nbva <raw stream> <n> <cut>...: exact-size heap blocks once more — each
    span's raw bytes, the cursor table, the vector words (each cursor's,
-   then its scratch) — and a TWO-entry event buffer (room for one byte's
-   BV cycle and match), so a word offset or event slot out of range is a
-   redzone hit and every event forces a continuation, some across a
-   cursor boundary.  Every unit is a cursor of one call per span; the
-   spans chain through the exit frontiers. */
+   then its scratch), one bitmap block per stall group (each cursor its
+   own group, the bitmaps left unwritten: the kernel zeroes what it
+   reads) — and a ONE-entry event buffer (room for one byte's match), so
+   a word offset, event slot or bitmap word out of range is a redzone hit
+   and every match forces a continuation, some across a cursor boundary.
+   Every unit is a cursor of one call per span; the spans chain through
+   the exit frontiers. */
 int main(int argc, char **argv)
 {
   static const int words[] = { %(words)s };
   enum { UNITS = sizeof words / sizeof *words, SPANS = %(spans)d };
-  long long n, cuts[SPANS + 1], at[2], *ev = malloc(2 * sizeof *ev), size = 0;
+  long long n, cuts[SPANS + 1], at[3], *ev = malloc(sizeof *ev), size = 0;
+  long long *stalls = malloc(UNITS * sizeof *stalls);
+  uint64_t *bits = malloc(UNITS * NBVA_BLOCK_WORDS * sizeof *bits);
   uint64_t *cursors = calloc(UNITS * NBVA_COLUMNS, sizeof *cursors), *vecs, *row;
   uint8_t *stream;
   FILE *f;
@@ -2051,6 +2057,7 @@ int main(int argc, char **argv)
   for (u = 0; u < UNITS; u++) {
     cursors[u * NBVA_COLUMNS + C_UNIT] = u;
     cursors[u * NBVA_COLUMNS + C_VOFF] = size;
+    cursors[u * NBVA_COLUMNS + C_GROUP] = u;
     size += 2 * words[u];
   }
   vecs = calloc(size, sizeof *vecs);
@@ -2063,15 +2070,13 @@ int main(int argc, char **argv)
       row[C_FRESH] = base == 0;
       for (w = C_STATS; w < NBVA_COLUMNS; w++) row[w] = 0;
     }
-    at[0] = at[1] = 0;
+    at[0] = at[1] = at[2] = 0;
     do {
       rc = rap_nbva_span(data, len, UNITS, span == SPANS - 1, cursors, vecs, ev,
-                         2, at);
-      for (u = 0; u < UNITS; u++) {
-        row = cursors + u * NBVA_COLUMNS;
-        if (row[C_NBV]) printf("ev %%d %%d %%lld\n", u, span, ev[0] << 2 | 1);
-        if (row[C_NMATCH]) printf("ev %%d %%d %%lld\n", u, span, ev[1] << 2 | 2);
-      }
+                         1, at, bits, stalls, UNITS);
+      for (u = 0; u < UNITS; u++)
+        if (cursors[u * NBVA_COLUMNS + C_NMATCH])
+          printf("ev %%d %%d %%lld\n", u, span, ev[0]);
     } while (rc);
     for (u = 0; u < UNITS; u++) {
       row = cursors + u * NBVA_COLUMNS;
@@ -2082,11 +2087,12 @@ int main(int argc, char **argv)
              (unsigned long long)row[C_LIVE]);
       for (w = 0; w < words[u]; w++)
         printf(" %%llu", (unsigned long long)vecs[row[C_VOFF] + w]);
-      printf("\n");
+      printf(" | %%lld\n", stalls[u]);
     }
     free(data);
   }
-  free(stream); free(cursors); free(vecs); free(ev); fclose(f);
+  free(stream); free(cursors); free(vecs); free(ev); free(bits); free(stalls);
+  fclose(f);
   return 0;
 }
 """
@@ -2094,18 +2100,19 @@ int main(int argc, char **argv)
 
 @needs_native
 @pytest.mark.parametrize("name", ["snort_mix16"])
-def test_nbva_kernel_sanitized(name, tmp_path):
+def test_nbva_kernel_sanitized(name, tmp_path, monkeypatch):
     """The NBVA kernel — stack vectors, a scratch swap, word-offset
-    arithmetic, both idle skips — of the ledger ruleset with NBVA units
-    (plus one start-anchored unit), in the one text its binding builds
-    beside the lanes and the unit forest, built with a generated ``main()``
-    under ASan + UBSan: all units as the cursors of one call per span, a
-    one-entry event buffer so every event forces a continuation, four
-    spans chained through the exit frontiers — one of them a single
+    arithmetic, both idle skips, the stall bitmaps — of the ledger
+    ruleset with NBVA units (plus one start-anchored unit), in the one
+    text its binding builds beside the lanes and the unit forest, rebuilt
+    with 128-byte blocks and a generated ``main()`` under ASan + UBSan:
+    all units as the cursors of one call per span, each its own stall
+    group, a one-entry event buffer so every match forces a continuation,
+    four spans chained through the exit frontiers — one of them a single
     byte, the last a run of idle bytes the frontiers die out in — clean
     exit, and matches, all eleven counters (``matched_states`` from the
-    span's bytes), ``bv_cycle_indices`` and exit frontiers equal to
-    ``NBVAScanner``'s."""
+    span's bytes), stall counts (the oracle's BV cycles) and exit
+    frontiers equal to ``NBVAScanner``'s."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -2115,6 +2122,7 @@ def test_nbva_kernel_sanitized(name, tmp_path):
     ruleset = compile_ruleset(patterns)
     assert ruleset.regexes[-1].mode is CompiledMode.NBVA
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    monkeypatch.setattr(codegen, "NBVA_BLOCK", 128)
     with use_backend("fused"):
         fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
     indices = codegen.native_nbva_indices(fused)
@@ -2152,23 +2160,27 @@ def test_nbva_kernel_sanitized(name, tmp_path):
     lines = [line.split() for line in run.stdout.splitlines()]
     events = [tuple(map(int, l[1:])) for l in lines if l[0] == "ev"]
     spans = {
-        (int(l[1]), int(l[2])): ([int(v) for v in l[3:14]], [int(v) for v in l[15:]])
+        (int(l[1]), int(l[2])): [
+            [int(v) for v in part.split()] for part in " ".join(l[3:]).split("|")
+        ]
         for l in lines if l[0] == "span"
     }
     assert len(spans) == 4 * len(indices)
-    fired = 0
+    fired = edges = 0
     for slot, (j, (layout, _)) in enumerate(zip(indices, layouts)):
         scanner = fused._nbva[j].scanner()
         for span in range(4):
             base, end = cuts[span], cuts[span + 1]
-            stats = NBVAStats(bv_cycle_indices=[])
-            matches = scanner.feed(data[base:end], stats, at_end=span == 3)
+            stats, cycles = NBVAStats(), []
+            matches = scanner.feed(
+                data[base:end], stats, at_end=span == 3, bv_cycles=cycles
+            )
             found = [ev for u, sp, ev in events if (u, sp) == (slot, span)]
-            assert [base + (ev >> 2) for ev in found if ev & 2] == matches
-            assert [
-                base + (ev >> 2) for ev in found if ev & 1
-            ] == stats.bv_cycle_indices
-            counters, (active, live, *vecs) = spans[slot, span]
+            assert [base + ev for ev in found] == matches
+            counters, (active, live, *vecs), (stalls,) = spans[slot, span]
+            assert stalls == len(cycles)
+            # BV cycles on both sides of a block edge
+            edges += any((p - base) % 128 == 127 and p + 1 in cycles for p in cycles)
             # matched_states is the span's bytes dotted with the unit's
             # per-byte popcounts: the caller's sum, not the kernel's
             unit = fused._nbva[j]
@@ -2188,7 +2200,8 @@ def test_nbva_kernel_sanitized(name, tmp_path):
             )
             fired += len(found)
         assert scanner.state.active == 0 and not scanner.state.vectors  # died out
-    assert fired > 3 * len(indices)  # continuations: one per event
+    assert fired > 3 * len(indices)  # continuations: one per match
+    assert edges
 
 
 _SANITIZED_SCAN_MAIN = r"""
@@ -2196,12 +2209,13 @@ _SANITIZED_SCAN_MAIN = r"""
 #include <stdlib.h>
 #include <string.h>
 /* scan <raw stream> <n> <cut>...: every tier of the binding through
-   rap_scan_span — a one-entry lane event buffer, a two-entry NBVA one
-   (one byte's BV cycle and match), an m-entry unit one — against the
-   same build's per-tier kernels with buffers no span fills, span by
-   span, each side's spans chained through its own exit states.  A tier
-   the binding lacks is absent on both sides (its count 0, its buffers
-   one dummy entry).  Exact-size heap blocks again. */
+   rap_scan_span — a one-entry lane event buffer, a one-entry NBVA one
+   (one byte's match), an m-entry unit one — against the same build's
+   per-tier kernels with buffers no span fills, span by span, each
+   side's spans chained through its own exit states.  The NBVA cursors
+   fall in two stall groups (cursor u in group u %% 2).  A tier the
+   binding lacks is absent on both sides (its count 0, its buffers one
+   dummy entry).  Exact-size heap blocks again. */
 #ifdef NGROUPS
 #define LANES 1
 #else
@@ -2211,12 +2225,14 @@ _SANITIZED_SCAN_MAIN = r"""
 #define NVISITS 1
 #endif
 #ifndef NBVA_MAX_WORDS
-enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_NBV, C_NMATCH, C_STATS,
+enum { C_UNIT, C_FRESH, C_VOFF, C_ACT, C_LIVE, C_GROUP, C_NMATCH, C_STATS,
        NBVA_COLUMNS = C_STATS + 11 };
+#define NBVA_BLOCK_WORDS 1
 #endif
 static const uint32_t IDS[] = { %(ids)s };
 static const int WORDS[] = { %(words)s };
-enum { M = %(m)d, U = %(u)d, SPANS = %(spans)d, TILES = %(tiles)d, BIG = 1 << 16 };
+enum { M = %(m)d, U = %(u)d, SPANS = %(spans)d, TILES = %(tiles)d, BIG = 1 << 16,
+       G = U < 2 ? U : 2 };
 typedef struct { long long pos; uint32_t ids[NGROUPS]; } hit;
 
 static int by_pos(const void *a, const void *b)
@@ -2233,7 +2249,10 @@ static int same(const void *a, const void *b, size_t size, const char *what, int
 
 int main(int argc, char **argv)
 {
-  long long n, cuts[SPANS + 1], size = 0, nh = 0, ne, resume, at[2];
+  long long n, cuts[SPANS + 1], size = 0, nh = 0, ne, resume, at[3];
+  long long *stalls = calloc(G + 1, 8), *rstalls = calloc(G + 1, 8);
+  uint64_t *bits = malloc((G + 1) * NBVA_BLOCK_WORDS * 8);
+  uint64_t *rbits = malloc((G + 1) * NBVA_BLOCK_WORDS * 8);
   long long *ctl = calloc(S_EVENTS + 1, sizeof *ctl), *hist = calloc(256, sizeof *hist);
   uint32_t *ls = calloc(NGROUPS, 4), *rls = calloc(NGROUPS, 4);
   uint32_t *us = malloc(sizeof IDS), *rus = malloc(sizeof IDS);
@@ -2252,6 +2271,7 @@ int main(int argc, char **argv)
   for (u = 0; u < U; u++) {
     cur[u * NBVA_COLUMNS + C_UNIT] = u;
     cur[u * NBVA_COLUMNS + C_VOFF] = size;
+    cur[u * NBVA_COLUMNS + C_GROUP] = u %% 2;
     size += 2 * WORDS[u];
   }
   memcpy(rcur, cur, U * NBVA_COLUMNS * 8);
@@ -2259,7 +2279,7 @@ int main(int argc, char **argv)
   memcpy(us, IDS, sizeof IDS); memcpy(rus, IDS, sizeof IDS);
   for (span = 0; span < SPANS; span++) {
     long long base = cuts[span], len = cuts[span + 1] - base, i, k, nr = 0, nm = 0;
-    long long rne = 0, mne = 0, rnv = 0, mnv = 0, rnx = 0, mnx = 0;
+    long long rne = 0, mne = 0, rnx = 0, mnx = 0, stalled = 0;
     long long direct[256] = { 0 };
     int at_end = span == SPANS - 1, ok = 1;
     uint8_t *data = malloc(len);
@@ -2273,7 +2293,7 @@ int main(int argc, char **argv)
     long long *ep = malloc(BIG * 8), *rep = malloc(BIG * 8);
     int32_t *ec = malloc(BIG * 4), *rec = malloc(BIG * 4);
     uint32_t *es = malloc(BIG * 4), *res = malloc(BIG * 4);
-    long long *ev = malloc(2 * 8), *rev = malloc(BIG * 8), *mev = malloc(BIG * 8);
+    long long *ev = malloc(8), *rev = malloc(BIG * 8), *rex = malloc(BIG * 8);
     long long *mex = malloc(BIG * 8);
     long long *mep = malloc(BIG * 8);
     int32_t *mec = malloc(BIG * 4);
@@ -2283,7 +2303,7 @@ int main(int argc, char **argv)
     for (i = 0; (M || U) && i < len; i++) direct[data[i]]++;
     for (u = 0; u < U; u++)
       for (w = C_FRESH; w < NBVA_COLUMNS; w++)
-        if (w == C_FRESH || w >= C_NBV)
+        if (w == C_FRESH || w >= C_NMATCH)
           cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w] =
               w == C_FRESH && !base;
     /* the reference: each tier alone, one call each */
@@ -2301,22 +2321,25 @@ int main(int argc, char **argv)
     if (rap_units_span(data, len, 0, rus, M, at_end, 0, ract, rep, rec, res, BIG,
                        &rne, &resume)) return 3;
 #endif
-    at[0] = at[1] = 0;
+    at[0] = at[1] = at[2] = 0;
+    /* (a block with matches returns, however big the buffer) */
 #ifdef NBVA_MAX_WORDS
-    if (rap_nbva_span(data, len, U, at_end, rcur, rvecs, rev, BIG, at)) return 3;
+    do {
+      rc = rap_nbva_span(data, len, U, at_end, rcur, rvecs, rev, BIG, at, rbits,
+                         rstalls, G);
+      for (u = 0, k = 0; u < U; u++)
+        for (w = 0; w < (int)rcur[u * NBVA_COLUMNS + C_NMATCH]; w++)
+          rex[rnx++] = rev[k++] * 1024 + u;
+    } while (rc);
 #endif
-    for (u = 0; u < U; u++) {
-      rnv += rcur[u * NBVA_COLUMNS + C_NBV];
-      rnx += rcur[u * NBVA_COLUMNS + C_NMATCH];
-    }
     /* the one crossing, re-entered after every full buffer */
     memset(ctl, 0, (S_EVENTS + 1) * sizeof *ctl);
     memset(hist, 0, 256 * sizeof *hist);
     ctl[S_LANES] = LANES ? !base : -1; ctl[S_UNITS] = M; ctl[S_NBVA] = U;
-    ctl[S_LANE_CAP] = 1; ctl[S_UNIT_CAP] = M; ctl[S_NBVA_CAP] = 2;
+    ctl[S_LANE_CAP] = 1; ctl[S_UNIT_CAP] = M; ctl[S_NBVA_CAP] = 1; ctl[S_GROUPS] = G;
     do {
       rc = rap_scan_span(data, len, at_end, 0, cur, vecs, ctl, ls, tc, tb, vis, hp,
-                         hs, us, act, ep, ec, es, ev, hist);
+                         hs, us, act, ep, ec, es, ev, hist, bits, stalls);
       for (k = 0; k < ctl[S_HITS]; k++, nm++) {
         mh[nm].pos = hp[k];
         memcpy(mh[nm].ids, hs + k * NGROUPS, sizeof mh[nm].ids);
@@ -2324,11 +2347,9 @@ int main(int argc, char **argv)
       for (k = 0; k < ctl[S_EVENTS]; k++, mne++) {
         mep[mne] = ep[k]; mec[mne] = ec[k]; mes[mne] = es[k];
       }
-      for (u = 0, k = 0, i = 2; u < U; u++) {
-        for (w = 0; w < (int)cur[u * NBVA_COLUMNS + C_NBV]; w++) mev[mnv++] = ev[k++];
+      for (u = 0, k = 0; u < U; u++)
         for (w = 0; w < (int)cur[u * NBVA_COLUMNS + C_NMATCH]; w++)
-          mex[mnx++] = ev[--i];
-      }
+          mex[mnx++] = ev[k++] * 1024 + u;
       printf("return %%d %%lld\n", rc, ctl[S_TIER]);
     } while (rc);
     qsort(rh, nr, sizeof(hit), by_pos);
@@ -2342,12 +2363,11 @@ int main(int argc, char **argv)
     ok &= same(res, mes, rne * 4, "unit states", span);
     ok &= same(ract, act, M * 8, "active sums", span);
     ok &= same(rus, us, M * 4, "unit exits", span);
-    ok &= rnv == mnv && same(rev, mev, rnv * 8, "nbva BV cycles", span);
-    for (k = 0; k < rnx; k++) rev[k] = rev[BIG - 1 - k];  /* BV cycles compared */
-    ok &= rnx == mnx && same(rev, mex, rnx * 8, "nbva matches", span);
+    ok &= rnx == mnx && same(rex, mex, rnx * 8, "nbva matches", span);
+    ok &= !U || same(rstalls, stalls, G * 8, "stall counts", span);
+    for (k = 0; U && k < G; k++) stalled += stalls[k];
     for (u = 0; u < U; u++)
-      for (w = C_NBV; w <= C_NMATCH; w++)
-        cur[u * NBVA_COLUMNS + w] = rcur[u * NBVA_COLUMNS + w];
+      cur[u * NBVA_COLUMNS + C_NMATCH] = rcur[u * NBVA_COLUMNS + C_NMATCH];
     ok &= same(rcur, cur, U * NBVA_COLUMNS * 8, "nbva rows", span);
     for (u = 0; u < U; u++)  /* a cursor's vectors; its scratch half aside */
       ok &= same(rvecs + rcur[u * NBVA_COLUMNS + C_VOFF],
@@ -2355,14 +2375,15 @@ int main(int argc, char **argv)
                  "nbva vectors", span);
     ok &= same(direct, hist, sizeof direct, "histogram", span);
     printf("span %%d %%s %%lld %%lld %%lld\n", span, ok ? "ok" : "bad", nr, rne,
-           rnv + rnx);
+           stalled + rnx);
     free(data); free(rtc); free(rtb); free(tc); free(tb); free(rvis); free(vis);
     free(hp); free(rhp); free(hs); free(rhs); free(rh); free(mh); free(act); free(ract);
     free(ep); free(rep); free(ec); free(rec); free(es); free(res); free(ev); free(rev);
-    free(mev); free(mex); free(mep); free(mec); free(mes);
+    free(rex); free(mex); free(mep); free(mec); free(mes);
   }
   free(stream); free(ctl); free(hist); free(ls); free(rls); free(us); free(rus);
-  free(cur); free(rcur); free(vecs); free(rvecs); fclose(f);
+  free(cur); free(rcur); free(vecs); free(rvecs); free(stalls); free(rstalls);
+  free(bits); free(rbits); fclose(f);
   return 0;
 }
 """
@@ -2375,7 +2396,9 @@ def test_scan_span_sanitized(tmp_path, monkeypatch):
     Fig. 1 mix (lanes, the folded unit forest, NBVA units) — under ASan +
     UBSan against the same build's per-tier kernels: a one-entry lane
     and NBVA event buffer (an ``m``-entry unit one) refilled across
-    every tier boundary, four spans chained through the exit states —
+    every tier boundary and, with 256-byte NBVA blocks for the NBVA units
+    alone and one mix, inside blocks of spans many blocks long; stall
+    counts of two groups; four spans chained through the exit states —
     one of them a single byte, the last all idle — and the histogram of
     each span's bytes (counted only beside units)."""
     from benchmarks.ledger.workloads import RULESETS
@@ -2384,16 +2407,19 @@ def test_scan_span_sanitized(tmp_path, monkeypatch):
     from repro.workloads.inputs import generate_input
 
     shapes = [
-        ("keywords64", None), ("snort_nfa64", None), ("nbva_only", None),
-        ("snort_mix16", 8), ("snort_mix16", None),
+        ("keywords64", None, None), ("snort_nfa64", None, None),
+        ("nbva_only", None, 256), ("snort_mix16", 8, None),
+        ("snort_mix16", None, 256),
     ]
-    for index, (name, lane_cap) in enumerate(shapes):
+    for index, (name, lane_cap, block) in enumerate(shapes):
         patterns = NBVA_ONLY if name == "nbva_only" else RULESETS[name]()
         ruleset = compile_ruleset(patterns)
         mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
         with monkeypatch.context() as patch, use_backend("fused"):
             if lane_cap is not None:  # read when the tables are built
                 patch.setattr(codegen, "LANE_DFA_MAX_STATES", lane_cap)
+            if block is not None:
+                patch.setattr(codegen, "NBVA_BLOCK", block)
             fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
             binding = codegen.binding_source(fused, fused.tile_masks)
         lanes = binding.lanes is not None

@@ -52,7 +52,7 @@ class TestMemoization:
         monkeypatch.setattr(
             trace_mod,
             "collect_regex_activity",
-            lambda c, d: calls.append(c.regex_id) or real(c, d),
+            lambda c, d, **kw: calls.append(c.regex_id) or real(c, d, **kw),
         )
         trace = ActivityTrace(DATA)
         for rid in range(4):
@@ -64,10 +64,10 @@ class TestMemoization:
         trace = ActivityTrace(DATA)
         a0 = trace.regex_activity(compiled("abcd", 0))
         a0.matches.append(999)
-        a0.bv_cycle_indices.append(999)
+        trace.bv_cycle_indices(compiled("abcd", 0)).append(999)
         a7 = trace.regex_activity(compiled("abcd", 7))
         assert 999 not in a7.matches
-        assert 999 not in a7.bv_cycle_indices
+        assert 999 not in trace.bv_cycle_indices(compiled("abcd", 7))
 
     def test_bin_activity_memoizes_by_identity(self, monkeypatch):
         calls = []

@@ -438,6 +438,84 @@ class TestDurableScanState:
         assert activity.input_symbols == 500
 
 
+def _as_version_two(doc):
+    """``doc`` as the build that kept BV-cycle positions wrote it: every
+    version field 2, no ``stalls``, positions in every NBVA collector's
+    stats — refused by its version alone."""
+    if isinstance(doc, list):
+        return [_as_version_two(item) for item in doc]
+    if not isinstance(doc, dict):
+        return doc
+    old = {key: _as_version_two(value) for key, value in doc.items()}
+    old.pop("stalls", None)
+    for key in ("version", "serve_version"):
+        if key in old:
+            old[key] = 2
+    if "bv_phase_cycles" in old:
+        old["bv_cycle_indices"] = list(range(old["bv_phase_cycles"]))
+    return old
+
+
+def _skeleton(doc):
+    """``doc`` without its history: match ends and live vectors dropped,
+    every number 0 and every string empty."""
+    if isinstance(doc, dict):
+        return {
+            key: [] if key in ("matches", "vectors") else _skeleton(value)
+            for key, value in doc.items()
+        }
+    if isinstance(doc, list):
+        return [_skeleton(item) for item in doc]
+    return 0 if isinstance(doc, int) else "" if isinstance(doc, str) else doc
+
+
+class TestBoundedState:
+    @pytest.mark.skipif(
+        "native" not in available_backends(), reason="native backend not available"
+    )
+    def test_nbva_state_does_not_grow(self):
+        """A native durable scan of the mix, 64 KiB and then 1 MiB in:
+        its document minus match ends is the same size at both points
+        (numbers and live vectors aside) — each NBVA array's stalls are
+        one count, and no BV-cycle position is kept."""
+        from benchmarks.ledger.workloads import RULESETS
+        from repro.workloads.inputs import generate_input
+
+        patterns = RULESETS["snort_mix16"]()
+        data = generate_input(
+            "network", 1 << 20, seed=1, patterns=patterns, plant_every=600
+        )
+        ruleset = compile_ruleset(patterns)
+        texts, at = [], 0
+        with use_backend("native"):
+            mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+            scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+            for point in (64 << 10, 1 << 20):
+                for start in range(at, point, 4096):
+                    scan.feed(data[start : start + 4096], at_end=False)
+                at = point
+                texts.append(json.dumps(scan.snapshot()))
+        early, late = (json.loads(text) for text in texts)
+        assert len(json.dumps(_skeleton(early))) == len(json.dumps(_skeleton(late)))
+        assert "bv_cycle_indices" not in texts[1]
+        ((index, stalls),) = late["stalls"]
+        assert stalls > early["stalls"][0][1] > 0
+
+    def test_a_version_two_document_is_refused(self, ruleset, data):
+        """The document of the build that kept positions is refused by
+        its version, both by a restore and by a detached resume."""
+        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+        scan = DurableScan(ruleset, mapping, DEFAULT_CONFIG)
+        scan.feed(data[:1000], at_end=False)
+        old = _as_version_two(json.loads(json.dumps(scan.snapshot())))
+        assert old["regex"] and "stalls" not in old
+        said = "unsupported checkpoint version 2 (this build reads 3)"
+        with pytest.raises(CheckpointError, match=re.escape(said)):
+            DurableScan(ruleset, mapping, DEFAULT_CONFIG).restore(old, data)
+        with pytest.raises(CheckpointError, match=re.escape(said)):
+            DurableScan(ruleset, mapping, DEFAULT_CONFIG).restore_detached(old)
+
+
 class TestSessionNamespacing:
     """Satellite: a shared checkpoint root is multi-writer safe."""
 
@@ -1374,10 +1452,10 @@ class TestPlanFingerprint:
     # binding emits), one row for every backend: the fingerprint names
     # none.
     PINNED = {
-        "lnfa": ("d595f123b45f155c", ["343403d88b13829e"]),
-        "nfa": ("47fdbf4da19d8421", ["acbf6afe314fe87b"]),
-        "dfa": ("08c85ccd44781aa5", ["0b7c24a68b7b6214"]),
-        "mix": ("23ea81447e9dcd85", ["6e8f575d0f199405"]),
+        "lnfa": ("d595f123b45f155c", ["699bf7d9a1fa7cbc"]),
+        "nfa": ("47fdbf4da19d8421", ["bd104ac02ae6f4f8"]),
+        "dfa": ("08c85ccd44781aa5", ["a8b7b37986cf16db"]),
+        "mix": ("23ea81447e9dcd85", ["bfc3feb533eab9fa"]),
     }
 
     # What the previous recipe wrote for the module's mixed ruleset.
@@ -1457,7 +1535,7 @@ class TestPlanFingerprint:
             with pytest.raises(CheckpointError) as info:
                 BatchEngine(config).durable_scan(ruleset, data)
         said = str(info.value)
-        assert said.startswith("unsupported checkpoint version 1 (this build reads 2)")
+        assert said.startswith("unsupported checkpoint version 1 (this build reads 3)")
         assert said.count(str(tmp_path)) == 2 and "without --resume" in said
         assert "the build that wrote" in said
         assert sorted(p.name for p in tmp_path.iterdir()) == list(SLOTS)

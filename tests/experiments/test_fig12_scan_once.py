@@ -28,7 +28,8 @@ def test_each_fingerprint_scanned_once(monkeypatch):
     monkeypatch.setattr(
         trace_mod,
         "collect_regex_activity",
-        lambda c, d: regex_scans.append(regex_fingerprint(c)) or real_regex(c, d),
+        lambda c, d, **kw: regex_scans.append(regex_fingerprint(c))
+        or real_regex(c, d, **kw),
     )
     monkeypatch.setattr(
         trace_mod,

@@ -182,10 +182,29 @@ class TestEnvelope:
             )
         said = str(info.value)
         assert said.startswith(
-            "unsupported serve session version 1 (this build reads 2)"
+            "unsupported serve session version 1 (this build reads 3)"
         )
         assert str(session.store.root) in said and "without --resume" in said
         assert session.store.load_latest() == parent
+
+    def test_version_two_envelope_is_refused(self, registry, data, tmp_path):
+        """A served session's envelope from the build that kept BV-cycle
+        positions is refused by its version on resume, and stays stored."""
+        from tests.engine.test_checkpoint import _as_version_two
+
+        session = build_session(registry, tmp_path)
+        feed_range(session, data, 0, 3 * SEGMENT)
+        session.park()
+        old = _as_version_two(json.loads(json.dumps(session.envelope())))
+        session.store.write(old, session.offset)
+        with pytest.raises(CheckpointError) as info:
+            ScanSession.from_envelope(
+                session.store.load_latest(), registry, session.store
+            )
+        assert str(info.value).startswith(
+            "unsupported serve session version 2 (this build reads 3)"
+        )
+        assert session.store.load_latest() == old
 
     def test_missing_field_is_structured(self, registry, tmp_path):
         session = build_session(registry, tmp_path)

@@ -159,10 +159,9 @@ class TestStreamsFromActivities:
             mode=CompiledMode.NBVA,
             cycles=100,
             matches=[5, 50],
-            bv_cycle_indices=[5, 6, 7],
         )
         (built,) = streams_from_activities(
-            [("array0", [activity])], {"array0": 8}
+            [("array0", [(activity, [5, 6, 7])])], {"array0": 8}
         )
         assert built.stall_after == {5: 8, 6: 8, 7: 8}
         assert built.reports_at == frozenset({5, 50})

@@ -185,7 +185,7 @@ def _shed_first_bin(ruleset, data, cut):
     index = next(iter(activity.lnfa_bins))
     bins = dict(activity.lnfa_bins)
     bins[index] = [early.lnfa_bins[index][0]] + bins[index][1:]
-    shed = RunActivity(activity.regex, bins, activity.input_symbols)
+    shed = RunActivity(activity.regex, bins, activity.input_symbols, activity.stalls)
     return ruleset, shed, mapping
 
 
