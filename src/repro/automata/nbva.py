@@ -24,6 +24,7 @@ the same event counts the hardware energy model consumes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -174,6 +175,15 @@ class NBVAState(NamedTuple):
     offset: int = 0
     active: int = 0
     vectors: tuple[tuple[int, int], ...] = ()
+
+    def to_text(self) -> str:
+        """The frontier as canonical JSON (sorted keys, no spaces; hex
+        words, vectors in pid order, so checkpoint bytes are stable)."""
+        vectors = ",".join(f'[{pid},"{vec:x}"]' for pid, vec in self.vectors)
+        return (
+            f'{{"active":"{self.active:x}","offset":{self.offset},'
+            f'"vectors":[{vectors}],"version":{STATE_VERSION}}}'
+        )
 
 
 class NBVAScanner:
@@ -328,18 +338,8 @@ class NBVAScanner:
         return matches
 
     def snapshot(self) -> dict:
-        """JSON-ready mid-stream state (vectors in sorted pid order —
-        dict order never affects results, but determinism keeps the
-        serialized bytes, and hence checkpoint checksums, stable)."""
-        return {
-            "version": STATE_VERSION,
-            "offset": self._offset,
-            "active": f"{self._active:x}",
-            "vectors": [
-                [pid, f"{vec:x}"]
-                for pid, vec in sorted(self._vectors.items())
-            ],
-        }
+        """JSON-ready mid-stream state (:meth:`NBVAState.to_text`)."""
+        return json.loads(self.state.to_text())
 
     def restore(self, doc: dict) -> None:
         """Adopt a state produced by :meth:`snapshot`."""

@@ -22,6 +22,7 @@ only loop besides :meth:`PythonKernel.scan_segment
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -49,13 +50,17 @@ class KernelState:
         if self.states < 0:
             raise ValueError("state vector must be non-negative")
 
+    def to_text(self) -> str:
+        """The state as canonical JSON (sorted keys, no spaces; a hex
+        state word, exact at any width): what checkpoints embed."""
+        return (
+            f'{{"offset":{self.offset},"states":"{self.states:x}",'
+            f'"version":{STATE_VERSION}}}'
+        )
+
     def to_json(self) -> dict:
-        """JSON-ready document (hex state word, exact at any width)."""
-        return {
-            "version": STATE_VERSION,
-            "offset": self.offset,
-            "states": f"{self.states:x}",
-        }
+        """:meth:`to_text` as a JSON-ready document."""
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, doc: dict) -> KernelState:

@@ -721,7 +721,7 @@ class BatchEngine:
                     )
                     if due:
                         try:
-                            store.write(scan.snapshot(), scan.offset)
+                            store.write(scan.snapshot_text(), scan.offset)
                             checkpoints_written += 1
                             last_write = monitor.elapsed
                         except OSError:

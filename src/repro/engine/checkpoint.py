@@ -45,7 +45,7 @@ from repro.core.registry import resolve_backend
 from repro.errors import CheckpointError, QuarantineEntry
 from repro.hardware.config import HardwareConfig, TileMode
 from repro.io import envelope
-from repro.io.envelope import STATE_VERSION
+from repro.io.envelope import STATE_VERSION, canonical
 from repro.mapping.mapper import Mapping
 from repro.simulators.activity import (
     BinActivityCollector,
@@ -181,14 +181,19 @@ class CheckpointStore:
         ranked = sorted(zip((key for _, key in self._known or []), self._slots))
         return [path for key, path in ranked if key != EMPTY]
 
-    def write(self, payload_doc: dict, offset: int) -> Path:
-        """Durably persist one snapshot taken at ``offset``.
+    def write(self, payload_doc: str | dict, offset: int) -> Path:
+        """Durably persist one snapshot taken at ``offset``: its canonical
+        JSON text (a dict is encoded to it), wrapped by concatenation.
 
         Raises ``OSError`` when the disk is full (or the lock times out);
         the caller decides whether a failed checkpoint is fatal — for
         the durable scan it is not, the scan just keeps going with the
         previous restore point.
         """
+        if not isinstance(payload_doc, str):
+            payload_doc = json.dumps(
+                payload_doc, sort_keys=True, separators=(",", ":")
+            )
         with self._exclusive(create=True) as dirfd:
             if self._known is None or any(
                 envelope.head(path) != seen
@@ -198,8 +203,7 @@ class CheckpointStore:
             known, keys = self._known, [key for _, key in self._known]
             victim = keys.index(min(keys))  # never the newest intact
             order = (offset, 1 + max(sequence for _, sequence in keys))
-            entry = {"doc": payload_doc, "order": order}
-            payload = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            payload = f'{{"doc":{payload_doc},"order":[{order[0]},{order[1]}]}}'
             data = envelope.seal(
                 payload, format=CHECKPOINT_FORMAT, block=envelope.BLOCK
             )
@@ -359,6 +363,15 @@ class DurableScan:
         self._mark_drained()
         self._dirty: set = set()  # the keys of the lists feeds grew
         self.fingerprint = binding.fingerprint(bin_size)
+        # The document's fixed fields, undetached and detached (the keys
+        # between "bins" and "input_sha"), and its collectors in key order.
+        fixed = (
+            f'"fingerprint":{canonical(self.fingerprint)},'
+            f'"format":{canonical(CHECKPOINT_FORMAT)},'
+        )
+        self._header = (fixed, '"detached":true,' + fixed)
+        self._regex_order = sorted(self._regex.items())
+        self._bin_order = sorted(self._bins.items())
         self._offset = 0
         self._hasher = hashlib.sha256()
         self._detached = False
@@ -482,8 +495,12 @@ class DurableScan:
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """The scan's complete state as one JSON-ready document.
+    def snapshot_text(self) -> str:
+        """The scan's complete state as one canonical JSON document:
+        byte for byte ``json.dumps(doc, sort_keys=True, separators=(",",
+        ":"))`` of :meth:`snapshot`, written from fragments — the header
+        fixed at construction, each collector's match lists as last
+        encoded until they grow — and no dict built.
 
         ``input_sha`` is a plain SHA-256 over the consumed prefix for a
         scan started (or restored with bytes) in this process, and a
@@ -493,40 +510,27 @@ class DurableScan:
         stable (no new key).
         """
         self._sync()
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "version": STATE_VERSION,
-            "fingerprint": self.fingerprint,
-            "offset": self._offset,
-            "input_sha": self._hasher.copy().hexdigest(),
-            "regex": [
-                [rid, collector.snapshot()]
-                for rid, collector in sorted(self._regex.items())
-            ],
-            "bins": [
-                [index, bin_index, collector.snapshot()]
-                for (index, bin_index), collector in sorted(
-                    self._bins.items()
-                )
-            ],
-            "stalls": sorted(map(list, self._stalls.items())),
-            "shed": sorted(list(key) for key in self._shed),
-            "quarantine": [
-                {
-                    "phase": e.phase,
-                    "error": e.error,
-                    "error_type": e.error_type,
-                    "pattern": e.pattern,
-                    "pattern_index": e.pattern_index,
-                    "task_index": e.task_index,
-                    "attempts": e.attempts,
-                }
-                for e in self.quarantine_entries
-            ],
-        }
-        if self._detached:
-            doc["detached"] = True
-        return doc
+        regex = ",".join(
+            f"[{rid},{collector.snapshot_text()}]"
+            for rid, collector in self._regex_order
+        )
+        bins = ",".join(
+            f"[{index},{bin_index},{collector.snapshot_text()}]"
+            for (index, bin_index), collector in self._bin_order
+        )
+        quarantine = canonical([vars(entry) for entry in self.quarantine_entries])
+        return (
+            f'{{"bins":[{bins}],{self._header[self._detached]}'
+            f'"input_sha":"{self._hasher.copy().hexdigest()}",'
+            f'"offset":{self._offset},"quarantine":{quarantine},'
+            f'"regex":[{regex}],"shed":{canonical(sorted(self._shed))},'
+            f'"stalls":{canonical(sorted(self._stalls.items()))},'
+            f'"version":{STATE_VERSION}}}'
+        )
+
+    def snapshot(self) -> dict:
+        """:meth:`snapshot_text` as a JSON-ready document."""
+        return json.loads(self.snapshot_text())
 
     def _check_header(self, doc: dict, store_dir: Path | None) -> None:
         """Refuse a snapshot that does not belong to this exact scan."""

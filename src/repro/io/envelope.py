@@ -36,6 +36,7 @@ import json
 import os
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 
 BLOCK = 4096  # in-place files are whole blocks: fdatasync never journals a size
@@ -119,14 +120,32 @@ def head(path: str | Path) -> bytes:
 def seal(payload: str, *, format: str, block: int = 1) -> bytes:
     """``payload`` (JSON text) inside a checksummed envelope, padded to a
     multiple of ``block`` bytes with newlines, which :func:`load` ignores."""
-    document = {
-        "format": format,
-        "entry_version": STORE_VERSION,
-        "checksum": hashlib.sha256(payload.encode()).hexdigest(),
-        "payload": payload,
-    }
-    data = json.dumps(document).encode()
+    # ``json.dumps`` of the dict {format, entry_version, checksum,
+    # payload}, written directly: the payload is escaped once, not parsed.
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
+    data = (
+        f'{{"format": {quote(format)}, "entry_version": {STORE_VERSION}, '
+        f'"checksum": "{checksum}", "payload": {quote(payload)}}}'
+    ).encode()
     return data + b"\n" * (-len(data) % block)
+
+
+def canonical(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, for
+    the small values a document's owner does not lay out itself."""
+    if isinstance(value, str):
+        return quote(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(canonical, value)) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ",".join(f"{quote(k)}:{canonical(v)}" for k, v in items) + "}"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(text, text)
+    return int.__repr__(value)
 
 
 def dump(path: str | Path, payload: str, *, format: str) -> None:
@@ -174,6 +193,7 @@ __all__ = [
     "STATE_VERSION",
     "STORE_VERSION",
     "EnvelopeError",
+    "canonical",
     "dump",
     "head",
     "load",

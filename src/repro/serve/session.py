@@ -37,12 +37,13 @@ Three mechanics deserve a note:
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 
 from repro.engine.checkpoint import CheckpointStore, DurableScan, version_refused
 from repro.errors import CheckpointError
-from repro.io.envelope import STATE_VERSION
+from repro.io.envelope import STATE_VERSION, canonical
 from repro.serve.registry import TenantEntry
 from repro.simulators.rap import RAPSimulator
 
@@ -214,28 +215,32 @@ class ScanSession:
 
     # -- durability ----------------------------------------------------------
 
+    def envelope_text(self) -> str:
+        """The session's complete persistable state as canonical JSON
+        (sorted keys, no spaces), composed around its scan's document."""
+        c = canonical
+        return (
+            f'{{"emitted":{c(sorted(self._emitted.items()))},'
+            f'"epoch_start":{c(self.epoch_start)},'
+            f'"generation":{c(self.entry.generation)},'
+            f'"patterns":{c(self.entry.patterns)},'
+            f'"prior_energy_uj":{c(self.prior_energy_uj)},'
+            f'"prior_matches":{c(self.prior_matches)},'
+            f'"scan":{self.scan.snapshot_text()},'
+            f'"serve_format":{c(SESSION_FORMAT)},"serve_version":{STATE_VERSION},'
+            f'"session":{c(self.id)},"tenant":{c(self.tenant)},'
+            f'"weight":{c(self.weight)}}}'
+        )
+
     def envelope(self) -> dict:
-        """The session's complete persistable state."""
-        return {
-            "serve_format": SESSION_FORMAT,
-            "serve_version": STATE_VERSION,
-            "tenant": self.tenant,
-            "session": self.id,
-            "patterns": list(self.entry.patterns),
-            "generation": self.entry.generation,
-            "weight": self.weight,
-            "epoch_start": self.epoch_start,
-            "prior_matches": self.prior_matches,
-            "prior_energy_uj": self.prior_energy_uj,
-            "emitted": sorted(self._emitted.items()),
-            "scan": self.scan.snapshot(),
-        }
+        """:meth:`envelope_text` as a JSON-ready document."""
+        return json.loads(self.envelope_text())
 
     def checkpoint(self) -> bool:
         """Persist the envelope; ``False`` when the write failed (the
         session keeps its previous restore point, scanning continues)."""
         try:
-            self.store.write(self.envelope(), self.offset)
+            self.store.write(self.envelope_text(), self.offset)
             return True
         except OSError as err:
             self.checkpoint_error = (

@@ -11,7 +11,8 @@ with the Table 1 circuit models.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 
 from repro.automata.dfa import DFAScanner
 from repro.automata.nbva import NBVASimulator, NBVAState, NBVAStats
@@ -243,6 +244,22 @@ def collect_bin_activity(
     return activity
 
 
+def _ints(values: list) -> str:
+    """A list of ints (or of such lists) as JSON text: its repr, less
+    the spaces."""
+    return repr(values).replace(" ", "")
+
+
+def _stats_template(cls) -> str:
+    """A ``str.format`` template writing a ``cls`` counters object as
+    canonical JSON: its fields in sorted order."""
+    names = sorted(f.name for f in fields(cls))
+    return "{{" + ",".join(f'"{name}":{{0.{name}}}' for name in names) + "}}"
+
+
+_STATS_TEXT = {cls: _stats_template(cls) for cls in (StepStats, NBVAStats)}
+
+
 class RegexActivityCollector:
     """Stateful, snapshotable counterpart of :func:`collect_regex_activity`.
 
@@ -284,6 +301,7 @@ class RegexActivityCollector:
             self._scanner = NFASimulator(compiled.automaton).scanner(**anchors)
             self._stats = StepStats()
         self._matches: list[int] = []
+        self._ends_text = -1, ""  # (list length, its JSON) last encoded
 
     @property
     def offset(self) -> int:
@@ -368,13 +386,21 @@ class RegexActivityCollector:
             active_state_cycles=stats.active_states,
         )
 
+    def snapshot_text(self) -> str:
+        """The collector's state as canonical JSON (sorted keys, no
+        spaces); the match list is re-encoded only once it has grown."""
+        if self._ends_text[0] != len(self._matches):
+            self._ends_text = len(self._matches), _ints(self._matches)
+        stats = self._stats
+        return (
+            f'{{"matches":{self._ends_text[1]},'
+            f'"scanner":{self._scanner.state.to_text()},'
+            f'"stats":{_STATS_TEXT[type(stats)].format(stats)}}}'
+        )
+
     def snapshot(self) -> dict:
-        """JSON-ready collector state."""
-        return {
-            "scanner": self._scanner.snapshot(),
-            "stats": asdict(self._stats),
-            "matches": list(self._matches),
-        }
+        """:meth:`snapshot_text` as a JSON-ready document."""
+        return json.loads(self.snapshot_text())
 
     def restore(self, doc: dict) -> None:
         """Adopt a state produced by :meth:`snapshot`."""
@@ -385,6 +411,7 @@ class RegexActivityCollector:
                 NBVAStats(**stats_doc) if self._nbva else StepStats(**stats_doc)
             )
             self._matches = [int(m) for m in doc["matches"]]
+            self._ends_text = -1, ""
         except (KeyError, TypeError) as err:
             raise ValueError(
                 f"malformed regex-collector document: {err}"
@@ -423,6 +450,7 @@ class BinActivityCollector:
         # them live).
         self.tile_active_cycles = [0] * tile_count
         self.tile_active_bits = [0] * tile_count
+        self._ends_text = -1, ""  # (ends in all lists, their JSON) last encoded
 
     @property
     def offset(self) -> int:
@@ -493,19 +521,24 @@ class BinActivityCollector:
             tile_active_bits=list(self.tile_active_bits),
         )
 
+    def snapshot_text(self) -> str:
+        """The collector's state as canonical JSON (sorted keys, no
+        spaces; match lists in regex-id order), the match lists
+        re-encoded only once one has grown."""
+        count = sum(map(len, self._matches.values()))
+        if self._ends_text[0] != count:
+            ends = [[rid, e] for rid, e in sorted(self._matches.items())]
+            self._ends_text = count, _ints(ends)
+        return (
+            f'{{"cycles":{self.cycles},"matches":{self._ends_text[1]},'
+            f'"state":{self.state.to_text()},'
+            f'"tile_active_bits":{_ints(self.tile_active_bits)},'
+            f'"tile_active_cycles":{_ints(self.tile_active_cycles)}}}'
+        )
+
     def snapshot(self) -> dict:
-        """JSON-ready collector state (matches keyed in sorted regex-id
-        order for deterministic serialized bytes)."""
-        return {
-            "state": self.state.to_json(),
-            "cycles": self.cycles,
-            "matches": [
-                [rid, list(ends)]
-                for rid, ends in sorted(self._matches.items())
-            ],
-            "tile_active_cycles": list(self.tile_active_cycles),
-            "tile_active_bits": list(self.tile_active_bits),
-        }
+        """:meth:`snapshot_text` as a JSON-ready document."""
+        return json.loads(self.snapshot_text())
 
     def restore(self, doc: dict) -> None:
         """Adopt a state produced by :meth:`snapshot`."""
@@ -527,5 +560,6 @@ class BinActivityCollector:
         self.state = state
         self.cycles = cycles
         self._matches = matches
+        self._ends_text = -1, ""
         self.tile_active_cycles = tile_active_cycles
         self.tile_active_bits = tile_active_bits
