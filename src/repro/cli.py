@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (0 = one per CPU): the python backend "
         "chunks the stream and shards it per regex and per bin across "
-        "them; fused and native scan serially and --jobs only sizes the "
-        "--input-jobs pool; output is bit-identical to --jobs 1",
+        "them; --jobs sizes nothing for a fused or native bulk scan "
+        "(see --input-jobs); output is bit-identical to --jobs 1",
     )
     p_scan.add_argument(
         "--input-jobs",
@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bulk scans: split the input stream across this many "
         "warm-up-window chunks, and the units that have no window into "
-        "as many whole-stream tasks (fused and native backends; python "
+        "as many whole-stream tasks, run on threads of this process, no "
+        "worker pool (fused and native backends; python "
         "ignores it, and so does a durable scan — --checkpoint-dir, "
         "--max-seconds, --max-rss-mb — which feeds each segment whole); "
         "output is bit-identical at every level (default: "

@@ -335,7 +335,8 @@ class FusedRuleset:
         """Shift program ``index`` as its :class:`~repro.core.table.
         StepTable` — the one every stepper of the bin shares, built on
         first request; ``tile_masks`` (the payload) are its tiles' masks
-        over the program's own state word."""
+        over the program's own state word.  Two threads racing at a miss
+        both build it; ``setdefault`` keeps one for every stepper."""
         key = (index, tuple(tile_masks))
         table = self._lanes.get(key)
         if table is None:

@@ -405,6 +405,9 @@ class NativeScanner:
             "ev hist bits stalls".split(),
         )
         self._pointer = lib.pointer
+        # Shared by every thread's spans: a key has one value, whoever
+        # computes it (a racing miss computes it twice), and a fresh
+        # table is copied on every read, never written in place.
         self._fresh: dict[tuple, tuple] = {}  # NBVA units -> fresh cursor rows
         self._hit_words: dict[tuple, int] = {}  # lane state ids -> packed word
         self._warm = fused.warm

@@ -99,6 +99,8 @@ class StepTable:
         self.flags: list[int] = []
         self.closed = 0  # states close() fixed: the ids the C tables hold
         self.flat = array("H")  # their rows
+        # held by close() and walk(): every thread's scan of the plan
+        # shares the table, and a walk grows and restarts it
         self._walking = threading.Lock()
         self.restart()
 

@@ -8,10 +8,11 @@ Two axes of parallelism, both with deterministic merges:
   by construction and come back in task order.
 * **Within one scan** — :meth:`BatchEngine.scan` parallelizes a single
   (ruleset, stream) pair.  On the ``fused`` / ``native`` backends the
-  fused plan scans the stream, split across ``input_jobs`` chunks
-  (:mod:`repro.engine.split`).  On the ``python`` backend ``jobs``
-  forks per-unit collectors: when every regex has bounded state memory
-  (see :func:`~repro.engine.partition.required_overlap`) the stream is
+  fused plan scans the stream, split across ``input_jobs`` chunks on
+  threads over the scan's own binding (:mod:`repro.engine.split`).  On
+  the ``python`` backend ``jobs`` forks per-unit collectors: when every
+  regex has bounded state memory (see
+  :func:`~repro.engine.partition.required_overlap`) the stream is
   chunked with overlap-window stitching; otherwise work shards per
   regex / per LNFA bin over the whole stream.  Either way workers only
   *collect* integer activity; the parent merges it exactly and prices
@@ -19,9 +20,9 @@ Two axes of parallelism, both with deterministic merges:
   would — output is bit-identical (same match offsets, cycles, and
   picojoule totals).
 
-Workers are seeded once per process with the pickled ruleset, hardware
-config, and input stream (fork makes this cheap on Linux); per-unit task
-descriptors are tiny tuples.
+Forked workers (tasks, python units) are seeded once per process with
+the pickled ruleset, hardware config, and input stream (fork makes this
+cheap on Linux); per-unit task descriptors are tiny tuples.
 """
 
 from __future__ import annotations
@@ -101,20 +102,21 @@ class EngineConfig:
     # the rest keep their cost-model choice.  A CompilerConfig that
     # already carries forced_mode/mode_override wins over this knob.
     mode: str = "auto"
-    # Smallest owned-bytes-per-chunk worth forking for; streams shorter
+    # Smallest owned-bytes-per-chunk a chunk is cut to; streams shorter
     # than two chunks run unchunked.
     min_chunk_bytes: int = 4096
     # Input-parallel scanning of bulk scans (the CLI's --input-jobs;
     # ``scan`` and ``run_batch`` only — a durable scan feeds each
     # segment whole): split one stream into this many warm-up-window
     # chunks, with the units that have no window scanned whole in as
-    # many tasks (repro.engine.split) — bit-identical to serial by
-    # construction.  Requires the fused backend; other backends fall
-    # back to ruleset sharding.  None defers to RAP_INPUT_JOBS, <= 1
-    # disables.  Composes with ``jobs``: the pool is sized
-    # max(jobs, input_jobs).
+    # many tasks (repro.engine.split), all on threads of this process
+    # over the scan's binding — bit-identical to serial by construction.
+    # Requires the fused plan (fused, native); the python backend
+    # ignores it.  None defers to RAP_INPUT_JOBS, <= 1 disables.
     input_jobs: int | None = None
     # -- fault tolerance (the CLI's --timeout/--retries/--on-error) --------
+    # These cover run_batch tasks and the python backend's forked units;
+    # split threads run unsupervised, in the scan's own process.
     # Per-unit deadline in seconds; None disables deadlines.
     timeout: float | None = None
     # Extra attempts per unit (crashes, timeouts, transient errors)
@@ -292,7 +294,7 @@ class BatchEngine:
         DFA-mode ones their unit's table and its size, or the walker
         when the closure blew the cap; LNFA ones the tier of the lane
         machine they share.  With ``input_jobs > 1`` on a backend that
-        honours it, ``split`` says how the row rides the workers.
+        honours it, ``split`` says how the row rides the split tasks.
         """
         compiler = self._effective_compiler(compiler)
         resolved, fallback = self.backend_report()
@@ -432,6 +434,8 @@ class BatchEngine:
     def run_batch(self, tasks, on_error: str | None = None):
         """Run every task, fanned out across processes, in task order.
 
+        Each task is a bulk :meth:`scan` in its worker — with
+        ``input_jobs > 1`` its stream splits on that worker's threads.
         Execution is supervised: crashed workers are respawned, units
         that blow ``EngineConfig.timeout`` are retried with backoff,
         and stragglers fall back to in-process execution — results are
@@ -451,12 +455,8 @@ class BatchEngine:
             on_error if on_error is not None else self.config.on_error
         )
         tasks = list(tasks)
-        if self._input_jobs() > 1:
-            # Input-parallel mode: worker processes cannot fork their
-            # own pools, so tasks run in the parent, one after another,
-            # and each task's *stream* fans out across the chunk pool.
-            return self._run_batch_input_parallel(tasks, policy)
         backend = resolve_backend(self.config.backend)
+        split = (self._input_jobs(), self.config.min_chunk_bytes)  # per task
         entries: list[QuarantineEntry] = []
         results: list[SimulationResult | None] = [None] * len(tasks)
         payloads: list[bytes] = []
@@ -469,7 +469,7 @@ class BatchEngine:
                 continue  # nothing compiled: quarantine the whole task
             payloads.append(
                 pickle.dumps(
-                    (ruleset, task.data, task.bin_size, self.hw, backend),
+                    (ruleset, task.data, task.bin_size, self.hw, backend, *split),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
             )
@@ -504,41 +504,6 @@ class BatchEngine:
             )
         return results
 
-    def _run_batch_input_parallel(self, tasks, policy: str):
-        """:meth:`run_batch` for ``input_jobs > 1``: per-task results are
-        produced by :meth:`scan` (input-parallel within each stream) and
-        mapped through the same ``on_error`` policy."""
-        entries: list[QuarantineEntry] = []
-        results: list[SimulationResult | None] = [None] * len(tasks)
-        for index, task in enumerate(tasks):
-            ruleset = self._resolve(task, policy)  # raises under "fail"
-            if policy == "quarantine":
-                entries.extend(_rejection_entries(ruleset, task, index))
-            if task.patterns is not None and ruleset.rejected and not len(ruleset):
-                continue  # nothing compiled: quarantine the whole task
-            try:
-                results[index] = self.scan(
-                    ruleset, task.data, bin_size=task.bin_size
-                )
-            except Exception as err:
-                if policy == "fail":
-                    raise
-                if policy == "quarantine":
-                    entries.append(
-                        QuarantineEntry(
-                            phase="execute",
-                            error=str(err),
-                            error_type=type(err).__name__,
-                            task_index=index,
-                        )
-                    )
-        if policy == "quarantine":
-            return BatchReport(
-                results=tuple(results),
-                quarantine=QuarantineReport(tuple(entries)),
-            )
-        return results
-
     def merge_results(self, results) -> SimulationResult:
         """Fold shard results with :meth:`SimulationResult.merge`."""
         results = list(results)
@@ -561,12 +526,15 @@ class BatchEngine:
         """Scan one stream, parallelized, bit-identical to sequential.
 
         ``source`` is a compiled ruleset or an iterable of patterns.
+        On the fused plan ``input_jobs`` splits the stream on threads
+        over this scan's binding (:mod:`repro.engine.split`).
 
-        Execution is supervised (see :meth:`run_batch`): worker
-        crashes, deadline overruns, and injected faults are retried and
-        re-collected; because retried units recompute the same integer
-        activity, the merged result stays bit-identical to the
-        sequential reference no matter which faults fired.
+        The ``python`` backend's forked units are supervised (see
+        :meth:`run_batch`): worker crashes, deadline overruns, and
+        injected faults are retried and re-collected; because retried
+        units recompute the same integer activity, the merged result
+        stays bit-identical to the sequential reference no matter which
+        faults fired.
         """
         if isinstance(source, CompiledRuleset):
             ruleset = source
@@ -583,19 +551,10 @@ class BatchEngine:
                 from repro.engine.split import split_collect
 
                 activity = split_collect(
-                    ruleset,
-                    mapping,
-                    self.hw,
+                    bound,
                     data,
-                    bin_size=bin_size,
-                    backend=backend,
                     input_jobs=input_jobs,
-                    jobs=effective_jobs(max(self.config.jobs, input_jobs)),
                     min_chunk_bytes=self.config.min_chunk_bytes,
-                    timeout=self.config.timeout,
-                    retries=self.config.retries,
-                    backoff=self.config.backoff,
-                    fault_plan=self.config.fault_plan,
                 )
                 if activity is not None:
                     return sim.run_from_activity(
@@ -846,7 +805,7 @@ class BatchEngine:
 
 
 def _split_note(plan, unit: int | None) -> str:
-    """How one ``--explain`` row rides ``input_jobs`` workers: GATHER
+    """How one ``--explain`` row rides ``input_jobs`` split tasks: GATHER
     cursor ``unit``'s own warm-up window — ``None`` asks for the lane
     machine's row, the window every chunk of the plan shares — or
     ``whole stream`` for a unit that has none."""
@@ -977,7 +936,15 @@ def _scan_unit(unit: tuple):
 
 
 def _execute_task(payload: bytes) -> SimulationResult:
-    """Run one fully-specified batch task inside a worker."""
-    ruleset, data, bin_size, hw, backend = pickle.loads(payload)
-    with use_backend(backend):
-        return RAPSimulator(hw).run(ruleset, data, bin_size=bin_size)
+    """Run one fully-specified batch task inside a worker: a bulk scan,
+    its stream split on threads when ``input_jobs > 1``."""
+    ruleset, data, bin_size, hw, backend, input_jobs, min_chunk_bytes = pickle.loads(
+        payload
+    )
+    config = EngineConfig(
+        backend=backend,
+        use_cache=False,
+        input_jobs=input_jobs,
+        min_chunk_bytes=min_chunk_bytes,
+    )
+    return BatchEngine(config, hw).scan(ruleset, data, bin_size)

@@ -1,9 +1,9 @@
-"""Input-parallel scanning: one stream, many workers, exact results.
+"""Input-parallel scanning: one stream, many threads, exact results.
 
 Ruleset sharding (:meth:`BatchEngine.scan`'s per-regex/per-bin units)
 is the ``python`` backend's parallel path; this module is the fused
 plan's.  Two rules decide how each compiled unit rides ``input_jobs``
-workers, and both are bit-identical to the serial fused scan:
+tasks, and both are bit-identical to the serial fused scan:
 
 * **Warm-up windows** — a machine with bounded memory forgets its
   entry state after a fixed number of symbols: a lane-packed Shift-And
@@ -23,33 +23,53 @@ workers, and both are bit-identical to the serial fused scan:
   numbers dealt round-robin into at most ``input_jobs`` tasks of one
   ``scan_span`` call each, the NBVA stall groups (per NBVA array, the
   units its regexes share) dealt the same way into tasks of one call,
-  so each task counts its groups' stalls whole.
+  so each task counts its groups' stalls whole.  They share one
+  translation of the stream.
   That is parallelism across units, not across the input — the shape
   of the hardware, and of the ``python`` backend's per-regex sharding.
 
-All tasks share one pool round.  The parent merges per-chunk activity
-in chunk order with the same associative ``merge`` discipline the
-ruleset-sharding path uses, then rebuilds containers in sequential
-collection order — dict iteration, match ordering, and every counter
-equal the serial fused run exactly.
+Every task runs on one thread pool over the caller's binding: nothing
+is pickled, mapped, planned or loaded again.  The generated C releases
+the GIL for the length of a crossing, so ``native`` tasks run side by
+side; the table walker (``fused`` without ``cc``) holds it, so there
+the tasks are concurrent but no faster than serial.  The parent merges
+per-chunk activity in chunk order with the same associative ``merge``
+discipline the ruleset-sharding path uses, then rebuilds containers in
+sequential collection order — dict iteration, match ordering, and
+every counter equal the serial fused run exactly.
+
+**Thread safety.**  Tasks share the plan; what they write is either
+their own or written the same by every writer:
+
+* a native crossing's out-buffers are per thread
+  (:class:`~repro.core.native._Workspace` is a ``threading.local``), and
+  so is a chunk's lane stream (:meth:`~repro.simulators.fused.
+  FusedLaneScanner.once`);
+* a walked table fills its rows under its own lock
+  (:class:`~repro.core.table.StepTable`'s ``_walking``);
+* the plan and its library are built before the first task starts
+  (:func:`split_collect` reads ``plan`` and attaches the kernels in the
+  caller), and :func:`~repro.simulators.rap.bind` holds ``_BIND_LOCK``
+  for any other scan binding at the same time;
+* the lazy caches a task fills — ``FusedRuleset._lanes`` (a bin's
+  table, kept by ``setdefault``), ``NativeScanner._fresh`` /
+  ``_hit_words`` (a fresh NBVA cursor table, copied on every read; a
+  lane hit's packed word) and a translation's class stream — map a key
+  to one value whoever computes it, so two threads racing at a miss
+  compute it twice and keep equal values.
 """
 
 from __future__ import annotations
 
-import pickle
-from contextlib import ExitStack
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.automata.nbva import NBVAState
-from repro.compiler.program import CompiledRuleset
-from repro.core import use_backend
 from repro.core.fused import TranslatedSegment
 from repro.engine.partition import longest_activation_path, plan_chunks
-from repro.engine.pool import parallel_map
-from repro.hardware.config import HardwareConfig
-from repro.mapping.mapper import Mapping
 from repro.simulators.activity import BinActivity, nbva_activity
 from repro.simulators.fused import FusedPlan, unit_activity
-from repro.simulators.rap import RunActivity, bind
+from repro.simulators.rap import Binding, RunActivity
 
 
 def unit_windows(plan: FusedPlan) -> tuple[list[int | None], int]:
@@ -71,32 +91,20 @@ def unit_windows(plan: FusedPlan) -> tuple[list[int | None], int]:
 
 
 def split_collect(
-    ruleset: CompiledRuleset,
-    mapping: Mapping,
-    hw: HardwareConfig,
-    data: bytes,
-    *,
-    bin_size: int | None,
-    backend: str,
-    input_jobs: int,
-    jobs: int,
-    min_chunk_bytes: int = 4096,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.05,
-    fault_plan: str | None = None,
+    bound: Binding, data: bytes, *, input_jobs: int, min_chunk_bytes: int = 4096
 ) -> RunActivity | None:
     """Collect one stream's activity with input-parallel chunking.
 
     Returns the exact :class:`RunActivity` a serial fused
-    ``collect_activities`` would produce, or None when splitting is not
-    applicable — the stream is too short for two chunks, or nothing
-    could run concurrently (no lanes, no windowed unit and fewer than
-    two whole-stream tasks) — and the caller falls back to the serial
-    path.  ``jobs`` sizes the worker pool; chunk tasks and whole-stream
-    tasks (cyclic units, NBVA counters) share it.
+    ``collect_activities`` of ``bound`` would produce, or None when
+    splitting is not applicable — the stream is too short for two
+    chunks, or nothing could run concurrently (no lanes, no windowed
+    unit and fewer than two whole-stream tasks) — and the caller falls
+    back to the serial path.  ``input_jobs`` plans the tasks; the pool
+    is as wide as the host's CPUs or the task count, whichever is
+    smaller, so no result depends on the host.
     """
-    plan = bind(ruleset, hw, mapping=mapping).plan
+    plan = bound.plan
     windows, warm = unit_windows(plan)
     n = len(data)
     chunks = plan_chunks(n, input_jobs, warm, min_owned=max(1, min_chunk_bytes))
@@ -119,22 +127,12 @@ def split_collect(
     if len(tasks) <= 1:
         return None
 
-    payload = pickle.dumps(
-        (ruleset, data, bin_size, hw, backend),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    outcomes = parallel_map(
-        _split_task,
-        tasks,
-        jobs=jobs,
-        initializer=_init_split_worker,
-        initargs=(payload,),
-        finalizer=_reset_split_worker,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        fault_plan=fault_plan,
-    )
+    plan.fused._native_scanner()  # attach the kernels before any task races to
+    tin = plan.fused.translate(data)  # one translation for every whole task
+    workers = min(len(tasks), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = [pool.submit(_split_task, plan, data, tin, task) for task in tasks]
+        outcomes = [future.result() for future in running]
     # tasks are laid out chunks, then whole-stream and NBVA groups
     head = len(chunks)
     unit_out = {
@@ -197,40 +195,6 @@ def _assemble(
     return plan.run_activity(units, nbva, bins, n, [count for count, _ in groups])
 
 
-# -- worker-side functions (module level: picklable by the pool) -----------
-
-_SPLIT_STATE: dict = {}
-
-
-def _init_split_worker(payload: bytes) -> None:
-    """Seed one worker with the scan's shared, deterministic state."""
-    ruleset, data, bin_size, hw, backend = pickle.loads(payload)
-    _SPLIT_STATE["backend_scope"] = scope = ExitStack()
-    scope.enter_context(use_backend(backend))
-    _SPLIT_STATE["data"] = data
-    _SPLIT_STATE["plan"] = bind(ruleset, hw, bin_size).plan
-
-
-def _reset_split_worker() -> None:
-    """Clear the worker globals (the in-process fallback seeds the
-    parent, which must not pin the stream — or the backend —
-    afterwards)."""
-    scope = _SPLIT_STATE.pop("backend_scope", None)
-    if scope is not None:
-        scope.close()
-    _SPLIT_STATE.clear()
-
-
-def _whole_stream() -> TranslatedSegment:
-    """The whole stream translated — once per worker, however many
-    whole-stream tasks it runs."""
-    tin = _SPLIT_STATE.get("tin")
-    if tin is None:
-        plan: FusedPlan = _SPLIT_STATE["plan"]
-        tin = _SPLIT_STATE["tin"] = plan.fused.translate(_SPLIT_STATE["data"])
-    return tin
-
-
 def _unit_parts(spans, base: int) -> list[tuple]:
     """Span results as the ``(global positions, active, cycles)`` parts
     the parent folds."""
@@ -240,18 +204,18 @@ def _unit_parts(spans, base: int) -> list[tuple]:
     ]
 
 
-def _split_task(task: tuple):
-    """Execute one split work unit inside a worker."""
-    plan: FusedPlan = _SPLIT_STATE["plan"]
+def _split_task(plan: FusedPlan, data: bytes, tin: TranslatedSegment, task: tuple):
+    """Execute one split work unit: a chunk of ``data``, or whole-stream
+    cursors over ``tin``, its translation."""
     kind = task[0]
     if kind == "chunk":
-        return _run_chunk(plan, _SPLIT_STATE["data"], *task[1:])
+        return _run_chunk(plan, data, *task[1:])
     if kind == "whole":
         cursors = [(number, None) for number in task[1]]
-        return _unit_parts(plan.fused.scan_span(_whole_stream(), cursors)[1], 0)
+        return _unit_parts(plan.fused.scan_span(tin, cursors)[1], 0)
     groups = task[1]  # "nbva": per stall group, its count and activities
     cursors = [(j, NBVAState(), g) for g in groups for j in plan.stall_groups[g][1]]
-    _, _, spans, stalls = plan.fused.scan_span(_whole_stream(), (), cursors)
+    _, _, spans, stalls = plan.fused.scan_span(tin, (), cursors)
     out = {g: (stalls[g], []) for g in groups}
     for (j, _, g), (matches, stats, _) in zip(cursors, spans):
         out[g][1].append((j, nbva_activity(plan.nbva_units[j], matches, stats)))

@@ -101,8 +101,8 @@ class FusedLaneScanner:
     fused compilation — which owns every bin's table — is shared with
     the caller's when supplied, so the alphabet classes match the rest
     of the run.  A stream's state is its own :class:`LaneStream`, so one
-    scanner serves every scan of its plan; it never leaves its process
-    (a worker is seeded with the ruleset and binds its own).
+    scanner serves every scan of its plan, on any thread; it never leaves
+    its process (a worker is seeded with the ruleset and binds its own).
     """
 
     def __init__(

@@ -245,6 +245,8 @@ class Binding:
 # caller-supplied mapping); the oldest is dropped beyond this.
 MAX_BINDINGS = 4
 
+# One lookup-or-build at a time: scans on other threads (two split
+# scans, a served session beside a bulk scan) bind rulesets concurrently.
 _BIND_LOCK = threading.Lock()
 
 

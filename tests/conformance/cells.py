@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.engine import BatchEngine, EngineConfig
 from repro.engine.checkpoint import CheckpointStore, DurableScan
-from repro.engine.split import split_collect
 from repro.hardware.config import DEFAULT_CONFIG as HW
 from repro.regex.parser import parse_anchored
 from repro.serve.registry import TenantEntry
@@ -199,33 +198,16 @@ def bound(case: Case, mode: str, backend: str):
 # -- entry paths ------------------------------------------------------------
 
 
-def bulk(
-    case: Case, mode: str, backend: str, input_jobs: int, *, pool=False, min_chunk=1
-):
+def bulk(case: Case, mode: str, backend: str, input_jobs: int, *, min_chunk=1):
     """``BatchEngine.scan``.  Split scans own ``min_chunk`` bytes or more
-    per chunk (by default seams fall on arbitrary bytes); without
-    ``pool`` the engine's split runs its workers in this process."""
-    ruleset = case.ruleset(mode)
+    per chunk (by default seams fall on arbitrary bytes)."""
     with on(backend):
-        binding = bound(case, mode, backend)
-        if input_jobs > 1 and backend != "python" and not pool:
-            activity = split_collect(
-                ruleset, binding.mapping, HW, case.data, bin_size=case.bin_size,
-                backend=backend, input_jobs=input_jobs, jobs=1,
-                min_chunk_bytes=min_chunk,
-            )
-            sim = RAPSimulator(HW)
-            got = (
-                sim.run(ruleset, case.data, binding.mapping, backend=backend)
-                if activity is None  # nothing to run side by side: serial
-                else sim.run_from_activity(ruleset, activity, binding.mapping)
-            )
-        else:
-            config = EngineConfig(
-                jobs=1, backend=backend, input_jobs=input_jobs,
-                min_chunk_bytes=min_chunk, use_cache=False,
-            )
-            got = BatchEngine(config).scan(ruleset, case.data, case.bin_size)
+        bound(case, mode, backend)
+        config = EngineConfig(
+            jobs=1, backend=backend, input_jobs=input_jobs,
+            min_chunk_bytes=min_chunk, use_cache=False,
+        )
+        got = BatchEngine(config).scan(case.ruleset(mode), case.data, case.bin_size)
     assert_conforms(case, mode, got)
 
 

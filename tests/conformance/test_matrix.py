@@ -117,13 +117,13 @@ SEAMS = (1, 512, 513, 1999)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", PINNED)
 def test_pinned(name, mode, tmp_path):
-    """Every setting, bulk (``auto``: through the engine's worker pool),
-    durable and served — streamed in segments ending inside a lockstep
-    sub-span, and (``keywords64``, the lanes alone) in 4 KiB + 1."""
+    """Every setting, bulk, durable and served — streamed in segments
+    ending inside a lockstep sub-span, and (``keywords64``, the lanes
+    alone) in 4 KiB + 1."""
     case = pinned(name)
     for backend in HOST:
         for input_jobs in INPUT_JOBS:
-            cells.bulk(case, mode, backend, input_jobs, pool=mode == "auto")
+            cells.bulk(case, mode, backend, input_jobs)
         for segment in (127, 512):
             cells.served(case, mode, backend, tmp_path, segment=segment)
     cells.durable(case, mode, SEAMS, backends=HOST, segments=(127, 129))

@@ -20,6 +20,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -232,7 +233,7 @@ class TestNativeSeams:
 
     def test_input_jobs_matches_serial(self):
         case = Case(MIXED_PATTERNS, _mixed_data(seed=41))
-        cells.bulk(case, "auto", "native", 2, pool=True, min_chunk=512)
+        cells.bulk(case, "auto", "native", 2, min_chunk=512)
 
     def test_checkpoint_at_a_seam_resumes_identically(self):
         data = _mixed_data(seed=43)
@@ -822,12 +823,13 @@ class TestOneCrossing:
         data = generate_input(
             "network", 3000, seed=9, patterns=patterns[:8], plant_every=25
         )
-        tasks, run_task = [], split._split_task
+        tasks, run_task, one = [], split._split_task, threading.Lock()
 
-        def task(item):
-            del calls[:]
-            out = run_task(item)
-            tasks.append((item[0], list(calls)))
+        def task(*args):
+            with one:  # a task at a time: ``calls`` is one list
+                del calls[:]
+                out = run_task(*args)
+                tasks.append((args[-1][0], list(calls)))
             return out
 
         monkeypatch.setattr(split, "_split_task", task)
@@ -843,10 +845,8 @@ class TestOneCrossing:
                 del calls[:]
                 scan.feed(segment, at_end=False)
                 assert calls == ["rap_scan_span"]
-            # jobs=1: every task runs in this process, under the wrapper
             chunked = split.split_collect(
-                ruleset, binding.mapping, DEFAULT_CONFIG, data, bin_size=None,
-                backend="native", input_jobs=2, jobs=1, min_chunk_bytes=64,
+                binding, data, input_jobs=2, min_chunk_bytes=64
             )
         # NBVA units alone are one stall group (one array): one task, so
         # nothing splits

@@ -291,7 +291,7 @@ class TestBinding:
         down: neither collection nor pricing binds again."""
         if backend not in available_backends():
             pytest.skip(f"{backend} backend not available")
-        from repro.engine import checkpoint, split
+        from repro.engine import checkpoint
         from repro.simulators import fused, rap
 
         ruleset = compiled(self.PATTERNS)
@@ -300,7 +300,7 @@ class TestBinding:
         assert engine.scan(ruleset, self.DATA) == reference  # binds
         calls = []
         inner = rap.bind
-        for module in (batch_mod, rap, fused, checkpoint, split):
+        for module in (batch_mod, rap, fused, checkpoint):
             monkeypatch.setattr(
                 module, "bind", lambda *a, **k: calls.append(a) or inner(*a, **k)
             )

@@ -1214,7 +1214,7 @@ class TestPlanDifferential:
     def test_input_jobs_2(self, name, backend, tmp_path):
         short = _plan_case(name)
         case = Case(short.patterns, short.data * 6, compiler=short.compiler)
-        cells.bulk(case, "auto", backend, 2, pool=True, min_chunk=16)
+        cells.bulk(case, "auto", backend, 2, min_chunk=16)
         engine = BatchEngine(
             EngineConfig(
                 backend=backend,

@@ -17,7 +17,7 @@ pytest.importorskip("numpy")
 
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.compiler.program import CompiledMode
-from repro.core import available_backends, resolve_backend, use_backend
+from repro.core import available_backends, use_backend
 from repro.engine import BatchEngine, BatchTask, EngineConfig, INPUT_JOBS_ENV
 from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.partition import plan_chunks
@@ -92,18 +92,29 @@ def cases(ruleset, mapped):
     return found
 
 
-def _split(ruleset, mapping, data, *, input_jobs, min_chunk_bytes=64, jobs=1):
+def _split(ruleset, mapping, data, *, input_jobs, min_chunk_bytes=64):
     return split_collect(
-        ruleset,
-        mapping,
-        DEFAULT_CONFIG,
+        bind(ruleset, DEFAULT_CONFIG, mapping=mapping),
         data,
-        bin_size=None,
-        backend=resolve_backend(),
         input_jobs=input_jobs,
-        jobs=jobs,
         min_chunk_bytes=min_chunk_bytes,
     )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every thread pool a split scan starts."""
+    from repro.engine import split as split_mod
+
+    sizes = []
+
+    class Spy(split_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(split_mod, "ThreadPoolExecutor", Spy)
+    return sizes
 
 
 class TestSplitCollect:
@@ -123,31 +134,62 @@ class TestSplitCollect:
         assert [c.pattern for c in plan.nbva_units] == ["k{20,400}m"]
         assert warm >= max(len(p) for p in ["abcdef", "hello"])
 
-    def test_in_process_workers_leave_no_parent_state(
-        self, ruleset, mapped, monkeypatch
-    ):
-        # jobs=1 seeds the worker globals in this very process: neither
-        # the stream nor the backend pin may outlive the scan.
-        from repro.core import registry
-        from repro.engine import split as split_mod
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_process_one_bind(self, backend, pools, monkeypatch):
+        """A split scan forks nothing and binds once: its tasks are
+        threads over the scan's own binding, however many scans."""
+        from concurrent import futures
 
-        monkeypatch.setattr(registry, "_default", None)
-        _, mapping = mapped
-        data = generate_input("text", 4000, seed=3, patterns=PATTERNS)
-        got = split_collect(
-            ruleset,
-            mapping,
-            DEFAULT_CONFIG,
-            data,
-            bin_size=None,
-            backend="fused",
-            input_jobs=2,
-            jobs=1,
-            min_chunk_bytes=64,
-        )
-        assert got is not None
-        assert split_mod._SPLIT_STATE == {}
-        assert registry._default is None
+        from repro.engine import batch, pool, supervisor
+        from repro.simulators import rap
+
+        def forked(*args, **kwargs):
+            raise AssertionError("a split scan started a child process")
+
+        for module in pool, batch:
+            monkeypatch.setattr(module, "run_supervised", forked)
+        for module in supervisor, futures:
+            monkeypatch.setattr(module, "ProcessPoolExecutor", forked)
+        bindings, real = [], rap.Binding.__init__
+        spy = lambda *args: bindings.append(1) or real(*args)  # noqa: E731
+        monkeypatch.setattr(rap.Binding, "__init__", spy)
+        ruleset = compile_ruleset(PATTERNS)  # a new object: unbound
+        data = generate_input("text", 20000, seed=9, patterns=PATTERNS)
+        config = EngineConfig(backend=backend, input_jobs=4, use_cache=False)
+        split = [BatchEngine(config).scan(ruleset, data) for _ in range(2)]
+        assert len(bindings) == 1 and len(pools) == 2  # two split scans
+        with use_backend("python"):
+            assert split == [RAPSimulator(DEFAULT_CONFIG).run(ruleset, data)] * 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_concurrent_scans_on_threads_sized_by_the_host(
+        self, cases, pools, backend
+    ):
+        """Two threads split two rulesets at once, their tasks switching
+        every microsecond, each equal to its serial scan (no state couples
+        them); ``input_jobs`` plans 64 chunks, the host's CPUs bound the
+        threads."""
+        import os
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        jobs = [cases["mixed"][1:], cases["wide"][1:]]
+        data = generate_input("text", 300_000, seed=6, patterns=PATTERNS + [WIDE])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_backend(backend), ThreadPoolExecutor(2) as threads:
+                split = [
+                    threads.submit(_split, *job, data, input_jobs=64, min_chunk_bytes=1)
+                    for job in jobs
+                ]
+                got = [future.result(timeout=300) for future in split]
+        finally:
+            sys.setswitchinterval(interval)
+        with use_backend(backend):
+            sim = RAPSimulator()
+            assert got == [sim.collect_activities(r, data, m) for r, m in jobs]
+        assert len(pools) == 2 and max(pools) <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("input_jobs", [2, 3, 4, 7])
     def test_bit_identical_to_serial_fused(self, text, input_jobs):
@@ -157,14 +199,13 @@ class TestSplitCollect:
     @given(
         case=st.sampled_from(["mixed", "windowless", "wide", "lone"]),
         backend=st.sampled_from(BACKENDS),
-        jobs=st.sampled_from([1, 2]),
         length=st.integers(200, 3000),
         input_jobs=st.integers(2, 6),
         min_chunk=st.sampled_from([1, 17, 256]),
         seed=st.integers(0, 5),
     )
     def test_arbitrary_split_points_compose_exactly(
-        self, cases, case, backend, jobs, length, input_jobs, min_chunk, seed
+        self, cases, case, backend, length, input_jobs, min_chunk, seed
     ):
         # min_chunk=1 drives seams to arbitrary byte positions, so the
         # drawn (length, input_jobs, min_chunk) triple explores the
@@ -184,7 +225,6 @@ class TestSplitCollect:
                 data,
                 input_jobs=input_jobs,
                 min_chunk_bytes=min_chunk,
-                jobs=jobs,
             )
             _, warm = unit_windows(bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan)
         if case == "lone" or len(plan_chunks(length, input_jobs, warm, min_chunk)) <= 1:
@@ -224,22 +264,15 @@ class TestSplitCollect:
     @pytest.mark.parametrize("case", ["mixed", "windowless"])
     @pytest.mark.parametrize("input_jobs", [2, 3])
     def test_windowless_units_are_stepped_once_from_the_start(
-        self, cases, case, input_jobs, monkeypatch
+        self, cases, case, input_jobs, pools, monkeypatch
     ):
         """The shape of a split scan, not its speed: one pool round, and
         every byte of every unit's stream stepped by exactly one task."""
         from repro.core.fused import FusedRuleset
-        from repro.engine import split as split_mod
 
-        rounds: list[int] = []
         unit_calls: list[tuple] = []
         nbva_calls: list[int] = []
-        real_map = split_mod.parallel_map
         real_span = FusedRuleset.scan_span
-
-        def counted_map(fn, tasks, **pool):
-            rounds.append(len(tasks))
-            return real_map(fn, tasks, **pool)
 
         def counted_span(self, tin, units=(), nbva=(), *, stats_from=0, **span):
             if units:
@@ -247,7 +280,6 @@ class TestSplitCollect:
             nbva_calls.extend(len(tin.data) for _ in nbva)  # per cursor
             return real_span(self, tin, units, nbva, stats_from=stats_from, **span)
 
-        monkeypatch.setattr(split_mod, "parallel_map", counted_map)
         monkeypatch.setattr(FusedRuleset, "scan_span", counted_span)
         patterns, ruleset, mapping = cases[case]
         data = generate_input("text", 6000, seed=3, patterns=patterns)
@@ -255,10 +287,9 @@ class TestSplitCollect:
         with use_backend("fused"):
             plan = bind(ruleset, DEFAULT_CONFIG, mapping=mapping).plan
             windows, _ = unit_windows(plan)
-            # in-process workers (jobs=1): the wrappers see every call
             assert _split(ruleset, mapping, data, input_jobs=input_jobs) is not None
 
-        assert len(rounds) == 1
+        assert len(pools) == 1
         windowless = {number for number, w in enumerate(windows) if w is None}
         whole = [
             call
@@ -377,22 +408,6 @@ class TestSeams:
 
 
 class TestEngineWiring:
-    def test_scan_is_bit_identical(self, ruleset):
-        data = generate_input("text", 20000, seed=9, patterns=PATTERNS)
-        serial = BatchEngine(
-            EngineConfig(jobs=1, backend="fused")
-        ).scan(ruleset, data)
-        for input_jobs in (2, 4):
-            split = BatchEngine(
-                EngineConfig(
-                    jobs=1,
-                    input_jobs=input_jobs,
-                    backend="fused",
-                    min_chunk_bytes=512,
-                )
-            ).scan(ruleset, data)
-            assert split == serial
-
     def test_env_var_enables_input_parallelism(self, ruleset, monkeypatch):
         data = generate_input("text", 12000, seed=1, patterns=PATTERNS)
         serial = BatchEngine(

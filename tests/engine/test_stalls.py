@@ -166,10 +166,7 @@ def test_input_jobs_two(ruleset, data, want, backend):
         else:
             from repro.engine.split import split_collect
 
-            activity = split_collect(
-                ruleset, binding.mapping, HW, data, bin_size=None,
-                backend=backend, input_jobs=2, jobs=1, min_chunk_bytes=1,
-            )
+            activity = split_collect(binding, data, input_jobs=2, min_chunk_bytes=1)
             assert activity is not None
             result = RAPSimulator(HW).run_from_activity(
                 ruleset, activity, binding.mapping
