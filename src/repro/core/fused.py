@@ -28,6 +28,7 @@ registry resolved ``fused`` or ``native``: it requires NumPy.
 from __future__ import annotations
 
 import logging
+import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
 
@@ -295,6 +296,7 @@ class FusedRuleset:
         self.native_why = why or f"{resolved} backend"
         self._native = None
         self._native_tried = False
+        self._native_lock = threading.Lock()
 
     def _native_scanner(self):
         """The binding's compiled kernels (:class:`~repro.core.native.
@@ -302,17 +304,20 @@ class FusedRuleset:
 
         Any build or load failure falls back to the interpreted scan —
         results are identical by the bit-identity contract, only speed
-        changes — so a missing compiler can never fail a run.
+        changes — so a missing compiler can never fail a run.  A thread
+        arriving during the build waits for it.
         """
         if self._native_requested and not self._native_tried:
-            self._native_tried = True
-            try:
-                from repro.core.native import NativeScanner
+            with self._native_lock:
+                if not self._native_tried:
+                    try:
+                        from repro.core.native import NativeScanner
 
-                self._native = NativeScanner(self)
-            except Exception as err:
-                log.debug("native kernels unavailable: %s", err)
-                self.native_why = str(err)
+                        self._native = NativeScanner(self)
+                    except Exception as err:
+                        log.debug("native kernels unavailable: %s", err)
+                        self.native_why = str(err)
+                    self._native_tried = True
         return self._native
 
     @property

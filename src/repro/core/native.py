@@ -33,6 +33,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -284,27 +285,52 @@ def load_source(source: str, cdef: str) -> _Library:
 class _Workspace(threading.local):
     """A scanner's fixed-size out-buffers, allocated on its first span in
     each thread: ``layout`` maps a name to ``(dtype, count)``; each buffer
-    is a view of one block (``name``) plus the library's pointer to it
-    (``at_<name>``), so a span neither allocates nor converts them;
-    ``args`` are the pointers of the buffers ``names`` lists, ``caps``
-    and ``shape`` what ``ctl``'s constant words were last written for,
-    ``words`` a memoryview of ``ctl``."""
+    is a view of one block (``name``: an ndarray, or for the ``read``
+    buffers a memoryview — sliced and listed per span, without NumPy)
+    plus the library's pointer to it (``at_<name>``), so a span neither
+    allocates nor converts them; ``args`` are the pointers of the
+    buffers ``names`` lists, ``caps`` and ``shape`` what ``ctl``'s
+    constant words were last written for, ``words`` a memoryview of
+    ``ctl``."""
 
-    def __init__(self, lib: _Library, layout: dict[str, tuple[type, int]], names=()):
+    def __init__(
+        self, lib: _Library, layout: dict[str, tuple[type, int]], names=(), read=()
+    ):
         words = [-(-np.dtype(t).itemsize * n // 8) for t, n in layout.values()]
         self.block = np.zeros(sum(words), dtype=np.int64)
         at = 0
         for (name, (dtype, count)), size in zip(layout.items(), words):
             view = self.block[at : at + size].view(dtype)[:count]
-            setattr(self, name, view)
+            setattr(self, name, memoryview(view) if name in read else view)
             setattr(self, "at_" + name, lib.pointer(view))
             at += size
         self.args = tuple(getattr(self, "at_" + name) for name in names)
         self.caps = self.shape = None
         self.words = memoryview(self.ctl)
+        # fresh NBVA cursors -> (this thread's _Rows, the template's
+        # words, zero vector bytes): reset in place before each span
+        self.fresh: dict[tuple, tuple] = {}
+
+
+class _Rows:
+    """NBVA cursors as the kernel takes them: the cursor ``table`` (one
+    row of :data:`~repro.core.codegen.NBVA_COLUMNS` words per cursor) and
+    ``vecs``, both ndarrays, ``flat`` the table's words and ``raw`` the
+    vectors' bytes as memoryviews, and ``args`` the two pointers."""
+
+    __slots__ = ("table", "vecs", "flat", "raw", "args")
+
+    def __init__(self, table, vecs, pointer):
+        self.table, self.vecs = table, vecs
+        self.flat = memoryview(table).cast("B").cast("Q")
+        self.raw = memoryview(vecs).cast("B")
+        self.args = pointer(table), pointer(vecs)
 
 
 _FRESH = NBVAState()
+# a cursor row's first counter column (the C's C_STATS), after its match
+# count; NBVAStats' fields follow in order
+_C_STATS = 7
 
 
 class NativeScanner:
@@ -403,12 +429,14 @@ class NativeScanner:
             # rap_scan_span's buffers after the lanes', in its order
             "visits hit_pos hit_states units active ev_pos ev_cursor ev_state "
             "ev hist bits stalls".split(),
+            "hit_pos hit_states units active ev_pos ev_cursor ev_state ev "
+            "stalls".split(),
         )
         self._pointer = lib.pointer
         # Shared by every thread's spans: a key has one value, whoever
-        # computes it (a racing miss computes it twice), and a fresh
-        # table is copied on every read, never written in place.
-        self._fresh: dict[tuple, tuple] = {}  # NBVA units -> fresh cursor rows
+        # computes it (a racing miss computes it twice), and a template
+        # is only ever read.
+        self._fresh: dict[tuple, np.ndarray] = {}  # fresh cursors -> template
         self._hit_words: dict[tuple, int] = {}  # lane state ids -> packed word
         self._warm = fused.warm
         self._foreign_logged = False
@@ -437,10 +465,11 @@ class NativeScanner:
                 return False
             ids.append(sid)
         if lanes.args is None:
-            lanes.state = np.zeros(len(self.dfas), dtype=np.uint32)
-            buffers = lanes.state, lanes.tile_cycles, lanes.tile_bits
+            state = np.zeros(len(self.dfas), dtype=np.uint32)
+            buffers = state, lanes.tile_cycles, lanes.tile_bits
             lanes.args = tuple(map(self._pointer, buffers))
-        lanes.state[:], lanes.word = ids, None
+            lanes.state = memoryview(state)
+        lanes.state[:], lanes.word = array("I", ids), None
         return True
 
     def _leave(self, lanes) -> int:
@@ -494,44 +523,28 @@ class NativeScanner:
             rest = self.span(data, units=units[cut:], **span)[1]
             return head[0], head[1] + rest, *head[2:]
         ws, n, m, k = self._ws, len(data), len(units), len(nbva)
-        shape = (-1 if lanes is None else int(lanes.fresh), m, k, self._cap)
-        if shape != ws.shape:  # codegen.SCAN_CTL: "lanes" .. "groups"
-            cap, ws.shape = self._cap, shape
-            # the unit and NBVA kernels write whole bytes: up to m events
-            # and one
-            ws.caps = cap, min(max(cap, m), len(ws.ev_pos)), min(cap, len(ws.ev))
-            ws.ctl[5:12] = *shape[:3], *ws.caps, self._groups
         hits: list[tuple[int, int]] = []
         events: list[list[tuple[int, int]]] = []
+        bases: list[int] = []
         if m:
             bases = [self.bases[number] for number, _ in units]
-            ws.units[:m] = [base + sid for base, (_, sid) in zip(bases, units)]
+            ids = [base + sid for base, (_, sid) in zip(bases, units)]
+            ws.units[:m] = array("I", ids)
             events = [[] for _ in units]
-        if k:
-            table, vecs = self._nbva_rows(nbva)
-            rows = self._pointer(table), self._pointer(vecs)
-            found = [[] for _ in nbva]  # per NBVA cursor: its matches
-            offsets = [state.offset for _, state, _ in nbva]
-        else:  # (rap_scan_span reads no cursor table without NBVA cursors)
-            rows = ws.at_hist, ws.at_hist
-        own = lanes.args if lanes is not None else (ws.at_hist,) * 3
-        args = (int(at_end), stats_from, *rows, ws.at_ctl, *own, *ws.args)
-        raw = data if type(data) is bytes else self._pointer(data)
-        words, rc = ws.words, 1
-        try:  # the C zeroes the span's counters and, done, its resume words
-            while rc:
-                rc = self._span_fn(raw, n, *args)
-                if words[-2]:
-                    self._lane_hits(words[-2], hits)
-                if words[-1]:
-                    self._unit_events(words[-1], events, bases)
-                if k:
-                    self._nbva_events(table, offsets, found)
-        finally:
-            if rc:  # an interrupted span: the next one starts afresh
-                ws.ctl[:5] = 0
-        if lanes is not None and n:
-            lanes.fresh = False
+        found: list[list[int]] = [[] for _ in nbva]  # per NBVA cursor: matches
+        offsets = [state.offset for _, state, _ in nbva]
+        rows = self._nbva_rows(ws, nbva)
+        words = ws.words
+
+        def drain():
+            if words[-2]:
+                self._lane_hits(words[-2], hits)
+            if words[-1]:
+                self._unit_events(words[-1], events, bases)
+            if k:
+                self._nbva_events(rows.flat, offsets, found)
+
+        self._cross(data, at_end, stats_from, lanes, m, k, rows, drain)
         unit_out: list = []
         if m:
             exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
@@ -539,9 +552,77 @@ class NativeScanner:
         hist = ws.hist.copy() if m or k else None
         nbva_out, stalls = [], [0] * self._groups
         if k:
-            nbva_out = self._nbva_out(nbva, table, vecs, found, hist, n, frontiers)
+            nbva_out = self._nbva_out(nbva, rows, found, hist, n, frontiers)
             stalls = ws.stalls[: self._groups].tolist()
         return hits if lanes is not None else None, unit_out, nbva_out, hist, stalls
+
+    def bulk(self, data: bytes, lanes, ids, nbva: tuple, found: list) -> tuple:
+        """:meth:`span` of a bulk scan: every cursor fresh, over the whole
+        stream, straight into the caller's records.  ``lanes`` is a fresh
+        :class:`~repro.simulators.fused.LaneStream` (or ``None``), ``ids``
+        the GATHER cursors' forest state ids (at most
+        :data:`~repro.core.codegen.UNIT_SPAN_CURSORS`), ``nbva`` the NBVA
+        cursors' ``(unit, stall group)`` pairs; ``found`` holds one list
+        per cursor, GATHER then NBVA, and each cursor's event positions
+        are appended to its own.  Returns the lanes' hits (as
+        :meth:`span`), per GATHER cursor its active-state sum, per NBVA
+        cursor its counters in :class:`NBVAStats` field order
+        (``matched_states`` 0: nothing a bulk scan prices reads it) and
+        per stall group its stall count."""
+        if lanes is not None and not (self.dfas and self._enter(lanes)):
+            lanes = None  # the caller walks them
+        ws, m, k = self._ws, len(ids), len(nbva)
+        hits: list[tuple[int, int]] = []
+        if m:
+            ws.units[:m] = ids
+        rows = self._fresh_rows(ws, nbva)
+        words, events = ws.words, found[:m]
+        offsets, nbva_found = [0] * k, found[m:]
+
+        def drain():
+            if words[-2]:
+                self._lane_hits(words[-2], hits)
+            if words[-1]:
+                self._unit_events(words[-1], events)
+            if k:
+                self._nbva_events(rows.flat, offsets, nbva_found)
+
+        self._cross(data, True, 0, lanes, m, k, rows, drain)
+        width = codegen.NBVA_COLUMNS
+        flat = rows.flat[: k * width].tolist() if k else []
+        return (
+            hits if lanes is not None else None,
+            ws.active[:m].tolist(),
+            [flat[at + _C_STATS : at + width] for at in range(0, k * width, width)],
+            ws.stalls[: self._groups].tolist(),
+        )
+
+    def _cross(self, data, at_end, stats_from, lanes, m, k, rows, drain) -> None:
+        """Call ``rap_scan_span`` over ``data`` until the span is done,
+        ``drain()`` emptying its event buffers after each return (a full
+        buffer returns early; the next call resumes)."""
+        ws = self._ws
+        shape = (-1 if lanes is None else int(lanes.fresh), m, k, self._cap)
+        if shape != ws.shape:  # codegen.SCAN_CTL: "lanes" .. "groups"
+            cap, ws.shape = self._cap, shape
+            # the unit and NBVA kernels write whole bytes: up to m events
+            # and one
+            ws.caps = cap, min(max(cap, m), len(ws.ev_pos)), min(cap, len(ws.ev))
+            ws.ctl[5:12] = *shape[:3], *ws.caps, self._groups
+        own = lanes.args if lanes is not None else (ws.at_hist,) * 3
+        table = rows.args if rows is not None else (ws.at_hist,) * 2
+        args = (int(at_end), stats_from, *table, ws.at_ctl, *own, *ws.args)
+        raw = data if type(data) is bytes else self._pointer(data)
+        n, rc = len(data), 1
+        try:  # the C zeroes the span's counters and, done, its resume words
+            while rc:
+                rc = self._span_fn(raw, n, *args)
+                drain()
+        finally:
+            if rc:  # an interrupted span: the next one starts afresh
+                ws.ctl[:5] = 0
+        if lanes is not None and n:
+            lanes.fresh = False
 
     def _lane_hits(self, count: int, hits: list) -> None:
         """The lane hits of the last return, in position order (a
@@ -556,25 +637,52 @@ class NativeScanner:
                 word = self._hit_words[key] = self._word(key)
             hits.append((pos, word))
 
-    def _unit_events(self, count: int, events: list, bases: list) -> None:
-        """The unit events of the last return, routed to their cursors."""
+    def _unit_events(self, count: int, events: list, bases=None) -> None:
+        """The unit events of the last return, routed to their cursors:
+        ``(position, table state)`` per event, or (no ``bases``) its
+        position alone."""
         ws = self._ws
-        for pos, u, sid in zip(
-            ws.ev_pos[:count].tolist(),
-            ws.ev_cursor[:count].tolist(),
-            ws.ev_state[:count].tolist(),
-        ):
+        where = zip(ws.ev_pos[:count].tolist(), ws.ev_cursor[:count].tolist())
+        if bases is None:
+            for pos, u in where:
+                events[u].append(pos)
+            return
+        for (pos, u), sid in zip(where, ws.ev_state[:count].tolist()):
             events[u].append((pos, sid - bases[u]))
 
-    def _nbva_rows(self, cursors):
-        """The cursor table and vector words the NBVA kernel takes for
-        ``(NBVA unit, entry frontier, stall group)`` cursors (fresh ones'
-        from a template made once)."""
-        fresh = all(state == _FRESH for _, state, _ in cursors)
-        key = tuple((index, group) for index, _, group in cursors)
-        if fresh and key in self._fresh:
-            table, size = self._fresh[key]
-            return table.copy(), np.zeros(size, dtype=np.uint64)
+    def _fresh_rows(self, ws, cursors: tuple):
+        """The :class:`_Rows` of fresh NBVA cursors, ``(unit, stall group)``
+        pairs (``None`` without any): this thread's, reset in place from
+        a template made once per ``cursors``."""
+        held = ws.fresh.get(cursors)
+        if held is not None:
+            rows, template, zeros = held
+            rows.flat[:] = template
+            rows.raw[:] = zeros
+            return rows
+        if not cursors:  # (rap_scan_span reads no cursor table then)
+            return None
+        table = self._fresh.get(cursors)
+        if table is None:
+            fresh = [(j, _FRESH, g) for j, g in cursors]
+            table = self._fresh[cursors] = self._build_rows(fresh)[0]
+        words = sum(2 * self._nbva[j][2] for j, _ in cursors)
+        vecs = np.zeros(max(1, words), np.uint64)
+        rows = _Rows(table.copy(), vecs, self._pointer)
+        template = memoryview(table).cast("B").cast("Q")
+        ws.fresh[cursors] = rows, template, bytes(vecs.nbytes)
+        return rows
+
+    def _nbva_rows(self, ws, cursors):
+        """The :class:`_Rows` the NBVA kernel takes for ``(NBVA unit,
+        entry frontier, stall group)`` cursors (fresh ones' from
+        :meth:`_fresh_rows`)."""
+        if all(state == _FRESH for _, state, _ in cursors):
+            return self._fresh_rows(ws, tuple((j, g) for j, _, g in cursors))
+        return _Rows(*self._build_rows(cursors), self._pointer)
+
+    def _build_rows(self, cursors):
+        """A new cursor table and vector words for NBVA cursors."""
         layouts, rows, size = self._nbva, [], 0
         for index, state, group in cursors:
             slot, _, total = layouts[index]
@@ -592,14 +700,14 @@ class NativeScanner:
                 at, words = layouts[index][1][pid]
                 at += row[2]
                 vecs[at : at + words] = words_from_int(vec, words)
-        if fresh:
-            self._fresh[key] = table.copy(), len(vecs)
         return table, vecs
 
-    def _nbva_events(self, table, offsets: list[int], found: list):
+    def _nbva_events(self, flat, offsets: list[int], found: list):
         """The NBVA matches of the last return: each cursor's ``C_NMATCH``
-        of them, in turn from the buffer's front."""
-        counts = table[: len(found), 6].tolist()
+        of them, in turn from the buffer's front (``flat``: the cursor
+        table's words)."""
+        width = codegen.NBVA_COLUMNS
+        counts = flat[_C_STATS - 1 : len(found) * width : width].tolist()
         total = sum(counts)
         if not total:
             return
@@ -610,17 +718,17 @@ class NativeScanner:
                 matches += [p + off for p in run] if off else run
                 at += count
 
-    def _nbva_out(self, cursors, table, vecs, found, hist, n: int, frontiers):
+    def _nbva_out(self, cursors, rows, found, hist, n: int, frontiers):
         """Per NBVA cursor ``(matches, NBVAStats, exit frontier)``, its
         ``matched_states`` the histogram dotted with its byte popcounts."""
-        spans, words = [], vecs.tobytes() if frontiers else b""
+        spans, words = [], rows.vecs.tobytes() if frontiers else b""
         matched = self._nbva_pops.dot(hist).tolist()
-        for (index, state, _), out, matches in zip(cursors, table.tolist(), found):
-            out[9] = matched[out[0]]  # C_STATS + 2, by the unit's slot
+        for (index, state, _), out, matches in zip(cursors, rows.table.tolist(), found):
+            out[_C_STATS + 2] = matched[out[0]]  # by the unit's slot
             frontier = None
             if frontiers:
                 frontier = self._frontier(index, state, out, words, n)
-            spans.append((matches, NBVAStats(*out[7:]), frontier))
+            spans.append((matches, NBVAStats(*out[_C_STATS:]), frontier))
         return spans
 
     def _frontier(self, index: int, state: NBVAState, row, words, n: int):

@@ -3,10 +3,15 @@
 Selection order (first hit wins):
 
 1. an explicit name passed to :func:`resolve_backend`;
-2. the process default set via :func:`set_default_backend` /
-   :func:`use_backend` (the CLI's ``--backend`` lands here);
-3. the ``RAP_BACKEND`` environment variable;
-4. ``"python"``.
+2. the scoped override of :func:`use_backend`, private to the thread or
+   task (a :class:`~contextvars.ContextVar`) that entered it;
+3. the process default set via :func:`set_default_backend`;
+4. the ``RAP_BACKEND`` environment variable;
+5. ``"python"``.
+
+A resolution is memoised on what it reads — the requested name, and
+``RAP_BACKEND``, ``RAP_NATIVE_DISABLE``, ``CC`` and ``PATH`` — so a scan
+pays at most four environment lookups, not the capability probes.
 
 Three backends, three steppers.  ``python`` is the *oracle*: every unit
 steps through the stdlib :class:`~repro.core.pykernel.PythonKernel`.
@@ -27,13 +32,14 @@ session written under any backend is read under any other.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextvars import ContextVar
 
 from repro.core.kernel import StepKernel
 from repro.core.pykernel import PythonKernel
 
 BACKEND_ENV = "RAP_BACKEND"
+_NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"  # repro.core.native reads it too
 
 
 def _numpy_available() -> bool:
@@ -55,14 +61,29 @@ def _native_available() -> bool:
     return native_available()
 
 
+class _Probes(dict):
+    """The probe table: replacing or removing a probe forgets every
+    memoised resolution (tests swap probes in and out)."""
+
+    def __setitem__(self, name, probe):
+        super().__setitem__(name, probe)
+        _RESOLVED.clear()
+
+    def __delitem__(self, name):
+        super().__delitem__(name)
+        _RESOLVED.clear()
+
+
 # name -> capability probe.  A backend names how whole rulesets execute
 # (the fused plan, interpreted or compiled); standalone automaton scans
 # always step through the one PythonKernel (see get_kernel).
-_BACKENDS: dict[str, Callable[[], bool]] = {
-    "python": lambda: True,
-    "fused": _numpy_available,
-    "native": _native_available,
-}
+_BACKENDS: dict[str, Callable[[], bool]] = _Probes(
+    {
+        "python": lambda: True,
+        "fused": _numpy_available,
+        "native": _native_available,
+    }
+)
 
 # Where an unavailable backend degrades to.  Names absent from this map
 # fall straight back to "python" (always available).
@@ -81,6 +102,12 @@ def _unavailable_reason(name: str) -> str:
 
 
 _default: str | None = None
+_UNSET = object()
+# use_backend's override: a resolved name, None (unpinned), or _UNSET
+_scoped: ContextVar = ContextVar("rap_backend_scope", default=_UNSET)
+# (requested name, explicit?, RAP_BACKEND, RAP_NATIVE_DISABLE, CC, PATH)
+# -> (resolved, reason)
+_RESOLVED: dict[tuple, tuple[str, str | None]] = {}
 _KERNEL = PythonKernel()
 
 
@@ -111,10 +138,23 @@ def resolve_backend_with_reason(
     silent capability fallback is silent for results, never for
     operators.
     """
-    if name is None:
-        name = _default
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip().lower() or "python"
+    explicit = name is not None
+    if not explicit:
+        name = _scoped.get()
+        if name is _UNSET:
+            name = _default
+    env = os.environ.get
+    probed = env(_NATIVE_DISABLE_ENV), env("CC"), env("PATH")
+    key = (name, explicit, None if name else env(BACKEND_ENV), *probed)
+    found = _RESOLVED.get(key)
+    if found is None:
+        found = _RESOLVED[key] = _resolve(name, explicit, key[2])
+    return found
+
+
+def _resolve(name: str | None, explicit: bool, env: str | None):
+    if not explicit and name is None:
+        name = (env or "").strip().lower() or "python"
         if name not in _BACKENDS:
             return "python", f"unknown backend {name!r}"
     else:
@@ -155,13 +195,17 @@ def set_default_backend(name: str | None) -> None:
     _default = None if name is None else resolve_backend(name)
 
 
-@contextmanager
-def use_backend(name: str | None) -> Iterator[str]:
-    """Scoped :func:`set_default_backend`; yields the resolved name."""
-    global _default
-    previous = _default
-    set_default_backend(name)
-    try:
-        yield _default or resolve_backend()
-    finally:
-        _default = previous
+class use_backend:
+    """:func:`set_default_backend` for the calling thread or task only,
+    until the scope exits (``None`` unpins the process default inside
+    it); entering yields the resolved name."""
+
+    def __init__(self, name: str | None):
+        self._resolved = None if name is None else resolve_backend(name)
+
+    def __enter__(self) -> str:
+        self._token = _scoped.set(self._resolved)
+        return self._resolved or resolve_backend()
+
+    def __exit__(self, *exc) -> None:
+        _scoped.reset(self._token)

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from repro.automata.nbva import NBVAState
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
+from repro.core import codegen
 from repro.core.fused import FusedRuleset, TranslatedSegment
 from repro.core.state import KernelState
 from repro.core.table import StepTable
@@ -56,7 +57,6 @@ from repro.simulators.activity import (
     # on this module (span ``automata.nbva_scan``); it goes when the
     # ledger reads spans instead of wrapping names (ROADMAP item 2(a)).
     collect_regex_activity,  # noqa: F401
-    nbva_activity,
 )
 from repro.simulators.rap import Binding, RunActivity, bind
 
@@ -84,12 +84,16 @@ class LaneStream:
     cycles aside: never gated, it wakes once per owned byte — and the
     packed ``word`` the walker steps, or (``word`` ``None``) one state id
     per group in ``state``, which the kernel steps (``args``: the three
-    buffers' addresses).  ``fresh`` until the stream's first byte."""
+    buffers' addresses).  ``fresh`` until the stream's first byte.  The
+    two counter arrays are halves of one block, ``counts`` (its bytes:
+    ``raw``), so a reset and a read are one memoryview operation each."""
 
     def __init__(self, tiles: int, word: int = 0, fresh: bool = True):
         self.word, self.fresh = word, fresh
-        self.tile_cycles = np.zeros(tiles, dtype=np.int64)
-        self.tile_bits = np.zeros(tiles, dtype=np.int64)
+        block = np.zeros(2 * tiles, dtype=np.int64)
+        self.tile_cycles, self.tile_bits = block[:tiles], block[tiles:]
+        self.counts = memoryview(block)
+        self.raw = self.counts.cast("B")
         self.state = self.args = None
 
 
@@ -122,6 +126,7 @@ class FusedLaneScanner:
             self._tile_spans.append((start, start + len(layout.tile_masks)))
             start += len(layout.tile_masks)
         self._tiles = start
+        self._zeros = bytes(16 * start)  # a stream's counters, reset
 
         # Global final-bit → (bin, regex_id), for match decomposition.
         finals: dict[int, tuple[int, int]] = {}
@@ -187,7 +192,7 @@ class FusedLaneScanner:
         lanes = getattr(self._once, "lanes", None)
         if lanes is None:
             lanes = self._once.lanes = self.stream()
-        lanes.tile_cycles[:] = lanes.tile_bits[:] = 0
+        lanes.raw[:] = self._zeros
         lanes.word, lanes.fresh = entry, fresh
         return lanes
 
@@ -611,6 +616,27 @@ class FusedPlan:
             for j in units
         ]
         self._compiled = None
+        # A bulk scan's records, laid out once (collect): per non-LNFA
+        # regex in ruleset order its id, its unit's mode, its cursor (the
+        # GATHER units', then fresh_nbva's: an NBVA unit's first), NBVA?,
+        # and whether it is its cursor's first regex, which takes the
+        # cursor's match list (the rest copy it); per bin its regex ids.
+        first_cursor: dict[int, int] = {}
+        for c, (j, _, _) in enumerate(self.fresh_nbva):
+            first_cursor.setdefault(j, len(self.units) + c)
+        self._records: list[tuple] = []
+        taken: set[int] = set()
+        for c in ruleset:
+            if c.mode is CompiledMode.LNFA:
+                continue
+            nbva, unit = c.mode is CompiledMode.NBVA, self.unit_index[c.regex_id]
+            cursor = first_cursor[unit] if nbva else unit
+            mode = (self.nbva_units if nbva else self.units)[unit].mode
+            self._records.append((c.regex_id, mode, cursor, nbva, cursor not in taken))
+            taken.add(cursor)
+        self._cursors = len(self.units) + len(self.fresh_nbva)
+        self._nbva_key = tuple((j, g) for j, _, g in self.fresh_nbva)
+        self._bin_rids = [tuple(item.regex_id for item in b.items) for b in self.bins]
         # Collection order, derived once: the non-LNFA regexes in ruleset
         # order as (id, NBVA?, unit), and per LNFA array (mapping order)
         # the run of ``bin_keys`` it owns.
@@ -627,18 +653,90 @@ class FusedPlan:
                 start += len(array.bins)
 
     def compiled(self):
-        """``(library, fresh forest cursors)`` when the binding's library
-        steps every unit of a bulk scan — every GATHER unit in the
-        forest, every NBVA unit — else ``None`` (decided once, when the
+        """``(library, the fresh GATHER cursors' forest state ids)`` when
+        the binding's library steps every unit of a bulk scan in one
+        crossing — every GATHER unit in the forest, no more than a span
+        takes, every NBVA unit — else ``None`` (decided once, when the
         library attaches)."""
         native = self.fused._native_scanner()
         if self._compiled is None and native is not None:
             units, count = self.fused._units, self.fused.nbva_count
             whole = all(map(native.has_nbva, range(count)))
             whole = whole and all(type(base) is int for base in native.bases)
-            cursors = [(n, u.table.closed_id(None)) for n, u in enumerate(units)]
-            self._compiled = (native, cursors) if whole else False
+            whole = whole and len(units) <= codegen.UNIT_SPAN_CURSORS
+            self._compiled = whole and (
+                native,
+                np.array(
+                    [
+                        base + unit.table.closed_id(None)
+                        for base, unit in zip(native.bases, units)
+                    ],
+                    dtype=np.uint32,
+                ),
+            )
         return self._compiled or None
+
+    def collect(self, data: bytes) -> RunActivity:
+        """A bulk scan's :class:`RunActivity`: every cursor and the lanes
+        from the stream start, in one crossing — straight into the
+        binding's library when it steps every unit — and the records
+        built from its buffers in one pass."""
+        lanes = self.scanner.once() if self.scanner is not None else None
+        compiled = self.compiled()
+        tin = None
+        if compiled is not None:
+            native, ids = compiled
+            found = [[] for _ in range(self._cursors)]
+            hits, active, counters, stalls = native.bulk(
+                data, lanes, ids, self._nbva_key, found
+            )
+        else:
+            tin = self.fused.translate(data)
+            hits, spans, outs, stalls = self.fused.scan_span(
+                tin, self.fresh_units, self.fresh_nbva, lanes=lanes
+            )
+            found = [[i for i, _ in events] for events, _, _ in spans]
+            found += [list(matches) for matches, _, _ in outs]
+            active = [stats.active_states for _, stats, _ in spans]
+            counters = [astuple(stats) for _, stats, _ in outs]
+        n = len(data)
+        regex = {}
+        for rid, mode, cursor, nbva, first in self._records:
+            ends = found[cursor] if first else list(found[cursor])
+            if nbva:
+                c = counters[cursor - len(active)]
+                regex[rid] = RegexActivity(
+                    rid, mode, c[0], ends, c[1], c[4], c[5], c[6], c[7], c[8]
+                )
+            else:
+                regex[rid] = RegexActivity(rid, mode, n, ends, active[cursor])
+        bins = []
+        if lanes is not None:
+            scanner = self.scanner
+            if hits is None:  # the lanes are walked
+                hits = scanner.step(lanes, data, at_end=True, tin=tin)
+            matches = [{rid: [] for rid in rids} for rids in self._bin_rids]
+            for j, rid, position in scanner.reports(hits, n, True):
+                matches[j][rid].append(position)
+            # Tile 0 is never power-gated: it accrues a cycle per input
+            # symbol regardless of liveness (only its *bits* come from
+            # live cycles) — the closed form of the per-cycle loop.
+            counts = lanes.counts.tolist()
+            cycles, bits = counts[: len(counts) // 2], counts[len(counts) // 2 :]
+            bins = [
+                BinActivity(bin_obj, n, ends, [n] + cycles[a + 1 : b], bits[a:b])
+                for bin_obj, ends, (a, b) in zip(
+                    self.bins, matches, scanner._tile_spans
+                )
+            ]
+        return RunActivity(
+            regex=regex,
+            lnfa_bins={
+                index: bins[start:stop] for index, start, stop in self._bin_runs
+            },
+            input_symbols=n,
+            stalls={index: k for (index, _), k in zip(self.stall_groups, stalls)},
+        )
 
     def run_activity(
         self,
@@ -710,50 +808,4 @@ class FusedRun:
         bound = self._binding or bind(
             self._ruleset, self._hw, mapping=self._mapping, backend=backend
         )
-        plan = bound.plan
-        fused = plan.fused
-        tin = fused.translate(data)
-
-        # Every unit and the lanes from the stream start: one crossing —
-        # straight into the binding's library when it steps every unit.
-        lanes = plan.scanner.once() if plan.scanner is not None else None
-        compiled = plan.compiled()
-        if compiled is not None:
-            native, cursors = compiled
-            lane_raw, spans, nbva, _, stalls = native.span(
-                data, at_end=True, lanes=lanes, units=cursors, nbva=plan.fresh_nbva,
-                frontiers=False,
-            )
-            spans = [([i for i, _ in hits], active) for hits, active, _ in spans]
-        else:
-            lane_raw, spans, nbva, stalls = fused.scan_span(
-                tin, plan.fresh_units, plan.fresh_nbva, lanes=lanes
-            )
-            spans = [([i for i, _ in ev], st.active_states) for ev, st, _ in spans]
-        units = [
-            unit_activity(regex, positions, active, len(data))
-            for regex, (positions, active) in zip(plan.units, spans)
-        ]
-        # per NBVA unit, one of its cursors' results (they all agree)
-        by_unit = {j: out[:2] for (j, _, _), out in zip(plan.fresh_nbva, nbva)}
-        nbva = [nbva_activity(u, *by_unit[j]) for j, u in enumerate(plan.nbva_units)]
-        # ... and every bin's activity straight from the lanes' delta.
-        bins = []
-        if plan.scanner is not None:
-            delta = plan.scanner.scan(
-                data, fresh=True, at_end=True, tin=tin, lanes=lanes, scanned=lane_raw
-            )
-            bins = [
-                BinActivity(
-                    bin=bin_obj,
-                    cycles=len(data),
-                    matches={item.regex_id: found.get(item.regex_id, [])
-                             for item in bin_obj.items},
-                    tile_active_cycles=cycles,
-                    tile_active_bits=bits,
-                )
-                for bin_obj, found, cycles, bits in zip(
-                    plan.bins, delta.matches, delta.tile_cycles, delta.tile_bits
-                )
-            ]
-        return plan.run_activity(units, nbva, bins, len(data), stalls)
+        return bound.plan.collect(data)

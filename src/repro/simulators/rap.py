@@ -40,14 +40,13 @@ from repro.core.registry import resolve_backend
 from repro.core.trace import ActivityTrace
 from repro.hardware.circuits import TABLE1, CircuitLibrary
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig, TileMode
-from repro.hardware.energy import EnergyLedger
+from repro.hardware.energy import EnergyLedger, Metrics
 from repro.io.serialize import scan_fingerprint
 from repro.mapping.binning import BinKind
 from repro.mapping.mapper import Mapping, map_ruleset
 from repro.simulators.activity import BinActivity, RegexActivity
 from repro.simulators.asic_base import (
     ApStyleSimulator,
-    ArchParams,
     ArrayGeometry,
     rap_nfa_params,
     shared_trace,
@@ -156,46 +155,163 @@ class ChargePlan:
         self.total_tiles = mapping.total_tiles
         self.total_arrays = mapping.total_arrays
         self.physical_arrays = mapping.physical_arrays()
-        self._priced: tuple = (None, None, [])
+        self._priced: ChargeProgram | None = None
 
-    def priced(self, params: ArchParams, circuits: CircuitLibrary) -> list:
-        """Per array, the prices every replay under ``params`` / ``circuits``
-        (by identity) charges alike: an NBVA array's per-tile matching and
-        per-regex BV-phase pJ, an LNFA array's per-bin control and ring pJ
-        and its ring area — computed once, by a replay's expressions."""
+    def priced(self, sim: "RAPSimulator") -> "ChargeProgram":
+        """The plan as ``sim`` prices it (its params, circuits and hw, by
+        identity): a :class:`ChargeProgram`, built on first use and kept
+        for the last simulator that asked."""
         held = self._priced
-        if held[0] is not params or held[1] is not circuits:
-            p, hw = params, self.hw
-            wire = circuits.global_wire_mm
-            hop_pj = wire.energy() * hw.ring_hop_wire_mm
-            prices: list = []
-            for _, mode, geometry, detail in self.arrays:
-                if mode is TileMode.NBVA:
-                    prices.append((
-                        [p.match_pj * tile.cc_frac for tile in geometry.tiles],
-                        [
-                            regex_depth * (
-                                2 * p.match_pj * bv_frac  # CAM read + write-back
-                                + p.switch_pj(bv_frac)  # routing and BV actions
-                                + p.local_ctrl_pj
-                            )
-                            for _, regex_depth, bv_frac in detail
-                        ],
-                    ))
-                elif mode is TileMode.LNFA:
-                    tiles, _, bins = detail
-                    prices.append((
-                        [(p.local_ctrl_pj * b[4], hop_pj * b[3]) for b in bins],
-                        # ring_width wires linking adjacent tiles
-                        hw.ring_width_bits
-                        * hw.ring_hop_wire_mm
-                        * wire.area_um2
-                        * max(tiles - 1, 0),
-                    ))
-                else:
-                    prices.append(None)
-            held = self._priced = (params, circuits, prices)
-        return held[2]
+        if (
+            held is None
+            or held.params is not sim.params
+            or held.circuits is not sim.circuits
+            or held.hw is not sim.hw
+        ):
+            held = self._priced = ChargeProgram(self, sim)
+        return held
+
+
+class ChargeProgram:
+    """A :class:`ChargePlan` priced by one simulator: every operand that
+    does not read a counter, computed once by the expressions pricing
+    from scratch used, and every charge that reads none, made once.
+
+    * ``energy`` — per array in mapping order, what its energy charges
+      read besides the counters: an LNFA array's ``(index, per bin
+      (tiles, CAM bin?, enabled-column capacity, control pJ, ring pJ),
+      None, ())``, an NFA or NBVA array's ``(None, per tile (matching
+      pJ, occupants), global switch (port share, wire pJ per unit
+      activity, regex ids, states) or None, per NBVA regex (id, pJ per
+      BV-phase cycle))``;
+    * ``area`` — the area breakdown, which reads no counter;
+    * ``leakage`` — ``(component, power x count)`` per leakage charge in
+      order, an LNFA array's tile charge ``(component, (index, tiles,
+      its bins' tiles))`` instead (its power follows the gating duty).
+
+    :meth:`RAPSimulator.replay_charges` and
+    :meth:`RAPSimulator.run_from_activity` replay it: per ledger
+    component the same additions, in the same order, so every float is
+    what pricing from scratch produced."""
+
+    def __init__(self, plan: ChargePlan, sim: "RAPSimulator"):
+        p, hw, circuits = sim.params, plan.hw, sim.circuits
+        self.plan, self.params, self.circuits, self.hw = plan, p, circuits, sim.hw
+        wire = circuits.global_wire_mm
+        hop_pj = wire.energy() * hw.ring_hop_wire_mm
+        lsd, gsd = sim.hw.local_switch_dim, sim.hw.global_switch_dim
+        self.switch = p.switch_min_pj, p.switch_max_pj - p.switch_min_pj, lsd
+        self.gswitch = p.gswitch_min_pj, p.gswitch_max_pj - p.gswitch_min_pj
+        self.energy: list[tuple] = []
+        area = EnergyLedger()
+        leakage: list[tuple] = []
+        for index, mode, geometry, detail in plan.arrays:
+            if mode is TileMode.LNFA:
+                tiles, bin_tiles, bins = detail
+                bins = tuple(
+                    (b[0], b[1], b[2], p.local_ctrl_pj * b[4], hop_pj * b[3])
+                    for b in bins
+                )
+                self.energy.append((index, bins, None, ()))
+                area.add_area("tile", p.tile_area_um2, tiles)
+                if tiles:
+                    leakage.append(("tile", (index, tiles, bin_tiles)))
+                # ring_width wires linking adjacent tiles
+                ring = (
+                    hw.ring_width_bits
+                    * hw.ring_hop_wire_mm
+                    * wire.area_um2
+                    * max(tiles - 1, 0)
+                )
+                area.add_area("ring-network", ring, 1)
+                continue
+            # ApStyleSimulator.charge_array_structure, without overhead
+            area.add_area("tile", p.tile_area_um2, geometry.tiles_used)
+            if geometry.tiles_used:
+                leakage.append(("tile", p.tile_leak_uw * geometry.tiles_used))
+            match_pj, phases = [p.match_pj] * len(geometry.tiles), ()
+            if mode is TileMode.NBVA:
+                match_pj = [p.match_pj * tile.cc_frac for tile in geometry.tiles]
+                per_phase = [
+                    regex_depth
+                    * (
+                        2 * p.match_pj * bv_frac  # CAM read + write-back
+                        + p.switch_pj(bv_frac)  # routing and BV actions
+                        + p.local_ctrl_pj
+                    )
+                    for _, regex_depth, bv_frac in detail
+                ]
+                phases = tuple(zip([rid for rid, _, _ in detail], per_phase))
+            tiles = tuple(zip(match_pj, [tile.occupants for tile in geometry.tiles]))
+            ports, rids, states = geometry.ports, geometry.regex_ids, geometry.states
+            switch = (ports / gsd, p.wire_pj * ports, rids, states) if ports else None
+            self.energy.append((None, tiles, switch, phases))
+        # Array-level structures: area/leakage proportional to occupied
+        # tiles (Section 3.3; ApStyleSimulator.charge_overhead_units).
+        units = plan.total_tiles / sim.hw.tiles_per_array
+        area.add_area("array-overhead", p.array_overhead_um2, units)
+        if units:
+            leakage.append(("array-overhead", p.array_leak_uw * units))
+        self.area = area.area_breakdown()
+        self.area_mm2 = area.area_mm2
+        self.leakage = leakage
+        # without LNFA arrays, leakage reads no counter either
+        self.leakage_w = None
+        if all(type(power) is float for _, power in leakage):
+            self.leakage_w = self.leakage_of({}, 0)
+        self._reports: dict[tuple, tuple] = {}  # (n, stalls) -> reports
+
+    def leakage_of(self, lnfa_bins, n: int) -> float:
+        """Static power in watts: a gated LNFA tile leaks by its duty
+        cycle (Fig. 7; it retains its configuration at ~10% of active
+        leakage), the rest as built."""
+        if self.leakage_w is not None:
+            return self.leakage_w
+        leakage: dict[str, float] = {}
+        for component, power in self.leakage:
+            if type(power) is tuple:
+                index, tiles, bin_tiles = power
+                possible = bin_tiles * n
+                woken = sum(a.woken_tile_cycles for a in lnfa_bins[index])
+                duty = min(1.0, woken / possible) if possible else 1.0
+                retention = 0.1
+                leak = self.params.tile_leak_uw * (retention + (1 - retention) * duty)
+                power = leak * tiles
+            leakage[component] = leakage.get(component, 0.0) + power
+        return sum(leakage.values()) * 1e-6
+
+    def reports(self, n: int, stalls: dict[int, int]) -> tuple:
+        """``(array reports, stall cycles, worst array's cycles)`` of a
+        run over ``n`` symbols with per NBVA array (by index) ``stalls``
+        trigger cycles: a BV phase stalls the whole array, ``depth``
+        cycles for each."""
+        key = (n, *stalls.items())
+        found = self._reports.get(key)
+        if found is not None:
+            return found
+        clock = self.params.clock_ghz
+        total_stalls, worst_cycles, reports = 0, n, []
+        for index, mode, geometry, detail in self.plan.arrays:
+            if mode is TileMode.LNFA:
+                throughput = clock if n else 0.0
+                reports.append(ArrayReport(mode.value, detail[0], n, 0, throughput))
+                continue
+            array_stalls = 0
+            if mode is TileMode.NBVA:
+                array_stalls = (geometry.depth or 0) * stalls[index]
+            cycles = n + array_stalls
+            total_stalls += array_stalls
+            worst_cycles = max(worst_cycles, cycles)
+            throughput = n / cycles * clock if cycles else 0.0
+            tiles = geometry.tiles_used
+            reports.append(
+                ArrayReport(mode.value, tiles, cycles, array_stalls, throughput)
+            )
+        found = tuple(reports), total_stalls, worst_cycles
+        if len(self._reports) >= 64:
+            self._reports.clear()
+        self._reports[key] = found
+        return found
 
 
 class Binding:
@@ -271,6 +387,11 @@ def bind(
     returned, without re-mapping.
     """
     backend = backend or resolve_backend()
+    adopted = mapping is not None
+    # the last binding found by key, as (hw, backend, bin_size, binding)
+    last = vars(ruleset).get("_last_bound")
+    if not adopted and last and last[0] is hw and last[1:3] == (backend, bin_size):
+        return last[3]
     with _BIND_LOCK:
         bound = vars(ruleset).setdefault("_bindings", {})
         if mapping is None:
@@ -293,6 +414,8 @@ def bind(
             while len(bound) >= MAX_BINDINGS:
                 del bound[next(iter(bound))]
             found = bound[key] = Binding(ruleset, mapping, hw)
+        if not adopted:
+            vars(ruleset)["_last_bound"] = hw, backend, bin_size, found
     return found
 
 
@@ -392,95 +515,47 @@ class RAPSimulator(ApStyleSimulator):
         circuit models.  Deterministic given ``activity`` — the parallel
         engine merges per-chunk activities and prices them here once.
 
-        Energy is :meth:`replay_charges`; the rest of the result — merged
-        matches, per-array reports with each NBVA array's stalls (its
-        stall count, which the scan kept, times its BV depth), areas and
-        leakage — is built here, in the order a from-scratch pricing adds
-        it, so every float is bit-identical."""
+        Energy is :meth:`replay_charges`; area, the array reports and
+        every leakage charge but an LNFA tile's come with the binding's
+        :class:`ChargeProgram`, so a run adds only merged matches, each
+        NBVA array's stalls (its stall count, which the scan kept, times
+        its BV depth) and the LNFA tiles' gated leakage — each float
+        bit-identical to pricing from scratch."""
         if binding is None:
             binding = bind(ruleset, self.hw, mapping=mapping, backend=backend)
         plan = binding.charges
+        program = plan.priced(self)
         p = self.params
         regexes = activity.regex
+        lnfa_bins = activity.lnfa_bins
         n = activity.input_symbols
-        ledger = self.replay_charges(plan, regexes, activity.lnfa_bins, n)
+        energy = self._replay(program, regexes, lnfa_bins, n)
         matches = {a.regex_id: a.matches for a in regexes.values()}
         for rid in plan.lnfa_ids:
             matches[rid] = []
-
-        total_stalls = 0
-        worst_cycles = n
-        array_reports: list[ArrayReport] = []
-        for (index, mode, geometry, detail), prices in zip(
-            plan.arrays, plan.priced(p, self.circuits)
-        ):
-            if mode is TileMode.LNFA:
-                tiles, bin_tiles, _ = detail
-                bins = activity.lnfa_bins[index]
-                # Tile area is physical; tile leakage follows the power-
-                # gating duty cycle (Fig. 7; a gated tile retains its
-                # configuration at ~10% of active leakage).
-                ledger.add_area("tile", p.tile_area_um2, tiles)
-                possible = bin_tiles * n
-                woken = sum(a.woken_tile_cycles for a in bins)
-                duty = min(1.0, woken / possible) if possible else 1.0
-                retention = 0.1
-                leak = p.tile_leak_uw * (retention + (1 - retention) * duty)
-                ledger.add_leakage("tile", leak, tiles)
-                ledger.add_area("ring-network", prices[1], 1)
-                for bin_activity in bins:
-                    for rid, ends in bin_activity.matches.items():
-                        if ends:
-                            matches.setdefault(rid, []).extend(ends)
-                array_reports.append(
-                    ArrayReport(
-                        mode=mode.value,
-                        tiles=tiles,
-                        cycles=n,
-                        stalls=0,
-                        throughput_gchps=p.clock_ghz if n else 0.0,
-                    )
-                )
-                continue
-            self.charge_array_structure(ledger, geometry, include_overhead=False)
-            stalls = 0
-            if mode is TileMode.NBVA:
-                # A BV phase stalls the whole array: ``depth`` cycles for
-                # each cycle in which any of its regexes triggers one.
-                stalls = (geometry.depth or 0) * activity.stalls[index]
-            cycles = n + stalls
-            total_stalls += stalls
-            worst_cycles = max(worst_cycles, cycles)
-            array_reports.append(
-                ArrayReport(
-                    mode=mode.value,
-                    tiles=geometry.tiles_used,
-                    cycles=cycles,
-                    stalls=stalls,
-                    throughput_gchps=(
-                        n / cycles * p.clock_ghz if cycles else 0.0
-                    ),
-                )
-            )
-        # Array-level structures: area/leakage proportional to occupied
-        # tiles (Section 3.3).
-        self.charge_overhead_units(ledger, plan.total_tiles)
-
-        metrics = ledger.metrics(
-            cycles=worst_cycles,
-            input_symbols=n,
-            clock_ghz=p.clock_ghz,
-        )
+        for bins in lnfa_bins.values():
+            for bin_activity in bins:
+                for rid, ends in bin_activity.matches.items():
+                    if ends:
+                        matches.setdefault(rid, []).extend(ends)
+        reports, total_stalls, worst_cycles = program.reports(n, activity.stalls)
         return SimulationResult(
             architecture=p.name,
-            metrics=metrics,
+            metrics=Metrics(
+                energy_uj=sum(energy.values()) * 1e-6,
+                area_mm2=program.area_mm2,
+                cycles=worst_cycles,
+                input_symbols=n,
+                clock_ghz=p.clock_ghz,
+                leakage_w=program.leakage_of(lnfa_bins, n),
+            ),
             matches=merge_lnfa_matches(matches, plan.lnfa_ids),
-            energy_breakdown_pj=ledger.energy_breakdown(),
-            area_breakdown_um2=ledger.area_breakdown(),
+            energy_breakdown_pj=energy,
+            area_breakdown_um2=dict(program.area),
             stall_cycles=total_stalls,
             arrays=plan.total_arrays,
             tiles=plan.total_tiles,
-            array_reports=tuple(array_reports),
+            array_reports=reports,
         )
 
     def replay_charges(
@@ -495,89 +570,96 @@ class RAPSimulator(ApStyleSimulator):
         :class:`RunActivity` and a live scan's collectors both serve.
         A run's energy is the sum of these charges alone: a quote from
         the collectors is the priced result's ``energy_uj`` exactly."""
+        return EnergyLedger(self._replay(plan.priced(self), regexes, lnfa_bins, n))
+
+    def _replay(self, program: ChargeProgram, regexes, lnfa_bins, n: int) -> dict:
+        """:meth:`replay_charges`' energy breakdown: each charge is
+        :meth:`EnergyLedger.charge` inlined — ``count`` events of
+        ``energy_pj`` each, none when ``count`` is 0 — in the order and on
+        the operands of :meth:`ApStyleSimulator.charge_nfa_array_energy`
+        (without the global controller), the NBVA tiles' CC-only matching
+        and BV phases and the LNFA tiles' column-gated matching."""
         p = self.params
-        ledger = EnergyLedger()
+        energy: dict[str, float] = {}
+        get = energy.get
         mean = {rid: a.mean_activity for rid, a in regexes.items()}
-        for (index, mode, geometry, detail), prices in zip(
-            plan.arrays, plan.priced(p, self.circuits)
-        ):
-            if mode is TileMode.LNFA:
-                self._charge_lnfa_array(ledger, detail, prices, lnfa_bins[index])
-            elif mode is TileMode.NBVA:
-                self._charge_nbva_array(
-                    ledger, geometry, detail, prices, regexes, mean, n
-                )
-            else:
-                self.charge_nfa_array_energy(
-                    ledger, geometry, mean, n, charge_gctrl=False
-                )
+        smin, sspan, lsd = program.switch
+        gmin, gspan = program.gswitch
+        match_pj, ctrl_pj = p.match_pj, p.local_ctrl_pj
+        for index, tiles, switch, phases in program.energy:
+            if index is not None:
+                for (count, cam, capacity, bin_ctrl_pj, ring_pj), activity in zip(
+                    tiles, lnfa_bins[index]
+                ):
+                    active = activity.tile_active_cycles
+                    bits = activity.tile_active_bits
+                    for t in range(count):
+                        cycles = active[t]
+                        if not cycles:
+                            continue
+                        # Enabled columns follow the active vector; the
+                        # initial column of tile 0 is always enabled.
+                        col_frac = min(1.0, (bits[t] + cycles) / (cycles * capacity))
+                        if cam:
+                            pj = match_pj * col_frac
+                        else:
+                            pj = smin + sspan * min(max(col_frac, 0.0), 1.0)
+                        energy["state-matching"] = (
+                            get("state-matching", 0.0) + pj * cycles
+                        )
+                        energy["local-control"] = (
+                            get("local-control", 0.0) + bin_ctrl_pj * cycles
+                        )
+                    # Ring network: one short hop per tile boundary per
+                    # cycle the downstream tile is awake.
+                    hops = sum(active[1:])
+                    if hops:
+                        energy["ring-network"] = (
+                            get("ring-network", 0.0) + ring_pj * hops
+                        )
+                continue
+            if n:
+                for tile_pj, occupants in tiles:
+                    driven = 0.0
+                    for rid, share in occupants:
+                        driven += mean[rid] * share
+                    act = min(max(driven / lsd, 0.0), 1.0)
+                    # An NBVA tile's matching activates only the columns
+                    # that hold CCs (and the set1 columns routed during
+                    # transitions).
+                    energy["state-matching"] = get("state-matching", 0.0) + tile_pj * n
+                    energy["state-transition"] = (
+                        get("state-transition", 0.0) + (smin + sspan * act) * n
+                    )
+                    energy["local-control"] = get("local-control", 0.0) + ctrl_pj * n
+                if switch is not None:  # the global switch and wires
+                    port_frac, wire_pj, rids, states = switch
+                    weighted = 0.0
+                    for rid in rids:
+                        weighted += mean[rid]
+                    mean_act = min(1.0, weighted / states) if states else 0.0
+                    gsw = gmin + gspan * min(max(port_frac * mean_act, 0.0), 1.0)
+                    energy["global-switch"] = get("global-switch", 0.0) + gsw * n
+                    energy["global-wire"] = (
+                        get("global-wire", 0.0) + wire_pj * mean_act * n
+                    )
+            # Bit-vector-processing phase: depth pipeline iterations of
+            # BV-word read, switch routing, and write-back per triggering
+            # cycle, for each regex with live counters.
+            for rid, per_phase in phases:
+                cycles = regexes[rid].bv_phase_cycles
+                if cycles:
+                    energy["bv-processing"] = (
+                        get("bv-processing", 0.0) + per_phase * cycles
+                    )
         # One global controller runs per physical array (NFA and LNFA
         # tiles consolidate into shared arrays per Section 3.3, NBVA
         # arrays stay dedicated because their stalls are array-wide).
-        if n:
-            ledger.charge(
-                "global-control", p.global_ctrl_pj, n * plan.physical_arrays
+        if n and program.plan.physical_arrays:
+            energy["global-control"] = get("global-control", 0.0) + (
+                p.global_ctrl_pj * (n * program.plan.physical_arrays)
             )
-        return ledger
-
-    # -- NBVA arrays --------------------------------------------------------
-
-    def _charge_nbva_array(
-        self,
-        ledger: EnergyLedger,
-        geometry: ArrayGeometry,
-        counted,
-        prices,
-        regexes,
-        mean: dict[int, float],
-        cycles: int,
-    ) -> None:
-        """Charge one NBVA array's energy."""
-        p = self.params
-        matching, phases = prices
-        for tile, match_pj in zip(geometry.tiles, matching):
-            act = self.tile_switch_activity(tile, mean)
-            # State matching activates only the columns that hold CCs (and
-            # the set1 columns routed during transitions).
-            ledger.charge("state-matching", match_pj, cycles)
-            ledger.charge("state-transition", p.switch_pj(act), cycles)
-            ledger.charge("local-control", p.local_ctrl_pj, cycles)
-        self.charge_global_switch(ledger, geometry, mean, cycles)
-
-        # Bit-vector-processing phase: depth pipeline iterations of
-        # BV-word read, switch routing, and write-back per triggering
-        # cycle, for each regex with live counters.
-        for (rid, _, _), per_phase in zip(counted, phases):
-            ledger.charge("bv-processing", per_phase, regexes[rid].bv_phase_cycles)
-
-    # -- LNFA arrays ---------------------------------------------------------
-
-    def _charge_lnfa_array(self, ledger: EnergyLedger, detail, prices, bins) -> None:
-        p = self.params
-        bin_prices, _ = prices
-        for (tile_count, cam, capacity, _, _), (ctrl_pj, ring_pj), activity in zip(
-            detail[2], bin_prices, bins
-        ):
-            active = activity.tile_active_cycles
-            for t in range(tile_count):
-                active_cycles = active[t]
-                if not active_cycles:
-                    continue
-                # Enabled columns follow the active vector; the initial
-                # column of tile 0 is always enabled.
-                enabled = activity.tile_active_bits[t] + active_cycles
-                col_frac = min(1.0, enabled / (active_cycles * capacity))
-                ledger.charge(
-                    "state-matching",
-                    p.match_pj * col_frac if cam else p.switch_pj(col_frac),
-                    active_cycles,
-                )
-                ledger.charge("local-control", ctrl_pj, active_cycles)
-            # Ring network: one short hop per tile boundary per cycle the
-            # downstream tile is awake.
-            ledger.charge("ring-network", ring_pj, sum(active[1:]))
-
-    # -- post-run dedup -----------------------------------------------------
+        return energy
 
 
 def merge_lnfa_matches(matches: dict, lnfa_ids: Collection[int]) -> dict:

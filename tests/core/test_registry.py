@@ -110,6 +110,33 @@ class TestDefaultPinning:
             assert resolve_backend() == resolved
         assert resolve_backend() == "python"
 
+    def test_scopes_on_two_threads_are_their_own(self):
+        """``use_backend`` scopes one thread (a context variable): while
+        thread B holds its scope, thread A's resolves A's backend — the
+        memoised resolution included — and neither outlives its scope."""
+        import threading
+
+        names = ["native", "fused"] if HAVE_FUSED else ["fused", "python"]
+        set_default_backend("python")
+        both_open, seen = threading.Barrier(2), {}
+
+        def scoped(name):
+            with use_backend(name) as resolved:
+                both_open.wait()
+                again, reasoned = resolve_backend(), resolve_backend_with_reason()
+                seen[name] = resolved, again, reasoned[0]
+                both_open.wait()
+
+        threads = [threading.Thread(target=scoped, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in names:
+            resolved = resolve_backend(name)
+            assert seen[name] == (resolved, resolved, resolved)
+        assert resolve_backend() == "python"
+
     def test_use_backend_restores_on_error(self):
         set_default_backend("python")
         with pytest.raises(RuntimeError):

@@ -308,6 +308,51 @@ class TestBinding:
             assert engine.scan(ruleset, self.DATA) == reference
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("backend", PLANNED)
+    def test_a_warm_scan_derives_nothing(self, backend, monkeypatch):
+        """After the first scan of a ruleset, a scan builds no price
+        table (``ChargeProgram``), no NBVA cursor template, and reads the
+        environment only inside its one backend resolution."""
+        if backend not in available_backends():
+            pytest.skip(f"{backend} backend not available")
+        import os
+
+        from repro.core.native import NativeScanner
+        from repro.simulators.rap import ChargeProgram
+
+        ruleset = compiled(self.PATTERNS)
+        config = EngineConfig(backend=backend, use_cache=False, input_jobs=1)
+        engine = BatchEngine(config)
+        first = engine.scan(ruleset, self.DATA)  # binds and builds uncounted
+        programs = _count_calls(monkeypatch, ChargeProgram, "__init__")
+        templates = _count_calls(monkeypatch, NativeScanner, "_build_rows")
+        resolving, reads = [], []
+        resolve = registry_mod.resolve_backend_with_reason
+
+        def counted_resolve(*args):
+            resolving.append(args)
+            try:
+                return resolve(*args)
+            finally:
+                resolving.append(None)
+
+        getitem = type(os.environ).__getitem__
+
+        def counted_getitem(environ, key):
+            if not resolving or resolving[-1] is None:
+                reads.append(key)
+            return getitem(environ, key)
+
+        monkeypatch.setattr(
+            registry_mod, "resolve_backend_with_reason", counted_resolve
+        )
+        monkeypatch.setattr(type(os.environ), "__getitem__", counted_getitem)
+        again = engine.scan(ruleset, self.DATA)
+        monkeypatch.undo()
+        assert repr(again) == repr(first)
+        assert programs == [] and templates == []
+        assert len(resolving) == 2 and reads == []
+
     def test_per_op_derivations_are_gone(self):
         """Pricing replays a plan derived per binding; the unit span
         reads one byte histogram (no class fold)."""

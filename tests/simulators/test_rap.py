@@ -443,6 +443,34 @@ class TestPricingPins:
         modes = {a[0] for pin in PRICING_PINS.values() for a in pin["arrays"]}
         assert modes == {"lnfa", "nfa", "nbva"}
 
+    @pytest.mark.parametrize("name", sorted(PRICING_PINS))
+    def test_a_binding_prices_as_a_fresh_one_and_quotes_the_same(self, cases, name):
+        """One activity priced twice through one binding and once through
+        a fresh binding: every breakdown float, in order, and the leakage
+        by ``float.hex``; the served quote is the priced energy."""
+        from repro.simulators.rap import Binding
+
+        ruleset, activity, mapping = cases[name]
+        sim = RAPSimulator()
+        bound = Binding(ruleset, mapping, sim.hw)
+
+        def priced(binding):
+            result = sim.run_from_activity(ruleset, activity, mapping, binding=binding)
+            return result, [
+                [(k, v.hex()) for k, v in result.energy_breakdown_pj.items()],
+                [(k, v.hex()) for k, v in result.area_breakdown_um2.items()],
+                result.metrics.leakage_w.hex(),
+            ]
+
+        first, hexed = priced(bound)
+        assert priced(bound)[1] == hexed
+        assert priced(Binding(ruleset, mapping, sim.hw))[1] == hexed
+        quote = sim.replay_charges(
+            bound.charges, activity.regex, activity.lnfa_bins, activity.input_symbols
+        )
+        assert [(k, v.hex()) for k, v in quote.energy_breakdown().items()] == hexed[0]
+        assert quote.energy_uj.hex() == first.metrics.energy_uj.hex()
+
     def test_a_second_pricing_replays_the_same_floats(self, cases):
         ruleset, activity, mapping = cases["mix"]
         sim = RAPSimulator()
