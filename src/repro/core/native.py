@@ -540,7 +540,8 @@ class NativeScanner:
             if words[-2]:
                 self._lane_hits(words[-2], hits)
             if words[-1]:
-                self._unit_events(words[-1], events, bases)
+                for pos, u, sid in self._unit_events(words[-1]):
+                    events[u].append((pos, sid - bases[u]))
             if k:
                 self._nbva_events(rows.flat, offsets, found)
 
@@ -583,7 +584,8 @@ class NativeScanner:
             if words[-2]:
                 self._lane_hits(words[-2], hits)
             if words[-1]:
-                self._unit_events(words[-1], events)
+                for pos, u, _ in self._unit_events(words[-1]):
+                    events[u].append(pos)
             if k:
                 self._nbva_events(rows.flat, offsets, nbva_found)
 
@@ -637,18 +639,15 @@ class NativeScanner:
                 word = self._hit_words[key] = self._word(key)
             hits.append((pos, word))
 
-    def _unit_events(self, count: int, events: list, bases=None) -> None:
-        """The unit events of the last return, routed to their cursors:
-        ``(position, table state)`` per event, or (no ``bases``) its
-        position alone."""
+    def _unit_events(self, count: int):
+        """The unit events of the last return: ``(position, cursor, forest
+        state)`` each."""
         ws = self._ws
-        where = zip(ws.ev_pos[:count].tolist(), ws.ev_cursor[:count].tolist())
-        if bases is None:
-            for pos, u in where:
-                events[u].append(pos)
-            return
-        for (pos, u), sid in zip(where, ws.ev_state[:count].tolist()):
-            events[u].append((pos, sid - bases[u]))
+        return zip(
+            ws.ev_pos[:count].tolist(),
+            ws.ev_cursor[:count].tolist(),
+            ws.ev_state[:count].tolist(),
+        )
 
     def _fresh_rows(self, ws, cursors: tuple):
         """The :class:`_Rows` of fresh NBVA cursors, ``(unit, stall group)``

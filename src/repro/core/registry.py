@@ -11,7 +11,9 @@ Selection order (first hit wins):
 
 A resolution is memoised on what it reads — the requested name, and
 ``RAP_BACKEND``, ``RAP_NATIVE_DISABLE``, ``CC`` and ``PATH`` — so a scan
-pays at most four environment lookups, not the capability probes.
+pays at most four environment lookups, not the capability probes.  The
+probes themselves are taken as fixed: code that swaps one in
+``_BACKENDS`` clears ``_RESOLVED`` too.
 
 Three backends, three steppers.  ``python`` is the *oracle*: every unit
 steps through the stdlib :class:`~repro.core.pykernel.PythonKernel`.
@@ -61,29 +63,14 @@ def _native_available() -> bool:
     return native_available()
 
 
-class _Probes(dict):
-    """The probe table: replacing or removing a probe forgets every
-    memoised resolution (tests swap probes in and out)."""
-
-    def __setitem__(self, name, probe):
-        super().__setitem__(name, probe)
-        _RESOLVED.clear()
-
-    def __delitem__(self, name):
-        super().__delitem__(name)
-        _RESOLVED.clear()
-
-
 # name -> capability probe.  A backend names how whole rulesets execute
 # (the fused plan, interpreted or compiled); standalone automaton scans
 # always step through the one PythonKernel (see get_kernel).
-_BACKENDS: dict[str, Callable[[], bool]] = _Probes(
-    {
-        "python": lambda: True,
-        "fused": _numpy_available,
-        "native": _native_available,
-    }
-)
+_BACKENDS: dict[str, Callable[[], bool]] = {
+    "python": lambda: True,
+    "fused": _numpy_available,
+    "native": _native_available,
+}
 
 # Where an unavailable backend degrades to.  Names absent from this map
 # fall straight back to "python" (always available).

@@ -53,22 +53,23 @@ their own or written the same by every writer:
   for any other scan binding at the same time;
 * the lazy caches a task fills — ``FusedRuleset._lanes`` (a bin's
   table, kept by ``setdefault``), ``NativeScanner._fresh`` /
-  ``_hit_words`` (a fresh NBVA cursor table, copied on every read; a
-  lane hit's packed word) and a translation's class stream — map a key
-  to one value whoever computes it, so two threads racing at a miss
-  compute it twice and keep equal values.
+  ``_hit_words`` (a fresh NBVA cursor template, only ever read: each
+  thread resets its own table from it; a lane hit's packed word) and a
+  translation's class stream — map a key to one value whoever computes
+  it, so two threads racing at a miss compute it twice and keep equal
+  values.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
 
 from repro.automata.nbva import NBVAState
 from repro.core.fused import TranslatedSegment
 from repro.engine.partition import longest_activation_path, plan_chunks
-from repro.simulators.activity import BinActivity, nbva_activity
-from repro.simulators.fused import FusedPlan, unit_activity
+from repro.simulators.fused import FusedPlan
 from repro.simulators.rap import Binding, RunActivity
 
 
@@ -147,59 +148,51 @@ def _assemble(
     plan: FusedPlan, chunk_out: list, unit_out: dict, n: int
 ) -> RunActivity:
     """Fold per-chunk results, in chunk order, into the sequential run's
-    exact :class:`RunActivity` (containers in collection order);
+    exact :class:`RunActivity` (:meth:`FusedPlan.run_activity`);
     ``unit_out`` holds the whole-stream tasks' results by ``(kind,
     number)``."""
 
     def folded(number: int) -> tuple:
-        """One unit's ``(positions, active, cycles)``: its whole-stream
-        scan, or its windowed parts over all chunks."""
+        """One unit's ``(positions, active)``: its whole-stream scan, or
+        its windowed parts over all chunks."""
         if ("whole", number) in unit_out:
             return unit_out["whole", number]
         positions: list[int] = []
         active = 0
-        cycles = 0
         for _, parts in chunk_out:
             part = parts[number]
             positions.extend(part[0])
             active += part[1]
-            cycles += part[2]
-        return positions, active, cycles
+        return positions, active
 
-    units = [
-        unit_activity(compiled, *folded(number))
-        for number, compiled in enumerate(plan.units)
-    ]
-    # per stall group its count and its units' activities
+    found, active = [], []
+    for number in range(len(plan.units)):
+        positions, unit_active = folded(number)
+        found.append(positions)
+        active.append(unit_active)
+    # per stall group its count and, per cursor, its matches and counters
     groups = [unit_out["nbva", g] for g in range(len(plan.stall_groups))]
-    nbva = {j: found for _, activities in groups for j, found in activities}
-    nbva = [nbva[j] for j in range(len(plan.nbva_units))]
+    counters = []
+    for _, cursors in groups:
+        for matches, stats in cursors:
+            found.append(matches)
+            counters.append(stats)
 
-    # -- LNFA bins: fold lane deltas per chunk --------------------------
-    bins: list[BinActivity] = []
+    bins: list = []
     if plan.scanner is not None:
         merged = plan.scanner.merge_deltas([lane for lane, _ in chunk_out])
-        for j, bin_obj in enumerate(plan.bins):
-            matches = {item.regex_id: [] for item in bin_obj.items}
-            for rid, ends in merged.matches[j].items():
-                matches[rid].extend(ends)
-            bins.append(
-                BinActivity(
-                    bin=bin_obj,
-                    cycles=merged.cycles,
-                    matches=matches,
-                    tile_active_cycles=merged.tile_cycles[j],
-                    tile_active_bits=merged.tile_bits[j],
-                )
-            )
-    return plan.run_activity(units, nbva, bins, n, [count for count, _ in groups])
+        bins = plan.bin_activities(
+            merged.cycles, merged.matches, merged.tile_cycles, merged.tile_bits
+        )
+    stalls = [count for count, _ in groups]
+    return plan.run_activity(found, active, counters, bins, n, stalls)
 
 
 def _unit_parts(spans, base: int) -> list[tuple]:
-    """Span results as the ``(global positions, active, cycles)`` parts
-    the parent folds."""
+    """Span results as the ``(global positions, active)`` parts the
+    parent folds."""
     return [
-        ([base + i for i, _ in events], stats.active_states, stats.cycles)
+        ([base + i for i, _ in events], stats.active_states)
         for events, stats, _ in spans
     ]
 
@@ -213,12 +206,12 @@ def _split_task(plan: FusedPlan, data: bytes, tin: TranslatedSegment, task: tupl
     if kind == "whole":
         cursors = [(number, None) for number in task[1]]
         return _unit_parts(plan.fused.scan_span(tin, cursors)[1], 0)
-    groups = task[1]  # "nbva": per stall group, its count and activities
+    groups = task[1]  # "nbva": per stall group, its count and its cursors'
     cursors = [(j, NBVAState(), g) for g in groups for j in plan.stall_groups[g][1]]
     _, _, spans, stalls = plan.fused.scan_span(tin, (), cursors)
     out = {g: (stalls[g], []) for g in groups}
-    for (j, _, g), (matches, stats, _) in zip(cursors, spans):
-        out[g][1].append((j, nbva_activity(plan.nbva_units[j], matches, stats)))
+    for (_, _, g), (matches, stats, _) in zip(cursors, spans):
+        out[g][1].append((list(matches), astuple(stats)))
     return [out[g] for g in groups]
 
 

@@ -82,8 +82,8 @@ class Metrics:
 class EnergyLedger:
     """Accumulates dynamic energy (pJ) and area (um^2) per component."""
 
-    def __init__(self, energy_pj: dict[str, float] | None = None) -> None:
-        self._energy_pj: dict[str, float] = {} if energy_pj is None else energy_pj
+    def __init__(self) -> None:
+        self._energy_pj: dict[str, float] = {}
         self._area_um2: dict[str, float] = {}
         self._leakage_uw: dict[str, float] = {}
 

@@ -14,6 +14,7 @@ plain NFA execution, which CAMA and CA use directly and RAP/BVAP extend.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.compiler.program import CompiledMode, CompiledRuleset
@@ -259,12 +260,17 @@ class ApStyleSimulator:
         cycles: int,
         *,
         charge_gctrl: bool = True,
+        match_pj: Sequence[float] | None = None,
     ) -> None:
-        """Per-cycle matching/transition/control energy of one NFA array."""
+        """Per-cycle matching/transition/control energy of one NFA array
+        (``match_pj``: per tile its matching energy, by default every
+        column's)."""
         p = self.params
-        for tile in array.tiles:
+        if match_pj is None:
+            match_pj = [p.match_pj] * len(array.tiles)
+        for tile, tile_match_pj in zip(array.tiles, match_pj):
             act = self.tile_switch_activity(tile, mean)
-            ledger.charge("state-matching", p.match_pj, cycles)
+            ledger.charge("state-matching", tile_match_pj, cycles)
             ledger.charge("state-transition", p.switch_pj(act), cycles)
             ledger.charge("local-control", p.local_ctrl_pj, cycles)
         if charge_gctrl:

@@ -287,23 +287,37 @@ class FusedLaneScanner:
             scanned = self.step(
                 lanes, segment, at_end=at_end, stats_from=stats_from, tin=tin
             )
-        matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
-        for j, rid, position in self.reports(scanned, n, at_end):
-            matches[j].setdefault(rid, []).append(base + position)
         owned = n - max(0, stats_from)
-        flat_cycles, flat_bits = lanes.tile_cycles.tolist(), lanes.tile_bits.tolist()
+        matches, tile_cycles, tile_bits = self.delta(
+            lanes, scanned, n, at_end=at_end, owned=owned, base=base
+        )
         packed = self.word(lanes)
-        spans = self._tile_spans
+        return LaneDelta(
+            cycles=owned,
+            tile_cycles=tile_cycles,
+            tile_bits=tile_bits,
+            matches=matches,
+            exit_states=[self._fused.extract(packed, j) for j in range(len(matches))],
+            exit_packed=packed,
+        )
+
+    def delta(self, lanes, hits, n: int, *, at_end: bool, owned: int, base=0):
+        """A stepped span's per-bin ``(matches, tile wake-ups, tile bits)``
+        from its ``hits`` and ``lanes``' counters: match ends are
+        globalized against ``base``; ``owned`` is the span's owned bytes
+        (``n`` and ``at_end`` are :meth:`reports`')."""
+        matches: list[dict[int, list[int]]] = [{} for _ in self._layouts]
+        for j, rid, position in self.reports(hits, n, at_end):
+            matches[j].setdefault(rid, []).append(base + position)
+        counts = lanes.counts.tolist()
+        bits = len(counts) // 2
         # Tile 0 is never power-gated: it accrues a cycle per owned input
         # symbol regardless of liveness (only its *bits* come from live
         # cycles) — the closed form of the per-cycle loop.
-        return LaneDelta(
-            cycles=owned,
-            tile_cycles=[[owned] + flat_cycles[a + 1 : b] for a, b in spans],
-            tile_bits=[flat_bits[a:b] for a, b in spans],
-            matches=matches,
-            exit_states=[self._fused.extract(packed, j) for j in range(len(spans))],
-            exit_packed=packed,
+        return (
+            matches,
+            [[owned] + counts[a + 1 : b] for a, b in self._tile_spans],
+            [counts[bits + a : bits + b] for a, b in self._tile_spans],
         )
 
     def merge_deltas(self, deltas: list[LaneDelta]) -> LaneDelta:
@@ -529,12 +543,6 @@ class FusedRegexFeeder:
         return scanned, grown, stalls
 
 
-def unit_activity(compiled: CompiledRegex, positions, active: int, cycles: int):
-    """One GATHER unit's span results as its regex's activity (in the
-    mode its regex compiled to)."""
-    return RegexActivity(compiled.regex_id, compiled.mode, cycles, positions, active)
-
-
 class FusedPlan:
     """One mapped ruleset laid out for fused execution, derived once.
 
@@ -616,8 +624,8 @@ class FusedPlan:
             for j in units
         ]
         self._compiled = None
-        # A bulk scan's records, laid out once (collect): per non-LNFA
-        # regex in ruleset order its id, its unit's mode, its cursor (the
+        # run_activity's records, laid out once: per non-LNFA regex in
+        # ruleset order its id, its unit's mode, its cursor (the
         # GATHER units', then fresh_nbva's: an NBVA unit's first), NBVA?,
         # and whether it is its cursor's first regex, which takes the
         # cursor's match list (the rest copy it); per bin its regex ids.
@@ -637,14 +645,7 @@ class FusedPlan:
         self._cursors = len(self.units) + len(self.fresh_nbva)
         self._nbva_key = tuple((j, g) for j, _, g in self.fresh_nbva)
         self._bin_rids = [tuple(item.regex_id for item in b.items) for b in self.bins]
-        # Collection order, derived once: the non-LNFA regexes in ruleset
-        # order as (id, NBVA?, unit), and per LNFA array (mapping order)
-        # the run of ``bin_keys`` it owns.
-        self._regex_units = [
-            (c.regex_id, c.mode is CompiledMode.NBVA, self.unit_index[c.regex_id])
-            for c in ruleset
-            if c.mode is not CompiledMode.LNFA
-        ]
+        # per LNFA array (mapping order) the run of ``bin_keys`` it owns
         self._bin_runs: list[tuple[int, int, int]] = []
         start = 0
         for index, array in enumerate(mapping.arrays):
@@ -679,8 +680,7 @@ class FusedPlan:
     def collect(self, data: bytes) -> RunActivity:
         """A bulk scan's :class:`RunActivity`: every cursor and the lanes
         from the stream start, in one crossing — straight into the
-        binding's library when it steps every unit — and the records
-        built from its buffers in one pass."""
+        binding's library when it steps every unit."""
         lanes = self.scanner.once() if self.scanner is not None else None
         compiled = self.compiled()
         tin = None
@@ -700,35 +700,57 @@ class FusedPlan:
             active = [stats.active_states for _, stats, _ in spans]
             counters = [astuple(stats) for _, stats, _ in outs]
         n = len(data)
-        regex = {}
+        bins = []
+        if lanes is not None:
+            if hits is None:  # the lanes are walked
+                hits = self.scanner.step(lanes, data, at_end=True, tin=tin)
+            delta = self.scanner.delta(lanes, hits, n, at_end=True, owned=n)
+            bins = self.bin_activities(n, *delta)
+        return self.run_activity(found, active, counters, bins, n, stalls)
+
+    def bin_activities(self, cycles: int, matches, tile_cycles, tile_bits) -> list:
+        """Per bin (plan order) its :class:`BinActivity` from a lane span's
+        delta (:meth:`FusedLaneScanner.delta`), every regex of the bin
+        keyed in its match map."""
+        activities = []
+        for bin_obj, rids, found, wakes, bits in zip(
+            self.bins, self._bin_rids, matches, tile_cycles, tile_bits
+        ):
+            ends = {rid: [] for rid in rids}
+            ends.update(found)
+            activities.append(BinActivity(bin_obj, cycles, ends, wakes, bits))
+        return activities
+
+    def run_activity(
+        self,
+        found: list[list[int]],
+        active: list[int],
+        counters: list,
+        bins: list[BinActivity],
+        input_symbols: int,
+        stalls: list[int],
+    ) -> RunActivity:
+        """Every cursor's results over the stream as the run's activity,
+        in collection order.
+
+        ``found`` holds per cursor — the GATHER units', then
+        ``fresh_nbva``'s — its match ends, ``active`` per GATHER unit its
+        active-state sum, ``counters`` per NBVA cursor its
+        :class:`NBVAStats` fields in order.  A cursor's first regex takes
+        its list, every other regex sharing it a copy (regexes never
+        alias each other's matches).  ``bins`` is in plan (mapping)
+        order, ``stalls`` in ``stall_groups`` order.
+        """
+        n, gathered, regex = input_symbols, len(self.units), {}
         for rid, mode, cursor, nbva, first in self._records:
             ends = found[cursor] if first else list(found[cursor])
             if nbva:
-                c = counters[cursor - len(active)]
+                c = counters[cursor - gathered]
                 regex[rid] = RegexActivity(
                     rid, mode, c[0], ends, c[1], c[4], c[5], c[6], c[7], c[8]
                 )
             else:
                 regex[rid] = RegexActivity(rid, mode, n, ends, active[cursor])
-        bins = []
-        if lanes is not None:
-            scanner = self.scanner
-            if hits is None:  # the lanes are walked
-                hits = scanner.step(lanes, data, at_end=True, tin=tin)
-            matches = [{rid: [] for rid in rids} for rids in self._bin_rids]
-            for j, rid, position in scanner.reports(hits, n, True):
-                matches[j][rid].append(position)
-            # Tile 0 is never power-gated: it accrues a cycle per input
-            # symbol regardless of liveness (only its *bits* come from
-            # live cycles) — the closed form of the per-cycle loop.
-            counts = lanes.counts.tolist()
-            cycles, bits = counts[: len(counts) // 2], counts[len(counts) // 2 :]
-            bins = [
-                BinActivity(bin_obj, n, ends, [n] + cycles[a + 1 : b], bits[a:b])
-                for bin_obj, ends, (a, b) in zip(
-                    self.bins, matches, scanner._tile_spans
-                )
-            ]
         return RunActivity(
             regex=regex,
             lnfa_bins={
@@ -736,50 +758,6 @@ class FusedPlan:
             },
             input_symbols=n,
             stalls={index: k for (index, _), k in zip(self.stall_groups, stalls)},
-        )
-
-    def run_activity(
-        self,
-        units: list[RegexActivity],
-        nbva: list[RegexActivity],
-        bins: list[BinActivity],
-        input_symbols: int,
-        stalls: list[int],
-    ) -> RunActivity:
-        """Unit results as the run's activity, in collection order.
-
-        ``units[i]`` (``nbva[i]``) is the fresh activity of GATHER (NBVA)
-        unit ``i``, made for its representative regex, which takes it;
-        every other regex sharing the unit gets a copy rebound to its id
-        (fresh lists, so regexes never alias each other's matches).
-        ``bins`` is in plan (mapping) order, ``stalls`` in
-        ``stall_groups`` order.
-        """
-        regex = {}
-        for rid, is_nbva, unit in self._regex_units:
-            found = (nbva if is_nbva else units)[unit]
-            if found.regex_id == rid:
-                regex[rid] = found
-                continue
-            regex[rid] = RegexActivity(
-                regex_id=rid,
-                mode=found.mode,
-                cycles=found.cycles,
-                matches=list(found.matches),
-                active_state_cycles=found.active_state_cycles,
-                bv_phase_cycles=found.bv_phase_cycles,
-                bv_updates=found.bv_updates,
-                set1_events=found.set1_events,
-                shift_events=found.shift_events,
-                copy_events=found.copy_events,
-            )
-        return RunActivity(
-            regex=regex,
-            lnfa_bins={
-                index: bins[start:stop] for index, start, stop in self._bin_runs
-            },
-            input_symbols=input_symbols,
-            stalls={index: n for (index, _), n in zip(self.stall_groups, stalls)},
         )
 
 

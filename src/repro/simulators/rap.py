@@ -172,50 +172,55 @@ class ChargePlan:
         return held
 
 
+class _Recorded:
+    """A stand-in ledger keeping the structure charges made to it, as
+    ``(component, value, count)`` in order, for a replay through a real
+    :class:`EnergyLedger` (the same additions, so the same floats)."""
+
+    def __init__(self) -> None:
+        self.area: list[tuple] = []
+        self.leakage: list[tuple] = []
+
+    def add_area(self, component: str, area_um2: float, count: float = 1.0):
+        self.area.append((component, area_um2, count))
+
+    def add_leakage(self, component: str, power_uw: float, count: float = 1.0):
+        self.leakage.append((component, power_uw, count))
+
+
 class ChargeProgram:
-    """A :class:`ChargePlan` priced by one simulator: every operand that
-    does not read a counter, computed once by the expressions pricing
-    from scratch used, and every charge that reads none, made once.
+    """A :class:`ChargePlan` priced by one simulator: what pricing reads
+    besides the counters, derived once.
 
-    * ``energy`` — per array in mapping order, what its energy charges
-      read besides the counters: an LNFA array's ``(index, per bin
-      (tiles, CAM bin?, enabled-column capacity, control pJ, ring pJ),
-      None, ())``, an NFA or NBVA array's ``(None, per tile (matching
-      pJ, occupants), global switch (port share, wire pJ per unit
-      activity, regex ids, states) or None, per NBVA regex (id, pJ per
-      BV-phase cycle))``;
-    * ``area`` — the area breakdown, which reads no counter;
-    * ``leakage`` — ``(component, power x count)`` per leakage charge in
-      order, an LNFA array's tile charge ``(component, (index, tiles,
-      its bins' tiles))`` instead (its power follows the gating duty).
-
-    :meth:`RAPSimulator.replay_charges` and
-    :meth:`RAPSimulator.run_from_activity` replay it: per ledger
-    component the same additions, in the same order, so every float is
-    what pricing from scratch produced."""
+    * ``prices`` — per array, the prices every replay charges alike: an
+      NBVA array's per-tile matching and per-regex BV-phase pJ (an NFA
+      array's: ``(None, ())``, full-column matching and no BV phase),
+      an LNFA array's per-bin control and ring pJ;
+    * ``area`` / ``area_mm2`` — the area breakdown and total, which read
+      no counter;
+    * ``leakage`` — every leakage charge in order, as the shared
+      structure helpers make it; an LNFA array's tiles, whose power
+      follows the gating duty, as ``(component, None, (index, tiles, its
+      bins' tiles))``.  Without LNFA arrays ``leakage_w`` is the total.
+    """
 
     def __init__(self, plan: ChargePlan, sim: "RAPSimulator"):
         p, hw, circuits = sim.params, plan.hw, sim.circuits
         self.plan, self.params, self.circuits, self.hw = plan, p, circuits, sim.hw
         wire = circuits.global_wire_mm
         hop_pj = wire.energy() * hw.ring_hop_wire_mm
-        lsd, gsd = sim.hw.local_switch_dim, sim.hw.global_switch_dim
-        self.switch = p.switch_min_pj, p.switch_max_pj - p.switch_min_pj, lsd
-        self.gswitch = p.gswitch_min_pj, p.gswitch_max_pj - p.gswitch_min_pj
-        self.energy: list[tuple] = []
-        area = EnergyLedger()
-        leakage: list[tuple] = []
+        self.prices: list = []
+        charged = _Recorded()
         for index, mode, geometry, detail in plan.arrays:
             if mode is TileMode.LNFA:
                 tiles, bin_tiles, bins = detail
-                bins = tuple(
-                    (b[0], b[1], b[2], p.local_ctrl_pj * b[4], hop_pj * b[3])
-                    for b in bins
+                self.prices.append(
+                    [(p.local_ctrl_pj * b[4], hop_pj * b[3]) for b in bins]
                 )
-                self.energy.append((index, bins, None, ()))
-                area.add_area("tile", p.tile_area_um2, tiles)
-                if tiles:
-                    leakage.append(("tile", (index, tiles, bin_tiles)))
+                # Tile area is physical; tile leakage follows the power-
+                # gating duty cycle (leakage_w).
+                charged.add_area("tile", p.tile_area_um2, tiles)
+                charged.leakage.append(("tile", None, (index, tiles, bin_tiles)))
                 # ring_width wires linking adjacent tiles
                 ring = (
                     hw.ring_width_bits
@@ -223,72 +228,61 @@ class ChargeProgram:
                     * wire.area_um2
                     * max(tiles - 1, 0)
                 )
-                area.add_area("ring-network", ring, 1)
+                charged.add_area("ring-network", ring, 1)
                 continue
-            # ApStyleSimulator.charge_array_structure, without overhead
-            area.add_area("tile", p.tile_area_um2, geometry.tiles_used)
-            if geometry.tiles_used:
-                leakage.append(("tile", p.tile_leak_uw * geometry.tiles_used))
-            match_pj, phases = [p.match_pj] * len(geometry.tiles), ()
+            sim.charge_array_structure(charged, geometry, include_overhead=False)
             if mode is TileMode.NBVA:
-                match_pj = [p.match_pj * tile.cc_frac for tile in geometry.tiles]
-                per_phase = [
-                    regex_depth
-                    * (
-                        2 * p.match_pj * bv_frac  # CAM read + write-back
-                        + p.switch_pj(bv_frac)  # routing and BV actions
-                        + p.local_ctrl_pj
-                    )
-                    for _, regex_depth, bv_frac in detail
-                ]
-                phases = tuple(zip([rid for rid, _, _ in detail], per_phase))
-            tiles = tuple(zip(match_pj, [tile.occupants for tile in geometry.tiles]))
-            ports, rids, states = geometry.ports, geometry.regex_ids, geometry.states
-            switch = (ports / gsd, p.wire_pj * ports, rids, states) if ports else None
-            self.energy.append((None, tiles, switch, phases))
+                self.prices.append((
+                    # an NBVA tile's matching activates only the columns
+                    # that hold CCs (and the set1 columns routed during
+                    # transitions)
+                    [p.match_pj * tile.cc_frac for tile in geometry.tiles],
+                    [
+                        regex_depth * (
+                            2 * p.match_pj * bv_frac  # CAM read + write-back
+                            + p.switch_pj(bv_frac)  # routing and BV actions
+                            + p.local_ctrl_pj
+                        )
+                        for _, regex_depth, bv_frac in detail
+                    ],
+                ))
+            else:
+                self.prices.append((None, ()))
         # Array-level structures: area/leakage proportional to occupied
-        # tiles (Section 3.3; ApStyleSimulator.charge_overhead_units).
-        units = plan.total_tiles / sim.hw.tiles_per_array
-        area.add_area("array-overhead", p.array_overhead_um2, units)
-        if units:
-            leakage.append(("array-overhead", p.array_leak_uw * units))
-        self.area = area.area_breakdown()
-        self.area_mm2 = area.area_mm2
-        self.leakage = leakage
-        # without LNFA arrays, leakage reads no counter either
-        self.leakage_w = None
-        if all(type(power) is float for _, power in leakage):
-            self.leakage_w = self.leakage_of({}, 0)
-        self._reports: dict[tuple, tuple] = {}  # (n, stalls) -> reports
+        # tiles (Section 3.3).
+        sim.charge_overhead_units(charged, plan.total_tiles)
+        area = EnergyLedger()
+        for component, area_um2, count in charged.area:
+            area.add_area(component, area_um2, count)
+        self.area, self.area_mm2 = area.area_breakdown(), area.area_mm2
+        self.leakage = charged.leakage
+        self.static_leakage_w = None
+        if all(power is not None for _, power, _ in self.leakage):
+            self.static_leakage_w = self.leakage_w({}, 0)
 
-    def leakage_of(self, lnfa_bins, n: int) -> float:
-        """Static power in watts: a gated LNFA tile leaks by its duty
-        cycle (Fig. 7; it retains its configuration at ~10% of active
-        leakage), the rest as built."""
-        if self.leakage_w is not None:
-            return self.leakage_w
-        leakage: dict[str, float] = {}
-        for component, power in self.leakage:
-            if type(power) is tuple:
-                index, tiles, bin_tiles = power
+    def leakage_w(self, lnfa_bins, n: int) -> float:
+        """Static power in watts of a run over ``n`` symbols: a gated LNFA
+        tile leaks by its duty cycle (Fig. 7; it retains its
+        configuration at ~10% of active leakage), the rest as built."""
+        if self.static_leakage_w is not None:
+            return self.static_leakage_w
+        ledger = EnergyLedger()
+        for component, power, count in self.leakage:
+            if power is None:
+                index, count, bin_tiles = count
                 possible = bin_tiles * n
                 woken = sum(a.woken_tile_cycles for a in lnfa_bins[index])
                 duty = min(1.0, woken / possible) if possible else 1.0
                 retention = 0.1
-                leak = self.params.tile_leak_uw * (retention + (1 - retention) * duty)
-                power = leak * tiles
-            leakage[component] = leakage.get(component, 0.0) + power
-        return sum(leakage.values()) * 1e-6
+                power = self.params.tile_leak_uw * (retention + (1 - retention) * duty)
+            ledger.add_leakage(component, power, count)
+        return ledger.leakage_w
 
     def reports(self, n: int, stalls: dict[int, int]) -> tuple:
         """``(array reports, stall cycles, worst array's cycles)`` of a
         run over ``n`` symbols with per NBVA array (by index) ``stalls``
         trigger cycles: a BV phase stalls the whole array, ``depth``
         cycles for each."""
-        key = (n, *stalls.items())
-        found = self._reports.get(key)
-        if found is not None:
-            return found
         clock = self.params.clock_ghz
         total_stalls, worst_cycles, reports = 0, n, []
         for index, mode, geometry, detail in self.plan.arrays:
@@ -307,11 +301,7 @@ class ChargeProgram:
             reports.append(
                 ArrayReport(mode.value, tiles, cycles, array_stalls, throughput)
             )
-        found = tuple(reports), total_stalls, worst_cycles
-        if len(self._reports) >= 64:
-            self._reports.clear()
-        self._reports[key] = found
-        return found
+        return tuple(reports), total_stalls, worst_cycles
 
 
 class Binding:
@@ -516,11 +506,11 @@ class RAPSimulator(ApStyleSimulator):
         engine merges per-chunk activities and prices them here once.
 
         Energy is :meth:`replay_charges`; area, the array reports and
-        every leakage charge but an LNFA tile's come with the binding's
-        :class:`ChargeProgram`, so a run adds only merged matches, each
-        NBVA array's stalls (its stall count, which the scan kept, times
-        its BV depth) and the LNFA tiles' gated leakage — each float
-        bit-identical to pricing from scratch."""
+        leakage replay the binding's :class:`ChargeProgram`, so a run
+        adds only merged matches, each NBVA array's stalls (its stall
+        count, which the scan kept, times its BV depth) and the LNFA
+        tiles' gated leakage — each float bit-identical to pricing from
+        scratch."""
         if binding is None:
             binding = bind(ruleset, self.hw, mapping=mapping, backend=backend)
         plan = binding.charges
@@ -529,7 +519,7 @@ class RAPSimulator(ApStyleSimulator):
         regexes = activity.regex
         lnfa_bins = activity.lnfa_bins
         n = activity.input_symbols
-        energy = self._replay(program, regexes, lnfa_bins, n)
+        ledger = self.replay_charges(plan, regexes, lnfa_bins, n)
         matches = {a.regex_id: a.matches for a in regexes.values()}
         for rid in plan.lnfa_ids:
             matches[rid] = []
@@ -542,15 +532,15 @@ class RAPSimulator(ApStyleSimulator):
         return SimulationResult(
             architecture=p.name,
             metrics=Metrics(
-                energy_uj=sum(energy.values()) * 1e-6,
+                energy_uj=ledger.energy_uj,
                 area_mm2=program.area_mm2,
                 cycles=worst_cycles,
                 input_symbols=n,
                 clock_ghz=p.clock_ghz,
-                leakage_w=program.leakage_of(lnfa_bins, n),
+                leakage_w=program.leakage_w(lnfa_bins, n),
             ),
             matches=merge_lnfa_matches(matches, plan.lnfa_ids),
-            energy_breakdown_pj=energy,
+            energy_breakdown_pj=ledger.energy_breakdown(),
             area_breakdown_um2=dict(program.area),
             stall_cycles=total_stalls,
             arrays=plan.total_arrays,
@@ -570,96 +560,60 @@ class RAPSimulator(ApStyleSimulator):
         :class:`RunActivity` and a live scan's collectors both serve.
         A run's energy is the sum of these charges alone: a quote from
         the collectors is the priced result's ``energy_uj`` exactly."""
-        return EnergyLedger(self._replay(plan.priced(self), regexes, lnfa_bins, n))
-
-    def _replay(self, program: ChargeProgram, regexes, lnfa_bins, n: int) -> dict:
-        """:meth:`replay_charges`' energy breakdown: each charge is
-        :meth:`EnergyLedger.charge` inlined — ``count`` events of
-        ``energy_pj`` each, none when ``count`` is 0 — in the order and on
-        the operands of :meth:`ApStyleSimulator.charge_nfa_array_energy`
-        (without the global controller), the NBVA tiles' CC-only matching
-        and BV phases and the LNFA tiles' column-gated matching."""
         p = self.params
-        energy: dict[str, float] = {}
-        get = energy.get
+        ledger = EnergyLedger()
         mean = {rid: a.mean_activity for rid, a in regexes.items()}
-        smin, sspan, lsd = program.switch
-        gmin, gspan = program.gswitch
-        match_pj, ctrl_pj = p.match_pj, p.local_ctrl_pj
-        for index, tiles, switch, phases in program.energy:
-            if index is not None:
-                for (count, cam, capacity, bin_ctrl_pj, ring_pj), activity in zip(
-                    tiles, lnfa_bins[index]
-                ):
-                    active = activity.tile_active_cycles
-                    bits = activity.tile_active_bits
-                    for t in range(count):
-                        cycles = active[t]
-                        if not cycles:
-                            continue
-                        # Enabled columns follow the active vector; the
-                        # initial column of tile 0 is always enabled.
-                        col_frac = min(1.0, (bits[t] + cycles) / (cycles * capacity))
-                        if cam:
-                            pj = match_pj * col_frac
-                        else:
-                            pj = smin + sspan * min(max(col_frac, 0.0), 1.0)
-                        energy["state-matching"] = (
-                            get("state-matching", 0.0) + pj * cycles
-                        )
-                        energy["local-control"] = (
-                            get("local-control", 0.0) + bin_ctrl_pj * cycles
-                        )
-                    # Ring network: one short hop per tile boundary per
-                    # cycle the downstream tile is awake.
-                    hops = sum(active[1:])
-                    if hops:
-                        energy["ring-network"] = (
-                            get("ring-network", 0.0) + ring_pj * hops
-                        )
+        for (index, mode, geometry, detail), prices in zip(
+            plan.arrays, plan.priced(self).prices
+        ):
+            if mode is TileMode.LNFA:
+                self._charge_lnfa_array(ledger, detail, prices, lnfa_bins[index])
                 continue
-            if n:
-                for tile_pj, occupants in tiles:
-                    driven = 0.0
-                    for rid, share in occupants:
-                        driven += mean[rid] * share
-                    act = min(max(driven / lsd, 0.0), 1.0)
-                    # An NBVA tile's matching activates only the columns
-                    # that hold CCs (and the set1 columns routed during
-                    # transitions).
-                    energy["state-matching"] = get("state-matching", 0.0) + tile_pj * n
-                    energy["state-transition"] = (
-                        get("state-transition", 0.0) + (smin + sspan * act) * n
-                    )
-                    energy["local-control"] = get("local-control", 0.0) + ctrl_pj * n
-                if switch is not None:  # the global switch and wires
-                    port_frac, wire_pj, rids, states = switch
-                    weighted = 0.0
-                    for rid in rids:
-                        weighted += mean[rid]
-                    mean_act = min(1.0, weighted / states) if states else 0.0
-                    gsw = gmin + gspan * min(max(port_frac * mean_act, 0.0), 1.0)
-                    energy["global-switch"] = get("global-switch", 0.0) + gsw * n
-                    energy["global-wire"] = (
-                        get("global-wire", 0.0) + wire_pj * mean_act * n
-                    )
+            matching, phases = prices
+            self.charge_nfa_array_energy(
+                ledger, geometry, mean, n, charge_gctrl=False, match_pj=matching
+            )
             # Bit-vector-processing phase: depth pipeline iterations of
             # BV-word read, switch routing, and write-back per triggering
-            # cycle, for each regex with live counters.
-            for rid, per_phase in phases:
-                cycles = regexes[rid].bv_phase_cycles
-                if cycles:
-                    energy["bv-processing"] = (
-                        get("bv-processing", 0.0) + per_phase * cycles
-                    )
+            # cycle, for each NBVA regex with live counters.
+            for (rid, _, _), per_phase in zip(detail, phases):
+                ledger.charge("bv-processing", per_phase, regexes[rid].bv_phase_cycles)
         # One global controller runs per physical array (NFA and LNFA
         # tiles consolidate into shared arrays per Section 3.3, NBVA
         # arrays stay dedicated because their stalls are array-wide).
-        if n and program.plan.physical_arrays:
-            energy["global-control"] = get("global-control", 0.0) + (
-                p.global_ctrl_pj * (n * program.plan.physical_arrays)
+        if n:
+            ledger.charge(
+                "global-control", p.global_ctrl_pj, n * plan.physical_arrays
             )
-        return energy
+        return ledger
+
+    # -- LNFA arrays ---------------------------------------------------------
+
+    def _charge_lnfa_array(self, ledger: EnergyLedger, detail, prices, bins) -> None:
+        p = self.params
+        for (tile_count, cam, capacity, _, _), (ctrl_pj, ring_pj), activity in zip(
+            detail[2], prices, bins
+        ):
+            active = activity.tile_active_cycles
+            for t in range(tile_count):
+                active_cycles = active[t]
+                if not active_cycles:
+                    continue
+                # Enabled columns follow the active vector; the initial
+                # column of tile 0 is always enabled.
+                enabled = activity.tile_active_bits[t] + active_cycles
+                col_frac = min(1.0, enabled / (active_cycles * capacity))
+                ledger.charge(
+                    "state-matching",
+                    p.match_pj * col_frac if cam else p.switch_pj(col_frac),
+                    active_cycles,
+                )
+                ledger.charge("local-control", ctrl_pj, active_cycles)
+            # Ring network: one short hop per tile boundary per cycle the
+            # downstream tile is awake.
+            ledger.charge("ring-network", ring_pj, sum(active[1:]))
+
+    # -- post-run dedup -----------------------------------------------------
 
 
 def merge_lnfa_matches(matches: dict, lnfa_ids: Collection[int]) -> dict:

@@ -20,9 +20,18 @@ HAVE_FUSED = "fused" in available_backends()
 
 @pytest.fixture(autouse=True)
 def clean_registry(monkeypatch):
-    """Each test starts unpinned and with no RAP_BACKEND in the env."""
+    """Each test starts unpinned, with no RAP_BACKEND in the env and its
+    own resolution memo (a swapped probe must not outlive the test)."""
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     monkeypatch.setattr(registry_mod, "_default", None)
+    monkeypatch.setattr(registry_mod, "_RESOLVED", {})
+
+
+def swap_probe(monkeypatch, name, probe):
+    """Replace a backend's capability probe for this test; resolutions
+    memoised under the old one are forgotten."""
+    monkeypatch.setitem(registry_mod._BACKENDS, name, probe)
+    registry_mod._RESOLVED.clear()
 
 
 class TestResolution:
@@ -58,7 +67,7 @@ class TestResolution:
         assert resolve_backend("python") == "python"
 
     def test_unavailable_backend_falls_back_silently(self, monkeypatch):
-        monkeypatch.setitem(registry_mod._BACKENDS, "ghost", lambda: False)
+        swap_probe(monkeypatch, "ghost", lambda: False)
         assert resolve_backend("ghost") == "python"
         monkeypatch.setenv(BACKEND_ENV, "ghost")
         assert resolve_backend() == "python"
@@ -66,11 +75,11 @@ class TestResolution:
     def test_fallback_chain_is_one_hop_each(self, monkeypatch):
         # native -> fused -> python: each unavailable tier costs exactly
         # one hop, and the reason names every hop taken.
-        monkeypatch.setitem(registry_mod._BACKENDS, "native", lambda: False)
+        swap_probe(monkeypatch, "native", lambda: False)
         resolved, reason = resolve_backend_with_reason("native")
         assert resolved == ("fused" if HAVE_FUSED else "python")
         assert reason.startswith("native unavailable: ")
-        monkeypatch.setitem(registry_mod._BACKENDS, "fused", lambda: False)
+        swap_probe(monkeypatch, "fused", lambda: False)
         resolved, reason = resolve_backend_with_reason("native")
         assert resolved == "python"
         assert [hop.split(" ")[0] for hop in reason.split("; ")] == [
@@ -99,7 +108,7 @@ class TestDefaultPinning:
     def test_pinning_resolves_eagerly(self, monkeypatch):
         # An unavailable pin resolves to python at pin time, so a later
         # (hypothetically successful) probe cannot flip the choice.
-        monkeypatch.setitem(registry_mod._BACKENDS, "ghost", lambda: False)
+        swap_probe(monkeypatch, "ghost", lambda: False)
         set_default_backend("ghost")
         assert registry_mod._default == "python"
 
