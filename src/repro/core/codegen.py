@@ -32,7 +32,11 @@ owned bytes — in one crossing, the binding's one entry point.  The tiers:
   *cursors* — forest state ids: any units, any entries — byte-major, in
   private registers flushed every 65 536 bytes; beside the lanes its body
   is also inlined with ``m`` the binding's fresh cursor count (at most
-  :data:`UNIT_FOLD_CURSORS`), so a bulk scan's loops unroll.  NBVA units
+  :data:`UNIT_FOLD_CURSORS`), so a bulk scan's loops unroll.  A binding
+  of :data:`GATHER_MIN` fresh cursors or more also gets the gather step,
+  compiled where the compiler targets AVX-512: sixteen cursors to one
+  gather per byte, inlined for that count (:data:`FOREST_LANES` says
+  whether it was compiled).  NBVA units
   of at most :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
   ``NBVA_UNITS[]`` under ``rap_nbva_span``, which steps ``m`` cursors
   block by block (:data:`NBVA_BLOCK` bytes), cursor-outer within a block:
@@ -381,15 +385,21 @@ _UNITS_KERNEL = r"""
 }
 """
 
+
+def _inlined(name: str) -> str:
+    """``rap_units_span``'s declaration as an always-inlined ``name``."""
+    return UNITS_CDEF[:-1].replace(
+        "int rap_units_span",
+        f"static inline __attribute__((always_inline)) int {name}",
+    )
+
+
 # The kernel again, for a binding whose fresh cursor count ``FRESH_M``
 # is small: the same body always inlined, once with ``m`` that constant
 # (its per-cursor loops unroll into registers), once generic.
 _UNITS_FOLD = (
     "#define FRESH_M %(fold)d\n"
-    + UNITS_CDEF[:-1].replace(
-        "int rap_units_span",
-        "static inline __attribute__((always_inline)) int units_body",
-    )
+    + _inlined("units_body")
     + "%(body)s"
     + UNITS_CDEF[:-1]
     + r"""
@@ -403,9 +413,118 @@ _UNITS_FOLD = (
 """
 )
 
+# The forest's vector step, RAP's one symbol against every active state
+# at once: sixteen cursors a vector, one AVX-512 gather of their ``NEXT``
+# words per byte and one test of every lane's hit flag (the halves ORed
+# together four times); the event pass reads the lanes one by one.  It
+# is inlined for ``m`` the binding's fresh count, so the vectors live in
+# registers; a count no multiple of 16 masks its last vector's idle
+# lanes, which keep row offset 0 and add nothing.
+_GATHER_KERNEL = r"""
+{
+  long long i = start_i, last = at_end ? n - 1 : -1, ne = 0;
+  int u, v, nv = (m + 15) / 16;
+  /* row offsets and live sums, sixteen cursors a vector */
+  rap_v16 s[(FRESH_M + 15) / 16], a[(FRESH_M + 15) / 16];
+  unsigned short tail = 0xffffu >> (-m & 15);
+  for (v = 0; v < nv; v++)
+    for (u = 0; u < 16; u++) {
+      s[v][u] = 16 * v + u < m ? state[16 * v + u] * NCLS : 0;
+      a[v][u] = 0;
+    }
+  for (; i < n && cap - ne >= m; i++) {
+    const uint32_t *next = NEXT + CLS[data[i]];
+    uint32_t own = i >= stats_from ? 0x800000ffu : 0;
+    rap_v16 f = { 0 };
+    for (v = 0; v < nv; v++) {
+      rap_v16 t = (rap_v16)__builtin_ia32_gathersiv16si((rap_i16)s[v], next,
+          (rap_i16)s[v], v < nv - 1 ? 0xffff : tail, 4);
+      f |= t;
+      s[v] = t & 0x7fffff;
+      a[v] += t >> 23 & own;
+    }
+    f &= own & 0x80000000u;
+    f |= __builtin_shufflevector(f, f, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3,
+        4, 5, 6, 7);
+    f |= __builtin_shufflevector(f, f, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15,
+        8, 9, 10, 11);
+    f |= __builtin_shufflevector(f, f, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14,
+        15, 12, 13);
+    f |= __builtin_shufflevector(f, f, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13,
+        12, 15, 14);
+    if (f[0])
+      for (u = 0; u < m; u++) {
+        uint32_t sid = s[u >> 4][u & 15] / NCLS;
+        if ((FLAGS[sid] & 1) || ((FLAGS[sid] & 2) && i == last)) {
+          ev_pos[ne] = i; ev_cursor[ne] = u; ev_state[ne] = sid; ne++;
+        }
+      }
+    if (!(~i & 0xffff))  /* 65 536 bytes of <= 255 live positions fit 32 bits */
+      for (v = 0; v < nv; v++) {
+        for (u = 0; u < 16 && 16 * v + u < m; u++) active[16 * v + u] += a[v][u];
+        a[v] = (rap_v16){ 0 };
+      }
+  }
+  for (u = 0; u < m; u++) {
+    state[u] = s[u >> 4][u & 15] / NCLS;
+    active[u] += a[u >> 4][u & 15];
+  }
+  *n_ev = ne; *resume_i = i;
+  return i < n;
+}
+"""
+
+# The fewest fresh cursors a binding's gather step is emitted for: a
+# gather's latency is paid per byte however few lanes it fills (6
+# cursors: 1.15 ms a 128 KiB block scalar, 2.46 gathered; 64: 3.75
+# scalar, 1.9 gathered).
+GATHER_MIN = 32
+
+# The forest's library exports this constant: 16 when it compiled the
+# gather step (the host's ``cc -march=native`` targets AVX-512), 1 when
+# it steps every span one cursor at a time.  (The cdef declares it a
+# plain variable: cffi reads no ``const`` global through ``dlopen``.)
+FOREST_LANES = "rap_forest_lanes"
+FOREST_CDEF = f"extern int {FOREST_LANES};"
+
+# The kernel for a binding of at least ``GATHER_MIN`` fresh cursors: the
+# gather step for a span of its ``FRESH_M`` where the compiler targets
+# AVX-512 — GCC 12+ / Clang vector extensions and builtins, no intrinsics
+# header (one would add ~0.25 s of cc to every such build) — and the
+# scalar body for every other span (a second gather body, for any count,
+# cost ~0.12 s more cc: ``bulk_nfa_hot``'s ``setup_s`` x1.22, not x1.11).
+_UNITS_GATHER = (
+    "#define FRESH_M %(fold)d\n"
+    # (``__builtin_shufflevector``: GCC 12 and Clang)
+    "#if defined(__AVX512F__) && (defined(__clang__) || __GNUC__ >= 12)\n"
+    "#define RAP_GATHER\n"
+    f"const int {FOREST_LANES} = 16;\n"
+    "typedef uint32_t rap_v16 __attribute__((vector_size(64)));\n"
+    "typedef int32_t rap_i16 __attribute__((vector_size(64)));\n"
+    + _inlined("gather_body")
+    + _GATHER_KERNEL
+    + f"#else\nconst int {FOREST_LANES} = 1;\n#endif\n"
+    + _inlined("units_body")
+    + "%(body)s"
+    + UNITS_CDEF[:-1]
+    + r"""
+{
+#ifdef RAP_GATHER
+  if (m == FRESH_M)
+    return gather_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
+        active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
+#endif
+  return units_body(data, n, start_i, state, m, at_end, stats_from, active,
+      ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
+}
+"""
+)
+
 # ``NEXT`` words a 23-bit row offset reaches; cursors the kernel's arrays
-# hold; the most fresh cursors a binding's unit kernel is folded for
-# (register-blocking many more measured slower than the generic loop).
+# hold; the most fresh cursors a binding's scalar kernel is folded for
+# beside the lanes (one register per cursor: many more measured slower
+# than the generic loop — past ``GATHER_MIN`` the gather step is folded
+# instead).
 FOREST_ENTRIES = 1 << 23
 UNIT_SPAN_CURSORS = 1024
 UNIT_FOLD_CURSORS = 16
@@ -439,7 +558,8 @@ def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
     """``NEXT`` / ``FLAGS`` as the module docstring describes them —
     every placed unit's table at its id range — then the one kernel
     text; with ``fold``, as the body of a ``rap_units_span`` that steps
-    ``m == fold`` cursors with ``m`` a constant."""
+    ``m == fold`` cursors with ``m`` a constant (from ``GATHER_MIN``
+    cursors on: the gather step)."""
     ncls = fused.classes.k
     nxt: list[str] = []
     flags = b""
@@ -466,7 +586,8 @@ def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
             f"#define MAXM {UNIT_SPAN_CURSORS}",
             f"static const uint32_t NEXT[] = {{ {', '.join(nxt)} }};",
             _u8_array("FLAGS", flags),
-            _UNITS_FOLD % dict(fold=fold, body=_UNITS_KERNEL) if fold
+            (_UNITS_GATHER if fold >= GATHER_MIN else _UNITS_FOLD)
+            % dict(fold=fold, body=_UNITS_KERNEL) if fold
             else UNITS_CDEF[:-1] + _UNITS_KERNEL,
         ]
     )
@@ -906,12 +1027,19 @@ class BindingKernel(NamedTuple):
     lanes_why: str | None
     fold: int
 
+    @property
+    def gather(self) -> bool:
+        """Whether the text holds the gather step (and exports
+        :data:`FOREST_LANES`)."""
+        return self.fold >= GATHER_MIN
+
 
 def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
     """The one translation unit of a binding: whichever of the lane
     kernel (:func:`lane_scan_source`) and the units' forest and NBVA
     tables (:func:`unit_scan_source`, the forest folded for the fresh
-    cursor count beside the lanes) compile, then ``rap_scan_span`` over
+    cursor count beside the lanes, or in the gather step from
+    :data:`GATHER_MIN` cursors on) compile, then ``rap_scan_span`` over
     them all — the tiers it lacks ``#ifdef``-guarded away."""
     lanes = why = None
     if fused.bases:
@@ -920,7 +1048,7 @@ def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
         except ValueError as err:
             why = str(err)
     fresh = sum(isinstance(base, int) for base in unit_forest(fused)[0])
-    fold = fresh if lanes and fresh <= UNIT_FOLD_CURSORS else 0
+    fold = fresh if fresh >= GATHER_MIN or lanes and fresh <= UNIT_FOLD_CURSORS else 0
     units = unit_scan_source(fused, fold)
     if lanes is None and not units:
         return BindingKernel("", None, why, 0)

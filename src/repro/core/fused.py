@@ -202,6 +202,7 @@ class FusedRuleset:
         nbva_units: Sequence[tuple[Automaton, bool, bool]] = (),
         tile_masks: Sequence[Sequence[int]] = (),
         nbva_groups: Sequence[Sequence[int]] = (),
+        backend: str | None = None,
     ):
         self._shift = tuple(shift_programs)
         # per shift program, its tiles' masks (the lane kernel's payload)
@@ -289,9 +290,10 @@ class FusedRuleset:
         )
 
         # -- native-codegen attachment (lazy, silent-fallback) ----------
-        # Decided at construction time; the binding's one library is
-        # built (or loaded from the .so cache) on first use.
-        resolved, why = resolve_backend_with_reason()
+        # Decided at construction time, on ``backend`` (default: the one
+        # in force); the binding's one library is built (or loaded from
+        # the .so cache) on first use.
+        resolved, why = resolve_backend_with_reason(backend)
         self._native_requested = resolved == "native"
         self.native_why = why or f"{resolved} backend"
         self._native = None

@@ -196,6 +196,10 @@ class _CffiLibrary:
         :meth:`pointer` results, unconverted."""
         return getattr(self._lib, name)
 
+    def value(self, name: str) -> int:
+        """The exported ``const int`` ``name`` (declared in the cdef)."""
+        return getattr(self._lib, name)
+
 
 class _CtypesLibrary:
     """The same shared object behind plain ctypes (cffi-free hosts)."""
@@ -222,6 +226,9 @@ class _CtypesLibrary:
         raw = getattr(self._lib, name)
         raw.restype, raw.argtypes = ctypes.c_int, self._argtypes[name]
         return raw
+
+    def value(self, name: str) -> int:
+        return ctypes.c_int.in_dll(self._lib, name).value
 
 
 def _address(buf) -> int:
@@ -351,7 +358,11 @@ class NativeScanner:
         if not kernel.source:
             raise NativeBuildError(kernel.lanes_why or "no native-eligible tier")
         self._source, lanes = kernel.source, kernel.lanes
-        lib = load_source(kernel.source, codegen.SCAN_CDEF)
+        gather = kernel.gather
+        cdef = codegen.SCAN_CDEF + ("\n" + codegen.FOREST_CDEF) * gather
+        lib = load_source(kernel.source, cdef)
+        # the forest step the compiler took: 16 lanes a gather, or 1
+        self.forest_lanes = lib.value(codegen.FOREST_LANES) if gather else 1
         self._span_fn = lib.fn("rap_scan_span")
         self.bases, rows = codegen.unit_forest(fused)
         nbva, classes = codegen.native_nbva_indices(fused), fused.classes.class_of
@@ -365,10 +376,14 @@ class NativeScanner:
         placed = sum(isinstance(base, int) for base in self.bases)
         tiers = [f"lanes {lanes.tier}"] if lanes else []
         tiers += [f"lanes walked ({kernel.lanes_why})"] * bool(kernel.lanes_why)
+        width = self.forest_lanes
+        step = f"{width}-lane gather" if width > 1 else "scalar"
+        # (a gather binding's scalar step is not folded)
+        folded = kernel.fold if width > 1 or not gather else 0
         tiers += [
             f"unit forest {placed} of {len(self.bases)} tables "
-            f"({rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries)"
-            + f", {kernel.fold} cursors folded" * bool(kernel.fold)
+            f"({rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries), {step}"
+            + f", {folded} cursors folded" * bool(folded)
         ] * bool(self.bases)
         tiers += [f"NBVA slots {len(nbva)} of {fused.nbva_count}"] * bool(nbva)
         self.report = [  # what --explain says of the binding

@@ -561,11 +561,17 @@ class FusedPlan:
     * ``fused`` — the one :class:`~repro.core.fused.FusedRuleset`
       holding the bins' shift programs, the GATHER units' programs and
       the NBVA units' automata, so all of them share one class map and
-      one translated input.
+      one translated input, its generated C attached on ``backend``
+      (default: the one in force).
     """
 
     def __init__(
-        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+        self,
+        ruleset: CompiledRuleset,
+        mapping: Mapping,
+        hw: HardwareConfig,
+        *,
+        backend: str | None = None,
     ):
         self.ruleset = ruleset
         self.mapping = mapping
@@ -611,6 +617,7 @@ class FusedPlan:
             ],
             tile_masks=[layout.tile_masks for layout in self.layouts],
             nbva_groups=[units for _, units in self.stall_groups],
+            backend=backend,
         )
         self.scanner = (
             FusedLaneScanner(self.layouts, self.fused) if self.layouts else None

@@ -316,11 +316,16 @@ class Binding:
     """
 
     def __init__(
-        self, ruleset: CompiledRuleset, mapping: Mapping, hw: HardwareConfig
+        self,
+        ruleset: CompiledRuleset,
+        mapping: Mapping,
+        hw: HardwareConfig,
+        backend: str | None = None,
     ):
         self.ruleset = ruleset
         self.mapping = mapping
         self.hw = hw
+        self.backend = backend  # what the plan runs on (None: the ambient one)
         self._fingerprints: dict[int | None, str] = {}
 
     def fingerprint(self, bin_size: int | None) -> str:
@@ -334,10 +339,11 @@ class Binding:
     @cached_property
     def plan(self):
         """The ruleset's :class:`~repro.simulators.fused.FusedPlan`
-        (requires NumPy; the ``python`` backend never asks for it)."""
+        (requires NumPy; the ``python`` backend never asks for it), on
+        the binding's backend whatever scope first asks for it."""
         from repro.simulators.fused import FusedPlan
 
-        return FusedPlan(self.ruleset, self.mapping, self.hw)
+        return FusedPlan(self.ruleset, self.mapping, self.hw, backend=self.backend)
 
     @cached_property
     def charges(self) -> ChargePlan:
@@ -403,7 +409,7 @@ def bind(
                 mapping = map_ruleset(ruleset, hw, bin_size=bin_size)
             while len(bound) >= MAX_BINDINGS:
                 del bound[next(iter(bound))]
-            found = bound[key] = Binding(ruleset, mapping, hw)
+            found = bound[key] = Binding(ruleset, mapping, hw, backend)
         if not adopted:
             vars(ruleset)["_last_bound"] = hw, backend, bin_size, found
     return found

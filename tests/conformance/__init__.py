@@ -19,6 +19,9 @@ checkpoint documents).
   regex keeps the cost model's choice);
 * ``input_jobs`` — 1, 2 (bulk scans only: durable scans and served
   sessions feed each segment whole);
+* cursors — 31, 32, 33, 47, 64 and 100 fresh unit cursors of one native
+  forest (``CURSORS``: Snort-profile NFA regexes, bulk, split and
+  durable in 64 KiB feeds), around the gather step's threshold;
 * entry path — bulk ``scan``; a durable scan cut at every seam, its
   snapshot restored on every other backend; a served ``ScanSession``
   fed segment by segment; a SIGKILLed CLI scan resumed on another
@@ -55,5 +58,5 @@ the path and ending in :func:`~tests.conformance.cells.assert_conforms`
 (or comparing to ``case.reference(mode)`` directly); call it from
 ``test_every_path`` in ``test_matrix`` and, if it is cheap enough, from
 ``test_pinned``.  A new axis value is one more entry in ``MODES``,
-``BACKENDS``, ``INPUT_JOBS`` or ``SWEEPS``.
+``BACKENDS``, ``INPUT_JOBS``, ``SWEEPS`` or ``CURSORS``.
 """

@@ -54,8 +54,10 @@ SEGMENTS = (1, 127, 129, 4097)
 REPO = Path(__file__).resolve().parents[2]
 
 
+@functools.cache
 def reference_matches(pattern: str, data: bytes) -> list[int]:
-    """``pattern``'s match end positions by the reference matcher."""
+    """``pattern``'s match end positions by the reference matcher (once
+    per pattern and stream: the cursor cases share theirs)."""
     parsed = parse_anchored(pattern)
     return ReferenceMatcher(
         parsed.regex,
@@ -143,6 +145,33 @@ def pinned(name: str) -> Case:
         "network", 2000, seed=9, patterns=patterns[:8], plant_every=25
     )
     return Case(patterns, data)
+
+
+# Fresh cursor counts of a native unit forest: both sides of
+# ``codegen.GATHER_MIN``, and gathers whose last vector holds 1, 15 or 4
+# cursors of 16 (33, 47, 100).
+CURSORS = (31, 32, 33, 47, 64, 100)
+# The durable feed of the cursor cases: a span that ends on the unit
+# kernel's 65 536-byte flush of its live sums.
+FEED = 64 << 10
+
+
+@functools.cache
+def cursors(count: int) -> Case:
+    """The first ``count`` of 100 Snort-profile NFA regexes (the first 64
+    are ``snort_nfa64``), one fresh cursor each, over 66 000 bytes of
+    traffic planting a witness of one of the 100 every 600 — the
+    ``bulk_nfa_hot`` density."""
+    from repro.workloads.datasets import generate_mode_patterns
+    from repro.workloads.profiles import PROFILES
+
+    patterns = generate_mode_patterns(
+        PROFILES["Snort"], CompiledMode.NFA, CURSORS[-1], seed=0
+    )
+    data = generate_input(
+        "network", 66_000, seed=9, patterns=patterns, plant_every=600
+    )
+    return Case(patterns[:count], data)
 
 
 def assert_conforms(case: Case, mode: str, got) -> None:

@@ -10,6 +10,7 @@ from repro.compiler import compile_ruleset
 from tests.conformance import cells
 from tests.conformance.cells import (
     BACKENDS,
+    CURSORS,
     HOST,
     INPUT_JOBS,
     MODES,
@@ -149,6 +150,22 @@ def test_pinned(name, mode, tmp_path):
 )
 def test_pinned_sweep(name, knob):
     cells.sweep(pinned(name), "auto", knob, seams=(513, 1000))
+
+
+@needs_native
+@pytest.mark.parametrize("count", CURSORS)
+def test_cursor_counts(count):
+    """A native unit forest of ``count`` fresh cursors — a span of all of
+    them stepped one by one below ``codegen.GATHER_MIN`` and, from there
+    on where the compiler targets AVX-512, sixteen to a gather — scanned
+    in bulk, split in two (its spans of other counts: scalar), and
+    durably in 64 KiB feeds."""
+    case = cells.cursors(count)
+    with cells.on("native"):
+        assert cells.bound(case, "auto", "native").plan.fused.unit_count == count
+    for input_jobs in INPUT_JOBS:
+        cells.bulk(case, "auto", "native", input_jobs)
+    cells.streamed(case, "auto", cells.FEED, backends=("native",))
 
 
 @needs_native

@@ -814,14 +814,25 @@ class TestOneCrossing:
         (line,) = explained(mix)
         assert line == (
             f"native library {key}: lanes dfa (33 states / 2 groups of 2 bins); "
-            "unit forest 6 of 6 tables (7420 of 8388608 entries), 6 cursors "
-            "folded; NBVA slots 7 of 7"
+            "unit forest 6 of 6 tables (7420 of 8388608 entries), scalar, 6 "
+            "cursors folded; NBVA slots 7 of 7"
         )
         (line,) = explained(cells.pinned("keywords64").patterns)
         assert line.endswith(": lanes dfa (378 states / 1 group of 4 bins)")
         (line,) = explained(["ab{10,20}c", "needle"], mode="nfa")
-        assert ": unit forest 2 of 2 tables (" in line
-        assert "lanes" not in line and "folded" not in line
+        assert line.endswith(
+            ": unit forest 2 of 2 tables (240 of 8388608 entries), scalar"
+        )
+        # 64 fresh cursors: the gather step, where the compiler took it
+        nfa64 = cells.pinned("snort_nfa64").patterns
+        with use_backend("native"):
+            lanes = bind(compile_ruleset(nfa64), DEFAULT_CONFIG).plan.fused
+            lanes = lanes._native_scanner().forest_lanes
+        (line,) = explained(nfa64)
+        assert line.endswith(
+            "entries), 16-lane gather, 64 cursors folded" if lanes == 16
+            else "entries), scalar"
+        )
         assert not explained(mix, backend="fused")
 
     @pytest.mark.parametrize(
@@ -1522,7 +1533,7 @@ class TestUnitForest:
             key = source_key(native._source)[:16]
             assert report == [
                 f"native library {key}: unit forest 15 of 17 tables "
-                f"({room} of {room} entries)",
+                f"({room} of {room} entries), scalar",
                 "  unit 15: forest full",
                 "  unit 16: live > 255",
             ]
@@ -1691,7 +1702,8 @@ def test_generated_sources_compile_warning_free(
     rulesets, a forced DFA set and NBVA units alone, each with its lanes
     walked when it has some — holds ``rap_scan_span`` and the kernels of
     the tiers that compiled, and passes ``cc -fsyntax-only -Wall -Wextra
-    -Werror``."""
+    -Werror`` — and, ``snort_nfa64``'s gather step, with ``-march=native``
+    too where the compiler takes it."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -1733,6 +1745,17 @@ def test_generated_sources_compile_warning_free(
             text=True,
         )
         assert proc.returncode == 0, proc.stderr[:2000]
+    assert ("gather_body" in binding.source) == (name == "snort_nfa64")
+    if name == "snort_nfa64":
+        march = [_find_compiler(), "-fsyntax-only", "-march=native"]
+        march.append(str(tmp_path / "unit0.c"))  # the binding's one text
+        if subprocess.run(march, capture_output=True).returncode == 0:
+            proc = subprocess.run(
+                march[:2] + ["-Wall", "-Wextra", "-Werror"] + march[2:],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr[:2000]
 
 
 _SANITIZED_MAIN = r"""
@@ -1950,8 +1973,15 @@ int main(int argc, char **argv)
 
 
 @needs_native
-@pytest.mark.parametrize("name", ["snort_nfa64", "snort_mix16"])
-def test_unit_kernel_sanitized(name, tmp_path):
+@pytest.mark.parametrize(
+    "name, gathered",
+    [
+        pytest.param("snort_nfa64", False, id="snort_nfa64"),
+        pytest.param("snort_mix16", False, id="snort_mix16"),
+        pytest.param("snort_nfa64", True, id="snort_nfa64-march=native"),
+    ],
+)
+def test_unit_kernel_sanitized(name, gathered, tmp_path):
     """The unit forest of each ledger ruleset with GATHER units, in the
     one text its binding builds, with a generated ``main()`` under ASan +
     UBSan and run over fresh cursors, each shape against ``PythonKernel``
@@ -1965,14 +1995,20 @@ def test_unit_kernel_sanitized(name, tmp_path):
       ``cap = m``, the first event on the first block's last byte: the
       flush and the continuation return coincide;
     * seventeen over the same stream in one call, the warm-up window
-      ending inside the second block."""
+      ending inside the second block.
+
+    ``gathered``: the first 47 patterns, built with ``-march=native``,
+    so on an AVX-512 host a span of their 47 fresh cursors takes the
+    gather step, its last vector masked to 15 lanes; the last two shapes
+    run 47 cursors."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.core.pykernel import PythonKernel
     from repro.simulators.fused import FusedPlan
+    from repro.simulators.rap import bind
     from repro.workloads.inputs import generate_input
 
-    patterns = RULESETS[name]()
+    patterns = RULESETS[name]()[: 47 if gathered else None]
     ruleset = compile_ruleset(patterns)
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
@@ -1981,14 +2017,22 @@ def test_unit_kernel_sanitized(name, tmp_path):
     units = fused._units
     assert units and all(isinstance(base, int) for base in bases)
     binding = codegen.binding_source(fused, fused.tile_masks)
-    # the mix's kernel is folded for its six fresh cursors; 64 are not
-    assert binding.fold == (6 if name == "snort_mix16" else 0)
+    # folded for every fresh cursor: the mix's six in the scalar kernel,
+    # snort_nfa64's 64 (or 47) in the gather step
+    assert binding.fold == len(units)
+    assert len(units) == (6 if name == "snort_mix16" else len(patterns))
+    if gathered:
+        with use_backend("native"):
+            lanes = bind(ruleset, DEFAULT_CONFIG).plan.fused._native_scanner()
+        if lanes.forest_lanes == 1:
+            pytest.skip("the library reports no gather step (no AVX-512 target)")
     source = tmp_path / "units.c"
     source.write_text(binding.source + _SANITIZED_UNITS_MAIN)
     binary = tmp_path / "units"
     build = subprocess.run(
         [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
+         "-fno-sanitize-recover=all", *["-march=native"] * gathered, "-o",
+         str(binary), str(source)],
         capture_output=True, text=True,
     )
     if build.returncode != 0:
@@ -2043,6 +2087,7 @@ def test_unit_kernel_sanitized(name, tmp_path):
     for m in (1, 3, 17, 65, len(units)):  # the generic path, then the folded
         returns = run(dense[: 1 << 15], [j % len(units) for j in range(m)])
     assert len(returns) > 4  # continuations
+    few, many = (len(units), len(units)) if gathered else (3, 17)
 
     # A quiet block whose last byte completes some unit's first match.
     quiet = generate_input("network", 1 << 16, seed=4, plant_every=1 << 20)
@@ -2054,10 +2099,10 @@ def test_unit_kernel_sanitized(name, tmp_path):
     block = quiet[: (1 << 16) - 64] + dense[position - 63 : position + 1]
     long = block + dense
     assert [p for p, _ in want(loud, long, 0)[0]][0] == (1 << 16) - 1
-    returns = run(long, [loud, silent[0], loud])
+    returns = run(long, ([loud, silent[0], loud] * few)[:few])
     assert returns[0] == (1, 1 << 16) and returns[-1] == (0, len(long))
     assert run(
-        long, [j % len(units) for j in range(17)], stats_from=70_000, slack=4096
+        long, [j % len(units) for j in range(many)], stats_from=70_000, slack=4096
     ) == [(0, len(long))]
 
 
@@ -2438,90 +2483,115 @@ def test_scan_span_sanitized(tmp_path, monkeypatch):
     counts of two groups; four spans chained through the exit states —
     one of them a single byte, the last all idle — and the histogram of
     each span's bytes (counted only beside units)."""
-    from benchmarks.ledger.workloads import RULESETS
-    from repro.core.native import _find_compiler
-    from repro.simulators.fused import FusedPlan
-    from repro.workloads.inputs import generate_input
-
     shapes = [
         ("keywords64", None, None), ("snort_nfa64", None, None),
         ("nbva_only", None, 256), ("snort_mix16", 8, None),
         ("snort_mix16", None, 256),
     ]
     for index, (name, lane_cap, block) in enumerate(shapes):
-        patterns = NBVA_ONLY if name == "nbva_only" else RULESETS[name]()
-        ruleset = compile_ruleset(patterns)
-        mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
-        with monkeypatch.context() as patch, use_backend("fused"):
-            if lane_cap is not None:  # read when the tables are built
-                patch.setattr(codegen, "LANE_DFA_MAX_STATES", lane_cap)
-            if block is not None:
-                patch.setattr(codegen, "NBVA_BLOCK", block)
-            fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
-            binding = codegen.binding_source(fused, fused.tile_masks)
-        lanes = binding.lanes is not None
-        if name == "snort_mix16" and lanes:
-            assert binding.fold == len(fused._units) == 6
-        bases, _ = codegen.unit_forest(fused)
-        assert all(isinstance(base, int) for base in bases), name
-        ids = [
-            base + unit.table.closed_id(None) for base, unit in zip(bases, fused._units)
-        ]
-        indices = codegen.native_nbva_indices(fused)
-        words = [
-            codegen.nbva_vector_layout(fused._nbva[j].automaton)[1] for j in indices
-        ]
-        traffic = generate_input(
-            "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
+        folder = tmp_path / str(index)
+        folder.mkdir()
+        _sanitized_scan_shape(folder, monkeypatch, name, lane_cap, block)
+
+
+@needs_native
+def test_scan_span_sanitized_gathered(tmp_path, monkeypatch):
+    """The unit forest alone again (``snort_nfa64``), built with
+    ``-march=native``: on an AVX-512 host its ``rap_scan_span`` and
+    ``rap_units_span`` step the 64 cursors with the gather step."""
+    from repro.simulators.rap import bind
+
+    ruleset = compile_ruleset(cells.pinned("snort_nfa64").patterns)
+    with use_backend("native"):
+        native_ = bind(ruleset, DEFAULT_CONFIG).plan.fused._native_scanner()
+    if native_.forest_lanes == 1:
+        pytest.skip("the library reports no gather step (no AVX-512 target)")
+    _sanitized_scan_shape(tmp_path, monkeypatch, "snort_nfa64", march=True)
+
+
+def _sanitized_scan_shape(
+    tmp_path, monkeypatch, name, lane_cap=None, block=None, *, march=False
+):
+    """One shape of :func:`test_scan_span_sanitized`."""
+    from benchmarks.ledger.workloads import RULESETS
+    from repro.core.native import _find_compiler
+    from repro.simulators.fused import FusedPlan
+    from repro.workloads.inputs import generate_input
+
+    patterns = NBVA_ONLY if name == "nbva_only" else RULESETS[name]()
+    ruleset = compile_ruleset(patterns)
+    mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
+    with monkeypatch.context() as patch, use_backend("fused"):
+        if lane_cap is not None:  # read when the tables are built
+            patch.setattr(codegen, "LANE_DFA_MAX_STATES", lane_cap)
+        if block is not None:
+            patch.setattr(codegen, "NBVA_BLOCK", block)
+        fused = FusedPlan(ruleset, mapping, DEFAULT_CONFIG).fused
+        binding = codegen.binding_source(fused, fused.tile_masks)
+    lanes = binding.lanes is not None
+    if name == "snort_mix16" and lanes:
+        assert binding.fold == len(fused._units) == 6
+    bases, _ = codegen.unit_forest(fused)
+    assert all(isinstance(base, int) for base in bases), name
+    ids = [
+        base + unit.table.closed_id(None) for base, unit in zip(bases, fused._units)
+    ]
+    indices = codegen.native_nbva_indices(fused)
+    words = [
+        codegen.nbva_vector_layout(fused._nbva[j].automaton)[1] for j in indices
+    ]
+    traffic = generate_input(
+        "network", 1 << 13, seed=4, patterns=patterns, plant_every=150
+    )
+    data = traffic + b"\0" * 1024
+    third = len(traffic) // 3
+    cuts = [third, third + 1, len(traffic)]  # a 1-byte span, an idle last one
+    source = tmp_path / "scan.c"
+    source.write_text(
+        binding.source
+        + _SANITIZED_SCAN_MAIN
+        % dict(
+            ids=", ".join(map(str, ids + [0])), m=len(ids),
+            words=", ".join(map(str, words + [0])), u=len(words), spans=4,
+            tiles=sum(map(len, fused.tile_masks)) if lanes else 1,
         )
-        data = traffic + b"\0" * 1024
-        third = len(traffic) // 3
-        cuts = [third, third + 1, len(traffic)]  # a 1-byte span, an idle last one
-        source = tmp_path / f"scan{index}.c"
-        source.write_text(
-            binding.source
-            + _SANITIZED_SCAN_MAIN
-            % dict(
-                ids=", ".join(map(str, ids + [0])), m=len(ids),
-                words=", ".join(map(str, words + [0])), u=len(words), spans=4,
-                tiles=sum(map(len, fused.tile_masks)) if lanes else 1,
-            )
-        )
-        binary = tmp_path / f"scan{index}"
-        build = subprocess.run(
-            [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
-             "-fno-sanitize-recover=all", "-o", str(binary), str(source)],
-            capture_output=True, text=True,
-        )
-        if build.returncode != 0:
-            pytest.skip("no sanitizer runtime: " + build.stderr[:200])
-        stream = tmp_path / "raw.bin"
-        stream.write_bytes(data)
-        run = subprocess.run(
-            [str(binary), str(stream), str(len(data)), *map(str, cuts)],
-            capture_output=True, text=True,
-        )
-        assert run.returncode == 0, (name, run.stderr[-2000:])
-        lines = [line.split() for line in run.stdout.splitlines()]
-        bad = [line for line in lines if line[0] == "mismatch"]
-        assert not bad, (name, run.stdout[-2000:])
-        spans = [line[1:] for line in lines if line[0] == "span"]
-        assert [(span, verdict) for span, verdict, *_ in spans] == [
-            (str(k), "ok") for k in range(4)
-        ], name
-        held = lanes, bool(ids), bool(words)
-        counts = [sum(int(line[k]) for line in spans) for k in (2, 3, 4)]
-        assert [count > 3 for count in counts] == list(held), (name, counts)
-        returns = [line[1:] for line in lines if line[0] == "return"]
-        # a finished span leaves ctl at the next one's start (tier 0)
-        assert {tier for rc, tier in returns if rc == "0"} == {"0"}, name
-        tiers = [int(tier) for rc, tier in returns if rc == "1"]
-        # full buffers in every tier it holds, and a lane return followed
-        # by a later tier's: the drained buffer refilled across the
-        # boundary
-        assert {t for t, tier in enumerate(held) if tier} <= set(tiers), name
-        if lanes and held != (True, False, False):
-            assert any(a == 0 and b > 0 for a, b in zip(tiers, tiers[1:])), name
+    )
+    binary = tmp_path / "scan"
+    build = subprocess.run(
+        [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", *["-march=native"] * march, "-o",
+         str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.skip("no sanitizer runtime: " + build.stderr[:200])
+    stream = tmp_path / "raw.bin"
+    stream.write_bytes(data)
+    run = subprocess.run(
+        [str(binary), str(stream), str(len(data)), *map(str, cuts)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, (name, run.stderr[-2000:])
+    lines = [line.split() for line in run.stdout.splitlines()]
+    bad = [line for line in lines if line[0] == "mismatch"]
+    assert not bad, (name, run.stdout[-2000:])
+    spans = [line[1:] for line in lines if line[0] == "span"]
+    assert [(span, verdict) for span, verdict, *_ in spans] == [
+        (str(k), "ok") for k in range(4)
+    ], name
+    held = lanes, bool(ids), bool(words)
+    counts = [sum(int(line[k]) for line in spans) for k in (2, 3, 4)]
+    assert [count > 3 for count in counts] == list(held), (name, counts)
+    returns = [line[1:] for line in lines if line[0] == "return"]
+    # a finished span leaves ctl at the next one's start (tier 0)
+    assert {tier for rc, tier in returns if rc == "0"} == {"0"}, name
+    tiers = [int(tier) for rc, tier in returns if rc == "1"]
+    # full buffers in every tier it holds, and a lane return followed
+    # by a later tier's: the drained buffer refilled across the
+    # boundary
+    assert {t for t, tier in enumerate(held) if tier} <= set(tiers), name
+    if lanes and held != (True, False, False):
+        assert any(a == 0 and b > 0 for a, b in zip(tiers, tiers[1:])), name
 
 
 @needs_native

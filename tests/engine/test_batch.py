@@ -430,6 +430,25 @@ class TestBinding:
         native_binds = 0 if top == "fused" else 1 if flipped_to_fused else 2
         assert len(counters["unit_c"]) == native_binds
 
+    def test_a_binding_plans_on_its_own_backend(self):
+        """A binding's plan attaches generated C by the backend it is
+        keyed under, not by the scope that first asks for the plan:
+        ``backend="native"`` outside any scope is compiled, and
+        ``backend="fused"`` inside a native scope walks its tables."""
+        if "native" not in available_backends():
+            pytest.skip("native backend not available")
+        from repro.simulators.rap import bind
+
+        ruleset = compiled(self.PATTERNS)
+        native = bind(ruleset, RAPSimulator().hw, backend="native").plan.fused
+        assert native.native_active, native.native_why
+        with use_backend("native"):
+            walked = bind(ruleset, RAPSimulator().hw, backend="fused").plan.fused
+            assert not walked.native_active and walked.native_why == "fused backend"
+        engine = BatchEngine(EngineConfig(backend="native", use_cache=False))
+        assert engine.scan(ruleset, self.DATA) == self._reference(ruleset)
+        assert bind(ruleset, RAPSimulator().hw, backend="native").plan.fused is native
+
     def test_bindings_per_ruleset_are_bounded(self):
         from repro.hardware.config import DEFAULT_CONFIG
         from repro.simulators.rap import MAX_BINDINGS, bind

@@ -1450,7 +1450,8 @@ class TestPlanFingerprint:
 
     # name -> (scan_fingerprint, key of the one generated source a native
     # binding emits), one row for every backend: the fingerprint names
-    # none.
+    # none.  ("mix" is the paper's Fig. 1 mix: six fresh unit cursors,
+    # under ``codegen.GATHER_MIN``, so no gather step moves its key.)
     PINNED = {
         "lnfa": ("d595f123b45f155c", ["699bf7d9a1fa7cbc"]),
         "nfa": ("47fdbf4da19d8421", ["bd104ac02ae6f4f8"]),
