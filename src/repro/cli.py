@@ -93,16 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--bv-depth", type=int, default=16)
     p_scan.add_argument("--bin-size", type=int, default=None)
     p_scan.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes (0 = one per CPU): the python backend "
-        "chunks the stream and shards it per regex and per bin across "
-        "them; --jobs sizes nothing for a fused or native bulk scan "
-        "(see --input-jobs); output is bit-identical to --jobs 1",
-    )
-    p_scan.add_argument(
         "--input-jobs",
         type=int,
         default=None,
@@ -130,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or python); an unavailable backend falls back to python, and "
         "results are bit-identical either way",
     )
-    _add_fault_args(p_scan)
     _add_durability_args(p_scan)
     p_scan.add_argument(
         "--on-error",
@@ -199,7 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="step-kernel backend for the hot loops (default: RAP_BACKEND "
         "or python); reported numbers are independent of the choice",
     )
-    _add_fault_args(p_exp)
+    p_exp.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-benchmark deadline in seconds; overruns are retried "
+        "and, as a last resort, re-run in-process (default: none)",
+    )
+    p_exp.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="extra attempts per benchmark after a worker crash, "
+        "deadline overrun, or transient error (default: 2)",
+    )
     _add_budget_args(p_exp)
 
     p_inspect = sub.add_parser(
@@ -492,24 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    """The supervised-execution knobs shared by ``scan``/``experiment``."""
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-work-unit deadline in seconds; overruns are retried "
-        "and, as a last resort, re-run in-process (default: none)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per work unit after a worker crash, "
-        "deadline overrun, or transient error (default: 2)",
-    )
-
-
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
     """The resource-budget knobs shared by ``scan``/``experiment``."""
     parser.add_argument(
@@ -730,13 +714,10 @@ def cmd_scan(args) -> int:
     )
     engine = BatchEngine(
         EngineConfig(
-            jobs=args.jobs,
             input_jobs=args.input_jobs,
             use_cache=args.cache,
             backend=args.backend,
             mode=args.mode,
-            timeout=args.timeout,
-            retries=args.retries,
             on_error=args.on_error,
             checkpoint_dir=(
                 str(args.checkpoint_dir) if args.checkpoint_dir else None

@@ -40,11 +40,7 @@ from repro.engine.cache import (
 )
 from repro.engine.checkpoint import CheckpointStore, DurableScan
 from repro.engine.faults import FAULT_PLAN_ENV, FaultDirective, FaultPlan
-from repro.engine.partition import (
-    Chunk,
-    plan_chunks,
-    required_overlap,
-)
+from repro.engine.partition import Chunk, plan_chunks
 from repro.engine.pool import effective_jobs, parallel_map
 from repro.engine.supervisor import (
     SupervisorConfig,
@@ -78,7 +74,6 @@ __all__ = [
     "effective_jobs",
     "parallel_map",
     "plan_chunks",
-    "required_overlap",
     "run_supervised",
     "resolve_input_jobs",
     "ruleset_cache_key",

@@ -5,31 +5,24 @@ Two axes of parallelism, both with deterministic merges:
 * **Across tasks** — :meth:`BatchEngine.run_batch` runs many (ruleset x
   input stream) pairs over worker processes; each task executes the
   same code path as a sequential run, so per-task results are identical
-  by construction and come back in task order.
-* **Within one scan** — :meth:`BatchEngine.scan` parallelizes a single
-  (ruleset, stream) pair.  On the ``fused`` / ``native`` backends the
-  fused plan scans the stream, split across ``input_jobs`` chunks on
-  threads over the scan's own binding (:mod:`repro.engine.split`).  On
-  the ``python`` backend ``jobs`` forks per-unit collectors: when every
-  regex has bounded state memory (see
-  :func:`~repro.engine.partition.required_overlap`) the stream is
-  chunked with overlap-window stitching; otherwise work shards per
-  regex / per LNFA bin over the whole stream.  Either way workers only
-  *collect* integer activity; the parent merges it exactly and prices
-  energy once, performing the very float operations a sequential run
-  would — output is bit-identical (same match offsets, cycles, and
-  picojoule totals).
-
-Forked workers (tasks, python units) are seeded once per process with
-the pickled ruleset, hardware config, and input stream (fork makes this
-cheap on Linux); per-unit task descriptors are tiny tuples.
+  by construction and come back in task order.  Forked workers are
+  seeded once per task with the pickled ruleset, hardware config, and
+  input stream (fork makes this cheap on Linux).
+* **Within one scan** — :meth:`BatchEngine.scan` splits a single
+  (ruleset, stream) pair across ``input_jobs`` chunks on threads over
+  the scan's own binding (:mod:`repro.engine.split`), on the ``fused``
+  / ``native`` backends.  Tasks only *collect* integer activity; the
+  parent merges it exactly and prices energy once, performing the very
+  float operations a sequential run would — output is bit-identical
+  (same match offsets, cycles, and picojoule totals).  A scan on the
+  ``python`` backend, the reference oracle, is serial.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.compiler import CompilerConfig, compile_ruleset, explain_patterns
@@ -44,8 +37,6 @@ from repro.engine import faults
 from repro.engine.budget import BudgetMonitor, ResourceBudget, validate_degrade
 from repro.engine.cache import CompileCache, cached_compile_ruleset
 from repro.engine.checkpoint import CheckpointStore, DurableScan
-from repro.engine.partition import Chunk, plan_chunks, required_overlap
-from repro.engine.pool import effective_jobs, parallel_map
 from repro.engine.supervisor import SupervisorConfig, run_supervised
 from repro.errors import (
     BudgetExceededError,
@@ -54,13 +45,7 @@ from repro.errors import (
     QuarantineReport,
     validate_on_error,
 )
-from repro.simulators.activity import (
-    BinActivity,
-    RegexActivity,
-    collect_bin_activity,
-    collect_regex_activity,
-)
-from repro.simulators.rap import RAPSimulator, RunActivity, bind
+from repro.simulators.rap import RAPSimulator, bind
 from repro.simulators.result import SimulationResult
 
 # Environment fallback for the input-parallelism level of bulk scans
@@ -88,13 +73,15 @@ def resolve_input_jobs(explicit: int | None = None) -> int:
 class EngineConfig:
     """Batch-engine knobs (the CLI's ``--jobs`` / ``--cache`` flags)."""
 
+    # Worker processes for run_batch tasks (0 or None: one per CPU); a
+    # single scan never forks, whatever this says.
     jobs: int = 1
     use_cache: bool = True
     cache_dir: str | None = None  # None: RAP_CACHE_DIR or ~/.cache/rap-repro
     # Step-kernel backend for the hot loops (see repro.core.registry);
-    # None keeps the ambient default (RAP_BACKEND or python).  Workers
-    # inherit the parent's resolved choice, and the compile-cache key
-    # embeds it, so the backend never changes results — only speed.
+    # None keeps the ambient default (RAP_BACKEND or python).  run_batch
+    # workers inherit the parent's resolved choice; the backend never
+    # changes results — only speed.
     backend: str | None = None
     # Execution-mode policy for compiles routed through this engine (the
     # CLI's --mode): "auto" defers to RAP_MODE and then the cost model;
@@ -114,12 +101,12 @@ class EngineConfig:
     # Requires the fused plan (fused, native); the python backend
     # ignores it.  None defers to RAP_INPUT_JOBS, <= 1 disables.
     input_jobs: int | None = None
-    # -- fault tolerance (the CLI's --timeout/--retries/--on-error) --------
-    # These cover run_batch tasks and the python backend's forked units;
-    # split threads run unsupervised, in the scan's own process.
-    # Per-unit deadline in seconds; None disables deadlines.
+    # -- fault tolerance (rap exp's --timeout/--retries; --on-error) -------
+    # These cover run_batch tasks; split threads run unsupervised, in the
+    # scan's own process.
+    # Per-task deadline in seconds; None disables deadlines.
     timeout: float | None = None
-    # Extra attempts per unit (crashes, timeouts, transient errors)
+    # Extra attempts per task (crashes, timeouts, transient errors)
     # before the in-process last resort.
     retries: int = 2
     # Base for the bounded exponential backoff between retry rounds.
@@ -223,7 +210,7 @@ class BatchTask:
 
 
 class BatchEngine:
-    """Shards batch and single-stream scans across worker processes."""
+    """Runs batches across worker processes and scans one stream exactly."""
 
     def __init__(self, config: EngineConfig | None = None, hw=None):
         from repro.hardware.config import DEFAULT_CONFIG
@@ -523,18 +510,12 @@ class BatchEngine:
         bin_size: int | None = None,
         compiler: CompilerConfig | None = None,
     ) -> SimulationResult:
-        """Scan one stream, parallelized, bit-identical to sequential.
+        """Scan one stream, bit-identical to a sequential run.
 
         ``source`` is a compiled ruleset or an iterable of patterns.
         On the fused plan ``input_jobs`` splits the stream on threads
-        over this scan's binding (:mod:`repro.engine.split`).
-
-        The ``python`` backend's forked units are supervised (see
-        :meth:`run_batch`): worker crashes, deadline overruns, and
-        injected faults are retried and re-collected; because retried
-        units recompute the same integer activity, the merged result
-        stays bit-identical to the sequential reference no matter which
-        faults fired.
+        over this scan's binding (:mod:`repro.engine.split`); on the
+        ``python`` backend the scan is serial.
         """
         if isinstance(source, CompiledRuleset):
             ruleset = source
@@ -544,7 +525,6 @@ class BatchEngine:
         with self._backend_scope() as backend:
             backend = backend or resolve_backend()  # once: passed down from here
             bound = bind(ruleset, self.hw, bin_size, backend=backend)  # once, too
-            mapping = bound.mapping
             input_jobs = self._input_jobs()
             planned = backend in ("fused", "native")
             if input_jobs > 1 and data and len(ruleset) and planned:
@@ -558,45 +538,11 @@ class BatchEngine:
                 )
                 if activity is not None:
                     return sim.run_from_activity(
-                        ruleset, activity, mapping, backend, bound
+                        ruleset, activity, bound.mapping, backend, bound
                     )
                 # stream too short (or nothing chunkable): fall through
                 # to the serial plan below
-            jobs = effective_jobs(self.config.jobs)
-            # The unit x chunk fork below steps pure-Python collectors,
-            # so it is the ``python`` backend's parallel path only; the
-            # fused plan scans the stream in one pass (its intra-stream
-            # parallelism is ``input_jobs``, handled above).
-            if planned or jobs <= 1 or not len(ruleset) or not data:
-                return sim.run(ruleset, data, backend=backend, binding=bound)
-
-            chunks = self._plan(ruleset, len(data), jobs)
-            units = self._work_units(ruleset, mapping, chunks)
-            if len(units) <= 1:
-                activity = sim.collect_activities(ruleset, data, mapping)
-                return sim.run_from_activity(ruleset, activity, mapping, backend, bound)
-            # Partitioned chunks run through the same kernel API as the
-            # sequential path and collect the exact same integer activity.
-            payload = pickle.dumps(
-                (ruleset, data, bin_size, self.hw, backend),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            outcomes = parallel_map(
-                _scan_unit,
-                units,
-                jobs=jobs,
-                initializer=_init_scan_worker,
-                initargs=(payload,),
-                finalizer=_reset_scan_worker,
-                timeout=self.config.timeout,
-                retries=self.config.retries,
-                backoff=self.config.backoff,
-                fault_plan=self.config.fault_plan,
-            )
-            activity = self._merge_outcomes(
-                ruleset, mapping, outcomes, len(data)
-            )
-            return sim.run_from_activity(ruleset, activity, mapping, backend, bound)
+            return sim.run(ruleset, data, backend=backend, binding=bound)
 
     def durable_scan(
         self,
@@ -714,92 +660,6 @@ class BatchEngine:
             bytes_scanned=scan.offset - start_offset,
         )
 
-    def _plan(self, ruleset, n: int, jobs: int) -> list[Chunk]:
-        """Chunk the stream when safe and worthwhile, else one chunk."""
-        overlap = required_overlap(ruleset)
-        whole = [Chunk(start=0, end=n, warm_start=0)]
-        if overlap is None:
-            return whole
-        min_owned = max(self.config.min_chunk_bytes, 4 * overlap)
-        if n < 2 * min_owned:
-            return whole
-        return plan_chunks(n, jobs, overlap, min_owned=min_owned)
-
-    @staticmethod
-    def _work_units(ruleset, mapping, chunks) -> list[tuple]:
-        """Flat descriptors: every NFA/DFA regex and bin x every chunk,
-        and every NBVA array, whose stalls are one union (NBVA counters
-        cannot be warm-started: required_overlap forces one chunk)."""
-        units: list[tuple] = [("nbva", *array) for array in mapping.nbva_arrays()]
-        for regex in ruleset:
-            if regex.mode in (CompiledMode.LNFA, CompiledMode.NBVA):
-                continue
-            for chunk in chunks:
-                units.append(
-                    (
-                        "regex",
-                        regex.regex_id,
-                        chunk.start,
-                        chunk.end,
-                        chunk.warm_start,
-                    )
-                )
-        for index, bin_index, _ in mapping.lnfa_bins():
-            for chunk in chunks:
-                units.append(
-                    (
-                        "bin",
-                        index,
-                        bin_index,
-                        chunk.start,
-                        chunk.end,
-                        chunk.warm_start,
-                    )
-                )
-        return units
-
-    @staticmethod
-    def _merge_outcomes(ruleset, mapping, outcomes, n: int) -> RunActivity:
-        """Fold worker outcomes, in deterministic unit order, into the
-        exact activity a sequential run would have collected."""
-        regex_parts: dict[int, RegexActivity] = {}
-        bin_parts: dict[tuple[int, int], BinActivity] = {}
-        stalls: dict[int, int] = {}
-        for outcome in outcomes:
-            kind = outcome[0]
-            if kind == "nbva":
-                _, index, activities, count = outcome
-                regex_parts.update(activities)
-                stalls[index] = count
-            elif kind == "regex":
-                _, rid, activity = outcome
-                prior = regex_parts.get(rid)
-                regex_parts[rid] = (
-                    activity if prior is None else prior.merge(activity)
-                )
-            else:
-                _, index, bin_index, cycles, matches, tac, tab = outcome
-                activity = BinActivity(
-                    bin=mapping.arrays[index].bins[bin_index],
-                    cycles=cycles,
-                    matches=matches,
-                    tile_active_cycles=tac,
-                    tile_active_bits=tab,
-                )
-                key = (index, bin_index)
-                prior = bin_parts.get(key)
-                bin_parts[key] = (
-                    activity if prior is None else prior.merge(activity)
-                )
-        return RunActivity.in_collection_order(
-            ruleset,
-            mapping,
-            lambda r: regex_parts[r.regex_id],
-            lambda index, bin_index: bin_parts[(index, bin_index)],
-            n,
-            stalls,
-        )
-
 
 # -- policy helpers ---------------------------------------------------------
 
@@ -865,74 +725,6 @@ def _rejection_entries(
 
 
 # -- worker-side functions (module level: picklable by the pool) -----------
-
-_WORKER_STATE: dict = {}
-
-
-def _init_scan_worker(payload: bytes) -> None:
-    """Seed one worker process with the scan's shared state."""
-    ruleset, data, bin_size, hw, backend = pickle.loads(payload)
-    _WORKER_STATE["backend_scope"] = scope = ExitStack()
-    scope.enter_context(use_backend(backend))
-    sim = RAPSimulator(hw)
-    _WORKER_STATE["data"] = data
-    _WORKER_STATE["hw"] = hw
-    _WORKER_STATE["regex_by_id"] = {r.regex_id: r for r in ruleset}
-    _WORKER_STATE["mapping"] = sim.build_mapping(ruleset, bin_size=bin_size)
-
-
-def _reset_scan_worker() -> None:
-    """Clear the worker globals.
-
-    Worker processes die with their state, but the in-process fallback
-    runs ``_init_scan_worker`` in the *parent* — without this reset the
-    seeded ruleset/stream would leak into (and pin memory for) every
-    later scan in the process, and the backend pin would outrank every
-    later ``RAP_BACKEND`` change.
-    """
-    scope = _WORKER_STATE.pop("backend_scope", None)
-    if scope is not None:
-        scope.close()
-    _WORKER_STATE.clear()
-
-
-def _scan_unit(unit: tuple):
-    """Collect one (regex | bin) x chunk activity, or one NBVA array's
-    regexes and stall count, inside a worker."""
-    data = _WORKER_STATE["data"]
-    if unit[0] == "nbva":
-        found, by_id = [], _WORKER_STATE["regex_by_id"]
-        scans = {
-            r: collect_regex_activity(by_id[r], data, bv_cycles=found) for r in unit[2]
-        }
-        return ("nbva", unit[1], scans, len(set(found)))
-    if unit[0] == "regex":
-        _, rid, start, end, warm_start = unit
-        activity = collect_regex_activity(
-            _WORKER_STATE["regex_by_id"][rid],
-            data[warm_start:end],
-            base=warm_start,
-            stats_from=start - warm_start,
-        )
-        return ("regex", rid, activity)
-    _, index, bin_index, start, end, warm_start = unit
-    bin_obj = _WORKER_STATE["mapping"].arrays[index].bins[bin_index]
-    activity = collect_bin_activity(
-        bin_obj,
-        data[warm_start:end],
-        _WORKER_STATE["hw"],
-        base=warm_start,
-        stats_from=start - warm_start,
-    )
-    return (
-        "bin",
-        index,
-        bin_index,
-        activity.cycles,
-        activity.matches,
-        activity.tile_active_cycles,
-        activity.tile_active_bits,
-    )
 
 
 def _execute_task(payload: bytes) -> SimulationResult:

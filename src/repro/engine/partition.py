@@ -5,25 +5,20 @@ every chunk is preceded by a *warm-up window* long enough that the
 automaton state at the chunk's first owned byte equals the state a
 sequential run would have there.  Warm-up bytes drive the state but are
 excluded from statistics and match reporting, so summing per-chunk
-activity reproduces the sequential run exactly (a chunk's ``stats_from``
-is how many bytes ``collect_regex_activity`` / ``collect_bin_activity``
-feed their fresh collector through its state-only ``warm`` before the
-owned bytes).
-
-The window is only sound when state memory is bounded:
+activity reproduces the sequential run exactly.  The window is only
+sound when state memory is bounded:
 
 * **NFA mode** — an active Glushkov position at cycle ``i`` sits at the
-  end of an activation chain consuming at most ``longest_path`` edges,
-  so it depends on at most the last ``longest_path + 1`` symbols.  A
-  cyclic automaton (unbounded repetition) has no such bound.
+  end of an activation chain of at most :func:`longest_activation_path`
+  edges, so it depends on at most the last ``longest_path + 1``
+  symbols.  A cyclic automaton (unbounded repetition) has no such bound.
 * **LNFA mode** — a Shift-And bit ``j`` requires the last ``j + 1``
   symbols to have matched, bounded by the sequence length.
 * **NBVA mode** — counter vectors carry history across arbitrarily long
-  gaps, so chunking is never attempted (``required_overlap`` returns
-  None and the engine falls back to sharding work per regex instead).
+  gaps, so no window exists.
 
-Anchors also disable chunking: ``^`` must see the true start of data and
-``$`` the true end.
+:func:`repro.engine.split.unit_windows` applies these rules to a fused
+plan, and :func:`plan_chunks` cuts the stream.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.automata.glushkov import Automaton
-from repro.compiler.program import CompiledMode, CompiledRuleset
 
 
 @dataclass(frozen=True)
@@ -41,16 +35,6 @@ class Chunk:
     start: int  # first owned byte (global offset)
     end: int  # one past the last owned byte
     warm_start: int  # where the simulated slice begins (<= start)
-
-    @property
-    def stats_from(self) -> int:
-        """Slice-local index of the first owned byte."""
-        return self.start - self.warm_start
-
-    @property
-    def owned(self) -> int:
-        """Number of bytes this chunk owns."""
-        return self.end - self.start
 
 
 def longest_activation_path(automaton: Automaton) -> int | None:
@@ -76,31 +60,6 @@ def longest_activation_path(automaton: Automaton) -> int | None:
     if seen != n:
         return None  # cycle: unbounded repetition
     return max(distance, default=0)
-
-
-def required_overlap(ruleset: CompiledRuleset) -> int | None:
-    """The smallest safe warm-up window for a ruleset, in bytes.
-
-    None means the ruleset is not chunkable: some regex has unbounded
-    state memory (a cyclic NFA or any NBVA counter) or is anchored.
-    """
-    worst = 1
-    for regex in ruleset:
-        if regex.anchored_start or regex.anchored_end:
-            return None
-        if regex.mode is CompiledMode.LNFA:
-            worst = max(worst, max(len(lnfa) for lnfa in regex.lnfas))
-            continue
-        if regex.mode is CompiledMode.NBVA:
-            return None
-        assert regex.automaton is not None
-        if not regex.automaton.is_plain:
-            return None
-        bound = longest_activation_path(regex.automaton)
-        if bound is None:
-            return None
-        worst = max(worst, bound + 1)
-    return worst
 
 
 def plan_chunks(

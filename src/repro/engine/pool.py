@@ -32,10 +32,7 @@ def parallel_map(
     fn: Callable[[_Item], Any],
     items: Sequence[_Item],
     jobs: int = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     *,
-    finalizer: Callable[[], None] | None = None,
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.05,
@@ -49,16 +46,12 @@ def parallel_map(
     worker crashes, blown ``timeout`` deadlines, injected faults — are
     retried up to ``retries`` times and, as a last resort, re-run
     in-process; the first *unrecovered* unit error propagates to the
-    caller unchanged.  ``finalizer`` undoes any parent-side state the
-    ``initializer`` leaves behind on the in-process path.
+    caller unchanged.
     """
     outcomes = run_supervised(
         fn,
         items,
         jobs=jobs,
-        initializer=initializer,
-        initargs=initargs,
-        finalizer=finalizer,
         config=SupervisorConfig(timeout=timeout, retries=retries, backoff=backoff),
         fault_plan=fault_plan,
     )

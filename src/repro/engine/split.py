@@ -1,9 +1,9 @@
 """Input-parallel scanning: one stream, many threads, exact results.
 
-Ruleset sharding (:meth:`BatchEngine.scan`'s per-regex/per-bin units)
-is the ``python`` backend's parallel path; this module is the fused
-plan's.  Two rules decide how each compiled unit rides ``input_jobs``
-tasks, and both are bit-identical to the serial fused scan:
+This module is a single scan's one parallel path, on the fused plan (a
+scan on the ``python`` backend is serial).  Two rules decide how each
+compiled unit rides ``input_jobs`` tasks, and both are bit-identical to
+the serial fused scan:
 
 * **Warm-up windows** — a machine with bounded memory forgets its
   entry state after a fixed number of symbols: a lane-packed Shift-And
@@ -26,15 +26,14 @@ tasks, and both are bit-identical to the serial fused scan:
   so each task counts its groups' stalls whole.  They share one
   translation of the stream.
   That is parallelism across units, not across the input — the shape
-  of the hardware, and of the ``python`` backend's per-regex sharding.
+  of the hardware.
 
 Every task runs on one thread pool over the caller's binding: nothing
 is pickled, mapped, planned or loaded again.  The generated C releases
 the GIL for the length of a crossing, so ``native`` tasks run side by
 side; the table walker (``fused`` without ``cc``) holds it, so there
 the tasks are concurrent but no faster than serial.  The parent merges
-per-chunk activity in chunk order with the same associative ``merge``
-discipline the ruleset-sharding path uses, then rebuilds containers in
+per-chunk activity in chunk order, then rebuilds containers in
 sequential collection order — dict iteration, match ordering, and
 every counter equal the serial fused run exactly.
 

@@ -97,20 +97,15 @@ def run_supervised(
     items: Sequence[Any],
     jobs: int = 1,
     *,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-    finalizer: Callable[[], None] | None = None,
     config: SupervisorConfig | None = None,
     fault_plan=None,
 ) -> list[UnitOutcome]:
     """Supervised order-preserving map; never raises for unit failures.
 
     Returns one :class:`UnitOutcome` per item, in item order.  ``fn``
-    and items must be picklable module-level objects for the pool path;
-    ``initializer(*initargs)`` seeds each worker process (and the
-    parent, on the in-process path — ``finalizer()`` then undoes any
-    parent-side state it left behind).  ``fault_plan`` overrides
-    ``RAP_FAULT_PLAN`` (pass ``""`` to force no injection).
+    and items must be picklable module-level objects for the pool path.
+    ``fault_plan`` overrides ``RAP_FAULT_PLAN`` (pass ``""`` to force no
+    injection).
     """
     cfg = config or SupervisorConfig()
     plan = faults.resolve_plan(fault_plan)
@@ -121,10 +116,7 @@ def run_supervised(
     jobs = effective_jobs(jobs)
     attempts = [0] * len(items)
     if jobs > 1 and len(items) > 1:
-        pending = _run_pooled(
-            fn, items, attempts, jobs, initializer, initargs, plan, cfg,
-            outcomes,
-        )
+        pending = _run_pooled(fn, items, attempts, jobs, plan, cfg, outcomes)
         # A unit the broken pool refused re-queued uncharged, so it can
         # leave with pool attempts unused: the last resort is numbered
         # past the whole pool budget, where no plan aimed at it reaches.
@@ -133,10 +125,7 @@ def run_supervised(
     else:
         pending = list(range(len(items)))
     if pending:
-        _run_inline(
-            fn, items, pending, attempts, initializer, initargs, finalizer,
-            plan, cfg, outcomes,
-        )
+        _run_inline(fn, items, pending, attempts, plan, cfg, outcomes)
     return outcomes
 
 
@@ -157,9 +146,7 @@ def _backoff_sleep(cfg: SupervisorConfig, round_no: int) -> None:
         time.sleep(min(cfg.backoff * (2 ** (round_no - 1)), cfg.backoff_cap))
 
 
-def _run_pooled(
-    fn, items, attempts, jobs, initializer, initargs, plan, cfg, outcomes
-) -> list[int]:
+def _run_pooled(fn, items, attempts, jobs, plan, cfg, outcomes) -> list[int]:
     """Pool rounds with respawn; returns indices still worth retrying."""
     pending = list(range(len(items)))
     for round_no in range(cfg.retries + 1):
@@ -167,17 +154,11 @@ def _run_pooled(
             return []
         if round_no:
             _backoff_sleep(cfg, round_no)
-        pending = _pool_round(
-            fn, items, pending, attempts, jobs, initializer, initargs,
-            plan, cfg, outcomes,
-        )
+        pending = _pool_round(fn, items, pending, attempts, jobs, plan, cfg, outcomes)
     return pending
 
 
-def _pool_round(
-    fn, items, pending, attempts, jobs, initializer, initargs, plan, cfg,
-    outcomes,
-) -> list[int]:
+def _pool_round(fn, items, pending, attempts, jobs, plan, cfg, outcomes) -> list[int]:
     """One submit/collect round over a fresh pool.
 
     Returns the units that failed retryably this round (to re-run);
@@ -189,7 +170,7 @@ def _pool_round(
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(pending)),
         initializer=_init_worker,
-        initargs=(plan.spec(), initializer, initargs),
+        initargs=(plan.spec(),),
     )
     try:
         futures = []
@@ -255,50 +236,37 @@ def _pool_round(
     return retry + unsubmitted
 
 
-def _run_inline(
-    fn, items, indices, attempts, initializer, initargs, finalizer, plan,
-    cfg, outcomes,
-) -> None:
+def _run_inline(fn, items, indices, attempts, plan, cfg, outcomes) -> None:
     """In-process execution with the same retry budget and injection.
 
     Serves both the ``jobs <= 1`` fast path and the last-resort
     fallback for units the pool could not finish (those get one extra
-    attempt beyond their pool budget).  Worker-global state seeded by
-    ``initializer`` is scoped: ``finalizer`` runs even on failure so
-    nothing leaks into the parent process.
+    attempt beyond their pool budget).
     """
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-        for i in indices:
-            budget = max(attempts[i] + 1, cfg.retries + 1)
-            while attempts[i] < budget:
-                attempt = attempts[i]
-                attempts[i] += 1
-                outcomes[i].attempts += 1
-                try:
-                    faults.inject_unit(i, attempt, plan=plan, in_process=True)
-                    outcomes[i].result = fn(items[i])
-                    outcomes[i].error = None
+    for i in indices:
+        budget = max(attempts[i] + 1, cfg.retries + 1)
+        while attempts[i] < budget:
+            attempt = attempts[i]
+            attempts[i] += 1
+            outcomes[i].attempts += 1
+            try:
+                faults.inject_unit(i, attempt, plan=plan, in_process=True)
+                outcomes[i].result = fn(items[i])
+                outcomes[i].error = None
+                break
+            except Exception as err:
+                outcomes[i].error = err
+                if not _retryable(err) or attempts[i] >= budget:
                     break
-                except Exception as err:
-                    outcomes[i].error = err
-                    if not _retryable(err) or attempts[i] >= budget:
-                        break
-                    _backoff_sleep(cfg, attempts[i])
-    finally:
-        if finalizer is not None:
-            finalizer()
+                _backoff_sleep(cfg, attempts[i])
 
 
 # -- worker-side functions (module level: picklable by the pool) -----------
 
 
-def _init_worker(plan_spec: str, initializer, initargs) -> None:
-    """Install the fault plan, then run the caller's initializer."""
+def _init_worker(plan_spec: str) -> None:
+    """Install the fault plan in a fresh worker process."""
     faults.install_plan(plan_spec)
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _call_unit(payload: tuple):

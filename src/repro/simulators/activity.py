@@ -19,7 +19,6 @@ from repro.automata.nbva import NBVASimulator, NBVAState, NBVAStats
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd
 from repro.compiler.program import CompiledMode, CompiledRegex
-from repro.core.registry import get_kernel
 from repro.core.state import KernelState, iter_states_from
 from repro.hardware.config import HardwareConfig
 from repro.mapping.binning import Bin, states_per_tile
@@ -45,31 +44,6 @@ class RegexActivity:
         """Average active states per cycle."""
         return self.active_state_cycles / self.cycles if self.cycles else 0.0
 
-    def merge(self, other: "RegexActivity") -> "RegexActivity":
-        """Associative combination of two disjoint slices of one run.
-
-        Every field is an integer counter or a list of global match ends,
-        so the merge is exact: folding per-chunk activities in chunk order
-        reproduces the whole-stream activity bit for bit (the invariant
-        the parallel engine's energy accounting rests on).
-        """
-        if (self.regex_id, self.mode) != (other.regex_id, other.mode):
-            raise ValueError("cannot merge activities of different regexes")
-        return RegexActivity(
-            regex_id=self.regex_id,
-            mode=self.mode,
-            cycles=self.cycles + other.cycles,
-            matches=self.matches + other.matches,
-            active_state_cycles=(
-                self.active_state_cycles + other.active_state_cycles
-            ),
-            bv_phase_cycles=self.bv_phase_cycles + other.bv_phase_cycles,
-            bv_updates=self.bv_updates + other.bv_updates,
-            set1_events=self.set1_events + other.set1_events,
-            shift_events=self.shift_events + other.shift_events,
-            copy_events=self.copy_events + other.copy_events,
-        )
-
 
 @dataclass
 class BinActivity:
@@ -85,28 +59,6 @@ class BinActivity:
     def woken_tile_cycles(self) -> int:
         """Total tile-cycles that could not be power-gated."""
         return sum(self.tile_active_cycles)
-
-    def merge(self, other: "BinActivity") -> "BinActivity":
-        """Associative combination of two disjoint slices of one run
-        (same exactness guarantee as :meth:`RegexActivity.merge`)."""
-        if self.bin is not other.bin and self.bin != other.bin:
-            raise ValueError("cannot merge activities of different bins")
-        matches = {rid: list(ends) for rid, ends in self.matches.items()}
-        for rid, ends in other.matches.items():
-            matches.setdefault(rid, []).extend(ends)
-        return BinActivity(
-            bin=self.bin,
-            cycles=self.cycles + other.cycles,
-            matches=matches,
-            tile_active_cycles=[
-                a + b
-                for a, b in zip(self.tile_active_cycles, other.tile_active_cycles)
-            ],
-            tile_active_bits=[
-                a + b
-                for a, b in zip(self.tile_active_bits, other.tile_active_bits)
-            ],
-        )
 
 
 def nbva_activity(
@@ -128,42 +80,16 @@ def nbva_activity(
     )
 
 
-def _one_shot(collector, data: bytes, stats_from: int, **feed):
-    """A fresh collector's activity over ``data[stats_from:]`` as a whole
-    stream, its state warmed over the bytes before."""
-    collector.warm(data[:stats_from])
-    collector.feed(data[stats_from:], **feed)
-    return collector.activity()
-
-
 def collect_regex_activity(
-    compiled: CompiledRegex,
-    data: bytes,
-    *,
-    base: int = 0,
-    stats_from: int = 0,
-    bv_cycles: list[int] | None = None,
+    compiled: CompiledRegex, data: bytes, *, bv_cycles: list[int] | None = None
 ) -> RegexActivity:
-    """Run one NFA-, DFA- or NBVA-mode regex and harvest its event counts:
-    one fresh :class:`RegexActivityCollector`, warmed over the first
-    ``stats_from`` bytes and fed the rest as the whole stream.  An NBVA
-    regex's BV-cycle positions are appended to ``bv_cycles`` when given.
-
-    ``data`` may be a slice of a longer stream starting at global offset
-    ``base``: reported match positions are globally offset (BV cycles
-    are not: an NBVA regex is only ever scanned unchunked).  ``stats_from`` marks the first slice-local index that this
-    chunk owns; earlier bytes only warm the active set up (the parallel
-    engine's overlap window) and contribute nothing to the counters.
-    Warm-up is only sound for window-bounded regexes — see
-    :func:`repro.engine.partition.required_overlap` — and is not
-    supported for NBVA-mode regexes (their counter vectors carry
-    unbounded history).
-    """
+    """Run one NFA-, DFA- or NBVA-mode regex over ``data`` and harvest its
+    event counts: one fresh :class:`RegexActivityCollector` fed the whole
+    stream.  An NBVA regex's BV-cycle positions are appended to
+    ``bv_cycles`` when given."""
     collector = RegexActivityCollector(compiled)
-    activity = _one_shot(collector, data, stats_from, bv_cycles=bv_cycles)
-    if base:
-        activity.matches = [base + m for m in activity.matches]
-    return activity
+    collector.feed(data, bv_cycles=bv_cycles)
+    return collector.activity()
 
 
 @dataclass(frozen=True)
@@ -220,28 +146,14 @@ def _bin_layout(bin_obj: Bin, hw: HardwareConfig) -> _BinLayout:
 
 
 def collect_bin_activity(
-    bin_obj: Bin,
-    data: bytes,
-    hw: HardwareConfig,
-    *,
-    base: int = 0,
-    stats_from: int = 0,
+    bin_obj: Bin, data: bytes, hw: HardwareConfig
 ) -> BinActivity:
-    """Run one LNFA bin, tracking which of its tiles wake up each cycle:
-    one fresh :class:`BinActivityCollector`, warmed and fed exactly as in
-    :func:`collect_regex_activity`.
-
-    ``base``/``stats_from`` have the same chunk-windowing semantics as in
-    :func:`collect_regex_activity`: the slice's first ``stats_from``
-    bytes warm up the shift registers without being counted, and match
-    positions are offset to the global stream.
-    """
-    activity = _one_shot(BinActivityCollector(bin_obj, hw), data, stats_from)
-    if base:
-        activity.matches = {
-            rid: [base + m for m in ends] for rid, ends in activity.matches.items()
-        }
-    return activity
+    """Run one LNFA bin over ``data``, tracking which of its tiles wake up
+    each cycle: one fresh :class:`BinActivityCollector` fed the whole
+    stream."""
+    collector = BinActivityCollector(bin_obj, hw)
+    collector.feed(data)
+    return collector.activity()
 
 
 def _ints(values: list) -> str:
@@ -352,15 +264,6 @@ class RegexActivityCollector:
         self._matches.extend(matches)
         self._scanner.state = state
 
-    def warm(self, segment: bytes) -> None:
-        """Consume the next segment for state only: no match, no counter
-        (the input-parallel chunks' warm-up window; more input follows)."""
-        if not segment:
-            return
-        if self._nbva:
-            raise ValueError("NBVA regexes cannot be chunk-windowed")
-        self._scanner.feed(segment, at_end=False)
-
     def feed(
         self, segment: bytes, *, at_end: bool = True, bv_cycles: list | None = None
     ) -> None:
@@ -467,13 +370,6 @@ class BinActivityCollector:
     def layout(self) -> _BinLayout:
         """The bin's packed-machine geometry (program, tiles, finals)."""
         return self._layout
-
-    def warm(self, segment: bytes) -> None:
-        """Consume the next segment for state only: no match, no counter
-        (the input-parallel chunks' warm-up window; more input follows)."""
-        _, _, self.state = get_kernel().scan_segment(
-            self._layout.packed.program, segment, self.state, at_end=False
-        )
 
     def feed(self, segment: bytes, *, at_end: bool = True) -> None:
         """Consume the next segment of the stream."""

@@ -85,7 +85,7 @@ class RunActivity:
     ) -> "RunActivity":
         """Assemble per-unit activity exactly as a sequential collection
         lays it out: regexes in ruleset order, bins per LNFA array in
-        mapping order.  Every collection path (serial, sharded, fused,
+        mapping order.  Every collection path (serial, fused,
         input-split, durable) builds its result here, so even dict
         iteration order is the reference run's.  ``bin_of`` takes the
         ``(array index, bin index)`` of :meth:`Mapping.lnfa_bins`.

@@ -38,12 +38,6 @@ from repro.automata.bitserial import BitSerialLNFA
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd, ShiftAnd
-from repro.compiler import (
-    CompiledMode,
-    CompilerConfig,
-    compile_pattern,
-    compile_ruleset,
-)
 from repro.core import (
     ProgramKind,
     available_backends,
@@ -51,11 +45,8 @@ from repro.core import (
     iter_states_from,
 )
 from repro.core.fused import FusedRuleset
-from repro.hardware.config import DEFAULT_CONFIG
-from repro.mapping.mapper import map_ruleset
 from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
-from repro.simulators.activity import collect_bin_activity, collect_regex_activity
 
 from tests.automata.test_lnfa import lnfa_strategy
 from tests.core.test_fused import make_lnfa
@@ -192,21 +183,9 @@ class TestGatherPrograms:
         assert_kernels_agree(sim.program(), b"")
 
     def test_stats_from_past_the_end(self):
-        """A warm-up past the end: every byte drives state, none counts —
-        in a unit span and in the collectors, which own the warm-up."""
+        """A warm-up past the end: every byte drives state, none counts."""
         sim = NFASimulator(build_automaton(unfold_all(parse("ab"))))
         assert_kernels_agree(sim.program(), b"abab", stats_from=99)
-        for mode in (CompiledMode.NFA, CompiledMode.DFA):
-            regex = compile_pattern("ab", 0, CompilerConfig(forced_mode=mode))
-            got = collect_regex_activity(regex, b"abab", base=5, stats_from=99)
-            assert (got.cycles, got.matches, got.active_state_cycles) == (0, [], 0)
-        ruleset = compile_ruleset(["ab"])
-        assert ruleset.regexes[0].mode is CompiledMode.LNFA
-        ((_, _, bin_obj),) = map_ruleset(ruleset).lnfa_bins()
-        got = collect_bin_activity(
-            bin_obj, b"abab", DEFAULT_CONFIG, base=5, stats_from=99
-        )
-        assert (got.cycles, got.matches, got.woken_tile_cycles) == (0, {0: []}, 0)
 
 
 class TestShiftPrograms:

@@ -39,6 +39,7 @@ from repro.core import (
     KernelState,
     available_backends,
     backend_names,
+    get_kernel,
     resolve_backend,
     resolve_backend_with_reason,
     use_backend,
@@ -680,6 +681,14 @@ def _lane_worthy(patterns, data) -> bool:
     return not ruleset.rejected and lanes >= 2 and len(data) > 1
 
 
+def _warm_bin(collector, segment: bytes) -> None:
+    """Step a bin's oracle collector over ``segment`` for state only: no
+    match, no counter (the warm-up before a span's owned bytes)."""
+    _, _, collector.state = get_kernel().scan_segment(
+        collector.layout.packed.program, segment, collector.state, at_end=False
+    )
+
+
 def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0):
     """One lane span by the ``python`` oracle: each bin's own collector
     restored to the entry word, warmed over the prefix, then fed the
@@ -693,7 +702,7 @@ def _oracle_delta(plan, segment, *, entry=0, fresh, at_end, base=0, stats_from=0
         collector = BinActivityCollector(bin_obj, DEFAULT_CONFIG, layout)
         state = KernelState(offset=base, states=plan.fused.extract(entry, j))
         collector.restore({**collector.snapshot(), "state": state.to_json()})
-        collector.warm(segment[:stats_from])
+        _warm_bin(collector, segment[:stats_from])
         collector.feed(segment[stats_from:], at_end=at_end)
         done = collector.activity()
         tile_cycles.append(done.tile_active_cycles)
@@ -1807,7 +1816,7 @@ def test_lane_kernel_sanitized(name, tmp_path):
     one text its binding builds (the mix's beside its units), rebuilt
     with ``L`` = 64 and a generated ``main()`` under ASan + UBSan over
     *raw* bytes: clean exit,
-    and counters and hits equal to ``collect_bin_activity``'s — with a
+    and counters and hits equal to the bin collectors' — with a
     witness across every sub-span seam (ending on a sub-span's last byte,
     its first, and in between), ``stats_from`` inside the first block, a
     three-entry buffer (serial continuations only), one that refills
@@ -1817,7 +1826,7 @@ def test_lane_kernel_sanitized(name, tmp_path):
     build.)"""
     from benchmarks.ledger.workloads import RULESETS, keyword_patterns
     from repro.core.native import _find_compiler
-    from repro.simulators.activity import collect_bin_activity
+    from repro.simulators.activity import BinActivityCollector
     from repro.simulators.fused import FusedPlan
     from repro.workloads.inputs import generate_input
 
@@ -1886,9 +1895,10 @@ def test_lane_kernel_sanitized(name, tmp_path):
         assert len({position for position, _ in hits}) == len(hits)
         tile0 = 0
         for j, (bin_obj, layout) in enumerate(zip(plan.bins, plan.layouts)):
-            want = collect_bin_activity(
-                bin_obj, data, DEFAULT_CONFIG, stats_from=stats_from
-            )
+            oracle = BinActivityCollector(bin_obj, DEFAULT_CONFIG)
+            _warm_bin(oracle, data[:stats_from])
+            oracle.feed(data[stats_from:])
+            want = oracle.activity()
             got = tiles[tile0 : tile0 + len(layout.tile_masks)]
             tile0 += len(layout.tile_masks)
             # tile 0 is never gated: the oracle counts every cycle there

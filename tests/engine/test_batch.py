@@ -1,16 +1,12 @@
 """Batch-engine tests: parallel output must be bit-identical to sequential.
 
 The expensive multi-process paths run a couple of times on fixed
-workloads; the hypothesis property drives the chunk-stitching machinery
-in-process (same code the workers run, without fork overhead) so it can
-afford many examples.
+workloads.
 """
 
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.core import available_backends, use_backend
@@ -22,16 +18,15 @@ from repro.engine import (
     EngineConfig,
     effective_jobs,
     plan_chunks,
-    required_overlap,
 )
 from repro.engine import batch as batch_mod
-from repro.engine.supervisor import run_supervised
+from repro.engine import supervisor as supervisor_mod
 from repro.errors import CapacityError, CompileError
 from repro.simulators import RAPSimulator
 
 # All bounded-memory (acyclic, unanchored, no counters): chunkable.
 WINDOWABLE = ["abcd", "ab?cd", "a[bc]d", "bcx"]
-# Counters and unbounded repetition: sharded fallback territory.
+# Counters and unbounded repetition: no warm-up window exists.
 UNBOUNDED = ["za{20}", "ab*c"]
 
 
@@ -39,25 +34,13 @@ def compiled(patterns):
     return compile_ruleset(patterns, CompilerConfig())
 
 
-def chunked_scan_inprocess(ruleset, data, overlap, pieces):
-    """Drive the exact worker/merge code path without a process pool."""
-    engine = BatchEngine(EngineConfig(use_cache=False))
-    sim = RAPSimulator()
-    mapping = sim.build_mapping(ruleset, bin_size=None)
-    chunks = plan_chunks(len(data), pieces, overlap, min_owned=1)
-    units = BatchEngine._work_units(ruleset, mapping, chunks)
-    if len(units) <= 1:  # the engine's own sequential fallback
-        return sim.run(ruleset, data)
-    payload = pickle.dumps(
-        (ruleset, data, None, engine.hw, batch_mod.resolve_backend())
-    )
-    batch_mod._init_scan_worker(payload)
-    try:
-        outcomes = [batch_mod._scan_unit(unit) for unit in units]
-    finally:
-        batch_mod._reset_scan_worker()
-    activity = BatchEngine._merge_outcomes(ruleset, mapping, outcomes, len(data))
-    return sim.run_from_activity(ruleset, activity, mapping)
+def _no_pool(monkeypatch) -> None:
+    """Fail the test if anything starts a supervised process pool."""
+
+    def forked(*args, **kwargs):
+        raise AssertionError("a scan must not fork")
+
+    monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", forked)
 
 
 class TestPartitionPlanning:
@@ -74,17 +57,6 @@ class TestPartitionPlanning:
         assert len(plan_chunks(100, 8, overlap=1, min_owned=40)) <= 2
         assert plan_chunks(0, 4, overlap=1) == []
 
-    def test_required_overlap_windowable(self):
-        overlap = required_overlap(compiled(WINDOWABLE))
-        # Must cover the longest pattern's state memory.
-        assert overlap is not None
-        assert overlap >= 4
-
-    def test_required_overlap_refuses_unbounded(self):
-        assert required_overlap(compiled(["ab*c"])) is None  # cyclic NFA
-        assert required_overlap(compiled(["za{20}"])) is None  # counter
-        assert required_overlap(compiled(["^abcd"])) is None  # anchor
-
     def test_effective_jobs(self):
         assert effective_jobs(3) == 3
         assert effective_jobs(1) == 1
@@ -92,85 +64,16 @@ class TestPartitionPlanning:
         assert effective_jobs(None) >= 1
 
 
-class TestChunkedScan:
-    def test_boundary_straddling_match(self):
-        ruleset = compiled(["abcd"])
-        overlap = required_overlap(ruleset)
-        # Two chunks of 32; "abcd" straddles the 32-byte boundary.
-        data = bytearray(b"x" * 64)
-        data[30:34] = b"abcd"
-        seq = RAPSimulator().run(ruleset, bytes(data))
-        par = chunked_scan_inprocess(ruleset, bytes(data), overlap, 2)
-        assert 33 in par.matches[0]
-        assert par == seq
-
-    def test_match_inside_warmup_not_duplicated(self):
-        ruleset = compiled(["abcd"])
-        overlap = required_overlap(ruleset)
-        # A match entirely inside chunk 1's warm-up window must be
-        # reported exactly once (by chunk 0, which owns it).
-        data = bytearray(b"x" * 40)
-        data[16:20] = b"abcd"
-        seq = RAPSimulator().run(ruleset, bytes(data))
-        par = chunked_scan_inprocess(ruleset, bytes(data), overlap, 2)
-        assert par.matches == seq.matches
-        assert par == seq
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        patterns=st.lists(
-            st.sampled_from(WINDOWABLE), min_size=1, max_size=3, unique=True
-        ),
-        data=st.text(alphabet="abcdx", max_size=120).map(
-            lambda s: s.encode()
-        ),
-        pieces=st.integers(min_value=2, max_value=5),
-        slack=st.integers(min_value=0, max_value=3),
-    )
-    def test_chunked_equals_sequential(self, patterns, data, pieces, slack):
-        ruleset = compiled(patterns)
-        overlap = required_overlap(ruleset)
-        assert overlap is not None
-        seq = RAPSimulator().run(ruleset, data)
-        par = chunked_scan_inprocess(ruleset, data, overlap + slack, pieces)
-        assert par.matches == seq.matches
-        assert par.energy_breakdown_pj == seq.energy_breakdown_pj
-        assert par == seq
-
-
 class TestParallelScan:
-    def test_pool_chunked_scan_identical(self):
-        ruleset = compiled(WINDOWABLE)
-        data = (b"x" * 97 + b"abcd" + b"y" * 30) * 40
-        engine = BatchEngine(
-            EngineConfig(jobs=2, use_cache=False, min_chunk_bytes=256)
-        )
-        assert required_overlap(ruleset) is not None
-        assert engine.scan(ruleset, data) == RAPSimulator().run(ruleset, data)
-
-    def test_pool_sharded_fallback_identical(self):
-        # Counters + a cyclic NFA force per-regex sharding over the
-        # whole stream; LNFA literals add per-bin units.
-        ruleset = compiled(WINDOWABLE + UNBOUNDED)
-        assert required_overlap(ruleset) is None
-        data = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 8
-        engine = BatchEngine(EngineConfig(jobs=2, use_cache=False))
-        assert engine.scan(ruleset, data) == RAPSimulator().run(ruleset, data)
-
     @pytest.mark.parametrize("backend", ["fused", "native"])
     def test_planned_backends_scan_with_the_plan_not_the_fork(
         self, backend, monkeypatch
     ):
-        # jobs > 1 used to route every backend through the pure-Python
-        # unit x chunk fork (tens of times slower than the plan it
-        # bypassed); the fork is the python backend's path only.
+        # jobs sizes run_batch only: a scan on a planned backend steps
+        # its plan in this process, never a supervised process pool.
         if backend not in available_backends():
             pytest.skip(f"{backend} backend not available")
-
-        def forked(*args, **kwargs):
-            raise AssertionError("planned backends must not fork per unit")
-
-        monkeypatch.setattr(batch_mod, "parallel_map", forked)
+        _no_pool(monkeypatch)
         ruleset = compiled(WINDOWABLE + UNBOUNDED)
         data = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 40
         with use_backend("python"):
@@ -180,6 +83,18 @@ class TestParallelScan:
                 jobs=2, backend=backend, use_cache=False, min_chunk_bytes=256
             )
         )
+        assert engine.scan(ruleset, data) == reference
+
+    def test_a_python_scan_is_serial(self, monkeypatch):
+        # The oracle never forks either: jobs and input_jobs size nothing.
+        _no_pool(monkeypatch)
+        ruleset = compiled(WINDOWABLE + UNBOUNDED)
+        data = (b"za" * 40 + b"abcd" + b"abbc" + b"x" * 20) * 8
+        engine = BatchEngine(
+            EngineConfig(jobs=2, input_jobs=2, backend="python", use_cache=False)
+        )
+        with use_backend("python"):
+            reference = RAPSimulator().run(ruleset, data)
         assert engine.scan(ruleset, data) == reference
 
     def test_jobs_one_is_the_reference_path(self):
@@ -641,107 +556,3 @@ class TestFaultInjectedExecution:
         assert engine.run_batch(tasks) == [
             sim.run(ruleset, s) for s in streams
         ]
-
-    def test_scan_identical_under_crash_and_timeout(self):
-        # One worker crashes on its first unit, another unit sleeps
-        # past the deadline; the merged scan is still bit-identical.
-        ruleset = compiled(WINDOWABLE)
-        data = (b"x" * 97 + b"abcd" + b"y" * 30) * 40
-        engine = BatchEngine(
-            EngineConfig(
-                jobs=2,
-                use_cache=False,
-                min_chunk_bytes=256,
-                timeout=0.5,
-                retries=3,
-                backoff=0.001,
-                fault_plan="crash@0:0;hang@1:0*2.0",
-            )
-        )
-        seq = RAPSimulator().run(ruleset, data)
-        par = engine.scan(ruleset, data)
-        assert par.matches == seq.matches
-        assert par.energy_breakdown_pj == seq.energy_breakdown_pj
-        assert par == seq
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        data=st.text(alphabet="abcdx", min_size=40, max_size=160).map(
-            lambda s: s.encode()
-        ),
-        crash_unit=st.integers(min_value=0, max_value=3),
-        hang_unit=st.integers(min_value=0, max_value=3),
-    )
-    def test_scan_under_faults_equals_sequential(
-        self, data, crash_unit, hang_unit
-    ):
-        ruleset = compiled(WINDOWABLE)
-        engine = BatchEngine(
-            EngineConfig(
-                jobs=2,
-                use_cache=False,
-                min_chunk_bytes=8,
-                timeout=10.0,
-                retries=3,
-                backoff=0.001,
-                fault_plan=(
-                    f"crash@{crash_unit}:0;hang@{hang_unit}:0*0.01"
-                ),
-            )
-        )
-        seq = RAPSimulator().run(ruleset, data)
-        par = engine.scan(ruleset, data)
-        assert par.matches == seq.matches
-        assert par.energy_breakdown_pj == seq.energy_breakdown_pj
-        assert par == seq
-
-
-class TestWorkerStateHygiene:
-    def test_inline_fallback_clears_worker_state(self, monkeypatch):
-        # The in-process path seeds _WORKER_STATE in the *parent*; the
-        # finalizer must clear it so a scan cannot pin its ruleset and
-        # stream in memory for the life of the process (regression) —
-        # nor its backend, which would outrank later RAP_BACKEND changes.
-        monkeypatch.setattr("repro.core.registry._default", None)
-        ruleset = compiled(["abcd"])
-        data = b"xxabcdxx" * 4
-        sim = RAPSimulator()
-        mapping = sim.build_mapping(ruleset, bin_size=None)
-        chunks = plan_chunks(len(data), 2, overlap=8, min_owned=1)
-        units = BatchEngine._work_units(ruleset, mapping, chunks)
-        payload = pickle.dumps(
-            (ruleset, data, None, BatchEngine().hw, batch_mod.resolve_backend())
-        )
-        outcomes = run_supervised(
-            batch_mod._scan_unit,
-            units,
-            jobs=1,
-            initializer=batch_mod._init_scan_worker,
-            initargs=(payload,),
-            finalizer=batch_mod._reset_scan_worker,
-            fault_plan="",
-        )
-        assert all(o.ok for o in outcomes)
-        assert batch_mod._WORKER_STATE == {}
-        assert registry_mod._default is None
-
-    def test_scan_leaves_no_parent_state(self):
-        # End to end: exhaust the pool for every unit so scan's own
-        # parallel_map takes the inline fallback inside this process.
-        ruleset = compiled(["abcd"])
-        data = (b"x" * 40 + b"abcd") * 30
-        plan = ";".join(
-            f"crash@{u}:{a}" for u in range(8) for a in range(3)
-        )
-        engine = BatchEngine(
-            EngineConfig(
-                jobs=2,
-                use_cache=False,
-                min_chunk_bytes=64,
-                retries=2,
-                backoff=0.001,
-                fault_plan=plan,
-            )
-        )
-        assert engine.scan(ruleset, data) == RAPSimulator().run(ruleset, data)
-        assert batch_mod._WORKER_STATE == {}

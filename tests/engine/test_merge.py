@@ -3,9 +3,7 @@
 import pytest
 
 from repro.automata.nfa import StepStats
-from repro.compiler import CompiledMode, CompilerConfig, compile_pattern
 from repro.hardware.energy import EnergyLedger, Metrics
-from repro.simulators.activity import collect_regex_activity
 from repro.simulators.result import ArrayReport, SimulationResult
 
 
@@ -135,29 +133,3 @@ class TestSimulationResultMerge:
         left = (shards[0] + shards[1]) + shards[2]
         right = shards[0] + (shards[1] + shards[2])
         assert left == right
-
-
-class TestActivityMerge:
-    def test_regex_activity_identity_checked(self):
-        a = collect_regex_activity(
-            compile_pattern("ab", 0, CompilerConfig(forced_mode=CompiledMode.NFA)),
-            b"abab",
-        )
-        b = collect_regex_activity(
-            compile_pattern("ab", 1, CompilerConfig(forced_mode=CompiledMode.NFA)),
-            b"abab",
-        )
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_regex_activity_halves_sum_to_whole(self):
-        regex = compile_pattern(
-            "ab", 0, CompilerConfig(forced_mode=CompiledMode.NFA)
-        )
-        whole = collect_regex_activity(regex, b"abab")
-        left = collect_regex_activity(regex, b"ab")
-        right = collect_regex_activity(regex, b"ab", base=2)
-        merged = left.merge(right)
-        assert merged.cycles == whole.cycles
-        assert merged.matches == whole.matches
-        assert merged.active_state_cycles == whole.active_state_cycles

@@ -237,17 +237,18 @@ class TestSplitCollect:
     @pytest.mark.parametrize("backend", available_backends())
     def test_only_lnfa_match_lists_need_sorting(self, ruleset, text, backend):
         """Every non-LNFA regex's match list reaches pricing strictly
-        increasing, bulk and split (the ``python`` backend's fork: its
-        result), so pricing sorts and dedupes the LNFA ones alone and
-        copies the rest: no result aliases the activity's lists."""
+        increasing, bulk and split (the ``python`` backend's serial
+        engine scan: its result), so pricing sorts and dedupes the LNFA
+        ones alone and copies the rest: no result aliases the activity's
+        lists."""
         plain = [r.regex_id for r in ruleset if r.mode is not CompiledMode.LNFA]
         sim = RAPSimulator(DEFAULT_CONFIG)
         with use_backend(backend):
             mapping = bind(ruleset, DEFAULT_CONFIG).mapping
             runs = [sim.collect_activities(ruleset, text.data, mapping)]
             if backend == "python":
-                config = EngineConfig(jobs=2, backend="python", use_cache=False)
-                forked = BatchEngine(config).scan(ruleset, text.data)
+                config = EngineConfig(backend="python", use_cache=False)
+                scanned = BatchEngine(config).scan(ruleset, text.data)
             else:
                 runs.append(_split(ruleset, mapping, text.data, input_jobs=2))
         for activity in runs:
@@ -258,7 +259,7 @@ class TestSplitCollect:
                 assert result.matches[rid] == ends
                 assert result.matches[rid] is not ends
         if backend == "python":
-            assert forked.matches == result.matches
+            assert scanned.matches == result.matches
         assert any(len(result.matches[rid]) > 1 for rid in plain)
 
     @pytest.mark.parametrize("case", ["mixed", "windowless"])

@@ -157,11 +157,11 @@ def test_block_edges_and_refills(monkeypatch, data, want):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_input_jobs_two(ruleset, data, want, backend):
     """The split engine deals the two stall groups to two tasks; the
-    python backend forks one task per NBVA array."""
+    python backend's engine scan ignores ``input_jobs`` and runs serial."""
     with use_backend(backend):
         binding = bind(ruleset, HW)
         if backend == "python":
-            config = EngineConfig(jobs=2, backend="python", use_cache=False)
+            config = EngineConfig(input_jobs=2, backend="python", use_cache=False)
             result = BatchEngine(config, hw=HW).scan(ruleset, data)
         else:
             from repro.engine.split import split_collect

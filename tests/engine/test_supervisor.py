@@ -16,8 +16,6 @@ from repro.engine.supervisor import (
 )
 from repro.errors import TaskTimeoutError, WorkerCrashError
 
-_STATE: dict = {}
-
 # Retry knobs for the fast tests: tiny backoff, short deadline.
 FAST = SupervisorConfig(timeout=None, retries=2, backoff=0.001)
 DEADLINE = SupervisorConfig(timeout=0.2, retries=3, backoff=0.001)
@@ -29,18 +27,6 @@ def _double(x):
 
 def _bad_input(x):
     raise ValueError(f"deterministic rejection of {x!r}")
-
-
-def _seed_state(tag):
-    _STATE["tag"] = tag
-
-
-def _clear_state():
-    _STATE.clear()
-
-
-def _read_state(x):
-    return (_STATE["tag"], x)
 
 
 class TestInlinePath:
@@ -95,20 +81,6 @@ class TestInlinePath:
         assert not o.ok
         assert isinstance(o.error, RuntimeError)
         assert o.attempts == FAST.retries + 1
-
-    def test_initializer_and_finalizer_scope_state(self):
-        outcomes = run_supervised(
-            _read_state,
-            [1, 2],
-            jobs=1,
-            initializer=_seed_state,
-            initargs=("seeded",),
-            finalizer=_clear_state,
-            config=FAST,
-            fault_plan="",
-        )
-        assert [o.result for o in outcomes] == [("seeded", 1), ("seeded", 2)]
-        assert _STATE == {}  # the finalizer ran in the parent
 
 
 class TestPooledPath:
@@ -169,8 +141,6 @@ class TestPooledPath:
             [0, 1],
             [0, 0],
             2,
-            None,
-            (),
             FaultPlan.parse("hang@0:0*1.5"),
             cfg,
             outcomes,
@@ -200,12 +170,16 @@ class TestPooledPath:
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.engine import supervisor
+        from repro.engine import faults, supervisor
 
         pools = []
 
         class StubPool:
-            def __init__(self, **kwargs):
+            def __init__(self, initargs, **kwargs):
+                # Seeded like a worker: the run's own plan is installed,
+                # so RAP_FAULT_PLAN cannot crash the parent that runs fn.
+                plan = faults.resolve_plan(*initargs)
+                monkeypatch.setattr(faults, "_installed", plan)
                 pools.append(self)
                 self.first = len(pools) == 1
                 self.submitted = 0
@@ -288,8 +262,8 @@ class TestPooledPath:
         outcomes = [UnitOutcome(index=i) for i in range(2)]
         attempts = [0, 0]
         retry = supervisor._pool_round(
-            _double, [1, 2], [0, 1], attempts, 2, None, (),
-            FaultPlan.parse(""), FAST, outcomes,
+            _double, [1, 2], [0, 1], attempts, 2, FaultPlan.parse(""), FAST,
+            outcomes,
         )
         assert retry == [0, 1] and attempts == [0, 0]
         assert isinstance(outcomes[0].error, WorkerCrashError)

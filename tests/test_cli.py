@@ -174,26 +174,20 @@ class TestScanFaultPolicies:
         assert code == 0
         assert "GATTACA" in capsys.readouterr().out
 
-    def test_supervision_flags_parse_and_run(self, mixed_rules, stream):
-        args = build_parser().parse_args(
-            [
-                "scan",
-                "--patterns",
-                str(mixed_rules),
-                str(stream),
-                "--timeout",
-                "2.5",
-                "--retries",
-                "5",
-            ]
-        )
-        assert args.timeout == 2.5
-        assert args.retries == 5
+    def test_supervision_flags_parse_and_run(self, mixed_rules, stream, capsys):
         args = build_parser().parse_args(
             ["experiment", "fig1", "--timeout", "30", "--retries", "1"]
         )
         assert args.timeout == 30.0
         assert args.retries == 1
+        # A scan forks nothing to supervise: each flag is an unknown option,
+        # never a silent no-op.
+        scan = ["scan", "--patterns", str(mixed_rules), str(stream)]
+        for flag, value in ("--jobs", "2"), ("--timeout", "1"), ("--retries", "1"):
+            with pytest.raises(SystemExit) as info:
+                main([*scan, flag, value])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestWorkload:
