@@ -33,10 +33,12 @@ owned bytes — in one crossing, the binding's one entry point.  The tiers:
   private registers flushed every 65 536 bytes; beside the lanes its body
   is also inlined with ``m`` the binding's fresh cursor count (at most
   :data:`UNIT_FOLD_CURSORS`), so a bulk scan's loops unroll.  A binding
-  of :data:`GATHER_MIN` fresh cursors or more also gets the gather step,
-  compiled where the compiler targets AVX-512: sixteen cursors to one
-  gather per byte, inlined for that count (:data:`FOREST_LANES` says
-  whether it was compiled).  NBVA units
+  whose placed units all have at most :data:`VECTOR_LANE_BITS` positions
+  also gets the *state-vector* step, compiled where the compiler targets
+  AVX-512: RAP's match-then-route step on packed position sets, one
+  32-bit lane per unit, sixteen units a vector, for a span of every unit
+  in unit order (:data:`FOREST_LANES` says whether it was compiled; the
+  closed tables then serve the scalar spans and the ids).  NBVA units
   of at most :data:`NBVA_NATIVE_MAX_STATES` states follow as rows of
   ``NBVA_UNITS[]`` under ``rap_nbva_span``, which steps ``m`` cursors
   block by block (:data:`NBVA_BLOCK` bytes), cursor-outer within a block:
@@ -397,134 +399,278 @@ def _inlined(name: str) -> str:
 # The kernel again, for a binding whose fresh cursor count ``FRESH_M``
 # is small: the same body always inlined, once with ``m`` that constant
 # (its per-cursor loops unroll into registers), once generic.
+_FOLDED = r"""  if (m == FRESH_M)
+    return units_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
+        active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
+"""
+_GENERIC = (
+    "  return units_body(data, n, start_i, state, m, at_end, stats_from, active,\n"
+    "      ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);\n}\n"
+)
 _UNITS_FOLD = (
     "#define FRESH_M %(fold)d\n"
     + _inlined("units_body")
     + "%(body)s"
     + UNITS_CDEF[:-1]
-    + r"""
-{
-  if (m == FRESH_M)
-    return units_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
-        active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
-  return units_body(data, n, start_i, state, m, at_end, stats_from, active,
-      ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
-}
-"""
+    + "\n{\n"
+    + _FOLDED
+    + _GENERIC
 )
 
-# The forest's vector step, RAP's one symbol against every active state
-# at once: sixteen cursors a vector, one AVX-512 gather of their ``NEXT``
-# words per byte and one test of every lane's hit flag (the halves ORed
-# together four times); the event pass reads the lanes one by one.  It
-# is inlined for ``m`` the binding's fresh count, so the vectors live in
-# registers; a count no multiple of 16 masks its last vector's idle
-# lanes, which keep row offset 0 and add nothing.
-_GATHER_KERNEL = r"""
+# The forest's vector step, RAP's two moves (§3) for every unit at once,
+# with edges as shifts the way Hyperscan's LimEx NFA encodes them: one
+# 32-bit lane per unit (bit ``p``: NFA position ``p``), sixteen lanes a
+# vector.  A byte's step is
+#     S = (⋃_d shift(S & A_d, d) | INJ) & M[CLS[byte]]
+# — ``SV_MOVE``, one term per edge distance ``d`` of the binding (a
+# negative one shifts right) — its live positions one per-lane popcount
+# and its hits one test of ``S`` against the finals (``SV_FINAL`` on the
+# stream's last byte, ``SV_MID`` elsewhere).  Forest ids stay the ABI: a
+# cursor enters as its state's word (``SV_WORD``) — a start-anchored
+# unit's stream-start id stepping its first byte with ``SV_FIRST`` — and
+# leaves, at its exit and at each event, as the id of its word (a binary
+# search of its unit's ids sorted by word, ``SV_ORDER``).  Inlined for
+# ``FRESH_M`` cursors, unit ``u`` in lane ``u``; any other span steps
+# scalar.  Lanes read or written one at a time go through ``t``, so the
+# stepped vectors never leave registers.
+_VECTOR_KERNEL = r"""
+static inline __attribute__((always_inline)) rap_v16 sv_pop(rap_v16 x)
+{
+#ifdef __AVX512VPOPCNTDQ__
+  rap_v16 c;  /* one vpopcntd */
+  int l;
+  for (l = 0; l < 16; l++) c[l] = (uint32_t)__builtin_popcount(x[l]);
+  return c;
+#else
+  x -= x >> 1 & 0x55555555u;
+  x = (x & 0x33333333u) + (x >> 2 & 0x33333333u);
+  return ((x + (x >> 4)) & 0x0f0f0f0fu) * 0x01010101u >> 24;
+#endif
+}
+
+/* Whether any lane of ``f`` is set: one vptestmd (Clang has no builtin
+   of that name: a reduction). */
+static inline __attribute__((always_inline)) int sv_any(rap_v16 f)
+{
+#ifdef __clang__
+  f |= __builtin_shufflevector(f, f, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3,
+      4, 5, 6, 7);
+  f |= __builtin_shufflevector(f, f, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15,
+      8, 9, 10, 11);
+  f |= __builtin_shufflevector(f, f, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14,
+      15, 12, 13);
+  f |= __builtin_shufflevector(f, f, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13,
+      12, 15, 14);
+  return f[0] != 0;
+#else
+  return __builtin_ia32_ptestmd512((rap_i16)f, (rap_i16)f, 0xffff) != 0;
+#endif
+}
+
+/* The id of unit u's closed state ``word``. */
+static uint32_t sv_id(int u, uint32_t word)
+{
+  const uint32_t *words = SV_WORD + SV_UNIT[u][0];
+  const uint16_t *order = SV_ORDER + SV_UNIT[u][0];
+  uint32_t lo = 0, hi = SV_UNIT[u][1], mid;
+  while (hi - lo > 1) {
+    mid = (lo + hi) / 2;
+    if (words[order[mid]] <= word) lo = mid; else hi = mid;
+  }
+  return SV_UNIT[u][0] + order[lo];
+}
+
+/* Whether every cursor u holds a state (or the stream start) of unit u. */
+static int sv_in_order(const uint32_t *state)
+{
+  int u;
+  for (u = 0; u < FRESH_M; u++)
+    if (state[u] - SV_UNIT[u][0] >= SV_UNIT[u][2]) return 0;
+  return 1;
+}
+
+/* One byte, every vector injecting ``inj``; an owned one adds its live
+   positions to ``a`` and reports its hits. */
+static inline __attribute__((always_inline)) long long sv_byte(rap_v16 *s,
+    rap_v16 *a, rap_v16 *t, const rap_v16 *inj, int c, int own, long long i,
+    long long last, long long *ev_pos, int32_t *ev_cursor, uint32_t *ev_state,
+    long long ne)
+{
+  const rap_v16 *fin = i == last ? SV_FINAL : SV_MID;
+  rap_v16 f = { 0 };
+  int u, v;
+  for (v = 0; v < SV_NV; v++) {
+    s[v] = (SV_MOVE(s[v], v) | inj[v]) & SV_LABEL[c][v];
+    if (own) { a[v] += sv_pop(s[v]); f |= s[v] & fin[v]; }
+  }
+  if (!own || !sv_any(f)) return ne;
+  for (v = 0; v < SV_NV; v++) t[v] = s[v];
+  for (u = 0; u < FRESH_M; u++)
+    if (t[u >> 4][u & 15] & fin[u >> 4][u & 15]) {
+      ev_pos[ne] = i; ev_cursor[ne] = u;
+      ev_state[ne] = sv_id(u, t[u >> 4][u & 15]); ne++;
+    }
+  return ne;
+}
+"""
+
+_VECTOR_BODY = r"""
 {
   long long i = start_i, last = at_end ? n - 1 : -1, ne = 0;
-  int u, v, nv = (m + 15) / 16;
-  /* row offsets and live sums, sixteen cursors a vector */
-  rap_v16 s[(FRESH_M + 15) / 16], a[(FRESH_M + 15) / 16];
-  unsigned short tail = 0xffffu >> (-m & 15);
-  for (v = 0; v < nv; v++)
-    for (u = 0; u < 16; u++) {
-      s[v][u] = 16 * v + u < m ? state[16 * v + u] * NCLS : 0;
-      a[v][u] = 0;
-    }
-  for (; i < n && cap - ne >= m; i++) {
-    const uint32_t *next = NEXT + CLS[data[i]];
-    uint32_t own = i >= stats_from ? 0x800000ffu : 0;
-    rap_v16 f = { 0 };
-    for (v = 0; v < nv; v++) {
-      rap_v16 t = (rap_v16)__builtin_ia32_gathersiv16si((rap_i16)s[v], next,
-          (rap_i16)s[v], v < nv - 1 ? 0xffff : tail, 4);
-      f |= t;
-      s[v] = t & 0x7fffff;
-      a[v] += t >> 23 & own;
-    }
-    f &= own & 0x80000000u;
-    f |= __builtin_shufflevector(f, f, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3,
-        4, 5, 6, 7);
-    f |= __builtin_shufflevector(f, f, 4, 5, 6, 7, 0, 1, 2, 3, 12, 13, 14, 15,
-        8, 9, 10, 11);
-    f |= __builtin_shufflevector(f, f, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14,
-        15, 12, 13);
-    f |= __builtin_shufflevector(f, f, 1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13,
-        12, 15, 14);
-    if (f[0])
-      for (u = 0; u < m; u++) {
-        uint32_t sid = s[u >> 4][u & 15] / NCLS;
-        if ((FLAGS[sid] & 1) || ((FLAGS[sid] & 2) && i == last)) {
-          ev_pos[ne] = i; ev_cursor[ne] = u; ev_state[ne] = sid; ne++;
-        }
-      }
-    if (!(~i & 0xffff))  /* 65 536 bytes of <= 255 live positions fit 32 bits */
-      for (v = 0; v < nv; v++) {
-        for (u = 0; u < 16 && 16 * v + u < m; u++) active[16 * v + u] += a[v][u];
-        a[v] = (rap_v16){ 0 };
-      }
-  }
+  /* live sums since the last flush; the stream start's injections */
+  rap_v16 s[SV_NV], a[SV_NV], t[SV_NV], x[SV_NV];
+  int u, v, first = 0;
+  for (v = 0; v < SV_NV; v++) { t[v] = a[v] = (rap_v16){ 0 }; x[v] = SV_INJ[v]; }
   for (u = 0; u < m; u++) {
-    state[u] = s[u >> 4][u & 15] / NCLS;
-    active[u] += a[u >> 4][u & 15];
+    t[u >> 4][u & 15] = SV_WORD[state[u]];
+    if (state[u] - SV_UNIT[u][0] == SV_UNIT[u][1]) {
+      x[u >> 4][u & 15] = SV_FIRST[u >> 4][u & 15];
+      first = 1;
+    }
+  }
+  for (v = 0; v < SV_NV; v++) s[v] = t[v];
+  if (first && i < n) {
+    ne = sv_byte(s, a, t, x, CLS[data[i]], i >= stats_from, i, last, ev_pos,
+        ev_cursor, ev_state, ne);
+    i++;
+  }
+  /* the warm-up prefix drives the states but owns no statistics */
+  for (; i < n && i < stats_from; i++)
+    sv_byte(s, a, t, SV_INJ, CLS[data[i]], 0, i, last, ev_pos, ev_cursor,
+        ev_state, ne);
+  for (; i < n && cap - ne >= m; i++) {
+    ne = sv_byte(s, a, t, SV_INJ, CLS[data[i]], 1, i, last, ev_pos, ev_cursor,
+        ev_state, ne);
+    if (!(~i & 0xffff)) {  /* 65 536 bytes of <= 32 live positions fit 32 bits */
+      for (v = 0; v < SV_NV; v++) { t[v] = a[v]; a[v] = (rap_v16){ 0 }; }
+      for (u = 0; u < m; u++) active[u] += t[u >> 4][u & 15];
+    }
+  }
+  for (v = 0; v < SV_NV; v++) { t[v] = s[v]; x[v] = a[v]; }  /* lanes out */
+  for (u = 0; u < m; u++) {
+    if (i > start_i) state[u] = sv_id(u, t[u >> 4][u & 15]);
+    active[u] += x[u >> 4][u & 15];
   }
   *n_ev = ne; *resume_i = i;
   return i < n;
 }
 """
 
-# The fewest fresh cursors a binding's gather step is emitted for: a
-# gather's latency is paid per byte however few lanes it fills (6
-# cursors: 1.15 ms a 128 KiB block scalar, 2.46 gathered; 64: 3.75
-# scalar, 1.9 gathered).
-GATHER_MIN = 32
-
 # The forest's library exports this constant: 16 when it compiled the
-# gather step (the host's ``cc -march=native`` targets AVX-512), 1 when
-# it steps every span one cursor at a time.  (The cdef declares it a
+# state-vector step (the host's ``cc -march=native`` targets AVX-512), 1
+# when it steps every span one cursor at a time.  (The cdef declares it a
 # plain variable: cffi reads no ``const`` global through ``dlopen``.)
 FOREST_LANES = "rap_forest_lanes"
 FOREST_CDEF = f"extern int {FOREST_LANES};"
 
-# The kernel for a binding of at least ``GATHER_MIN`` fresh cursors: the
-# gather step for a span of its ``FRESH_M`` where the compiler targets
-# AVX-512 — GCC 12+ / Clang vector extensions and builtins, no intrinsics
-# header (one would add ~0.25 s of cc to every such build) — and the
-# scalar body for every other span (a second gather body, for any count,
-# cost ~0.12 s more cc: ``bulk_nfa_hot``'s ``setup_s`` x1.22, not x1.11).
-_UNITS_GATHER = (
-    "#define FRESH_M %(fold)d\n"
-    # (``__builtin_shufflevector``: GCC 12 and Clang)
-    "#if defined(__AVX512F__) && (defined(__clang__) || __GNUC__ >= 12)\n"
-    "#define RAP_GATHER\n"
-    f"const int {FOREST_LANES} = 16;\n"
-    "typedef uint32_t rap_v16 __attribute__((vector_size(64)));\n"
-    "typedef int32_t rap_i16 __attribute__((vector_size(64)));\n"
-    + _inlined("gather_body")
-    + _GATHER_KERNEL
-    + f"#else\nconst int {FOREST_LANES} = 1;\n#endif\n"
-    + _inlined("units_body")
-    + "%(body)s"
-    + UNITS_CDEF[:-1]
+# The NFA positions a lane holds: a binding whose placed units all have
+# at most this many gets the state-vector step.
+VECTOR_LANE_BITS = 32
+
+
+def vectors_why(fused, bases: Sequence[int | str]) -> str | None:
+    """Why the placed units of ``bases`` (:func:`unit_forest`) do not
+    pack into the state-vector step, or None when they do."""
+    for number, (unit, base) in enumerate(zip(fused._units, bases)):
+        if type(base) is int and unit.program.width > VECTOR_LANE_BITS:
+            return (
+                f"unit {number} has {unit.program.width} positions "
+                f"> {VECTOR_LANE_BITS}"
+            )
+    return None
+
+
+def _lanes(values: Sequence[int]) -> str:
+    """``values`` (one per placed unit) as a row of sixteen-lane vectors."""
+    words = [str(v) for v in values] + ["0"] * (-len(values) % 16)
+    rows = (", ".join(words[k : k + 16]) for k in range(0, len(words), 16))
+    return "{ { " + " }, { ".join(rows) + " } }"
+
+
+# ``rap_units_span`` beside the state-vector step: a span of the
+# binding's units in unit order takes it, any other span the scalar body
+# (with ``%(fold)s``, folded for the fresh count where the step is not
+# compiled).
+_VECTOR_SPAN = (
+    UNITS_CDEF[:-1]
     + r"""
 {
-#ifdef RAP_GATHER
-  if (m == FRESH_M)
-    return gather_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
+#ifdef RAP_VECTORS
+  if (m == FRESH_M && sv_in_order(state))
+    return vectors_body(data, n, start_i, state, FRESH_M, at_end, stats_from,
         active, ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
-#endif
-  return units_body(data, n, start_i, state, m, at_end, stats_from, active,
-      ev_pos, ev_cursor, ev_state, cap, n_ev, resume_i);
-}
+%(fold)s#endif
 """
+    + _GENERIC
 )
+
+
+def _vector_section(fused, bases: Sequence[int | str], fold: bool) -> str:
+    """The state-vector step for the placed units (every one packs), its
+    tables and ``rap_units_span``, under the AVX-512 guard — GCC 12+ /
+    Clang vector extensions and builtins, no intrinsics header (one would
+    add ~0.25 s of cc to every build) — and the scalar body for every
+    other span (with ``fold``, folded for the fresh count where the
+    guard fails)."""
+    placed = [(u, b) for u, b in zip(fused._units, bases) if type(b) is int]
+    programs = [unit.program for unit, _ in placed]
+    # distance -> per unit, the targets of its edges that long (0 always:
+    # the self-loops' term, so no binding's table is empty)
+    edges: dict[int, list[int]] = {0: [0] * len(placed)}
+    for k, program in enumerate(programs):
+        for src, succ in enumerate(program.succ):
+            for dst in range(program.width):
+                if succ >> dst & 1:
+                    masks = edges.setdefault(dst - src, [0] * len(placed))
+                    masks[k] |= 1 << dst
+    distances = sorted(edges)
+    shifts = [f" << {d}" if d > 0 else f" >> {-d}" if d else "" for d in distances]
+    move = " | ".join(f"((s){sh} & SV_EDGE[{k}][v])" for k, sh in enumerate(shifts))
+    words, order, units = [], [], []
+    for unit, base in placed:
+        table = unit.table
+        known, start = table.words[: table.closed], table.start is not None
+        words += known + [0] * start
+        order += sorted(range(table.closed), key=known.__getitem__) + [0] * start
+        units.append(f"{{ {base}, {table.closed}, {table.closed + start} }}")
+
+    def rows(name: str, values) -> str:
+        return f"static const rap_v16 {name}[SV_NV] = {_lanes(values)};"
+
+    labels = (_lanes([u.labels[c] for u, _ in placed]) for c in range(fused.classes.k))
+    return "\n".join(
+        [
+            f"#define FRESH_M {len(placed)}",
+            "#if defined(__AVX512F__) && (defined(__clang__) || __GNUC__ >= 12)",
+            "#define RAP_VECTORS",
+            f"const int {FOREST_LANES} = 16;",
+            "typedef uint32_t rap_v16 __attribute__((vector_size(64)));",
+            "typedef int32_t rap_i16 __attribute__((vector_size(64)));",
+            f"#define SV_NV {-(-len(placed) // 16)}",
+            f"static const rap_v16 SV_LABEL[NCLS][SV_NV] = {{ {', '.join(labels)} }};",
+            rows("SV_INJ", [p.inject_always for p in programs]),
+            rows("SV_FIRST", [p.inject_first for p in programs]),
+            rows("SV_MID", [p.final & ~p.end_anchored_finals for p in programs]),
+            rows("SV_FINAL", [p.final for p in programs]),
+            "static const rap_v16 SV_EDGE[][SV_NV] = "
+            f"{{ {', '.join(_lanes(edges[d]) for d in distances)} }};",
+            f"#define SV_MOVE(s, v) ({move})",
+            f"static const uint32_t SV_WORD[] = {{ {', '.join(map(str, words))} }};",
+            _u16_array("SV_ORDER", order),
+            f"static const uint32_t SV_UNIT[FRESH_M][3] = {{ {', '.join(units)} }};",
+            _VECTOR_KERNEL.strip("\n"),
+            _inlined("vectors_body") + _VECTOR_BODY.rstrip("\n"),
+            f"#else\nconst int {FOREST_LANES} = 1;\n#endif",
+            _inlined("units_body") + _UNITS_KERNEL.rstrip("\n"),
+            _VECTOR_SPAN % dict(fold="#else\n" + _FOLDED if fold else ""),
+        ]
+    )
+
 
 # ``NEXT`` words a 23-bit row offset reaches; cursors the kernel's arrays
 # hold; the most fresh cursors a binding's scalar kernel is folded for
 # beside the lanes (one register per cursor: many more measured slower
-# than the generic loop — past ``GATHER_MIN`` the gather step is folded
-# instead).
+# than the generic loop).
 FOREST_ENTRIES = 1 << 23
 UNIT_SPAN_CURSORS = 1024
 UNIT_FOLD_CURSORS = 16
@@ -558,8 +704,9 @@ def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
     """``NEXT`` / ``FLAGS`` as the module docstring describes them —
     every placed unit's table at its id range — then the one kernel
     text; with ``fold``, as the body of a ``rap_units_span`` that steps
-    ``m == fold`` cursors with ``m`` a constant (from ``GATHER_MIN``
-    cursors on: the gather step)."""
+    ``m == fold`` cursors with ``m`` a constant.  When every placed unit
+    packs, beside the state-vector step: the scalar fold then only where
+    that step is not compiled."""
     ncls = fused.classes.k
     nxt: list[str] = []
     flags = b""
@@ -581,14 +728,18 @@ def _forest_section(fused, bases: Sequence[int | str], fold: int = 0) -> str:
                 )
             )
             flags += unit_flags
+    if vectors_why(fused, bases) is None:
+        kernel = _vector_section(fused, bases, bool(fold))
+    elif fold:
+        kernel = _UNITS_FOLD % dict(fold=fold, body=_UNITS_KERNEL)
+    else:
+        kernel = UNITS_CDEF[:-1] + _UNITS_KERNEL
     return "\n".join(
         [
             f"#define MAXM {UNIT_SPAN_CURSORS}",
             f"static const uint32_t NEXT[] = {{ {', '.join(nxt)} }};",
             _u8_array("FLAGS", flags),
-            (_UNITS_GATHER if fold >= GATHER_MIN else _UNITS_FOLD)
-            % dict(fold=fold, body=_UNITS_KERNEL) if fold
-            else UNITS_CDEF[:-1] + _UNITS_KERNEL,
+            kernel,
         ]
     )
 
@@ -911,10 +1062,12 @@ def _nbva_section(fused, indices: Sequence[int]) -> str:
 
 def unit_scan_source(fused, fold: int = 0) -> str:
     """One translation unit covering every native-eligible scan unit:
-    the GATHER units' forest under ``rap_units_span`` (its kernel also
-    inlined for ``fold`` cursors, a merged binding's fresh count) and the
-    NBVA units' tables under ``rap_nbva_span``.  Returns an empty string
-    when nothing is native-eligible, so callers can skip the build.
+    the GATHER units' forest under ``rap_units_span`` (its scalar kernel
+    also inlined for ``fold`` cursors, a merged binding's fresh count;
+    the state-vector step for them all when every placed unit packs) and
+    the NBVA units' tables under ``rap_nbva_span``.  Returns an empty
+    string when nothing is native-eligible, so callers can skip the
+    build.
     """
     bases, rows = unit_forest(fused)
     nbvas = native_nbva_indices(fused)
@@ -1019,36 +1172,34 @@ _OPTIMIZE = "#if defined(__GNUC__) && !defined(__clang__)\n#pragma GCC %s\n#endi
 class BindingKernel(NamedTuple):
     """What :func:`binding_source` hands the loader: the one C text
     (empty: no tier compiles), its lane kernel (``None``, and why in
-    ``lanes_why``, when the lanes are walked) and the fresh cursor count
-    its unit kernel is folded for (0: none)."""
+    ``lanes_why``, when the lanes are walked), the fresh cursor count
+    its scalar unit kernel is folded for (0: none) and why its forest
+    has no state-vector step (``None``: it has, and exports
+    :data:`FOREST_LANES`)."""
 
     source: str
     lanes: LaneKernel | None
     lanes_why: str | None
     fold: int
-
-    @property
-    def gather(self) -> bool:
-        """Whether the text holds the gather step (and exports
-        :data:`FOREST_LANES`)."""
-        return self.fold >= GATHER_MIN
+    scalar_why: str | None = None
 
 
 def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
     """The one translation unit of a binding: whichever of the lane
     kernel (:func:`lane_scan_source`) and the units' forest and NBVA
-    tables (:func:`unit_scan_source`, the forest folded for the fresh
-    cursor count beside the lanes, or in the gather step from
-    :data:`GATHER_MIN` cursors on) compile, then ``rap_scan_span`` over
-    them all — the tiers it lacks ``#ifdef``-guarded away."""
+    tables (:func:`unit_scan_source`: the state-vector step when every
+    placed unit packs, the scalar kernel folded for the fresh cursor
+    count beside the lanes) compile, then ``rap_scan_span`` over them
+    all — the tiers it lacks ``#ifdef``-guarded away."""
     lanes = why = None
     if fused.bases:
         try:
             lanes = lane_scan_source(fused, tile_masks)
         except ValueError as err:
             why = str(err)
-    fresh = sum(isinstance(base, int) for base in unit_forest(fused)[0])
-    fold = fresh if fresh >= GATHER_MIN or lanes and fresh <= UNIT_FOLD_CURSORS else 0
+    bases = unit_forest(fused)[0]
+    fresh = sum(isinstance(base, int) for base in bases)
+    fold = fresh if lanes and fresh <= UNIT_FOLD_CURSORS else 0
     units = unit_scan_source(fused, fold)
     if lanes is None and not units:
         return BindingKernel("", None, why, 0)
@@ -1072,4 +1223,6 @@ def binding_source(fused, tile_masks: Sequence[Sequence[int]]) -> BindingKernel:
         parts.append(units.removeprefix(_header("scan units", fused) + "\n"))
     ctl = ", ".join("S_" + name.upper() for name in SCAN_CTL)
     parts += [f"enum {{ {ctl} }};", _SCAN_SPAN.replace("RAP_SCAN_SPAN", SCAN_CDEF[:-1])]
-    return BindingKernel("\n".join(parts), lanes, why, fold)
+    return BindingKernel(
+        "\n".join(parts), lanes, why, fold, vectors_why(fused, bases)
+    )

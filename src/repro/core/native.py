@@ -358,13 +358,13 @@ class NativeScanner:
         if not kernel.source:
             raise NativeBuildError(kernel.lanes_why or "no native-eligible tier")
         self._source, lanes = kernel.source, kernel.lanes
-        gather = kernel.gather
-        cdef = codegen.SCAN_CDEF + ("\n" + codegen.FOREST_CDEF) * gather
-        lib = load_source(kernel.source, cdef)
-        # the forest step the compiler took: 16 lanes a gather, or 1
-        self.forest_lanes = lib.value(codegen.FOREST_LANES) if gather else 1
-        self._span_fn = lib.fn("rap_scan_span")
         self.bases, rows = codegen.unit_forest(fused)
+        vectors = rows > 0 and kernel.scalar_why is None
+        cdef = codegen.SCAN_CDEF + ("\n" + codegen.FOREST_CDEF) * vectors
+        lib = load_source(kernel.source, cdef)
+        # the forest step the compiler took: 16 units a state vector, or 1
+        self.forest_lanes = lib.value(codegen.FOREST_LANES) if vectors else 1
+        self._span_fn = lib.fn("rap_scan_span")
         nbva, classes = codegen.native_nbva_indices(fused), fused.classes.class_of
         self.dfas, self.tier = (lanes.closure, lanes.tier) if lanes else ([], None)
         if lanes:  # per group: its first bin, where its slice of the word sits
@@ -376,14 +376,16 @@ class NativeScanner:
         placed = sum(isinstance(base, int) for base in self.bases)
         tiers = [f"lanes {lanes.tier}"] if lanes else []
         tiers += [f"lanes walked ({kernel.lanes_why})"] * bool(kernel.lanes_why)
-        width = self.forest_lanes
-        step = f"{width}-lane gather" if width > 1 else "scalar"
-        # (a gather binding's scalar step is not folded)
-        folded = kernel.fold if width > 1 or not gather else 0
+        if self.forest_lanes > 1:
+            vecs = -(-placed // 16)
+            step = f"state vectors, {placed} units in {vecs} vector" + "s" * (vecs > 1)
+        else:
+            why = kernel.scalar_why or "no AVX-512 target"
+            step = f"scalar ({why if rows else 'no unit placed'})"
+            step += f", {kernel.fold} cursors folded" * bool(kernel.fold)
         tiers += [
             f"unit forest {placed} of {len(self.bases)} tables "
             f"({rows * fused.classes.k} of {codegen.FOREST_ENTRIES} entries), {step}"
-            + f", {folded} cursors folded" * bool(folded)
         ] * bool(self.bases)
         tiers += [f"NBVA slots {len(nbva)} of {fused.nbva_count}"] * bool(nbva)
         self.report = [  # what --explain says of the binding

@@ -21,7 +21,10 @@ checkpoint documents).
   sessions feed each segment whole);
 * cursors — 31, 32, 33, 47, 64 and 100 fresh unit cursors of one native
   forest (``CURSORS``: Snort-profile NFA regexes, bulk, split and
-  durable in 64 KiB feeds), around the gather step's threshold;
+  durable in 64 KiB feeds), state vectors of every last-vector fill;
+* state-vector edge cases — anchored units, edge distances other than
+  0, +1 and +2, units of 32 and 33 positions, spans out of unit order
+  (``VECTORS``, ``--mode nfa``);
 * entry path — bulk ``scan``; a durable scan cut at every seam, its
   snapshot restored on every other backend; a served ``ScanSession``
   fed segment by segment; a SIGKILLed CLI scan resumed on another
@@ -58,5 +61,5 @@ the path and ending in :func:`~tests.conformance.cells.assert_conforms`
 (or comparing to ``case.reference(mode)`` directly); call it from
 ``test_every_path`` in ``test_matrix`` and, if it is cheap enough, from
 ``test_pinned``.  A new axis value is one more entry in ``MODES``,
-``BACKENDS``, ``INPUT_JOBS``, ``SWEEPS`` or ``CURSORS``.
+``BACKENDS``, ``INPUT_JOBS``, ``SWEEPS``, ``CURSORS`` or ``VECTORS``.
 """

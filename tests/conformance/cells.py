@@ -147,9 +147,8 @@ def pinned(name: str) -> Case:
     return Case(patterns, data)
 
 
-# Fresh cursor counts of a native unit forest: both sides of
-# ``codegen.GATHER_MIN``, and gathers whose last vector holds 1, 15 or 4
-# cursors of 16 (33, 47, 100).
+# Fresh cursor counts of a native unit forest: state vectors whose last
+# vector holds 15, 16, 1, 15, 16 or 4 units of 16.
 CURSORS = (31, 32, 33, 47, 64, 100)
 # The durable feed of the cursor cases: a span that ends on the unit
 # kernel's 65 536-byte flush of its live sums.
@@ -172,6 +171,63 @@ def cursors(count: int) -> Case:
         "network", 66_000, seed=9, patterns=patterns, plant_every=600
     )
     return Case(patterns[:count], data)
+
+
+# The state-vector step's edge cases, run under ``--mode nfa`` (every
+# regex a GATHER unit): a start- and an end-anchored unit; edges of
+# distances other than 0, +1 and +2; a unit of exactly 32 positions,
+# which packs, and one of 33, whose binding steps scalar.  Each stream
+# starts and ends on a witness.
+_TAIL = "efghijklmnopqrstuvwxyzEFGHIJK"
+VECTORS = {
+    "anchored": (
+        ["^ab[cd]*e", "x[yz]+w$", "q(r|s)*t"],
+        b"abcdce qrst abce xyw qt abe xzzyw",
+    ),
+    "distances": (
+        ["a(bc)*d", "(ab|cd)*ef", "x(yz|w)*yv"],
+        b"abcbcd ad abcdabef ef xyzwyv adcd cdef abcd",
+    ),
+    "32 positions": (
+        ["(ab|cd)*" + _TAIL[:28], "a(bc)*d"],
+        f"cdab{_TAIL[:28]} abcd {_TAIL} ab{_TAIL[:28]}".encode(),
+    ),
+    "33 positions": (
+        ["(ab|cd)*" + _TAIL, "a(bc)*d"],
+        f"cdab{_TAIL} abcd {_TAIL[:28]} ab{_TAIL}".encode(),
+    ),
+}
+
+
+@functools.cache
+def vectors(name: str) -> Case:
+    """One of ``VECTORS``."""
+    return Case(*VECTORS[name])
+
+
+def reordered(case: Case, mode: str) -> None:
+    """Every GATHER unit of ``ruleset(mode)`` as one span's cursors, in
+    unit order (the state-vector step) and reversed (as many cursors,
+    not unit ``u`` in lane ``u``: the scalar path), over two spans, the
+    second entered at the first's exit words: on ``native`` each
+    cursor's events, counters and exit equal the walker's
+    (``fused``)."""
+    cut = len(case.data) // 2
+    got = {}
+    for backend in ("fused", "native"):
+        with on(backend):
+            fused = bound(case, mode, backend).plan.fused
+        units = list(range(fused.unit_count))
+        for order in (units, units[::-1]):
+            head = fused.scan_span(
+                fused.translate(case.data[:cut]),
+                [(n, None) for n in order],
+                at_end=False,
+            )[1]
+            entries = [(n, word) for n, (_, _, word) in zip(order, head)]
+            tail = fused.scan_span(fused.translate(case.data[cut:]), entries)[1]
+            got.setdefault(backend, []).append((head, tail))
+    assert got["native"] == got["fused"]
 
 
 def assert_conforms(case: Case, mode: str, got) -> None:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_ruleset
+from repro.core import codegen
 
 from tests.conformance import cells
 from tests.conformance.cells import (
@@ -17,6 +18,7 @@ from tests.conformance.cells import (
     PINNED,
     SEGMENTS,
     SWEEPS,
+    VECTORS,
     Case,
     pinned,
 )
@@ -156,16 +158,41 @@ def test_pinned_sweep(name, knob):
 @pytest.mark.parametrize("count", CURSORS)
 def test_cursor_counts(count):
     """A native unit forest of ``count`` fresh cursors — a span of all of
-    them stepped one by one below ``codegen.GATHER_MIN`` and, from there
-    on where the compiler targets AVX-512, sixteen to a gather — scanned
-    in bulk, split in two (its spans of other counts: scalar), and
-    durably in 64 KiB feeds."""
+    them in unit order stepped as state vectors where the compiler
+    targets AVX-512 — scanned in bulk, split in two (its spans of other
+    counts: scalar), and durably in 64 KiB feeds."""
     case = cells.cursors(count)
     with cells.on("native"):
         assert cells.bound(case, "auto", "native").plan.fused.unit_count == count
     for input_jobs in INPUT_JOBS:
         cells.bulk(case, "auto", "native", input_jobs)
     cells.streamed(case, "auto", cells.FEED, backends=("native",))
+
+
+@pytest.mark.parametrize("name", VECTORS)
+def test_state_vectors(name, tmp_path):
+    """The state-vector step's edge cases (``cells.VECTORS``) under
+    ``--mode nfa`` on every backend — bulk and split, durable at every
+    seam, served — and on ``native`` the step the binding emits, and its
+    units' spans in and out of unit order."""
+    case = cells.vectors(name)
+    for backend in HOST:
+        for input_jobs in INPUT_JOBS:
+            cells.bulk(case, "nfa", backend, input_jobs)
+        cells.served(case, "nfa", backend, tmp_path)
+    cells.durable(case, "nfa", backends=HOST)
+    if "native" not in HOST:
+        return
+    with cells.on("native"):
+        fused = cells.bound(case, "nfa", "native").plan.fused
+    widths = [unit.program.width for unit in fused._units]
+    bases = fused._native_scanner().bases
+    assert all(type(base) is int for base in bases)
+    if name.endswith("positions"):
+        assert widths[0] == int(name.split()[0])
+    wide = f"unit 0 has 33 positions > {codegen.VECTOR_LANE_BITS}"
+    assert codegen.vectors_why(fused, bases) == (wide if widths[0] == 33 else None)
+    cells.reordered(case, "nfa")
 
 
 @needs_native

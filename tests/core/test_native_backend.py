@@ -800,7 +800,8 @@ class TestOneCrossing:
     ):
         """``--explain`` prints one line per binding: its library's key
         and the tiers it holds — lane groups, the unit forest with its
-        folded cursor count, NBVA slots — and no separate forest line."""
+        step (state vectors, or scalar and why, with its folded cursor
+        count), NBVA slots — and no separate forest line."""
         from repro.cli import main
         from repro.simulators.rap import bind
 
@@ -818,30 +819,36 @@ class TestOneCrossing:
 
         mix = cells.pinned("snort_mix16").patterns
         with use_backend("native"):
-            fused = bind(compile_ruleset(mix), DEFAULT_CONFIG).plan.fused
-            key = source_key(fused._native_scanner()._source)[:16]
+            native_ = bind(compile_ruleset(mix), DEFAULT_CONFIG).plan.fused
+            native_ = native_._native_scanner()
+            key = source_key(native_._source)[:16]
+        vectors = native_.forest_lanes == 16  # the host's cc targets AVX-512
+
+        def step(units: int, folded: int = 0) -> str:
+            count = -(-units // 16)
+            if vectors:
+                many = "s" * (count > 1)
+                return f"state vectors, {units} units in {count} vector{many}"
+            fold = f", {folded} cursors folded" if folded else ""
+            return f"scalar (no AVX-512 target){fold}"
+
         (line,) = explained(mix)
         assert line == (
             f"native library {key}: lanes dfa (33 states / 2 groups of 2 bins); "
-            "unit forest 6 of 6 tables (7420 of 8388608 entries), scalar, 6 "
-            "cursors folded; NBVA slots 7 of 7"
+            f"unit forest 6 of 6 tables (7420 of 8388608 entries), {step(6, 6)}; "
+            "NBVA slots 7 of 7"
         )
         (line,) = explained(cells.pinned("keywords64").patterns)
         assert line.endswith(": lanes dfa (378 states / 1 group of 4 bins)")
         (line,) = explained(["ab{10,20}c", "needle"], mode="nfa")
         assert line.endswith(
-            ": unit forest 2 of 2 tables (240 of 8388608 entries), scalar"
+            f": unit forest 2 of 2 tables (240 of 8388608 entries), {step(2)}"
         )
-        # 64 fresh cursors: the gather step, where the compiler took it
-        nfa64 = cells.pinned("snort_nfa64").patterns
-        with use_backend("native"):
-            lanes = bind(compile_ruleset(nfa64), DEFAULT_CONFIG).plan.fused
-            lanes = lanes._native_scanner().forest_lanes
-        (line,) = explained(nfa64)
-        assert line.endswith(
-            "entries), 16-lane gather, 64 cursors folded" if lanes == 16
-            else "entries), scalar"
-        )
+        # a unit wider than a lane: every span of the binding steps scalar
+        (line,) = explained(["ab{40}c", "needle"], mode="nfa")
+        assert line.endswith("entries), scalar (unit 0 has 42 positions > 32)")
+        (line,) = explained(cells.pinned("snort_nfa64").patterns)
+        assert line.endswith(f"entries), {step(64)}")
         assert not explained(mix, backend="fused")
 
     @pytest.mark.parametrize(
@@ -1540,9 +1547,15 @@ class TestUnitForest:
             assert roomy._native_scanner().bases == [2050 * n for n in range(16)]
             assert said == [(logging.WARNING, (2,))]  # once per ruleset
             key = source_key(native._source)[:16]
+            vectors = native.forest_lanes == 16  # the host's cc targets AVX-512
+            step = (
+                "state vectors, 15 units in 1 vector"
+                if vectors
+                else "scalar (no AVX-512 target)"
+            )
             assert report == [
                 f"native library {key}: unit forest 15 of 17 tables "
-                f"({room} of {room} entries), scalar",
+                f"({room} of {room} entries), {step}",
                 "  unit 15: forest full",
                 "  unit 16: live > 255",
             ]
@@ -1711,8 +1724,9 @@ def test_generated_sources_compile_warning_free(
     rulesets, a forced DFA set and NBVA units alone, each with its lanes
     walked when it has some — holds ``rap_scan_span`` and the kernels of
     the tiers that compiled, and passes ``cc -fsyntax-only -Wall -Wextra
-    -Werror`` — and, ``snort_nfa64``'s gather step, with ``-march=native``
-    too where the compiler takes it."""
+    -Werror`` — and, where it holds the state-vector step, with
+    ``-march=native`` too where the compiler takes it (the mix's, on a
+    host with VPOPCNTDQ, as ``vpopcntd`` at ``-O3``)."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.simulators.fused import FusedPlan
@@ -1754,8 +1768,11 @@ def test_generated_sources_compile_warning_free(
             text=True,
         )
         assert proc.returncode == 0, proc.stderr[:2000]
-    assert ("gather_body" in binding.source) == (name == "snort_nfa64")
-    if name == "snort_nfa64":
+    # every GATHER unit of these shapes packs: the state-vector step
+    vectors = name not in ("keywords64", "nbva_only")
+    assert ("vectors_body" in binding.source) == vectors
+    assert binding.scalar_why is None
+    if vectors:
         march = [_find_compiler(), "-fsyntax-only", "-march=native"]
         march.append(str(tmp_path / "unit0.c"))  # the binding's one text
         if subprocess.run(march, capture_output=True).returncode == 0:
@@ -1765,6 +1782,17 @@ def test_generated_sources_compile_warning_free(
                 text=True,
             )
             assert proc.returncode == 0, proc.stderr[:2000]
+    flags = ""
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as cpu:
+            flags = cpu.read()
+    if name == "snort_mix16" and "avx512_vpopcntdq" in flags.split():
+        # the per-lane popcount loop compiles to one vpopcntd per vector
+        asm = [_find_compiler(), "-O3", "-march=native", "-S", "-o", "-"]
+        proc = subprocess.run(
+            asm + [str(tmp_path / "unit0.c")], capture_output=True, text=True
+        )
+        assert proc.returncode == 0 and "vpopcntd" in proc.stdout, proc.stderr[:2000]
 
 
 _SANITIZED_MAIN = r"""
@@ -1984,33 +2012,35 @@ int main(int argc, char **argv)
 
 @needs_native
 @pytest.mark.parametrize(
-    "name, gathered",
+    "name, vectors",
     [
         pytest.param("snort_nfa64", False, id="snort_nfa64"),
         pytest.param("snort_mix16", False, id="snort_mix16"),
         pytest.param("snort_nfa64", True, id="snort_nfa64-march=native"),
+        pytest.param("snort_mix16", True, id="snort_mix16-march=native"),
     ],
 )
-def test_unit_kernel_sanitized(name, gathered, tmp_path):
+def test_unit_kernel_sanitized(name, vectors, tmp_path):
     """The unit forest of each ledger ruleset with GATHER units, in the
     one text its binding builds, with a generated ``main()`` under ASan +
     UBSan and run over fresh cursors, each shape against ``PythonKernel``
     — events, hit words, active sums and exit sets:
 
     * 1, 3, 17 and 65 cursors (no vector multiple; past the unit count a
-      unit rides twice: the generic path) and the unit count (the mix's
-      folded one) through an ``m``-entry event buffer, so the kernel
-      returns and re-enters after every reporting byte;
+      unit rides twice: the generic path) and the unit count in unit
+      order (the folded or state-vector step) through an ``m``-entry
+      event buffer, so the kernel returns and re-enters after every
+      reporting byte;
     * three cursors over two 65 536-byte accumulator blocks and a tail,
       ``cap = m``, the first event on the first block's last byte: the
       flush and the continuation return coincide;
     * seventeen over the same stream in one call, the warm-up window
       ending inside the second block.
 
-    ``gathered``: the first 47 patterns, built with ``-march=native``,
-    so on an AVX-512 host a span of their 47 fresh cursors takes the
-    gather step, its last vector masked to 15 lanes; the last two shapes
-    run 47 cursors."""
+    ``vectors``: built with ``-march=native``, so on an AVX-512 host a
+    span of every unit in unit order takes the state-vector step —
+    ``snort_nfa64``'s first 47 patterns, its last vector 15 lanes, and
+    the mix's six; the last two shapes run every unit in unit order."""
     from benchmarks.ledger.workloads import RULESETS
     from repro.core.native import _find_compiler
     from repro.core.pykernel import PythonKernel
@@ -2018,7 +2048,8 @@ def test_unit_kernel_sanitized(name, gathered, tmp_path):
     from repro.simulators.rap import bind
     from repro.workloads.inputs import generate_input
 
-    patterns = RULESETS[name]()[: 47 if gathered else None]
+    nfa = name == "snort_nfa64"
+    patterns = RULESETS[name]()[: 47 if vectors and nfa else None]
     ruleset = compile_ruleset(patterns)
     mapping = RAPSimulator(DEFAULT_CONFIG).build_mapping(ruleset)
     with use_backend("fused"):
@@ -2027,21 +2058,22 @@ def test_unit_kernel_sanitized(name, gathered, tmp_path):
     units = fused._units
     assert units and all(isinstance(base, int) for base in bases)
     binding = codegen.binding_source(fused, fused.tile_masks)
-    # folded for every fresh cursor: the mix's six in the scalar kernel,
-    # snort_nfa64's 64 (or 47) in the gather step
-    assert binding.fold == len(units)
-    assert len(units) == (6 if name == "snort_mix16" else len(patterns))
-    if gathered:
+    # every unit packs: the state-vector step for all of them, and the
+    # scalar kernel folded for the mix's six beside its lanes
+    assert binding.scalar_why is None and "vectors_body" in binding.source
+    assert binding.fold == (0 if nfa else len(units))
+    assert len(units) == (len(patterns) if nfa else 6)
+    if vectors:
         with use_backend("native"):
             lanes = bind(ruleset, DEFAULT_CONFIG).plan.fused._native_scanner()
         if lanes.forest_lanes == 1:
-            pytest.skip("the library reports no gather step (no AVX-512 target)")
+            pytest.skip("the library reports no state-vector step (no AVX-512)")
     source = tmp_path / "units.c"
     source.write_text(binding.source + _SANITIZED_UNITS_MAIN)
     binary = tmp_path / "units"
     build = subprocess.run(
         [_find_compiler(), "-O1", "-g", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", *["-march=native"] * gathered, "-o",
+         "-fno-sanitize-recover=all", *["-march=native"] * vectors, "-o",
          str(binary), str(source)],
         capture_output=True, text=True,
     )
@@ -2094,14 +2126,19 @@ def test_unit_kernel_sanitized(name, gathered, tmp_path):
     dense = generate_input(
         "network", (1 << 16) + 4097, seed=4, patterns=patterns, plant_every=150
     )
-    for m in (1, 3, 17, 65, len(units)):  # the generic path, then the folded
+    for m in (1, 3, 17, 65, len(units)):  # the generic path, then in unit order
         returns = run(dense[: 1 << 15], [j % len(units) for j in range(m)])
     assert len(returns) > 4  # continuations
-    few, many = (len(units), len(units)) if gathered else (3, 17)
+    few, many = (len(units), len(units)) if vectors else (3, 17)
 
-    # A quiet block whose last byte completes some unit's first match.
+    # A quiet block whose last byte completes some unit's first match
+    # (every unit quiet before it, when every unit rides).
     quiet = generate_input("network", 1 << 16, seed=4, plant_every=1 << 20)
-    silent = [j for j in range(min(8, len(units))) if not want(j, quiet, 0)[0]]
+    silent = [
+        j
+        for j in range(len(units) if vectors else min(8, len(units)))
+        if not want(j, quiet, 0)[0]
+    ]
     position, loud = min(
         (want(j, dense, 0)[0][0][0], j) for j in silent if want(j, dense, 0)[0]
     )
@@ -2109,7 +2146,8 @@ def test_unit_kernel_sanitized(name, gathered, tmp_path):
     block = quiet[: (1 << 16) - 64] + dense[position - 63 : position + 1]
     long = block + dense
     assert [p for p, _ in want(loud, long, 0)[0]][0] == (1 << 16) - 1
-    returns = run(long, ([loud, silent[0], loud] * few)[:few])
+    cursors = list(range(few)) if vectors else ([loud, silent[0], loud] * few)[:few]
+    returns = run(long, cursors)
     assert returns[0] == (1, 1 << 16) and returns[-1] == (0, len(long))
     assert run(
         long, [j % len(units) for j in range(many)], stats_from=70_000, slack=4096
@@ -2508,14 +2546,15 @@ def test_scan_span_sanitized(tmp_path, monkeypatch):
 def test_scan_span_sanitized_gathered(tmp_path, monkeypatch):
     """The unit forest alone again (``snort_nfa64``), built with
     ``-march=native``: on an AVX-512 host its ``rap_scan_span`` and
-    ``rap_units_span`` step the 64 cursors with the gather step."""
+    ``rap_units_span`` step the 64 cursors, in unit order, with the
+    state-vector step."""
     from repro.simulators.rap import bind
 
     ruleset = compile_ruleset(cells.pinned("snort_nfa64").patterns)
     with use_backend("native"):
         native_ = bind(ruleset, DEFAULT_CONFIG).plan.fused._native_scanner()
     if native_.forest_lanes == 1:
-        pytest.skip("the library reports no gather step (no AVX-512 target)")
+        pytest.skip("the library reports no state-vector step (no AVX-512)")
     _sanitized_scan_shape(tmp_path, monkeypatch, "snort_nfa64", march=True)
 
 

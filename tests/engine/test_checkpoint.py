@@ -1450,13 +1450,14 @@ class TestPlanFingerprint:
 
     # name -> (scan_fingerprint, key of the one generated source a native
     # binding emits), one row for every backend: the fingerprint names
-    # none.  ("mix" is the paper's Fig. 1 mix: six fresh unit cursors,
-    # under ``codegen.GATHER_MIN``, so no gather step moves its key.)
+    # none.  ("mix" is the paper's Fig. 1 mix.  The keys of every binding
+    # with units — "nfa", "dfa", "mix" — moved when the state-vector step
+    # replaced the gather; "lnfa", lanes alone, did not.)
     PINNED = {
         "lnfa": ("d595f123b45f155c", ["699bf7d9a1fa7cbc"]),
-        "nfa": ("47fdbf4da19d8421", ["bd104ac02ae6f4f8"]),
-        "dfa": ("08c85ccd44781aa5", ["a8b7b37986cf16db"]),
-        "mix": ("23ea81447e9dcd85", ["bfc3feb533eab9fa"]),
+        "nfa": ("47fdbf4da19d8421", ["8633ff7bb04fdf45"]),
+        "dfa": ("08c85ccd44781aa5", ["609518755053b36a"]),
+        "mix": ("23ea81447e9dcd85", ["6b9a8c5fec044eb2"]),
     }
 
     # What the previous recipe wrote for the module's mixed ruleset.
