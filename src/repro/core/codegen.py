@@ -558,10 +558,8 @@ _VECTOR_BODY = r"""
 
 # The forest's library exports this constant: 16 when it compiled the
 # state-vector step (the host's ``cc -march=native`` targets AVX-512), 1
-# when it steps every span one cursor at a time.  (The cdef declares it a
-# plain variable: cffi reads no ``const`` global through ``dlopen``.)
+# when it steps every span one cursor at a time.
 FOREST_LANES = "rap_forest_lanes"
-FOREST_CDEF = f"extern int {FOREST_LANES};"
 
 # The NFA positions a lane holds: a binding whose placed units all have
 # at most this many gets the state-vector step.

@@ -21,18 +21,17 @@ throughput back:
 Exactness is the contract: a table state *is* the state word a
 standalone scan of its unit would hold, and every counter equals the
 per-byte sums by construction (the conformance matrix checks it against
-the ``python`` oracle).  Import this module only after the backend
-registry resolved ``fused`` or ``native``: it requires NumPy.
+the ``python`` oracle).  It runs on the standard library alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import threading
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
-
-import numpy as np
 
 from repro.automata.glushkov import Automaton
 from repro.automata.nbva import NBVAScanner, NBVASimulator, NBVAState, NBVAStats
@@ -46,14 +45,44 @@ from repro.regex.charclass import interned_label_masks
 log = logging.getLogger(__name__)
 
 
-def words_from_int(value: int, lanes: int) -> np.ndarray:
-    """A non-negative int as ``lanes`` little-endian ``uint64`` words."""
-    return np.frombuffer(value.to_bytes(lanes * 8, "little"), dtype=np.uint64)
+def address(buf) -> int:
+    """The address of a writable buffer's first byte (``buf`` must not
+    be empty, and must outlive every use of the address)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
-def int_from_words(words: np.ndarray) -> int:
-    """Inverse of :func:`words_from_int`."""
-    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
+def aligned(size: int) -> memoryview:
+    """``size`` zero bytes starting on a 64-byte boundary (a cache line,
+    one AVX-512 vector): a bytearray 63 bytes longer, viewed from its
+    first aligned byte, so every process lays its buffers out alike."""
+    raw = bytearray(size + 63)
+    skip = -address(raw) % 64
+    return memoryview(raw)[skip : skip + size]
+
+
+class StatePops:
+    """Exact ``matched_states`` of many units over a span.
+
+    ``pops`` holds per unit (or NBVA slot) its label popcount per
+    alphabet class; per class, one int packs every unit's in a 64-bit
+    lane.  A span's totals are then one sum of ``count x column`` over
+    its classes, unpacked as one ``uint64`` array (no lane carries: a
+    span would need 2**64 / popcount bytes).
+    """
+
+    __slots__ = ("_columns", "_bytes")
+
+    def __init__(self, pops: Sequence[Sequence[int]], k: int):
+        self._columns = [
+            sum(row[c] << 64 * u for u, row in enumerate(pops)) for c in range(k)
+        ]
+        self._bytes = 8 * len(pops)
+
+    def __call__(self, counts: Sequence[int]) -> list[int]:
+        """Per unit its ``matched_states`` over a span of per-class
+        ``counts``."""
+        total = sum(n * col for n, col in zip(counts, self._columns) if n)
+        return array("Q", total.to_bytes(self._bytes, "little")).tolist()
 
 
 class AlphabetClasses:
@@ -91,6 +120,18 @@ class AlphabetClasses:
     def project(self, table: Sequence[int]) -> tuple[int, ...]:
         """A 256-entry table as its k-entry per-class form."""
         return tuple(table[rep] for rep in self.representatives)
+
+    def fold(self, histogram: Sequence[int]) -> list[int]:
+        """A per-byte histogram as per-class counts."""
+        counts = [0] * self.k
+        for cls, n in zip(self.class_of, histogram):
+            if n:
+                counts[cls] += n
+        return counts
+
+    def count(self, cls: bytes, start: int = 0) -> list[int]:
+        """Per class its symbols in the class stream ``cls[start:]``."""
+        return [cls.count(c, start) for c in range(self.k)]
 
 
 class TranslatedSegment:
@@ -262,32 +303,25 @@ class FusedRuleset:
         # -- the GATHER units, each closed into its step table -----------
         self._units = tuple(_GatherUnit(p, self.classes) for p in gathers)
         self._foreign_logged = False
-        # ``matched_states`` per unit is the owned bytes' histogram dotted
-        # with this (unit x byte) matrix of each byte's class's label
-        # popcount (zero for a unit that does not track it): exact sums.
-        self._byte_pops = np.array(
+        # ``matched_states`` per unit: the owned symbols' class counts
+        # against each class's label popcount (zero for a unit that does
+        # not track it).
+        self._pops = StatePops(
             [
-                [
-                    u.labels[c].bit_count() * u.program.track_matched
-                    for c in self.classes.class_of
-                ]
+                [c.bit_count() * u.program.track_matched for c in u.labels]
                 for u in self._units
             ],
-            dtype=np.int64,
-        ).reshape(-1, 256)
+            self.classes.k,
+        )
 
         # The classes that can revive some idle machine (each table
         # sleeps through the rest; the union is what a trace reports as
         # the hot-byte ratio).
         programs = self._shift + gathers
-        self.union_hot_cls = np.fromiter(
-            (
-                any(p.inject_always & p.labels[rep] for p in programs)
-                for rep in self.classes.representatives
-            ),
-            dtype=bool,
-            count=self.classes.k,
-        )
+        self.union_hot_cls = [
+            any(p.inject_always & p.labels[rep] for p in programs)
+            for rep in self.classes.representatives
+        ]
 
         # -- native-codegen attachment (lazy, silent-fallback) ----------
         # Decided at construction time, on ``backend`` (default: the one
@@ -451,7 +485,7 @@ class FusedRuleset:
             spans[slot] = hits, bits[0], word
         groups = native.native_groups if native is not None else ()
         native_nbva = [k for k, cursor in enumerate(nbva) if cursor[2] in groups]
-        lane_out = hist = None
+        lane_out = counts = None
         stepped: list = []
         nbva_out: list = [None] * len(nbva)
         stalls = [0] * len(self.nbva_groups)
@@ -459,7 +493,7 @@ class FusedRuleset:
         if native is None or not native.dfas:
             lanes = None  # walked by the caller
         if lanes is not None or compiled or native_nbva:
-            lane_out, stepped, by_c, hist, stalls = native.span(
+            lane_out, stepped, by_c, counts, stalls = native.span(
                 data,
                 lanes=lanes,
                 units=[cursor[1:] for cursor in compiled],
@@ -484,21 +518,20 @@ class FusedRuleset:
                 nbva_out[k] = matches, stats, scanner.state
         for group, found in cycles.items():
             stalls[group] += len(found)
-        units_out = self._unit_results(units, spans, tin, hist, **span)
+        units_out = self._unit_results(units, spans, tin, counts, **span)
         return lane_out, units_out, nbva_out, stalls
 
-    def _unit_results(self, cursors, spans, tin, hist, *, stats_from, at_end):
+    def _unit_results(self, cursors, spans, tin, counts, *, stats_from, at_end):
         """Per GATHER cursor its events, ``StepStats`` and exit word."""
         if not cursors or not tin.data:
             return [([], StepStats(), entry or 0) for _, entry in cursors]
         # ``cycles`` and ``matched_states`` are pure functions of the
-        # owned input (one byte histogram per span); only ``active`` and
-        # the events come from the stepping loops.
+        # owned input (its class counts: the kernel's, or counted here);
+        # only ``active`` and the events come from the stepping loops.
         cycles = len(tin.data) - max(0, stats_from)
-        if hist is None:
-            owned = np.frombuffer(tin.data, dtype=np.uint8)[max(0, stats_from) :]
-            hist = np.bincount(owned.astype(np.intp), minlength=256)
-        matched = self._byte_pops.dot(hist).tolist()
+        if counts is None:
+            counts = self.classes.count(tin.cls_bytes, max(0, stats_from))
+        matched = self._pops(counts)
         last = len(tin.data) - 1 if at_end else -1
         out = []
         for (number, _), (hits, active, state) in zip(cursors, spans):

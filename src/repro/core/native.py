@@ -3,9 +3,9 @@
 :mod:`repro.core.codegen` emits one C translation unit per binding; this
 module owns the rest — the capability probe (a C compiler, found and
 smoke-tested once per process and ``$CC``/``$PATH``), the build (``cc
--O3 -shared`` into the on-disk cache, loaded via ``cffi`` or ``ctypes``)
-and :class:`NativeScanner`, the library's one Python face, which enters
-it through one symbol, ``rap_scan_span``.
+-O3 -shared`` into the on-disk cache, loaded through ``ctypes``) and
+:class:`NativeScanner`, the library's one Python face, which enters it
+through one symbol, ``rap_scan_span``.
 
 * **Silent fallback.**  No compiler, a build or a load error: the
   interpreted fused path runs instead, with identical results (callers
@@ -14,10 +14,13 @@ it through one symbol, ``rap_scan_span``.
   source, which names :data:`~repro.io.envelope.PLAN_VERSION`; objects
   live under ``<cache>/native/`` as ``<key>.<host tag>.so``, published
   by :func:`repro.io.envelope.publish` within ``RAP_CACHE_MAX_MB``.
-* **Byte-identical state.**  Entry/exit states cross the ABI as the
-  little-endian ``uint64`` words of :func:`~repro.core.fused.
-  words_from_int`: every state a native scan round-trips is the one the
+* **Byte-identical state.**  Entry/exit states cross the ABI as
+  little-endian ``uint64`` words (``int.to_bytes`` into the kernel's
+  buffers): every state a native scan round-trips is the one the
   interpreted scan would have produced.
+* **Standard-library buffers.**  Every buffer the kernel reads or
+  writes is a 64-byte-aligned ``bytearray`` (:func:`~repro.core.fused.
+  aligned`), typed through ``memoryview.cast``.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ import threading
 from array import array
 from pathlib import Path
 
-import numpy as np
-
 from repro.automata.nbva import NBVAState, NBVAStats
 from repro.core import codegen
-from repro.core.fused import words_from_int
+from repro.core.fused import StatePops, address, aligned
 from repro.io.envelope import publish
 
 NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"
@@ -171,40 +172,8 @@ def _compile_shared(cc: str, source: str, target: Path) -> None:
         publish(target, out.read_bytes())
 
 
-class _CffiLibrary:
-    """A built shared object behind cffi's ABI-mode loader."""
-
-    kind = "cffi"
-
-    def __init__(self, path: Path, cdef: str):
-        import cffi
-
-        self._ffi = cffi.FFI()
-        # Every pointer parameter is declared ``void *``: that is what
-        # lets ``from_buffer`` hand an ndarray of any dtype to the call,
-        # and a bytes object go as it is.
-        self._ffi.cdef(re.sub(r"(?:const )?\w+(?: \w+)? \*", "void *", cdef))
-        self._lib = self._ffi.dlopen(str(path))
-
-    def pointer(self, buf):
-        """``buf``'s address, as :meth:`fn` callables take it (``buf``
-        must outlive it)."""
-        return self._ffi.from_buffer(buf)
-
-    def fn(self, name: str):
-        """``name`` as a callable over ints, bytes objects and
-        :meth:`pointer` results, unconverted."""
-        return getattr(self._lib, name)
-
-    def value(self, name: str) -> int:
-        """The exported ``const int`` ``name`` (declared in the cdef)."""
-        return getattr(self._lib, name)
-
-
-class _CtypesLibrary:
-    """The same shared object behind plain ctypes (cffi-free hosts)."""
-
-    kind = "ctypes"
+class _Library:
+    """A built shared object behind ctypes."""
 
     def __init__(self, path: Path, cdef: str):
         self._lib = ctypes.CDLL(str(path))
@@ -215,30 +184,27 @@ class _CtypesLibrary:
                 else ctypes.c_longlong if "long long" in param
                 else ctypes.c_int
                 for param in params.split(",")
+                if param.strip() not in ("", "void")
             ]
             for name, params in re.findall(r"(\w+)\(([^)]*)\)", cdef)
         }
 
-    def pointer(self, buf):
-        return ctypes.c_void_p(_address(buf))
-
     def fn(self, name: str):
+        """``name`` as a callable over ints, bytes objects and
+        :func:`_pointer` results."""
         raw = getattr(self._lib, name)
         raw.restype, raw.argtypes = ctypes.c_int, self._argtypes[name]
         return raw
 
     def value(self, name: str) -> int:
+        """The exported ``int`` ``name``."""
         return ctypes.c_int.in_dll(self._lib, name).value
 
 
-def _address(buf) -> int:
-    """The data address of a bytes object or a C-contiguous ndarray."""
-    if isinstance(buf, np.ndarray):
-        return buf.ctypes.data
-    return ctypes.cast(ctypes.c_char_p(buf), ctypes.c_void_p).value or 0
-
-
-_Library = _CffiLibrary | _CtypesLibrary
+def _pointer(buf) -> ctypes.c_void_p:
+    """A writable buffer's address, as :meth:`_Library.fn` callables take
+    it (``buf`` must outlive it)."""
+    return ctypes.c_void_p(address(buf))
 
 
 def load_source(source: str, cdef: str) -> _Library:
@@ -272,10 +238,7 @@ def load_source(source: str, cdef: str) -> _Library:
                 os.utime(path)
             except OSError:
                 pass
-        try:
-            lib = _CffiLibrary(path, cdef)
-        except ImportError:
-            lib = _CtypesLibrary(path, cdef)
+        lib = _Library(path, cdef)
     except NativeBuildError:
         _LIB_FAILED.add(key)
         raise
@@ -291,47 +254,42 @@ def load_source(source: str, cdef: str) -> _Library:
 
 class _Workspace(threading.local):
     """A scanner's fixed-size out-buffers, allocated on its first span in
-    each thread: ``layout`` maps a name to ``(dtype, count)``; each buffer
-    is a view of one block (``name``: an ndarray, or for the ``read``
-    buffers a memoryview — sliced and listed per span, without NumPy)
-    plus the library's pointer to it (``at_<name>``), so a span neither
-    allocates nor converts them; ``args`` are the pointers of the
-    buffers ``names`` lists, ``caps`` and ``shape`` what ``ctl``'s
-    constant words were last written for, ``words`` a memoryview of
-    ``ctl``."""
+    each thread: ``layout`` maps a name to ``(typecode, count)``; each
+    buffer is a typed memoryview of one 64-byte-aligned block, whole
+    words apart (``name``), plus its address as the library takes it
+    (``at_<name>``), so a span neither allocates nor converts them;
+    ``args`` are the pointers of the buffers ``names`` lists, ``caps``
+    and ``shape`` what ``ctl``'s constant words were last written for."""
 
-    def __init__(
-        self, lib: _Library, layout: dict[str, tuple[type, int]], names=(), read=()
-    ):
-        words = [-(-np.dtype(t).itemsize * n // 8) for t, n in layout.values()]
-        self.block = np.zeros(sum(words), dtype=np.int64)
-        at = 0
-        for (name, (dtype, count)), size in zip(layout.items(), words):
-            view = self.block[at : at + size].view(dtype)[:count]
-            setattr(self, name, memoryview(view) if name in read else view)
-            setattr(self, "at_" + name, lib.pointer(view))
+    def __init__(self, layout: dict[str, tuple[str, int]], names=()):
+        sizes = [-(-array(t).itemsize * n // 8) * 8 for t, n in layout.values()]
+        self.block = aligned(sum(sizes))
+        base, at = address(self.block), 0
+        for (name, (typecode, count)), size in zip(layout.items(), sizes):
+            setattr(self, name, self.block[at : at + size].cast(typecode)[:count])
+            setattr(self, "at_" + name, ctypes.c_void_p(base + at))
             at += size
         self.args = tuple(getattr(self, "at_" + name) for name in names)
         self.caps = self.shape = None
-        self.words = memoryview(self.ctl)
         # fresh NBVA cursors -> (this thread's _Rows, the template's
         # words, zero vector bytes): reset in place before each span
         self.fresh: dict[tuple, tuple] = {}
 
 
 class _Rows:
-    """NBVA cursors as the kernel takes them: the cursor ``table`` (one
-    row of :data:`~repro.core.codegen.NBVA_COLUMNS` words per cursor) and
-    ``vecs``, both ndarrays, ``flat`` the table's words and ``raw`` the
-    vectors' bytes as memoryviews, and ``args`` the two pointers."""
+    """NBVA cursors as the kernel takes them: the cursor table (one row
+    of :data:`~repro.core.codegen.NBVA_COLUMNS` words per cursor; its
+    words ``flat``) and the vector words (their bytes ``raw``), one
+    64-byte-aligned block each, and ``args`` the two pointers."""
 
-    __slots__ = ("table", "vecs", "flat", "raw", "args")
+    __slots__ = ("flat", "raw", "args")
 
-    def __init__(self, table, vecs, pointer):
-        self.table, self.vecs = table, vecs
-        self.flat = memoryview(table).cast("B").cast("Q")
-        self.raw = memoryview(vecs).cast("B")
-        self.args = pointer(table), pointer(vecs)
+    def __init__(self, table: array, vecs: bytes):
+        self.flat = aligned(8 * len(table)).cast("Q")
+        self.flat[:] = table
+        self.raw = aligned(len(vecs))
+        self.raw[:] = vecs
+        self.args = _pointer(self.flat), _pointer(self.raw)
 
 
 _FRESH = NBVAState()
@@ -360,12 +318,11 @@ class NativeScanner:
         self._source, lanes = kernel.source, kernel.lanes
         self.bases, rows = codegen.unit_forest(fused)
         vectors = rows > 0 and kernel.scalar_why is None
-        cdef = codegen.SCAN_CDEF + ("\n" + codegen.FOREST_CDEF) * vectors
-        lib = load_source(kernel.source, cdef)
+        lib = load_source(kernel.source, codegen.SCAN_CDEF)
         # the forest step the compiler took: 16 units a state vector, or 1
         self.forest_lanes = lib.value(codegen.FOREST_LANES) if vectors else 1
         self._span_fn = lib.fn("rap_scan_span")
-        nbva, classes = codegen.native_nbva_indices(fused), fused.classes.class_of
+        nbva = codegen.native_nbva_indices(fused)
         self.dfas, self.tier = (lanes.closure, lanes.tier) if lanes else ([], None)
         if lanes:  # per group: its first bin, where its slice of the word sits
             ends = [fused.bases[j] for j in lanes.first[1:]] + [sum(fused.widths)]
@@ -399,7 +356,7 @@ class NativeScanner:
             )
         # NBVA unit index -> (slot in the C unit table, {counted pid:
         # (word offset, words)} vector layout, total vector words); per
-        # slot what each byte adds to matched_states, which the C leaves
+        # slot what each class adds to matched_states, which the C leaves
         # to the span's byte histogram
         self._nbva = {
             j: (slot, *codegen.nbva_vector_layout(fused._nbva[j].automaton))
@@ -412,13 +369,14 @@ class NativeScanner:
             g for g, units in enumerate(fused.nbva_groups)
             if all(j in self._nbva for j in units)
         )
-        self._nbva_pops = np.array(
+        self._classes = classes = fused.classes
+        self._nbva_pops = StatePops(
             [
-                [u.labels[c].bit_count() + u.cmatch[c].bit_count() for c in classes]
+                [a.bit_count() + b.bit_count() for a, b in zip(u.labels, u.cmatch)]
                 for u in map(fused._nbva.__getitem__, nbva)
             ],
-            dtype=np.int64,
-        ).reshape(-1, 256)
+            classes.k,
+        )
         # One event cap for every tier, each clamping it to its buffer; a
         # span's unit events are whole bytes, up to one per cursor.
         self._cap = cap = max(codegen.HIT_BUFFER_ENTRIES, lanes.block if lanes else 0)
@@ -426,34 +384,29 @@ class NativeScanner:
         lane_groups, hits = len(self.dfas), cap if lanes else 0
         most = codegen.UNIT_SPAN_CURSORS if rows else 0
         events = max(codegen.HIT_BUFFER_ENTRIES, most) if rows else 0
-        i64, u32 = np.int64, np.uint32
         # A stream's lane state and tile counters are its own (LaneStream,
         # resident between spans); the rest is scratch of one span.
         self._ws = _Workspace(
-            lib,
             dict(
-                hist=(i64, 256), visits=(i64, visits),
-                ctl=(i64, len(codegen.SCAN_CTL)),
-                active=(i64, most), hit_pos=(i64, hits),
-                hit_states=(u32, hits * lane_groups), units=(u32, most),
-                ev_pos=(i64, events), ev_cursor=(np.int32, events),
-                ev_state=(u32, events),
-                ev=(i64, codegen.HIT_BUFFER_ENTRIES if nbva else 1),
+                hist=("q", 256), visits=("q", visits),
+                ctl=("q", len(codegen.SCAN_CTL)),
+                active=("q", most), hit_pos=("q", hits),
+                hit_states=("I", hits * lane_groups), units=("I", most),
+                ev_pos=("q", events), ev_cursor=("i", events),
+                ev_state=("I", events),
+                ev=("q", codegen.HIT_BUFFER_ENTRIES if nbva else 1),
                 # per stall group, its bitmap of one block and its count
-                bits=(np.uint64, groups * codegen.NBVA_BLOCK // 64 if nbva else 1),
-                stalls=(i64, max(1, groups)),
+                bits=("Q", groups * codegen.NBVA_BLOCK // 64 if nbva else 1),
+                stalls=("q", max(1, groups)),
             ),
             # rap_scan_span's buffers after the lanes', in its order
             "visits hit_pos hit_states units active ev_pos ev_cursor ev_state "
             "ev hist bits stalls".split(),
-            "hit_pos hit_states units active ev_pos ev_cursor ev_state ev "
-            "stalls".split(),
         )
-        self._pointer = lib.pointer
         # Shared by every thread's spans: a key has one value, whoever
         # computes it (a racing miss computes it twice), and a template
         # is only ever read.
-        self._fresh: dict[tuple, np.ndarray] = {}  # fresh cursors -> template
+        self._fresh: dict[tuple, array] = {}  # fresh cursors -> table template
         self._hit_words: dict[tuple, int] = {}  # lane state ids -> packed word
         self._warm = fused.warm
         self._foreign_logged = False
@@ -482,10 +435,9 @@ class NativeScanner:
                 return False
             ids.append(sid)
         if lanes.args is None:
-            state = np.zeros(len(self.dfas), dtype=np.uint32)
-            buffers = state, lanes.tile_cycles, lanes.tile_bits
-            lanes.args = tuple(map(self._pointer, buffers))
-            lanes.state = memoryview(state)
+            lanes.state = aligned(4 * len(self.dfas)).cast("I")
+            buffers = lanes.state, lanes.tile_cycles, lanes.tile_bits
+            lanes.args = tuple(map(_pointer, buffers))
         lanes.state[:], lanes.word = array("I", ids), None
         return True
 
@@ -525,8 +477,8 @@ class NativeScanner:
         it); per unit cursor its raw ``(position, table state)`` events,
         active-state sum and exit state; per NBVA cursor
         :meth:`NBVAScanner.feed`'s global matches, counters and exit
-        frontier (``None`` without ``frontiers``); the owned bytes'
-        histogram (``None`` for the lanes alone); and per stall group the
+        frontier (``None`` without ``frontiers``); the owned bytes' per-class
+        counts (``None`` for the lanes alone); and per stall group the
         span's cycles in which one of its cursors triggers a BV phase.
         Forest state ids and BV-cycle positions never leave this
         method."""
@@ -551,7 +503,7 @@ class NativeScanner:
         found: list[list[int]] = [[] for _ in nbva]  # per NBVA cursor: matches
         offsets = [state.offset for _, state, _ in nbva]
         rows = self._nbva_rows(ws, nbva)
-        words = ws.words
+        words = ws.ctl
 
         def drain():
             if words[-2]:
@@ -567,12 +519,12 @@ class NativeScanner:
         if m:
             exits = [sid - base for sid, base in zip(ws.units[:m].tolist(), bases)]
             unit_out = list(zip(events, ws.active[:m].tolist(), exits))
-        hist = ws.hist.copy() if m or k else None
+        counts = self._classes.fold(ws.hist) if m or k else None
         nbva_out, stalls = [], [0] * self._groups
         if k:
-            nbva_out = self._nbva_out(nbva, rows, found, hist, n, frontiers)
+            nbva_out = self._nbva_out(nbva, rows, found, counts, n, frontiers)
             stalls = ws.stalls[: self._groups].tolist()
-        return hits if lanes is not None else None, unit_out, nbva_out, hist, stalls
+        return hits if lanes is not None else None, unit_out, nbva_out, counts, stalls
 
     def bulk(self, data: bytes, lanes, ids, nbva: tuple, found: list) -> tuple:
         """:meth:`span` of a bulk scan: every cursor fresh, over the whole
@@ -594,7 +546,7 @@ class NativeScanner:
         if m:
             ws.units[:m] = ids
         rows = self._fresh_rows(ws, nbva)
-        words, events = ws.words, found[:m]
+        words, events = ws.ctl, found[:m]
         offsets, nbva_found = [0] * k, found[m:]
 
         def drain():
@@ -627,11 +579,11 @@ class NativeScanner:
             # the unit and NBVA kernels write whole bytes: up to m events
             # and one
             ws.caps = cap, min(max(cap, m), len(ws.ev_pos)), min(cap, len(ws.ev))
-            ws.ctl[5:12] = *shape[:3], *ws.caps, self._groups
+            ws.ctl[5:12] = array("q", (*shape[:3], *ws.caps, self._groups))
         own = lanes.args if lanes is not None else (ws.at_hist,) * 3
         table = rows.args if rows is not None else (ws.at_hist,) * 2
         args = (int(at_end), stats_from, *table, ws.at_ctl, *own, *ws.args)
-        raw = data if type(data) is bytes else self._pointer(data)
+        raw = data if type(data) is bytes else bytes(data)
         n, rc = len(data), 1
         try:  # the C zeroes the span's counters and, done, its resume words
             while rc:
@@ -639,7 +591,7 @@ class NativeScanner:
                 drain()
         finally:
             if rc:  # an interrupted span: the next one starts afresh
-                ws.ctl[:5] = 0
+                ws.ctl[:5] = array("q", [0] * 5)
         if lanes is not None and n:
             lanes.fresh = False
 
@@ -678,15 +630,14 @@ class NativeScanner:
             return rows
         if not cursors:  # (rap_scan_span reads no cursor table then)
             return None
-        table = self._fresh.get(cursors)
-        if table is None:
+        template = self._fresh.get(cursors)
+        if template is None:
             fresh = [(j, _FRESH, g) for j, g in cursors]
-            table = self._fresh[cursors] = self._build_rows(fresh)[0]
+            template = array("Q", self._build_rows(fresh).flat)
+            self._fresh[cursors] = template
         words = sum(2 * self._nbva[j][2] for j, _ in cursors)
-        vecs = np.zeros(max(1, words), np.uint64)
-        rows = _Rows(table.copy(), vecs, self._pointer)
-        template = memoryview(table).cast("B").cast("Q")
-        ws.fresh[cursors] = rows, template, bytes(vecs.nbytes)
+        rows = _Rows(template, bytes(8 * max(1, words)))
+        ws.fresh[cursors] = rows, template, bytes(len(rows.raw))
         return rows
 
     def _nbva_rows(self, ws, cursors):
@@ -695,28 +646,25 @@ class NativeScanner:
         :meth:`_fresh_rows`)."""
         if all(state == _FRESH for _, state, _ in cursors):
             return self._fresh_rows(ws, tuple((j, g) for j, _, g in cursors))
-        return _Rows(*self._build_rows(cursors), self._pointer)
+        return self._build_rows(cursors)
 
-    def _build_rows(self, cursors):
-        """A new cursor table and vector words for NBVA cursors."""
-        layouts, rows, size = self._nbva, [], 0
-        for index, state, group in cursors:
-            slot, _, total = layouts[index]
-            live = 0
-            for pid, _ in state.vectors:
-                live |= 1 << pid
-            rows.append((slot, state.offset == 0, size, state.active, live, group))
-            size += 2 * total  # the cursor's vectors, then its scratch
-        table = np.zeros((max(1, len(rows)), codegen.NBVA_COLUMNS), dtype=np.uint64)
-        if rows:
-            table[:, :6] = rows
-        vecs = np.zeros(max(1, size), dtype=np.uint64)
-        for (index, state, _), row in zip(cursors, rows):
+    def _build_rows(self, cursors) -> _Rows:
+        """New :class:`_Rows` for NBVA cursors."""
+        width = codegen.NBVA_COLUMNS
+        table = array("Q", bytes(8 * width * max(1, len(cursors))))
+        vecs = bytearray()
+        for at, (index, state, group) in zip(range(0, len(table), width), cursors):
+            slot, layout, total = self._nbva[index]
+            live, base = 0, len(vecs) // 8
+            vecs += bytes(16 * total)  # the cursor's vectors, then its scratch
             for pid, vec in state.vectors:  # a fresh cursor has none
-                at, words = layouts[index][1][pid]
-                at += row[2]
-                vecs[at : at + words] = words_from_int(vec, words)
-        return table, vecs
+                live |= 1 << pid
+                word, words = layout[pid]
+                start = 8 * (base + word)
+                vecs[start : start + 8 * words] = vec.to_bytes(8 * words, "little")
+            row = slot, state.offset == 0, base, state.active, live, group
+            table[at : at + 6] = array("Q", row)
+        return _Rows(table, vecs or bytes(8))
 
     def _nbva_events(self, flat, offsets: list[int], found: list):
         """The NBVA matches of the last return: each cursor's ``C_NMATCH``
@@ -734,12 +682,14 @@ class NativeScanner:
                 matches += [p + off for p in run] if off else run
                 at += count
 
-    def _nbva_out(self, cursors, rows, found, hist, n: int, frontiers):
+    def _nbva_out(self, cursors, rows, found, counts, n: int, frontiers):
         """Per NBVA cursor ``(matches, NBVAStats, exit frontier)``, its
-        ``matched_states`` the histogram dotted with its byte popcounts."""
-        spans, words = [], rows.vecs.tobytes() if frontiers else b""
-        matched = self._nbva_pops.dot(hist).tolist()
-        for (index, state, _), out, matches in zip(cursors, rows.table.tolist(), found):
+        ``matched_states`` from the span's class ``counts``."""
+        spans, words = [], rows.raw.tobytes() if frontiers else b""
+        matched = self._nbva_pops(counts)
+        flat, width = rows.flat.tolist(), codegen.NBVA_COLUMNS
+        table = [flat[at : at + width] for at in range(0, len(flat), width)]
+        for (index, state, _), out, matches in zip(cursors, table, found):
             out[_C_STATS + 2] = matched[out[0]]  # by the unit's slot
             frontier = None
             if frontiers:

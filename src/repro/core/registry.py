@@ -19,12 +19,11 @@ Three backends, three steppers.  ``python`` is the *oracle*: every unit
 steps through the stdlib :class:`~repro.core.pykernel.PythonKernel`.
 ``fused`` is the *portable* tier: the ruleset-wide plan, every bin and
 unit one :class:`~repro.core.table.StepTable` stepped by the table
-walker (NumPy only translates the input).  ``native`` runs the same
-plan's closed tables through generated C, and walks whatever the C
-cannot take.  Every backend is capability-flagged: requesting ``native``
-without a C compiler, or ``fused`` without NumPy, *silently* resolves
-down the fallback chain (``native`` → ``fused`` → ``python``), so
-scripts and CI recipes can pin ``RAP_BACKEND=native`` unconditionally.
+walker.  ``native`` runs the same plan's closed tables through generated
+C, and walks whatever the C cannot take.  All three run on the standard
+library.  ``native`` is capability-flagged: requested without a C
+compiler, it *silently* resolves to ``fused``, so scripts and CI recipes
+can pin ``RAP_BACKEND=native`` unconditionally.
 This is safe because backends are bit-identical by contract — the
 backend only changes speed, never results — and it is why nothing
 persisted names one: a compile-cache entry, a checkpoint or a served
@@ -44,20 +43,7 @@ BACKEND_ENV = "RAP_BACKEND"
 _NATIVE_DISABLE_ENV = "RAP_NATIVE_DISABLE"  # repro.core.native reads it too
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def _native_available() -> bool:
-    # NumPy first: the native tier layers on the fused compilation, and
-    # checking it here keeps repro.core.native importable only on
-    # machines that could ever run it.
-    if not _numpy_available():
-        return False
     from repro.core.native import native_available
 
     return native_available()
@@ -68,7 +54,7 @@ def _native_available() -> bool:
 # always step through the one PythonKernel (see get_kernel).
 _BACKENDS: dict[str, Callable[[], bool]] = {
     "python": lambda: True,
-    "fused": _numpy_available,
+    "fused": lambda: True,
     "native": _native_available,
 }
 
@@ -79,8 +65,6 @@ _FALLBACKS: dict[str, str] = {"native": "fused"}
 
 def _unavailable_reason(name: str) -> str:
     """Why ``name``'s capability probe fails right now (best effort)."""
-    if name in ("fused", "native") and not _numpy_available():
-        return "NumPy unavailable"
     if name == "native":
         from repro.core.native import native_unavailable_reason
 
@@ -175,8 +159,8 @@ def get_kernel() -> StepKernel:
 def set_default_backend(name: str | None) -> None:
     """Pin the process-wide default backend (``None`` unpins it).
 
-    The name is resolved eagerly, so pinning ``fused`` without NumPy
-    pins ``python`` — later probes cannot flip the choice mid-run.
+    The name is resolved eagerly, so pinning ``native`` without a C
+    compiler pins ``fused`` — later probes cannot flip the choice mid-run.
     """
     global _default
     _default = None if name is None else resolve_backend(name)

@@ -23,24 +23,20 @@ steps in one crossing of it per span (:meth:`NativeScanner.span
 * :class:`FusedRun` is a bulk scan's
   :meth:`~repro.simulators.rap.RAPSimulator.collect_activities`: one
   crossing over the whole input, activities built from its buffers.
-
-Import this module lazily, only after the backend registry has resolved
-``fused`` or ``native`` — :mod:`repro.core.fused` requires NumPy.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from collections.abc import Collection
 from dataclasses import astuple, dataclass
-
-import numpy as np
 
 from repro.automata.nbva import NBVAState
 from repro.automata.nfa import NFASimulator
 from repro.compiler.program import CompiledMode, CompiledRegex, CompiledRuleset
 from repro.core import codegen
-from repro.core.fused import FusedRuleset, TranslatedSegment
+from repro.core.fused import FusedRuleset, TranslatedSegment, aligned
 from repro.core.state import KernelState
 from repro.core.table import StepTable
 from repro.core.trace import regex_fingerprint
@@ -85,15 +81,15 @@ class LaneStream:
     packed ``word`` the walker steps, or (``word`` ``None``) one state id
     per group in ``state``, which the kernel steps (``args``: the three
     buffers' addresses).  ``fresh`` until the stream's first byte.  The
-    two counter arrays are halves of one block, ``counts`` (its bytes:
-    ``raw``), so a reset and a read are one memoryview operation each."""
+    two ``int64`` counter arrays are halves of one 64-byte-aligned block,
+    ``counts`` (its bytes: ``raw``), so a reset and a read are one
+    memoryview operation each."""
 
     def __init__(self, tiles: int, word: int = 0, fresh: bool = True):
         self.word, self.fresh = word, fresh
-        block = np.zeros(2 * tiles, dtype=np.int64)
-        self.tile_cycles, self.tile_bits = block[:tiles], block[tiles:]
-        self.counts = memoryview(block)
-        self.raw = self.counts.cast("B")
+        self.raw = aligned(16 * tiles)
+        self.counts = self.raw.cast("q")
+        self.tile_cycles, self.tile_bits = self.counts[:tiles], self.counts[tiles:]
         self.state = self.args = None
 
 
@@ -236,8 +232,9 @@ class FusedLaneScanner:
                 at_end=at_end,
                 stats_from=stats_from,
             )
-            lanes.tile_cycles[a:b] += cycles
-            lanes.tile_bits[a:b] += bits
+            tc, tb = lanes.tile_cycles, lanes.tile_bits
+            tc[a:b] = array("q", map(int.__add__, tc[a:b], cycles))
+            tb[a:b] = array("q", map(int.__add__, tb[a:b], bits))
             exits.append(word)
             for position, state in found:
                 hits[position] = hits.get(position, 0) | state << fused.bases[j]
@@ -395,8 +392,9 @@ class FusedBinFeeder:
             self._scanner.fused.pack([c.state.states for c in collectors]),
             fresh=self._offset == 0,
         )
-        lanes.tile_cycles[:] = [n for c in collectors for n in c.tile_active_cycles]
-        lanes.tile_bits[:] = [n for c in collectors for n in c.tile_active_bits]
+        cycles = [n for c in collectors for n in c.tile_active_cycles]
+        bits = [n for c in collectors for n in c.tile_active_bits]
+        lanes.tile_cycles[:], lanes.tile_bits[:] = array("q", cycles), array("q", bits)
         self._bases = [(c.cycles, c.tile_active_cycles[0]) for c in collectors]
 
     def feed(
@@ -674,12 +672,12 @@ class FusedPlan:
             whole = whole and len(units) <= codegen.UNIT_SPAN_CURSORS
             self._compiled = whole and (
                 native,
-                np.array(
+                array(
+                    "I",
                     [
                         base + unit.table.closed_id(None)
                         for base, unit in zip(native.bases, units)
                     ],
-                    dtype=np.uint32,
                 ),
             )
         return self._compiled or None

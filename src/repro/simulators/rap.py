@@ -338,9 +338,9 @@ class Binding:
 
     @cached_property
     def plan(self):
-        """The ruleset's :class:`~repro.simulators.fused.FusedPlan`
-        (requires NumPy; the ``python`` backend never asks for it), on
-        the binding's backend whatever scope first asks for it."""
+        """The ruleset's :class:`~repro.simulators.fused.FusedPlan` (the
+        ``python`` backend never asks for it), on the binding's backend
+        whatever scope first asks for it."""
         from repro.simulators.fused import FusedPlan
 
         return FusedPlan(self.ruleset, self.mapping, self.hw, backend=self.backend)

@@ -10,14 +10,12 @@ driven here by hypothesis:
   event-for-event and counter-for-counter.
 
 The module also covers the prefilter's find-chain/LUT parity (label-table
-interning is covered in tests/regex).  Skips cleanly without NumPy.
+interning is covered in tests/regex).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator
@@ -29,22 +27,12 @@ from repro.core import (
     iter_states_from,
     use_backend,
 )
-from repro.core.fused import (
-    AlphabetClasses,
-    FusedRuleset,
-    int_from_words,
-    words_from_int,
-)
+from repro.core.fused import AlphabetClasses, FusedRuleset, StatePops, aligned
 from repro.core.registry import resolve_backend
 from repro.regex.rewrite import unfold_all
 
 from tests.automata.test_lnfa import lnfa_strategy
 from tests.helpers import inputs, regex_trees
-
-pytestmark = pytest.mark.skipif(
-    "fused" not in available_backends(),
-    reason="fused backend not available",
-)
 
 
 @st.composite
@@ -174,11 +162,38 @@ class TestAlphabetClasses:
         assert set(classes.class_of) == {0}
 
 
-class TestWordHelpers:
+class TestStatePops:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, (1 << 200) - 1), st.integers(4, 6))
-    def test_int_word_roundtrip(self, value, lanes):
-        assert int_from_words(words_from_int(value, lanes)) == value
+    @given(
+        st.lists(st.lists(st.integers(0, 4096), min_size=5, max_size=5), max_size=9),
+        st.lists(st.integers(0, 1 << 30), min_size=5, max_size=5),
+    )
+    def test_packed_sum_is_the_per_unit_dot(self, pops, counts):
+        """Per unit, ``sum(count x popcount)`` over the classes, exactly:
+        no lane carries into its neighbour."""
+        want = [sum(c * p for c, p in zip(counts, row)) for row in pops]
+        assert StatePops(pops, 5)(counts) == want
+
+    def test_histogram_and_class_stream_count_alike(self):
+        classes = AlphabetClasses([[1 << (b % 3) for b in range(256)]])
+        data = bytes(range(256)) * 3 + b"abc"
+        hist = [data.count(b) for b in range(256)]
+        cls = data.translate(classes.table)
+        want = [sum(b % 3 == c for b in data) for c in range(3)]
+        assert classes.fold(hist) == classes.count(cls) == want
+        assert classes.count(cls, 300) == [
+            sum(b % 3 == c for b in data[300:]) for c in range(3)
+        ]
+
+
+class TestAligned:
+    def test_blocks_start_on_a_cache_line(self):
+        import ctypes
+
+        for size in (1, 8, 63, 64, 1000):
+            view = aligned(size)
+            assert len(view) == size and not any(view)
+            assert ctypes.addressof(ctypes.c_char.from_buffer(view)) % 64 == 0
 
 
 def make_lnfa(text: str):

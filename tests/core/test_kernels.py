@@ -24,26 +24,17 @@ drives all three program kinds against it:
 
 The oracle side is always one ``scan_segment`` feed of the owned bytes,
 entered at the state a state-only feed of the warm-up prefix left.
-
-The whole module skips cleanly when NumPy is not installed.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.automata.bitserial import BitSerialLNFA
 from repro.automata.glushkov import build_automaton
 from repro.automata.nfa import NFASimulator, StepStats
 from repro.automata.shift_and import MultiShiftAnd, ShiftAnd
-from repro.core import (
-    ProgramKind,
-    available_backends,
-    get_kernel,
-    iter_states_from,
-)
+from repro.core import ProgramKind, get_kernel, iter_states_from
 from repro.core.fused import FusedRuleset
 from repro.regex.parser import parse
 from repro.regex.rewrite import unfold_all
@@ -51,11 +42,6 @@ from repro.regex.rewrite import unfold_all
 from tests.automata.test_lnfa import lnfa_strategy
 from tests.core.test_fused import make_lnfa
 from tests.helpers import inputs, regex_trees
-
-pytestmark = pytest.mark.skipif(
-    "fused" not in available_backends(),
-    reason="fused backend not available",
-)
 
 
 def reduce_states(program, states_at, n: int, stats_from: int):

@@ -1,7 +1,7 @@
 """Native compiled backend: bit-identity, probe fallback, fingerprints.
 
 The ``native`` backend generates specialized C per compiled ruleset and
-runs it through ``cffi``/``ctypes``; its entire contract is that it is
+runs it through ``ctypes``; its entire contract is that it is
 *only* faster — matches, StepStats-derived counters, the priced energy
 ledger, checkpoints, and the input-parallel seam protocol must be
 byte-identical to the fused (and pure-Python) tiers.  This suite drives
@@ -66,9 +66,6 @@ from tests.helpers import inputs, scannable_trees
 NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(
     not NATIVE, reason="native backend not available (no C toolchain?)"
-)
-needs_fused = pytest.mark.skipif(
-    "fused" not in available_backends(), reason="fused backend not available"
 )
 
 
@@ -144,15 +141,15 @@ class TestProbeAndFallback:
         key = native.source_key(source)
         assert native._host_tag() == native._host_tag() != ""  # memoised, usable
         built, opened = [], []
-        compile_shared, cffi_library = native._compile_shared, native._CffiLibrary
+        compile_shared, library = native._compile_shared, native._Library
         monkeypatch.setattr(
             native, "_compile_shared",
             lambda cc, src, target: built.append(target.name)
             or compile_shared(cc, src, target),
         )
         monkeypatch.setattr(
-            native, "_CffiLibrary",
-            lambda path, cdef: opened.append(path.name) or cffi_library(path, cdef),
+            native, "_Library",
+            lambda path, cdef: opened.append(path.name) or library(path, cdef),
         )
         for tag in ("hostA", "hostB", "hostA"):
             monkeypatch.setattr(native, "_host_tag", lambda tag=tag: tag)
@@ -763,12 +760,11 @@ class TestOneCrossing:
             "_compile_shared",
             lambda *args: builds.append(args[2]) or compile_shared(*args),
         )
-        for library in (native._CffiLibrary, native._CtypesLibrary):
-            def fn(self, name, _fn=library.fn):
-                call = _fn(self, name)
-                return lambda *args: calls.append(name) or call(*args)
+        def fn(self, name, _fn=native._Library.fn):
+            call = _fn(self, name)
+            return lambda *args: calls.append(name) or call(*args)
 
-            monkeypatch.setattr(library, "fn", fn)
+        monkeypatch.setattr(native._Library, "fn", fn)
         return builds, calls
 
     def test_the_mix_builds_once_and_crosses_once_per_span(self, counted):
@@ -1159,7 +1155,7 @@ class TestNativeLaneDfa:
             rc = fn(*args)
             visits = native._ws.visits  # the buffer args[10] points at
             later = len(visits) // codegen.LANE_SUBSPANS
-            blocks.append(bool(visits[later:].any()))
+            blocks.append(any(visits[later:]))
             return rc
 
         native._span_fn = probed
@@ -1334,7 +1330,7 @@ def _assert_units_identical(
 @pytest.mark.parametrize(
     "backend",
     [
-        pytest.param("fused", marks=needs_fused),
+        "fused",
         pytest.param("native", marks=needs_native),
     ],
 )
@@ -1668,7 +1664,6 @@ class TestUnitForest:
             cells.sigkill_resume(snort, tmp_path, "native", ["fused"], input_jobs=2)
 
 
-@needs_fused
 def test_fresh_processes_emit_the_same_unit_source():
     """Closure ids are breadth-first over ordered containers only:
     hash randomisation cannot reorder a table, so two processes

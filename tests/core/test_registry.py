@@ -1,5 +1,11 @@
 """Backend registry: resolution order, fallbacks, and scoping."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -14,8 +20,6 @@ from repro.core import (
 )
 from repro.core import registry as registry_mod
 from repro.io.envelope import PLAN_VERSION
-
-HAVE_FUSED = "fused" in available_backends()
 
 
 @pytest.fixture(autouse=True)
@@ -47,8 +51,7 @@ class TestResolution:
 
     def test_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "fused")
-        expected = "fused" if HAVE_FUSED else "python"
-        assert resolve_backend() == expected
+        assert resolve_backend() == "fused"
 
     def test_env_is_case_insensitive(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "  PyThOn ")
@@ -77,7 +80,7 @@ class TestResolution:
         # one hop, and the reason names every hop taken.
         swap_probe(monkeypatch, "native", lambda: False)
         resolved, reason = resolve_backend_with_reason("native")
-        assert resolved == ("fused" if HAVE_FUSED else "python")
+        assert resolved == "fused"
         assert reason.startswith("native unavailable: ")
         swap_probe(monkeypatch, "fused", lambda: False)
         resolved, reason = resolve_backend_with_reason("native")
@@ -115,7 +118,7 @@ class TestDefaultPinning:
     def test_use_backend_scopes_and_restores(self):
         set_default_backend("python")
         with use_backend("fused") as resolved:
-            assert resolved == ("fused" if HAVE_FUSED else "python")
+            assert resolved == "fused"
             assert resolve_backend() == resolved
         assert resolve_backend() == "python"
 
@@ -125,7 +128,7 @@ class TestDefaultPinning:
         memoised resolution included — and neither outlives its scope."""
         import threading
 
-        names = ["native", "fused"] if HAVE_FUSED else ["fused", "python"]
+        names = ["native", "fused"]
         set_default_backend("python")
         both_open, seen = threading.Barrier(2), {}
 
@@ -182,3 +185,45 @@ class TestKernels:
     def test_format_version_is_a_positive_int(self):
         assert isinstance(PLAN_VERSION, int)
         assert PLAN_VERSION >= 1
+
+
+class TestStandardLibraryRuntime:
+    def test_scans_import_neither_numpy_nor_cffi(self, tmp_path):
+        """Every backend runs on ``array``, ``memoryview`` and ``ctypes``:
+        a fresh process that imports the engine, the native loader and
+        the server and scans on ``fused`` and ``native`` never imports
+        NumPy or cffi."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.core.native
+            import repro.engine.batch
+            import repro.serve.server
+            from repro.core import use_backend
+            from repro.engine.batch import BatchEngine
+
+            patterns = ["abc", "a[0-9]{3,5}b", "x[^\\n]*y", "(?i)get /admin"]
+            data = b"abc a1234b xzy GET /ADMIN " * 64
+            for backend in ("fused", "native"):
+                with use_backend(backend) as resolved:
+                    result = BatchEngine().scan(patterns, data)
+                print(resolved, result.match_count, result.energy_uj.hex())
+            loaded = {name.split(".")[0] for name in sys.modules}
+            print(sorted(loaded & {"numpy", "cffi"}))
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "RAP_CACHE_DIR": str(tmp_path)}
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        fused, native, loaded = run.stdout.splitlines()
+        assert fused.startswith("fused ") and int(fused.split()[1]) > 0
+        assert native.split()[1:] == fused.split()[1:]  # bit-identical
+        assert loaded == "[]"

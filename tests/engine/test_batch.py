@@ -139,7 +139,6 @@ class TestBinding:
 
     @pytest.fixture
     def counters(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.core import codegen
         from repro.core.fused import FusedRuleset
         from repro.simulators import rap
@@ -269,8 +268,8 @@ class TestBinding:
         assert len(resolving) == 2 and reads == []
 
     def test_per_op_derivations_are_gone(self):
-        """Pricing replays a plan derived per binding; the unit span
-        reads one byte histogram (no class fold)."""
+        """Pricing replays a plan derived per binding; a translated
+        segment derives no counts of its own."""
         from repro.core.fused import TranslatedSegment
         from repro.simulators.rap import Binding
 

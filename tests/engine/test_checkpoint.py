@@ -1154,7 +1154,6 @@ def _plan_ruleset(name: str):
     return compile_ruleset(case.patterns, case.compiler), case.data
 
 
-@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
 @pytest.mark.parametrize("name", ["lnfa", "nfa", "dfa", "nbva", "mix"])
 class TestPlanDifferential:
@@ -1228,7 +1227,6 @@ class TestPlanDifferential:
         assert outcome.checkpoints_written == 1
 
 
-@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 @pytest.mark.parametrize("backend", PLANNED_BACKENDS)
 def test_shed_bin_stays_on_the_lane_machine(backend, monkeypatch):
     """Shedding a bin must not drop the live bins onto the per-byte
@@ -1356,12 +1354,11 @@ def test_a_resident_lane_feed_is_one_crossing_and_no_fold(monkeypatch):
         )
 
     monkeypatch.setattr(native, "_LIB_MEMO", {})  # libraries loaded anew, below
-    for library in (native._CffiLibrary, native._CtypesLibrary):
-        monkeypatch.setattr(
-            library, "fn", lambda self, name, _fn=library.fn: logged(
-                name, _fn(self, name)
-            ),
-        )
+    monkeypatch.setattr(
+        native._Library, "fn", lambda self, name, _fn=native._Library.fn: logged(
+            name, _fn(self, name)
+        ),
+    )
     for name in ("_enter", "_leave"):
         original = getattr(native.NativeScanner, name)
         monkeypatch.setattr(native.NativeScanner, name, logged(name, original))
@@ -1443,7 +1440,6 @@ def _as_the_parent_wrote(doc, fingerprint: str):
     return old
 
 
-@pytest.mark.skipif(not PLANNED_BACKENDS, reason="fused backend not available")
 class TestPlanFingerprint:
     """One fingerprint recipe — the ruleset document, the hardware
     config and the bin size, hashed — the same on every backend."""

@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.compiler import CompilerConfig, compile_ruleset
 from repro.compiler.program import CompiledMode
 from repro.core import available_backends, use_backend
@@ -28,11 +26,6 @@ from repro.workloads.inputs import generate_input
 
 from tests.conformance import cells
 from tests.conformance.cells import Case
-
-pytestmark = pytest.mark.skipif(
-    "fused" not in available_backends(),
-    reason="fused backend not available",
-)
 
 # Lanes + acyclic and cyclic DFA + acyclic and cyclic NFA + NBVA
 # counters: one ruleset that exercises both split rules on every kind of

@@ -142,8 +142,6 @@ class TestStreaming:
     def test_sessions_of_a_generation_share_one_plan(
         self, registry, data, tmp_path
     ):
-        pytest.importorskip("numpy")
-
         async def scenario():
             async with running_server(tmp_path, registry) as server:
                 clients = [
@@ -620,7 +618,6 @@ class TestHotReload:
     def test_retired_generation_is_collectable(self, data, tmp_path):
         # The binding (mapping + plan) rides on the ruleset object, so a
         # generation nobody scans any more takes its plan with it.
-        pytest.importorskip("numpy")
         registry = TenantRegistry()
 
         async def scenario():

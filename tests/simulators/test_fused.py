@@ -13,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
-
 from repro.compiler import CompiledMode, compile_ruleset
-from repro.core import available_backends, use_backend
+from repro.core import use_backend
 from repro.engine.checkpoint import DurableScan
 from repro.hardware.config import DEFAULT_CONFIG, TileMode
 from repro.simulators.activity import BinActivityCollector
@@ -25,11 +23,6 @@ from repro.simulators.rap import RAPSimulator
 
 from tests.conformance import cells
 from tests.conformance.cells import HOST, Case
-
-pytestmark = pytest.mark.skipif(
-    "fused" not in available_backends(),
-    reason="fused backend not available",
-)
 
 # Mixed-mode pool: literals and alternations land in LNFA bins, counted
 # repetitions in NBVA, the rest in NFA — subsets exercise every engine.
