@@ -1,6 +1,6 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-shape checks.
 
-Every benchmark regenerates one of the paper's tables or figures at a
+Every check regenerates one of the paper's tables or figures at a
 scaled-down workload size (override with REPRO_BENCH_SCALE=2, 4, ... for
 closer-to-paper populations) and asserts the DESIGN.md shape
 expectations: who wins, in which direction, and roughly by how much.
@@ -31,8 +31,3 @@ def results_dir(tmp_path_factory):
 def config() -> ExperimentConfig:
     return ExperimentConfig.scaled()
 
-
-def run_once(benchmark, fn, *args):
-    """Time one full experiment run (they are minutes-scale at large
-    REPRO_BENCH_SCALE, so a single round is appropriate)."""
-    return benchmark.pedantic(fn, args=args, rounds=1, iterations=1)

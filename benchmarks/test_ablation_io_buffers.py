@@ -11,10 +11,8 @@ from repro.experiments.common import compile_forced
 from repro.core.trace import ActivityTrace
 from repro.simulators.bank import ArrayStream, BankSimulator, streams_from_activities
 
-from benchmarks.conftest import run_once
 
-
-def test_ablation_io_buffer_hiding(benchmark):
+def test_ablation_io_buffer_hiding():
     """Replay a real NBVA workload's stall schedule through the bank:
     the buffered siblings lose far less throughput than the stalling
     array itself."""
@@ -42,7 +40,7 @@ def test_ablation_io_buffer_hiding(benchmark):
         alone = sim.run([nbva_stream], len(workload.data))
         return together, alone
 
-    together, alone = run_once(benchmark, build_and_run)
+    together, alone = build_and_run()
 
     # The shared window tethers the sibling to the stalling array, but
     # the buffering hides part of the stall time.
@@ -62,7 +60,7 @@ def test_ablation_io_buffer_hiding(benchmark):
     )
 
 
-def test_ablation_output_path_sizing(benchmark):
+def test_ablation_output_path_sizing():
     """The 64-entry output buffer absorbs the paper's <10% match rate;
     storms above it trip CPU interrupts and cost real throughput."""
 
@@ -76,7 +74,7 @@ def test_ablation_output_path_sizing(benchmark):
             out[rate_every] = result
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     assert results[64].output_interrupts <= results[2].output_interrupts
     assert results[2].effective_throughput < results[64].effective_throughput
     # no reports are ever lost, whatever the rate

@@ -15,8 +15,6 @@ from repro.compiler import CompiledMode, CompilerConfig, compile_ruleset
 from repro.experiments.common import ExperimentConfig, build_mode_workload
 from repro.simulators import RAPSimulator
 
-from benchmarks.conftest import run_once
-
 
 @pytest.fixture(scope="module")
 def lnfa_workload():
@@ -32,7 +30,7 @@ def nbva_workload():
     )
 
 
-def test_ablation_lnfa_vector_vs_crossbar(benchmark, lnfa_workload):
+def test_ablation_lnfa_vector_vs_crossbar(lnfa_workload):
     """Linear patterns on the LNFA path (active-vector shift) vs the NFA
     path (full crossbar transfer): the vector path must win on energy."""
     patterns = list(lnfa_workload.benchmark.patterns)
@@ -49,7 +47,7 @@ def test_ablation_lnfa_vector_vs_crossbar(benchmark, lnfa_workload):
             sim.run(nfa_rs, data),
         )
 
-    vector, crossbar = run_once(benchmark, run_both)
+    vector, crossbar = run_both()
     assert vector.matches == crossbar.matches
     assert vector.energy_uj < crossbar.energy_uj
     # the crossbar path pays for state-transition switch accesses the
@@ -63,7 +61,7 @@ def test_ablation_lnfa_vector_vs_crossbar(benchmark, lnfa_workload):
     )
 
 
-def test_ablation_binning(benchmark, lnfa_workload):
+def test_ablation_binning(lnfa_workload):
     """Binning concentrates initial states: energy falls, matches don't."""
     patterns = list(lnfa_workload.benchmark.patterns)
     data = lnfa_workload.data
@@ -76,7 +74,7 @@ def test_ablation_binning(benchmark, lnfa_workload):
             sim.run(ruleset, data, bin_size=32),
         )
 
-    unbinned, binned = run_once(benchmark, run_both)
+    unbinned, binned = run_both()
     assert binned.matches == unbinned.matches
     assert binned.energy_uj < unbinned.energy_uj
     print(
@@ -85,7 +83,7 @@ def test_ablation_binning(benchmark, lnfa_workload):
     )
 
 
-def test_ablation_unfold_threshold(benchmark, nbva_workload):
+def test_ablation_unfold_threshold(nbva_workload):
     """Raising the threshold unfolds more repetitions: more states, fewer
     counters; the language (matches) never changes."""
     patterns = list(nbva_workload.benchmark.patterns)
@@ -102,7 +100,7 @@ def test_ablation_unfold_threshold(benchmark, nbva_workload):
             out[threshold] = (ruleset, sim.run(ruleset, data))
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
     match_sets = [r.matches for _, r in results.values()]
     assert all(m == match_sets[0] for m in match_sets)
     states = {t: rs.total_states for t, (rs, _) in results.items()}
@@ -115,7 +113,7 @@ def test_ablation_unfold_threshold(benchmark, nbva_workload):
     print(f"\nstates per threshold: {states}; NBVA regexes: {nbva_counts}")
 
 
-def test_ablation_set1_single_column(benchmark, nbva_workload):
+def test_ablation_set1_single_column(nbva_workload):
     """The set1 optimization stores one initial-vector column per entry
     state instead of a full-width vector; measure the columns it saves."""
     patterns = list(nbva_workload.benchmark.patterns)
@@ -134,7 +132,7 @@ def test_ablation_set1_single_column(benchmark, nbva_workload):
                     unoptimized += per_group_width
         return optimized, unoptimized
 
-    optimized, unoptimized = run_once(benchmark, accounting)
+    optimized, unoptimized = accounting()
     assert optimized < unoptimized
     print(
         f"\nset1 columns: {optimized} optimized vs {unoptimized} full-width "

@@ -2,11 +2,9 @@
 
 from repro.experiments import fig01_model_mix
 
-from benchmarks.conftest import run_once
 
-
-def test_fig01_model_mix(benchmark, config):
-    result = run_once(benchmark, fig01_model_mix.run, config)
+def test_fig01_model_mix(config):
+    result = fig01_model_mix.run(config)
     print()
     print(result.to_table())
 

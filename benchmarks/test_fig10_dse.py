@@ -7,11 +7,9 @@ larger bins trade padding area for power-gating energy.
 
 from repro.experiments import fig10_dse
 
-from benchmarks.conftest import run_once
 
-
-def test_fig10_dse(benchmark, config):
-    result = run_once(benchmark, fig10_dse.run, config)
+def test_fig10_dse(config):
+    result = fig10_dse.run(config)
     print()
     print(result.to_table())
 

@@ -7,11 +7,9 @@ plain-NFA share of energy/area is at least its share of STEs.
 
 from repro.experiments import fig11_breakdown
 
-from benchmarks.conftest import run_once
 
-
-def test_fig11_breakdown(benchmark, config):
-    result = run_once(benchmark, fig11_breakdown.run, config)
+def test_fig11_breakdown(config):
+    result = fig11_breakdown.run(config)
     print()
     print(result.to_table())
 

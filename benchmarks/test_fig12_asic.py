@@ -9,11 +9,9 @@ efficiency; CAMA burns the most power; RegexLib is RAP's worst case
 
 from repro.experiments import fig12_asic
 
-from benchmarks.conftest import run_once
 
-
-def test_fig12_asic(benchmark, config):
-    result = run_once(benchmark, fig12_asic.run, config)
+def test_fig12_asic(config):
+    result = fig12_asic.run(config)
     print()
     print(result.ratio_table())
 

@@ -7,11 +7,9 @@ fraction of their power, for >100x / >1000x energy-efficiency leads.
 
 from repro.experiments import fig13_cpu_gpu
 
-from benchmarks.conftest import run_once
 
-
-def test_fig13_cpu_gpu(benchmark, config):
-    result = run_once(benchmark, fig13_cpu_gpu.run, config)
+def test_fig13_cpu_gpu(config):
+    result = fig13_cpu_gpu.run(config)
     print()
     print(result.to_table())
 

@@ -9,13 +9,11 @@ NFA throughput, with ClamAV slowest.
 
 from repro.experiments import table2_nbva
 
-from benchmarks.conftest import run_once
-
 REP_HEAVY = ["Snort", "Suricata", "Yara", "ClamAV"]
 
 
-def test_table2_nbva(benchmark, config):
-    result = run_once(benchmark, table2_nbva.run, config)
+def test_table2_nbva(config):
+    result = table2_nbva.run(config)
     print()
     print(result.to_table())
     norm = result.normalized_averages()

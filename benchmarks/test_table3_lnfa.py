@@ -10,11 +10,9 @@ amortize bin padding); LNFA and NFA modes share the same throughput
 
 from repro.experiments import table3_lnfa
 
-from benchmarks.conftest import run_once
 
-
-def test_table3_lnfa(benchmark, config):
-    result = run_once(benchmark, table3_lnfa.run, config)
+def test_table3_lnfa(config):
+    result = table3_lnfa.run(config)
     print()
     print(result.to_table())
     norm = result.normalized_averages()

@@ -9,11 +9,9 @@ less power, so only the ordering is asserted.)
 
 from repro.experiments import table4_fpga
 
-from benchmarks.conftest import run_once
 
-
-def test_table4_fpga(benchmark, config):
-    result = run_once(benchmark, table4_fpga.run, config)
+def test_table4_fpga(config):
+    result = table4_fpga.run(config)
     print()
     print(result.to_table())
 

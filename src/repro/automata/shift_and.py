@@ -228,13 +228,6 @@ class MultiShiftAnd:
         matches in ``data`` (one feed of a fresh :meth:`scanner`)."""
         return self.scanner().feed(data, stats)
 
-    def bit_location(self, bit: int) -> tuple[int, int]:
-        """Map a packed bit index to ``(pattern_index, state_index)``."""
-        for k in range(len(self._offsets) - 1, -1, -1):
-            if bit >= self._offsets[k]:
-                return k, bit - self._offsets[k]
-        raise ValueError(f"bit {bit} out of range")
-
     def scanner(self) -> "MultiShiftAndScanner":
         """A streaming scanner with snapshot/restore for this pack."""
         return MultiShiftAndScanner(self)

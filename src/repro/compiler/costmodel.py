@@ -70,7 +70,7 @@ DFA_MAX_SOURCE_STATES = 512
 #
 # Units are "relative work per input byte" on the fused backend; only the
 # NFA-vs-DFA comparison is decisive, so the absolute scale is arbitrary.
-# Calibration anchors (benchmarks/test_dfa_speed.py pins the first):
+# Calibration anchors (tests/compiler/test_costmodel.py pins both):
 #
 # * low-activity keyword-ish patterns (predicted activity ~1/256) must
 #   pick DFA: the lookup replaces the shift-mask-AND + gather stack;

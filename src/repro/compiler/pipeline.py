@@ -63,14 +63,6 @@ class CompilerConfig:
     dfa_state_budget: int = DFA_STATE_BUDGET
     hw: HardwareConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
-    def with_depth(self, depth: int) -> "CompilerConfig":
-        """A copy of this config with another BV depth."""
-        return dataclasses.replace(self, bv_depth=depth)
-
-    def with_forced_mode(self, mode: CompiledMode | None) -> "CompilerConfig":
-        """A copy of this config forcing one mode."""
-        return dataclasses.replace(self, forced_mode=mode)
-
     def with_mode_override(
         self, mode: CompiledMode | None
     ) -> "CompilerConfig":

@@ -88,11 +88,6 @@ class HardwareConfig:
         return self.global_switch_dim // self.tiles_per_array
 
     @property
-    def stes_per_tile(self) -> int:
-        """STE columns available per tile."""
-        return self.cam_cols
-
-    @property
     def stes_per_array(self) -> int:
         """STE columns available per array."""
         return self.cam_cols * self.tiles_per_array

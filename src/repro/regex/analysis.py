@@ -62,16 +62,6 @@ class RegexProfile:
     linearization: Linearization | None = None
 
     @property
-    def has_countable_reps(self) -> bool:
-        """True iff at least one surviving repetition can use a bit vector."""
-        return any(r.counting_compatible for r in self.bounded_reps)
-
-    @property
-    def all_reps_countable(self) -> bool:
-        """True iff every surviving repetition is countable."""
-        return all(r.counting_compatible for r in self.bounded_reps)
-
-    @property
     def total_bv_bits(self) -> int:
         """Bit-vector storage the countable repetitions need."""
         return sum(r.bv_size for r in self.bounded_reps if r.counting_compatible)

@@ -75,12 +75,21 @@ class TestCacheDir:
 
 
 class TestCompileCache:
-    def test_miss_then_hit_round_trips(self, tmp_path):
+    def test_miss_then_hit_round_trips(self, tmp_path, monkeypatch):
+        compiles = []
+        compile_ruleset = cache_mod.compile_ruleset
+
+        def counted(*args):
+            compiles.append(args)
+            return compile_ruleset(*args)
+
+        monkeypatch.setattr(cache_mod, "compile_ruleset", counted)
         cache = CompileCache(tmp_path)
         cold = cached_compile_ruleset(PATTERNS, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
         warm = cached_compile_ruleset(PATTERNS, cache=cache)
         assert (cache.hits, cache.misses) == (1, 1)
+        assert len(compiles) == 1  # a hit compiles nothing
         assert ruleset_to_json(warm) == ruleset_to_json(cold)
 
     def test_different_config_different_entry(self, tmp_path):

@@ -310,6 +310,40 @@ class TestSplitCollect:
         assert nbva_calls == [n] * len(plan.nbva_units)
         assert stepped + sum(nbva_calls) == units * n
 
+    @pytest.mark.skipif("native" not in BACKENDS, reason="native not available")
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (CHANGES.md FOUND, engine/split.py): windowless "
+        "units are dealt into input_jobs tasks",
+    )
+    def test_state_vectors_step_windowless_units_in_one_crossing(self, monkeypatch):
+        """The state-vector step takes only a span of every placed unit; a
+        task holding a share of them steps the scalar forest (``snort_nfa64``
+        over 1 MiB: ~47 ms at ``input_jobs=2`` against ~9 ms serial).  So no
+        crossing of a windowless-only binding should carry a share of its
+        units, split or not."""
+        from benchmarks.ledger.workloads import RULESETS
+        from repro.core.native import NativeScanner
+
+        patterns = RULESETS["snort_nfa64"]()
+        ruleset = compile_ruleset(patterns)
+        with use_backend("native"):
+            native = bind(ruleset, DEFAULT_CONFIG).plan.fused._native_scanner()
+        if native.forest_lanes == 1:
+            pytest.skip("no state-vector step on this host")
+        crossings: list[int] = []
+        real_span = NativeScanner.span
+
+        def counted_span(self, data, **span):
+            crossings.append(len(span.get("units", ())))
+            return real_span(self, data, **span)
+
+        monkeypatch.setattr(NativeScanner, "span", counted_span)
+        data = generate_input("network", 16 << 10, seed=13, patterns=patterns)
+        config = EngineConfig(backend="native", input_jobs=2, use_cache=False)
+        BatchEngine(config).scan(ruleset, data)
+        assert set(crossings) <= {len(patterns)}, crossings
+
 
 class TestSeams:
     def _assert_identical(self, patterns, data, *, input_jobs, min_chunk):
